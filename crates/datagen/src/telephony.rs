@@ -202,6 +202,19 @@ mod tests {
     }
 
     #[test]
+    fn the_revenue_plan_has_no_residual_filter() {
+        // `Mo = PMo` is folded into the Plans join: one plan row is
+        // probed per call, not twelve enumerated and eleven dropped.
+        let (pipeline, ..) = revenue_spec(&generate(small()));
+        assert_eq!(
+            pipeline.explain(),
+            "scan Cust\n\
+             join Calls on (ID = CID)\n\
+             join Plans on (PlanId = PlanId, Mo = PMo) [pushed down]"
+        );
+    }
+
+    #[test]
     fn one_polynomial_per_zip() {
         let data = generate(small());
         let mut vars = VarTable::new();

@@ -388,6 +388,31 @@ mod tests {
     }
 
     #[test]
+    fn plans_read_as_written_with_the_equality_folded() {
+        let d = small();
+        assert_eq!(q1_spec(&d).0.explain(), "scan lineitem");
+        // Q10's literal filter has no join to fold into: it stays a
+        // filter, after the last join.
+        assert_eq!(
+            q10_spec(&d).0.explain(),
+            "scan customer\n\
+             join orders on (c_custkey = o_custkey)\n\
+             join lineitem on (o_orderkey = l_orderkey)\n\
+             filter l_returnflag = 'R'"
+        );
+        // Q5's `c_nationkey = s_nationkey` becomes a second key of the
+        // supplier join it follows, not of the nation join after it.
+        assert_eq!(
+            q5_spec(&d).0.explain(),
+            "scan customer\n\
+             join orders on (c_custkey = o_custkey)\n\
+             join lineitem on (o_orderkey = l_orderkey)\n\
+             join supplier on (l_suppkey = s_suppkey, c_nationkey = s_nationkey) [pushed down]\n\
+             join nation on (s_nationkey = n_nationkey)"
+        );
+    }
+
+    #[test]
     fn q1_shape_few_groups_many_monomials() {
         let d = small();
         let mut vars = VarTable::new();

@@ -3,11 +3,13 @@
 use crate::error::EngineError;
 use crate::table::Table;
 use provabs_provenance::fxhash::FxHashMap;
+use std::sync::Arc;
 
-/// Name → table registry.
+/// Name → table registry. Tables are held behind [`Arc`]s, so a query
+/// plan that scans or joins one shares it instead of copying it.
 #[derive(Default, Debug)]
 pub struct Catalog {
-    tables: FxHashMap<String, Table>,
+    tables: FxHashMap<String, Arc<Table>>,
 }
 
 impl Catalog {
@@ -22,12 +24,23 @@ impl Catalog {
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable(name));
         }
-        self.tables.insert(name, table);
+        self.tables.insert(name, Arc::new(table));
         Ok(())
     }
 
     /// Looks a table up by name.
     pub fn get(&self, name: &str) -> Result<&Table, EngineError> {
+        self.entry(name).map(|table| &**table)
+    }
+
+    /// A shared handle to a table — what
+    /// [`Pipeline::scan`](crate::query::Pipeline::scan) and
+    /// [`Pipeline::join`](crate::query::Pipeline::join) hold on to.
+    pub fn share(&self, name: &str) -> Result<Arc<Table>, EngineError> {
+        self.entry(name).map(Arc::clone)
+    }
+
+    fn entry(&self, name: &str) -> Result<&Arc<Table>, EngineError> {
         self.tables
             .get(name)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
@@ -41,7 +54,7 @@ impl Catalog {
     /// Total number of tuples across all tables (the "input data size"
     /// axis of Figure 8).
     pub fn total_tuples(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
+        self.tables.values().map(|table| table.len()).sum()
     }
 }
 
@@ -60,6 +73,16 @@ mod tests {
         assert_eq!(c.get("t").expect("ok").len(), 1);
         assert!(c.get("u").is_err());
         assert_eq!(c.total_tuples(), 1);
+    }
+
+    #[test]
+    fn shared_handles_alias_the_registered_table() {
+        let mut c = Catalog::new();
+        c.register("t", Table::new(Schema::of(&[("id", ColumnType::Int)])))
+            .expect("ok");
+        let handle = c.share("t").expect("ok");
+        assert!(std::ptr::eq(&*handle, c.get("t").expect("ok")));
+        assert!(c.share("u").is_err());
     }
 
     #[test]

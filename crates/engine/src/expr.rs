@@ -3,11 +3,20 @@
 //! Used for filter predicates (`WHERE`), join residuals and the numeric
 //! part of aggregate measures. Expressions are built against column
 //! *names* and resolved against a schema once, so evaluation is index
-//! chasing only.
+//! chasing only — column and literal operands are read in place, never
+//! cloned.
+//!
+//! A predicate is also *type-checked* against the schema when it is
+//! resolved ([`Expr::predicate`]): comparing a string with a number,
+//! arithmetic on a string and a non-boolean under `AND`/`OR`/`NOT` are
+//! refused there, so evaluating a [`Predicate`] over rows of that schema
+//! cannot fail.
 
 use crate::error::EngineError;
-use crate::schema::Schema;
+use crate::schema::{ColumnType, Schema};
 use crate::value::{Row, Value};
+use std::borrow::Cow;
+use std::fmt;
 
 /// An unresolved scalar expression tree.
 #[derive(Clone, Debug)]
@@ -120,6 +129,71 @@ impl Expr {
         Expr::Or(Box::new(self), Box::new(other))
     }
 
+    /// Resolves `self` as a predicate over `schema`, refusing an
+    /// ill-typed one with [`EngineError::TypeMismatch`] whether or not
+    /// any row would ever reach the offending operand: a comparison must
+    /// have two strings or two numbers, arithmetic needs numbers, and
+    /// `AND`/`OR`/`NOT` — and the predicate as a whole — need booleans
+    /// (comparisons, or integers read as "non-zero").
+    pub fn predicate(&self, schema: &Schema) -> Result<Predicate, EngineError> {
+        let resolved = self.resolve(schema)?;
+        self.expect_boolean(schema)?;
+        Ok(Predicate(resolved))
+    }
+
+    /// The static type of the expression's value. Comparisons and the
+    /// logical connectives yield an integer (0 or 1), arithmetic a float.
+    fn check(&self, schema: &Schema) -> Result<ColumnType, EngineError> {
+        Ok(match self {
+            Expr::Col(name) => schema.column_type(schema.index_of(name)?),
+            Expr::Lit(Value::Int(_)) => ColumnType::Int,
+            Expr::Lit(Value::Float(_)) => ColumnType::Float,
+            Expr::Lit(Value::Str(_)) => ColumnType::Str,
+            Expr::Arith(l, _, r) => {
+                for side in [l, r] {
+                    if side.check(schema)? == ColumnType::Str {
+                        return Err(EngineError::TypeMismatch {
+                            expected: "a numeric operand of arithmetic",
+                            got: format!("the string {side} in {self}"),
+                        });
+                    }
+                }
+                ColumnType::Float
+            }
+            Expr::Cmp(l, _, r) => {
+                let is_str = |side: &Expr| -> Result<bool, EngineError> {
+                    Ok(side.check(schema)? == ColumnType::Str)
+                };
+                if is_str(l)? != is_str(r)? {
+                    return Err(EngineError::TypeMismatch {
+                        expected: "a comparison of two strings or of two numbers",
+                        got: self.to_string(),
+                    });
+                }
+                ColumnType::Int
+            }
+            Expr::And(l, r) | Expr::Or(l, r) => {
+                l.expect_boolean(schema)?;
+                r.expect_boolean(schema)?;
+                ColumnType::Int
+            }
+            Expr::Not(e) => {
+                e.expect_boolean(schema)?;
+                ColumnType::Int
+            }
+        })
+    }
+
+    fn expect_boolean(&self, schema: &Schema) -> Result<(), EngineError> {
+        match self.check(schema)? {
+            ColumnType::Int => Ok(()),
+            _ => Err(EngineError::TypeMismatch {
+                expected: "a boolean (a comparison or an integer)",
+                got: self.to_string(),
+            }),
+        }
+    }
+
     /// Resolves column names against `schema`.
     pub fn resolve(&self, schema: &Schema) -> Result<Resolved, EngineError> {
         Ok(match self {
@@ -146,6 +220,41 @@ impl Expr {
     }
 }
 
+/// SQL-flavoured rendering (`l_returnflag = 'R'`, `(a AND b)`), used by
+/// [`Pipeline::explain`](crate::query::Pipeline::explain) and by type
+/// errors.
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Col(name) => write!(f, "{name}"),
+            Expr::Lit(Value::Str(s)) => write!(f, "'{s}'"),
+            Expr::Lit(v) => write!(f, "{v}"),
+            Expr::Arith(l, op, r) => {
+                let op = match op {
+                    ArithOp::Add => '+',
+                    ArithOp::Sub => '-',
+                    ArithOp::Mul => '*',
+                };
+                write!(f, "({l} {op} {r})")
+            }
+            Expr::Cmp(l, op, r) => {
+                let op = match op {
+                    CmpOp::Eq => "=",
+                    CmpOp::Ne => "<>",
+                    CmpOp::Lt => "<",
+                    CmpOp::Le => "<=",
+                    CmpOp::Gt => ">",
+                    CmpOp::Ge => ">=",
+                };
+                write!(f, "{l} {op} {r}")
+            }
+            Expr::And(l, r) => write!(f, "({l} AND {r})"),
+            Expr::Or(l, r) => write!(f, "({l} OR {r})"),
+            Expr::Not(e) => write!(f, "NOT ({e})"),
+        }
+    }
+}
+
 /// A resolved expression: column references are row indexes.
 #[derive(Clone, Debug)]
 pub enum Resolved {
@@ -168,42 +277,86 @@ pub enum Resolved {
 impl Resolved {
     /// Evaluates to a value.
     pub fn eval(&self, row: &Row) -> Result<Value, EngineError> {
+        self.eval_ref(row).map(Cow::into_owned)
+    }
+
+    /// Evaluates without cloning what is already there: a column or a
+    /// literal is borrowed (no `Arc<str>` refcount traffic per row), a
+    /// computed number is owned.
+    fn eval_ref<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>, EngineError> {
         Ok(match self {
-            Resolved::Col(i) => row[*i].clone(),
-            Resolved::Lit(v) => v.clone(),
+            Resolved::Col(i) => Cow::Borrowed(&row[*i]),
+            Resolved::Lit(v) => Cow::Borrowed(v),
             Resolved::Arith(l, op, r) => {
-                let a = l.eval(row)?.as_f64()?;
-                let b = r.eval(row)?.as_f64()?;
+                let a = l.eval_f64(row)?;
+                let b = r.eval_f64(row)?;
                 let out = match op {
                     ArithOp::Add => a + b,
                     ArithOp::Sub => a - b,
                     ArithOp::Mul => a * b,
                 };
-                Value::float(out)
+                Cow::Owned(Value::float(out))
             }
             Resolved::Cmp(l, op, r) => {
-                let a = l.eval(row)?;
-                let b = r.eval(row)?;
-                Value::Int(i64::from(compare(&a, &b, *op)?))
+                let (a, b) = (l.eval_ref(row)?, r.eval_ref(row)?);
+                Cow::Owned(Value::Int(i64::from(compare(&a, &b, *op)?)))
             }
-            Resolved::And(l, r) => Value::Int(i64::from(
-                l.eval(row)?.as_i64()? != 0 && r.eval(row)?.as_i64()? != 0,
-            )),
-            Resolved::Or(l, r) => Value::Int(i64::from(
-                l.eval(row)?.as_i64()? != 0 || r.eval(row)?.as_i64()? != 0,
-            )),
-            Resolved::Not(e) => Value::Int(i64::from(e.eval(row)?.as_i64()? == 0)),
+            Resolved::And(l, r) => Cow::Owned(Value::Int(i64::from(
+                l.eval_bool(row)? && r.eval_bool(row)?,
+            ))),
+            Resolved::Or(l, r) => Cow::Owned(Value::Int(i64::from(
+                l.eval_bool(row)? || r.eval_bool(row)?,
+            ))),
+            Resolved::Not(e) => Cow::Owned(Value::Int(i64::from(!e.eval_bool(row)?))),
         })
     }
 
     /// Evaluates as a boolean (predicates).
     pub fn eval_bool(&self, row: &Row) -> Result<bool, EngineError> {
-        Ok(self.eval(row)?.as_i64()? != 0)
+        Ok(self.eval_ref(row)?.as_i64()? != 0)
     }
 
     /// Evaluates as a float (measures).
     pub fn eval_f64(&self, row: &Row) -> Result<f64, EngineError> {
-        self.eval(row)?.as_f64()
+        self.eval_ref(row)?.as_f64()
+    }
+
+    /// Rewrites every column index `i` to `cols[i]` — from positions in a
+    /// plan's logical schema to positions in the physical row the fused
+    /// loop carries (see [`crate::query`]).
+    pub(crate) fn remap(&mut self, cols: &[usize]) {
+        match self {
+            Resolved::Col(i) => *i = cols[*i],
+            Resolved::Lit(_) => {}
+            Resolved::Arith(l, _, r)
+            | Resolved::Cmp(l, _, r)
+            | Resolved::And(l, r)
+            | Resolved::Or(l, r) => {
+                l.remap(cols);
+                r.remap(cols);
+            }
+            Resolved::Not(e) => e.remap(cols),
+        }
+    }
+}
+
+/// A predicate that was type-checked against the schema it was resolved
+/// on ([`Expr::predicate`]): over rows of that schema it always
+/// evaluates, so a plan that holds one cannot fail on it.
+#[derive(Clone, Debug)]
+pub struct Predicate(Resolved);
+
+impl Predicate {
+    /// Whether `row` satisfies the predicate.
+    pub fn holds(&self, row: &Row) -> bool {
+        self.0
+            .eval_bool(row)
+            .expect("the predicate was type-checked against this schema")
+    }
+
+    /// See [`Resolved::remap`].
+    pub(crate) fn remap(&mut self, cols: &[usize]) {
+        self.0.remap(cols);
     }
 }
 
@@ -211,6 +364,11 @@ fn compare(a: &Value, b: &Value, op: CmpOp) -> Result<bool, EngineError> {
     use std::cmp::Ordering;
     let ord = match (a, b) {
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        // Exact, not through `f64`: above 2^53 neighbouring integers
+        // round to the same float, and an equality filter must agree
+        // with join-key matching (`Value`'s own `==`) to be foldable into
+        // a join.
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
         (x, y) => {
             let (x, y) = (x.as_f64()?, y.as_f64()?);
             x.partial_cmp(&y).expect("NaN excluded at construction")
@@ -285,6 +443,89 @@ mod tests {
     fn unknown_columns_fail_at_resolve_time() {
         let e = Expr::col("zz");
         assert!(e.resolve(&schema()).is_err());
+    }
+
+    fn refused(e: Expr) -> bool {
+        matches!(
+            e.predicate(&schema()),
+            Err(EngineError::TypeMismatch { .. })
+        )
+    }
+
+    #[test]
+    fn predicate_refuses_a_string_compared_with_a_number() {
+        assert!(refused(Expr::col("plan").eq(Expr::col("dur"))));
+        assert!(refused(Expr::col("price").lt(Expr::lit("A"))));
+        // Int against Float is one kind: numeric.
+        assert!(!refused(Expr::col("dur").eq(Expr::col("price"))));
+        assert!(!refused(Expr::col("plan").eq(Expr::lit("A"))));
+    }
+
+    #[test]
+    fn predicate_refuses_arithmetic_on_a_string() {
+        assert!(refused(
+            Expr::col("plan").mul(Expr::lit(2i64)).gt(Expr::lit(1i64))
+        ));
+        assert!(!refused(
+            Expr::col("dur").mul(Expr::col("price")).gt(Expr::lit(1i64))
+        ));
+    }
+
+    #[test]
+    fn predicate_refuses_a_non_boolean_under_a_connective() {
+        let cmp = || Expr::col("dur").gt(Expr::lit(0i64));
+        assert!(refused(cmp().and(Expr::col("price"))));
+        assert!(refused(Expr::col("plan").or(cmp())));
+        assert!(refused(Expr::Not(Box::new(
+            Expr::col("dur").add(Expr::lit(1i64))
+        ))));
+        // The predicate as a whole must be boolean too; an integer
+        // column reads as "non-zero".
+        assert!(refused(Expr::col("price")));
+        assert!(!refused(Expr::col("dur")));
+        assert!(!refused(cmp().and(Expr::Not(Box::new(cmp())))));
+    }
+
+    #[test]
+    fn a_checked_predicate_evaluates_like_the_unchecked_expression() {
+        let e = Expr::col("plan").eq(Expr::lit("A")).and(
+            Expr::col("dur")
+                .mul(Expr::col("price"))
+                .gt(Expr::lit(200i64)),
+        );
+        let checked = e.predicate(&schema()).expect("well-typed");
+        assert!(checked.holds(&row()));
+        let other = vec![Value::Int(10), Value::float(0.4), Value::str("A")];
+        assert!(!checked.holds(&other));
+    }
+
+    #[test]
+    fn integers_compare_exactly() {
+        let big = 1i64 << 53;
+        let s = Schema::of(&[("a", ColumnType::Int), ("b", ColumnType::Int)]);
+        let r = Expr::col("a")
+            .eq(Expr::col("b"))
+            .resolve(&s)
+            .expect("resolve");
+        // Both round to 2^53 as floats; as integers they differ.
+        assert!(!r
+            .eval_bool(&vec![Value::Int(big), Value::Int(big + 1)])
+            .expect("eval"));
+        assert!(r
+            .eval_bool(&vec![Value::Int(big + 1), Value::Int(big + 1)])
+            .expect("eval"));
+    }
+
+    #[test]
+    fn expressions_render_as_sql() {
+        let e = Expr::col("plan")
+            .eq(Expr::lit("A"))
+            .and(Expr::col("dur").mul(Expr::lit(0.5)).ge(Expr::lit(3i64)));
+        assert_eq!(e.to_string(), "(plan = 'A' AND (dur * 0.5) >= 3)");
+        assert_eq!(
+            Expr::Not(Box::new(Expr::col("dur").lt(Expr::lit(0i64)))).to_string(),
+            "NOT (dur < 0)"
+        );
     }
 
     #[test]

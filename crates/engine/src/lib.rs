@@ -14,12 +14,15 @@
 //!   [`MonoArena`](provabs_provenance::intern::MonoArena) during operator
 //!   evaluation, so provenance leaves the engine already in the pipeline's
 //!   id currency,
-//! * [`ops`] — plain relational operators (scan/filter/project/hash
-//!   join/union) used to build query pipelines,
+//! * [`ops`] — eager, table-per-operator relational operators
+//!   (filter/project/hash join/union): the oracle the query pipeline is
+//!   tested against, and the [`ops::JoinIndex`] every join shares,
 //! * [`param`] — cell parameterization: attaching provenance variables to
 //!   measure attributes (§2.1 case 2 — "variables are placed/combined
 //!   with the values in certain cells"),
-//! * [`query`] — a small fluent pipeline API culminating in
+//! * [`query`] — a small fluent pipeline API: a lazy plan over shared
+//!   tables that its consumers drive as one fused loop (no operator
+//!   materialises its output), culminating in
 //!   [`query::Pipeline::aggregate_sum`], which produces one provenance
 //!   polynomial per group (the multiset `𝒫` the abstraction algorithms
 //!   consume).

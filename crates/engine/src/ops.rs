@@ -1,8 +1,18 @@
-//! Plain relational operators over [`Table`]s.
+//! Plain, eager relational operators over [`Table`]s, one materialised
+//! table per operator.
 //!
-//! These drive the aggregate-provenance pipelines (the joins happen on
-//! plain tables; provenance enters at the aggregation step via
-//! [`crate::param`]). Joins are hash joins building on the smaller side.
+//! Query pipelines no longer run on these: [`crate::query::Pipeline`]
+//! drives its whole plan as one fused loop and materialises nothing in
+//! between. The eager operators stay as the *oracle* that loop is tested
+//! against (`tests/fused_equivalence.rs`) and as the baseline of
+//! `bench_engine`; [`JoinIndex`] is shared by every join in the engine.
+//!
+//! Joins are hash joins that always build on the **right** input and
+//! probe with the left, whatever the sizes. Output order is therefore
+//! left-major, with the matches of one left row in build (right-table)
+//! order — and that order is load-bearing: the aggregation sums
+//! coefficients in row order, so a different row order changes the last
+//! bits of provenance coefficients and the ids monomials intern to.
 
 use crate::error::EngineError;
 use crate::expr::Expr;
@@ -13,7 +23,7 @@ use std::hash::{Hash, Hasher};
 
 /// The FxHash of a row's key columns, computed in place — no key tuple is
 /// materialised on either side of a join.
-fn hash_key(row: &Row, cols: &[usize]) -> u64 {
+pub(crate) fn hash_key(row: &Row, cols: &[usize]) -> u64 {
     let mut h = FxHasher::default();
     for &c in cols {
         row[c].hash(&mut h);
@@ -29,6 +39,7 @@ fn hash_key(row: &Row, cols: &[usize]) -> u64 {
 /// the interned `ProvQuery` pipeline).
 ///
 /// [`Value`]: crate::value::Value
+#[derive(Debug)]
 pub struct JoinIndex {
     /// Key column indices on the build side.
     key_cols: Vec<usize>,

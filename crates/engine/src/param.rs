@@ -11,9 +11,10 @@
 
 use crate::error::EngineError;
 use crate::schema::Schema;
-use crate::value::Row;
+use crate::value::{Row, Value};
 use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::var::{VarId, VarTable};
+use std::sync::Arc;
 
 /// A rule mapping each row to one provenance variable.
 #[derive(Clone, Debug)]
@@ -81,28 +82,30 @@ impl VarRule {
 
     /// Resolves the rule against a schema.
     pub fn resolve(&self, schema: &Schema) -> Result<ResolvedRule, EngineError> {
-        Ok(match self {
-            VarRule::PerValue { column, prefix } => ResolvedRule {
-                col: schema.index_of(column)?,
-                kind: RuleKind::PerValue {
+        let (column, kind) = match self {
+            VarRule::PerValue { column, prefix } => (
+                column,
+                RuleKind::PerValue {
                     prefix: prefix.clone(),
                 },
-            },
+            ),
             VarRule::PerMod {
                 column,
                 modulus,
                 prefix,
-            } => ResolvedRule {
-                col: schema.index_of(column)?,
-                kind: RuleKind::PerMod {
+            } => (
+                column,
+                RuleKind::PerMod {
                     modulus: *modulus,
                     prefix: prefix.clone(),
                 },
-            },
-            VarRule::Mapped { column, map } => ResolvedRule {
-                col: schema.index_of(column)?,
-                kind: RuleKind::Mapped { map: map.clone() },
-            },
+            ),
+            VarRule::Mapped { column, map } => (column, RuleKind::Mapped { map: map.clone() }),
+        };
+        Ok(ResolvedRule {
+            col: schema.index_of(column)?,
+            kind,
+            cache: VarCache::default(),
         })
     }
 }
@@ -114,35 +117,92 @@ enum RuleKind {
     Mapped { map: FxHashMap<String, String> },
 }
 
-/// A [`VarRule`] bound to a column index, with a per-rule name cache so
-/// repeated rows intern once.
+/// `value → variable` for the values a rule has already named. Keyed by
+/// the value's exact representation — not by [`Value`]'s own equality,
+/// which widens integers: `Int(2^53 + 1) == Float(2^53)`, yet the two
+/// render, and so are named, differently.
+#[derive(Clone, Debug, Default)]
+struct VarCache {
+    ints: FxHashMap<i64, VarId>,
+    floats: FxHashMap<u64, VarId>,
+    strs: FxHashMap<Arc<str>, VarId>,
+}
+
+impl VarCache {
+    fn get(&self, value: &Value) -> Option<VarId> {
+        match value {
+            Value::Int(i) => self.ints.get(i),
+            Value::Float(f) => self.floats.get(&f.to_bits()),
+            Value::Str(s) => self.strs.get(&**s),
+        }
+        .copied()
+    }
+
+    fn insert(&mut self, value: &Value, id: VarId) {
+        match value {
+            Value::Int(i) => self.ints.insert(*i, id),
+            Value::Float(f) => self.floats.insert(f.to_bits(), id),
+            Value::Str(s) => self.strs.insert(Arc::clone(s), id),
+        };
+    }
+}
+
+/// A [`VarRule`] bound to a column index, with a per-rule cache of the
+/// variables it has handed out, so a value that recurs over millions of
+/// rows is rendered and interned once and costs a lookup afterwards. The
+/// cache holds ids of the [`VarTable`] the rule was first used with: use
+/// one resolved rule with one table.
 #[derive(Clone, Debug)]
 pub struct ResolvedRule {
     col: usize,
     kind: RuleKind,
+    cache: VarCache,
 }
 
 impl ResolvedRule {
     /// The variable for `row`, interned in `vars`.
-    pub fn var(&self, row: &Row, vars: &mut VarTable) -> Result<VarId, EngineError> {
+    ///
+    /// Which rows raise does not depend on the cache: a `PerMod` rule
+    /// refuses every non-integer before looking anything up, and a
+    /// `Mapped` rule caches only values it has a mapping for.
+    pub fn var(&mut self, row: &Row, vars: &mut VarTable) -> Result<VarId, EngineError> {
         let value = &row[self.col];
-        let name = match &self.kind {
-            RuleKind::PerValue { prefix } => format!("{prefix}{value}"),
-            RuleKind::PerMod { modulus, prefix } => {
-                let k = value.as_i64()?;
-                format!("{prefix}{}", k.rem_euclid(*modulus))
+        let residue;
+        let key = match &self.kind {
+            RuleKind::PerMod { modulus, .. } => {
+                residue = Value::Int(value.as_i64()?.rem_euclid(*modulus));
+                &residue
+            }
+            RuleKind::PerValue { .. } | RuleKind::Mapped { .. } => value,
+        };
+        if let Some(id) = self.cache.get(key) {
+            return Ok(id);
+        }
+        let id = match &self.kind {
+            RuleKind::PerValue { prefix } | RuleKind::PerMod { prefix, .. } => {
+                vars.intern(&format!("{prefix}{key}"))
             }
             RuleKind::Mapped { map } => {
-                let key = value.to_string();
-                map.get(&key)
-                    .ok_or(EngineError::TypeMismatch {
-                        expected: "a mapped parameterization value",
-                        got: key,
-                    })?
-                    .clone()
+                let rendered = key.to_string();
+                match map.get(&rendered) {
+                    Some(name) => vars.intern(name),
+                    None => {
+                        return Err(EngineError::TypeMismatch {
+                            expected: "a mapped parameterization value",
+                            got: rendered,
+                        })
+                    }
+                }
             }
         };
-        Ok(vars.intern(&name))
+        self.cache.insert(key, id);
+        Ok(id)
+    }
+
+    /// Moves the rule's column from a position in a plan's logical schema
+    /// to its position in the physical row (see [`crate::query`]).
+    pub(crate) fn remap(&mut self, cols: &[usize]) {
+        self.col = cols[self.col];
     }
 }
 
@@ -167,7 +227,7 @@ mod tests {
     #[test]
     fn per_value_rule() {
         let mut vars = VarTable::new();
-        let rule = VarRule::per_value("Mo", "m")
+        let mut rule = VarRule::per_value("Mo", "m")
             .resolve(&schema())
             .expect("resolve");
         let v = rule.var(&row(), &mut vars).expect("var");
@@ -177,7 +237,7 @@ mod tests {
     #[test]
     fn per_mod_rule() {
         let mut vars = VarTable::new();
-        let rule = VarRule::per_mod("SuppKey", 128, "s")
+        let mut rule = VarRule::per_mod("SuppKey", 128, "s")
             .resolve(&schema())
             .expect("resolve");
         let v = rule.var(&row(), &mut vars).expect("var");
@@ -187,7 +247,7 @@ mod tests {
     #[test]
     fn mapped_rule_and_missing_value() {
         let mut vars = VarTable::new();
-        let rule = VarRule::mapped("Plan", [("SB1", "b1"), ("A", "p1")])
+        let mut rule = VarRule::mapped("Plan", [("SB1", "b1"), ("A", "p1")])
             .resolve(&schema())
             .expect("resolve");
         let v = rule.var(&row(), &mut vars).expect("var");
@@ -204,9 +264,56 @@ mod tests {
     #[test]
     fn per_mod_requires_integers() {
         let mut vars = VarTable::new();
-        let rule = VarRule::per_mod("Plan", 128, "s")
+        let mut rule = VarRule::per_mod("Plan", 128, "s")
             .resolve(&schema())
             .expect("resolve");
         assert!(rule.var(&row(), &mut vars).is_err());
+    }
+
+    #[test]
+    fn the_cache_does_not_change_which_rows_raise() {
+        let s = Schema::of(&[("k", ColumnType::Float), ("plan", ColumnType::Str)]);
+        let mut vars = VarTable::new();
+        // PerMod: Int(3) is cached first; Float(3.0) equals it as a
+        // `Value` and must still be refused, every time.
+        let mut per_mod = VarRule::per_mod("k", 4, "s").resolve(&s).expect("resolve");
+        let int_row = vec![Value::Int(3), Value::str("A")];
+        let float_row = vec![Value::float(3.0), Value::str("A")];
+        let v = per_mod.var(&int_row, &mut vars).expect("integer");
+        assert_eq!(vars.name(v), "s3");
+        assert!(per_mod.var(&float_row, &mut vars).is_err());
+        assert!(per_mod.var(&float_row, &mut vars).is_err());
+        assert_eq!(per_mod.var(&int_row, &mut vars).expect("cached"), v);
+        // 7 and 3 share a residue, hence a variable.
+        let seven = vec![Value::Int(7), Value::str("A")];
+        assert_eq!(per_mod.var(&seven, &mut vars).expect("integer"), v);
+
+        // Mapped: an unknown value raises on every row that carries it,
+        // before and after known values were cached.
+        let mut mapped = VarRule::mapped("plan", [("A", "p1")])
+            .resolve(&s)
+            .expect("resolve");
+        let unknown = vec![Value::Int(0), Value::str("ZZ")];
+        assert!(mapped.var(&unknown, &mut vars).is_err());
+        let p1 = mapped.var(&int_row, &mut vars).expect("mapped");
+        assert_eq!(mapped.var(&int_row, &mut vars).expect("cached"), p1);
+        assert!(mapped.var(&unknown, &mut vars).is_err());
+    }
+
+    #[test]
+    fn cached_names_follow_the_rendering_not_value_equality() {
+        // Int(2^53 + 1) == Float(2^53) as `Value`s, but they render
+        // differently and must not share a cache entry.
+        let s = Schema::of(&[("k", ColumnType::Float)]);
+        let mut vars = VarTable::new();
+        let mut rule = VarRule::per_value("k", "x").resolve(&s).expect("resolve");
+        let big = (1i64 << 53) + 1;
+        let a = rule.var(&vec![Value::Int(big)], &mut vars).expect("var");
+        let b = rule
+            .var(&vec![Value::float((1u64 << 53) as f64)], &mut vars)
+            .expect("var");
+        assert_eq!(vars.name(a), format!("x{big}"));
+        assert_eq!(vars.name(b), format!("x{}", 1u64 << 53));
+        assert_ne!(a, b);
     }
 }

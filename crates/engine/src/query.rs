@@ -1,18 +1,43 @@
 //! Query pipelines producing provenance-annotated aggregates.
 //!
-//! [`Pipeline`] chains scans, filters and joins over plain tables, then
-//! [`Pipeline::aggregate_sum`] evaluates a `GROUP BY` + `SUM(measure)`
-//! where the measure is multiplied by the provenance variables produced by
-//! the [`crate::param::VarRule`]s. The result is one provenance polynomial
-//! per group — the multiset `𝒫` that the abstraction algorithms and the
-//! hypothetical-reasoning engine consume. Evaluating each polynomial at
-//! the all-ones valuation recovers the plain SQL answer (tested).
+//! [`Pipeline`] chains scans, filters, joins and projections over plain
+//! tables, then [`Pipeline::aggregate_sum`] evaluates a `GROUP BY` +
+//! `SUM(measure)` where the measure is multiplied by the provenance
+//! variables produced by the [`crate::param::VarRule`]s. The result is one
+//! provenance polynomial per group — the multiset `𝒫` that the abstraction
+//! algorithms and the hypothetical-reasoning engine consume. Evaluating
+//! each polynomial at the all-ones valuation recovers the plain SQL
+//! answer (tested).
+//!
+//! # Execution
+//!
+//! A pipeline is a *plan*, not a table: the builder methods only record
+//! stages over shared (`Arc`) source tables, and the consumers — the
+//! aggregations and [`Pipeline::table`] — drive the whole plan as **one
+//! fused push loop** (see `docs/adr/010-fused-query-pipeline.md`):
+//!
+//! * one scratch row holds the source row; a join match *extends* it with
+//!   the build row and truncates it again afterwards, a filter just stops
+//!   the push — no operator materialises its output;
+//! * a projection is a change of column mapping (logical column →
+//!   position in the scratch row) and costs nothing per row;
+//! * the build-side [`JoinIndex`] of each join is built on first
+//!   execution and cached, so a second aggregation off the same pipeline
+//!   probes the same index;
+//! * an equality filter between a probe-side column and a column of the
+//!   join directly before it is folded into that join's key list, so the
+//!   index — not the filter — discards the non-matches;
+//! * rows reach the consumer in exactly the order the eager
+//!   [`crate::ops`] composition produces them (left-major, build order
+//!   within one probe), which keeps provenance coefficients and interning
+//!   order bit-identical to it.
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::expr::Expr;
-use crate::ops;
-use crate::param::VarRule;
+use crate::expr::{CmpOp, Expr, Predicate};
+use crate::ops::{hash_key, JoinIndex};
+use crate::param::{ResolvedRule, VarRule};
+use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Row;
 use provabs_provenance::coeff::{Coefficient, MaxF64, MinF64};
@@ -21,70 +46,336 @@ use provabs_provenance::intern::{MonoArena, MonoId};
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
-use provabs_provenance::var::VarTable;
+use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
+use std::convert::Infallible;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-/// A chain of relational operators over materialised tables.
-#[derive(Clone, Debug)]
+/// One recorded stage of a plan.
+#[derive(Clone)]
+enum Stage {
+    /// σ: a residual predicate over the scratch row so far.
+    Filter { expr: Expr, pred: Predicate },
+    /// ⋈: probe the build side, extend the scratch row per match.
+    Join(Join),
+    /// π: recorded for [`Pipeline::explain`] only — its effect is the
+    /// pipeline's column mapping.
+    Project(Vec<String>),
+}
+
+/// A hash join against a shared build-side table.
+#[derive(Clone)]
+struct Join {
+    /// What the build side is called in [`Pipeline::explain`].
+    name: String,
+    build: Arc<Table>,
+    /// Scratch-row position where a matching build row is appended.
+    base: usize,
+    /// Key positions in the scratch row (probe side) …
+    probe_cols: Vec<usize>,
+    /// … and in the build table, pairwise.
+    build_cols: Vec<usize>,
+    /// The key pairs by name, for [`Pipeline::explain`].
+    on: Vec<(String, String)>,
+    /// Whether an equality filter was folded into the key list.
+    pushed_down: bool,
+    /// Built on first execution; shared by clones of the plan.
+    index: Arc<OnceLock<JoinIndex>>,
+}
+
+impl Join {
+    fn index(&self) -> &JoinIndex {
+        self.index
+            .get_or_init(|| JoinIndex::build(self.build.rows(), self.build_cols.clone()))
+    }
+}
+
+/// A stage as the push loop sees it.
+enum Step<'p> {
+    Filter(&'p Predicate),
+    Join {
+        rows: &'p [Row],
+        index: &'p JoinIndex,
+        probe_cols: &'p [usize],
+    },
+}
+
+/// Pushes the scratch row through `steps` and every row it grows into to
+/// `sink`, depth-first — which is left-major order.
+fn push<E>(
+    steps: &[Step<'_>],
+    scratch: &mut Row,
+    sink: &mut impl FnMut(&Row) -> Result<(), E>,
+) -> Result<(), E> {
+    let Some((step, rest)) = steps.split_first() else {
+        return sink(scratch);
+    };
+    match step {
+        Step::Filter(pred) => {
+            if pred.holds(scratch) {
+                push(rest, scratch, sink)?;
+            }
+        }
+        Step::Join {
+            rows,
+            index,
+            probe_cols,
+        } => {
+            let base = scratch.len();
+            for &candidate in index.candidates(scratch, probe_cols) {
+                let build_row = &rows[candidate];
+                if index.key_matches(build_row, scratch, probe_cols) {
+                    scratch.extend_from_slice(build_row);
+                    let pushed = push(rest, scratch, sink);
+                    scratch.truncate(base);
+                    pushed?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A lazy chain of relational operators over shared tables. See the
+/// [module docs](self) for how it executes.
+#[derive(Clone)]
 pub struct Pipeline {
-    table: Table,
+    source_name: String,
+    source: Arc<Table>,
+    stages: Vec<Stage>,
+    /// The logical schema of the plan's output.
+    schema: Schema,
+    /// Logical column → position in the scratch row.
+    cols: Vec<usize>,
+    /// Width of the scratch row after the last stage.
+    width: usize,
+    /// The materialised output, if [`table`](Self::table) was asked for it.
+    result: OnceLock<Table>,
 }
 
 impl Pipeline {
-    /// Starts from a catalog table.
+    fn over(source_name: &str, source: Arc<Table>) -> Self {
+        let width = source.schema().arity();
+        Self {
+            source_name: source_name.to_string(),
+            schema: source.schema().clone(),
+            source,
+            stages: Vec::new(),
+            cols: (0..width).collect(),
+            width,
+            result: OnceLock::new(),
+        }
+    }
+
+    /// Starts from a catalog table (shared, not copied).
     pub fn scan(catalog: &Catalog, name: &str) -> Result<Self, EngineError> {
-        Ok(Self {
-            table: catalog.get(name)?.clone(),
-        })
+        Ok(Self::over(name, catalog.share(name)?))
     }
 
     /// Starts from an explicit table.
     pub fn from_table(table: Table) -> Self {
-        Self { table }
+        Self::over("(table)", Arc::new(table))
     }
 
     /// σ: keeps rows satisfying `pred`.
-    pub fn filter(self, pred: &Expr) -> Result<Self, EngineError> {
-        Ok(Self {
-            table: ops::filter(&self.table, pred)?,
-        })
+    ///
+    /// The predicate is type-checked here ([`Expr::predicate`]), so an
+    /// ill-typed one is refused even over an empty table and driving the
+    /// plan cannot fail on it. `left = right` between a column of the
+    /// join directly before and a column from before that join is folded
+    /// into the join's key list instead of being kept as a filter.
+    pub fn filter(mut self, pred: &Expr) -> Result<Self, EngineError> {
+        let mut checked = pred.predicate(&self.schema)?;
+        self.result = OnceLock::new();
+        if !self.push_down(pred) {
+            checked.remap(&self.cols);
+            self.stages.push(Stage::Filter {
+                expr: pred.clone(),
+                pred: checked,
+            });
+        }
+        Ok(self)
     }
 
-    /// ⋈ with a catalog table.
+    /// Folds `pred` into the key list of the join directly before it, if
+    /// it is an equality between one column of that join's build side and
+    /// one column of its probe side. The type check has already
+    /// established that the two are of one kind (both strings or both
+    /// numeric) — which is what makes this sound: an `Expr` equality
+    /// *refuses* a string against a number, key matching would merely not
+    /// match.
+    fn push_down(&mut self, pred: &Expr) -> bool {
+        let Expr::Cmp(l, CmpOp::Eq, r) = pred else {
+            return false;
+        };
+        let (Expr::Col(l), Expr::Col(r)) = (&**l, &**r) else {
+            return false;
+        };
+        let Some(Stage::Join(join)) = self.stages.last_mut() else {
+            return false;
+        };
+        let position = |name: &str| {
+            let logical = self.schema.index_of(name).expect("checked by the caller");
+            self.cols[logical]
+        };
+        let (probe, build) = match (position(l), position(r)) {
+            (a, b) if a < join.base && b >= join.base => ((l, a), (r, b)),
+            (a, b) if b < join.base && a >= join.base => ((r, b), (l, a)),
+            _ => return false,
+        };
+        join.probe_cols.push(probe.1);
+        join.build_cols.push(build.1 - join.base);
+        join.on.push((probe.0.clone(), build.0.clone()));
+        join.pushed_down = true;
+        // A clone of the plan may already have built the old index.
+        join.index = Arc::new(OnceLock::new());
+        true
+    }
+
+    /// ⋈ with a catalog table (shared, not copied). Builds on `other`,
+    /// probes with the pipeline so far.
     pub fn join(
         self,
         catalog: &Catalog,
         other: &str,
         on: &[(&str, &str)],
     ) -> Result<Self, EngineError> {
-        let right = catalog.get(other)?;
-        Ok(Self {
-            table: ops::hash_join(&self.table, right, on, other)?,
-        })
+        let build = catalog.share(other)?;
+        self.join_shared(build, on, other)
     }
 
-    /// ⋈ with an explicit table (`prefix` renames colliding columns).
+    /// ⋈ with an explicit table (`prefix` renames colliding columns). The
+    /// table is copied into the plan; register it in a [`Catalog`] and use
+    /// [`join`](Self::join) to share it instead.
     pub fn join_table(
         self,
         right: &Table,
         on: &[(&str, &str)],
         prefix: &str,
     ) -> Result<Self, EngineError> {
-        Ok(Self {
-            table: ops::hash_join(&self.table, right, on, prefix)?,
-        })
+        self.join_shared(Arc::new(right.clone()), on, prefix)
+    }
+
+    fn join_shared(
+        mut self,
+        build: Arc<Table>,
+        on: &[(&str, &str)],
+        prefix: &str,
+    ) -> Result<Self, EngineError> {
+        let schema = self.schema.join(build.schema(), prefix)?;
+        let probe_cols: Vec<usize> = on
+            .iter()
+            .map(|(l, _)| Ok(self.cols[self.schema.index_of(l)?]))
+            .collect::<Result<_, EngineError>>()?;
+        let build_cols: Vec<usize> = on
+            .iter()
+            .map(|(_, r)| build.schema().index_of(r))
+            .collect::<Result<_, _>>()?;
+        let base = self.width;
+        self.width += build.schema().arity();
+        self.cols.extend(base..self.width);
+        self.schema = schema;
+        self.result = OnceLock::new();
+        self.stages.push(Stage::Join(Join {
+            name: prefix.to_string(),
+            build,
+            base,
+            probe_cols,
+            build_cols,
+            on: on
+                .iter()
+                .map(|(l, r)| (l.to_string(), r.to_string()))
+                .collect(),
+            pushed_down: false,
+            index: Arc::new(OnceLock::new()),
+        }));
+        Ok(self)
     }
 
     /// π (bag semantics).
-    pub fn project(self, columns: &[&str]) -> Result<Self, EngineError> {
-        Ok(Self {
-            table: ops::project(&self.table, columns)?,
-        })
+    pub fn project(mut self, columns: &[&str]) -> Result<Self, EngineError> {
+        let (schema, idx) = self.schema.project(columns)?;
+        self.cols = idx.into_iter().map(|i| self.cols[i]).collect();
+        self.schema = schema;
+        self.result = OnceLock::new();
+        self.stages.push(Stage::Project(
+            columns.iter().map(|c| c.to_string()).collect(),
+        ));
+        Ok(self)
     }
 
-    /// The current intermediate table.
+    /// The plan, one line per stage in execution order — `scan Cust`,
+    /// `join Plans on (PlanId = PlanId, Mo = PMo) [pushed down]`,
+    /// `filter l_returnflag = 'R'`, `project (Zip, Price)` — so that "why
+    /// was this capture slow" can be read off it: a join without
+    /// `[pushed down]` followed by a `filter` line enumerates every match
+    /// of its key before the filter discards any.
+    pub fn explain(&self) -> String {
+        let mut lines = vec![format!("scan {}", self.source_name)];
+        for stage in &self.stages {
+            lines.push(match stage {
+                Stage::Filter { expr, .. } => format!("filter {expr}"),
+                Stage::Join(join) => {
+                    let keys: Vec<String> =
+                        join.on.iter().map(|(l, r)| format!("{l} = {r}")).collect();
+                    let note = if join.pushed_down {
+                        " [pushed down]"
+                    } else {
+                        ""
+                    };
+                    format!("join {} on ({}){note}", join.name, keys.join(", "))
+                }
+                Stage::Project(columns) => format!("project ({})", columns.join(", ")),
+            });
+        }
+        lines.join("\n")
+    }
+
+    /// Drives the plan: every output row, as the scratch row (address its
+    /// columns through `self.cols`), in eager-composition order.
+    fn drive<E>(&self, mut sink: impl FnMut(&Row) -> Result<(), E>) -> Result<(), E> {
+        let steps: Vec<Step<'_>> = self
+            .stages
+            .iter()
+            .filter_map(|stage| match stage {
+                Stage::Filter { pred, .. } => Some(Step::Filter(pred)),
+                Stage::Join(join) => Some(Step::Join {
+                    rows: join.build.rows(),
+                    index: join.index(),
+                    probe_cols: &join.probe_cols,
+                }),
+                Stage::Project(_) => None,
+            })
+            .collect();
+        if steps.is_empty() {
+            // A bare scan: the source rows are the scratch rows.
+            return self.source.rows().iter().try_for_each(sink);
+        }
+        let mut scratch = Row::with_capacity(self.width);
+        for row in self.source.rows() {
+            scratch.clear();
+            scratch.extend_from_slice(row);
+            push(&steps, &mut scratch, &mut sink)?;
+        }
+        Ok(())
+    }
+
+    /// The plan's output as a table: the source itself for a bare scan,
+    /// otherwise materialised on first call — the final result only,
+    /// never an intermediate — and kept.
     pub fn table(&self) -> &Table {
-        &self.table
+        if self.stages.is_empty() {
+            return &self.source;
+        }
+        self.result.get_or_init(|| {
+            let mut out = Table::new(self.schema.clone());
+            let Ok(()) = self.drive(|row| -> Result<(), Infallible> {
+                out.push_unchecked(self.cols.iter().map(|&c| row[c].clone()).collect());
+                Ok(())
+            });
+            out
+        })
     }
 
     /// `SELECT group_cols, SUM(measure · Π rules) GROUP BY group_cols`.
@@ -138,37 +429,13 @@ impl Pipeline {
         vars: &mut VarTable,
         wrap: impl Fn(f64) -> C,
     ) -> Result<GroupedProvenanceOf<C>, EngineError> {
-        let schema = self.table.schema();
-        let (_, group_idx) = schema.project(group_cols)?;
-        let resolved_measure = measure.resolve(schema)?;
-        let resolved_rules: Vec<_> = rules
-            .iter()
-            .map(|r| r.resolve(schema))
-            .collect::<Result<_, _>>()?;
-
-        let mut keys: Vec<Row> = Vec::new();
         let mut polys: Vec<Polynomial<C>> = Vec::new();
-        let mut index: FxHashMap<Row, usize> = FxHashMap::default();
-        for row in self.table.rows() {
-            let key: Row = group_idx.iter().map(|&i| row[i].clone()).collect();
-            let coeff = wrap(resolved_measure.eval_f64(row)?);
-            let mono = Monomial::from_vars(
-                resolved_rules
-                    .iter()
-                    .map(|r| r.var(row, vars))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
-            let slot = match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    index.insert(key.clone(), polys.len());
-                    keys.push(key);
-                    polys.push(Polynomial::zero());
-                    polys.len() - 1
-                }
-            };
-            polys[slot].add_term(mono, coeff);
-        }
+        let keys = self.emit(group_cols, measure, rules, vars, |slot, factors, x| {
+            if slot == polys.len() {
+                polys.push(Polynomial::zero());
+            }
+            polys[slot].add_term_factors(factors, wrap(x));
+        })?;
         Ok(GroupedProvenanceOf {
             keys,
             polys: PolySet::from_vec(polys),
@@ -203,45 +470,119 @@ impl Pipeline {
         vars: &mut VarTable,
         wrap: impl Fn(f64) -> C,
     ) -> Result<GroupedProvenanceInternedOf<C>, EngineError> {
-        let schema = self.table.schema();
-        let (_, group_idx) = schema.project(group_cols)?;
-        let resolved_measure = measure.resolve(schema)?;
-        let resolved_rules: Vec<_> = rules
-            .iter()
-            .map(|r| r.resolve(schema))
-            .collect::<Result<_, _>>()?;
-
         let mut arena = MonoArena::new();
-        let mut keys: Vec<Row> = Vec::new();
         let mut terms: Vec<FxHashMap<MonoId, C>> = Vec::new();
-        let mut index: FxHashMap<Row, usize> = FxHashMap::default();
-        for row in self.table.rows() {
-            let key: Row = group_idx.iter().map(|&i| row[i].clone()).collect();
-            let coeff = wrap(resolved_measure.eval_f64(row)?);
-            let mono = Monomial::from_vars(
-                resolved_rules
-                    .iter()
-                    .map(|r| r.var(row, vars))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
-            let id = arena.intern(mono);
-            let slot = match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    index.insert(key.clone(), terms.len());
-                    keys.push(key);
-                    terms.push(FxHashMap::default());
-                    terms.len() - 1
-                }
-            };
+        let keys = self.emit(group_cols, measure, rules, vars, |slot, factors, x| {
+            let id = arena.intern_factors(factors);
+            if slot == terms.len() {
+                terms.push(FxHashMap::default());
+            }
             // The id-space `add_term`: the shared accumulate-and-drop
             // rule, so both currencies cancel zeros identically.
-            provabs_provenance::intern::accumulate(&mut terms[slot], id, coeff);
-        }
+            provabs_provenance::intern::accumulate(&mut terms[slot], id, wrap(x));
+        })?;
         Ok(GroupedProvenanceInternedOf {
             keys,
             working: WorkingSet::from_parts(arena, terms),
         })
+    }
+
+    /// The emission core both aggregations share: drives the plan and
+    /// hands `term` each row's `(group slot, canonical monomial factors,
+    /// measure)`; returns the group keys in first-occurrence order. Slots
+    /// are dense and a new group's slot is the number of groups so far.
+    ///
+    /// Nothing is allocated per row in the steady state: the measure is
+    /// evaluated in place, each rule answers from its value → variable
+    /// cache, the factors live in one reused buffer, and the group is
+    /// found by hashing its columns in the row (a key is cloned only for
+    /// a new group).
+    fn emit(
+        &self,
+        group_cols: &[&str],
+        measure: &Expr,
+        rules: &[VarRule],
+        vars: &mut VarTable,
+        mut term: impl FnMut(usize, &[(VarId, u32)], f64),
+    ) -> Result<Vec<Row>, EngineError> {
+        let (_, group_idx) = self.schema.project(group_cols)?;
+        let group_idx: Vec<usize> = group_idx.into_iter().map(|i| self.cols[i]).collect();
+        let mut measure = measure.resolve(&self.schema)?;
+        measure.remap(&self.cols);
+        let mut rules: Vec<ResolvedRule> = rules
+            .iter()
+            .map(|rule| {
+                let mut rule = rule.resolve(&self.schema)?;
+                rule.remap(&self.cols);
+                Ok(rule)
+            })
+            .collect::<Result<_, EngineError>>()?;
+
+        let mut groups = Groups::default();
+        let mut factors: Vec<(VarId, u32)> = Vec::with_capacity(rules.len());
+        self.drive(|row| {
+            let x = measure.eval_f64(row)?;
+            factors.clear();
+            for rule in &mut rules {
+                factors.push((rule.var(row, vars)?, 1));
+            }
+            Monomial::canonicalise(&mut factors);
+            term(groups.slot(row, &group_idx), &factors, x);
+            Ok(())
+        })?;
+        Ok(groups.keys)
+    }
+}
+
+/// `GROUP BY` keys in first-occurrence order, found by hashing the group
+/// columns where they sit in the row. Groups whose keys hash alike are
+/// chained through `next`.
+#[derive(Default)]
+struct Groups {
+    keys: Vec<Row>,
+    /// Key hash → first group with that hash.
+    first: FxHashMap<u64, usize>,
+    /// Group → next group with the same key hash.
+    next: Vec<Option<usize>>,
+}
+
+impl Groups {
+    /// The slot of `row`'s group, appending the group on first sight.
+    fn slot(&mut self, row: &Row, cols: &[usize]) -> usize {
+        let hash = hash_key(row, cols);
+        let mut last = None;
+        let mut at = self.first.get(&hash).copied();
+        while let Some(group) = at {
+            if self.keys[group]
+                .iter()
+                .zip(cols)
+                .all(|(k, &c)| *k == row[c])
+            {
+                return group;
+            }
+            last = Some(group);
+            at = self.next[group];
+        }
+        let group = self.keys.len();
+        self.keys
+            .push(cols.iter().map(|&c| row[c].clone()).collect());
+        self.next.push(None);
+        match last {
+            Some(last) => self.next[last] = Some(group),
+            None => {
+                self.first.insert(hash, group);
+            }
+        }
+        group
+    }
+}
+
+impl fmt::Debug for Pipeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pipeline")
+            .field("plan", &self.explain())
+            .field("schema", &self.schema)
+            .finish()
     }
 }
 
@@ -675,6 +1016,210 @@ mod tests {
         let before: Vec<_> = grouped.polys.eval(|_| MinF64(1.0));
         let after: Vec<_> = merged.eval(|_| MinF64(1.0));
         assert_eq!(before, after);
+    }
+
+    fn revenue_plan(catalog: &Catalog) -> Pipeline {
+        Pipeline::scan(catalog, "Cust")
+            .expect("scan")
+            .join(catalog, "Calls", &[("ID", "CID")])
+            .expect("join calls")
+            .join(catalog, "Plans", &[("Plan", "Plan")])
+            .expect("join plans")
+            .filter(&Expr::col("Mo").eq(Expr::col("PMo")))
+            .expect("month equality")
+    }
+
+    #[test]
+    fn explain_shows_the_month_equality_folded_into_the_plans_join() {
+        let catalog = figure_1_catalog();
+        assert_eq!(
+            revenue_plan(&catalog).explain(),
+            "scan Cust\n\
+             join Calls on (ID = CID)\n\
+             join Plans on (Plan = Plan, Mo = PMo) [pushed down]"
+        );
+        // Written the other way round it folds the same way.
+        let flipped = Pipeline::scan(&catalog, "Cust")
+            .expect("scan")
+            .join(&catalog, "Calls", &[("ID", "CID")])
+            .expect("join")
+            .join(&catalog, "Plans", &[("Plan", "Plan")])
+            .expect("join")
+            .filter(&Expr::col("PMo").eq(Expr::col("Mo")))
+            .expect("filter");
+        assert!(flipped
+            .explain()
+            .ends_with("join Plans on (Plan = Plan, Mo = PMo) [pushed down]"));
+        assert_eq!(
+            flipped.table().rows(),
+            revenue_plan(&catalog).table().rows()
+        );
+    }
+
+    #[test]
+    fn only_an_equality_across_the_join_directly_before_is_pushed_down() {
+        let catalog = figure_1_catalog();
+        let joined = || {
+            Pipeline::scan(&catalog, "Cust")
+                .expect("scan")
+                .join(&catalog, "Calls", &[("ID", "CID")])
+                .expect("join")
+        };
+        let residual = |pred: Expr| {
+            let plan = joined().filter(&pred).expect("filter").explain();
+            assert!(!plan.contains("[pushed down]"), "{plan}");
+            plan
+        };
+        // Both columns on the probe side; both on the build side; not an
+        // equality; not column against column.
+        assert!(residual(Expr::col("Plan").eq(Expr::col("Zip"))).ends_with("filter Plan = Zip"));
+        residual(Expr::col("Mo").eq(Expr::col("Dur")));
+        residual(Expr::col("ID").lt(Expr::col("Dur")));
+        residual(Expr::col("Mo").eq(Expr::lit(1i64)));
+        // A projection in between: the join is no longer directly before.
+        let plan = joined()
+            .project(&["ID", "Dur"])
+            .expect("project")
+            .filter(&Expr::col("ID").eq(Expr::col("Dur")))
+            .expect("filter")
+            .explain();
+        assert!(
+            plan.ends_with("project (ID, Dur)\nfilter ID = Dur"),
+            "{plan}"
+        );
+        // Across the join it is folded.
+        assert!(joined()
+            .filter(&Expr::col("ID").eq(Expr::col("Dur")))
+            .expect("filter")
+            .explain()
+            .ends_with("join Calls on (ID = CID, ID = Dur) [pushed down]"));
+    }
+
+    #[test]
+    fn filter_refuses_ill_typed_predicates_itself() {
+        let catalog = figure_1_catalog();
+        let cust = || Pipeline::scan(&catalog, "Cust").expect("scan");
+        let refused =
+            |pred: Expr| matches!(cust().filter(&pred), Err(EngineError::TypeMismatch { .. }));
+        // A string compared with a number.
+        assert!(refused(Expr::col("Plan").eq(Expr::col("ID"))));
+        assert!(refused(Expr::col("ID").lt(Expr::lit("A"))));
+        // Arithmetic on a string.
+        assert!(refused(
+            Expr::col("Zip").add(Expr::lit(1i64)).gt(Expr::lit(0i64))
+        ));
+        // A non-boolean under AND / OR / NOT, or as the whole predicate.
+        let cmp = || Expr::col("ID").gt(Expr::lit(3i64));
+        assert!(refused(cmp().and(Expr::col("Zip"))));
+        assert!(refused(Expr::col("Plan").or(cmp())));
+        assert!(refused(Expr::Not(Box::new(Expr::col("Zip")))));
+        assert!(refused(Expr::col("ID").mul(Expr::lit(2i64))));
+        // An unknown column is still an unknown column.
+        assert_eq!(
+            cust().filter(&Expr::col("zz").eq(Expr::lit(1i64))).err(),
+            Some(EngineError::UnknownColumn("zz".into()))
+        );
+        assert!(cust().filter(&cmp()).is_ok());
+    }
+
+    #[test]
+    fn an_ill_typed_predicate_is_refused_even_over_an_empty_table() {
+        let empty = Table::new(Schema::of(&[
+            ("id", ColumnType::Int),
+            ("name", ColumnType::Str),
+        ]));
+        let refused =
+            Pipeline::from_table(empty.clone()).filter(&Expr::col("name").eq(Expr::col("id")));
+        assert!(matches!(refused, Err(EngineError::TypeMismatch { .. })));
+        let fine = Pipeline::from_table(empty)
+            .filter(&Expr::col("name").eq(Expr::lit("x")))
+            .expect("well-typed");
+        assert!(fine.table().is_empty());
+    }
+
+    #[test]
+    fn a_bare_scan_hands_out_the_catalog_table_itself() {
+        let catalog = figure_1_catalog();
+        let scan = Pipeline::scan(&catalog, "Calls").expect("scan");
+        assert!(std::ptr::eq(
+            scan.table(),
+            catalog.get("Calls").expect("registered")
+        ));
+        assert_eq!(scan.explain(), "scan Calls");
+    }
+
+    #[test]
+    fn table_materialises_once_and_builders_start_afresh() {
+        let catalog = figure_1_catalog();
+        let plan = revenue_plan(&catalog);
+        assert!(std::ptr::eq(plan.table(), plan.table()));
+        assert_eq!(plan.table().len(), 14);
+        assert_eq!(plan.table().schema().arity(), 9);
+        // Extending a pipeline whose table was already asked for yields
+        // the extended result, not the kept one.
+        let january = plan
+            .filter(&Expr::col("Mo").eq(Expr::lit(1i64)))
+            .expect("filter");
+        assert_eq!(january.table().len(), 7);
+    }
+
+    #[test]
+    fn pushing_down_after_a_clone_executed_keeps_both_right() {
+        let catalog = figure_1_catalog();
+        let unfiltered = Pipeline::scan(&catalog, "Cust")
+            .expect("scan")
+            .join(&catalog, "Calls", &[("ID", "CID")])
+            .expect("join")
+            .join(&catalog, "Plans", &[("Plan", "Plan")])
+            .expect("join");
+        // The clone builds the (Plan)-keyed index …
+        assert_eq!(unfiltered.clone().table().len(), 28);
+        // … and the original, re-keyed on (Plan, PMo), must not reuse it.
+        let filtered = unfiltered
+            .clone()
+            .filter(&Expr::col("Mo").eq(Expr::col("PMo")))
+            .expect("filter");
+        assert_eq!(filtered.table().len(), 14);
+        assert_eq!(unfiltered.table().len(), 28);
+    }
+
+    #[test]
+    fn projection_is_a_column_mapping_through_later_stages() {
+        let catalog = figure_1_catalog();
+        // Project `Plan` away on the probe side, then join a table that
+        // has a `Plan` of its own: no collision, no prefix.
+        let p = Pipeline::scan(&catalog, "Cust")
+            .expect("scan")
+            .join(&catalog, "Calls", &[("ID", "CID")])
+            .expect("join")
+            .project(&["Dur", "Zip", "Mo", "ID"])
+            .expect("project")
+            .filter(&Expr::col("Mo").eq(Expr::lit(3i64)))
+            .expect("filter")
+            .join(&catalog, "Plans", &[("Mo", "PMo")])
+            .expect("join")
+            .project(&["Plan", "Dur", "ID"])
+            .expect("project");
+        let t = p.table();
+        assert_eq!(t.schema().arity(), 3);
+        assert_eq!(t.schema().name(0), "Plan");
+        // 7 March calls × 7 March plan prices.
+        assert_eq!(t.len(), 49);
+        assert_eq!(
+            t.rows()[0],
+            vec![Value::str("A"), Value::Int(480), Value::Int(1)]
+        );
+        let mut vars = VarTable::new();
+        let grouped = p
+            .aggregate_sum(
+                &["ID"],
+                &Expr::col("Dur"),
+                &[VarRule::per_value("Plan", "x")],
+                &mut vars,
+            )
+            .expect("aggregate");
+        assert_eq!(grouped.len(), 7);
+        assert_eq!(grouped.polys.size_m(), 49);
     }
 
     #[test]

@@ -177,6 +177,23 @@ impl MonoArena {
         if let Some(&id) = self.ids.get(&mono) {
             return id;
         }
+        self.push_new(mono)
+    }
+
+    /// [`intern`](Self::intern) for a monomial given as its canonical
+    /// factor slice (see [`Monomial::from_canonical`]): a monomial the
+    /// arena already holds costs one lookup and no allocation — the
+    /// steady state of engine emission, where a few thousand distinct
+    /// monomials recur over millions of rows.
+    pub fn intern_factors(&mut self, factors: &[(VarId, u32)]) -> MonoId {
+        if let Some(&id) = self.ids.get(factors) {
+            return id;
+        }
+        self.push_new(Monomial::from_canonical(factors))
+    }
+
+    /// Appends a monomial known to be absent.
+    fn push_new(&mut self, mono: Monomial) -> MonoId {
         let id = MonoId::try_from(self.monos.len()).expect("more than u32::MAX monomials");
         for v in mono.vars() {
             self.postings.entry(v).or_default().push(id);
@@ -270,6 +287,18 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.get(&Monomial::var(v(3))), Some(c));
         assert_eq!(arena.get(&Monomial::var(v(9))), None);
+    }
+
+    #[test]
+    fn interning_by_factor_slice_is_the_same_interning() {
+        let mut arena = MonoArena::new();
+        let a = arena.intern(Monomial::from_vars([v(2), v(1)]));
+        assert_eq!(arena.intern_factors(&[(v(1), 1), (v(2), 1)]), a);
+        let b = arena.intern_factors(&[(v(3), 2)]);
+        assert_eq!(arena.intern(Monomial::from_factors([(v(3), 2)])), b);
+        assert_eq!(arena.intern_factors(&[]), arena.one());
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.postings_of(v(3)), &[b]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! hashing and merging cheap and canonical.
 
 use crate::var::VarId;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A canonical product of variables with positive exponents.
@@ -42,18 +43,47 @@ impl Monomial {
     /// same variable are merged, zero exponents dropped.
     pub fn from_factors(factors: impl IntoIterator<Item = (VarId, u32)>) -> Self {
         let mut fs: Vec<(VarId, u32)> = factors.into_iter().filter(|&(_, e)| e > 0).collect();
-        fs.sort_unstable_by_key(|&(v, _)| v);
-        fs.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                earlier.1 += later.1;
-                true
-            } else {
-                false
-            }
-        });
+        Self::canonicalise(&mut fs);
         Self {
             factors: fs.into_boxed_slice(),
         }
+    }
+
+    /// Brings positive-exponent factors into canonical form in place:
+    /// sorted by variable, repeats of a variable merged into one factor
+    /// with the exponents added. For emitters that keep one reusable
+    /// factor buffer and hand it on as a slice
+    /// ([`from_canonical`](Self::from_canonical),
+    /// [`MonoArena::intern_factors`](crate::intern::MonoArena::intern_factors)).
+    pub fn canonicalise(factors: &mut Vec<(VarId, u32)>) {
+        factors.sort_unstable_by_key(|&(v, _)| v);
+        factors.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 += later.1;
+            }
+            same
+        });
+    }
+
+    /// Builds a monomial from a factor slice that is already canonical:
+    /// strictly increasing variables, exponents ≥ 1 — what
+    /// [`as_factors`](Self::as_factors) returns. No sorting or merging
+    /// happens, so an emitter that keeps one sorted scratch slice pays one
+    /// copy per *new* monomial.
+    pub fn from_canonical(factors: &[(VarId, u32)]) -> Self {
+        debug_assert!(
+            factors.windows(2).all(|w| w[0].0 < w[1].0) && factors.iter().all(|&(_, e)| e > 0),
+            "factors must be strictly sorted by variable with positive exponents"
+        );
+        Self {
+            factors: factors.into(),
+        }
+    }
+
+    /// The canonical factor slice (sorted by variable, exponents ≥ 1).
+    pub fn as_factors(&self) -> &[(VarId, u32)] {
+        &self.factors
     }
 
     /// Whether this is the unit monomial.
@@ -156,6 +186,16 @@ impl Monomial {
     }
 }
 
+/// A monomial hashes, compares and orders exactly like its canonical
+/// factor slice (the derives above see nothing but that slice), so maps
+/// keyed by monomials can be probed with a borrowed slice — a lookup of a
+/// known monomial allocates nothing.
+impl Borrow<[(VarId, u32)]> for Monomial {
+    fn borrow(&self) -> &[(VarId, u32)] {
+        &self.factors
+    }
+}
+
 impl fmt::Debug for Monomial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.factors.is_empty() {
@@ -248,6 +288,19 @@ mod tests {
         let mapped = m.map_vars(|_| v(10));
         assert_eq!(mapped.exponent_of(v(10)), 2);
         assert_eq!(mapped.num_vars(), 1);
+    }
+
+    #[test]
+    fn borrows_as_its_canonical_factor_slice() {
+        use crate::fxhash::FxHashMap;
+        let m = Monomial::from_vars([v(3), v(1), v(3)]);
+        assert_eq!(m.as_factors(), &[(v(1), 1), (v(3), 2)]);
+        assert_eq!(Monomial::from_canonical(m.as_factors()), m);
+        let mut map: FxHashMap<Monomial, u8> = FxHashMap::default();
+        map.insert(m.clone(), 7);
+        // Hash and equality agree through the borrow: a slice finds it.
+        assert_eq!(map.get(&[(v(1), 1), (v(3), 2)][..]), Some(&7));
+        assert_eq!(map.get(&[(v(1), 1)][..]), None);
     }
 
     #[test]

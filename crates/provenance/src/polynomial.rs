@@ -65,6 +65,28 @@ impl<C: Coefficient> Polynomial<C> {
         crate::intern::accumulate(&mut self.terms, mono, coeff);
     }
 
+    /// [`add_term`](Self::add_term) for a monomial given as its canonical
+    /// factor slice (see [`Monomial::from_canonical`]): a term already
+    /// present is updated through a borrowed lookup, so only a *new* term
+    /// allocates its monomial. Same merge-and-drop rule, same sequence of
+    /// map insertions and removals as `add_term` on the built monomial.
+    pub fn add_term_factors(&mut self, factors: &[(VarId, u32)], coeff: C) {
+        if coeff.is_zero() {
+            return;
+        }
+        match self.terms.get_mut(factors) {
+            Some(c) => {
+                let sum = c.add(&coeff);
+                if sum.is_zero() {
+                    self.terms.remove(factors);
+                } else {
+                    *c = sum;
+                }
+            }
+            None => self.add_term(Monomial::from_canonical(factors), coeff),
+        }
+    }
+
     /// Whether this is the zero polynomial.
     pub fn is_zero(&self) -> bool {
         self.terms.is_empty()
@@ -239,6 +261,21 @@ mod tests {
         assert_eq!(p.coefficient(&Monomial::var(v(1))), 5.0);
         p.add_term(Monomial::var(v(1)), -5.0);
         assert!(p.is_zero());
+    }
+
+    #[test]
+    fn add_term_factors_follows_the_add_term_rule() {
+        let x = [(v(1), 1)];
+        let mut p = Polynomial::zero();
+        p.add_term_factors(&x, 0.0);
+        assert!(p.is_zero(), "a zero coefficient stores nothing");
+        p.add_term_factors(&x, 2.0);
+        p.add_term_factors(&x, 3.0);
+        assert_eq!(p.coefficient(&Monomial::var(v(1))), 5.0);
+        p.add_term_factors(&x, -5.0);
+        assert!(p.is_zero(), "a cancelled term is dropped");
+        p.add_term_factors(&[], 1.5);
+        assert_eq!(p, Polynomial::constant(1.5));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::problem::{
 };
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::guard::{Completion, Guard};
-use provabs_provenance::monomial::Monomial;
+use provabs_provenance::monomial::MonoRef;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
@@ -76,8 +76,8 @@ struct Lift {
 fn oracle_merge(
     forest: &Forest,
     antichain: &[Vec<bool>],
-    m1: &Monomial,
-    m2: &Monomial,
+    m1: MonoRef<'_>,
+    m2: MonoRef<'_>,
 ) -> Option<Lift> {
     if m1 == m2 {
         return None;
@@ -289,7 +289,7 @@ fn summarize_core<C: Coefficient>(
         // Full pair scan (this is the point of the baseline).
         let mut best: Option<Lift> = None;
         for pi in 0..ws.num_polys() {
-            let monos: Vec<&Monomial> = ws.poly_mono_ids(pi).map(|id| ws.mono(id)).collect();
+            let monos: Vec<MonoRef<'_>> = ws.poly_mono_ids(pi).map(|id| ws.mono(id)).collect();
             for i in 0..monos.len() {
                 for j in (i + 1)..monos.len() {
                     stats.pairs_examined += 1;

@@ -122,6 +122,7 @@ fn emit_groups(
     arena: &mut MonoArena,
     terms: &mut Vec<FxHashMap<MonoId, f64>>,
 ) {
+    let mut factors = Vec::with_capacity(3);
     for g in range {
         let mut map =
             FxHashMap::with_capacity_and_hasher(config.plans * config.months, Default::default());
@@ -130,8 +131,10 @@ fn emit_groups(
                 let Some(coeff) = slot(config, g, i, j) else {
                     continue;
                 };
-                let id = arena.intern(Monomial::from_vars([zips[g], p, m]));
-                map.insert(id, coeff);
+                factors.clear();
+                factors.extend([(zips[g], 1), (p, 1), (m, 1)]);
+                Monomial::canonicalise(&mut factors);
+                map.insert(arena.intern_factors(&factors), coeff);
             }
         }
         terms.push(map);

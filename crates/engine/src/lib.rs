@@ -9,11 +9,6 @@
 //! * [`annot`] — K-relations: tables whose tuples carry commutative
 //!   semiring annotations, with the SPJU operators of the provenance
 //!   semiring framework (Green et al., the paper's `[36]`; §2.1 case 1),
-//! * [`interned`] — the interned annotation mode: the same SPJU algebra
-//!   emitting monomials directly into a shared
-//!   [`MonoArena`](provabs_provenance::intern::MonoArena) during operator
-//!   evaluation, so provenance leaves the engine already in the pipeline's
-//!   id currency,
 //! * [`ops`] — eager, table-per-operator relational operators
 //!   (filter/project/hash join/union): the oracle the query pipeline is
 //!   tested against, and the [`ops::JoinIndex`] every join shares,
@@ -25,13 +20,16 @@
 //!   materialises its output), culminating in
 //!   [`query::Pipeline::aggregate_sum`], which produces one provenance
 //!   polynomial per group (the multiset `𝒫` the abstraction algorithms
-//!   consume).
+//!   consume) — or, as
+//!   [`query::Pipeline::aggregate_sum_interned`], interns each row's
+//!   monomial into a shared
+//!   [`MonoArena`](provabs_provenance::intern::MonoArena) at emission, so
+//!   provenance leaves the engine already in the pipeline's id currency.
 
 pub mod annot;
 pub mod catalog;
 pub mod error;
 pub mod expr;
-pub mod interned;
 pub mod ops;
 pub mod param;
 pub mod query;

@@ -36,7 +36,7 @@ pub(crate) fn hash_key(row: &Row, cols: &[usize]) -> u64 {
 /// design, neither building nor probing clones any [`Value`] — keys are
 /// hashed and compared column-wise against the original rows. Shared by
 /// every hash join in the engine ([`hash_join`], the K-relation `⋈`, and
-/// the interned `ProvQuery` pipeline).
+/// the query pipeline's fused probe).
 ///
 /// [`Value`]: crate::value::Value
 #[derive(Debug)]

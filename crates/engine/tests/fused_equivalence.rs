@@ -204,7 +204,7 @@ fn oracle_sum_interned(
     let mut terms: Terms = Vec::new();
     let mut index = FxHashMap::default();
     oracle_rows(table, query, vars, |key, coeff, mono| {
-        let id = arena.intern(mono);
+        let id = arena.intern(&mono);
         let slot = slot_of(&mut index, &mut keys, key);
         if slot == terms.len() {
             terms.push(FxHashMap::default());

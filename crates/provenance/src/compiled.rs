@@ -118,8 +118,8 @@ impl<C: Coefficient> CompiledPolySet<C> {
         let mut factor_exps = Vec::new();
         let mut space = VarSpace::new();
         for pi in 0..ws.num_polys() {
-            for id in ws.sorted_mono_ids(pi) {
-                coeffs.push(ws.coeff(pi, id));
+            for (id, c) in ws.sorted_terms(pi) {
+                coeffs.push(c.clone());
                 for (v, e) in ws.mono(id).factors() {
                     factor_vars.push(space.local(v));
                     factor_exps.push(e);

@@ -12,28 +12,27 @@
 //!
 //! [`MonoArena`] is the extracted, shared core:
 //!
-//! * an **append-only arena** of distinct [`Monomial`]s with dense
-//!   [`MonoId`]s — once a monomial is interned its id never changes, so
-//!   ids may flow across layers without re-canonicalising or re-hashing
-//!   the monomial;
+//! * an **append-only arena** of distinct monomials with dense
+//!   [`MonoId`]s, each held once in a flat factor column and read through
+//!   a borrowed [`MonoRef`] — once a monomial is interned its id never
+//!   changes, so ids may flow across layers without re-canonicalising or
+//!   re-hashing the monomial ([`Monomial`] stays the owned value of the
+//!   hash-map world);
 //! * a **postings index** `variable → sorted monomial ids`, the inverted
 //!   index group substitutions and candidate scoring probe;
 //! * the **memoised remainder index** `(monomial, variable) → (remainder,
 //!   exponent)` — the `M_l` operation of §4.1 of the paper, valid forever
-//!   because the arena only grows;
-//! * a **product memo** `(monomial, monomial) → product`, which turns the
-//!   `⊗` of provenance-semiring joins into a single hash probe once a
-//!   pair has been seen.
+//!   because the arena only grows.
 //!
 //! [`VarSpace`] is the matching variable densifier: original [`VarId`]s
 //! mapped to a dense batch-local `u32` space in first-occurrence order,
 //! shared by the compiled evaluator's lowering paths.
 
 use crate::coeff::Coefficient;
-use crate::fxhash::FxHashMap;
-use crate::monomial::Monomial;
+use crate::fxhash::{FxHashMap, FxHasher};
+use crate::monomial::{is_canonical, MonoRef, Monomial};
 use crate::var::VarId;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 /// Dense id of an interned monomial within a [`MonoArena`].
 pub type MonoId = u32;
@@ -134,24 +133,59 @@ impl VarSpace {
     }
 }
 
-/// An append-only arena of distinct monomials with dense ids, postings,
-/// and the memoised remainder/product indexes. See the
-/// [module docs](self).
+/// An append-only arena of distinct monomials with dense ids, postings
+/// and the memoised remainder index. See the [module docs](self).
+///
+/// Storage is flat and holds each monomial once: every factor of every
+/// monomial sits in one column, cut by prefix ends; interning probes an
+/// open-addressed table of ids whose keys are the factor slices
+/// themselves. Nothing is boxed per monomial, so a clone is a few
+/// `memcpy`s and an operation that derives a monomial ([`remainder`],
+/// [`mul_factor`]) builds it in one reused buffer.
+///
+/// [`remainder`]: Self::remainder
+/// [`mul_factor`]: Self::mul_factor
 #[derive(Clone, Debug, Default)]
 pub struct MonoArena {
-    /// The interned monomials; `MonoId` indexes this vector.
-    monos: Vec<Monomial>,
-    /// Interning map over the arena.
-    ids: FxHashMap<Monomial, MonoId>,
-    /// `variable → sorted monomial ids containing it`. Covers every arena
-    /// entry (callers filter against their own liveness).
-    postings: FxHashMap<VarId, Vec<MonoId>>,
-    /// Memoised remainders: `(monomial, removed variable) → (remainder,
-    /// exponent)`. Valid forever (append-only arena).
-    remainders: FxHashMap<(MonoId, VarId), (MonoId, u32)>,
-    /// Memoised products, keyed with the smaller id first (monomial
-    /// multiplication is commutative).
-    products: FxHashMap<(MonoId, MonoId), MonoId>,
+    /// The factors of every monomial, in id order.
+    factors: Vec<(VarId, u32)>,
+    /// Per monomial: exclusive end of its factor range in `factors` (the
+    /// start is the previous entry, 0 for the first).
+    ends: Vec<u32>,
+    /// Open-addressed interning table (linear probing, [`VACANT`] marks a
+    /// free slot). Its length is a power of two, at least twice `ends`'s;
+    /// a monomial's home slot is the top `64 - shift` bits of its hash.
+    table: Vec<MonoId>,
+    /// `64 - log2(table.len())`.
+    shift: u32,
+    /// `variable index → sorted ids of the monomials containing it`.
+    /// Covers every arena entry (callers filter against their own
+    /// liveness).
+    postings: Vec<Vec<MonoId>>,
+    /// Memoised remainders, parallel to a prefix of `factors`: the entry
+    /// at a factor's position is the id of its monomial without that
+    /// factor ([`VACANT`] until asked for; positions past the end have
+    /// not been asked for either). Valid forever (append-only arena).
+    remainders: Vec<MonoId>,
+    /// The buffer derived monomials are built in.
+    scratch: Vec<(VarId, u32)>,
+}
+
+/// A free slot of the interning table, an unset remainder. No monomial
+/// gets this id.
+const VACANT: MonoId = MonoId::MAX;
+
+/// Slots of the smallest interning table.
+const MIN_TABLE: usize = 8;
+
+/// Hash of a canonical factor slice. [`MonoArena`] takes a slot index from
+/// its top bits, which in a multiplicative hash depend on every input bit.
+fn hash_factors(factors: &[(VarId, u32)]) -> u64 {
+    let mut h = FxHasher::default();
+    for &(v, e) in factors {
+        h.write_u64(u64::from(v.0) << 32 | u64::from(e));
+    }
+    h.finish()
 }
 
 impl MonoArena {
@@ -160,111 +194,203 @@ impl MonoArena {
         Self::default()
     }
 
+    /// An empty arena that takes `monomials` monomials of `factors`
+    /// factors in total without growing a column or the table.
+    pub fn with_capacity(monomials: usize, factors: usize) -> Self {
+        let mut arena = Self {
+            factors: Vec::with_capacity(factors),
+            ends: Vec::with_capacity(monomials),
+            ..Self::default()
+        };
+        arena.resize_table(monomials);
+        arena
+    }
+
     /// Number of distinct monomials interned so far.
     pub fn len(&self) -> usize {
-        self.monos.len()
+        self.ends.len()
     }
 
     /// Whether the arena holds no monomial.
     pub fn is_empty(&self) -> bool {
-        self.monos.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Interns `mono`, registering a fresh id in the postings index on
-    /// first sight. Ids grow monotonically, so postings stay sorted by
-    /// construction.
-    pub fn intern(&mut self, mono: Monomial) -> MonoId {
-        if let Some(&id) = self.ids.get(&mono) {
-            return id;
-        }
-        self.push_new(mono)
+    /// Interns `mono`; see [`intern_factors`](Self::intern_factors).
+    pub fn intern(&mut self, mono: &Monomial) -> MonoId {
+        self.intern_factors(mono.as_factors())
     }
 
-    /// [`intern`](Self::intern) for a monomial given as its canonical
-    /// factor slice (see [`Monomial::from_canonical`]): a monomial the
-    /// arena already holds costs one lookup and no allocation — the
-    /// steady state of engine emission, where a few thousand distinct
-    /// monomials recur over millions of rows.
+    /// Interns the monomial with the canonical factor slice `factors`
+    /// (strictly increasing variables, exponents ≥ 1 — what
+    /// [`MonoRef::as_factors`] returns), registering a fresh id in the
+    /// postings index on first sight. Ids grow monotonically, so postings
+    /// stay sorted by construction. Neither a hit nor a miss allocates
+    /// for the monomial: a new one is appended to the factor column.
     pub fn intern_factors(&mut self, factors: &[(VarId, u32)]) -> MonoId {
-        if let Some(&id) = self.ids.get(factors) {
-            return id;
+        let hash = hash_factors(factors);
+        match self.probe(factors, hash) {
+            Ok(id) => id,
+            Err(slot) => self.push_new(factors, hash, slot),
         }
-        self.push_new(Monomial::from_canonical(factors))
     }
 
-    /// Appends a monomial known to be absent.
-    fn push_new(&mut self, mono: Monomial) -> MonoId {
-        let id = MonoId::try_from(self.monos.len()).expect("more than u32::MAX monomials");
-        for v in mono.vars() {
-            self.postings.entry(v).or_default().push(id);
+    /// Walks the probe sequence of `hash`: the id whose factors equal
+    /// `factors`, or the free slot the walk ended on.
+    fn probe(&self, factors: &[(VarId, u32)], hash: u64) -> Result<MonoId, usize> {
+        if self.table.is_empty() {
+            return Err(0);
         }
-        self.monos.push(mono.clone());
-        self.ids.insert(mono, id);
+        let mask = self.table.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        loop {
+            match self.table[at] {
+                VACANT => return Err(at),
+                id if &self.factors[self.range_of(id)] == factors => return Ok(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Appends a monomial known to be absent; `slot` is the free slot its
+    /// probe ended on.
+    fn push_new(&mut self, factors: &[(VarId, u32)], hash: u64, mut slot: usize) -> MonoId {
+        debug_assert!(is_canonical(factors), "factors must be canonical");
+        let id = MonoId::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != VACANT)
+            .expect("more monomials than ids");
+        if (self.ends.len() + 1) * 2 > self.table.len() {
+            self.resize_table(self.ends.len() + 1);
+            slot = self
+                .probe(factors, hash)
+                .expect_err("the monomial is absent");
+        }
+        self.factors.extend_from_slice(factors);
+        self.ends
+            .push(u32::try_from(self.factors.len()).expect("more than u32::MAX factors"));
+        for &(v, _) in factors {
+            if self.postings.len() <= v.index() {
+                self.postings.resize_with(v.index() + 1, Vec::new);
+            }
+            self.postings[v.index()].push(id);
+        }
+        self.table[slot] = id;
         id
+    }
+
+    /// Rebuilds the table with room for `monomials` monomials at no more
+    /// than half load.
+    fn resize_table(&mut self, monomials: usize) {
+        let slots = (monomials * 2).next_power_of_two().max(MIN_TABLE);
+        self.shift = 64 - slots.trailing_zeros();
+        self.table.clear();
+        self.table.resize(slots, VACANT);
+        for id in 0..self.ends.len() as MonoId {
+            let mut at = (hash_factors(&self.factors[self.range_of(id)]) >> self.shift) as usize;
+            while self.table[at] != VACANT {
+                at = (at + 1) & (slots - 1);
+            }
+            self.table[at] = id;
+        }
+    }
+
+    /// The range of monomial `id` in the factor column.
+    fn range_of(&self, id: MonoId) -> std::ops::Range<usize> {
+        let start = match id {
+            0 => 0,
+            _ => self.ends[id as usize - 1],
+        };
+        start as usize..self.ends[id as usize] as usize
     }
 
     /// The id of `mono`, if it has been interned.
     pub fn get(&self, mono: &Monomial) -> Option<MonoId> {
-        self.ids.get(mono).copied()
+        let factors = mono.as_factors();
+        self.probe(factors, hash_factors(factors)).ok()
     }
 
-    /// The interned monomial behind `id`.
-    pub fn mono(&self, id: MonoId) -> &Monomial {
-        &self.monos[id as usize]
-    }
-
-    /// The unit monomial's id (interning it on first use).
-    pub fn one(&mut self) -> MonoId {
-        self.intern(Monomial::one())
+    /// The interned monomial behind `id`, borrowed from the factor column.
+    pub fn mono(&self, id: MonoId) -> MonoRef<'_> {
+        MonoRef::from_canonical(&self.factors[self.range_of(id)])
     }
 
     /// Sorted ids of the arena monomials containing `v` (empty if `v`
     /// never occurred). Includes ids that callers may no longer consider
     /// live — probe your own term maps to filter.
     pub fn postings_of(&self, v: VarId) -> &[MonoId] {
-        self.postings.get(&v).map_or(&[], Vec::as_slice)
+        self.postings.get(v.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The memoised `M_l` operation: remainder id and exponent of `v` in
-    /// monomial `id` (`v` must occur in it).
+    /// monomial `id`.
+    ///
+    /// # Panics
+    /// Panics if `v` does not occur in the monomial.
     pub fn remainder(&mut self, id: MonoId, v: VarId) -> (MonoId, u32) {
-        if let Some(&r) = self.remainders.get(&(id, v)) {
-            return r;
+        let range = self.range_of(id);
+        let at = range.start
+            + self.factors[range.clone()]
+                .iter()
+                .position(|&(w, _)| w == v)
+                .expect("remainder of an absent variable");
+        let exp = self.factors[at].1;
+        if let Some(&rem) = self.remainders.get(at).filter(|&&rem| rem != VACANT) {
+            return (rem, exp);
         }
-        let (rem, exp) = self.monos[id as usize].remove_var(v);
-        debug_assert!(exp > 0, "remainder of an absent variable");
-        let rem_id = self.intern(rem);
-        self.remainders.insert((id, v), (rem_id, exp));
-        (rem_id, exp)
-    }
-
-    /// Interns the product `mono(a) · mono(b)`, memoised per unordered
-    /// pair — the `⊗` of provenance-semiring joins in id space.
-    pub fn mul(&mut self, a: MonoId, b: MonoId) -> MonoId {
-        let key = (a.min(b), a.max(b));
-        if let Some(&p) = self.products.get(&key) {
-            return p;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(&self.factors[range.start..at]);
+        scratch.extend_from_slice(&self.factors[at + 1..range.end]);
+        let rem = self.intern_factors(&scratch);
+        self.scratch = scratch;
+        if self.remainders.len() < self.factors.len() {
+            self.remainders.resize(self.factors.len(), VACANT);
         }
-        let product = self.monos[a as usize].mul(&self.monos[b as usize]);
-        let id = self.intern(product);
-        self.products.insert(key, id);
-        id
+        self.remainders[at] = rem;
+        (rem, exp)
     }
 
     /// Interns `mono(id) · v^exp` — the re-attachment step of a group
     /// substitution (remainder times the target meta-variable).
     pub fn mul_factor(&mut self, id: MonoId, v: VarId, exp: u32) -> MonoId {
-        let product = self.monos[id as usize].mul(&Monomial::from_factors([(v, exp)]));
-        self.intern(product)
+        if exp == 0 {
+            return id;
+        }
+        let range = self.range_of(id);
+        let at = range.start + self.factors[range.clone()].partition_point(|&(w, _)| w < v);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(&self.factors[range.start..at]);
+        match self.factors[at..range.end].first() {
+            Some(&(w, e)) if w == v => {
+                scratch.push((v, e + exp));
+                scratch.extend_from_slice(&self.factors[at + 1..range.end]);
+            }
+            _ => {
+                scratch.push((v, exp));
+                scratch.extend_from_slice(&self.factors[at..range.end]);
+            }
+        }
+        let product = self.intern_factors(&scratch);
+        self.scratch = scratch;
+        product
     }
 
-    /// Rough heap footprint of the arena's monomial storage in bytes.
+    /// Heap footprint of the arena in bytes: the factor column and its
+    /// prefix ends, the interning table, the postings lists, the
+    /// remainder memo and the scratch buffer, each at its capacity.
     pub fn estimated_bytes(&self) -> usize {
-        self.monos
-            .iter()
-            .map(|m| m.num_vars() * std::mem::size_of::<(VarId, u32)>())
-            .sum::<usize>()
-            + self.monos.capacity() * std::mem::size_of::<Monomial>()
+        use std::mem::size_of;
+        (self.factors.capacity() + self.scratch.capacity()) * size_of::<(VarId, u32)>()
+            + (self.ends.capacity() + self.table.capacity() + self.remainders.capacity())
+                * size_of::<MonoId>()
+            + self.postings.capacity() * size_of::<Vec<MonoId>>()
+            + self
+                .postings
+                .iter()
+                .map(|list| list.capacity() * size_of::<MonoId>())
+                .sum::<usize>()
     }
 }
 
@@ -279,9 +405,9 @@ mod tests {
     #[test]
     fn interning_is_idempotent_and_dense() {
         let mut arena = MonoArena::new();
-        let a = arena.intern(Monomial::from_vars([v(1), v(2)]));
-        let b = arena.intern(Monomial::from_vars([v(2), v(1)])); // canonical equal
-        let c = arena.intern(Monomial::var(v(3)));
+        let a = arena.intern(&Monomial::from_vars([v(1), v(2)]));
+        let b = arena.intern(&Monomial::from_vars([v(2), v(1)])); // canonical equal
+        let c = arena.intern(&Monomial::var(v(3)));
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(arena.len(), 2);
@@ -292,11 +418,11 @@ mod tests {
     #[test]
     fn interning_by_factor_slice_is_the_same_interning() {
         let mut arena = MonoArena::new();
-        let a = arena.intern(Monomial::from_vars([v(2), v(1)]));
+        let a = arena.intern(&Monomial::from_vars([v(2), v(1)]));
         assert_eq!(arena.intern_factors(&[(v(1), 1), (v(2), 1)]), a);
         let b = arena.intern_factors(&[(v(3), 2)]);
-        assert_eq!(arena.intern(Monomial::from_factors([(v(3), 2)])), b);
-        assert_eq!(arena.intern_factors(&[]), arena.one());
+        assert_eq!(arena.intern(&Monomial::from_factors([(v(3), 2)])), b);
+        assert_eq!(arena.intern_factors(&[]), arena.intern(&Monomial::one()));
         assert_eq!(arena.len(), 3);
         assert_eq!(arena.postings_of(v(3)), &[b]);
     }
@@ -304,8 +430,8 @@ mod tests {
     #[test]
     fn postings_are_sorted_and_complete() {
         let mut arena = MonoArena::new();
-        let a = arena.intern(Monomial::from_vars([v(1), v(2)]));
-        let b = arena.intern(Monomial::from_vars([v(1), v(3)]));
+        let a = arena.intern(&Monomial::from_vars([v(1), v(2)]));
+        let b = arena.intern(&Monomial::from_vars([v(1), v(3)]));
         assert_eq!(arena.postings_of(v(1)), &[a, b]);
         assert_eq!(arena.postings_of(v(3)), &[b]);
         assert!(arena.postings_of(v(9)).is_empty());
@@ -314,35 +440,61 @@ mod tests {
     #[test]
     fn remainder_is_memoised_and_correct() {
         let mut arena = MonoArena::new();
-        let m = arena.intern(Monomial::from_factors([(v(1), 2), (v(2), 1)]));
+        let m = arena.intern(&Monomial::from_factors([(v(1), 2), (v(2), 1)]));
         let (rem, exp) = arena.remainder(m, v(1));
         assert_eq!(exp, 2);
-        assert_eq!(arena.mono(rem), &Monomial::var(v(2)));
-        // Second probe hits the memo (same ids back).
+        assert_eq!(arena.mono(rem), Monomial::var(v(2)).view());
+        // Second probe hits the memo (same ids back, nothing interned).
+        let len = arena.len();
         assert_eq!(arena.remainder(m, v(1)), (rem, exp));
-    }
-
-    #[test]
-    fn products_commute_and_memoise() {
-        let mut arena = MonoArena::new();
-        let a = arena.intern(Monomial::var(v(1)));
-        let b = arena.intern(Monomial::from_factors([(v(1), 1), (v(2), 2)]));
-        let ab = arena.mul(a, b);
-        let ba = arena.mul(b, a);
-        assert_eq!(ab, ba);
-        assert_eq!(arena.mono(ab).exponent_of(v(1)), 2);
-        assert_eq!(arena.mono(ab).exponent_of(v(2)), 2);
-        let unit = arena.one();
-        assert_eq!(arena.mul(a, unit), a);
+        assert_eq!(arena.len(), len);
     }
 
     #[test]
     fn mul_factor_reattaches_meta_variables() {
         let mut arena = MonoArena::new();
-        let m = arena.intern(Monomial::var(v(8)));
+        let m = arena.intern(&Monomial::var(v(8)));
         let merged = arena.mul_factor(m, v(20), 3);
         assert_eq!(arena.mono(merged).exponent_of(v(20)), 3);
         assert_eq!(arena.mono(merged).exponent_of(v(8)), 1);
+        // A variable the monomial already has gains the exponent, and a
+        // smaller one goes in front.
+        let squared = arena.mul_factor(m, v(8), 1);
+        assert_eq!(arena.mono(squared).as_factors(), &[(v(8), 2)]);
+        assert_eq!(arena.mul_factor(m, v(5), 0), m, "v⁰ is the unit");
+        let front = arena.mul_factor(merged, v(3), 1);
+        assert_eq!(
+            arena.mono(front).as_factors(),
+            &[(v(3), 1), (v(8), 1), (v(20), 3)]
+        );
+    }
+
+    #[test]
+    fn ids_and_lookups_survive_table_growth() {
+        let mut arena = MonoArena::new();
+        let ids: Vec<MonoId> = (0..1000u32)
+            .map(|i| arena.intern_factors(&[(v(i % 37), 1 + i / 37), (v(40 + i % 3), 1)]))
+            .collect();
+        assert_eq!(ids, (0..1000).collect::<Vec<MonoId>>());
+        for (i, &id) in ids.iter().enumerate() {
+            let i = i as u32;
+            let factors = [(v(i % 37), 1 + i / 37), (v(40 + i % 3), 1)];
+            assert_eq!(arena.intern_factors(&factors), id);
+            assert_eq!(arena.mono(id).as_factors(), &factors);
+        }
+        // A sized arena interns the same ids without growing anything.
+        let mut sized = MonoArena::with_capacity(arena.len(), 2 * arena.len());
+        let before = sized.estimated_bytes();
+        for &id in &ids {
+            assert_eq!(sized.intern_factors(arena.mono(id).as_factors()), id);
+        }
+        let postings: usize = (0..43).map(|i| sized.postings_of(v(i)).len()).sum();
+        assert_eq!(postings, 2 * ids.len());
+        assert_eq!(
+            sized.factors.capacity() + sized.table.len(),
+            2 * arena.len() + 2048
+        );
+        assert!(sized.estimated_bytes() > before, "postings were added");
     }
 
     #[test]
@@ -365,5 +517,6 @@ mod tests {
         let arena = MonoArena::new();
         assert!(arena.is_empty());
         assert_eq!(arena.len(), 0);
+        assert_eq!(arena.estimated_bytes(), 0);
     }
 }

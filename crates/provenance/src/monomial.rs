@@ -72,18 +72,17 @@ impl Monomial {
     /// happens, so an emitter that keeps one sorted scratch slice pays one
     /// copy per *new* monomial.
     pub fn from_canonical(factors: &[(VarId, u32)]) -> Self {
-        debug_assert!(
-            factors.windows(2).all(|w| w[0].0 < w[1].0) && factors.iter().all(|&(_, e)| e > 0),
-            "factors must be strictly sorted by variable with positive exponents"
-        );
-        Self {
-            factors: factors.into(),
-        }
+        MonoRef::from_canonical(factors).to_monomial()
     }
 
     /// The canonical factor slice (sorted by variable, exponents ≥ 1).
     pub fn as_factors(&self) -> &[(VarId, u32)] {
         &self.factors
+    }
+
+    /// This monomial as the borrowed view interned storage hands out.
+    pub fn view(&self) -> MonoRef<'_> {
+        MonoRef(&self.factors)
     }
 
     /// Whether this is the unit monomial.
@@ -118,10 +117,7 @@ impl Monomial {
 
     /// Exponent of `v` (0 if absent).
     pub fn exponent_of(&self, v: VarId) -> u32 {
-        match self.factors.binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => self.factors[i].1,
-            Err(_) => 0,
-        }
+        self.view().exponent_of(v)
     }
 
     /// Product of two monomials (exponents add).
@@ -198,10 +194,79 @@ impl Borrow<[(VarId, u32)]> for Monomial {
 
 impl fmt::Debug for Monomial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.factors.is_empty() {
+        self.view().fmt(f)
+    }
+}
+
+/// Whether `factors` is a canonical factor slice: strictly increasing
+/// variables, exponents ≥ 1.
+pub(crate) fn is_canonical(factors: &[(VarId, u32)]) -> bool {
+    factors.windows(2).all(|w| w[0].0 < w[1].0) && factors.iter().all(|&(_, e)| e > 0)
+}
+
+/// A borrowed monomial: the canonical factor slice of a monomial held
+/// somewhere else — in a [`MonoArena`](crate::intern::MonoArena)'s flat
+/// factor column, or in a [`Monomial`]. [`Monomial`] is the owned value of
+/// the hash-map ([`PolySet`](crate::polyset::PolySet)) world; everything
+/// that reads interned provenance reads it through this view, so no
+/// monomial is boxed to be looked at.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MonoRef<'a>(&'a [(VarId, u32)]);
+
+impl<'a> MonoRef<'a> {
+    /// Views a factor slice that is already canonical (strictly
+    /// increasing variables, exponents ≥ 1).
+    pub fn from_canonical(factors: &'a [(VarId, u32)]) -> Self {
+        debug_assert!(
+            is_canonical(factors),
+            "factors must be strictly sorted by variable with positive exponents"
+        );
+        Self(factors)
+    }
+
+    /// The canonical factor slice (sorted by variable, exponents ≥ 1).
+    pub fn as_factors(self) -> &'a [(VarId, u32)] {
+        self.0
+    }
+
+    /// Number of *distinct* variables.
+    pub fn num_vars(self) -> usize {
+        self.0.len()
+    }
+
+    /// Iterates over the distinct variables.
+    pub fn vars(self) -> impl Iterator<Item = VarId> + 'a {
+        self.0.iter().map(|&(v, _)| v)
+    }
+
+    /// Iterates over `(variable, exponent)` factors in canonical order.
+    pub fn factors(self) -> impl Iterator<Item = (VarId, u32)> + 'a {
+        self.0.iter().copied()
+    }
+
+    /// Exponent of `v` (0 if absent).
+    pub fn exponent_of(self, v: VarId) -> u32 {
+        match self.0.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.0[i].1,
+            Err(_) => 0,
+        }
+    }
+
+    /// The owned monomial (one allocation) — the bridge into the hash-map
+    /// world.
+    pub fn to_monomial(self) -> Monomial {
+        Monomial {
+            factors: self.0.into(),
+        }
+    }
+}
+
+impl fmt::Debug for MonoRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_empty() {
             return write!(f, "1");
         }
-        for (i, (v, e)) in self.factors.iter().enumerate() {
+        for (i, (v, e)) in self.0.iter().enumerate() {
             if i > 0 {
                 write!(f, "·")?;
             }

@@ -15,7 +15,6 @@ use super::PersistError;
 use crate::compiled::CompiledView;
 use crate::fxhash::FxHashMap;
 use crate::intern::{accumulate, MonoArena, MonoId};
-use crate::monomial::Monomial;
 use crate::var::{VarId, VarTable};
 use crate::working::WorkingSet;
 use std::ops::Range;
@@ -316,9 +315,11 @@ fn check_prefix_ends(
 // ---------------------------------------------------------------------
 
 /// Encodes a working set: arena length and polynomial count, the arena's
-/// monomials in id order (including entries no longer live — term ids
-/// index the arena positionally), then each polynomial's live terms in
-/// canonical ascending-id order.
+/// monomials in id order, read straight off its factor column (term ids
+/// index the arena positionally, so every entry is written — one that no
+/// polynomial holds too; a [compacted](WorkingSet::compact) working set
+/// has none), then each polynomial's live terms in canonical ascending-id
+/// order.
 pub fn encode_working(ws: &WorkingSet<f64>) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(ws.arena().len() as u64);
@@ -332,11 +333,11 @@ pub fn encode_working(ws: &WorkingSet<f64>) -> Vec<u8> {
         }
     }
     for pi in 0..ws.num_polys() {
-        let ids = ws.sorted_mono_ids(pi);
-        e.u32(ids.len() as u32);
-        for id in ids {
+        let terms = ws.sorted_terms(pi);
+        e.u32(terms.len() as u32);
+        for (id, &coeff) in terms {
             e.u32(id);
-            e.f64(ws.coeff(pi, id));
+            e.f64(coeff);
         }
     }
     e.finish()
@@ -448,14 +449,17 @@ impl WorkingSlot {
         // Stored id → interned id. Interning dedups, so positions are
         // remapped rather than assumed fresh.
         let mut ids = Vec::with_capacity(arena_len);
+        // Validation admitted only canonical factor lists.
+        let mut factors: Vec<(VarId, u32)> = Vec::new();
         for _ in 0..arena_len {
             let nfac = d.u32().expect(ok) as usize;
-            let mono = Monomial::from_factors((0..nfac).map(|_| {
+            factors.clear();
+            factors.extend((0..nfac).map(|_| {
                 let v = d.u32().expect(ok);
                 let exp = d.u32().expect(ok);
                 (VarId(v), exp)
             }));
-            ids.push(arena.intern(mono));
+            ids.push(arena.intern_factors(&factors));
         }
         let mut terms = Vec::with_capacity(num_polys);
         for _ in 0..num_polys {
@@ -478,6 +482,7 @@ mod tests {
     use super::super::artifact::ArtifactWriter;
     use super::*;
     use crate::compiled::CompiledPolySet;
+    use crate::monomial::Monomial;
     use crate::polynomial::Polynomial;
     use crate::polyset::PolySet;
     use crate::valuation::Valuation;

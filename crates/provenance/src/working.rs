@@ -43,7 +43,7 @@ use crate::coeff::Coefficient;
 use crate::compiled::CompiledPolySet;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::intern::MonoArena;
-use crate::monomial::Monomial;
+use crate::monomial::{MonoRef, Monomial};
 use crate::polynomial::Polynomial;
 use crate::polyset::PolySet;
 use crate::var::VarId;
@@ -78,6 +78,31 @@ impl SubsetScratch {
     }
 }
 
+/// The buffers one group rewrite fills ([`WorkingSet::ml_delta_of_group`],
+/// [`WorkingSet::apply_group`]), kept by the working set between calls so
+/// a rewrite allocates nothing once they have warmed up. They hold
+/// nothing between calls, so a clone starts with fresh ones.
+#[derive(Debug, Default)]
+struct GroupScratch {
+    /// Scoring: each monomial a group touches with its remainder class
+    /// (remainder id and exponent in one word).
+    classes: Vec<(MonoId, u64)>,
+    /// `classes` as a lookup table.
+    class_of: FxHashMap<MonoId, u64>,
+    /// Scoring: the remainder classes met in one polynomial.
+    distinct: FxHashSet<u64>,
+    /// Applying: each monomial a group touches with the id it becomes.
+    remap: Vec<(MonoId, MonoId)>,
+    /// `remap` as a lookup table.
+    remapped: FxHashMap<MonoId, MonoId>,
+}
+
+impl Clone for GroupScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// A poly-set lowered into an interned, id-addressed form that supports
 /// cheap incremental substitution. See the [module docs](self).
 #[derive(Clone, Debug)]
@@ -87,6 +112,8 @@ pub struct WorkingSet<C> {
     arena: MonoArena,
     /// Per polynomial: live terms as `monomial id → coefficient`.
     terms: Vec<FxHashMap<MonoId, C>>,
+    /// Buffers of the group rewrites.
+    scratch: GroupScratch,
 }
 
 /// Adds `coeff` to `map[id]`, dropping the entry when the sum vanishes —
@@ -98,19 +125,35 @@ fn add_term_id<C: Coefficient>(map: &mut FxHashMap<MonoId, C>, id: MonoId, coeff
     crate::intern::accumulate(map, id, coeff);
 }
 
+/// Hands `visit` every arena monomial a substitution of `group` can
+/// touch, with the group variable it contains (compatibility — at most
+/// one tree node per monomial — makes the pairing unique among live
+/// monomials), variable by variable in posting order. `visit` may
+/// intern: what it adds lands behind the postings being read, and is not
+/// visited for the variable whose turn it is.
+fn visit_occurrences(
+    arena: &mut MonoArena,
+    group: &[VarId],
+    mut visit: impl FnMut(&mut MonoArena, MonoId, VarId),
+) {
+    for &v in group {
+        for at in 0..arena.postings_of(v).len() {
+            let m = arena.postings_of(v)[at];
+            visit(arena, m, v);
+        }
+    }
+}
+
 impl<C: Coefficient> WorkingSet<C> {
     /// Lowers a poly-set: interns every distinct monomial and builds the
     /// id-keyed term maps plus the postings index.
     pub fn from_polyset(polys: &PolySet<C>) -> Self {
-        let mut ws = Self {
-            arena: MonoArena::new(),
-            terms: Vec::with_capacity(polys.len()),
-        };
+        let mut ws = Self::from_parts(MonoArena::new(), Vec::with_capacity(polys.len()));
         for p in polys.iter() {
             let mut map = FxHashMap::default();
             map.reserve(p.size_m());
             for (m, c) in p.iter() {
-                let id = ws.arena.intern(m.clone());
+                let id = ws.arena.intern(m);
                 // Input polynomials never store duplicate monomials, so
                 // plain insertion suffices (and never drops a term).
                 map.insert(id, c.clone());
@@ -131,7 +174,11 @@ impl<C: Coefficient> WorkingSet<C> {
         debug_assert!(terms
             .iter()
             .all(|map| map.keys().all(|&id| (id as usize) < arena.len())));
-        Self { arena, terms }
+        Self {
+            arena,
+            terms,
+            scratch: GroupScratch::default(),
+        }
     }
 
     /// The shared monomial arena.
@@ -147,7 +194,7 @@ impl<C: Coefficient> WorkingSet<C> {
     }
 
     /// The interned monomial behind `id`.
-    pub fn mono(&self, id: MonoId) -> &Monomial {
+    pub fn mono(&self, id: MonoId) -> MonoRef<'_> {
         self.arena.mono(id)
     }
 
@@ -167,20 +214,14 @@ impl<C: Coefficient> WorkingSet<C> {
         self.terms[pi].iter().map(|(&id, c)| (id, c))
     }
 
-    /// Live monomial ids of polynomial `pi` in ascending id order — the
-    /// working set's canonical term order, used by every deterministic
-    /// export ([`to_polyset`](Self::to_polyset),
-    /// [`freeze`](Self::freeze)).
-    pub fn sorted_mono_ids(&self, pi: usize) -> Vec<MonoId> {
-        let mut ids: Vec<MonoId> = self.terms[pi].keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The coefficient of monomial `id` in polynomial `pi` (zero if the
-    /// term is not live there).
-    pub fn coeff(&self, pi: usize, id: MonoId) -> C {
-        self.terms[pi].get(&id).cloned().unwrap_or_else(C::zero)
+    /// Live terms of polynomial `pi` in ascending id order — the working
+    /// set's canonical term order, used by every deterministic export
+    /// ([`to_polyset`](Self::to_polyset), [`freeze`](Self::freeze), the
+    /// artifact codec).
+    pub fn sorted_terms(&self, pi: usize) -> Vec<(MonoId, &C)> {
+        let mut terms: Vec<(MonoId, &C)> = self.poly_terms(pi).collect();
+        terms.sort_unstable_by_key(|&(id, _)| id);
+        terms
     }
 
     /// `|P_pi|_M` of the current (rewritten) polynomial.
@@ -219,7 +260,7 @@ impl<C: Coefficient> WorkingSet<C> {
 
     /// Iterates the distinct live monomials (each arena entry at most
     /// once, regardless of how many polynomials share it).
-    pub fn live_monomials(&self) -> impl Iterator<Item = &Monomial> {
+    pub fn live_monomials(&self) -> impl Iterator<Item = MonoRef<'_>> {
         let live = self.live_flags();
         (0..self.arena.len())
             .filter(move |&idx| live[idx])
@@ -260,13 +301,13 @@ impl<C: Coefficient> WorkingSet<C> {
                 for (&id, c) in &self.terms[pi] {
                     let new_id = *remap
                         .entry(id)
-                        .or_insert_with(|| arena.intern(self.arena.mono(id).clone()));
+                        .or_insert_with(|| arena.intern_factors(self.arena.mono(id).as_factors()));
                     map.insert(new_id, c.clone());
                 }
                 map
             })
             .collect();
-        Self { arena, terms }
+        Self::from_parts(arena, terms)
     }
 
     /// Appends every polynomial of `other` to this working set, interning
@@ -286,24 +327,13 @@ impl<C: Coefficient> WorkingSet<C> {
             let mut map = FxHashMap::default();
             map.reserve(src.len());
             for (&id, c) in src {
-                let new_id = *remap
-                    .entry(id)
-                    .or_insert_with(|| self.arena.intern(other.arena.mono(id).clone()));
+                let new_id = *remap.entry(id).or_insert_with(|| {
+                    self.arena.intern_factors(other.arena.mono(id).as_factors())
+                });
                 map.insert(new_id, c.clone());
             }
             self.terms.push(map);
         }
-    }
-
-    /// The monomials a substitution of `group` can touch, paired with the
-    /// group variable each contains. Compatibility (at most one tree node
-    /// per monomial) makes the pairing unique.
-    fn group_occurrences(&self, group: &[VarId]) -> Vec<(MonoId, VarId)> {
-        let mut out = Vec::new();
-        for &v in group {
-            out.extend(self.arena.postings_of(v).iter().map(|&m| (m, v)));
-        }
-        out
     }
 
     /// The monomial-loss delta of substituting every variable of `group`
@@ -320,26 +350,34 @@ impl<C: Coefficient> WorkingSet<C> {
         if group.len() < 2 {
             return 0;
         }
-        let occurrences = self.group_occurrences(group);
+        let Self {
+            arena,
+            terms,
+            scratch,
+        } = self;
         // Relevant monomials with their remainder class, as both a probe
         // list and a lookup map: per polynomial the cheaper side wins.
-        let mut probe: Vec<(MonoId, u64)> = Vec::with_capacity(occurrences.len());
-        let mut lookup: FxHashMap<MonoId, u64> = FxHashMap::default();
-        lookup.reserve(occurrences.len());
-        for (m, v) in occurrences {
-            let (rem, exp) = self.arena.remainder(m, v);
+        let GroupScratch {
+            classes,
+            class_of,
+            distinct,
+            ..
+        } = scratch;
+        classes.clear();
+        class_of.clear();
+        visit_occurrences(arena, group, |arena, m, v| {
+            let (rem, exp) = arena.remainder(m, v);
             let key = (u64::from(rem) << 32) | u64::from(exp);
-            probe.push((m, key));
-            lookup.insert(m, key);
-        }
+            classes.push((m, key));
+            class_of.insert(m, key);
+        });
         let mut delta = 0usize;
-        let mut distinct: FxHashSet<u64> = FxHashSet::default();
         for &pi in affected {
-            let map = &self.terms[pi];
+            let map = &terms[pi];
             distinct.clear();
             let mut matches = 0usize;
-            if probe.len() <= map.len() {
-                for &(m, key) in &probe {
+            if classes.len() <= map.len() {
+                for &(m, key) in classes.iter() {
                     if map.contains_key(&m) {
                         matches += 1;
                         distinct.insert(key);
@@ -347,7 +385,7 @@ impl<C: Coefficient> WorkingSet<C> {
                 }
             } else {
                 for &m in map.keys() {
-                    if let Some(&key) = lookup.get(&m) {
+                    if let Some(&key) = class_of.get(&m) {
                         matches += 1;
                         distinct.insert(key);
                     }
@@ -367,21 +405,27 @@ impl<C: Coefficient> WorkingSet<C> {
     /// variable; polynomials outside it are left untouched (they contain
     /// no group variable, so the substitution fixes them anyway).
     pub fn apply_group(&mut self, group: &[VarId], target: VarId, affected: &[usize]) {
-        let occurrences = self.group_occurrences(group);
-        let mut remap: Vec<(MonoId, MonoId)> = Vec::with_capacity(occurrences.len());
-        let mut lookup: FxHashMap<MonoId, MonoId> = FxHashMap::default();
-        lookup.reserve(occurrences.len());
-        for (m, v) in occurrences {
-            let (rem, exp) = self.arena.remainder(m, v);
-            let new_id = self.arena.mul_factor(rem, target, exp);
+        let Self {
+            arena,
+            terms,
+            scratch,
+        } = self;
+        let GroupScratch {
+            remap, remapped, ..
+        } = scratch;
+        remap.clear();
+        remapped.clear();
+        visit_occurrences(arena, group, |arena, m, v| {
+            let (rem, exp) = arena.remainder(m, v);
+            let new_id = arena.mul_factor(rem, target, exp);
             remap.push((m, new_id));
-            lookup.insert(m, new_id);
-        }
+            remapped.insert(m, new_id);
+        });
         for &pi in affected {
-            let map = &mut self.terms[pi];
+            let map = &mut terms[pi];
             if remap.len() <= map.len() {
                 // Move only the touched terms.
-                for &(old, new) in &remap {
+                for &(old, new) in remap.iter() {
                     if let Some(c) = map.remove(&old) {
                         add_term_id(map, new, c);
                     }
@@ -389,10 +433,9 @@ impl<C: Coefficient> WorkingSet<C> {
             } else {
                 // Small polynomial: rebuilding beats probing the remap.
                 let old = std::mem::take(map);
-                let map = &mut self.terms[pi];
                 map.reserve(old.len());
                 for (m, c) in old {
-                    add_term_id(map, lookup.get(&m).copied().unwrap_or(m), c);
+                    add_term_id(map, remapped.get(&m).copied().unwrap_or(m), c);
                 }
             }
         }
@@ -403,6 +446,7 @@ impl<C: Coefficient> WorkingSet<C> {
     /// remapped exactly once no matter how many polynomials share it.
     pub fn apply_var_map(&mut self, mut map: impl FnMut(VarId) -> VarId) {
         let mut remap: FxHashMap<MonoId, MonoId> = FxHashMap::default();
+        let mut mapped: Vec<(VarId, u32)> = Vec::new();
         for pi in 0..self.terms.len() {
             let old = std::mem::take(&mut self.terms[pi]);
             let mut new_map: FxHashMap<MonoId, C> = FxHashMap::default();
@@ -413,8 +457,10 @@ impl<C: Coefficient> WorkingSet<C> {
                     None => {
                         let moved = self.arena.mono(m).vars().any(|v| map(v) != v);
                         let id = if moved {
-                            let mono = self.arena.mono(m).map_vars(&mut map);
-                            self.arena.intern(mono)
+                            mapped.clear();
+                            mapped.extend(self.arena.mono(m).factors().map(|(v, e)| (map(v), e)));
+                            Monomial::canonicalise(&mut mapped);
+                            self.arena.intern_factors(&mapped)
                         } else {
                             m
                         };
@@ -426,6 +472,32 @@ impl<C: Coefficient> WorkingSet<C> {
             }
             self.terms[pi] = new_map;
         }
+    }
+
+    /// Drops every arena entry that no polynomial holds, and with them the
+    /// arena's remainder memo: the monomials that are live keep their
+    /// order (a monomial's new id is its rank among the live ids), so the
+    /// canonical term order — and with it [`freeze`](Self::freeze),
+    /// [`to_polyset`](Self::to_polyset) and the artifact codec — come out
+    /// as they would have. A compression run leaves behind every monomial
+    /// it rewrote and every remainder it scored; this is what a caller
+    /// does once with the `𝒫↓S` it is going to keep.
+    pub fn compact(&mut self) {
+        let live = self.live_flags();
+        let kept = || (0..live.len()).filter(|&id| live[id]);
+        let factors = kept().map(|id| self.arena.mono(id as MonoId).num_vars());
+        let mut arena = MonoArena::with_capacity(kept().count(), factors.sum());
+        let mut new_ids = vec![MonoId::MAX; live.len()];
+        for id in kept() {
+            new_ids[id] = arena.intern_factors(self.arena.mono(id as MonoId).as_factors());
+        }
+        for map in &mut self.terms {
+            *map = map
+                .drain()
+                .map(|(id, c)| (new_ids[id as usize], c))
+                .collect();
+        }
+        self.arena = arena;
     }
 
     /// Freezes the working set into the read-only columnar evaluation
@@ -447,9 +519,9 @@ impl<C: Coefficient> WorkingSet<C> {
             (0..self.terms.len())
                 .map(|pi| {
                     Polynomial::from_terms(
-                        self.sorted_mono_ids(pi)
+                        self.sorted_terms(pi)
                             .into_iter()
-                            .map(|id| (self.arena.mono(id).clone(), self.terms[pi][&id].clone())),
+                            .map(|(id, c)| (self.arena.mono(id).to_monomial(), c.clone())),
                     )
                 })
                 .collect(),
@@ -691,19 +763,49 @@ mod tests {
     fn coeff_and_sorted_ids() {
         let polys = sample();
         let ws = WorkingSet::from_polyset(&polys);
-        let ids = ws.sorted_mono_ids(0);
-        assert_eq!(ids.len(), 3);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let terms = ws.sorted_terms(0);
+        assert_eq!(terms.len(), 3);
+        assert!(terms.windows(2).all(|w| w[0].0 < w[1].0));
         let m18 = ws
             .arena()
             .get(&Monomial::from_vars([v(1), v(8)]))
             .expect("interned");
-        assert_eq!(ws.coeff(0, m18), 2.0);
-        assert_eq!(ws.coeff(1, m18), 5.0);
+        let coeff_in = |pi: usize, id: MonoId| {
+            let terms = ws.sorted_terms(pi);
+            terms.iter().find(|&&(m, _)| m == id).map(|&(_, c)| *c)
+        };
+        assert_eq!(coeff_in(0, m18), Some(2.0));
+        assert_eq!(coeff_in(1, m18), Some(5.0));
         let m39 = ws
             .arena()
             .get(&Monomial::from_vars([v(3), v(9)]))
             .expect("interned");
-        assert_eq!(ws.coeff(1, m39), 0.0, "3·9 not live in P2");
+        assert_eq!(coeff_in(1, m39), None, "3·9 not live in P2");
+    }
+
+    #[test]
+    fn compaction_keeps_the_live_monomials_in_order() {
+        let polys = sample();
+        let mut ws = WorkingSet::from_polyset(&polys);
+        ws.apply_group(&[v(1), v(2), v(3)], v(20), &[0, 1]);
+        let (before, frozen) = (ws.to_polyset(), ws.freeze());
+        assert!(ws.arena().len() > ws.live_monomials().count());
+        ws.compact();
+        assert_eq!(ws.arena().len(), ws.live_monomials().count());
+        for (a, b) in ws.to_polyset().iter().zip(before.iter()) {
+            assert_eq!(a, b);
+        }
+        assert_eq!(ws.freeze().vars(), frozen.vars());
+        for (a, b) in ws
+            .freeze()
+            .to_polyset()
+            .iter()
+            .zip(frozen.to_polyset().iter())
+        {
+            assert_eq!(a, b);
+        }
+        // The compacted set rewrites like any other.
+        ws.apply_group(&[v(8), v(9)], v(21), &[0, 1]);
+        assert_eq!(ws.size_m(), 2);
     }
 }

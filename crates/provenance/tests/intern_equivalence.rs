@@ -178,3 +178,351 @@ proptest! {
         assert_polysets_equal(&sub.to_polyset(), &expected);
     }
 }
+
+// ---------------------------------------------------------------------
+// The arena against a model, id for id
+// ---------------------------------------------------------------------
+//
+// `MonoArena` keeps its monomials in one flat factor column behind an
+// open-addressed table of ids. The model below is the plainest thing
+// that interns: a `HashMap<Monomial, u32>` over boxed monomials, with
+// every derived monomial built by `Monomial`'s own algebra. A random
+// interleaving of every operation that can assign an id must leave the
+// two agreeing on every id, every posting and every term.
+//
+// What this suite was checked to catch (by hand, the mutation is not in
+// the tree): with `MonoArena::probe` accepting a slot whose stored
+// monomial merely hashes to the same table slot as the probe — a slot
+// compared by hash only — `interleavings_agree_with_the_model` fails
+// on its first cases with two monomials sharing an id.
+
+use provabs_provenance::intern::{accumulate, MonoId};
+use std::collections::HashMap;
+
+/// The model: an interning map over owned monomials, and the term maps.
+#[derive(Default)]
+struct Model {
+    ids: HashMap<Monomial, MonoId>,
+    monos: Vec<Monomial>,
+    terms: Vec<HashMap<MonoId, f64>>,
+}
+
+impl Model {
+    fn intern(&mut self, mono: Monomial) -> MonoId {
+        let next = self.monos.len() as MonoId;
+        *self.ids.entry(mono.clone()).or_insert_with(|| {
+            self.monos.push(mono);
+            next
+        })
+    }
+
+    /// Ids of the monomials containing `v`, ascending.
+    fn postings(&self, v: VarId) -> Vec<MonoId> {
+        (0..self.monos.len() as MonoId)
+            .filter(|&id| self.monos[id as usize].contains(v))
+            .collect()
+    }
+
+    /// The model whose ids are the working set's: what a rebuilt arena
+    /// (subset, compaction) is compared with before the walk goes on.
+    fn of(ws: &WorkingSet<f64>) -> Self {
+        let mut model = Model::default();
+        for id in 0..ws.arena().len() as MonoId {
+            assert_eq!(
+                model.intern(ws.mono(id).to_monomial()),
+                id,
+                "a monomial twice"
+            );
+        }
+        model.terms = (0..ws.num_polys())
+            .map(|pi| ws.poly_terms(pi).map(|(id, &c)| (id, c)).collect())
+            .collect();
+        model
+    }
+
+    fn polys(&self) -> PolySet<f64> {
+        PolySet::from_vec(
+            self.terms
+                .iter()
+                .map(|terms| {
+                    let mut sorted: Vec<(MonoId, f64)> =
+                        terms.iter().map(|(&id, &c)| (id, c)).collect();
+                    sorted.sort_unstable_by_key(|&(id, _)| id);
+                    Polynomial::from_terms(
+                        sorted
+                            .into_iter()
+                            .map(|(id, c)| (self.monos[id as usize].clone(), c)),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    fn live(&self) -> Vec<bool> {
+        let mut live = vec![false; self.monos.len()];
+        for id in self.terms.iter().flat_map(|terms| terms.keys()) {
+            live[*id as usize] = true;
+        }
+        live
+    }
+}
+
+/// Every id, every posting, every lookup and every term agree.
+fn assert_agree(ws: &WorkingSet<f64>, model: &Model) {
+    let arena = ws.arena();
+    assert_eq!(arena.len(), model.monos.len(), "arena length");
+    for (id, mono) in model.monos.iter().enumerate() {
+        assert_eq!(ws.mono(id as MonoId), mono.view(), "monomial {id}");
+        assert_eq!(arena.get(mono), Some(id as MonoId), "lookup of {mono:?}");
+    }
+    for v in (0..16).map(VarId) {
+        assert_eq!(arena.postings_of(v), model.postings(v), "postings of {v:?}");
+    }
+    assert_eq!(ws.num_polys(), model.terms.len());
+    for (pi, terms) in model.terms.iter().enumerate() {
+        let got: HashMap<MonoId, f64> = ws.poly_terms(pi).map(|(id, &c)| (id, c)).collect();
+        assert_eq!(&got, terms, "terms of polynomial {pi}");
+    }
+}
+
+/// A drawn term: group variable (5 and 6 mean none), context factors,
+/// coefficient.
+type RawTerm = (u32, Vec<(u32, u32)>, i64);
+
+/// Variables 0..4 are the *group* family — a monomial of a polynomial
+/// holds at most one of them, as forest compatibility demands of the
+/// variables one tree covers; 5..10 are context.
+fn compatible_polyset(raw: Vec<Vec<RawTerm>>) -> PolySet<f64> {
+    PolySet::from_vec(
+        raw.into_iter()
+            .map(|terms| {
+                Polynomial::from_terms(terms.into_iter().map(|(group_var, context, c)| {
+                    let group = (group_var < 5).then_some((VarId(group_var), 1));
+                    let context = context.into_iter().map(|(v, e)| (VarId(5 + v % 5), e));
+                    (
+                        Monomial::from_factors(group.into_iter().chain(context)),
+                        c as f64,
+                    )
+                }))
+            })
+            .collect(),
+    )
+}
+
+fn compatible_strategy(polys: std::ops::Range<usize>) -> impl Strategy<Value = PolySet<f64>> {
+    let term = (
+        0u32..7,
+        prop::collection::vec((0u32..5, 1u32..3), 0..3),
+        1i64..50,
+    );
+    prop::collection::vec(prop::collection::vec(term, 0..7), polys).prop_map(compatible_polyset)
+}
+
+/// One step of an interleaving: an operation and the draws it reads.
+type Step = (u32, u32, u32, Vec<(u32, u32)>, PolySet<f64>);
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (
+        0u32..9,
+        any::<u32>(),
+        any::<u32>(),
+        prop::collection::vec((0u32..12, 0u32..3), 0..4),
+        compatible_strategy(0..3),
+    )
+}
+
+fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, other): Step) {
+    let len = ws.arena().len() as u32;
+    let pick = |draw: u32| (len > 0).then(|| draw % len.max(1));
+    match op {
+        // intern, by value and by slice.
+        0 => {
+            let mono = Monomial::from_factors(factors.into_iter().map(|(v, e)| (VarId(v), e)));
+            assert_eq!(ws.arena_mut().intern(&mono), model.intern(mono));
+        }
+        1 => {
+            let mono = Monomial::from_factors(factors.into_iter().map(|(v, e)| (VarId(v), e)));
+            assert_eq!(
+                ws.arena_mut().intern_factors(mono.as_factors()),
+                model.intern(mono)
+            );
+        }
+        // remainder, twice: the second answer comes from the memo.
+        2 => {
+            let Some(id) = pick(a) else { return };
+            let mono = model.monos[id as usize].clone();
+            let Some((v, _)) = mono.factors().nth(b as usize % mono.num_vars().max(1)) else {
+                return;
+            };
+            let (rem, exp) = mono.remove_var(v);
+            let want = (model.intern(rem), exp);
+            assert_eq!(ws.arena_mut().remainder(id, v), want);
+            assert_eq!(ws.arena_mut().remainder(id, v), want);
+        }
+        3 => {
+            let Some(id) = pick(a) else { return };
+            let (v, e) = (VarId(b % 12), 1 + b % 2);
+            let product = model.monos[id as usize].mul(&Monomial::from_factors([(v, e)]));
+            assert_eq!(ws.arena_mut().mul_factor(id, v, e), model.intern(product));
+        }
+        // Score, then apply, a group substitution: the arena interns a
+        // remainder per occurrence when scoring, and a remainder and a
+        // product per occurrence when applying, variable by variable in
+        // posting order (a variable's postings are read when its turn
+        // comes: a dead monomial holding two group variables puts its
+        // remainder into the other one's).
+        4 | 5 => {
+            let group: Vec<VarId> = (0..5).filter(|i| a >> i & 1 == 1).map(VarId).collect();
+            let target = VarId(5 + b % 8);
+            let all: Vec<usize> = (0..ws.num_polys()).collect();
+            // The score is the loss of merging into a *fresh* variable.
+            let (before, fresh) = (ws.size_m(), !ws.live_vars().contains(&target));
+            let predicted = ws.ml_delta_of_group(&group, &all);
+            if group.len() >= 2 {
+                for &v in &group {
+                    for id in model.postings(v) {
+                        let rem = model.monos[id as usize].remove_var(v).0;
+                        model.intern(rem);
+                    }
+                }
+            }
+            ws.apply_group(&group, target, &all);
+            let mut remap: HashMap<MonoId, MonoId> = HashMap::new();
+            for &v in &group {
+                for id in model.postings(v) {
+                    let (rem, exp) = model.monos[id as usize].remove_var(v);
+                    model.intern(rem.clone());
+                    let product = rem.mul(&Monomial::from_factors([(target, exp)]));
+                    remap.insert(id, model.intern(product));
+                }
+            }
+            for terms in &mut model.terms {
+                let mut rewritten = Default::default();
+                for (id, c) in terms.drain() {
+                    accumulate(&mut rewritten, remap.get(&id).copied().unwrap_or(id), c);
+                }
+                *terms = rewritten.into_iter().collect();
+            }
+            if group.len() >= 2 && fresh {
+                assert_eq!(
+                    predicted,
+                    before - ws.size_m(),
+                    "monomial loss of {group:?}"
+                );
+            }
+        }
+        // A subset starts a fresh arena holding what its polynomials
+        // hold and nothing else; the walk goes on over it.
+        6 => {
+            let indices: Vec<usize> = (0..ws.num_polys())
+                .filter(|i| a >> (i % 32) & 1 == 1)
+                .collect();
+            let sub = ws.subset(&indices);
+            let slice = model.polys();
+            let want = PolySet::from_vec(
+                indices
+                    .iter()
+                    .map(|&i| slice.as_slice()[i].clone())
+                    .collect(),
+            );
+            assert_polysets_equal(&sub.to_polyset(), &want);
+            assert_eq!(
+                sub.arena().len(),
+                sub.live_monomials().count(),
+                "a subset is compact"
+            );
+            *model = Model::of(&sub);
+            *ws = sub;
+        }
+        // Absorbing appends: no id the arena had moves, every new id is
+        // a monomial it did not have.
+        7 => {
+            let incoming = WorkingSet::from_polyset(&other);
+            ws.absorb(&incoming);
+            for id in model.monos.len() as MonoId..ws.arena().len() as MonoId {
+                assert_eq!(
+                    model.intern(ws.mono(id).to_monomial()),
+                    id,
+                    "an absorbed id"
+                );
+            }
+            for p in other.iter() {
+                model
+                    .terms
+                    .push(p.iter().map(|(m, &c)| (model.ids[m], c)).collect());
+            }
+        }
+        // Compaction renumbers the live monomials by rank.
+        _ => {
+            ws.compact();
+            let live = model.live();
+            let mut compacted = Model::default();
+            let new_ids: Vec<Option<MonoId>> = live
+                .iter()
+                .zip(&model.monos)
+                .map(|(&is_live, mono)| is_live.then(|| compacted.intern(mono.clone())))
+                .collect();
+            compacted.terms = model
+                .terms
+                .iter()
+                .map(|terms| {
+                    terms
+                        .iter()
+                        .map(|(&id, &c)| (new_ids[id as usize].expect("live"), c))
+                        .collect()
+                })
+                .collect();
+            *model = compacted;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Random interleavings of every id-assigning operation leave the
+    /// arena and the model agreeing id for id after every step.
+    #[test]
+    fn interleavings_agree_with_the_model(
+        polys in compatible_strategy(0..5),
+        steps in prop::collection::vec(step_strategy(), 0..24),
+    ) {
+        let mut ws = WorkingSet::from_polyset(&polys);
+        let mut model = Model::of(&ws);
+        assert_polysets_equal(&model.polys(), &polys);
+        for step in steps {
+            apply_step(&mut ws, &mut model, step);
+            assert_agree(&ws, &model);
+        }
+        assert_polysets_equal(&ws.to_polyset(), &model.polys());
+    }
+
+    /// Compaction changes nothing a consumer can see: the same poly-set,
+    /// byte-for-byte the same frozen columns, and an arena that holds the
+    /// live monomials alone, in the order they had.
+    #[test]
+    fn compaction_is_invisible_downstream(
+        polys in compatible_strategy(0..5),
+        groups in prop::collection::vec((0u32..32, 0u32..8), 0..4),
+    ) {
+        let mut ws = WorkingSet::from_polyset(&polys);
+        let all: Vec<usize> = (0..ws.num_polys()).collect();
+        for (mask, target) in groups {
+            let group: Vec<VarId> = (0..5).filter(|i| mask >> i & 1 == 1).map(VarId).collect();
+            ws.ml_delta_of_group(&group, &all);
+            ws.apply_group(&group, VarId(5 + target), &all);
+        }
+        let (before, frozen) = (ws.to_polyset(), ws.freeze());
+        let order: Vec<Monomial> = ws.live_monomials().map(|m| m.to_monomial()).collect();
+        ws.compact();
+        assert_polysets_equal(&ws.to_polyset(), &before);
+        prop_assert_eq!(
+            provabs_provenance::persist::encode_compiled(ws.freeze().view()),
+            provabs_provenance::persist::encode_compiled(frozen.view())
+        );
+        let arena: Vec<Monomial> = (0..ws.arena().len() as MonoId)
+            .map(|id| ws.mono(id).to_monomial())
+            .collect();
+        prop_assert_eq!(arena, order);
+    }
+}

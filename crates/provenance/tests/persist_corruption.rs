@@ -233,23 +233,124 @@ fn every_required_section_is_actually_required() {
     }
 }
 
+/// The artifact with section `replace_id`'s payload put through `mutate`
+/// and every checksum recomputed over the result.
+fn rebuild(art: &RawArtifact, replace_id: u32, mutate: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let mut w = ArtifactWriter::new();
+    for id in art.section_ids() {
+        let mut payload = art.section(id).expect("present").to_vec();
+        if id == replace_id {
+            mutate(&mut payload);
+        }
+        w.section(id, payload);
+    }
+    w.to_bytes()
+}
+
+/// Where a working-set payload keeps what: per arena monomial the offset
+/// of its factor count and that count, per polynomial the offset of its
+/// term count and that count (a term row is a `u32` id and an `f64`).
+struct WorkingLayout {
+    monos: Vec<(usize, usize)>,
+    polys: Vec<(usize, usize)>,
+}
+
+fn working_layout(p: &[u8]) -> WorkingLayout {
+    let u32_at = |at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap()) as usize;
+    let arena_len = u64::from_le_bytes(p[0..8].try_into().unwrap()) as usize;
+    let num_polys = u64::from_le_bytes(p[8..16].try_into().unwrap()) as usize;
+    let mut at = 16;
+    let mut monos = Vec::new();
+    for _ in 0..arena_len {
+        monos.push((at, u32_at(at)));
+        at += 4 + 8 * u32_at(at);
+    }
+    let mut polys = Vec::new();
+    for _ in 0..num_polys {
+        polys.push((at, u32_at(at)));
+        at += 4 + 12 * u32_at(at);
+    }
+    assert_eq!(at, p.len(), "the payload is consumed exactly");
+    WorkingLayout { monos, polys }
+}
+
+/// The abstracted working set is saved compacted — every arena entry is
+/// live, the last term row ends the payload. Cut short, extended, or
+/// pointing one past the arena it is a typed error; ids that alias (one
+/// monomial stored twice, one term listed twice) are not an error: the
+/// decoder interns and accumulates, so they merge, and the column path
+/// never reads them.
+#[test]
+fn compacted_working_sections_refuse_truncation_and_merge_aliases() {
+    let (good, valuations, expected) = baseline();
+    let art = RawArtifact::open_bytes(good).expect("pristine parses");
+    let pristine = art.section(section::WORKING_ABS).expect("present");
+    let layout = working_layout(pristine);
+    let arena_len = layout.monos.len();
+    let (last_poly, last_terms) = *layout.polys.last().expect("three polynomials");
+    assert!(last_terms > 0);
+    let last_row = last_poly + 4 + 12 * (last_terms - 1);
+    let rebuild = |mutate: &dyn Fn(&mut Vec<u8>)| rebuild(&art, section::WORKING_ABS, mutate);
+
+    for cut in [1, 8, 12] {
+        let bytes = rebuild(&|p| p.truncate(p.len() - cut));
+        assert_persist_err(open_both(&bytes, "working-cut"), &format!("cut {cut}"));
+    }
+    let bytes = rebuild(&|p| p.extend_from_slice(&[0; 12]));
+    assert_persist_err(open_both(&bytes, "working-extended"), "a stray term row");
+    let bytes = rebuild(&|p| {
+        p[last_row..last_row + 4].copy_from_slice(&(arena_len as u32).to_le_bytes());
+    });
+    assert_persist_err(open_both(&bytes, "working-past"), "one past the arena");
+    // One more monomial declared than stored: the terms are read as
+    // factors.
+    let bytes = rebuild(&|p| p[0..8].copy_from_slice(&(arena_len as u64 + 1).to_le_bytes()));
+    assert_persist_err(open_both(&bytes, "working-arena-lie"), "arena length + 1");
+
+    let answers_alike = |bytes: &[u8], tag: &str| -> Session {
+        let mut session = open_both(bytes, tag).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let got = session.ask_prepared(&valuations).expect("compressed");
+        for (a, b) in got.values.iter().flatten().zip(expected.iter().flatten()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: answers changed");
+        }
+        session
+    };
+    // Two arena entries with as many factors: store the first twice.
+    let (a, b) = (0..arena_len)
+        .flat_map(|a| (a + 1..arena_len).map(move |b| (a, b)))
+        .find(|&(a, b)| layout.monos[a].1 == layout.monos[b].1)
+        .expect("two monomials of one length");
+    let (from, nfac) = layout.monos[a];
+    let to = layout.monos[b].0;
+    let bytes = rebuild(&|p| p.copy_within(from..from + 4 + 8 * nfac, to));
+    let session = answers_alike(&bytes, "aliased-monomial");
+    assert_eq!(session.intern_stats().arena_monomials, arena_len);
+    let decoded = session.working().expect("compressed");
+    assert_eq!(decoded.arena().len(), arena_len - 1, "aliases intern once");
+    // One term listed twice in a polynomial: the rows accumulate.
+    let (at, terms) = *layout
+        .polys
+        .iter()
+        .find(|&&(_, terms)| terms >= 2)
+        .expect("a polynomial of two terms");
+    let bytes = rebuild(&|p| p.copy_within(at + 4..at + 8, at + 16));
+    let session = answers_alike(&bytes, "aliased-term");
+    let decoded = session.working().expect("compressed");
+    let pi = layout
+        .polys
+        .iter()
+        .position(|&(o, _)| o == at)
+        .expect("found above");
+    assert_eq!(decoded.poly_size_m(pi), terms - 1, "aliased terms merge");
+}
+
 /// Structural lies behind *valid* checksums: the payload decoders, not
 /// the checksums, are the last line of defence.
 #[test]
 fn checksum_valid_structural_lies_are_typed_errors() {
     let (good, _, _) = baseline();
     let art = RawArtifact::open_bytes(good).expect("pristine parses");
-    let rebuild = |replace_id: u32, mutate: &dyn Fn(&mut Vec<u8>)| -> Vec<u8> {
-        let mut w = ArtifactWriter::new();
-        for id in art.section_ids() {
-            let mut payload = art.section(id).expect("present").to_vec();
-            if id == replace_id {
-                mutate(&mut payload);
-            }
-            w.section(id, payload);
-        }
-        w.to_bytes()
-    };
+    let rebuild = |id: u32, mutate: &dyn Fn(&mut Vec<u8>)| rebuild(&art, id, mutate);
     // A VVS node id far outside its tree.
     let bytes = rebuild(section::VVS, &|p| {
         let n = p.len();

@@ -443,3 +443,119 @@ fn random_polysets_roundtrip_bitwise() {
         }
     }
 }
+
+/// An artifact from before sessions compacted holds the abstracted arena
+/// as the compression run left it: every monomial the run rewrote away
+/// still has its entry, and the live terms point past them. The format
+/// did not change, so such a section must still open, decode to the same
+/// `𝒫↓S` and answer to the bit — on the column path, and on the paths
+/// that rebuild from the decoded working set.
+#[test]
+fn an_uncompacted_working_section_still_opens_and_answers_alike() {
+    use provabs_provenance::persist::{
+        encode_compiled, encode_working, section, ArtifactWriter, RawArtifact,
+    };
+    use provabs_provenance::working::WorkingSet;
+    use provabs_scenario::EvalOptions;
+
+    let (data, forest) = fixture(Workload::Telephony);
+    let bound = attainable_bound(&data.polys, &data.vars, &forest);
+    let mut session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+        .forest(forest)
+        .bound(bound)
+        .build()
+        .expect("valid");
+    session.compress().expect("attainable");
+    let pristine = temp_artifact("compacted");
+    session.save(&pristine.0).expect("save");
+
+    // `𝒫↓S` the way a run leaves it: the original arena with the
+    // rewritten monomials appended, and no entry dropped.
+    let result = session.result().expect("compressed").clone();
+    let subst = result.vvs.substitution(&result.forest);
+    let mut uncompacted = WorkingSet::from_polyset(session.original());
+    uncompacted.apply_var_map(|v| subst.target(v));
+    let mut compacted = uncompacted.clone();
+    compacted.compact();
+    let dead = uncompacted.arena().len() - compacted.arena().len();
+    assert!(dead > 0, "the run left monomials behind");
+    assert_eq!(
+        encode_compiled(uncompacted.freeze().view()),
+        encode_compiled(compacted.freeze().view()),
+        "compaction keeps the frozen columns"
+    );
+
+    let art = RawArtifact::open_bytes(std::fs::read(&pristine.0).expect("bytes")).expect("parses");
+    let with_working = |ws: &WorkingSet<f64>, tag: &str| {
+        let mut w = ArtifactWriter::new();
+        for id in art.section_ids() {
+            let payload = match id {
+                section::WORKING_ABS => encode_working(ws),
+                _ => art.section(id).expect("present").to_vec(),
+            };
+            w.section(id, payload);
+        }
+        let file = temp_artifact(tag);
+        std::fs::write(&file.0, w.to_bytes()).expect("write");
+        file
+    };
+    let old_layout = with_working(&uncompacted, "uncompacted");
+    let new_layout = with_working(&compacted, "recompacted");
+    assert!(
+        std::fs::metadata(&old_layout.0).expect("written").len()
+            > std::fs::metadata(&new_layout.0).expect("written").len()
+    );
+
+    let scenarios: Vec<Scenario> = {
+        let labels = session.abstracted_labels().expect("compressed");
+        (0..8)
+            .map(|i| Scenario::random(&labels, 0.5, 100 + i))
+            .collect()
+    };
+    let expected = session.ask(&scenarios).expect("known names").values;
+    // What the paths that rebuild from the decoded working set give on
+    // the compacted layout (the replayed `𝒫↓S` sums merged coefficients
+    // in its own order, so the session itself is not their reference).
+    let reference = EvalOptions::serial_reference();
+    let mut recompacted = Session::open(&new_layout.0).expect("open");
+    let expected_reference = recompacted
+        .ask_with_options(&scenarios, &reference)
+        .expect("known names")
+        .values;
+    let expected_abstracted = polyset_to_string(
+        recompacted.abstracted().expect("compressed"),
+        recompacted.vars(),
+    );
+    for (file, stored) in [
+        (&old_layout, uncompacted.arena().len()),
+        (&new_layout, compacted.arena().len()),
+    ] {
+        for mut reopened in [
+            Session::open(&file.0).expect("open"),
+            Session::open_mapped(&file.0).expect("open mapped"),
+        ] {
+            let context = format!("{stored} stored monomials");
+            assert_eq!(reopened.intern_stats().arena_monomials, stored, "{context}");
+            let got = reopened.ask(&scenarios).expect("known names").values;
+            assert_values_bitwise(&expected, &got, &context);
+            assert_eq!(reopened.compile_count(), 0, "{context}");
+            let got = reopened
+                .ask_with_options(&scenarios, &reference)
+                .expect("known names")
+                .values;
+            assert_values_bitwise(&expected_reference, &got, &context);
+            let decoded = reopened.working().expect("compressed");
+            assert_eq!(decoded.arena().len(), stored, "{context}: decoded arena");
+            assert_eq!(
+                encode_compiled(decoded.freeze().view()),
+                encode_compiled(compacted.freeze().view()),
+                "{context}: the decoded set freezes to the same columns"
+            );
+            assert_eq!(
+                polyset_to_string(reopened.abstracted().expect("compressed"), reopened.vars()),
+                expected_abstracted,
+                "{context}: abstracted set differs after decode"
+            );
+        }
+    }
+}

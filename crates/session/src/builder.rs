@@ -98,7 +98,7 @@ impl SessionBuilder {
     /// [`Pipeline::aggregate_sum_interned`]: provabs_engine::query::Pipeline::aggregate_sum_interned
     /// [`Session::intern_stats`]: crate::Session::intern_stats
     pub fn from_query_interned(query: GroupedProvenanceInterned, vars: VarTable) -> Self {
-        Self::from_source(ProvenanceSource::Interned(query.working), vars)
+        Self::from_source(ProvenanceSource::Interned(Box::new(query.working)), vars)
     }
 
     /// Sets the abstraction forest (built over the same variable table as

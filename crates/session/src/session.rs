@@ -81,7 +81,7 @@ pub(crate) enum ProvenanceSource {
     Polys(PolySet<f64>),
     /// An already-interned working set (e.g. the engine's
     /// `aggregate_sum_interned`) — ids flow through untouched.
-    Interned(WorkingSet<f64>),
+    Interned(Box<WorkingSet<f64>>),
 }
 
 /// The interning observability snapshot — sibling of
@@ -100,8 +100,12 @@ pub struct InternStats {
     /// accessors, hash-map evaluation paths). Zero on the hot path.
     pub polyset_materializations: usize,
     /// Distinct monomials in the abstracted working set's arena (0 before
-    /// [`Session::compress`]). Counts every monomial the pipeline ever
-    /// interned into that arena, including derived remainders.
+    /// [`Session::compress`]). The session compacts that arena once,
+    /// straight after compression, so this is the count of distinct
+    /// monomials live in `𝒫↓S` — the monomials a run rewrote away and the
+    /// remainders it scored are gone. (A session opened from an artifact
+    /// written before compaction existed reports the stored arena's
+    /// length, dead entries included.)
     pub arena_monomials: usize,
     /// Whether the provenance was supplied already interned (engine
     /// emission) rather than as a poly-set lowered at ingest.
@@ -297,7 +301,7 @@ impl Session {
                 false
             }
             ProvenanceSource::Interned(w) => {
-                source.set(w).expect("fresh cell");
+                source.set(*w).expect("fresh cell");
                 true
             }
         };
@@ -379,7 +383,7 @@ impl Session {
         if self.compressed.is_none() {
             let started = Instant::now();
             let guard = self.guard.clone();
-            let (interned, completion): (InternedAbstraction<f64>, Completion) = match self
+            let (mut interned, completion): (InternedAbstraction<f64>, Completion) = match self
                 .strategy
                 .clone()
             {
@@ -461,6 +465,9 @@ impl Session {
                     other => return Err(Error::UnshardableStrategy(other.to_string())),
                 },
             };
+            // What is kept, frozen and saved from here on is `𝒫↓S` alone:
+            // not the monomials the run rewrote away, nor its memo.
+            interned.working.compact();
             let live_vars = interned.working.live_vars();
             self.compressed = Some(CompressedState {
                 result: interned.result,

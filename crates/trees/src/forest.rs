@@ -96,7 +96,10 @@ impl Forest {
     /// 2. no internal meta-variable occurs in the polynomials,
     /// 3. every monomial contains at most one node of each tree.
     pub fn check_compatible<C: Coefficient>(&self, polys: &PolySet<C>) -> Result<(), TreeError> {
-        self.check_compatible_parts(&polys.var_set(), polys.monomials().map(|(_, m, _)| m))
+        self.check_compatible_parts(
+            &polys.var_set(),
+            polys.monomials().map(|(_, m, _)| m.view()),
+        )
     }
 
     /// [`check_compatible`](Self::check_compatible) over the raw parts —
@@ -107,7 +110,7 @@ impl Forest {
     pub fn check_compatible_parts<'a>(
         &self,
         poly_vars: &provabs_provenance::fxhash::FxHashSet<VarId>,
-        monos: impl Iterator<Item = &'a provabs_provenance::monomial::Monomial>,
+        monos: impl Iterator<Item = provabs_provenance::monomial::MonoRef<'a>>,
     ) -> Result<(), TreeError> {
         for tree in &self.trees {
             for id in tree.node_ids() {

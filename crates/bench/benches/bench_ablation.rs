@@ -2,15 +2,20 @@
 //!
 //! * sparse (§4.1) vs dense DP arrays in Algorithm 1,
 //! * the `D_P` remainder-map ML computation vs the naive
-//!   substitute-and-count definition,
+//!   substitute-and-count definition (both baselines are oracles of
+//!   `provabs_core::reference`; every timed closure starts from the
+//!   hash-map poly-set, bridge included),
 //! * circuit-based (shared DAG) vs flat polynomial evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use provabs_core::loss::{ml_naive, TreeLoss};
-use provabs_core::optimal::{optimal_vvs, optimal_vvs_dense};
+use provabs_core::loss::TreeLoss;
+use provabs_core::optimal::optimal_vvs;
+use provabs_core::reference::{ml_naive, optimal_vvs_dense};
 use provabs_datagen::workload::{Workload, WorkloadConfig};
 use provabs_provenance::circuit::Circuit;
+use provabs_provenance::guard::Guard;
 use provabs_provenance::var::VarId;
+use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::Vvs;
 
 fn bench_dp_variants(c: &mut Criterion) {
@@ -23,7 +28,14 @@ fn bench_dp_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/dp");
     group.sample_size(10);
     group.bench_function("sparse", |b| {
-        b.iter(|| optimal_vvs(&data.polys, &forest, bound))
+        b.iter(|| {
+            optimal_vvs(
+                &WorkingSet::from_polyset(&data.polys),
+                &forest,
+                bound,
+                &Guard::unlimited(),
+            )
+        })
     });
     group.bench_function("dense", |b| {
         b.iter(|| optimal_vvs_dense(&data.polys, &forest, bound))
@@ -43,7 +55,7 @@ fn bench_ml_variants(c: &mut Criterion) {
     group.sample_size(10);
     // Efficient: one pass computes ML for every node.
     group.bench_function("remainder_maps_all_nodes", |b| {
-        b.iter(|| TreeLoss::build(&data.polys, &tree))
+        b.iter(|| TreeLoss::build(&mut WorkingSet::from_polyset(&data.polys), &tree))
     });
     // Naive: substitute-and-count per internal node.
     group.bench_function("naive_all_nodes", |b| {

@@ -4,6 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use provabs_core::optimal::optimal_vvs;
 use provabs_datagen::workload::{Workload, WorkloadConfig};
+use provabs_provenance::guard::Guard;
+use provabs_provenance::working::WorkingSet;
 use provabs_scenario::scenario::Scenario;
 
 fn bench_apply(c: &mut Criterion) {
@@ -13,7 +15,9 @@ fn bench_apply(c: &mut Criterion) {
     });
     let forest = data.primary_tree(1, 2);
     let bound = data.polys.size_m() / 2;
-    let result = optimal_vvs(&data.polys, &forest, bound).expect("compressible");
+    let source = WorkingSet::from_polyset(&data.polys);
+    let (abs, _) = optimal_vvs(&source, &forest, bound, &Guard::unlimited()).expect("compressible");
+    let result = abs.result;
     let compressed = result.apply(&data.polys);
     let names = result.vvs.labels(&result.forest);
     let coarse: Vec<_> = (0..16)

@@ -1,18 +1,22 @@
 //! The evaluation experiments, one function per figure/table.
 //!
 //! Every function returns [`Report`]s whose rows mirror the series the
-//! paper plots. Binaries in `src/bin/` print them; `all_experiments`
-//! regenerates the data behind `EXPERIMENTS.md`.
+//! paper plots; the `all_experiments` binary prints one of them by name,
+//! or all of them. Every timed compression starts from the workload's
+//! hash-map poly-set, so the lowering into the interned working set is
+//! inside the measured region — what the figures have always measured.
 
 use crate::harness::{fmt_ms, time, Report};
-use provabs_core::brute::{brute_force_vvs, DEFAULT_CUT_LIMIT};
 use provabs_core::competitor::pairwise_summarize;
 use provabs_core::greedy::greedy_vvs;
 use provabs_core::optimal::optimal_vvs;
-use provabs_core::problem::AbstractionResult;
+use provabs_core::problem::InternedAbstraction;
+use provabs_core::reference::{brute_force_vvs, DEFAULT_CUT_LIMIT};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
+use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarTable;
+use provabs_provenance::working::WorkingSet;
 use provabs_scenario::executor::EvalOptions;
 use provabs_scenario::scenario::Scenario;
 use provabs_session::{SessionBuilder, Strategy};
@@ -51,14 +55,25 @@ impl ExpConfig {
 
 /// Outcome summary of one compression run: time plus either the variable
 /// loss or the reason it failed.
-fn describe(r: &Result<AbstractionResult, TreeError>) -> String {
+fn describe(r: &Result<(InternedAbstraction<f64>, Completion), TreeError>) -> String {
     match r {
-        Ok(res) => format!("ok (m={}, vl={})", res.compressed_size_m, res.vl()),
+        Ok((abs, _)) => format!(
+            "ok (m={}, vl={})",
+            abs.result.compressed_size_m,
+            abs.result.vl()
+        ),
         Err(TreeError::BoundUnattainable { best_possible, .. }) => {
             format!("unattainable (floor={best_possible})")
         }
         Err(e) => format!("error: {e}"),
     }
+}
+
+/// The workload's hash-map poly-set lowered into the interned working set
+/// the algorithms take. Called *inside* every timed closure, so each
+/// figure keeps timing the lowering it has always timed.
+fn lowered(data: &WorkloadData) -> WorkingSet<f64> {
+    WorkingSet::from_polyset(&data.polys)
 }
 
 /// The paper's default bound: half the input size (§4.3).
@@ -71,6 +86,7 @@ fn half_bound(polys: &PolySet<f64>) -> usize {
 /// attempted only for type-1 trees (Figure 5 plots it) and only below its
 /// feasibility limit, mirroring the paper.
 pub fn fig_compression_vs_cuts(cfg: &ExpConfig, types: &[u8], with_brute: bool) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     let mut reports = Vec::new();
     for workload in Workload::ALL {
         let mut data = workload.generate(&cfg.workload_config());
@@ -98,8 +114,9 @@ pub fn fig_compression_vs_cuts(cfg: &ExpConfig, types: &[u8], with_brute: bool) 
             for (idx, shape) in shapes.iter().enumerate() {
                 let forest = data.primary_tree(ty, idx);
                 let cuts = forest.count_cuts();
-                let (opt, t_opt) = time(|| optimal_vvs(&data.polys, &forest, bound));
-                let (greedy, t_greedy) = time(|| greedy_vvs(&data.polys, &forest, bound));
+                let (opt, t_opt) = time(|| optimal_vvs(&lowered(&data), &forest, bound, guard));
+                let (greedy, t_greedy) =
+                    time(|| greedy_vvs(&lowered(&data), &forest, bound, guard));
                 let t_brute: Option<Duration> = if with_brute && cuts <= DEFAULT_CUT_LIMIT {
                     let (_, t) =
                         time(|| brute_force_vvs(&data.polys, &forest, bound, DEFAULT_CUT_LIMIT));
@@ -126,6 +143,7 @@ pub fn fig_compression_vs_cuts(cfg: &ExpConfig, types: &[u8], with_brute: bool) 
 
 /// Figure 8: compression time as a function of the input data size.
 pub fn fig8_data_size(cfg: &ExpConfig) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     let mut reports = Vec::new();
     let scales: Vec<f64> = [0.25, 0.5, 1.0, 2.0, 4.0]
         .iter()
@@ -143,8 +161,8 @@ pub fn fig8_data_size(cfg: &ExpConfig) -> Vec<Report> {
             });
             let bound = half_bound(&data.polys);
             let forest = data.primary_tree(2, 1); // a mid-complexity tree
-            let (opt, t_opt) = time(|| optimal_vvs(&data.polys, &forest, bound));
-            let (_, t_greedy) = time(|| greedy_vvs(&data.polys, &forest, bound));
+            let (opt, t_opt) = time(|| optimal_vvs(&lowered(&data), &forest, bound, guard));
+            let (_, t_greedy) = time(|| greedy_vvs(&lowered(&data), &forest, bound, guard));
             report.row(vec![
                 data.total_tuples.to_string(),
                 data.polys.size_m().to_string(),
@@ -163,8 +181,9 @@ pub fn fig8_data_size(cfg: &ExpConfig) -> Vec<Report> {
 fn bound_sweep(data: &mut WorkloadData, forest: &Forest) -> Vec<usize> {
     let total = data.polys.size_m();
     // The floor is what full compression achieves.
-    let floor = match greedy_vvs(&data.polys, forest, 1) {
-        Ok(r) => r.compressed_size_m,
+    let source = lowered(data);
+    let floor = match greedy_vvs(&source, forest, 1, &Guard::unlimited()) {
+        Ok((abs, _)) => abs.result.compressed_size_m,
         Err(TreeError::BoundUnattainable { best_possible, .. }) => best_possible,
         Err(_) => total,
     };
@@ -177,6 +196,7 @@ fn bound_sweep(data: &mut WorkloadData, forest: &Forest) -> Vec<usize> {
 
 /// Figure 9: compression time as a function of the bound.
 pub fn fig9_bound(cfg: &ExpConfig) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     let mut reports = Vec::new();
     for workload in Workload::ALL {
         let mut data = workload.generate(&cfg.workload_config());
@@ -191,8 +211,8 @@ pub fn fig9_bound(cfg: &ExpConfig) -> Vec<Report> {
             &["bound B", "Opt [ms]", "Greedy [ms]", "Opt outcome"],
         );
         for &b in &bounds {
-            let (opt, t_opt) = time(|| optimal_vvs(&data.polys, &forest, b));
-            let (_, t_greedy) = time(|| greedy_vvs(&data.polys, &forest, b));
+            let (opt, t_opt) = time(|| optimal_vvs(&lowered(&data), &forest, b, guard));
+            let (_, t_greedy) = time(|| greedy_vvs(&lowered(&data), &forest, b, guard));
             report.row(vec![
                 b.to_string(),
                 fmt_ms(Some(t_opt)),
@@ -288,6 +308,7 @@ pub fn fig10_speedup(cfg: &ExpConfig, scenarios_per_batch: usize) -> Vec<Report>
 /// Figure 11: compression time as a function of the number of abstraction
 /// trees (binary 3-level trees, 16 leaves each); greedy vs brute force.
 pub fn fig11_num_trees(cfg: &ExpConfig) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     let mut reports = Vec::new();
     for workload in Workload::ALL {
         let mut data = workload.generate(&cfg.workload_config());
@@ -308,7 +329,7 @@ pub fn fig11_num_trees(cfg: &ExpConfig) -> Vec<Report> {
         for t in 2..=8 {
             let forest = data.binary_forest(t);
             let cuts = forest.count_cuts();
-            let (greedy, t_greedy) = time(|| greedy_vvs(&data.polys, &forest, bound));
+            let (greedy, t_greedy) = time(|| greedy_vvs(&lowered(&data), &forest, bound, guard));
             let t_brute = if cuts <= DEFAULT_CUT_LIMIT {
                 let (_, t) =
                     time(|| brute_force_vvs(&data.polys, &forest, bound, DEFAULT_CUT_LIMIT));
@@ -337,6 +358,7 @@ pub fn fig11_num_trees(cfg: &ExpConfig) -> Vec<Report> {
 /// EXPERIMENTS.md), and a 4-level tree gives the oracle fine-grained lift
 /// steps.
 pub fn fig12_competitor(cfg: &ExpConfig) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     let mut reports = Vec::new();
     for workload in [Workload::TpchQ5, Workload::TpchQ1] {
         // Q5 spreads its lineitems over 25 nations, so it needs the full
@@ -369,10 +391,13 @@ pub fn fig12_competitor(cfg: &ExpConfig) -> Vec<Report> {
             ],
         );
         for &b in &bounds {
-            let (opt, t_opt) = time(|| optimal_vvs(&data.polys, &forest, b));
-            let (prox, t_prox) = time(|| pairwise_summarize(&data.polys, &forest, b));
+            let (opt, t_opt) = time(|| optimal_vvs(&lowered(&data), &forest, b, guard));
+            let (prox, t_prox) = time(|| pairwise_summarize(&lowered(&data), &forest, b, guard));
             let (pairs, prox_vl) = match &prox {
-                Ok((r, stats)) => (stats.pairs_examined.to_string(), r.vl().to_string()),
+                Ok((abs, stats, _)) => (
+                    stats.pairs_examined.to_string(),
+                    abs.result.vl().to_string(),
+                ),
                 Err(_) => ("-".into(), "-".into()),
             };
             report.row(vec![
@@ -381,7 +406,7 @@ pub fn fig12_competitor(cfg: &ExpConfig) -> Vec<Report> {
                 fmt_ms(Some(t_prox)),
                 pairs,
                 opt.as_ref()
-                    .map(|r| r.vl().to_string())
+                    .map(|(abs, _)| abs.result.vl().to_string())
                     .unwrap_or("-".into()),
                 prox_vl,
             ]);
@@ -394,6 +419,7 @@ pub fn fig12_competitor(cfg: &ExpConfig) -> Vec<Report> {
 /// Figure 14 (Appendix B): compression time as a function of the number
 /// of variables (the abstraction tree keeps 128 leaves).
 pub fn fig14_num_variables(cfg: &ExpConfig) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     let mut reports = Vec::new();
     for workload in [Workload::TpchQ5, Workload::TpchQ1] {
         let mut report = Report::new(
@@ -414,8 +440,8 @@ pub fn fig14_num_variables(cfg: &ExpConfig) -> Vec<Report> {
             let forest = Forest::single(
                 paper_tree(1, 1, "Supp", &leaves, &mut data.vars).expect("type 1 is valid"),
             );
-            let (_, t_opt) = time(|| optimal_vvs(&data.polys, &forest, bound));
-            let (_, t_greedy) = time(|| greedy_vvs(&data.polys, &forest, bound));
+            let (_, t_opt) = time(|| optimal_vvs(&lowered(&data), &forest, bound, guard));
+            let (_, t_greedy) = time(|| greedy_vvs(&lowered(&data), &forest, bound, guard));
             report.row(vec![
                 modulus.to_string(),
                 data.polys.size_v().to_string(),
@@ -433,6 +459,7 @@ pub fn fig14_num_variables(cfg: &ExpConfig) -> Vec<Report> {
 /// adapted bound and evaluated against the full provenance — reporting
 /// the quality gap and time saved relative to offline compression.
 pub fn ext_online_sampling(cfg: &ExpConfig) -> Vec<Report> {
+    let guard = &Guard::unlimited();
     use provabs_core::online::{estimate_full_size, online_compress, Solver};
     let mut reports = Vec::new();
     for workload in [Workload::TpchQ5, Workload::Telephony] {
@@ -441,7 +468,7 @@ pub fn ext_online_sampling(cfg: &ExpConfig) -> Vec<Report> {
         // A bound in the middle of the attainable range, so the offline
         // reference succeeds and the online scheme has a real target.
         let bound = bound_sweep(&mut data, &forest)[2];
-        let (offline, t_offline) = time(|| optimal_vvs(&data.polys, &forest, bound));
+        let (offline, t_offline) = time(|| optimal_vvs(&lowered(&data), &forest, bound, guard));
         let offline_desc = describe(&offline);
         let mut report = Report::new(
             format!(
@@ -461,28 +488,30 @@ pub fn ext_online_sampling(cfg: &ExpConfig) -> Vec<Report> {
                 "online VL",
             ],
         );
+        let source = lowered(&data);
         for fraction in [0.05, 0.1, 0.2, 0.4, 0.8] {
-            let estimate = estimate_full_size(&data.polys, &[fraction / 2.0, fraction], cfg.seed);
+            let estimate = estimate_full_size(&source, &[fraction / 2.0, fraction], cfg.seed);
             let (outcome, t_online) = time(|| {
                 online_compress(
-                    &data.polys,
+                    &lowered(&data),
                     &forest,
                     bound,
                     fraction,
                     cfg.seed,
                     Solver::Optimal,
+                    guard,
                 )
             });
             match outcome {
-                Ok(o) => report.row(vec![
+                Ok((o, _)) => report.row(vec![
                     format!("{fraction:.2}"),
                     o.sample_size_m.to_string(),
                     estimate.to_string(),
                     o.adapted_bound.to_string(),
                     fmt_ms(Some(t_online)),
-                    o.full.compressed_size_m.to_string(),
-                    o.full.is_adequate_for(bound).to_string(),
-                    o.full.vl().to_string(),
+                    o.full.result.compressed_size_m.to_string(),
+                    o.full.result.is_adequate_for(bound).to_string(),
+                    o.full.result.vl().to_string(),
                 ]),
                 Err(e) => report.row(vec![
                     format!("{fraction:.2}"),

@@ -1,13 +1,13 @@
 #![warn(missing_docs)]
 //! Experiment harness reproducing the paper's evaluation (§4.3).
 //!
-//! Each figure and table has a binary in `src/bin/` that prints the same
-//! series the paper plots; [`experiments`] holds the shared logic so the
-//! `all_experiments` binary can regenerate everything for
-//! `EXPERIMENTS.md`. Absolute numbers differ from the paper (Rust on this
-//! machine vs. Python 3 on an i7-4600U; scaled-down data) — the claims
-//! under reproduction are the *shapes*: who wins, growth trends,
-//! crossovers, and the accuracy/speedup trade-offs.
+//! [`experiments`] has one function per figure and table, printing the
+//! same series the paper plots; the `all_experiments [name] [scale]`
+//! binary runs one by name or regenerates everything. Absolute numbers
+//! differ from the paper (Rust on this machine vs. Python 3 on an
+//! i7-4600U; scaled-down data) — the claims under reproduction are the
+//! *shapes*: who wins, growth trends, crossovers, and the
+//! accuracy/speedup trade-offs.
 
 pub mod experiments;
 pub mod harness;

@@ -7,10 +7,13 @@
 //! search refuses instances above a configurable limit with
 //! [`TreeError::SearchSpaceTooLarge`].
 
-use crate::problem::{evaluate_vvs, prepare, AbstractionResult};
+use crate::loss::TreeLoss;
+use crate::problem::AbstractionResult;
+use crate::reference::{evaluate_vvs, prepare};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::guard;
 use provabs_provenance::polyset::PolySet;
+use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::{enumerate_forest_cuts, Vvs};
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
@@ -18,6 +21,141 @@ use provabs_trees::forest::Forest;
 /// Default enumeration limit, chosen to match the paper's observed
 /// feasibility threshold for the brute-force baseline.
 pub const DEFAULT_CUT_LIMIT: u128 = 80_000;
+
+/// A scored range of cuts: the smallest size seen (for error reporting)
+/// and the best adequate cut as `(granularity, index)`.
+type Partial = (usize, Option<(usize, usize)>);
+
+/// The search space both searches score: the cleaned forest, every cut of
+/// it, and the per-node losses when they are additive.
+struct Search<'a, C> {
+    polys: &'a PolySet<C>,
+    cleaned: Forest,
+    cuts: Vec<Vvs>,
+    additive_loss: Option<Vec<TreeLoss>>,
+    total_m: usize,
+    total_v: usize,
+}
+
+impl<'a, C: Coefficient> Search<'a, C> {
+    /// Cleans the forest, settles the bound the input already meets
+    /// (`Err(identity)`), checks the limit and enumerates every cut.
+    fn open(
+        polys: &'a PolySet<C>,
+        forest: &Forest,
+        bound: usize,
+        cut_limit: u128,
+    ) -> Result<Result<Self, AbstractionResult>, TreeError> {
+        let cleaned = prepare(polys, forest)?;
+        let total_m = polys.size_m();
+        if bound >= total_m {
+            let vvs = Vvs::identity(&cleaned);
+            return Ok(Err(evaluate_vvs(polys, &cleaned, vvs)));
+        }
+        let count = cleaned.count_cuts();
+        if count > cut_limit {
+            return Err(TreeError::SearchSpaceTooLarge {
+                cuts: count,
+                limit: cut_limit,
+            });
+        }
+        let cuts = enumerate_forest_cuts(&cleaned, cut_limit as usize, cut_limit)
+            .expect("count checked against limit");
+
+        // Fast path: when no monomial contains variables of two *different*
+        // trees, ML and VL are additive over all chosen nodes (compatibility
+        // already makes sibling subtrees compress disjoint monomial groups —
+        // the same insight Algorithm 1 builds on; disjoint tree footprints
+        // extend it across trees). Each cut is then scored in O(|S|) from the
+        // precomputed per-node losses instead of materialising `𝒫↓S`.
+        // Whenever a monomial touches two trees (e.g. `p1·m1` under the plans
+        // + months forest of Example 15), merges interact and cuts must be
+        // materialised.
+        let interacting = polys.monomials().any(|(_, mono, _)| {
+            let mut seen_tree = None;
+            for v in mono.vars() {
+                if let Some((ti, _)) = cleaned.locate(v) {
+                    if seen_tree.is_some_and(|prev| prev != ti) {
+                        return true;
+                    }
+                    seen_tree = Some(ti);
+                }
+            }
+            false
+        });
+        let additive_loss = (!interacting).then(|| {
+            let mut ws = WorkingSet::from_polyset(polys);
+            cleaned
+                .trees()
+                .iter()
+                .map(|t| TreeLoss::build(&mut ws, t))
+                .collect()
+        });
+        Ok(Ok(Self {
+            polys,
+            cleaned,
+            cuts,
+            additive_loss,
+            total_m,
+            total_v: polys.size_v(),
+        }))
+    }
+
+    /// `(|𝒫↓S|_M, |𝒫↓S|_V)` of one cut.
+    fn score(&self, vvs: &Vvs) -> (usize, usize) {
+        match &self.additive_loss {
+            Some(losses) => {
+                let (mut ml, mut vl) = (0usize, 0usize);
+                for (ti, loss) in losses.iter().enumerate() {
+                    for &n in vvs.tree_nodes(ti) {
+                        ml += loss.ml_of(n);
+                        vl += loss.vl_of(n);
+                    }
+                }
+                (self.total_m - ml, self.total_v - vl)
+            }
+            None => {
+                let down = vvs.apply(self.polys, &self.cleaned);
+                (down.size_m(), down.size_v())
+            }
+        }
+    }
+
+    /// Scores the cuts at `range`; ties on granularity resolve towards
+    /// the earliest enumerated cut.
+    fn best_in(&self, range: std::ops::Range<usize>, bound: usize) -> Partial {
+        let mut floor = usize::MAX;
+        let mut best: Option<(usize, usize)> = None;
+        for i in range {
+            let (size_m, size_v) = self.score(&self.cuts[i]);
+            floor = floor.min(size_m);
+            if size_m <= bound && best.is_none_or(|(bv, _)| size_v > bv) {
+                best = Some((size_v, i));
+            }
+        }
+        (floor, best)
+    }
+
+    /// Reduces the scored ranges deterministically — max granularity, then
+    /// smallest index — and measures the winner.
+    fn finish(&self, partials: &[Partial], bound: usize) -> Result<AbstractionResult, TreeError> {
+        let best = partials
+            .iter()
+            .filter_map(|&(_, b)| b)
+            .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        match best {
+            Some((_, idx)) => Ok(evaluate_vvs(
+                self.polys,
+                &self.cleaned,
+                self.cuts[idx].clone(),
+            )),
+            None => Err(TreeError::BoundUnattainable {
+                bound,
+                best_possible: partials.iter().map(|&(f, _)| f).min().unwrap_or(usize::MAX),
+            }),
+        }
+    }
+}
 
 /// Exhaustively finds the optimal VVS for `bound` (max granularity among
 /// adequate cuts), or reports that no adequate cut exists / the space is
@@ -28,83 +166,12 @@ pub fn brute_force_vvs<C: Coefficient>(
     bound: usize,
     cut_limit: u128,
 ) -> Result<AbstractionResult, TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let total_m = polys.size_m();
-    if bound >= total_m {
-        let vvs = Vvs::identity(&cleaned);
-        return Ok(evaluate_vvs(polys, &cleaned, vvs));
-    }
-    let cuts = cleaned.count_cuts();
-    if cuts > cut_limit {
-        return Err(TreeError::SearchSpaceTooLarge {
-            cuts,
-            limit: cut_limit,
-        });
-    }
-    let all = enumerate_forest_cuts(&cleaned, cut_limit as usize, cut_limit)
-        .expect("count checked against limit");
-
-    // Fast path: when no monomial contains variables of two *different*
-    // trees, ML and VL are additive over all chosen nodes (compatibility
-    // already makes sibling subtrees compress disjoint monomial groups —
-    // the same insight Algorithm 1 builds on; disjoint tree footprints
-    // extend it across trees). Each cut is then scored in O(|S|) from the
-    // precomputed per-node losses instead of materialising `𝒫↓S`.
-    // Whenever a monomial touches two trees (e.g. `p1·m1` under the plans
-    // + months forest of Example 15), merges interact and cuts must be
-    // materialised.
-    let interacting = polys.monomials().any(|(_, mono, _)| {
-        let mut seen_tree = None;
-        for v in mono.vars() {
-            if let Some((ti, _)) = cleaned.locate(v) {
-                if seen_tree.is_some_and(|prev| prev != ti) {
-                    return true;
-                }
-                seen_tree = Some(ti);
-            }
-        }
-        false
-    });
-    let additive_loss: Option<Vec<crate::loss::TreeLoss>> = (!interacting).then(|| {
-        cleaned
-            .trees()
-            .iter()
-            .map(|t| crate::loss::TreeLoss::build(polys, t))
-            .collect()
-    });
-    let total_v = polys.size_v();
-
-    let mut best: Option<(usize, Vvs)> = None; // (compressed_v, vvs) among adequate
-    let mut floor = usize::MAX; // smallest size seen, for error reporting
-    for vvs in all {
-        let (size_m, size_v) = match &additive_loss {
-            Some(losses) => {
-                let (mut ml, mut vl) = (0usize, 0usize);
-                for (ti, loss) in losses.iter().enumerate() {
-                    for &n in vvs.tree_nodes(ti) {
-                        ml += loss.ml_of(n);
-                        vl += loss.vl_of(n);
-                    }
-                }
-                (total_m - ml, total_v - vl)
-            }
-            None => {
-                let down = vvs.apply(polys, &cleaned);
-                (down.size_m(), down.size_v())
-            }
-        };
-        floor = floor.min(size_m);
-        if size_m <= bound && best.as_ref().is_none_or(|(bv, _)| size_v > *bv) {
-            best = Some((size_v, vvs));
-        }
-    }
-    match best {
-        Some((_, vvs)) => Ok(evaluate_vvs(polys, &cleaned, vvs)),
-        None => Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: floor,
-        }),
-    }
+    let search = match Search::open(polys, forest, bound, cut_limit)? {
+        Ok(search) => search,
+        Err(identity) => return Ok(identity),
+    };
+    let all = search.best_in(0..search.cuts.len(), bound);
+    search.finish(&[all], bound)
 }
 
 /// Parallel brute force: scores the enumerated cuts across `threads`
@@ -119,87 +186,23 @@ pub fn brute_force_vvs_parallel<C: Coefficient>(
     cut_limit: u128,
     threads: usize,
 ) -> Result<AbstractionResult, TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let total_m = polys.size_m();
-    if bound >= total_m {
-        let vvs = Vvs::identity(&cleaned);
-        return Ok(evaluate_vvs(polys, &cleaned, vvs));
-    }
-    let cuts = cleaned.count_cuts();
-    if cuts > cut_limit {
-        return Err(TreeError::SearchSpaceTooLarge {
-            cuts,
-            limit: cut_limit,
-        });
-    }
-    let all = enumerate_forest_cuts(&cleaned, cut_limit as usize, cut_limit)
-        .expect("count checked against limit");
-    let interacting = polys.monomials().any(|(_, mono, _)| {
-        let mut seen_tree = None;
-        for v in mono.vars() {
-            if let Some((ti, _)) = cleaned.locate(v) {
-                if seen_tree.is_some_and(|prev| prev != ti) {
-                    return true;
-                }
-                seen_tree = Some(ti);
-            }
-        }
-        false
-    });
-    let additive_loss: Option<Vec<crate::loss::TreeLoss>> = (!interacting).then(|| {
-        cleaned
-            .trees()
-            .iter()
-            .map(|t| crate::loss::TreeLoss::build(polys, t))
-            .collect()
-    });
-    let total_v = polys.size_v();
-
-    // Score one cut (shared with the serial path's semantics).
-    let score = |vvs: &Vvs| -> (usize, usize) {
-        match &additive_loss {
-            Some(losses) => {
-                let (mut ml, mut vl) = (0usize, 0usize);
-                for (ti, loss) in losses.iter().enumerate() {
-                    for &n in vvs.tree_nodes(ti) {
-                        ml += loss.ml_of(n);
-                        vl += loss.vl_of(n);
-                    }
-                }
-                (total_m - ml, total_v - vl)
-            }
-            None => {
-                let down = vvs.apply(polys, &cleaned);
-                (down.size_m(), down.size_v())
-            }
-        }
+    let search = match Search::open(polys, forest, bound, cut_limit)? {
+        Ok(search) => search,
+        Err(identity) => return Ok(identity),
     };
-
-    let threads = threads.max(1).min(all.len().max(1));
-    let chunk = all.len().div_ceil(threads);
-    // Per-chunk partial results: (floor, Option<(size_v, global index)>).
-    type Partial = (usize, Option<(usize, usize)>);
+    let total = search.cuts.len();
+    let chunk = total.div_ceil(threads.clamp(1, total.max(1))).max(1);
     // Each worker runs behind the shared panic-isolation boundary (the
     // same helper the scenario executor uses): a panicking chunk yields
     // a typed TreeError::WorkerPanic while sibling chunks still finish.
     let partials: Vec<Result<Partial, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = all
-            .chunks(chunk.max(1))
-            .enumerate()
-            .map(|(ci, cuts)| {
-                let score = &score;
+        let handles: Vec<_> = (0..total)
+            .step_by(chunk)
+            .map(|start| {
+                let search = &search;
                 s.spawn(move || {
                     guard::run_isolated_mut(|| {
-                        let mut floor = usize::MAX;
-                        let mut best: Option<(usize, usize)> = None;
-                        for (i, vvs) in cuts.iter().enumerate() {
-                            let (size_m, size_v) = score(vvs);
-                            floor = floor.min(size_m);
-                            if size_m <= bound && best.is_none_or(|(bv, _)| size_v > bv) {
-                                best = Some((size_v, ci * chunk + i));
-                            }
-                        }
-                        (floor, best)
+                        search.best_in(start..(start + chunk).min(total), bound)
                     })
                 })
             })
@@ -218,20 +221,7 @@ pub fn brute_force_vvs_parallel<C: Coefficient>(
         .into_iter()
         .collect::<Result<_, _>>()
         .map_err(|payload| TreeError::WorkerPanic { payload })?;
-
-    let floor = partials.iter().map(|&(f, _)| f).min().unwrap_or(usize::MAX);
-    // Deterministic reduce: max granularity, then smallest index.
-    let best = partials
-        .iter()
-        .filter_map(|&(_, b)| b)
-        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-    match best {
-        Some((_, idx)) => Ok(evaluate_vvs(polys, &cleaned, all[idx].clone())),
-        None => Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: floor,
-        }),
-    }
+    search.finish(&partials, bound)
 }
 
 #[cfg(test)]
@@ -239,6 +229,7 @@ mod tests {
     use super::*;
     use crate::greedy::greedy_vvs;
     use crate::optimal::optimal_vvs;
+    use provabs_provenance::guard::Guard;
     use provabs_provenance::parse::parse_polyset;
     use provabs_provenance::var::VarTable;
     use provabs_trees::generate::{months_tree, plans_tree};
@@ -260,12 +251,16 @@ mod tests {
     #[test]
     fn brute_force_matches_optimal_on_single_tree() {
         let (polys, forest) = example_13();
+        let source = WorkingSet::from_polyset(&polys);
         for bound in 4..=14 {
             let b = brute_force_vvs(&polys, &forest, bound, DEFAULT_CUT_LIMIT);
-            let o = optimal_vvs(&polys, &forest, bound);
+            let o = optimal_vvs(&source, &forest, bound, &Guard::unlimited());
             match (b, o) {
-                (Ok(b), Ok(o)) => {
-                    assert_eq!(b.compressed_size_v, o.compressed_size_v, "bound {bound}");
+                (Ok(b), Ok((o, _))) => {
+                    assert_eq!(
+                        b.compressed_size_v, o.result.compressed_size_v,
+                        "bound {bound}"
+                    );
                     assert!(b.is_adequate_for(bound));
                 }
                 (Err(eb), Err(eo)) => assert_eq!(eb, eo, "bound {bound}"),
@@ -289,9 +284,15 @@ mod tests {
             Forest::new(vec![plans_tree(&mut vars), months_tree(&mut vars)]).expect("disjoint");
         // Example 15's bound: greedy reaches VL 5, the optimum is VL 4.
         let b = brute_force_vvs(&polys, &forest, 4, DEFAULT_CUT_LIMIT).expect("adequate");
-        let g = greedy_vvs(&polys, &forest, 4).expect("adequate");
+        let (g, _) = greedy_vvs(
+            &WorkingSet::from_polyset(&polys),
+            &forest,
+            4,
+            &Guard::unlimited(),
+        )
+        .expect("adequate");
         assert_eq!(b.vl(), 4);
-        assert!(g.vl() >= b.vl());
+        assert!(g.result.vl() >= b.vl());
     }
 
     #[test]

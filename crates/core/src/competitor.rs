@@ -19,16 +19,13 @@
 //! the behaviour Figure 12 plots (and why the competitor never finished
 //! on the large workloads within 24 hours).
 
-use crate::problem::{
-    evaluate_vvs, prepare, prepare_interned, AbstractionResult, InternedAbstraction,
-};
+use crate::greedy::{leaf_membership, vvs_from_membership};
+use crate::problem::{prepare, AbstractionResult, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::monomial::MonoRef;
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
-use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 use provabs_trees::tree::{AbsTree, NodeId};
@@ -147,86 +144,40 @@ fn oracle_merge(
 }
 
 /// Runs the pairwise summarization until `|𝒫↓S|_M ≤ bound` or no pair can
-/// merge. Returns the resulting abstraction and oracle statistics.
+/// merge, under an execution [`Guard`]. Returns the resulting abstraction
+/// (with the rewritten `𝒫↓S`), oracle statistics and how the run ended.
 ///
-/// The in-flight polynomials live in a
-/// [`WorkingSet`]: each accepted merge substitutes the antichain nodes
-/// below the lift target incrementally (id remapping on the affected
-/// monomials) instead of re-applying the whole substitution to the
-/// original polynomials. The defining quadratic pair scan per iteration
-/// is untouched — that *is* the baseline being measured.
+/// The quadratic pair scans and the incremental merges run on a clone of
+/// `source`, whose final state *is* `𝒫↓S`: each accepted merge
+/// substitutes the antichain nodes below the lift target incrementally
+/// (id remapping on the affected monomials) instead of re-applying the
+/// whole substitution. The defining quadratic pair scan per iteration is
+/// untouched — that *is* the baseline being measured.
+///
+/// The guard is checked once per pair-scan iteration. A trip returns the
+/// summarization reached so far — every prefix of accepted merges is a
+/// sound abstraction, just a larger one — tagged
+/// [`Completion::Interrupted`]; the bound-adequacy check is skipped for
+/// interrupted runs.
+///
+/// The baseline breaks cost ties by scan order, which follows the
+/// arena's id order: the same provenance interned in a different order
+/// (e.g. engine emission vs [`WorkingSet::from_polyset`]) can resolve
+/// equal-cost merges differently, to a different — equally scored —
+/// summarization.
 pub fn pairwise_summarize<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<(AbstractionResult, OracleStats), TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    pairwise_summarize_guarded(polys, forest, bound, &guard).map(|(r, s, _)| (r, s))
-}
-
-/// [`pairwise_summarize`] under an execution [`Guard`], checked once per
-/// pair-scan iteration. A trip returns the summarization reached so far —
-/// every prefix of accepted merges is a sound abstraction, just a larger
-/// one — tagged [`Completion::Interrupted`]; the bound-adequacy check is
-/// skipped for interrupted runs.
-pub fn pairwise_summarize_guarded<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    guard: &Guard,
-) -> Result<(AbstractionResult, OracleStats, Completion), TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let mut ws = WorkingSet::from_polyset(polys);
-    let mut stats = OracleStats::default();
-    let (antichain, completion) = summarize_core(&mut ws, &cleaned, bound, &mut stats, guard);
-    let vvs = vvs_from_antichain(&antichain);
-    debug_assert!(vvs.validate(&cleaned).is_ok());
-    let result = evaluate_vvs(polys, &cleaned, vvs);
-    if completion.is_complete() && !result.is_adequate_for(bound) {
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: result.compressed_size_m,
-        });
-    }
-    Ok((result, stats, completion))
-}
-
-/// [`pairwise_summarize`] in the interned currency end-to-end: the
-/// quadratic pair scans and the incremental merges run on a clone of the
-/// given working set, whose final state *is* `𝒫↓S` — no re-application,
-/// no [`PolySet`] materialisation.
-///
-/// Identical VVS, sizes and oracle statistics to [`pairwise_summarize`]
-/// when `source` was lowered from the equivalent poly-set
-/// ([`WorkingSet::from_polyset`] — the ids then enumerate pairs in the
-/// same order). For an arena interned in a different order (e.g. engine
-/// emission), equal-cost merge candidates may resolve differently: the
-/// baseline breaks cost ties by scan order, so the chosen VVS can be a
-/// different — equally scored — summarization.
-pub fn pairwise_summarize_interned<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<(InternedAbstraction<C>, OracleStats), TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    pairwise_summarize_interned_guarded(source, forest, bound, &guard).map(|(r, s, _)| (r, s))
-}
-
-/// [`pairwise_summarize_interned`] under an execution [`Guard`] — same
-/// anytime semantics as [`pairwise_summarize_guarded`].
-pub fn pairwise_summarize_interned_guarded<C: Coefficient>(
     source: &WorkingSet<C>,
     forest: &Forest,
     bound: usize,
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, OracleStats, Completion), TreeError> {
-    let cleaned = prepare_interned(source, forest)?;
+    let cleaned = prepare(source, forest)?;
     let original_size_m = source.size_m();
     let original_size_v = source.size_v();
     let mut ws = source.clone();
     let mut stats = OracleStats::default();
     let (antichain, completion) = summarize_core(&mut ws, &cleaned, bound, &mut stats, guard);
-    let vvs = vvs_from_antichain(&antichain);
+    let vvs = vvs_from_membership(&antichain);
     debug_assert!(vvs.validate(&cleaned).is_ok());
     let result = AbstractionResult {
         forest: cleaned,
@@ -252,8 +203,8 @@ pub fn pairwise_summarize_interned_guarded<C: Coefficient>(
     ))
 }
 
-/// The shared main loop: pair scans, oracle calls and incremental lifts
-/// over an in-flight working set. Returns the final antichain bitmaps;
+/// The main loop: pair scans, oracle calls and incremental lifts over an
+/// in-flight working set. Returns the final antichain bitmaps;
 /// the working set ends as `𝒫↓S` of the returned antichain.
 fn summarize_core<C: Coefficient>(
     ws: &mut WorkingSet<C>,
@@ -264,17 +215,7 @@ fn summarize_core<C: Coefficient>(
 ) -> (Vec<Vec<bool>>, Completion) {
     let mut checkpoint = guard.checkpoint();
     let mut completion = Completion::Complete;
-    let mut antichain: Vec<Vec<bool>> = cleaned
-        .trees()
-        .iter()
-        .map(|t| {
-            let mut bits = vec![false; t.num_nodes()];
-            for l in t.leaves() {
-                bits[l.index()] = true;
-            }
-            bits
-        })
-        .collect();
+    let mut antichain = leaf_membership(cleaned);
     let all_polys: Vec<usize> = (0..ws.num_polys()).collect();
 
     while ws.size_m() > bound {
@@ -326,142 +267,115 @@ fn summarize_core<C: Coefficient>(
     (antichain, completion)
 }
 
-fn vvs_from_antichain(antichain: &[Vec<bool>]) -> Vvs {
-    Vvs::from_per_tree(
-        antichain
-            .iter()
-            .map(|bits| {
-                bits.iter()
-                    .enumerate()
-                    .filter_map(|(i, &b)| b.then_some(NodeId(i as u32)))
-                    .collect()
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimal::optimal_vvs;
     use provabs_provenance::parse::parse_polyset;
     use provabs_provenance::var::VarTable;
+    use provabs_trees::builder::TreeBuilder;
     use provabs_trees::generate::{months_tree, plans_tree};
 
-    fn example_13() -> (PolySet<f64>, Forest) {
+    const EXAMPLE_13: &str = "220.8·p1·m1 + 240·p1·m3 + 127.4·f1·m1 + 114.45·f1·m3 \
+         + 75.9·y1·m1 + 72.5·y1·m3 + 42·v·m1 + 24.2·v·m3\n\
+         77.9·b1·m1 + 80.5·b1·m3 + 52.2·e·m1 + 56.5·e·m3 \
+         + 69.7·b2·m1 + 100.65·b2·m3";
+
+    fn parsed(text: &str, vars: &mut VarTable) -> WorkingSet<f64> {
+        WorkingSet::from_polyset(&parse_polyset(text, vars).expect("parse"))
+    }
+
+    fn example_13() -> (WorkingSet<f64>, Forest) {
         let mut vars = VarTable::new();
-        let polys = parse_polyset(
-            "220.8·p1·m1 + 240·p1·m3 + 127.4·f1·m1 + 114.45·f1·m3 \
-             + 75.9·y1·m1 + 72.5·y1·m3 + 42·v·m1 + 24.2·v·m3\n\
-             77.9·b1·m1 + 80.5·b1·m3 + 52.2·e·m1 + 56.5·e·m3 \
-             + 69.7·b2·m1 + 100.65·b2·m3",
-            &mut vars,
-        )
-        .expect("parse");
-        let forest = Forest::single(plans_tree(&mut vars));
-        (polys, forest)
+        let source = parsed(EXAMPLE_13, &mut vars);
+        (source, Forest::single(plans_tree(&mut vars)))
     }
 
     #[test]
     fn reaches_the_bound_with_valid_vvs() {
-        let (polys, forest) = example_13();
-        let (r, stats) = pairwise_summarize(&polys, &forest, 9).expect("adequate");
-        assert!(r.is_adequate_for(9));
+        let (source, forest) = example_13();
+        let (abs, stats, completion) =
+            pairwise_summarize(&source, &forest, 9, &Guard::unlimited()).expect("adequate");
+        assert!(completion.is_complete());
+        assert!(abs.result.is_adequate_for(9));
         assert!(stats.pairs_examined > 0);
         assert!(stats.merges_applied >= 1);
-        r.vvs.validate(&r.forest).expect("valid");
-    }
-
-    #[test]
-    fn interned_entry_point_matches_polyset_entry_point() {
-        let (polys, forest) = example_13();
-        let source = WorkingSet::from_polyset(&polys);
-        for bound in [4, 9, 12] {
-            let by_polys = pairwise_summarize(&polys, &forest, bound);
-            let by_ws = pairwise_summarize_interned(&source, &forest, bound);
-            match (by_polys, by_ws) {
-                (Ok((a, sa)), Ok((b, sb))) => {
-                    assert_eq!(a.vvs, b.result.vvs, "bound {bound}");
-                    assert_eq!(a.compressed_size_m, b.result.compressed_size_m);
-                    assert_eq!(a.compressed_size_v, b.result.compressed_size_v);
-                    assert_eq!(sa, sb, "oracle statistics differ at bound {bound}");
-                    assert_eq!(b.working.size_m(), b.result.compressed_size_m);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "bound {bound}"),
-                (a, b) => panic!("entry points disagree at bound {bound}: {a:?} vs {b:?}"),
-            }
-        }
+        abs.result.vvs.validate(&abs.result.forest).expect("valid");
+        // The returned working set is the abstracted set; the source is
+        // never mutated.
+        assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
+        assert_eq!(abs.working.size_v(), abs.result.compressed_size_v);
+        assert_eq!(source.size_m(), abs.result.original_size_m);
     }
 
     #[test]
     fn quality_close_to_but_not_above_optimal() {
-        let (polys, forest) = example_13();
-        let (r, _) = pairwise_summarize(&polys, &forest, 9).expect("adequate");
-        let opt = optimal_vvs(&polys, &forest, 9).expect("adequate");
-        assert!(r.vl() >= opt.vl(), "competitor cannot beat the optimum");
+        let (source, forest) = example_13();
+        let guard = Guard::unlimited();
+        let (r, _, _) = pairwise_summarize(&source, &forest, 9, &guard).expect("adequate");
+        let (opt, _) = optimal_vvs(&source, &forest, 9, &guard).expect("adequate");
+        assert!(
+            r.result.vl() >= opt.result.vl(),
+            "competitor cannot beat the optimum"
+        );
     }
 
     #[test]
     fn oracle_refuses_unliftable_pairs() {
         // x·a and y·b share no structure outside the tree: a ≠ b blocks.
         let mut vars = VarTable::new();
-        let polys = parse_polyset("1·x·a + 1·y·b", &mut vars).expect("parse");
-        let tree = provabs_trees::builder::TreeBuilder::new("g")
+        let source = parsed("1·x·a + 1·y·b", &mut vars);
+        let tree = TreeBuilder::new("g")
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let forest = Forest::single(tree);
-        let err = pairwise_summarize(&polys, &forest, 1).expect_err("cannot merge");
+        let err = pairwise_summarize(&source, &Forest::single(tree), 1, &Guard::unlimited())
+            .expect_err("cannot merge");
         assert!(matches!(err, TreeError::BoundUnattainable { .. }));
     }
 
     #[test]
     fn exponent_mismatch_blocks_merge() {
         let mut vars = VarTable::new();
-        let polys = parse_polyset("1·x^2 + 1·y", &mut vars).expect("parse");
-        let tree = provabs_trees::builder::TreeBuilder::new("g")
+        let source = parsed("1·x^2 + 1·y", &mut vars);
+        let tree = TreeBuilder::new("g")
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let forest = Forest::single(tree);
-        let err = pairwise_summarize(&polys, &forest, 1).expect_err("x² vs y¹");
+        let err = pairwise_summarize(&source, &Forest::single(tree), 1, &Guard::unlimited())
+            .expect_err("x² vs y¹");
         assert!(matches!(err, TreeError::BoundUnattainable { .. }));
     }
 
     #[test]
     fn multi_tree_merges_combine_lifts() {
         let mut vars = VarTable::new();
-        let polys = parse_polyset("1·x·a + 1·y·b", &mut vars).expect("parse");
-        let t1 = provabs_trees::builder::TreeBuilder::new("g")
+        let source = parsed("1·x·a + 1·y·b", &mut vars);
+        let t1 = TreeBuilder::new("g")
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let t2 = provabs_trees::builder::TreeBuilder::new("h")
+        let t2 = TreeBuilder::new("h")
             .leaves("h", ["a", "b"])
             .build(&mut vars)
             .expect("tree");
         let forest = Forest::new(vec![t1, t2]).expect("disjoint");
-        let (r, _) = pairwise_summarize(&polys, &forest, 1).expect("merge via both trees");
-        assert_eq!(r.compressed_size_m, 1);
-        assert_eq!(r.vl(), 2); // two variables lost in each tree − 1 each
+        let (r, _, _) = pairwise_summarize(&source, &forest, 1, &Guard::unlimited())
+            .expect("merge via both trees");
+        assert_eq!(r.result.compressed_size_m, 1);
+        assert_eq!(r.result.vl(), 2); // two variables lost in each tree − 1 each
     }
 
     #[test]
     fn example_15_bound_matches_paper_behaviour() {
         let mut vars = VarTable::new();
-        let polys = parse_polyset(
-            "220.8·p1·m1 + 240·p1·m3 + 127.4·f1·m1 + 114.45·f1·m3 \
-             + 75.9·y1·m1 + 72.5·y1·m3 + 42·v·m1 + 24.2·v·m3\n\
-             77.9·b1·m1 + 80.5·b1·m3 + 52.2·e·m1 + 56.5·e·m3 \
-             + 69.7·b2·m1 + 100.65·b2·m3",
-            &mut vars,
-        )
-        .expect("parse");
+        let source = parsed(EXAMPLE_13, &mut vars);
         let forest =
             Forest::new(vec![plans_tree(&mut vars), months_tree(&mut vars)]).expect("disjoint");
-        let (r, _) = pairwise_summarize(&polys, &forest, 4).expect("adequate");
-        assert!(r.is_adequate_for(4));
+        let (r, _, _) =
+            pairwise_summarize(&source, &forest, 4, &Guard::unlimited()).expect("adequate");
+        assert!(r.result.is_adequate_for(4));
         // Brute-force optimum at this bound is VL 4 (Example 15).
-        assert!(r.vl() >= 4);
+        assert!(r.result.vl() >= 4);
     }
 }

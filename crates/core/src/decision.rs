@@ -11,6 +11,7 @@ use crate::loss::TreeLoss;
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::polyset::PolySet;
+use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::enumerate_forest_cuts;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
@@ -74,7 +75,7 @@ pub fn decide_precise_single_tree<C: Coefficient>(
     let (target_ml, target_vl) = (total_m - size_b, total_v - granularity_k);
 
     let tree = forest.tree(0);
-    let loss = TreeLoss::build(polys, tree);
+    let loss = TreeLoss::build(&mut WorkingSet::from_polyset(polys), tree);
     let mut pair_sets: Vec<FxHashSet<(usize, usize)>> =
         vec![FxHashSet::default(); tree.num_nodes()];
     for v in tree.postorder() {

@@ -12,40 +12,44 @@
 //! monomials and `SB` only 2); remaining ties fall back to label order
 //! for determinism ("ties are broken arbitrarily").
 //!
-//! # Engines
+//! # The engine
 //!
-//! Two engines implement the identical selection rule:
+//! [`greedy_vvs`] and [`greedy_frontier`] run the **incremental engine**:
+//! the in-flight polynomials live in an interned [`WorkingSet`] and the
+//! candidate scores are *delta-maintained* — each candidate caches its
+//! `(vl, ml_delta, affected)` triple, candidates are bucketed by variable
+//! loss, and applying a merge only dirties the candidates whose
+//! affected-polynomial sets intersect the applied group's postings
+//! (tracked by per-polynomial version stamps, checked lazily when a
+//! candidate's bucket is scanned). A step rewrites only the affected
+//! id-maps, so the per-iteration cost tracks the merge's footprint instead
+//! of `O(|𝒫|_M)`.
 //!
-//! * the **incremental engine** (default, behind [`greedy_vvs`] and
-//!   [`greedy_frontier`]) keeps the in-flight polynomials in an interned
-//!   [`WorkingSet`] and *delta-maintains* the candidate scores: each
-//!   candidate caches its `(vl, ml_delta, affected)` triple, candidates
-//!   are bucketed by variable loss, and applying a merge only dirties the
-//!   candidates whose affected-polynomial sets intersect the applied
-//!   group's postings (tracked by per-polynomial version stamps, checked
-//!   lazily when a candidate's bucket is scanned). A step rewrites only
-//!   the affected id-maps, so the per-iteration cost tracks the merge's
-//!   footprint instead of `O(|𝒫|_M)`;
-//! * the **reference engine** ([`greedy_vvs_reference`],
-//!   [`greedy_frontier_reference`]) is the paper's direct transcription —
-//!   every iteration re-derives each minimal-VL candidate's group and
-//!   recomputes its monomial loss from scratch on cloned polynomials
-//!   (`O(n · |𝒫|_M)`, §3.2). It is kept as the test oracle and the
-//!   ablation baseline of `bench_compress`.
+//! The paper's direct transcription — every iteration re-derives each
+//! minimal-VL candidate's group and recomputes its monomial loss from
+//! scratch on cloned hash-map polynomials (`O(n · |𝒫|_M)`, §3.2) — is the
+//! oracle [`crate::reference::greedy_vvs`]. The two are step-for-step
+//! identical: same chosen VVS, same frontier trace, same tie-breaks
+//! (asserted by the `incremental_equivalence` property suite).
 //!
-//! The two are step-for-step identical: same chosen VVS, same frontier
-//! trace, same tie-breaks (asserted by the
-//! `incremental_equivalence` property suite).
+//! A hash-map poly-set is an input *format*, lowered once by
+//! [`WorkingSet::from_polyset`]; handing it to an algorithm directly does
+//! not type-check:
+//!
+//! ```compile_fail,E0308
+//! use provabs_provenance::{guard::Guard, parse::parse_polyset, VarTable};
+//! use provabs_trees::{builder::TreeBuilder, forest::Forest};
+//!
+//! let mut vars = VarTable::new();
+//! let polys = parse_polyset("1·a·x + 2·b·x", &mut vars).unwrap();
+//! let tree = TreeBuilder::new("AB").leaves("AB", ["a", "b"]).build(&mut vars).unwrap();
+//! provabs_core::greedy::greedy_vvs(&polys, &Forest::single(tree), 1, &Guard::unlimited());
+//! ```
 
-use crate::loss::ml_delta_of_group_in;
-use crate::problem::{
-    evaluate_vvs, evaluate_vvs_interned, prepare, prepare_interned, AbstractionResult,
-    InternedAbstraction,
-};
+use crate::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
-use provabs_provenance::fxhash::{FxHashMap, FxHashSet};
+use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::guard::{Completion, Guard};
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::Vvs;
@@ -55,31 +59,12 @@ use provabs_trees::tree::NodeId;
 
 /// Inverted index `variable → polynomial postings`, each list sorted
 /// ascending and duplicate-free.
-type Postings = FxHashMap<VarId, Vec<usize>>;
+pub(crate) type Postings = FxHashMap<VarId, Vec<usize>>;
 
-/// Builds the postings index over a polynomial slice. Lists come out
-/// sorted because polynomials are visited in index order.
-fn build_postings<C: Coefficient>(
-    polys: &[provabs_provenance::polynomial::Polynomial<C>],
-) -> Postings {
-    let mut postings = Postings::default();
-    for (pi, p) in polys.iter().enumerate() {
-        for (m, _) in p.iter() {
-            for v in m.vars() {
-                let list = postings.entry(v).or_default();
-                if list.last() != Some(&pi) {
-                    list.push(pi);
-                }
-            }
-        }
-    }
-    postings
-}
-
-/// [`build_postings`] over an interned working set — the variables come
-/// straight out of the arena, no polynomial materialisation. Produces the
-/// same index (sorted, duplicate-free) as the slice-based builder.
-fn build_postings_ws<C: Coefficient>(ws: &WorkingSet<C>) -> Postings {
+/// Builds the postings index over a working set — the variables come
+/// straight out of the arena. Lists come out sorted because polynomials
+/// are visited in index order.
+fn build_postings<C: Coefficient>(ws: &WorkingSet<C>) -> Postings {
     let mut postings = Postings::default();
     for pi in 0..ws.num_polys() {
         for id in ws.poly_mono_ids(pi) {
@@ -95,7 +80,7 @@ fn build_postings_ws<C: Coefficient>(ws: &WorkingSet<C>) -> Postings {
 }
 
 /// Merges two sorted duplicate-free lists into one.
-fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
+pub(crate) fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -123,7 +108,7 @@ fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
 /// Sorted list of polynomial indices containing any variable of `group`:
 /// a k-way merge of the (already sorted) postings lists, smallest lists
 /// first so the accumulator stays as short as possible.
-fn affected_polys(postings: &Postings, group: &[VarId]) -> Vec<usize> {
+pub(crate) fn affected_polys(postings: &Postings, group: &[VarId]) -> Vec<usize> {
     let mut lists: Vec<&[usize]> = group
         .iter()
         .filter_map(|v| postings.get(v))
@@ -141,16 +126,25 @@ fn affected_polys(postings: &Postings, group: &[VarId]) -> Vec<usize> {
     out
 }
 
-/// Runs Algorithm 2 with the incremental engine. Works for any number of
-/// trees (including one, where it is a fast but possibly sub-optimal
-/// alternative to [`crate::optimal::optimal_vvs`]).
+/// Runs Algorithm 2. Works for any number of trees (including one, where
+/// it is a fast but possibly sub-optimal alternative to
+/// [`crate::optimal::optimal_vvs`]). The engine rewrites a clone of
+/// `source`, and the selection comes back *together with* the rewritten
+/// `𝒫↓S`, ready to freeze for evaluation.
+///
+/// The selection loop checks `guard` once per step. On a trip the run
+/// does not error: greedy compression is *anytime* — the prefix of
+/// merges applied so far is itself a sound abstraction, just a larger
+/// one — so the best-so-far result comes back tagged
+/// [`Completion::Interrupted`].
 ///
 /// Returns [`TreeError::BoundUnattainable`] when even exhausting every
 /// candidate cannot reach `bound`; the error carries the best size the
-/// greedy run achieved.
+/// greedy run achieved. Only complete runs are checked for adequacy.
 ///
 /// ```
-/// use provabs_provenance::{parse::parse_polyset, VarTable};
+/// use provabs_provenance::{guard::Guard, parse::parse_polyset, VarTable};
+/// use provabs_provenance::working::WorkingSet;
 /// use provabs_trees::{builder::TreeBuilder, forest::Forest};
 /// use provabs_core::greedy::greedy_vvs;
 ///
@@ -160,170 +154,24 @@ fn affected_polys(postings: &Postings, group: &[VarId]) -> Vec<usize> {
 /// let t2 = TreeBuilder::new("XY").leaves("XY", ["x", "y"]).build(&mut vars).unwrap();
 /// let forest = Forest::new(vec![t1, t2]).unwrap();
 /// // Two trees: the optimal DP does not apply, the greedy does.
-/// let result = greedy_vvs(&polys, &forest, 2).unwrap();
-/// assert!(result.compressed_size_m <= 2);
+/// let source = WorkingSet::from_polyset(&polys);
+/// let (abs, completion) = greedy_vvs(&source, &forest, 2, &Guard::unlimited()).unwrap();
+/// assert!(completion.is_complete());
+/// assert!(abs.result.compressed_size_m <= 2);
+/// assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
 /// ```
 pub fn greedy_vvs<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<AbstractionResult, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    greedy_vvs_guarded(polys, forest, bound, &guard).map(|(result, _)| result)
-}
-
-/// [`greedy_vvs`] under an execution [`Guard`].
-///
-/// The selection loop checks the guard once per step. On a trip the run
-/// does not error: greedy compression is *anytime* — the prefix of
-/// merges applied so far is itself a sound abstraction, just a larger
-/// one — so the best-so-far result comes back tagged
-/// [`Completion::Interrupted`]. The bound-adequacy check (and its
-/// [`TreeError::BoundUnattainable`]) only applies to complete runs.
-pub fn greedy_vvs_guarded<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    guard: &Guard,
-) -> Result<(AbstractionResult, Completion), TreeError> {
-    greedy_vvs_with(polys, forest, bound, guard, run_incremental)
-}
-
-/// [`greedy_vvs`] driven by the reference engine (full per-iteration
-/// rescan on cloned polynomials) — the oracle for equivalence tests and
-/// the baseline of the `bench_compress` ablation.
-pub fn greedy_vvs_reference<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<AbstractionResult, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    greedy_vvs_reference_guarded(polys, forest, bound, &guard).map(|(result, _)| result)
-}
-
-/// [`greedy_vvs_guarded`] driven by the reference engine — the same
-/// anytime contract, checked step-for-step against the incremental
-/// engine by the guarded-compression suite.
-pub fn greedy_vvs_reference_guarded<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    guard: &Guard,
-) -> Result<(AbstractionResult, Completion), TreeError> {
-    greedy_vvs_with(polys, forest, bound, guard, run_reference)
-}
-
-/// The greedy trade-off trace: runs Algorithm 2 to exhaustion and records
-/// `(|𝒫↓S|_M, |𝒫↓S|_V)` after every step — the multi-tree counterpart of
-/// [`crate::optimal::optimal_frontier`] (approximate: each point is the
-/// greedy choice, not necessarily Pareto-optimal). The first entry is the
-/// identity abstraction.
-pub fn greedy_frontier<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-) -> Result<Vec<(usize, usize)>, TreeError> {
-    greedy_frontier_with(polys, forest, run_incremental)
-}
-
-/// [`greedy_frontier`] driven by the reference engine.
-pub fn greedy_frontier_reference<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-) -> Result<Vec<(usize, usize)>, TreeError> {
-    greedy_frontier_with(polys, forest, run_reference)
-}
-
-/// What an engine returns: the final membership bitmaps, the final
-/// working set when the engine maintains one (the incremental engine's
-/// working set *is* `𝒫↓S`, so no re-application is needed; the reference
-/// engine returns `None` and defers to [`evaluate_vvs`]), and how the
-/// run ended (complete, or interrupted by its guard mid-selection).
-type EngineOutcome<C> = (Vec<Vec<bool>>, Option<WorkingSet<C>>, Completion);
-
-/// An engine's signature: polynomials, cleaned forest, loss budget `k`,
-/// the guard its selection loop checks per step, and a per-step
-/// observer.
-type Engine<C> =
-    fn(&PolySet<C>, &Forest, usize, &Guard, &mut dyn FnMut(usize, usize)) -> EngineOutcome<C>;
-
-/// Shared preamble/postamble of [`greedy_vvs`] over a pluggable engine.
-fn greedy_vvs_with<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    guard: &Guard,
-    engine: Engine<C>,
-) -> Result<(AbstractionResult, Completion), TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let total_m = polys.size_m();
-    if bound >= total_m {
-        let vvs = Vvs::identity(&cleaned);
-        return Ok((evaluate_vvs(polys, &cleaned, vvs), Completion::Complete));
-    }
-    if cleaned.num_trees() == 0 {
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: total_m,
-        });
-    }
-    let k = total_m - bound;
-    let (in_s, ws, completion) = engine(polys, &cleaned, k, guard, &mut |_, _| {});
-    let vvs = vvs_from_membership(&in_s);
-    debug_assert!(vvs.validate(&cleaned).is_ok());
-    let result = match ws {
-        Some(ws) => AbstractionResult {
-            forest: cleaned,
-            vvs,
-            original_size_m: total_m,
-            original_size_v: polys.size_v(),
-            compressed_size_m: ws.size_m(),
-            compressed_size_v: ws.size_v(),
-        },
-        None => evaluate_vvs(polys, &cleaned, vvs),
-    };
-    // An interrupted run is exempt from the adequacy check: its contract
-    // is "the best valid abstraction reached in the budget", which may
-    // legitimately still be above the bound.
-    if completion.is_complete() && !result.is_adequate_for(bound) {
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: result.compressed_size_m,
-        });
-    }
-    Ok((result, completion))
-}
-
-/// [`greedy_vvs`] in the interned currency end-to-end: consumes an
-/// already-interned working set (the engine rewrites a clone of it — the
-/// arena is never re-built from monomials) and returns the selection
-/// *together with* the rewritten `𝒫↓S`, ready to freeze for evaluation.
-/// The chosen VVS and all measures are identical to [`greedy_vvs`] on the
-/// materialised poly-set.
-pub fn greedy_vvs_interned<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<InternedAbstraction<C>, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    greedy_vvs_interned_guarded(source, forest, bound, &guard).map(|(abs, _)| abs)
-}
-
-/// [`greedy_vvs_interned`] under an execution [`Guard`] — the same
-/// anytime contract as [`greedy_vvs_guarded`]: a tripped guard returns
-/// the best-so-far working set tagged [`Completion::Interrupted`], and
-/// only complete runs can fail with [`TreeError::BoundUnattainable`].
-pub fn greedy_vvs_interned_guarded<C: Coefficient>(
     source: &WorkingSet<C>,
     forest: &Forest,
     bound: usize,
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
-    let cleaned = prepare_interned(source, forest)?;
+    let cleaned = prepare(source, forest)?;
     let total_m = source.size_m();
     if bound >= total_m {
         let vvs = Vvs::identity(&cleaned);
         return Ok((
-            evaluate_vvs_interned(source.clone(), &cleaned, vvs),
+            evaluate_vvs(source.clone(), &cleaned, vvs),
             Completion::Complete,
         ));
     }
@@ -336,7 +184,7 @@ pub fn greedy_vvs_interned_guarded<C: Coefficient>(
     let original_size_v = source.size_v();
     let k = total_m - bound;
     let (in_s, ws, completion) =
-        run_incremental_ws(source.clone(), &cleaned, k, guard, &mut |_, _| {});
+        run_incremental(source.clone(), &cleaned, k, guard, &mut |_, _, _| {});
     let vvs = vvs_from_membership(&in_s);
     debug_assert!(vvs.validate(&cleaned).is_ok());
     let result = AbstractionResult {
@@ -347,6 +195,9 @@ pub fn greedy_vvs_interned_guarded<C: Coefficient>(
         compressed_size_m: ws.size_m(),
         compressed_size_v: ws.size_v(),
     };
+    // An interrupted run is exempt from the adequacy check: its contract
+    // is "the best valid abstraction reached in the budget", which may
+    // legitimately still be above the bound.
     if completion.is_complete() && !result.is_adequate_for(bound) {
         return Err(TreeError::BoundUnattainable {
             bound,
@@ -362,28 +213,40 @@ pub fn greedy_vvs_interned_guarded<C: Coefficient>(
     ))
 }
 
-/// Shared scaffolding of [`greedy_frontier`] over a pluggable engine.
-fn greedy_frontier_with<C: Coefficient>(
-    polys: &PolySet<C>,
+/// The greedy trade-off trace: runs Algorithm 2 to exhaustion and records
+/// `(|𝒫↓S|_M, |𝒫↓S|_V)` after every step — the multi-tree counterpart of
+/// [`crate::optimal::optimal_frontier`] (approximate: each point is the
+/// greedy choice, not necessarily Pareto-optimal). The first entry is the
+/// identity abstraction.
+///
+/// A tripped guard stops the trace where it is: the points recorded so
+/// far (a prefix of the uninterrupted trace) come back tagged
+/// [`Completion::Interrupted`].
+#[allow(clippy::type_complexity)]
+pub fn greedy_frontier<C: Coefficient>(
+    source: &WorkingSet<C>,
     forest: &Forest,
-    engine: Engine<C>,
-) -> Result<Vec<(usize, usize)>, TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let total_m = polys.size_m();
-    let total_v = polys.size_v();
+    guard: &Guard,
+) -> Result<(Vec<(usize, usize)>, Completion), TreeError> {
+    let cleaned = prepare(source, forest)?;
+    let total_m = source.size_m();
+    let total_v = source.size_v();
     let mut out = vec![(total_m, total_v)];
     if cleaned.num_trees() == 0 {
-        return Ok(out);
+        return Ok((out, Completion::Complete));
     }
-    let guard = Guard::ambient().unwrap_or_default();
-    engine(polys, &cleaned, usize::MAX, &guard, &mut |ml, vl| {
-        out.push((total_m - ml, total_v - vl));
-    });
-    Ok(out)
+    let (_, _, completion) = run_incremental(
+        source.clone(),
+        &cleaned,
+        usize::MAX,
+        guard,
+        &mut |_, ml, vl| out.push((total_m - ml, total_v - vl)),
+    );
+    Ok((out, completion))
 }
 
 /// Converts per-tree membership bitmaps into a [`Vvs`].
-fn vvs_from_membership(in_s: &[Vec<bool>]) -> Vvs {
+pub(crate) fn vvs_from_membership(in_s: &[Vec<bool>]) -> Vvs {
     Vvs::from_per_tree(
         in_s.iter()
             .map(|bits| {
@@ -398,7 +261,7 @@ fn vvs_from_membership(in_s: &[Vec<bool>]) -> Vvs {
 
 /// Initial membership bitmaps: `S` starts as the set of all leaves
 /// (lines 1–5 of Algorithm 2).
-fn leaf_membership(cleaned: &Forest) -> Vec<Vec<bool>> {
+pub(crate) fn leaf_membership(cleaned: &Forest) -> Vec<Vec<bool>> {
     cleaned
         .trees()
         .iter()
@@ -413,7 +276,7 @@ fn leaf_membership(cleaned: &Forest) -> Vec<Vec<bool>> {
 }
 
 /// Initial candidates: nodes whose children are all in `S` (lines 6–9).
-fn initial_candidates(cleaned: &Forest, in_s: &[Vec<bool>]) -> Vec<(usize, NodeId)> {
+pub(crate) fn initial_candidates(cleaned: &Forest, in_s: &[Vec<bool>]) -> Vec<(usize, NodeId)> {
     let mut candidates = Vec::new();
     for (ti, tree) in cleaned.trees().iter().enumerate() {
         for n in tree.node_ids() {
@@ -423,116 +286,6 @@ fn initial_candidates(cleaned: &Forest, in_s: &[Vec<bool>]) -> Vec<(usize, NodeI
         }
     }
     candidates
-}
-
-/// The reference greedy main loop: starts from all leaves, swaps in
-/// candidates until the monomial loss reaches `k` or candidates run out.
-/// Calls `observer(ml_total, vl_total)` after every applied step. Returns
-/// the final membership bitmaps.
-///
-/// Every iteration recomputes each minimal-VL candidate's monomial loss
-/// from scratch and rewrites the affected polynomials with
-/// [`map_vars`](provabs_provenance::polynomial::Polynomial::map_vars).
-fn run_reference<C: Coefficient>(
-    polys: &PolySet<C>,
-    cleaned: &Forest,
-    k: usize,
-    guard: &Guard,
-    observer: &mut dyn FnMut(usize, usize),
-) -> EngineOutcome<C> {
-    let mut in_s = leaf_membership(cleaned);
-    let mut candidates = initial_candidates(cleaned, &in_s);
-
-    // Working copy of the polynomials plus the postings index, so
-    // candidate evaluation and application touch only affected
-    // polynomials.
-    let mut current: Vec<provabs_provenance::polynomial::Polynomial<C>> =
-        polys.iter().cloned().collect();
-    let mut postings = build_postings(&current);
-    let mut ml_total = 0usize;
-    let mut vl_total = 0usize;
-    let mut completion = Completion::Complete;
-    let mut checkpoint = guard.checkpoint();
-    let mut steps_done = 0usize;
-
-    // Main loop (lines 10–14).
-    while ml_total < k && !candidates.is_empty() {
-        if let Err(reason) = checkpoint.tick() {
-            completion = Completion::Interrupted {
-                reason,
-                steps: steps_done,
-                size_reached: polys.size_m() - ml_total,
-            };
-            break;
-        }
-        // Variable loss of swapping in a candidate: children − 1 (after
-        // cleaning every child variable occurs in the polynomials).
-        let min_vl = candidates
-            .iter()
-            .map(|&(ti, n)| cleaned.tree(ti).children(n).len() - 1)
-            .min()
-            .expect("non-empty");
-        // Tie-break on the larger monomial loss, then label order.
-        let mut best: Option<(usize, (usize, NodeId))> = None; // (ml_delta, cand)
-        for &(ti, n) in &candidates {
-            let tree = cleaned.tree(ti);
-            if tree.children(n).len() - 1 != min_vl {
-                continue;
-            }
-            let group_vec: Vec<VarId> = tree.children(n).iter().map(|&c| tree.var_of(c)).collect();
-            let group: FxHashSet<VarId> = group_vec.iter().copied().collect();
-            let affected = affected_polys(&postings, &group_vec);
-            let delta = ml_delta_of_group_in(&current, &affected, &group);
-            let replace = match &best {
-                None => true,
-                Some((best_delta, (bti, bn))) => {
-                    delta > *best_delta
-                        || (delta == *best_delta
-                            && tree.label_of(n) < cleaned.tree(*bti).label_of(*bn))
-                }
-            };
-            if replace {
-                best = Some((delta, (ti, n)));
-            }
-        }
-        let (delta, (ti, chosen)) = best.expect("min_vl came from candidates");
-        let tree = cleaned.tree(ti);
-
-        // Apply: children leave S, the candidate joins (lines 11–12).
-        let chosen_var = tree.var_of(chosen);
-        let group_vec: Vec<VarId> = tree
-            .children(chosen)
-            .iter()
-            .map(|&c| tree.var_of(c))
-            .collect();
-        let group: FxHashSet<VarId> = group_vec.iter().copied().collect();
-        let affected = affected_polys(&postings, &group_vec);
-        for &pi in &affected {
-            current[pi] = current[pi].map_vars(|v| if group.contains(&v) { chosen_var } else { v });
-        }
-        for v in &group_vec {
-            postings.remove(v);
-        }
-        let entry = postings.entry(chosen_var).or_default();
-        *entry = merge_sorted(entry, &affected);
-        ml_total += delta;
-        vl_total += tree.children(chosen).len() - 1;
-        for &c in tree.children(chosen) {
-            in_s[ti][c.index()] = false;
-        }
-        in_s[ti][chosen.index()] = true;
-        candidates.retain(|&c| c != (ti, chosen));
-
-        // The parent may have become a candidate (lines 13–14).
-        if let Some(parent) = tree.parent(chosen) {
-            if tree.children(parent).iter().all(|c| in_s[ti][c.index()]) {
-                candidates.push((ti, parent));
-            }
-        }
-        steps_done += 1;
-        observer(ml_total, vl_total);
-    }
-    (in_s, None, completion)
 }
 
 /// A cached candidate of the incremental engine.
@@ -559,20 +312,6 @@ struct Candidate {
     alive: bool,
 }
 
-/// The incremental greedy main loop over a [`PolySet`]: interns once,
-/// then delegates to the id-space core.
-fn run_incremental<C: Coefficient>(
-    polys: &PolySet<C>,
-    cleaned: &Forest,
-    k: usize,
-    guard: &Guard,
-    observer: &mut dyn FnMut(usize, usize),
-) -> EngineOutcome<C> {
-    let (in_s, ws, completion) =
-        run_incremental_ws(WorkingSet::from_polyset(polys), cleaned, k, guard, observer);
-    (in_s, Some(ws), completion)
-}
-
 /// One applied selection step, as recorded by the traced engine: the
 /// variable of the node swapped into `S`, the step's variable loss, and
 /// the monomial-loss delta it realised on the engine's working set.
@@ -591,26 +330,13 @@ pub(crate) struct TraceStep {
     pub(crate) delta: usize,
 }
 
-/// The incremental greedy main loop: same selection rule and step
-/// sequence as [`run_reference`], with the per-iteration work
-/// delta-maintained (see the [module docs](self)). Consumes the working
-/// set (rewriting it in place) and returns it — the final state *is*
-/// `𝒫↓S` in interned form.
-fn run_incremental_ws<C: Coefficient>(
-    ws: WorkingSet<C>,
-    cleaned: &Forest,
-    k: usize,
-    guard: &Guard,
-    observer: &mut dyn FnMut(usize, usize),
-) -> (Vec<Vec<bool>>, WorkingSet<C>, Completion) {
-    run_incremental_ws_traced(ws, cleaned, k, guard, &mut |_, ml, vl| observer(ml, vl))
-}
-
-/// [`run_incremental_ws`] with a richer observer that also receives each
-/// applied step as a [`TraceStep`] — the entry point of the shard trace
-/// pass. The selection sequence is byte-for-byte the plain engine's; the
-/// adapter in [`run_incremental_ws`] is the only difference.
-pub(crate) fn run_incremental_ws_traced<C: Coefficient>(
+/// The incremental greedy main loop (see the [module docs](self)).
+/// Consumes the working set (rewriting it in place) and returns it — the
+/// final state *is* `𝒫↓S` in interned form — with the final membership
+/// bitmaps and how the run ended. Calls
+/// `observer(step, ml_total, vl_total)` after every applied step; the
+/// shard trace pass records the [`TraceStep`]s.
+pub(crate) fn run_incremental<C: Coefficient>(
     mut ws: WorkingSet<C>,
     cleaned: &Forest,
     k: usize,
@@ -618,7 +344,7 @@ pub(crate) fn run_incremental_ws_traced<C: Coefficient>(
     observer: &mut dyn FnMut(TraceStep, usize, usize),
 ) -> (Vec<Vec<bool>>, WorkingSet<C>, Completion) {
     let mut in_s = leaf_membership(cleaned);
-    let mut postings = build_postings_ws(&ws);
+    let mut postings = build_postings(&ws);
 
     // Candidate slab + VL buckets. VL is bounded by the forest's maximal
     // fan-out, so buckets are a dense vector; dead entries are skipped
@@ -789,10 +515,15 @@ pub(crate) fn run_incremental_ws_traced<C: Coefficient>(
     (in_s, ws, completion)
 }
 
+// The name `benchmark/` imports, until a `benchmark`-only change renames it.
+#[doc(hidden)]
+pub use greedy_vvs as greedy_vvs_interned_guarded;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use provabs_provenance::parse::parse_polyset;
+    use provabs_provenance::polyset::PolySet;
     use provabs_provenance::var::VarTable;
     use provabs_trees::builder::TreeBuilder;
     use provabs_trees::generate::{months_tree, plans_tree};
@@ -816,11 +547,20 @@ mod tests {
     fn example_15_trace() {
         // B = 4, k = 10. The greedy run of Example 15 selects q1, SB, B
         // (Business), Sp (Special) and terminates with ML = 11, VL = 5.
-        let (polys, forest, _) = example_15();
-        let r = greedy_vvs(&polys, &forest, 4).expect("adequate");
+        let (polys, forest, vars) = example_15();
+        let source = WorkingSet::from_polyset(&polys);
+        let (abs, completion) =
+            greedy_vvs(&source, &forest, 4, &Guard::unlimited()).expect("adequate");
+        assert!(completion.is_complete());
+        let r = abs.result;
         assert_eq!(r.ml(), 11);
         assert_eq!(r.vl(), 5);
         assert_eq!(r.compressed_size_m, 3);
+        // The returned working set is the abstracted set; the source is
+        // never mutated.
+        assert_eq!(abs.working.size_m(), r.compressed_size_m);
+        assert_eq!(abs.working.size_v(), r.compressed_size_v);
+        assert_eq!(source.size_m(), polys.size_m());
         // S = {p1, Business, Special, q1} (p1 stays a leaf).
         assert_eq!(
             r.vvs.labels(&r.forest),
@@ -832,18 +572,9 @@ mod tests {
         // The optimal VVS for this bound is {q1, Sp, SB, e, p1} with
         // ML = 10, VL = 4 — the greedy result is adequate but not optimal
         // (exactly the paper's observation).
-        let opt_labels = ["SB", "Special", "e", "p1", "q1"];
-        let opt = Vvs::from_labels(
-            &r.forest,
-            &{
-                // labels live in the shared table; rebuild lookup through it
-                let (_, _, vars) = example_15();
-                vars
-            },
-            &opt_labels,
-        )
-        .expect("labels");
-        let opt_res = evaluate_vvs(&polys, &r.forest, opt);
+        let opt = Vvs::from_labels(&r.forest, &vars, &["SB", "Special", "e", "p1", "q1"])
+            .expect("labels");
+        let opt_res = evaluate_vvs(source, &r.forest, opt).result;
         assert_eq!(opt_res.ml(), 10);
         assert_eq!(opt_res.vl(), 4);
     }
@@ -851,58 +582,37 @@ mod tests {
     #[test]
     fn reference_engine_agrees_on_example_15() {
         let (polys, forest, _) = example_15();
-        for bound in 1..=polys.size_m() {
-            let inc = greedy_vvs(&polys, &forest, bound);
-            let refr = greedy_vvs_reference(&polys, &forest, bound);
+        let source = WorkingSet::from_polyset(&polys);
+        let guard = Guard::unlimited();
+        for bound in 1..=polys.size_m() + 1 {
+            let inc = greedy_vvs(&source, &forest, bound, &guard);
+            let refr = crate::reference::greedy_vvs(&polys, &forest, bound, &guard);
             match (inc, refr) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.vvs, b.vvs, "bound {bound}");
-                    assert_eq!(a.compressed_size_m, b.compressed_size_m);
-                    assert_eq!(a.compressed_size_v, b.compressed_size_v);
+                (Ok((a, _)), Ok((b, _))) => {
+                    assert_eq!(a.result.vvs, b.vvs, "bound {bound}");
+                    assert_eq!(a.result.compressed_size_m, b.compressed_size_m);
+                    assert_eq!(a.result.compressed_size_v, b.compressed_size_v);
+                    assert_eq!(a.result.original_size_m, b.original_size_m);
+                    assert_eq!(a.result.original_size_v, b.original_size_v);
                 }
                 (Err(a), Err(b)) => assert_eq!(a, b, "bound {bound}"),
                 (a, b) => panic!("engines disagree at bound {bound}: {a:?} vs {b:?}"),
             }
         }
         assert_eq!(
-            greedy_frontier(&polys, &forest).expect("runs"),
-            greedy_frontier_reference(&polys, &forest).expect("runs"),
+            greedy_frontier(&source, &forest, &guard).expect("runs"),
+            crate::reference::greedy_frontier(&polys, &forest, &guard).expect("runs"),
         );
-    }
-
-    #[test]
-    fn interned_entry_point_matches_polyset_entry_point() {
-        let (polys, forest, _) = example_15();
-        let source = WorkingSet::from_polyset(&polys);
-        for bound in 1..=polys.size_m() + 1 {
-            let by_polys = greedy_vvs(&polys, &forest, bound);
-            let by_ws = greedy_vvs_interned(&source, &forest, bound);
-            match (by_polys, by_ws) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.vvs, b.result.vvs, "bound {bound}");
-                    assert_eq!(a.compressed_size_m, b.result.compressed_size_m);
-                    assert_eq!(a.compressed_size_v, b.result.compressed_size_v);
-                    assert_eq!(a.original_size_m, b.result.original_size_m);
-                    assert_eq!(a.original_size_v, b.result.original_size_v);
-                    // The returned working set is the abstracted set.
-                    assert_eq!(b.working.size_m(), b.result.compressed_size_m);
-                    assert_eq!(b.working.size_v(), b.result.compressed_size_v);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "bound {bound}"),
-                (a, b) => panic!("entry points disagree at bound {bound}: {a:?} vs {b:?}"),
-            }
-        }
-        // The source set is never mutated by the runs above.
-        assert_eq!(source.size_m(), polys.size_m());
-        assert_eq!(source.size_v(), polys.size_v());
     }
 
     #[test]
     fn greedy_is_adequate_when_possible() {
         let (polys, forest, _) = example_15();
+        let source = WorkingSet::from_polyset(&polys);
         for bound in 3..polys.size_m() {
-            match greedy_vvs(&polys, &forest, bound) {
-                Ok(r) => {
+            match greedy_vvs(&source, &forest, bound, &Guard::unlimited()) {
+                Ok((abs, _)) => {
+                    let r = abs.result;
                     assert!(r.is_adequate_for(bound), "bound {bound}");
                     r.vvs.validate(&r.forest).expect("valid VVS");
                 }
@@ -922,7 +632,13 @@ mod tests {
         let (polys, forest, _) = example_15();
         // Maximal compression: Plans ∪ Year → each poly collapses to a
         // single monomial Plans·Year ⇒ floor is 2.
-        let err = greedy_vvs(&polys, &forest, 1).expect_err("floor is 2");
+        let err = greedy_vvs(
+            &WorkingSet::from_polyset(&polys),
+            &forest,
+            1,
+            &Guard::unlimited(),
+        )
+        .expect_err("floor is 2");
         assert_eq!(
             err,
             TreeError::BoundUnattainable {
@@ -935,15 +651,24 @@ mod tests {
     #[test]
     fn loose_bound_returns_identity() {
         let (polys, forest, _) = example_15();
-        let r = greedy_vvs(&polys, &forest, 100).expect("identity");
-        assert_eq!(r.ml(), 0);
-        assert_eq!(r.vl(), 0);
+        let (abs, _) = greedy_vvs(
+            &WorkingSet::from_polyset(&polys),
+            &forest,
+            100,
+            &Guard::unlimited(),
+        )
+        .expect("identity");
+        assert_eq!(abs.result.ml(), 0);
+        assert_eq!(abs.result.vl(), 0);
     }
 
     #[test]
     fn frontier_traces_every_step() {
         let (polys, forest, _) = example_15();
-        let frontier = greedy_frontier(&polys, &forest).expect("runs");
+        let source = WorkingSet::from_polyset(&polys);
+        let guard = Guard::unlimited();
+        let (frontier, completion) = greedy_frontier(&source, &forest, &guard).expect("runs");
+        assert!(completion.is_complete());
         // Starts at the identity point.
         assert_eq!(frontier[0], (polys.size_m(), polys.size_v()));
         // Sizes weakly decrease, granularity strictly decreases per step.
@@ -957,14 +682,34 @@ mod tests {
         // Every frontier point is realised by some greedy run: checking
         // the recorded sizes against an actual run at that bound.
         for &(size, granularity) in &frontier {
-            match greedy_vvs(&polys, &forest, size) {
-                Ok(r) => {
-                    assert!(r.compressed_size_m <= size);
-                    assert!(r.compressed_size_v >= granularity);
+            match greedy_vvs(&source, &forest, size, &guard) {
+                Ok((abs, _)) => {
+                    assert!(abs.result.compressed_size_m <= size);
+                    assert!(abs.result.compressed_size_v >= granularity);
                 }
                 Err(e) => panic!("frontier point ({size}, {granularity}) unreachable: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn step_capped_frontier_is_a_tagged_prefix() {
+        use provabs_provenance::guard::{Budget, Interrupt};
+        let (polys, forest, _) = example_15();
+        let source = WorkingSet::from_polyset(&polys);
+        let (full, _) = greedy_frontier(&source, &forest, &Guard::unlimited()).expect("runs");
+        let (capped, completion) =
+            greedy_frontier(&source, &forest, &Guard::new(Budget::with_steps(3))).expect("runs");
+        // The identity point plus exactly three steps, on the full trace.
+        assert_eq!(capped, full[..4]);
+        assert_eq!(
+            completion,
+            Completion::Interrupted {
+                reason: Interrupt::StepCapExhausted,
+                steps: 3,
+                size_reached: full[3].0,
+            }
+        );
     }
 
     #[test]
@@ -980,24 +725,25 @@ mod tests {
             .build(&mut vars)
             .expect("tree");
         let forest = Forest::single(tree);
-        let g = greedy_vvs(&polys, &forest, 3).expect("adequate");
-        let o = crate::optimal::optimal_vvs(&polys, &forest, 3).expect("adequate");
-        assert_eq!(g.vl(), o.vl());
-        assert_eq!(g.compressed_size_m, 3);
+        let source = WorkingSet::from_polyset(&polys);
+        let guard = Guard::unlimited();
+        let (g, _) = greedy_vvs(&source, &forest, 3, &guard).expect("adequate");
+        let (o, _) = crate::optimal::optimal_vvs(&source, &forest, 3, &guard).expect("adequate");
+        assert_eq!(g.result.vl(), o.result.vl());
+        assert_eq!(g.result.compressed_size_m, 3);
     }
 
     #[test]
     fn merged_postings_match_scan() {
         let (polys, _, mut vars) = example_15();
-        let current: Vec<_> = polys.iter().cloned().collect();
-        let postings = build_postings(&current);
+        let postings = build_postings(&WorkingSet::from_polyset(&polys));
         let group: Vec<VarId> = ["b1", "b2", "e", "f1"]
             .iter()
             .map(|l| vars.intern(l))
             .collect();
         let merged = affected_polys(&postings, &group);
         // Oracle: direct scan.
-        let mut scan: Vec<usize> = current
+        let mut scan: Vec<usize> = polys
             .iter()
             .enumerate()
             .filter(|(_, p)| p.iter().any(|(m, _)| m.vars().any(|v| group.contains(&v))))

@@ -6,19 +6,14 @@
 //!
 //! * [`problem`] — precise / adequate / optimal abstractions (Def. 7),
 //!   instance evaluation and result types,
-//! * [`loss`] — monomial loss `ML` and variable loss `VL`, both the naive
-//!   definition and the efficient `D_P` remainder-map computation of §4.1,
+//! * [`loss`] — monomial loss `ML` and variable loss `VL` by the
+//!   efficient `D_P` remainder-map computation of §4.1,
 //! * [`optimal`] — Algorithm 1: the optimal single-tree selection via
-//!   bottom-up dynamic programming (PTIME, Prop. 12/14). The sparse
-//!   hash-map variant of §4.1 is the default; a dense reference
-//!   implementation is kept for testing and ablation,
-//! * [`greedy`] — Algorithm 2: the greedy multi-tree heuristic. The
-//!   default engine is *incremental*: candidate scores are cached,
-//!   bucketed by variable loss and delta-maintained over an interned
-//!   working set; the paper's full-rescan transcription is kept as a
-//!   reference engine for tests and ablations,
-//! * [`brute`] — exhaustive search over all cuts (the evaluation's
-//!   brute-force baseline),
+//!   bottom-up dynamic programming (PTIME, Prop. 12/14), in the sparse
+//!   hash-map variant of §4.1,
+//! * [`greedy`] — Algorithm 2: the greedy multi-tree heuristic, on the
+//!   *incremental* engine: candidate scores are cached, bucketed by
+//!   variable loss and delta-maintained over an interned working set,
 //! * [`competitor`] — a tree-oracle adaptation of the pairwise-merge
 //!   summarization of Ainy et al. (CIKM'15), the paper's `[3]`,
 //! * [`decision`] — the decision problem (Def. 10): existence of a
@@ -32,9 +27,28 @@
 //! * [`shard`] — sharded multi-core compression (size-balanced
 //!   partitioning, concurrent per-shard greedy traces, k-way frontier
 //!   merge) and the bounded-memory streaming ingest path for
-//!   larger-than-RAM provenance.
+//!   larger-than-RAM provenance,
+//! * [`mod@reference`] — everything that exists only to be compared against:
+//!   the paper's full-rescan greedy transcription, the dense DP, brute
+//!   force over every cut, and the loss measures by definition.
+//!
+//! # One entry point per algorithm
+//!
+//! Each algorithm is one function over interned provenance and an
+//! explicit execution guard, `(&WorkingSet<C>, &Forest, bound, …, &Guard)
+//! -> Result<(InternedAbstraction<C>, Completion[, …]), TreeError>`:
+//! [`greedy::greedy_vvs`], [`optimal::optimal_vvs`],
+//! [`online::online_compress`], [`competitor::pairwise_summarize`],
+//! [`shard::sharded_greedy`]. A hash-map `PolySet` is an input *format*,
+//! lowered once with
+//! [`WorkingSet::from_polyset`](provabs_provenance::working::WorkingSet::from_polyset);
+//! a caller with no limits passes
+//! [`Guard::unlimited`](provabs_provenance::guard::Guard::unlimited),
+//! which never trips and costs nothing. Only the oracles in [`mod@reference`]
+//! keep `PolySet` signatures (`docs/adr/012-one-entry-point.md`).
 
-pub mod brute;
+// Public as `reference::brute_force_vvs[_parallel]`.
+mod brute;
 pub mod competitor;
 pub mod decision;
 pub mod greedy;
@@ -43,8 +57,5 @@ pub mod loss;
 pub mod online;
 pub mod optimal;
 pub mod problem;
+pub mod reference;
 pub mod shard;
-
-pub use greedy::{greedy_vvs, greedy_vvs_guarded, greedy_vvs_reference};
-pub use optimal::{optimal_vvs, optimal_vvs_dense, optimal_vvs_guarded};
-pub use problem::{evaluate_vvs, AbstractionResult};

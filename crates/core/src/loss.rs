@@ -2,9 +2,10 @@
 //!
 //! `ML_𝒫(S) = |𝒫|_M − |𝒫↓S|_M` and `VL_𝒫(S) = |𝒫|_V − |𝒫↓S|_V` (§3.1).
 //!
-//! [`ml_naive`] follows the definition (substitute and count). For a whole
-//! tree, [`TreeLoss`] implements the efficient computation of §4.1: one
-//! pass over the polynomials builds, for each leaf `l`, the set
+//! The definition itself (substitute and count) is the oracle
+//! [`crate::reference::ml_naive`]. For a whole tree, [`TreeLoss`]
+//! implements the efficient computation of §4.1: one pass over the
+//! polynomials builds, for each leaf `l`, the set
 //! `D_P[l] = { (M_l, exp) | M ∈ M(P), l ∈ M }` of *remainders* (the
 //! monomial with `l` removed, plus `l`'s exponent — two monomials merge
 //! under abstraction iff their remainders and exponents agree). Then for a
@@ -15,24 +16,8 @@
 
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashMap;
-use provabs_provenance::monomial::Monomial;
-use provabs_provenance::polyset::PolySet;
-use provabs_provenance::var::VarId;
 use provabs_provenance::working::{MonoId, WorkingSet};
-use provabs_trees::cut::Vvs;
-use provabs_trees::forest::Forest;
 use provabs_trees::tree::{AbsTree, NodeId};
-
-/// `ML` of a full VVS by direct application (used as the test oracle and
-/// for one-off evaluations).
-pub fn ml_naive<C: Coefficient>(polys: &PolySet<C>, forest: &Forest, vvs: &Vvs) -> usize {
-    polys.size_m() - vvs.apply(polys, forest).size_m()
-}
-
-/// `VL` of a full VVS by direct application.
-pub fn vl_naive<C: Coefficient>(polys: &PolySet<C>, forest: &Forest, vvs: &Vvs) -> usize {
-    polys.size_v() - vvs.apply(polys, forest).size_v()
-}
 
 /// Per-node `ML({v})` and `VL({v})` for one tree, precomputed with the
 /// `D_P` remainder maps of §4.1.
@@ -46,43 +31,17 @@ pub struct TreeLoss {
 }
 
 impl TreeLoss {
-    /// Builds the index for `tree` against `polys`.
+    /// Builds the index for `tree` against the working set: remainders
+    /// come from the working set's memoised arena index (`u32` probes, no
+    /// monomial hashing), so the whole computation stays in id space —
+    /// remainder ids are canonical for monomial equality within one
+    /// arena.
     ///
     /// Requires compatibility: each monomial contains at most one node of
-    /// `tree` (checked by [`Forest::check_compatible`] upstream; here a
-    /// debug assertion).
-    pub fn build<C: Coefficient>(polys: &PolySet<C>, tree: &AbsTree) -> Self {
-        let n = tree.num_nodes();
-        // Intern remainder keys (poly index, exponent, remainder monomial)
-        // into dense ids; collect per-leaf id lists.
-        let mut key_ids: FxHashMap<(usize, u32, Monomial), u32> = FxHashMap::default();
-        let mut per_leaf: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (pi, mono, _) in polys.monomials() {
-            for v in mono.vars() {
-                let Some(node) = tree.node_of_var(v) else {
-                    continue;
-                };
-                debug_assert!(tree.is_leaf(node), "meta-variable in polynomials");
-                let (rem, exp) = mono.remove_var(v);
-                let next = key_ids.len() as u32;
-                let id = *key_ids.entry((pi, exp, rem)).or_insert(next);
-                per_leaf[node.index()].push(id);
-                break; // compatibility: at most one tree node per monomial
-            }
-        }
-        Self::from_per_leaf(tree, per_leaf)
-    }
-
-    /// [`TreeLoss::build`] over interned provenance: remainders come from
-    /// the working set's memoised arena index (`u32` probes, no monomial
-    /// hashing), so the whole computation stays in id space. The `ml`/`vl`
-    /// values are identical to [`TreeLoss::build`] on the materialised
-    /// poly-set — remainder ids are canonical for monomial equality within
-    /// one arena.
-    ///
-    /// Takes `&mut` because remainder memoisation appends to the
-    /// (append-only) arena.
-    pub fn build_interned<C: Coefficient>(ws: &mut WorkingSet<C>, tree: &AbsTree) -> Self {
+    /// `tree` (checked by [`crate::problem::prepare`] upstream; here a
+    /// debug assertion on leaf-ness). Takes `&mut` because remainder
+    /// memoisation appends to the (append-only) arena.
+    pub fn build<C: Coefficient>(ws: &mut WorkingSet<C>, tree: &AbsTree) -> Self {
         let n = tree.num_nodes();
         // Dense remainder-class keys: (poly index, exponent, remainder id).
         let mut key_ids: FxHashMap<(usize, u32, MonoId), u32> = FxHashMap::default();
@@ -108,7 +67,7 @@ impl TreeLoss {
         Self::from_per_leaf(tree, per_leaf)
     }
 
-    /// The shared bottom-up merge behind both builders: folds per-leaf
+    /// The bottom-up merge: folds per-leaf
     /// remainder-class id lists into per-node `ML`/`VL` values
     /// (small-to-large, `O(|𝒫|_M · log n)`).
     fn from_per_leaf(tree: &AbsTree, mut per_leaf: Vec<Vec<u32>>) -> Self {
@@ -167,53 +126,16 @@ impl TreeLoss {
     }
 }
 
-/// The monomial-loss *delta* of replacing the variables `group` by a
-/// single fresh variable, computed on the given polynomials. Used by the
-/// greedy algorithm, whose candidate gains must be measured against the
-/// *current* (already partially abstracted) polynomials.
-pub fn ml_delta_of_group<C: Coefficient>(polys: &PolySet<C>, group: &[VarId]) -> usize {
-    if group.len() < 2 {
-        return 0;
-    }
-    let group_set: provabs_provenance::fxhash::FxHashSet<VarId> = group.iter().copied().collect();
-    let indices: Vec<usize> = (0..polys.len()).collect();
-    ml_delta_of_group_in(polys.as_slice(), &indices, &group_set)
-}
-
-/// [`ml_delta_of_group`] restricted to the polynomials at `poly_indices`
-/// — the greedy algorithm keeps an inverted index `variable → polynomial
-/// postings` so only affected polynomials are scanned.
-pub fn ml_delta_of_group_in<C: Coefficient>(
-    polys: &[provabs_provenance::polynomial::Polynomial<C>],
-    poly_indices: &[usize],
-    group: &provabs_provenance::fxhash::FxHashSet<VarId>,
-) -> usize {
-    if group.len() < 2 {
-        return 0;
-    }
-    let mut affected = 0usize;
-    let mut distinct: FxHashMap<(usize, u32, Monomial), ()> = FxHashMap::default();
-    for &pi in poly_indices {
-        for (mono, _) in polys[pi].iter() {
-            for v in mono.vars() {
-                if group.contains(&v) {
-                    let (rem, exp) = mono.remove_var(v);
-                    affected += 1;
-                    distinct.insert((pi, exp, rem), ());
-                    break;
-                }
-            }
-        }
-    }
-    affected - distinct.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{ml_delta_of_group, ml_naive};
     use provabs_provenance::parse::parse_polyset;
-    use provabs_provenance::var::VarTable;
+    use provabs_provenance::polyset::PolySet;
+    use provabs_provenance::var::{VarId, VarTable};
     use provabs_trees::builder::TreeBuilder;
+    use provabs_trees::cut::Vvs;
+    use provabs_trees::forest::Forest;
 
     /// The cleaned plans tree of Example 13 over P1, P2.
     fn example_13() -> (PolySet<f64>, AbsTree, VarTable) {
@@ -242,7 +164,7 @@ mod tests {
     #[test]
     fn example_13_losses_via_remainder_maps() {
         let (polys, tree, vars) = example_13();
-        let loss = TreeLoss::build(&polys, &tree);
+        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
         let node = |l: &str| {
             tree.node_of_var(vars.lookup(l).expect("interned"))
                 .expect("in tree")
@@ -268,7 +190,7 @@ mod tests {
     fn efficient_ml_matches_naive_for_every_node() {
         let (polys, tree, _) = example_13();
         let forest = Forest::single(tree.clone());
-        let loss = TreeLoss::build(&polys, &tree);
+        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
         for node in tree.node_ids() {
             if tree.is_leaf(node) {
                 continue;
@@ -301,7 +223,7 @@ mod tests {
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let loss = TreeLoss::build(&polys, &tree);
+        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
         // Only x·a and y·a merge → ML = 1.
         assert_eq!(loss.ml_of(tree.root()), 1);
         let forest = Forest::single(tree.clone());
@@ -317,23 +239,8 @@ mod tests {
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let loss = TreeLoss::build(&polys, &tree);
+        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
         assert_eq!(loss.ml_of(tree.root()), 0);
-    }
-
-    #[test]
-    fn interned_builder_matches_polyset_builder() {
-        let (polys, tree, _) = example_13();
-        let reference = TreeLoss::build(&polys, &tree);
-        let mut ws = WorkingSet::from_polyset(&polys);
-        let interned = TreeLoss::build_interned(&mut ws, &tree);
-        for node in tree.node_ids() {
-            assert_eq!(reference.ml_of(node), interned.ml_of(node));
-            assert_eq!(reference.vl_of(node), interned.vl_of(node));
-        }
-        // The working set itself is untouched (only its arena grew).
-        assert_eq!(ws.size_m(), polys.size_m());
-        assert_eq!(ws.size_v(), polys.size_v());
     }
 
     #[test]
@@ -345,7 +252,7 @@ mod tests {
             .collect();
         let delta = ml_delta_of_group(&polys, &group);
         // Same as abstracting Business directly.
-        let loss = TreeLoss::build(&polys, &tree);
+        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
         let business = tree
             .node_of_var(vars.lookup("Business").expect("interned"))
             .expect("node");

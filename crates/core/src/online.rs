@@ -6,11 +6,12 @@
 //! Variable Set. Then use the same VVS to group variables in the full
 //! input database". Two gaps are identified there and realised here:
 //!
-//! 1. **Sampling** ([`sample_polys`]): the heuristic "tailored for simple
-//!    GROUPBY queries" — sample whole output polynomials (each output
-//!    group corresponds to rows of the relation holding the grouping
-//!    attribute, so sampling groups approximates sampling that relation
-//!    while leaving the other relations intact).
+//! 1. **Sampling** ([`sample_indices`] + [`WorkingSet::subset`]): the
+//!    heuristic "tailored for simple GROUPBY queries" — sample whole
+//!    output polynomials (each output group corresponds to rows of the
+//!    relation holding the grouping attribute, so sampling groups
+//!    approximates sampling that relation while leaving the other
+//!    relations intact).
 //! 2. **Bound adaptation** ([`adapt_bound`]): "set this bound as a
 //!    function of (1) the original bound and (2) the ratio between the
 //!    full provenance size and the sample provenance size, e.g. the first
@@ -18,13 +19,11 @@
 //!    extrapolation from growing samples ([`estimate_full_size`],
 //!    following the paper's pointer to extrapolation methods).
 
-use crate::greedy::{greedy_vvs_guarded, greedy_vvs_interned_guarded};
-use crate::optimal::{optimal_vvs_guarded, optimal_vvs_interned_guarded};
-use crate::problem::{evaluate_vvs, evaluate_vvs_interned, AbstractionResult, InternedAbstraction};
+use crate::greedy::greedy_vvs;
+use crate::optimal::optimal_vvs;
+use crate::problem::{evaluate_vvs, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::guard::{Completion, Guard};
-use provabs_provenance::polynomial::Polynomial;
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::working::WorkingSet;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
@@ -38,10 +37,11 @@ pub enum Solver {
     Greedy,
 }
 
-/// The index-level sampling core shared by [`sample_polys`] and the
-/// interned path: roughly `fraction` of `0..len` (at least one index when
-/// `len > 0`), deterministically in `seed`. One RNG draw per index, so
-/// every representation samples the *same* polynomials.
+/// Which polynomials a sample keeps: roughly `fraction` of `0..len` (at
+/// least one index when `len > 0`), deterministically in `seed`. One RNG
+/// draw per index. This models sampling "from the relations that include
+/// the grouping attributes, leaving the other relations intact": each
+/// output polynomial is one group.
 pub fn sample_indices(len: usize, fraction: f64, seed: u64) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&fraction), "fraction in [0, 1]");
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -60,20 +60,6 @@ pub fn sample_indices(len: usize, fraction: f64, seed: u64) -> Vec<usize> {
         return vec![0];
     }
     picked
-}
-
-/// Samples roughly `fraction` of the polynomials (at least one),
-/// deterministically in `seed`. This models sampling "from the relations
-/// that include the grouping attributes, leaving the other relations
-/// intact": each output polynomial is one group.
-pub fn sample_polys<C: Coefficient>(polys: &PolySet<C>, fraction: f64, seed: u64) -> PolySet<C> {
-    let slice = polys.as_slice();
-    PolySet::from_vec(
-        sample_indices(polys.len(), fraction, seed)
-            .into_iter()
-            .map(|i| slice[i].clone())
-            .collect::<Vec<Polynomial<C>>>(),
-    )
 }
 
 /// §6's bound adaptation: the original bound scaled by the
@@ -113,96 +99,24 @@ pub fn extrapolate_size(points: &[(f64, usize)]) -> usize {
 
 /// Estimates the full size from samples at the given fractions.
 pub fn estimate_full_size<C: Coefficient>(
-    polys: &PolySet<C>,
+    source: &WorkingSet<C>,
     fractions: &[f64],
     seed: u64,
 ) -> usize {
     let points: Vec<(f64, usize)> = fractions
         .iter()
         .enumerate()
-        .map(|(i, &f)| (f, sample_polys(polys, f, seed + i as u64).size_m()))
+        .map(|(i, &f)| {
+            let picked = sample_indices(source.num_polys(), f, seed + i as u64);
+            (f, picked.iter().map(|&pi| source.poly_size_m(pi)).sum())
+        })
         .collect();
     extrapolate_size(&points)
 }
 
 /// The outcome of one online-compression run.
 #[derive(Clone, Debug)]
-pub struct OnlineOutcome {
-    /// Sizes of the sample the VVS was chosen on.
-    pub sample_size_m: usize,
-    /// The bound handed to the offline algorithm on the sample.
-    pub adapted_bound: usize,
-    /// The chosen VVS evaluated against the *full* provenance.
-    pub full: AbstractionResult,
-}
-
-/// §6's end-to-end scheme: sample, adapt the bound, choose a VVS on the
-/// sample with the requested solver, then apply that VVS to the full
-/// provenance and report the real outcome.
-///
-/// Both the solver run on the sample and the final full-provenance
-/// measurement go through the shared interned working set
-/// ([`provabs_provenance::working::WorkingSet`], via the greedy engine
-/// and [`evaluate_vvs`]) — the full provenance is never re-substituted
-/// monomial-by-monomial here.
-///
-/// The returned result may be inadequate for the original bound — that is
-/// the scheme's inherent risk ("this sample is still not guaranteed to be
-/// representative"); callers check [`AbstractionResult::is_adequate_for`]
-/// and the experiment binary quantifies how often that happens.
-pub fn online_compress<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    fraction: f64,
-    seed: u64,
-    solver: Solver,
-) -> Result<OnlineOutcome, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    online_compress_guarded(polys, forest, bound, fraction, seed, solver, &guard)
-        .map(|(outcome, _)| outcome)
-}
-
-/// [`online_compress`] under an execution [`Guard`], which is handed
-/// through to the inner solver: a trip mid-solve surfaces the solver's
-/// anytime result (greedy prefix, or the optimal DP's identity
-/// fallback) as the sampled VVS, tagged [`Completion::Interrupted`].
-#[allow(clippy::too_many_arguments)]
-pub fn online_compress_guarded<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    fraction: f64,
-    seed: u64,
-    solver: Solver,
-    guard: &Guard,
-) -> Result<(OnlineOutcome, Completion), TreeError> {
-    let sample = sample_polys(polys, fraction, seed);
-    let adapted = adapt_bound(bound, polys.size_m(), sample.size_m());
-    let (on_sample, completion) = match solver {
-        Solver::Optimal => optimal_vvs_guarded(&sample, forest, adapted, guard)?,
-        Solver::Greedy => greedy_vvs_guarded(&sample, forest, adapted, guard)?,
-    };
-    // Re-evaluate the chosen VVS against the full provenance. The VVS
-    // lives on the sample-cleaned forest; variables absent from the
-    // sample but present in the full set stay unabstracted, exactly as
-    // the scheme prescribes.
-    let full = evaluate_vvs(polys, &on_sample.forest, on_sample.vvs);
-    Ok((
-        OnlineOutcome {
-            sample_size_m: sample.size_m(),
-            adapted_bound: adapted,
-            full,
-        },
-        completion,
-    ))
-}
-
-/// The outcome of one interned online-compression run: like
-/// [`OnlineOutcome`], but the full-provenance evaluation is carried as an
-/// [`InternedAbstraction`], ready to freeze.
-#[derive(Clone, Debug)]
-pub struct OnlineOutcomeInterned<C> {
+pub struct OnlineOutcome<C> {
     /// Sizes of the sample the VVS was chosen on.
     pub sample_size_m: usize,
     /// The bound handed to the offline algorithm on the sample.
@@ -212,32 +126,28 @@ pub struct OnlineOutcomeInterned<C> {
     pub full: InternedAbstraction<C>,
 }
 
-/// [`online_compress`] in the interned currency end-to-end: the sample is
-/// a *compacted* working-set [`subset`](WorkingSet::subset) — a fresh
-/// arena holding only the sampled polynomials' monomials (same
-/// deterministic draw as [`sample_polys`]; sample ids are local to the
-/// sample, not valid against `source`'s arena) — the solver runs its
-/// interned entry point, and the final full-provenance measurement is an
-/// id-space substitution on `source`. Chosen VVS and all measures are
-/// identical to [`online_compress`] on the materialised poly-set.
-pub fn online_compress_interned<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    bound: usize,
-    fraction: f64,
-    seed: u64,
-    solver: Solver,
-) -> Result<OnlineOutcomeInterned<C>, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    online_compress_interned_guarded(source, forest, bound, fraction, seed, solver, &guard)
-        .map(|(outcome, _)| outcome)
-}
-
-/// [`online_compress_interned`] under an execution [`Guard`]; the guard
-/// is handed to the inner solver and its completion status is bubbled
-/// alongside the outcome.
+/// §6's end-to-end scheme under an execution [`Guard`]: sample, adapt the
+/// bound, choose a VVS on the sample with the requested solver, then
+/// apply that VVS to the full provenance and report the real outcome.
+///
+/// The sample is a *compacted* working-set [`subset`](WorkingSet::subset)
+/// — a fresh arena holding only the sampled polynomials' monomials
+/// (sample ids are local to the sample, not valid against `source`'s
+/// arena) — and the final full-provenance measurement is an id-space
+/// substitution on a clone of `source`.
+///
+/// The guard is handed through to the inner solver: a trip mid-solve
+/// surfaces the solver's anytime result (greedy prefix, or the optimal
+/// DP's identity fallback) as the sampled VVS, tagged
+/// [`Completion::Interrupted`].
+///
+/// The returned result may be inadequate for the original bound — that is
+/// the scheme's inherent risk ("this sample is still not guaranteed to be
+/// representative"); callers check
+/// [`AbstractionResult::is_adequate_for`](crate::problem::AbstractionResult::is_adequate_for)
+/// and the `online` experiment quantifies how often that happens.
 #[allow(clippy::too_many_arguments)]
-pub fn online_compress_interned_guarded<C: Coefficient>(
+pub fn online_compress<C: Coefficient>(
     source: &WorkingSet<C>,
     forest: &Forest,
     bound: usize,
@@ -245,22 +155,26 @@ pub fn online_compress_interned_guarded<C: Coefficient>(
     seed: u64,
     solver: Solver,
     guard: &Guard,
-) -> Result<(OnlineOutcomeInterned<C>, Completion), TreeError> {
+) -> Result<(OnlineOutcome<C>, Completion), TreeError> {
     let indices = sample_indices(source.num_polys(), fraction, seed);
     let sample = source.subset(&indices);
     let sample_size_m = sample.size_m();
     let adapted = adapt_bound(bound, source.size_m(), sample_size_m);
     let (on_sample, completion) = match solver {
-        Solver::Optimal => optimal_vvs_interned_guarded(&sample, forest, adapted, guard)?,
-        Solver::Greedy => greedy_vvs_interned_guarded(&sample, forest, adapted, guard)?,
+        Solver::Optimal => optimal_vvs(&sample, forest, adapted, guard)?,
+        Solver::Greedy => greedy_vvs(&sample, forest, adapted, guard)?,
     };
-    let full = evaluate_vvs_interned(
+    // Re-evaluate the chosen VVS against the full provenance. The VVS
+    // lives on the sample-cleaned forest; variables absent from the
+    // sample but present in the full set stay unabstracted, exactly as
+    // the scheme prescribes.
+    let full = evaluate_vvs(
         source.clone(),
         &on_sample.result.forest,
         on_sample.result.vvs,
     );
     Ok((
-        OnlineOutcomeInterned {
+        OnlineOutcome {
             sample_size_m,
             adapted_bound: adapted,
             full,
@@ -272,14 +186,15 @@ pub fn online_compress_interned_guarded<C: Coefficient>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimal::optimal_vvs;
     use provabs_provenance::monomial::Monomial;
+    use provabs_provenance::polynomial::Polynomial;
+    use provabs_provenance::polyset::PolySet;
     use provabs_provenance::var::{VarId, VarTable};
     use provabs_trees::builder::TreeBuilder;
 
     /// Many structurally-identical polynomials over a shared variable
     /// pool — the regime where a sample is representative.
-    fn uniform_instance() -> (PolySet<f64>, Forest) {
+    fn uniform_instance() -> (WorkingSet<f64>, Forest) {
         let mut vars = VarTable::new();
         let leaves: Vec<VarId> = (0..8).map(|i| vars.intern(&format!("x{i}"))).collect();
         let ctx: Vec<VarId> = (0..4).map(|i| vars.intern(&format!("c{i}"))).collect();
@@ -298,21 +213,22 @@ mod tests {
             .leaves("hi", (4..8).map(|i| format!("x{i}")))
             .build(&mut vars)
             .expect("tree");
-        (PolySet::from_vec(polys), Forest::single(tree))
+        (
+            WorkingSet::from_polyset(&PolySet::from_vec(polys)),
+            Forest::single(tree),
+        )
     }
 
     #[test]
     fn sampling_is_deterministic_and_bounded() {
-        let (polys, _) = uniform_instance();
-        let a = sample_polys(&polys, 0.3, 9);
-        let b = sample_polys(&polys, 0.3, 9);
-        assert_eq!(a.len(), b.len());
-        assert!(a.len() < polys.len());
+        let a = sample_indices(40, 0.3, 9);
+        assert_eq!(a, sample_indices(40, 0.3, 9));
+        assert!(a.len() < 40);
         assert!(!a.is_empty());
-        let c = sample_polys(&polys, 0.0, 9);
-        assert_eq!(c.len(), 1, "never empty");
-        let d = sample_polys(&polys, 1.0, 9);
-        assert_eq!(d.len(), polys.len());
+        assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+        assert_eq!(sample_indices(40, 0.0, 9), vec![0], "never empty");
+        assert_eq!(sample_indices(40, 1.0, 9).len(), 40);
+        assert_eq!(sample_indices(0, 0.5, 1), Vec::<usize>::new());
     }
 
     #[test]
@@ -338,9 +254,9 @@ mod tests {
 
     #[test]
     fn estimate_is_close_on_uniform_polynomials() {
-        let (polys, _) = uniform_instance();
-        let est = estimate_full_size(&polys, &[0.2, 0.4, 0.6], 3);
-        let real = polys.size_m();
+        let (source, _) = uniform_instance();
+        let est = estimate_full_size(&source, &[0.2, 0.4, 0.6], 3);
+        let real = source.size_m();
         let rel = (est as f64 - real as f64).abs() / real as f64;
         assert!(rel < 0.35, "estimate {est} vs real {real}");
     }
@@ -349,76 +265,57 @@ mod tests {
     fn online_vvs_matches_offline_on_uniform_instance() {
         // With identical polynomial structure the sample sees the same
         // merge opportunities, so the online VVS equals the offline one.
-        let (polys, forest) = uniform_instance();
-        let bound = polys.size_m() / 2;
-        let offline = optimal_vvs(&polys, &forest, bound).expect("attainable");
-        let online =
-            online_compress(&polys, &forest, bound, 0.3, 5, Solver::Optimal).expect("sampled");
-        assert!(online.full.is_adequate_for(bound));
+        let (source, forest) = uniform_instance();
+        let guard = Guard::unlimited();
+        let bound = source.size_m() / 2;
+        let offline = optimal_vvs(&source, &forest, bound, &guard)
+            .expect("attainable")
+            .0
+            .result;
+        let (online, completion) =
+            online_compress(&source, &forest, bound, 0.3, 5, Solver::Optimal, &guard)
+                .expect("sampled");
+        assert!(completion.is_complete());
+        assert!(online.full.result.is_adequate_for(bound));
         assert_eq!(
-            online.full.vvs.labels(&online.full.forest),
+            online.full.result.vvs.labels(&online.full.result.forest),
             offline.vvs.labels(&offline.forest)
         );
-        assert!(online.sample_size_m < polys.size_m());
+        // The sample is the drawn subset, the bound is scaled to it, and
+        // the working set handed back is the full abstracted set.
+        let drawn = source.subset(&sample_indices(source.num_polys(), 0.3, 5));
+        assert_eq!(online.sample_size_m, drawn.size_m());
+        assert!(online.sample_size_m < source.size_m());
         assert!(online.adapted_bound < bound);
+        assert_eq!(
+            online.full.working.size_m(),
+            online.full.result.compressed_size_m
+        );
+        assert_eq!(online.full.result.original_size_m, source.size_m());
     }
 
     #[test]
     fn online_greedy_solver_works() {
-        let (polys, forest) = uniform_instance();
-        let bound = polys.size_m() / 2;
-        let online =
-            online_compress(&polys, &forest, bound, 0.5, 11, Solver::Greedy).expect("sampled");
-        online
-            .full
-            .vvs
-            .validate(&online.full.forest)
-            .expect("valid VVS");
-        assert!(online.full.is_adequate_for(bound));
+        let (source, forest) = uniform_instance();
+        let bound = source.size_m() / 2;
+        let (online, _) = online_compress(
+            &source,
+            &forest,
+            bound,
+            0.5,
+            11,
+            Solver::Greedy,
+            &Guard::unlimited(),
+        )
+        .expect("sampled");
+        let full = online.full.result;
+        full.vvs.validate(&full.forest).expect("valid VVS");
+        assert!(full.is_adequate_for(bound));
     }
 
     #[test]
     #[should_panic(expected = "fraction in [0, 1]")]
     fn invalid_fraction_panics() {
-        let (polys, _) = uniform_instance();
-        let _ = sample_polys(&polys, 1.5, 0);
-    }
-
-    #[test]
-    fn interned_entry_point_matches_polyset_entry_point() {
-        let (polys, forest) = uniform_instance();
-        let source = WorkingSet::from_polyset(&polys);
-        let bound = polys.size_m() / 2;
-        for solver in [Solver::Optimal, Solver::Greedy] {
-            let by_polys =
-                online_compress(&polys, &forest, bound, 0.3, 5, solver).expect("sampled");
-            let by_ws =
-                online_compress_interned(&source, &forest, bound, 0.3, 5, solver).expect("sampled");
-            assert_eq!(by_polys.sample_size_m, by_ws.sample_size_m);
-            assert_eq!(by_polys.adapted_bound, by_ws.adapted_bound);
-            assert_eq!(by_polys.full.vvs, by_ws.full.result.vvs);
-            assert_eq!(
-                by_polys.full.compressed_size_m,
-                by_ws.full.result.compressed_size_m
-            );
-            assert_eq!(
-                by_polys.full.compressed_size_v,
-                by_ws.full.result.compressed_size_v
-            );
-            assert_eq!(
-                by_ws.full.working.size_m(),
-                by_ws.full.result.compressed_size_m
-            );
-        }
-    }
-
-    #[test]
-    fn sample_indices_mirror_sample_polys() {
-        let (polys, _) = uniform_instance();
-        let idx = sample_indices(polys.len(), 0.3, 9);
-        let sampled = sample_polys(&polys, 0.3, 9);
-        assert_eq!(idx.len(), sampled.len());
-        assert_eq!(sample_indices(0, 0.5, 1), Vec::<usize>::new());
-        assert_eq!(sample_indices(5, 0.0, 1), vec![0], "never empty");
+        let _ = sample_indices(40, 1.5, 0);
     }
 }

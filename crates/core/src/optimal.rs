@@ -9,26 +9,19 @@
 //! groups — the paper's key insight) or the singleton choice `S = {v}`.
 //! The answer is the VVS encoded at the root's `k` entry, reconstructed by
 //! walking the recorded choices (Prop. 12/14: PTIME, `O(n·w·k²·|𝒫|_M)`).
-//! The final measurement of the reconstructed VVS goes through the shared
-//! interned working set (via [`evaluate_vvs`]) instead of a wholesale
-//! substitution pass.
 //!
-//! Two implementations are provided:
-//!
-//! * [`optimal_vvs`] — the sparse variant of §4.1: arrays are hash maps
-//!   holding only non-⊥ entries, with the height-1 shortcut,
-//! * [`optimal_vvs_dense`] — a dense reference implementation, used to
-//!   cross-check the sparse one in tests and as an ablation baseline.
+//! [`optimal_vvs`] is the sparse variant of §4.1: arrays are hash maps
+//! holding only non-⊥ entries, with the height-1 shortcut. The per-node
+//! loss index is built from the working set's memoised arena remainders
+//! ([`TreeLoss::build`]) and the chosen VVS is applied in id space. The
+//! dense transcription of the pseudo-code is the oracle
+//! [`crate::reference::optimal_vvs_dense`].
 
 use crate::loss::TreeLoss;
-use crate::problem::{
-    evaluate_vvs, evaluate_vvs_interned, prepare, prepare_interned, AbstractionResult,
-    InternedAbstraction,
-};
+use crate::problem::{evaluate_vvs, prepare, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::guard::{Completion, Guard, Interrupt};
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
@@ -37,7 +30,7 @@ use provabs_trees::tree::{AbsTree, NodeId};
 
 /// How a DP entry was obtained, for reconstruction.
 #[derive(Clone, Debug)]
-enum Choice {
+pub(crate) enum Choice {
     /// `S = {v}`: the node itself is chosen, abstracting its whole
     /// subtree.
     Take,
@@ -48,15 +41,15 @@ enum Choice {
 
 /// A DP cell: minimal variable loss and the choice realising it.
 #[derive(Clone, Debug)]
-struct Entry {
-    vl: u64,
-    choice: Choice,
+pub(crate) struct Entry {
+    pub(crate) vl: u64,
+    pub(crate) choice: Choice,
 }
 
 /// Sparse per-node array: monomial loss → entry (only non-⊥ kept).
 type SparseArray = FxHashMap<usize, Entry>;
 
-fn better(slot: &mut Option<Entry>, vl: u64, choice: impl FnOnce() -> Choice) {
+pub(crate) fn better(slot: &mut Option<Entry>, vl: u64, choice: impl FnOnce() -> Choice) {
     if slot.as_ref().is_none_or(|e| vl < e.vl) {
         *slot = Some(Entry {
             vl,
@@ -179,44 +172,25 @@ fn reconstruct(tree: &AbsTree, arrays: &[SparseArray], v: NodeId, j: usize, out:
     }
 }
 
-/// Shared preamble / trivial-case handling. Returns `Ok(Err(result))` for
-/// trivially-solved instances, `Ok(Ok((cleaned, k)))` otherwise.
-#[allow(clippy::type_complexity)]
-fn preamble<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<Result<(Forest, usize), AbstractionResult>, TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let total_m = polys.size_m();
-    if bound >= total_m {
-        // Nothing to do: the identity abstraction is optimal (VL = 0).
-        let vvs = Vvs::identity(&cleaned);
-        return Ok(Err(evaluate_vvs(polys, &cleaned, vvs)));
-    }
-    if cleaned.num_trees() == 0 {
-        // No abstraction possible at all (trees were all trivial).
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: total_m,
-        });
-    }
-    if cleaned.num_trees() != 1 {
-        return Err(TreeError::ExpectedSingleTree(cleaned.num_trees()));
-    }
-    Ok(Ok((cleaned, total_m - bound)))
-}
-
-/// Algorithm 1 with the sparse arrays of §4.1 (the default).
+/// Algorithm 1 with the sparse arrays of §4.1, under an execution
+/// [`Guard`].
 ///
-/// Returns the optimal abstraction for `bound`: adequate
-/// (`|𝒫↓S|_M ≤ bound`) with minimal variable loss, or
-/// [`TreeError::BoundUnattainable`] when no VVS reaches the bound
-/// (Example 8), or [`TreeError::ExpectedSingleTree`] for multi-tree
-/// forests (use [`crate::greedy::greedy_vvs`] there).
+/// Returns the optimal abstraction for `bound` — adequate
+/// (`|𝒫↓S|_M ≤ bound`) with minimal variable loss — together with the
+/// rewritten `𝒫↓S`, ready to freeze; or [`TreeError::BoundUnattainable`]
+/// when no VVS reaches the bound (Example 8), or
+/// [`TreeError::ExpectedSingleTree`] for multi-tree forests (use
+/// [`crate::greedy::greedy_vvs`] there).
+///
+/// The DP, unlike the greedy engine, has no usable partial state: a
+/// guard trip mid-solve falls back to the *identity abstraction* (the
+/// only abstraction that is sound without finishing the search), tagged
+/// [`Completion::Interrupted`] with `size_reached = |𝒫|_M`. The
+/// bound-adequacy error only applies to complete runs.
 ///
 /// ```
-/// use provabs_provenance::{parse::parse_polyset, VarTable};
+/// use provabs_provenance::{guard::Guard, parse::parse_polyset, VarTable};
+/// use provabs_provenance::working::WorkingSet;
 /// use provabs_trees::{builder::TreeBuilder, forest::Forest};
 /// use provabs_core::optimal::optimal_vvs;
 ///
@@ -224,95 +198,23 @@ fn preamble<C: Coefficient>(
 /// // Example 2's quarterly grouping: m1, m3 merge into q1.
 /// let polys = parse_polyset("220.8·p1·m1 + 240·p1·m3", &mut vars).unwrap();
 /// let tree = TreeBuilder::new("q1").leaves("q1", ["m1", "m3"]).build(&mut vars).unwrap();
-/// let result = optimal_vvs(&polys, &Forest::single(tree), 1).unwrap();
-/// assert_eq!(result.compressed_size_m, 1); // 460.8·p1·q1
-/// assert_eq!(result.vl(), 1);
+/// let source = WorkingSet::from_polyset(&polys);
+/// let (abs, _) = optimal_vvs(&source, &Forest::single(tree), 1, &Guard::unlimited()).unwrap();
+/// assert_eq!(abs.result.compressed_size_m, 1); // 460.8·p1·q1
+/// assert_eq!(abs.result.vl(), 1);
 /// ```
 pub fn optimal_vvs<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<AbstractionResult, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    optimal_vvs_guarded(polys, forest, bound, &guard).map(|(result, _)| result)
-}
-
-/// [`optimal_vvs`] under an execution [`Guard`].
-///
-/// The DP, unlike the greedy engines, has no usable partial state: a
-/// guard trip mid-solve falls back to the *identity abstraction* (the
-/// only abstraction that is sound without finishing the search), tagged
-/// [`Completion::Interrupted`] with `size_reached = |𝒫|_M`. The
-/// bound-adequacy error only applies to complete runs.
-pub fn optimal_vvs_guarded<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-    guard: &Guard,
-) -> Result<(AbstractionResult, Completion), TreeError> {
-    let (cleaned, k) = match preamble(polys, forest, bound)? {
-        Err(done) => return Ok((done, Completion::Complete)),
-        Ok(v) => v,
-    };
-    let tree = cleaned.tree(0);
-    let loss = TreeLoss::build(polys, tree);
-    let arrays = match solve_sparse(tree, &loss, k, guard) {
-        Ok(arrays) => arrays,
-        Err((reason, steps)) => {
-            let vvs = Vvs::identity(&cleaned);
-            let result = evaluate_vvs(polys, &cleaned, vvs);
-            let completion = Completion::Interrupted {
-                reason,
-                steps,
-                size_reached: result.compressed_size_m,
-            };
-            return Ok((result, completion));
-        }
-    };
-    let root = tree.root();
-    if !arrays[root.index()].contains_key(&k) {
-        let best_ml = arrays[root.index()].keys().copied().max().unwrap_or(0);
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: polys.size_m() - best_ml,
-        });
-    }
-    let mut chosen = Vec::new();
-    reconstruct(tree, &arrays, root, k, &mut chosen);
-    let vvs = Vvs::from_per_tree(vec![chosen]);
-    debug_assert!(vvs.validate(&cleaned).is_ok());
-    Ok((evaluate_vvs(polys, &cleaned, vvs), Completion::Complete))
-}
-
-/// [`optimal_vvs`] in the interned currency end-to-end: the per-node loss
-/// index is built from the working set's memoised arena remainders
-/// ([`TreeLoss::build_interned`]), the DP runs unchanged, and the chosen
-/// VVS is applied in id space — the returned [`InternedAbstraction`]
-/// carries `𝒫↓S` ready to freeze. Identical VVS and measures to
-/// [`optimal_vvs`] on the materialised poly-set.
-pub fn optimal_vvs_interned<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<InternedAbstraction<C>, TreeError> {
-    let guard = Guard::ambient().unwrap_or_default();
-    optimal_vvs_interned_guarded(source, forest, bound, &guard).map(|(abs, _)| abs)
-}
-
-/// [`optimal_vvs_interned`] under an execution [`Guard`] — the same
-/// identity-fallback contract as [`optimal_vvs_guarded`].
-pub fn optimal_vvs_interned_guarded<C: Coefficient>(
     source: &WorkingSet<C>,
     forest: &Forest,
     bound: usize,
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
-    let cleaned = prepare_interned(source, forest)?;
+    let cleaned = prepare(source, forest)?;
     let total_m = source.size_m();
     if bound >= total_m {
         let vvs = Vvs::identity(&cleaned);
         return Ok((
-            evaluate_vvs_interned(source.clone(), &cleaned, vvs),
+            evaluate_vvs(source.clone(), &cleaned, vvs),
             Completion::Complete,
         ));
     }
@@ -328,14 +230,14 @@ pub fn optimal_vvs_interned_guarded<C: Coefficient>(
     let k = total_m - bound;
     let mut work = source.clone();
     let tree = cleaned.tree(0);
-    let loss = TreeLoss::build_interned(&mut work, tree);
+    let loss = TreeLoss::build(&mut work, tree);
     let arrays = match solve_sparse(tree, &loss, k, guard) {
         Ok(arrays) => arrays,
         Err((reason, steps)) => {
             // `work` was only used to memoise losses; the identity
             // fallback starts from the untouched source.
             let vvs = Vvs::identity(&cleaned);
-            let abs = evaluate_vvs_interned(source.clone(), &cleaned, vvs);
+            let abs = evaluate_vvs(source.clone(), &cleaned, vvs);
             let completion = Completion::Interrupted {
                 reason,
                 steps,
@@ -356,112 +258,7 @@ pub fn optimal_vvs_interned_guarded<C: Coefficient>(
     reconstruct(tree, &arrays, root, k, &mut chosen);
     let vvs = Vvs::from_per_tree(vec![chosen]);
     debug_assert!(vvs.validate(&cleaned).is_ok());
-    Ok((
-        evaluate_vvs_interned(work, &cleaned, vvs),
-        Completion::Complete,
-    ))
-}
-
-/// Algorithm 1 with dense `k+1`-length arrays — the straightforward
-/// transcription of the pseudo-code, kept as a reference implementation
-/// (tests assert it agrees with [`optimal_vvs`]) and an ablation baseline.
-pub fn optimal_vvs_dense<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    bound: usize,
-) -> Result<AbstractionResult, TreeError> {
-    let (cleaned, k) = match preamble(polys, forest, bound)? {
-        Err(done) => return Ok(done),
-        Ok(v) => v,
-    };
-    let tree = cleaned.tree(0);
-    let loss = TreeLoss::build(polys, tree);
-
-    // Dense arrays: index j holds Option<Entry>.
-    let mut arrays: Vec<Vec<Option<Entry>>> = vec![Vec::new(); tree.num_nodes()];
-    for v in tree.postorder() {
-        let mut arr: Vec<Option<Entry>> = vec![None; k + 1];
-        if tree.is_leaf(v) {
-            arr[0] = Some(Entry {
-                vl: 0,
-                choice: Choice::Take,
-            });
-        } else {
-            let children = tree.children(v);
-            // computeArray, dense: τ[i][j] over prefix of children.
-            let mut cur: Vec<Option<(u64, Vec<usize>)>> = vec![None; k + 1];
-            for (j, e) in arrays[children[0].index()].iter().enumerate() {
-                if let Some(e) = e {
-                    cur[j] = Some((e.vl, vec![j]));
-                }
-            }
-            for &c in &children[1..] {
-                let carr = &arrays[c.index()];
-                let mut next: Vec<Option<(u64, Vec<usize>)>> = vec![None; k + 1];
-                for (s, cell) in cur.iter().enumerate() {
-                    let Some((vs, alloc)) = cell else { continue };
-                    for (t, ct) in carr.iter().enumerate() {
-                        let Some(et) = ct else { continue };
-                        let j = (s + t).min(k);
-                        let cand = vs + et.vl;
-                        if next[j].as_ref().is_none_or(|(v, _)| cand < *v) {
-                            let mut a = alloc.clone();
-                            a.push(t);
-                            next[j] = Some((cand, a));
-                        }
-                    }
-                }
-                cur = next;
-            }
-            for (j, cell) in cur.into_iter().enumerate() {
-                if let Some((vl, alloc)) = cell {
-                    arr[j] = Some(Entry {
-                        vl,
-                        choice: Choice::Split(alloc),
-                    });
-                }
-            }
-            let j = loss.ml_of(v).min(k);
-            better(&mut arr[j], loss.vl_of(v) as u64, || Choice::Take);
-        }
-        arrays[v.index()] = arr;
-    }
-
-    let root = tree.root();
-    if arrays[root.index()][k].is_none() {
-        let best_ml = arrays[root.index()]
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(j, e)| e.as_ref().map(|_| j))
-            .unwrap_or(0);
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: polys.size_m() - best_ml,
-        });
-    }
-    // Reconstruct through the dense arrays.
-    fn rec_dense(
-        tree: &AbsTree,
-        arrays: &[Vec<Option<Entry>>],
-        v: NodeId,
-        j: usize,
-        out: &mut Vec<NodeId>,
-    ) {
-        let entry = arrays[v.index()][j].as_ref().expect("recorded entry");
-        match &entry.choice {
-            Choice::Take => out.push(v),
-            Choice::Split(alloc) => {
-                for (&c, &jc) in tree.children(v).iter().zip(alloc) {
-                    rec_dense(tree, arrays, c, jc, out);
-                }
-            }
-        }
-    }
-    let mut chosen = Vec::new();
-    rec_dense(tree, &arrays, root, k, &mut chosen);
-    let vvs = Vvs::from_per_tree(vec![chosen]);
-    Ok(evaluate_vvs(polys, &cleaned, vvs))
+    Ok((evaluate_vvs(work, &cleaned, vvs), Completion::Complete))
 }
 
 /// The full size/granularity trade-off frontier of a single tree: for
@@ -472,30 +269,38 @@ pub fn optimal_vvs_dense<C: Coefficient>(
 /// beyond the paper's single-bound API.
 ///
 /// Returns `(compressed_size_m, compressed_size_v)` pairs sorted by
-/// decreasing size, already filtered to the Pareto frontier.
+/// decreasing size, already filtered to the Pareto frontier. A tripped
+/// guard leaves only the identity point, tagged
+/// [`Completion::Interrupted`] — the same fallback as [`optimal_vvs`].
+#[allow(clippy::type_complexity)]
 pub fn optimal_frontier<C: Coefficient>(
-    polys: &PolySet<C>,
+    source: &WorkingSet<C>,
     forest: &Forest,
-) -> Result<Vec<(usize, usize)>, TreeError> {
-    let cleaned = prepare(polys, forest)?;
-    let total_m = polys.size_m();
-    let total_v = polys.size_v();
+    guard: &Guard,
+) -> Result<(Vec<(usize, usize)>, Completion), TreeError> {
+    let cleaned = prepare(source, forest)?;
+    let total_m = source.size_m();
+    let total_v = source.size_v();
     if cleaned.num_trees() == 0 {
-        return Ok(vec![(total_m, total_v)]);
+        return Ok((vec![(total_m, total_v)], Completion::Complete));
     }
     if cleaned.num_trees() != 1 {
         return Err(TreeError::ExpectedSingleTree(cleaned.num_trees()));
     }
     let tree = cleaned.tree(0);
-    let loss = TreeLoss::build(polys, tree);
+    let loss = TreeLoss::build(&mut source.clone(), tree);
     let k_max = loss.ml_of(tree.root()); // coarsening is monotone in ML
 
-    // Under an ambient guard a tripped frontier solve degrades to the
-    // identity-only frontier — the anytime floor of this API.
-    let guard = Guard::ambient().unwrap_or_default();
-    let arrays = match solve_sparse(tree, &loss, k_max, &guard) {
+    let arrays = match solve_sparse(tree, &loss, k_max, guard) {
         Ok(arrays) => arrays,
-        Err(_) => return Ok(vec![(total_m, total_v)]),
+        Err((reason, steps)) => {
+            let completion = Completion::Interrupted {
+                reason,
+                steps,
+                size_reached: total_m,
+            };
+            return Ok((vec![(total_m, total_v)], completion));
+        }
     };
     let mut points: Vec<(usize, u64)> = arrays[tree.root().index()]
         .iter()
@@ -519,13 +324,20 @@ pub fn optimal_frontier<C: Coefficient>(
             out.push(p);
         }
     }
-    Ok(out)
+    Ok((out, Completion::Complete))
 }
+
+// The name `benchmark/` imports, until a `benchmark`-only change renames it.
+#[doc(hidden)]
+pub use optimal_vvs as optimal_vvs_interned_guarded;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::AbstractionResult;
+    use crate::reference::optimal_vvs_dense;
     use provabs_provenance::parse::parse_polyset;
+    use provabs_provenance::polyset::PolySet;
     use provabs_provenance::var::VarTable;
     use provabs_trees::builder::TreeBuilder;
     use provabs_trees::generate::{months_tree, plans_tree};
@@ -546,12 +358,35 @@ mod tests {
         (polys, forest, vars)
     }
 
+    /// Algorithm 1 on a poly-set under no limits — the one call shape
+    /// these tests make.
+    fn opt(
+        polys: &PolySet<f64>,
+        forest: &Forest,
+        bound: usize,
+    ) -> Result<AbstractionResult, TreeError> {
+        optimal_vvs(
+            &WorkingSet::from_polyset(polys),
+            forest,
+            bound,
+            &Guard::unlimited(),
+        )
+        .map(|(abs, _)| abs.result)
+    }
+
     #[test]
     fn example_13_optimal_selection() {
         // B = 9, k = 5: the optimal VVS is {SB, Special, e, p1} with
         // ML = 6 and VL = 3 (the paper's Sp is shorthand for Special).
         let (polys, forest, vars) = example_13();
-        let r = optimal_vvs(&polys, &forest, 9).expect("solvable");
+        let source = WorkingSet::from_polyset(&polys);
+        let (abs, completion) =
+            optimal_vvs(&source, &forest, 9, &Guard::unlimited()).expect("solvable");
+        assert!(completion.is_complete());
+        // The returned working set is the abstracted set.
+        assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
+        assert_eq!(abs.working.size_v(), abs.result.compressed_size_v);
+        let r = abs.result;
         assert!(r.is_adequate_for(9));
         assert_eq!(r.vl(), 3);
         assert_eq!(r.ml(), 6);
@@ -570,7 +405,7 @@ mod tests {
     fn dense_and_sparse_agree_on_example_13() {
         let (polys, forest, _) = example_13();
         for bound in 4..=14 {
-            let sparse = optimal_vvs(&polys, &forest, bound);
+            let sparse = opt(&polys, &forest, bound);
             let dense = optimal_vvs_dense(&polys, &forest, bound);
             match (sparse, dense) {
                 (Ok(s), Ok(d)) => {
@@ -580,27 +415,6 @@ mod tests {
                 }
                 (Err(es), Err(ed)) => assert_eq!(es, ed, "bound {bound}"),
                 (s, d) => panic!("disagreement at bound {bound}: {s:?} vs {d:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn interned_entry_point_matches_polyset_entry_point() {
-        let (polys, forest, _) = example_13();
-        let source = WorkingSet::from_polyset(&polys);
-        for bound in 3..=polys.size_m() + 1 {
-            let by_polys = optimal_vvs(&polys, &forest, bound);
-            let by_ws = optimal_vvs_interned(&source, &forest, bound);
-            match (by_polys, by_ws) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.vvs, b.result.vvs, "bound {bound}");
-                    assert_eq!(a.compressed_size_m, b.result.compressed_size_m);
-                    assert_eq!(a.compressed_size_v, b.result.compressed_size_v);
-                    assert_eq!(b.working.size_m(), b.result.compressed_size_m);
-                    assert_eq!(b.working.size_v(), b.result.compressed_size_v);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "bound {bound}"),
-                (a, b) => panic!("entry points disagree at bound {bound}: {a:?} vs {b:?}"),
             }
         }
     }
@@ -617,7 +431,7 @@ mod tests {
         )
         .expect("parse");
         let forest = Forest::single(months_tree(&mut vars));
-        let err = optimal_vvs(&polys, &forest, 3).expect_err("unattainable");
+        let err = opt(&polys, &forest, 3).expect_err("unattainable");
         assert_eq!(
             err,
             TreeError::BoundUnattainable {
@@ -626,7 +440,7 @@ mod tests {
             }
         );
         // B = 4 is attainable: group m1, m3 under q1.
-        let r = optimal_vvs(&polys, &forest, 4).expect("attainable");
+        let r = opt(&polys, &forest, 4).expect("attainable");
         assert_eq!(r.compressed_size_m, 4);
         assert_eq!(r.vl(), 1);
     }
@@ -634,7 +448,7 @@ mod tests {
     #[test]
     fn loose_bound_returns_identity() {
         let (polys, forest, _) = example_13();
-        let r = optimal_vvs(&polys, &forest, polys.size_m()).expect("identity");
+        let r = opt(&polys, &forest, polys.size_m()).expect("identity");
         assert_eq!(r.vl(), 0);
         assert_eq!(r.ml(), 0);
         assert_eq!(r.compressed_size_m, polys.size_m());
@@ -645,10 +459,10 @@ mod tests {
         let (polys, forest, _) = example_13();
         // Maximal compression: both polynomials collapse to 2 monomials
         // each (one per month) → size 4, via S = {Plans}.
-        let r = optimal_vvs(&polys, &forest, 4).expect("solvable");
+        let r = opt(&polys, &forest, 4).expect("solvable");
         assert_eq!(r.compressed_size_m, 4);
         assert_eq!(r.vvs.labels(&r.forest), vec!["Plans".to_string()]);
-        let err = optimal_vvs(&polys, &forest, 3).expect_err("below maximal compression");
+        let err = opt(&polys, &forest, 3).expect_err("below maximal compression");
         assert!(matches!(err, TreeError::BoundUnattainable { .. }));
     }
 
@@ -657,7 +471,7 @@ mod tests {
         let (polys, _, mut vars) = example_13();
         let f2 = Forest::new(vec![plans_tree_clone(&mut vars), months_tree(&mut vars)])
             .expect("disjoint");
-        let err = optimal_vvs(&polys, &f2, 9).expect_err("two trees");
+        let err = opt(&polys, &f2, 9).expect_err("two trees");
         assert_eq!(err, TreeError::ExpectedSingleTree(2));
     }
 
@@ -670,13 +484,19 @@ mod tests {
     #[test]
     fn frontier_covers_all_bounds() {
         let (polys, forest, _) = example_13();
-        let frontier = optimal_frontier(&polys, &forest).expect("frontier");
+        let (frontier, completion) = optimal_frontier(
+            &WorkingSet::from_polyset(&polys),
+            &forest,
+            &Guard::unlimited(),
+        )
+        .expect("frontier");
+        assert!(completion.is_complete());
         // Identity point plus strictly improving compressed sizes.
         assert_eq!(frontier[0], (14, 9));
         assert!(frontier.windows(2).all(|w| w[1].0 < w[0].0));
         // The frontier agrees with per-bound optimal runs.
         for &(size, granularity) in &frontier {
-            let r = optimal_vvs(&polys, &forest, size).expect("attainable");
+            let r = opt(&polys, &forest, size).expect("attainable");
             assert_eq!(r.compressed_size_v, granularity, "size {size}");
         }
         // Best possible size is 4 (Example 13's tree merges plans only).
@@ -693,7 +513,7 @@ mod tests {
             .build(&mut vars)
             .expect("tree");
         let forest = Forest::single(tree);
-        let r = optimal_vvs(&polys, &forest, 1).expect("solvable");
+        let r = opt(&polys, &forest, 1).expect("solvable");
         assert_eq!(r.compressed_size_m, 1);
         assert_eq!(r.compressed_size_v, 1);
         let down = r.apply(&polys);

@@ -8,14 +8,17 @@
 //! * **optimal** for `B` if adequate and no adequate VVS retains more
 //!   distinct variables.
 //!
-//! All algorithms in this crate return an [`AbstractionResult`] carrying
-//! the chosen VVS together with the (cleaned) forest it refers to and the
-//! four size/granularity measures.
+//! All algorithms in this crate take the provenance as an interned
+//! [`WorkingSet`] (a hash-map poly-set is an *input format*, lowered once
+//! by [`WorkingSet::from_polyset`]) and return an [`InternedAbstraction`]:
+//! the [`AbstractionResult`] — the chosen VVS together with the (cleaned)
+//! forest it refers to and the four size/granularity measures — plus the
+//! rewritten `𝒫↓S`.
 
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::working::WorkingSet;
-use provabs_trees::clean::{clean_forest, clean_forest_vars};
+use provabs_trees::clean::clean_forest_vars;
 use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
@@ -59,7 +62,9 @@ impl AbstractionResult {
     }
 
     /// Applies the chosen abstraction to a polynomial set (normally the
-    /// one it was computed from): `𝒫↓S`.
+    /// one it was computed from): `𝒫↓S`. This is the materialising bridge
+    /// out of the interned currency — the algorithms themselves return
+    /// `𝒫↓S` as [`InternedAbstraction::working`].
     pub fn apply<C: Coefficient>(&self, polys: &PolySet<C>) -> PolySet<C> {
         self.vvs.apply(polys, &self.forest)
     }
@@ -74,53 +79,12 @@ impl AbstractionResult {
     }
 }
 
-/// Applies `vvs` to `polys` and measures everything. `forest` must be the
-/// forest the VVS was built over (typically already cleaned).
-///
-/// The measurement runs through a
-/// [`WorkingSet`] rather than a
-/// wholesale [`Vvs::apply`]: each distinct monomial is remapped exactly
-/// once regardless of how many polynomials share it, and the merge is
-/// `u32`-id accumulation instead of rebuilding monomial hash maps. The
-/// sizes are identical to the direct application (the working set mirrors
-/// `map_vars` term-set semantics); callers needing the materialised
-/// `𝒫↓S` still use [`AbstractionResult::apply`].
-pub fn evaluate_vvs<C: Coefficient>(
-    polys: &PolySet<C>,
-    forest: &Forest,
-    vvs: Vvs,
-) -> AbstractionResult {
-    let subst = vvs.substitution(forest);
-    let (compressed_size_m, compressed_size_v) = if subst.is_empty() {
-        (polys.size_m(), polys.size_v())
-    } else {
-        let mut ws = provabs_provenance::working::WorkingSet::from_polyset(polys);
-        ws.apply_var_map(|v| subst.target(v));
-        (ws.size_m(), ws.size_v())
-    };
-    AbstractionResult {
-        forest: forest.clone(),
-        vvs,
-        original_size_m: polys.size_m(),
-        original_size_v: polys.size_v(),
-        compressed_size_m,
-        compressed_size_v,
-    }
-}
-
-/// Cleans the forest against the polynomials and checks compatibility —
+/// Cleans the forest against the provenance and checks compatibility —
 /// the shared preamble of every algorithm. Returns the cleaned forest.
-pub fn prepare<C: Coefficient>(polys: &PolySet<C>, forest: &Forest) -> Result<Forest, TreeError> {
-    let cleaned = clean_forest(forest, polys);
-    cleaned.check_compatible(polys)?;
-    Ok(cleaned)
-}
-
-/// [`prepare`] for interned provenance: the live-variable set and the
-/// distinct live monomials are read straight from the working set's
-/// arena, so no [`PolySet`] is materialised. Equivalent to
-/// `prepare(&working.to_polyset(), forest)` in outcome.
-pub fn prepare_interned<C: Coefficient>(
+///
+/// The live-variable set and the distinct live monomials are read
+/// straight from the working set's arena.
+pub fn prepare<C: Coefficient>(
     working: &WorkingSet<C>,
     forest: &Forest,
 ) -> Result<Forest, TreeError> {
@@ -134,7 +98,7 @@ pub fn prepare_interned<C: Coefficient>(
 /// measures ([`AbstractionResult`]) together with the rewritten `𝒫↓S` as
 /// a [`WorkingSet`] over the shared monomial arena. Callers evaluate it
 /// by freezing ([`WorkingSet::freeze`]) instead of materialising a
-/// [`PolySet`] and re-compiling — the id-to-id hand-off the pipeline is
+/// poly-set and re-compiling — the id-to-id hand-off the pipeline is
 /// built around.
 #[derive(Clone, Debug)]
 pub struct InternedAbstraction<C> {
@@ -144,12 +108,16 @@ pub struct InternedAbstraction<C> {
     pub working: WorkingSet<C>,
 }
 
-/// Applies `vvs` to an interned working set (consuming it) and measures
-/// everything — the id-space counterpart of [`evaluate_vvs`], returning
-/// both the measures and the rewritten working set so downstream layers
-/// keep speaking ids. `forest` must be the forest the VVS was built over
-/// (typically already cleaned).
-pub fn evaluate_vvs_interned<C: Coefficient>(
+/// Applies `vvs` to a working set (consuming it) and measures everything,
+/// returning both the measures and the rewritten working set so
+/// downstream layers keep speaking ids. `forest` must be the forest the
+/// VVS was built over (typically already cleaned).
+///
+/// Each distinct monomial is remapped exactly once regardless of how many
+/// polynomials share it, and the merge is `u32`-id accumulation; the
+/// sizes are identical to a direct [`Vvs::apply`] (the working set
+/// mirrors `map_vars` term-set semantics).
+pub fn evaluate_vvs<C: Coefficient>(
     mut working: WorkingSet<C>,
     forest: &Forest,
     vvs: Vvs,
@@ -195,7 +163,7 @@ mod tests {
             .expect("tree");
         let forest = Forest::single(tree);
         let vvs = Vvs::from_labels(&forest, &vars, &["Plans"]).expect("labels");
-        let r = evaluate_vvs(&polys, &forest, vvs);
+        let r = evaluate_vvs(WorkingSet::from_polyset(&polys), &forest, vvs).result;
         assert_eq!(r.original_size_m, 8);
         assert_eq!(r.original_size_v, 6);
         assert_eq!(r.compressed_size_m, 2);
@@ -220,7 +188,7 @@ mod tests {
         let forest = Forest::single(tree);
         // m2 does not occur: raw forest is incompatible, prepare fixes it.
         assert!(forest.check_compatible(&polys).is_err());
-        let cleaned = prepare(&polys, &forest).expect("prepare");
+        let cleaned = prepare(&WorkingSet::from_polyset(&polys), &forest).expect("prepare");
         assert_eq!(cleaned.num_trees(), 1);
         assert_eq!(cleaned.tree(0).num_leaves(), 2);
     }

@@ -6,7 +6,7 @@
 //! — becomes the bottleneck of the interactive what-if loop the paper
 //! targets. This module splits that loop two ways:
 //!
-//! * **Sharding** ([`sharded_greedy_interned_guarded`]): the poly-set is
+//! * **Sharding** ([`sharded_greedy`]): the poly-set is
 //!   partitioned by output group into K shards (size-balanced over the
 //!   interned arena, [`partition_by_size`]), each shard gets a compacted
 //!   per-shard [`WorkingSet`] via the subset machinery and runs the
@@ -51,17 +51,12 @@
 //! interrupted run returns a sound anytime prefix tagged
 //! [`Completion::Interrupted`].
 
-use crate::greedy::{
-    greedy_frontier, greedy_vvs_interned_guarded, run_incremental_ws_traced, TraceStep,
-};
-use crate::problem::{
-    evaluate_vvs_interned, prepare_interned, AbstractionResult, InternedAbstraction,
-};
+use crate::greedy::{greedy_frontier, greedy_vvs, run_incremental, TraceStep};
+use crate::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::guard::{Completion, Guard, Interrupt};
 use provabs_provenance::intern::MonoArena;
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::{SubsetScratch, WorkingSet};
 use provabs_trees::clean::truncate_forest;
@@ -129,7 +124,7 @@ fn trace_one_shard<C: Coefficient>(
     scratch: &mut SubsetScratch,
 ) -> Result<ShardTrace, TreeError> {
     let sub = source.subset_with(part, scratch);
-    let shard_forest = prepare_interned(&sub, forest)?;
+    let shard_forest = prepare(&sub, forest)?;
     if shard_forest.num_trees() == 0 {
         return Ok(ShardTrace {
             steps: Vec::new(),
@@ -137,10 +132,9 @@ fn trace_one_shard<C: Coefficient>(
         });
     }
     let mut steps = Vec::new();
-    let (_, _, completion) =
-        run_incremental_ws_traced(sub, &shard_forest, k, guard, &mut |step, _, _| {
-            steps.push(step)
-        });
+    let (_, _, completion) = run_incremental(sub, &shard_forest, k, guard, &mut |step, _, _| {
+        steps.push(step)
+    });
     Ok(ShardTrace { steps, completion })
 }
 
@@ -352,14 +346,13 @@ fn normalize_completion(folded: Completion, steps: usize, size_reached: usize) -
     }
 }
 
-/// Sharded greedy compression in the interned currency: partitions into
-/// `shards` shards, traces each shard's greedy run concurrently, merges
+/// Sharded greedy compression: partitions into `shards` shards, traces each shard's greedy run concurrently, merges
 /// the traces by marginal loss, and realises the merged selection
 /// against the global cleaned forest in one pass (see the
 /// [module docs](self)).
 ///
 /// `shards <= 1` (or a partition that collapses to one shard) delegates
-/// to [`greedy_vvs_interned_guarded`] — bit-for-bit the unsharded
+/// to [`greedy_vvs`] — bit-for-bit the unsharded
 /// engine. For `shards > 1` the result satisfies the bound whenever the
 /// run completes without [`TreeError::BoundUnattainable`]; the sharded
 /// exhaustion floor may sit above the global engine's (see the module
@@ -369,7 +362,7 @@ fn normalize_completion(folded: Completion, steps: usize, size_reached: usize) -
 /// Interrupted runs follow the engine's anytime contract: the merged
 /// prefix applied so far comes back as a sound abstraction tagged
 /// [`Completion::Interrupted`], exempt from the adequacy check.
-pub fn sharded_greedy_interned_guarded<C: Coefficient>(
+pub fn sharded_greedy<C: Coefficient>(
     source: &WorkingSet<C>,
     forest: &Forest,
     bound: usize,
@@ -377,14 +370,14 @@ pub fn sharded_greedy_interned_guarded<C: Coefficient>(
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
     if shards <= 1 {
-        return greedy_vvs_interned_guarded(source, forest, bound, guard);
+        return greedy_vvs(source, forest, bound, guard);
     }
-    let cleaned = prepare_interned(source, forest)?;
+    let cleaned = prepare(source, forest)?;
     let total_m = source.size_m();
     if bound >= total_m {
         let vvs = Vvs::identity(&cleaned);
         return Ok((
-            evaluate_vvs_interned(source.clone(), &cleaned, vvs),
+            evaluate_vvs(source.clone(), &cleaned, vvs),
             Completion::Complete,
         ));
     }
@@ -396,7 +389,7 @@ pub fn sharded_greedy_interned_guarded<C: Coefficient>(
     }
     let parts = partition_by_size(source, shards);
     if parts.len() <= 1 {
-        return greedy_vvs_interned_guarded(source, forest, bound, guard);
+        return greedy_vvs(source, forest, bound, guard);
     }
     let total_v = source.size_v();
     let k = total_m - bound;
@@ -404,7 +397,7 @@ pub fn sharded_greedy_interned_guarded<C: Coefficient>(
     let merged = merge_traces(&cleaned, &traces, k, total_m, total_v, guard);
     let vvs = vvs_from_applied(&cleaned, &merged.applied);
     debug_assert!(vvs.validate(&cleaned).is_ok());
-    let abs = evaluate_vvs_interned(source.clone(), &cleaned, vvs);
+    let abs = evaluate_vvs(source.clone(), &cleaned, vvs);
     let completion = normalize_completion(
         merged.completion,
         merged.applied.len(),
@@ -421,31 +414,38 @@ pub fn sharded_greedy_interned_guarded<C: Coefficient>(
 
 /// The sharded size/granularity trade-off trace: traces every shard to
 /// exhaustion, merges, and returns the global frontier — the sharded
-/// counterpart of [`greedy_frontier`], starting at the identity point.
-/// Loss coordinates are the merge's predictions (shard-local deltas):
-/// realised sizes at any prefix can only be smaller, and the granularity
-/// coordinate saturates at 0 when shards double-count shared variables
-/// (see the [module docs](self)).
+/// counterpart of [`greedy_frontier`] (to which `shards <= 1`
+/// delegates), starting at the identity point. Loss coordinates are the
+/// merge's predictions (shard-local deltas): realised sizes at any prefix
+/// can only be smaller, and the granularity coordinate saturates at 0
+/// when shards double-count shared variables (see the
+/// [module docs](self)). A tripped guard returns the prefix merged so
+/// far, tagged [`Completion::Interrupted`].
+#[allow(clippy::type_complexity)]
 pub fn sharded_greedy_frontier<C: Coefficient>(
-    polys: &PolySet<C>,
+    source: &WorkingSet<C>,
     forest: &Forest,
     shards: usize,
-) -> Result<Vec<(usize, usize)>, TreeError> {
+    guard: &Guard,
+) -> Result<(Vec<(usize, usize)>, Completion), TreeError> {
     if shards <= 1 {
-        return greedy_frontier(polys, forest);
+        return greedy_frontier(source, forest, guard);
     }
-    let source = WorkingSet::from_polyset(polys);
-    let cleaned = prepare_interned(&source, forest)?;
+    let cleaned = prepare(source, forest)?;
     let total_m = source.size_m();
     let total_v = source.size_v();
     if cleaned.num_trees() == 0 {
-        return Ok(vec![(total_m, total_v)]);
+        return Ok((vec![(total_m, total_v)], Completion::Complete));
     }
-    let guard = Guard::ambient().unwrap_or_default();
-    let parts = partition_by_size(&source, shards);
-    let traces = run_shard_traces(&source, forest, &parts, usize::MAX, &guard)?;
-    let merged = merge_traces(&cleaned, &traces, usize::MAX, total_m, total_v, &guard);
-    Ok(merged.frontier)
+    let parts = partition_by_size(source, shards);
+    let traces = run_shard_traces(source, forest, &parts, usize::MAX, guard)?;
+    let merged = merge_traces(&cleaned, &traces, usize::MAX, total_m, total_v, guard);
+    let (size_reached, _) = *merged
+        .frontier
+        .last()
+        .expect("starts at the identity point");
+    let completion = normalize_completion(merged.completion, merged.applied.len(), size_reached);
+    Ok((merged.frontier, completion))
 }
 
 /// Configuration of the bounded-memory streaming ingest path.
@@ -623,13 +623,13 @@ impl<'f, C: Coefficient> StreamingCompressor<'f, C> {
         if remaining.num_trees() == 0 {
             return Ok(());
         }
-        match greedy_vvs_interned_guarded(&self.carried, &remaining, bound, guard) {
+        match greedy_vvs(&self.carried, &remaining, bound, guard) {
             Ok((abs, completion)) => self.adopt(abs, completion),
             Err(TreeError::BoundUnattainable { best_possible, .. })
                 if best_possible < self.carried.size_m() =>
             {
                 let (abs, completion) =
-                    greedy_vvs_interned_guarded(&self.carried, &remaining, best_possible, guard)?;
+                    greedy_vvs(&self.carried, &remaining, best_possible, guard)?;
                 self.adopt(abs, completion);
             }
             Err(TreeError::BoundUnattainable { .. }) => {} // already at the floor
@@ -672,8 +672,7 @@ impl<'f, C: Coefficient> StreamingCompressor<'f, C> {
                     best_possible: self.carried.size_m(),
                 });
             }
-            let (abs, completion) =
-                greedy_vvs_interned_guarded(&self.carried, &remaining, bound, guard)?;
+            let (abs, completion) = greedy_vvs(&self.carried, &remaining, bound, guard)?;
             self.adopt(abs, completion);
         }
         let frontier = self.carried.live_vars();
@@ -698,10 +697,15 @@ impl<'f, C: Coefficient> StreamingCompressor<'f, C> {
     }
 }
 
+// The name `benchmark/` imports, until a `benchmark`-only change renames it.
+#[doc(hidden)]
+pub use sharded_greedy as sharded_greedy_interned_guarded;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use provabs_provenance::parse::parse_polyset;
+    use provabs_provenance::polyset::PolySet;
     use provabs_provenance::var::VarTable;
     use provabs_trees::builder::TreeBuilder;
     use provabs_trees::generate::{months_tree, plans_tree};
@@ -763,8 +767,8 @@ mod tests {
         let source = WorkingSet::from_polyset(&polys);
         let guard = Guard::unlimited();
         for bound in 1..=polys.size_m() + 1 {
-            let plain = greedy_vvs_interned_guarded(&source, &forest, bound, &guard);
-            let sharded = sharded_greedy_interned_guarded(&source, &forest, bound, 1, &guard);
+            let plain = greedy_vvs(&source, &forest, bound, &guard);
+            let sharded = sharded_greedy(&source, &forest, bound, 1, &guard);
             match (plain, sharded) {
                 (Ok((a, ca)), Ok((b, cb))) => {
                     assert_eq!(a.result.vvs, b.result.vvs, "bound {bound}");
@@ -784,7 +788,7 @@ mod tests {
         let guard = Guard::unlimited();
         for shards in [2, 3, 4] {
             for bound in 2..=polys.size_m() {
-                match sharded_greedy_interned_guarded(&source, &forest, bound, shards, &guard) {
+                match sharded_greedy(&source, &forest, bound, shards, &guard) {
                     Ok((abs, completion)) => {
                         assert!(completion.is_complete());
                         abs.result.vvs.validate(&abs.result.forest).expect("valid");
@@ -808,8 +812,12 @@ mod tests {
     #[test]
     fn sharded_frontier_is_monotone() {
         let (polys, forest, _) = example_15();
+        let source = WorkingSet::from_polyset(&polys);
         for shards in [1, 2, 4] {
-            let frontier = sharded_greedy_frontier(&polys, &forest, shards).expect("runs");
+            let (frontier, completion) =
+                sharded_greedy_frontier(&source, &forest, shards, &Guard::unlimited())
+                    .expect("runs");
+            assert!(completion.is_complete());
             assert_eq!(frontier[0], (polys.size_m(), polys.size_v()));
             for w in frontier.windows(2) {
                 assert!(w[1].0 <= w[0].0, "K={shards}: size must weakly decrease");
@@ -835,8 +843,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let guard = Guard::new(Budget::unlimited()).with_cancel(token);
-        let (abs, completion) =
-            sharded_greedy_interned_guarded(&source, &forest, 2, 4, &guard).expect("anytime");
+        let (abs, completion) = sharded_greedy(&source, &forest, 2, 4, &guard).expect("anytime");
         assert!(!completion.is_complete());
         // Nothing was applied: the pre-cancelled token stops every shard
         // at its first claim, so the result is the identity abstraction.
@@ -854,8 +861,7 @@ mod tests {
         let source = WorkingSet::from_polyset(&polys);
         // A tiny step budget: the run must stop early but stay valid.
         let guard = Guard::new(Budget::with_steps(2));
-        let (abs, completion) =
-            sharded_greedy_interned_guarded(&source, &forest, 2, 2, &guard).expect("anytime");
+        let (abs, completion) = sharded_greedy(&source, &forest, 2, 2, &guard).expect("anytime");
         assert!(!completion.is_complete());
         abs.result
             .vvs

@@ -5,8 +5,9 @@
 //! A counting `#[global_allocator]` needs the process to itself, so this
 //! binary holds exactly one test.
 
-use provabs_core::greedy::greedy_vvs_interned;
+use provabs_core::greedy::greedy_vvs;
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
+use provabs_provenance::guard::Guard;
 use provabs_provenance::intern::{MonoArena, MonoId};
 use provabs_provenance::var::VarTable;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,8 +82,9 @@ fn compression_allocates_per_run_not_per_monomial() {
 
     let forest = scale_forest(&config, &mut vars);
     let bound = monomials / 2;
-    let (abs, compressing, _) =
-        measured(|| greedy_vvs_interned(&source, &forest, bound).expect("attainable"));
+    let guard = Guard::unlimited();
+    let ((abs, _), compressing, _) =
+        measured(|| greedy_vvs(&source, &forest, bound, &guard).expect("attainable"));
     assert!(
         abs.result.compressed_size_m <= bound,
         "the run did its work"

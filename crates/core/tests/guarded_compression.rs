@@ -1,32 +1,38 @@
 //! Property suite for guarded compression: the **anytime-prefix**
 //! invariant.
 //!
-//! Two claims, on random poly-sets × random forests × swept bounds:
+//! On random poly-sets × random forests × every step cap: **a
+//! step-capped run is a prefix of the uninterrupted trace.** A greedy run
+//! interrupted after `k` selection steps sits exactly on the `k`-th point
+//! of the full run's [`greedy_frontier`] trace, and the two independent
+//! greedy engines (incremental working-set vs. the full-rescan
+//! [`mod@reference`]) agree bit-for-bit on the interrupted VVS at every cap.
+//! An interrupted prefix is a *sound* abstraction: its VVS validates and
+//! its sizes are consistent. The layers built on the engine carry the
+//! same guard and are held to the same trace: [`sharded_greedy`] (one
+//! shard is the engine itself; two shards return a sound, typed prefix)
+//! and [`online_compress`] (a full sample is the engine on a compacted
+//! copy).
 //!
-//! 1. **Unlimited guards are free** — every `*_guarded` engine under
-//!    [`Guard::unlimited`] returns bit-for-bit the output of its
-//!    unguarded entry point, tagged [`Completion::Complete`]. Guarding
-//!    changes *when* a run may stop, never *what* it computes.
-//! 2. **A step-capped run is a prefix of the uninterrupted trace** — a
-//!    greedy run interrupted after `k` selection steps sits exactly on
-//!    the `k`-th point of the full run's [`greedy_frontier`] trace, and
-//!    the two independent greedy engines (incremental working-set vs.
-//!    reference full-rescan) agree bit-for-bit on the interrupted VVS at
-//!    every cap. An interrupted prefix is a *sound* abstraction: its VVS
-//!    validates and its sizes are consistent.
+//! Every algorithm takes its guard explicitly, so nothing here depends on
+//! `PROVABS_AMBIENT_DEADLINE_MS`: step caps and tokens are checked at
+//! every tick, which makes each interruption point exact. (That an
+//! unlimited guard changes nothing needs no test any more — there is no
+//! unguarded entry point to differ from.)
 
 use proptest::prelude::*;
-use provabs_core::competitor::{pairwise_summarize, pairwise_summarize_guarded};
-use provabs_core::greedy::{
-    greedy_frontier, greedy_vvs, greedy_vvs_guarded, greedy_vvs_reference,
-    greedy_vvs_reference_guarded,
-};
-use provabs_core::optimal::{optimal_vvs, optimal_vvs_guarded};
+use provabs_core::greedy::{greedy_frontier, greedy_vvs};
+use provabs_core::online::{online_compress, Solver};
+use provabs_core::optimal::optimal_vvs;
+use provabs_core::reference;
+use provabs_core::shard::sharded_greedy;
 use provabs_provenance::guard::{Budget, CancelToken, Completion, Guard, Interrupt};
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::{VarId, VarTable};
+use provabs_provenance::working::WorkingSet;
+use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 use provabs_trees::generate::random_tree;
 
@@ -82,67 +88,10 @@ fn random_forest(vars: &mut VarTable, names: &[String], seed: u64, two: bool) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Claim 1: `Guard::unlimited()` output is bit-identical to the
-    /// unguarded engines, for every engine and a sweep of bounds.
-    #[test]
-    fn unlimited_guard_output_is_bit_identical(
-        polys in polyset_strategy(),
-        seed in 0u64..1_000,
-    ) {
-        let (mut vars, names) = leaf_table();
-        let forest = random_forest(&mut vars, &names, seed, true);
-        let single = random_forest(&mut leaf_table().0, &names, seed, false);
-        let guard = Guard::unlimited();
-        let total = polys.size_m();
-        for bound in [1, 2, total / 2, total, total + 3] {
-            if bound == 0 {
-                continue;
-            }
-            // Greedy, both engines.
-            match (greedy_vvs(&polys, &forest, bound), greedy_vvs_guarded(&polys, &forest, bound, &guard)) {
-                (Ok(a), Ok((b, c))) => {
-                    prop_assert_eq!(c, Completion::Complete);
-                    prop_assert_eq!(&a.vvs, &b.vvs, "greedy bound {}", bound);
-                    prop_assert_eq!(a.compressed_size_m, b.compressed_size_m);
-                    prop_assert_eq!(a.compressed_size_v, b.compressed_size_v);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => panic!("greedy disagrees at bound {bound}: {a:?} vs {b:?}"),
-            }
-            match (greedy_vvs_reference(&polys, &forest, bound), greedy_vvs_reference_guarded(&polys, &forest, bound, &guard)) {
-                (Ok(a), Ok((b, c))) => {
-                    prop_assert_eq!(c, Completion::Complete);
-                    prop_assert_eq!(&a.vvs, &b.vvs, "reference bound {}", bound);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => panic!("reference disagrees at bound {bound}: {a:?} vs {b:?}"),
-            }
-            // Optimal (single-tree regime).
-            match (optimal_vvs(&polys, &single, bound), optimal_vvs_guarded(&polys, &single, bound, &guard)) {
-                (Ok(a), Ok((b, c))) => {
-                    prop_assert_eq!(c, Completion::Complete);
-                    prop_assert_eq!(&a.vvs, &b.vvs, "optimal bound {}", bound);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => panic!("optimal disagrees at bound {bound}: {a:?} vs {b:?}"),
-            }
-            // Competitor baseline.
-            match (pairwise_summarize(&polys, &forest, bound), pairwise_summarize_guarded(&polys, &forest, bound, &guard)) {
-                (Ok((a, sa)), Ok((b, sb, c))) => {
-                    prop_assert_eq!(c, Completion::Complete);
-                    prop_assert_eq!(&a.vvs, &b.vvs, "competitor bound {}", bound);
-                    prop_assert_eq!(sa.merges_applied, sb.merges_applied);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => panic!("competitor disagrees at bound {bound}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    /// Claim 2: the interrupted greedy state is a bit-for-bit prefix of
-    /// the uninterrupted run — at every step cap `k`, both engines land
-    /// on the same VVS, and its sizes are exactly the `k`-th point of
-    /// the full run's frontier trace.
+    /// The interrupted greedy state is a bit-for-bit prefix of the
+    /// uninterrupted run — at every step cap `k`, both engines land on
+    /// the same VVS, and its sizes are exactly the `k`-th point of the
+    /// full run's frontier trace.
     #[test]
     fn step_capped_greedy_is_a_prefix_of_the_uninterrupted_trace(
         polys in polyset_strategy(),
@@ -154,14 +103,19 @@ proptest! {
         // point `k` is the working-set size after `k` selection steps.
         // Target the trace's floor so the bound is attainable and the
         // uncapped run walks the whole trace.
-        let trace = greedy_frontier(&polys, &forest).expect("frontier runs");
+        let source = WorkingSet::from_polyset(&polys);
+        let (trace, traced) =
+            greedy_frontier(&source, &forest, &Guard::unlimited()).expect("frontier runs");
+        prop_assert!(traced.is_complete());
         let bound = trace.last().expect("non-empty trace").0.max(1);
         for cap in 0..trace.len() {
             let guard = Guard::new(Budget::with_steps(cap as u64));
-            let (inc, inc_done) =
-                greedy_vvs_guarded(&polys, &forest, bound, &guard).expect("anytime result");
+            let (inc_abs, inc_done) =
+                greedy_vvs(&source, &forest, bound, &guard).expect("anytime result");
             let (refr, ref_done) =
-                greedy_vvs_reference_guarded(&polys, &forest, bound, &guard).expect("anytime result");
+                reference::greedy_vvs(&polys, &forest, bound, &guard).expect("anytime result");
+            let inc = &inc_abs.result;
+            prop_assert_eq!(inc_abs.working.size_m(), inc.compressed_size_m);
             // Engines agree bit-for-bit on the prefix.
             prop_assert_eq!(&inc.vvs, &refr.vvs, "cap {}", cap);
             prop_assert_eq!(inc_done, ref_done, "cap {}", cap);
@@ -192,6 +146,45 @@ proptest! {
                     prop_assert_eq!(inc.compressed_size_v, vl);
                 }
             }
+
+            // One shard is the engine itself, cap included.
+            let (one, one_done) =
+                sharded_greedy(&source, &forest, bound, 1, &guard).expect("anytime result");
+            prop_assert_eq!(&one.result.vvs, &inc.vvs, "K=1 cap {}", cap);
+            prop_assert_eq!(one_done, inc_done, "K=1 cap {}", cap);
+
+            // Two shards: each trace and the merge stop at the cap, and
+            // what comes back is a sound, typed prefix (or, for a run the
+            // cap did not cut short, the sharded floor above the bound).
+            match sharded_greedy(&source, &forest, bound, 2, &guard) {
+                Ok((two, two_done)) => {
+                    two.result.vvs.validate(&two.result.forest).expect("sharded prefix is sound");
+                    prop_assert_eq!(two.working.size_m(), two.result.compressed_size_m);
+                    match two_done {
+                        Completion::Complete => prop_assert!(two.result.is_adequate_for(bound)),
+                        Completion::Interrupted { reason, steps, size_reached } => {
+                            prop_assert_eq!(reason, Interrupt::StepCapExhausted);
+                            prop_assert!(steps <= cap, "merged {} steps under cap {}", steps, cap);
+                            prop_assert_eq!(size_reached, two.result.compressed_size_m);
+                        }
+                    }
+                }
+                Err(TreeError::BoundUnattainable { best_possible, .. }) => {
+                    prop_assert!(best_possible > bound, "K=2 cap {}", cap);
+                }
+                Err(e) => panic!("K=2 cap {cap}: unexpected error {e}"),
+            }
+
+            // A full sample is the engine on a compacted copy: the VVS
+            // chosen under the cap, measured on the full set, is the same
+            // trace point, and the interruption is bubbled up unchanged.
+            let (online, online_done) =
+                online_compress(&source, &forest, bound, 1.0, seed, Solver::Greedy, &guard)
+                    .expect("anytime result");
+            prop_assert_eq!(&online.full.result.vvs, &inc.vvs, "online cap {}", cap);
+            prop_assert_eq!(online_done, inc_done, "online cap {}", cap);
+            prop_assert_eq!(online.full.result.compressed_size_m, inc.compressed_size_m);
+            prop_assert_eq!(online.full.result.compressed_size_v, inc.compressed_size_v);
         }
     }
 }
@@ -210,8 +203,9 @@ fn pre_cancelled_guard_returns_the_identity_prefix() {
     let token = CancelToken::new();
     token.cancel();
     let guard = Guard::unlimited().with_cancel(token);
-    let (result, completion) = greedy_vvs_guarded(&polys, &forest, 1, &guard).expect("anytime");
-    assert_eq!(result.compressed_size_m, result.original_size_m);
+    let (abs, completion) =
+        greedy_vvs(&WorkingSet::from_polyset(&polys), &forest, 1, &guard).expect("anytime");
+    assert_eq!(abs.result.compressed_size_m, abs.result.original_size_m);
     let Completion::Interrupted { reason, steps, .. } = completion else {
         panic!("expected an interruption, got {completion:?}");
     };
@@ -232,7 +226,9 @@ fn interrupted_optimal_falls_back_to_the_identity() {
         (Monomial::var(VarId(3)), 4.0),
     ])]);
     let guard = Guard::new(Budget::with_steps(0));
-    let (result, completion) = optimal_vvs_guarded(&polys, &forest, 1, &guard).expect("anytime");
+    let (abs, completion) =
+        optimal_vvs(&WorkingSet::from_polyset(&polys), &forest, 1, &guard).expect("anytime");
+    let result = abs.result;
     assert!(!completion.is_complete(), "the cap must trip the DP");
     assert_eq!(
         result.compressed_size_m, result.original_size_m,

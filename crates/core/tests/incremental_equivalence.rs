@@ -6,19 +6,22 @@
 //! `greedy_frontier` step trace, the same tie-breaks, and the same
 //! `BoundUnattainable` floors — on random poly-sets paired with random
 //! single- and multi-tree forests, across every bound from 1 to the
-//! identity size. The engines share nothing past the preamble: the
-//! reference rewrites cloned hash-map polynomials, the incremental one an
-//! interned working set with delta-maintained candidate scores, so
-//! agreement is evidence the delta maintenance is sound, not a tautology.
+//! identity size. The engines share no representation: the reference
+//! (`provabs_core::reference`) cleans, rewrites and measures cloned
+//! hash-map polynomials, the incremental one an interned working set with
+//! delta-maintained candidate scores, so agreement is evidence the
+//! working-set rewrite and the delta maintenance are sound, not a
+//! tautology.
 
 use proptest::prelude::*;
-use provabs_core::greedy::{
-    greedy_frontier, greedy_frontier_reference, greedy_vvs, greedy_vvs_reference,
-};
+use provabs_core::greedy::{greedy_frontier, greedy_vvs};
+use provabs_core::reference;
+use provabs_provenance::guard::Guard;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::{VarId, VarTable};
+use provabs_provenance::working::WorkingSet;
 use provabs_trees::forest::Forest;
 use provabs_trees::generate::random_tree;
 
@@ -84,10 +87,15 @@ fn random_forest(vars: &mut VarTable, names: &[String], seed: u64, two: bool) ->
 /// Asserts both engines produce identical outcomes for one instance and
 /// bound.
 fn assert_engines_agree(polys: &PolySet<f64>, forest: &Forest, bound: usize) {
-    let inc = greedy_vvs(polys, forest, bound);
-    let refr = greedy_vvs_reference(polys, forest, bound);
+    let guard = Guard::unlimited();
+    let inc = greedy_vvs(&WorkingSet::from_polyset(polys), forest, bound, &guard);
+    let refr = reference::greedy_vvs(polys, forest, bound, &guard);
     match (inc, refr) {
-        (Ok(a), Ok(b)) => {
+        (Ok((abs, inc_done)), Ok((b, ref_done))) => {
+            assert!(inc_done.is_complete() && ref_done.is_complete());
+            assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
+            assert_eq!(abs.working.size_v(), abs.result.compressed_size_v);
+            let a = abs.result;
             assert_eq!(a.vvs, b.vvs, "VVS at bound {bound}");
             assert_eq!(a.compressed_size_m, b.compressed_size_m, "bound {bound}");
             assert_eq!(a.compressed_size_v, b.compressed_size_v, "bound {bound}");
@@ -117,9 +125,10 @@ proptest! {
         for bound in 1..=total.max(1) {
             assert_engines_agree(&polys, &forest, bound);
         }
+        let guard = Guard::unlimited();
         prop_assert_eq!(
-            greedy_frontier(&polys, &forest).expect("frontier"),
-            greedy_frontier_reference(&polys, &forest).expect("frontier"),
+            greedy_frontier(&WorkingSet::from_polyset(&polys), &forest, &guard).expect("frontier"),
+            reference::greedy_frontier(&polys, &forest, &guard).expect("frontier"),
         );
     }
 
@@ -139,9 +148,10 @@ proptest! {
                 assert_engines_agree(&polys, &forest, bound);
             }
         }
+        let guard = Guard::unlimited();
         prop_assert_eq!(
-            greedy_frontier(&polys, &forest).expect("frontier"),
-            greedy_frontier_reference(&polys, &forest).expect("frontier"),
+            greedy_frontier(&WorkingSet::from_polyset(&polys), &forest, &guard).expect("frontier"),
+            reference::greedy_frontier(&polys, &forest, &guard).expect("frontier"),
         );
     }
 
@@ -168,12 +178,14 @@ fn empty_and_trivial_instances_agree() {
     // the same unattainable floor.
     let empty: PolySet<f64> = PolySet::new();
     assert_engines_agree(&empty, &forest, 1);
-    let r = greedy_vvs(&empty, &forest, 1).expect("size 0 is already ≤ 1");
-    assert_eq!(r.compressed_size_m, 0);
-    assert!(r.vvs.is_empty(), "cleaning dropped every tree");
+    let source = WorkingSet::from_polyset(&empty);
+    let guard = Guard::unlimited();
+    let (r, _) = greedy_vvs(&source, &forest, 1, &guard).expect("size 0 is already ≤ 1");
+    assert_eq!(r.result.compressed_size_m, 0);
+    assert!(r.result.vvs.is_empty(), "cleaning dropped every tree");
     // …and the frontier is the lone identity point.
     assert_eq!(
-        greedy_frontier(&empty, &forest).expect("runs"),
+        greedy_frontier(&source, &forest, &guard).expect("runs").0,
         vec![(0, 0)]
     );
     // A poly-set touching a single leaf: the cleaned forest is empty

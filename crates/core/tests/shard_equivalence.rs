@@ -19,9 +19,9 @@
 //! job's entry point (`--release -- --ignored`): bounded-memory ingest
 //! of `ScaleConfig::million()` with the peak-live assertion.
 
-use provabs_core::greedy::{greedy_frontier, greedy_vvs_interned_guarded};
+use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::shard::{
-    sharded_greedy_frontier, sharded_greedy_interned_guarded, StreamingCompressor, StreamingConfig,
+    sharded_greedy, sharded_greedy_frontier, StreamingCompressor, StreamingConfig,
 };
 use provabs_datagen::scale::{scale_chunks, scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::{Workload, WorkloadConfig, WorkloadData};
@@ -76,8 +76,8 @@ fn one_shard_is_the_plain_engine_across_workloads() {
     for (name, data, forest) in &workloads() {
         let ws = &data.interned.working;
         for bound in bounds_for(ws.size_m()) {
-            let plain = greedy_vvs_interned_guarded(ws, forest, bound, &guard);
-            let sharded = sharded_greedy_interned_guarded(ws, forest, bound, 1, &guard);
+            let plain = greedy_vvs(ws, forest, bound, &guard);
+            let sharded = sharded_greedy(ws, forest, bound, 1, &guard);
             match (plain, sharded) {
                 (Ok((pa, pc)), Ok((sa, sc))) => {
                     assert_eq!(pa.result.vvs, sa.result.vvs, "{name} bound {bound}");
@@ -100,8 +100,8 @@ fn one_shard_is_the_plain_engine_across_workloads() {
         }
         // The frontier delegates identically at K = 1.
         assert_eq!(
-            greedy_frontier(&data.polys, forest).unwrap(),
-            sharded_greedy_frontier(&data.polys, forest, 1).unwrap(),
+            greedy_frontier(ws, forest, &guard).unwrap(),
+            sharded_greedy_frontier(ws, forest, 1, &guard).unwrap(),
             "{name} frontier"
         );
     }
@@ -115,7 +115,7 @@ fn multi_shard_respects_the_global_bound_across_workloads() {
         let original_sums = poly_sums(ws);
         for shards in [2, 4, 8] {
             for bound in bounds_for(ws.size_m()) {
-                match sharded_greedy_interned_guarded(ws, forest, bound, shards, &guard) {
+                match sharded_greedy(ws, forest, bound, shards, &guard) {
                     Ok((abs, completion)) => {
                         assert!(completion.is_complete(), "{name} K={shards} bound {bound}");
                         assert!(
@@ -155,9 +155,12 @@ fn multi_shard_respects_the_global_bound_across_workloads() {
 
 #[test]
 fn sharded_frontiers_are_weakly_monotone_across_workloads() {
+    let guard = Guard::unlimited();
     for (name, data, forest) in &workloads() {
         for shards in [2, 4] {
-            let frontier = sharded_greedy_frontier(&data.polys, forest, shards).unwrap();
+            let (frontier, completion) =
+                sharded_greedy_frontier(&data.interned.working, forest, shards, &guard).unwrap();
+            assert!(completion.is_complete(), "{name}");
             assert!(!frontier.is_empty(), "{name}");
             for pair in frontier.windows(2) {
                 assert!(
@@ -190,8 +193,7 @@ fn streaming_matches_whole_input_compression_on_the_scale_fixture() {
     let whole = scale_working_set(&cfg, &mut vars);
     let forest = scale_forest(&cfg, &mut vars);
     let bound = whole.size_m() / 6;
-    let (whole_abs, completion) =
-        sharded_greedy_interned_guarded(&whole, &forest, bound, 1, &guard).unwrap();
+    let (whole_abs, completion) = sharded_greedy(&whole, &forest, bound, 1, &guard).unwrap();
     assert!(completion.is_complete());
     let whole_sums = poly_sums(&whole_abs.working);
 

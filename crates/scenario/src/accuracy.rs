@@ -7,13 +7,12 @@
 //!   greedy algorithm scores 55–100 % depending on tree type.
 //! * **Scenario accuracy**: once variables are grouped, a scenario finer
 //!   than the abstraction cannot be expressed exactly; applying its
-//!   group-average to the compressed provenance deviates from the true
-//!   fine-grained answer. [`scenario_error`] quantifies that deviation
-//!   (the "reasonable loss of accuracy" of the abstract).
+//!   group-average ([`coarse_valuation`]) to the compressed provenance
+//!   deviates from the true fine-grained answer. [`error_stats`]
+//!   quantifies that deviation (the "reasonable loss of accuracy" of the
+//!   abstract); `Session::accuracy_report` evaluates the two sides.
 
-use crate::executor::{eval_set_with, EvalOptions};
 use provabs_core::problem::AbstractionResult;
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 
 /// Table 1's accuracy: the heuristic's retained granularity relative to
@@ -35,41 +34,11 @@ pub struct ErrorReport {
     pub max_relative: f64,
 }
 
-/// Evaluates a *fine* scenario (over original variables) both exactly (on
-/// the original polynomials) and approximately (on the compressed ones,
-/// with each meta-variable set to the mean of its group's fine values),
-/// returning the relative error of the approximation.
-pub fn scenario_error(
-    polys: &PolySet<f64>,
-    result: &AbstractionResult,
-    fine: &Valuation<f64>,
-) -> ErrorReport {
-    scenario_error_with(polys, result, fine, &EvalOptions::serial_reference())
-}
-
-/// [`scenario_error`] with both evaluations routed through the executor
-/// configured by `opts`. Every engine yields bit-identical values, so
-/// the reported error is configuration-invariant; the serial reference
-/// default of [`scenario_error`] is also the fastest choice here, since
-/// one scenario cannot amortise compilation.
-pub fn scenario_error_with(
-    polys: &PolySet<f64>,
-    result: &AbstractionResult,
-    fine: &Valuation<f64>,
-    opts: &EvalOptions,
-) -> ErrorReport {
-    let coarse = coarse_valuation(result, fine);
-    let exact = eval_set_with(polys, fine, opts);
-    let compressed = result.apply(polys);
-    let approx = eval_set_with(&compressed, &coarse, opts);
-    error_stats(&exact, &approx)
-}
-
 /// The coarse counterpart of a fine scenario under an abstraction: each
 /// chosen internal node (meta-variable) is assigned the *mean* of its
 /// group's fine values; everything else is kept as-is. This is the
 /// canonical way to pose a fine question on compressed provenance — the
-/// approximation whose error [`scenario_error`] measures.
+/// approximation whose error [`error_stats`] measures.
 pub fn coarse_valuation(result: &AbstractionResult, fine: &Valuation<f64>) -> Valuation<f64> {
     let mut coarse = fine.clone();
     for (ti, node) in result.vvs.nodes() {
@@ -89,9 +58,8 @@ pub fn coarse_valuation(result: &AbstractionResult, fine: &Valuation<f64>) -> Va
 }
 
 /// Folds exact and approximate per-polynomial answers into the relative
-/// error statistics of an [`ErrorReport`] (shared by
-/// [`scenario_error_with`] and the session façade, which evaluates the
-/// two sides off its own cached lowerings).
+/// error statistics of an [`ErrorReport`] (the session façade evaluates
+/// the two sides off its own cached lowerings).
 pub fn error_stats(exact: &[f64], approx: &[f64]) -> ErrorReport {
     let mut mean = 0.0;
     let mut max: f64 = 0.0;
@@ -113,8 +81,11 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use provabs_core::optimal::optimal_vvs;
+    use provabs_provenance::guard::Guard;
     use provabs_provenance::parse::parse_polyset;
+    use provabs_provenance::polyset::PolySet;
     use provabs_provenance::var::VarTable;
+    use provabs_provenance::working::WorkingSet;
     use provabs_trees::forest::Forest;
     use provabs_trees::generate::months_tree;
 
@@ -122,8 +93,9 @@ mod tests {
         let mut vars = VarTable::new();
         let polys = parse_polyset("100·p1·m1 + 200·p1·m3", &mut vars).expect("parse");
         let forest = Forest::single(months_tree(&mut vars));
-        let result = optimal_vvs(&polys, &forest, 1).expect("solvable");
-        (polys, result, vars)
+        let source = WorkingSet::from_polyset(&polys);
+        let (abs, _) = optimal_vvs(&source, &forest, 1, &Guard::unlimited()).expect("solvable");
+        (polys, abs.result, vars)
     }
 
     #[test]
@@ -134,7 +106,11 @@ mod tests {
             .set("m1", 0.8)
             .set("m3", 0.8)
             .valuation(&mut vars);
-        let report = scenario_error(&polys, &result, &fine);
+        let coarse = coarse_valuation(&result, &fine);
+        let report = error_stats(
+            &fine.eval_set(&polys),
+            &coarse.eval_set(&result.apply(&polys)),
+        );
         assert!(report.max_relative < 1e-12, "{report:?}");
     }
 
@@ -143,7 +119,11 @@ mod tests {
         let (polys, result, mut vars) = setup();
         // m1 × 0.6, m3 × 1.0: group mean 0.8.
         let fine = Scenario::new().set("m1", 0.6).valuation(&mut vars);
-        let report = scenario_error(&polys, &result, &fine);
+        let coarse = coarse_valuation(&result, &fine);
+        let report = error_stats(
+            &fine.eval_set(&polys),
+            &coarse.eval_set(&result.apply(&polys)),
+        );
         // Exact: 100·0.6 + 200·1.0 = 260; approx: 300·0.8 = 240.
         let expected = (260.0 - 240.0) / 260.0;
         assert!((report.mean_relative - expected).abs() < 1e-9, "{report:?}");
@@ -151,25 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn scenario_error_is_engine_invariant() {
-        let (polys, result, mut vars) = setup();
-        let fine = Scenario::new().set("m1", 0.6).valuation(&mut vars);
-        let reference = scenario_error(&polys, &result, &fine);
-        let compiled = scenario_error_with(&polys, &result, &fine, &EvalOptions::new());
-        assert_eq!(
-            reference.mean_relative.to_bits(),
-            compiled.mean_relative.to_bits()
-        );
-        assert_eq!(
-            reference.max_relative.to_bits(),
-            compiled.max_relative.to_bits()
-        );
-    }
-
-    #[test]
     fn granularity_accuracy_is_one_when_equal() {
-        let (polys, result, _) = setup();
+        let (_, result, _) = setup();
         assert_eq!(granularity_accuracy(&result, &result), 1.0);
-        let _ = polys;
     }
 }

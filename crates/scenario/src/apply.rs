@@ -8,7 +8,6 @@
 //! must agree with this loop bit for bit (see the `parallel_equivalence`
 //! property suite).
 
-use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use std::time::{Duration, Instant};
@@ -34,14 +33,6 @@ pub fn apply_batch(polys: &PolySet<f64>, valuations: &[Valuation<f64>]) -> Timed
         values,
         elapsed: start.elapsed(),
     }
-}
-
-/// Like [`apply_batch`] for a generic coefficient type, without timing.
-pub fn apply_batch_generic<C: Coefficient>(
-    polys: &PolySet<C>,
-    valuations: &[Valuation<C>],
-) -> Vec<Vec<C>> {
-    valuations.iter().map(|v| v.eval_set(polys)).collect()
 }
 
 #[cfg(test)]

@@ -167,20 +167,6 @@ pub fn apply_batch_parallel(
     }
 }
 
-/// Evaluates one valuation through the configured engine (a grid with a
-/// single row) — the hook by which accuracy and speedup measurements are
-/// routed through the same engine as the batch path. The options are
-/// honoured as given: `compiled: true` really compiles, even though one
-/// scenario cannot amortise the lowering — prefer
-/// [`EvalOptions::serial_reference`] for one-shot single evaluations and
-/// [`PreparedBatch`] when reusing one poly-set across calls.
-pub fn eval_set_with(polys: &PolySet<f64>, val: &Valuation<f64>, opts: &EvalOptions) -> Vec<f64> {
-    PreparedBatch::new(polys, opts)
-        .eval(std::slice::from_ref(val))
-        .pop()
-        .unwrap_or_default()
-}
-
 /// Evaluates a batch against an *externally owned* prepared form, timing
 /// only the evaluation: when `compiled` is `Some`, the columnar fast path
 /// runs off that lowering (no compilation happens here); when `None`, the
@@ -758,15 +744,6 @@ mod tests {
     fn chunk_of_one_exercises_the_cursor() {
         let (polys, vals) = setup(9);
         assert_matches_reference(&polys, &vals, &EvalOptions::new().threads(2).chunk(1));
-    }
-
-    #[test]
-    fn eval_set_with_matches_eval_set() {
-        let (polys, vals) = setup(3);
-        for opts in [EvalOptions::serial_reference(), EvalOptions::new()] {
-            let got = eval_set_with(&polys, &vals[0], &opts);
-            assert_eq!(got, vals[0].eval_set(&polys));
-        }
     }
 
     #[test]

@@ -29,74 +29,32 @@ pub struct SpeedupReport {
 /// given coarse scenarios (valuations over the abstracted variables),
 /// repeating the batch `repeat` times to stabilise the measurement.
 ///
-/// Uses the serial hash-map engine on both sides — the paper-faithful
-/// Figure 10 configuration. [`assignment_speedup_with`] takes the engine
-/// as a parameter.
+/// Both the original and the compressed side run through the engine
+/// configured by `opts`, so the comparison stays apples-to-apples
+/// whichever engine is chosen ([`EvalOptions::serial_reference`] is the
+/// paper-faithful Figure 10 configuration). Compilation happens once per
+/// side, outside the timed repeats — the measured quantity is the
+/// steady-state evaluation cost of the analyst loop (compile once, pose
+/// many batches).
 pub fn assignment_speedup(
     polys: &PolySet<f64>,
     result: &AbstractionResult,
     coarse_scenarios: &[Valuation<f64>],
     repeat: usize,
-) -> SpeedupReport {
-    assignment_speedup_with(
-        polys,
-        result,
-        coarse_scenarios,
-        repeat,
-        &EvalOptions::serial_reference(),
-    )
-}
-
-/// [`assignment_speedup`] on an explicit engine configuration: both the
-/// original and the compressed side run through the engine configured by
-/// `opts`, so the comparison stays apples-to-apples whichever engine is
-/// chosen. Compilation happens once per side, outside the timed repeats
-/// — the measured quantity is the steady-state evaluation cost of the
-/// analyst loop (compile once, pose many batches).
-pub fn assignment_speedup_with(
-    polys: &PolySet<f64>,
-    result: &AbstractionResult,
-    coarse_scenarios: &[Valuation<f64>],
-    repeat: usize,
     opts: &EvalOptions,
 ) -> SpeedupReport {
     let compressed = result.apply(polys);
-    let lifted = lift_all(result, coarse_scenarios);
-    measure_pair(polys, &compressed, &lifted, coarse_scenarios, repeat, opts)
-}
-
-/// Measures one serial-reference and one `opts`-configured report off
-/// shared inputs: the compressed set is built and the scenarios lifted
-/// once, then both engines time the same batches. This is what Figure 10
-/// reports when comparing the paper-faithful loop with the production
-/// engine.
-pub fn assignment_speedup_engines(
-    polys: &PolySet<f64>,
-    result: &AbstractionResult,
-    coarse_scenarios: &[Valuation<f64>],
-    repeat: usize,
-    opts: &EvalOptions,
-) -> (SpeedupReport, SpeedupReport) {
-    let compressed = result.apply(polys);
-    let lifted = lift_all(result, coarse_scenarios);
-    let serial = measure_pair(
-        polys,
-        &compressed,
-        &lifted,
-        coarse_scenarios,
-        repeat,
-        &EvalOptions::serial_reference(),
-    );
-    let engine = measure_pair(polys, &compressed, &lifted, coarse_scenarios, repeat, opts);
-    (serial, engine)
-}
-
-/// Lifts every coarse scenario back to the original variable space.
-fn lift_all(result: &AbstractionResult, coarse: &[Valuation<f64>]) -> Vec<Valuation<f64>> {
-    coarse
+    let lifted: Vec<Valuation<f64>> = coarse_scenarios
         .iter()
         .map(|v| result.vvs.lift_valuation(&result.forest, v))
-        .collect()
+        .collect();
+    let original_engine = PreparedBatch::new(polys, opts);
+    let compressed_engine = PreparedBatch::new(&compressed, opts);
+    measure_alternating(
+        repeat,
+        || original_engine.apply(&lifted).elapsed,
+        || compressed_engine.apply(coarse_scenarios).elapsed,
+    )
 }
 
 /// The timed core shared by every speedup measurement: alternates the
@@ -104,7 +62,7 @@ fn lift_all(result: &AbstractionResult, coarse: &[Valuation<f64>]) -> Vec<Valuat
 /// systematically favour either one) and folds the accumulated times
 /// into a [`SpeedupReport`]. The callbacks time one original-side /
 /// compressed-side batch each; callers bring their own engines —
-/// [`assignment_speedup_with`] uses fresh [`PreparedBatch`]es,
+/// [`assignment_speedup`] uses fresh [`PreparedBatch`]es,
 /// `provabs_session` its cached lowerings.
 pub fn measure_alternating(
     repeat: usize,
@@ -132,24 +90,6 @@ pub fn measure_alternating(
         compressed: t_comp,
         speedup_pct,
     }
-}
-
-/// [`measure_alternating`] over two freshly-prepared engines.
-fn measure_pair(
-    polys: &PolySet<f64>,
-    compressed: &PolySet<f64>,
-    lifted: &[Valuation<f64>],
-    coarse_scenarios: &[Valuation<f64>],
-    repeat: usize,
-    opts: &EvalOptions,
-) -> SpeedupReport {
-    let original_engine = PreparedBatch::new(polys, opts);
-    let compressed_engine = PreparedBatch::new(compressed, opts);
-    measure_alternating(
-        repeat,
-        || original_engine.apply(lifted).elapsed,
-        || compressed_engine.apply(coarse_scenarios).elapsed,
-    )
 }
 
 /// Checks the semantic equivalence underlying the speedup comparison:
@@ -191,8 +131,10 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use provabs_core::optimal::optimal_vvs;
+    use provabs_provenance::guard::Guard;
     use provabs_provenance::parse::parse_polyset;
     use provabs_provenance::var::VarTable;
+    use provabs_provenance::working::WorkingSet;
     use provabs_trees::forest::Forest;
     use provabs_trees::generate::plans_tree;
 
@@ -207,8 +149,9 @@ mod tests {
         )
         .expect("parse");
         let forest = Forest::single(plans_tree(&mut vars));
-        let result = optimal_vvs(&polys, &forest, 9).expect("solvable");
-        (polys, result, vars)
+        let source = WorkingSet::from_polyset(&polys);
+        let (abs, _) = optimal_vvs(&source, &forest, 9, &Guard::unlimited()).expect("solvable");
+        (polys, abs.result, vars)
     }
 
     #[test]
@@ -238,7 +181,13 @@ mod tests {
                     .valuation(&mut vars)
             })
             .collect();
-        let report = assignment_speedup(&polys, &result, &scenarios, 3);
+        let report = assignment_speedup(
+            &polys,
+            &result,
+            &scenarios,
+            3,
+            &EvalOptions::serial_reference(),
+        );
         assert!(report.original.as_nanos() > 0);
         assert!(report.compressed.as_nanos() > 0);
         assert!((0.0..=100.0).contains(&report.speedup_pct));
@@ -255,7 +204,7 @@ mod tests {
             })
             .collect();
         let opts = EvalOptions::new().threads(2);
-        let report = assignment_speedup_with(&polys, &result, &scenarios, 2, &opts);
+        let report = assignment_speedup(&polys, &result, &scenarios, 2, &opts);
         assert!(report.original.as_nanos() > 0);
         assert!(report.compressed.as_nanos() > 0);
         assert!((0.0..=100.0).contains(&report.speedup_pct));
@@ -269,9 +218,10 @@ mod tests {
         let mut vars = VarTable::new();
         let polys = parse_polyset("220.8·p1·m1 + 240·p1·m3", &mut vars).expect("parse");
         let forest = Forest::single(provabs_trees::generate::months_tree(&mut vars));
-        let result = optimal_vvs(&polys, &forest, 1).expect("solvable");
+        let source = WorkingSet::from_polyset(&polys);
+        let (abs, _) = optimal_vvs(&source, &forest, 1, &Guard::unlimited()).expect("solvable");
         let val = Scenario::new().set("q1", 0.8).valuation(&mut vars);
-        let compressed = result.apply(&polys);
+        let compressed = abs.result.apply(&polys);
         let got = val.eval_set(&compressed)[0];
         assert!((got - (220.8 + 240.0) * 0.8).abs() < 1e-9);
     }

@@ -81,16 +81,22 @@
 //!
 //! | façade | low-level |
 //! |---|---|
-//! | [`Strategy::Optimal`] | [`provabs_core::optimal::optimal_vvs_interned`] |
-//! | [`Strategy::Greedy`] | [`provabs_core::greedy::greedy_vvs_interned`] / [`greedy_vvs_reference`](provabs_core::greedy::greedy_vvs_reference) |
-//! | [`Strategy::Online`] | [`provabs_core::online::online_compress_interned`] |
-//! | [`Strategy::Competitor`] | [`provabs_core::competitor::pairwise_summarize_interned`] |
-//! | [`Strategy::Brute`] | [`provabs_core::brute::brute_force_vvs`] |
-//! | [`Strategy::None`] | [`provabs_core::problem::evaluate_vvs_interned`] on [`Vvs::identity`](provabs_trees::cut::Vvs::identity) |
+//! | [`Strategy::Optimal`] | [`provabs_core::optimal::optimal_vvs`] |
+//! | [`Strategy::Greedy`] | [`provabs_core::greedy::greedy_vvs`] (`incremental: false`: [`provabs_core::reference::greedy_vvs`]) |
+//! | [`Strategy::Online`] | [`provabs_core::online::online_compress`] |
+//! | [`Strategy::Competitor`] | [`provabs_core::competitor::pairwise_summarize`] |
+//! | [`Strategy::Brute`] | [`provabs_core::reference::brute_force_vvs`] |
+//! | [`Strategy::Sharded`] | [`provabs_core::shard::sharded_greedy`] |
+//! | [`Strategy::None`] | [`provabs_core::problem::evaluate_vvs`] on [`Vvs::identity`](provabs_trees::cut::Vvs::identity) |
 //! | [`Session::ask`] | [`provabs_scenario::executor::eval_compiled`] on [`WorkingSet::freeze`](provabs_provenance::working::WorkingSet::freeze) |
 //! | [`Session::speedup_report`] | [`provabs_scenario::speedup::measure_alternating`] over the cached lowerings |
 //! | [`Session::accuracy_report`] | [`provabs_scenario::accuracy::coarse_valuation`] + [`error_stats`](provabs_scenario::accuracy::error_stats) |
-//! | [`Session::frontier`] | [`provabs_core::optimal::optimal_frontier`] / [`provabs_core::greedy::greedy_frontier`] |
+//! | [`Session::frontier`] | [`provabs_core::optimal::optimal_frontier`] / [`provabs_core::greedy::greedy_frontier`] / [`provabs_core::shard::sharded_greedy_frontier`] |
+//!
+//! Each algorithm has exactly one entry point, taking the interned
+//! working set and an explicit guard; the session passes its own. The
+//! two `reference` rows are the hash-map oracles, reached over the
+//! counted `PolySet` bridge.
 //!
 //! Results are bit-for-bit identical to those functions (asserted by the
 //! `facade_equivalence` integration suite; the hash-map reference

@@ -31,18 +31,13 @@ pub use crate::artifact::ArtifactOrigin;
 use crate::artifact::{decode_live_vars, decode_meta, encode_live_vars, encode_meta, SessionMeta};
 use crate::error::Error;
 use crate::strategy::Strategy;
-use provabs_core::brute::brute_force_vvs;
-use provabs_core::competitor::pairwise_summarize_interned_guarded;
-use provabs_core::greedy::{
-    greedy_frontier, greedy_frontier_reference, greedy_vvs_interned_guarded,
-    greedy_vvs_reference_guarded,
-};
-use provabs_core::online::{online_compress_interned_guarded, Solver};
-use provabs_core::optimal::{optimal_frontier, optimal_vvs_interned_guarded};
-use provabs_core::problem::{
-    evaluate_vvs_interned, prepare_interned, AbstractionResult, InternedAbstraction,
-};
-use provabs_core::shard::{sharded_greedy_frontier, sharded_greedy_interned_guarded};
+use provabs_core::competitor::pairwise_summarize;
+use provabs_core::greedy::{greedy_frontier, greedy_vvs};
+use provabs_core::online::{online_compress, Solver};
+use provabs_core::optimal::{optimal_frontier, optimal_vvs};
+use provabs_core::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
+use provabs_core::reference;
+use provabs_core::shard::{sharded_greedy, sharded_greedy_frontier};
 use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::guard::{Completion, Guard};
@@ -387,32 +382,25 @@ impl Session {
                 .strategy
                 .clone()
             {
-                Strategy::Optimal => optimal_vvs_interned_guarded(
-                    self.source_ws(),
-                    &self.forest,
-                    self.bound,
-                    &guard,
-                )?,
+                Strategy::Optimal => {
+                    optimal_vvs(self.source_ws(), &self.forest, self.bound, &guard)?
+                }
                 Strategy::Greedy { incremental: true } => {
-                    greedy_vvs_interned_guarded(self.source_ws(), &self.forest, self.bound, &guard)?
+                    greedy_vvs(self.source_ws(), &self.forest, self.bound, &guard)?
                 }
                 Strategy::Greedy { incremental: false } => {
                     // The paper-faithful full-rescan engine is defined on
                     // hash-map polynomials; run it there, then carry its
                     // VVS back into the interned currency.
-                    let (result, completion) = greedy_vvs_reference_guarded(
-                        self.polys_ref(),
-                        &self.forest,
-                        self.bound,
-                        &guard,
-                    )?;
+                    let (result, completion) =
+                        reference::greedy_vvs(self.polys_ref(), &self.forest, self.bound, &guard)?;
                     (
-                        evaluate_vvs_interned(self.source_ws().clone(), &result.forest, result.vvs),
+                        evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
                         completion,
                     )
                 }
                 Strategy::Online { fraction, seed } => {
-                    let (outcome, completion) = online_compress_interned_guarded(
+                    let (outcome, completion) = online_compress(
                         self.source_ws(),
                         &self.forest,
                         self.bound,
@@ -424,12 +412,8 @@ impl Session {
                     (outcome.full, completion)
                 }
                 Strategy::Competitor => {
-                    let (interned, _, completion) = pairwise_summarize_interned_guarded(
-                        self.source_ws(),
-                        &self.forest,
-                        self.bound,
-                        &guard,
-                    )?;
+                    let (interned, _, completion) =
+                        pairwise_summarize(self.source_ws(), &self.forest, self.bound, &guard)?;
                     (interned, completion)
                 }
                 Strategy::Brute { cut_limit } => {
@@ -437,31 +421,31 @@ impl Session {
                     // representation; carry the winner back. The search is
                     // a test oracle — not guarded, but its worker panics
                     // come back typed (`TreeError::WorkerPanic`).
-                    let result =
-                        brute_force_vvs(self.polys_ref(), &self.forest, self.bound, cut_limit)?;
+                    let result = reference::brute_force_vvs(
+                        self.polys_ref(),
+                        &self.forest,
+                        self.bound,
+                        cut_limit,
+                    )?;
                     (
-                        evaluate_vvs_interned(self.source_ws().clone(), &result.forest, result.vvs),
+                        evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
                         Completion::Complete,
                     )
                 }
                 Strategy::None => {
-                    let cleaned = prepare_interned(self.source_ws(), &self.forest)?;
+                    let cleaned = prepare(self.source_ws(), &self.forest)?;
                     let vvs = Vvs::identity(&cleaned);
                     (
-                        evaluate_vvs_interned(self.source_ws().clone(), &cleaned, vvs),
+                        evaluate_vvs(self.source_ws().clone(), &cleaned, vvs),
                         Completion::Complete,
                     )
                 }
                 Strategy::Sharded { shards, inner } => match *inner {
                     // Only the incremental engine records the per-step
                     // traces the shard merge consumes.
-                    Strategy::Greedy { incremental: true } => sharded_greedy_interned_guarded(
-                        self.source_ws(),
-                        &self.forest,
-                        self.bound,
-                        shards,
-                        &guard,
-                    )?,
+                    Strategy::Greedy { incremental: true } => {
+                        sharded_greedy(self.source_ws(), &self.forest, self.bound, shards, &guard)?
+                    }
                     other => return Err(Error::UnshardableStrategy(other.to_string())),
                 },
             };
@@ -642,23 +626,29 @@ impl Session {
     /// `(|𝒫↓S|_M, |𝒫↓S|_V)` points from the identity abstraction down to
     /// full compression. Dispatches on the strategy —
     /// [`Strategy::Optimal`] runs the exact single-tree
-    /// [`optimal_frontier`], everything else traces the greedy run
-    /// ([`greedy_frontier`], or its reference engine for
-    /// `Greedy { incremental: false }`). The frontier tracers are defined
-    /// on the hash-map representation, so an interned-source session
-    /// bridges once here.
+    /// [`optimal_frontier`], [`Strategy::Sharded`] the
+    /// [`sharded_greedy_frontier`], everything else traces the greedy run
+    /// ([`greedy_frontier`], or [`reference::greedy_frontier`] — on the
+    /// hash-map bridge — for `Greedy { incremental: false }`).
+    ///
+    /// The trace runs under the session's guard, and a frontier is only
+    /// meaningful whole: a tripped guard is [`Error::Cancelled`], not a
+    /// truncated trace.
     pub fn frontier(&self) -> Result<Vec<(usize, usize)>, Error> {
-        let points = match &self.strategy {
-            Strategy::Optimal => optimal_frontier(self.polys_ref(), &self.forest)?,
+        let (points, completion) = match &self.strategy {
+            Strategy::Optimal => optimal_frontier(self.source_ws(), &self.forest, &self.guard)?,
             Strategy::Greedy { incremental: false } => {
-                greedy_frontier_reference(self.polys_ref(), &self.forest)?
+                reference::greedy_frontier(self.polys_ref(), &self.forest, &self.guard)?
             }
             Strategy::Sharded { shards, .. } => {
-                sharded_greedy_frontier(self.polys_ref(), &self.forest, *shards)?
+                sharded_greedy_frontier(self.source_ws(), &self.forest, *shards, &self.guard)?
             }
-            _ => greedy_frontier(self.polys_ref(), &self.forest)?,
+            _ => greedy_frontier(self.source_ws(), &self.forest, &self.guard)?,
         };
-        Ok(points)
+        match completion {
+            Completion::Complete => Ok(points),
+            Completion::Interrupted { reason, .. } => Err(Error::Cancelled(reason)),
+        }
     }
 
     /// The hash-map bridge for the abstracted side, built at most once

@@ -11,16 +11,17 @@
 //! [`compress`]: crate::Session::compress
 
 use crate::error::Error;
-use provabs_core::brute::DEFAULT_CUT_LIMIT;
+use provabs_core::reference::DEFAULT_CUT_LIMIT;
 use std::fmt;
 use std::str::FromStr;
 
 /// Which valid-variable-set selection algorithm a session runs.
 ///
 /// Every variant maps onto exactly one documented low-level entry point
-/// (listed per variant), so façade results are bit-for-bit identical to
-/// calling that function directly — the `facade_equivalence` suite
-/// asserts this for each variant.
+/// (listed per variant), called with the session's provenance in
+/// interned form and the session's guard, so façade results are
+/// bit-for-bit identical to calling that function directly — the
+/// `facade_equivalence` suite asserts this for each variant.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Strategy {
@@ -33,7 +34,8 @@ pub enum Strategy {
         /// `true` (the default) runs the delta-maintained incremental
         /// engine ([`provabs_core::greedy::greedy_vvs`]); `false` runs
         /// the paper-faithful full-rescan reference
-        /// ([`provabs_core::greedy::greedy_vvs_reference`]).
+        /// ([`provabs_core::reference::greedy_vvs`]), kept because its
+        /// tag is in the artifact format.
         incremental: bool,
     },
     /// §6's sampling-based online scheme
@@ -55,11 +57,11 @@ pub enum Strategy {
     /// ([`provabs_core::competitor::pairwise_summarize`]).
     Competitor,
     /// Exhaustive enumeration of every cut
-    /// ([`provabs_core::brute::brute_force_vvs`]); refuses forests
+    /// ([`provabs_core::reference::brute_force_vvs`]); refuses forests
     /// admitting more than `cut_limit` cuts.
     Brute {
         /// Enumeration limit (the paper's observed feasibility threshold
-        /// is [`provabs_core::brute::DEFAULT_CUT_LIMIT`]).
+        /// is [`provabs_core::reference::DEFAULT_CUT_LIMIT`]).
         cut_limit: u128,
     },
     /// No compression: the session serves the original provenance (the
@@ -67,7 +69,7 @@ pub enum Strategy {
     /// for sessions that only want the batch-evaluation engine.
     None,
     /// Sharded multi-core compression
-    /// ([`provabs_core::shard::sharded_greedy_interned_guarded`]): the
+    /// ([`provabs_core::shard::sharded_greedy`]): the
     /// poly-set is partitioned into `shards` size-balanced shards, each
     /// compressed concurrently by the `inner` strategy, and the
     /// per-shard frontiers are merged by marginal loss so the session's

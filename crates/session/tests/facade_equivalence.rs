@@ -14,16 +14,15 @@
 //! floating-point merge order (asserted here with a relative tolerance;
 //! exactly, term-set-wise, in the `intern_equivalence` suite).
 
-use provabs_core::brute::{brute_force_vvs, DEFAULT_CUT_LIMIT};
-use provabs_core::competitor::pairwise_summarize_interned;
-use provabs_core::greedy::{
-    greedy_frontier, greedy_vvs, greedy_vvs_interned, greedy_vvs_reference,
-};
-use provabs_core::online::{online_compress_interned, Solver};
-use provabs_core::optimal::{optimal_frontier, optimal_vvs_interned};
-use provabs_core::problem::{evaluate_vvs_interned, prepare_interned, InternedAbstraction};
+use provabs_core::competitor::pairwise_summarize;
+use provabs_core::greedy::{greedy_frontier, greedy_vvs};
+use provabs_core::online::{online_compress, Solver};
+use provabs_core::optimal::{optimal_frontier, optimal_vvs};
+use provabs_core::problem::{evaluate_vvs, prepare, InternedAbstraction};
+use provabs_core::reference::{self, DEFAULT_CUT_LIMIT};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
 use provabs_provenance::compiled::CompiledPolySet;
+use provabs_provenance::guard::{CancelToken, Guard, Interrupt};
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::working::WorkingSet;
@@ -50,8 +49,8 @@ fn fixture(workload: Workload) -> (WorkloadData, Forest) {
     (data, forest)
 }
 
-/// The direct low-level interned call each strategy promises to be
-/// identical to — the same dispatch `Session::compress` performs.
+/// The direct low-level call each strategy promises to be identical to —
+/// the same dispatch `Session::compress` performs, under no limits.
 fn low_level_oracle(
     strategy: &Strategy,
     source: &WorkingSet<f64>,
@@ -59,34 +58,37 @@ fn low_level_oracle(
     forest: &Forest,
     bound: usize,
 ) -> Result<InternedAbstraction<f64>, TreeError> {
+    let guard = &Guard::unlimited();
     match strategy {
-        Strategy::Optimal => optimal_vvs_interned(source, forest, bound),
-        Strategy::Greedy { incremental: true } => greedy_vvs_interned(source, forest, bound),
+        Strategy::Optimal => optimal_vvs(source, forest, bound, guard).map(|(abs, _)| abs),
+        Strategy::Greedy { incremental: true } => {
+            greedy_vvs(source, forest, bound, guard).map(|(abs, _)| abs)
+        }
         Strategy::Greedy { incremental: false } => {
-            let result = greedy_vvs_reference(polys, forest, bound)?;
-            Ok(evaluate_vvs_interned(
-                source.clone(),
-                &result.forest,
-                result.vvs,
-            ))
+            let (result, _) = reference::greedy_vvs(polys, forest, bound, guard)?;
+            Ok(evaluate_vvs(source.clone(), &result.forest, result.vvs))
         }
-        Strategy::Online { fraction, seed } => {
-            online_compress_interned(source, forest, bound, *fraction, *seed, Solver::Greedy)
-                .map(|o| o.full)
+        Strategy::Online { fraction, seed } => online_compress(
+            source,
+            forest,
+            bound,
+            *fraction,
+            *seed,
+            Solver::Greedy,
+            guard,
+        )
+        .map(|(o, _)| o.full),
+        Strategy::Competitor => {
+            pairwise_summarize(source, forest, bound, guard).map(|(abs, _, _)| abs)
         }
-        Strategy::Competitor => pairwise_summarize_interned(source, forest, bound).map(|(r, _)| r),
         Strategy::Brute { cut_limit } => {
-            let result = brute_force_vvs(polys, forest, bound, *cut_limit)?;
-            Ok(evaluate_vvs_interned(
-                source.clone(),
-                &result.forest,
-                result.vvs,
-            ))
+            let result = reference::brute_force_vvs(polys, forest, bound, *cut_limit)?;
+            Ok(evaluate_vvs(source.clone(), &result.forest, result.vvs))
         }
         Strategy::None => {
-            let cleaned = prepare_interned(source, forest)?;
+            let cleaned = prepare(source, forest)?;
             let vvs = Vvs::identity(&cleaned);
-            Ok(evaluate_vvs_interned(source.clone(), &cleaned, vvs))
+            Ok(evaluate_vvs(source.clone(), &cleaned, vvs))
         }
         _ => unreachable!("non-exhaustive enum: add new strategies here"),
     }
@@ -151,8 +153,8 @@ fn facade_equals_low_level_for_every_strategy() {
         // A bound between the forest's compression floor and the
         // original size, so every strategy can attain it.
         let total = data.polys.size_m();
-        let floor = match greedy_vvs(&data.polys, &forest, 1) {
-            Ok(r) => r.compressed_size_m,
+        let floor = match greedy_vvs(&source, &forest, 1, &Guard::unlimited()) {
+            Ok((abs, _)) => abs.result.compressed_size_m,
             Err(TreeError::BoundUnattainable { best_possible, .. }) => best_possible,
             Err(e) => panic!("floor probe failed: {e}"),
         };
@@ -305,8 +307,8 @@ fn query_compress_ask_is_materialisation_free() {
         let context = workload.name();
         // A bound every workload can attain on this fixture.
         let total = data.polys.size_m();
-        let floor = match greedy_vvs(&data.polys, &forest, 1) {
-            Ok(r) => r.compressed_size_m,
+        let floor = match greedy_vvs(&data.interned.working, &forest, 1, &Guard::unlimited()) {
+            Ok((abs, _)) => abs.result.compressed_size_m,
             Err(TreeError::BoundUnattainable { best_possible, .. }) => best_possible,
             Err(e) => panic!("floor probe failed: {e}"),
         };
@@ -437,15 +439,54 @@ fn frontier_matches_the_low_level_frontiers() {
         .strategy(Strategy::Optimal)
         .build()
         .expect("valid");
+    let source = WorkingSet::from_polyset(&data.polys);
+    let guard = Guard::unlimited();
     assert_eq!(
         optimal.frontier().expect("single tree"),
-        optimal_frontier(&data.polys, &forest).expect("single tree")
+        optimal_frontier(&source, &forest, &guard)
+            .expect("single tree")
+            .0
     );
     let greedy = builder.clone().build().expect("valid");
     assert_eq!(
         greedy.frontier().expect("any forest"),
-        greedy_frontier(&data.polys, &forest).expect("any forest")
+        greedy_frontier(&source, &forest, &guard)
+            .expect("any forest")
+            .0
     );
+    // Tracing needs no hash-map form on the interned engines.
+    assert_eq!(greedy.intern_stats().polyset_materializations, 0);
+}
+
+/// `frontier()` runs under the session's own guard, and a trace the guard
+/// cut short is an error, never a shorter trace: with a token cancelled
+/// before the call, every tracer answers `Cancelled`.
+#[test]
+fn frontier_under_a_cancelled_token_is_a_typed_error() {
+    let (data, forest) = fixture(Workload::Telephony);
+    for strategy in [
+        Strategy::Optimal,
+        Strategy::default(),
+        Strategy::Greedy { incremental: false },
+        Strategy::Sharded {
+            shards: 2,
+            inner: Box::new(Strategy::default()),
+        },
+    ] {
+        let token = CancelToken::new();
+        token.cancel();
+        let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+            .forest(forest.clone())
+            .strategy(strategy.clone())
+            .cancel_token(token)
+            .build()
+            .expect("valid");
+        assert_eq!(
+            session.frontier(),
+            Err(Error::Cancelled(Interrupt::Cancelled)),
+            "{strategy:?}"
+        );
+    }
 }
 
 #[test]
@@ -460,9 +501,13 @@ fn ratio_target_matches_the_half_size_bound() {
     assert_eq!(by_ratio.bound(), bound);
     // Same outcome as the explicit half-size bound, whether the bound is
     // attainable on this fixture or not.
-    match greedy_vvs(&data.polys, &forest, bound) {
-        Ok(expected) => {
-            assert_eq!(by_ratio.compress().expect("attainable").vvs, expected.vvs);
+    let source = WorkingSet::from_polyset(&data.polys);
+    match greedy_vvs(&source, &forest, bound, &Guard::unlimited()) {
+        Ok((expected, _)) => {
+            assert_eq!(
+                by_ratio.compress().expect("attainable").vvs,
+                expected.result.vvs
+            );
         }
         Err(e) => assert_eq!(by_ratio.compress().unwrap_err(), Error::Tree(e)),
     }

@@ -27,7 +27,7 @@ fn main() {
         data.polys.estimated_bytes() / 1024,
         bound
     );
-    let estimate = estimate_full_size(&data.polys, &[0.1, 0.2, 0.4], 7);
+    let estimate = estimate_full_size(&data.interned.working, &[0.1, 0.2, 0.4], 7);
     let builder = SessionBuilder::new(data.polys, data.vars)
         .forest(forest)
         .bound(bound);

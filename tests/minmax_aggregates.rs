@@ -11,6 +11,8 @@ use provabs::engine::expr::Expr;
 use provabs::engine::param::VarRule;
 use provabs::engine::query::Pipeline;
 use provabs::provenance::coeff::{Coefficient, MinF64};
+use provabs::provenance::guard::Guard;
+use provabs::provenance::working::WorkingSet;
 use provabs::provenance::{Valuation, VarTable};
 use provabs::trees::forest::Forest;
 use provabs::trees::generate::months_tree;
@@ -58,7 +60,9 @@ fn optimal_compresses_min_provenance() {
     let forest = Forest::single(months_tree(&mut vars));
     // Group m1, m3 into q1: each (plan, quarter) keeps the min of its
     // months.
-    let result = optimal_vvs(&polys, &forest, 7).expect("attainable");
+    let source = WorkingSet::from_polyset(&polys);
+    let (abs, _) = optimal_vvs(&source, &forest, 7, &Guard::unlimited()).expect("attainable");
+    let result = abs.result;
     assert_eq!(result.compressed_size_m, 7);
     assert_eq!(result.vl(), 1);
     let down = result.apply(&polys);
@@ -78,8 +82,9 @@ fn min_provenance_scenarios_scale_the_minimum() {
     let mut vars = VarTable::new();
     let polys = min_provenance(&mut vars);
     let forest = Forest::single(months_tree(&mut vars));
-    let result = optimal_vvs(&polys, &forest, 7).expect("attainable");
-    let down = result.apply(&polys);
+    let source = WorkingSet::from_polyset(&polys);
+    let (abs, _) = optimal_vvs(&source, &forest, 7, &Guard::unlimited()).expect("attainable");
+    let down = abs.result.apply(&polys);
     // Scenario: the whole first quarter costs 50 % — every group minimum
     // halves (all monomials carry q1; factors are non-negative).
     let q1 = vars.lookup("q1").expect("interned");
@@ -96,7 +101,9 @@ fn greedy_also_handles_min_provenance() {
     let mut vars = VarTable::new();
     let polys = min_provenance(&mut vars);
     let forest = Forest::single(months_tree(&mut vars));
-    let result = greedy_vvs(&polys, &forest, 7).expect("attainable");
+    let source = WorkingSet::from_polyset(&polys);
+    let (abs, _) = greedy_vvs(&source, &forest, 7, &Guard::unlimited()).expect("attainable");
+    let result = abs.result;
     assert!(result.is_adequate_for(7));
     result.vvs.validate(&result.forest).expect("valid VVS");
 }

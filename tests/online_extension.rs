@@ -2,9 +2,11 @@
 //! generated workloads: representative samples recover the offline VVS;
 //! the adapted bound and size estimation behave as specified.
 
-use provabs::algo::online::{estimate_full_size, online_compress, sample_polys, Solver};
+use provabs::algo::online::{estimate_full_size, online_compress, sample_indices, Solver};
 use provabs::algo::optimal::optimal_vvs;
 use provabs::datagen::workload::{Workload, WorkloadConfig};
+use provabs::provenance::guard::Guard;
+use provabs::provenance::working::WorkingSet;
 
 fn cfg() -> WorkloadConfig {
     WorkloadConfig {
@@ -20,26 +22,31 @@ fn large_sample_recovers_offline_quality_on_telephony() {
     let forest = data.primary_tree(2, 1);
     // A clearly attainable bound: three quarters of the size.
     let bound = data.polys.size_m() * 3 / 4;
-    let offline = optimal_vvs(&data.polys, &forest, bound).expect("attainable");
-    let online = online_compress(&data.polys, &forest, bound, 0.5, 3, Solver::Optimal)
+    let source = WorkingSet::from_polyset(&data.polys);
+    let guard = Guard::unlimited();
+    let offline = optimal_vvs(&source, &forest, bound, &guard)
+        .expect("attainable")
+        .0
+        .result;
+    let (online, _) = online_compress(&source, &forest, bound, 0.5, 3, Solver::Optimal, &guard)
         .expect("sampled instance solvable");
     // §6's scheme is inherently approximate: the optimal choice on the
     // sample lands *near* the bound on the full provenance. A half sample
     // must get within 5 % (strict adequacy is checked at fraction 0.95
     // below).
     assert!(
-        online.full.compressed_size_m as f64 <= bound as f64 * 1.05,
+        online.full.result.compressed_size_m as f64 <= bound as f64 * 1.05,
         "half sample within 5 % of the bound: {} vs {bound}",
-        online.full.compressed_size_m
+        online.full.result.compressed_size_m
     );
     // Not necessarily identical to offline, but close in granularity.
-    assert!(online.full.vl() <= offline.vl() + offline.vl() / 2 + 1);
+    assert!(online.full.result.vl() <= offline.vl() + offline.vl() / 2 + 1);
     assert!(online.sample_size_m < data.polys.size_m());
     assert!(online.adapted_bound < bound);
     // A near-full sample is strictly adequate.
-    let near_full =
-        online_compress(&data.polys, &forest, bound, 0.95, 3, Solver::Optimal).expect("solvable");
-    assert!(near_full.full.is_adequate_for(bound));
+    let (near_full, _) = online_compress(&source, &forest, bound, 0.95, 3, Solver::Optimal, &guard)
+        .expect("solvable");
+    assert!(near_full.full.result.is_adequate_for(bound));
 }
 
 #[test]
@@ -51,12 +58,22 @@ fn online_greedy_works_on_multi_tree_forests() {
     let forest = data.binary_forest(3);
     // A loose bound the 3-tree forest can reach.
     let bound = data.polys.size_m() * 9 / 10;
-    match online_compress(&data.polys, &forest, bound, 0.5, 7, Solver::Greedy) {
-        Ok(o) => {
-            o.full.vvs.validate(&o.full.forest).expect("valid VVS");
+    let source = WorkingSet::from_polyset(&data.polys);
+    match online_compress(
+        &source,
+        &forest,
+        bound,
+        0.5,
+        7,
+        Solver::Greedy,
+        &Guard::unlimited(),
+    ) {
+        Ok((o, _)) => {
+            let full = o.full.result;
+            full.vvs.validate(&full.forest).expect("valid VVS");
             // The full-provenance outcome is reported faithfully whether
             // or not the sampled choice generalised.
-            assert!(o.full.compressed_size_m <= data.polys.size_m());
+            assert!(full.compressed_size_m <= data.polys.size_m());
         }
         Err(e) => {
             // The sampled sub-instance may be incompressible; that must
@@ -72,9 +89,10 @@ fn online_greedy_works_on_multi_tree_forests() {
 #[test]
 fn size_estimation_improves_with_fraction() {
     let data = Workload::Telephony.generate(&cfg());
-    let real = data.polys.size_m() as f64;
-    let coarse = estimate_full_size(&data.polys, &[0.05, 0.1], 5) as f64;
-    let fine = estimate_full_size(&data.polys, &[0.3, 0.5, 0.7], 5) as f64;
+    let source = WorkingSet::from_polyset(&data.polys);
+    let real = source.size_m() as f64;
+    let coarse = estimate_full_size(&source, &[0.05, 0.1], 5) as f64;
+    let fine = estimate_full_size(&source, &[0.3, 0.5, 0.7], 5) as f64;
     let err_fine = (fine - real).abs() / real;
     assert!(
         err_fine < 0.25,
@@ -87,15 +105,15 @@ fn size_estimation_improves_with_fraction() {
 
 #[test]
 fn sampling_preserves_polynomial_identity() {
-    // Sampled polynomials are verbatim members of the original set.
+    // Sampled polynomials are verbatim members of the original set: the
+    // compacted subset, read back, is the drawn polynomials in order.
     let data = Workload::TpchQ1.generate(&cfg());
-    let sample = sample_polys(&data.polys, 0.4, 17);
-    for p in sample.iter() {
-        assert!(
-            data.polys
-                .iter()
-                .any(|q| q.size_m() == p.size_m() && q == p),
-            "sampled polynomial must exist in the original set"
-        );
+    let picked = sample_indices(data.polys.len(), 0.4, 17);
+    let sample = WorkingSet::from_polyset(&data.polys)
+        .subset(&picked)
+        .to_polyset();
+    assert_eq!(sample.len(), picked.len());
+    for (p, &pi) in sample.iter().zip(&picked) {
+        assert_eq!(p, &data.polys.as_slice()[pi], "sampled polynomial {pi}");
     }
 }

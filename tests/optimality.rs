@@ -3,11 +3,13 @@
 //! algorithm's output must be a valid, adequate VVS.
 
 use proptest::prelude::*;
-use provabs::algo::brute::brute_force_vvs;
 use provabs::algo::greedy::greedy_vvs;
-use provabs::algo::optimal::{optimal_frontier, optimal_vvs, optimal_vvs_dense};
+use provabs::algo::optimal::{optimal_frontier, optimal_vvs};
+use provabs::algo::reference::{brute_force_vvs, optimal_vvs_dense};
+use provabs::provenance::guard::Guard;
 use provabs::provenance::monomial::Monomial;
 use provabs::provenance::polynomial::Polynomial;
+use provabs::provenance::working::WorkingSet;
 use provabs::provenance::{PolySet, VarTable};
 use provabs::trees::error::TreeError;
 use provabs::trees::forest::Forest;
@@ -19,6 +21,8 @@ use provabs::trees::generate::{leaf_names, random_tree};
 #[derive(Debug, Clone)]
 struct Instance {
     polys: PolySet<f64>,
+    /// `polys`, lowered once — what the production algorithms take.
+    source: WorkingSet<f64>,
     forest: Forest,
 }
 
@@ -48,8 +52,10 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
             // cleaning inside the algorithms handles absent leaves, so no
             // need to force it; the tree is over the full leaf set.
             let tree = random_tree("T", &leaves, seed, &mut vars);
+            let polys = PolySet::from_vec(polys);
             Instance {
-                polys: PolySet::from_vec(polys),
+                source: WorkingSet::from_polyset(&polys),
+                polys,
                 forest: Forest::single(tree),
             }
         })
@@ -69,7 +75,7 @@ proptest! {
         let total = inst.polys.size_m();
         // Independent reference: every (size, granularity) point reachable
         // by any cut, by direct application.
-        let cleaned = provabs::algo::problem::prepare(&inst.polys, &inst.forest)
+        let cleaned = provabs::algo::problem::prepare(&inst.source, &inst.forest)
             .expect("compatible after cleaning");
         let reference: Vec<(usize, usize)> =
             provabs::trees::cut::enumerate_forest_cuts(&cleaned, 100_000, 100_000)
@@ -87,10 +93,11 @@ proptest! {
                 .map(|&(_, v)| v)
                 .max();
             let expected_floor = reference.iter().map(|&(m, _)| m).min().expect("non-empty");
-            let opt = optimal_vvs(&inst.polys, &inst.forest, bound);
+            let opt = optimal_vvs(&inst.source, &inst.forest, bound, &Guard::unlimited());
             let brute = brute_force_vvs(&inst.polys, &inst.forest, bound, 1_000_000);
             match (opt, brute, expected_best) {
-                (Ok(o), Ok(b), Some(v)) => {
+                (Ok((o, _)), Ok(b), Some(v)) => {
+                    let o = o.result;
                     prop_assert!(o.is_adequate_for(bound));
                     prop_assert!(b.is_adequate_for(bound));
                     prop_assert_eq!(o.compressed_size_v, v, "DP vs reference at bound {}", bound);
@@ -117,10 +124,12 @@ proptest! {
     fn dense_equals_sparse(inst in instance_strategy()) {
         let total = inst.polys.size_m();
         for bound in (1..=total).step_by(2) {
-            let s = optimal_vvs(&inst.polys, &inst.forest, bound);
+            let s = optimal_vvs(&inst.source, &inst.forest, bound, &Guard::unlimited());
             let d = optimal_vvs_dense(&inst.polys, &inst.forest, bound);
             match (s, d) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a.compressed_size_v, b.compressed_size_v),
+                (Ok((a, _)), Ok(b)) => {
+                    prop_assert_eq!(a.result.compressed_size_v, b.compressed_size_v)
+                }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => prop_assert!(false, "sparse {:?} vs dense {:?}", a, b),
             }
@@ -132,19 +141,21 @@ proptest! {
     #[test]
     fn greedy_is_sound(inst in instance_strategy()) {
         let total = inst.polys.size_m();
+        let guard = Guard::unlimited();
         for bound in 1..=total {
-            match greedy_vvs(&inst.polys, &inst.forest, bound) {
-                Ok(g) => {
+            match greedy_vvs(&inst.source, &inst.forest, bound, &guard) {
+                Ok((g, _)) => {
+                    let g = g.result;
                     g.vvs.validate(&g.forest).expect("valid VVS");
                     prop_assert!(g.is_adequate_for(bound));
-                    if let Ok(o) = optimal_vvs(&inst.polys, &inst.forest, bound) {
-                        prop_assert!(g.compressed_size_v <= o.compressed_size_v);
+                    if let Ok((o, _)) = optimal_vvs(&inst.source, &inst.forest, bound, &guard) {
+                        prop_assert!(g.compressed_size_v <= o.result.compressed_size_v);
                     }
                 }
                 Err(TreeError::BoundUnattainable { .. }) => {
                     // The optimum must also fail then: greedy exhausts the
                     // tree, reaching maximal compression.
-                    prop_assert!(optimal_vvs(&inst.polys, &inst.forest, bound).is_err());
+                    prop_assert!(optimal_vvs(&inst.source, &inst.forest, bound, &guard).is_err());
                 }
                 Err(e) => prop_assert!(false, "unexpected error {e}"),
             }
@@ -154,7 +165,10 @@ proptest! {
     /// The frontier is consistent with per-bound optimal runs.
     #[test]
     fn frontier_is_consistent(inst in instance_strategy()) {
-        let frontier = optimal_frontier(&inst.polys, &inst.forest).expect("single tree");
+        let guard = Guard::unlimited();
+        let (frontier, completion) =
+            optimal_frontier(&inst.source, &inst.forest, &guard).expect("single tree");
+        prop_assert!(completion.is_complete());
         prop_assert!(!frontier.is_empty());
         // Strictly decreasing sizes, strictly decreasing granularity
         // gains (Pareto): sizes strictly decrease, granularities weakly.
@@ -163,8 +177,8 @@ proptest! {
             prop_assert!(w[1].1 <= w[0].1);
         }
         for &(size, granularity) in &frontier {
-            let r = optimal_vvs(&inst.polys, &inst.forest, size).expect("attainable");
-            prop_assert_eq!(r.compressed_size_v, granularity);
+            let (r, _) = optimal_vvs(&inst.source, &inst.forest, size, &guard).expect("attainable");
+            prop_assert_eq!(r.result.compressed_size_v, granularity);
         }
     }
 
@@ -173,9 +187,12 @@ proptest! {
     #[test]
     fn valuation_lifting_commutes(inst in instance_strategy(), factor in 0.1f64..2.0) {
         let total = inst.polys.size_m();
-        let Ok(result) = optimal_vvs(&inst.polys, &inst.forest, (total / 2).max(1)) else {
+        let bound = (total / 2).max(1);
+        let Ok((abs, _)) = optimal_vvs(&inst.source, &inst.forest, bound, &Guard::unlimited())
+        else {
             return Ok(());
         };
+        let result = abs.result;
         // A coarse valuation: every chosen variable gets `factor`.
         let mut coarse = provabs::provenance::Valuation::neutral();
         for v in result.vvs.vars(&result.forest) {
@@ -193,10 +210,10 @@ proptest! {
     /// Coefficient mass is preserved by any abstraction.
     #[test]
     fn mass_preserved(inst in instance_strategy()) {
-        let Ok(result) = optimal_vvs(&inst.polys, &inst.forest, 1) else {
+        let Ok((abs, _)) = optimal_vvs(&inst.source, &inst.forest, 1, &Guard::unlimited()) else {
             return Ok(());
         };
-        let down = result.apply(&inst.polys);
+        let down = abs.result.apply(&inst.polys);
         for (orig, abst) in inst.polys.iter().zip(down.iter()) {
             prop_assert!((orig.coefficient_mass() - abst.coefficient_mass()).abs() < 1e-6);
         }

@@ -3,10 +3,12 @@
 //! the engine, whose provenance feeds the abstraction algorithms, whose
 //! output feeds hypothetical reasoning.
 
-use provabs::algo::brute::{brute_force_vvs, DEFAULT_CUT_LIMIT};
 use provabs::algo::greedy::greedy_vvs;
-use provabs::algo::optimal::{optimal_vvs, optimal_vvs_dense};
+use provabs::algo::optimal::optimal_vvs;
+use provabs::algo::reference::{brute_force_vvs, optimal_vvs_dense, DEFAULT_CUT_LIMIT};
 use provabs::datagen::fixture::{example_forest, example_polys, example_provenance};
+use provabs::provenance::guard::Guard;
+use provabs::provenance::working::WorkingSet;
 use provabs::provenance::VarTable;
 use provabs::scenario::Scenario;
 use provabs::trees::error::TreeError;
@@ -48,8 +50,9 @@ fn example_2_quarterly_abstraction() {
     let p = grouped.poly_for(&key).expect("zip 10001 present").clone();
     let polys = provabs::provenance::PolySet::from_vec(vec![p]);
     let forest = Forest::single(months_tree(&mut vars));
-    let result = optimal_vvs(&polys, &forest, 4).expect("attainable");
-    let down = result.apply(&polys);
+    let source = WorkingSet::from_polyset(&polys);
+    let (abs, _) = optimal_vvs(&source, &forest, 4, &Guard::unlimited()).expect("attainable");
+    let down = abs.result.apply(&polys);
     assert_eq!(down.size_m(), 4);
     // 460.8·p1·q1 + 241.85·f1·q1 + 148.4·y1·q1 + 66.2·v·q1
     let q1 = vars.lookup("q1").expect("interned");
@@ -112,7 +115,13 @@ fn example_8_unattainable_bound() {
         .clone()]);
     let forest = Forest::single(months_tree(&mut vars));
     assert_eq!(
-        optimal_vvs(&polys, &forest, 3).expect_err("unattainable"),
+        optimal_vvs(
+            &WorkingSet::from_polyset(&polys),
+            &forest,
+            3,
+            &Guard::unlimited()
+        )
+        .expect_err("unattainable"),
         TreeError::BoundUnattainable {
             bound: 3,
             best_possible: 4
@@ -128,7 +137,9 @@ fn example_13_all_solvers_agree() {
     let polys = example_polys(&mut vars);
     assert_eq!(polys.size_m(), 14);
     let forest = Forest::single(plans_tree(&mut vars));
-    let opt = optimal_vvs(&polys, &forest, 9).expect("attainable");
+    let source = WorkingSet::from_polyset(&polys);
+    let (opt, _) = optimal_vvs(&source, &forest, 9, &Guard::unlimited()).expect("attainable");
+    let opt = opt.result;
     let dense = optimal_vvs_dense(&polys, &forest, 9).expect("attainable");
     let brute = brute_force_vvs(&polys, &forest, 9, DEFAULT_CUT_LIMIT).expect("small");
     assert_eq!(opt.vl(), 3);
@@ -151,8 +162,9 @@ fn example_15_greedy_vs_optimal() {
     let mut vars = VarTable::new();
     let polys = example_polys(&mut vars);
     let forest = example_forest(&mut vars);
-    let greedy = greedy_vvs(&polys, &forest, 4).expect("attainable");
-    assert_eq!((greedy.ml(), greedy.vl()), (11, 5));
+    let source = WorkingSet::from_polyset(&polys);
+    let (greedy, _) = greedy_vvs(&source, &forest, 4, &Guard::unlimited()).expect("attainable");
+    assert_eq!((greedy.result.ml(), greedy.result.vl()), (11, 5));
     let brute = brute_force_vvs(&polys, &forest, 4, DEFAULT_CUT_LIMIT).expect("small");
     assert_eq!(brute.vl(), 4);
     assert!(brute.vvs.labels(&brute.forest).contains(&"q1".to_string()));
@@ -165,8 +177,9 @@ fn example_1_what_if_on_compressed_provenance() {
     let mut vars = VarTable::new();
     let polys = example_polys(&mut vars);
     let forest = example_forest(&mut vars);
-    let result = greedy_vvs(&polys, &forest, 7).expect("attainable");
-    let compressed = result.apply(&polys);
+    let source = WorkingSet::from_polyset(&polys);
+    let (abs, _) = greedy_vvs(&source, &forest, 7, &Guard::unlimited()).expect("attainable");
+    let compressed = abs.result.apply(&polys);
     // March (m3) sits under q1 after abstraction; scale the whole quarter.
     let baseline: f64 = compressed.eval(|_| 1.0).iter().sum();
     let val = Scenario::new().set("q1", 0.8).valuation(&mut vars);

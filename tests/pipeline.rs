@@ -5,6 +5,8 @@
 use provabs::algo::greedy::greedy_vvs;
 use provabs::algo::optimal::optimal_vvs;
 use provabs::datagen::workload::{Workload, WorkloadConfig};
+use provabs::provenance::guard::Guard;
+use provabs::provenance::working::WorkingSet;
 use provabs::scenario::scenario::Scenario;
 use provabs::scenario::speedup::max_equivalence_error;
 use provabs::trees::error::TreeError;
@@ -25,11 +27,13 @@ fn all_workloads_compress_and_answer_scenarios() {
     for workload in Workload::ALL {
         let mut data = workload.generate(&cfg());
         let total = data.polys.size_m();
+        let source = WorkingSet::from_polyset(&data.polys);
+        let guard = Guard::unlimited();
         for (ty, idx) in [(1u8, 1usize), (5, 0)] {
             let forest = data.primary_tree(ty, idx);
             let bound = (total * 3 / 4).max(1);
-            let opt = optimal_vvs(&data.polys, &forest, bound);
-            let greedy = greedy_vvs(&data.polys, &forest, bound);
+            let opt = optimal_vvs(&source, &forest, bound, &guard).map(|(abs, _)| abs.result);
+            let greedy = greedy_vvs(&source, &forest, bound, &guard).map(|(abs, _)| abs.result);
             match (&opt, &greedy) {
                 (Ok(o), Ok(g)) => {
                     assert!(o.is_adequate_for(bound), "{}", workload.name());
@@ -68,14 +72,15 @@ fn looser_bounds_keep_more_granularity() {
     let mut data = Workload::TpchQ5.generate(&cfg());
     let forest = data.primary_tree(2, 0);
     let total = data.polys.size_m();
+    let source = WorkingSet::from_polyset(&data.polys);
     let mut last_v = 0usize;
     for bound in [total / 4, total / 2, (total * 3) / 4, total] {
-        if let Ok(r) = optimal_vvs(&data.polys, &forest, bound.max(1)) {
+        if let Ok((r, _)) = optimal_vvs(&source, &forest, bound.max(1), &Guard::unlimited()) {
             assert!(
-                r.compressed_size_v >= last_v,
+                r.result.compressed_size_v >= last_v,
                 "bound {bound}: granularity decreased"
             );
-            last_v = r.compressed_size_v;
+            last_v = r.result.compressed_size_v;
         }
     }
 }
@@ -87,10 +92,12 @@ fn neutral_point_is_preserved() {
     for workload in Workload::ALL {
         let mut data = workload.generate(&cfg());
         let forest = data.primary_tree(1, 0);
-        let Ok(result) = optimal_vvs(&data.polys, &forest, data.polys.size_m()) else {
+        let source = WorkingSet::from_polyset(&data.polys);
+        let Ok((abs, _)) = optimal_vvs(&source, &forest, source.size_m(), &Guard::unlimited())
+        else {
             panic!("identity bound always attainable");
         };
-        let down = result.apply(&data.polys);
+        let down = abs.result.apply(&data.polys);
         let a: Vec<f64> = data.polys.eval(|_| 1.0);
         let b: Vec<f64> = down.eval(|_| 1.0);
         for (x, y) in a.iter().zip(&b) {
@@ -110,7 +117,9 @@ fn pipeline_is_deterministic() {
         let mut data = Workload::Telephony.generate(&cfg());
         let forest = data.primary_tree(2, 1);
         let bound = data.polys.size_m() / 2;
-        greedy_vvs(&data.polys, &forest, bound).map(|r| {
+        let source = WorkingSet::from_polyset(&data.polys);
+        greedy_vvs(&source, &forest, bound, &Guard::unlimited()).map(|(abs, _)| {
+            let r = abs.result;
             (
                 r.compressed_size_m,
                 r.compressed_size_v,

@@ -8,6 +8,9 @@
 use provabs::algo::greedy::greedy_vvs;
 use provabs::algo::optimal::optimal_vvs;
 use provabs::datagen::workload::{Workload, WorkloadConfig};
+use provabs::provenance::guard::Guard;
+use provabs::provenance::working::WorkingSet;
+use provabs::scenario::executor::EvalOptions;
 use provabs::scenario::scenario::Scenario;
 use provabs::scenario::speedup::{assignment_speedup, max_equivalence_error};
 
@@ -25,10 +28,15 @@ fn telephony_at_scale() {
     assert!(data.polys.size_m() > 100_000, "large instance");
     let forest = data.primary_tree(2, 1);
     let bound = data.polys.size_m() / 2;
-    let opt = optimal_vvs(&data.polys, &forest, bound).expect("attainable");
+    let source = WorkingSet::from_polyset(&data.polys);
+    let guard = Guard::unlimited();
+    let opt = optimal_vvs(&source, &forest, bound, &guard)
+        .expect("attainable")
+        .0
+        .result;
     assert!(opt.is_adequate_for(bound));
-    let greedy = greedy_vvs(&data.polys, &forest, bound).expect("attainable");
-    assert!(greedy.compressed_size_v <= opt.compressed_size_v);
+    let (greedy, _) = greedy_vvs(&source, &forest, bound, &guard).expect("attainable");
+    assert!(greedy.result.compressed_size_v <= opt.compressed_size_v);
 
     // The what-if machinery stays numerically sound at scale.
     let names = opt.vvs.labels(&opt.forest);
@@ -36,7 +44,13 @@ fn telephony_at_scale() {
         .map(|i| Scenario::random(&names, 0.5, i).valuation(&mut data.vars))
         .collect();
     assert!(max_equivalence_error(&data.polys, &opt, &scenarios) < 1e-9);
-    let report = assignment_speedup(&data.polys, &opt, &scenarios, 3);
+    let report = assignment_speedup(
+        &data.polys,
+        &opt,
+        &scenarios,
+        3,
+        &EvalOptions::serial_reference(),
+    );
     assert!(
         report.speedup_pct > 0.0,
         "compression must pay off at scale"
@@ -55,8 +69,9 @@ fn tpch_q10_at_scale_is_deterministic() {
         });
         let forest = data.primary_tree(1, 3);
         let bound = data.polys.size_m() * 99 / 100;
-        optimal_vvs(&data.polys, &forest, bound)
-            .map(|r| (r.compressed_size_m, r.compressed_size_v))
+        let source = WorkingSet::from_polyset(&data.polys);
+        optimal_vvs(&source, &forest, bound, &Guard::unlimited())
+            .map(|(abs, _)| (abs.result.compressed_size_m, abs.result.compressed_size_v))
             .map_err(|e| format!("{e}"))
     };
     assert_eq!(run(), run());

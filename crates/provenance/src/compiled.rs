@@ -8,25 +8,38 @@
 //! probe into the [`crate::valuation::Valuation`], and iterating the map
 //! hops across scattered heap buckets.
 //!
-//! [`CompiledPolySet`] lowers a poly-set once into four flat, contiguous
-//! arenas (struct-of-arrays):
+//! [`CompiledPolySet`] lowers a poly-set once into flat, contiguous
+//! columns (struct-of-arrays):
 //!
 //! ```text
-//! coeffs      [c0, c1, c2, ...]            one per monomial
-//! mono_ends   [2, 3, 5, ...]               factor-range end per monomial
-//! poly_ends   [2, 3, ...]                  monomial-range end per polynomial
-//! factor_vars [0, 1, 2, 0, 3, ...]         dense local variable index
-//! factor_exps [1, 1, 2, 1, 1, ...]         exponent-run per factor
+//! coeffs      [c0, c1, c2, ...]       one per monomial
+//! mono_ends   [2, 3, 5, ...]          factor-range end per monomial
+//! poly_ends   [2, 3, ...]             monomial-range end per polynomial
+//! factor_vars [0, 1, 2, 0, 3, ...]    dense local variable index per factor:
+//!                                     u16 up to 65 536 variables, u32 above
+//! power_at    [2, ...]                positions of the factors raised to a
+//! power_exp   [2, ...]                power ≥ 2, and that power (sorted by
+//!                                     position; every other factor is ^1)
+//! vars        [v7, v2, v9, v4, ...]   local index → original variable
 //! ```
 //!
-//! Variables are densified into a batch-local `u32` index space, so a
+//! Variables are densified into a batch-local index space, so a
 //! valuation becomes a plain `Vec<C>` lookup table: evaluation is a single
-//! linear sweep over the arenas with direct slice indexing — no hashing,
+//! linear sweep over the columns with direct slice indexing — no hashing,
 //! no pointer chasing. Evaluation visits monomials in exactly the order
 //! [`Polynomial::iter`] yields them, so results are bit-for-bit identical
 //! to the hash-map path (floating-point summation order is preserved).
+//!
+//! The layout is sized by what provenance looks like (ADR 013): an
+//! exponent is almost always 1, so exponents are stored only where they
+//! are not, and a few hundred variables index in two bytes. Both choices
+//! follow from the data alone — the index is narrow exactly when the set
+//! has at most [`NARROW_VARS`] variables — so equal poly-sets lower to
+//! equal columns, and the artifact codec ([`crate::persist`]) refuses
+//! columns in any other shape.
 
 use crate::coeff::Coefficient;
+use crate::fxhash::FxHashSet;
 use crate::intern::VarSpace;
 use crate::monomial::Monomial;
 use crate::polynomial::Polynomial;
@@ -35,63 +48,248 @@ use crate::valuation::Valuation;
 use crate::var::VarId;
 use crate::working::WorkingSet;
 
-/// A [`PolySet`] lowered into flat columnar arenas for batch evaluation.
+/// The most variables a set may have and still index them in a `u16`.
+pub const NARROW_VARS: usize = 1 << 16;
+
+/// One element of the factor-index column: a dense local variable index,
+/// two or four bytes wide.
+pub(crate) trait LocalIdx: Copy {
+    /// The index as a table offset.
+    fn at(self) -> usize;
+}
+
+impl LocalIdx for u16 {
+    #[inline]
+    fn at(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl LocalIdx for u32 {
+    #[inline]
+    fn at(self) -> usize {
+        self as usize
+    }
+}
+
+/// The factor-index column of an owned set. Which variant a set has is a
+/// function of its variable count alone: narrow up to [`NARROW_VARS`],
+/// wide above.
+#[derive(Clone, Debug)]
+pub(crate) enum FactorVars {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl FactorVars {
+    fn with_capacity(num_vars: usize, factors: usize) -> Self {
+        if num_vars <= NARROW_VARS {
+            FactorVars::Narrow(Vec::with_capacity(factors))
+        } else {
+            FactorVars::Wide(Vec::with_capacity(factors))
+        }
+    }
+
+    fn as_ref(&self) -> FactorVarsRef<'_> {
+        match self {
+            FactorVars::Narrow(f) => FactorVarsRef::Narrow(f),
+            FactorVars::Wide(f) => FactorVarsRef::Wide(f),
+        }
+    }
+}
+
+/// The factor-index column of a [`CompiledView`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FactorVarsRef<'a> {
+    Narrow(&'a [u16]),
+    Wide(&'a [u32]),
+}
+
+impl FactorVarsRef<'_> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            FactorVarsRef::Narrow(f) => f.len(),
+            FactorVarsRef::Wide(f) => f.len(),
+        }
+    }
+
+    /// Bytes per index.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            FactorVarsRef::Narrow(_) => 2,
+            FactorVarsRef::Wide(_) => 4,
+        }
+    }
+
+    fn get(self, fac: usize) -> usize {
+        match self {
+            FactorVarsRef::Narrow(f) => f[fac].at(),
+            FactorVarsRef::Wide(f) => f[fac].at(),
+        }
+    }
+}
+
+/// A forward reader of the power columns: the exponent of each factor
+/// position, asked for in increasing order.
+pub(crate) struct PowerCursor<'a> {
+    at: &'a [u32],
+    exp: &'a [u32],
+    next: usize,
+}
+
+impl<'a> PowerCursor<'a> {
+    pub(crate) fn new(at: &'a [u32], exp: &'a [u32]) -> Self {
+        Self { at, exp, next: 0 }
+    }
+
+    /// The exponent of the factor at `fac`. Every position must be asked
+    /// for, in order: an exception that is skipped is never found again.
+    #[inline]
+    pub(crate) fn exp_at(&mut self, fac: usize) -> u32 {
+        match self.at.get(self.next) {
+            Some(&at) if at as usize == fac => {
+                let exp = self.exp[self.next];
+                self.next += 1;
+                exp
+            }
+            _ => 1,
+        }
+    }
+}
+
+/// A [`PolySet`] lowered into flat columns for batch evaluation.
 ///
 /// Build one with [`CompiledPolySet::compile`], then evaluate scenarios
 /// with [`eval_one`](CompiledPolySet::eval_one) /
 /// [`eval_all`](CompiledPolySet::eval_all). The compiled form is
-/// immutable; re-compile after abstraction changes the poly-set.
+/// immutable; re-compile after abstraction changes the poly-set. Every
+/// column is allocated once, at the size it ends with.
 #[derive(Clone, Debug)]
 pub struct CompiledPolySet<C> {
     /// One coefficient per monomial, in evaluation order.
     pub(crate) coeffs: Vec<C>,
-    /// Per monomial: exclusive end of its factor range in
-    /// `factor_vars`/`factor_exps` (prefix ends; the start is the previous
-    /// entry, 0 for the first).
+    /// Per monomial: exclusive end of its factor range in `factor_vars`
+    /// (prefix ends; the start is the previous entry, 0 for the first).
     pub(crate) mono_ends: Vec<u32>,
     /// Per polynomial: exclusive end of its monomial range in
     /// `coeffs`/`mono_ends`.
     pub(crate) poly_ends: Vec<u32>,
     /// Dense batch-local variable index per factor.
-    pub(crate) factor_vars: Vec<u32>,
-    /// Exponent per factor (≥ 1 by monomial canonicalisation).
-    pub(crate) factor_exps: Vec<u32>,
+    pub(crate) factor_vars: FactorVars,
+    /// Positions in `factor_vars` of the factors whose exponent is not 1,
+    /// strictly increasing.
+    pub(crate) power_at: Vec<u32>,
+    /// The exponent (≥ 2) of the factor at the same index of `power_at`.
+    pub(crate) power_exp: Vec<u32>,
     /// Local index → original variable (the densification order).
     pub(crate) vars: Vec<VarId>,
 }
 
+/// What a lowering is going to hold, counted before any column exists so
+/// each is allocated once, at its final size and width.
+#[derive(Default)]
+struct Shape {
+    monos: usize,
+    factors: usize,
+    powers: usize,
+    degree: u64,
+    vars: FxHashSet<VarId>,
+}
+
+impl Shape {
+    fn term(&mut self, factors: impl Iterator<Item = (VarId, u32)>) {
+        self.monos += 1;
+        for (v, e) in factors {
+            self.factors += 1;
+            self.powers += usize::from(e > 1);
+            self.degree += u64::from(e);
+            self.vars.insert(v);
+        }
+    }
+}
+
+/// The columns of a lowering while its terms are pushed, in evaluation
+/// order, into the room a [`Shape`] measured.
+struct Lowering<C> {
+    set: CompiledPolySet<C>,
+    space: VarSpace,
+}
+
+impl<C: Coefficient> Lowering<C> {
+    fn sized(shape: &Shape, polys: usize) -> Self {
+        // The format's two limits (ADR 013): factor positions and any
+        // sum of exponents fit a `u32`.
+        arena_end(shape.factors);
+        assert!(
+            shape.degree <= u64::from(u32::MAX),
+            "total degree exceeds u32::MAX"
+        );
+        Self {
+            set: CompiledPolySet {
+                coeffs: Vec::with_capacity(shape.monos),
+                mono_ends: Vec::with_capacity(shape.monos),
+                poly_ends: Vec::with_capacity(polys),
+                factor_vars: FactorVars::with_capacity(shape.vars.len(), shape.factors),
+                power_at: Vec::with_capacity(shape.powers),
+                power_exp: Vec::with_capacity(shape.powers),
+                vars: Vec::new(),
+            },
+            space: VarSpace::with_capacity(shape.vars.len()),
+        }
+    }
+
+    fn term(&mut self, coeff: &C, factors: impl Iterator<Item = (VarId, u32)>) {
+        let set = &mut self.set;
+        set.coeffs.push(coeff.clone());
+        for (v, e) in factors {
+            let local = self.space.local(v);
+            if e > 1 {
+                set.power_at.push(arena_end(set.factor_vars.as_ref().len()));
+                set.power_exp.push(e);
+            }
+            match &mut set.factor_vars {
+                FactorVars::Narrow(f) => {
+                    f.push(u16::try_from(local).expect("a narrow set has ≤ 65 536 variables"))
+                }
+                FactorVars::Wide(f) => f.push(local),
+            }
+        }
+        set.mono_ends
+            .push(arena_end(set.factor_vars.as_ref().len()));
+    }
+
+    fn end_poly(&mut self) {
+        self.set.poly_ends.push(arena_end(self.set.coeffs.len()));
+    }
+
+    fn finish(mut self) -> CompiledPolySet<C> {
+        self.set.vars = self.space.into_vars();
+        debug_assert_eq!(
+            matches!(self.set.factor_vars, FactorVars::Narrow(_)),
+            self.set.vars.len() <= NARROW_VARS
+        );
+        self.set
+    }
+}
+
 impl<C: Coefficient> CompiledPolySet<C> {
-    /// Lowers `polys` into the columnar form.
-    ///
-    /// Runs in one pass over the poly-set; the arena sizes equal the
-    /// poly-set's monomial and factor counts exactly.
+    /// Lowers `polys` into the columnar form: one pass to count, one to
+    /// write, so every column is allocated exactly once.
     pub fn compile(polys: &PolySet<C>) -> Self {
-        let num_monos = polys.size_m();
-        let mut coeffs = Vec::with_capacity(num_monos);
-        let mut mono_ends = Vec::with_capacity(num_monos);
-        let mut poly_ends = Vec::with_capacity(polys.len());
-        let mut factor_vars = Vec::new();
-        let mut factor_exps = Vec::new();
-        let mut space = VarSpace::new();
+        let mut shape = Shape::default();
+        for p in polys.iter() {
+            for (m, _) in p.iter() {
+                shape.term(m.factors());
+            }
+        }
+        let mut lowering = Lowering::sized(&shape, polys.len());
         for p in polys.iter() {
             for (m, c) in p.iter() {
-                coeffs.push(c.clone());
-                for (v, e) in m.factors() {
-                    factor_vars.push(space.local(v));
-                    factor_exps.push(e);
-                }
-                mono_ends.push(arena_end(factor_vars.len()));
+                lowering.term(c, m.factors());
             }
-            poly_ends.push(arena_end(coeffs.len()));
+            lowering.end_poly();
         }
-        Self {
-            coeffs,
-            mono_ends,
-            poly_ends,
-            factor_vars,
-            factor_exps,
-            vars: space.into_vars(),
-        }
+        lowering.finish()
     }
 
     /// Freezes an interned [`WorkingSet`] into the columnar evaluation
@@ -110,35 +308,25 @@ impl<C: Coefficient> CompiledPolySet<C> {
     /// round-trip in the last bit; term *sets* and exact-coefficient
     /// results are identical (see the `intern_equivalence` suite).
     pub fn from_working(ws: &WorkingSet<C>) -> Self {
-        let num_monos = ws.size_m();
-        let mut coeffs = Vec::with_capacity(num_monos);
-        let mut mono_ends = Vec::with_capacity(num_monos);
-        let mut poly_ends = Vec::with_capacity(ws.num_polys());
-        let mut factor_vars = Vec::new();
-        let mut factor_exps = Vec::new();
-        let mut space = VarSpace::new();
+        // The counts do not depend on the order of the terms, so the
+        // counting pass skips the sort.
+        let mut shape = Shape::default();
+        for pi in 0..ws.num_polys() {
+            for id in ws.poly_mono_ids(pi) {
+                shape.term(ws.mono(id).factors());
+            }
+        }
+        let mut lowering = Lowering::sized(&shape, ws.num_polys());
         for pi in 0..ws.num_polys() {
             for (id, c) in ws.sorted_terms(pi) {
-                coeffs.push(c.clone());
-                for (v, e) in ws.mono(id).factors() {
-                    factor_vars.push(space.local(v));
-                    factor_exps.push(e);
-                }
-                mono_ends.push(arena_end(factor_vars.len()));
+                lowering.term(c, ws.mono(id).factors());
             }
-            poly_ends.push(arena_end(coeffs.len()));
+            lowering.end_poly();
         }
-        Self {
-            coeffs,
-            mono_ends,
-            poly_ends,
-            factor_vars,
-            factor_exps,
-            vars: space.into_vars(),
-        }
+        lowering.finish()
     }
 
-    /// Borrows the six columns as a [`CompiledView`] — the form every
+    /// Borrows the columns as a [`CompiledView`] — the form every
     /// evaluation entry point actually consumes, and the type a
     /// memory-mapped artifact ([`crate::persist`]) produces without
     /// materialising a `CompiledPolySet` at all.
@@ -147,8 +335,9 @@ impl<C: Coefficient> CompiledPolySet<C> {
             coeffs: &self.coeffs,
             mono_ends: &self.mono_ends,
             poly_ends: &self.poly_ends,
-            factor_vars: &self.factor_vars,
-            factor_exps: &self.factor_exps,
+            factor_vars: self.factor_vars.as_ref(),
+            power_at: &self.power_at,
+            power_exp: &self.power_exp,
             vars: &self.vars,
         }
     }
@@ -170,7 +359,7 @@ impl<C: Coefficient> CompiledPolySet<C> {
 
     /// Total number of variable factors in the arena.
     pub fn num_factors(&self) -> usize {
-        self.factor_vars.len()
+        self.view().num_factors()
     }
 
     /// Number of distinct variables (`|𝒫|_V`, the densified index space).
@@ -183,16 +372,24 @@ impl<C: Coefficient> CompiledPolySet<C> {
         &self.vars
     }
 
-    /// Heap footprint of the arenas in bytes — compare with
-    /// [`PolySet::estimated_bytes`] to see the columnar saving.
+    /// Heap footprint of the columns in bytes — compare with
+    /// [`PolySet::estimated_bytes`] to see the columnar saving. A lowering
+    /// allocates each column at its final size, so this is also the size
+    /// of the data held.
     pub fn estimated_bytes(&self) -> usize {
-        self.coeffs.capacity() * std::mem::size_of::<C>()
+        use std::mem::size_of;
+        let factor_vars = match &self.factor_vars {
+            FactorVars::Narrow(f) => f.capacity() * size_of::<u16>(),
+            FactorVars::Wide(f) => f.capacity() * size_of::<u32>(),
+        };
+        self.coeffs.capacity() * size_of::<C>()
             + (self.mono_ends.capacity()
                 + self.poly_ends.capacity()
-                + self.factor_vars.capacity()
-                + self.factor_exps.capacity())
-                * std::mem::size_of::<u32>()
-            + self.vars.capacity() * std::mem::size_of::<VarId>()
+                + self.power_at.capacity()
+                + self.power_exp.capacity())
+                * size_of::<u32>()
+            + factor_vars
+            + self.vars.capacity() * size_of::<VarId>()
     }
 
     /// Densifies a sparse valuation into the batch-local lookup table:
@@ -243,7 +440,7 @@ impl<C: Coefficient> CompiledPolySet<C> {
     }
 }
 
-/// A borrowed view of the six compiled columns — the common currency of
+/// A borrowed view of the compiled columns — the common currency of
 /// every evaluator.
 ///
 /// The slices can come from a live [`CompiledPolySet`]
@@ -253,6 +450,11 @@ impl<C: Coefficient> CompiledPolySet<C> {
 /// [`crate::simd`], the batch executor in `provabs-scenario`) cannot tell
 /// the difference — which is exactly what makes the zero-copy load path
 /// a drop-in.
+///
+/// Whoever builds one (the lowerings here, the artifact validator)
+/// guarantees what the kernels index by: monotone prefix ends that cover
+/// their columns, every factor index below `vars.len()`, `power_at`
+/// strictly increasing below the factor count with `power_exp` beside it.
 #[derive(Debug)]
 pub struct CompiledView<'a, C> {
     /// One coefficient per monomial, in evaluation order.
@@ -262,14 +464,16 @@ pub struct CompiledView<'a, C> {
     /// Per polynomial: exclusive end of its monomial range.
     pub(crate) poly_ends: &'a [u32],
     /// Dense batch-local variable index per factor.
-    pub(crate) factor_vars: &'a [u32],
-    /// Exponent per factor (≥ 1 by monomial canonicalisation).
-    pub(crate) factor_exps: &'a [u32],
+    pub(crate) factor_vars: FactorVarsRef<'a>,
+    /// Positions of the factors whose exponent is not 1, increasing.
+    pub(crate) power_at: &'a [u32],
+    /// The exponent (≥ 2) of the factor at the same index of `power_at`.
+    pub(crate) power_exp: &'a [u32],
     /// Local index → original variable (the densification order).
     pub(crate) vars: &'a [VarId],
 }
 
-// Manual impls: a view of six slices is Copy regardless of whether `C`
+// Manual impls: a view of slices is Copy regardless of whether `C`
 // itself is (a derive would demand `C: Copy`/`C: Clone`).
 impl<C> Clone for CompiledView<'_, C> {
     fn clone(&self) -> Self {
@@ -304,6 +508,12 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
         self.vars.len()
     }
 
+    /// Bytes each factor spends on its variable index: 2 for a set of at
+    /// most [`NARROW_VARS`] variables, 4 above.
+    pub fn factor_index_bytes(&self) -> usize {
+        self.factor_vars.width()
+    }
+
     /// The densification order: local index `i` stands for `vars()[i]`.
     pub fn vars(&self) -> &'a [VarId] {
         self.vars
@@ -334,6 +544,24 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
     pub fn eval_into(&self, table: &[C], out: &mut Vec<C>) {
         assert!(table.len() >= self.vars.len(), "valuation table too short");
         out.reserve(self.poly_ends.len());
+        match (self.factor_vars, self.power_at.is_empty()) {
+            (FactorVarsRef::Narrow(f), true) => self.sweep::<u16, false>(f, table, out),
+            (FactorVarsRef::Narrow(f), false) => self.sweep::<u16, true>(f, table, out),
+            (FactorVarsRef::Wide(f), true) => self.sweep::<u32, false>(f, table, out),
+            (FactorVarsRef::Wide(f), false) => self.sweep::<u32, true>(f, table, out),
+        }
+    }
+
+    /// The scalar sweep, instantiated per index width and per whether the
+    /// set has any factor that is not `^1`. Without one (`POWERS` false)
+    /// the loop never looks at the power columns.
+    fn sweep<I: LocalIdx, const POWERS: bool>(
+        &self,
+        factor_vars: &[I],
+        table: &[C],
+        out: &mut Vec<C>,
+    ) {
+        let mut powers = PowerCursor::new(self.power_at, self.power_exp);
         let mut mono = 0usize;
         let mut fac = 0usize;
         for &poly_end in self.poly_ends {
@@ -342,16 +570,12 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
                 let fac_end = self.mono_ends[mono] as usize;
                 let mut term = self.coeffs[mono].clone();
                 while fac < fac_end {
-                    let v = &table[self.factor_vars[fac] as usize];
-                    let e = self.factor_exps[fac];
-                    // Small-exponent fast path: `pow(1)` is the identity
-                    // for every lawful coefficient and the inlined squares
-                    // below reproduce `pow`'s multiply tree exactly
-                    // (multiplication by `one()` is exact and IEEE-754
-                    // multiplication is commutative), so skipping the
-                    // `pow` call never changes a bit — the scalar engine
-                    // pays no `powi`-shaped overhead the lane kernels
-                    // (`crate::simd`) have specialised away.
+                    let v = &table[factor_vars[fac].at()];
+                    let e = if POWERS { powers.exp_at(fac) } else { 1 };
+                    // The inlined squares reproduce `pow`'s multiply tree
+                    // exactly (multiplication by `one()` is exact and
+                    // IEEE-754 multiplication is commutative), so going
+                    // around the `pow` call never changes a bit.
                     term = match e {
                         1 => term.mul(v),
                         2 => term.mul(&v.mul(v)),
@@ -392,40 +616,39 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
             .collect()
     }
 
+    /// Hands `visit` every term in evaluation order: the index of its
+    /// polynomial, its coefficient and its factors *as stored* — canonical
+    /// when the columns came from a lowering; in any order, a variable
+    /// possibly repeated, when they were admitted from an artifact.
+    pub(crate) fn for_each_term(&self, mut visit: impl FnMut(usize, &C, &mut Vec<(VarId, u32)>)) {
+        let mut powers = PowerCursor::new(self.power_at, self.power_exp);
+        let mut factors = Vec::new();
+        let mut mono = 0usize;
+        let mut fac = 0usize;
+        for (pi, &poly_end) in self.poly_ends.iter().enumerate() {
+            while mono < poly_end as usize {
+                let fac_end = self.mono_ends[mono] as usize;
+                factors.clear();
+                factors.extend(
+                    (fac..fac_end)
+                        .map(|at| (self.vars[self.factor_vars.get(at)], powers.exp_at(at))),
+                );
+                visit(pi, &self.coeffs[mono], &mut factors);
+                fac = fac_end;
+                mono += 1;
+            }
+        }
+    }
+
     /// The semantics-equivalence bridge: reconstructs the hash-map-backed
     /// [`PolySet`] these columns denote (see
     /// [`CompiledPolySet::to_polyset`]).
     pub fn to_polyset(&self) -> PolySet<C> {
-        let mut polys = Vec::with_capacity(self.poly_ends.len());
-        let mut mono = 0usize;
-        let mut fac = 0usize;
-        for &poly_end in self.poly_ends {
-            let mut p = Polynomial::zero();
-            while mono < poly_end as usize {
-                let fac_end = self.mono_ends[mono] as usize;
-                let factors = (fac..fac_end)
-                    .map(|i| (self.vars[self.factor_vars[i] as usize], self.factor_exps[i]));
-                p.add_term(Monomial::from_factors(factors), self.coeffs[mono].clone());
-                fac = fac_end;
-                mono += 1;
-            }
-            polys.push(p);
-        }
+        let mut polys = vec![Polynomial::zero(); self.poly_ends.len()];
+        self.for_each_term(|pi, c, factors| {
+            polys[pi].add_term(Monomial::from_factors(factors.drain(..)), c.clone());
+        });
         PolySet::from_vec(polys)
-    }
-
-    /// Rebuilds an owned [`CompiledPolySet`] by copying the six columns —
-    /// how a session opened from an artifact detaches from the mapping
-    /// when it needs an owned lowering.
-    pub fn to_owned_set(&self) -> CompiledPolySet<C> {
-        CompiledPolySet {
-            coeffs: self.coeffs.to_vec(),
-            mono_ends: self.mono_ends.to_vec(),
-            poly_ends: self.poly_ends.to_vec(),
-            factor_vars: self.factor_vars.to_vec(),
-            factor_exps: self.factor_exps.to_vec(),
-            vars: self.vars.to_vec(),
-        }
     }
 }
 
@@ -469,7 +692,92 @@ mod tests {
         assert_eq!(c.num_vars(), polys.size_v());
         assert_eq!(c.num_factors(), 4); // v1·v2, v1², v7, 1
         assert!(!c.is_empty());
-        assert!(c.estimated_bytes() > 0);
+        assert_eq!(c.power_exp, [2], "v1² is the one factor that is not ^1");
+    }
+
+    /// Bytes of data a set holds: what its columns' lengths add up to.
+    fn data_bytes<C: Coefficient>(c: &CompiledPolySet<C>) -> usize {
+        c.coeffs.len() * std::mem::size_of::<C>()
+            + 4 * (c.mono_ends.len() + c.poly_ends.len() + c.vars.len())
+            + 8 * c.power_at.len()
+            + c.view().factor_index_bytes() * c.num_factors()
+    }
+
+    #[test]
+    fn every_column_is_allocated_at_its_final_size() {
+        let polys = sample();
+        let compiled = CompiledPolySet::compile(&polys);
+        assert_eq!(compiled.estimated_bytes(), data_bytes(&compiled));
+        let mut ws = WorkingSet::from_polyset(&polys);
+        ws.apply_group(&[v(2), v(7)], v(30), &[0, 1]);
+        let frozen = ws.freeze();
+        assert_eq!(frozen.estimated_bytes(), data_bytes(&frozen));
+        assert_eq!(frozen.power_at.len(), frozen.power_exp.len());
+        let empty = CompiledPolySet::<f64>::compile(&PolySet::new());
+        assert_eq!(empty.estimated_bytes(), 0);
+    }
+
+    /// `n` variables, one single-variable monomial each, two to a
+    /// polynomial.
+    fn chain(n: u32) -> PolySet<f64> {
+        let term = |i: u32| (Monomial::var(v(i)), f64::from(i % 7) + 0.5);
+        PolySet::from_vec(
+            (0..n)
+                .step_by(2)
+                .map(|i| Polynomial::from_terms((i..n.min(i + 2)).map(term)))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn the_index_is_narrow_up_to_65536_variables_and_wide_above() {
+        for (n, width) in [(NARROW_VARS as u32, 2), (NARROW_VARS as u32 + 1, 4)] {
+            let polys = chain(n);
+            for c in [
+                CompiledPolySet::compile(&polys),
+                WorkingSet::from_polyset(&polys).freeze(),
+            ] {
+                assert_eq!(c.num_vars(), n as usize);
+                assert_eq!(c.view().factor_index_bytes(), width, "{n} variables");
+                assert_eq!(c.estimated_bytes(), data_bytes(&c));
+                // The last variable (local index n − 1) is addressable.
+                let val = Valuation::neutral().set(v(n - 1), 4.0);
+                let fast = c.eval_one(&val);
+                let slow = val.eval_set(&polys);
+                assert!(fast
+                    .iter()
+                    .zip(&slow)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert_eq!(c.to_polyset().iter().last(), polys.iter().last());
+            }
+        }
+    }
+
+    #[test]
+    fn powers_are_found_wherever_they_sit() {
+        // First factor, last factor, two in one monomial, none, and past
+        // the unrolled 2/3 into the squaring tree.
+        let polys = PolySet::from_vec(vec![
+            poly(&[(&[(1, 3), (2, 1)], 2.0), (&[(1, 1), (2, 1)], 0.5)]),
+            poly(&[
+                (&[(1, 2), (2, 7)], -1.5),
+                (&[(3, 1)], 4.0),
+                (&[(3, 5)], 1.0),
+            ]),
+        ]);
+        let c = CompiledPolySet::compile(&polys);
+        assert_eq!(c.power_at.len(), 4);
+        assert!(c.power_at.windows(2).all(|w| w[0] < w[1]));
+        let val = Valuation::neutral()
+            .set(v(1), 1.25)
+            .set(v(2), -0.75)
+            .set(v(3), 3.0);
+        for (a, b) in c.eval_one(&val).iter().zip(&val.eval_set(&polys)) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        }
+        for (a, b) in c.to_polyset().iter().zip(polys.iter()) {
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

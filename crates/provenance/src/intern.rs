@@ -89,6 +89,16 @@ impl VarSpace {
         Self::default()
     }
 
+    /// An empty space that takes `vars` variables without growing.
+    pub fn with_capacity(vars: usize) -> Self {
+        let mut index = FxHashMap::default();
+        index.reserve(vars);
+        Self {
+            vars: Vec::with_capacity(vars),
+            index,
+        }
+    }
+
     /// The local index of `v`, assigning the next dense index on first
     /// sight.
     pub fn local(&mut self, v: VarId) -> u32 {

@@ -23,7 +23,7 @@ const HEADER_LEN: usize = 24;
 /// TOC entry: id + reserved (2 × 4) + offset + len + checksum (3 × 8).
 const TOC_ENTRY_LEN: usize = 32;
 /// Anything beyond this many sections is a corrupt count, not a real
-/// artifact (the session layout uses nine).
+/// artifact (the session layout uses eight).
 const MAX_SECTIONS: usize = 4096;
 
 /// The backing bytes of an opened artifact — owned or mapped, both with
@@ -94,39 +94,42 @@ impl ArtifactWriter {
 
     /// Serialises the whole artifact into bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
+    }
+
+    /// Writes the artifact image — header, TOC, header checksum, then each
+    /// payload followed by its padding — piece by piece, so a save holds
+    /// no second copy of the payloads.
+    fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
         let toc_end = HEADER_LEN + self.sections.len() * TOC_ENTRY_LEN;
         let payload_start = (toc_end + 8).next_multiple_of(8);
-        // Lay the payloads out first so the TOC can carry real offsets.
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut at = payload_start;
+        let mut head = Vec::with_capacity(payload_start);
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        head.extend_from_slice(&0u32.to_le_bytes()); // flags
+        head.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        head.extend_from_slice(&0u32.to_le_bytes()); // reserved
+        let mut offset = payload_start;
+        for (id, payload) in &self.sections {
+            head.extend_from_slice(&id.to_le_bytes());
+            head.extend_from_slice(&0u32.to_le_bytes()); // reserved
+            head.extend_from_slice(&(offset as u64).to_le_bytes());
+            head.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            head.extend_from_slice(&checksum64(payload).to_le_bytes());
+            offset = (offset + payload.len()).next_multiple_of(8);
+        }
+        let header_sum = checksum64(&head);
+        head.extend_from_slice(&header_sum.to_le_bytes());
+        head.resize(payload_start, 0);
+        out.write_all(&head)?;
         for (_, payload) in &self.sections {
-            offsets.push(at);
-            at = (at + payload.len()).next_multiple_of(8);
+            out.write_all(payload)?;
+            out.write_all(&[0; 8][..payload.len().next_multiple_of(8) - payload.len()])?;
         }
-        let total = at;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // flags
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        for ((id, payload), offset) in self.sections.iter().zip(&offsets) {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-            out.extend_from_slice(&(*offset as u64).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&checksum64(payload).to_le_bytes());
-        }
-        let header_sum = checksum64(&out);
-        out.extend_from_slice(&header_sum.to_le_bytes());
-        out.resize(payload_start, 0);
-        for ((_, payload), offset) in self.sections.iter().zip(&offsets) {
-            debug_assert_eq!(out.len(), *offset);
-            out.extend_from_slice(payload);
-            out.resize(out.len().next_multiple_of(8), 0);
-        }
-        debug_assert_eq!(out.len(), total);
-        out
+        Ok(())
     }
 
     /// Writes the artifact to `path` via a temporary sibling file and an
@@ -151,11 +154,10 @@ impl ArtifactWriter {
     /// backoff; anything else (or exhausted retries) surfaces as
     /// [`PersistError::Io`].
     pub fn write_atomic_with(&self, path: &Path, faults: &FaultFs) -> Result<(), PersistError> {
-        let bytes = self.to_bytes();
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let mut attempt = 0;
         loop {
-            match Self::try_publish(&bytes, &tmp, path, faults) {
+            match self.try_publish(&tmp, path, faults) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     let _ = std::fs::remove_file(&tmp);
@@ -177,11 +179,11 @@ impl ArtifactWriter {
 
     /// One staged-write-and-rename attempt, with every filesystem call
     /// routed through the injection seam first.
-    fn try_publish(bytes: &[u8], tmp: &Path, path: &Path, faults: &FaultFs) -> std::io::Result<()> {
+    fn try_publish(&self, tmp: &Path, path: &Path, faults: &FaultFs) -> std::io::Result<()> {
         faults.check(FaultOp::Create)?;
         let mut f = File::create(tmp)?;
         faults.check(FaultOp::Write)?;
-        f.write_all(bytes)?;
+        self.write_to(&mut f)?;
         faults.check(FaultOp::Sync)?;
         f.sync_all()?;
         drop(f);
@@ -272,8 +274,9 @@ impl RawArtifact {
                 |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("in bounds"));
             let rd_u64 =
                 |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("in bounds"));
+            // Before any checksum: another version sums differently.
             let version = rd_u32(8);
-            if version > FORMAT_VERSION {
+            if version != FORMAT_VERSION {
                 return Err(PersistError::UnsupportedVersion {
                     found: version,
                     supported: FORMAT_VERSION,
@@ -457,20 +460,20 @@ mod tests {
             RawArtifact::open_bytes(bad).unwrap_err(),
             PersistError::BadMagic
         );
-        let mut future = good.clone();
-        future[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        // The tampered version also breaks the header checksum; recompute
-        // it so the version check itself is exercised.
-        let toc_end = HEADER_LEN + 3 * TOC_ENTRY_LEN;
-        let sum = checksum64(&future[..toc_end]);
-        future[toc_end..toc_end + 8].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            RawArtifact::open_bytes(future).unwrap_err(),
-            PersistError::UnsupportedVersion {
-                found: FORMAT_VERSION + 1,
-                supported: FORMAT_VERSION
-            }
-        );
+        // Any other version, newer or older, is refused by its number
+        // alone: the header checksum is deliberately left stale, as a
+        // version-1 header's would be under this version's checksum.
+        for found in [FORMAT_VERSION + 1, FORMAT_VERSION - 1, 0] {
+            let mut other = good.clone();
+            other[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                RawArtifact::open_bytes(other).unwrap_err(),
+                PersistError::UnsupportedVersion {
+                    found,
+                    supported: FORMAT_VERSION
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Section codecs for the provenance-owned artifact state: the variable
-//! table, the frozen compiled columns (the zero-copy payload), and the
-//! lazily-decoded working sets.
+//! table and the frozen compiled columns — the zero-copy payload both the
+//! abstracted and the original provenance are stored as.
 //!
 //! Each codec pairs an `encode_*` function (run at save) with a typed
 //! validator that is the *only* entry point at open: after
-//! [`SharedCompiled::validate`] / [`WorkingSlot::validate`] /
-//! [`decode_var_table`] succeed, every later access — including the
-//! unsafe reslices behind [`SharedCompiled::view`] — is checked-free by
-//! construction.
+//! [`SharedCompiled::validate`] / [`decode_var_table`] succeed, every
+//! later access — including the unsafe reslices behind
+//! [`SharedCompiled::view`] — is checked-free by construction.
 
 use super::artifact::{ArtifactBytes, RawArtifact};
-use super::format::{section, Dec, Enc};
+use super::format::{Dec, Enc};
 use super::PersistError;
-use crate::compiled::CompiledView;
-use crate::fxhash::FxHashMap;
-use crate::intern::{accumulate, MonoArena, MonoId};
+use crate::compiled::{CompiledView, FactorVarsRef, NARROW_VARS};
 use crate::var::{VarId, VarTable};
-use crate::working::WorkingSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -64,71 +60,91 @@ pub fn decode_var_table(bytes: &[u8]) -> Result<VarTable, PersistError> {
 // Compiled columns (the zero-copy payload)
 // ---------------------------------------------------------------------
 
-/// Encodes the six compiled columns: four `u64` counts, then
-/// `coeffs: f64×monos` (8-aligned at section offset 32),
-/// `mono_ends: u32×monos`, `poly_ends: u32×polys`,
-/// `factor_vars: u32×factors`, `factor_exps: u32×factors`,
-/// `vars: u32×vars`. The section length is exactly determined by the
-/// counts, which is what lets [`SharedCompiled::validate`] reject any
-/// length lie up front.
-pub fn encode_compiled(view: CompiledView<'_, f64>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(view.poly_ends.len() as u64);
-    e.u64(view.coeffs.len() as u64);
-    e.u64(view.factor_vars.len() as u64);
-    e.u64(view.vars.len() as u64);
-    for &c in view.coeffs {
-        e.f64(c);
+/// Bytes of the five `u64` counts a compiled-columns section opens with.
+const COUNTS_LEN: usize = 40;
+
+/// Bytes per factor index in a set of `num_vars` variables — the one
+/// width the lowerings produce and the validator admits.
+fn index_width(num_vars: usize) -> usize {
+    if num_vars <= NARROW_VARS {
+        2
+    } else {
+        4
     }
+}
+
+/// The exact length of a section with these counts, if it fits a `usize`.
+fn section_len(
+    [polys, monos, factors, vars, powers]: [usize; 5],
+    index_width: usize,
+) -> Option<usize> {
+    COUNTS_LEN
+        .checked_add(monos.checked_mul(12)?)?
+        .checked_add(polys.checked_add(vars)?.checked_mul(4)?)?
+        .checked_add(powers.checked_mul(8)?)?
+        .checked_add(factors.checked_mul(index_width)?)
+}
+
+/// Encodes compiled columns: five `u64` counts (polynomials, monomials,
+/// factors, variables, powers), then `coeffs: f64×monos` (8-aligned at
+/// section offset 40), `mono_ends: u32×monos`, `poly_ends: u32×polys`,
+/// `vars: u32×vars`, `power_at: u32×powers`, `power_exp: u32×powers` and
+/// last `factor_vars`, `u16×factors` or `u32×factors` by the variable
+/// count. The section length is exactly determined by the counts, which
+/// is what lets [`SharedCompiled::validate`] reject any length lie — a
+/// factor column of the other width included — up front.
+pub fn encode_compiled(view: CompiledView<'_, f64>) -> Vec<u8> {
+    let counts = [
+        view.poly_ends.len(),
+        view.coeffs.len(),
+        view.factor_vars.len(),
+        view.vars.len(),
+        view.power_at.len(),
+    ];
+    let len = section_len(counts, view.factor_vars.width()).expect("the columns are in memory");
+    let mut e = Enc::with_capacity(len);
+    for n in counts {
+        e.u64(n as u64);
+    }
+    e.f64s(view.coeffs);
     e.u32s(view.mono_ends);
     e.u32s(view.poly_ends);
-    e.u32s(view.factor_vars);
-    e.u32s(view.factor_exps);
     for &v in view.vars {
         e.u32(v.0);
     }
+    e.u32s(view.power_at);
+    e.u32s(view.power_exp);
+    match view.factor_vars {
+        FactorVarsRef::Narrow(f) => e.u16s(f),
+        FactorVarsRef::Wide(f) => e.u32s(f),
+    }
+    debug_assert_eq!(e.len(), len);
     e.finish()
 }
 
-/// Reslices validated bytes as `&[u32]`.
+/// Reslices validated bytes as `&[T]`, for `T` one of `u16`, `u32`,
+/// `f64` and [`VarId`] (`#[repr(transparent)]` over `u32`): types every
+/// bit pattern is a value of (NaN payloads round-trip as stored).
 ///
 /// # Safety
-/// `bytes` must be 4-aligned and a multiple of 4 long (both established
-/// by the validators before any range is stored).
-unsafe fn as_u32s(bytes: &[u8]) -> &[u32] {
-    debug_assert_eq!(bytes.as_ptr().align_offset(4), 0);
-    debug_assert_eq!(bytes.len() % 4, 0);
-    // SAFETY: alignment and length are validated; u32 accepts all bit
-    // patterns.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
-}
-
-/// Reslices validated bytes as `&[f64]`.
-///
-/// # Safety
-/// `bytes` must be 8-aligned and a multiple of 8 long.
-unsafe fn as_f64s(bytes: &[u8]) -> &[f64] {
-    debug_assert_eq!(bytes.as_ptr().align_offset(8), 0);
-    debug_assert_eq!(bytes.len() % 8, 0);
-    // SAFETY: alignment and length are validated; f64 accepts all bit
-    // patterns (NaN payloads round-trip as stored).
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, bytes.len() / 8) }
-}
-
-/// Reslices validated bytes as `&[VarId]` — sound because [`VarId`] is
-/// `#[repr(transparent)]` over `u32`.
-///
-/// # Safety
-/// `bytes` must be 4-aligned and a multiple of 4 long.
-unsafe fn as_varids(bytes: &[u8]) -> &[VarId] {
-    debug_assert_eq!(bytes.as_ptr().align_offset(4), 0);
-    debug_assert_eq!(bytes.len() % 4, 0);
-    // SAFETY: as above, plus VarId's transparent layout over u32.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const VarId, bytes.len() / 4) }
+/// `bytes` must be aligned for `T` and a multiple of its size long (both
+/// established by [`SharedCompiled::validate`] before any range is
+/// stored).
+unsafe fn cast<T>(bytes: &[u8]) -> &[T] {
+    debug_assert_eq!(bytes.as_ptr().align_offset(std::mem::align_of::<T>()), 0);
+    debug_assert_eq!(bytes.len() % std::mem::size_of::<T>(), 0);
+    // SAFETY: alignment and length are the caller's contract; the four
+    // element types accept all bit patterns.
+    unsafe {
+        std::slice::from_raw_parts(
+            bytes.as_ptr().cast::<T>(),
+            bytes.len() / std::mem::size_of::<T>(),
+        )
+    }
 }
 
 /// The compiled columns of an opened artifact, shared with the artifact
-/// bytes themselves: six validated ranges into the owned-or-mapped file
+/// bytes themselves: validated ranges into the owned-or-mapped file
 /// image, resliced on demand as a [`CompiledView`] without copying a
 /// single column. Cloning is an `Arc` bump.
 #[derive(Clone, Debug)]
@@ -137,120 +153,142 @@ pub struct SharedCompiled {
     coeffs: Range<usize>,
     mono_ends: Range<usize>,
     poly_ends: Range<usize>,
-    factor_vars: Range<usize>,
-    factor_exps: Range<usize>,
     vars: Range<usize>,
+    power_at: Range<usize>,
+    power_exp: Range<usize>,
+    factor_vars: Range<usize>,
+    /// Whether `factor_vars` holds `u16`s.
+    narrow: bool,
 }
 
 impl SharedCompiled {
-    /// Validates the `COMPILED_ABS` section of `art` and captures the
-    /// six column ranges.
+    /// Validates the compiled-columns section `id` of `art` (reported as
+    /// `name`) and captures the column ranges.
     ///
     /// This is the whole validation boundary for the zero-copy path:
-    /// counts must reproduce the section length exactly; the prefix-end
-    /// columns must be monotone and consistent; every factor must index
-    /// a declared local variable with exponent ≥ 1; every local variable
-    /// must index the artifact's variable table (`num_table_vars`); and
-    /// the `f64` column must be 8-aligned. After this, every access via
-    /// [`view`](Self::view) — including the SIMD kernels' raw column
-    /// sweeps — is in bounds by construction.
-    pub fn validate(art: &RawArtifact, num_table_vars: usize) -> Result<Self, PersistError> {
-        const CTX: &str = "compiled columns";
-        let file_range =
-            art.section_range(section::COMPILED_ABS)
-                .ok_or(PersistError::MissingSection {
-                    name: "compiled columns",
-                })?;
-        let bytes = &art.bytes_arc().as_slice()[file_range.clone()];
-        let mut d = Dec::new(bytes, CTX);
-        let num_polys = d.count("polynomial count", bytes.len())?;
-        let num_monos = d.count("monomial count", bytes.len())?;
-        let num_factors = d.count("factor count", bytes.len())?;
-        let num_vars = d.count("variable count", bytes.len())?;
-        let expected = 32usize
-            .checked_add(num_monos.checked_mul(12).ok_or_else(overflow)?)
-            .and_then(|n| n.checked_add(num_polys.checked_mul(4)?))
-            .and_then(|n| n.checked_add(num_factors.checked_mul(8)?))
-            .and_then(|n| n.checked_add(num_vars.checked_mul(4)?))
-            .ok_or_else(overflow)?;
-        if expected != bytes.len() {
-            return Err(PersistError::malformed(
-                CTX,
-                format!(
-                    "counts require {expected} bytes, section has {}",
-                    bytes.len()
-                ),
-            ));
-        }
-        let at = file_range.start + 32;
-        let coeffs = at..at + num_monos * 8;
-        let mono_ends = coeffs.end..coeffs.end + num_monos * 4;
-        let poly_ends = mono_ends.end..mono_ends.end + num_polys * 4;
-        let factor_vars = poly_ends.end..poly_ends.end + num_factors * 4;
-        let factor_exps = factor_vars.end..factor_vars.end + num_factors * 4;
-        let vars = factor_exps.end..factor_exps.end + num_vars * 4;
-        debug_assert_eq!(vars.end, file_range.end);
+    /// counts must reproduce the section length exactly, at the one index
+    /// width the variable count calls for; the prefix-end columns must be
+    /// monotone and consistent; every factor must index a declared local
+    /// variable; the power positions must be strictly increasing factor
+    /// positions with exponents ≥ 2, and all exponents together must fit
+    /// a `u32`; every local variable must index the artifact's variable
+    /// table (`num_table_vars`); and the `f64` column must be 8-aligned.
+    /// After this, every access via [`view`](Self::view) — including the
+    /// SIMD kernels' raw column sweeps — is in bounds by construction.
+    ///
+    /// What is *not* demanded is that a monomial's factors be sorted or
+    /// free of repeats: evaluation multiplies them as they come, and
+    /// [`WorkingSet::from_compiled`](crate::working::WorkingSet::from_compiled)
+    /// canonicalises.
+    pub fn validate(
+        art: &RawArtifact,
+        id: u32,
+        name: &'static str,
+        num_table_vars: usize,
+    ) -> Result<Self, PersistError> {
+        let malformed = |detail: String| PersistError::malformed(name, detail);
+        let file_range = art
+            .section_range(id)
+            .ok_or(PersistError::MissingSection { name })?;
         let data = art.bytes_arc().as_slice();
+        let bytes = &data[file_range.clone()];
+        let mut d = Dec::new(bytes, name);
+        let mut counts = [0usize; 5];
+        for (n, what) in counts.iter_mut().zip([
+            "polynomial count",
+            "monomial count",
+            "factor count",
+            "variable count",
+            "power count",
+        ]) {
+            *n = d.count(what, bytes.len())?;
+        }
+        let [num_polys, num_monos, num_factors, num_vars, num_powers] = counts;
+        let width = index_width(num_vars);
+        if section_len(counts, width) != Some(bytes.len()) {
+            let other = if width == 2 { 4 } else { 2 };
+            let detail = if section_len(counts, other) == Some(bytes.len()) {
+                format!(
+                    "factor indices are {other} bytes wide, {num_vars} variables call for {width}"
+                )
+            } else {
+                format!(
+                    "counts do not add up to the section's {} bytes",
+                    bytes.len()
+                )
+            };
+            return Err(malformed(detail));
+        }
+        let mut at = file_range.start + COUNTS_LEN;
+        let mut column = |elems: usize, size: usize| {
+            let range = at..at + elems * size;
+            at = range.end;
+            range
+        };
+        let coeffs = column(num_monos, 8);
+        let mono_ends = column(num_monos, 4);
+        let poly_ends = column(num_polys, 4);
+        let vars = column(num_vars, 4);
+        let power_at = column(num_powers, 4);
+        let power_exp = column(num_powers, 4);
+        let factor_vars = column(num_factors, width);
+        debug_assert_eq!(factor_vars.end, file_range.end);
+        // Every column starts a multiple of 4 past `coeffs`.
         if data[coeffs.clone()].as_ptr().align_offset(8) != 0 {
             return Err(PersistError::Misaligned { context: "coeffs" });
         }
-        if data[mono_ends.clone()].as_ptr().align_offset(4) != 0 {
-            return Err(PersistError::Misaligned {
-                context: "compiled index columns",
-            });
-        }
-        // Structural validation over the typed columns.
-        // SAFETY: alignment checked just above; lengths are multiples of
-        // the element size by construction of the ranges.
-        let mono_ends_s = unsafe { as_u32s(&data[mono_ends.clone()]) };
-        let poly_ends_s = unsafe { as_u32s(&data[poly_ends.clone()]) };
-        let factor_vars_s = unsafe { as_u32s(&data[factor_vars.clone()]) };
-        let factor_exps_s = unsafe { as_u32s(&data[factor_exps.clone()]) };
-        let vars_s = unsafe { as_u32s(&data[vars.clone()]) };
-        check_prefix_ends(CTX, "mono_ends", mono_ends_s, num_factors)?;
-        check_prefix_ends(CTX, "poly_ends", poly_ends_s, num_monos)?;
-        if num_polys == 0 && num_monos != 0 {
-            return Err(PersistError::malformed(
-                CTX,
-                "monomials without polynomials",
-            ));
-        }
-        if num_monos == 0 && num_factors != 0 {
-            return Err(PersistError::malformed(CTX, "factors without monomials"));
-        }
-        for (i, &v) in factor_vars_s.iter().enumerate() {
-            if v as usize >= num_vars {
-                return Err(PersistError::malformed(
-                    CTX,
-                    format!("factor {i} references local variable {v} of {num_vars}"),
-                ));
-            }
-        }
-        for (i, &e) in factor_exps_s.iter().enumerate() {
-            if e == 0 {
-                return Err(PersistError::malformed(
-                    CTX,
-                    format!("factor {i} has exponent 0"),
-                ));
-            }
-        }
-        for (i, &v) in vars_s.iter().enumerate() {
-            if v as usize >= num_table_vars {
-                return Err(PersistError::malformed(
-                    CTX,
-                    format!("local variable {i} maps to id {v} outside the variable table"),
-                ));
-            }
-        }
-        Ok(Self {
+        let shared = Self {
             bytes: Arc::clone(art.bytes_arc()),
             coeffs,
             mono_ends,
             poly_ends,
-            factor_vars,
-            factor_exps,
             vars,
-        })
+            power_at,
+            power_exp,
+            factor_vars,
+            narrow: width == 2,
+        };
+        // Structural validation over the typed columns (what `view`
+        // reslices is in bounds and aligned as of here; what the kernels
+        // index by is what the rest of this function establishes).
+        let view = shared.view();
+        check_prefix_ends(name, "mono_ends", view.mono_ends, num_factors)?;
+        check_prefix_ends(name, "poly_ends", view.poly_ends, num_monos)?;
+        let stray = match view.factor_vars {
+            FactorVarsRef::Narrow(f) => f.iter().position(|&v| usize::from(v) >= num_vars),
+            FactorVarsRef::Wide(f) => f.iter().position(|&v| v as usize >= num_vars),
+        };
+        if let Some(i) = stray {
+            return Err(malformed(format!(
+                "factor {i} references a local variable outside the {num_vars} declared"
+            )));
+        }
+        let mut degree = num_factors as u64;
+        let mut prev = None;
+        for (&at, &exp) in view.power_at.iter().zip(view.power_exp) {
+            if prev.is_some_and(|p| p >= at) || at as usize >= num_factors {
+                return Err(malformed(format!(
+                    "power position {at} is not an increasing factor position below {num_factors}"
+                )));
+            }
+            if exp < 2 {
+                return Err(malformed(format!("power {exp} stored for factor {at}")));
+            }
+            prev = Some(at);
+            degree += u64::from(exp) - 1;
+        }
+        if degree > u64::from(u32::MAX) {
+            return Err(malformed(format!("total degree {degree} overflows u32")));
+        }
+        for (i, v) in view.vars.iter().enumerate() {
+            if v.index() >= num_table_vars {
+                return Err(malformed(format!(
+                    "local variable {i} maps to id {} outside the variable table",
+                    v.0
+                )));
+            }
+        }
+        Ok(shared)
     }
 
     /// The columns as the common evaluator currency — indistinguishable
@@ -258,23 +296,25 @@ impl SharedCompiled {
     /// to every engine.
     pub fn view(&self) -> CompiledView<'_, f64> {
         let data = self.bytes.as_slice();
-        // SAFETY: every range was validated (bounds, alignment, element-
-        // size multiples) by `validate` before this value existed.
+        // SAFETY: every range was laid out in bounds, on a multiple of its
+        // element size from an 8-aligned start, by `validate` before this
+        // value existed.
         unsafe {
             CompiledView {
-                coeffs: as_f64s(&data[self.coeffs.clone()]),
-                mono_ends: as_u32s(&data[self.mono_ends.clone()]),
-                poly_ends: as_u32s(&data[self.poly_ends.clone()]),
-                factor_vars: as_u32s(&data[self.factor_vars.clone()]),
-                factor_exps: as_u32s(&data[self.factor_exps.clone()]),
-                vars: as_varids(&data[self.vars.clone()]),
+                coeffs: cast(&data[self.coeffs.clone()]),
+                mono_ends: cast(&data[self.mono_ends.clone()]),
+                poly_ends: cast(&data[self.poly_ends.clone()]),
+                factor_vars: if self.narrow {
+                    FactorVarsRef::Narrow(cast(&data[self.factor_vars.clone()]))
+                } else {
+                    FactorVarsRef::Wide(cast(&data[self.factor_vars.clone()]))
+                },
+                power_at: cast(&data[self.power_at.clone()]),
+                power_exp: cast(&data[self.power_exp.clone()]),
+                vars: cast::<VarId>(&data[self.vars.clone()]),
             }
         }
     }
-}
-
-fn overflow() -> PersistError {
-    PersistError::malformed("compiled columns", "count arithmetic overflows")
 }
 
 /// Checks a prefix-end column: non-decreasing, each entry within the
@@ -295,191 +335,19 @@ fn check_prefix_ends(
         }
         prev = e;
     }
-    if ends.last().is_some_and(|&e| e as usize != arena_len) {
+    if prev as usize != arena_len {
         return Err(PersistError::malformed(
             ctx,
             format!("{what} ends at {prev}, arena has {arena_len}"),
         ));
     }
-    if ends.is_empty() && arena_len != 0 {
-        return Err(PersistError::malformed(
-            ctx,
-            format!("{what} is empty but its arena has {arena_len} entries"),
-        ));
-    }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Working sets (lazy payloads)
-// ---------------------------------------------------------------------
-
-/// Encodes a working set: arena length and polynomial count, the arena's
-/// monomials in id order, read straight off its factor column (term ids
-/// index the arena positionally, so every entry is written — one that no
-/// polynomial holds too; a [compacted](WorkingSet::compact) working set
-/// has none), then each polynomial's live terms in canonical ascending-id
-/// order.
-pub fn encode_working(ws: &WorkingSet<f64>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(ws.arena().len() as u64);
-    e.u64(ws.num_polys() as u64);
-    for id in 0..ws.arena().len() {
-        let m = ws.arena().mono(id as MonoId);
-        e.u32(m.num_vars() as u32);
-        for (v, exp) in m.factors() {
-            e.u32(v.0);
-            e.u32(exp);
-        }
-    }
-    for pi in 0..ws.num_polys() {
-        let terms = ws.sorted_terms(pi);
-        e.u32(terms.len() as u32);
-        for (id, &coeff) in terms {
-            e.u32(id);
-            e.f64(coeff);
-        }
-    }
-    e.finish()
-}
-
-/// A validated-but-undecoded working-set section: the structural scan ran
-/// at open (so decoding cannot fail), but the hash maps and arena are
-/// only materialised when [`decode`](Self::decode) is called — a session
-/// that never bridges back to `PolySet` form never pays for them.
-#[derive(Clone, Debug)]
-pub struct WorkingSlot {
-    bytes: Arc<ArtifactBytes>,
-    range: Range<usize>,
-    arena_len: usize,
-    num_polys: usize,
-}
-
-impl WorkingSlot {
-    /// Validates the working-set section `id` of `art` (reported as
-    /// `name`): every factor references the variable table and is
-    /// strictly increasing by variable with exponent ≥ 1 (the canonical
-    /// monomial form), every term id indexes the arena, and the payload
-    /// is consumed exactly.
-    pub fn validate(
-        art: &RawArtifact,
-        id: u32,
-        name: &'static str,
-        num_table_vars: usize,
-    ) -> Result<Self, PersistError> {
-        let file_range = art
-            .section_range(id)
-            .ok_or(PersistError::MissingSection { name })?;
-        let bytes = &art.bytes_arc().as_slice()[file_range.clone()];
-        let mut d = Dec::new(bytes, name);
-        let arena_len = d.count("arena length", bytes.len())?;
-        let num_polys = d.count("polynomial count", bytes.len())?;
-        for i in 0..arena_len {
-            let nfac = d.u32()? as usize;
-            let mut prev: Option<u32> = None;
-            for _ in 0..nfac {
-                let v = d.u32()?;
-                let exp = d.u32()?;
-                if v as usize >= num_table_vars {
-                    return Err(PersistError::malformed(
-                        name,
-                        format!("monomial {i} references variable {v} outside the table"),
-                    ));
-                }
-                if prev.is_some_and(|p| p >= v) {
-                    return Err(PersistError::malformed(
-                        name,
-                        format!("monomial {i} factors are not strictly increasing"),
-                    ));
-                }
-                if exp == 0 {
-                    return Err(PersistError::malformed(
-                        name,
-                        format!("monomial {i} has a zero exponent"),
-                    ));
-                }
-                prev = Some(v);
-            }
-        }
-        for pi in 0..num_polys {
-            let nterms = d.u32()? as usize;
-            for _ in 0..nterms {
-                let id = d.u32()?;
-                let _coeff = d.f64()?;
-                if id as usize >= arena_len {
-                    return Err(PersistError::malformed(
-                        name,
-                        format!("polynomial {pi} references monomial {id} of {arena_len}"),
-                    ));
-                }
-            }
-        }
-        d.finish()?;
-        Ok(Self {
-            bytes: Arc::clone(art.bytes_arc()),
-            range: file_range,
-            arena_len,
-            num_polys,
-        })
-    }
-
-    /// The stored arena length (counting entries that are no longer
-    /// live) — cheap observability without decoding.
-    pub fn arena_len(&self) -> usize {
-        self.arena_len
-    }
-
-    /// The stored polynomial count.
-    pub fn num_polys(&self) -> usize {
-        self.num_polys
-    }
-
-    /// Materialises the working set. Infallible: the structural scan in
-    /// [`validate`](Self::validate) already admitted these bytes, and
-    /// the rebuild re-interns monomials (so even an adversarial section
-    /// with duplicate arena entries merges safely via id indirection and
-    /// coefficient accumulation rather than panicking).
-    pub fn decode(&self) -> WorkingSet<f64> {
-        let bytes = &self.bytes.as_slice()[self.range.clone()];
-        let mut d = Dec::new(bytes, "validated working set");
-        let ok = "validated at open";
-        let arena_len = d.count("arena length", bytes.len()).expect(ok);
-        let num_polys = d.count("polynomial count", bytes.len()).expect(ok);
-        let mut arena = MonoArena::new();
-        // Stored id → interned id. Interning dedups, so positions are
-        // remapped rather than assumed fresh.
-        let mut ids = Vec::with_capacity(arena_len);
-        // Validation admitted only canonical factor lists.
-        let mut factors: Vec<(VarId, u32)> = Vec::new();
-        for _ in 0..arena_len {
-            let nfac = d.u32().expect(ok) as usize;
-            factors.clear();
-            factors.extend((0..nfac).map(|_| {
-                let v = d.u32().expect(ok);
-                let exp = d.u32().expect(ok);
-                (VarId(v), exp)
-            }));
-            ids.push(arena.intern_factors(&factors));
-        }
-        let mut terms = Vec::with_capacity(num_polys);
-        for _ in 0..num_polys {
-            let nterms = d.u32().expect(ok) as usize;
-            let mut map: FxHashMap<MonoId, f64> = FxHashMap::default();
-            map.reserve(nterms);
-            for _ in 0..nterms {
-                let stored = d.u32().expect(ok) as usize;
-                let coeff = d.f64().expect(ok);
-                accumulate(&mut map, ids[stored], coeff);
-            }
-            terms.push(map);
-        }
-        WorkingSet::from_parts(arena, terms)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::artifact::ArtifactWriter;
+    use super::super::format::section;
     use super::*;
     use crate::compiled::CompiledPolySet;
     use crate::monomial::Monomial;
@@ -507,6 +375,11 @@ mod tests {
         let mut w = ArtifactWriter::new();
         w.section(id, payload);
         RawArtifact::open_bytes(w.to_bytes()).expect("well-formed artifact")
+    }
+
+    fn validate(payload: Vec<u8>, table_vars: usize) -> Result<SharedCompiled, PersistError> {
+        let art = artifact_with(section::COMPILED_ABS, payload);
+        SharedCompiled::validate(&art, section::COMPILED_ABS, "columns", table_vars)
     }
 
     #[test]
@@ -544,12 +417,17 @@ mod tests {
     #[test]
     fn compiled_columns_roundtrip_through_an_artifact() {
         let compiled = CompiledPolySet::compile(&sample_polys());
-        let art = artifact_with(section::COMPILED_ABS, encode_compiled(compiled.view()));
-        let shared = SharedCompiled::validate(&art, 64).expect("valid columns");
+        let payload = encode_compiled(compiled.view());
+        assert_eq!(payload.len(), COUNTS_LEN + compiled.estimated_bytes());
+        let art = artifact_with(section::COMPILED_ORIG, payload);
+        let shared = SharedCompiled::validate(&art, section::COMPILED_ORIG, "columns", 64)
+            .expect("valid columns");
         let view = shared.view();
         assert_eq!(view.num_polys(), compiled.num_polys());
         assert_eq!(view.num_monomials(), compiled.num_monomials());
         assert_eq!(view.vars(), compiled.vars());
+        assert_eq!(view.power_at.len(), 1, "v1² is the one power");
+        assert_eq!(encode_compiled(view), encode_compiled(compiled.view()));
         let val = Valuation::neutral().set(VarId(1), 3.0).set(VarId(2), -0.5);
         let a = view.eval_one(&val);
         let b = compiled.eval_one(&val);
@@ -569,80 +447,51 @@ mod tests {
         let compiled = CompiledPolySet::compile(&sample_polys());
         let good = encode_compiled(compiled.view());
         // Too few variables in the table.
-        let art = artifact_with(section::COMPILED_ABS, good.clone());
-        assert!(SharedCompiled::validate(&art, 1).is_err());
-        // A zero exponent.
-        let nm = compiled.num_monomials();
-        let np = compiled.num_polys();
-        let exps_at = 32 + nm * 8 + nm * 4 + np * 4 + compiled.num_factors() * 4;
+        assert!(validate(good.clone(), 1).is_err());
+        // A power of 1 is not an exception, and 0 is no factor at all.
+        let (nm, np, nv) = (
+            compiled.num_monomials(),
+            compiled.num_polys(),
+            compiled.num_vars(),
+        );
+        let power_at = COUNTS_LEN + nm * 12 + np * 4 + nv * 4;
+        for exp in [0u32, 1] {
+            let mut bad = good.clone();
+            bad[power_at + 4..power_at + 8].copy_from_slice(&exp.to_le_bytes());
+            assert!(matches!(
+                validate(bad, 64).unwrap_err(),
+                PersistError::Malformed { .. }
+            ));
+        }
+        // A power position past the last factor.
         let mut bad = good.clone();
-        bad[exps_at..exps_at + 4].copy_from_slice(&0u32.to_le_bytes());
-        let art = artifact_with(section::COMPILED_ABS, bad);
-        assert!(matches!(
-            SharedCompiled::validate(&art, 64).unwrap_err(),
-            PersistError::Malformed { .. }
-        ));
+        bad[power_at..power_at + 4].copy_from_slice(&(compiled.num_factors() as u32).to_le_bytes());
+        assert!(validate(bad, 64).is_err());
+        // A factor index past the declared variables.
+        let mut bad = good.clone();
+        let n = bad.len();
+        bad[n - 2..].copy_from_slice(&(nv as u16).to_le_bytes());
+        assert!(validate(bad, 64).is_err());
         // Counts that disagree with the section length.
         let mut bad = good.clone();
         bad[0..8].copy_from_slice(&((np + 1) as u64).to_le_bytes());
-        let art = artifact_with(section::COMPILED_ABS, bad);
-        assert!(SharedCompiled::validate(&art, 64).is_err());
+        assert!(validate(bad, 64).is_err());
         // Missing section entirely.
         let art = artifact_with(section::VVS, good);
         assert!(matches!(
-            SharedCompiled::validate(&art, 64).unwrap_err(),
-            PersistError::MissingSection { .. }
+            SharedCompiled::validate(&art, section::COMPILED_ABS, "columns", 64).unwrap_err(),
+            PersistError::MissingSection { name: "columns" }
         ));
     }
 
     #[test]
     fn empty_compiled_set_roundtrips() {
         let compiled = CompiledPolySet::<f64>::compile(&PolySet::new());
-        let art = artifact_with(section::COMPILED_ABS, encode_compiled(compiled.view()));
-        let shared = SharedCompiled::validate(&art, 0).expect("empty is valid");
+        let shared = validate(encode_compiled(compiled.view()), 0).expect("empty is valid");
         assert!(shared.view().is_empty());
         assert_eq!(
             shared.view().eval_one(&Valuation::neutral()),
             Vec::<f64>::new()
         );
-    }
-
-    #[test]
-    fn working_set_roundtrips_lazily() {
-        let polys = sample_polys();
-        let mut ws = WorkingSet::from_polyset(&polys);
-        // Rewrite so the arena holds a dead monomial too.
-        ws.apply_group(&[VarId(1), VarId(3)], VarId(40), &[0, 1]);
-        let art = artifact_with(section::WORKING_ABS, encode_working(&ws));
-        let slot = WorkingSlot::validate(&art, section::WORKING_ABS, "working", 64)
-            .expect("valid working set");
-        assert_eq!(slot.num_polys(), ws.num_polys());
-        assert_eq!(slot.arena_len(), ws.arena().len());
-        let back = slot.decode();
-        for (a, b) in back.to_polyset().iter().zip(ws.to_polyset().iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn working_validation_rejects_bad_ids_and_order() {
-        let ws = WorkingSet::from_polyset(&sample_polys());
-        let good = encode_working(&ws);
-        // Variable outside the table.
-        let art = artifact_with(section::WORKING_ABS, good.clone());
-        assert!(WorkingSlot::validate(&art, section::WORKING_ABS, "working", 1).is_err());
-        // Term id outside the arena: shrink the declared arena length.
-        let mut bad = good.clone();
-        bad[0..8].copy_from_slice(&1u64.to_le_bytes());
-        let art = artifact_with(section::WORKING_ABS, bad);
-        assert!(WorkingSlot::validate(&art, section::WORKING_ABS, "working", 64).is_err());
-        // Trailing garbage.
-        let mut bad = good;
-        bad.extend_from_slice(&[0; 4]);
-        let art = artifact_with(section::WORKING_ABS, bad);
-        assert!(matches!(
-            WorkingSlot::validate(&art, section::WORKING_ABS, "working", 64).unwrap_err(),
-            PersistError::Malformed { .. }
-        ));
     }
 }

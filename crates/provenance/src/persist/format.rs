@@ -8,11 +8,12 @@ use super::PersistError;
 /// The artifact magic: the first eight bytes of every provabs artifact.
 pub const MAGIC: [u8; 8] = *b"PVABSFMT";
 
-/// The newest artifact format version this build reads and writes.
-/// Readers reject anything newer with
-/// [`PersistError::UnsupportedVersion`]; older versions would be
-/// migrated here once one exists.
-pub const FORMAT_VERSION: u32 = 1;
+/// The artifact format version this build reads and writes. Anything
+/// else is refused with [`PersistError::UnsupportedVersion`] before a
+/// checksum is read: version 1 differs in its section set, its column
+/// codec and its checksum (ADR 013), and an artifact is a cache that
+/// `Session::save` rebuilds, so nothing is migrated.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Well-known section ids of the session artifact layout.
 ///
@@ -34,36 +35,47 @@ pub mod section {
     pub const LIVE_VARS: u32 = 6;
     /// The frozen compiled columns of `𝒫↓S` — the zero-copy payload.
     pub const COMPILED_ABS: u32 = 7;
-    /// The abstracted working set (arena + terms), decoded lazily.
-    pub const WORKING_ABS: u32 = 8;
-    /// The original working set (arena + terms), decoded lazily.
-    pub const WORKING_ORIG: u32 = 9;
+    // 8 and 9 were version 1's row-coded working sets. Retired, never
+    // to be reused: both sets are rebuilt from the columns on demand.
+    /// The frozen compiled columns of the original `𝒫`, same codec.
+    pub const COMPILED_ORIG: u32 = 10;
 }
 
-/// A fast 64-bit word-folding checksum (fxhash-style multiply-rotate
-/// over `u64` chunks, length-seeded).
+/// A fast 64-bit word-folding checksum: four independent multiply-rotate
+/// lanes over 32-byte strides (fxhash's step per `u64` word), folded into
+/// one, then the tail words; length-seeded.
+///
+/// Every step is a bijection of the state it updates, so changing any
+/// one word changes the sum. Four lanes because one lane is a chain of
+/// dependent multiplies, which a core runs at a quarter of the rate it
+/// can multiply — and a warm open checksums every byte of the artifact.
 ///
 /// This is an *integrity* check against truncation and bit rot, not a
 /// cryptographic MAC — an adversary who can rewrite payloads can rewrite
 /// checksums too (which is why the decoders validate structure
-/// independently of the checksums). Chosen over a byte-wise FNV because
-/// the µs-scale warm-open budget cannot afford byte-at-a-time hashing of
-/// multi-megabyte sections.
+/// independently of the checksums).
 pub fn checksum64(bytes: &[u8]) -> u64 {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ (bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8"));
-        h = (h ^ w).rotate_left(5).wrapping_mul(SEED);
+    let step = |h: u64, w: u64| (h ^ w).rotate_left(5).wrapping_mul(SEED);
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"));
+    let seed = 0x9e37_79b9_7f4a_7c15u64 ^ (bytes.len() as u64);
+    let mut lanes: [u64; 4] = std::array::from_fn(|lane| step(seed, lane as u64));
+    let mut strides = bytes.chunks_exact(32);
+    for s in &mut strides {
+        for (lane, c) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+            *lane = step(*lane, word(c));
+        }
     }
-    let rem = chunks.remainder();
+    let mut h = lanes.into_iter().fold(seed, step);
+    let mut words = strides.remainder().chunks_exact(8);
+    for c in &mut words {
+        h = step(h, word(c));
+    }
+    let rem = words.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail))
-            .rotate_left(5)
-            .wrapping_mul(SEED);
+        h = step(h, u64::from_le_bytes(tail));
     }
     h
 }
@@ -80,6 +92,13 @@ impl Enc {
     /// An empty encoder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty encoder with room for a payload of `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Appends a `u32`, little-endian.
@@ -103,10 +122,38 @@ impl Enc {
         self.buf.extend_from_slice(b);
     }
 
+    /// Appends a whole `u16` slice, little-endian.
+    pub fn u16s(&mut self, vs: &[u16]) {
+        self.scalars(vs, u16::to_le_bytes);
+    }
+
     /// Appends a whole `u32` slice, little-endian.
     pub fn u32s(&mut self, vs: &[u32]) {
-        for &v in vs {
-            self.u32(v);
+        self.scalars(vs, u32::to_le_bytes);
+    }
+
+    /// Appends a whole `f64` slice as IEEE-754 bit patterns,
+    /// little-endian.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        self.scalars(vs, f64::to_le_bytes);
+    }
+
+    /// Appends a slice of `u16`/`u32`/`f64`. A little-endian host holds
+    /// such a slice in memory exactly as the format holds it in the file,
+    /// so there it is one copy; `le` is the element-wise spelling for any
+    /// other host (which can write artifacts, though not open them).
+    fn scalars<T: Copy, const N: usize>(&mut self, vs: &[T], le: fn(T) -> [u8; N]) {
+        if cfg!(target_endian = "little") {
+            // SAFETY: `T` is one of the three padding-free scalars above,
+            // so the slice is `size_of_val(vs)` initialised bytes.
+            let raw = unsafe {
+                std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
+            };
+            self.buf.extend_from_slice(raw);
+        } else {
+            for &v in vs {
+                self.buf.extend_from_slice(&le(v));
+            }
         }
     }
 
@@ -237,6 +284,8 @@ mod tests {
         e.f64(-0.0);
         e.f64(f64::NAN);
         e.u32s(&[1, 2, 3]);
+        e.u16s(&[0x0102, 0xFFFE]);
+        e.f64s(&[1.5, -2.25]);
         e.align8();
         let bytes = e.finish();
         assert_eq!(bytes.len() % 8, 0);
@@ -248,6 +297,10 @@ mod tests {
         assert_eq!(d.u32().unwrap(), 1);
         assert_eq!(d.u32().unwrap(), 2);
         assert_eq!(d.u32().unwrap(), 3);
+        // The bulk appends write what the element-wise ones would.
+        assert_eq!(d.take(4).unwrap(), &[0x02, 0x01, 0xFE, 0xFF]);
+        assert_eq!(d.f64().unwrap(), 1.5);
+        assert_eq!(d.f64().unwrap(), -2.25);
         d.take(d.remaining()).unwrap();
         d.finish().unwrap();
     }

@@ -6,7 +6,9 @@
 //! whole compiled state is a handful of dense flat arrays over interned
 //! ids — exactly the shape that serialises as plain slice writes and
 //! *deserialises as no writes at all*: the heavy arrays are validated in
-//! place and resliced straight out of the file bytes.
+//! place and resliced straight out of the file bytes. That goes for both
+//! heavy sections: the abstracted provenance `𝒫↓S` and the original `𝒫`
+//! are each stored as frozen compiled columns, in one codec (ADR 013).
 //!
 //! # The container
 //!
@@ -22,7 +24,10 @@
 //! Every payload carries its own [`checksum64`] in the TOC; the header
 //! and TOC carry a trailing checksum of their own. [`RawArtifact`]
 //! validates magic, version, bounds, alignment and all checksums up
-//! front — after `open` succeeds, section accesses are infallible.
+//! front — after `open` succeeds, section accesses are infallible. The
+//! version is compared first: [`FORMAT_VERSION`] is the only one read,
+//! and a file of any other is refused by its number, before a checksum
+//! it may have computed differently is looked at.
 //!
 //! # Two load paths, one validation boundary
 //!
@@ -35,7 +40,7 @@
 //!   evaluates.
 //!
 //! Either way the *validation boundary* is `open` + the typed section
-//! validators ([`SharedCompiled::validate`], [`WorkingSlot::validate`],
+//! validators ([`SharedCompiled::validate`] for both column sections,
 //! the var-table / forest / VVS decoders): everything after them is
 //! checked-free by construction, and every malformed input is a typed
 //! [`PersistError`] — never a panic, never silently-loaded garbage (the
@@ -43,7 +48,7 @@
 //!
 //! The section *contents* are layered with the crates that own the data:
 //! this module codecs the provenance-owned state (variable table,
-//! compiled columns, working sets), `provabs-trees::persist` codecs the
+//! compiled columns), `provabs-trees::persist` codecs the
 //! forest and VVS, and `provabs-session` assembles whole artifacts via
 //! [`ArtifactWriter`] / [`RawArtifact`] (`Session::save` /
 //! `Session::open`).
@@ -54,10 +59,7 @@ mod fault;
 mod format;
 
 pub use artifact::{ArtifactWriter, RawArtifact};
-pub use codec::{
-    decode_var_table, encode_compiled, encode_var_table, encode_working, SharedCompiled,
-    WorkingSlot,
-};
+pub use codec::{decode_var_table, encode_compiled, encode_var_table, SharedCompiled};
 pub use fault::{FaultFs, FaultOp};
 pub use format::{checksum64, section, Dec, Enc, FORMAT_VERSION, MAGIC};
 
@@ -150,7 +152,7 @@ impl fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not a provabs artifact (bad magic)"),
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than the supported {supported}"
+                "artifact format version {found} is not the supported version {supported}"
             ),
             PersistError::UnsupportedHost => {
                 write!(f, "artifacts are little-endian; this host is big-endian")
@@ -190,7 +192,7 @@ mod tests {
             (
                 PersistError::UnsupportedVersion {
                     found: 9,
-                    supported: 1,
+                    supported: 2,
                 },
                 "version 9",
             ),

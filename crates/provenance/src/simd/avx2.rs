@@ -13,7 +13,7 @@
 //! runnable on machines without AVX2.
 
 use super::LANES;
-use crate::compiled::CompiledView;
+use crate::compiled::{CompiledView, FactorVarsRef, LocalIdx, PowerCursor};
 use std::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
     _mm256_storeu_pd,
@@ -31,8 +31,37 @@ use std::arch::x86_64::{
 /// guarantees it).
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn eval_block_table(c: CompiledView<'_, f64>, block: &[f64], out: &mut [f64]) {
-    debug_assert!(block.len() >= c.vars.len() * LANES);
-    debug_assert_eq!(out.len(), c.poly_ends.len() * LANES);
+    // The unchecked loads and stores of the body rest on these two.
+    assert!(block.len() >= c.vars.len() * LANES);
+    assert_eq!(out.len(), c.poly_ends.len() * LANES);
+    // SAFETY: AVX2 is available (this function's own contract).
+    unsafe {
+        match (c.factor_vars, c.power_at.is_empty()) {
+            (FactorVarsRef::Narrow(f), true) => sweep::<u16, false>(c, f, block, out),
+            (FactorVarsRef::Narrow(f), false) => sweep::<u16, true>(c, f, block, out),
+            (FactorVarsRef::Wide(f), true) => sweep::<u32, false>(c, f, block, out),
+            (FactorVarsRef::Wide(f), false) => sweep::<u32, true>(c, f, block, out),
+        }
+    }
+}
+
+/// The kernel body, instantiated per index width and per whether the set
+/// has any factor that is not `^1` (without one, a factor is one
+/// `vmulpd` and the power columns are never read).
+///
+/// # Safety
+///
+/// AVX2 must be available, `block` must hold `LANES` values per local
+/// variable of `c` and `out` `LANES` per polynomial (all three checked by
+/// [`eval_block_table`], the only caller).
+#[target_feature(enable = "avx2")]
+unsafe fn sweep<I: LocalIdx, const POWERS: bool>(
+    c: CompiledView<'_, f64>,
+    factor_vars: &[I],
+    block: &[f64],
+    out: &mut [f64],
+) {
+    let mut powers = PowerCursor::new(c.power_at, c.power_exp);
     let mut mono = 0usize;
     let mut fac = 0usize;
     for (p, &poly_end) in c.poly_ends.iter().enumerate() {
@@ -41,19 +70,23 @@ pub(super) unsafe fn eval_block_table(c: CompiledView<'_, f64>, block: &[f64], o
             let mut term = _mm256_set1_pd(c.coeffs[mono]);
             let fac_end = c.mono_ends[mono] as usize;
             while fac < fac_end {
-                let at = c.factor_vars[fac] as usize * LANES;
+                let at = factor_vars[fac].at() * LANES;
                 // SAFETY: the block table holds LANES values per local
-                // variable and `factor_vars` indexes into `c.vars`
-                // (asserted above), so the load stays in bounds.
-                let base = unsafe { _mm256_loadu_pd(block.as_ptr().add(at)) };
-                term = _mm256_mul_pd(term, pow_pd(base, c.factor_exps[fac]));
+                // variable (checked by the caller) and every factor index
+                // of a `CompiledView` is below `c.vars.len()` (the view's
+                // invariant), so the load stays in bounds.
+                let mut base = unsafe { _mm256_loadu_pd(block.as_ptr().add(at)) };
+                if POWERS {
+                    base = pow_pd(base, powers.exp_at(fac));
+                }
+                term = _mm256_mul_pd(term, base);
                 fac += 1;
             }
             acc = _mm256_add_pd(acc, term);
             mono += 1;
         }
-        // SAFETY: `out` is `poly_ends.len() * LANES` long (asserted
-        // above), so lane `p` owns a full LANES-wide slot.
+        // SAFETY: `out` is `poly_ends.len() * LANES` long (checked by the
+        // caller), so lane `p` owns a full LANES-wide slot.
         unsafe { _mm256_storeu_pd(out.as_mut_ptr().add(p * LANES), acc) };
     }
 }

@@ -9,7 +9,7 @@
 //! exactly the same way.
 
 use super::{pow_lanes, LANES};
-use crate::compiled::CompiledView;
+use crate::compiled::{CompiledView, FactorVarsRef, LocalIdx, PowerCursor};
 
 /// Evaluates every polynomial over one packed `[vars × LANES]` block
 /// table. `out[p·LANES + l]` receives polynomial `p`'s value in lane `l`
@@ -22,6 +22,24 @@ use crate::compiled::CompiledView;
 pub(super) fn eval_block_table(c: CompiledView<'_, f64>, block: &[f64], out: &mut [f64]) {
     debug_assert!(block.len() >= c.vars.len() * LANES);
     debug_assert_eq!(out.len(), c.poly_ends.len() * LANES);
+    match (c.factor_vars, c.power_at.is_empty()) {
+        (FactorVarsRef::Narrow(f), true) => sweep::<u16, false>(c, f, block, out),
+        (FactorVarsRef::Narrow(f), false) => sweep::<u16, true>(c, f, block, out),
+        (FactorVarsRef::Wide(f), true) => sweep::<u32, false>(c, f, block, out),
+        (FactorVarsRef::Wide(f), false) => sweep::<u32, true>(c, f, block, out),
+    }
+}
+
+/// The kernel body, instantiated per index width and per whether the set
+/// has any factor that is not `^1` (without one, a factor is one lane
+/// multiply and the power columns are never read).
+fn sweep<I: LocalIdx, const POWERS: bool>(
+    c: CompiledView<'_, f64>,
+    factor_vars: &[I],
+    block: &[f64],
+    out: &mut [f64],
+) {
+    let mut powers = PowerCursor::new(c.power_at, c.power_exp);
     let mut mono = 0usize;
     let mut fac = 0usize;
     for (p, &poly_end) in c.poly_ends.iter().enumerate() {
@@ -30,13 +48,15 @@ pub(super) fn eval_block_table(c: CompiledView<'_, f64>, block: &[f64], out: &mu
             let mut term = [c.coeffs[mono]; LANES];
             let fac_end = c.mono_ends[mono] as usize;
             while fac < fac_end {
-                let at = c.factor_vars[fac] as usize * LANES;
-                let base: [f64; LANES] = block[at..at + LANES]
+                let at = factor_vars[fac].at() * LANES;
+                let mut base: [f64; LANES] = block[at..at + LANES]
                     .try_into()
                     .expect("block table slot is LANES wide");
-                let powed = pow_lanes(base, c.factor_exps[fac]);
+                if POWERS {
+                    base = pow_lanes(base, powers.exp_at(fac));
+                }
                 for l in 0..LANES {
-                    term[l] *= powed[l];
+                    term[l] *= base[l];
                 }
                 fac += 1;
             }

@@ -1,8 +1,9 @@
 //! Runtime-dispatched SIMD evaluation kernels over the frozen arena.
 //!
 //! [`CompiledPolySet`] is already struct-of-arrays (coefficient,
-//! exponent-run and variable-index columns with dense lookup-table
-//! valuations) — exactly the layout vector units want. This module adds
+//! prefix-end and variable-index columns, a short list of the factors
+//! raised to a power, dense lookup-table valuations) — exactly the
+//! layout vector units want. This module adds
 //! the last step: **scenario-major lane batching**. Instead of walking
 //! the columns once per scenario, [`CompiledPolySet::eval_block`]
 //! evaluates [`LANES`] scenarios per pass:
@@ -11,11 +12,14 @@
 //!    `[vars × LANES]` *block table* — `block[v·LANES + l]` is the value
 //!    of local variable `v` in lane (scenario) `l`, so a variable's
 //!    values for all lanes sit in one contiguous, vector-width load;
-//! 2. the per-monomial power/multiply/accumulate loop is fused over the
-//!    exponent-run columns: a monomial's contribution to all lanes is
-//!    computed in one sweep (small exponents unrolled — 1/2/3 —
-//!    exponentiation-by-squaring above, mirroring
-//!    [`pow_f64`](crate::coeff::pow_f64) per lane);
+//! 2. the per-monomial multiply/accumulate loop is fused over the factor
+//!    column: a monomial's contribution to all lanes is computed in one
+//!    sweep, one lane multiply per factor. Each kernel body is compiled
+//!    per index width (`u16` / `u32`) and per whether the set has any
+//!    power at all, and the instantiation is picked once per call; only
+//!    the with-powers one walks the `power_at` / `power_exp` columns
+//!    (small exponents unrolled — 2/3 — exponentiation-by-squaring above,
+//!    mirroring [`pow_f64`](crate::coeff::pow_f64) per lane);
 //! 3. each polynomial's lane accumulator is scattered back into the
 //!    per-scenario result rows.
 //!

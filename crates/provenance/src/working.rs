@@ -40,7 +40,7 @@
 //! [`Polynomial::map_vars`]: crate::polynomial::Polynomial::map_vars
 
 use crate::coeff::Coefficient;
-use crate::compiled::CompiledPolySet;
+use crate::compiled::{CompiledPolySet, CompiledView};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::intern::MonoArena;
 use crate::monomial::{MonoRef, Monomial};
@@ -179,6 +179,32 @@ impl<C: Coefficient> WorkingSet<C> {
             terms,
             scratch: GroupScratch::default(),
         }
+    }
+
+    /// Rebuilds a working set from compiled columns — how a session opened
+    /// from an artifact gets back the interned form of what it stores.
+    /// Monomials are interned in column order, each factor list brought
+    /// into canonical form first and terms that end up on one monomial
+    /// accumulated, so this is total on whatever the artifact validator
+    /// admits. `from_compiled(ws.freeze().view())` is `ws` as a poly-set;
+    /// its arena ids are its own, not `ws`'s.
+    pub fn from_compiled(view: CompiledView<'_, C>) -> Self {
+        let mut arena = MonoArena::new();
+        let mut start = 0;
+        let poly_ends = view.poly_ends.iter();
+        let mut terms: Vec<FxHashMap<MonoId, C>> = poly_ends
+            .map(|&end| {
+                let mut map = FxHashMap::default();
+                map.reserve((end - start) as usize);
+                start = end;
+                map
+            })
+            .collect();
+        view.for_each_term(|pi, coeff, factors| {
+            Monomial::canonicalise(factors);
+            add_term_id(&mut terms[pi], arena.intern_factors(factors), coeff.clone());
+        });
+        Self::from_parts(arena, terms)
     }
 
     /// The shared monomial arena.

@@ -516,10 +516,15 @@ proptest! {
         let order: Vec<Monomial> = ws.live_monomials().map(|m| m.to_monomial()).collect();
         ws.compact();
         assert_polysets_equal(&ws.to_polyset(), &before);
+        let encoded = provabs_provenance::persist::encode_compiled(frozen.view());
         prop_assert_eq!(
-            provabs_provenance::persist::encode_compiled(ws.freeze().view()),
-            provabs_provenance::persist::encode_compiled(frozen.view())
+            &provabs_provenance::persist::encode_compiled(ws.freeze().view()),
+            &encoded
         );
+        // A freeze allocates what it holds and no more: behind the five
+        // counts, the encoding is the columns byte for byte.
+        prop_assert_eq!(frozen.estimated_bytes(), encoded.len() - 40);
+        prop_assert_eq!(ws.freeze().estimated_bytes(), encoded.len() - 40);
         let arena: Vec<Monomial> = (0..ws.arena().len() as MonoId)
             .map(|id| ws.mono(id).to_monomial())
             .collect();

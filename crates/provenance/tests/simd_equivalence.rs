@@ -18,8 +18,16 @@
 //! monomials, ragged last blocks (batches not a multiple of `LANES`),
 //! negative and zero coefficients, exponents through the unrolled 1/2/3
 //! fast path and into the exponentiation-by-squaring range.
+//!
+//! Each kernel body is compiled four times — `u16` or `u32` factor
+//! indices, with or without the power columns — and every instantiation
+//! is pinned here: powers on most factors (the default generator), on one
+//! in ten ([`sparse_powers_strategy`]), on none (the generated workloads,
+//! two and four factors a monomial), and a set over 70 000 variables for
+//! the wide index.
 
 use proptest::prelude::*;
+use provabs_datagen::workload::{Workload, WorkloadConfig};
 use provabs_provenance::compiled::CompiledPolySet;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
@@ -27,6 +35,7 @@ use provabs_provenance::polyset::PolySet;
 use provabs_provenance::simd::{avx2_available, Kernel, LANES};
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::var::VarId;
+use provabs_provenance::working::WorkingSet;
 
 /// Every kernel request worth pinning: the forced kernels plus the auto
 /// dispatcher. `Avx2` is exercised as the real AVX2 path where the CPU
@@ -57,6 +66,38 @@ fn polyset_strategy() -> impl Strategy<Value = PolySet<f64>> {
                             Monomial::from_factors(factors.into_iter().map(|(v, e)| (VarId(v), e))),
                             f64::from(c) / 16.0,
                         )
+                    }))
+                })
+                .collect(),
+        )
+    })
+}
+
+/// [`polyset_strategy`] with the powers provenance really has: nine
+/// factors in ten are `^1`, the tenth is squared, cubed or raised to 7
+/// (past the unrolled fast path), so the power columns are a short list
+/// of exceptions with long gaps — often empty, sometimes one entry.
+fn sparse_powers_strategy() -> impl Strategy<Value = PolySet<f64>> {
+    prop::collection::vec(
+        prop::collection::vec(
+            (
+                prop::collection::vec((0u32..10, 0u32..30), 0..4),
+                -80i32..80,
+            ),
+            0..8,
+        ),
+        0..6,
+    )
+    .prop_map(|polys| {
+        PolySet::from_vec(
+            polys
+                .into_iter()
+                .map(|terms| {
+                    Polynomial::from_terms(terms.into_iter().map(|(factors, c)| {
+                        let factors = factors.into_iter().map(|(v, draw)| {
+                            (VarId(v), [2, 3, 7].get(draw as usize).copied().unwrap_or(1))
+                        });
+                        (Monomial::from_factors(factors), f64::from(c) / 16.0)
                     }))
                 })
                 .collect(),
@@ -119,6 +160,18 @@ proptest! {
     ) {
         let compiled = CompiledPolySet::compile(&polys);
         assert_matches_eval_one(&compiled, &batch);
+    }
+
+    /// The same with sparse powers, frozen from a working set as well as
+    /// compiled — and every batch length from empty through two ragged
+    /// blocks.
+    #[test]
+    fn sparse_powers_match_eval_one(
+        polys in sparse_powers_strategy(),
+        batch in batch_strategy(2 * LANES + 3),
+    ) {
+        assert_matches_eval_one(&CompiledPolySet::compile(&polys), &batch);
+        assert_matches_eval_one(&WorkingSet::from_polyset(&polys).freeze(), &batch);
     }
 
     /// Ragged last blocks: batch lengths that straddle the lane width by
@@ -219,5 +272,99 @@ fn forced_kernels_resolve_as_documented() {
         assert_eq!(Kernel::Auto.resolve(), Kernel::Generic);
     } else {
         assert_eq!(Kernel::Avx2.resolve(), Kernel::Auto.resolve());
+    }
+}
+
+/// xorshift64* — the wide and workload batteries draw their valuations
+/// without a strategy (a 70 000-variable set is not for shrinking).
+fn draws(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut x = seed;
+    move |n| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+    }
+}
+
+/// The wide index: over 70 000 variables a factor index is a `u32`, and
+/// every kernel reads it as one — bit for bit what the hash-map
+/// evaluator computes, late variables (local index ≥ 65 536) included.
+#[test]
+fn wide_indices_match_the_hash_map_evaluator_on_every_kernel() {
+    const VARS: u32 = 70_000;
+    let mut below = draws(0x70_000);
+    // Two monomials a polynomial, so hash-map order cannot reorder a sum.
+    let polys = PolySet::from_vec(
+        (0..VARS)
+            .step_by(2)
+            .map(|v| {
+                Polynomial::from_terms((v..v + 2).map(|v| {
+                    let partner = VarId(below(u64::from(VARS)) as u32);
+                    let exp = 1 + u32::from(below(10) == 0);
+                    (
+                        Monomial::from_factors([(VarId(v), exp), (partner, 1)]),
+                        // An odd number of sixteenths: either sign, never 0.
+                        (2 * below(32) + 1) as f64 / 16.0 - 2.0,
+                    )
+                }))
+            })
+            .collect(),
+    );
+    let compiled = CompiledPolySet::compile(&polys);
+    assert_eq!(compiled.num_vars(), VARS as usize);
+    assert_eq!(compiled.view().factor_index_bytes(), 4);
+    let batch: Vec<Valuation<f64>> = (0..LANES + 3)
+        .map(|_| {
+            let mut val = Valuation::neutral().set(VarId(VARS - 1), 2.5);
+            for _ in 0..3_000 {
+                val.assign(
+                    VarId(below(u64::from(VARS)) as u32),
+                    below(33) as f64 / 8.0 - 2.0,
+                );
+            }
+            val
+        })
+        .collect();
+    for kernel in KERNELS {
+        for (val, row) in batch.iter().zip(compiled.eval_block(&batch, kernel)) {
+            for (a, b) in val.eval_set(&polys).iter().zip(&row) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kernel}: {a} vs {b}");
+            }
+        }
+    }
+}
+
+/// Generated workloads at their real shapes: the supply-chain (BOM)
+/// roll-up's monomials are four factors wide, telephony's two. Neither
+/// has a single power — no workload does (ADR 013), which is why the
+/// kernels have an instantiation that never looks for one; powers are the
+/// generators' business above. As the session would freeze them, every
+/// kernel, every tail length.
+#[test]
+fn workload_provenance_matches_eval_one_on_every_kernel() {
+    for workload in [Workload::SupplyChain, Workload::Telephony] {
+        let data = workload.generate(&WorkloadConfig {
+            scale: 0.05,
+            param_modulus: 16,
+            seed: 11,
+        });
+        let frozen = WorkingSet::from_polyset(&data.polys).freeze();
+        let ids: Vec<VarId> = data.vars.iter().map(|(id, _)| id).collect();
+        let mut below = draws(0xB0_0000 + ids.len() as u64);
+        for scenarios in LANES..2 * LANES {
+            let batch: Vec<Valuation<f64>> = (0..scenarios)
+                .map(|_| {
+                    let mut val = Valuation::neutral();
+                    for &id in &ids {
+                        if below(3) == 0 {
+                            val.assign(id, below(41) as f64 / 16.0);
+                        }
+                    }
+                    val
+                })
+                .collect();
+            assert_matches_eval_one(&frozen, &batch);
+        }
     }
 }

@@ -45,6 +45,9 @@ pub(crate) struct SessionMeta {
     pub(crate) original_size_v: usize,
     pub(crate) compressed_size_m: usize,
     pub(crate) compressed_size_v: usize,
+    /// Distinct monomials of `𝒫↓S` — what `intern_stats()` reports, so
+    /// an opened session need not rebuild the working set to say it.
+    pub(crate) arena_monomials: usize,
 }
 
 /// Strategy wire tags. Any unknown tag at decode is a typed error, so a
@@ -138,6 +141,7 @@ pub(crate) fn encode_meta(meta: &SessionMeta) -> Vec<u8> {
     e.u64(meta.original_size_v as u64);
     e.u64(meta.compressed_size_m as u64);
     e.u64(meta.compressed_size_v as u64);
+    e.u64(meta.arena_monomials as u64);
     e.finish()
 }
 
@@ -159,6 +163,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<SessionMeta, PersistError> {
     let original_size_v = d.count("original |𝒫|_V", usize::MAX)?;
     let compressed_size_m = d.count("compressed |𝒫|_M", usize::MAX)?;
     let compressed_size_v = d.count("compressed |𝒫|_V", usize::MAX)?;
+    let arena_monomials = d.count("arena monomials", usize::MAX)?;
     d.finish()?;
     Ok(SessionMeta {
         interned_source,
@@ -168,6 +173,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<SessionMeta, PersistError> {
         original_size_v,
         compressed_size_m,
         compressed_size_v,
+        arena_monomials,
     })
 }
 
@@ -238,6 +244,7 @@ mod tests {
                 original_size_v: 200,
                 compressed_size_m: 123,
                 compressed_size_v: 40,
+                arena_monomials: 77,
             };
             let back = decode_meta(&encode_meta(&meta)).expect("roundtrip");
             assert_eq!(back, meta);
@@ -254,6 +261,7 @@ mod tests {
             original_size_v: 2,
             compressed_size_m: 1,
             compressed_size_v: 1,
+            arena_monomials: 1,
         };
         let good = encode_meta(&meta);
         let mut bad = good.clone();

@@ -42,8 +42,8 @@ use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::persist::{
-    decode_var_table, encode_compiled, encode_var_table, encode_working, section, ArtifactWriter,
-    FaultFs, RawArtifact, SharedCompiled, WorkingSlot,
+    decode_var_table, encode_compiled, encode_var_table, section, ArtifactWriter, FaultFs,
+    RawArtifact, SharedCompiled,
 };
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::simd::KernelInfo;
@@ -98,9 +98,9 @@ pub struct InternStats {
     /// [`Session::compress`]). The session compacts that arena once,
     /// straight after compression, so this is the count of distinct
     /// monomials live in `𝒫↓S` — the monomials a run rewrote away and the
-    /// remainders it scored are gone. (A session opened from an artifact
-    /// written before compaction existed reports the stored arena's
-    /// length, dead entries included.)
+    /// remainders it scored are gone. A session opened from an artifact
+    /// reports the count its saver stored (`SESSION_META`), without
+    /// rebuilding the working set.
     pub arena_monomials: usize,
     /// Whether the provenance was supplied already interned (engine
     /// emission) rather than as a poly-set lowered at ingest.
@@ -155,57 +155,17 @@ impl CompiledHandle {
     }
 }
 
-/// The abstracted working set — eagerly present when [`Session::compress`]
-/// computed it here, or a validated-but-undecoded artifact section
-/// ([`WorkingSlot`]) for opened sessions, materialised only by the paths
-/// that genuinely need the hash-map form (bridges, re-freezing under
-/// non-default options). The hot ask path of an opened session never
-/// decodes it.
-struct LazyWorking {
-    cell: OnceLock<WorkingSet<f64>>,
-    slot: Option<WorkingSlot>,
-    /// Arena length, known without decoding (observability).
-    arena_len: usize,
-}
-
-impl LazyWorking {
-    fn eager(ws: WorkingSet<f64>) -> Self {
-        let arena_len = ws.arena().len();
-        let cell = OnceLock::new();
-        let _ = cell.set(ws);
-        Self {
-            cell,
-            slot: None,
-            arena_len,
-        }
-    }
-
-    fn lazy(slot: WorkingSlot) -> Self {
-        let arena_len = slot.arena_len();
-        Self {
-            cell: OnceLock::new(),
-            slot: Some(slot),
-            arena_len,
-        }
-    }
-
-    fn get(&self) -> &WorkingSet<f64> {
-        self.cell
-            .get_or_init(|| self.slot.as_ref().expect("eager or slot").decode())
-    }
-
-    fn arena_len(&self) -> usize {
-        self.arena_len
-    }
-}
-
 /// Everything [`Session::compress`] caches.
 struct CompressedState {
     /// The selection outcome: chosen VVS, cleaned forest, size measures.
     result: AbstractionResult,
-    /// The abstracted provenance `𝒫↓S` in interned form — the state every
-    /// evaluation path is derived from.
-    working: LazyWorking,
+    /// The abstracted provenance `𝒫↓S` in interned form: what
+    /// [`Session::compress`] produced, or — in a session opened from an
+    /// artifact — rebuilt from the stored columns by the first path that
+    /// needs it (bridges, re-freezing; never the ask path).
+    working: OnceLock<WorkingSet<f64>>,
+    /// Distinct monomials of `working`, known without rebuilding it.
+    arena_monomials: usize,
     /// The variables that actually occur in `working` — the space coarse
     /// scenarios are validated against.
     live_vars: FxHashSet<VarId>,
@@ -216,6 +176,15 @@ struct CompressedState {
     /// Bridge: the hash-map materialisation of `working`, built lazily
     /// (and counted) only when a caller explicitly needs a [`PolySet`].
     abstracted: OnceLock<PolySet<f64>>,
+}
+
+impl CompressedState {
+    fn working(&self) -> &WorkingSet<f64> {
+        self.working.get_or_init(|| {
+            let columns = self.compiled.as_ref().expect("opened with its columns");
+            WorkingSet::from_compiled(columns.view())
+        })
+    }
 }
 
 /// A stateful compress-once / ask-many handle over the pipeline.
@@ -236,18 +205,15 @@ pub struct Session {
     bound: usize,
     opts: EvalOptions,
     compressed: Option<CompressedState>,
-    /// Columnar lowering of the *original* provenance, built lazily by
-    /// the first measurement that evaluates the uncompressed side.
-    original_compiled: Option<CompiledPolySet<f64>>,
+    /// Columnar lowering of the *original* provenance: built lazily by
+    /// the first measurement that evaluates the uncompressed side, or the
+    /// artifact's own columns when the session was opened from one.
+    original_compiled: Option<CompiledHandle>,
     compile_count: usize,
     /// Bridge materialisations (interior: some happen under `&self`;
     /// atomic so `Session` stays `Sync`).
     materializations: AtomicUsize,
     interned_source: bool,
-    /// For opened sessions: the original provenance as a validated,
-    /// lazily-decoded artifact section (reference measurements only —
-    /// the ask path never touches it).
-    source_slot: Option<WorkingSlot>,
     /// Where the compiled state came from (computed here vs opened from
     /// a saved artifact) — see [`Session::artifact_info`].
     origin: ArtifactOrigin,
@@ -313,7 +279,6 @@ impl Session {
             compile_count: 0,
             materializations: AtomicUsize::new(0),
             interned_source,
-            source_slot: None,
             origin: ArtifactOrigin::Computed,
             guard,
             run_elapsed: Duration::ZERO,
@@ -321,16 +286,13 @@ impl Session {
         }
     }
 
-    /// The original provenance in interned form: decoded from the opened
-    /// artifact's slot, or lowered from the poly-set input on first use
+    /// The original provenance in interned form: rebuilt from the opened
+    /// artifact's columns, or lowered from the poly-set input on first use
     /// (ingest-time interning — *not* a bridge materialisation).
     fn source_ws(&self) -> &WorkingSet<f64> {
-        self.source.get_or_init(|| {
-            if let Some(slot) = &self.source_slot {
-                slot.decode()
-            } else {
-                WorkingSet::from_polyset(self.polys.get().expect("one source is always present"))
-            }
+        self.source.get_or_init(|| match &self.original_compiled {
+            Some(CompiledHandle::Shared(columns)) => WorkingSet::from_compiled(columns.view()),
+            _ => WorkingSet::from_polyset(self.polys.get().expect("one source is always present")),
         })
     }
 
@@ -455,7 +417,8 @@ impl Session {
             let live_vars = interned.working.live_vars();
             self.compressed = Some(CompressedState {
                 result: interned.result,
-                working: LazyWorking::eager(interned.working),
+                arena_monomials: interned.working.arena().len(),
+                working: OnceLock::from(interned.working),
                 live_vars,
                 compiled: None,
                 abstracted: OnceLock::new(),
@@ -660,7 +623,7 @@ impl Session {
     ) -> &'a PolySet<f64> {
         state.abstracted.get_or_init(|| {
             materializations.fetch_add(1, Ordering::Relaxed);
-            state.working.get().to_polyset()
+            state.working().to_polyset()
         })
     }
 
@@ -725,25 +688,25 @@ impl Session {
         }
         let state = self.compressed.as_mut().expect("compress ran first");
         if state.compiled.is_none() {
-            let frozen = state.working.get().freeze();
+            let frozen = state.working().freeze();
             state.compiled = Some(CompiledHandle::Owned(frozen));
             self.compile_count += 1;
         }
     }
 
     /// Lowers the original provenance once, if `opts` uses the compiled
-    /// path and it has not been lowered yet: frozen from the interned
-    /// source when the session was built interned or opened from an
-    /// artifact, compiled from the input poly-set otherwise
-    /// (bit-identical to the low-level `CompiledPolySet::compile` on
-    /// that input either way).
+    /// path and it has not been lowered yet (a session opened from an
+    /// artifact never has to: it holds the stored columns): frozen from
+    /// the interned source when the session was built interned, compiled
+    /// from the input poly-set otherwise (bit-identical to the low-level
+    /// `CompiledPolySet::compile` on that input either way).
     fn ensure_original_compiled(&mut self, opts: &EvalOptions) {
         if opts.compiled && self.original_compiled.is_none() {
-            self.original_compiled = Some(if self.interned_source || self.source_slot.is_some() {
+            self.original_compiled = Some(CompiledHandle::Owned(if self.interned_source {
                 self.source_ws().freeze()
             } else {
                 CompiledPolySet::compile(self.polys_ref())
-            });
+            }));
             self.compile_count += 1;
         }
     }
@@ -853,7 +816,7 @@ impl Session {
     /// [`compress`](Self::compress) has run — the representation every
     /// evaluation is derived from.
     pub fn working(&self) -> Option<&WorkingSet<f64>> {
-        self.compressed.as_ref().map(|s| s.working.get())
+        self.compressed.as_ref().map(CompressedState::working)
     }
 
     /// The abstracted poly-set `𝒫↓S` as a hash-map materialisation, if
@@ -914,7 +877,7 @@ impl Session {
     /// `path` (compressing first if [`compress`](Self::compress) has not
     /// run): a versioned, checksummed, little-endian container holding
     /// the variable table, both forests, the chosen VVS, the live
-    /// variables, the frozen compiled columns and both working sets —
+    /// variables and the frozen compiled columns of `𝒫↓S` and of `𝒫` —
     /// everything [`open`](Self::open) / [`open_mapped`](Self::open_mapped)
     /// need to answer scenarios bit-for-bit identically without ever
     /// recompressing or recompiling.
@@ -956,16 +919,23 @@ impl Session {
             original_size_v: state.result.original_size_v,
             compressed_size_m: state.result.compressed_size_m,
             compressed_size_v: state.result.compressed_size_v,
+            arena_monomials: state.arena_monomials,
         };
-        let compiled_bytes = match &state.compiled {
+        // Each side is stored as the freeze of its working set. Freezing
+        // is deterministic, so where no cached lowering is that freeze an
+        // ad-hoc one writes the same bytes — without counting as a
+        // session compilation or warming the evaluation cache.
+        let abstracted = match &state.compiled {
             Some(handle) => encode_compiled(handle.view()),
-            // Freezing is deterministic, so this ad-hoc freeze writes
-            // the bytes a cached lowering would — without counting as a
-            // session compilation or warming the evaluation cache.
-            None => {
-                let frozen = state.working.get().freeze();
-                encode_compiled(frozen.view())
+            None => encode_compiled(state.working().freeze().view()),
+        };
+        let original = match &self.original_compiled {
+            // Not the one compiled from a poly-set input: that is in the
+            // input's hash-map order.
+            Some(handle) if self.interned_source || matches!(handle, CompiledHandle::Shared(_)) => {
+                encode_compiled(handle.view())
             }
+            _ => encode_compiled(self.source_ws().freeze().view()),
         };
         let mut w = ArtifactWriter::new();
         w.section(section::SESSION_META, encode_meta(&meta));
@@ -977,9 +947,8 @@ impl Session {
             encode_vvs(&state.result.vvs, state.result.forest.num_trees()),
         );
         w.section(section::LIVE_VARS, encode_live_vars(&state.live_vars));
-        w.section(section::COMPILED_ABS, compiled_bytes);
-        w.section(section::WORKING_ABS, encode_working(state.working.get()));
-        w.section(section::WORKING_ORIG, encode_working(self.source_ws()));
+        w.section(section::COMPILED_ABS, abstracted);
+        w.section(section::COMPILED_ORIG, original);
         w.write_atomic_with(path.as_ref(), faults)?;
         Ok(())
     }
@@ -1034,19 +1003,14 @@ impl Session {
             art.require(section::LIVE_VARS, "live variables")?,
             vars.len(),
         )?;
-        let compiled = SharedCompiled::validate(&art, vars.len())?;
-        let working = WorkingSlot::validate(
+        let compiled = SharedCompiled::validate(
             &art,
-            section::WORKING_ABS,
-            "abstracted working set",
+            section::COMPILED_ABS,
+            "abstracted columns",
             vars.len(),
         )?;
-        let source_slot = WorkingSlot::validate(
-            &art,
-            section::WORKING_ORIG,
-            "original working set",
-            vars.len(),
-        )?;
+        let original =
+            SharedCompiled::validate(&art, section::COMPILED_ORIG, "original columns", vars.len())?;
         let result = AbstractionResult {
             forest: clean,
             vvs,
@@ -1070,16 +1034,16 @@ impl Session {
             opts: EvalOptions::new(),
             compressed: Some(CompressedState {
                 result,
-                working: LazyWorking::lazy(working),
+                working: OnceLock::new(),
+                arena_monomials: meta.arena_monomials,
                 live_vars,
                 compiled: Some(CompiledHandle::Shared(compiled)),
                 abstracted: OnceLock::new(),
             }),
-            original_compiled: None,
+            original_compiled: Some(CompiledHandle::Shared(original)),
             compile_count: 0,
             materializations: AtomicUsize::new(0),
             interned_source: meta.interned_source,
-            source_slot: Some(source_slot),
             origin,
             guard: Guard::ambient().unwrap_or_default(),
             run_elapsed: Duration::ZERO,
@@ -1152,10 +1116,7 @@ impl Session {
     pub fn intern_stats(&self) -> InternStats {
         InternStats {
             polyset_materializations: self.materializations.load(Ordering::Relaxed),
-            arena_monomials: self
-                .compressed
-                .as_ref()
-                .map_or(0, |s| s.working.arena_len()),
+            arena_monomials: self.compressed.as_ref().map_or(0, |s| s.arena_monomials),
             interned_source: self.interned_source,
         }
     }

@@ -2,8 +2,8 @@
 //! later — and serve scenarios without recompressing or recompiling.
 //!
 //! The session's compressed state (variable table, forests, chosen VVS,
-//! frozen columns, working sets) is written as one versioned,
-//! checksummed artifact by [`Session::save`]. A later process reopens it
+//! the frozen columns of the abstracted and of the original provenance)
+//! is written as one versioned, checksummed artifact by [`Session::save`]. A later process reopens it
 //! with [`Session::open_mapped`] — the zero-copy path: the compiled
 //! columns the evaluator runs on are resliced straight from the
 //! memory-mapped file — and answers the same batches bit-for-bit

@@ -256,7 +256,7 @@ pub fn fig10_speedup(cfg: &ExpConfig, scenarios_per_batch: usize) -> Vec<Report>
             .forest(forest)
             .strategy(Strategy::Optimal);
         for &b in &bounds {
-            let mut session = builder
+            let session = builder
                 .clone()
                 .bound(b)
                 .build()
@@ -281,10 +281,10 @@ pub fn fig10_speedup(cfg: &ExpConfig, scenarios_per_batch: usize) -> Vec<Report>
             // reference is the paper-faithful number, the compiled
             // columns show that abstraction and engine speedups compose.
             let rep = session
-                .speedup_report_with(&scenarios, 3, &EvalOptions::serial_reference())
+                .speedup_report(&scenarios, 3, &EvalOptions::serial_reference())
                 .expect("abstracted labels are known variables");
             let fast = session
-                .speedup_report_with(&scenarios, 3, &EvalOptions::new())
+                .speedup_report(&scenarios, 3, &EvalOptions::new())
                 .expect("abstracted labels are known variables");
             report.row(vec![
                 b.to_string(),
@@ -554,7 +554,7 @@ pub fn table1_greedy_quality(cfg: &ExpConfig) -> Vec<Report> {
             // is lazy and no result is cloned), so the speedup column
             // measures the selection algorithms, as before the façade.
             let compress = |strategy: Strategy| {
-                let mut session = builder
+                let session = builder
                     .clone()
                     .forest(forest.clone())
                     .strategy(strategy)

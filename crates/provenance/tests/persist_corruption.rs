@@ -50,7 +50,7 @@ impl Drop for TempFile {
 /// non-empty (two powers on each side), the whole artifact a few hundred
 /// bytes — small enough to exhaust.
 fn small_session() -> Session {
-    let mut session =
+    let session =
         SessionBuilder::from_text("220.8·p1·m1 + 240·p1·m3 + 16·f1·m1\n3·p1^3 + 4·f1^2\n9·f1·m3")
             .expect("parses")
             .forest_text("q1(m1, m3)\nPlans(p1, f1)")
@@ -65,7 +65,7 @@ fn small_session() -> Session {
 /// The pristine artifact bytes plus the reference answers both open
 /// paths must reproduce.
 fn baseline() -> (Vec<u8>, Vec<Valuation<f64>>, Vec<Vec<f64>>) {
-    let mut session = small_session();
+    let session = small_session();
     let file = temp_artifact("baseline");
     session.save(&file.0).expect("save");
     let bytes = std::fs::read(&file.0).expect("artifact bytes");
@@ -504,7 +504,7 @@ fn unsorted_and_repeated_factors_open_and_rebuild_canonically() {
         p[a..a + 2].copy_from_slice(&y);
         p[b..b + 2].copy_from_slice(&x);
     });
-    let mut session = open_both(&swapped, "swapped").expect("opens");
+    let session = open_both(&swapped, "swapped").expect("opens");
     let got = session.ask_prepared(&valuations).expect("compressed");
     for (x, y) in got.values.iter().flatten().zip(expected.iter().flatten()) {
         assert!(
@@ -520,7 +520,7 @@ fn unsorted_and_repeated_factors_open_and_rebuild_canonically() {
 
     // Repeated: x·x where x·y stood — a square, spelled as two factors.
     let repeated = rebuild(&art, section::COMPILED_ABS, &|p| p.copy_within(a..a + 2, b));
-    let mut session = open_both(&repeated, "repeated").expect("opens");
+    let session = open_both(&repeated, "repeated").expect("opens");
     let columns = session
         .ask_prepared(&valuations)
         .expect("compressed")
@@ -601,7 +601,7 @@ fn flip_battery(stride: usize) {
             match open_both(&bad, "flip") {
                 Err(Error::Persist(_)) => {}
                 Err(other) => panic!("flip at {at}: non-persist error {other:?}"),
-                Ok(mut session) => {
+                Ok(session) => {
                     assert!(
                         in_padding(at),
                         "flip at {at} survived outside padding (mask {mask:#x})"

@@ -67,7 +67,7 @@ fn fixture(workload: Workload) -> (WorkloadData, Forest) {
 /// probed through the façade so this suite needs no algorithm crates.
 fn attainable_bound(polys: &PolySet<f64>, vars: &VarTable, forest: &Forest) -> usize {
     let total = polys.size_m();
-    let mut probe = SessionBuilder::new(polys.clone(), vars.clone())
+    let probe = SessionBuilder::new(polys.clone(), vars.clone())
         .forest(forest.clone())
         .bound(1)
         .build()
@@ -108,7 +108,7 @@ fn assert_values_bitwise(a: &[Vec<f64>], b: &[Vec<f64>], context: &str) {
 /// Opens `path` through both load paths and asserts each reopened
 /// session is indistinguishable from `saved` on the given batch.
 fn assert_open_paths_equivalent(
-    saved: &mut Session,
+    saved: &Session,
     path: &TempFile,
     scenarios: &[Scenario],
     valuations: &[Valuation<f64>],
@@ -119,7 +119,7 @@ fn assert_open_paths_equivalent(
     let expected_result = saved.result().expect("compressed").clone();
     let expected_stats = saved.intern_stats();
 
-    for (mapped, mut reopened) in [
+    for (mapped, reopened) in [
         (false, Session::open(&path.0).expect("owned open")),
         (true, Session::open_mapped(&path.0).expect("mapped open")),
     ] {
@@ -150,7 +150,7 @@ fn assert_open_paths_equivalent(
 
         // The opened session is already compressed, with identical
         // selection outcome and configuration.
-        assert!(reopened.is_compressed(), "{context}");
+        assert!(reopened.result().is_some(), "{context}");
         let got = reopened.result().expect("opened compressed").clone();
         assert_eq!(got.vvs, expected_result.vvs, "{context}: VVS differs");
         assert_eq!(got.original_size_m, expected_result.original_size_m);
@@ -222,7 +222,7 @@ fn saved_sessions_answer_identically_for_every_workload_and_strategy() {
         let bound = attainable_bound(&data.polys, &data.vars, &forest);
         for strategy in all_strategies() {
             let context = format!("{} / {strategy:?}", workload.name());
-            let mut session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+            let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
                 .forest(forest.clone())
                 .strategy(strategy)
                 .bound(bound)
@@ -242,7 +242,7 @@ fn saved_sessions_answer_identically_for_every_workload_and_strategy() {
 
             let file = temp_artifact(workload.name());
             session.save(&file.0).expect("save succeeds");
-            assert_open_paths_equivalent(&mut session, &file, &scenarios, &valuations, &context);
+            assert_open_paths_equivalent(&session, &file, &scenarios, &valuations, &context);
         }
     }
 }
@@ -255,7 +255,7 @@ fn saved_sessions_answer_identically_for_every_workload_and_strategy() {
 fn save_is_deterministic_and_cache_independent() {
     let (data, forest) = fixture(Workload::Telephony);
     let bound = attainable_bound(&data.polys, &data.vars, &forest);
-    let mut session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest)
         .bound(bound)
         .build()
@@ -280,7 +280,7 @@ fn save_is_deterministic_and_cache_independent() {
     assert_eq!(a, b, "saves before/after cache warm-up must be identical");
 
     // And a reopened session re-saves the same bytes again.
-    let mut reopened = Session::open(&cold.0).expect("open");
+    let reopened = Session::open(&cold.0).expect("open");
     let resaved = temp_artifact("resaved");
     reopened.save(&resaved.0).expect("save");
     let c = std::fs::read(&resaved.0).expect("resaved bytes");
@@ -295,7 +295,7 @@ fn save_is_deterministic_and_cache_independent() {
 fn opened_sessions_serve_reference_paths_and_reports() {
     let (data, forest) = fixture(Workload::TpchQ10);
     let bound = attainable_bound(&data.polys, &data.vars, &forest);
-    let mut session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest)
         .bound(bound)
         .build()
@@ -309,7 +309,7 @@ fn opened_sessions_serve_reference_paths_and_reports() {
     let orig_names: Vec<String> = data.vars.iter().map(|(_, n)| n.to_string()).collect();
     let fine = Scenario::random(&orig_names, 0.5, 99);
 
-    for mut reopened in [
+    for reopened in [
         Session::open(&file.0).expect("open"),
         Session::open_mapped(&file.0).expect("open mapped"),
     ] {
@@ -320,7 +320,9 @@ fn opened_sessions_serve_reference_paths_and_reports() {
         assert_eq!(a.mean_relative.to_bits(), b.mean_relative.to_bits());
         assert_eq!(a.max_relative.to_bits(), b.max_relative.to_bits());
         // Speedup reports run (timing-based, not bit-comparable).
-        let report = reopened.speedup_report(&scenarios, 2).expect("known");
+        let report = reopened
+            .speedup_report(&scenarios, 2, reopened.eval_options())
+            .expect("known");
         assert!(report.original.as_nanos() > 0);
         assert!(report.compressed.as_nanos() > 0);
         // The original side was evaluated off the stored columns, like
@@ -427,7 +429,7 @@ fn random_polysets_roundtrip_bitwise() {
             assert_eq!(a, b, "{context}: from_compiled(freeze) is not the identity");
         }
 
-        let mut session = SessionBuilder::new(polys.clone(), vars.clone())
+        let session = SessionBuilder::new(polys.clone(), vars.clone())
             .strategy(Strategy::None)
             .build()
             .expect("no forest needed");
@@ -452,7 +454,7 @@ fn random_polysets_roundtrip_bitwise() {
             .expect("compressed")
             .values;
 
-        for mut reopened in [
+        for reopened in [
             Session::open(&file.0).expect("open"),
             Session::open_mapped(&file.0).expect("open mapped"),
         ] {
@@ -500,7 +502,7 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
             })
             .collect(),
     );
-    let mut session = SessionBuilder::new(polys, vars.clone())
+    let session = SessionBuilder::new(polys, vars.clone())
         .strategy(Strategy::None)
         .build()
         .expect("no forest needed");
@@ -528,7 +530,7 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
         .ask_prepared(&valuations)
         .expect("compressed")
         .values;
-    for mut reopened in [
+    for reopened in [
         Session::open(&file.0).expect("open"),
         Session::open_mapped(&file.0).expect("open mapped"),
     ] {
@@ -556,7 +558,7 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
 /// of either set would each break it.
 #[test]
 fn artifacts_stay_within_their_size_budget() {
-    let budget = |session: &mut Session, per_monomial: usize, tag: &str| {
+    let budget = |session: &Session, per_monomial: usize, tag: &str| {
         let file = temp_artifact(tag);
         session.save(&file.0).expect("save");
         let bytes = std::fs::read(&file.0).expect("artifact bytes");
@@ -585,21 +587,21 @@ fn artifacts_stay_within_their_size_budget() {
     let working = scale_working_set(&config, &mut vars);
     let forest = scale_forest(&config, &mut vars);
     let bound = working.size_m() * 35 / 100;
-    let mut scale = SessionBuilder::new(working.to_polyset(), vars)
+    let scale = SessionBuilder::new(working.to_polyset(), vars)
         .forest(forest)
         .strategy(Strategy::Greedy { incremental: true })
         .bound(bound)
         .build()
         .expect("valid");
-    budget(&mut scale, 19, "scale");
+    budget(&scale, 19, "scale");
 
     // Telephony: every monomial is plan · month.
     let (data, forest) = fixture(Workload::Telephony);
     let bound = attainable_bound(&data.polys, &data.vars, &forest);
-    let mut telephony = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let telephony = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest)
         .bound(bound)
         .build()
         .expect("valid");
-    budget(&mut telephony, 17, "telephony");
+    budget(&telephony, 17, "telephony");
 }

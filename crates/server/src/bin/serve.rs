@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p provabs-server --bin serve -- \
-//!     --addr 127.0.0.1:7878 --shards 8 --deadline-ms 30000
+//!     --addr 127.0.0.1:7878 --deadline-ms 30000
 //! ```
 
 use provabs_server::{ServerConfig, ServerHandle};
@@ -18,7 +18,6 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => config.addr = value("an address"),
-            "--shards" => config.shards = parse(&value("a count"), "--shards"),
             "--max-connections" => {
                 config.max_connections = parse(&value("a count"), "--max-connections")
             }
@@ -29,7 +28,7 @@ fn main() {
             "--artifact-dir" => config.artifact_dir = value("a directory").into(),
             "--help" | "-h" => {
                 println!(
-                    "serve [--addr HOST:PORT] [--shards N] [--max-connections N] \
+                    "serve [--addr HOST:PORT] [--max-connections N] \
                      [--max-body BYTES] [--deadline-ms MS] [--artifact-dir DIR]"
                 );
                 return;

@@ -4,11 +4,12 @@
 //!
 //! The server is std-only (a hand-rolled HTTP/1.1 layer over
 //! `std::net::TcpListener`; no async runtime, no serde — the build
-//! environment is offline). It hosts N named sessions behind a sharded
-//! registry; each session compresses at most once and answers every
-//! scenario batch from its cached compiled lowering, so
-//! `compile_count() == 1` stays true over the wire no matter how many
-//! clients share the session. Per-request deadlines become guard
+//! environment is offline). It hosts N named sessions behind one name
+//! map and shares each by reference — no request locks a session; each
+//! session compresses at most once and answers every scenario batch from
+//! its cached compiled lowering, so `compile_count() == 1` stays true
+//! over the wire no matter how many clients share the session.
+//! Per-request deadlines become guard
 //! [`Budget`](provabs_session::Budget)s, client disconnects become
 //! [`CancelToken`](provabs_session::CancelToken) trips, and a panicking
 //! handler answers `500` without taking down its connection's peers.
@@ -21,7 +22,7 @@
 //!   streaming, idle ticks for shutdown polling,
 //! - [`error`] — the typed wire-error table: every
 //!   [`provabs_session::Error`] variant has a stable status + code,
-//! - [`registry`] — the sharded name → session map,
+//! - [`registry`] — the name → session map,
 //! - [`service`] — the routes,
 //! - [`server`] — accept loop, connection threads, graceful shutdown,
 //! - [`client`] — the blocking client the tests, the load generator,

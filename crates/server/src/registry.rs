@@ -1,28 +1,28 @@
-//! The sharded session registry: N named [`Session`]s behind one
-//! concurrent map.
+//! The session registry: N named [`Session`]s behind one name map.
 //!
-//! Lookups hash the session name onto one of `shards` independent
-//! `Mutex<HashMap>` shards, so creating or resolving one session never
-//! contends with traffic to sessions on other shards. The [`Session`]
-//! itself sits behind a per-entry `Mutex` — the façade's `ask` takes
-//! `&mut self` (it may lazily freeze the compiled lowering on first
-//! use), so requests against *one* session serialise, which is exactly
-//! what makes "hundreds of requests, `compile_count() == 1`" observable:
-//! the first request compiles, every later one reuses the cache.
+//! A [`Session`] is shared, not locked — every façade method takes
+//! `&self`, the compress-once state and the lazy lowerings live in
+//! once-cells — so an entry holds its session directly and any number of
+//! request threads work on one entry at once ("hundreds of requests,
+//! `compile_count() == 1`": the first ask freezes, every concurrent and
+//! later one reads that freeze). The one `RwLock` on the name map is the
+//! server's whole lock inventory: lookups take the read side for a probe
+//! and an `Arc::clone`, only create and delete take the write side, and
+//! nothing is held while a request runs.
 
 use crate::error::WireError;
 use provabs_session::Session;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One hosted session plus its per-session wire counters.
 pub struct SessionEntry {
     /// The registry name.
     pub name: String,
-    session: Mutex<Session>,
+    /// The hosted session, shared by every request that resolves this
+    /// entry.
+    pub session: Session,
     /// Requests served against this session (any route).
     pub requests: AtomicU64,
     /// Scenario answers streamed from this session.
@@ -37,108 +37,76 @@ impl std::fmt::Debug for SessionEntry {
     }
 }
 
-impl SessionEntry {
-    /// Locks the session for one request. Poisoning is tolerated: a
-    /// panicking handler is isolated to its own request ([`crate::server`]
-    /// catches it), and the session state it could have been mutating is
-    /// the lazily-built cache, which stays structurally valid.
-    pub fn lock(&self) -> MutexGuard<'_, Session> {
-        self.session
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// The sharded name → session map.
+/// The name → session map; [`Registry::default`] is the empty one.
+/// Poisoning is tolerated on both sides of its lock: a panicking handler
+/// is isolated to its own request ([`crate::server`] catches it), and the
+/// map operations it could have been inside are single `HashMap` calls,
+/// which leave the map valid.
+#[derive(Default)]
 pub struct Registry {
-    shards: Vec<Mutex<HashMap<String, Arc<SessionEntry>>>>,
+    names: RwLock<HashMap<String, Arc<SessionEntry>>>,
 }
 
 impl Registry {
-    /// A registry with `shards` independent shards (at least 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    fn shard(&self, name: &str) -> MutexGuard<'_, HashMap<String, Arc<SessionEntry>>> {
-        let mut hasher = DefaultHasher::new();
-        name.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % self.shards.len();
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Registers a fresh session under `name`; `409` if taken.
     pub fn insert(&self, name: &str, session: Session) -> Result<Arc<SessionEntry>, WireError> {
         let entry = Arc::new(SessionEntry {
             name: name.to_string(),
-            session: Mutex::new(session),
+            session,
             requests: AtomicU64::new(0),
             scenarios: AtomicU64::new(0),
         });
-        let mut shard = self.shard(name);
-        if shard.contains_key(name) {
+        let mut names = self.names.write().unwrap_or_else(PoisonError::into_inner);
+        if names.contains_key(name) {
             return Err(WireError::new(
                 409,
                 "session_exists",
                 format!("a session named {name:?} already exists"),
             ));
         }
-        shard.insert(name.to_string(), Arc::clone(&entry));
+        names.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
     }
 
     /// Resolves a session by name.
     pub fn get(&self, name: &str) -> Option<Arc<SessionEntry>> {
-        self.shard(name).get(name).cloned()
+        self.read().get(name).cloned()
     }
 
     /// Removes and returns a session.
     pub fn remove(&self, name: &str) -> Option<Arc<SessionEntry>> {
-        self.shard(name).remove(name)
+        self.names
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(name)
     }
 
     /// All entries, sorted by name (for `/stats` and `/sessions`).
     pub fn entries(&self) -> Vec<Arc<SessionEntry>> {
-        let mut all: Vec<Arc<SessionEntry>> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .values()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut all: Vec<Arc<SessionEntry>> = self.read().values().cloned().collect();
         all.sort_by(|a, b| a.name.cmp(&b.name));
         all
     }
 
     /// Number of hosted sessions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.read().len()
     }
 
     /// Whether no session is hosted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<SessionEntry>>> {
+        self.names.read().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use provabs_scenario::Scenario;
     use provabs_session::SessionBuilder;
 
     fn session() -> Session {
@@ -153,7 +121,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_and_name_collisions() {
-        let reg = Registry::new(8);
+        let reg = Registry::default();
         assert!(reg.is_empty());
         reg.insert("a", session()).expect("fresh name");
         reg.insert("b", session()).expect("fresh name");
@@ -170,38 +138,29 @@ mod tests {
     }
 
     #[test]
-    fn shards_spread_names_and_single_shard_works() {
-        for shards in [1, 4] {
-            let reg = Registry::new(shards);
-            for i in 0..16 {
-                reg.insert(&format!("s{i}"), session()).expect("fresh");
-            }
-            assert_eq!(reg.len(), 16);
-            assert_eq!(reg.entries().len(), 16);
-        }
-    }
-
-    #[test]
     fn entries_are_usable_concurrently() {
-        let reg = Arc::new(Registry::new(4));
+        let reg = Arc::new(Registry::default());
         reg.insert("shared", session()).expect("fresh");
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let reg = Arc::clone(&reg);
                 std::thread::spawn(move || {
                     let entry = reg.get("shared").expect("present");
-                    let mut session = entry.lock();
-                    session.compress().expect("compresses");
-                    session.compile_count()
+                    let run = entry
+                        .session
+                        .ask(&[Scenario::new().set("X", 0.5)])
+                        .expect("X is the abstracted variable");
+                    run.values
                 })
             })
             .collect();
         for h in handles {
-            h.join().expect("no panic");
+            // 1·x + 2·y compresses to 3·X.
+            assert_eq!(h.join().expect("no panic"), vec![vec![1.5]]);
         }
-        // Four threads compressed; the compiled lowering is still built
-        // at most once because the per-entry mutex serialises them.
+        // Four threads asked an uncompressed session at once: one of them
+        // compressed and froze, the others waited for it and read.
         let entry = reg.get("shared").expect("present");
-        assert!(entry.lock().compile_count() <= 1);
+        assert_eq!(entry.session.compile_count(), 1);
     }
 }

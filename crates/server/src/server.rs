@@ -27,8 +27,6 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port `0` picks a free port (the handle reports it).
     pub addr: String,
-    /// Registry shards (name-hash partitions of the session map).
-    pub shards: usize,
     /// Request-body cap in bytes; larger declared bodies get `413`.
     pub max_body: usize,
     /// Concurrent-connection cap; excess connections get `503` and close.
@@ -43,8 +41,9 @@ pub struct ServerConfig {
     /// its response without disconnecting stalls writes on TCP
     /// backpressure; once a write blocks this long the client is treated
     /// as gone and the connection is closed. This bounds how long a
-    /// stalled reader can hold a session lock mid-stream (and therefore
-    /// how long it can wedge `/stats`, which locks every session).
+    /// stalled reader can pin its connection thread (and its slot under
+    /// `max_connections`); it holds no lock meanwhile, so other requests
+    /// — on the same session too — are not delayed by it.
     pub write_timeout: Duration,
     /// Deadline applied to compress/ask requests that do not send their
     /// own `deadline_ms`; `None` means unlimited.
@@ -55,7 +54,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            shards: 8,
             max_body: 1 << 20,
             max_connections: 512,
             artifact_dir: std::env::temp_dir().join("provabs-artifacts"),
@@ -84,7 +82,6 @@ impl ServerHandle {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let service = Arc::new(Service::new(
-            config.shards,
             config.artifact_dir.clone(),
             config.default_deadline_ms,
         ));

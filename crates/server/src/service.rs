@@ -13,11 +13,15 @@
 //! POST   /sessions/{name}/save        persist the compiled artifact
 //! ```
 //!
-//! Every mutating route takes a per-request [`Guard`]: the request's
+//! Compress and ask each build a per-request [`Guard`]: the request's
 //! `deadline_ms` (or the server default) becomes the [`Budget`], and a
 //! fresh [`CancelToken`] is wired to the client's socket — a client that
 //! disconnects cancels its own work at the next guard checkpoint
-//! (compression) or chunk boundary (ask). Numbers ride the wire as
+//! (compression) or chunk boundary (ask). The guard is *passed* to the
+//! call it bounds ([`Session::compress_with`], [`Session::ask_with`]) and
+//! dies with the request; the hosted session is shared by reference and
+//! never holds one, so no request waits on another's session and there is
+//! nothing to reset on any exit path. Numbers ride the wire as
 //! shortest-round-trip decimal, so answers are bit-for-bit what a direct
 //! [`Session::ask`] returns.
 
@@ -33,10 +37,9 @@ use provabs_session::{
 };
 use std::io;
 use std::net::TcpStream;
-use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Scenarios evaluated per streamed chunk when the request does not pick
@@ -62,7 +65,7 @@ enum Action {
     Compress {
         entry: Arc<SessionEntry>,
         deadline_ms: Option<u64>,
-        /// Per-request shard count (`Session::set_shards`): `> 1` runs
+        /// Per-request shard count (`Strategy::with_shards`): `> 1` runs
         /// the sharded engine, `0`/`1` the plain one, absent keeps the
         /// session's configured strategy.
         shards: Option<u64>,
@@ -76,49 +79,11 @@ enum Action {
     },
 }
 
-/// The locked session with a per-request [`Guard`] installed; dropping
-/// it restores [`Guard::unlimited()`] before the lock is released. Every
-/// exit path — including early `?` returns on client I/O errors
-/// mid-stream — leaves the session guard clean, so later `/stats` reads
-/// never see a stale expired deadline or a dead request's cancel token.
-struct RequestGuard<'a> {
-    session: MutexGuard<'a, Session>,
-}
-
-impl<'a> RequestGuard<'a> {
-    fn install(entry: &'a SessionEntry, guard: Guard) -> Self {
-        let mut session = entry.lock();
-        session.set_guard(guard);
-        Self { session }
-    }
-}
-
-impl Deref for RequestGuard<'_> {
-    type Target = Session;
-
-    fn deref(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl DerefMut for RequestGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-}
-
-impl Drop for RequestGuard<'_> {
-    fn drop(&mut self) {
-        self.session.set_guard(Guard::unlimited());
-    }
-}
-
 impl Service {
-    /// A service hosting sessions across `shards` registry shards,
-    /// persisting artifacts under `artifact_dir`.
-    pub fn new(shards: usize, artifact_dir: PathBuf, default_deadline_ms: Option<u64>) -> Self {
+    /// A service persisting artifacts under `artifact_dir`.
+    pub fn new(artifact_dir: PathBuf, default_deadline_ms: Option<u64>) -> Self {
         Self {
-            registry: Registry::new(shards),
+            registry: Registry::default(),
             artifact_dir,
             default_deadline_ms,
             requests: AtomicU64::new(0),
@@ -215,8 +180,7 @@ impl Service {
                 let body = body_json(req)?;
                 let artifact = require_str(&body, "artifact")?;
                 let path = self.artifact_path(artifact)?;
-                let mut session = entry.lock();
-                session.save(&path).map_err(WireError::from)?;
+                entry.session.save(&path).map_err(WireError::from)?;
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 Ok(Action::Respond(
                     200,
@@ -325,9 +289,7 @@ impl Service {
             builder.build().map_err(WireError::from)?
         };
 
-        let polys = session.original().len();
-        let size_m = session.original().size_m();
-        let size_v = session.original().size_v();
+        let (polys, size_m, size_v) = session.original_size();
         let entry = self.registry.insert(name, session)?;
         Ok(Action::Respond(
             201,
@@ -399,20 +361,12 @@ impl Service {
         stream: &mut TcpStream,
     ) -> io::Result<()> {
         let token = CancelToken::new();
-        let mut session = RequestGuard::install(entry, self.request_guard(deadline_ms, &token));
-        // The per-request shard knob is applied under the same lock the
-        // compression runs under; an unshardable strategy answers 422
-        // before any work starts.
-        if let Some(shards) = shards {
-            if let Err(e) = session.set_shards(shards as usize) {
-                let wire = WireError::from(e);
-                drop(session);
-                return respond_json(stream, wire.status, &wire.body(), close);
-            }
-        }
+        let guard = self.request_guard(deadline_ms, &token);
+        // An unshardable strategy answers 422 before any work starts.
         let outcome = with_disconnect_cancel(stream, &token, || {
-            session
-                .compress_guarded()
+            entry
+                .session
+                .compress_with(shards.map(|k| k as usize), &guard)
                 .map(|(result, completion)| {
                     Json::obj([
                         ("session", Json::from(entry.name.clone())),
@@ -425,7 +379,6 @@ impl Service {
                 })
                 .map_err(WireError::from)
         });
-        drop(session); // resets the guard, then releases the lock
         match outcome {
             Ok(body) => respond_json(stream, 200, &body, close),
             Err(e) => respond_json(stream, e.status, &e.body(), close),
@@ -449,19 +402,21 @@ impl Service {
         stream: &mut TcpStream,
     ) -> io::Result<()> {
         let token = CancelToken::new();
-        let mut session = RequestGuard::install(entry, self.request_guard(deadline_ms, &token));
-
-        let first = session.ask(&scenarios[..scenarios.len().min(chunk)]);
-        let first = match first {
-            Ok(run) => run,
-            Err(e) => {
-                let wire = self.interrupted_error(e, &session);
-                drop(session);
-                return respond_json(stream, wire.status, &wire.body(), close);
-            }
+        let guard = self.request_guard(deadline_ms, &token);
+        let session = &entry.session;
+        let ask = |batch: &[Scenario]| {
+            session
+                .ask_with(batch, session.eval_options(), &guard)
+                .map_err(|e| interrupted_error(e, session, &guard))
         };
 
-        let polys = session.original().len();
+        let first = match ask(&scenarios[..scenarios.len().min(chunk)]) {
+            Ok(run) => run,
+            Err(wire) => return respond_json(stream, wire.status, &wire.body(), close),
+        };
+
+        // An answer holds one value per polynomial.
+        let polys = first.values.first().map_or(0, Vec::len);
         let mut writer = ChunkedWriter::start(stream, 200, "application/json", close)?;
         writer.json_line(&Json::obj([
             ("session", Json::from(entry.name.clone())),
@@ -483,10 +438,10 @@ impl Service {
                         token.cancel();
                     }
                     let upper = (streamed + chunk).min(scenarios.len());
-                    match session.ask(&scenarios[streamed..upper]) {
+                    match ask(&scenarios[streamed..upper]) {
                         Ok(run) => run,
-                        Err(e) => {
-                            failure = Some(self.interrupted_error(e, &session));
+                        Err(wire) => {
+                            failure = Some(wire);
                             break;
                         }
                     }
@@ -507,7 +462,6 @@ impl Service {
         entry
             .scenarios
             .fetch_add(streamed as u64, Ordering::Relaxed);
-        drop(session); // resets the guard, then releases the lock
 
         match failure {
             // The status line is long gone; the typed error body becomes
@@ -521,20 +475,6 @@ impl Service {
             ]))?,
         }
         writer.finish()
-    }
-
-    /// A `503 cancelled` carries the best-so-far picture from the
-    /// session's run stats, so interrupted callers see how far the work
-    /// got; other errors pass through the standard mapping.
-    fn interrupted_error(&self, e: provabs_session::Error, session: &Session) -> WireError {
-        let wire = WireError::from(e);
-        if wire.status != 503 {
-            return wire;
-        }
-        let stats = session.run_stats();
-        wire.with("checkpoints_hit", Json::from(stats.checkpoints_hit))
-            .with("elapsed_us", Json::from(stats.elapsed.as_micros() as u64))
-            .with("completion", completion_json(&stats.completion))
     }
 
     fn request_guard(&self, deadline_ms: Option<u64>, token: &CancelToken) -> Guard {
@@ -563,10 +503,26 @@ impl Service {
     }
 }
 
+/// A `503 cancelled` carries the best-so-far picture, so interrupted
+/// callers see how far the work got: the checkpoints the request's own
+/// guard ticked, and the session's compression outcome and elapsed time.
+/// Other errors pass through the standard mapping.
+fn interrupted_error(e: provabs_session::Error, session: &Session, guard: &Guard) -> WireError {
+    let wire = WireError::from(e);
+    if wire.status != 503 {
+        return wire;
+    }
+    let stats = session.run_stats();
+    wire.with("checkpoints_hit", Json::from(guard.checkpoints_hit()))
+        .with("elapsed_us", Json::from(stats.elapsed.as_micros() as u64))
+        .with("completion", completion_json(&stats.completion))
+}
+
 /// The per-session observability snapshot: the five façade hooks plus
-/// the wire counters, as one JSON object.
+/// the wire counters, as one JSON object. Reads a live session without
+/// waiting on its requests.
 pub fn session_stats(entry: &SessionEntry) -> Json {
-    let session = entry.lock();
+    let session = &entry.session;
     let intern = session.intern_stats();
     let kernel = session.kernel_info();
     let run = session.run_stats();
@@ -580,7 +536,7 @@ pub fn session_stats(entry: &SessionEntry) -> Json {
             "scenarios_answered",
             Json::from(entry.scenarios.load(Ordering::Relaxed)),
         ),
-        ("compressed", Json::from(session.is_compressed())),
+        ("compressed", Json::from(session.result().is_some())),
         ("compile_count", Json::from(session.compile_count())),
         (
             "intern_stats",

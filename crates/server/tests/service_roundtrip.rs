@@ -5,8 +5,9 @@
 //! answers over the wire are bit-for-bit what a direct [`Session::ask`]
 //! returns (the JSON codec's shortest-round-trip floats), hundreds of
 //! requests across many connections compile the shared session's
-//! lowering exactly once, artifacts survive a save → reopen round trip
-//! over the wire, malformed input comes back typed instead of as
+//! lowering exactly once, a client that stops reading its answer delays
+//! nobody else on that session, artifacts survive a save → reopen round
+//! trip over the wire, malformed input comes back typed instead of as
 //! connection resets, and shutdown drains in-flight work then releases
 //! the port.
 
@@ -14,8 +15,9 @@ use provabs_datagen::workload::{Workload, WorkloadConfig};
 use provabs_scenario::Scenario;
 use provabs_server::{Client, Json, ServerConfig, ServerHandle};
 use provabs_session::SessionBuilder;
+use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start() -> ServerHandle {
     ServerHandle::start(ServerConfig::default()).expect("bind loopback")
@@ -110,7 +112,7 @@ fn wire_answers_match_direct_session_oracle_under_concurrency() {
     // The oracle: the same workload, tree, and defaults, in-process.
     let mut data = Workload::Telephony.generate(&WorkloadConfig::default());
     let forest = data.primary_tree(2, 1);
-    let mut oracle = SessionBuilder::new(data.polys, data.vars)
+    let oracle = SessionBuilder::new(data.polys, data.vars)
         .forest(forest)
         .build()
         .expect("valid configuration");
@@ -187,7 +189,7 @@ fn wire_answers_match_direct_session_oracle_under_concurrency() {
 fn create_compress_ask_save_reopen_round_trip() {
     let server = start();
     let mut client = Client::connect(server.addr()).expect("connect");
-    create_telephony(&mut client, "origin");
+    let created = create_telephony(&mut client, "origin");
     let compress = post_ok(
         &mut client,
         "/sessions/origin/compress",
@@ -212,7 +214,7 @@ fn create_compress_ask_save_reopen_round_trip() {
         &Json::obj([("artifact", Json::from("roundtrip"))]),
         200,
     );
-    post_ok(
+    let recreated = post_ok(
         &mut client,
         "/sessions",
         &Json::obj([
@@ -222,6 +224,13 @@ fn create_compress_ask_save_reopen_round_trip() {
         ]),
         201,
     );
+    for size in ["polys", "size_m", "size_v"] {
+        assert_eq!(
+            recreated.get(size).and_then(Json::as_u64),
+            created.get(size).and_then(Json::as_u64),
+            "{size} of the reopened session"
+        );
+    }
     let reopened = streamed_values(&client.post("/sessions/reopened/ask", &ask).expect("ask"));
     assert_eq!(original.len(), reopened.len());
     for (a, b) in original.iter().flatten().zip(reopened.iter().flatten()) {
@@ -242,6 +251,14 @@ fn create_compress_ask_save_reopen_round_trip() {
         stats.get("compile_count").and_then(Json::as_u64),
         Some(0),
         "a reopened session must answer without compiling"
+    );
+    assert_eq!(
+        stats
+            .get("intern_stats")
+            .and_then(|i| i.get("polyset_materializations"))
+            .and_then(Json::as_u64),
+        Some(0),
+        "create and ask report sizes off the opened columns, not a rebuilt poly-set"
     );
 }
 
@@ -437,6 +454,94 @@ fn healthz_and_stats_expose_the_five_hooks() {
             .map(|l| l >= 1),
         Some(true)
     );
+    // The compression ran under its request's guard, which is gone; what
+    // it ticked there stays readable.
+    assert_eq!(
+        observed
+            .get("run_stats")
+            .and_then(|r| r.get("checkpoints_hit"))
+            .and_then(Json::as_u64)
+            .map(|ticks| ticks > 0),
+        Some(true),
+        "{observed}"
+    );
+}
+
+/// A client that posts a huge ask and never reads the answer stalls its
+/// own connection thread on TCP backpressure until `write_timeout` — and
+/// nothing else: the session is shared, not locked, so `/stats` and
+/// another client's ask on the *same* session answer meanwhile.
+#[test]
+fn a_stalled_reader_delays_no_other_request_on_its_session() {
+    let write_timeout = Duration::from_secs(10);
+    let server = ServerHandle::start(ServerConfig {
+        write_timeout,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    create_telephony(&mut client, "shared");
+    post_ok(
+        &mut client,
+        "/sessions/shared/compress",
+        &Json::obj::<&str>([]),
+        200,
+    );
+    let labels = labels_of(&mut client, "shared");
+
+    // Far more answer bytes than the loopback socket buffers hold
+    // (hundreds of values a scenario), on a socket nobody reads.
+    let body =
+        Json::obj([("scenarios", Json::Arr(vec![Json::obj::<&str>([]); 50_000]))]).to_string();
+    let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
+    write!(
+        stalled,
+        "POST /sessions/shared/ask HTTP/1.1\r\nhost: provabs\r\n\
+         content-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("request sent");
+    std::thread::sleep(Duration::from_millis(500));
+
+    let session_stats = |client: &mut Client| {
+        let started = Instant::now();
+        let stats = client.get("/stats").expect("stats").json().expect("json");
+        let sessions = stats.get("sessions").and_then(Json::as_arr).expect("array");
+        (sessions[0].clone(), started.elapsed())
+    };
+    let (before, stats_took) = session_stats(&mut client);
+    assert_eq!(
+        before.get("requests").and_then(Json::as_u64),
+        Some(3),
+        "compress, the labels read, and the stalled ask were routed: {before}"
+    );
+    assert_eq!(
+        before.get("scenarios_answered").and_then(Json::as_u64),
+        Some(0),
+        "the stalled ask is still mid-stream: {before}"
+    );
+
+    let (ask, _) = wire_scenarios(&labels, 0, 2);
+    let started = Instant::now();
+    let answered = client.post("/sessions/shared/ask", &ask).expect("ask");
+    let ask_took = started.elapsed();
+    assert_eq!(streamed_values(&answered).len(), 2);
+
+    let (after, _) = session_stats(&mut client);
+    assert_eq!(
+        after.get("scenarios_answered").and_then(Json::as_u64),
+        Some(2),
+        "only the second client's ask has finished: {after}"
+    );
+    for (what, took) in [("/stats", stats_took), ("a second ask", ask_took)] {
+        assert!(
+            took < write_timeout / 4,
+            "{what} waited {took:?} behind a stalled reader (write_timeout {write_timeout:?})"
+        );
+    }
+    // Hanging up fails the blocked write, which frees the connection.
+    drop(stalled);
 }
 
 #[test]

@@ -28,7 +28,7 @@ use provabs_trees::text::parse_forest;
 /// ```
 /// use provabs_session::{SessionBuilder, Strategy};
 ///
-/// let mut session = SessionBuilder::from_text("3·x1·a + 4·x2·a\n5·x1·b + 6·x2·b")?
+/// let session = SessionBuilder::from_text("3·x1·a + 4·x2·a\n5·x1·b + 6·x2·b")?
 ///     .forest_text("X(x1, x2)")?
 ///     .strategy(Strategy::Optimal)
 ///     .bound(2)
@@ -150,8 +150,10 @@ impl SessionBuilder {
     }
 
     /// Arms a wall-clock deadline `timeout` from **now** (the moment this
-    /// setter runs) covering all of the session's guarded work —
-    /// compression and guarded evaluation alike. When the deadline
+    /// setter runs) on the session's default guard, covering all the
+    /// guarded work of the argument-free spellings — compression and
+    /// guarded evaluation alike (a call handed its own guard runs under
+    /// that one instead). When the deadline
     /// passes, compression stops gracefully at its best-so-far
     /// abstraction (tagged in [`Session::run_stats`]) and evaluation
     /// batches fail with [`Error::Cancelled`].
@@ -164,7 +166,7 @@ impl SessionBuilder {
     }
 
     /// Sets the full execution [`Budget`] (deadline and/or step cap) the
-    /// session's guard enforces. Replaces any earlier
+    /// session's default guard enforces. Replaces any earlier
     /// [`deadline`](Self::deadline) call.
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {

@@ -29,6 +29,13 @@
 //!
 //! Errors from every stage unify into [`Error`].
 //!
+//! A session is *shared, not locked*: every method takes `&self`,
+//! [`Session`] is `Send + Sync`, and any number of threads may ask one
+//! session at once — the compress-once state and the lazy lowerings live
+//! in once-cells, so they get one compression and one freeze between
+//! them (`docs/adr/014-shared-session.md`). This is what a server hosts:
+//! one `Arc` per session, no lock around it.
+//!
 //! The compressed state is *durable*: [`Session::save`] writes it as a
 //! versioned, checksummed artifact, and [`Session::open`] /
 //! [`Session::open_mapped`] (zero-copy, memory-mapped) restore a session
@@ -37,8 +44,11 @@
 //! reports where a session's state came from.
 //!
 //! Execution is *guarded*: [`SessionBuilder::deadline`] /
-//! [`SessionBuilder::budget`] / [`SessionBuilder::cancel_token`] bound
-//! every long-running stage. Compression is **anytime** — a tripped
+//! [`SessionBuilder::budget`] / [`SessionBuilder::cancel_token`] set the
+//! session's default [`Guard`], which bounds every long-running stage of
+//! the argument-free spellings; [`Session::compress_with`] and
+//! [`Session::ask_with`] take a guard of the call's own (a server's
+//! per-request deadline and disconnect token). Compression is **anytime** — a tripped
 //! guard leaves the best-so-far (sound, just larger) abstraction
 //! installed and answering, tagged in [`Session::run_stats`] — while
 //! evaluation batches fail typed ([`Error::Cancelled`],
@@ -53,7 +63,7 @@
 //! use provabs_scenario::Scenario;
 //!
 //! // Example 2's revenue provenance and the quarterly months grouping.
-//! let mut session = SessionBuilder::from_text("220.8·p1·m1 + 240·p1·m3")?
+//! let session = SessionBuilder::from_text("220.8·p1·m1 + 240·p1·m3")?
 //!     .forest_text("q1(m1, m3)")?
 //!     .strategy(Strategy::Optimal)
 //!     .bound(1)
@@ -94,7 +104,8 @@
 //! | [`Session::frontier`] | [`provabs_core::optimal::optimal_frontier`] / [`provabs_core::greedy::greedy_frontier`] / [`provabs_core::shard::sharded_greedy_frontier`] |
 //!
 //! Each algorithm has exactly one entry point, taking the interned
-//! working set and an explicit guard; the session passes its own. The
+//! working set and an explicit guard; the session passes the one its
+//! caller gave it (or its default). The
 //! two `reference` rows are the hash-map oracles, reached over the
 //! counted `PolySet` bridge.
 //!

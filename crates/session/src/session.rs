@@ -18,6 +18,14 @@
 //! observable through [`Session::compile_count`] and
 //! [`Session::intern_stats`].
 //!
+//! A session is *shared, not locked*: every method takes `&self`, the
+//! session is `Send + Sync`, and any number of threads may ask one
+//! session at once. The compress-once state and both lazy lowerings live
+//! in once-cells (whoever gets there first builds, everyone else waits
+//! for that one build and then reads), the counters are atomics, and a
+//! [`Guard`] is something a call is *given* — the builder's guard is only
+//! the default the argument-free spellings pass.
+//!
 //! Hash-map [`PolySet`]s still exist at the edges: as an *input* format
 //! (lowered into the arena once, at ingest) and as an explicit *bridge*
 //! for the reference engines and interop accessors
@@ -64,8 +72,8 @@ use provabs_trees::cut::Vvs;
 use provabs_trees::forest::Forest;
 use provabs_trees::persist::{decode_forest, decode_vvs, encode_forest, encode_vvs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the session's provenance was supplied (builder-internal).
@@ -119,13 +127,12 @@ pub struct InternStats {
 /// never an abort.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunStats {
-    /// Guard checkpoints ticked across all work this session's guard
-    /// supervised (compression selection steps; 0 for an unlimited guard
-    /// on the fast paths, which never instantiate probes).
+    /// Guard checkpoints the session's one compression ticked (its
+    /// selection steps), whichever guard it ran under; 0 before
+    /// [`Session::compress`] and for a session opened from an artifact.
     pub checkpoints_hit: u64,
-    /// Cumulative wall-clock time spent inside the session's guarded
-    /// stages (compression, plus evaluation batches when a real guard is
-    /// attached).
+    /// Cumulative wall-clock time spent inside compression and the
+    /// `ask*` evaluation batches.
     pub elapsed: Duration,
     /// How compression ended: [`Completion::Complete`], or
     /// [`Completion::Interrupted`] with the reason, the selection steps
@@ -155,10 +162,18 @@ impl CompiledHandle {
     }
 }
 
-/// Everything [`Session::compress`] caches.
+/// Everything [`Session::compress`] caches — written once, read-only
+/// afterwards (the lazy members are once-cells of their own).
 struct CompressedState {
     /// The selection outcome: chosen VVS, cleaned forest, size measures.
     result: AbstractionResult,
+    /// The strategy that produced it: the configured one, or that one
+    /// under the compress call's shard override.
+    strategy: Strategy,
+    /// How the run ended (see [`RunStats`]).
+    completion: Completion,
+    /// Checkpoints the run ticked on its guard (see [`RunStats`]).
+    checkpoints_hit: u64,
     /// The abstracted provenance `𝒫↓S` in interned form: what
     /// [`Session::compress`] produced, or — in a session opened from an
     /// artifact — rebuilt from the stored columns by the first path that
@@ -172,7 +187,7 @@ struct CompressedState {
     /// Columnar lowering, built lazily by the first evaluation whose
     /// options ask for the compiled path — or installed directly (and
     /// zero-copy) when the session was opened from an artifact.
-    compiled: Option<CompiledHandle>,
+    compiled: OnceLock<CompiledHandle>,
     /// Bridge: the hash-map materialisation of `working`, built lazily
     /// (and counted) only when a caller explicitly needs a [`PolySet`].
     abstracted: OnceLock<PolySet<f64>>,
@@ -181,7 +196,7 @@ struct CompressedState {
 impl CompressedState {
     fn working(&self) -> &WorkingSet<f64> {
         self.working.get_or_init(|| {
-            let columns = self.compiled.as_ref().expect("opened with its columns");
+            let columns = self.compiled.get().expect("opened with its columns");
             WorkingSet::from_compiled(columns.view())
         })
     }
@@ -204,38 +219,42 @@ pub struct Session {
     strategy: Strategy,
     bound: usize,
     opts: EvalOptions,
-    compressed: Option<CompressedState>,
+    /// The default guard — explicit (builder deadline/budget/token),
+    /// ambient (`PROVABS_AMBIENT_DEADLINE_MS`), or unlimited — that the
+    /// argument-free spellings pass; never replaced.
+    guard: Guard,
+    /// Filled by the one compression that runs (or at open).
+    compressed: OnceLock<CompressedState>,
+    /// Serialises the fallible fill of `compressed` (the stable
+    /// `OnceLock` has no `get_or_try_init`): a failed or panicked
+    /// compression leaves the cell empty and the next call retries.
+    compressing: Mutex<()>,
     /// Columnar lowering of the *original* provenance: built lazily by
     /// the first measurement that evaluates the uncompressed side, or the
     /// artifact's own columns when the session was opened from one.
-    original_compiled: Option<CompiledHandle>,
-    compile_count: usize,
-    /// Bridge materialisations (interior: some happen under `&self`;
-    /// atomic so `Session` stays `Sync`).
+    original_compiled: OnceLock<CompiledHandle>,
+    /// Bumped inside the two lowering cells' init closures, so each side
+    /// counts exactly once under any interleaving.
+    compile_count: AtomicUsize,
+    /// Bridge materialisations, counted inside their cells' closures too.
     materializations: AtomicUsize,
     interned_source: bool,
     /// Where the compiled state came from (computed here vs opened from
     /// a saved artifact) — see [`Session::artifact_info`].
     origin: ArtifactOrigin,
-    /// The execution guard every long-running stage runs under: explicit
-    /// (builder deadline/budget/token), ambient
-    /// (`PROVABS_AMBIENT_DEADLINE_MS`), or unlimited.
-    guard: Guard,
-    /// Wall-clock accumulated by the guarded stages (see [`RunStats`]).
-    run_elapsed: Duration,
-    /// How compression ended (see [`RunStats`]).
-    completion: Completion,
+    /// Nanoseconds accumulated by compression and asks (see [`RunStats`]).
+    run_elapsed_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("num_trees", &self.forest.num_trees())
-            .field("strategy", &self.strategy)
+            .field("strategy", self.strategy())
             .field("bound", &self.bound)
             .field("opts", &self.opts)
-            .field("compressed", &self.compressed.is_some())
-            .field("compile_count", &self.compile_count)
+            .field("compressed", &self.compressed.get().is_some())
+            .field("compile_count", &self.compile_count())
             .field("intern_stats", &self.intern_stats())
             .field("kernel_info", &self.kernel_info())
             .field("artifact", &self.origin)
@@ -274,15 +293,15 @@ impl Session {
             strategy,
             bound,
             opts,
-            compressed: None,
-            original_compiled: None,
-            compile_count: 0,
+            guard,
+            compressed: OnceLock::new(),
+            compressing: Mutex::new(()),
+            original_compiled: OnceLock::new(),
+            compile_count: AtomicUsize::new(0),
             materializations: AtomicUsize::new(0),
             interned_source,
             origin: ArtifactOrigin::Computed,
-            guard,
-            run_elapsed: Duration::ZERO,
-            completion: Completion::Complete,
+            run_elapsed_ns: AtomicU64::new(0),
         }
     }
 
@@ -290,10 +309,13 @@ impl Session {
     /// artifact's columns, or lowered from the poly-set input on first use
     /// (ingest-time interning — *not* a bridge materialisation).
     fn source_ws(&self) -> &WorkingSet<f64> {
-        self.source.get_or_init(|| match &self.original_compiled {
-            Some(CompiledHandle::Shared(columns)) => WorkingSet::from_compiled(columns.view()),
-            _ => WorkingSet::from_polyset(self.polys.get().expect("one source is always present")),
-        })
+        self.source
+            .get_or_init(|| match self.original_compiled.get() {
+                Some(CompiledHandle::Shared(columns)) => WorkingSet::from_compiled(columns.view()),
+                _ => WorkingSet::from_polyset(
+                    self.polys.get().expect("one source is always present"),
+                ),
+            })
     }
 
     /// The original provenance in hash-map form, bridging (and counting)
@@ -320,116 +342,155 @@ impl Session {
     /// (`Greedy { incremental: false }`, `Brute`) bridge to the hash-map
     /// representation they are defined on (counted in
     /// [`intern_stats`](Self::intern_stats)).
-    /// Every compression loop runs under the session's guard (builder
-    /// deadline / budget / cancellation token, or the ambient deadline).
-    /// When the guard trips mid-run, the anytime engines (Greedy, Online,
-    /// Competitor) install their best-so-far prefix — a sound, just
-    /// larger, abstraction — and Optimal falls back to the identity
-    /// abstraction; how the run ended is reported by
-    /// [`run_stats`](Self::run_stats) (or returned directly by
-    /// [`compress_guarded`](Self::compress_guarded)).
-    pub fn compress(&mut self) -> Result<&AbstractionResult, Error> {
-        self.compress_guarded().map(|(result, _)| result)
+    ///
+    /// This spelling runs under the session's default guard (builder
+    /// deadline / budget / cancellation token, or the ambient deadline)
+    /// with the configured strategy; [`compress_with`](Self::compress_with)
+    /// is the form that takes both per call.
+    pub fn compress(&self) -> Result<&AbstractionResult, Error> {
+        self.state(&self.guard).map(|state| &state.result)
     }
 
-    /// [`compress`](Self::compress), additionally returning how the run
-    /// ended: [`Completion::Complete`], or [`Completion::Interrupted`]
-    /// when the guard stopped it at the anytime prefix the result now
-    /// holds.
-    pub fn compress_guarded(&mut self) -> Result<(&AbstractionResult, Completion), Error> {
-        if self.compressed.is_none() {
-            let started = Instant::now();
-            let guard = self.guard.clone();
-            let (mut interned, completion): (InternedAbstraction<f64>, Completion) = match self
-                .strategy
-                .clone()
-            {
-                Strategy::Optimal => {
-                    optimal_vvs(self.source_ws(), &self.forest, self.bound, &guard)?
-                }
-                Strategy::Greedy { incremental: true } => {
-                    greedy_vvs(self.source_ws(), &self.forest, self.bound, &guard)?
-                }
-                Strategy::Greedy { incremental: false } => {
-                    // The paper-faithful full-rescan engine is defined on
-                    // hash-map polynomials; run it there, then carry its
-                    // VVS back into the interned currency.
-                    let (result, completion) =
-                        reference::greedy_vvs(self.polys_ref(), &self.forest, self.bound, &guard)?;
-                    (
-                        evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
-                        completion,
-                    )
-                }
-                Strategy::Online { fraction, seed } => {
-                    let (outcome, completion) = online_compress(
-                        self.source_ws(),
-                        &self.forest,
-                        self.bound,
-                        fraction,
-                        seed,
-                        Solver::Greedy,
-                        &guard,
-                    )?;
-                    (outcome.full, completion)
-                }
-                Strategy::Competitor => {
-                    let (interned, _, completion) =
-                        pairwise_summarize(self.source_ws(), &self.forest, self.bound, &guard)?;
-                    (interned, completion)
-                }
-                Strategy::Brute { cut_limit } => {
-                    // Exhaustive enumeration scores cuts on the hash-map
-                    // representation; carry the winner back. The search is
-                    // a test oracle — not guarded, but its worker panics
-                    // come back typed (`TreeError::WorkerPanic`).
-                    let result = reference::brute_force_vvs(
-                        self.polys_ref(),
-                        &self.forest,
-                        self.bound,
-                        cut_limit,
-                    )?;
-                    (
-                        evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
-                        Completion::Complete,
-                    )
-                }
-                Strategy::None => {
-                    let cleaned = prepare(self.source_ws(), &self.forest)?;
-                    let vvs = Vvs::identity(&cleaned);
-                    (
-                        evaluate_vvs(self.source_ws().clone(), &cleaned, vvs),
-                        Completion::Complete,
-                    )
-                }
-                Strategy::Sharded { shards, inner } => match *inner {
-                    // Only the incremental engine records the per-step
-                    // traces the shard merge consumes.
-                    Strategy::Greedy { incremental: true } => {
-                        sharded_greedy(self.source_ws(), &self.forest, self.bound, shards, &guard)?
-                    }
-                    other => return Err(Error::UnshardableStrategy(other.to_string())),
-                },
-            };
-            // What is kept, frozen and saved from here on is `𝒫↓S` alone:
-            // not the monomials the run rewrote away, nor its memo.
-            interned.working.compact();
-            let live_vars = interned.working.live_vars();
-            self.compressed = Some(CompressedState {
-                result: interned.result,
-                arena_monomials: interned.working.arena().len(),
-                working: OnceLock::from(interned.working),
-                live_vars,
-                compiled: None,
-                abstracted: OnceLock::new(),
-            });
-            self.completion = completion;
-            self.run_elapsed += started.elapsed();
+    /// [`compress`](Self::compress) under the caller's `guard` — how a
+    /// server bounds one request with a fresh deadline and a cancellation
+    /// token wired to its client — and, with `shards`, under
+    /// [`Strategy::with_shards`] of the configured strategy
+    /// ([`Error::UnshardableStrategy`] if that cannot be sharded). Also
+    /// returns how the run ended: when the guard trips mid-run, the
+    /// anytime engines (Greedy, Online, Competitor) install their
+    /// best-so-far prefix — a sound, just larger, abstraction — and
+    /// Optimal falls back to the identity abstraction, tagged
+    /// [`Completion::Interrupted`] (and kept in
+    /// [`run_stats`](Self::run_stats)).
+    ///
+    /// Compression runs once per session: concurrent first calls wait
+    /// for the one that got there first, and every later call returns
+    /// that run's result and completion whatever it passes here.
+    pub fn compress_with(
+        &self,
+        shards: Option<usize>,
+        guard: &Guard,
+    ) -> Result<(&AbstractionResult, Completion), Error> {
+        let state = match shards {
+            Some(k) => self.state_under(self.strategy.with_shards(k)?, guard)?,
+            None => self.state(guard)?,
+        };
+        Ok((&state.result, state.completion))
+    }
+
+    /// The compressed state, compressing first — with the configured
+    /// strategy — if no call has yet.
+    fn state(&self, guard: &Guard) -> Result<&CompressedState, Error> {
+        match self.compressed.get() {
+            Some(state) => Ok(state),
+            None => self.state_under(self.strategy.clone(), guard),
         }
-        Ok((
-            &self.compressed.as_ref().expect("cached above").result,
-            self.completion,
-        ))
+    }
+
+    /// The one fallible initialisation of `compressed`. A poisoned lock
+    /// only means an earlier compression panicked and left the cell
+    /// empty, which is the state a retry starts from.
+    fn state_under(&self, strategy: Strategy, guard: &Guard) -> Result<&CompressedState, Error> {
+        let _one_at_a_time = self
+            .compressing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(state) = self.compressed.get() {
+            return Ok(state);
+        }
+        let started = Instant::now();
+        let ticked_before = guard.checkpoints_hit();
+        let (mut interned, completion) = self.select(&strategy, guard)?;
+        // What is kept, frozen and saved from here on is `𝒫↓S` alone:
+        // not the monomials the run rewrote away, nor its memo.
+        interned.working.compact();
+        let state = CompressedState {
+            result: interned.result,
+            strategy,
+            completion,
+            checkpoints_hit: guard.checkpoints_hit() - ticked_before,
+            arena_monomials: interned.working.arena().len(),
+            live_vars: interned.working.live_vars(),
+            working: OnceLock::from(interned.working),
+            compiled: OnceLock::new(),
+            abstracted: OnceLock::new(),
+        };
+        self.add_elapsed(started.elapsed());
+        Ok(self.compressed.get_or_init(|| state))
+    }
+
+    /// Dispatches `strategy` to its one low-level entry point.
+    fn select(
+        &self,
+        strategy: &Strategy,
+        guard: &Guard,
+    ) -> Result<(InternedAbstraction<f64>, Completion), Error> {
+        Ok(match strategy {
+            Strategy::Optimal => optimal_vvs(self.source_ws(), &self.forest, self.bound, guard)?,
+            Strategy::Greedy { incremental: true } => {
+                greedy_vvs(self.source_ws(), &self.forest, self.bound, guard)?
+            }
+            Strategy::Greedy { incremental: false } => {
+                // The paper-faithful full-rescan engine is defined on
+                // hash-map polynomials; run it there, then carry its
+                // VVS back into the interned currency.
+                let (result, completion) =
+                    reference::greedy_vvs(self.polys_ref(), &self.forest, self.bound, guard)?;
+                (
+                    evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
+                    completion,
+                )
+            }
+            Strategy::Online { fraction, seed } => {
+                let (outcome, completion) = online_compress(
+                    self.source_ws(),
+                    &self.forest,
+                    self.bound,
+                    *fraction,
+                    *seed,
+                    Solver::Greedy,
+                    guard,
+                )?;
+                (outcome.full, completion)
+            }
+            Strategy::Competitor => {
+                let (interned, _, completion) =
+                    pairwise_summarize(self.source_ws(), &self.forest, self.bound, guard)?;
+                (interned, completion)
+            }
+            Strategy::Brute { cut_limit } => {
+                // Exhaustive enumeration scores cuts on the hash-map
+                // representation; carry the winner back. The search is
+                // a test oracle — not guarded, but its worker panics
+                // come back typed (`TreeError::WorkerPanic`).
+                let result = reference::brute_force_vvs(
+                    self.polys_ref(),
+                    &self.forest,
+                    self.bound,
+                    *cut_limit,
+                )?;
+                (
+                    evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
+                    Completion::Complete,
+                )
+            }
+            Strategy::None => {
+                let cleaned = prepare(self.source_ws(), &self.forest)?;
+                let vvs = Vvs::identity(&cleaned);
+                (
+                    evaluate_vvs(self.source_ws().clone(), &cleaned, vvs),
+                    Completion::Complete,
+                )
+            }
+            Strategy::Sharded { shards, inner } => match **inner {
+                // Only the incremental engine records the per-step
+                // traces the shard merge consumes.
+                Strategy::Greedy { incremental: true } => {
+                    sharded_greedy(self.source_ws(), &self.forest, self.bound, *shards, guard)?
+                }
+                ref other => return Err(Error::UnshardableStrategy(other.to_string())),
+            },
+        })
     }
 
     /// Answers a batch of named scenarios against the compressed
@@ -441,6 +502,10 @@ impl Session {
     /// evaluation — zero recompilation, zero [`PolySet`]
     /// materialisations (see [`intern_stats`](Self::intern_stats)).
     ///
+    /// Runs on the session's [`eval_options`](Self::eval_options) under
+    /// its default [`guard`](Self::guard); [`ask_with`](Self::ask_with)
+    /// takes both per call.
+    ///
     /// # Errors
     ///
     /// [`Error::UnknownVariable`] if a scenario names a variable the
@@ -450,87 +515,99 @@ impl Session {
     /// [`abstracted_labels`](Self::abstracted_labels), or
     /// [`accuracy_report`](Self::accuracy_report) for fine-grained
     /// questions); any compression error from the first call.
-    pub fn ask(&mut self, scenarios: &[Scenario]) -> Result<TimedRun, Error> {
-        let opts = self.opts.clone();
-        self.ask_with_options(scenarios, &opts)
+    pub fn ask(&self, scenarios: &[Scenario]) -> Result<TimedRun, Error> {
+        self.ask_with(scenarios, &self.opts, &self.guard)
     }
 
     /// [`ask`](Self::ask) for already-built valuations: skips name
     /// validation and interning entirely — the zero-overhead steady state
     /// for callers that keep their own valuation cache.
-    pub fn ask_prepared(&mut self, valuations: &[Valuation<f64>]) -> Result<TimedRun, Error> {
-        self.compress()?;
-        let opts = self.opts.clone();
-        self.ensure_compressed_compiled(&opts);
-        let run = self.eval_compressed_checked(valuations, &opts)?;
-        self.run_elapsed += run.elapsed;
-        Ok(run)
+    pub fn ask_prepared(&self, valuations: &[Valuation<f64>]) -> Result<TimedRun, Error> {
+        let state = self.state(&self.guard)?;
+        self.eval_compressed(state, valuations, &self.opts, &self.guard)
+            .inspect(|run| self.add_elapsed(run.elapsed))
     }
 
-    /// [`ask`](Self::ask) under a one-off engine configuration — e.g.
-    /// [`EvalOptions::serial_reference`] to time the paper-faithful
+    /// [`ask`](Self::ask) under a one-off engine configuration and the
+    /// caller's guard. `opts` may be e.g.
+    /// [`EvalOptions::serial_reference`], to time the paper-faithful
     /// hash-map loop against the session's default engine (that loop
-    /// needs the hash-map bridge, which is then built once and cached).
-    /// The cached artifacts are reused: when `opts` asks for the compiled
-    /// path and the session has not frozen yet, the freeze happens once
-    /// and is cached for every future call.
+    /// needs the hash-map bridge, which is then built once and cached);
+    /// when `opts` asks for the compiled path and the session has not
+    /// frozen yet, the freeze happens once and is cached for every
+    /// future call. With a guard that can trip, the batch runs on the
+    /// *guarded* executor: cancellation and deadlines stop it within one
+    /// chunk claim per worker ([`Error::Cancelled`]) and a panicking
+    /// scenario is isolated and pinned ([`Error::WorkerPanic`]) while the
+    /// rest of the batch completes; an unlimited guard keeps the
+    /// infallible zero-overhead path.
+    pub fn ask_with(
+        &self,
+        scenarios: &[Scenario],
+        opts: &EvalOptions,
+        guard: &Guard,
+    ) -> Result<TimedRun, Error> {
+        let state = self.state(guard)?;
+        let valuations = self.valuations(scenarios, Some(&state.live_vars))?;
+        self.eval_compressed(state, &valuations, opts, guard)
+            .inspect(|run| self.add_elapsed(run.elapsed))
+    }
+
+    /// Pinned by `benchmark/`; use [`ask_with`](Self::ask_with).
+    #[doc(hidden)]
     pub fn ask_with_options(
-        &mut self,
+        &self,
         scenarios: &[Scenario],
         opts: &EvalOptions,
     ) -> Result<TimedRun, Error> {
-        self.compress()?;
-        let valuations = self.coarse_valuations(scenarios)?;
-        self.ensure_compressed_compiled(opts);
-        let run = self.eval_compressed_checked(&valuations, opts)?;
-        self.run_elapsed += run.elapsed;
-        Ok(run)
+        self.ask_with(scenarios, opts, &self.guard)
     }
 
     /// Measures the assignment-time speedup of the session's abstraction
-    /// (Figure 10's quantity): the scenario batch is posed on the
-    /// compressed provenance directly and on the original through
-    /// [`Vvs::lift_valuation`], alternating measurement order across
-    /// `repeat` repetitions (the shared
-    /// [`measure_alternating`] core). Both sides run on the session's
-    /// engine options off the cached lowerings (each side is frozen /
-    /// compiled lazily on first use, then cached) — repeated reports
-    /// never recompile.
+    /// (Figure 10's quantity) on the engine configuration `opts` — pass
+    /// [`eval_options`](Self::eval_options) for the session's own, or a
+    /// one-off like [`EvalOptions::serial_reference`], which is how
+    /// Figure 10 compares the paper-faithful serial loop with the
+    /// production engine off one shared compression. The scenario batch
+    /// is posed on the compressed provenance directly and on the original
+    /// through [`Vvs::lift_valuation`], alternating measurement order
+    /// across `repeat` repetitions (the shared [`measure_alternating`]
+    /// core). Both sides run unguarded off the cached lowerings (each
+    /// side is frozen / compiled lazily on first use, then cached) —
+    /// repeated reports never recompile.
     pub fn speedup_report(
-        &mut self,
-        scenarios: &[Scenario],
-        repeat: usize,
-    ) -> Result<SpeedupReport, Error> {
-        let opts = self.opts.clone();
-        self.speedup_report_with(scenarios, repeat, &opts)
-    }
-
-    /// [`speedup_report`](Self::speedup_report) on a one-off engine
-    /// configuration — how Figure 10 compares the paper-faithful serial
-    /// loop with the production engine off one shared compression. Any
-    /// lowering a configuration needs is built once and cached for every
-    /// future call.
-    pub fn speedup_report_with(
-        &mut self,
+        &self,
         scenarios: &[Scenario],
         repeat: usize,
         opts: &EvalOptions,
     ) -> Result<SpeedupReport, Error> {
-        self.compress()?;
-        let coarse = self.coarse_valuations(scenarios)?;
-        self.ensure_compressed_compiled(opts);
-        self.ensure_original_compiled(opts);
-        let state = self.compressed.as_ref().expect("compressed above");
+        let state = self.state(&self.guard)?;
+        let coarse = self.valuations(scenarios, Some(&state.live_vars))?;
         let lifted: Vec<Valuation<f64>> = coarse
             .iter()
             .map(|v| state.result.vvs.lift_valuation(&state.result.forest, v))
             .collect();
-        let this = &*self;
+        let unguarded = Guard::unlimited();
         Ok(measure_alternating(
             repeat,
-            || this.eval_original_with(&lifted, opts).elapsed,
-            || this.eval_compressed_with(&coarse, opts).elapsed,
+            || self.eval_original(&lifted, opts).elapsed,
+            || {
+                self.eval_compressed(state, &coarse, opts, &unguarded)
+                    .expect("an unlimited guard selects the infallible executor")
+                    .elapsed
+            },
         ))
+    }
+
+    /// Pinned by `benchmark/`; use [`speedup_report`](Self::speedup_report).
+    #[doc(hidden)]
+    pub fn speedup_report_with(
+        &self,
+        scenarios: &[Scenario],
+        repeat: usize,
+        opts: &EvalOptions,
+    ) -> Result<SpeedupReport, Error> {
+        self.speedup_report(scenarios, repeat, opts)
     }
 
     /// Quantifies the accuracy cost of answering a *fine* scenario (over
@@ -539,24 +616,21 @@ impl Session {
     /// low-level [`coarse_valuation`] construction), and the approximate
     /// answers are compared with the exact ones ([`error_stats`]), both
     /// sides served off the session's cached lowerings.
-    pub fn accuracy_report(&mut self, fine: &Scenario) -> Result<ErrorReport, Error> {
-        self.compress()?;
-        let opts = self.opts.clone();
+    pub fn accuracy_report(&self, fine: &Scenario) -> Result<ErrorReport, Error> {
+        let state = self.state(&self.guard)?;
         let fine_val = self
-            .fine_valuations(std::slice::from_ref(fine))?
+            .valuations(std::slice::from_ref(fine), None)?
             .pop()
             .expect("one scenario in, one valuation out");
-        self.ensure_original_compiled(&opts);
-        self.ensure_compressed_compiled(&opts);
-        let state = self.compressed.as_ref().expect("compressed above");
-        let coarse = coarse_valuation(&state.result, &fine_val);
+        let coarse = [coarse_valuation(&state.result, &fine_val)];
         let exact = self
-            .eval_original_with(std::slice::from_ref(&fine_val), &opts)
+            .eval_original(std::slice::from_ref(&fine_val), &self.opts)
             .values
             .pop()
             .unwrap_or_default();
+        let unguarded = Guard::unlimited();
         let approx = self
-            .eval_compressed_with(std::slice::from_ref(&coarse), &opts)
+            .eval_compressed(state, &coarse, &self.opts, &unguarded)?
             .values
             .pop()
             .unwrap_or_default();
@@ -571,15 +645,12 @@ impl Session {
     /// reference evaluator on both sides — the session bridges its cached
     /// interned `𝒫↓S` once for it (a deliberate, counted
     /// materialisation; this is a diagnostic, not the ask hot path).
-    pub fn equivalence_error(&mut self, scenarios: &[Scenario]) -> Result<f64, Error> {
-        self.compress()?;
-        let coarse = self.coarse_valuations(scenarios)?;
-        let polys = self.polys_ref();
-        let state = self.compressed.as_ref().expect("compressed above");
-        let abstracted = Self::abstracted_bridge(&self.materializations, state);
+    pub fn equivalence_error(&self, scenarios: &[Scenario]) -> Result<f64, Error> {
+        let state = self.state(&self.guard)?;
+        let coarse = self.valuations(scenarios, Some(&state.live_vars))?;
         Ok(max_equivalence_error_prepared(
-            polys,
-            abstracted,
+            self.polys_ref(),
+            self.abstracted_bridge(state),
             &state.result,
             &coarse,
         ))
@@ -598,7 +669,7 @@ impl Session {
     /// meaningful whole: a tripped guard is [`Error::Cancelled`], not a
     /// truncated trace.
     pub fn frontier(&self) -> Result<Vec<(usize, usize)>, Error> {
-        let (points, completion) = match &self.strategy {
+        let (points, completion) = match self.strategy() {
             Strategy::Optimal => optimal_frontier(self.source_ws(), &self.forest, &self.guard)?,
             Strategy::Greedy { incremental: false } => {
                 reference::greedy_frontier(self.polys_ref(), &self.forest, &self.guard)?
@@ -615,106 +686,94 @@ impl Session {
     }
 
     /// The hash-map bridge for the abstracted side, built at most once
-    /// per session and counted (associated fn so `&self` callers can
-    /// borrow `state` and the counter disjointly).
-    fn abstracted_bridge<'a>(
-        materializations: &AtomicUsize,
-        state: &'a CompressedState,
-    ) -> &'a PolySet<f64> {
+    /// per session and counted.
+    fn abstracted_bridge<'a>(&self, state: &'a CompressedState) -> &'a PolySet<f64> {
         state.abstracted.get_or_init(|| {
-            materializations.fetch_add(1, Ordering::Relaxed);
+            self.materializations.fetch_add(1, Ordering::Relaxed);
             state.working().to_polyset()
         })
     }
 
-    /// The evaluation core for the compressed side: the frozen columnar
-    /// lowering when `opts` asks for it, the hash-map bridge otherwise.
-    fn eval_compressed_with(&self, valuations: &[Valuation<f64>], opts: &EvalOptions) -> TimedRun {
-        let state = self.compressed.as_ref().expect("compress ran first");
-        if opts.compiled {
-            let compiled = state.compiled.as_ref().expect("lowering ensured by caller");
-            eval_compiled_view(compiled.view(), valuations, opts)
-        } else {
-            let polys = Self::abstracted_bridge(&self.materializations, state);
-            eval_prepared(polys, None, valuations, opts)
-        }
+    /// The columnar lowering of the abstracted side: frozen out of the
+    /// working set by the first caller, counted once.
+    fn compressed_columns<'a>(&self, state: &'a CompressedState) -> &'a CompiledHandle {
+        state.compiled.get_or_init(|| {
+            self.compile_count.fetch_add(1, Ordering::Relaxed);
+            CompiledHandle::Owned(state.working().freeze())
+        })
     }
 
-    /// The fallible evaluation path the `ask*` entry points run on. With
-    /// a real guard attached the batch runs on the *guarded* executor:
-    /// cancellation and deadlines stop it within one chunk claim per
-    /// worker ([`Error::Cancelled`]) and a panicking scenario is isolated
-    /// and pinned ([`Error::WorkerPanic`]) while the rest of the batch
-    /// completes. An unlimited guard keeps today's infallible
-    /// zero-overhead path.
-    fn eval_compressed_checked(
+    /// The columnar lowering of the original side (a session opened from
+    /// an artifact holds the stored columns and never builds one): frozen
+    /// from the interned source when the session was built interned,
+    /// compiled from the input poly-set otherwise (bit-identical to the
+    /// low-level `CompiledPolySet::compile` on that input either way).
+    fn original_columns(&self) -> &CompiledHandle {
+        self.original_compiled.get_or_init(|| {
+            self.compile_count.fetch_add(1, Ordering::Relaxed);
+            CompiledHandle::Owned(if self.interned_source {
+                self.source_ws().freeze()
+            } else {
+                CompiledPolySet::compile(self.polys_ref())
+            })
+        })
+    }
+
+    /// One evaluation batch on the compressed side — the frozen columnar
+    /// lowering when `opts` asks for it, the hash-map bridge otherwise —
+    /// on the guarded executor exactly when `guard` can trip.
+    fn eval_compressed(
         &self,
+        state: &CompressedState,
         valuations: &[Valuation<f64>],
         opts: &EvalOptions,
+        guard: &Guard,
     ) -> Result<TimedRun, Error> {
-        if self.guard.is_unlimited() {
-            return Ok(self.eval_compressed_with(valuations, opts));
-        }
-        let state = self.compressed.as_ref().expect("compress ran first");
-        let run = if opts.compiled {
-            let compiled = state.compiled.as_ref().expect("lowering ensured by caller");
-            eval_compiled_view_guarded(compiled.view(), valuations, opts, &self.guard)
-        } else {
-            let polys = Self::abstracted_bridge(&self.materializations, state);
-            eval_prepared_guarded(polys, None, valuations, opts, &self.guard)
-        };
-        run.into_result().map_err(Error::from)
+        Ok(match (opts.compiled, guard.is_unlimited()) {
+            (true, true) => {
+                eval_compiled_view(self.compressed_columns(state).view(), valuations, opts)
+            }
+            (true, false) => eval_compiled_view_guarded(
+                self.compressed_columns(state).view(),
+                valuations,
+                opts,
+                guard,
+            )
+            .into_result()?,
+            (false, true) => eval_prepared(self.abstracted_bridge(state), None, valuations, opts),
+            (false, false) => {
+                eval_prepared_guarded(self.abstracted_bridge(state), None, valuations, opts, guard)
+                    .into_result()?
+            }
+        })
     }
 
-    /// The evaluation core for the original (uncompressed) side.
-    fn eval_original_with(&self, valuations: &[Valuation<f64>], opts: &EvalOptions) -> TimedRun {
+    /// One unguarded evaluation batch on the original (uncompressed) side.
+    fn eval_original(&self, valuations: &[Valuation<f64>], opts: &EvalOptions) -> TimedRun {
         if opts.compiled {
-            let compiled = self
-                .original_compiled
-                .as_ref()
-                .expect("lowering ensured by caller");
-            eval_compiled_view(compiled.view(), valuations, opts)
+            eval_compiled_view(self.original_columns().view(), valuations, opts)
         } else {
             eval_prepared(self.polys_ref(), None, valuations, opts)
         }
     }
 
-    /// Freezes the abstracted working set once, if `opts` uses the
-    /// compiled path and the lowering is not cached yet. Requires
-    /// [`compress`](Self::compress) to have run.
-    fn ensure_compressed_compiled(&mut self, opts: &EvalOptions) {
-        if !opts.compiled {
-            return;
-        }
-        let state = self.compressed.as_mut().expect("compress ran first");
-        if state.compiled.is_none() {
-            let frozen = state.working().freeze();
-            state.compiled = Some(CompiledHandle::Owned(frozen));
-            self.compile_count += 1;
-        }
+    /// Accounts `took` to [`RunStats::elapsed`].
+    fn add_elapsed(&self, took: Duration) {
+        self.run_elapsed_ns
+            .fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Lowers the original provenance once, if `opts` uses the compiled
-    /// path and it has not been lowered yet (a session opened from an
-    /// artifact never has to: it holds the stored columns): frozen from
-    /// the interned source when the session was built interned, compiled
-    /// from the input poly-set otherwise (bit-identical to the low-level
-    /// `CompiledPolySet::compile` on that input either way).
-    fn ensure_original_compiled(&mut self, opts: &EvalOptions) {
-        if opts.compiled && self.original_compiled.is_none() {
-            self.original_compiled = Some(CompiledHandle::Owned(if self.interned_source {
-                self.source_ws().freeze()
-            } else {
-                CompiledPolySet::compile(self.polys_ref())
-            }));
-            self.compile_count += 1;
-        }
-    }
-
-    /// Resolves *fine* scenarios (over any variable this session has
-    /// interned — provenance variables and forest labels alike) into
-    /// valuations.
-    fn fine_valuations(&self, scenarios: &[Scenario]) -> Result<Vec<Valuation<f64>>, Error> {
+    /// Resolves named scenarios into valuations over any variable this
+    /// session has interned — provenance variables and forest labels
+    /// alike. A *coarse* scenario is additionally held to `live`, the
+    /// variables that occur in the compressed provenance: valuating any
+    /// other would silently change nothing (both the compressed
+    /// evaluation and the lifted original drop it).
+    fn valuations(
+        &self,
+        scenarios: &[Scenario],
+        live: Option<&FxHashSet<VarId>>,
+    ) -> Result<Vec<Valuation<f64>>, Error> {
         scenarios
             .iter()
             .map(|s| {
@@ -724,34 +783,7 @@ impl Session {
                         .vars
                         .lookup(name)
                         .ok_or_else(|| Error::UnknownVariable(name.to_string()))?;
-                    val.assign(id, factor);
-                }
-                Ok(val)
-            })
-            .collect()
-    }
-
-    /// Resolves *coarse* scenarios into valuations, additionally
-    /// rejecting variables that do not occur in the compressed
-    /// provenance: valuating those would silently change nothing (both
-    /// the compressed evaluation and the lifted original drop them).
-    /// Requires [`compress`](Self::compress) to have run.
-    fn coarse_valuations(&self, scenarios: &[Scenario]) -> Result<Vec<Valuation<f64>>, Error> {
-        let live = &self
-            .compressed
-            .as_ref()
-            .expect("compress ran first")
-            .live_vars;
-        scenarios
-            .iter()
-            .map(|s| {
-                let mut val = Valuation::neutral();
-                for (name, factor) in s.iter() {
-                    let id = self
-                        .vars
-                        .lookup(name)
-                        .ok_or_else(|| Error::UnknownVariable(name.to_string()))?;
-                    if !live.contains(&id) {
+                    if live.is_some_and(|live| !live.contains(&id)) {
                         return Err(Error::VariableNotInAbstraction(name.to_string()));
                     }
                     val.assign(id, factor);
@@ -762,10 +794,29 @@ impl Session {
     }
 
     /// The original provenance `𝒫` as a hash-map poly-set. For
-    /// interned-source sessions this materialises the bridge on first use
-    /// (counted in [`intern_stats`](Self::intern_stats)).
+    /// interned-source and opened sessions this materialises the bridge
+    /// on first use (counted in [`intern_stats`](Self::intern_stats));
+    /// [`original_size`](Self::original_size) answers "how big" without.
     pub fn original(&self) -> &PolySet<f64> {
         self.polys_ref()
+    }
+
+    /// `(polynomials, |𝒫|_M, |𝒫|_V)` of the original provenance, read off
+    /// whichever form the session already holds — the input poly-set, an
+    /// opened artifact's columns, or the interned source — never through
+    /// a bridge.
+    pub fn original_size(&self) -> (usize, usize, usize) {
+        match (self.polys.get(), self.original_compiled.get()) {
+            (Some(p), _) => (p.len(), p.size_m(), p.size_v()),
+            (None, Some(columns)) => {
+                let view = columns.view();
+                (view.num_polys(), view.num_monomials(), view.num_vars())
+            }
+            (None, None) => {
+                let source = self.source_ws();
+                (source.num_polys(), source.size_m(), source.size_v())
+            }
+        }
     }
 
     /// The abstraction forest as configured (the *cleaned* forest the
@@ -779,16 +830,13 @@ impl Session {
         &self.vars
     }
 
-    /// Mutable access to the variable table (e.g. to intern names for
-    /// hand-built [`Valuation`]s passed to
-    /// [`ask_prepared`](Self::ask_prepared)).
-    pub fn vars_mut(&mut self) -> &mut VarTable {
-        &mut self.vars
-    }
-
-    /// The configured strategy.
+    /// The strategy compression ran with — the configured one, under the
+    /// shard override if [`compress_with`](Self::compress_with) was given
+    /// one — or, before compression, the configured one.
     pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+        self.compressed
+            .get()
+            .map_or(&self.strategy, |state| &state.strategy)
     }
 
     /// The resolved size bound `B`.
@@ -796,27 +844,34 @@ impl Session {
         self.bound
     }
 
-    /// The engine configuration every evaluation runs with.
+    /// The default engine configuration: what [`ask`](Self::ask) and the
+    /// other argument-free spellings evaluate with.
     pub fn eval_options(&self) -> &EvalOptions {
         &self.opts
     }
 
-    /// Whether [`compress`](Self::compress) has already run.
-    pub fn is_compressed(&self) -> bool {
-        self.compressed.is_some()
+    /// The default guard: what [`compress`](Self::compress),
+    /// [`ask`](Self::ask) and the other argument-free spellings run under
+    /// — the builder's deadline / budget / token, the ambient deadline, or
+    /// unlimited. Fixed at [`build`](crate::SessionBuilder::build) /
+    /// [`open`](Self::open); a call that needs its own limits passes its
+    /// own guard ([`compress_with`](Self::compress_with),
+    /// [`ask_with`](Self::ask_with)).
+    pub fn guard(&self) -> &Guard {
+        &self.guard
     }
 
     /// The cached selection outcome, if [`compress`](Self::compress) has
     /// run.
     pub fn result(&self) -> Option<&AbstractionResult> {
-        self.compressed.as_ref().map(|s| &s.result)
+        self.compressed.get().map(|s| &s.result)
     }
 
     /// The cached abstracted provenance `𝒫↓S` in interned form, if
     /// [`compress`](Self::compress) has run — the representation every
     /// evaluation is derived from.
     pub fn working(&self) -> Option<&WorkingSet<f64>> {
-        self.compressed.as_ref().map(CompressedState::working)
+        self.compressed.get().map(CompressedState::working)
     }
 
     /// The abstracted poly-set `𝒫↓S` as a hash-map materialisation, if
@@ -825,9 +880,7 @@ impl Session {
     /// [`intern_stats`](Self::intern_stats); evaluation paths never use
     /// it on the default engine.
     pub fn abstracted(&self) -> Option<&PolySet<f64>> {
-        self.compressed
-            .as_ref()
-            .map(|s| Self::abstracted_bridge(&self.materializations, s))
+        self.compressed.get().map(|s| self.abstracted_bridge(s))
     }
 
     /// Sorted labels of the abstracted variable space — the names
@@ -835,7 +888,7 @@ impl Session {
     /// [`compress`](Self::compress).
     pub fn abstracted_labels(&self) -> Option<Vec<String>> {
         self.compressed
-            .as_ref()
+            .get()
             .map(|s| s.result.vvs.labels(&s.result.forest))
     }
 
@@ -847,7 +900,7 @@ impl Session {
     /// more), and repeated batches leave the count constant (zero
     /// throughout when the options disable the compiled path).
     pub fn compile_count(&self) -> usize {
-        self.compile_count
+        self.compile_count.load(Ordering::Relaxed)
     }
 
     /// The kernel-dispatch observability hook — sibling of
@@ -891,7 +944,7 @@ impl Session {
     ///
     /// Any compression error from the first call;
     /// [`Error::Persist`] for I/O failures.
-    pub fn save(&mut self, path: impl AsRef<Path>) -> Result<(), Error> {
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
         self.save_with_faults(path, &FaultFs::from_env())
     }
 
@@ -904,16 +957,11 @@ impl Session {
     /// failures are retried with backoff. [`FaultFs::disabled`] makes
     /// this identical to [`save`](Self::save) without the
     /// `PROVABS_FAULT_FS` environment override.
-    pub fn save_with_faults(
-        &mut self,
-        path: impl AsRef<Path>,
-        faults: &FaultFs,
-    ) -> Result<(), Error> {
-        self.compress()?;
-        let state = self.compressed.as_ref().expect("compressed above");
+    pub fn save_with_faults(&self, path: impl AsRef<Path>, faults: &FaultFs) -> Result<(), Error> {
+        let state = self.state(&self.guard)?;
         let meta = SessionMeta {
             interned_source: self.interned_source,
-            strategy: self.strategy.clone(),
+            strategy: state.strategy.clone(),
             bound: self.bound,
             original_size_m: state.result.original_size_m,
             original_size_v: state.result.original_size_v,
@@ -925,11 +973,11 @@ impl Session {
         // is deterministic, so where no cached lowering is that freeze an
         // ad-hoc one writes the same bytes — without counting as a
         // session compilation or warming the evaluation cache.
-        let abstracted = match &state.compiled {
+        let abstracted = match state.compiled.get() {
             Some(handle) => encode_compiled(handle.view()),
             None => encode_compiled(state.working().freeze().view()),
         };
-        let original = match &self.original_compiled {
+        let original = match self.original_compiled.get() {
             // Not the one compiled from a poly-set input: that is in the
             // input's hash-map order.
             Some(handle) if self.interned_source || matches!(handle, CompiledHandle::Shared(_)) => {
@@ -1029,73 +1077,29 @@ impl Session {
             source: OnceLock::new(),
             vars,
             forest,
-            strategy: meta.strategy,
+            strategy: meta.strategy.clone(),
             bound: meta.bound,
             opts: EvalOptions::new(),
-            compressed: Some(CompressedState {
+            guard: Guard::ambient().unwrap_or_default(),
+            compressed: OnceLock::from(CompressedState {
                 result,
+                strategy: meta.strategy,
+                completion: Completion::Complete,
+                checkpoints_hit: 0,
                 working: OnceLock::new(),
                 arena_monomials: meta.arena_monomials,
                 live_vars,
-                compiled: Some(CompiledHandle::Shared(compiled)),
+                compiled: OnceLock::from(CompiledHandle::Shared(compiled)),
                 abstracted: OnceLock::new(),
             }),
-            original_compiled: Some(CompiledHandle::Shared(original)),
-            compile_count: 0,
+            compressing: Mutex::new(()),
+            original_compiled: OnceLock::from(CompiledHandle::Shared(original)),
+            compile_count: AtomicUsize::new(0),
             materializations: AtomicUsize::new(0),
             interned_source: meta.interned_source,
             origin,
-            guard: Guard::ambient().unwrap_or_default(),
-            run_elapsed: Duration::ZERO,
-            completion: Completion::Complete,
+            run_elapsed_ns: AtomicU64::new(0),
         })
-    }
-
-    /// The guard every subsequent guarded stage runs under.
-    ///
-    /// Replacing the guard is how a *server* applies per-request limits
-    /// to a long-lived session: arm a fresh deadline (and a cancellation
-    /// token wired to the client's connection) before each request,
-    /// restore the previous guard after. Swapping guards resets the
-    /// [`checkpoints_hit`](RunStats::checkpoints_hit) counter the new
-    /// guard accumulates; [`run_stats`](Self::run_stats) reads the
-    /// *current* guard's counters.
-    pub fn set_guard(&mut self, guard: Guard) {
-        self.guard = guard;
-    }
-
-    /// The guard currently installed (see [`set_guard`](Self::set_guard)).
-    pub fn guard(&self) -> &Guard {
-        &self.guard
-    }
-
-    /// Reconfigures how many shards the next [`compress`](Self::compress)
-    /// runs with — how a *server* applies a per-request `shards` knob to
-    /// a long-lived session. `shards > 1` wraps the current strategy in
-    /// [`Strategy::Sharded`] (replacing the count if already sharded);
-    /// `shards <= 1` unwraps back to the inner strategy. Rejects
-    /// strategies the shard pipeline cannot run
-    /// ([`Error::UnshardableStrategy`]) without modifying the session.
-    /// No effect on an already-compressed session (compression runs
-    /// once); call before the first compression.
-    pub fn set_shards(&mut self, shards: usize) -> Result<(), Error> {
-        let inner = match &self.strategy {
-            Strategy::Sharded { inner, .. } => inner.as_ref(),
-            other => other,
-        };
-        if shards > 1 && !matches!(inner, Strategy::Greedy { incremental: true }) {
-            return Err(Error::UnshardableStrategy(inner.to_string()));
-        }
-        let inner = inner.clone();
-        self.strategy = if shards > 1 {
-            Strategy::Sharded {
-                shards,
-                inner: Box::new(inner),
-            }
-        } else {
-            inner
-        };
-        Ok(())
     }
 
     /// The guarded-execution observability hook — fifth sibling of
@@ -1104,10 +1108,11 @@ impl Session {
     /// [`kernel_info`](Self::kernel_info) and
     /// [`artifact_info`](Self::artifact_info). See [`RunStats`].
     pub fn run_stats(&self) -> RunStats {
+        let state = self.compressed.get();
         RunStats {
-            checkpoints_hit: self.guard.checkpoints_hit(),
-            elapsed: self.run_elapsed,
-            completion: self.completion,
+            checkpoints_hit: state.map_or(0, |s| s.checkpoints_hit),
+            elapsed: Duration::from_nanos(self.run_elapsed_ns.load(Ordering::Relaxed)),
+            completion: state.map_or(Completion::Complete, |s| s.completion),
         }
     }
 
@@ -1116,7 +1121,7 @@ impl Session {
     pub fn intern_stats(&self) -> InternStats {
         InternStats {
             polyset_materializations: self.materializations.load(Ordering::Relaxed),
-            arena_monomials: self.compressed.as_ref().map_or(0, |s| s.arena_monomials),
+            arena_monomials: self.compressed.get().map_or(0, |s| s.arena_monomials),
             interned_source: self.interned_source,
         }
     }

@@ -19,7 +19,7 @@ use std::str::FromStr;
 ///
 /// Every variant maps onto exactly one documented low-level entry point
 /// (listed per variant), called with the session's provenance in
-/// interned form and the session's guard, so façade results are
+/// interned form and the guard of the compress call, so façade results are
 /// bit-for-bit identical to calling that function directly — the
 /// `facade_equivalence` suite asserts this for each variant.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,6 +98,30 @@ impl Strategy {
     /// [`Strategy::None`] is the only one that does not.
     pub fn needs_forest(&self) -> bool {
         !matches!(self, Strategy::None)
+    }
+
+    /// This strategy run on `shards` shards — how one
+    /// [`compress_with`](crate::Session::compress_with) call overrides the
+    /// shard count. `shards > 1` wraps the strategy in
+    /// [`Strategy::Sharded`] (replacing the count if already sharded);
+    /// `shards <= 1` unwraps back to the inner strategy. Rejects
+    /// strategies the shard pipeline cannot run
+    /// ([`Error::UnshardableStrategy`]).
+    pub fn with_shards(&self, shards: usize) -> Result<Strategy, Error> {
+        let inner = match self {
+            Strategy::Sharded { inner, .. } => inner.as_ref(),
+            other => other,
+        };
+        if shards <= 1 {
+            return Ok(inner.clone());
+        }
+        if !matches!(inner, Strategy::Greedy { incremental: true }) {
+            return Err(Error::UnshardableStrategy(inner.to_string()));
+        }
+        Ok(Strategy::Sharded {
+            shards,
+            inner: Box::new(inner.clone()),
+        })
     }
 }
 
@@ -400,6 +424,28 @@ mod tests {
         for bad in ["", "half", "monomials:x", "ratio:inf", "ratio:"] {
             assert!(bad.parse::<Target>().is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn with_shards_wraps_recounts_unwraps_and_rejects() {
+        let greedy = Strategy::default();
+        let sharded = |shards| Strategy::Sharded {
+            shards,
+            inner: Box::new(Strategy::default()),
+        };
+        assert_eq!(greedy.with_shards(4), Ok(sharded(4)));
+        assert_eq!(sharded(4).with_shards(2), Ok(sharded(2)));
+        for plain in [0, 1] {
+            assert_eq!(sharded(4).with_shards(plain), Ok(greedy.clone()));
+            assert_eq!(
+                Strategy::Competitor.with_shards(plain),
+                Ok(Strategy::Competitor)
+            );
+        }
+        assert_eq!(
+            Strategy::Competitor.with_shards(2),
+            Err(Error::UnshardableStrategy("competitor".to_string()))
+        );
     }
 
     #[test]

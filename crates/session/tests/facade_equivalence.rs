@@ -165,7 +165,7 @@ fn facade_equals_low_level_for_every_strategy() {
             let expected = low_level_oracle(&strategy, &source, &data.polys, &forest, bound)
                 .unwrap_or_else(|e| panic!("{context}: low-level failed: {e}"));
 
-            let mut session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+            let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
                 .forest(forest.clone())
                 .strategy(strategy.clone())
                 .bound(bound)
@@ -279,7 +279,9 @@ fn facade_equals_low_level_for_every_strategy() {
 
             // Speedup reports are timing-based (not bit-comparable):
             // assert they ran on both sides and are well-formed.
-            let report = session.speedup_report(&scenarios, 2).expect("known names");
+            let report = session
+                .speedup_report(&scenarios, 2, session.eval_options())
+                .expect("known names");
             assert!(report.original.as_nanos() > 0, "{context}");
             assert!(report.compressed.as_nanos() > 0, "{context}");
             assert!(
@@ -315,12 +317,11 @@ fn query_compress_ask_is_materialisation_free() {
         let bound = (floor + (total - floor) / 2).max(1);
         // The engine-emitted interned form: identical provenance, already
         // in the id currency (the fixture carries both representations).
-        let mut session =
-            SessionBuilder::from_query_interned(data.interned.clone(), data.vars.clone())
-                .forest(forest.clone())
-                .bound(bound)
-                .build()
-                .expect("valid configuration");
+        let session = SessionBuilder::from_query_interned(data.interned.clone(), data.vars.clone())
+            .forest(forest.clone())
+            .bound(bound)
+            .build()
+            .expect("valid configuration");
         session.compress().expect("bound attainable");
         let stats = session.intern_stats();
         assert!(stats.interned_source, "{context}");
@@ -335,7 +336,9 @@ fn query_compress_ask_is_materialisation_free() {
         assert_eq!(first, second, "{context}: asks are deterministic");
         // Speedup on the compiled engine freezes the original side from
         // the same arena — still no materialisation.
-        let report = session.speedup_report(&scenarios, 2).expect("known names");
+        let report = session
+            .speedup_report(&scenarios, 2, session.eval_options())
+            .expect("known names");
         assert!(report.original.as_nanos() > 0, "{context}");
 
         let stats = session.intern_stats();
@@ -349,7 +352,7 @@ fn query_compress_ask_is_materialisation_free() {
         // to merge-order float noise (the two arenas were interned in
         // different orders — emission vs ingest — so monomial layout, and
         // with it float summation order, legitimately differs).
-        let mut reference = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+        let reference = SessionBuilder::new(data.polys.clone(), data.vars.clone())
             .forest(forest)
             .bound(bound)
             .build()
@@ -372,12 +375,12 @@ fn query_compress_ask_is_materialisation_free() {
 fn strategy_none_populates_intern_bookkeeping() {
     let (data, forest) = fixture(Workload::Telephony);
     let loose_bound = data.polys.size_m();
-    let mut none = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let none = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest.clone())
         .strategy(Strategy::None)
         .build()
         .expect("valid");
-    let mut identity_greedy = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let identity_greedy = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest.clone())
         .bound(loose_bound)
         .build()
@@ -421,13 +424,65 @@ fn strategy_none_populates_intern_bookkeeping() {
     assert_eq!(none.intern_stats().polyset_materializations, 0);
 }
 
-/// The session's lazy bridges use `OnceLock`/atomics, not `Cell`s, so a
-/// compressed session can be shared across threads (read-only accessors
-/// from a parallel harness).
+/// Everything a session builds lazily sits in a `OnceLock` and every
+/// counter is an atomic, so a session — compressed or not — is shared
+/// across threads by plain reference (checked at compile time).
 #[test]
 fn session_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<provabs_session::Session>();
+}
+
+/// The property the server is built on: threads that share one
+/// *uncompressed* `&Session` and all ask at once get one compression and
+/// one freeze between them, and the answers a lone caller would.
+#[test]
+fn concurrent_asks_on_a_shared_uncompressed_session_compress_and_freeze_once() {
+    const THREADS: usize = 8;
+    let (data, forest) = fixture(Workload::Telephony);
+    // A guard that can trip (but will not) counts its checkpoints, which
+    // is how a second, discarded compression would show.
+    let builder = SessionBuilder::new(data.polys, data.vars)
+        .forest(forest)
+        .deadline(std::time::Duration::from_secs(3600));
+
+    let serial = builder.clone().build().expect("valid configuration");
+    let names = serial
+        .compress()
+        .map(|r| r.vvs.labels(&r.forest))
+        .expect("attainable default target");
+    let scenarios: Vec<Scenario> = (0..6).map(|i| Scenario::random(&names, 0.5, i)).collect();
+    let expected = serial.ask(&scenarios).expect("known names").values;
+    let one_compression = serial.guard().checkpoints_hit();
+    assert!(one_compression > 0, "selection steps are checkpointed");
+
+    let shared = builder.build().expect("valid configuration");
+    let start = std::sync::Barrier::new(THREADS);
+    let answers: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
+        let asking: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    shared.ask(&scenarios).expect("known names").values
+                })
+            })
+            .collect();
+        asking
+            .into_iter()
+            .map(|t| t.join().expect("no panic"))
+            .collect()
+    });
+    for got in &answers {
+        assert_values_bitwise(got, &expected, "shared session vs serial session");
+    }
+    assert_eq!(shared.compile_count(), 1, "one freeze for eight askers");
+    assert_eq!(
+        shared.guard().checkpoints_hit(),
+        one_compression,
+        "exactly one compression ran under the shared guard"
+    );
+    assert_eq!(shared.run_stats().checkpoints_hit, one_compression);
+    assert_eq!(shared.intern_stats().polyset_materializations, 0);
 }
 
 #[test]
@@ -493,7 +548,7 @@ fn frontier_under_a_cancelled_token_is_a_typed_error() {
 fn ratio_target_matches_the_half_size_bound() {
     let (data, forest) = fixture(Workload::TpchQ10);
     let bound = (data.polys.size_m() / 2).max(1);
-    let mut by_ratio = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let by_ratio = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest.clone())
         .target(Target::Ratio(0.5))
         .build()
@@ -521,7 +576,7 @@ fn ratio_target_matches_the_half_size_bound() {
 fn bad_forest_surfaces_as_tree_error() {
     // Both leaves of the tree occur in one monomial: the forest violates
     // compatibility (`|m ∩ T| ≤ 1`, §2.2).
-    let mut session = SessionBuilder::from_text("1·a·b + 2·a")
+    let session = SessionBuilder::from_text("1·a·b + 2·a")
         .expect("parses")
         .forest_text("X(a, b)")
         .expect("parses")
@@ -536,7 +591,7 @@ fn bad_forest_surfaces_as_tree_error() {
     // A meta-variable that already occurs in the polynomials is equally
     // bad. (The internal node needs ≥ 2 surviving children — cleaning
     // collapses single-child nodes before the compatibility check.)
-    let mut session = SessionBuilder::from_text("1·a + 2·b + 3·X")
+    let session = SessionBuilder::from_text("1·a + 2·b + 3·X")
         .expect("parses")
         .forest_text("X(a, b)")
         .expect("parses")
@@ -550,7 +605,7 @@ fn bad_forest_surfaces_as_tree_error() {
 
 #[test]
 fn unknown_and_merged_scenario_variables_are_rejected() {
-    let mut session = SessionBuilder::from_text("1·a + 2·b\n3·c")
+    let session = SessionBuilder::from_text("1·a + 2·b\n3·c")
         .expect("parses")
         .forest_text("X(a, b)")
         .expect("parses")
@@ -603,7 +658,7 @@ fn missing_forest_and_single_tree_requirements() {
     assert_eq!(err, Error::MissingForest);
 
     // Optimal requires a single tree; the forest here has two.
-    let mut session = SessionBuilder::from_text("1·a1 + 2·a2 + 3·x1 + 4·x2")
+    let session = SessionBuilder::from_text("1·a1 + 2·a2 + 3·x1 + 4·x2")
         .expect("parses")
         .forest_text("A(a1, a2)\nX(x1, x2)")
         .expect("parses")
@@ -619,7 +674,7 @@ fn missing_forest_and_single_tree_requirements() {
 #[test]
 fn unattainable_bound_carries_the_floor() {
     // Two trees of one leaf each: no merge is possible, the floor is 2.
-    let mut session = SessionBuilder::from_text("1·a + 2·b")
+    let session = SessionBuilder::from_text("1·a + 2·b")
         .expect("parses")
         .forest_text("A(a)\nB(b)")
         .expect("parses")
@@ -642,7 +697,7 @@ fn unattainable_bound_carries_the_floor() {
 fn strategy_none_serves_the_original_provenance() {
     let mut vars = VarTable::new();
     let polys = provabs_provenance::parse_polyset("3·x·a + 4·y·a", &mut vars).expect("parses");
-    let mut session = SessionBuilder::new(polys.clone(), vars)
+    let session = SessionBuilder::new(polys.clone(), vars)
         .strategy(Strategy::None)
         .build()
         .expect("no forest needed");
@@ -670,7 +725,7 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
     let mut scenarios: Vec<Scenario> = Vec::new();
     let mut reference: Option<Vec<Vec<f64>>> = None;
     for kernel in [Kernel::Scalar, Kernel::Generic, Kernel::Avx2, Kernel::Auto] {
-        let mut session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+        let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
             .forest(forest.clone())
             .strategy(Strategy::Greedy { incremental: true })
             .bound(data.polys.size_m())

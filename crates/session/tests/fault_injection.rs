@@ -83,14 +83,14 @@ fn every_injection_point_leaves_the_prior_artifact_intact() {
         let path = &tmp.0;
 
         // Save artifact A and remember its exact bytes and answers.
-        let mut session = small_builder().build().expect("valid configuration");
+        let session = small_builder().build().expect("valid configuration");
         let expected = session.ask(&scenarios).expect("known names").values;
         session.save(path).expect("clean save");
         let bytes_a = std::fs::read(path).expect("artifact A exists");
 
         // A later save of *different* state fails at this injection
         // point...
-        let mut bigger = small_builder().bound(4).build().expect("valid");
+        let bigger = small_builder().bound(4).build().expect("valid");
         let err = bigger
             .save_with_faults(path, &FaultFs::fail_nth(op, 1))
             .expect_err("injected fault must surface");
@@ -104,7 +104,7 @@ fn every_injection_point_leaves_the_prior_artifact_intact() {
         let bytes_after = std::fs::read(path).expect("artifact still present");
         assert_eq!(bytes_a, bytes_after, "{op:?}: prior artifact torn");
         for open in [Session::open, Session::open_mapped] {
-            let mut reopened = open(path).unwrap_or_else(|e| panic!("{op:?}: reopen failed: {e}"));
+            let reopened = open(path).unwrap_or_else(|e| panic!("{op:?}: reopen failed: {e}"));
             let got = reopened.ask(&scenarios).expect("same names").values;
             assert_eq!(got, expected, "{op:?}: reopened answers differ");
         }
@@ -129,11 +129,11 @@ fn every_injection_point_leaves_the_prior_artifact_intact() {
 fn transient_faults_are_retried_and_the_save_lands() {
     for op in FaultOp::ALL {
         let tmp = temp_artifact(&format!("transient-{op:?}"));
-        let mut session = small_builder().build().expect("valid configuration");
+        let session = small_builder().build().expect("valid configuration");
         session
             .save_with_faults(&tmp.0, &FaultFs::fail_nth_times(op, 1, 2))
             .unwrap_or_else(|e| panic!("{op:?}: two transient faults must be retried: {e}"));
-        let mut reopened = Session::open(&tmp.0).expect("saved artifact opens");
+        let reopened = Session::open(&tmp.0).expect("saved artifact opens");
         assert_eq!(
             reopened
                 .ask(&small_scenarios())
@@ -153,14 +153,16 @@ fn transient_faults_are_retried_and_the_save_lands() {
 fn a_cancelled_session_compresses_to_an_anytime_prefix_and_fails_asks_typed() {
     let token = CancelToken::new();
     token.cancel();
-    let mut session = wide_builder()
+    let session = wide_builder()
         .cancel_token(token)
         .build()
         .expect("valid configuration");
 
     // Compression is anytime: the guard tripped before any merge, so the
     // best-so-far abstraction is the (sound) identity, tagged as such.
-    let (result, completion) = session.compress_guarded().expect("anytime result");
+    let (result, completion) = session
+        .compress_with(None, session.guard())
+        .expect("anytime result");
     assert_eq!(result.compressed_size_m, 16, "zero merges applied");
     assert_eq!(
         completion,
@@ -181,11 +183,13 @@ fn a_cancelled_session_compresses_to_an_anytime_prefix_and_fails_asks_typed() {
 
 #[test]
 fn a_step_budget_interrupts_mid_run_and_the_prefix_still_answers() {
-    let mut session = wide_builder()
+    let session = wide_builder()
         .budget(Budget::unlimited().and_steps(3))
         .build()
         .expect("valid configuration");
-    let (result, completion) = session.compress_guarded().expect("anytime result");
+    let (result, completion) = session
+        .compress_with(None, session.guard())
+        .expect("anytime result");
     let Completion::Interrupted {
         reason: Interrupt::StepCapExhausted,
         size_reached,
@@ -219,7 +223,7 @@ fn a_step_budget_interrupts_mid_run_and_the_prefix_still_answers() {
 
 #[test]
 fn an_unlimited_session_reports_a_complete_run() {
-    let mut session = small_builder().build().expect("valid configuration");
+    let session = small_builder().build().expect("valid configuration");
     session.ask(&small_scenarios()).expect("answers");
     let stats = session.run_stats();
     assert_eq!(stats.completion, Completion::Complete);
@@ -228,7 +232,7 @@ fn an_unlimited_session_reports_a_complete_run() {
 
 #[test]
 fn a_deadline_session_with_headroom_completes_normally() {
-    let mut session = small_builder()
+    let session = small_builder()
         .deadline(std::time::Duration::from_secs(3600))
         .build()
         .expect("valid configuration");

@@ -18,6 +18,7 @@ use provabs::engine::value::Value;
 use provabs::provenance::polynomial::Polynomial;
 use provabs::provenance::polyset::PolySet;
 use provabs::provenance::semiring::Semiring;
+use provabs::provenance::valuation::Valuation;
 use provabs::provenance::VarTable;
 use provabs::{Scenario, SessionBuilder};
 
@@ -77,7 +78,7 @@ fn main() {
 
     // The session: group suppliers by nation, keep the nation level
     // (bound 3 merges each nation into its meta-variable).
-    let mut session = SessionBuilder::new(PolySet::from_vec(polys), vars)
+    let session = SessionBuilder::new(PolySet::from_vec(polys), vars)
         .forest_text("AllSup(FR(s1, s2), DE(s3, s4))")
         .expect("well-formed tree")
         .bound(3)
@@ -87,9 +88,9 @@ fn main() {
     // Hypothetical deletion, fine-grained: what if supplier 3 leaves?
     // Posed on the original provenance (the fine variable still exists
     // there), before any abstraction.
-    let s3_gone = Scenario::new().set("s3", 0.0);
+    let s3 = session.vars().lookup("s3").expect("interned above");
+    let val = Valuation::neutral().set(s3, 0.0);
     println!("\nwithout s3 (on the original provenance):");
-    let val = s3_gone.valuation(session.vars_mut());
     let survives_fine = val.eval_set(session.original());
     for (k, value) in keys.iter().zip(&survives_fine) {
         println!("  {} available: {}", k[0], *value > 0.0);

@@ -34,7 +34,7 @@ fn main() {
 
     // Offline reference.
     let t0 = Instant::now();
-    let mut offline = builder
+    let offline = builder
         .clone()
         .strategy(Strategy::Optimal)
         .build()
@@ -58,7 +58,7 @@ fn main() {
         "fraction", "online [ms]", "adequate", "VL"
     );
     for fraction in [0.05, 0.1, 0.2, 0.4, 0.8] {
-        let mut session = builder
+        let session = builder
             .clone()
             .strategy(Strategy::Online { fraction, seed: 7 })
             .build()

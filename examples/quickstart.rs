@@ -33,7 +33,7 @@ fn main() {
     // whole pipeline: compress once (optimal DP, at most 4 monomials,
     // maximal remaining granularity — Algorithm 1), then serve scenarios.
     let forest = Forest::single(plans_tree(&mut vars));
-    let mut session = SessionBuilder::new(polys, vars)
+    let session = SessionBuilder::new(polys, vars)
         .forest(forest)
         .strategy(Strategy::Optimal)
         .bound(4)

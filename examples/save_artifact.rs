@@ -44,7 +44,7 @@ fn scenario_batch(session: &Session) -> Vec<Scenario> {
 }
 
 fn save(path: &Path) {
-    let mut session = build_session();
+    let session = build_session();
     session.compress().expect("attainable bound");
     session.save(path).expect("save artifact");
     println!(
@@ -56,12 +56,12 @@ fn save(path: &Path) {
 
 fn check(path: &Path) {
     // The independent reference: same fixture, compressed from scratch.
-    let mut reference = build_session();
+    let reference = build_session();
     reference.compress().expect("attainable bound");
     let scenarios = scenario_batch(&reference);
     let expected = reference.ask(&scenarios).expect("known names").values;
 
-    for (label, mut opened) in [
+    for (label, opened) in [
         ("owned", Session::open(path).expect("open artifact")),
         ("mapped", Session::open_mapped(path).expect("open artifact")),
     ] {

@@ -43,7 +43,7 @@ fn main() {
     let plans = shaped_tree("AllPlans", &plan_leaves(&config), &[8], &mut vars);
     let months = shaped_tree("Year", &month_leaves(&config), &[4], &mut vars);
     let forest = Forest::new(vec![plans, months]).expect("disjoint trees");
-    let mut session = SessionBuilder::from_query(grouped, vars)
+    let session = SessionBuilder::from_query(grouped, vars)
         .forest(forest)
         .build()
         .expect("valid configuration");
@@ -73,7 +73,7 @@ fn main() {
     //    the session's production engine — compiled once, asked many
     //    times, zero recompilation.
     let report = session
-        .speedup_report(&scenarios, 5)
+        .speedup_report(&scenarios, 5, session.eval_options())
         .expect("known variables");
     println!(
         "what-if batch: original {:.2} ms, compressed {:.2} ms → speedup {:.1} %",
@@ -89,7 +89,11 @@ fn main() {
     //    engine are bit-identical. Abstraction and engine speedups
     //    compose.
     let serial = session
-        .ask_with_options(&scenarios, &EvalOptions::serial_reference())
+        .ask_with(
+            &scenarios,
+            &EvalOptions::serial_reference(),
+            session.guard(),
+        )
         .expect("known variables");
     let engine = session.ask(&scenarios).expect("known variables");
     let compiled_before = session.compile_count();

@@ -52,7 +52,7 @@ fn main() {
     for i in 0..5 {
         let bound = (floor + (total - floor) * i / 5).max(1);
         let time_one = |strategy: Strategy| {
-            let mut session = builder
+            let session = builder
                 .clone()
                 .strategy(strategy)
                 .bound(bound)

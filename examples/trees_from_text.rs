@@ -33,7 +33,7 @@ Year(q1(m1,m2,m3), q2(m4,m5,m6), q3(m7,m8,m9), q4(m10,m11,m12))
     // algorithm cleans the forest first — dropping the leaves that never
     // occur in this provenance (p2, y2, y3, f2, and the months outside
     // January/March).
-    let mut session = builder.clone().build().expect("valid configuration");
+    let session = builder.clone().build().expect("valid configuration");
     println!(
         "parsed {} trees with {} cuts in total",
         session.forest().num_trees(),

@@ -23,7 +23,7 @@ fn main() {
     });
     let forest = data.primary_tree(1, 0);
     let bound = (data.polys.size_m() / 2).max(1);
-    let mut cold = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+    let cold = SessionBuilder::new(data.polys.clone(), data.vars.clone())
         .forest(forest)
         .bound(bound)
         .build()
@@ -55,7 +55,7 @@ fn main() {
 
     // The warm restart: reopen zero-copy and serve the same batch.
     // No compression, no compilation — the columns come from the file.
-    let mut warm = Session::open_mapped(&path).expect("open artifact");
+    let warm = Session::open_mapped(&path).expect("open artifact");
     println!("reopened: {:?}", warm.artifact_info());
     let warm_run = warm.ask(&scenarios).expect("known names");
     assert_eq!(warm.compile_count(), 0, "a warm restart must never compile");

@@ -40,7 +40,7 @@
 //!
 //! // Provenance in (text, a PolySet, or an engine query result), one
 //! // tree allowing {x1,x2} to merge into the meta-variable X.
-//! let mut session = SessionBuilder::from_text("3·x1·a + 4·x2·a\n5·x1·b + 6·x2·b")?
+//! let session = SessionBuilder::from_text("3·x1·a + 4·x2·a\n5·x1·b + 6·x2·b")?
 //!     .forest_text("X(x1, x2)")?
 //!     .strategy(Strategy::Optimal)
 //!     .bound(2)

@@ -4,17 +4,14 @@
 //! * the `D_P` remainder-map ML computation vs the naive
 //!   substitute-and-count definition (both baselines are oracles of
 //!   `provabs_core::reference`; every timed closure starts from the
-//!   hash-map poly-set, bridge included),
-//! * circuit-based (shared DAG) vs flat polynomial evaluation.
+//!   hash-map poly-set, bridge included).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use provabs_core::loss::TreeLoss;
 use provabs_core::optimal::optimal_vvs;
 use provabs_core::reference::{ml_naive, optimal_vvs_dense};
 use provabs_datagen::workload::{Workload, WorkloadConfig};
-use provabs_provenance::circuit::Circuit;
 use provabs_provenance::guard::Guard;
-use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::Vvs;
 
@@ -80,30 +77,5 @@ fn bench_ml_variants(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_circuit_vs_flat(c: &mut Criterion) {
-    // A deeply shared circuit: ((x0 + x1) * (x2 + x3))^8 built by
-    // repeated squaring shares every level.
-    let leaf = |i| Circuit::<f64>::var(VarId(i));
-    let base = Circuit::prod(vec![
-        Circuit::sum(vec![leaf(0), leaf(1)]),
-        Circuit::sum(vec![leaf(2), leaf(3)]),
-    ]);
-    let mut pow = base;
-    for _ in 0..3 {
-        pow = Circuit::prod(vec![pow.clone(), pow]);
-    }
-    let flat = pow.expand();
-    let val = |v: VarId| 1.0 + v.0 as f64;
-    let mut group = c.benchmark_group("ablation/circuit");
-    group.bench_function("shared_dag_eval", |b| b.iter(|| pow.eval(val)));
-    group.bench_function("flat_polynomial_eval", |b| b.iter(|| flat.eval(val)));
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_dp_variants,
-    bench_ml_variants,
-    bench_circuit_vs_flat
-);
+criterion_group!(benches, bench_dp_variants, bench_ml_variants);
 criterion_main!(benches);

@@ -56,26 +56,12 @@ impl AbstractionResult {
         self.compressed_size_m <= bound
     }
 
-    /// Whether the abstraction is precise for `bound` and `granularity`.
-    pub fn is_precise_for(&self, bound: usize, granularity: usize) -> bool {
-        self.compressed_size_m == bound && self.compressed_size_v == granularity
-    }
-
     /// Applies the chosen abstraction to a polynomial set (normally the
     /// one it was computed from): `𝒫↓S`. This is the materialising bridge
     /// out of the interned currency — the algorithms themselves return
     /// `𝒫↓S` as [`InternedAbstraction::working`].
     pub fn apply<C: Coefficient>(&self, polys: &PolySet<C>) -> PolySet<C> {
         self.vvs.apply(polys, &self.forest)
-    }
-
-    /// Compression ratio `|𝒫↓S|_M / |𝒫|_M` in `(0, 1]`.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.original_size_m == 0 {
-            1.0
-        } else {
-            self.compressed_size_m as f64 / self.original_size_m as f64
-        }
     }
 }
 
@@ -172,8 +158,6 @@ mod tests {
         assert_eq!(r.vl(), 3);
         assert!(r.is_adequate_for(2));
         assert!(!r.is_adequate_for(1));
-        assert!(r.is_precise_for(2, 3));
-        assert!((r.compression_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   (`tests/optimality.rs`, `bench_ablation`),
 //! * [`brute_force_vvs`] / [`brute_force_vvs_parallel`] — exhaustive
 //!   search over every cut (the evaluation's baseline; `Strategy::Brute`),
-//! * [`ml_naive`] / [`vl_naive`] / [`ml_delta_of_group`] /
-//!   [`ml_delta_of_group_in`] — the losses of §3.1 by definition:
-//!   substitute, then count (what [`TreeLoss`] is checked against).
+//! * [`ml_naive`] / [`ml_delta_of_group`] / [`ml_delta_of_group_in`] —
+//!   the monomial loss of §3.1 by definition: substitute, then count
+//!   (what [`TreeLoss`] is checked against).
 //!
 //! They take hash-map [`PolySet`]s and measure by direct [`Vvs::apply`]:
 //! not sharing the working-set rewrite with the code they check is what
@@ -74,11 +74,6 @@ pub(crate) fn evaluate_vvs<C: Coefficient>(
 /// `ML` of a full VVS by direct application.
 pub fn ml_naive<C: Coefficient>(polys: &PolySet<C>, forest: &Forest, vvs: &Vvs) -> usize {
     polys.size_m() - vvs.apply(polys, forest).size_m()
-}
-
-/// `VL` of a full VVS by direct application.
-pub fn vl_naive<C: Coefficient>(polys: &PolySet<C>, forest: &Forest, vvs: &Vvs) -> usize {
-    polys.size_v() - vvs.apply(polys, forest).size_v()
 }
 
 /// The monomial-loss *delta* of replacing the variables `group` by a

@@ -6,9 +6,6 @@
 //!
 //! * [`value`] / [`schema`] / [`table`] / [`catalog`] — storage,
 //! * [`expr`] — scalar expressions for predicates and measures,
-//! * [`annot`] — K-relations: tables whose tuples carry commutative
-//!   semiring annotations, with the SPJU operators of the provenance
-//!   semiring framework (Green et al., the paper's `[36]`; §2.1 case 1),
 //! * [`ops`] — eager, table-per-operator relational operators
 //!   (filter/project/hash join/union): the oracle the query pipeline is
 //!   tested against, and the [`ops::JoinIndex`] every join shares,
@@ -26,7 +23,6 @@
 //!   [`MonoArena`](provabs_provenance::intern::MonoArena) at emission, so
 //!   provenance leaves the engine already in the pipeline's id currency.
 
-pub mod annot;
 pub mod catalog;
 pub mod error;
 pub mod expr;

@@ -42,8 +42,6 @@
 //! * [`semiring`] — commutative semirings and the specialisation of
 //!   `N[X]` provenance polynomials into them (Green's observation that the
 //!   polynomial semiring is universal),
-//! * [`circuit`] — shared-DAG provenance circuits with flattening into
-//!   polynomials,
 //! * [`valuation`] — hypothetical-scenario valuations of variables,
 //! * [`parse`] / [`display`] — a small text format used by tests, examples
 //!   and golden files.
@@ -69,7 +67,6 @@
 //! assert!((compiled.eval_one(&scenario)[0] - 412.8).abs() < 1e-9);
 //! ```
 
-pub mod circuit;
 pub mod coeff;
 pub mod compiled;
 pub mod display;
@@ -88,7 +85,6 @@ pub mod valuation;
 pub mod var;
 pub mod working;
 
-pub use circuit::Circuit;
 pub use coeff::{Coefficient, Rational};
 pub use compiled::{CompiledPolySet, CompiledView};
 pub use display::{poly_to_string, polyset_to_string};

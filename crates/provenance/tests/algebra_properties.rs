@@ -1,9 +1,7 @@
 //! Property tests of the provenance algebra: ring laws for polynomials,
-//! circuit/polynomial agreement, parser/printer round-trips and semiring
-//! homomorphism laws.
+//! parser/printer round-trips and semiring homomorphism laws.
 
 use proptest::prelude::*;
-use provabs_provenance::circuit::Circuit;
 use provabs_provenance::coeff::Rational;
 use provabs_provenance::display::poly_to_string;
 use provabs_provenance::monomial::Monomial;
@@ -62,33 +60,6 @@ proptest! {
             a.eval(val).mul(&b.eval(val))
         };
         prop_assert_eq!(lhs_mul, rhs_mul);
-    }
-
-    /// Building a circuit from sums/products of the same parts and
-    /// expanding it yields the same polynomial.
-    #[test]
-    fn circuit_expansion_matches_direct_algebra(a in poly_strategy(), b in poly_strategy()) {
-        fn to_circuit(p: &Polynomial<Rational>) -> Circuit<Rational> {
-            Circuit::sum(
-                p.iter()
-                    .map(|(m, c)| {
-                        let mut factors = vec![Circuit::constant(*c)];
-                        for (v, e) in m.factors() {
-                            for _ in 0..e {
-                                factors.push(Circuit::var(v));
-                            }
-                        }
-                        Circuit::prod(factors)
-                    })
-                    .collect(),
-            )
-        }
-        let circ = Circuit::prod(vec![
-            Circuit::sum(vec![to_circuit(&a), to_circuit(&b)]),
-            to_circuit(&a),
-        ]);
-        let direct = a.add(&b).mul(&a);
-        prop_assert_eq!(circ.expand(), direct);
     }
 
     /// Printing and re-parsing a float polynomial preserves structure.

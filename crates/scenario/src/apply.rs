@@ -3,10 +3,9 @@
 //! [`apply_batch`] is the plain hash-map loop the paper describes: one
 //! [`Valuation::eval_set`] per scenario, in order, on the calling thread.
 //! It is deliberately kept as the semantics reference; the production
-//! path is [`crate::executor::apply_batch_parallel`], which runs the same
-//! grid through compiled columnar poly-sets on a scoped thread pool and
-//! must agree with this loop bit for bit (see the `parallel_equivalence`
-//! property suite).
+//! path is [`crate::executor::eval`], which runs the same grid over
+//! compiled columns in chunks and must agree with this loop bit for bit
+//! (see the `parallel_equivalence` property suite).
 
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
@@ -24,8 +23,7 @@ pub struct TimedRun {
 /// Evaluates every valuation against every polynomial, timing the whole
 /// batch (this is the operation hypothetical reasoning repeats per
 /// analyst question — the quantity Figure 10 speeds up). Serial hash-map
-/// reference; use [`crate::executor::apply_batch_parallel`] for the
-/// compiled/parallel engine.
+/// reference; use [`crate::executor::eval`] for the compiled engine.
 pub fn apply_batch(polys: &PolySet<f64>, valuations: &[Valuation<f64>]) -> TimedRun {
     let start = Instant::now();
     let values = valuations.iter().map(|v| v.eval_set(polys)).collect();

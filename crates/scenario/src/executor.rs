@@ -1,22 +1,25 @@
-//! The batch evaluation engine: compiled poly-sets on a scoped thread pool.
+//! The batch evaluation engine: compiled columns, one chunked path.
 //!
 //! Applying a batch of scenarios to a poly-set is an embarrassingly
 //! parallel scenario×polynomial grid — each cell is independent — and the
 //! quantity the whole system exists to make fast (Figure 10's inner
-//! loop). This module partitions the grid by scenario into chunks, hands
-//! the chunks to `std::thread::scope` workers through an atomic cursor
-//! (work stealing without a dependency: whichever worker finishes first
-//! claims the next chunk), and evaluates each chunk either through the
-//! columnar [`CompiledPolySet`] fast path or the hash-map reference path.
+//! loop). [`eval`] is the one way to run it: the grid is partitioned by
+//! scenario into lane-aligned chunks, workers claim chunks through an
+//! atomic cursor (work stealing without a dependency: whichever worker
+//! finishes first claims the next chunk), probe the [`Guard`] at every
+//! claim and run each chunk behind a panic isolation boundary. A library
+//! `ask()` under [`Guard::unlimited`] and a server request under a
+//! deadline and a cancel token execute the same code; an unlimited guard
+//! is the free case (its probe is two `Option` checks), not a second
+//! path.
 //!
-//! Entry points: [`apply_batch_parallel`] plus the [`EvalOptions`]
-//! builder. `EvalOptions::serial_reference()` reproduces the exact
-//! serial hash-map loop of [`crate::apply::apply_batch`], so everything
-//! can be routed through one engine without changing results — all three
-//! paths agree bit for bit (enforced by the `parallel_equivalence`
-//! property suite).
+//! The hash-map loop of [`crate::apply::apply_batch`] is the serial
+//! *reference* this engine must agree with bit for bit (the
+//! `parallel_equivalence` property suite); [`eval_reference`] is that loop
+//! behind one guard probe, selected by
+//! [`EvalOptions::serial_reference`].
 
-use crate::apply::TimedRun;
+use crate::apply::{apply_batch, TimedRun};
 use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::guard::{self, Guard, Interrupt};
 use provabs_provenance::polyset::PolySet;
@@ -28,35 +31,31 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`apply_batch_parallel`].
+/// Engine selection and tuning for one batch.
 ///
-/// The default (`threads: 0`, `compiled: true`, `chunk: 0`,
-/// `kernel: Auto`) auto-sizes the pool from
-/// [`std::thread::available_parallelism`] and evaluates through the
-/// columnar fast path on the fastest evaluation kernel the CPU supports
-/// (AVX2 where detected, the portable lane kernel otherwise — see
-/// [`provabs_provenance::simd`]).
+/// The default (`threads: 0`, `compiled: true`, `kernel: Auto`)
+/// auto-sizes the pool from [`std::thread::available_parallelism`] and
+/// evaluates the compiled columns on the fastest evaluation kernel the
+/// CPU supports (AVX2 where detected, the portable lane kernel otherwise
+/// — see [`provabs_provenance::simd`]).
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
-    /// Worker threads; `0` = one per available core. `1` runs inline on
-    /// the calling thread (no pool is spun up).
+    /// Worker threads of the compiled path; `0` = one per available
+    /// core. A batch that resolves to one worker runs inline on the
+    /// calling thread (no thread is spawned).
     pub threads: usize,
-    /// Whether to lower the poly-set into a [`CompiledPolySet`] first.
-    /// Compilation is one extra pass over the provenance, amortised over
-    /// the batch; disable it for single-scenario calls on huge sets.
+    /// Which engine answers: `true` (the default) is [`eval`] over the
+    /// compiled columns; `false` — set only by
+    /// [`serial_reference`](Self::serial_reference) — is the serial
+    /// hash-map loop ([`eval_reference`]), which ignores `threads` and
+    /// `kernel`.
     pub compiled: bool,
-    /// Scenarios per work-queue chunk; `0` = auto (about four chunks per
-    /// worker, so the atomic cursor can balance uneven scenario costs).
-    /// On the compiled path with a lane kernel, the resolved chunk is
-    /// rounded up to a multiple of [`LANES`] so workers receive
-    /// lane-aligned scenario blocks.
-    pub chunk: usize,
     /// Which evaluation kernel compiled-path batches run on.
     /// [`Kernel::Auto`] (the default) resolves once per batch to the
     /// fastest available one; forcing [`Kernel::Scalar`] /
     /// [`Kernel::Generic`] / [`Kernel::Avx2`] pins a specific engine
-    /// (ablations, equivalence suites). Ignored on the hash-map path
-    /// (`compiled: false`). All kernels produce bit-identical results.
+    /// (ablations, equivalence suites). All kernels produce bit-identical
+    /// results.
     pub kernel: Kernel,
 }
 
@@ -65,7 +64,6 @@ impl Default for EvalOptions {
         Self {
             threads: 0,
             compiled: true,
-            chunk: 0,
             kernel: Kernel::Auto,
         }
     }
@@ -84,7 +82,6 @@ impl EvalOptions {
         Self {
             threads: 1,
             compiled: false,
-            chunk: 0,
             kernel: Kernel::Scalar,
         }
     }
@@ -93,20 +90,6 @@ impl EvalOptions {
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Enables or disables the compiled fast path (chainable).
-    #[must_use]
-    pub fn compiled(mut self, yes: bool) -> Self {
-        self.compiled = yes;
-        self
-    }
-
-    /// Sets the chunk size (`0` = auto), returning `self` for chaining.
-    #[must_use]
-    pub fn chunk(mut self, scenarios_per_chunk: usize) -> Self {
-        self.chunk = scenarios_per_chunk;
         self
     }
 
@@ -120,7 +103,7 @@ impl EvalOptions {
         self
     }
 
-    /// The worker count to actually use for `jobs` scenarios.
+    /// The worker count requested for `jobs` scenarios.
     fn resolved_threads(&self, jobs: usize) -> usize {
         let hw = || {
             std::thread::available_parallelism()
@@ -134,94 +117,27 @@ impl EvalOptions {
         };
         t.clamp(1, jobs.max(1))
     }
+}
 
-    /// The chunk size to actually use.
-    fn resolved_chunk(&self, jobs: usize, threads: usize) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        // ~4 chunks per worker: enough slack for the cursor to rebalance,
-        // few enough that per-chunk overhead stays negligible.
-        jobs.div_ceil(threads * 4).max(1)
+/// Scenarios per work-queue chunk: about four chunks per worker — enough
+/// slack for the cursor to rebalance uneven scenario costs, few enough
+/// that per-chunk overhead stays negligible — rounded up to a multiple of
+/// [`LANES`] on a lane kernel, so only the batch's final chunk can be
+/// ragged and every other one runs full lane passes.
+fn resolved_chunk(jobs: usize, threads: usize, kernel: Kernel) -> usize {
+    let chunk = jobs.div_ceil(threads * 4).max(1);
+    if kernel == Kernel::Scalar {
+        chunk
+    } else {
+        chunk.next_multiple_of(LANES)
     }
 }
 
-/// Evaluates every valuation against every polynomial on the configured
-/// engine, timing the whole batch (compilation included — the one-shot
-/// cost of answering the analyst's question from scratch; use
-/// [`PreparedBatch`] to compile once across many batches).
-///
-/// `values[s][p]` is the value of polynomial `p` under scenario `s`,
-/// bit-identical to [`crate::apply::apply_batch`] for every
-/// configuration.
-pub fn apply_batch_parallel(
-    polys: &PolySet<f64>,
-    valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
-) -> TimedRun {
-    let start = Instant::now();
-    let values = PreparedBatch::new(polys, opts).eval(valuations);
-    TimedRun {
-        values,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Evaluates a batch against an *externally owned* prepared form, timing
-/// only the evaluation: when `compiled` is `Some`, the columnar fast path
-/// runs off that lowering (no compilation happens here); when `None`, the
-/// hash-map path runs directly on `polys`. Thread-pool and chunking knobs
-/// of `opts` are honoured either way.
-///
-/// This is the evaluation core behind [`PreparedBatch`] and the hook by
-/// which long-lived handles (e.g. `provabs_session::Session`) that cache a
-/// [`CompiledPolySet`] across many batches route every batch through the
-/// one compilation they paid up front.
-pub fn eval_prepared(
-    polys: &PolySet<f64>,
-    compiled: Option<&CompiledPolySet<f64>>,
-    valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
-) -> TimedRun {
-    let start = Instant::now();
-    let values = eval_grid(polys, compiled, valuations, opts);
-    TimedRun {
-        values,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Evaluates a batch against a compiled poly-set alone — the entry point
-/// for callers whose provenance lives entirely in the interned currency
-/// (e.g. a `provabs_session::Session` that froze a working set's arena
-/// into this lowering and holds no [`PolySet`] at all). Thread-pool and
-/// chunking knobs of `opts` are honoured; the `compiled` flag is ignored
-/// (the lowering already exists).
-pub fn eval_compiled(
-    compiled: &CompiledPolySet<f64>,
-    valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
-) -> TimedRun {
-    eval_compiled_view(compiled.view(), valuations, opts)
-}
-
-/// [`eval_compiled`] over borrowed compiled columns: the entry point for
-/// callers whose lowering is not an owned [`CompiledPolySet`] at all but
-/// a [`CompiledView`] resliced from elsewhere — in particular a durable
-/// artifact's memory-mapped arenas
-/// ([`provabs_provenance::persist`]), which evaluate through this
-/// function without a single column ever being copied.
-pub fn eval_compiled_view(
-    compiled: CompiledView<'_, f64>,
-    valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
-) -> TimedRun {
-    let start = Instant::now();
-    let values = eval_grid_compiled(compiled, valuations, opts);
-    TimedRun {
-        values,
-        elapsed: start.elapsed(),
-    }
+/// Workers worth starting: lane alignment can leave fewer chunks than
+/// requested threads, and a worker with no chunk to claim is a spawn paid
+/// for nothing.
+fn worker_count(jobs: usize, threads: usize, chunk: usize) -> usize {
+    threads.min(jobs.div_ceil(chunk))
 }
 
 /// One worker panic, isolated to the scenario that raised it. The rest
@@ -235,7 +151,7 @@ pub struct PanicReport {
     pub payload: String,
 }
 
-/// Why a guarded batch evaluation did not complete cleanly.
+/// Why a batch evaluation did not complete cleanly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ExecError {
@@ -269,7 +185,7 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The full outcome of a guarded batch evaluation: every row the engine
+/// The full outcome of a batch evaluation: every row the engine
 /// managed to produce, plus everything that went wrong. Rows belonging
 /// to panicked scenarios — and to chunks never claimed after an
 /// interrupt — are left empty.
@@ -308,70 +224,30 @@ impl GuardedRun {
     }
 }
 
-/// [`eval_prepared`] under an execution [`Guard`]: workers poll the
-/// guard at every chunk claim (a cancelled batch stops within one chunk
-/// per worker) and every chunk runs behind a panic isolation boundary —
-/// a poisoned scenario loses its own row only, pinned in
-/// [`GuardedRun::panics`], while the rest of the batch completes.
-pub fn eval_prepared_guarded(
-    polys: &PolySet<f64>,
-    compiled: Option<&CompiledPolySet<f64>>,
-    valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
-    guard: &Guard,
-) -> GuardedRun {
-    let start = Instant::now();
-    let (values, panics, interrupted) = if let Some(compiled) = compiled {
-        eval_grid_compiled_guarded(compiled.view(), valuations, opts, guard)
-    } else {
-        eval_grid_serial_guarded(polys, valuations, opts, guard)
-    };
-    GuardedRun {
-        values,
-        elapsed: start.elapsed(),
-        panics,
-        interrupted,
-    }
-}
-
-/// [`eval_compiled_view`] under an execution [`Guard`] — same isolation
-/// and cancellation contract as [`eval_prepared_guarded`].
-pub fn eval_compiled_view_guarded(
+/// Evaluates every valuation against the compiled columns, under
+/// `guard`: `values[s][p]` is the value of polynomial `p` under scenario
+/// `s`, bit-identical to [`crate::apply::apply_batch`] on every kernel
+/// and worker count. The view may be an owned lowering's
+/// ([`CompiledPolySet::view`]) or resliced from a memory-mapped
+/// artifact ([`provabs_provenance::persist`]) — no column is copied.
+///
+/// Workers poll the guard at every chunk claim (a cancelled batch stops
+/// within one chunk per worker) and every chunk runs behind a panic
+/// isolation boundary — a poisoned scenario loses its own row only,
+/// pinned in [`GuardedRun::panics`], while the rest of the batch
+/// completes. [`GuardedRun::into_result`] is the all-or-nothing form.
+pub fn eval(
     compiled: CompiledView<'_, f64>,
     valuations: &[Valuation<f64>],
     opts: &EvalOptions,
     guard: &Guard,
 ) -> GuardedRun {
-    let start = Instant::now();
-    let (values, panics, interrupted) =
-        eval_grid_compiled_guarded(compiled, valuations, opts, guard);
-    GuardedRun {
-        values,
-        elapsed: start.elapsed(),
-        panics,
-        interrupted,
-    }
-}
-
-/// Guarded compiled-path grid: the chunk evaluator runs the columnar
-/// kernel block-wise; the per-scenario evaluator replays single rows
-/// when a chunk trips the isolation boundary.
-fn eval_grid_compiled_guarded(
-    compiled: CompiledView<'_, f64>,
-    valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
-    guard: &Guard,
-) -> GridOutcome {
-    if valuations.is_empty() {
-        return (Vec::new(), Vec::new(), None);
-    }
+    let begin = Instant::now();
+    // Resolved once per batch: every chunk worker runs the same kernel.
     let kernel = opts.kernel.resolve();
     let threads = opts.resolved_threads(valuations.len());
-    let mut chunk = opts.resolved_chunk(valuations.len(), threads);
-    if kernel != Kernel::Scalar {
-        chunk = chunk.next_multiple_of(LANES);
-    }
-    run_chunked_guarded(
+    let chunk = resolved_chunk(valuations.len(), threads, kernel);
+    let (values, panics, interrupted) = run_chunked(
         valuations.len(),
         threads,
         chunk,
@@ -389,177 +265,71 @@ fn eval_grid_compiled_guarded(
             compiled.eval_block_into(&valuations[s..s + 1], kernel, &mut rows);
             *out = rows.pop().unwrap_or_default();
         },
-    )
+    );
+    GuardedRun {
+        values,
+        elapsed: begin.elapsed(),
+        panics,
+        interrupted,
+    }
 }
 
-/// Guarded hash-map-path grid (the `compiled: false` configuration).
-fn eval_grid_serial_guarded(
+/// The serial hash-map reference under `guard`: one probe, then
+/// [`apply_batch`] — what `opts.compiled == false` selects. The loop
+/// itself is the oracle and is not interruptible mid-batch.
+pub fn eval_reference(
     polys: &PolySet<f64>,
     valuations: &[Valuation<f64>],
-    opts: &EvalOptions,
     guard: &Guard,
-) -> GridOutcome {
-    if valuations.is_empty() {
-        return (Vec::new(), Vec::new(), None);
-    }
-    let threads = opts.resolved_threads(valuations.len());
-    let chunk = opts.resolved_chunk(valuations.len(), threads);
-    run_chunked_guarded(
-        valuations.len(),
-        threads,
-        chunk,
-        guard,
-        |start, out| {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = valuations[start + k].eval_set(polys);
-            }
-        },
-        |s, out| *out = valuations[s].eval_set(polys),
-    )
+) -> Result<TimedRun, ExecError> {
+    guard.probe().map_err(ExecError::Interrupted)?;
+    Ok(apply_batch(polys, valuations))
 }
 
-/// The untimed compiled-path grid (single-thread or pool). The kernel is
-/// resolved once per batch — every chunk worker runs the same engine.
-fn eval_grid_compiled(
+/// Pinned by `benchmark/`; use [`eval`]. A contained panic is re-raised.
+#[doc(hidden)]
+pub fn eval_compiled_view(
     compiled: CompiledView<'_, f64>,
     valuations: &[Valuation<f64>],
     opts: &EvalOptions,
-) -> Vec<Vec<f64>> {
-    if valuations.is_empty() {
-        return Vec::new();
-    }
-    let kernel = opts.kernel.resolve();
-    let threads = opts.resolved_threads(valuations.len());
-    if threads <= 1 {
-        compiled.eval_block(valuations, kernel)
-    } else {
-        let mut chunk = opts.resolved_chunk(valuations.len(), threads);
-        if kernel != Kernel::Scalar {
-            // Lane-aligned scenario blocks: only the batch's final chunk
-            // can be ragged, every other worker runs full lane passes.
-            chunk = chunk.next_multiple_of(LANES);
-        }
-        run_chunked(valuations.len(), threads, chunk, |start, out| {
-            let end = start + out.len();
-            let mut rows = Vec::with_capacity(out.len());
-            compiled.eval_block_into(&valuations[start..end], kernel, &mut rows);
-            for (slot, row) in out.iter_mut().zip(rows) {
-                *slot = row;
-            }
-        })
-    }
+) -> TimedRun {
+    eval(compiled, valuations, opts, &Guard::unlimited())
+        .into_result()
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The untimed scenario×polynomial grid: dispatches on compiled/serial
-/// and single-thread/pool off already-prepared inputs.
-fn eval_grid(
+/// Pinned by `benchmark/`; use [`eval`] or [`apply_batch`].
+#[doc(hidden)]
+pub fn eval_prepared(
     polys: &PolySet<f64>,
     compiled: Option<&CompiledPolySet<f64>>,
     valuations: &[Valuation<f64>],
     opts: &EvalOptions,
-) -> Vec<Vec<f64>> {
-    if valuations.is_empty() {
-        return Vec::new();
-    }
-    let threads = opts.resolved_threads(valuations.len());
-    if let Some(compiled) = compiled {
-        eval_grid_compiled(compiled.view(), valuations, opts)
-    } else if threads <= 1 {
-        valuations.iter().map(|v| v.eval_set(polys)).collect()
-    } else {
-        let chunk = opts.resolved_chunk(valuations.len(), threads);
-        run_chunked(valuations.len(), threads, chunk, |start, out| {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = valuations[start + k].eval_set(polys);
-            }
-        })
+) -> TimedRun {
+    match compiled {
+        Some(compiled) => eval_compiled_view(compiled.view(), valuations, opts),
+        None => apply_batch(polys, valuations),
     }
 }
 
-/// A poly-set prepared for repeated batch evaluation: the columnar
-/// lowering happens once in [`PreparedBatch::new`], then every
-/// [`apply`](PreparedBatch::apply) call measures pure evaluation — the
-/// steady state of an analyst session posing batch after batch against
-/// the same provenance.
-pub struct PreparedBatch<'p> {
-    polys: &'p PolySet<f64>,
-    compiled: Option<CompiledPolySet<f64>>,
-    opts: EvalOptions,
-}
-
-impl<'p> PreparedBatch<'p> {
-    /// Prepares `polys` under `opts`, compiling now if the options ask
-    /// for the columnar path.
-    pub fn new(polys: &'p PolySet<f64>, opts: &EvalOptions) -> Self {
-        let compiled = opts.compiled.then(|| CompiledPolySet::compile(polys));
-        Self {
-            polys,
-            compiled,
-            opts: opts.clone(),
-        }
-    }
-
-    /// Evaluates a batch, timing only the evaluation (compilation was
-    /// paid in [`new`](Self::new)).
-    pub fn apply(&self, valuations: &[Valuation<f64>]) -> TimedRun {
-        let start = Instant::now();
-        let values = self.eval(valuations);
-        TimedRun {
-            values,
-            elapsed: start.elapsed(),
-        }
-    }
-
-    /// The untimed core: delegates to the shared grid evaluator.
-    fn eval(&self, valuations: &[Valuation<f64>]) -> Vec<Vec<f64>> {
-        eval_grid(self.polys, self.compiled.as_ref(), valuations, &self.opts)
-    }
-}
-
-/// The scoped thread-pool work queue: splits `jobs` output slots into
-/// `chunk`-sized pieces, spawns `threads` workers, and lets each worker
-/// claim pieces through an atomic cursor until the queue drains.
-/// `eval_chunk` receives the chunk's starting scenario index and its
-/// output slice.
-fn run_chunked(
-    jobs: usize,
-    threads: usize,
-    chunk: usize,
-    eval_chunk: impl Fn(usize, &mut [Vec<f64>]) + Sync,
-) -> Vec<Vec<f64>> {
-    let mut out: Vec<Vec<f64>> = Vec::new();
-    out.resize_with(jobs, Vec::new);
-    {
-        // Each chunk is claimed by exactly one worker (the cursor hands
-        // out each index once), so the mutexes are uncontended — they
-        // exist to hand `&mut` slices across the scope safely.
-        let slots: Vec<Mutex<&mut [Vec<f64>]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else { break };
-                    let mut guard = slot.lock().expect("chunk mutex poisoned");
-                    eval_chunk(i * chunk, &mut guard);
-                });
-            }
-        });
-    }
-    out
-}
-
-/// `(values, panics, interrupted)` of one guarded grid run.
+/// `(values, panics, interrupted)` of one grid run.
 type GridOutcome = (Vec<Vec<f64>>, Vec<PanicReport>, Option<Interrupt>);
 
-/// [`run_chunked`] with the robustness contract: workers poll the guard
-/// before every chunk claim and stop claiming once it trips (in-flight
-/// chunks finish — cancellation latency is bounded by one chunk per
-/// worker), and each chunk runs inside [`guard::run_isolated_mut`]. A
-/// chunk that panics is replayed one scenario at a time through
-/// `eval_one`, so only the scenario that actually panicked loses its row
-/// — its index and payload land in the returned reports.
-fn run_chunked_guarded(
+/// The work queue: splits `jobs` output slots into `chunk`-sized pieces
+/// and lets [`worker_count`] workers claim pieces through an atomic
+/// cursor until the queue drains (one worker runs inline, on the calling
+/// thread; an empty batch runs none, so it never trips the guard).
+/// `eval_chunk` receives the chunk's starting scenario index and its
+/// output slice.
+///
+/// Workers poll the guard before every chunk claim and stop claiming
+/// once it trips (in-flight chunks finish — cancellation latency is
+/// bounded by one chunk per worker), and each chunk runs inside
+/// [`guard::run_isolated_mut`]. A chunk that panics is replayed one
+/// scenario at a time through `eval_one`, so only the scenario that
+/// actually panicked loses its row — its index and payload land in the
+/// returned reports.
+fn run_chunked(
     jobs: usize,
     threads: usize,
     chunk: usize,
@@ -572,6 +342,9 @@ fn run_chunked_guarded(
     let panics: Mutex<Vec<PanicReport>> = Mutex::new(Vec::new());
     let interrupted: Mutex<Option<Interrupt>> = Mutex::new(None);
     {
+        // Each chunk is claimed by exactly one worker (the cursor hands
+        // out each index once), so the mutexes are uncontended — they
+        // exist to hand `&mut` slices across the scope safely.
         let slots: Vec<Mutex<&mut [Vec<f64>]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
         let cursor = AtomicUsize::new(0);
         let worker = || loop {
@@ -605,14 +378,14 @@ fn run_chunked_guarded(
                 }
             }
         };
-        if threads <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
+        match worker_count(jobs, threads, chunk) {
+            0 => {}
+            1 => worker(),
+            workers => std::thread::scope(|scope| {
+                for _ in 0..workers {
                     scope.spawn(worker);
                 }
-            });
+            }),
         }
     }
     let mut panics = panics.into_inner().expect("panic list poisoned");
@@ -624,7 +397,7 @@ fn run_chunked_guarded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::apply_batch;
+    use provabs_provenance::guard::{Budget, CancelToken};
     use provabs_provenance::parse::parse_polyset;
     use provabs_provenance::var::VarTable;
 
@@ -642,11 +415,22 @@ mod tests {
         (polys, vals)
     }
 
+    /// A clean run of [`eval`] under an unlimited guard.
+    fn eval_clean(
+        compiled: &CompiledPolySet<f64>,
+        vals: &[Valuation<f64>],
+        opts: &EvalOptions,
+    ) -> Vec<Vec<f64>> {
+        let run = eval(compiled.view(), vals, opts, &Guard::unlimited());
+        assert!(run.panics.is_empty() && run.interrupted.is_none());
+        run.values
+    }
+
     /// Every engine configuration must agree with the serial hash-map
     /// reference bit for bit.
     fn assert_matches_reference(polys: &PolySet<f64>, vals: &[Valuation<f64>], opts: &EvalOptions) {
         let reference = apply_batch(polys, vals).values;
-        let got = apply_batch_parallel(polys, vals, opts).values;
+        let got = eval_clean(&CompiledPolySet::compile(polys), vals, opts);
         assert_eq!(reference.len(), got.len());
         for (r, g) in reference.iter().zip(&got) {
             assert_eq!(r.len(), g.len());
@@ -660,11 +444,9 @@ mod tests {
     fn all_configurations_match_the_serial_reference() {
         let (polys, vals) = setup(13);
         for opts in [
-            EvalOptions::serial_reference(),
             EvalOptions::new().threads(1),
+            EvalOptions::new().threads(3),
             EvalOptions::new().threads(4),
-            EvalOptions::new().threads(4).compiled(false),
-            EvalOptions::new().threads(3).chunk(2),
             EvalOptions::new(), // auto everything
         ] {
             assert_matches_reference(&polys, &vals, &opts);
@@ -679,27 +461,28 @@ mod tests {
     fn all_kernels_match_the_serial_reference() {
         let (polys, vals) = setup(13);
         for kernel in [Kernel::Auto, Kernel::Scalar, Kernel::Generic, Kernel::Avx2] {
-            for opts in [
-                EvalOptions::new().threads(1).kernel(kernel),
-                EvalOptions::new().threads(4).kernel(kernel),
-                EvalOptions::new().threads(3).chunk(2).kernel(kernel),
-            ] {
+            for threads in [1, 3, 4] {
+                let opts = EvalOptions::new().threads(threads).kernel(kernel);
                 assert_matches_reference(&polys, &vals, &opts);
             }
         }
     }
 
-    /// Lane kernels hand workers lane-aligned scenario blocks: a chunk
-    /// size that is not a multiple of LANES still yields bit-identical
-    /// results (the alignment is an executor concern, not a caller one).
+    /// Lane kernels hand workers lane-aligned scenario blocks: wherever
+    /// four-chunks-per-worker is not a multiple of LANES the executor
+    /// rounds it up (the alignment is an executor concern, not a caller
+    /// one), and the results stay bit-identical.
     #[test]
     fn lane_misaligned_chunks_are_realigned() {
-        let (polys, vals) = setup(11);
-        for chunk in [1, 2, 3, 5, 7] {
-            let opts = EvalOptions::new()
-                .threads(2)
-                .chunk(chunk)
-                .kernel(Kernel::Generic);
+        for jobs in [1, 5, 9, 11, 23, 40] {
+            assert_eq!(resolved_chunk(jobs, 2, Kernel::Scalar), jobs.div_ceil(8));
+            for kernel in [Kernel::Generic, Kernel::Avx2] {
+                let chunk = resolved_chunk(jobs, 2, kernel);
+                assert_eq!(chunk % LANES, 0, "{jobs} jobs on {kernel:?}");
+                assert!(chunk >= jobs.div_ceil(8) && chunk < jobs.div_ceil(8) + LANES);
+            }
+            let (polys, vals) = setup(jobs);
+            let opts = EvalOptions::new().threads(2).kernel(Kernel::Generic);
             assert_matches_reference(&polys, &vals, &opts);
         }
     }
@@ -711,7 +494,7 @@ mod tests {
     #[test]
     fn valuation_table_reuse_is_allocation_free() {
         let (polys, vals) = setup(6);
-        let compiled = provabs_provenance::compiled::CompiledPolySet::compile(&polys);
+        let compiled = CompiledPolySet::compile(&polys);
         let mut table = Vec::new();
         compiled.valuation_table_into(&vals[0], &mut table);
         assert_eq!(table, compiled.valuation_table(&vals[0]));
@@ -727,11 +510,18 @@ mod tests {
     #[test]
     fn empty_batch_and_empty_polyset() {
         let (polys, _) = setup(0);
-        let run = apply_batch_parallel(&polys, &[], &EvalOptions::new());
-        assert!(run.values.is_empty());
-        let empty: PolySet<f64> = PolySet::new();
-        let run = apply_batch_parallel(&empty, &[Valuation::neutral()], &EvalOptions::new());
-        assert_eq!(run.values, vec![Vec::<f64>::new()]);
+        let compiled = CompiledPolySet::compile(&polys);
+        assert!(eval_clean(&compiled, &[], &EvalOptions::new()).is_empty());
+        // No worker runs on an empty batch, so nothing probes the guard:
+        // even a cancelled one reports a clean, empty run.
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = Guard::unlimited().with_cancel(token);
+        let run = eval(compiled.view(), &[], &EvalOptions::new(), &cancelled);
+        assert!(run.into_result().expect("nothing ran").values.is_empty());
+        let empty = CompiledPolySet::compile(&PolySet::<f64>::new());
+        let rows = eval_clean(&empty, &[Valuation::neutral()], &EvalOptions::new());
+        assert_eq!(rows, vec![Vec::<f64>::new()]);
     }
 
     #[test]
@@ -740,20 +530,79 @@ mod tests {
         assert_matches_reference(&polys, &vals, &EvalOptions::new().threads(16));
     }
 
+    /// Lane alignment can leave fewer chunks than requested threads; only
+    /// as many workers as there are chunks are started (the first row
+    /// spawned 8 before the clamp).
+    #[test]
+    fn no_more_workers_than_chunks() {
+        for (jobs, requested, workers) in [(8, 8, 2), (1, 16, 1), (64, 2, 2), (0, 4, 0)] {
+            let threads = EvalOptions::new().threads(requested).resolved_threads(jobs);
+            let chunk = resolved_chunk(jobs, threads, Kernel::Generic);
+            assert_eq!(
+                worker_count(jobs, threads, chunk),
+                workers,
+                "{jobs} jobs on {requested} threads"
+            );
+        }
+    }
+
+    /// A batch that resolves to one worker — here three scenarios in one
+    /// lane-aligned chunk, whatever the thread count asked for — runs on
+    /// the calling thread: nothing is spawned.
+    #[test]
+    fn a_single_worker_runs_inline() {
+        let (polys, vals) = setup(3);
+        let ran_on = Mutex::new(Vec::new());
+        let (values, panics, _) = run_chunked(
+            vals.len(),
+            8,
+            LANES,
+            &Guard::unlimited(),
+            |start, out| {
+                ran_on
+                    .lock()
+                    .expect("no holder panics")
+                    .push(std::thread::current().id());
+                for (k, slot) in out.iter_mut().enumerate() {
+                    *slot = vals[start + k].eval_set(&polys);
+                }
+            },
+            |_, _| unreachable!("no chunk panics"),
+        );
+        assert!(panics.is_empty());
+        assert_eq!(values, apply_batch(&polys, &vals).values);
+        let ran_on = ran_on.into_inner().expect("no holder panics");
+        assert_eq!(ran_on, vec![std::thread::current().id()]);
+    }
+
     #[test]
     fn chunk_of_one_exercises_the_cursor() {
         let (polys, vals) = setup(9);
-        assert_matches_reference(&polys, &vals, &EvalOptions::new().threads(2).chunk(1));
+        let (values, panics, interrupted) = run_chunked(
+            vals.len(),
+            2,
+            1,
+            &Guard::unlimited(),
+            |start, out| {
+                assert_eq!(out.len(), 1);
+                out[0] = vals[start].eval_set(&polys);
+            },
+            |_, _| unreachable!("no chunk panics"),
+        );
+        assert!(panics.is_empty() && interrupted.is_none());
+        assert_eq!(values, apply_batch(&polys, &vals).values);
     }
 
+    /// The two forwards `benchmark/` pins answer exactly as what they
+    /// forward to.
     #[test]
     fn eval_prepared_matches_reference_with_and_without_compiled() {
         let (polys, vals) = setup(7);
         let reference = apply_batch(&polys, &vals).values;
-        let compiled = provabs_provenance::compiled::CompiledPolySet::compile(&polys);
+        let compiled = CompiledPolySet::compile(&polys);
         for opts in [
             EvalOptions::new(),
-            EvalOptions::new().threads(3).chunk(2),
+            EvalOptions::new().threads(3),
             EvalOptions::serial_reference(),
         ] {
             let with = eval_prepared(&polys, Some(&compiled), &vals, &opts);
@@ -769,33 +618,22 @@ mod tests {
     #[test]
     fn eval_compiled_matches_eval_prepared() {
         let (polys, vals) = setup(7);
-        let compiled = provabs_provenance::compiled::CompiledPolySet::compile(&polys);
+        let compiled = CompiledPolySet::compile(&polys);
         for opts in [
             EvalOptions::new(),
-            EvalOptions::new().threads(3).chunk(2),
+            EvalOptions::new().threads(3),
             EvalOptions::new().threads(1),
         ] {
             let via_prepared = eval_prepared(&polys, Some(&compiled), &vals, &opts).values;
-            let direct = eval_compiled(&compiled, &vals, &opts).values;
+            let direct = eval_compiled_view(compiled.view(), &vals, &opts).values;
             assert_eq!(via_prepared, direct);
+            assert_eq!(direct, eval_clean(&compiled, &vals, &opts));
         }
-        assert!(eval_compiled(&compiled, &[], &EvalOptions::new())
-            .values
-            .is_empty());
-    }
-
-    #[test]
-    fn prepared_batch_reuses_the_compiled_form() {
-        let (polys, vals) = setup(6);
-        let reference = apply_batch(&polys, &vals).values;
-        let engine = PreparedBatch::new(&polys, &EvalOptions::new().threads(2));
-        // Two batches through one compilation; both match the reference.
-        for _ in 0..2 {
-            let run = engine.apply(&vals);
-            assert_eq!(run.values, reference);
-        }
-        let serial = PreparedBatch::new(&polys, &EvalOptions::serial_reference());
-        assert_eq!(serial.apply(&vals).values, reference);
+        assert!(
+            eval_compiled_view(compiled.view(), &[], &EvalOptions::new())
+                .values
+                .is_empty()
+        );
     }
 
     /// The acceptance scenario for panic isolation: a 16-scenario batch
@@ -814,7 +652,7 @@ mod tests {
         for threads in [1, 2, 4] {
             for chunk in [1, 3, 4, 16] {
                 let guard = Guard::unlimited();
-                let (values, panics, interrupted) = run_chunked_guarded(
+                let (values, panics, interrupted) = run_chunked(
                     vals.len(),
                     threads,
                     chunk,
@@ -901,53 +739,60 @@ mod tests {
         assert_eq!(clean.into_result().unwrap().values, vec![vec![2.0]]);
     }
 
-    /// A guarded run with an unlimited guard matches the serial reference
-    /// bit for bit across engine configurations — the guarded path is the
-    /// same engine, not a different one.
+    /// A run under an armed guard that never trips matches the run under
+    /// an unlimited one and the serial reference bit for bit — one path,
+    /// so a guard cannot change an answer.
     #[test]
     fn guarded_paths_match_reference_when_unlimited() {
         let (polys, vals) = setup(13);
         let reference = apply_batch(&polys, &vals).values;
-        let compiled = provabs_provenance::compiled::CompiledPolySet::compile(&polys);
-        let guard = Guard::unlimited();
-        for opts in [
-            EvalOptions::new(),
-            EvalOptions::new().threads(1),
-            EvalOptions::new().threads(3).chunk(2),
-            EvalOptions::serial_reference(),
-        ] {
-            let with = eval_prepared_guarded(&polys, Some(&compiled), &vals, &opts, &guard);
-            assert!(with.panics.is_empty() && with.interrupted.is_none());
-            assert_eq!(with.values, reference, "{opts:?}");
-            let without = eval_prepared_guarded(&polys, None, &vals, &opts, &guard);
-            assert_eq!(without.values, reference, "{opts:?}");
-            let view = eval_compiled_view_guarded(compiled.view(), &vals, &opts, &guard);
-            assert_eq!(view.values, reference, "{opts:?}");
+        let compiled = CompiledPolySet::compile(&polys);
+        let armed = Guard::new(Budget::with_deadline(Duration::from_secs(3600)))
+            .with_cancel(CancelToken::new());
+        for guard in [Guard::unlimited(), armed] {
+            for opts in [
+                EvalOptions::new(),
+                EvalOptions::new().threads(1),
+                EvalOptions::new().threads(3),
+            ] {
+                let run = eval(compiled.view(), &vals, &opts, &guard);
+                assert!(run.panics.is_empty() && run.interrupted.is_none());
+                assert_eq!(run.values, reference, "{opts:?}");
+            }
+            let serial = eval_reference(&polys, &vals, &guard).expect("never trips");
+            assert_eq!(serial.values, reference);
         }
     }
 
     /// A token cancelled before the batch starts stops every worker at
-    /// its first claim: no rows are produced and the run reports
-    /// `Interrupt::Cancelled`.
+    /// its first claim — no row is evaluated — and the reference path at
+    /// its one probe: both report `Interrupt::Cancelled`.
     #[test]
     fn cancelled_token_stops_workers_at_the_claim() {
         let (polys, vals) = setup(12);
-        let token = provabs_provenance::guard::CancelToken::new();
+        let compiled = CompiledPolySet::compile(&polys);
+        let token = CancelToken::new();
         token.cancel();
         let guard = Guard::unlimited().with_cancel(token);
-        let run = eval_prepared_guarded(
-            &polys,
-            None,
-            &vals,
-            &EvalOptions::new().threads(3).chunk(1),
-            &guard,
+        for threads in [1, 3] {
+            let run = eval(
+                compiled.view(),
+                &vals,
+                &EvalOptions::new().threads(threads),
+                &guard,
+            );
+            assert_eq!(run.interrupted, Some(Interrupt::Cancelled));
+            assert_eq!(run.values.len(), vals.len());
+            assert!(run.values.iter().all(Vec::is_empty), "no chunk may run");
+            assert!(matches!(
+                run.into_result(),
+                Err(ExecError::Interrupted(Interrupt::Cancelled))
+            ));
+        }
+        assert_eq!(
+            eval_reference(&polys, &vals, &guard).unwrap_err(),
+            ExecError::Interrupted(Interrupt::Cancelled)
         );
-        assert_eq!(run.interrupted, Some(Interrupt::Cancelled));
-        assert!(run.values.iter().all(Vec::is_empty), "no chunk may run");
-        assert!(matches!(
-            run.into_result(),
-            Err(ExecError::Interrupted(Interrupt::Cancelled))
-        ));
     }
 
     /// A cancellation raised mid-batch stops within one chunk per worker:
@@ -956,9 +801,9 @@ mod tests {
     #[test]
     fn mid_batch_cancellation_stops_within_a_chunk() {
         let (polys, vals) = setup(64);
-        let token = provabs_provenance::guard::CancelToken::new();
+        let token = CancelToken::new();
         let guard = Guard::unlimited().with_cancel(token.clone());
-        let (values, panics, interrupted) = run_chunked_guarded(
+        let (values, panics, interrupted) = run_chunked(
             vals.len(),
             2,
             1,
@@ -995,9 +840,10 @@ mod tests {
         assert!(opts.resolved_threads(100) >= 1);
         assert_eq!(opts.resolved_threads(0), 1);
         assert_eq!(EvalOptions::new().threads(8).resolved_threads(3), 3);
-        assert_eq!(opts.resolved_chunk(100, 4), 7); // ceil(100/16)
-        assert_eq!(EvalOptions::new().chunk(5).resolved_chunk(100, 4), 5);
-        let timed = apply_batch_parallel(&PolySet::new(), &[], &opts);
-        assert!(timed.values.is_empty());
+        assert_eq!(resolved_chunk(100, 4, Kernel::Scalar), 7); // ceil(100/16)
+        assert_eq!(resolved_chunk(100, 4, Kernel::Generic), 8);
+        assert_eq!(resolved_chunk(0, 1, Kernel::Scalar), 1);
+        let reference = EvalOptions::serial_reference();
+        assert!(!reference.compiled && opts.compiled);
     }
 }

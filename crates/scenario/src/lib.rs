@@ -10,10 +10,10 @@
 //!
 //! * [`scenario`] — named multiplicative scenarios and their valuations,
 //! * [`apply`] — the serial hash-map reference loop for batch application,
-//! * [`executor`] — the production engine: compiled columnar poly-sets
-//!   evaluated on a scoped thread pool ([`executor::apply_batch_parallel`]
-//!   with the [`executor::EvalOptions`] builder; [`executor::PreparedBatch`]
-//!   compiles once across many batches),
+//! * [`executor`] — the production engine: [`executor::eval`] runs every
+//!   batch over compiled columns in guard-probed, panic-isolated chunks
+//!   ([`executor::EvalOptions`] sizes the pool and pins the kernel;
+//!   `Guard::unlimited()` is the free case, not a second path),
 //! * [`speedup`] — the assignment-time speedup measurement of Figure 10,
 //! * [`accuracy`] — granularity accuracy (Table 1) and the result-error
 //!   measure for scenarios finer than the chosen abstraction.
@@ -21,13 +21,15 @@
 //! # Example
 //!
 //! Apply a 3-scenario batch through the serial reference and the
-//! compiled parallel engine — identical values, one timing each:
+//! compiled engine — identical values, one timing each:
 //!
 //! ```
+//! use provabs_provenance::compiled::CompiledPolySet;
+//! use provabs_provenance::guard::Guard;
 //! use provabs_provenance::parse::parse_polyset;
 //! use provabs_provenance::var::VarTable;
 //! use provabs_scenario::apply::apply_batch;
-//! use provabs_scenario::executor::{apply_batch_parallel, EvalOptions};
+//! use provabs_scenario::executor::{eval, EvalOptions};
 //! use provabs_scenario::Scenario;
 //!
 //! let mut vars = VarTable::new();
@@ -37,8 +39,10 @@
 //!     .map(|f| Scenario::new().set("m3", *f).valuation(&mut vars))
 //!     .collect();
 //! let serial = apply_batch(&polys, &batch);
-//! let parallel = apply_batch_parallel(&polys, &batch, &EvalOptions::new());
-//! assert_eq!(serial.values, parallel.values);
+//! // Compile once, pose many batches; the guard can cancel or time one out.
+//! let compiled = CompiledPolySet::compile(&polys);
+//! let run = eval(compiled.view(), &batch, &EvalOptions::new(), &Guard::unlimited());
+//! assert_eq!(serial.values, run.into_result().unwrap().values);
 //! ```
 
 pub mod accuracy;

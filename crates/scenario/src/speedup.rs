@@ -8,7 +8,6 @@
 //! `Vvs::lift_valuation` — both produce identical per-polynomial values
 //! (tested), so the comparison is apples-to-apples.
 
-use crate::executor::{EvalOptions, PreparedBatch};
 use provabs_core::problem::AbstractionResult;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
@@ -25,59 +24,27 @@ pub struct SpeedupReport {
     pub speedup_pct: f64,
 }
 
-/// Measures the assignment-time speedup of `result` on `polys` under the
-/// given coarse scenarios (valuations over the abstracted variables),
-/// repeating the batch `repeat` times to stabilise the measurement.
-///
-/// Both the original and the compressed side run through the engine
-/// configured by `opts`, so the comparison stays apples-to-apples
-/// whichever engine is chosen ([`EvalOptions::serial_reference`] is the
-/// paper-faithful Figure 10 configuration). Compilation happens once per
-/// side, outside the timed repeats — the measured quantity is the
-/// steady-state evaluation cost of the analyst loop (compile once, pose
-/// many batches).
-pub fn assignment_speedup(
-    polys: &PolySet<f64>,
-    result: &AbstractionResult,
-    coarse_scenarios: &[Valuation<f64>],
-    repeat: usize,
-    opts: &EvalOptions,
-) -> SpeedupReport {
-    let compressed = result.apply(polys);
-    let lifted: Vec<Valuation<f64>> = coarse_scenarios
-        .iter()
-        .map(|v| result.vvs.lift_valuation(&result.forest, v))
-        .collect();
-    let original_engine = PreparedBatch::new(polys, opts);
-    let compressed_engine = PreparedBatch::new(&compressed, opts);
-    measure_alternating(
-        repeat,
-        || original_engine.apply(&lifted).elapsed,
-        || compressed_engine.apply(coarse_scenarios).elapsed,
-    )
-}
-
 /// The timed core shared by every speedup measurement: alternates the
 /// two sides across `repeat` repetitions (so cache warm-up does not
 /// systematically favour either one) and folds the accumulated times
 /// into a [`SpeedupReport`]. The callbacks time one original-side /
-/// compressed-side batch each; callers bring their own engines —
-/// [`assignment_speedup`] uses fresh [`PreparedBatch`]es,
-/// `provabs_session` its cached lowerings.
-pub fn measure_alternating(
+/// compressed-side batch each; callers bring their own engines
+/// (`provabs_session::Session::speedup_report` its cached lowerings).
+/// A batch that fails ends the measurement with its error.
+pub fn measure_alternating<E>(
     repeat: usize,
-    mut time_original: impl FnMut() -> Duration,
-    mut time_compressed: impl FnMut() -> Duration,
-) -> SpeedupReport {
+    mut time_original: impl FnMut() -> Result<Duration, E>,
+    mut time_compressed: impl FnMut() -> Result<Duration, E>,
+) -> Result<SpeedupReport, E> {
     let mut t_orig = Duration::ZERO;
     let mut t_comp = Duration::ZERO;
     for i in 0..repeat.max(1) {
         if i % 2 == 0 {
-            t_orig += time_original();
-            t_comp += time_compressed();
+            t_orig += time_original()?;
+            t_comp += time_compressed()?;
         } else {
-            t_comp += time_compressed();
-            t_orig += time_original();
+            t_comp += time_compressed()?;
+            t_orig += time_original()?;
         }
     }
     let speedup_pct = if t_orig.as_secs_f64() > 0.0 {
@@ -85,11 +52,11 @@ pub fn measure_alternating(
     } else {
         0.0
     };
-    SpeedupReport {
+    Ok(SpeedupReport {
         original: t_orig,
         compressed: t_comp,
         speedup_pct,
-    }
+    })
 }
 
 /// Checks the semantic equivalence underlying the speedup comparison:
@@ -129,8 +96,11 @@ pub fn max_equivalence_error_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apply::apply_batch;
+    use crate::executor::{eval, EvalOptions, ExecError};
     use crate::scenario::Scenario;
     use provabs_core::optimal::optimal_vvs;
+    use provabs_provenance::compiled::CompiledPolySet;
     use provabs_provenance::guard::Guard;
     use provabs_provenance::parse::parse_polyset;
     use provabs_provenance::var::VarTable;
@@ -154,6 +124,13 @@ mod tests {
         (polys, abs.result, vars)
     }
 
+    fn lift(result: &AbstractionResult, coarse: &[Valuation<f64>]) -> Vec<Valuation<f64>> {
+        coarse
+            .iter()
+            .map(|v| result.vvs.lift_valuation(&result.forest, v))
+            .collect()
+    }
+
     #[test]
     fn compressed_and_lifted_agree() {
         let (polys, result, mut vars) = setup();
@@ -171,23 +148,26 @@ mod tests {
         assert!(err < 1e-12, "equivalence error {err}");
     }
 
+    /// The paper-faithful Figure 10 configuration: the serial hash-map
+    /// loop on both sides.
     #[test]
     fn speedup_report_is_well_formed() {
         let (polys, result, mut vars) = setup();
-        let scenarios: Vec<_> = (0..20)
+        let coarse: Vec<_> = (0..20)
             .map(|i| {
                 Scenario::new()
                     .set("SB", 1.0 + i as f64 / 100.0)
                     .valuation(&mut vars)
             })
             .collect();
-        let report = assignment_speedup(
-            &polys,
-            &result,
-            &scenarios,
+        let compressed = result.apply(&polys);
+        let lifted = lift(&result, &coarse);
+        let report = measure_alternating(
             3,
-            &EvalOptions::serial_reference(),
-        );
+            || Ok::<_, ExecError>(apply_batch(&polys, &lifted).elapsed),
+            || Ok(apply_batch(&compressed, &coarse).elapsed),
+        )
+        .expect("neither side fails");
         assert!(report.original.as_nanos() > 0);
         assert!(report.compressed.as_nanos() > 0);
         assert!((0.0..=100.0).contains(&report.speedup_pct));
@@ -196,15 +176,27 @@ mod tests {
     #[test]
     fn speedup_with_compiled_parallel_engine_is_well_formed() {
         let (polys, result, mut vars) = setup();
-        let scenarios: Vec<_> = (0..8)
+        let coarse: Vec<_> = (0..8)
             .map(|i| {
                 Scenario::new()
                     .set("SB", 1.0 + i as f64 / 50.0)
                     .valuation(&mut vars)
             })
             .collect();
-        let opts = EvalOptions::new().threads(2);
-        let report = assignment_speedup(&polys, &result, &scenarios, 2, &opts);
+        let original = CompiledPolySet::compile(&polys);
+        let compressed = CompiledPolySet::compile(&result.apply(&polys));
+        let lifted = lift(&result, &coarse);
+        let time = |side: &CompiledPolySet<f64>, batch: &[Valuation<f64>]| {
+            let opts = EvalOptions::new().threads(2);
+            let run = eval(side.view(), batch, &opts, &Guard::unlimited());
+            Ok::<_, ExecError>(run.into_result()?.elapsed)
+        };
+        let report = measure_alternating(
+            2,
+            || time(&original, &lifted),
+            || time(&compressed, &coarse),
+        )
+        .expect("neither side fails");
         assert!(report.original.as_nanos() > 0);
         assert!(report.compressed.as_nanos() > 0);
         assert!((0.0..=100.0).contains(&report.speedup_pct));

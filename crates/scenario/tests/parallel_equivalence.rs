@@ -1,6 +1,6 @@
 //! Property suite: the serial hash-map reference, the compiled columnar
-//! evaluator, and every thread-pool configuration agree **bit for bit**
-//! on random poly-sets and scenario batches.
+//! evaluator, and the executor on every worker count and kernel agree
+//! **bit for bit** on random poly-sets and scenario batches.
 //!
 //! Bit-for-bit (not merely approximate) equality holds because the
 //! compiled arena preserves the hash-map's monomial iteration order and
@@ -10,13 +10,14 @@
 
 use proptest::prelude::*;
 use provabs_provenance::compiled::CompiledPolySet;
+use provabs_provenance::guard::Guard;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::var::VarId;
 use provabs_scenario::apply::apply_batch;
-use provabs_scenario::executor::{apply_batch_parallel, EvalOptions};
+use provabs_scenario::executor::{eval, eval_reference, EvalOptions, Kernel};
 
 /// A random poly-set over variables v0..v12: up to 6 polynomials of up
 /// to 5 monomials, each with up to 3 factors of exponent 1..=3 and a
@@ -83,28 +84,41 @@ fn assert_bits_equal(label: &str, reference: &[Vec<f64>], got: &[Vec<f64>]) {
     }
 }
 
+/// One clean batch through the executor under an unlimited guard.
+fn eval_values(
+    compiled: &CompiledPolySet<f64>,
+    batch: &[Valuation<f64>],
+    opts: &EvalOptions,
+) -> Vec<Vec<f64>> {
+    eval(compiled.view(), batch, opts, &Guard::unlimited())
+        .into_result()
+        .expect("an unlimited guard and no panic")
+        .values
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The tentpole invariant: serial hash-map, compiled-serial,
-    /// compiled-parallel and hashmap-parallel all produce identical bits.
+    /// The tentpole invariant: the executor — inline or pooled, on every
+    /// kernel request, whatever chunking the batch size resolves to —
+    /// produces the serial hash-map loop's bits.
     #[test]
     fn all_engines_agree_bit_for_bit(
         polys in polyset_strategy(),
         batch in batch_strategy(12),
         threads in 1usize..5,
-        chunk in 0usize..4,
     ) {
         let reference = apply_batch(&polys, &batch).values;
-        let configs = [
-            ("compiled-serial", EvalOptions::new().threads(1)),
-            ("compiled-parallel", EvalOptions::new().threads(threads).chunk(chunk)),
-            ("hashmap-parallel", EvalOptions::new().threads(threads).compiled(false)),
-            ("auto", EvalOptions::new()),
-        ];
-        for (label, opts) in configs {
-            let got = apply_batch_parallel(&polys, &batch, &opts).values;
-            assert_bits_equal(label, &reference, &got);
+        let compiled = CompiledPolySet::compile(&polys);
+        for kernel in [Kernel::Auto, Kernel::Scalar, Kernel::Generic, Kernel::Avx2] {
+            for (label, opts) in [
+                ("inline", EvalOptions::new().threads(1).kernel(kernel)),
+                ("pooled", EvalOptions::new().threads(threads).kernel(kernel)),
+                ("auto", EvalOptions::new().kernel(kernel)),
+            ] {
+                let got = eval_values(&compiled, &batch, &opts);
+                assert_bits_equal(&format!("{label} {kernel:?}"), &reference, &got);
+            }
         }
     }
 
@@ -132,9 +146,10 @@ proptest! {
     fn empty_batch_is_empty_everywhere(polys in polyset_strategy()) {
         let empty: [Valuation<f64>; 0] = [];
         prop_assert!(apply_batch(&polys, &empty).values.is_empty());
-        for opts in [EvalOptions::new(), EvalOptions::serial_reference()] {
-            prop_assert!(apply_batch_parallel(&polys, &empty, &opts).values.is_empty());
-        }
+        let compiled = CompiledPolySet::compile(&polys);
+        prop_assert!(eval_values(&compiled, &empty, &EvalOptions::new()).is_empty());
+        let reference = eval_reference(&polys, &empty, &Guard::unlimited());
+        prop_assert!(reference.expect("never trips").values.is_empty());
     }
 
     /// A single-scenario batch forced through many workers still matches
@@ -143,7 +158,8 @@ proptest! {
     fn single_scenario_many_threads(polys in polyset_strategy(), batch in batch_strategy(2)) {
         prop_assume!(batch.len() == 1);
         let reference = apply_batch(&polys, &batch).values;
-        let got = apply_batch_parallel(&polys, &batch, &EvalOptions::new().threads(8)).values;
+        let compiled = CompiledPolySet::compile(&polys);
+        let got = eval_values(&compiled, &batch, &EvalOptions::new().threads(8));
         assert_bits_equal("single-scenario", &reference, &got);
     }
 }

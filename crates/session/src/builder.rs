@@ -151,9 +151,9 @@ impl SessionBuilder {
 
     /// Arms a wall-clock deadline `timeout` from **now** (the moment this
     /// setter runs) on the session's default guard, covering all the
-    /// guarded work of the argument-free spellings — compression and
-    /// guarded evaluation alike (a call handed its own guard runs under
-    /// that one instead). When the deadline
+    /// work of the argument-free spellings — compression and evaluation
+    /// alike (a call handed its own guard runs under that one instead).
+    /// When the deadline
     /// passes, compression stops gracefully at its best-so-far
     /// abstraction (tagged in [`Session::run_stats`]) and evaluation
     /// batches fail with [`Error::Cancelled`].

@@ -58,7 +58,7 @@ pub enum Error {
     /// `Session::open_mapped`). Corrupted or truncated artifacts always
     /// surface here — never as a panic or silently-loaded garbage.
     Persist(PersistError),
-    /// A guarded evaluation was stopped by the guard it ran under — deadline
+    /// An evaluation was stopped by the guard it ran under — deadline
     /// expired, step budget exhausted, or the attached
     /// [`CancelToken`](provabs_provenance::guard::CancelToken) tripped —
     /// before the batch produced its answers. (Compression never surfaces

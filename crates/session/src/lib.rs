@@ -53,7 +53,8 @@
 //! installed and answering, tagged in [`Session::run_stats`] — while
 //! evaluation batches fail typed ([`Error::Cancelled`],
 //! [`Error::WorkerPanic`]) with panics isolated to the one scenario
-//! that raised them. Saving is torn-file-proof under injected
+//! that raised them, on the one executor every batch runs on whatever
+//! its guard (`docs/adr/015-one-executor.md`). Saving is torn-file-proof under injected
 //! filesystem faults ([`Session::save_with_faults`]).
 //!
 //! # Example
@@ -98,7 +99,7 @@
 //! | [`Strategy::Brute`] | [`provabs_core::reference::brute_force_vvs`] |
 //! | [`Strategy::Sharded`] | [`provabs_core::shard::sharded_greedy`] |
 //! | [`Strategy::None`] | [`provabs_core::problem::evaluate_vvs`] on [`Vvs::identity`](provabs_trees::cut::Vvs::identity) |
-//! | [`Session::ask`] | [`provabs_scenario::executor::eval_compiled`] on [`WorkingSet::freeze`](provabs_provenance::working::WorkingSet::freeze) |
+//! | [`Session::ask`] | [`provabs_scenario::executor::eval`] on [`WorkingSet::freeze`](provabs_provenance::working::WorkingSet::freeze)`.view()` (under [`EvalOptions::serial_reference`](provabs_scenario::executor::EvalOptions::serial_reference): [`eval_reference`](provabs_scenario::executor::eval_reference) on the bridge) |
 //! | [`Session::speedup_report`] | [`provabs_scenario::speedup::measure_alternating`] over the cached lowerings |
 //! | [`Session::accuracy_report`] | [`provabs_scenario::accuracy::coarse_valuation`] + [`error_stats`](provabs_scenario::accuracy::error_stats) |
 //! | [`Session::frontier`] | [`provabs_core::optimal::optimal_frontier`] / [`provabs_core::greedy::greedy_frontier`] / [`provabs_core::shard::sharded_greedy_frontier`] |

@@ -60,10 +60,7 @@ use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
 use provabs_scenario::accuracy::{coarse_valuation, error_stats, ErrorReport};
 use provabs_scenario::apply::TimedRun;
-use provabs_scenario::executor::{
-    eval_compiled_view, eval_compiled_view_guarded, eval_prepared, eval_prepared_guarded,
-    EvalOptions,
-};
+use provabs_scenario::executor::{eval, eval_reference, EvalOptions};
 use provabs_scenario::scenario::Scenario;
 use provabs_scenario::speedup::{
     max_equivalence_error_prepared, measure_alternating, SpeedupReport,
@@ -535,12 +532,12 @@ impl Session {
     /// needs the hash-map bridge, which is then built once and cached);
     /// when `opts` asks for the compiled path and the session has not
     /// frozen yet, the freeze happens once and is cached for every
-    /// future call. With a guard that can trip, the batch runs on the
-    /// *guarded* executor: cancellation and deadlines stop it within one
-    /// chunk claim per worker ([`Error::Cancelled`]) and a panicking
-    /// scenario is isolated and pinned ([`Error::WorkerPanic`]) while the
-    /// rest of the batch completes; an unlimited guard keeps the
-    /// infallible zero-overhead path.
+    /// future call. Whatever the guard, the batch runs on the one
+    /// executor: cancellation and deadlines stop it within one chunk
+    /// claim per worker ([`Error::Cancelled`]) and a panicking scenario
+    /// is isolated and pinned ([`Error::WorkerPanic`]) while the rest of
+    /// the batch completes; an unlimited guard never trips and costs two
+    /// `Option` checks per chunk.
     pub fn ask_with(
         &self,
         scenarios: &[Scenario],
@@ -572,9 +569,10 @@ impl Session {
     /// is posed on the compressed provenance directly and on the original
     /// through [`Vvs::lift_valuation`], alternating measurement order
     /// across `repeat` repetitions (the shared [`measure_alternating`]
-    /// core). Both sides run unguarded off the cached lowerings (each
-    /// side is frozen / compiled lazily on first use, then cached) —
-    /// repeated reports never recompile.
+    /// core). Both sides run under an unlimited guard off the cached
+    /// lowerings (each side is frozen / compiled lazily on first use,
+    /// then cached) — repeated reports never recompile. A scenario that
+    /// panics still comes back typed; the report stops at the first one.
     pub fn speedup_report(
         &self,
         scenarios: &[Scenario],
@@ -588,15 +586,15 @@ impl Session {
             .map(|v| state.result.vvs.lift_valuation(&state.result.forest, v))
             .collect();
         let unguarded = Guard::unlimited();
-        Ok(measure_alternating(
+        measure_alternating(
             repeat,
-            || self.eval_original(&lifted, opts).elapsed,
+            || Ok(self.eval_original(&lifted, opts)?.elapsed),
             || {
-                self.eval_compressed(state, &coarse, opts, &unguarded)
-                    .expect("an unlimited guard selects the infallible executor")
-                    .elapsed
+                Ok(self
+                    .eval_compressed(state, &coarse, opts, &unguarded)?
+                    .elapsed)
             },
-        ))
+        )
     }
 
     /// Pinned by `benchmark/`; use [`speedup_report`](Self::speedup_report).
@@ -624,7 +622,7 @@ impl Session {
             .expect("one scenario in, one valuation out");
         let coarse = [coarse_valuation(&state.result, &fine_val)];
         let exact = self
-            .eval_original(std::slice::from_ref(&fine_val), &self.opts)
+            .eval_original(std::slice::from_ref(&fine_val), &self.opts)?
             .values
             .pop()
             .unwrap_or_default();
@@ -719,9 +717,10 @@ impl Session {
         })
     }
 
-    /// One evaluation batch on the compressed side — the frozen columnar
-    /// lowering when `opts` asks for it, the hash-map bridge otherwise —
-    /// on the guarded executor exactly when `guard` can trip.
+    /// One evaluation batch on the compressed side: the executor over the
+    /// frozen columns, or — when `opts` asks for the serial reference —
+    /// the hash-map loop over the bridge. Only the lowering the batch
+    /// runs on is ever built.
     fn eval_compressed(
         &self,
         state: &CompressedState,
@@ -729,32 +728,29 @@ impl Session {
         opts: &EvalOptions,
         guard: &Guard,
     ) -> Result<TimedRun, Error> {
-        Ok(match (opts.compiled, guard.is_unlimited()) {
-            (true, true) => {
-                eval_compiled_view(self.compressed_columns(state).view(), valuations, opts)
-            }
-            (true, false) => eval_compiled_view_guarded(
-                self.compressed_columns(state).view(),
-                valuations,
-                opts,
-                guard,
-            )
-            .into_result()?,
-            (false, true) => eval_prepared(self.abstracted_bridge(state), None, valuations, opts),
-            (false, false) => {
-                eval_prepared_guarded(self.abstracted_bridge(state), None, valuations, opts, guard)
-                    .into_result()?
-            }
+        Ok(if opts.compiled {
+            let columns = self.compressed_columns(state).view();
+            eval(columns, valuations, opts, guard).into_result()?
+        } else {
+            eval_reference(self.abstracted_bridge(state), valuations, guard)?
         })
     }
 
-    /// One unguarded evaluation batch on the original (uncompressed) side.
-    fn eval_original(&self, valuations: &[Valuation<f64>], opts: &EvalOptions) -> TimedRun {
-        if opts.compiled {
-            eval_compiled_view(self.original_columns().view(), valuations, opts)
+    /// [`eval_compressed`](Self::eval_compressed) for the original
+    /// (uncompressed) side, under an unlimited guard: the two reports are
+    /// its only callers (ADR 014).
+    fn eval_original(
+        &self,
+        valuations: &[Valuation<f64>],
+        opts: &EvalOptions,
+    ) -> Result<TimedRun, Error> {
+        let guard = Guard::unlimited();
+        Ok(if opts.compiled {
+            let columns = self.original_columns().view();
+            eval(columns, valuations, opts, &guard).into_result()?
         } else {
-            eval_prepared(self.polys_ref(), None, valuations, opts)
-        }
+            eval_reference(self.polys_ref(), valuations, &guard)?
+        })
     }
 
     /// Accounts `took` to [`RunStats::elapsed`].

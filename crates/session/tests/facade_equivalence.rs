@@ -22,19 +22,20 @@ use provabs_core::problem::{evaluate_vvs, prepare, InternedAbstraction};
 use provabs_core::reference::{self, DEFAULT_CUT_LIMIT};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
 use provabs_provenance::compiled::CompiledPolySet;
-use provabs_provenance::guard::{CancelToken, Guard, Interrupt};
+use provabs_provenance::guard::{Budget, CancelToken, Guard, Interrupt};
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::working::WorkingSet;
 use provabs_provenance::{polyset_to_string, VarTable};
 use provabs_scenario::accuracy::{coarse_valuation, error_stats};
-use provabs_scenario::executor::{eval_compiled, EvalOptions};
+use provabs_scenario::executor::{eval, EvalOptions};
 use provabs_scenario::speedup::max_equivalence_error_prepared;
 use provabs_scenario::Scenario;
 use provabs_session::{Error, SessionBuilder, Strategy, Target};
 use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
+use std::time::Duration;
 
 /// A small, fast fixture: enough structure for every algorithm
 /// (including the quadratic competitor and exhaustive brute force),
@@ -202,7 +203,11 @@ fn facade_equals_low_level_for_every_strategy() {
                 .map(|s| s.valuation(&mut oracle_vars))
                 .collect();
             let frozen = expected.working.freeze();
-            let low = eval_compiled(&frozen, &vals, &opts).values;
+            let unlimited = Guard::unlimited();
+            let low = eval(frozen.view(), &vals, &opts, &unlimited)
+                .into_result()
+                .expect("clean batch")
+                .values;
             let high = session.ask(&scenarios).expect("known names").values;
             assert_values_bitwise(&low, &high, &context);
 
@@ -234,15 +239,21 @@ fn facade_equals_low_level_for_every_strategy() {
             let fine_val = fine.valuation(&mut oracle_vars);
             let original_compiled = CompiledPolySet::compile(&data.polys);
             let coarse_val = coarse_valuation(&expected.result, &fine_val);
-            let low_exact =
-                eval_compiled(&original_compiled, std::slice::from_ref(&fine_val), &opts)
-                    .values
-                    .pop()
-                    .unwrap_or_default();
-            let low_approx = eval_compiled(&frozen, std::slice::from_ref(&coarse_val), &opts)
+            let one = |compiled: &CompiledPolySet<f64>, val: &Valuation<f64>| {
+                eval(
+                    compiled.view(),
+                    std::slice::from_ref(val),
+                    &opts,
+                    &unlimited,
+                )
+                .into_result()
+                .expect("clean batch")
                 .values
                 .pop()
-                .unwrap_or_default();
+                .unwrap_or_default()
+            };
+            let low_exact = one(&original_compiled, &fine_val);
+            let low_approx = one(&frozen, &coarse_val);
             let low_acc = error_stats(&low_exact, &low_approx);
             let high_acc = session.accuracy_report(&fine).expect("known names");
             assert_eq!(
@@ -713,53 +724,68 @@ fn strategy_none_serves_the_original_provenance() {
 /// The kernel-dispatch hook: `Session::kernel_info` reports exactly what
 /// the builder's [`EvalOptions`] requested and what the dispatcher will
 /// run, and every forced kernel answers bit-for-bit identically through
-/// the façade.
+/// the façade — under an unlimited guard and under an armed one that
+/// never trips alike (one executor, so a guard cannot change an answer).
 #[test]
 fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
     use provabs_provenance::simd::{avx2_available, LANES};
     use provabs_session::Kernel;
 
-    let (data, forest) = fixture(Workload::Telephony);
-    // Scenario names come from the compression result (identical across
-    // kernels — the kernel only affects evaluation, never compression).
-    let mut scenarios: Vec<Scenario> = Vec::new();
-    let mut reference: Option<Vec<Vec<f64>>> = None;
-    for kernel in [Kernel::Scalar, Kernel::Generic, Kernel::Avx2, Kernel::Auto] {
-        let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
-            .forest(forest.clone())
-            .strategy(Strategy::Greedy { incremental: true })
-            .bound(data.polys.size_m())
-            .eval_options(EvalOptions::new().kernel(kernel))
-            .build()
-            .expect("valid");
+    for workload in [Workload::Telephony, Workload::TpchQ10] {
+        let (data, forest) = fixture(workload);
+        // Scenario names come from the compression result (identical across
+        // kernels — the kernel only affects evaluation, never compression).
+        let mut scenarios: Vec<Scenario> = Vec::new();
+        let mut reference: Option<Vec<Vec<f64>>> = None;
+        for kernel in [Kernel::Scalar, Kernel::Generic, Kernel::Avx2, Kernel::Auto] {
+            let context = format!("{} / kernel {kernel}", workload.name());
+            let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+                .forest(forest.clone())
+                .strategy(Strategy::Greedy { incremental: true })
+                .bound(data.polys.size_m())
+                .eval_options(EvalOptions::new().kernel(kernel))
+                .build()
+                .expect("valid");
 
-        // The observability hook, before any evaluation has happened.
-        let info = session.kernel_info();
-        assert_eq!(info.requested, kernel, "{kernel}: requested");
-        let lanes = if info.selected == Kernel::Scalar {
-            1
-        } else {
-            LANES
-        };
-        assert_eq!(info.lanes, lanes, "{kernel}: lane width");
-        assert_eq!(info.avx2_available, avx2_available(), "{kernel}: cpuid");
-        assert_eq!(info.selected, kernel.resolve(), "{kernel}: selected");
-        assert!(
-            info.selected != Kernel::Auto,
-            "{kernel}: selection must be concrete"
-        );
+            // The observability hook, before any evaluation has happened.
+            let info = session.kernel_info();
+            assert_eq!(info.requested, kernel, "{context}: requested");
+            let lanes = if info.selected == Kernel::Scalar {
+                1
+            } else {
+                LANES
+            };
+            assert_eq!(info.lanes, lanes, "{context}: lane width");
+            assert_eq!(info.avx2_available, avx2_available(), "{context}: cpuid");
+            assert_eq!(info.selected, kernel.resolve(), "{context}: selected");
+            assert!(
+                info.selected != Kernel::Auto,
+                "{context}: selection must be concrete"
+            );
 
-        let result = session.compress().expect("attainable bound").clone();
-        if scenarios.is_empty() {
-            let names = result.vvs.labels(&result.forest);
-            scenarios = (0..(2 * LANES + 3))
-                .map(|i| Scenario::random(&names, 0.6, 300 + i as u64))
-                .collect();
-        }
-        let values = session.ask(&scenarios).expect("known names").values;
-        match &reference {
-            None => reference = Some(values),
-            Some(expected) => assert_values_bitwise(expected, &values, &format!("kernel {kernel}")),
+            let result = session.compress().expect("attainable bound").clone();
+            if scenarios.is_empty() {
+                let names = result.vvs.labels(&result.forest);
+                scenarios = (0..(2 * LANES + 3))
+                    .map(|i| Scenario::random(&names, 0.6, 300 + i as u64))
+                    .collect();
+            }
+            let opts = session.eval_options();
+            let values = session
+                .ask_with(&scenarios, opts, &Guard::unlimited())
+                .expect("known names")
+                .values;
+            let armed = Guard::new(Budget::with_deadline(Duration::from_secs(3600)))
+                .with_cancel(CancelToken::new());
+            let guarded = session
+                .ask_with(&scenarios, opts, &armed)
+                .expect("the guard never trips")
+                .values;
+            assert_values_bitwise(&values, &guarded, &format!("{context}: armed guard"));
+            match &reference {
+                None => reference = Some(values),
+                Some(expected) => assert_values_bitwise(expected, &values, &context),
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Tuple-level how-provenance and hypothetical deletions (§2.1 case 1),
 //! with a [`Session`] grouping tuple variables by nation.
 //!
-//! A join query is evaluated over annotated relations; the output
-//! polynomials answer "does this result survive if those suppliers
+//! A join query is captured with one variable per supplier tuple; the
+//! output polynomials answer "does this result survive if those suppliers
 //! disappear?" — a deletion is exactly the multiplicative scenario
 //! `variable × 0`, so the session's `ask` answers it: a part survives
 //! iff its provenance evaluates to a non-zero count. Abstraction trees
@@ -11,20 +11,15 @@
 //!
 //! Run with `cargo run --example deletion_propagation`.
 
-use provabs::engine::annot::KRelation;
+use provabs::engine::expr::Expr;
+use provabs::engine::param::VarRule;
+use provabs::engine::query::Pipeline;
 use provabs::engine::schema::{ColumnType, Schema};
 use provabs::engine::table::Table;
 use provabs::engine::value::Value;
-use provabs::provenance::polynomial::Polynomial;
-use provabs::provenance::polyset::PolySet;
-use provabs::provenance::semiring::Semiring;
 use provabs::provenance::valuation::Valuation;
 use provabs::provenance::VarTable;
 use provabs::{Scenario, SessionBuilder};
-
-/// Counting how-provenance: `N[X]` with `f64` coefficients, so deletions
-/// are valuations `x ↦ 0` and survival is "value > 0".
-type NX = Polynomial<f64>;
 
 fn main() {
     // Suppliers (with their nation) and the parts they can deliver.
@@ -53,32 +48,30 @@ fn main() {
             .expect("well-typed");
     }
 
-    // Annotate each supplier tuple with its own variable s<sid>; offers
-    // are trusted facts (annotation 1).
+    // Which parts are obtainable? π_part(suppliers ⋈ offers), as counting
+    // how-provenance: each supplier tuple is its own variable s<sid>,
+    // offers are trusted facts, and every join match counts 1 — so
+    // deletions are valuations `x ↦ 0` and survival is "value > 0".
     let mut vars = VarTable::new();
-    let s_ids: Vec<_> = (1..=4).map(|i| vars.intern(&format!("s{i}"))).collect();
-    let ks: KRelation<NX> =
-        KRelation::from_table_with(&suppliers, |i, _| Polynomial::variable(s_ids[i]));
-    let ko: KRelation<NX> = KRelation::from_table_with(&offers, |_, _| NX::one());
-
-    // Which parts are obtainable? π_part(suppliers ⋈ offers).
-    let parts = ks
-        .join(&ko, &[("sid", "sid")], "o")
+    let parts = Pipeline::from_table(suppliers)
+        .join_table(&offers, &[("sid", "sid")], "o")
         .expect("join")
-        .project(&["part"])
-        .expect("project");
+        .aggregate_sum(
+            &["part"],
+            &Expr::lit(1.0),
+            &[VarRule::per_value("sid", "s")],
+            &mut vars,
+        )
+        .expect("aggregate");
     println!("how-provenance per part:");
-    let mut polys = Vec::new();
-    let mut keys = Vec::new();
-    for (row, p) in parts.iter() {
-        println!("  {} : {:?}", row[0], p);
-        keys.push(row.clone());
-        polys.push(p.clone());
+    for (key, p) in parts.keys.iter().zip(parts.polys.iter()) {
+        println!("  {} : {:?}", key[0], p);
     }
+    let keys = parts.keys;
 
     // The session: group suppliers by nation, keep the nation level
     // (bound 3 merges each nation into its meta-variable).
-    let session = SessionBuilder::new(PolySet::from_vec(polys), vars)
+    let session = SessionBuilder::new(parts.polys, vars)
         .forest_text("AllSup(FR(s1, s2), DE(s3, s4))")
         .expect("well-formed tree")
         .bound(3)

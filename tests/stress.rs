@@ -12,7 +12,8 @@ use provabs::provenance::guard::Guard;
 use provabs::provenance::working::WorkingSet;
 use provabs::scenario::executor::EvalOptions;
 use provabs::scenario::scenario::Scenario;
-use provabs::scenario::speedup::{assignment_speedup, max_equivalence_error};
+use provabs::scenario::speedup::max_equivalence_error;
+use provabs::{SessionBuilder, Strategy};
 
 /// The telephony workload at ~50× the test scale: several hundred
 /// thousand monomials, exercising the sparse DP, the greedy index and the
@@ -40,17 +41,21 @@ fn telephony_at_scale() {
 
     // The what-if machinery stays numerically sound at scale.
     let names = opt.vvs.labels(&opt.forest);
-    let scenarios: Vec<_> = (0..10)
-        .map(|i| Scenario::random(&names, 0.5, i).valuation(&mut data.vars))
+    let scenarios: Vec<_> = (0..10).map(|i| Scenario::random(&names, 0.5, i)).collect();
+    let valuations: Vec<_> = scenarios
+        .iter()
+        .map(|s| s.valuation(&mut data.vars))
         .collect();
-    assert!(max_equivalence_error(&data.polys, &opt, &scenarios) < 1e-9);
-    let report = assignment_speedup(
-        &data.polys,
-        &opt,
-        &scenarios,
-        3,
-        &EvalOptions::serial_reference(),
-    );
+    assert!(max_equivalence_error(&data.polys, &opt, &valuations) < 1e-9);
+    let session = SessionBuilder::new(data.polys, data.vars)
+        .forest(forest)
+        .strategy(Strategy::Optimal)
+        .bound(bound)
+        .build()
+        .expect("valid");
+    let report = session
+        .speedup_report(&scenarios, 3, &EvalOptions::serial_reference())
+        .expect("known names, attainable bound");
     assert!(
         report.speedup_pct > 0.0,
         "compression must pay off at scale"

@@ -171,21 +171,21 @@ pub fn pairwise_summarize<C: Coefficient>(
     bound: usize,
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, OracleStats, Completion), TreeError> {
-    let cleaned = prepare(source, forest)?;
+    let (cleaned, live) = prepare(source, forest)?;
     let original_size_m = source.size_m();
-    let original_size_v = source.size_v();
     let mut ws = source.clone();
     let mut stats = OracleStats::default();
     let (antichain, completion) = summarize_core(&mut ws, &cleaned, bound, &mut stats, guard);
     let vvs = vvs_from_membership(&antichain);
     debug_assert!(vvs.validate(&cleaned).is_ok());
+    let live_vars = ws.live_vars();
     let result = AbstractionResult {
         forest: cleaned,
         vvs,
         original_size_m,
-        original_size_v,
+        original_size_v: live.len(),
         compressed_size_m: ws.size_m(),
-        compressed_size_v: ws.size_v(),
+        compressed_size_v: live_vars.len(),
     };
     if completion.is_complete() && !result.is_adequate_for(bound) {
         return Err(TreeError::BoundUnattainable {
@@ -197,6 +197,7 @@ pub fn pairwise_summarize<C: Coefficient>(
         InternedAbstraction {
             result,
             working: ws,
+            live_vars,
         },
         stats,
         completion,
@@ -230,7 +231,8 @@ fn summarize_core<C: Coefficient>(
         // Full pair scan (this is the point of the baseline).
         let mut best: Option<Lift> = None;
         for pi in 0..ws.num_polys() {
-            let monos: Vec<MonoRef<'_>> = ws.poly_mono_ids(pi).map(|id| ws.mono(id)).collect();
+            let ids = ws.poly_mono_ids(pi).iter();
+            let monos: Vec<MonoRef<'_>> = ids.map(|&id| ws.mono(id)).collect();
             for i in 0..monos.len() {
                 for j in (i + 1)..monos.len() {
                     stats.pairs_examined += 1;

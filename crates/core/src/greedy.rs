@@ -18,12 +18,21 @@
 //! the in-flight polynomials live in an interned [`WorkingSet`] and the
 //! candidate scores are *delta-maintained* — each candidate caches its
 //! `(vl, ml_delta, affected)` triple, candidates are bucketed by variable
-//! loss, and applying a merge only dirties the candidates whose
-//! affected-polynomial sets intersect the applied group's postings
-//! (tracked by per-polynomial version stamps, checked lazily when a
+//! loss, and applying a merge only dirties the candidates *of other
+//! trees* whose affected-polynomial sets intersect the applied group's
+//! postings (tracked by per-polynomial stamps, checked lazily when a
 //! candidate's bucket is scanned). A step rewrites only the affected
-//! id-maps, so the per-iteration cost tracks the merge's footprint instead
-//! of `O(|𝒫|_M)`.
+//! runs, each inside its own span, so the per-iteration cost tracks the
+//! merge's footprint instead of `O(|𝒫|_M)`.
+//!
+//! Why a merge never dirties a candidate of its own tree: compatibility
+//! (§2.2) gives every monomial at most one node per tree, and two live
+//! candidates of one tree have disjoint groups. The monomials a
+//! candidate's delta is computed from each hold one of *its* group
+//! variables, so none of them holds a variable of the merged group: the
+//! merge neither relabels them, nor merges into them, nor removes them,
+//! and their remainder classes — hence the delta — stand. On a
+//! single-tree forest no candidate is ever scored twice.
 //!
 //! The paper's direct transcription — every iteration re-derives each
 //! minimal-VL candidate's group and recomputes its monomial loss from
@@ -48,7 +57,6 @@
 
 use crate::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
-use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
@@ -57,19 +65,36 @@ use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 use provabs_trees::tree::NodeId;
 
-/// Inverted index `variable → polynomial postings`, each list sorted
-/// ascending and duplicate-free.
-pub(crate) type Postings = FxHashMap<VarId, Vec<usize>>;
+/// Inverted index `variable → polynomial postings`, dense by
+/// [`VarId::index`]; each list sorted ascending and duplicate-free.
+#[derive(Default)]
+pub(crate) struct Postings(Vec<Vec<usize>>);
+
+impl Postings {
+    /// The list of `v`, for writing (empty if `v` has none yet).
+    pub(crate) fn entry(&mut self, v: VarId) -> &mut Vec<usize> {
+        if self.0.len() <= v.index() {
+            self.0.resize_with(v.index() + 1, Vec::new);
+        }
+        &mut self.0[v.index()]
+    }
+
+    /// The list of `v` (empty if `v` occurs nowhere).
+    fn get(&self, v: VarId) -> &[usize] {
+        self.0.get(v.index()).map_or(&[], Vec::as_slice)
+    }
+}
 
 /// Builds the postings index over a working set — the variables come
-/// straight out of the arena. Lists come out sorted because polynomials
-/// are visited in index order.
+/// straight out of the arena, read run by run (ids ascend within a run,
+/// so the arena's factor column is read front to back). Lists come out
+/// sorted because polynomials are visited in index order.
 fn build_postings<C: Coefficient>(ws: &WorkingSet<C>) -> Postings {
     let mut postings = Postings::default();
     for pi in 0..ws.num_polys() {
-        for id in ws.poly_mono_ids(pi) {
+        for &id in ws.poly_mono_ids(pi) {
             for v in ws.mono(id).vars() {
-                let list = postings.entry(v).or_default();
+                let list = postings.entry(v);
                 if list.last() != Some(&pi) {
                     list.push(pi);
                 }
@@ -109,11 +134,7 @@ pub(crate) fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
 /// a k-way merge of the (already sorted) postings lists, smallest lists
 /// first so the accumulator stays as short as possible.
 pub(crate) fn affected_polys(postings: &Postings, group: &[VarId]) -> Vec<usize> {
-    let mut lists: Vec<&[usize]> = group
-        .iter()
-        .filter_map(|v| postings.get(v))
-        .map(Vec::as_slice)
-        .collect();
+    let mut lists: Vec<&[usize]> = group.iter().map(|&v| postings.get(v)).collect();
     lists.sort_unstable_by_key(|l| l.len());
     let mut out: Vec<usize> = Vec::new();
     for l in lists {
@@ -166,12 +187,12 @@ pub fn greedy_vvs<C: Coefficient>(
     bound: usize,
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
-    let cleaned = prepare(source, forest)?;
+    let (cleaned, live) = prepare(source, forest)?;
     let total_m = source.size_m();
     if bound >= total_m {
         let vvs = Vvs::identity(&cleaned);
         return Ok((
-            evaluate_vvs(source.clone(), &cleaned, vvs),
+            evaluate_vvs(source.clone(), &cleaned, vvs, live.len()),
             Completion::Complete,
         ));
     }
@@ -181,19 +202,20 @@ pub fn greedy_vvs<C: Coefficient>(
             best_possible: total_m,
         });
     }
-    let original_size_v = source.size_v();
     let k = total_m - bound;
-    let (in_s, ws, completion) =
-        run_incremental(source.clone(), &cleaned, k, guard, &mut |_, _, _| {});
-    let vvs = vvs_from_membership(&in_s);
+    let run = run_incremental(source.clone(), &cleaned, k, guard, &mut |_, _, _| {});
+    let (ws, completion) = (run.ws, run.completion);
+    let vvs = vvs_from_membership(&run.in_s);
     debug_assert!(vvs.validate(&cleaned).is_ok());
+    debug_assert!(cleaned.num_trees() > 1 || run.scorings <= run.candidates);
+    let live_vars = ws.live_vars();
     let result = AbstractionResult {
         forest: cleaned,
         vvs,
         original_size_m: total_m,
-        original_size_v,
+        original_size_v: live.len(),
         compressed_size_m: ws.size_m(),
-        compressed_size_v: ws.size_v(),
+        compressed_size_v: live_vars.len(),
     };
     // An interrupted run is exempt from the adequacy check: its contract
     // is "the best valid abstraction reached in the budget", which may
@@ -208,6 +230,7 @@ pub fn greedy_vvs<C: Coefficient>(
         InternedAbstraction {
             result,
             working: ws,
+            live_vars,
         },
         completion,
     ))
@@ -228,21 +251,20 @@ pub fn greedy_frontier<C: Coefficient>(
     forest: &Forest,
     guard: &Guard,
 ) -> Result<(Vec<(usize, usize)>, Completion), TreeError> {
-    let cleaned = prepare(source, forest)?;
-    let total_m = source.size_m();
-    let total_v = source.size_v();
+    let (cleaned, live) = prepare(source, forest)?;
+    let (total_m, total_v) = (source.size_m(), live.len());
     let mut out = vec![(total_m, total_v)];
     if cleaned.num_trees() == 0 {
         return Ok((out, Completion::Complete));
     }
-    let (_, _, completion) = run_incremental(
+    let run = run_incremental(
         source.clone(),
         &cleaned,
         usize::MAX,
         guard,
         &mut |_, ml, vl| out.push((total_m - ml, total_v - vl)),
     );
-    Ok((out, completion))
+    Ok((out, run.completion))
 }
 
 /// Converts per-tree membership bitmaps into a [`Vvs`].
@@ -330,6 +352,21 @@ pub(crate) struct TraceStep {
     pub(crate) delta: usize,
 }
 
+/// What one run of the incremental engine leaves behind.
+pub(crate) struct EngineRun<C> {
+    /// The final membership bitmaps, per tree.
+    pub(crate) in_s: Vec<Vec<bool>>,
+    /// The rewritten working set: `𝒫↓S` in interned form.
+    pub(crate) ws: WorkingSet<C>,
+    /// How the run ended.
+    pub(crate) completion: Completion,
+    /// How many candidates the run created.
+    pub(crate) candidates: usize,
+    /// How many deltas it computed: no more than `candidates` when
+    /// nothing was scored twice.
+    pub(crate) scorings: usize,
+}
+
 /// The incremental greedy main loop (see the [module docs](self)).
 /// Consumes the working set (rewriting it in place) and returns it — the
 /// final state *is* `𝒫↓S` in interned form — with the final membership
@@ -342,7 +379,7 @@ pub(crate) fn run_incremental<C: Coefficient>(
     k: usize,
     guard: &Guard,
     observer: &mut dyn FnMut(TraceStep, usize, usize),
-) -> (Vec<Vec<bool>>, WorkingSet<C>, Completion) {
+) -> EngineRun<C> {
     let mut in_s = leaf_membership(cleaned);
     let mut postings = build_postings(&ws);
 
@@ -359,13 +396,17 @@ pub(crate) fn run_incremental<C: Coefficient>(
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); max_vl.max(1)];
     let mut live_candidates = 0usize;
 
-    // Version stamps realise the dirty-set propagation: `poly_version[pi]`
-    // is the step that last rewrote polynomial `pi`, and a cached delta is
-    // stale iff any of its affected polynomials changed after it was
-    // computed — exactly "affected ∩ applied postings ≠ ∅", evaluated
-    // lazily so candidates outside the scanned bucket never pay for it.
-    let mut poly_version: Vec<u64> = vec![1; ws.num_polys()];
+    // Stamps realise the dirty-set propagation: `rewritten[pi]` holds the
+    // two newest merges of polynomial `pi` that belong to different trees,
+    // newest first, as `(step, tree)` — so the newest merge by a tree
+    // other than a given one is the first entry unless that is the given
+    // tree's, else the second. A cached delta is stale iff a merge of
+    // *another* tree rewrote one of its affected polynomials after it was
+    // computed (see the module docs), evaluated lazily so candidates
+    // outside the scanned bucket never pay for it.
+    let mut rewritten: Vec<[(u64, usize); 2]> = vec![[(0, usize::MAX); 2]; ws.num_polys()];
     let mut step: u64 = 1;
+    let mut scorings = 0usize;
 
     let add_candidate = |ti: usize,
                          node: NodeId,
@@ -433,17 +474,17 @@ pub(crate) fn run_incremental<C: Coefficient>(
         let bucket = std::mem::take(&mut buckets[bucket_vl]);
         let mut best: Option<usize> = None;
         for &id in &bucket {
-            let stale = {
-                let c = &slab[id];
-                c.computed_at == 0
-                    || c.affected
-                        .iter()
-                        .any(|&pi| poly_version[pi] > c.computed_at)
-            };
+            let c = &mut slab[id];
+            let stale = c.computed_at == 0
+                || c.affected.iter().any(|&pi| {
+                    let [newest, older] = rewritten[pi];
+                    let other_tree = if newest.1 != c.ti { newest } else { older };
+                    other_tree.0 > c.computed_at
+                });
             if stale {
-                let c = &mut slab[id];
                 c.delta = ws.ml_delta_of_group(&c.group, &c.affected);
                 c.computed_at = step;
+                scorings += 1;
             }
             let replace = match best {
                 None => true,
@@ -475,12 +516,16 @@ pub(crate) fn run_incremental<C: Coefficient>(
             let c = &slab[chosen_id];
             ws.apply_group(&c.group, chosen_var, &c.affected);
             for &pi in &c.affected {
-                poly_version[pi] = step;
+                let stamps = &mut rewritten[pi];
+                if stamps[0].1 != ti {
+                    stamps[1] = stamps[0];
+                }
+                stamps[0] = (step, ti);
             }
-            for v in &c.group {
-                postings.remove(v);
+            for &v in &c.group {
+                postings.entry(v).clear();
             }
-            let entry = postings.entry(chosen_var).or_default();
+            let entry = postings.entry(chosen_var);
             *entry = merge_sorted(entry, &c.affected);
         }
         ml_total += delta;
@@ -512,7 +557,13 @@ pub(crate) fn run_incremental<C: Coefficient>(
     }
     // The working set already is `𝒫↓S`: hand it back so the caller skips
     // the wholesale re-application (and can keep speaking ids).
-    (in_s, ws, completion)
+    EngineRun {
+        in_s,
+        ws,
+        completion,
+        candidates: slab.len(),
+        scorings,
+    }
 }
 
 // The name `benchmark/` imports, until a `benchmark`-only change renames it.
@@ -574,7 +625,7 @@ mod tests {
         // (exactly the paper's observation).
         let opt = Vvs::from_labels(&r.forest, &vars, &["SB", "Special", "e", "p1", "q1"])
             .expect("labels");
-        let opt_res = evaluate_vvs(source, &r.forest, opt).result;
+        let opt_res = evaluate_vvs(source, &r.forest, opt, r.original_size_v).result;
         assert_eq!(opt_res.ml(), 10);
         assert_eq!(opt_res.vl(), 4);
     }
@@ -731,6 +782,82 @@ mod tests {
         let (o, _) = crate::optimal::optimal_vvs(&source, &forest, 3, &guard).expect("adequate");
         assert_eq!(g.result.vl(), o.result.vl());
         assert_eq!(g.result.compressed_size_m, 3);
+    }
+
+    /// Two trees whose six candidates all lose one variable, so every one
+    /// of them sits in the bucket that is scanned at every step.
+    fn quarters_and_plan_groups() -> (PolySet<f64>, Forest) {
+        let mut vars = VarTable::new();
+        let line = |scale: f64, skip: usize| {
+            let plans = ["p1", "p2", "p3", "p4"].iter().enumerate();
+            plans
+                .flat_map(|(i, p)| (1..=4).map(move |j| (i * 4 + j, format!("{p}·m{j}"))))
+                .filter(|&(slot, _)| slot % 7 != skip)
+                .map(|(slot, mono)| format!("{}·{mono}", scale * slot as f64))
+                .collect::<Vec<_>>()
+                .join(" + ")
+        };
+        let text = format!("{}\n{}\n{}", line(1.0, 7), line(0.5, 3), line(0.25, 5));
+        let polys = parse_polyset(&text, &mut vars).expect("parse");
+        let year = TreeBuilder::new("Year")
+            .child("Year", "h1")
+            .child("Year", "h2")
+            .leaves("h1", ["m1", "m2"])
+            .leaves("h2", ["m3", "m4"])
+            .build(&mut vars)
+            .expect("tree");
+        let plans = TreeBuilder::new("Plans")
+            .child("Plans", "g1")
+            .child("Plans", "g2")
+            .leaves("g1", ["p1", "p2"])
+            .leaves("g2", ["p3", "p4"])
+            .build(&mut vars)
+            .expect("tree");
+        (polys, Forest::new(vec![year, plans]).expect("disjoint"))
+    }
+
+    /// Runs the engine to exhaustion and counts.
+    fn counts(polys: &PolySet<f64>, forest: &Forest) -> (usize, usize) {
+        let source = WorkingSet::from_polyset(polys);
+        let (cleaned, _) = prepare(&source, forest).expect("compatible");
+        let guard = Guard::unlimited();
+        let run = run_incremental(source, &cleaned, usize::MAX, &guard, &mut |_, _, _| {});
+        assert!(run.completion.is_complete());
+        (run.candidates, run.scorings)
+    }
+
+    #[test]
+    fn a_delta_goes_stale_only_when_another_tree_moved() {
+        // One tree: every candidate is scored when its bucket is first
+        // scanned and never again — a merge of its own tree cannot change
+        // what its delta was computed from.
+        let mut vars = VarTable::new();
+        let polys = parse_polyset(
+            "1·a·x + 2·b·x + 3·c·y + 4·d·y + 5·e·x + 6·f·y\n7·a·y + 8·c·x + 9·e·y + 1·f·x",
+            &mut vars,
+        )
+        .expect("parse");
+        let tree = TreeBuilder::new("R")
+            .child("R", "g1")
+            .child("R", "g2")
+            .child("R", "g3")
+            .leaves("g1", ["a", "b"])
+            .leaves("g2", ["c", "d"])
+            .leaves("g3", ["e", "f"])
+            .build(&mut vars)
+            .expect("tree");
+        assert_eq!(counts(&polys, &Forest::single(tree)), (4, 4));
+        // Example 15's two trees, five candidates: the variable-loss
+        // buckets already keep its plans out of every scan but the last,
+        // and both rules compute six deltas.
+        let (polys, forest, _) = example_15();
+        assert_eq!(counts(&polys, &forest), (5, 6));
+        // Two halves of a year against two groups of plans, six candidates
+        // in one bucket: a merge re-scores the other tree's candidates and
+        // leaves its own sibling alone — 12 deltas, where re-scoring after
+        // every rewrite (the rule before this one) computes 14.
+        let (polys, forest) = quarters_and_plan_groups();
+        assert_eq!(counts(&polys, &forest), (6, 12));
     }
 
     #[test]

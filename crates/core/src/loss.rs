@@ -47,8 +47,8 @@ impl TreeLoss {
         let mut key_ids: FxHashMap<(usize, u32, MonoId), u32> = FxHashMap::default();
         let mut per_leaf: Vec<Vec<u32>> = vec![Vec::new(); n];
         for pi in 0..ws.num_polys() {
-            let ids: Vec<MonoId> = ws.poly_mono_ids(pi).collect();
-            for id in ids {
+            for at in 0..ws.poly_size_m(pi) {
+                let id = ws.poly_mono_ids(pi)[at];
                 // Compatibility: at most one tree node per monomial.
                 let Some((node, v)) = ws
                     .mono(id)

@@ -172,6 +172,7 @@ pub fn online_compress<C: Coefficient>(
         source.clone(),
         &on_sample.result.forest,
         on_sample.result.vvs,
+        source.size_v(),
     );
     Ok((
         OnlineOutcome {

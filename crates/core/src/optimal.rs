@@ -209,12 +209,12 @@ pub fn optimal_vvs<C: Coefficient>(
     bound: usize,
     guard: &Guard,
 ) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
-    let cleaned = prepare(source, forest)?;
+    let (cleaned, live) = prepare(source, forest)?;
     let total_m = source.size_m();
     if bound >= total_m {
         let vvs = Vvs::identity(&cleaned);
         return Ok((
-            evaluate_vvs(source.clone(), &cleaned, vvs),
+            evaluate_vvs(source.clone(), &cleaned, vvs, live.len()),
             Completion::Complete,
         ));
     }
@@ -237,7 +237,7 @@ pub fn optimal_vvs<C: Coefficient>(
             // `work` was only used to memoise losses; the identity
             // fallback starts from the untouched source.
             let vvs = Vvs::identity(&cleaned);
-            let abs = evaluate_vvs(source.clone(), &cleaned, vvs);
+            let abs = evaluate_vvs(source.clone(), &cleaned, vvs, live.len());
             let completion = Completion::Interrupted {
                 reason,
                 steps,
@@ -258,7 +258,10 @@ pub fn optimal_vvs<C: Coefficient>(
     reconstruct(tree, &arrays, root, k, &mut chosen);
     let vvs = Vvs::from_per_tree(vec![chosen]);
     debug_assert!(vvs.validate(&cleaned).is_ok());
-    Ok((evaluate_vvs(work, &cleaned, vvs), Completion::Complete))
+    Ok((
+        evaluate_vvs(work, &cleaned, vvs, live.len()),
+        Completion::Complete,
+    ))
 }
 
 /// The full size/granularity trade-off frontier of a single tree: for
@@ -278,9 +281,8 @@ pub fn optimal_frontier<C: Coefficient>(
     forest: &Forest,
     guard: &Guard,
 ) -> Result<(Vec<(usize, usize)>, Completion), TreeError> {
-    let cleaned = prepare(source, forest)?;
-    let total_m = source.size_m();
-    let total_v = source.size_v();
+    let (cleaned, live) = prepare(source, forest)?;
+    let (total_m, total_v) = (source.size_m(), live.len());
     if cleaned.num_trees() == 0 {
         return Ok((vec![(total_m, total_v)], Completion::Complete));
     }

@@ -16,7 +16,9 @@
 //! rewritten `𝒫↓S`.
 
 use provabs_provenance::coeff::Coefficient;
+use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::polyset::PolySet;
+use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
 use provabs_trees::clean::clean_forest_vars;
 use provabs_trees::cut::Vvs;
@@ -66,18 +68,20 @@ impl AbstractionResult {
 }
 
 /// Cleans the forest against the provenance and checks compatibility —
-/// the shared preamble of every algorithm. Returns the cleaned forest.
+/// the shared preamble of every algorithm. Returns the cleaned forest
+/// and the live-variable set it was cleaned against (`|𝒫|_V` is its
+/// length: the one pass over the provenance a caller needs for it).
 ///
 /// The live-variable set and the distinct live monomials are read
 /// straight from the working set's arena.
 pub fn prepare<C: Coefficient>(
     working: &WorkingSet<C>,
     forest: &Forest,
-) -> Result<Forest, TreeError> {
+) -> Result<(Forest, FxHashSet<VarId>), TreeError> {
     let live = working.live_vars();
     let cleaned = clean_forest_vars(forest, &live);
     cleaned.check_compatible_parts(&live, working.live_monomials())?;
-    Ok(cleaned)
+    Ok((cleaned, live))
 }
 
 /// An abstraction outcome carried in the interned currency: the selection
@@ -92,12 +96,17 @@ pub struct InternedAbstraction<C> {
     pub result: AbstractionResult,
     /// The abstracted provenance `𝒫↓S` in interned form.
     pub working: WorkingSet<C>,
+    /// The distinct variables of `working` (`result.compressed_size_v` is
+    /// its length) — derived once, when the result was measured.
+    pub live_vars: FxHashSet<VarId>,
 }
 
 /// Applies `vvs` to a working set (consuming it) and measures everything,
 /// returning both the measures and the rewritten working set so
 /// downstream layers keep speaking ids. `forest` must be the forest the
-/// VVS was built over (typically already cleaned).
+/// VVS was built over (typically already cleaned), and `original_size_v`
+/// the working set's `|𝒫|_V` — which whoever cleaned that forest has
+/// (the length of [`prepare`]'s live set).
 ///
 /// Each distinct monomial is remapped exactly once regardless of how many
 /// polynomials share it, and the merge is `u32`-id accumulation; the
@@ -107,22 +116,27 @@ pub fn evaluate_vvs<C: Coefficient>(
     mut working: WorkingSet<C>,
     forest: &Forest,
     vvs: Vvs,
+    original_size_v: usize,
 ) -> InternedAbstraction<C> {
     let original_size_m = working.size_m();
-    let original_size_v = working.size_v();
     let subst = vvs.substitution(forest);
     if !subst.is_empty() {
         working.apply_var_map(|v| subst.target(v));
     }
+    let live_vars = working.live_vars();
     let result = AbstractionResult {
         forest: forest.clone(),
         vvs,
         original_size_m,
         original_size_v,
         compressed_size_m: working.size_m(),
-        compressed_size_v: working.size_v(),
+        compressed_size_v: live_vars.len(),
     };
-    InternedAbstraction { result, working }
+    InternedAbstraction {
+        result,
+        working,
+        live_vars,
+    }
 }
 
 #[cfg(test)]
@@ -149,7 +163,7 @@ mod tests {
             .expect("tree");
         let forest = Forest::single(tree);
         let vvs = Vvs::from_labels(&forest, &vars, &["Plans"]).expect("labels");
-        let r = evaluate_vvs(WorkingSet::from_polyset(&polys), &forest, vvs).result;
+        let r = evaluate_vvs(WorkingSet::from_polyset(&polys), &forest, vvs, 6).result;
         assert_eq!(r.original_size_m, 8);
         assert_eq!(r.original_size_v, 6);
         assert_eq!(r.compressed_size_m, 2);
@@ -172,7 +186,8 @@ mod tests {
         let forest = Forest::single(tree);
         // m2 does not occur: raw forest is incompatible, prepare fixes it.
         assert!(forest.check_compatible(&polys).is_err());
-        let cleaned = prepare(&WorkingSet::from_polyset(&polys), &forest).expect("prepare");
+        let (cleaned, live) = prepare(&WorkingSet::from_polyset(&polys), &forest).expect("prepare");
+        assert_eq!(live, polys.var_set());
         assert_eq!(cleaned.num_trees(), 1);
         assert_eq!(cleaned.tree(0).num_leaves(), 2);
     }

@@ -185,7 +185,7 @@ fn build_postings<C: Coefficient>(polys: &[Polynomial<C>]) -> Postings {
     for (pi, p) in polys.iter().enumerate() {
         for (m, _) in p.iter() {
             for v in m.vars() {
-                let list = postings.entry(v).or_default();
+                let list = postings.entry(v);
                 if list.last() != Some(&pi) {
                     list.push(pi);
                 }
@@ -279,10 +279,10 @@ fn run_reference<C: Coefficient>(
         for &pi in &affected {
             current[pi] = current[pi].map_vars(|v| if group.contains(&v) { chosen_var } else { v });
         }
-        for v in &group_vec {
-            postings.remove(v);
+        for &v in &group_vec {
+            postings.entry(v).clear();
         }
-        let entry = postings.entry(chosen_var).or_default();
+        let entry = postings.entry(chosen_var);
         *entry = merge_sorted(entry, &affected);
         ml_total += delta;
         vl_total += tree.children(chosen).len() - 1;

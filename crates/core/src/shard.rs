@@ -124,7 +124,7 @@ fn trace_one_shard<C: Coefficient>(
     scratch: &mut SubsetScratch,
 ) -> Result<ShardTrace, TreeError> {
     let sub = source.subset_with(part, scratch);
-    let shard_forest = prepare(&sub, forest)?;
+    let (shard_forest, _) = prepare(&sub, forest)?;
     if shard_forest.num_trees() == 0 {
         return Ok(ShardTrace {
             steps: Vec::new(),
@@ -132,10 +132,13 @@ fn trace_one_shard<C: Coefficient>(
         });
     }
     let mut steps = Vec::new();
-    let (_, _, completion) = run_incremental(sub, &shard_forest, k, guard, &mut |step, _, _| {
+    let run = run_incremental(sub, &shard_forest, k, guard, &mut |step, _, _| {
         steps.push(step)
     });
-    Ok(ShardTrace { steps, completion })
+    Ok(ShardTrace {
+        steps,
+        completion: run.completion,
+    })
 }
 
 /// The concurrent trace pass: shard indices are claimed from an atomic
@@ -372,12 +375,12 @@ pub fn sharded_greedy<C: Coefficient>(
     if shards <= 1 {
         return greedy_vvs(source, forest, bound, guard);
     }
-    let cleaned = prepare(source, forest)?;
-    let total_m = source.size_m();
+    let (cleaned, live) = prepare(source, forest)?;
+    let (total_m, total_v) = (source.size_m(), live.len());
     if bound >= total_m {
         let vvs = Vvs::identity(&cleaned);
         return Ok((
-            evaluate_vvs(source.clone(), &cleaned, vvs),
+            evaluate_vvs(source.clone(), &cleaned, vvs, total_v),
             Completion::Complete,
         ));
     }
@@ -391,13 +394,12 @@ pub fn sharded_greedy<C: Coefficient>(
     if parts.len() <= 1 {
         return greedy_vvs(source, forest, bound, guard);
     }
-    let total_v = source.size_v();
     let k = total_m - bound;
     let traces = run_shard_traces(source, forest, &parts, k, guard)?;
     let merged = merge_traces(&cleaned, &traces, k, total_m, total_v, guard);
     let vvs = vvs_from_applied(&cleaned, &merged.applied);
     debug_assert!(vvs.validate(&cleaned).is_ok());
-    let abs = evaluate_vvs(source.clone(), &cleaned, vvs);
+    let abs = evaluate_vvs(source.clone(), &cleaned, vvs, total_v);
     let completion = normalize_completion(
         merged.completion,
         merged.applied.len(),
@@ -431,9 +433,8 @@ pub fn sharded_greedy_frontier<C: Coefficient>(
     if shards <= 1 {
         return greedy_frontier(source, forest, guard);
     }
-    let cleaned = prepare(source, forest)?;
-    let total_m = source.size_m();
-    let total_v = source.size_v();
+    let (cleaned, live) = prepare(source, forest)?;
+    let (total_m, total_v) = (source.size_m(), live.len());
     if cleaned.num_trees() == 0 {
         return Ok((vec![(total_m, total_v)], Completion::Complete));
     }
@@ -548,7 +549,7 @@ impl<'f, C: Coefficient> StreamingCompressor<'f, C> {
         Self {
             forest,
             config,
-            carried: WorkingSet::from_parts(MonoArena::new(), Vec::new()),
+            carried: WorkingSet::with_capacity(MonoArena::new(), 0, 0),
             chosen: FxHashSet::default(),
             original_vars: FxHashSet::default(),
             completion: Completion::Complete,
@@ -684,12 +685,13 @@ impl<'f, C: Coefficient> StreamingCompressor<'f, C> {
             original_size_m: self.stats.ingested_size_m,
             original_size_v: self.original_vars.len(),
             compressed_size_m: self.carried.size_m(),
-            compressed_size_v: self.carried.size_v(),
+            compressed_size_v: frontier.len(),
         };
         Ok((
             InternedAbstraction {
                 result,
                 working: self.carried,
+                live_vars: frontier,
             },
             self.completion,
             self.stats,

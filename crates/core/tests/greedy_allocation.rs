@@ -1,6 +1,8 @@
-//! What the flat arena is for, as a test: emitting provenance and
-//! compressing it allocate per run and per polynomial, never per
-//! monomial — and the arena says truthfully how much heap it holds.
+//! What the flat arena and the flat term runs are for, as a test:
+//! emitting provenance and compressing it allocate per run and per
+//! polynomial, never per monomial; a rewrite whose buffers are warm
+//! allocates nothing; a term costs its id and its coefficient; and the
+//! arena and the working set say truthfully how much heap they hold.
 //!
 //! A counting `#[global_allocator]` needs the process to itself, so this
 //! binary holds exactly one test.
@@ -9,7 +11,8 @@ use provabs_core::greedy::greedy_vvs;
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
 use provabs_provenance::guard::Guard;
 use provabs_provenance::intern::{MonoArena, MonoId};
-use provabs_provenance::var::VarTable;
+use provabs_provenance::var::{VarId, VarTable};
+use provabs_provenance::working::WorkingSet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -57,11 +60,11 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     )
 }
 
-/// `estimated_bytes` of the arena `build` makes against what the
-/// allocator handed out for it.
-fn assert_honest(what: &str, build: impl FnOnce() -> MonoArena) {
-    let (arena, _, held) = measured(build);
-    let estimate = arena.estimated_bytes();
+/// `estimated_bytes` of what `build` makes against what the allocator
+/// handed out for it.
+fn assert_honest<T>(what: &str, build: impl FnOnce() -> T, estimated_bytes: impl Fn(&T) -> usize) {
+    let (built, _, held) = measured(build);
+    let estimate = estimated_bytes(&built);
     assert!(
         estimate.abs_diff(held) * 100 <= held * 15,
         "{what}: estimated {estimate} B, holds {held} B"
@@ -96,13 +99,75 @@ fn compression_allocates_per_run_not_per_monomial() {
 
     // A copy is sized exactly; an arena that grew holds slack; one a run
     // rewrote in holds the remainder memo as well.
-    assert_honest("copied", || source.arena().clone());
-    assert_honest("grown", || {
+    let arena_bytes = MonoArena::estimated_bytes;
+    assert_honest("copied arena", || source.arena().clone(), arena_bytes);
+    let grown_arena = || {
         let mut arena = MonoArena::new();
         for id in 0..source.arena().len() as MonoId {
             arena.intern_factors(source.arena().mono(id).as_factors());
         }
         arena
-    });
-    assert_honest("rewritten", || abs.working.arena().clone());
+    };
+    assert_honest("grown arena", grown_arena, arena_bytes);
+    assert_honest(
+        "rewritten arena",
+        || abs.working.arena().clone(),
+        arena_bytes,
+    );
+
+    // The same of a working set: a copy; one whose columns grew a
+    // polynomial at a time; one a run rewrote (gaps between its runs).
+    let set_bytes = WorkingSet::<f64>::estimated_bytes;
+    assert_honest("copied set", || source.clone(), set_bytes);
+    let grown_set = || {
+        let mut ws = WorkingSet::with_capacity(grown_arena(), 0, 0);
+        for pi in 0..source.num_polys() {
+            ws.push_poly(source.poly_terms(pi).map(|(id, c)| (id, *c)));
+        }
+        ws
+    };
+    assert_honest("grown set", grown_set, set_bytes);
+    assert_honest("rewritten set", || abs.working.clone(), set_bytes);
+
+    // A term is an id and a coefficient in the columns — 12 B, and a span
+    // per polynomial. (One hash map per polynomial costs twice that: a
+    // per-polynomial map coming back fails here.)
+    let (_, _, set_held) = measured(|| source.clone());
+    let (_, _, arena_held) = measured(|| source.arena().clone());
+    assert!(
+        set_held - arena_held <= 13 * monomials,
+        "{} B for the terms of {monomials} monomials",
+        set_held - arena_held
+    );
+
+    // A rewrite allocates nothing once its buffers are warm and the
+    // arena has what it derives. A full fixture makes every quarter the
+    // same size; `first` applies two of them so that its arena holds
+    // every remainder and product, `second` starts over on that arena.
+    let full = ScaleConfig {
+        groups: 8,
+        fill_permille: 1000,
+        ..config
+    };
+    let mut vars = VarTable::new();
+    let mut first = scale_working_set(&full, &mut vars);
+    let runs: Vec<Vec<(MonoId, f64)>> = (0..first.num_polys())
+        .map(|pi| first.poly_terms(pi).map(|(id, c)| (id, *c)).collect())
+        .collect();
+    let month = |j: usize| vars.lookup(&format!("m{j}")).expect("interned");
+    let quarters = [1, 4].map(|j| [month(j), month(j + 1), month(j + 2)]);
+    let targets = [VarId(1 << 20), VarId(1 << 20 | 1)];
+    let all: Vec<usize> = (0..first.num_polys()).collect();
+    let rewrite = |ws: &mut WorkingSet<f64>, q: usize| {
+        let saved = ws.ml_delta_of_group(&quarters[q], &all);
+        ws.apply_group(&quarters[q], targets[q], &all);
+        assert_eq!(saved, full.groups * full.plans * 2, "three months into one");
+    };
+    rewrite(&mut first, 0);
+    rewrite(&mut first, 1);
+    let mut second = WorkingSet::from_parts(first.arena().clone(), runs);
+    rewrite(&mut second, 0);
+    let (_, warm, _) = measured(|| rewrite(&mut second, 1));
+    assert_eq!(warm, 0, "a warm rewrite allocated");
+    assert_eq!(second.size_m(), first.size_m());
 }

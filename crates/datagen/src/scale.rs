@@ -19,8 +19,7 @@
 //! `z_g · Plans · Year` at full compression, so the exhaustion floor is
 //! roughly one monomial per group).
 
-use provabs_provenance::fxhash::FxHashMap;
-use provabs_provenance::intern::{MonoArena, MonoId};
+use provabs_provenance::intern::MonoArena;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
@@ -112,20 +111,31 @@ fn intern_vars(config: &ScaleConfig, vars: &mut VarTable) -> (Vec<VarId>, Vec<Va
     (plans, months, groups)
 }
 
-/// Emits the polynomials of groups `range` into `arena`/`terms`.
+/// Emits the polynomials of groups `range` as one working set. The
+/// filled slots are counted first (a slot is a hash, not a monomial), so
+/// the arena and the term columns are allocated once, at their size. A
+/// group's monomials are new to the arena in emission order, so its ids
+/// ascend and the terms go into the columns as they are emitted.
 fn emit_groups(
     config: &ScaleConfig,
     range: std::ops::Range<usize>,
     plans: &[VarId],
     months: &[VarId],
     zips: &[VarId],
-    arena: &mut MonoArena,
-    terms: &mut Vec<FxHashMap<MonoId, f64>>,
-) {
+) -> WorkingSet<f64> {
+    let mut filled = 0;
+    for g in range.clone() {
+        for i in 0..config.plans {
+            filled += (0..config.months)
+                .filter(|&j| slot(config, g, i, j).is_some())
+                .count();
+        }
+    }
+    let arena = MonoArena::with_capacity(filled, 3 * filled);
+    let mut ws = WorkingSet::with_capacity(arena, range.len(), filled);
     let mut factors = Vec::with_capacity(3);
+    let mut terms = Vec::with_capacity(config.plans * config.months);
     for g in range {
-        let mut map =
-            FxHashMap::with_capacity_and_hasher(config.plans * config.months, Default::default());
         for (i, &p) in plans.iter().enumerate() {
             for (j, &m) in months.iter().enumerate() {
                 let Some(coeff) = slot(config, g, i, j) else {
@@ -134,29 +144,19 @@ fn emit_groups(
                 factors.clear();
                 factors.extend([(zips[g], 1), (p, 1), (m, 1)]);
                 Monomial::canonicalise(&mut factors);
-                map.insert(arena.intern_factors(&factors), coeff);
+                terms.push((ws.arena_mut().intern_factors(&factors), coeff));
             }
         }
-        terms.push(map);
+        ws.push_poly(terms.drain(..));
     }
+    ws
 }
 
 /// The whole fixture as one interned working set — `groups` polynomials
 /// over a fresh arena, never materialising a hash-map poly-set.
 pub fn scale_working_set(config: &ScaleConfig, vars: &mut VarTable) -> WorkingSet<f64> {
     let (plans, months, zips) = intern_vars(config, vars);
-    let mut arena = MonoArena::new();
-    let mut terms = Vec::with_capacity(config.groups);
-    emit_groups(
-        config,
-        0..config.groups,
-        &plans,
-        &months,
-        &zips,
-        &mut arena,
-        &mut terms,
-    );
-    WorkingSet::from_parts(arena, terms)
+    emit_groups(config, 0..config.groups, &plans, &months, &zips)
 }
 
 /// Chunked emission for the out-of-core ingest path: yields working sets
@@ -199,19 +199,15 @@ impl Iterator for ScaleChunks {
             return None;
         }
         let upper = (self.next_group + self.groups_per_chunk).min(self.config.groups);
-        let mut arena = MonoArena::new();
-        let mut terms = Vec::with_capacity(upper - self.next_group);
-        emit_groups(
+        let range = self.next_group..upper;
+        self.next_group = upper;
+        Some(emit_groups(
             &self.config,
-            self.next_group..upper,
+            range,
             &self.plans,
             &self.months,
             &self.zips,
-            &mut arena,
-            &mut terms,
-        );
-        self.next_group = upper;
-        Some(WorkingSet::from_parts(arena, terms))
+        ))
     }
 }
 

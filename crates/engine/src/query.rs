@@ -444,10 +444,10 @@ impl Pipeline {
 
     /// [`aggregate_sum`](Self::aggregate_sum) in the interned currency:
     /// each row's rule monomial is interned into a shared
-    /// [`MonoArena`] at emission and the per-group polynomials are built
-    /// as id-keyed coefficient maps — the provenance leaves the engine
-    /// already as a [`WorkingSet`], with no [`Polynomial`] hash maps
-    /// anywhere. Group keys, group order and polynomial semantics are
+    /// [`MonoArena`] at emission and the per-group polynomials are
+    /// accumulated by id and handed over as sorted runs — the provenance
+    /// leaves the engine already as a [`WorkingSet`], with no
+    /// [`Polynomial`] hash maps anywhere. Group keys, group order and polynomial semantics are
     /// identical to [`aggregate_sum`](Self::aggregate_sum).
     pub fn aggregate_sum_interned(
         &self,
@@ -471,6 +471,10 @@ impl Pipeline {
         wrap: impl Fn(f64) -> C,
     ) -> Result<GroupedProvenanceInternedOf<C>, EngineError> {
         let mut arena = MonoArena::new();
+        // Accumulation maps, one per group, for the length of the
+        // emission only: rows of a group hit one monomial many times and
+        // their measures are summed in emission order. They are not the
+        // working set's storage — `from_parts` drains each into a run.
         let mut terms: Vec<FxHashMap<MonoId, C>> = Vec::new();
         let keys = self.emit(group_cols, measure, rules, vars, |slot, factors, x| {
             let id = arena.intern_factors(factors);

@@ -299,26 +299,24 @@ impl<C: Coefficient> CompiledPolySet<C> {
     /// This is how the abstraction pipeline hands its rewritten `𝒫↓S` to
     /// the evaluator.
     ///
-    /// Each polynomial's monomials are laid out in the working set's
-    /// canonical ascending-id order (matching
-    /// [`WorkingSet::to_polyset`]), which is deterministic for a given
-    /// working set. Note that this order generally differs from the
-    /// hash-map iteration order [`compile`](Self::compile) preserves, so
-    /// floating-point sums may differ from the `to_polyset` → `compile`
-    /// round-trip in the last bit; term *sets* and exact-coefficient
-    /// results are identical (see the `intern_equivalence` suite).
+    /// Each polynomial's monomials are laid out as its run stores them,
+    /// in ascending id order (matching [`WorkingSet::to_polyset`]), which
+    /// is deterministic for a given working set. Note that this order
+    /// generally differs from the hash-map iteration order
+    /// [`compile`](Self::compile) preserves, so floating-point sums may
+    /// differ from the `to_polyset` → `compile` round-trip in the last
+    /// bit; term *sets* and exact-coefficient results are identical (see
+    /// the `intern_equivalence` suite).
     pub fn from_working(ws: &WorkingSet<C>) -> Self {
-        // The counts do not depend on the order of the terms, so the
-        // counting pass skips the sort.
         let mut shape = Shape::default();
         for pi in 0..ws.num_polys() {
-            for id in ws.poly_mono_ids(pi) {
+            for &id in ws.poly_mono_ids(pi) {
                 shape.term(ws.mono(id).factors());
             }
         }
         let mut lowering = Lowering::sized(&shape, ws.num_polys());
         for pi in 0..ws.num_polys() {
-            for (id, c) in ws.sorted_terms(pi) {
+            for (id, c) in ws.poly_terms(pi) {
                 lowering.term(c, ws.mono(id).factors());
             }
             lowering.end_poly();

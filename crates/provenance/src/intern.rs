@@ -38,11 +38,11 @@ use std::hash::{Hash, Hasher};
 pub type MonoId = u32;
 
 /// Adds `coeff` to `map[key]`, dropping the entry when the sum cancels
-/// to exactly zero — the one accumulate-and-drop rule every polynomial
-/// representation shares ([`Polynomial::add_term`], the working set's
-/// id-keyed terms, the engine's interned aggregation). Keeping it in one
-/// place keeps the zero-cancellation semantics from diverging between
-/// currencies.
+/// to exactly zero — the one accumulate-and-drop rule every hash-map
+/// polynomial shares ([`Polynomial::add_term`], the engine's interned
+/// aggregation; a working set's runs follow the same rule in a defined
+/// order, see [`crate::working`]). Keeping it in one place keeps the
+/// zero-cancellation semantics from diverging between currencies.
 ///
 /// [`Polynomial::add_term`]: crate::polynomial::Polynomial::add_term
 pub fn accumulate<K: Eq + Hash, C: Coefficient>(map: &mut FxHashMap<K, C>, key: K, coeff: C) {
@@ -327,7 +327,7 @@ impl MonoArena {
 
     /// Sorted ids of the arena monomials containing `v` (empty if `v`
     /// never occurred). Includes ids that callers may no longer consider
-    /// live — probe your own term maps to filter.
+    /// live — intersect with your own runs to filter.
     pub fn postings_of(&self, v: VarId) -> &[MonoId] {
         self.postings.get(v.index()).map_or(&[], Vec::as_slice)
     }

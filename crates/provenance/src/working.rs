@@ -11,16 +11,27 @@
 //! A [`WorkingSet`] avoids that by holding its polynomials over a shared
 //! [`MonoArena`] (the interning core of [`crate::intern`]):
 //!
-//! * each polynomial becomes a map `monomial id → coefficient`, so
-//!   merging under a substitution is id remapping plus coefficient
-//!   accumulation — no monomial is rebuilt unless the substitution
-//!   actually changes it, and cross-polynomial duplicates (the common
-//!   case for grouped provenance) are remapped exactly once;
+//! * every term of every polynomial sits in one flat column pair —
+//!   monomial ids and coefficients — and a polynomial is a *run* of it, a
+//!   `(start, length)` span whose ids strictly ascend. Merging under a
+//!   substitution is id remapping plus coefficient accumulation: no
+//!   monomial is rebuilt unless the substitution actually changes it, and
+//!   cross-polynomial duplicates (the common case for grouped provenance)
+//!   are remapped exactly once;
 //! * the arena's postings index finds the monomials a group substitution
-//!   can touch without scanning anything else;
+//!   can touch without scanning anything else — an ascending id list, so
+//!   finding them in a polynomial is an intersection of two sorted lists,
+//!   with no hash table on either side;
 //! * the arena's memoised *remainder index* — the `M_l` operation of
 //!   §4.1 — makes the monomial loss of a candidate group a matter of
-//!   `u32` probes instead of monomial construction and hashing.
+//!   `u32` comparisons instead of monomial construction and hashing.
+//!
+//! **Runs never grow.** A substitution can merge terms but never split
+//! one, so a rewritten run fits the span it had: it is written back in
+//! place and the span shortened. What a run gives up stays behind as a
+//! gap until [`WorkingSet::compact`] closes it; appended polynomials
+//! ([`WorkingSet::push_poly`], [`WorkingSet::absorb`]) go to the end of
+//! the columns. Nothing is allocated per polynomial or per rewrite.
 //!
 //! The working set is the *rewriting* view over the arena; freezing it
 //! with [`WorkingSet::freeze`] yields the read-only evaluation view
@@ -29,38 +40,46 @@
 //!
 //! Term *sets* evolve exactly as under [`Polynomial::map_vars`]: the same
 //! monomials exist with the same coefficient sums, and terms whose
-//! coefficients cancel to zero are dropped. The only divergence from the
-//! hash-map path is the *order* in which merged coefficients are added,
-//! which can differ in the last floating-point bit when three or more
-//! terms collapse into one (and can only change a term's existence if a
-//! sum lands exactly on zero in one order but not another — impossible
-//! for the non-negative provenance coefficients the paper's workloads
-//! produce, and irrelevant for exact coefficient types).
+//! coefficients cancel to zero are dropped. **The order of accumulation
+//! is defined:** when several terms of a polynomial land on one monomial
+//! their coefficients are added in ascending *source* id (a term that
+//! already sits on the target takes part under its own id), and the term
+//! is dropped iff the finished sum is exactly zero. The result is a
+//! function of the run — its ids and coefficients — and of nothing else:
+//! not of a capacity, an insertion history or the size of the group, so
+//! a set, its clone and its compacted twin (whose ids keep their order)
+//! agree to the bit, cancellation included. (`map_vars` adds in hash-map
+//! order, so against *it* three or more floating-point terms collapsing
+//! into one may still differ in the last bit.)
 //!
 //! [`Polynomial::map_vars`]: crate::polynomial::Polynomial::map_vars
 
 use crate::coeff::Coefficient;
 use crate::compiled::{CompiledPolySet, CompiledView};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::intern::MonoArena;
 use crate::monomial::{MonoRef, Monomial};
 use crate::polynomial::Polynomial;
 use crate::polyset::PolySet;
 use crate::var::VarId;
+use std::cmp::Ordering;
+use std::mem::size_of;
 
 pub use crate::intern::MonoId;
 
+/// No monomial: a run slot whose term is moving to another monomial, a
+/// remap entry not filled in yet. The arena never assigns this id.
+const NONE: MonoId = MonoId::MAX;
+
 /// Reusable scratch state for [`WorkingSet::subset_with`].
 ///
-/// Extracting one subset needs an old-id → new-id remap table sized by
-/// the subset's distinct monomials. Callers cutting *many* subsets out of
-/// one working set (the shard partitioner above all) reuse one scratch
-/// across calls so the table's allocation is paid once and then only
-/// grows to the largest subset seen — instead of K fresh tables, each
-/// re-growing through the same doubling sequence.
+/// Extracting one subset needs an old-id → new-id remap table, one entry
+/// per monomial of the source arena. Callers cutting *many* subsets out
+/// of one working set (the shard partitioner above all) reuse one scratch
+/// across calls so the table is allocated once, instead of K times.
 #[derive(Debug, Default)]
 pub struct SubsetScratch {
-    remap: FxHashMap<MonoId, MonoId>,
+    remap: Vec<MonoId>,
 }
 
 impl SubsetScratch {
@@ -78,28 +97,56 @@ impl SubsetScratch {
     }
 }
 
-/// The buffers one group rewrite fills ([`WorkingSet::ml_delta_of_group`],
-/// [`WorkingSet::apply_group`]), kept by the working set between calls so
-/// a rewrite allocates nothing once they have warmed up. They hold
-/// nothing between calls, so a clone starts with fresh ones.
-#[derive(Debug, Default)]
-struct GroupScratch {
+/// The buffers one rewrite fills ([`WorkingSet::ml_delta_of_group`],
+/// [`WorkingSet::apply_group`], [`WorkingSet::apply_var_map`]), kept by
+/// the working set between calls so a rewrite allocates nothing once they
+/// have warmed up. They hold nothing between calls, so a clone starts
+/// with fresh ones.
+#[derive(Debug)]
+struct GroupScratch<C> {
     /// Scoring: each monomial a group touches with its remainder class
-    /// (remainder id and exponent in one word).
+    /// (remainder id and exponent in one word), by ascending id.
     classes: Vec<(MonoId, u64)>,
-    /// `classes` as a lookup table.
-    class_of: FxHashMap<MonoId, u64>,
     /// Scoring: the remainder classes met in one polynomial.
-    distinct: FxHashSet<u64>,
-    /// Applying: each monomial a group touches with the id it becomes.
+    keys: Vec<u64>,
+    /// Applying: each monomial a group touches with the id it becomes,
+    /// by ascending id.
     remap: Vec<(MonoId, MonoId)>,
-    /// `remap` as a lookup table.
-    remapped: FxHashMap<MonoId, MonoId>,
+    /// Rewriting: the terms of one run that change monomial, as
+    /// `(target id, source id, coefficient)`.
+    moved: Vec<(MonoId, MonoId, C)>,
+    /// Rewriting: the run being rebuilt.
+    run: Vec<(MonoId, C)>,
 }
 
-impl Clone for GroupScratch {
+impl<C> Default for GroupScratch<C> {
+    fn default() -> Self {
+        Self {
+            classes: Vec::new(),
+            keys: Vec::new(),
+            remap: Vec::new(),
+            moved: Vec::new(),
+            run: Vec::new(),
+        }
+    }
+}
+
+impl<C> Clone for GroupScratch<C> {
     fn clone(&self) -> Self {
         Self::default()
+    }
+}
+
+/// Where one polynomial's run sits in the term columns.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
@@ -110,19 +157,15 @@ pub struct WorkingSet<C> {
     /// The shared monomial arena (append-only; also holds monomials that
     /// are no longer live in any polynomial).
     arena: MonoArena,
-    /// Per polynomial: live terms as `monomial id → coefficient`.
-    terms: Vec<FxHashMap<MonoId, C>>,
-    /// Buffers of the group rewrites.
-    scratch: GroupScratch,
-}
-
-/// Adds `coeff` to `map[id]`, dropping the entry when the sum vanishes —
-/// the id-space analogue of [`Polynomial::add_term`], sharing the one
-/// accumulate-and-drop rule ([`crate::intern::accumulate`]).
-///
-/// [`Polynomial::add_term`]: crate::polynomial::Polynomial::add_term
-fn add_term_id<C: Coefficient>(map: &mut FxHashMap<MonoId, C>, id: MonoId, coeff: C) {
-    crate::intern::accumulate(map, id, coeff);
+    /// The monomial id of every live term, run after run (and, between
+    /// runs, what rewrites left behind).
+    ids: Vec<MonoId>,
+    /// The coefficients, parallel to `ids`.
+    coeffs: Vec<C>,
+    /// Per polynomial: its run. Starts ascend and runs do not overlap.
+    spans: Vec<Span>,
+    /// Buffers of the rewrites.
+    scratch: GroupScratch<C>,
 }
 
 /// Hands `visit` every arena monomial a substitution of `group` can
@@ -130,7 +173,8 @@ fn add_term_id<C: Coefficient>(map: &mut FxHashMap<MonoId, C>, id: MonoId, coeff
 /// one tree node per monomial — makes the pairing unique among live
 /// monomials), variable by variable in posting order. `visit` may
 /// intern: what it adds lands behind the postings being read, and is not
-/// visited for the variable whose turn it is.
+/// visited for the variable whose turn it is. This is the order ids are
+/// *assigned* in; the lists it fills are sorted afterwards.
 fn visit_occurrences(
     arena: &mut MonoArena,
     group: &[VarId],
@@ -144,41 +188,172 @@ fn visit_occurrences(
     }
 }
 
-impl<C: Coefficient> WorkingSet<C> {
-    /// Lowers a poly-set: interns every distinct monomial and builds the
-    /// id-keyed term maps plus the postings index.
-    pub fn from_polyset(polys: &PolySet<C>) -> Self {
-        let mut ws = Self::from_parts(MonoArena::new(), Vec::with_capacity(polys.len()));
-        for p in polys.iter() {
-            let mut map = FxHashMap::default();
-            map.reserve(p.size_m());
-            for (m, c) in p.iter() {
-                let id = ws.arena.intern(m);
-                // Input polynomials never store duplicate monomials, so
-                // plain insertion suffices (and never drops a term).
-                map.insert(id, c.clone());
+/// The length of the prefix of `list` that is `below` — which must hold
+/// for `list[0]` and for a prefix only — by doubling steps and a
+/// bisection of the last one: `O(log answer)`.
+fn gallop<T>(list: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let mut hi = 1;
+    while hi < list.len() && below(&list[hi]) {
+        hi *= 2;
+    }
+    hi / 2 + list[hi / 2..hi.min(list.len())].partition_point(below)
+}
+
+/// Hands `hit` every position of the run `ids` whose monomial has an
+/// entry in `list`, with what the entry holds. Both sides ascend by id;
+/// whichever lags gallops forward, so lists of like size are walked in
+/// step and a short one is searched for in the long one.
+fn intersect<T: Copy>(ids: &[MonoId], list: &[(MonoId, T)], mut hit: impl FnMut(usize, T)) {
+    let (mut i, mut j) = (0, 0);
+    while i < ids.len() && j < list.len() {
+        match ids[i].cmp(&list[j].0) {
+            Ordering::Less => i += gallop(&ids[i..], |&id| id < list[j].0),
+            Ordering::Greater => j += gallop(&list[j..], |&(id, _)| id < ids[i]),
+            Ordering::Equal => {
+                hit(i, list[j].1);
+                i += 1;
+                j += 1;
             }
-            ws.terms.push(map);
         }
+    }
+}
+
+/// Rebuilds the run at `span` from the terms still in their slots and the
+/// `moved` ones, in place: ascending by id, the terms that meet on one
+/// monomial added in ascending source id (a term in its slot is its own
+/// source) and dropped if they sum to zero. `run` is the buffer the run
+/// is assembled in. The run comes out no longer than it was.
+fn rebuild_run<C: Coefficient>(
+    ids: &mut [MonoId],
+    coeffs: &mut [C],
+    span: &mut Span,
+    moved: &mut Vec<(MonoId, MonoId, C)>,
+    run: &mut Vec<(MonoId, C)>,
+) {
+    moved.sort_unstable_by_key(|&(target, source, _)| (target, source));
+    run.clear();
+    let mut add = |id: MonoId, c: &C| match run.last_mut() {
+        Some((last, sum)) if *last == id => *sum = sum.add(c),
+        _ => run.push((id, c.clone())),
+    };
+    let mut kept = span.range().filter(|&at| ids[at] != NONE).peekable();
+    let mut moving = moved.iter().peekable();
+    loop {
+        let in_place = match (kept.peek(), moving.peek()) {
+            (None, None) => break,
+            (Some(&at), Some(m)) => (ids[at], ids[at]) < (m.0, m.1),
+            (slot, _) => slot.is_some(),
+        };
+        if in_place {
+            let at = kept.next().expect("peeked");
+            add(ids[at], &coeffs[at]);
+        } else {
+            let m = moving.next().expect("peeked");
+            add(m.0, &m.2);
+        }
+    }
+    moved.clear();
+    run.retain(|(_, c)| !c.is_zero());
+    debug_assert!(run.len() <= span.len as usize, "a run never grows");
+    span.len = run.len() as u32;
+    for (at, (id, c)) in span.range().zip(run.drain(..)) {
+        ids[at] = id;
+        coeffs[at] = c;
+    }
+}
+
+impl<C: Coefficient> WorkingSet<C> {
+    /// An empty working set over `arena` whose columns take `polys`
+    /// polynomials of `terms` terms in total without growing — what a
+    /// producer that interns during emission starts from (it interns
+    /// through [`arena_mut`](Self::arena_mut) and hands each polynomial
+    /// to [`push_poly`](Self::push_poly)).
+    pub fn with_capacity(arena: MonoArena, polys: usize, terms: usize) -> Self {
+        Self {
+            arena,
+            ids: Vec::with_capacity(terms),
+            coeffs: Vec::with_capacity(terms),
+            spans: Vec::with_capacity(polys),
+            scratch: GroupScratch::default(),
+        }
+    }
+
+    /// Assembles a working set from an already-built arena and one term
+    /// list per polynomial — the constructor of producers that accumulate
+    /// per group while they emit (the engine's interned aggregation hands
+    /// over its accumulation maps). Each list becomes a run as under
+    /// [`push_poly`](Self::push_poly); the columns are allocated once.
+    pub fn from_parts<P>(arena: MonoArena, polys: Vec<P>) -> Self
+    where
+        P: IntoIterator<Item = (MonoId, C)>,
+        P::IntoIter: ExactSizeIterator,
+    {
+        let polys: Vec<P::IntoIter> = polys.into_iter().map(P::into_iter).collect();
+        let terms = polys.iter().map(ExactSizeIterator::len).sum();
+        let mut ws = Self::with_capacity(arena, polys.len(), terms);
+        polys.into_iter().for_each(|terms| ws.push_poly(terms));
         ws
     }
 
-    /// Assembles a working set from an already-built arena and term maps
-    /// — the constructor used by producers that intern during emission
-    /// (e.g. the engine's interned aggregation) instead of lowering a
-    /// materialised [`PolySet`].
+    /// Appends a polynomial with the given terms, in any order: the run
+    /// is brought into ascending id order, terms given for one monomial
+    /// are added in the order given, and zeros are dropped. Terms that
+    /// come ascending, distinct and non-zero — what an emitter walking
+    /// its monomials in interning order produces — are stored as they
+    /// come.
     ///
     /// # Panics
-    /// Panics (in debug builds) if any term id is outside the arena.
-    pub fn from_parts(arena: MonoArena, terms: Vec<FxHashMap<MonoId, C>>) -> Self {
-        debug_assert!(terms
-            .iter()
-            .all(|map| map.keys().all(|&id| (id as usize) < arena.len())));
-        Self {
-            arena,
-            terms,
-            scratch: GroupScratch::default(),
+    /// Panics (in debug builds) if a term id is outside the arena.
+    pub fn push_poly(&mut self, terms: impl IntoIterator<Item = (MonoId, C)>) {
+        let start = self.ids.len();
+        for (id, c) in terms {
+            self.ids.push(id);
+            self.coeffs.push(c);
         }
+        self.seal(start);
+    }
+
+    /// Makes the terms pushed since `start` the next polynomial's run.
+    fn seal(&mut self, start: usize) {
+        let Self {
+            arena,
+            ids,
+            coeffs,
+            spans,
+            scratch,
+        } = self;
+        debug_assert!(ids[start..].iter().all(|&id| (id as usize) < arena.len()));
+        let len = u32::try_from(ids.len() - start).expect("more than u32::MAX terms");
+        let start = u32::try_from(start).expect("more than u32::MAX terms");
+        let mut span = Span { start, len };
+        let canonical = ids[span.range()].windows(2).all(|w| w[0] < w[1])
+            && coeffs[span.range()].iter().all(|c| !c.is_zero());
+        if !canonical {
+            // Every term moves, its place in the input as its source.
+            for (seq, at) in span.range().enumerate() {
+                let id = std::mem::replace(&mut ids[at], NONE);
+                scratch.moved.push((id, seq as MonoId, coeffs[at].clone()));
+            }
+            rebuild_run(ids, coeffs, &mut span, &mut scratch.moved, &mut scratch.run);
+            ids.truncate(span.range().end);
+            coeffs.truncate(span.range().end);
+        }
+        spans.push(span);
+    }
+
+    /// Lowers a poly-set: interns every distinct monomial, in the
+    /// poly-set's iteration order, and lays the terms out as runs.
+    pub fn from_polyset(polys: &PolySet<C>) -> Self {
+        let mut ws = Self::with_capacity(MonoArena::new(), polys.len(), polys.size_m());
+        for p in polys.iter() {
+            let start = ws.ids.len();
+            for (m, c) in p.iter() {
+                ws.ids.push(ws.arena.intern(m));
+                ws.coeffs.push(c.clone());
+            }
+            ws.seal(start);
+        }
+        ws
     }
 
     /// Rebuilds a working set from compiled columns — how a session opened
@@ -187,24 +362,27 @@ impl<C: Coefficient> WorkingSet<C> {
     /// into canonical form first and terms that end up on one monomial
     /// accumulated, so this is total on whatever the artifact validator
     /// admits. `from_compiled(ws.freeze().view())` is `ws` as a poly-set;
-    /// its arena ids are its own, not `ws`'s.
+    /// its arena ids are its own, not `ws`'s (they follow first occurrence
+    /// in the columns, so a run keeps its order where `ws`'s ids do too —
+    /// in a freshly lowered set, for one).
     pub fn from_compiled(view: CompiledView<'_, C>) -> Self {
-        let mut arena = MonoArena::new();
+        let mut ws = Self::with_capacity(MonoArena::new(), view.num_polys(), view.num_monomials());
+        // Seals the polynomials before `pi`: the open one, then empty ones.
         let mut start = 0;
-        let poly_ends = view.poly_ends.iter();
-        let mut terms: Vec<FxHashMap<MonoId, C>> = poly_ends
-            .map(|&end| {
-                let mut map = FxHashMap::default();
-                map.reserve((end - start) as usize);
-                start = end;
-                map
-            })
-            .collect();
+        let mut seal_before = |ws: &mut Self, pi: usize| {
+            while ws.spans.len() < pi {
+                ws.seal(start);
+                start = ws.ids.len();
+            }
+        };
         view.for_each_term(|pi, coeff, factors| {
+            seal_before(&mut ws, pi);
             Monomial::canonicalise(factors);
-            add_term_id(&mut terms[pi], arena.intern_factors(factors), coeff.clone());
+            ws.ids.push(ws.arena.intern_factors(factors));
+            ws.coeffs.push(coeff.clone());
         });
-        Self::from_parts(arena, terms)
+        seal_before(&mut ws, view.num_polys());
+        ws
     }
 
     /// The shared monomial arena.
@@ -226,46 +404,65 @@ impl<C: Coefficient> WorkingSet<C> {
 
     /// Number of polynomials.
     pub fn num_polys(&self) -> usize {
-        self.terms.len()
+        self.spans.len()
     }
 
-    /// Live monomial ids of polynomial `pi`, in unspecified order.
-    pub fn poly_mono_ids(&self, pi: usize) -> impl Iterator<Item = MonoId> + '_ {
-        self.terms[pi].keys().copied()
+    /// Where polynomial `pi`'s run sits in the term columns. Runs of
+    /// successive polynomials ascend and never overlap, and a rewrite
+    /// leaves a run inside the range it had.
+    pub fn poly_span(&self, pi: usize) -> std::ops::Range<usize> {
+        self.spans[pi].range()
     }
 
-    /// Live terms of polynomial `pi` as `(monomial id, coefficient)`, in
-    /// unspecified order.
+    /// Live monomial ids of polynomial `pi`, strictly ascending.
+    pub fn poly_mono_ids(&self, pi: usize) -> &[MonoId] {
+        &self.ids[self.spans[pi].range()]
+    }
+
+    /// Live terms of polynomial `pi` as `(monomial id, coefficient)` in
+    /// ascending id order — the working set's canonical term order, the
+    /// one every deterministic export uses ([`to_polyset`](Self::to_polyset),
+    /// [`freeze`](Self::freeze), the artifact codec).
     pub fn poly_terms(&self, pi: usize) -> impl Iterator<Item = (MonoId, &C)> {
-        self.terms[pi].iter().map(|(&id, c)| (id, c))
-    }
-
-    /// Live terms of polynomial `pi` in ascending id order — the working
-    /// set's canonical term order, used by every deterministic export
-    /// ([`to_polyset`](Self::to_polyset), [`freeze`](Self::freeze), the
-    /// artifact codec).
-    pub fn sorted_terms(&self, pi: usize) -> Vec<(MonoId, &C)> {
-        let mut terms: Vec<(MonoId, &C)> = self.poly_terms(pi).collect();
-        terms.sort_unstable_by_key(|&(id, _)| id);
-        terms
+        let range = self.spans[pi].range();
+        self.ids[range.clone()]
+            .iter()
+            .copied()
+            .zip(&self.coeffs[range])
     }
 
     /// `|P_pi|_M` of the current (rewritten) polynomial.
     pub fn poly_size_m(&self, pi: usize) -> usize {
-        self.terms[pi].len()
+        self.spans[pi].len as usize
     }
 
     /// `|𝒫|_M` of the current working set.
     pub fn size_m(&self) -> usize {
-        self.terms.iter().map(FxHashMap::len).sum()
+        self.spans.iter().map(|span| span.len as usize).sum()
+    }
+
+    /// Heap footprint in bytes: the term columns, the spans and the
+    /// rewrite buffers, each at its capacity, plus
+    /// [`MonoArena::estimated_bytes`].
+    pub fn estimated_bytes(&self) -> usize {
+        let scratch = &self.scratch;
+        self.arena.estimated_bytes()
+            + self.ids.capacity() * size_of::<MonoId>()
+            + self.coeffs.capacity() * size_of::<C>()
+            + self.spans.capacity() * size_of::<Span>()
+            + scratch.classes.capacity() * size_of::<(MonoId, u64)>()
+            + scratch.keys.capacity() * size_of::<u64>()
+            + scratch.remap.capacity() * size_of::<(MonoId, MonoId)>()
+            + scratch.moved.capacity() * size_of::<(MonoId, MonoId, C)>()
+            + scratch.run.capacity() * size_of::<(MonoId, C)>()
     }
 
     /// Liveness bitmap over the arena: `true` for ids live in at least
     /// one polynomial.
     fn live_flags(&self) -> Vec<bool> {
         let mut live = vec![false; self.arena.len()];
-        for map in &self.terms {
-            for &id in map.keys() {
+        for span in &self.spans {
+            for &id in &self.ids[span.range()] {
                 live[id as usize] = true;
             }
         }
@@ -274,11 +471,14 @@ impl<C: Coefficient> WorkingSet<C> {
 
     /// The distinct variables across the live monomials (`V(𝒫)`).
     pub fn live_vars(&self) -> FxHashSet<VarId> {
-        let live = self.live_flags();
+        let mut seen: Vec<bool> = Vec::new();
         let mut vars: FxHashSet<VarId> = FxHashSet::default();
-        for (idx, is_live) in live.iter().enumerate() {
-            if *is_live {
-                vars.extend(self.arena.mono(idx as MonoId).vars());
+        for v in self.live_monomials().flat_map(|mono| mono.vars()) {
+            if seen.len() <= v.index() {
+                seen.resize(v.index() + 1, false);
+            }
+            if !std::mem::replace(&mut seen[v.index()], true) {
+                vars.insert(v);
             }
         }
         vars
@@ -301,39 +501,26 @@ impl<C: Coefficient> WorkingSet<C> {
     /// A working set over the polynomials at `indices` (in that order) —
     /// the sampling primitive of the online compression scheme. The
     /// sample gets a *fresh, compacted* arena holding only its own live
-    /// monomials, so a small sample costs work proportional to the
-    /// sample, not to the full provenance (a 5 % draw does not drag the
-    /// other 95 %'s arena, postings and memo indexes along).
+    /// monomials, and columns holding only its own terms.
     pub fn subset(&self, indices: &[usize]) -> Self {
         self.subset_with(indices, &mut SubsetScratch::new())
     }
 
     /// [`subset`](Self::subset) with caller-provided scratch: the remap
-    /// table lives in `scratch` (cleared, capacity retained), so a loop
+    /// table lives in `scratch` (reset, capacity retained), so a loop
     /// cutting many subsets — the shard partitioner constructs K
     /// per-shard working sets from one source — allocates the table once
-    /// instead of per call. Per-polynomial term maps are pre-reserved
-    /// from the source sizes.
+    /// instead of per call. The subset's columns are allocated at their
+    /// final size.
     pub fn subset_with(&self, indices: &[usize], scratch: &mut SubsetScratch) -> Self {
-        let mut arena = MonoArena::new();
-        let remap = &mut scratch.remap;
-        remap.clear();
-        remap.reserve(indices.iter().map(|&pi| self.terms[pi].len()).sum());
-        let terms = indices
-            .iter()
-            .map(|&pi| {
-                let mut map = FxHashMap::default();
-                map.reserve(self.terms[pi].len());
-                for (&id, c) in &self.terms[pi] {
-                    let new_id = *remap
-                        .entry(id)
-                        .or_insert_with(|| arena.intern_factors(self.arena.mono(id).as_factors()));
-                    map.insert(new_id, c.clone());
-                }
-                map
-            })
-            .collect();
-        Self::from_parts(arena, terms)
+        scratch.remap.clear();
+        scratch.remap.resize(self.arena.len(), NONE);
+        let terms = indices.iter().map(|&pi| self.poly_size_m(pi)).sum();
+        let mut sub = Self::with_capacity(MonoArena::new(), indices.len(), terms);
+        for &pi in indices {
+            sub.copy_poly(self, pi, &mut scratch.remap);
+        }
+        sub
     }
 
     /// Appends every polynomial of `other` to this working set, interning
@@ -344,22 +531,30 @@ impl<C: Coefficient> WorkingSet<C> {
     ///
     /// Polynomial indices of `other` shift by `self.num_polys()`; the
     /// polynomials themselves are unchanged (same term sets, same
-    /// coefficients).
+    /// coefficients). Their runs go to the end of the columns.
     pub fn absorb(&mut self, other: &WorkingSet<C>) {
-        let mut remap: FxHashMap<MonoId, MonoId> = FxHashMap::default();
-        remap.reserve(other.arena.len());
-        self.terms.reserve(other.num_polys());
-        for src in &other.terms {
-            let mut map = FxHashMap::default();
-            map.reserve(src.len());
-            for (&id, c) in src {
-                let new_id = *remap.entry(id).or_insert_with(|| {
-                    self.arena.intern_factors(other.arena.mono(id).as_factors())
-                });
-                map.insert(new_id, c.clone());
-            }
-            self.terms.push(map);
+        let mut remap = vec![NONE; other.arena.len()];
+        self.ids.reserve(other.size_m());
+        self.coeffs.reserve(other.size_m());
+        self.spans.reserve(other.num_polys());
+        for pi in 0..other.num_polys() {
+            self.copy_poly(other, pi, &mut remap);
         }
+    }
+
+    /// Appends polynomial `pi` of `from`, interning each of its monomials
+    /// on first sight; `remap` is `from`'s id → this arena's id.
+    fn copy_poly(&mut self, from: &Self, pi: usize, remap: &mut [MonoId]) {
+        let start = self.ids.len();
+        for (id, c) in from.poly_terms(pi) {
+            let new_id = &mut remap[id as usize];
+            if *new_id == NONE {
+                *new_id = self.arena.intern_factors(from.arena.mono(id).as_factors());
+            }
+            self.ids.push(*new_id);
+            self.coeffs.push(c.clone());
+        }
+        self.seal(start);
     }
 
     /// The monomial-loss delta of substituting every variable of `group`
@@ -376,48 +571,25 @@ impl<C: Coefficient> WorkingSet<C> {
         if group.len() < 2 {
             return 0;
         }
-        let Self {
-            arena,
-            terms,
-            scratch,
-        } = self;
-        // Relevant monomials with their remainder class, as both a probe
-        // list and a lookup map: per polynomial the cheaper side wins.
-        let GroupScratch {
-            classes,
-            class_of,
-            distinct,
-            ..
-        } = scratch;
+        let GroupScratch { classes, keys, .. } = &mut self.scratch;
         classes.clear();
-        class_of.clear();
-        visit_occurrences(arena, group, |arena, m, v| {
+        visit_occurrences(&mut self.arena, group, |arena, m, v| {
             let (rem, exp) = arena.remainder(m, v);
-            let key = (u64::from(rem) << 32) | u64::from(exp);
-            classes.push((m, key));
-            class_of.insert(m, key);
+            classes.push((m, (u64::from(rem) << 32) | u64::from(exp)));
         });
+        classes.sort_unstable_by_key(|&(m, _)| m);
         let mut delta = 0usize;
         for &pi in affected {
-            let map = &terms[pi];
-            distinct.clear();
-            let mut matches = 0usize;
-            if classes.len() <= map.len() {
-                for &(m, key) in classes.iter() {
-                    if map.contains_key(&m) {
-                        matches += 1;
-                        distinct.insert(key);
-                    }
-                }
-            } else {
-                for &m in map.keys() {
-                    if let Some(&key) = class_of.get(&m) {
-                        matches += 1;
-                        distinct.insert(key);
-                    }
-                }
-            }
-            delta += matches - distinct.len();
+            // The occurrences that are terms of this polynomial, less the
+            // distinct classes they fall into.
+            keys.clear();
+            intersect(&self.ids[self.spans[pi].range()], classes, |_, key| {
+                keys.push(key)
+            });
+            let matches = keys.len();
+            keys.sort_unstable();
+            keys.dedup();
+            delta += matches - keys.len();
         }
         delta
     }
@@ -425,7 +597,8 @@ impl<C: Coefficient> WorkingSet<C> {
     /// Applies the group substitution `group → target` to the polynomials
     /// at `affected`, merging coefficients of monomials that become equal
     /// (and dropping exact-zero sums) — semantically `map_vars` restricted
-    /// to the affected polynomials, at id-remap cost.
+    /// to the affected polynomials, at id-remap cost, each run rewritten
+    /// inside its own span.
     ///
     /// `affected` must cover every polynomial containing a `group`
     /// variable; polynomials outside it are left untouched (they contain
@@ -433,75 +606,84 @@ impl<C: Coefficient> WorkingSet<C> {
     pub fn apply_group(&mut self, group: &[VarId], target: VarId, affected: &[usize]) {
         let Self {
             arena,
-            terms,
+            ids,
+            coeffs,
+            spans,
             scratch,
         } = self;
         let GroupScratch {
-            remap, remapped, ..
+            remap, moved, run, ..
         } = scratch;
         remap.clear();
-        remapped.clear();
         visit_occurrences(arena, group, |arena, m, v| {
             let (rem, exp) = arena.remainder(m, v);
-            let new_id = arena.mul_factor(rem, target, exp);
-            remap.push((m, new_id));
-            remapped.insert(m, new_id);
+            remap.push((m, arena.mul_factor(rem, target, exp)));
         });
+        remap.sort_unstable_by_key(|&(m, _)| m);
         for &pi in affected {
-            let map = &mut terms[pi];
-            if remap.len() <= map.len() {
-                // Move only the touched terms.
-                for &(old, new) in remap.iter() {
-                    if let Some(c) = map.remove(&old) {
-                        add_term_id(map, new, c);
-                    }
+            let range = spans[pi].range();
+            intersect(&ids[range.clone()], remap, |at, new_id| {
+                let at = range.start + at;
+                if new_id != ids[at] {
+                    moved.push((new_id, at as MonoId, coeffs[at].clone()));
                 }
-            } else {
-                // Small polynomial: rebuilding beats probing the remap.
-                let old = std::mem::take(map);
-                map.reserve(old.len());
-                for (m, c) in old {
-                    add_term_id(map, remapped.get(&m).copied().unwrap_or(m), c);
-                }
+            });
+            if moved.is_empty() {
+                continue;
             }
+            // The walk above read `ids`; now that it is over, each moved
+            // term's slot — kept where its source id goes — is vacated.
+            for term in moved.iter_mut() {
+                term.1 = std::mem::replace(&mut ids[term.1 as usize], NONE);
+            }
+            rebuild_run(ids, coeffs, &mut spans[pi], moved, run);
         }
     }
 
     /// Applies an arbitrary variable substitution to *every* polynomial —
     /// the wholesale `𝒫↓S` application, with each distinct monomial
-    /// remapped exactly once no matter how many polynomials share it.
+    /// remapped exactly once no matter how many polynomials share it
+    /// (monomials the substitution changes are interned polynomial by
+    /// polynomial, in ascending source id).
     pub fn apply_var_map(&mut self, mut map: impl FnMut(VarId) -> VarId) {
-        let mut remap: FxHashMap<MonoId, MonoId> = FxHashMap::default();
+        let Self {
+            arena,
+            ids,
+            coeffs,
+            spans,
+            scratch,
+        } = self;
+        let mut remap = vec![NONE; arena.len()];
         let mut mapped: Vec<(VarId, u32)> = Vec::new();
-        for pi in 0..self.terms.len() {
-            let old = std::mem::take(&mut self.terms[pi]);
-            let mut new_map: FxHashMap<MonoId, C> = FxHashMap::default();
-            new_map.reserve(old.len());
-            for (m, c) in old {
-                let id = match remap.get(&m) {
-                    Some(&id) => id,
-                    None => {
-                        let moved = self.arena.mono(m).vars().any(|v| map(v) != v);
-                        let id = if moved {
-                            mapped.clear();
-                            mapped.extend(self.arena.mono(m).factors().map(|(v, e)| (map(v), e)));
-                            Monomial::canonicalise(&mut mapped);
-                            self.arena.intern_factors(&mapped)
-                        } else {
-                            m
-                        };
-                        remap.insert(m, id);
-                        id
-                    }
-                };
-                add_term_id(&mut new_map, id, c);
+        for span in spans {
+            for at in span.range() {
+                let m = ids[at];
+                if remap[m as usize] == NONE {
+                    let moves = arena.mono(m).vars().any(|v| map(v) != v);
+                    remap[m as usize] = if moves {
+                        mapped.clear();
+                        mapped.extend(arena.mono(m).factors().map(|(v, e)| (map(v), e)));
+                        Monomial::canonicalise(&mut mapped);
+                        arena.intern_factors(&mapped)
+                    } else {
+                        m
+                    };
+                }
+                if remap[m as usize] != m {
+                    let moved = (remap[m as usize], m, coeffs[at].clone());
+                    scratch.moved.push(moved);
+                    ids[at] = NONE;
+                }
             }
-            self.terms[pi] = new_map;
+            if !scratch.moved.is_empty() {
+                rebuild_run(ids, coeffs, span, &mut scratch.moved, &mut scratch.run);
+            }
         }
     }
 
     /// Drops every arena entry that no polynomial holds, and with them the
-    /// arena's remainder memo: the monomials that are live keep their
+    /// arena's remainder memo, the gaps rewrites left between the runs and
+    /// the rewrite buffers: the monomials that are live keep their
     /// order (a monomial's new id is its rank among the live ids), so the
     /// canonical term order — and with it [`freeze`](Self::freeze),
     /// [`to_polyset`](Self::to_polyset) and the artifact codec — come out
@@ -513,17 +695,16 @@ impl<C: Coefficient> WorkingSet<C> {
         let kept = || (0..live.len()).filter(|&id| live[id]);
         let factors = kept().map(|id| self.arena.mono(id as MonoId).num_vars());
         let mut arena = MonoArena::with_capacity(kept().count(), factors.sum());
-        let mut new_ids = vec![MonoId::MAX; live.len()];
+        let mut new_ids = vec![NONE; live.len()];
         for id in kept() {
             new_ids[id] = arena.intern_factors(self.arena.mono(id as MonoId).as_factors());
         }
-        for map in &mut self.terms {
-            *map = map
-                .drain()
-                .map(|(id, c)| (new_ids[id as usize], c))
-                .collect();
+        let mut packed = Self::with_capacity(arena, self.num_polys(), self.size_m());
+        for pi in 0..self.num_polys() {
+            let terms = self.poly_terms(pi);
+            packed.push_poly(terms.map(|(id, c)| (new_ids[id as usize], c.clone())));
         }
-        self.arena = arena;
+        *self = packed;
     }
 
     /// Freezes the working set into the read-only columnar evaluation
@@ -541,17 +722,13 @@ impl<C: Coefficient> WorkingSet<C> {
     /// space ([`freeze`](Self::freeze)); this exists for interop,
     /// display, and the reference engines.
     pub fn to_polyset(&self) -> PolySet<C> {
-        PolySet::from_vec(
-            (0..self.terms.len())
-                .map(|pi| {
-                    Polynomial::from_terms(
-                        self.sorted_terms(pi)
-                            .into_iter()
-                            .map(|(id, c)| (self.arena.mono(id).to_monomial(), c.clone())),
-                    )
-                })
-                .collect(),
-        )
+        let polys = (0..self.num_polys()).map(|pi| {
+            let terms = self.poly_terms(pi);
+            Polynomial::from_terms(
+                terms.map(|(id, c)| (self.arena.mono(id).to_monomial(), c.clone())),
+            )
+        });
+        PolySet::from_vec(polys.collect())
     }
 }
 
@@ -758,7 +935,7 @@ mod tests {
     fn absorb_appends_and_interns_once() {
         let polys = sample();
         let ws = WorkingSet::from_polyset(&polys);
-        let mut acc: WorkingSet<f64> = WorkingSet::from_parts(MonoArena::new(), Vec::new());
+        let mut acc: WorkingSet<f64> = WorkingSet::with_capacity(MonoArena::new(), 0, 0);
         acc.absorb(&ws.subset(&[0]));
         acc.absorb(&ws.subset(&[1]));
         assert_eq!(acc.num_polys(), 2);
@@ -776,30 +953,66 @@ mod tests {
         let polys = sample();
         let ws = WorkingSet::from_polyset(&polys);
         let arena = ws.arena().clone();
-        let terms: Vec<FxHashMap<MonoId, f64>> = (0..ws.num_polys())
-            .map(|pi| ws.poly_terms(pi).map(|(id, c)| (id, *c)).collect())
+        // Term lists in any order — a producer's accumulation maps, here
+        // each run backwards — come out as the same ascending runs.
+        let terms: Vec<Vec<(MonoId, f64)>> = (0..ws.num_polys())
+            .map(|pi| {
+                let mut run: Vec<_> = ws.poly_terms(pi).map(|(id, c)| (id, *c)).collect();
+                run.reverse();
+                run
+            })
             .collect();
         let rebuilt = WorkingSet::from_parts(arena, terms);
+        for pi in 0..ws.num_polys() {
+            assert!(rebuilt.poly_terms(pi).eq(ws.poly_terms(pi)));
+        }
         for (a, b) in rebuilt.to_polyset().iter().zip(polys.iter()) {
             assert_eq!(a, b);
         }
     }
 
     #[test]
+    fn push_poly_accumulates_in_the_order_given_and_drops_zeros() {
+        let mut ws: WorkingSet<f64> = WorkingSet::with_capacity(MonoArena::new(), 0, 0);
+        let ids: Vec<MonoId> = (1..=3)
+            .map(|i| ws.arena_mut().intern(&Monomial::var(v(i))))
+            .collect();
+        // 1e16 + 1 − 1e16 on one monomial: left to right the 1 is lost.
+        ws.push_poly([
+            (ids[2], 4.0),
+            (ids[0], 1e16),
+            (ids[1], 2.0),
+            (ids[0], 1.0),
+            (ids[1], -2.0),
+            (ids[0], -1e16),
+        ]);
+        assert_eq!(ws.size_m(), 1, "the zero sums are gone");
+        assert!(ws.poly_terms(0).eq([(ids[2], &4.0)]));
+        // The same three terms with the 1 last keep it.
+        ws.push_poly([
+            (ids[1], 1.0),
+            (ids[0], 1e16),
+            (ids[0], -1e16),
+            (ids[0], 1.0),
+        ]);
+        assert!(ws.poly_terms(1).eq([(ids[0], &1.0), (ids[1], &1.0)]));
+        assert_eq!((ws.poly_span(0), ws.poly_span(1)), (0..1, 1..3));
+    }
+
+    #[test]
     fn coeff_and_sorted_ids() {
         let polys = sample();
         let ws = WorkingSet::from_polyset(&polys);
-        let terms = ws.sorted_terms(0);
-        assert_eq!(terms.len(), 3);
-        assert!(terms.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(ws.poly_mono_ids(0).len(), 3);
+        for pi in 0..ws.num_polys() {
+            assert!(ws.poly_mono_ids(pi).windows(2).all(|w| w[0] < w[1]));
+        }
         let m18 = ws
             .arena()
             .get(&Monomial::from_vars([v(1), v(8)]))
             .expect("interned");
-        let coeff_in = |pi: usize, id: MonoId| {
-            let terms = ws.sorted_terms(pi);
-            terms.iter().find(|&&(m, _)| m == id).map(|&(_, c)| *c)
-        };
+        let coeff_in =
+            |pi: usize, id: MonoId| ws.poly_terms(pi).find(|&(m, _)| m == id).map(|(_, c)| *c);
         assert_eq!(coeff_in(0, m18), Some(2.0));
         assert_eq!(coeff_in(1, m18), Some(5.0));
         let m39 = ws

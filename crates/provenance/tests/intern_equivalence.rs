@@ -180,31 +180,44 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The arena against a model, id for id
+// The arena and the term runs against a model, id for id and bit for bit
 // ---------------------------------------------------------------------
 //
 // `MonoArena` keeps its monomials in one flat factor column behind an
-// open-addressed table of ids. The model below is the plainest thing
-// that interns: a `HashMap<Monomial, u32>` over boxed monomials, with
-// every derived monomial built by `Monomial`'s own algebra. A random
-// interleaving of every operation that can assign an id must leave the
-// two agreeing on every id, every posting and every term.
+// open-addressed table of ids; `WorkingSet` keeps every term in one flat
+// column pair, a polynomial being a sorted run of it that is rewritten in
+// place. The model below is the plainest thing that does either: a
+// `HashMap<Monomial, u32>` over boxed monomials, with every derived
+// monomial built by `Monomial`'s own algebra, and one `BTreeMap<MonoId,
+// f64>` per polynomial, rewritten by the accumulation rule as the module
+// docs state it. A random interleaving of every operation that can assign
+// an id or move a term must leave the two agreeing on every id, every
+// posting and every run — order and coefficient bits included — and the
+// working set agreeing with `PolySet::map_vars` on what it denotes.
 //
-// What this suite was checked to catch (by hand, the mutation is not in
+// What this suite was checked to catch (by hand, the mutations are not in
 // the tree): with `MonoArena::probe` accepting a slot whose stored
 // monomial merely hashes to the same table slot as the probe — a slot
 // compared by hash only — `interleavings_agree_with_the_model` fails
-// on its first cases with two monomials sharing an id.
+// on its first cases with two monomials sharing an id; with
+// `rebuild_run` taking the term in its slot first whenever a moved
+// term has the same target (source order ignored),
+// `cancellation_follows_source_order` loses the term that should survive
+// (the random walk seldom lands three terms on a live monomial, and
+// passes).
 
-use provabs_provenance::intern::{accumulate, MonoId};
-use std::collections::HashMap;
+use provabs_provenance::intern::MonoId;
+use provabs_provenance::working::SubsetScratch;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
-/// The model: an interning map over owned monomials, and the term maps.
+/// The model: an interning map over owned monomials, and each polynomial
+/// as an ordered map from id to coefficient.
 #[derive(Default)]
 struct Model {
     ids: HashMap<Monomial, MonoId>,
     monos: Vec<Monomial>,
-    terms: Vec<HashMap<MonoId, f64>>,
+    terms: Vec<BTreeMap<MonoId, f64>>,
 }
 
 impl Model {
@@ -240,22 +253,48 @@ impl Model {
         model
     }
 
-    fn polys(&self) -> PolySet<f64> {
-        PolySet::from_vec(
-            self.terms
-                .iter()
-                .map(|terms| {
-                    let mut sorted: Vec<(MonoId, f64)> =
-                        terms.iter().map(|(&id, &c)| (id, c)).collect();
-                    sorted.sort_unstable_by_key(|&(id, _)| id);
-                    Polynomial::from_terms(
-                        sorted
-                            .into_iter()
-                            .map(|(id, c)| (self.monos[id as usize].clone(), c)),
-                    )
-                })
-                .collect(),
-        )
+    /// The accumulation rule, by the book: every term moves to
+    /// `target(id)`; the terms that meet on one monomial are added in
+    /// ascending source id — the order a `BTreeMap` is walked in — and a
+    /// finished sum of exactly zero goes.
+    fn rewrite(&mut self, target: impl Fn(MonoId) -> MonoId) {
+        for terms in &mut self.terms {
+            let mut rewritten = BTreeMap::new();
+            for (&id, &c) in terms.iter() {
+                rewritten
+                    .entry(target(id))
+                    .and_modify(|sum| *sum += c)
+                    .or_insert(c);
+            }
+            rewritten.retain(|_, c| *c != 0.0);
+            *terms = rewritten;
+        }
+    }
+
+    /// What scoring a group leaves in the arena: a remainder per
+    /// occurrence, variable by variable in posting order.
+    fn score_group(&mut self, group: &[VarId]) {
+        for &v in group {
+            for id in self.postings(v) {
+                let rem = self.monos[id as usize].remove_var(v).0;
+                self.intern(rem);
+            }
+        }
+    }
+
+    /// A group substitution: a remainder and a product interned per
+    /// occurrence, variable by variable in posting order, then the rule.
+    fn apply_group(&mut self, group: &[VarId], target: VarId) {
+        let mut remap: HashMap<MonoId, MonoId> = HashMap::new();
+        for &v in group {
+            for id in self.postings(v) {
+                let (rem, exp) = self.monos[id as usize].remove_var(v);
+                self.intern(rem.clone());
+                let product = rem.mul(&Monomial::from_factors([(target, exp)]));
+                remap.insert(id, self.intern(product));
+            }
+        }
+        self.rewrite(|id| remap.get(&id).copied().unwrap_or(id));
     }
 
     fn live(&self) -> Vec<bool> {
@@ -267,41 +306,94 @@ impl Model {
     }
 }
 
-/// Every id, every posting, every lookup and every term agree.
-fn assert_agree(ws: &WorkingSet<f64>, model: &Model) {
-    let arena = ws.arena();
-    assert_eq!(arena.len(), model.monos.len(), "arena length");
-    for (id, mono) in model.monos.iter().enumerate() {
-        assert_eq!(ws.mono(id as MonoId), mono.view(), "monomial {id}");
-        assert_eq!(arena.get(mono), Some(id as MonoId), "lookup of {mono:?}");
+/// A working set walked beside its model and beside the hash-map
+/// poly-set it denotes.
+struct Walk {
+    ws: WorkingSet<f64>,
+    model: Model,
+    /// What `ws` denotes, kept by `PolySet`'s own operations.
+    shadow: PolySet<f64>,
+    /// Whether every coefficient is a small integer (sums are exact and
+    /// may cancel) or a positive fraction (sums round and never cancel).
+    exact: bool,
+    scratch: SubsetScratch,
+}
+
+impl Walk {
+    fn spans(&self) -> Vec<Range<usize>> {
+        (0..self.ws.num_polys())
+            .map(|pi| self.ws.poly_span(pi))
+            .collect()
     }
-    for v in (0..16).map(VarId) {
-        assert_eq!(arena.postings_of(v), model.postings(v), "postings of {v:?}");
-    }
-    assert_eq!(ws.num_polys(), model.terms.len());
-    for (pi, terms) in model.terms.iter().enumerate() {
-        let got: HashMap<MonoId, f64> = ws.poly_terms(pi).map(|(id, &c)| (id, c)).collect();
-        assert_eq!(&got, terms, "terms of polynomial {pi}");
+
+    /// Every id, every posting, every lookup and every run agree; the
+    /// runs sit one after another; the set denotes the shadow.
+    fn assert_agree(&self) {
+        let (ws, model) = (&self.ws, &self.model);
+        let arena = ws.arena();
+        assert_eq!(arena.len(), model.monos.len(), "arena length");
+        for (id, mono) in model.monos.iter().enumerate() {
+            assert_eq!(ws.mono(id as MonoId), mono.view(), "monomial {id}");
+            assert_eq!(arena.get(mono), Some(id as MonoId), "lookup of {mono:?}");
+        }
+        for v in (0..16).map(VarId) {
+            assert_eq!(arena.postings_of(v), model.postings(v), "postings of {v:?}");
+        }
+        assert_eq!(ws.num_polys(), model.terms.len());
+        let mut end = 0;
+        for (pi, terms) in model.terms.iter().enumerate() {
+            // In a `BTreeMap`'s order, i.e. strictly ascending, and to the bit.
+            let got: Vec<(MonoId, u64)> =
+                ws.poly_terms(pi).map(|(id, c)| (id, c.to_bits())).collect();
+            let want: Vec<(MonoId, u64)> = terms.iter().map(|(&id, c)| (id, c.to_bits())).collect();
+            assert_eq!(got, want, "run of polynomial {pi}");
+            assert_eq!(ws.poly_mono_ids(pi).len(), ws.poly_size_m(pi));
+            let span = ws.poly_span(pi);
+            assert!(end <= span.start, "run {pi} overlaps the one before it");
+            end = span.end;
+        }
+        let denoted = ws.to_polyset();
+        assert_eq!(denoted.len(), self.shadow.len());
+        for (pi, (got, want)) in denoted.iter().zip(self.shadow.iter()).enumerate() {
+            assert_eq!(got.size_m(), want.size_m(), "term set of polynomial {pi}");
+            for (mono, &c) in want.iter() {
+                let ours = got.coefficient(mono);
+                let close = (ours - c).abs() <= 1e-9 * c.abs();
+                assert!(
+                    if self.exact { ours == c } else { close },
+                    "polynomial {pi}, {mono:?}: {ours} against map_vars' {c}"
+                );
+            }
+        }
     }
 }
 
 /// A drawn term: group variable (5 and 6 mean none), context factors,
-/// coefficient.
+/// coefficient draw.
 type RawTerm = (u32, Vec<(u32, u32)>, i64);
+type RawPolys = Vec<Vec<RawTerm>>;
 
 /// Variables 0..4 are the *group* family — a monomial of a polynomial
 /// holds at most one of them, as forest compatibility demands of the
-/// variables one tree covers; 5..10 are context.
-fn compatible_polyset(raw: Vec<Vec<RawTerm>>) -> PolySet<f64> {
+/// variables one tree covers; 5..10 are context. Monomials recur within
+/// and across polynomials (few variables, few exponents). `exact` makes
+/// the coefficients small non-zero integers of either sign; otherwise
+/// they are positive multiples of a tenth.
+fn compatible_polyset(raw: &RawPolys, exact: bool) -> PolySet<f64> {
+    let coeff = |c: i64| match (exact, c) {
+        (true, 0) => 10.0,
+        (true, c) => c as f64,
+        (false, c) => 0.1 * (c.abs() + 1) as f64,
+    };
     PolySet::from_vec(
-        raw.into_iter()
+        raw.iter()
             .map(|terms| {
-                Polynomial::from_terms(terms.into_iter().map(|(group_var, context, c)| {
-                    let group = (group_var < 5).then_some((VarId(group_var), 1));
-                    let context = context.into_iter().map(|(v, e)| (VarId(5 + v % 5), e));
+                Polynomial::from_terms(terms.iter().map(|(group_var, context, c)| {
+                    let group = (*group_var < 5).then_some((VarId(*group_var), 1));
+                    let context = context.iter().map(|&(v, e)| (VarId(5 + v % 5), e));
                     (
                         Monomial::from_factors(group.into_iter().chain(context)),
-                        c as f64,
+                        coeff(*c),
                     )
                 }))
             })
@@ -309,21 +401,21 @@ fn compatible_polyset(raw: Vec<Vec<RawTerm>>) -> PolySet<f64> {
     )
 }
 
-fn compatible_strategy(polys: std::ops::Range<usize>) -> impl Strategy<Value = PolySet<f64>> {
+fn compatible_strategy(polys: std::ops::Range<usize>) -> impl Strategy<Value = RawPolys> {
     let term = (
         0u32..7,
         prop::collection::vec((0u32..5, 1u32..3), 0..3),
-        1i64..50,
+        -9i64..10,
     );
-    prop::collection::vec(prop::collection::vec(term, 0..7), polys).prop_map(compatible_polyset)
+    prop::collection::vec(prop::collection::vec(term, 0..7), polys)
 }
 
 /// One step of an interleaving: an operation and the draws it reads.
-type Step = (u32, u32, u32, Vec<(u32, u32)>, PolySet<f64>);
+type Step = (u32, u32, u32, Vec<(u32, u32)>, RawPolys);
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     (
-        0u32..9,
+        0u32..10,
         any::<u32>(),
         any::<u32>(),
         prop::collection::vec((0u32..12, 0u32..3), 0..4),
@@ -331,7 +423,17 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     )
 }
 
-fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, other): Step) {
+/// Applies one step to the working set, the model and the shadow, and
+/// checks what the step itself promises about the spans.
+fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
+    let before = walk.spans();
+    let Walk {
+        ws,
+        model,
+        shadow,
+        exact,
+        scratch,
+    } = walk;
     let len = ws.arena().len() as u32;
     let pick = |draw: u32| (len > 0).then(|| draw % len.max(1));
     match op {
@@ -375,40 +477,21 @@ fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, o
             let group: Vec<VarId> = (0..5).filter(|i| a >> i & 1 == 1).map(VarId).collect();
             let target = VarId(5 + b % 8);
             let all: Vec<usize> = (0..ws.num_polys()).collect();
-            // The score is the loss of merging into a *fresh* variable.
-            let (before, fresh) = (ws.size_m(), !ws.live_vars().contains(&target));
+            // The score is the loss of merging into a *fresh* variable
+            // (5..10 occur in the polynomials, 10..13 seldom do).
+            let (size, fresh) = (ws.size_m(), !ws.live_vars().contains(&target));
             let predicted = ws.ml_delta_of_group(&group, &all);
             if group.len() >= 2 {
-                for &v in &group {
-                    for id in model.postings(v) {
-                        let rem = model.monos[id as usize].remove_var(v).0;
-                        model.intern(rem);
-                    }
-                }
+                model.score_group(&group);
             }
             ws.apply_group(&group, target, &all);
-            let mut remap: HashMap<MonoId, MonoId> = HashMap::new();
-            for &v in &group {
-                for id in model.postings(v) {
-                    let (rem, exp) = model.monos[id as usize].remove_var(v);
-                    model.intern(rem.clone());
-                    let product = rem.mul(&Monomial::from_factors([(target, exp)]));
-                    remap.insert(id, model.intern(product));
-                }
-            }
-            for terms in &mut model.terms {
-                let mut rewritten = Default::default();
-                for (id, c) in terms.drain() {
-                    accumulate(&mut rewritten, remap.get(&id).copied().unwrap_or(id), c);
-                }
-                *terms = rewritten.into_iter().collect();
-            }
+            model.apply_group(&group, target);
+            *shadow = shadow.map_vars(|v| if group.contains(&v) { target } else { v });
+            // Merged terms are lost; cancelled ones (integers) are too.
+            let lost = size - ws.size_m();
             if group.len() >= 2 && fresh {
-                assert_eq!(
-                    predicted,
-                    before - ws.size_m(),
-                    "monomial loss of {group:?}"
-                );
+                assert!(predicted <= lost, "monomial loss of {group:?}");
+                assert!(*exact || predicted == lost, "monomial loss of {group:?}");
             }
         }
         // A subset starts a fresh arena holding what its polynomials
@@ -417,26 +500,21 @@ fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, o
             let indices: Vec<usize> = (0..ws.num_polys())
                 .filter(|i| a >> (i % 32) & 1 == 1)
                 .collect();
-            let sub = ws.subset(&indices);
-            let slice = model.polys();
-            let want = PolySet::from_vec(
-                indices
-                    .iter()
-                    .map(|&i| slice.as_slice()[i].clone())
-                    .collect(),
-            );
-            assert_polysets_equal(&sub.to_polyset(), &want);
+            let sub = ws.subset_with(&indices, scratch);
             assert_eq!(
                 sub.arena().len(),
                 sub.live_monomials().count(),
                 "a subset is compact"
             );
+            let picked = indices.iter().map(|&i| shadow.as_slice()[i].clone());
+            *shadow = PolySet::from_vec(picked.collect());
             *model = Model::of(&sub);
             *ws = sub;
         }
         // Absorbing appends: no id the arena had moves, every new id is
         // a monomial it did not have.
         7 => {
+            let other = compatible_polyset(&other, *exact);
             let incoming = WorkingSet::from_polyset(&other);
             ws.absorb(&incoming);
             for id in model.monos.len() as MonoId..ws.arena().len() as MonoId {
@@ -450,10 +528,11 @@ fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, o
                 model
                     .terms
                     .push(p.iter().map(|(m, &c)| (model.ids[m], c)).collect());
+                shadow.push(p.clone());
             }
         }
         // Compaction renumbers the live monomials by rank.
-        _ => {
+        8 => {
             ws.compact();
             let live = model.live();
             let mut compacted = Model::default();
@@ -462,17 +541,50 @@ fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, o
                 .zip(&model.monos)
                 .map(|(&is_live, mono)| is_live.then(|| compacted.intern(mono.clone())))
                 .collect();
-            compacted.terms = model
-                .terms
-                .iter()
-                .map(|terms| {
-                    terms
-                        .iter()
-                        .map(|(&id, &c)| (new_ids[id as usize].expect("live"), c))
-                        .collect()
-                })
-                .collect();
+            compacted.terms = std::mem::take(&mut model.terms);
+            compacted.rewrite(|id| new_ids[id as usize].expect("live"));
             *model = compacted;
+        }
+        // A wholesale substitution that keeps the families apart: each
+        // monomial it changes is interned when a polynomial first holds
+        // it, polynomial by polynomial in ascending id.
+        _ => {
+            let (groups, contexts) = (1 + a % 5, 1 + b % 8);
+            let map = |v: VarId| match v.0 {
+                g @ 0..5 => VarId(g % groups),
+                c => VarId(5 + (c - 5) % contexts),
+            };
+            ws.apply_var_map(map);
+            let mut remap: HashMap<MonoId, MonoId> = HashMap::new();
+            for pi in 0..model.terms.len() {
+                let ids: Vec<MonoId> = model.terms[pi].keys().copied().collect();
+                for id in ids {
+                    let mapped = model.monos[id as usize].map_vars(map);
+                    remap.entry(id).or_insert_with(|| model.intern(mapped));
+                }
+            }
+            model.rewrite(|id| remap[&id]);
+            *shadow = shadow.map_vars(map);
+        }
+    }
+    // No run ever grows or moves: a rewrite leaves it inside the span it
+    // had, an absorption leaves it alone, and only what rebuilds the
+    // columns (subset, compaction) packs the runs again, from the start.
+    let after = walk.spans();
+    if op == 6 || op == 8 {
+        let mut end = 0;
+        for span in after {
+            assert_eq!(span.start, end, "rebuilt columns have no gaps");
+            end = span.end;
+        }
+    } else {
+        for (pi, was) in before.iter().enumerate() {
+            let now = &after[pi];
+            assert!(
+                now.start == was.start && now.end <= was.end,
+                "run {pi} went from {was:?} to {now:?}"
+            );
+            assert!(op != 7 || now == was, "absorbing moved run {pi}");
         }
     }
 }
@@ -480,21 +592,26 @@ fn apply_step(ws: &mut WorkingSet<f64>, model: &mut Model, (op, a, b, factors, o
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Random interleavings of every id-assigning operation leave the
-    /// arena and the model agreeing id for id after every step.
+    /// Random interleavings of every operation that assigns an id or
+    /// moves a term leave the working set and the model agreeing id for
+    /// id and bit for bit after every step, with every run ascending,
+    /// inside the span it had and clear of its neighbours, and the set
+    /// denoting what `PolySet::map_vars` makes of the same steps.
     #[test]
     fn interleavings_agree_with_the_model(
-        polys in compatible_strategy(0..5),
+        raw in compatible_strategy(0..5),
+        exact in any::<bool>(),
         steps in prop::collection::vec(step_strategy(), 0..24),
     ) {
-        let mut ws = WorkingSet::from_polyset(&polys);
-        let mut model = Model::of(&ws);
-        assert_polysets_equal(&model.polys(), &polys);
+        let polys = compatible_polyset(&raw, exact);
+        let ws = WorkingSet::from_polyset(&polys);
+        let model = Model::of(&ws);
+        let mut walk = Walk { ws, model, shadow: polys, exact, scratch: SubsetScratch::new() };
+        walk.assert_agree();
         for step in steps {
-            apply_step(&mut ws, &mut model, step);
-            assert_agree(&ws, &model);
+            apply_step(&mut walk, step);
+            walk.assert_agree();
         }
-        assert_polysets_equal(&ws.to_polyset(), &model.polys());
     }
 
     /// Compaction changes nothing a consumer can see: the same poly-set,
@@ -502,10 +619,10 @@ proptest! {
     /// live monomials alone, in the order they had.
     #[test]
     fn compaction_is_invisible_downstream(
-        polys in compatible_strategy(0..5),
+        raw in compatible_strategy(0..5),
         groups in prop::collection::vec((0u32..32, 0u32..8), 0..4),
     ) {
-        let mut ws = WorkingSet::from_polyset(&polys);
+        let mut ws = WorkingSet::from_polyset(&compatible_polyset(&raw, true));
         let all: Vec<usize> = (0..ws.num_polys()).collect();
         for (mask, target) in groups {
             let group: Vec<VarId> = (0..5).filter(|i| mask >> i & 1 == 1).map(VarId).collect();
@@ -529,5 +646,89 @@ proptest! {
             .map(|id| ws.mono(id).to_monomial())
             .collect();
         prop_assert_eq!(arena, order);
+    }
+}
+
+/// Each run of `ws` as the monomials and coefficient bits it lists, in
+/// order — what two sets with different ids can be compared by.
+fn runs(ws: &WorkingSet<f64>) -> Vec<Vec<(Monomial, u64)>> {
+    (0..ws.num_polys())
+        .map(|pi| {
+            let terms = ws.poly_terms(pi);
+            terms
+                .map(|(id, c)| (ws.mono(id).to_monomial(), c.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// The accumulation order is a property, not an accident: `1e16`, `1` and
+/// `-1e16` meeting on one monomial leave `1` or nothing depending on the
+/// order they are added in, and the order is ascending source id —
+/// (a) whether the polynomial is smaller or larger than the group's
+/// occurrence list, (b) in the set, in its compacted twin and in the
+/// twin rebuilt from its frozen columns, (c) as the `BTreeMap` model adds.
+#[test]
+fn cancellation_follows_source_order() {
+    let (a, b, c, t) = (VarId(0), VarId(1), VarId(2), VarId(7));
+    let (x, y, z) = (VarId(5), VarId(6), VarId(8));
+    let mono = |factors: &[(VarId, u32)]| Monomial::from_factors(factors.iter().copied());
+    let mut ws: WorkingSet<f64> = WorkingSet::with_capacity(Default::default(), 0, 0);
+    let mut id = |factors: &[(VarId, u32)]| ws.arena_mut().intern(&mono(factors));
+    // Ascending ids: −1e16 + 1e16 first, then the 1, which survives; in
+    // the group's own order (a, b, c) the 1 would be absorbed and lost.
+    let on_x = [
+        (id(&[(c, 1), (x, 1)]), -1e16),
+        (id(&[(a, 1), (x, 1)]), 1e16),
+        (id(&[(b, 1), (x, 1)]), 1.0),
+    ];
+    let fillers: Vec<(MonoId, f64)> = (1..=9).map(|e| (id(&[(y, e)]), f64::from(e))).collect();
+    // The occurrence list: three monomials on x, six on y, two on z.
+    let on_y: Vec<(MonoId, f64)> = [a, b, c]
+        .iter()
+        .flat_map(|&v| [(v, 1), (v, 2)])
+        .map(|(v, e)| (id(&[(v, 1), (y, e)]), 3.0))
+        .collect();
+    // A term already on the target takes part under its own id, here
+    // after both terms that move onto it: 1e16 − 1e16, then its 1.
+    let on_z = [
+        (id(&[(a, 1), (z, 1)]), 1e16),
+        (id(&[(c, 1), (z, 1)]), -1e16),
+        (id(&[(t, 1), (z, 1)]), 1.0),
+    ];
+    ws.push_poly(on_x);
+    ws.push_poly(on_x.into_iter().chain(fillers));
+    ws.push_poly(on_y);
+    ws.push_poly(on_z);
+    assert!(ws.poly_size_m(0) < 11 && ws.poly_size_m(1) > 11, "(a)");
+
+    let group = [a, b, c];
+    let all: Vec<usize> = (0..ws.num_polys()).collect();
+    let mut model = Model::of(&ws);
+    let mut compacted = ws.clone();
+    compacted.compact();
+    let mut rebuilt = WorkingSet::from_compiled(ws.freeze().view());
+    assert_eq!(runs(&rebuilt), runs(&ws), "the twins start equal");
+
+    model.score_group(&group);
+    model.apply_group(&group, t);
+    for set in [&mut ws, &mut compacted, &mut rebuilt] {
+        assert_eq!(set.ml_delta_of_group(&group, &all), 2 + 2 + 4 + 1);
+        set.apply_group(&group, t, &all);
+    }
+    let survivor = |context: VarId| (mono(&[(context, 1), (t, 1)]), 1f64.to_bits());
+    assert_eq!(runs(&ws)[0], [survivor(x)], "(a) the small polynomial");
+    assert_eq!(runs(&ws)[1][9], survivor(x), "(a) the large polynomial");
+    assert_eq!(runs(&ws)[3], [survivor(z)], "a term on the target");
+    assert_eq!(runs(&compacted), runs(&ws), "(b) compacted twin");
+    assert_eq!(
+        runs(&rebuilt),
+        runs(&ws),
+        "(b) twin rebuilt from the columns"
+    );
+    for (pi, terms) in model.terms.iter().enumerate() {
+        let want: Vec<(MonoId, u64)> = terms.iter().map(|(&id, c)| (id, c.to_bits())).collect();
+        let got: Vec<(MonoId, u64)> = ws.poly_terms(pi).map(|(id, c)| (id, c.to_bits())).collect();
+        assert_eq!(got, want, "(c) the model, polynomial {pi}");
     }
 }

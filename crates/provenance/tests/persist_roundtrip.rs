@@ -423,10 +423,22 @@ fn random_polysets_roundtrip_bitwise() {
         let context = format!("seed {seed}, sparse powers {sparse_powers}");
 
         let ws = WorkingSet::from_polyset(&polys);
-        let rebuilt = WorkingSet::from_compiled(ws.freeze().view()).to_polyset();
-        assert_eq!(rebuilt.len(), polys.len(), "{context}");
-        for (a, b) in rebuilt.iter().zip(polys.iter()) {
+        let rebuilt = WorkingSet::from_compiled(ws.freeze().view());
+        assert_eq!(rebuilt.num_polys(), polys.len(), "{context}");
+        for (a, b) in rebuilt.to_polyset().iter().zip(polys.iter()) {
             assert_eq!(a, b, "{context}: from_compiled(freeze) is not the identity");
+        }
+        // Run for run in the same order too: a lowered set's ids follow
+        // first occurrence, as the rebuilt set's do, so the ascending runs
+        // list the same monomials and coefficients in the same places.
+        for pi in 0..ws.num_polys() {
+            let run = |set: &WorkingSet<f64>| -> Vec<(Monomial, u64)> {
+                let terms = set.poly_terms(pi);
+                terms
+                    .map(|(id, c)| (set.mono(id).to_monomial(), c.to_bits()))
+                    .collect()
+            };
+            assert_eq!(run(&rebuilt), run(&ws), "{context}: run {pi} reordered");
         }
 
         let session = SessionBuilder::new(polys.clone(), vars.clone())

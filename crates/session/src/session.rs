@@ -407,7 +407,7 @@ impl Session {
             completion,
             checkpoints_hit: guard.checkpoints_hit() - ticked_before,
             arena_monomials: interned.working.arena().len(),
-            live_vars: interned.working.live_vars(),
+            live_vars: interned.live_vars,
             working: OnceLock::from(interned.working),
             compiled: OnceLock::new(),
             abstracted: OnceLock::new(),
@@ -433,8 +433,9 @@ impl Session {
                 // VVS back into the interned currency.
                 let (result, completion) =
                     reference::greedy_vvs(self.polys_ref(), &self.forest, self.bound, guard)?;
+                let source = self.source_ws().clone();
                 (
-                    evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
+                    evaluate_vvs(source, &result.forest, result.vvs, result.original_size_v),
                     completion,
                 )
             }
@@ -466,16 +467,17 @@ impl Session {
                     self.bound,
                     *cut_limit,
                 )?;
+                let source = self.source_ws().clone();
                 (
-                    evaluate_vvs(self.source_ws().clone(), &result.forest, result.vvs),
+                    evaluate_vvs(source, &result.forest, result.vvs, result.original_size_v),
                     Completion::Complete,
                 )
             }
             Strategy::None => {
-                let cleaned = prepare(self.source_ws(), &self.forest)?;
+                let (cleaned, live) = prepare(self.source_ws(), &self.forest)?;
                 let vvs = Vvs::identity(&cleaned);
                 (
-                    evaluate_vvs(self.source_ws().clone(), &cleaned, vvs),
+                    evaluate_vvs(self.source_ws().clone(), &cleaned, vvs, live.len()),
                     Completion::Complete,
                 )
             }

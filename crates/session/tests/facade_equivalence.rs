@@ -67,7 +67,13 @@ fn low_level_oracle(
         }
         Strategy::Greedy { incremental: false } => {
             let (result, _) = reference::greedy_vvs(polys, forest, bound, guard)?;
-            Ok(evaluate_vvs(source.clone(), &result.forest, result.vvs))
+            let size_v = result.original_size_v;
+            Ok(evaluate_vvs(
+                source.clone(),
+                &result.forest,
+                result.vvs,
+                size_v,
+            ))
         }
         Strategy::Online { fraction, seed } => online_compress(
             source,
@@ -84,12 +90,18 @@ fn low_level_oracle(
         }
         Strategy::Brute { cut_limit } => {
             let result = reference::brute_force_vvs(polys, forest, bound, *cut_limit)?;
-            Ok(evaluate_vvs(source.clone(), &result.forest, result.vvs))
+            let size_v = result.original_size_v;
+            Ok(evaluate_vvs(
+                source.clone(),
+                &result.forest,
+                result.vvs,
+                size_v,
+            ))
         }
         Strategy::None => {
-            let cleaned = prepare(source, forest)?;
+            let (cleaned, live) = prepare(source, forest)?;
             let vvs = Vvs::identity(&cleaned);
-            Ok(evaluate_vvs(source.clone(), &cleaned, vvs))
+            Ok(evaluate_vvs(source.clone(), &cleaned, vvs, live.len()))
         }
         _ => unreachable!("non-exhaustive enum: add new strategies here"),
     }

@@ -75,7 +75,7 @@ proptest! {
         let total = inst.polys.size_m();
         // Independent reference: every (size, granularity) point reachable
         // by any cut, by direct application.
-        let cleaned = provabs::algo::problem::prepare(&inst.source, &inst.forest)
+        let (cleaned, _) = provabs::algo::problem::prepare(&inst.source, &inst.forest)
             .expect("compatible after cleaning");
         let reference: Vec<(usize, usize)> =
             provabs::trees::cut::enumerate_forest_cuts(&cleaned, 100_000, 100_000)

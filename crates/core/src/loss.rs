@@ -46,24 +46,25 @@ impl TreeLoss {
         // Dense remainder-class keys: (poly index, exponent, remainder id).
         let mut key_ids: FxHashMap<(usize, u32, MonoId), u32> = FxHashMap::default();
         let mut per_leaf: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for pi in 0..ws.num_polys() {
-            for at in 0..ws.poly_size_m(pi) {
-                let id = ws.poly_mono_ids(pi)[at];
+        // The runs are read off a clone, which shares them, while one
+        // writer memoises every remainder into the arena.
+        let runs = ws.clone();
+        let mut arena = ws.arena_mut().writer();
+        for pi in 0..runs.num_polys() {
+            for &id in runs.poly_mono_ids(pi) {
                 // Compatibility: at most one tree node per monomial.
-                let Some((node, v)) = ws
-                    .mono(id)
-                    .vars()
-                    .find_map(|v| tree.node_of_var(v).map(|node| (node, v)))
-                else {
+                let mut vars = runs.mono(id).vars();
+                let Some((node, v)) = vars.find_map(|v| tree.node_of_var(v).map(|n| (n, v))) else {
                     continue;
                 };
                 debug_assert!(tree.is_leaf(node), "meta-variable in polynomials");
-                let (rem, exp) = ws.arena_mut().remainder(id, v);
+                let (rem, exp) = arena.remainder(id, v);
                 let next = key_ids.len() as u32;
                 let key = *key_ids.entry((pi, exp, rem)).or_insert(next);
                 per_leaf[node.index()].push(key);
             }
         }
+        drop(arena);
         Self::from_per_leaf(tree, per_leaf)
     }
 

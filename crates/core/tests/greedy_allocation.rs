@@ -1,18 +1,22 @@
 //! What the flat arena and the flat term runs are for, as a test:
 //! emitting provenance and compressing it allocate per run and per
-//! polynomial, never per monomial; a rewrite whose buffers are warm
-//! allocates nothing; a term costs its id and its coefficient; and the
-//! arena and the working set say truthfully how much heap they hold.
+//! polynomial, never per monomial; a clone allocates nothing for what it
+//! shares, and a run copies only what it writes; a rewrite whose buffers
+//! are warm allocates nothing; a term costs its id and its coefficient;
+//! and the arena and the working set say truthfully how much heap they
+//! hold.
 //!
 //! A counting `#[global_allocator]` needs the process to itself, so this
 //! binary holds exactly one test.
 
 use provabs_core::greedy::greedy_vvs;
+use provabs_core::problem::{evaluate_vvs, prepare};
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
 use provabs_provenance::guard::Guard;
 use provabs_provenance::intern::{MonoArena, MonoId};
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
+use provabs_trees::cut::Vvs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -77,10 +81,25 @@ fn compression_allocates_per_run_not_per_monomial() {
     let mut vars = VarTable::new();
     let (source, emitting, _) = measured(|| scale_working_set(&config, &mut vars));
     let monomials = source.size_m();
+    let source_bytes = source.estimated_bytes();
     assert!(monomials > 20_000, "the fixture is the default one");
     assert!(
         emitting * 2 < monomials,
         "emission: {emitting} allocations for {monomials} monomials"
+    );
+
+    // A clone shares its source's arena and columns: it allocates for
+    // neither (a deep clone holds 100 % of the source), and measures what
+    // its source measures.
+    let (twin, _, cloned) = measured(|| source.clone());
+    assert!(
+        cloned * 100 < source_bytes,
+        "a clone holds {cloned} B of a {source_bytes} B set"
+    );
+    assert_eq!(twin.estimated_bytes(), source_bytes);
+    assert_eq!(
+        twin.arena().estimated_bytes(),
+        source.arena().estimated_bytes()
     );
 
     let forest = scale_forest(&config, &mut vars);
@@ -97,10 +116,51 @@ fn compression_allocates_per_run_not_per_monomial() {
         "greedy: {compressing} allocations for {monomials} monomials"
     );
 
-    // A copy is sized exactly; an arena that grew holds slack; one a run
-    // rewrote in holds the remainder memo as well.
+    // A run over a source that a live clone still shares starts as one
+    // more sharer and copies only what it writes — the table and the term
+    // columns — so the set it returns, uncompacted, holds less than its
+    // source (a run over a deep copy holds the whole source plus what it
+    // derived). Half-size runs derive almost half the source again, so
+    // this one merges a quarter away.
+    let quarter = monomials - monomials / 4;
+    let (_, _, returned) =
+        measured(|| greedy_vvs(&source, &forest, quarter, &guard).expect("attainable"));
+    assert!(
+        returned < source_bytes,
+        "greedy returned {returned} B over a {source_bytes} B source"
+    );
+    drop(twin);
+
+    // An identity abstraction holds no second copy of its source: a
+    // `Strategy::None` compress (`evaluate_vvs` of the identity, then the
+    // session's `compact()`), and greedy's `bound ≥ |𝒫|_M` exit.
+    let (none, _, none_held) = measured(|| {
+        let (cleaned, live) = prepare(&source, &forest).expect("compatible");
+        let vvs = Vvs::identity(&cleaned);
+        let mut none = evaluate_vvs(source.clone(), &cleaned, vvs, live.len());
+        none.working.compact();
+        none
+    });
+    let (all, _, all_held) = measured(|| {
+        let (mut all, _) = greedy_vvs(&source, &forest, monomials, &guard).expect("identity");
+        all.working.compact();
+        all
+    });
+    assert_eq!(none.working.size_m(), monomials);
+    assert_eq!(all.working.size_m(), monomials);
+    for (what, held) in [("none", none_held), ("bound ≥ |𝒫|_M", all_held)] {
+        assert!(
+            held * 100 < source_bytes,
+            "{what}: an identity abstraction holds {held} B of a {source_bytes} B source"
+        );
+    }
+    drop((none, all));
+
+    // What an arena and a set say they hold is what the allocator handed
+    // out: an arena that grew holds slack; one a run rewrote in holds the
+    // remainder memo and a derived tail as well (a run over a set built
+    // inside the measurement, so that nothing it shares predates it).
     let arena_bytes = MonoArena::estimated_bytes;
-    assert_honest("copied arena", || source.arena().clone(), arena_bytes);
     let grown_arena = || {
         let mut arena = MonoArena::new();
         for id in 0..source.arena().len() as MonoId {
@@ -109,16 +169,6 @@ fn compression_allocates_per_run_not_per_monomial() {
         arena
     };
     assert_honest("grown arena", grown_arena, arena_bytes);
-    assert_honest(
-        "rewritten arena",
-        || abs.working.arena().clone(),
-        arena_bytes,
-    );
-
-    // The same of a working set: a copy; one whose columns grew a
-    // polynomial at a time; one a run rewrote (gaps between its runs).
-    let set_bytes = WorkingSet::<f64>::estimated_bytes;
-    assert_honest("copied set", || source.clone(), set_bytes);
     let grown_set = || {
         let mut ws = WorkingSet::with_capacity(grown_arena(), 0, 0);
         for pi in 0..source.num_polys() {
@@ -126,18 +176,35 @@ fn compression_allocates_per_run_not_per_monomial() {
         }
         ws
     };
+    let rewritten = || {
+        let own = grown_set();
+        greedy_vvs(&own, &forest, bound, &guard)
+            .expect("attainable")
+            .0
+            .working
+    };
+    assert_honest(
+        "rewritten arena",
+        || rewritten().arena().clone(),
+        arena_bytes,
+    );
+    let set_bytes = WorkingSet::<f64>::estimated_bytes;
     assert_honest("grown set", grown_set, set_bytes);
-    assert_honest("rewritten set", || abs.working.clone(), set_bytes);
+    assert_honest("rewritten set", rewritten, set_bytes);
 
     // A term is an id and a coefficient in the columns — 12 B, and a span
     // per polynomial. (One hash map per polynomial costs twice that: a
-    // per-polynomial map coming back fails here.)
-    let (_, _, set_held) = measured(|| source.clone());
-    let (_, _, arena_held) = measured(|| source.arena().clone());
+    // per-polynomial map coming back fails here.) Built by `from_parts`
+    // over a clone of the source's arena, which costs nothing itself.
+    let (_, _, terms_held) = measured(|| {
+        let runs: Vec<Vec<(MonoId, f64)>> = (0..source.num_polys())
+            .map(|pi| source.poly_terms(pi).map(|(id, c)| (id, *c)).collect())
+            .collect();
+        WorkingSet::from_parts(source.arena().clone(), runs)
+    });
     assert!(
-        set_held - arena_held <= 13 * monomials,
-        "{} B for the terms of {monomials} monomials",
-        set_held - arena_held
+        terms_held <= 13 * monomials,
+        "{terms_held} B for the terms of {monomials} monomials"
     );
 
     // A rewrite allocates nothing once its buffers are warm and the

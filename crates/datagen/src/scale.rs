@@ -114,8 +114,10 @@ fn intern_vars(config: &ScaleConfig, vars: &mut VarTable) -> (Vec<VarId>, Vec<Va
 /// Emits the polynomials of groups `range` as one working set. The
 /// filled slots are counted first (a slot is a hash, not a monomial), so
 /// the arena and the term columns are allocated once, at their size. A
-/// group's monomials are new to the arena in emission order, so its ids
-/// ascend and the terms go into the columns as they are emitted.
+/// group's monomials are interned through one arena writer (one check
+/// that the arena is unshared a group, not one a monomial); they are new
+/// to the arena in emission order, so its ids ascend and the terms go
+/// into the columns as they are emitted.
 fn emit_groups(
     config: &ScaleConfig,
     range: std::ops::Range<usize>,
@@ -136,6 +138,7 @@ fn emit_groups(
     let mut factors = Vec::with_capacity(3);
     let mut terms = Vec::with_capacity(config.plans * config.months);
     for g in range {
+        let mut arena = ws.arena_mut().writer();
         for (i, &p) in plans.iter().enumerate() {
             for (j, &m) in months.iter().enumerate() {
                 let Some(coeff) = slot(config, g, i, j) else {
@@ -144,9 +147,10 @@ fn emit_groups(
                 factors.clear();
                 factors.extend([(zips[g], 1), (p, 1), (m, 1)]);
                 Monomial::canonicalise(&mut factors);
-                terms.push((ws.arena_mut().intern_factors(&factors), coeff));
+                terms.push((arena.intern_factors(&factors), coeff));
             }
         }
+        drop(arena);
         ws.push_poly(terms.drain(..));
     }
     ws

@@ -476,8 +476,9 @@ impl Pipeline {
         // their measures are summed in emission order. They are not the
         // working set's storage — `from_parts` drains each into a run.
         let mut terms: Vec<FxHashMap<MonoId, C>> = Vec::new();
+        let mut writer = arena.writer();
         let keys = self.emit(group_cols, measure, rules, vars, |slot, factors, x| {
-            let id = arena.intern_factors(factors);
+            let id = writer.intern_factors(factors);
             if slot == terms.len() {
                 terms.push(FxHashMap::default());
             }
@@ -485,6 +486,7 @@ impl Pipeline {
             // rule, so both currencies cancel zeros identically.
             provabs_provenance::intern::accumulate(&mut terms[slot], id, wrap(x));
         })?;
+        drop(writer);
         Ok(GroupedProvenanceInternedOf {
             keys,
             working: WorkingSet::from_parts(arena, terms),

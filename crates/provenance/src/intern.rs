@@ -24,6 +24,18 @@
 //!   exponent)` — the `M_l` operation of §4.1 of the paper, valid forever
 //!   because the arena only grows.
 //!
+//! **Clones share, writers copy what they change** (ADR 017). The ids
+//! `0..n` — their factors, ends and postings — are an immutable *prefix*
+//! behind an `Arc`; the ids `n..` are a *tail*, also behind an `Arc`, and
+//! so is the one interning table over both. A clone shares all three and
+//! copies nothing but its remainder memo (which a freshly emitted arena
+//! does not have). The first write of a clone *promotes*: a shared tail
+//! over an empty prefix becomes the prefix as it is, a shared tail behind
+//! a prefix — the few monomials a run derived — is copied, and a shared
+//! table is copied once. Promotion moves no id: the postings of a
+//! variable are the prefix's list followed by the tail's, ascending
+//! either way, so every consumer sees the same arena it saw before.
+//!
 //! [`VarSpace`] is the matching variable densifier: original [`VarId`]s
 //! mapped to a dense batch-local `u32` space in first-occurrence order,
 //! shared by the compiled evaluator's lowering paths.
@@ -33,6 +45,8 @@ use crate::fxhash::{FxHashMap, FxHasher};
 use crate::monomial::{is_canonical, MonoRef, Monomial};
 use crate::var::VarId;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Dense id of an interned monomial within a [`MonoArena`].
 pub type MonoId = u32;
@@ -147,38 +161,62 @@ impl VarSpace {
 /// and the memoised remainder index. See the [module docs](self).
 ///
 /// Storage is flat and holds each monomial once: every factor of every
-/// monomial sits in one column, cut by prefix ends; interning probes an
+/// monomial sits in a column, cut by prefix ends; interning probes an
 /// open-addressed table of ids whose keys are the factor slices
-/// themselves. Nothing is boxed per monomial, so a clone is a few
-/// `memcpy`s and an operation that derives a monomial ([`remainder`],
-/// [`mul_factor`]) builds it in one reused buffer.
+/// themselves. Nothing is boxed per monomial, and an operation that
+/// derives a monomial ([`remainder`], [`mul_factor`]) builds it in one
+/// reused buffer.
+///
+/// The columns of ids `0..n` are an immutable prefix and those of ids
+/// `n..` a tail, each behind an `Arc` like the table: a clone allocates
+/// nothing for them, and a writer copies only what is shared when it
+/// first writes (see the [module docs](self)).
 ///
 /// [`remainder`]: Self::remainder
 /// [`mul_factor`]: Self::mul_factor
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct MonoArena {
-    /// The factors of every monomial, in id order.
+    /// Ids `0..prefix.len()`; never written once shared.
+    prefix: Arc<Part>,
+    /// Ids `prefix.len()..`; written only when this arena holds it alone.
+    tail: Arc<Part>,
+    /// The interning table over both parts.
+    table: Arc<Table>,
+    /// Memoised remainders, parallel to a prefix of the factor column the
+    /// two parts make together: the entry at a factor's position is the
+    /// id of its monomial without that factor ([`VACANT`] until asked
+    /// for; positions past the end have not been asked for either).
+    /// Valid forever (append-only arena), and this arena's own. Sized to
+    /// the whole column when first written, then grown by an eighth at a
+    /// time: a run derives a fraction of what its source holds, and
+    /// doubling would reserve the source's positions a second time.
+    remainders: Vec<MonoId>,
+    /// The buffer derived monomials are built in.
+    scratch: Vec<(VarId, u32)>,
+}
+
+/// Consecutive ids' monomials: their factors and the postings of the ids.
+#[derive(Clone, Debug, Default)]
+struct Part {
+    /// The factors of every monomial of the part, in id order.
     factors: Vec<(VarId, u32)>,
     /// Per monomial: exclusive end of its factor range in `factors` (the
     /// start is the previous entry, 0 for the first).
     ends: Vec<u32>,
-    /// Open-addressed interning table (linear probing, [`VACANT`] marks a
-    /// free slot). Its length is a power of two, at least twice `ends`'s;
-    /// a monomial's home slot is the top `64 - shift` bits of its hash.
-    table: Vec<MonoId>,
-    /// `64 - log2(table.len())`.
-    shift: u32,
-    /// `variable index → sorted ids of the monomials containing it`.
-    /// Covers every arena entry (callers filter against their own
+    /// `variable index → ascending ids of the part's monomials containing
+    /// it`. Covers every entry (callers filter against their own
     /// liveness).
     postings: Vec<Vec<MonoId>>,
-    /// Memoised remainders, parallel to a prefix of `factors`: the entry
-    /// at a factor's position is the id of its monomial without that
-    /// factor ([`VACANT`] until asked for; positions past the end have
-    /// not been asked for either). Valid forever (append-only arena).
-    remainders: Vec<MonoId>,
-    /// The buffer derived monomials are built in.
-    scratch: Vec<(VarId, u32)>,
+}
+
+/// The open-addressed interning table (linear probing, [`VACANT`] marks a
+/// free slot). Its length is a power of two, at least twice the arena's;
+/// a monomial's home slot is the top `64 - shift` bits of its hash.
+#[derive(Clone, Debug, Default)]
+struct Table {
+    slots: Vec<MonoId>,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
 }
 
 /// A free slot of the interning table, an unset remainder. No monomial
@@ -198,6 +236,346 @@ fn hash_factors(factors: &[(VarId, u32)]) -> u64 {
     h.finish()
 }
 
+/// A part's factor column and its ends, borrowed: what a lookup reads.
+#[derive(Clone, Copy)]
+struct Cols<'a> {
+    factors: &'a [(VarId, u32)],
+    ends: &'a [u32],
+}
+
+impl<'a> Cols<'a> {
+    /// The range of the `i`-th monomial in the factor column.
+    fn range(self, i: usize) -> Range<usize> {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        start..self.ends[i] as usize
+    }
+
+    /// The factors of the `i`-th monomial.
+    fn get(self, i: usize) -> &'a [(VarId, u32)] {
+        &self.factors[self.range(i)]
+    }
+}
+
+impl Part {
+    fn cols(&self) -> Cols<'_> {
+        Cols {
+            factors: &self.factors,
+            ends: &self.ends,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The factor slice of every monomial, in id order.
+    fn monomials(&self) -> impl Iterator<Item = &[(VarId, u32)]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let factors = &self.factors[start..end as usize];
+            start = end as usize;
+            factors
+        })
+    }
+
+    fn postings_of(&self, v: VarId) -> &[MonoId] {
+        self.postings.get(v.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Appends monomial `id`.
+    fn push(&mut self, id: MonoId, factors: &[(VarId, u32)]) {
+        self.factors.extend_from_slice(factors);
+        self.ends
+            .push(u32::try_from(self.factors.len()).expect("more than u32::MAX factors"));
+        for &(v, _) in factors {
+            if self.postings.len() <= v.index() {
+                self.postings.resize_with(v.index() + 1, Vec::new);
+            }
+            self.postings[v.index()].push(id);
+        }
+    }
+
+    /// Every column at its capacity.
+    fn estimated_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.factors.capacity() * size_of::<(VarId, u32)>()
+            + self.ends.capacity() * size_of::<u32>()
+            + self.postings.capacity() * size_of::<Vec<MonoId>>()
+            + self
+                .postings
+                .iter()
+                .map(|list| list.capacity() * size_of::<MonoId>())
+                .sum::<usize>()
+    }
+}
+
+/// The two parts read as one column: what every lookup goes through. An
+/// id below the prefix's length is the prefix's, one compare.
+#[derive(Clone, Copy)]
+struct Parts<'a> {
+    prefix: &'a Part,
+    tail: &'a Part,
+}
+
+impl<'a> Parts<'a> {
+    fn len(self) -> usize {
+        self.prefix.len() + self.tail.len()
+    }
+
+    /// The columns holding monomial `id`, its index there, and the
+    /// position of their first factor in the column the two parts make
+    /// together.
+    fn locate(self, id: MonoId) -> (Cols<'a>, usize, usize) {
+        let n = self.prefix.len();
+        match id as usize {
+            i if i < n => (self.prefix.cols(), i, 0),
+            i => (self.tail.cols(), i - n, self.prefix.factors.len()),
+        }
+    }
+
+    /// The factors of monomial `id`.
+    fn slice(self, id: MonoId) -> &'a [(VarId, u32)] {
+        let (cols, i, _) = self.locate(id);
+        cols.get(i)
+    }
+
+    /// The factors of monomial `id`, and the position of the first of
+    /// them in the column the two parts make together.
+    fn factors(self, id: MonoId) -> (&'a [(VarId, u32)], usize) {
+        let (cols, i, base) = self.locate(id);
+        let range = cols.range(i);
+        (&cols.factors[range.clone()], base + range.start)
+    }
+
+    /// The `at`-th id of `v`'s postings: the prefix's, then the tail's.
+    fn posting(self, v: VarId, at: usize) -> MonoId {
+        let head = self.prefix.postings_of(v);
+        match head.get(at) {
+            Some(&id) => id,
+            None => self.tail.postings_of(v)[at - head.len()],
+        }
+    }
+
+    /// Walks the probe sequence of `hash`: the id whose factors equal
+    /// `factors`, or the free slot the walk ended on.
+    fn probe(self, table: &Table, factors: &[(VarId, u32)], hash: u64) -> Result<MonoId, usize> {
+        if table.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = table.slots.len() - 1;
+        let mut at = (hash >> table.shift) as usize;
+        // The two parts' columns, read once for the whole walk.
+        let (prefix, tail) = (self.prefix.cols(), self.tail.cols());
+        let n = prefix.ends.len();
+        let slice = |id: MonoId| match id as usize {
+            i if i < n => prefix.get(i),
+            i => tail.get(i - n),
+        };
+        loop {
+            match table.slots[at] {
+                VACANT => return Err(at),
+                id if slice(id) == factors => return Ok(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+}
+
+/// A [`MonoArena`] opened for writing by [`MonoArena::writer`]: its tail
+/// and table are its own, so interning, the memo and the derived
+/// monomials run without asking again whether they are shared. A
+/// producer that interns many monomials in a row — an emitter, a
+/// lowering, a group rewrite — opens one writer for all of them.
+///
+/// While it lives the writer holds the tail, the table, the memo and the
+/// scratch buffer by value — a probe reaches them without a hop through
+/// the arena's `Arc`s — and it hands them back when dropped: drop it
+/// before reading the arena again.
+pub struct ArenaWriter<'a> {
+    prefix: &'a Part,
+    tail: Part,
+    table: Table,
+    remainders: Vec<MonoId>,
+    scratch: Vec<(VarId, u32)>,
+    home: Home<'a>,
+}
+
+/// Where a writer's tail, table, memo and buffer go back to.
+struct Home<'a> {
+    tail: &'a mut Part,
+    table: &'a mut Table,
+    remainders: &'a mut Vec<MonoId>,
+    scratch: &'a mut Vec<(VarId, u32)>,
+}
+
+impl Drop for ArenaWriter<'_> {
+    fn drop(&mut self) {
+        std::mem::swap(self.home.tail, &mut self.tail);
+        std::mem::swap(self.home.table, &mut self.table);
+        std::mem::swap(self.home.remainders, &mut self.remainders);
+        std::mem::swap(self.home.scratch, &mut self.scratch);
+    }
+}
+
+impl ArenaWriter<'_> {
+    fn parts(&self) -> Parts<'_> {
+        Parts {
+            prefix: self.prefix,
+            tail: &self.tail,
+        }
+    }
+
+    /// Number of distinct monomials interned so far.
+    pub fn len(&self) -> usize {
+        self.parts().len()
+    }
+
+    /// Whether the arena holds no monomial.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The interned monomial behind `id`.
+    pub fn mono(&self, id: MonoId) -> MonoRef<'_> {
+        MonoRef::from_canonical(self.parts().slice(id))
+    }
+
+    /// How many monomials contain `v`.
+    pub(crate) fn postings_len(&self, v: VarId) -> usize {
+        self.prefix.postings_of(v).len() + self.tail.postings_of(v).len()
+    }
+
+    /// The `at`-th of them, in ascending id.
+    pub(crate) fn posting(&self, v: VarId, at: usize) -> MonoId {
+        self.parts().posting(v, at)
+    }
+
+    /// [`MonoArena::intern_factors`], without opening the arena again.
+    pub fn intern_factors(&mut self, factors: &[(VarId, u32)]) -> MonoId {
+        let hash = hash_factors(factors);
+        match self.parts().probe(&self.table, factors, hash) {
+            Ok(id) => id,
+            Err(slot) => self.push_new(factors, hash, slot),
+        }
+    }
+
+    /// Appends a monomial known to be absent; `slot` is the free slot its
+    /// probe ended on.
+    fn push_new(&mut self, factors: &[(VarId, u32)], hash: u64, mut slot: usize) -> MonoId {
+        debug_assert!(is_canonical(factors), "factors must be canonical");
+        let len = self.len();
+        let id = MonoId::try_from(len)
+            .ok()
+            .filter(|&id| id != VACANT)
+            .expect("more monomials than ids");
+        if (len + 1) * 2 > self.table.slots.len() {
+            self.resize_table(len + 1);
+            slot = self
+                .parts()
+                .probe(&self.table, factors, hash)
+                .expect_err("the monomial is absent");
+        }
+        self.tail.push(id, factors);
+        self.table.slots[slot] = id;
+        id
+    }
+
+    /// Rebuilds the table with room for `monomials` monomials at no more
+    /// than half load, hashing each part's factor column in one pass.
+    fn resize_table(&mut self, monomials: usize) {
+        let slots = (monomials * 2).next_power_of_two().max(MIN_TABLE);
+        let table = &mut self.table;
+        table.shift = 64 - slots.trailing_zeros();
+        table.slots.clear();
+        table.slots.resize(slots, VACANT);
+        let mut id = 0;
+        for part in [self.prefix, &self.tail] {
+            for factors in part.monomials() {
+                let mut at = (hash_factors(factors) >> table.shift) as usize;
+                while table.slots[at] != VACANT {
+                    at = (at + 1) & (slots - 1);
+                }
+                table.slots[at] = id;
+                id += 1;
+            }
+        }
+    }
+
+    /// [`MonoArena::remainder`], without opening the arena again.
+    pub fn remainder(&mut self, id: MonoId, v: VarId) -> (MonoId, u32) {
+        let (factors, first) = self.parts().factors(id);
+        let k = factors
+            .iter()
+            .position(|&(w, _)| w == v)
+            .expect("remainder of an absent variable");
+        let (at, exp) = (first + k, factors[k].1);
+        if let Some(&rem) = self.remainders.get(at).filter(|&&rem| rem != VACANT) {
+            return (rem, exp);
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let factors = self.parts().slice(id);
+        scratch.clear();
+        scratch.extend_from_slice(&factors[..k]);
+        scratch.extend_from_slice(&factors[k + 1..]);
+        let rem = self.intern_factors(&scratch);
+        self.scratch = scratch;
+        let len = self.remainders.len();
+        if at >= len {
+            let total = self.prefix.factors.len() + self.tail.factors.len();
+            let want = match len {
+                0 => total,
+                _ => (at + 1).max((len + len / 8).min(total)),
+            };
+            self.remainders.reserve_exact(want - len);
+            self.remainders.resize(want, VACANT);
+        }
+        self.remainders[at] = rem;
+        (rem, exp)
+    }
+
+    /// [`MonoArena::mul_factor`], without opening the arena again.
+    pub fn mul_factor(&mut self, id: MonoId, v: VarId, exp: u32) -> MonoId {
+        if exp == 0 {
+            return id;
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let factors = self.parts().slice(id);
+        let at = factors.partition_point(|&(w, _)| w < v);
+        scratch.clear();
+        scratch.extend_from_slice(&factors[..at]);
+        match factors[at..].first() {
+            Some(&(w, e)) if w == v => {
+                scratch.push((v, e + exp));
+                scratch.extend_from_slice(&factors[at + 1..]);
+            }
+            _ => {
+                scratch.push((v, exp));
+                scratch.extend_from_slice(&factors[at..]);
+            }
+        }
+        let product = self.intern_factors(&scratch);
+        self.scratch = scratch;
+        product
+    }
+}
+
+impl Clone for MonoArena {
+    /// Shares the prefix, the tail and the table; copies the remainder
+    /// memo; starts with an empty scratch buffer.
+    fn clone(&self) -> Self {
+        Self {
+            prefix: Arc::clone(&self.prefix),
+            tail: Arc::clone(&self.tail),
+            table: Arc::clone(&self.table),
+            remainders: self.remainders.clone(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
 impl MonoArena {
     /// An empty arena.
     pub fn new() -> Self {
@@ -207,23 +585,75 @@ impl MonoArena {
     /// An empty arena that takes `monomials` monomials of `factors`
     /// factors in total without growing a column or the table.
     pub fn with_capacity(monomials: usize, factors: usize) -> Self {
-        let mut arena = Self {
+        let tail = Part {
             factors: Vec::with_capacity(factors),
             ends: Vec::with_capacity(monomials),
+            postings: Vec::new(),
+        };
+        let mut arena = Self {
+            tail: Arc::new(tail),
             ..Self::default()
         };
-        arena.resize_table(monomials);
+        arena.writer().resize_table(monomials);
         arena
+    }
+
+    fn parts(&self) -> Parts<'_> {
+        Parts {
+            prefix: &self.prefix,
+            tail: &self.tail,
+        }
+    }
+
+    /// Opens the arena for writing — once per operation, not once per
+    /// monomial: whether the tail and the table are shared is decided
+    /// here, with two atomic operations, and the writer then interns
+    /// without asking again. (The per-call [`intern_factors`] opens one
+    /// on a miss, [`remainder`] and [`mul_factor`] on every call; a loop
+    /// over many monomials should open its own.)
+    ///
+    /// Promotes what is shared: a shared tail over an empty prefix
+    /// becomes the prefix (no copy), a shared tail behind a prefix is
+    /// copied, a shared table is copied. No id moves.
+    ///
+    /// [`intern_factors`]: Self::intern_factors
+    /// [`remainder`]: Self::remainder
+    /// [`mul_factor`]: Self::mul_factor
+    pub fn writer(&mut self) -> ArenaWriter<'_> {
+        let Self {
+            prefix,
+            tail,
+            table,
+            remainders,
+            scratch,
+        } = self;
+        if prefix.ends.is_empty() && Arc::strong_count(tail) > 1 {
+            *prefix = std::mem::take(tail);
+        }
+        let home = Home {
+            tail: Arc::make_mut(tail),
+            table: Arc::make_mut(table),
+            remainders,
+            scratch,
+        };
+        ArenaWriter {
+            prefix,
+            tail: std::mem::take(home.tail),
+            table: std::mem::take(home.table),
+            remainders: std::mem::take(home.remainders),
+            scratch: std::mem::take(home.scratch),
+            home,
+        }
     }
 
     /// Number of distinct monomials interned so far.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.parts().len()
     }
 
     /// Whether the arena holds no monomial.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len() == 0
     }
 
     /// Interns `mono`; see [`intern_factors`](Self::intern_factors).
@@ -236,100 +666,42 @@ impl MonoArena {
     /// [`MonoRef::as_factors`] returns), registering a fresh id in the
     /// postings index on first sight. Ids grow monotonically, so postings
     /// stay sorted by construction. Neither a hit nor a miss allocates
-    /// for the monomial: a new one is appended to the factor column.
+    /// for the monomial: a new one is appended to the factor column. A
+    /// hit writes nothing, so it leaves what this arena shares shared.
     pub fn intern_factors(&mut self, factors: &[(VarId, u32)]) -> MonoId {
         let hash = hash_factors(factors);
-        match self.probe(factors, hash) {
+        match self.parts().probe(&self.table, factors, hash) {
             Ok(id) => id,
-            Err(slot) => self.push_new(factors, hash, slot),
+            Err(slot) => self.writer().push_new(factors, hash, slot),
         }
-    }
-
-    /// Walks the probe sequence of `hash`: the id whose factors equal
-    /// `factors`, or the free slot the walk ended on.
-    fn probe(&self, factors: &[(VarId, u32)], hash: u64) -> Result<MonoId, usize> {
-        if self.table.is_empty() {
-            return Err(0);
-        }
-        let mask = self.table.len() - 1;
-        let mut at = (hash >> self.shift) as usize;
-        loop {
-            match self.table[at] {
-                VACANT => return Err(at),
-                id if &self.factors[self.range_of(id)] == factors => return Ok(id),
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// Appends a monomial known to be absent; `slot` is the free slot its
-    /// probe ended on.
-    fn push_new(&mut self, factors: &[(VarId, u32)], hash: u64, mut slot: usize) -> MonoId {
-        debug_assert!(is_canonical(factors), "factors must be canonical");
-        let id = MonoId::try_from(self.ends.len())
-            .ok()
-            .filter(|&id| id != VACANT)
-            .expect("more monomials than ids");
-        if (self.ends.len() + 1) * 2 > self.table.len() {
-            self.resize_table(self.ends.len() + 1);
-            slot = self
-                .probe(factors, hash)
-                .expect_err("the monomial is absent");
-        }
-        self.factors.extend_from_slice(factors);
-        self.ends
-            .push(u32::try_from(self.factors.len()).expect("more than u32::MAX factors"));
-        for &(v, _) in factors {
-            if self.postings.len() <= v.index() {
-                self.postings.resize_with(v.index() + 1, Vec::new);
-            }
-            self.postings[v.index()].push(id);
-        }
-        self.table[slot] = id;
-        id
-    }
-
-    /// Rebuilds the table with room for `monomials` monomials at no more
-    /// than half load.
-    fn resize_table(&mut self, monomials: usize) {
-        let slots = (monomials * 2).next_power_of_two().max(MIN_TABLE);
-        self.shift = 64 - slots.trailing_zeros();
-        self.table.clear();
-        self.table.resize(slots, VACANT);
-        for id in 0..self.ends.len() as MonoId {
-            let mut at = (hash_factors(&self.factors[self.range_of(id)]) >> self.shift) as usize;
-            while self.table[at] != VACANT {
-                at = (at + 1) & (slots - 1);
-            }
-            self.table[at] = id;
-        }
-    }
-
-    /// The range of monomial `id` in the factor column.
-    fn range_of(&self, id: MonoId) -> std::ops::Range<usize> {
-        let start = match id {
-            0 => 0,
-            _ => self.ends[id as usize - 1],
-        };
-        start as usize..self.ends[id as usize] as usize
     }
 
     /// The id of `mono`, if it has been interned.
     pub fn get(&self, mono: &Monomial) -> Option<MonoId> {
         let factors = mono.as_factors();
-        self.probe(factors, hash_factors(factors)).ok()
+        self.parts()
+            .probe(&self.table, factors, hash_factors(factors))
+            .ok()
     }
 
     /// The interned monomial behind `id`, borrowed from the factor column.
     pub fn mono(&self, id: MonoId) -> MonoRef<'_> {
-        MonoRef::from_canonical(&self.factors[self.range_of(id)])
+        MonoRef::from_canonical(self.parts().slice(id))
     }
 
-    /// Sorted ids of the arena monomials containing `v` (empty if `v`
-    /// never occurred). Includes ids that callers may no longer consider
-    /// live — intersect with your own runs to filter.
-    pub fn postings_of(&self, v: VarId) -> &[MonoId] {
-        self.postings.get(v.index()).map_or(&[], Vec::as_slice)
+    /// Every monomial, in id order: each part's factor column walked once,
+    /// with no lookup per id.
+    pub(crate) fn monomials(&self) -> impl Iterator<Item = MonoRef<'_>> {
+        let parts = self.prefix.monomials().chain(self.tail.monomials());
+        parts.map(MonoRef::from_canonical)
+    }
+
+    /// Ids of the arena monomials containing `v` (both empty if `v` never
+    /// occurred): the prefix's, then the tail's — concatenated, they
+    /// ascend. Includes ids that callers may no longer consider live —
+    /// intersect with your own runs to filter.
+    pub fn postings_of(&self, v: VarId) -> (&[MonoId], &[MonoId]) {
+        (self.prefix.postings_of(v), self.tail.postings_of(v))
     }
 
     /// The memoised `M_l` operation: remainder id and exponent of `v` in
@@ -338,69 +710,32 @@ impl MonoArena {
     /// # Panics
     /// Panics if `v` does not occur in the monomial.
     pub fn remainder(&mut self, id: MonoId, v: VarId) -> (MonoId, u32) {
-        let range = self.range_of(id);
-        let at = range.start
-            + self.factors[range.clone()]
-                .iter()
-                .position(|&(w, _)| w == v)
-                .expect("remainder of an absent variable");
-        let exp = self.factors[at].1;
-        if let Some(&rem) = self.remainders.get(at).filter(|&&rem| rem != VACANT) {
-            return (rem, exp);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(&self.factors[range.start..at]);
-        scratch.extend_from_slice(&self.factors[at + 1..range.end]);
-        let rem = self.intern_factors(&scratch);
-        self.scratch = scratch;
-        if self.remainders.len() < self.factors.len() {
-            self.remainders.resize(self.factors.len(), VACANT);
-        }
-        self.remainders[at] = rem;
-        (rem, exp)
+        self.writer().remainder(id, v)
     }
 
     /// Interns `mono(id) · v^exp` — the re-attachment step of a group
     /// substitution (remainder times the target meta-variable).
     pub fn mul_factor(&mut self, id: MonoId, v: VarId, exp: u32) -> MonoId {
-        if exp == 0 {
-            return id;
-        }
-        let range = self.range_of(id);
-        let at = range.start + self.factors[range.clone()].partition_point(|&(w, _)| w < v);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(&self.factors[range.start..at]);
-        match self.factors[at..range.end].first() {
-            Some(&(w, e)) if w == v => {
-                scratch.push((v, e + exp));
-                scratch.extend_from_slice(&self.factors[at + 1..range.end]);
-            }
-            _ => {
-                scratch.push((v, exp));
-                scratch.extend_from_slice(&self.factors[at..range.end]);
-            }
-        }
-        let product = self.intern_factors(&scratch);
-        self.scratch = scratch;
-        product
+        self.writer().mul_factor(id, v, exp)
     }
 
-    /// Heap footprint of the arena in bytes: the factor column and its
-    /// prefix ends, the interning table, the postings lists, the
-    /// remainder memo and the scratch buffer, each at its capacity.
+    /// Whether a remainder has been memoised.
+    pub(crate) fn has_memo(&self) -> bool {
+        !self.remainders.is_empty()
+    }
+
+    /// Heap footprint of the arena in bytes: the factor columns and their
+    /// ends, the interning table, the postings lists, the remainder memo
+    /// and the scratch buffer, each at its capacity. This is the value's
+    /// size, shared parts included: a clone reports what its source
+    /// reports (less a scratch buffer it starts without), so a sum over
+    /// clones counts what they share once per clone.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.factors.capacity() + self.scratch.capacity()) * size_of::<(VarId, u32)>()
-            + (self.ends.capacity() + self.table.capacity() + self.remainders.capacity())
-                * size_of::<MonoId>()
-            + self.postings.capacity() * size_of::<Vec<MonoId>>()
-            + self
-                .postings
-                .iter()
-                .map(|list| list.capacity() * size_of::<MonoId>())
-                .sum::<usize>()
+        self.prefix.estimated_bytes()
+            + self.tail.estimated_bytes()
+            + (self.table.slots.capacity() + self.remainders.capacity()) * size_of::<MonoId>()
+            + self.scratch.capacity() * size_of::<(VarId, u32)>()
     }
 }
 
@@ -410,6 +745,12 @@ mod tests {
 
     fn v(i: u32) -> VarId {
         VarId(i)
+    }
+
+    /// `v`'s postings as one list.
+    fn postings(arena: &MonoArena, v: VarId) -> Vec<MonoId> {
+        let (prefix, tail) = arena.postings_of(v);
+        prefix.iter().chain(tail).copied().collect()
     }
 
     #[test]
@@ -434,7 +775,7 @@ mod tests {
         assert_eq!(arena.intern(&Monomial::from_factors([(v(3), 2)])), b);
         assert_eq!(arena.intern_factors(&[]), arena.intern(&Monomial::one()));
         assert_eq!(arena.len(), 3);
-        assert_eq!(arena.postings_of(v(3)), &[b]);
+        assert_eq!(postings(&arena, v(3)), [b]);
     }
 
     #[test]
@@ -442,9 +783,9 @@ mod tests {
         let mut arena = MonoArena::new();
         let a = arena.intern(&Monomial::from_vars([v(1), v(2)]));
         let b = arena.intern(&Monomial::from_vars([v(1), v(3)]));
-        assert_eq!(arena.postings_of(v(1)), &[a, b]);
-        assert_eq!(arena.postings_of(v(3)), &[b]);
-        assert!(arena.postings_of(v(9)).is_empty());
+        assert_eq!(postings(&arena, v(1)), [a, b]);
+        assert_eq!(postings(&arena, v(3)), [b]);
+        assert!(postings(&arena, v(9)).is_empty());
     }
 
     #[test]
@@ -498,13 +839,47 @@ mod tests {
         for &id in &ids {
             assert_eq!(sized.intern_factors(arena.mono(id).as_factors()), id);
         }
-        let postings: usize = (0..43).map(|i| sized.postings_of(v(i)).len()).sum();
-        assert_eq!(postings, 2 * ids.len());
+        let listed: usize = (0..43).map(|i| postings(&sized, v(i)).len()).sum();
+        assert_eq!(listed, 2 * ids.len());
         assert_eq!(
-            sized.factors.capacity() + sized.table.len(),
+            sized.tail.factors.capacity() + sized.table.slots.len(),
             2 * arena.len() + 2048
         );
         assert!(sized.estimated_bytes() > before, "postings were added");
+    }
+
+    #[test]
+    fn a_clone_shares_until_it_writes_and_promotion_moves_no_id() {
+        let mut source = MonoArena::new();
+        let a = source.intern(&Monomial::from_vars([v(1), v(2)]));
+        let b = source.intern(&Monomial::from_vars([v(1), v(3)]));
+        let mut clone = source.clone();
+        assert!(Arc::ptr_eq(&clone.tail, &source.tail) && Arc::ptr_eq(&clone.table, &source.table));
+        // A hit writes nothing; the first miss promotes the shared tail
+        // over an empty prefix to the prefix, as it is.
+        assert_eq!(clone.intern_factors(&[(v(1), 1), (v(2), 1)]), a);
+        assert!(Arc::ptr_eq(&clone.tail, &source.tail));
+        let c = clone.intern(&Monomial::from_vars([v(1), v(4)]));
+        assert!(Arc::ptr_eq(&clone.prefix, &source.tail));
+        assert!(!Arc::ptr_eq(&clone.table, &source.table));
+        assert_eq!((clone.len(), source.len()), (3, 2));
+        assert_eq!(postings(&clone, v(1)), [a, b, c]);
+        assert_eq!(postings(&source, v(1)), [a, b]);
+        assert_eq!(source.get(&Monomial::from_vars([v(1), v(4)])), None);
+        // A clone of the promoted clone shares both parts; its first
+        // write copies the derived tail and keeps the prefix shared.
+        let mut twin = clone.clone();
+        let (rem, _) = twin.remainder(c, v(4));
+        assert_eq!(twin.mono(rem), Monomial::var(v(1)).view());
+        assert!(Arc::ptr_eq(&twin.prefix, &clone.prefix));
+        assert!(!Arc::ptr_eq(&twin.tail, &clone.tail));
+        assert_eq!((twin.len(), clone.len()), (4, 3));
+        assert_eq!(postings(&twin, v(1)), [a, b, c, rem]);
+        assert_eq!(postings(&clone, v(1)), [a, b, c]);
+        // The memo is each arena's own, by global factor position.
+        assert_eq!(twin.remainder(c, v(4)), (rem, 1));
+        assert!(clone.remainders.is_empty());
+        assert_eq!(clone.estimated_bytes(), clone.clone().estimated_bytes());
     }
 
     #[test]

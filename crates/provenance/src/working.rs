@@ -33,6 +33,16 @@
 //! ([`WorkingSet::push_poly`], [`WorkingSet::absorb`]) go to the end of
 //! the columns. Nothing is allocated per polynomial or per rewrite.
 //!
+//! **Clones share** (ADR 017). A clone shares its source's arena (see
+//! [`crate::intern`]) and its term columns, and allocates for neither. A
+//! call that changes the columns ([`WorkingSet::push_poly`],
+//! [`WorkingSet::absorb`], [`WorkingSet::apply_group`],
+//! [`WorkingSet::apply_var_map`]) makes them its own once, at its top, and
+//! a call that interns opens the arena for writing once; so a compression
+//! that starts from a clone of its source pays for what it changes, not
+//! for a second copy of the source. [`WorkingSet::compact`] leaves a set
+//! with nothing to drop as it is, still sharing.
+//!
 //! The working set is the *rewriting* view over the arena; freezing it
 //! with [`WorkingSet::freeze`] yields the read-only evaluation view
 //! ([`crate::compiled::CompiledPolySet`]) by re-slicing the same arena —
@@ -57,13 +67,14 @@
 use crate::coeff::Coefficient;
 use crate::compiled::{CompiledPolySet, CompiledView};
 use crate::fxhash::FxHashSet;
-use crate::intern::MonoArena;
+use crate::intern::{ArenaWriter, MonoArena};
 use crate::monomial::{MonoRef, Monomial};
 use crate::polynomial::Polynomial;
 use crate::polyset::PolySet;
 use crate::var::VarId;
 use std::cmp::Ordering;
 use std::mem::size_of;
+use std::sync::Arc;
 
 pub use crate::intern::MonoId;
 
@@ -152,11 +163,25 @@ impl Span {
 
 /// A poly-set lowered into an interned, id-addressed form that supports
 /// cheap incremental substitution. See the [module docs](self).
+///
+/// A clone shares the source's arena and term columns and allocates
+/// nothing for them; each side copies what it shares when it first
+/// changes it.
 #[derive(Clone, Debug)]
 pub struct WorkingSet<C> {
     /// The shared monomial arena (append-only; also holds monomials that
     /// are no longer live in any polynomial).
     arena: MonoArena,
+    /// The term columns, made this set's own by the first call that
+    /// changes them.
+    terms: Arc<Columns<C>>,
+    /// Buffers of the rewrites.
+    scratch: GroupScratch<C>,
+}
+
+/// The term columns of a [`WorkingSet`].
+#[derive(Clone, Debug)]
+struct Columns<C> {
     /// The monomial id of every live term, run after run (and, between
     /// runs, what rewrites left behind).
     ids: Vec<MonoId>,
@@ -164,8 +189,6 @@ pub struct WorkingSet<C> {
     coeffs: Vec<C>,
     /// Per polynomial: its run. Starts ascend and runs do not overlap.
     spans: Vec<Span>,
-    /// Buffers of the rewrites.
-    scratch: GroupScratch<C>,
 }
 
 /// Hands `visit` every arena monomial a substitution of `group` can
@@ -173,16 +196,18 @@ pub struct WorkingSet<C> {
 /// one tree node per monomial — makes the pairing unique among live
 /// monomials), variable by variable in posting order. `visit` may
 /// intern: what it adds lands behind the postings being read, and is not
-/// visited for the variable whose turn it is. This is the order ids are
-/// *assigned* in; the lists it fills are sorted afterwards.
+/// visited for the variable whose turn it is — the length of the
+/// variable's postings (the prefix's list, then the tail's) is taken when
+/// its turn starts. This is the order ids are *assigned* in; the lists it
+/// fills are sorted afterwards.
 fn visit_occurrences(
-    arena: &mut MonoArena,
+    arena: &mut ArenaWriter<'_>,
     group: &[VarId],
-    mut visit: impl FnMut(&mut MonoArena, MonoId, VarId),
+    mut visit: impl FnMut(&mut ArenaWriter<'_>, MonoId, VarId),
 ) {
     for &v in group {
-        for at in 0..arena.postings_of(v).len() {
-            let m = arena.postings_of(v)[at];
+        for at in 0..arena.postings_len(v) {
+            let m = arena.posting(v, at);
             visit(arena, m, v);
         }
     }
@@ -262,6 +287,50 @@ fn rebuild_run<C: Coefficient>(
     }
 }
 
+impl<C: Coefficient> Columns<C> {
+    fn with_capacity(polys: usize, terms: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(terms),
+            coeffs: Vec::with_capacity(terms),
+            spans: Vec::with_capacity(polys),
+        }
+    }
+
+    /// Makes the terms pushed since `start` the next polynomial's run.
+    fn seal(&mut self, start: usize, scratch: &mut GroupScratch<C>) {
+        let Self { ids, coeffs, spans } = self;
+        let len = u32::try_from(ids.len() - start).expect("more than u32::MAX terms");
+        let start = u32::try_from(start).expect("more than u32::MAX terms");
+        let mut span = Span { start, len };
+        let canonical = ids[span.range()].windows(2).all(|w| w[0] < w[1])
+            && coeffs[span.range()].iter().all(|c| !c.is_zero());
+        if !canonical {
+            // Every term moves, its place in the input as its source.
+            for (seq, at) in span.range().enumerate() {
+                let id = std::mem::replace(&mut ids[at], NONE);
+                scratch.moved.push((id, seq as MonoId, coeffs[at].clone()));
+            }
+            rebuild_run(ids, coeffs, &mut span, &mut scratch.moved, &mut scratch.run);
+            ids.truncate(span.range().end);
+            coeffs.truncate(span.range().end);
+        }
+        spans.push(span);
+    }
+
+    /// Whether the runs tile the columns from the start: no gap between
+    /// two runs and none after the last.
+    fn is_packed(&self) -> bool {
+        let mut end = 0;
+        for span in &self.spans {
+            if span.start as usize != end {
+                return false;
+            }
+            end += span.len as usize;
+        }
+        end == self.ids.len()
+    }
+}
+
 impl<C: Coefficient> WorkingSet<C> {
     /// An empty working set over `arena` whose columns take `polys`
     /// polynomials of `terms` terms in total without growing — what a
@@ -269,12 +338,15 @@ impl<C: Coefficient> WorkingSet<C> {
     /// through [`arena_mut`](Self::arena_mut) and hands each polynomial
     /// to [`push_poly`](Self::push_poly)).
     pub fn with_capacity(arena: MonoArena, polys: usize, terms: usize) -> Self {
+        let cols = Columns::with_capacity(polys, terms);
+        Self::from_columns(arena, cols, GroupScratch::default())
+    }
+
+    fn from_columns(arena: MonoArena, cols: Columns<C>, scratch: GroupScratch<C>) -> Self {
         Self {
             arena,
-            ids: Vec::with_capacity(terms),
-            coeffs: Vec::with_capacity(terms),
-            spans: Vec::with_capacity(polys),
-            scratch: GroupScratch::default(),
+            terms: Arc::new(cols),
+            scratch,
         }
     }
 
@@ -305,55 +377,35 @@ impl<C: Coefficient> WorkingSet<C> {
     /// # Panics
     /// Panics (in debug builds) if a term id is outside the arena.
     pub fn push_poly(&mut self, terms: impl IntoIterator<Item = (MonoId, C)>) {
-        let start = self.ids.len();
+        let cols = Arc::make_mut(&mut self.terms);
+        let start = cols.ids.len();
         for (id, c) in terms {
-            self.ids.push(id);
-            self.coeffs.push(c);
+            cols.ids.push(id);
+            cols.coeffs.push(c);
         }
-        self.seal(start);
-    }
-
-    /// Makes the terms pushed since `start` the next polynomial's run.
-    fn seal(&mut self, start: usize) {
-        let Self {
-            arena,
-            ids,
-            coeffs,
-            spans,
-            scratch,
-        } = self;
-        debug_assert!(ids[start..].iter().all(|&id| (id as usize) < arena.len()));
-        let len = u32::try_from(ids.len() - start).expect("more than u32::MAX terms");
-        let start = u32::try_from(start).expect("more than u32::MAX terms");
-        let mut span = Span { start, len };
-        let canonical = ids[span.range()].windows(2).all(|w| w[0] < w[1])
-            && coeffs[span.range()].iter().all(|c| !c.is_zero());
-        if !canonical {
-            // Every term moves, its place in the input as its source.
-            for (seq, at) in span.range().enumerate() {
-                let id = std::mem::replace(&mut ids[at], NONE);
-                scratch.moved.push((id, seq as MonoId, coeffs[at].clone()));
-            }
-            rebuild_run(ids, coeffs, &mut span, &mut scratch.moved, &mut scratch.run);
-            ids.truncate(span.range().end);
-            coeffs.truncate(span.range().end);
-        }
-        spans.push(span);
+        debug_assert!(cols.ids[start..]
+            .iter()
+            .all(|&id| (id as usize) < self.arena.len()));
+        cols.seal(start, &mut self.scratch);
     }
 
     /// Lowers a poly-set: interns every distinct monomial, in the
     /// poly-set's iteration order, and lays the terms out as runs.
     pub fn from_polyset(polys: &PolySet<C>) -> Self {
-        let mut ws = Self::with_capacity(MonoArena::new(), polys.len(), polys.size_m());
+        let mut arena = MonoArena::new();
+        let mut cols = Columns::with_capacity(polys.len(), polys.size_m());
+        let mut scratch = GroupScratch::default();
+        let mut writer = arena.writer();
         for p in polys.iter() {
-            let start = ws.ids.len();
+            let start = cols.ids.len();
             for (m, c) in p.iter() {
-                ws.ids.push(ws.arena.intern(m));
-                ws.coeffs.push(c.clone());
+                cols.ids.push(writer.intern_factors(m.as_factors()));
+                cols.coeffs.push(c.clone());
             }
-            ws.seal(start);
+            cols.seal(start, &mut scratch);
         }
-        ws
+        drop(writer);
+        Self::from_columns(arena, cols, scratch)
     }
 
     /// Rebuilds a working set from compiled columns — how a session opened
@@ -366,23 +418,27 @@ impl<C: Coefficient> WorkingSet<C> {
     /// in the columns, so a run keeps its order where `ws`'s ids do too —
     /// in a freshly lowered set, for one).
     pub fn from_compiled(view: CompiledView<'_, C>) -> Self {
-        let mut ws = Self::with_capacity(MonoArena::new(), view.num_polys(), view.num_monomials());
+        let mut arena = MonoArena::new();
+        let mut cols = Columns::with_capacity(view.num_polys(), view.num_monomials());
+        let mut scratch = GroupScratch::default();
+        let mut writer = arena.writer();
         // Seals the polynomials before `pi`: the open one, then empty ones.
         let mut start = 0;
-        let mut seal_before = |ws: &mut Self, pi: usize| {
-            while ws.spans.len() < pi {
-                ws.seal(start);
-                start = ws.ids.len();
+        let mut seal_before = |cols: &mut Columns<C>, pi: usize| {
+            while cols.spans.len() < pi {
+                cols.seal(start, &mut scratch);
+                start = cols.ids.len();
             }
         };
         view.for_each_term(|pi, coeff, factors| {
-            seal_before(&mut ws, pi);
+            seal_before(&mut cols, pi);
             Monomial::canonicalise(factors);
-            ws.ids.push(ws.arena.intern_factors(factors));
-            ws.coeffs.push(coeff.clone());
+            cols.ids.push(writer.intern_factors(factors));
+            cols.coeffs.push(coeff.clone());
         });
-        seal_before(&mut ws, view.num_polys());
-        ws
+        seal_before(&mut cols, view.num_polys());
+        drop(writer);
+        Self::from_columns(arena, cols, scratch)
     }
 
     /// The shared monomial arena.
@@ -404,19 +460,19 @@ impl<C: Coefficient> WorkingSet<C> {
 
     /// Number of polynomials.
     pub fn num_polys(&self) -> usize {
-        self.spans.len()
+        self.terms.spans.len()
     }
 
     /// Where polynomial `pi`'s run sits in the term columns. Runs of
     /// successive polynomials ascend and never overlap, and a rewrite
     /// leaves a run inside the range it had.
     pub fn poly_span(&self, pi: usize) -> std::ops::Range<usize> {
-        self.spans[pi].range()
+        self.terms.spans[pi].range()
     }
 
     /// Live monomial ids of polynomial `pi`, strictly ascending.
     pub fn poly_mono_ids(&self, pi: usize) -> &[MonoId] {
-        &self.ids[self.spans[pi].range()]
+        &self.terms.ids[self.poly_span(pi)]
     }
 
     /// Live terms of polynomial `pi` as `(monomial id, coefficient)` in
@@ -424,32 +480,34 @@ impl<C: Coefficient> WorkingSet<C> {
     /// one every deterministic export uses ([`to_polyset`](Self::to_polyset),
     /// [`freeze`](Self::freeze), the artifact codec).
     pub fn poly_terms(&self, pi: usize) -> impl Iterator<Item = (MonoId, &C)> {
-        let range = self.spans[pi].range();
-        self.ids[range.clone()]
+        let range = self.poly_span(pi);
+        self.terms.ids[range.clone()]
             .iter()
             .copied()
-            .zip(&self.coeffs[range])
+            .zip(&self.terms.coeffs[range])
     }
 
     /// `|P_pi|_M` of the current (rewritten) polynomial.
     pub fn poly_size_m(&self, pi: usize) -> usize {
-        self.spans[pi].len as usize
+        self.terms.spans[pi].len as usize
     }
 
     /// `|𝒫|_M` of the current working set.
     pub fn size_m(&self) -> usize {
-        self.spans.iter().map(|span| span.len as usize).sum()
+        self.terms.spans.iter().map(|span| span.len as usize).sum()
     }
 
     /// Heap footprint in bytes: the term columns, the spans and the
     /// rewrite buffers, each at its capacity, plus
-    /// [`MonoArena::estimated_bytes`].
+    /// [`MonoArena::estimated_bytes`]. Like the arena's, this is the
+    /// value's size, what it shares included: a clone reports what its
+    /// source reports, less the rewrite buffers it starts without.
     pub fn estimated_bytes(&self) -> usize {
-        let scratch = &self.scratch;
+        let (terms, scratch) = (&*self.terms, &self.scratch);
         self.arena.estimated_bytes()
-            + self.ids.capacity() * size_of::<MonoId>()
-            + self.coeffs.capacity() * size_of::<C>()
-            + self.spans.capacity() * size_of::<Span>()
+            + terms.ids.capacity() * size_of::<MonoId>()
+            + terms.coeffs.capacity() * size_of::<C>()
+            + terms.spans.capacity() * size_of::<Span>()
             + scratch.classes.capacity() * size_of::<(MonoId, u64)>()
             + scratch.keys.capacity() * size_of::<u64>()
             + scratch.remap.capacity() * size_of::<(MonoId, MonoId)>()
@@ -461,8 +519,8 @@ impl<C: Coefficient> WorkingSet<C> {
     /// one polynomial.
     fn live_flags(&self) -> Vec<bool> {
         let mut live = vec![false; self.arena.len()];
-        for span in &self.spans {
-            for &id in &self.ids[span.range()] {
+        for pi in 0..self.num_polys() {
+            for &id in self.poly_mono_ids(pi) {
                 live[id as usize] = true;
             }
         }
@@ -488,9 +546,8 @@ impl<C: Coefficient> WorkingSet<C> {
     /// once, regardless of how many polynomials share it).
     pub fn live_monomials(&self) -> impl Iterator<Item = MonoRef<'_>> {
         let live = self.live_flags();
-        (0..self.arena.len())
-            .filter(move |&idx| live[idx])
-            .map(|idx| self.arena.mono(idx as MonoId))
+        let monos = self.arena.monomials().zip(live);
+        monos.filter_map(|(mono, live)| live.then_some(mono))
     }
 
     /// `|𝒫|_V`: distinct variables across the live monomials.
@@ -517,9 +574,7 @@ impl<C: Coefficient> WorkingSet<C> {
         scratch.remap.resize(self.arena.len(), NONE);
         let terms = indices.iter().map(|&pi| self.poly_size_m(pi)).sum();
         let mut sub = Self::with_capacity(MonoArena::new(), indices.len(), terms);
-        for &pi in indices {
-            sub.copy_poly(self, pi, &mut scratch.remap);
-        }
+        sub.copy_polys(self, indices.iter().copied(), &mut scratch.remap);
         sub
     }
 
@@ -534,27 +589,40 @@ impl<C: Coefficient> WorkingSet<C> {
     /// coefficients). Their runs go to the end of the columns.
     pub fn absorb(&mut self, other: &WorkingSet<C>) {
         let mut remap = vec![NONE; other.arena.len()];
-        self.ids.reserve(other.size_m());
-        self.coeffs.reserve(other.size_m());
-        self.spans.reserve(other.num_polys());
-        for pi in 0..other.num_polys() {
-            self.copy_poly(other, pi, &mut remap);
-        }
+        let cols = Arc::make_mut(&mut self.terms);
+        cols.ids.reserve(other.size_m());
+        cols.coeffs.reserve(other.size_m());
+        cols.spans.reserve(other.num_polys());
+        self.copy_polys(other, 0..other.num_polys(), &mut remap);
     }
 
-    /// Appends polynomial `pi` of `from`, interning each of its monomials
-    /// on first sight; `remap` is `from`'s id → this arena's id.
-    fn copy_poly(&mut self, from: &Self, pi: usize, remap: &mut [MonoId]) {
-        let start = self.ids.len();
-        for (id, c) in from.poly_terms(pi) {
-            let new_id = &mut remap[id as usize];
-            if *new_id == NONE {
-                *new_id = self.arena.intern_factors(from.arena.mono(id).as_factors());
+    /// Appends the polynomials `indices` of `from`, interning each of
+    /// their monomials on first sight; `remap` is `from`'s id → this
+    /// arena's id.
+    fn copy_polys(
+        &mut self,
+        from: &Self,
+        indices: impl IntoIterator<Item = usize>,
+        remap: &mut [MonoId],
+    ) {
+        let Self {
+            arena,
+            terms,
+            scratch,
+        } = self;
+        let (mut arena, cols) = (arena.writer(), Arc::make_mut(terms));
+        for pi in indices {
+            let start = cols.ids.len();
+            for (id, c) in from.poly_terms(pi) {
+                let new_id = &mut remap[id as usize];
+                if *new_id == NONE {
+                    *new_id = arena.intern_factors(from.arena.mono(id).as_factors());
+                }
+                cols.ids.push(*new_id);
+                cols.coeffs.push(c.clone());
             }
-            self.ids.push(*new_id);
-            self.coeffs.push(c.clone());
+            cols.seal(start, scratch);
         }
-        self.seal(start);
     }
 
     /// The monomial-loss delta of substituting every variable of `group`
@@ -571,9 +639,14 @@ impl<C: Coefficient> WorkingSet<C> {
         if group.len() < 2 {
             return 0;
         }
-        let GroupScratch { classes, keys, .. } = &mut self.scratch;
+        let Self {
+            arena,
+            terms,
+            scratch,
+        } = self;
+        let GroupScratch { classes, keys, .. } = scratch;
         classes.clear();
-        visit_occurrences(&mut self.arena, group, |arena, m, v| {
+        visit_occurrences(&mut arena.writer(), group, |arena, m, v| {
             let (rem, exp) = arena.remainder(m, v);
             classes.push((m, (u64::from(rem) << 32) | u64::from(exp)));
         });
@@ -583,7 +656,7 @@ impl<C: Coefficient> WorkingSet<C> {
             // The occurrences that are terms of this polynomial, less the
             // distinct classes they fall into.
             keys.clear();
-            intersect(&self.ids[self.spans[pi].range()], classes, |_, key| {
+            intersect(&terms.ids[terms.spans[pi].range()], classes, |_, key| {
                 keys.push(key)
             });
             let matches = keys.len();
@@ -606,16 +679,15 @@ impl<C: Coefficient> WorkingSet<C> {
     pub fn apply_group(&mut self, group: &[VarId], target: VarId, affected: &[usize]) {
         let Self {
             arena,
-            ids,
-            coeffs,
-            spans,
+            terms,
             scratch,
         } = self;
+        let Columns { ids, coeffs, spans } = Arc::make_mut(terms);
         let GroupScratch {
             remap, moved, run, ..
         } = scratch;
         remap.clear();
-        visit_occurrences(arena, group, |arena, m, v| {
+        visit_occurrences(&mut arena.writer(), group, |arena, m, v| {
             let (rem, exp) = arena.remainder(m, v);
             remap.push((m, arena.mul_factor(rem, target, exp)));
         });
@@ -648,11 +720,11 @@ impl<C: Coefficient> WorkingSet<C> {
     pub fn apply_var_map(&mut self, mut map: impl FnMut(VarId) -> VarId) {
         let Self {
             arena,
-            ids,
-            coeffs,
-            spans,
+            terms,
             scratch,
         } = self;
+        let Columns { ids, coeffs, spans } = Arc::make_mut(terms);
+        let mut arena = arena.writer();
         let mut remap = vec![NONE; arena.len()];
         let mut mapped: Vec<(VarId, u32)> = Vec::new();
         for span in spans {
@@ -690,15 +762,29 @@ impl<C: Coefficient> WorkingSet<C> {
     /// as they would have. A compression run leaves behind every monomial
     /// it rewrote and every remainder it scored; this is what a caller
     /// does once with the `𝒫↓S` it is going to keep.
+    ///
+    /// A set with nothing to drop — every arena entry live, no gap, no
+    /// memo — is kept as it is (only the rewrite buffers go), so what it
+    /// shares with a clone stays shared: an identity abstraction holds
+    /// no second copy of its source.
     pub fn compact(&mut self) {
         let live = self.live_flags();
-        let kept = || (0..live.len()).filter(|&id| live[id]);
-        let factors = kept().map(|id| self.arena.mono(id as MonoId).num_vars());
+        if self.terms.is_packed() && !self.arena.has_memo() && live.iter().all(|&l| l) {
+            self.scratch = GroupScratch::default();
+            return;
+        }
+        let kept = || {
+            let monos = self.arena.monomials().zip(&live).enumerate();
+            monos.filter_map(|(id, (mono, &live))| live.then_some((id, mono)))
+        };
+        let factors = kept().map(|(_, mono)| mono.num_vars());
         let mut arena = MonoArena::with_capacity(kept().count(), factors.sum());
         let mut new_ids = vec![NONE; live.len()];
-        for id in kept() {
-            new_ids[id] = arena.intern_factors(self.arena.mono(id as MonoId).as_factors());
+        let mut writer = arena.writer();
+        for (id, mono) in kept() {
+            new_ids[id] = writer.intern_factors(mono.as_factors());
         }
+        drop(writer);
         let mut packed = Self::with_capacity(arena, self.num_polys(), self.size_m());
         for pi in 0..self.num_polys() {
             let terms = self.poly_terms(pi);

@@ -213,7 +213,7 @@ use std::ops::Range;
 
 /// The model: an interning map over owned monomials, and each polynomial
 /// as an ordered map from id to coefficient.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Model {
     ids: HashMap<Monomial, MonoId>,
     monos: Vec<Monomial>,
@@ -320,6 +320,30 @@ struct Walk {
 }
 
 impl Walk {
+    fn new(ws: WorkingSet<f64>, shadow: PolySet<f64>, exact: bool) -> Self {
+        let model = Model::of(&ws);
+        let scratch = SubsetScratch::new();
+        Walk {
+            ws,
+            model,
+            shadow,
+            exact,
+            scratch,
+        }
+    }
+
+    /// This walk with `ws` in place of its set (and the same model).
+    fn with_set(&self, ws: WorkingSet<f64>) -> Self {
+        let scratch = SubsetScratch::new();
+        Walk {
+            ws,
+            model: self.model.clone(),
+            shadow: self.shadow.clone(),
+            exact: self.exact,
+            scratch,
+        }
+    }
+
     fn spans(&self) -> Vec<Range<usize>> {
         (0..self.ws.num_polys())
             .map(|pi| self.ws.poly_span(pi))
@@ -337,7 +361,7 @@ impl Walk {
             assert_eq!(arena.get(mono), Some(id as MonoId), "lookup of {mono:?}");
         }
         for v in (0..16).map(VarId) {
-            assert_eq!(arena.postings_of(v), model.postings(v), "postings of {v:?}");
+            assert_eq!(postings(ws, v), model.postings(v), "postings of {v:?}");
         }
         assert_eq!(ws.num_polys(), model.terms.len());
         let mut end = 0;
@@ -413,9 +437,12 @@ fn compatible_strategy(polys: std::ops::Range<usize>) -> impl Strategy<Value = R
 /// One step of an interleaving: an operation and the draws it reads.
 type Step = (u32, u32, u32, Vec<(u32, u32)>, RawPolys);
 
+/// The operation that clones a branch of the walk instead of changing one.
+const FORK: u32 = 10;
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     (
-        0u32..10,
+        0u32..=FORK,
         any::<u32>(),
         any::<u32>(),
         prop::collection::vec((0u32..12, 0u32..3), 0..4),
@@ -589,6 +616,117 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
     }
 }
 
+// ---------------------------------------------------------------------
+// Forks: clones share their source's arena and columns until they write
+// ---------------------------------------------------------------------
+//
+// A clone of a working set shares its source's arena prefix, tail, table
+// and term columns; whichever side first writes copies what it changes.
+// A walk may fork: a branch is cloned, and from then on the steps drive
+// one branch at a time. After every step each branch the step did not
+// drive must look exactly as it did before, and each branch must look
+// exactly like an *unshared twin* — the same set re-interned into a fresh
+// arena — driven through the same steps.
+//
+// What this was checked to catch (by hand, the mutation is not in the
+// tree): with promotion renumbering the tail — a shared tail behind a
+// prefix copied in reverse id order instead of as it is —
+// `interleavings_agree_with_the_model` fails (a written branch's
+// `mono(id)` no longer matches its model), and so does
+// `a_promoted_clone_forks_through_the_tail_copy`.
+
+/// Everything a consumer sees of a set: the arena's entries in id order,
+/// every variable's postings, and every run with its coefficient bits.
+type Observed = (Vec<Monomial>, Vec<Vec<MonoId>>, Vec<Vec<(MonoId, u64)>>);
+
+/// `v`'s postings as one list: the arena's prefix ids, then its tail's.
+fn postings(ws: &WorkingSet<f64>, v: VarId) -> Vec<MonoId> {
+    let (prefix, tail) = ws.arena().postings_of(v);
+    prefix.iter().chain(tail).copied().collect()
+}
+
+fn observe(ws: &WorkingSet<f64>) -> Observed {
+    let monos = (0..ws.arena().len() as MonoId)
+        .map(|id| ws.mono(id).to_monomial())
+        .collect();
+    let lists = (0..16).map(|v| postings(ws, VarId(v))).collect();
+    let runs = (0..ws.num_polys())
+        .map(|pi| ws.poly_terms(pi).map(|(id, c)| (id, c.to_bits())).collect())
+        .collect();
+    (monos, lists, runs)
+}
+
+/// `ws` re-interned, id for id, into a fresh arena of its own.
+fn unshared(ws: &WorkingSet<f64>) -> WorkingSet<f64> {
+    let mut arena = provabs_provenance::intern::MonoArena::new();
+    for id in 0..ws.arena().len() as MonoId {
+        assert_eq!(arena.intern_factors(ws.mono(id).as_factors()), id);
+    }
+    let runs: Vec<Vec<(MonoId, f64)>> = (0..ws.num_polys())
+        .map(|pi| ws.poly_terms(pi).map(|(id, &c)| (id, c)).collect())
+        .collect();
+    WorkingSet::from_parts(arena, runs)
+}
+
+/// One branch of a forked walk and its unshared twin.
+struct Branch {
+    walk: Walk,
+    twin: Walk,
+}
+
+impl Branch {
+    fn of(walk: Walk) -> Self {
+        let twin = walk.with_set(unshared(&walk.ws));
+        Branch { walk, twin }
+    }
+
+    /// A clone of this branch's set, with a twin of its own.
+    fn fork(&self) -> Self {
+        let fork = Branch::of(self.walk.with_set(self.walk.ws.clone()));
+        assert_eq!(
+            observe(&fork.walk.ws),
+            observe(&self.walk.ws),
+            "a fresh clone"
+        );
+        fork
+    }
+
+    fn step(&mut self, step: Step) {
+        apply_step(&mut self.walk, step.clone());
+        apply_step(&mut self.twin, step);
+        self.walk.assert_agree();
+        self.twin.assert_agree();
+        assert_eq!(
+            observe(&self.walk.ws),
+            observe(&self.twin.ws),
+            "the branch against its unshared twin"
+        );
+    }
+}
+
+/// Drives `branches` through `steps`, each `(branch draw, step)`: a
+/// [`FORK`] clones the drawn branch (up to four branches), any other step
+/// drives it alone while every other branch must stay as it was.
+fn walk_branches(branches: &mut Vec<Branch>, steps: Vec<(u32, Step)>) {
+    for (draw, step) in steps {
+        let at = draw as usize % branches.len();
+        if step.0 == FORK {
+            if branches.len() < 4 {
+                let fork = branches[at].fork();
+                branches.push(fork);
+            }
+            continue;
+        }
+        let snapshots: Vec<Observed> = branches.iter().map(|b| observe(&b.walk.ws)).collect();
+        branches[at].step(step);
+        for (i, (branch, was)) in branches.iter().zip(&snapshots).enumerate() {
+            if i != at {
+                assert_eq!(&observe(&branch.walk.ws), was, "untouched branch {i}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -596,22 +734,19 @@ proptest! {
     /// moves a term leave the working set and the model agreeing id for
     /// id and bit for bit after every step, with every run ascending,
     /// inside the span it had and clear of its neighbours, and the set
-    /// denoting what `PolySet::map_vars` makes of the same steps.
+    /// denoting what `PolySet::map_vars` makes of the same steps — on
+    /// every branch of a walk that forks, each branch also agreeing with
+    /// an unshared twin and left alone by the steps that drive another.
     #[test]
     fn interleavings_agree_with_the_model(
         raw in compatible_strategy(0..5),
         exact in any::<bool>(),
-        steps in prop::collection::vec(step_strategy(), 0..24),
+        steps in prop::collection::vec((any::<u32>(), step_strategy()), 0..24),
     ) {
         let polys = compatible_polyset(&raw, exact);
-        let ws = WorkingSet::from_polyset(&polys);
-        let model = Model::of(&ws);
-        let mut walk = Walk { ws, model, shadow: polys, exact, scratch: SubsetScratch::new() };
+        let walk = Walk::new(WorkingSet::from_polyset(&polys), polys, exact);
         walk.assert_agree();
-        for step in steps {
-            apply_step(&mut walk, step);
-            walk.assert_agree();
-        }
+        walk_branches(&mut vec![Branch::of(walk)], steps);
     }
 
     /// Compaction changes nothing a consumer can see: the same poly-set,
@@ -647,6 +782,48 @@ proptest! {
             .collect();
         prop_assert_eq!(arena, order);
     }
+}
+
+/// Both promotion paths, each branch written after the other forked: a
+/// clone's shared tail over an empty prefix becomes its prefix, and a
+/// clone of that clone — whose tail is shared behind a prefix — copies
+/// it; the source, whose tail is now a clone's prefix, promotes too.
+#[test]
+fn a_promoted_clone_forks_through_the_tail_copy() {
+    let raw: RawPolys = vec![
+        vec![
+            (0, vec![(0, 1)], 3),
+            (1, vec![(1, 1)], 4),
+            (2, vec![(0, 1)], 5),
+        ],
+        vec![(0, vec![(1, 2)], -2), (3, vec![], 7), (6, vec![(2, 1)], 1)],
+    ];
+    let polys = compatible_polyset(&raw, true);
+    let walk = Walk::new(WorkingSet::from_polyset(&polys), polys, true);
+    let intern = |v: u32| (0, 0, 0, vec![(v, 1), (v + 1, 2)], Vec::new());
+    let score_and_apply = (5, 0b111, 2, Vec::new(), Vec::new());
+    let compact = (8, 0, 0, Vec::new(), Vec::new());
+    let fork = (FORK, 0, 0, Vec::new(), Vec::new());
+    let mut branches = vec![Branch::of(walk)];
+    walk_branches(
+        &mut branches,
+        vec![
+            (0, fork.clone()),
+            (1, intern(9)),
+            (1, intern(12)),
+            (1, fork),
+            (2, intern(10)),
+            (1, intern(11)),
+            (0, intern(7)),
+            (2, score_and_apply.clone()),
+            (1, score_and_apply),
+            (0, compact),
+            (2, intern(9)),
+        ],
+    );
+    assert_eq!(branches.len(), 3);
+    let lens: Vec<usize> = branches.iter().map(|b| b.walk.ws.arena().len()).collect();
+    assert!(lens[1] > lens[0] && lens[2] > lens[0], "{lens:?}");
 }
 
 /// Each run of `ws` as the monomials and coefficient bits it lists, in

@@ -20,7 +20,9 @@ use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::{optimal_frontier, optimal_vvs};
 use provabs_core::problem::{evaluate_vvs, prepare, InternedAbstraction};
 use provabs_core::reference::{self, DEFAULT_CUT_LIMIT};
+use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
+use provabs_engine::query::GroupedProvenanceInterned;
 use provabs_provenance::compiled::CompiledPolySet;
 use provabs_provenance::guard::{Budget, CancelToken, Guard, Interrupt};
 use provabs_provenance::polyset::PolySet;
@@ -506,6 +508,87 @@ fn concurrent_asks_on_a_shared_uncompressed_session_compress_and_freeze_once() {
     );
     assert_eq!(shared.run_stats().checkpoints_hit, one_compression);
     assert_eq!(shared.intern_stats().polyset_materializations, 0);
+}
+
+/// The compress-once / ask-many pattern with several analysts over one
+/// capture: threads that each build a session from a clone of one
+/// captured `compress-scale`-shaped set, then compress and ask, answer
+/// what a lone session answers — and the capture they all shared comes
+/// out exactly as it went in (its arena ids, postings and runs).
+#[test]
+fn concurrent_sessions_over_one_capture_leave_it_as_it_was() {
+    const THREADS: usize = 4;
+    let config = ScaleConfig {
+        groups: 16,
+        plans: 32,
+        months: 12,
+        fill_permille: 950,
+        seed: 7,
+    };
+    let mut vars = VarTable::new();
+    let captured = scale_working_set(&config, &mut vars);
+    let forest = scale_forest(&config, &mut vars);
+    let observe = |ws: &WorkingSet<f64>| {
+        let arena = ws.arena();
+        let monos: Vec<_> = (0..arena.len() as u32)
+            .map(|id| arena.mono(id).to_monomial())
+            .collect();
+        let postings: Vec<Vec<u32>> = (0..vars.len() as u32)
+            .map(|v| {
+                let (prefix, tail) = arena.postings_of(provabs_provenance::var::VarId(v));
+                prefix.iter().chain(tail).copied().collect()
+            })
+            .collect();
+        let runs: Vec<Vec<(u32, u64)>> = (0..ws.num_polys())
+            .map(|pi| ws.poly_terms(pi).map(|(id, c)| (id, c.to_bits())).collect())
+            .collect();
+        (monos, postings, runs)
+    };
+    let snapshot = observe(&captured);
+    let session = |working: WorkingSet<f64>| {
+        let provenance = GroupedProvenanceInterned {
+            keys: Vec::new(),
+            working,
+        };
+        SessionBuilder::from_query_interned(provenance, vars.clone())
+            .forest(forest.clone())
+            .strategy(Strategy::Greedy { incremental: true })
+            .build()
+            .expect("valid configuration")
+    };
+
+    let serial = session(captured.clone());
+    let names = serial
+        .compress()
+        .map(|r| r.vvs.labels(&r.forest))
+        .expect("attainable default target");
+    let scenarios: Vec<Scenario> = (0..6).map(|i| Scenario::random(&names, 0.5, i)).collect();
+    let expected = serial.ask(&scenarios).expect("known names").values;
+
+    let start = std::sync::Barrier::new(THREADS);
+    let answers: Vec<(Vec<String>, Vec<Vec<f64>>)> = std::thread::scope(|scope| {
+        let analysts: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let own = session(captured.clone());
+                    start.wait();
+                    let result = own.compress().expect("attainable default target");
+                    let labels = result.vvs.labels(&result.forest);
+                    (labels, own.ask(&scenarios).expect("known names").values)
+                })
+            })
+            .collect();
+        analysts
+            .into_iter()
+            .map(|t| t.join().expect("no panic"))
+            .collect()
+    });
+    for (labels, got) in &answers {
+        assert_eq!(labels, &names, "the same abstraction");
+        assert_values_bitwise(got, &expected, "a session over a clone vs the serial one");
+    }
+    drop(serial);
+    assert!(observe(&captured) == snapshot, "the capture changed");
 }
 
 #[test]

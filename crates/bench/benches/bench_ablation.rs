@@ -52,7 +52,7 @@ fn bench_ml_variants(c: &mut Criterion) {
     group.sample_size(10);
     // Efficient: one pass computes ML for every node.
     group.bench_function("remainder_maps_all_nodes", |b| {
-        b.iter(|| TreeLoss::build(&mut WorkingSet::from_polyset(&data.polys), &tree))
+        b.iter(|| TreeLoss::build(&WorkingSet::from_polyset(&data.polys), &tree))
     });
     // Naive: substitute-and-count per internal node.
     group.bench_function("naive_all_nodes", |b| {

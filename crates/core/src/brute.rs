@@ -84,11 +84,11 @@ impl<'a, C: Coefficient> Search<'a, C> {
             false
         });
         let additive_loss = (!interacting).then(|| {
-            let mut ws = WorkingSet::from_polyset(polys);
+            let ws = WorkingSet::from_polyset(polys);
             cleaned
                 .trees()
                 .iter()
-                .map(|t| TreeLoss::build(&mut ws, t))
+                .map(|t| TreeLoss::build(&ws, t))
                 .collect()
         });
         Ok(Ok(Self {

@@ -75,7 +75,7 @@ pub fn decide_precise_single_tree<C: Coefficient>(
     let (target_ml, target_vl) = (total_m - size_b, total_v - granularity_k);
 
     let tree = forest.tree(0);
-    let loss = TreeLoss::build(&mut WorkingSet::from_polyset(polys), tree);
+    let loss = TreeLoss::build(&WorkingSet::from_polyset(polys), tree);
     let mut pair_sets: Vec<FxHashSet<(usize, usize)>> =
         vec![FxHashSet::default(); tree.num_nodes()];
     for v in tree.postorder() {

@@ -16,7 +16,7 @@
 
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashMap;
-use provabs_provenance::working::{MonoId, WorkingSet};
+use provabs_provenance::working::{RemainderClasses, WorkingSet};
 use provabs_trees::tree::{AbsTree, NodeId};
 
 /// Per-node `ML({v})` and `VL({v})` for one tree, precomputed with the
@@ -31,40 +31,45 @@ pub struct TreeLoss {
 }
 
 impl TreeLoss {
-    /// Builds the index for `tree` against the working set: remainders
-    /// come from the working set's memoised arena index (`u32` probes, no
-    /// monomial hashing), so the whole computation stays in id space —
-    /// remainder ids are canonical for monomial equality within one
-    /// arena.
+    /// Builds the index for `tree` against the working set. Each distinct
+    /// monomial's remainder and exponent are classed once, over the whole
+    /// set, with [`RemainderClasses`]; a term's key is then its
+    /// `(polynomial, class)` pair, numbered in first-occurrence order.
+    /// Nothing is interned; the working set is only read.
     ///
     /// Requires compatibility: each monomial contains at most one node of
     /// `tree` (checked by [`crate::problem::prepare`] upstream; here a
-    /// debug assertion on leaf-ness). Takes `&mut` because remainder
-    /// memoisation appends to the (append-only) arena.
-    pub fn build<C: Coefficient>(ws: &mut WorkingSet<C>, tree: &AbsTree) -> Self {
-        let n = tree.num_nodes();
-        // Dense remainder-class keys: (poly index, exponent, remainder id).
-        let mut key_ids: FxHashMap<(usize, u32, MonoId), u32> = FxHashMap::default();
-        let mut per_leaf: Vec<Vec<u32>> = vec![Vec::new(); n];
-        // The runs are read off a clone, which shares them, while one
-        // writer memoises every remainder into the arena.
-        let runs = ws.clone();
-        let mut arena = ws.arena_mut().writer();
-        for pi in 0..runs.num_polys() {
-            for &id in runs.poly_mono_ids(pi) {
+    /// debug assertion on leaf-ness).
+    pub fn build<C: Coefficient>(ws: &WorkingSet<C>, tree: &AbsTree) -> Self {
+        let mut per_leaf: Vec<Vec<u32>> = vec![Vec::new(); tree.num_nodes()];
+        let mut classes = RemainderClasses::default();
+        classes.reset(ws.size_m());
+        // Per arena id: its class, once a term has held it.
+        let mut class_of = vec![u32::MAX; ws.arena().len()];
+        // Per class: the polynomial it was last met in, and its key there.
+        let mut met: Vec<(usize, u32)> = Vec::new();
+        let mut keys = 0;
+        for pi in 0..ws.num_polys() {
+            for &id in ws.poly_mono_ids(pi) {
                 // Compatibility: at most one tree node per monomial.
-                let mut vars = runs.mono(id).vars();
-                let Some((node, v)) = vars.find_map(|v| tree.node_of_var(v).map(|n| (n, v))) else {
+                let mut vars = ws.mono(id).vars();
+                let Some((v, node)) = vars.find_map(|v| tree.node_of_var(v).map(|n| (v, n))) else {
                     continue;
                 };
                 debug_assert!(tree.is_leaf(node), "meta-variable in polynomials");
-                let (rem, exp) = arena.remainder(id, v);
-                let next = key_ids.len() as u32;
-                let key = *key_ids.entry((pi, exp, rem)).or_insert(next);
-                per_leaf[node.index()].push(key);
+                let class = &mut class_of[id as usize];
+                if *class == u32::MAX {
+                    *class = classes.push(ws.arena(), id, v) as u32;
+                    met.resize(classes.count(), (usize::MAX, 0));
+                }
+                let met = &mut met[*class as usize];
+                if met.0 != pi {
+                    *met = (pi, keys);
+                    keys += 1;
+                }
+                per_leaf[node.index()].push(met.1);
             }
         }
-        drop(arena);
         Self::from_per_leaf(tree, per_leaf)
     }
 
@@ -165,7 +170,7 @@ mod tests {
     #[test]
     fn example_13_losses_via_remainder_maps() {
         let (polys, tree, vars) = example_13();
-        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
+        let loss = TreeLoss::build(&WorkingSet::from_polyset(&polys), &tree);
         let node = |l: &str| {
             tree.node_of_var(vars.lookup(l).expect("interned"))
                 .expect("in tree")
@@ -191,7 +196,7 @@ mod tests {
     fn efficient_ml_matches_naive_for_every_node() {
         let (polys, tree, _) = example_13();
         let forest = Forest::single(tree.clone());
-        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
+        let loss = TreeLoss::build(&WorkingSet::from_polyset(&polys), &tree);
         for node in tree.node_ids() {
             if tree.is_leaf(node) {
                 continue;
@@ -224,7 +229,7 @@ mod tests {
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
+        let loss = TreeLoss::build(&WorkingSet::from_polyset(&polys), &tree);
         // Only x·a and y·a merge → ML = 1.
         assert_eq!(loss.ml_of(tree.root()), 1);
         let forest = Forest::single(tree.clone());
@@ -240,7 +245,7 @@ mod tests {
             .leaves("g", ["x", "y"])
             .build(&mut vars)
             .expect("tree");
-        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
+        let loss = TreeLoss::build(&WorkingSet::from_polyset(&polys), &tree);
         assert_eq!(loss.ml_of(tree.root()), 0);
     }
 
@@ -253,7 +258,7 @@ mod tests {
             .collect();
         let delta = ml_delta_of_group(&polys, &group);
         // Same as abstracting Business directly.
-        let loss = TreeLoss::build(&mut WorkingSet::from_polyset(&polys), &tree);
+        let loss = TreeLoss::build(&WorkingSet::from_polyset(&polys), &tree);
         let business = tree
             .node_of_var(vars.lookup("Business").expect("interned"))
             .expect("node");

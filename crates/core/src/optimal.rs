@@ -12,7 +12,7 @@
 //!
 //! [`optimal_vvs`] is the sparse variant of §4.1: arrays are hash maps
 //! holding only non-⊥ entries, with the height-1 shortcut. The per-node
-//! loss index is built from the working set's memoised arena remainders
+//! loss index is built from the working set's remainder classes
 //! ([`TreeLoss::build`]) and the chosen VVS is applied in id space. The
 //! dense transcription of the pseudo-code is the oracle
 //! [`crate::reference::optimal_vvs_dense`].
@@ -228,14 +228,11 @@ pub fn optimal_vvs<C: Coefficient>(
         return Err(TreeError::ExpectedSingleTree(cleaned.num_trees()));
     }
     let k = total_m - bound;
-    let mut work = source.clone();
     let tree = cleaned.tree(0);
-    let loss = TreeLoss::build(&mut work, tree);
+    let loss = TreeLoss::build(source, tree);
     let arrays = match solve_sparse(tree, &loss, k, guard) {
         Ok(arrays) => arrays,
         Err((reason, steps)) => {
-            // `work` was only used to memoise losses; the identity
-            // fallback starts from the untouched source.
             let vvs = Vvs::identity(&cleaned);
             let abs = evaluate_vvs(source.clone(), &cleaned, vvs, live.len());
             let completion = Completion::Interrupted {
@@ -259,7 +256,7 @@ pub fn optimal_vvs<C: Coefficient>(
     let vvs = Vvs::from_per_tree(vec![chosen]);
     debug_assert!(vvs.validate(&cleaned).is_ok());
     Ok((
-        evaluate_vvs(work, &cleaned, vvs, live.len()),
+        evaluate_vvs(source.clone(), &cleaned, vvs, live.len()),
         Completion::Complete,
     ))
 }
@@ -290,7 +287,7 @@ pub fn optimal_frontier<C: Coefficient>(
         return Err(TreeError::ExpectedSingleTree(cleaned.num_trees()));
     }
     let tree = cleaned.tree(0);
-    let loss = TreeLoss::build(&mut source.clone(), tree);
+    let loss = TreeLoss::build(source, tree);
     let k_max = loss.ml_of(tree.root()); // coarsening is monotone in ML
 
     let arrays = match solve_sparse(tree, &loss, k_max, guard) {

@@ -334,7 +334,7 @@ pub fn optimal_vvs_dense<C: Coefficient>(
     let tree = cleaned.tree(0);
     // The per-node losses are the production index: this oracle checks the
     // DP over them, `ml_naive` checks the index.
-    let loss = TreeLoss::build(&mut WorkingSet::from_polyset(polys), tree);
+    let loss = TreeLoss::build(&WorkingSet::from_polyset(polys), tree);
 
     // Dense arrays: index j holds Option<Entry>.
     let mut arrays: Vec<Vec<Option<Entry>>> = vec![Vec::new(); tree.num_nodes()];

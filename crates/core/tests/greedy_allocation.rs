@@ -1,8 +1,9 @@
 //! What the flat arena and the flat term runs are for, as a test:
 //! emitting provenance and compressing it allocate per run and per
 //! polynomial, never per monomial; a clone allocates nothing for what it
-//! shares, and a run copies only what it writes; a rewrite whose buffers
-//! are warm allocates nothing; a term costs its id and its coefficient;
+//! shares, and a run copies only what it writes and adds only the products
+//! it keeps; scoring interns nothing, and a rewrite or a scoring whose
+//! buffers are warm allocates nothing; a term costs its id and its coefficient;
 //! and the arena and the working set say truthfully how much heap they
 //! hold.
 //!
@@ -17,6 +18,7 @@ use provabs_provenance::intern::{MonoArena, MonoId};
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
 use provabs_trees::cut::Vvs;
+use provabs_trees::tree::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -116,6 +118,28 @@ fn compression_allocates_per_run_not_per_monomial() {
         "greedy: {compressing} allocations for {monomials} monomials"
     );
 
+    // Every entry the run added is a product it kept, holding the variable
+    // of a node it merged: a node of the cut, or one below it. (A scored
+    // remainder — `z·p`, a month taken out — holds none.)
+    let cut = &abs.result;
+    let merged: Vec<VarId> = cut
+        .vvs
+        .nodes()
+        .flat_map(|(ti, chosen)| {
+            let tree = cut.forest.tree(ti);
+            let below = move |n: &NodeId| !tree.is_leaf(*n) && tree.is_ancestor_or_self(chosen, *n);
+            tree.node_ids().filter(below).map(|n| tree.var_of(n))
+        })
+        .collect();
+    let (arena, before) = (abs.working.arena(), source.arena().len());
+    assert!(arena.len() > before, "the run added entries");
+    for id in before as MonoId..arena.len() as MonoId {
+        assert!(
+            arena.mono(id).vars().any(|v| merged.contains(&v)),
+            "entry {id} of a greedy run holds no merged node's variable"
+        );
+    }
+
     // A run over a source that a live clone still shares starts as one
     // more sharer and copies only what it writes — the table and the term
     // columns — so the set it returns, uncompacted, holds less than its
@@ -156,10 +180,47 @@ fn compression_allocates_per_run_not_per_monomial() {
     }
     drop((none, all));
 
+    // Scoring only reads: once its buffers are warm, scoring every
+    // candidate of a shared clone allocates nothing, and the warm-up
+    // allocates its buffers alone — the clone's arena neither grows nor
+    // stops sharing its source's.
+    let (cleaned, _) = prepare(&source, &forest).expect("compatible");
+    let groups: Vec<Vec<VarId>> = cleaned
+        .trees()
+        .iter()
+        .flat_map(|t| {
+            let candidate =
+                |n: &NodeId| !t.is_leaf(*n) && t.children(*n).iter().all(|&c| t.is_leaf(c));
+            t.node_ids()
+                .filter(candidate)
+                .map(|n| t.children(n).iter().map(|&c| t.var_of(c)).collect())
+        })
+        .collect();
+    let polys: Vec<usize> = (0..source.num_polys()).collect();
+    let score = |ws: &mut WorkingSet<f64>| -> usize {
+        groups.iter().map(|g| ws.ml_delta_of_group(g, &polys)).sum()
+    };
+    let mut scored = source.clone();
+    let (saved, _, warming) = measured(|| score(&mut scored));
+    let (again, allocations, _) = measured(|| score(&mut scored));
+    assert!(saved > 0, "the candidates merge something");
+    assert_eq!((again, allocations), (saved, 0), "a warm scoring allocated");
+    assert_eq!(
+        scored.arena().len(),
+        source.arena().len(),
+        "scoring interned"
+    );
+    let buffers = scored.estimated_bytes() - source_bytes;
+    assert!(
+        warming <= buffers,
+        "scoring a clone holds {warming} B, its buffers {buffers} B"
+    );
+    drop(scored);
+
     // What an arena and a set say they hold is what the allocator handed
-    // out: an arena that grew holds slack; one a run rewrote in holds the
-    // remainder memo and a derived tail as well (a run over a set built
-    // inside the measurement, so that nothing it shares predates it).
+    // out: an arena that grew holds slack; one a run rewrote in holds a
+    // derived tail as well (a run over a set built inside the
+    // measurement, so that nothing it shares predates it).
     let arena_bytes = MonoArena::estimated_bytes;
     let grown_arena = || {
         let mut arena = MonoArena::new();
@@ -210,7 +271,7 @@ fn compression_allocates_per_run_not_per_monomial() {
     // A rewrite allocates nothing once its buffers are warm and the
     // arena has what it derives. A full fixture makes every quarter the
     // same size; `first` applies two of them so that its arena holds
-    // every remainder and product, `second` starts over on that arena.
+    // every product, `second` starts over on that arena.
     let full = ScaleConfig {
         groups: 8,
         fill_permille: 1000,

@@ -19,17 +19,17 @@
 //!   re-hashing the monomial ([`Monomial`] stays the owned value of the
 //!   hash-map world);
 //! * a **postings index** `variable → sorted monomial ids`, the inverted
-//!   index group substitutions and candidate scoring probe;
-//! * the **memoised remainder index** `(monomial, variable) → (remainder,
-//!   exponent)` — the `M_l` operation of §4.1 of the paper, valid forever
-//!   because the arena only grows.
+//!   index group substitutions and candidate scoring probe.
+//!
+//! The arena holds what some polynomial holds or held, and nothing
+//! derived only to be compared: a remainder (the `M_l` of §4.1) is a
+//! class key, never a term, so scoring builds none here (ADR 018).
 //!
 //! **Clones share, writers copy what they change** (ADR 017). The ids
 //! `0..n` — their factors, ends and postings — are an immutable *prefix*
 //! behind an `Arc`; the ids `n..` are a *tail*, also behind an `Arc`, and
 //! so is the one interning table over both. A clone shares all three and
-//! copies nothing but its remainder memo (which a freshly emitted arena
-//! does not have). The first write of a clone *promotes*: a shared tail
+//! copies nothing. The first write of a clone *promotes*: a shared tail
 //! over an empty prefix becomes the prefix as it is, a shared tail behind
 //! a prefix — the few monomials a run derived — is copied, and a shared
 //! table is copied once. Promotion moves no id: the postings of a
@@ -157,23 +157,19 @@ impl VarSpace {
     }
 }
 
-/// An append-only arena of distinct monomials with dense ids, postings
-/// and the memoised remainder index. See the [module docs](self).
+/// An append-only arena of distinct monomials with dense ids and
+/// postings. See the [module docs](self).
 ///
 /// Storage is flat and holds each monomial once: every factor of every
 /// monomial sits in a column, cut by prefix ends; interning probes an
 /// open-addressed table of ids whose keys are the factor slices
-/// themselves. Nothing is boxed per monomial, and an operation that
-/// derives a monomial ([`remainder`], [`mul_factor`]) builds it in one
-/// reused buffer.
+/// themselves. Nothing is boxed per monomial, and a derived monomial
+/// ([`ArenaWriter::substitute`]) is built in one reused buffer.
 ///
 /// The columns of ids `0..n` are an immutable prefix and those of ids
 /// `n..` a tail, each behind an `Arc` like the table: a clone allocates
 /// nothing for them, and a writer copies only what is shared when it
 /// first writes (see the [module docs](self)).
-///
-/// [`remainder`]: Self::remainder
-/// [`mul_factor`]: Self::mul_factor
 #[derive(Debug, Default)]
 pub struct MonoArena {
     /// Ids `0..prefix.len()`; never written once shared.
@@ -182,15 +178,6 @@ pub struct MonoArena {
     tail: Arc<Part>,
     /// The interning table over both parts.
     table: Arc<Table>,
-    /// Memoised remainders, parallel to a prefix of the factor column the
-    /// two parts make together: the entry at a factor's position is the
-    /// id of its monomial without that factor ([`VACANT`] until asked
-    /// for; positions past the end have not been asked for either).
-    /// Valid forever (append-only arena), and this arena's own. Sized to
-    /// the whole column when first written, then grown by an eighth at a
-    /// time: a run derives a fraction of what its source holds, and
-    /// doubling would reserve the source's positions a second time.
-    remainders: Vec<MonoId>,
     /// The buffer derived monomials are built in.
     scratch: Vec<(VarId, u32)>,
 }
@@ -219,8 +206,7 @@ struct Table {
     shift: u32,
 }
 
-/// A free slot of the interning table, an unset remainder. No monomial
-/// gets this id.
+/// A free slot of the interning table. No monomial gets this id.
 const VACANT: MonoId = MonoId::MAX;
 
 /// Slots of the smallest interning table.
@@ -325,29 +311,13 @@ impl<'a> Parts<'a> {
         self.prefix.len() + self.tail.len()
     }
 
-    /// The columns holding monomial `id`, its index there, and the
-    /// position of their first factor in the column the two parts make
-    /// together.
-    fn locate(self, id: MonoId) -> (Cols<'a>, usize, usize) {
-        let n = self.prefix.len();
-        match id as usize {
-            i if i < n => (self.prefix.cols(), i, 0),
-            i => (self.tail.cols(), i - n, self.prefix.factors.len()),
-        }
-    }
-
     /// The factors of monomial `id`.
     fn slice(self, id: MonoId) -> &'a [(VarId, u32)] {
-        let (cols, i, _) = self.locate(id);
-        cols.get(i)
-    }
-
-    /// The factors of monomial `id`, and the position of the first of
-    /// them in the column the two parts make together.
-    fn factors(self, id: MonoId) -> (&'a [(VarId, u32)], usize) {
-        let (cols, i, base) = self.locate(id);
-        let range = cols.range(i);
-        (&cols.factors[range.clone()], base + range.start)
+        let n = self.prefix.len();
+        match id as usize {
+            i if i < n => self.prefix.cols().get(i),
+            i => self.tail.cols().get(i - n),
+        }
     }
 
     /// The `at`-th id of `v`'s postings: the prefix's, then the tail's.
@@ -385,29 +355,27 @@ impl<'a> Parts<'a> {
 }
 
 /// A [`MonoArena`] opened for writing by [`MonoArena::writer`]: its tail
-/// and table are its own, so interning, the memo and the derived
-/// monomials run without asking again whether they are shared. A
-/// producer that interns many monomials in a row — an emitter, a
-/// lowering, a group rewrite — opens one writer for all of them.
+/// and table are its own, so interning and the derived monomials run
+/// without asking again whether they are shared. A producer that interns
+/// many monomials in a row — an emitter, a lowering, a group rewrite —
+/// opens one writer for all of them.
 ///
-/// While it lives the writer holds the tail, the table, the memo and the
-/// scratch buffer by value — a probe reaches them without a hop through
-/// the arena's `Arc`s — and it hands them back when dropped: drop it
-/// before reading the arena again.
+/// While it lives the writer holds the tail, the table and the scratch
+/// buffer by value — a probe reaches them without a hop through the
+/// arena's `Arc`s — and it hands them back when dropped: drop it before
+/// reading the arena again.
 pub struct ArenaWriter<'a> {
     prefix: &'a Part,
     tail: Part,
     table: Table,
-    remainders: Vec<MonoId>,
     scratch: Vec<(VarId, u32)>,
     home: Home<'a>,
 }
 
-/// Where a writer's tail, table, memo and buffer go back to.
+/// Where a writer's tail, table and buffer go back to.
 struct Home<'a> {
     tail: &'a mut Part,
     table: &'a mut Table,
-    remainders: &'a mut Vec<MonoId>,
     scratch: &'a mut Vec<(VarId, u32)>,
 }
 
@@ -415,7 +383,6 @@ impl Drop for ArenaWriter<'_> {
     fn drop(&mut self) {
         std::mem::swap(self.home.tail, &mut self.tail);
         std::mem::swap(self.home.table, &mut self.table);
-        std::mem::swap(self.home.remainders, &mut self.remainders);
         std::mem::swap(self.home.scratch, &mut self.scratch);
     }
 }
@@ -504,57 +471,29 @@ impl ArenaWriter<'_> {
         }
     }
 
-    /// [`MonoArena::remainder`], without opening the arena again.
-    pub fn remainder(&mut self, id: MonoId, v: VarId) -> (MonoId, u32) {
-        let (factors, first) = self.parts().factors(id);
+    /// Interns monomial `id` with its factor of `v` replaced by `target`
+    /// to the same power, added to `target`'s own if the monomial holds
+    /// it too: `M_v · target^exp` in §4.1's terms, the one step a group
+    /// substitution takes per occurrence. Only the product is built, in
+    /// the scratch buffer; the remainder `M_v` never enters the arena.
+    ///
+    /// # Panics
+    /// Panics if `v` does not occur in the monomial.
+    pub fn substitute(&mut self, id: MonoId, v: VarId, target: VarId) -> MonoId {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let factors = self.parts().slice(id);
         let k = factors
             .iter()
             .position(|&(w, _)| w == v)
-            .expect("remainder of an absent variable");
-        let (at, exp) = (first + k, factors[k].1);
-        if let Some(&rem) = self.remainders.get(at).filter(|&&rem| rem != VACANT) {
-            return (rem, exp);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let factors = self.parts().slice(id);
+            .expect("substitution of an absent variable");
+        let exp = factors[k].1;
         scratch.clear();
         scratch.extend_from_slice(&factors[..k]);
         scratch.extend_from_slice(&factors[k + 1..]);
-        let rem = self.intern_factors(&scratch);
-        self.scratch = scratch;
-        let len = self.remainders.len();
-        if at >= len {
-            let total = self.prefix.factors.len() + self.tail.factors.len();
-            let want = match len {
-                0 => total,
-                _ => (at + 1).max((len + len / 8).min(total)),
-            };
-            self.remainders.reserve_exact(want - len);
-            self.remainders.resize(want, VACANT);
-        }
-        self.remainders[at] = rem;
-        (rem, exp)
-    }
-
-    /// [`MonoArena::mul_factor`], without opening the arena again.
-    pub fn mul_factor(&mut self, id: MonoId, v: VarId, exp: u32) -> MonoId {
-        if exp == 0 {
-            return id;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let factors = self.parts().slice(id);
-        let at = factors.partition_point(|&(w, _)| w < v);
-        scratch.clear();
-        scratch.extend_from_slice(&factors[..at]);
-        match factors[at..].first() {
-            Some(&(w, e)) if w == v => {
-                scratch.push((v, e + exp));
-                scratch.extend_from_slice(&factors[at + 1..]);
-            }
-            _ => {
-                scratch.push((v, exp));
-                scratch.extend_from_slice(&factors[at..]);
-            }
+        let at = scratch.partition_point(|&(w, _)| w < target);
+        match scratch.get_mut(at) {
+            Some((w, e)) if *w == target => *e += exp,
+            _ => scratch.insert(at, (target, exp)),
         }
         let product = self.intern_factors(&scratch);
         self.scratch = scratch;
@@ -563,14 +502,13 @@ impl ArenaWriter<'_> {
 }
 
 impl Clone for MonoArena {
-    /// Shares the prefix, the tail and the table; copies the remainder
-    /// memo; starts with an empty scratch buffer.
+    /// Shares the prefix, the tail and the table; starts with an empty
+    /// scratch buffer.
     fn clone(&self) -> Self {
         Self {
             prefix: Arc::clone(&self.prefix),
             tail: Arc::clone(&self.tail),
             table: Arc::clone(&self.table),
-            remainders: self.remainders.clone(),
             scratch: Vec::new(),
         }
     }
@@ -609,22 +547,18 @@ impl MonoArena {
     /// monomial: whether the tail and the table are shared is decided
     /// here, with two atomic operations, and the writer then interns
     /// without asking again. (The per-call [`intern_factors`] opens one
-    /// on a miss, [`remainder`] and [`mul_factor`] on every call; a loop
-    /// over many monomials should open its own.)
+    /// on a miss; a loop over many monomials should open its own.)
     ///
     /// Promotes what is shared: a shared tail over an empty prefix
     /// becomes the prefix (no copy), a shared tail behind a prefix is
     /// copied, a shared table is copied. No id moves.
     ///
     /// [`intern_factors`]: Self::intern_factors
-    /// [`remainder`]: Self::remainder
-    /// [`mul_factor`]: Self::mul_factor
     pub fn writer(&mut self) -> ArenaWriter<'_> {
         let Self {
             prefix,
             tail,
             table,
-            remainders,
             scratch,
         } = self;
         if prefix.ends.is_empty() && Arc::strong_count(tail) > 1 {
@@ -633,14 +567,12 @@ impl MonoArena {
         let home = Home {
             tail: Arc::make_mut(tail),
             table: Arc::make_mut(table),
-            remainders,
             scratch,
         };
         ArenaWriter {
             prefix,
             tail: std::mem::take(home.tail),
             table: std::mem::take(home.table),
-            remainders: std::mem::take(home.remainders),
             scratch: std::mem::take(home.scratch),
             home,
         }
@@ -704,37 +636,37 @@ impl MonoArena {
         (self.prefix.postings_of(v), self.tail.postings_of(v))
     }
 
-    /// The memoised `M_l` operation: remainder id and exponent of `v` in
-    /// monomial `id`.
-    ///
-    /// # Panics
-    /// Panics if `v` does not occur in the monomial.
-    pub fn remainder(&mut self, id: MonoId, v: VarId) -> (MonoId, u32) {
-        self.writer().remainder(id, v)
-    }
-
-    /// Interns `mono(id) · v^exp` — the re-attachment step of a group
-    /// substitution (remainder times the target meta-variable).
-    pub fn mul_factor(&mut self, id: MonoId, v: VarId, exp: u32) -> MonoId {
-        self.writer().mul_factor(id, v, exp)
-    }
-
-    /// Whether a remainder has been memoised.
-    pub(crate) fn has_memo(&self) -> bool {
-        !self.remainders.is_empty()
+    /// The arena of the entries `keep` marks, in their order — an entry's
+    /// new id is its rank among them — and each old id's new one
+    /// ([`VACANT`] where dropped). Reads only the factor columns, so this
+    /// arena's table goes before the new one is built, and what it held
+    /// is free for the new arena's columns.
+    pub(crate) fn compacted(mut self, keep: &[bool]) -> (Self, Vec<MonoId>) {
+        self.table = Arc::default();
+        let kept = || self.monomials().zip(keep).filter(|&(_, &k)| k);
+        let factors = kept().map(|(mono, _)| mono.num_vars()).sum();
+        let mut arena = Self::with_capacity(kept().count(), factors);
+        let mut writer = arena.writer();
+        let mut new_id = |(mono, &k): (MonoRef<'_>, &bool)| match k {
+            true => writer.intern_factors(mono.as_factors()),
+            false => VACANT,
+        };
+        let new_ids = self.monomials().zip(keep).map(&mut new_id).collect();
+        drop(writer);
+        (arena, new_ids)
     }
 
     /// Heap footprint of the arena in bytes: the factor columns and their
-    /// ends, the interning table, the postings lists, the remainder memo
-    /// and the scratch buffer, each at its capacity. This is the value's
-    /// size, shared parts included: a clone reports what its source
-    /// reports (less a scratch buffer it starts without), so a sum over
-    /// clones counts what they share once per clone.
+    /// ends, the interning table, the postings lists and the scratch
+    /// buffer, each at its capacity. This is the value's size, shared
+    /// parts included: a clone reports what its source reports (less a
+    /// scratch buffer it starts without), so a sum over clones counts
+    /// what they share once per clone.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
         self.prefix.estimated_bytes()
             + self.tail.estimated_bytes()
-            + (self.table.slots.capacity() + self.remainders.capacity()) * size_of::<MonoId>()
+            + self.table.slots.capacity() * size_of::<MonoId>()
             + self.scratch.capacity() * size_of::<(VarId, u32)>()
     }
 }
@@ -789,35 +721,21 @@ mod tests {
     }
 
     #[test]
-    fn remainder_is_memoised_and_correct() {
+    fn substitute_replaces_a_factor_by_the_target() {
         let mut arena = MonoArena::new();
-        let m = arena.intern(&Monomial::from_factors([(v(1), 2), (v(2), 1)]));
-        let (rem, exp) = arena.remainder(m, v(1));
-        assert_eq!(exp, 2);
-        assert_eq!(arena.mono(rem), Monomial::var(v(2)).view());
-        // Second probe hits the memo (same ids back, nothing interned).
-        let len = arena.len();
-        assert_eq!(arena.remainder(m, v(1)), (rem, exp));
-        assert_eq!(arena.len(), len);
-    }
-
-    #[test]
-    fn mul_factor_reattaches_meta_variables() {
-        let mut arena = MonoArena::new();
-        let m = arena.intern(&Monomial::var(v(8)));
-        let merged = arena.mul_factor(m, v(20), 3);
-        assert_eq!(arena.mono(merged).exponent_of(v(20)), 3);
-        assert_eq!(arena.mono(merged).exponent_of(v(8)), 1);
-        // A variable the monomial already has gains the exponent, and a
-        // smaller one goes in front.
-        let squared = arena.mul_factor(m, v(8), 1);
-        assert_eq!(arena.mono(squared).as_factors(), &[(v(8), 2)]);
-        assert_eq!(arena.mul_factor(m, v(5), 0), m, "v⁰ is the unit");
-        let front = arena.mul_factor(merged, v(3), 1);
-        assert_eq!(
-            arena.mono(front).as_factors(),
-            &[(v(3), 1), (v(8), 1), (v(20), 3)]
-        );
+        let m = arena.intern(&Monomial::from_factors([(v(1), 3), (v(8), 1)]));
+        let mut writer = arena.writer();
+        // The power carries over, and the target goes where it sorts.
+        let merged = writer.substitute(m, v(1), v(20));
+        assert_eq!(writer.mono(merged).as_factors(), &[(v(8), 1), (v(20), 3)]);
+        let front = writer.substitute(merged, v(8), v(3));
+        assert_eq!(writer.mono(front).as_factors(), &[(v(3), 1), (v(20), 3)]);
+        // A target the monomial already holds gains the power.
+        let merged_in = writer.substitute(m, v(1), v(8));
+        assert_eq!(writer.mono(merged_in).as_factors(), &[(v(8), 4)]);
+        assert_eq!(writer.substitute(m, v(1), v(1)), m, "v ↦ v is the identity");
+        drop(writer);
+        assert_eq!(arena.len(), 4, "the products, and no remainder");
     }
 
     #[test]
@@ -869,16 +787,13 @@ mod tests {
         // A clone of the promoted clone shares both parts; its first
         // write copies the derived tail and keeps the prefix shared.
         let mut twin = clone.clone();
-        let (rem, _) = twin.remainder(c, v(4));
-        assert_eq!(twin.mono(rem), Monomial::var(v(1)).view());
+        let d = twin.writer().substitute(c, v(4), v(5));
+        assert_eq!(twin.mono(d), Monomial::from_vars([v(1), v(5)]).view());
         assert!(Arc::ptr_eq(&twin.prefix, &clone.prefix));
         assert!(!Arc::ptr_eq(&twin.tail, &clone.tail));
         assert_eq!((twin.len(), clone.len()), (4, 3));
-        assert_eq!(postings(&twin, v(1)), [a, b, c, rem]);
+        assert_eq!(postings(&twin, v(1)), [a, b, c, d]);
         assert_eq!(postings(&clone, v(1)), [a, b, c]);
-        // The memo is each arena's own, by global factor position.
-        assert_eq!(twin.remainder(c, v(4)), (rem, 1));
-        assert!(clone.remainders.is_empty());
         assert_eq!(clone.estimated_bytes(), clone.clone().estimated_bytes());
     }
 

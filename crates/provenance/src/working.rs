@@ -22,9 +22,11 @@
 //!   can touch without scanning anything else — an ascending id list, so
 //!   finding them in a polynomial is an intersection of two sorted lists,
 //!   with no hash table on either side;
-//! * the arena's memoised *remainder index* — the `M_l` operation of
-//!   §4.1 — makes the monomial loss of a candidate group a matter of
-//!   `u32` comparisons instead of monomial construction and hashing.
+//! * the monomial loss of a candidate group counts *remainder classes* —
+//!   the `(M_l, exp)` of §4.1 — by a hash of the factor slice less the
+//!   group variable, compared slice to slice where hashes meet: nothing is
+//!   built or interned to score, and a substitution interns the one
+//!   product it keeps (ADR 018).
 //!
 //! **Runs never grow.** A substitution can merge terms but never split
 //! one, so a rewritten run fits the span it had: it is written back in
@@ -66,20 +68,22 @@
 
 use crate::coeff::Coefficient;
 use crate::compiled::{CompiledPolySet, CompiledView};
-use crate::fxhash::FxHashSet;
-use crate::intern::{ArenaWriter, MonoArena};
+use crate::fxhash::{FxHashSet, FxHasher};
+use crate::intern::MonoArena;
 use crate::monomial::{MonoRef, Monomial};
 use crate::polynomial::Polynomial;
 use crate::polyset::PolySet;
 use crate::var::VarId;
 use std::cmp::Ordering;
+use std::hash::Hasher;
 use std::mem::size_of;
 use std::sync::Arc;
 
 pub use crate::intern::MonoId;
 
 /// No monomial: a run slot whose term is moving to another monomial, a
-/// remap entry not filled in yet. The arena never assigns this id.
+/// remap entry not filled in yet, a free slot of a class table. The arena
+/// never assigns this id.
 const NONE: MonoId = MonoId::MAX;
 
 /// Reusable scratch state for [`WorkingSet::subset_with`].
@@ -115,11 +119,11 @@ impl SubsetScratch {
 /// with fresh ones.
 #[derive(Debug)]
 struct GroupScratch<C> {
-    /// Scoring: each monomial a group touches with its remainder class
-    /// (remainder id and exponent in one word), by ascending id.
-    classes: Vec<(MonoId, u64)>,
-    /// Scoring: the remainder classes met in one polynomial.
-    keys: Vec<u64>,
+    /// Scoring: each monomial a group touches with the group variable it
+    /// holds, by ascending id.
+    occurrences: Vec<(MonoId, VarId)>,
+    /// Scoring: the classes of the occurrences met in one polynomial.
+    classes: RemainderClasses,
     /// Applying: each monomial a group touches with the id it becomes,
     /// by ascending id.
     remap: Vec<(MonoId, MonoId)>,
@@ -133,8 +137,8 @@ struct GroupScratch<C> {
 impl<C> Default for GroupScratch<C> {
     fn default() -> Self {
         Self {
-            classes: Vec::new(),
-            keys: Vec::new(),
+            occurrences: Vec::new(),
+            classes: RemainderClasses::default(),
             remap: Vec::new(),
             moved: Vec::new(),
             run: Vec::new(),
@@ -191,25 +195,87 @@ struct Columns<C> {
     spans: Vec<Span>,
 }
 
-/// Hands `visit` every arena monomial a substitution of `group` can
-/// touch, with the group variable it contains (compatibility — at most
-/// one tree node per monomial — makes the pairing unique among live
-/// monomials), variable by variable in posting order. `visit` may
-/// intern: what it adds lands behind the postings being read, and is not
-/// visited for the variable whose turn it is — the length of the
-/// variable's postings (the prefix's list, then the tail's) is taken when
-/// its turn starts. This is the order ids are *assigned* in; the lists it
-/// fills are sorted afterwards.
-fn visit_occurrences(
-    arena: &mut ArenaWriter<'_>,
-    group: &[VarId],
-    mut visit: impl FnMut(&mut ArenaWriter<'_>, MonoId, VarId),
-) {
-    for &v in group {
-        for at in 0..arena.postings_len(v) {
-            let m = arena.posting(v, at);
-            visit(arena, m, v);
+/// An occurrence of a variable in a monomial: `(hash of its class, monomial
+/// id, position of the variable's factor)`.
+type Occurrence = (u64, MonoId, u32);
+
+/// Remainder classes by key (ADR 018): occurrences of variables in
+/// monomials, numbered by §4.1's `(M_l, exp)` — the monomial less the
+/// variable, and the variable's exponent, hashed where they lie — as they
+/// are added, without building or interning a remainder. A round starts
+/// with [`reset`](Self::reset); the buffers are kept for the next one.
+#[derive(Clone, Debug, Default)]
+pub struct RemainderClasses {
+    /// The first occurrence of each class met in this round.
+    firsts: Vec<Occurrence>,
+    /// An open-addressed table of indices into `firsts` ([`NONE`] when
+    /// free), probed linearly from the hash's top bits, at most half full.
+    slots: Vec<u32>,
+}
+
+impl RemainderClasses {
+    /// Starts a round of at most `occurrences` occurrences.
+    pub fn reset(&mut self, occurrences: usize) {
+        self.firsts.clear();
+        self.slots.clear();
+        let slots = (occurrences * 2).next_power_of_two().max(2);
+        self.slots.resize(slots, NONE);
+    }
+
+    /// Number of distinct classes met in this round.
+    pub fn count(&self) -> usize {
+        self.firsts.len()
+    }
+
+    /// Adds the occurrence of `v` in monomial `id` of `arena` and returns
+    /// the number, counting from 0 in this round, of the class it joins or
+    /// opens.
+    ///
+    /// # Panics
+    /// Panics if `v` does not occur in the monomial, or if the round
+    /// meets more classes than its [`reset`](Self::reset) allowed.
+    pub fn push(&mut self, arena: &MonoArena, id: MonoId, v: VarId) -> usize {
+        let factors = arena.mono(id).as_factors();
+        let at = factors.partition_point(|&(w, _)| w < v);
+        assert_eq!(factors[at].0, v, "an occurrence of an absent variable");
+        let mut hash = FxHasher::default();
+        for &(w, e) in factors[..at].iter().chain(&factors[at + 1..]) {
+            hash.write_u64(u64::from(w.0) << 32 | u64::from(e));
         }
+        hash.write_u32(factors[at].1);
+        self.insert(arena, (hash.finish(), id, at as u32))
+    }
+
+    /// The class of occurrence `key`: one whose first occurrence has an
+    /// equal hash *and* an equal exponent and remainder, compared factor by
+    /// factor — so a collision never merges two classes — or a new one.
+    fn insert(&mut self, arena: &MonoArena, key: Occurrence) -> usize {
+        let remainder = |(_, id, at): Occurrence| {
+            let (factors, at) = (arena.mono(id).as_factors(), at as usize);
+            let rest = factors[..at].iter().chain(&factors[at + 1..]);
+            (factors[at].1, rest)
+        };
+        let (exp, rest) = remainder(key);
+        let same = |first: Occurrence| {
+            first.0 == key.0 && {
+                let (first_exp, first_rest) = remainder(first);
+                first_exp == exp && first_rest.eq(rest.clone())
+            }
+        };
+        let mask = self.slots.len() - 1;
+        let mut at = (key.0 >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[at] {
+                NONE => break,
+                class if same(self.firsts[class as usize]) => return class as usize,
+                _ => at = (at + 1) & mask,
+            }
+        }
+        let class = self.firsts.len();
+        assert!(2 * class < mask, "more classes than the round allowed");
+        self.slots[at] = class as u32;
+        self.firsts.push(key);
+        class
     }
 }
 
@@ -446,9 +512,10 @@ impl<C: Coefficient> WorkingSet<C> {
         &self.arena
     }
 
-    /// Mutable access to the arena — for consumers that extend it with
-    /// derived monomials (remainders, products). The arena is append-only,
-    /// so growing it never invalidates the working set's term ids.
+    /// Mutable access to the arena — for producers that intern the
+    /// monomials they then hand to [`push_poly`](Self::push_poly). The
+    /// arena is append-only, so growing it never invalidates the working
+    /// set's term ids.
     pub fn arena_mut(&mut self) -> &mut MonoArena {
         &mut self.arena
     }
@@ -508,8 +575,9 @@ impl<C: Coefficient> WorkingSet<C> {
             + terms.ids.capacity() * size_of::<MonoId>()
             + terms.coeffs.capacity() * size_of::<C>()
             + terms.spans.capacity() * size_of::<Span>()
-            + scratch.classes.capacity() * size_of::<(MonoId, u64)>()
-            + scratch.keys.capacity() * size_of::<u64>()
+            + scratch.occurrences.capacity() * size_of::<(MonoId, VarId)>()
+            + scratch.classes.firsts.capacity() * size_of::<Occurrence>()
+            + scratch.classes.slots.capacity() * size_of::<u32>()
             + scratch.remap.capacity() * size_of::<(MonoId, MonoId)>()
             + scratch.moved.capacity() * size_of::<(MonoId, MonoId, C)>()
             + scratch.run.capacity() * size_of::<(MonoId, C)>()
@@ -633,36 +701,35 @@ impl<C: Coefficient> WorkingSet<C> {
     /// polynomial.
     ///
     /// `affected` must cover every polynomial containing a `group`
-    /// variable (a superset is fine); `group` variables must belong to at
-    /// most one monomial each (forest compatibility).
+    /// variable (a superset is fine); a monomial may hold at most one
+    /// `group` variable (forest compatibility).
+    ///
+    /// Scoring reads the arena and writes only this set's own buffers: it
+    /// interns nothing, so a clone that is only scored stays shared.
     pub fn ml_delta_of_group(&mut self, group: &[VarId], affected: &[usize]) -> usize {
         if group.len() < 2 {
             return 0;
         }
-        let Self {
-            arena,
-            terms,
-            scratch,
-        } = self;
-        let GroupScratch { classes, keys, .. } = scratch;
-        classes.clear();
-        visit_occurrences(&mut arena.writer(), group, |arena, m, v| {
-            let (rem, exp) = arena.remainder(m, v);
-            classes.push((m, (u64::from(rem) << 32) | u64::from(exp)));
-        });
-        classes.sort_unstable_by_key(|&(m, _)| m);
+        let (arena, terms) = (&self.arena, &self.terms);
+        let (occurrences, classes) = (&mut self.scratch.occurrences, &mut self.scratch.classes);
+        occurrences.clear();
+        for &v in group {
+            let (prefix, tail) = arena.postings_of(v);
+            occurrences.extend(prefix.iter().chain(tail).map(|&m| (m, v)));
+        }
+        occurrences.sort_unstable_by_key(|&(m, _)| m);
         let mut delta = 0usize;
         for &pi in affected {
             // The occurrences that are terms of this polynomial, less the
             // distinct classes they fall into.
-            keys.clear();
-            intersect(&terms.ids[terms.spans[pi].range()], classes, |_, key| {
-                keys.push(key)
+            let ids = &terms.ids[terms.spans[pi].range()];
+            classes.reset(ids.len());
+            let mut met = 0;
+            intersect(ids, occurrences, |at, v| {
+                classes.push(arena, ids[at], v);
+                met += 1;
             });
-            let matches = keys.len();
-            keys.sort_unstable();
-            keys.dedup();
-            delta += matches - keys.len();
+            delta += met - classes.count();
         }
         delta
     }
@@ -687,10 +754,17 @@ impl<C: Coefficient> WorkingSet<C> {
             remap, moved, run, ..
         } = scratch;
         remap.clear();
-        visit_occurrences(&mut arena.writer(), group, |arena, m, v| {
-            let (rem, exp) = arena.remainder(m, v);
-            remap.push((m, arena.mul_factor(rem, target, exp)));
-        });
+        // Each monomial holding a group variable and the product it becomes,
+        // in the order product ids are assigned: variable by variable, in
+        // posting order, a variable's postings counted when its turn starts.
+        let mut arena = arena.writer();
+        for &v in group {
+            for at in 0..arena.postings_len(v) {
+                let m = arena.posting(v, at);
+                remap.push((m, arena.substitute(m, v, target)));
+            }
+        }
+        drop(arena);
         remap.sort_unstable_by_key(|&(m, _)| m);
         for &pi in affected {
             let range = spans[pi].range();
@@ -753,38 +827,27 @@ impl<C: Coefficient> WorkingSet<C> {
         }
     }
 
-    /// Drops every arena entry that no polynomial holds, and with them the
-    /// arena's remainder memo, the gaps rewrites left between the runs and
-    /// the rewrite buffers: the monomials that are live keep their
-    /// order (a monomial's new id is its rank among the live ids), so the
-    /// canonical term order — and with it [`freeze`](Self::freeze),
-    /// [`to_polyset`](Self::to_polyset) and the artifact codec — come out
-    /// as they would have. A compression run leaves behind every monomial
-    /// it rewrote and every remainder it scored; this is what a caller
-    /// does once with the `𝒫↓S` it is going to keep.
+    /// Drops the rewrite buffers, every arena entry that no polynomial
+    /// holds and the gaps rewrites left between the runs: the monomials
+    /// that are live keep their order (a monomial's new id is its rank
+    /// among the live ids), so the canonical term order — and with it
+    /// [`freeze`](Self::freeze), [`to_polyset`](Self::to_polyset) and the
+    /// artifact codec — come out as they would have. A compression run
+    /// leaves behind every monomial it rewrote; this is what a caller does
+    /// once with the `𝒫↓S` it is going to keep.
     ///
-    /// A set with nothing to drop — every arena entry live, no gap, no
-    /// memo — is kept as it is (only the rewrite buffers go), so what it
-    /// shares with a clone stays shared: an identity abstraction holds
-    /// no second copy of its source.
+    /// What the packed copy does not read goes before it is built: the
+    /// buffers, and the arena's interning table.
+    /// A set with nothing else to drop — every arena entry live, no gap —
+    /// is kept as it is, so what it shares with a clone stays shared: an
+    /// identity abstraction holds no second copy of its source.
     pub fn compact(&mut self) {
+        self.scratch = GroupScratch::default();
         let live = self.live_flags();
-        if self.terms.is_packed() && !self.arena.has_memo() && live.iter().all(|&l| l) {
-            self.scratch = GroupScratch::default();
+        if self.terms.is_packed() && live.iter().all(|&l| l) {
             return;
         }
-        let kept = || {
-            let monos = self.arena.monomials().zip(&live).enumerate();
-            monos.filter_map(|(id, (mono, &live))| live.then_some((id, mono)))
-        };
-        let factors = kept().map(|(_, mono)| mono.num_vars());
-        let mut arena = MonoArena::with_capacity(kept().count(), factors.sum());
-        let mut new_ids = vec![NONE; live.len()];
-        let mut writer = arena.writer();
-        for (id, mono) in kept() {
-            new_ids[id] = writer.intern_factors(mono.as_factors());
-        }
-        drop(writer);
+        let (arena, new_ids) = std::mem::take(&mut self.arena).compacted(&live);
         let mut packed = Self::with_capacity(arena, self.num_polys(), self.size_m());
         for pi in 0..self.num_polys() {
             let terms = self.poly_terms(pi);
@@ -912,6 +975,7 @@ mod tests {
         let group = [v(1), v(2), v(3)];
         let mut ws = WorkingSet::from_polyset(&polys);
         let predicted = ws.ml_delta_of_group(&group, &[0, 1]);
+        assert_eq!(ws.arena().len(), 4, "scoring interns nothing");
         let merged = polys.map_vars(|x| if group.contains(&x) { v(20) } else { x });
         assert_eq!(predicted, polys.size_m() - merged.size_m());
         // Only 1·8 and 2·8 of the first polynomial merge (3 pairs with 9).
@@ -931,6 +995,38 @@ mod tests {
         ])]);
         let mut ws = WorkingSet::from_polyset(&polys);
         assert_eq!(ws.ml_delta_of_group(&[v(1), v(2), v(3)], &[0]), 1);
+    }
+
+    #[test]
+    fn a_hash_collision_never_merges_two_classes() {
+        let mut arena = MonoArena::new();
+        let mut id = |factors: &[(u32, u32)]| {
+            arena.intern_factors(&factors.iter().map(|&(i, e)| (v(i), e)).collect::<Vec<_>>())
+        };
+        // Remainders x, y, x and x, the last under exponent 2: three
+        // classes — x¹, y¹, x² — whatever the hashes say.
+        let monos = [
+            id(&[(1, 1), (8, 1)]),
+            id(&[(2, 1), (9, 1)]),
+            id(&[(3, 1), (8, 1)]),
+        ];
+        let squared = id(&[(1, 2), (8, 1)]);
+        let mut classes = RemainderClasses::default();
+        classes.reset(4);
+        let planted = monos.iter().chain([&squared]).map(|&m| (7, m, 0));
+        let numbered: Vec<usize> = planted.map(|key| classes.insert(&arena, key)).collect();
+        assert_eq!(numbered, [0, 1, 0, 2], "one planted hash");
+        // Under the real hashes, the same three.
+        classes.reset(4);
+        let occurrences = monos
+            .iter()
+            .zip([v(1), v(2), v(3)])
+            .chain([(&squared, v(1))]);
+        let numbered: Vec<usize> = occurrences
+            .map(|(&m, g)| classes.push(&arena, m, g))
+            .collect();
+        assert_eq!(numbered, [0, 1, 0, 2], "the occurrences' own hashes");
+        assert_eq!(classes.count(), 3);
     }
 
     #[test]

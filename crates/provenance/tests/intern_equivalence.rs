@@ -271,25 +271,15 @@ impl Model {
         }
     }
 
-    /// What scoring a group leaves in the arena: a remainder per
-    /// occurrence, variable by variable in posting order.
-    fn score_group(&mut self, group: &[VarId]) {
-        for &v in group {
-            for id in self.postings(v) {
-                let rem = self.monos[id as usize].remove_var(v).0;
-                self.intern(rem);
-            }
-        }
-    }
-
-    /// A group substitution: a remainder and a product interned per
-    /// occurrence, variable by variable in posting order, then the rule.
+    /// A group substitution: the product of each occurrence interned,
+    /// variable by variable in posting order (a variable's postings read
+    /// when its turn comes), then the rule. Scoring interns nothing, so
+    /// the model has no step for it.
     fn apply_group(&mut self, group: &[VarId], target: VarId) {
         let mut remap: HashMap<MonoId, MonoId> = HashMap::new();
         for &v in group {
             for id in self.postings(v) {
                 let (rem, exp) = self.monos[id as usize].remove_var(v);
-                self.intern(rem.clone());
                 let product = rem.mul(&Monomial::from_factors([(target, exp)]));
                 remap.insert(id, self.intern(product));
             }
@@ -437,8 +427,13 @@ fn compatible_strategy(polys: std::ops::Range<usize>) -> impl Strategy<Value = R
 /// One step of an interleaving: an operation and the draws it reads.
 type Step = (u32, u32, u32, Vec<(u32, u32)>, RawPolys);
 
+/// Operations by number: 0 and 1 intern, 2 and 3 score and apply a group,
+/// 7 applies a variable map.
+const SUBSET: u32 = 4;
+const ABSORB: u32 = 5;
+const COMPACT: u32 = 6;
 /// The operation that clones a branch of the walk instead of changing one.
-const FORK: u32 = 10;
+const FORK: u32 = 8;
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     (
@@ -461,8 +456,6 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
         exact,
         scratch,
     } = walk;
-    let len = ws.arena().len() as u32;
-    let pick = |draw: u32| (len > 0).then(|| draw % len.max(1));
     match op {
         // intern, by value and by slice.
         0 => {
@@ -476,31 +469,12 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
                 model.intern(mono)
             );
         }
-        // remainder, twice: the second answer comes from the memo.
-        2 => {
-            let Some(id) = pick(a) else { return };
-            let mono = model.monos[id as usize].clone();
-            let Some((v, _)) = mono.factors().nth(b as usize % mono.num_vars().max(1)) else {
-                return;
-            };
-            let (rem, exp) = mono.remove_var(v);
-            let want = (model.intern(rem), exp);
-            assert_eq!(ws.arena_mut().remainder(id, v), want);
-            assert_eq!(ws.arena_mut().remainder(id, v), want);
-        }
-        3 => {
-            let Some(id) = pick(a) else { return };
-            let (v, e) = (VarId(b % 12), 1 + b % 2);
-            let product = model.monos[id as usize].mul(&Monomial::from_factors([(v, e)]));
-            assert_eq!(ws.arena_mut().mul_factor(id, v, e), model.intern(product));
-        }
-        // Score, then apply, a group substitution: the arena interns a
-        // remainder per occurrence when scoring, and a remainder and a
-        // product per occurrence when applying, variable by variable in
-        // posting order (a variable's postings are read when its turn
-        // comes: a dead monomial holding two group variables puts its
-        // remainder into the other one's).
-        4 | 5 => {
+        // Score, then apply, a group substitution: scoring interns
+        // nothing, applying interns a product per occurrence, variable by
+        // variable in posting order (a variable's postings are read when
+        // its turn comes: a dead monomial holding two group variables puts
+        // its first product into the other one's).
+        2 | 3 => {
             let group: Vec<VarId> = (0..5).filter(|i| a >> i & 1 == 1).map(VarId).collect();
             let target = VarId(5 + b % 8);
             let all: Vec<usize> = (0..ws.num_polys()).collect();
@@ -508,9 +482,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
             // (5..10 occur in the polynomials, 10..13 seldom do).
             let (size, fresh) = (ws.size_m(), !ws.live_vars().contains(&target));
             let predicted = ws.ml_delta_of_group(&group, &all);
-            if group.len() >= 2 {
-                model.score_group(&group);
-            }
+            assert_eq!(ws.arena().len(), model.monos.len(), "scoring interned");
             ws.apply_group(&group, target, &all);
             model.apply_group(&group, target);
             *shadow = shadow.map_vars(|v| if group.contains(&v) { target } else { v });
@@ -523,7 +495,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
         }
         // A subset starts a fresh arena holding what its polynomials
         // hold and nothing else; the walk goes on over it.
-        6 => {
+        SUBSET => {
             let indices: Vec<usize> = (0..ws.num_polys())
                 .filter(|i| a >> (i % 32) & 1 == 1)
                 .collect();
@@ -540,7 +512,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
         }
         // Absorbing appends: no id the arena had moves, every new id is
         // a monomial it did not have.
-        7 => {
+        ABSORB => {
             let other = compatible_polyset(&other, *exact);
             let incoming = WorkingSet::from_polyset(&other);
             ws.absorb(&incoming);
@@ -559,7 +531,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
             }
         }
         // Compaction renumbers the live monomials by rank.
-        8 => {
+        COMPACT => {
             ws.compact();
             let live = model.live();
             let mut compacted = Model::default();
@@ -598,7 +570,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
     // had, an absorption leaves it alone, and only what rebuilds the
     // columns (subset, compaction) packs the runs again, from the start.
     let after = walk.spans();
-    if op == 6 || op == 8 {
+    if op == SUBSET || op == COMPACT {
         let mut end = 0;
         for span in after {
             assert_eq!(span.start, end, "rebuilt columns have no gaps");
@@ -611,7 +583,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
                 now.start == was.start && now.end <= was.end,
                 "run {pi} went from {was:?} to {now:?}"
             );
-            assert!(op != 7 || now == was, "absorbing moved run {pi}");
+            assert!(op != ABSORB || now == was, "absorbing moved run {pi}");
         }
     }
 }
@@ -801,8 +773,8 @@ fn a_promoted_clone_forks_through_the_tail_copy() {
     let polys = compatible_polyset(&raw, true);
     let walk = Walk::new(WorkingSet::from_polyset(&polys), polys, true);
     let intern = |v: u32| (0, 0, 0, vec![(v, 1), (v + 1, 2)], Vec::new());
-    let score_and_apply = (5, 0b111, 2, Vec::new(), Vec::new());
-    let compact = (8, 0, 0, Vec::new(), Vec::new());
+    let score_and_apply = (3, 0b111, 2, Vec::new(), Vec::new());
+    let compact = (COMPACT, 0, 0, Vec::new(), Vec::new());
     let fork = (FORK, 0, 0, Vec::new(), Vec::new());
     let mut branches = vec![Branch::of(walk)];
     walk_branches(
@@ -887,7 +859,6 @@ fn cancellation_follows_source_order() {
     let mut rebuilt = WorkingSet::from_compiled(ws.freeze().view());
     assert_eq!(runs(&rebuilt), runs(&ws), "the twins start equal");
 
-    model.score_group(&group);
     model.apply_group(&group, t);
     for set in [&mut ws, &mut compacted, &mut rebuilt] {
         assert_eq!(set.ml_delta_of_group(&group, &all), 2 + 2 + 4 + 1);

@@ -102,8 +102,8 @@ pub struct InternStats {
     /// Distinct monomials in the abstracted working set's arena (0 before
     /// [`Session::compress`]). The session compacts that arena once,
     /// straight after compression, so this is the count of distinct
-    /// monomials live in `𝒫↓S` — the monomials a run rewrote away and the
-    /// remainders it scored are gone. A session opened from an artifact
+    /// monomials live in `𝒫↓S` — the monomials a run rewrote away are
+    /// gone. A session opened from an artifact
     /// reports the count its saver stored (`SESSION_META`), without
     /// rebuilding the working set.
     pub arena_monomials: usize,
@@ -399,7 +399,7 @@ impl Session {
         let ticked_before = guard.checkpoints_hit();
         let (mut interned, completion) = self.select(&strategy, guard)?;
         // What is kept, frozen and saved from here on is `𝒫↓S` alone:
-        // not the monomials the run rewrote away, nor its memo.
+        // not the monomials the run rewrote away, nor its rewrite buffers.
         interned.working.compact();
         let state = CompressedState {
             result: interned.result,

@@ -25,9 +25,9 @@
 //!   sketches as future work in §6, implemented end to end (sampling,
 //!   bound adaptation, size extrapolation),
 //! * [`shard`] — sharded multi-core compression (size-balanced
-//!   partitioning, concurrent per-shard greedy traces, k-way frontier
-//!   merge) and the bounded-memory streaming ingest path for
-//!   larger-than-RAM provenance,
+//!   partitioning, concurrent per-shard greedy traces, k-way trace
+//!   merge; a library function no session strategy selects) and the
+//!   bounded-memory streaming ingest path for larger-than-RAM provenance,
 //! * [`mod@reference`] — everything that exists only to be compared against:
 //!   the paper's full-rescan greedy transcription, the dense DP, brute
 //!   force over every cut, and the loss measures by definition.

@@ -1,4 +1,4 @@
-//! Sharded and out-of-core compression (ROADMAP item 4).
+//! Sharded and out-of-core compression.
 //!
 //! The greedy engine of [`crate::greedy`] is a single sequential loop:
 //! at million-monomial scale (telephony at millions of calls, §5) the
@@ -6,7 +6,10 @@
 //! — becomes the bottleneck of the interactive what-if loop the paper
 //! targets. This module splits that loop two ways:
 //!
-//! * **Sharding** ([`sharded_greedy`]): the poly-set is
+//! * **Sharding** ([`sharded_greedy`]), a library function only: no
+//!   session strategy selects it, because on the measured hosts a K = 2
+//!   run is still about twice as slow as the plain engine (ADR 009).
+//!   The poly-set is
 //!   partitioned by output group into K shards (size-balanced over the
 //!   interned arena, [`partition_by_size`]), each shard gets a compacted
 //!   per-shard [`WorkingSet`] via the subset machinery and runs the
@@ -30,9 +33,8 @@
 //!   lower bound on the realised loss, and a predicted-adequate
 //!   selection is actually adequate. The price of partitioning is a
 //!   possibly higher exhaustion floor (no single shard sees every
-//!   subtree's polynomials, so some high merges are never proposed) and
-//!   a frontier whose loss coordinates are shard-local predictions; the
-//!   equivalence suite pins both down.
+//!   subtree's polynomials, so some high merges are never proposed);
+//!   the equivalence suite pins it down.
 //!
 //! * **Streaming** ([`StreamingCompressor`]): the out-of-core ingest
 //!   path of the online variant (§6). Chunks are interned one at a time,
@@ -51,7 +53,7 @@
 //! interrupted run returns a sound anytime prefix tagged
 //! [`Completion::Interrupted`].
 
-use crate::greedy::{greedy_frontier, greedy_vvs, run_incremental, TraceStep};
+use crate::greedy::{greedy_vvs, run_incremental, TraceStep};
 use crate::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashSet;
@@ -206,14 +208,6 @@ fn run_shard_traces<C: Coefficient>(
     Ok(traces)
 }
 
-/// The merged selection: applied step variables in merge order, the
-/// predicted global frontier, and the folded completion.
-struct MergedSelection {
-    applied: Vec<VarId>,
-    frontier: Vec<(usize, usize)>,
-    completion: Completion,
-}
-
 /// The label of the global cleaned node carrying `var` — the merge's
 /// tie-break key, identical to the engine's (labels are unique
 /// forest-wide).
@@ -228,28 +222,21 @@ fn label_of(cleaned: &Forest, var: VarId) -> &str {
 /// next steps, the one the global engine would prefer — minimal variable
 /// loss, then maximal monomial-loss delta, then label order — and
 /// applies it, until the predicted loss reaches `k` or every trace is
-/// exhausted. Each applied step extends the global frontier by
-/// `(size − delta, granularity − vl)`; both coordinates weakly decrease
-/// by construction. The granularity coordinate is a shard-local
-/// prediction: variables shared across shards are double-counted, so it
-/// saturates at 0 instead of going exact (the realised granularity of
-/// the *final* selection is measured exactly by evaluating it).
+/// exhausted. Returns the applied variables in merge order and the first
+/// interruption — a shard's, or the merge's own — if any.
 fn merge_traces(
     cleaned: &Forest,
     traces: &[ShardTrace],
     k: usize,
-    total_m: usize,
-    total_v: usize,
     guard: &Guard,
-) -> MergedSelection {
+) -> (Vec<VarId>, Option<Interrupt>) {
     let mut cursors = vec![0usize; traces.len()];
     let mut applied = Vec::new();
-    let mut frontier = vec![(total_m, total_v)];
     let mut ml_total = 0usize;
-    let mut vl_total = 0usize;
-    let mut completion = traces
-        .iter()
-        .fold(Completion::Complete, |acc, t| acc.merge(t.completion));
+    let mut interrupted = traces.iter().find_map(|t| match t.completion {
+        Completion::Interrupted { reason, .. } => Some(reason),
+        Completion::Complete => None,
+    });
     let mut checkpoint = guard.checkpoint();
     while ml_total < k {
         let mut best: Option<(usize, TraceStep)> = None;
@@ -286,32 +273,14 @@ fn merge_traces(
         }
         let Some((si, step)) = best else { break };
         if let Err(reason) = checkpoint.tick() {
-            completion = completion.merge(Completion::Interrupted {
-                reason,
-                steps: applied.len(),
-                size_reached: total_m.saturating_sub(ml_total),
-            });
+            interrupted.get_or_insert(reason);
             break;
         }
         cursors[si] += 1;
         ml_total += step.delta;
-        // Monomial-loss deltas stay within total_m (shards hold disjoint
-        // polynomials), but variable-loss deltas double-count variables
-        // shared across shards — the predicted granularity coordinate
-        // saturates at 0 (documented; the realised final granularity
-        // comes from evaluating the selection, which is exact).
-        vl_total = vl_total.saturating_add(step.vl);
         applied.push(step.var);
-        frontier.push((
-            total_m.saturating_sub(ml_total),
-            total_v.saturating_sub(vl_total),
-        ));
     }
-    MergedSelection {
-        applied,
-        frontier,
-        completion,
-    }
+    (applied, interrupted)
 }
 
 /// Realises a merged selection as a global VVS: per tree, a top-down
@@ -334,19 +303,6 @@ fn vvs_from_applied(cleaned: &Forest, applied: &[VarId]) -> Vvs {
         per_tree.push(chosen);
     }
     Vvs::from_per_tree(per_tree)
-}
-
-/// Rewrites an interruption to carry the realised final state; the
-/// reason and `Complete` pass through unchanged.
-fn normalize_completion(folded: Completion, steps: usize, size_reached: usize) -> Completion {
-    match folded {
-        Completion::Complete => Completion::Complete,
-        Completion::Interrupted { reason, .. } => Completion::Interrupted {
-            reason,
-            steps,
-            size_reached,
-        },
-    }
 }
 
 /// Sharded greedy compression: partitions into `shards` shards, traces each shard's greedy run concurrently, merges
@@ -396,15 +352,18 @@ pub fn sharded_greedy<C: Coefficient>(
     }
     let k = total_m - bound;
     let traces = run_shard_traces(source, forest, &parts, k, guard)?;
-    let merged = merge_traces(&cleaned, &traces, k, total_m, total_v, guard);
-    let vvs = vvs_from_applied(&cleaned, &merged.applied);
+    let (applied, interrupted) = merge_traces(&cleaned, &traces, k, guard);
+    let vvs = vvs_from_applied(&cleaned, &applied);
     debug_assert!(vvs.validate(&cleaned).is_ok());
     let abs = evaluate_vvs(source.clone(), &cleaned, vvs, total_v);
-    let completion = normalize_completion(
-        merged.completion,
-        merged.applied.len(),
-        abs.working.size_m(),
-    );
+    let completion = match interrupted {
+        None => Completion::Complete,
+        Some(reason) => Completion::Interrupted {
+            reason,
+            steps: applied.len(),
+            size_reached: abs.working.size_m(),
+        },
+    };
     if completion.is_complete() && !abs.result.is_adequate_for(bound) {
         return Err(TreeError::BoundUnattainable {
             bound,
@@ -412,41 +371,6 @@ pub fn sharded_greedy<C: Coefficient>(
         });
     }
     Ok((abs, completion))
-}
-
-/// The sharded size/granularity trade-off trace: traces every shard to
-/// exhaustion, merges, and returns the global frontier — the sharded
-/// counterpart of [`greedy_frontier`] (to which `shards <= 1`
-/// delegates), starting at the identity point. Loss coordinates are the
-/// merge's predictions (shard-local deltas): realised sizes at any prefix
-/// can only be smaller, and the granularity coordinate saturates at 0
-/// when shards double-count shared variables (see the
-/// [module docs](self)). A tripped guard returns the prefix merged so
-/// far, tagged [`Completion::Interrupted`].
-#[allow(clippy::type_complexity)]
-pub fn sharded_greedy_frontier<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    shards: usize,
-    guard: &Guard,
-) -> Result<(Vec<(usize, usize)>, Completion), TreeError> {
-    if shards <= 1 {
-        return greedy_frontier(source, forest, guard);
-    }
-    let (cleaned, live) = prepare(source, forest)?;
-    let (total_m, total_v) = (source.size_m(), live.len());
-    if cleaned.num_trees() == 0 {
-        return Ok((vec![(total_m, total_v)], Completion::Complete));
-    }
-    let parts = partition_by_size(source, shards);
-    let traces = run_shard_traces(source, forest, &parts, usize::MAX, guard)?;
-    let merged = merge_traces(&cleaned, &traces, usize::MAX, total_m, total_v, guard);
-    let (size_reached, _) = *merged
-        .frontier
-        .last()
-        .expect("starts at the identity point");
-    let completion = normalize_completion(merged.completion, merged.applied.len(), size_reached);
-    Ok((merged.frontier, completion))
 }
 
 /// Configuration of the bounded-memory streaming ingest path.
@@ -806,32 +730,6 @@ mod tests {
                         assert!(best_possible > bound, "K={shards} bound {bound}");
                     }
                     Err(e) => panic!("unexpected error K={shards} bound {bound}: {e}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_frontier_is_monotone() {
-        let (polys, forest, _) = example_15();
-        let source = WorkingSet::from_polyset(&polys);
-        for shards in [1, 2, 4] {
-            let (frontier, completion) =
-                sharded_greedy_frontier(&source, &forest, shards, &Guard::unlimited())
-                    .expect("runs");
-            assert!(completion.is_complete());
-            assert_eq!(frontier[0], (polys.size_m(), polys.size_v()));
-            for w in frontier.windows(2) {
-                assert!(w[1].0 <= w[0].0, "K={shards}: size must weakly decrease");
-                assert!(
-                    w[1].1 <= w[0].1,
-                    "K={shards}: granularity must weakly decrease"
-                );
-            }
-            if shards == 1 {
-                // The unsharded tracer's granularity is exact and strict.
-                for w in frontier.windows(2) {
-                    assert!(w[1].1 < w[0].1, "K=1 granularity must strictly decrease");
                 }
             }
         }

@@ -26,6 +26,7 @@ use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::optimal_vvs;
 use provabs_core::reference;
 use provabs_core::shard::sharded_greedy;
+use provabs_datagen::fixture::{example_forest, example_polys};
 use provabs_provenance::guard::{Budget, CancelToken, Completion, Guard, Interrupt};
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
@@ -35,6 +36,7 @@ use provabs_provenance::working::WorkingSet;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 use provabs_trees::generate::random_tree;
+use std::time::Duration;
 
 /// Number of leaf variables the random instances draw from.
 const NUM_LEAVES: u32 = 12;
@@ -210,6 +212,25 @@ fn pre_cancelled_guard_returns_the_identity_prefix() {
         panic!("expected an interruption, got {completion:?}");
     };
     assert_eq!(reason, Interrupt::Cancelled);
+    assert_eq!(steps, 0, "no selection step ran");
+}
+
+/// A deadline that expired before the run started is seen at the first
+/// tick, not after a clock-read period: greedy on Example 15 (fewer
+/// merges than that period) returns the identity prefix, typed.
+#[test]
+fn expired_deadline_returns_the_identity_prefix() {
+    let mut vars = VarTable::new();
+    let polys = example_polys(&mut vars);
+    let forest = example_forest(&mut vars);
+    let guard = Guard::new(Budget::with_deadline(Duration::ZERO));
+    let (abs, completion) =
+        greedy_vvs(&WorkingSet::from_polyset(&polys), &forest, 4, &guard).expect("anytime");
+    assert_eq!(abs.result.compressed_size_m, abs.result.original_size_m);
+    let Completion::Interrupted { reason, steps, .. } = completion else {
+        panic!("expected an interruption, got {completion:?}");
+    };
+    assert_eq!(reason, Interrupt::DeadlineExpired);
     assert_eq!(steps, 0, "no selection step ran");
 }
 

@@ -4,12 +4,10 @@
 //! supply-chain BOM workload at several bounds:
 //!
 //! 1. **K = 1 is the plain engine, bit for bit** — same VVS, same
-//!    measures, same error (including `best_possible`), same frontier.
-//! 2. **K > 1 keeps whole-set `Target` meaning** — a complete sharded
-//!    run satisfies the *global* monomial bound (or reports a sharded
-//!    floor above it), and the merged frontier is weakly monotone in
-//!    both coordinates (the granularity coordinate is a shard-local
-//!    prediction that saturates — see the `shard` module docs).
+//!    measures, same error (including `best_possible`).
+//! 2. **K > 1 keeps whole-set bound meaning** — a complete sharded run
+//!    satisfies the *global* monomial bound (or reports a sharded floor
+//!    above it) and preserves every polynomial's value.
 //! 3. **Streaming ingest matches whole-input compression** on what
 //!    compression preserves: every per-polynomial coefficient sum
 //!    survives to the digit (tolerance `1e-9` relative, for f64
@@ -19,10 +17,8 @@
 //! job's entry point (`--release -- --ignored`): bounded-memory ingest
 //! of `ScaleConfig::million()` with the peak-live assertion.
 
-use provabs_core::greedy::{greedy_frontier, greedy_vvs};
-use provabs_core::shard::{
-    sharded_greedy, sharded_greedy_frontier, StreamingCompressor, StreamingConfig,
-};
+use provabs_core::greedy::greedy_vvs;
+use provabs_core::shard::{sharded_greedy, StreamingCompressor, StreamingConfig};
 use provabs_datagen::scale::{scale_chunks, scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::{Workload, WorkloadConfig, WorkloadData};
 use provabs_provenance::guard::Guard;
@@ -98,12 +94,6 @@ fn one_shard_is_the_plain_engine_across_workloads() {
                 (p, s) => panic!("{name} bound {bound}: plain {p:?} vs sharded {s:?} disagree"),
             }
         }
-        // The frontier delegates identically at K = 1.
-        assert_eq!(
-            greedy_frontier(ws, forest, &guard).unwrap(),
-            sharded_greedy_frontier(ws, forest, 1, &guard).unwrap(),
-            "{name} frontier"
-        );
     }
 }
 
@@ -148,32 +138,6 @@ fn multi_shard_respects_the_global_bound_across_workloads() {
                     }
                     Err(e) => panic!("{name} K={shards} bound {bound}: {e:?}"),
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_frontiers_are_weakly_monotone_across_workloads() {
-    let guard = Guard::unlimited();
-    for (name, data, forest) in &workloads() {
-        for shards in [2, 4] {
-            let (frontier, completion) =
-                sharded_greedy_frontier(&data.interned.working, forest, shards, &guard).unwrap();
-            assert!(completion.is_complete(), "{name}");
-            assert!(!frontier.is_empty(), "{name}");
-            for pair in frontier.windows(2) {
-                assert!(
-                    pair[1].0 <= pair[0].0 && pair[1].1 <= pair[0].1,
-                    "{name} K={shards}: {pair:?} not weakly decreasing"
-                );
-            }
-            // Size strictly improves overall once any merge happened.
-            if frontier.len() > 1 {
-                assert!(
-                    frontier.last().unwrap().0 < frontier[0].0,
-                    "{name} K={shards}"
-                );
             }
         }
     }

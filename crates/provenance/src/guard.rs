@@ -19,9 +19,10 @@
 //! * [`Guard`] — a budget + an optional token, the thing loops carry.
 //!   [`Guard::checkpoint`] hands out a [`Checkpoint`] probe whose
 //!   [`Checkpoint::tick`] is cheap enough to call once per selection
-//!   step: the cancel flag is a relaxed atomic load, and the
-//!   `Instant::now()` call is amortised over [`TIME_CHECK_PERIOD`]
-//!   ticks, so guarded loops stay within ~2 % of unguarded ones.
+//!   step: the cancel flag is a relaxed atomic load, and after the
+//!   first tick the `Instant::now()` call is amortised over
+//!   [`TIME_CHECK_PERIOD`] ticks, so guarded loops stay within ~2 % of
+//!   unguarded ones.
 //! * [`Interrupt`] / [`Completion`] — the typed outcomes. Loops that
 //!   can stop early *gracefully* (every greedy prefix is a sound, just
 //!   larger, abstraction) report [`Completion::Interrupted`]; loops
@@ -305,7 +306,8 @@ impl Guard {
 ///
 /// [`Checkpoint::tick`] is designed to sit inside a hot selection loop:
 /// a counter bump, a relaxed atomic load for the cancel flag, and a
-/// clock read only every [`TIME_CHECK_PERIOD`] ticks.
+/// clock read only on the first tick and every [`TIME_CHECK_PERIOD`]
+/// ticks.
 #[derive(Debug)]
 pub struct Checkpoint<'g> {
     guard: &'g Guard,
@@ -318,7 +320,8 @@ impl Checkpoint<'_> {
     /// Counts one step and reports whether the guard has tripped.
     ///
     /// Step caps are exact (checked every tick, deterministically); the
-    /// wall-clock deadline is checked every [`TIME_CHECK_PERIOD`] ticks.
+    /// wall-clock deadline is checked on the first tick and then every
+    /// [`TIME_CHECK_PERIOD`] ticks.
     #[inline]
     pub fn tick(&mut self) -> Result<(), Interrupt> {
         self.ticks += 1;
@@ -336,7 +339,11 @@ impl Checkpoint<'_> {
             }
         }
         if let Some(deadline) = guard.budget.deadline {
-            if self.ticks.is_multiple_of(TIME_CHECK_PERIOD) && Instant::now() >= deadline {
+            // The first tick reads the clock too, so a deadline that
+            // expired before the loop started stops it before any work.
+            if (self.ticks == 1 || self.ticks.is_multiple_of(TIME_CHECK_PERIOD))
+                && Instant::now() >= deadline
+            {
                 self.flush();
                 return Err(Interrupt::DeadlineExpired);
             }
@@ -441,8 +448,8 @@ mod tests {
         }
         assert_eq!(
             tripped,
-            Some(TIME_CHECK_PERIOD),
-            "an already-expired deadline must trip at the first clock read"
+            Some(1),
+            "an already-expired deadline must trip before the first step"
         );
         // And probe() sees it immediately, without amortisation.
         assert_eq!(guard.probe(), Err(Interrupt::DeadlineExpired));

@@ -83,7 +83,6 @@ pub fn classify(e: &SessionError) -> (u16, &'static str, bool) {
         SessionError::MissingForest => (422, "missing_forest", true),
         SessionError::UnknownVariable(_) => (422, "unknown_variable", true),
         SessionError::VariableNotInAbstraction(_) => (422, "variable_not_in_abstraction", true),
-        SessionError::UnshardableStrategy(_) => (422, "unshardable_strategy", true),
         // The request text itself does not parse.
         SessionError::Parse(_) => (400, "bad_provenance", true),
         // The guard stopped the work — retryable, with best-so-far info.
@@ -150,11 +149,6 @@ mod tests {
                 SessionError::VariableNotInAbstraction("s1".into()),
                 422,
                 "variable_not_in_abstraction",
-            ),
-            (
-                SessionError::UnshardableStrategy("brute".into()),
-                422,
-                "unshardable_strategy",
             ),
             (
                 SessionError::Persist(PersistError::BadMagic),

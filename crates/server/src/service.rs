@@ -65,10 +65,6 @@ enum Action {
     Compress {
         entry: Arc<SessionEntry>,
         deadline_ms: Option<u64>,
-        /// Per-request shard count (`Strategy::with_shards`): `> 1` runs
-        /// the sharded engine, `0`/`1` the plain one, absent keeps the
-        /// session's configured strategy.
-        shards: Option<u64>,
     },
     /// Stream scenario answers from a session.
     Ask {
@@ -101,11 +97,9 @@ impl Service {
         let close = req.wants_close();
         match self.route(req) {
             Ok(Action::Respond(status, body)) => respond_json(stream, status, &body, close),
-            Ok(Action::Compress {
-                entry,
-                deadline_ms,
-                shards,
-            }) => self.run_compress(&entry, deadline_ms, shards, close, stream),
+            Ok(Action::Compress { entry, deadline_ms }) => {
+                self.run_compress(&entry, deadline_ms, close, stream)
+            }
             Ok(Action::Ask {
                 entry,
                 scenarios,
@@ -155,10 +149,14 @@ impl Service {
             ("POST", ["sessions", name, "compress"]) => {
                 let entry = self.entry(name)?;
                 let body = body_json(req)?;
+                if body.get("shards").is_some() {
+                    return Err(WireError::bad_request(
+                        "\"shards\" was removed: compression runs the session's strategy",
+                    ));
+                }
                 Ok(Action::Compress {
                     entry,
                     deadline_ms: opt_u64(&body, "deadline_ms")?,
-                    shards: opt_u64(&body, "shards")?,
                 })
             }
             ("POST", ["sessions", name, "ask"]) => {
@@ -350,23 +348,22 @@ impl Service {
     /// Guarded compression: the request deadline (or server default)
     /// becomes the budget, client disconnect cancels via a watcher on the
     /// socket, and the *anytime* result — complete or interrupted — comes
-    /// back as `200` with its [`Completion`]. Only configuration errors
-    /// (and a guard already expired on entry) reach the error mapping.
+    /// back as `200` with its [`Completion`], even when the deadline had
+    /// expired before the first step. Only configuration errors reach the
+    /// error mapping.
     fn run_compress(
         &self,
         entry: &SessionEntry,
         deadline_ms: Option<u64>,
-        shards: Option<u64>,
         close: bool,
         stream: &mut TcpStream,
     ) -> io::Result<()> {
         let token = CancelToken::new();
         let guard = self.request_guard(deadline_ms, &token);
-        // An unshardable strategy answers 422 before any work starts.
         let outcome = with_disconnect_cancel(stream, &token, || {
             entry
                 .session
-                .compress_with(shards.map(|k| k as usize), &guard)
+                .compress_with(&guard)
                 .map(|(result, completion)| {
                     Json::obj([
                         ("session", Json::from(entry.name.clone())),

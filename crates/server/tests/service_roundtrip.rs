@@ -314,6 +314,27 @@ fn typed_rejections_over_the_wire() {
         Some("bad_strategy")
     );
 
+    // The removed per-request shard count → 400 naming the field, not
+    // silently ignored.
+    let shards = client
+        .post(
+            "/sessions/victim/compress",
+            &Json::obj([("shards", Json::from(4u64))]),
+        )
+        .expect("request");
+    assert_eq!(shards.status, 400);
+    let body = shards.json().expect("json");
+    assert_eq!(
+        body.get("error").and_then(Json::as_str),
+        Some("malformed_request")
+    );
+    assert!(
+        body.get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("\"shards\"")),
+        "{body}"
+    );
+
     // A scenario naming an unknown variable → 422 typed.
     post_ok(
         &mut client,
@@ -544,74 +565,18 @@ fn a_stalled_reader_delays_no_other_request_on_its_session() {
     drop(stalled);
 }
 
+/// An already-expired per-request deadline stops compression before its
+/// first step: a 200 with an anytime (interrupted) completion, never a
+/// hang or a reset — and the interrupted session still answers.
 #[test]
-fn sharded_compress_over_the_wire() {
+fn an_expired_deadline_interrupts_compression_over_the_wire() {
     let server = start();
     let mut client = Client::connect(server.addr()).expect("connect");
-
-    // Plain baseline for the whole-set bound semantics.
-    create_telephony(&mut client, "plain");
-    let plain = post_ok(
-        &mut client,
-        "/sessions/plain/compress",
-        &Json::obj::<&str>([]),
-        200,
-    );
-    let original_m = plain
-        .get("original_size_m")
-        .and_then(Json::as_u64)
-        .expect("size");
-    // The default target is ratio:0.5 of the whole set.
-    let bound = (original_m / 2).max(1);
-
-    // The same workload compressed with a per-request shard count: the
-    // merged selection must satisfy the same global bound.
-    create_telephony(&mut client, "sharded");
-    let sharded = post_ok(
-        &mut client,
-        "/sessions/sharded/compress",
-        &Json::obj([("shards", Json::from(4u64))]),
-        200,
-    );
-    assert_eq!(
-        sharded
-            .get("completion")
-            .and_then(|c| c.get("complete"))
-            .and_then(Json::as_bool),
-        Some(true),
-        "{sharded}"
-    );
-    assert_eq!(
-        sharded.get("original_size_m").and_then(Json::as_u64),
-        Some(original_m)
-    );
-    let sharded_m = sharded
-        .get("compressed_size_m")
-        .and_then(Json::as_u64)
-        .expect("size");
-    assert!(
-        sharded_m <= bound,
-        "sharded result {sharded_m} misses the global bound {bound}"
-    );
-
-    // The compressed session keeps answering.
-    let labels = labels_of(&mut client, "sharded");
-    let (ask, _) = wire_scenarios(&labels, 1, 2);
-    let streamed = client.post("/sessions/sharded/ask", &ask).expect("ask");
-    assert_eq!(streamed.status, 200);
-    assert_eq!(streamed_values(&streamed).len(), 2);
-
-    // Regression: an already-expired per-request deadline must interrupt
-    // the shard workers at their first guard probe — a 200 with an
-    // anytime (interrupted) completion, never a hang or a reset.
     create_telephony(&mut client, "stalled");
     let stalled = post_ok(
         &mut client,
         "/sessions/stalled/compress",
-        &Json::obj([
-            ("shards", Json::from(4u64)),
-            ("deadline_ms", Json::from(0u64)),
-        ]),
+        &Json::obj([("deadline_ms", Json::from(0u64))]),
         200,
     );
     let completion = stalled.get("completion").expect("completion");
@@ -628,32 +593,11 @@ fn sharded_compress_over_the_wire() {
         "{stalled}"
     );
 
-    // A strategy the shard pipeline cannot run → 422 typed, no work done.
-    post_ok(
-        &mut client,
-        "/sessions",
-        &Json::obj([
-            ("name", Json::from("unshardable")),
-            ("workload", Json::from("telephony")),
-            ("strategy", Json::from("competitor")),
-        ]),
-        201,
-    );
-    let rejected = client
-        .post(
-            "/sessions/unshardable/compress",
-            &Json::obj([("shards", Json::from(2u64))]),
-        )
-        .expect("request");
-    assert_eq!(rejected.status, 422);
-    assert_eq!(
-        rejected
-            .json()
-            .expect("json")
-            .get("error")
-            .and_then(Json::as_str),
-        Some("unshardable_strategy")
-    );
+    let labels = labels_of(&mut client, "stalled");
+    let (ask, _) = wire_scenarios(&labels, 1, 2);
+    let streamed = client.post("/sessions/stalled/ask", &ask).expect("ask");
+    assert_eq!(streamed.status, 200);
+    assert_eq!(streamed_values(&streamed).len(), 2);
 }
 
 #[test]

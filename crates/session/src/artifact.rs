@@ -59,7 +59,7 @@ mod tag {
     pub const COMPETITOR: u32 = 3;
     pub const BRUTE: u32 = 4;
     pub const NONE: u32 = 5;
-    pub const SHARDED: u32 = 6;
+    // 6 was the retired sharded strategy: never reuse it.
 }
 
 const CTX: &str = "session meta";
@@ -83,11 +83,6 @@ fn encode_strategy(e: &mut Enc, strategy: &Strategy) {
             e.u64((cut_limit >> 64) as u64);
         }
         Strategy::None => e.u32(tag::NONE),
-        Strategy::Sharded { shards, inner } => {
-            e.u32(tag::SHARDED);
-            e.u64(*shards as u64);
-            encode_strategy(e, inner);
-        }
     }
 }
 
@@ -110,19 +105,6 @@ fn decode_strategy(d: &mut Dec<'_>) -> Result<Strategy, PersistError> {
             }
         }
         tag::NONE => Strategy::None,
-        tag::SHARDED => {
-            let shards = d.count("shard count", usize::MAX)?;
-            let inner = decode_strategy(d)?;
-            // The text form enforces the same invariants; a hand-forged
-            // artifact must not smuggle them past validation.
-            if shards == 0 || matches!(inner, Strategy::Sharded { .. }) {
-                return Err(PersistError::malformed(CTX, "invalid sharded strategy"));
-            }
-            Strategy::Sharded {
-                shards,
-                inner: Box::new(inner),
-            }
-        }
         other => {
             return Err(PersistError::malformed(
                 CTX,
@@ -231,10 +213,6 @@ mod tests {
                 cut_limit: (7u128 << 64) | 9,
             },
             Strategy::None,
-            Strategy::Sharded {
-                shards: 8,
-                inner: Box::new(Strategy::Greedy { incremental: true }),
-            },
         ] {
             let meta = SessionMeta {
                 interned_source: true,
@@ -273,6 +251,23 @@ mod tests {
                 ..
             }
         ));
+        // What a sharded saver wrote: tag 6, a shard count, an inner
+        // greedy strategy, then the sizes.
+        let mut old = Enc::new();
+        old.u32(0);
+        old.u32(6);
+        old.u64(4);
+        old.u32(1);
+        old.u32(1);
+        let mut old = old.finish();
+        old.extend_from_slice(&good[8..]);
+        match decode_meta(&old).unwrap_err() {
+            PersistError::Malformed { context, detail } => {
+                assert_eq!(context, "session meta");
+                assert!(detail.contains("unknown strategy tag 6"), "{detail}");
+            }
+            other => panic!("expected a malformed-meta error, got {other:?}"),
+        }
         for len in 0..good.len() {
             assert!(decode_meta(&good[..len]).is_err());
         }

@@ -18,7 +18,7 @@ use std::fmt;
 
 /// Any error the façade can produce.
 ///
-/// Marked `#[non_exhaustive]`: future sessions (sharding, async serving,
+/// Marked `#[non_exhaustive]`: future sessions (async serving,
 /// multi-tenant caching) will add variants without a major version bump —
 /// always keep a `_` arm when matching.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +65,6 @@ pub enum Error {
     /// this: its loops are anytime and return their best-so-far state,
     /// tagged in `Session::run_stats`.)
     Cancelled(Interrupt),
-    /// A sharded session names an inner strategy the shard pipeline
-    /// cannot run: only the incremental greedy engine records the
-    /// per-step traces the k-way merge consumes. Use
-    /// `sharded:K` / `sharded:K:greedy`, or drop sharding for the other
-    /// algorithms.
-    UnshardableStrategy(String),
     /// A worker thread panicked while evaluating one scenario of a batch.
     /// The panic was contained (every other scenario completed) and comes
     /// back typed instead of aborting the process.
@@ -110,11 +104,6 @@ impl fmt::Display for Error {
             Error::Cancelled(reason) => {
                 write!(f, "evaluation stopped before completion: {reason}")
             }
-            Error::UnshardableStrategy(inner) => write!(
-                f,
-                "strategy {inner:?} cannot run sharded: only the incremental greedy \
-                 engine records the traces the shard merge consumes"
-            ),
             Error::WorkerPanic {
                 scenario_index,
                 payload,
@@ -202,8 +191,6 @@ mod tests {
         };
         assert!(format!("{b}").contains("invalid size bound 0"));
         assert!(format!("{}", Error::MissingForest).contains("forest"));
-        let u = Error::UnshardableStrategy("brute".into());
-        assert!(format!("{u}").contains("cannot run sharded"));
         assert!(format!("{}", Error::UnknownVariable("zz".into())).contains("\"zz\""));
 
         let a: Error = PersistError::BadMagic.into();

@@ -97,12 +97,11 @@
 //! | [`Strategy::Online`] | [`provabs_core::online::online_compress`] |
 //! | [`Strategy::Competitor`] | [`provabs_core::competitor::pairwise_summarize`] |
 //! | [`Strategy::Brute`] | [`provabs_core::reference::brute_force_vvs`] |
-//! | [`Strategy::Sharded`] | [`provabs_core::shard::sharded_greedy`] |
 //! | [`Strategy::None`] | [`provabs_core::problem::evaluate_vvs`] on [`Vvs::identity`](provabs_trees::cut::Vvs::identity) |
 //! | [`Session::ask`] | [`provabs_scenario::executor::eval`] on [`WorkingSet::freeze`](provabs_provenance::working::WorkingSet::freeze)`.view()` (under [`EvalOptions::serial_reference`](provabs_scenario::executor::EvalOptions::serial_reference): [`eval_reference`](provabs_scenario::executor::eval_reference) on the bridge) |
 //! | [`Session::speedup_report`] | [`provabs_scenario::speedup::measure_alternating`] over the cached lowerings |
 //! | [`Session::accuracy_report`] | [`provabs_scenario::accuracy::coarse_valuation`] + [`error_stats`](provabs_scenario::accuracy::error_stats) |
-//! | [`Session::frontier`] | [`provabs_core::optimal::optimal_frontier`] / [`provabs_core::greedy::greedy_frontier`] / [`provabs_core::shard::sharded_greedy_frontier`] |
+//! | [`Session::frontier`] | [`provabs_core::optimal::optimal_frontier`] / [`provabs_core::greedy::greedy_frontier`] |
 //!
 //! Each algorithm has exactly one entry point, taking the interned
 //! working set and an explicit guard; the session passes the one its

@@ -45,7 +45,6 @@ use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::{optimal_frontier, optimal_vvs};
 use provabs_core::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
 use provabs_core::reference;
-use provabs_core::shard::{sharded_greedy, sharded_greedy_frontier};
 use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::guard::{Completion, Guard};
@@ -164,9 +163,6 @@ impl CompiledHandle {
 struct CompressedState {
     /// The selection outcome: chosen VVS, cleaned forest, size measures.
     result: AbstractionResult,
-    /// The strategy that produced it: the configured one, or that one
-    /// under the compress call's shard override.
-    strategy: Strategy,
     /// How the run ended (see [`RunStats`]).
     completion: Completion,
     /// Checkpoints the run ticked on its guard (see [`RunStats`]).
@@ -341,53 +337,37 @@ impl Session {
     /// [`intern_stats`](Self::intern_stats)).
     ///
     /// This spelling runs under the session's default guard (builder
-    /// deadline / budget / cancellation token, or the ambient deadline)
-    /// with the configured strategy; [`compress_with`](Self::compress_with)
-    /// is the form that takes both per call.
+    /// deadline / budget / cancellation token, or the ambient deadline);
+    /// [`compress_with`](Self::compress_with) takes one per call.
     pub fn compress(&self) -> Result<&AbstractionResult, Error> {
         self.state(&self.guard).map(|state| &state.result)
     }
 
     /// [`compress`](Self::compress) under the caller's `guard` — how a
     /// server bounds one request with a fresh deadline and a cancellation
-    /// token wired to its client — and, with `shards`, under
-    /// [`Strategy::with_shards`] of the configured strategy
-    /// ([`Error::UnshardableStrategy`] if that cannot be sharded). Also
-    /// returns how the run ended: when the guard trips mid-run, the
-    /// anytime engines (Greedy, Online, Competitor) install their
-    /// best-so-far prefix — a sound, just larger, abstraction — and
-    /// Optimal falls back to the identity abstraction, tagged
-    /// [`Completion::Interrupted`] (and kept in
+    /// token wired to its client. Also returns how the run ended: when
+    /// the guard trips mid-run, the anytime engines (Greedy, Online,
+    /// Competitor) install their best-so-far prefix — a sound, just
+    /// larger, abstraction — and Optimal falls back to the identity
+    /// abstraction, tagged [`Completion::Interrupted`] (and kept in
     /// [`run_stats`](Self::run_stats)).
     ///
     /// Compression runs once per session: concurrent first calls wait
     /// for the one that got there first, and every later call returns
-    /// that run's result and completion whatever it passes here.
-    pub fn compress_with(
-        &self,
-        shards: Option<usize>,
-        guard: &Guard,
-    ) -> Result<(&AbstractionResult, Completion), Error> {
-        let state = match shards {
-            Some(k) => self.state_under(self.strategy.with_shards(k)?, guard)?,
-            None => self.state(guard)?,
-        };
+    /// that run's result and completion whatever guard it passes.
+    pub fn compress_with(&self, guard: &Guard) -> Result<(&AbstractionResult, Completion), Error> {
+        let state = self.state(guard)?;
         Ok((&state.result, state.completion))
     }
 
-    /// The compressed state, compressing first — with the configured
-    /// strategy — if no call has yet.
+    /// The compressed state, compressing first if no call has yet. The
+    /// fill is serialised by `compressing`; a poisoned lock only means an
+    /// earlier compression panicked and left the cell empty, which is the
+    /// state a retry starts from.
     fn state(&self, guard: &Guard) -> Result<&CompressedState, Error> {
-        match self.compressed.get() {
-            Some(state) => Ok(state),
-            None => self.state_under(self.strategy.clone(), guard),
+        if let Some(state) = self.compressed.get() {
+            return Ok(state);
         }
-    }
-
-    /// The one fallible initialisation of `compressed`. A poisoned lock
-    /// only means an earlier compression panicked and left the cell
-    /// empty, which is the state a retry starts from.
-    fn state_under(&self, strategy: Strategy, guard: &Guard) -> Result<&CompressedState, Error> {
         let _one_at_a_time = self
             .compressing
             .lock()
@@ -397,13 +377,12 @@ impl Session {
         }
         let started = Instant::now();
         let ticked_before = guard.checkpoints_hit();
-        let (mut interned, completion) = self.select(&strategy, guard)?;
+        let (mut interned, completion) = self.select(guard)?;
         // What is kept, frozen and saved from here on is `𝒫↓S` alone:
         // not the monomials the run rewrote away, nor its rewrite buffers.
         interned.working.compact();
         let state = CompressedState {
             result: interned.result,
-            strategy,
             completion,
             checkpoints_hit: guard.checkpoints_hit() - ticked_before,
             arena_monomials: interned.working.arena().len(),
@@ -416,13 +395,10 @@ impl Session {
         Ok(self.compressed.get_or_init(|| state))
     }
 
-    /// Dispatches `strategy` to its one low-level entry point.
-    fn select(
-        &self,
-        strategy: &Strategy,
-        guard: &Guard,
-    ) -> Result<(InternedAbstraction<f64>, Completion), Error> {
-        Ok(match strategy {
+    /// Dispatches the configured strategy to its one low-level entry
+    /// point.
+    fn select(&self, guard: &Guard) -> Result<(InternedAbstraction<f64>, Completion), Error> {
+        Ok(match self.strategy {
             Strategy::Optimal => optimal_vvs(self.source_ws(), &self.forest, self.bound, guard)?,
             Strategy::Greedy { incremental: true } => {
                 greedy_vvs(self.source_ws(), &self.forest, self.bound, guard)?
@@ -444,8 +420,8 @@ impl Session {
                     self.source_ws(),
                     &self.forest,
                     self.bound,
-                    *fraction,
-                    *seed,
+                    fraction,
+                    seed,
                     Solver::Greedy,
                     guard,
                 )?;
@@ -465,7 +441,7 @@ impl Session {
                     self.polys_ref(),
                     &self.forest,
                     self.bound,
-                    *cut_limit,
+                    cut_limit,
                 )?;
                 let source = self.source_ws().clone();
                 (
@@ -481,14 +457,6 @@ impl Session {
                     Completion::Complete,
                 )
             }
-            Strategy::Sharded { shards, inner } => match **inner {
-                // Only the incremental engine records the per-step
-                // traces the shard merge consumes.
-                Strategy::Greedy { incremental: true } => {
-                    sharded_greedy(self.source_ws(), &self.forest, self.bound, *shards, guard)?
-                }
-                ref other => return Err(Error::UnshardableStrategy(other.to_string())),
-            },
         })
     }
 
@@ -660,8 +628,7 @@ impl Session {
     /// `(|𝒫↓S|_M, |𝒫↓S|_V)` points from the identity abstraction down to
     /// full compression. Dispatches on the strategy —
     /// [`Strategy::Optimal`] runs the exact single-tree
-    /// [`optimal_frontier`], [`Strategy::Sharded`] the
-    /// [`sharded_greedy_frontier`], everything else traces the greedy run
+    /// [`optimal_frontier`], everything else traces the greedy run
     /// ([`greedy_frontier`], or [`reference::greedy_frontier`] — on the
     /// hash-map bridge — for `Greedy { incremental: false }`).
     ///
@@ -669,13 +636,10 @@ impl Session {
     /// meaningful whole: a tripped guard is [`Error::Cancelled`], not a
     /// truncated trace.
     pub fn frontier(&self) -> Result<Vec<(usize, usize)>, Error> {
-        let (points, completion) = match self.strategy() {
+        let (points, completion) = match self.strategy {
             Strategy::Optimal => optimal_frontier(self.source_ws(), &self.forest, &self.guard)?,
             Strategy::Greedy { incremental: false } => {
                 reference::greedy_frontier(self.polys_ref(), &self.forest, &self.guard)?
-            }
-            Strategy::Sharded { shards, .. } => {
-                sharded_greedy_frontier(self.source_ws(), &self.forest, *shards, &self.guard)?
             }
             _ => greedy_frontier(self.source_ws(), &self.forest, &self.guard)?,
         };
@@ -828,13 +792,9 @@ impl Session {
         &self.vars
     }
 
-    /// The strategy compression ran with — the configured one, under the
-    /// shard override if [`compress_with`](Self::compress_with) was given
-    /// one — or, before compression, the configured one.
+    /// The configured strategy — the one compression runs (or ran) with.
     pub fn strategy(&self) -> &Strategy {
-        self.compressed
-            .get()
-            .map_or(&self.strategy, |state| &state.strategy)
+        &self.strategy
     }
 
     /// The resolved size bound `B`.
@@ -959,7 +919,7 @@ impl Session {
         let state = self.state(&self.guard)?;
         let meta = SessionMeta {
             interned_source: self.interned_source,
-            strategy: state.strategy.clone(),
+            strategy: self.strategy,
             bound: self.bound,
             original_size_m: state.result.original_size_m,
             original_size_v: state.result.original_size_v,
@@ -1075,13 +1035,12 @@ impl Session {
             source: OnceLock::new(),
             vars,
             forest,
-            strategy: meta.strategy.clone(),
+            strategy: meta.strategy,
             bound: meta.bound,
             opts: EvalOptions::new(),
             guard: Guard::ambient().unwrap_or_default(),
             compressed: OnceLock::from(CompressedState {
                 result,
-                strategy: meta.strategy,
                 completion: Completion::Complete,
                 checkpoints_hit: 0,
                 working: OnceLock::new(),

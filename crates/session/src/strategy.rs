@@ -22,7 +22,7 @@ use std::str::FromStr;
 /// interned form and the guard of the compress call, so façade results are
 /// bit-for-bit identical to calling that function directly — the
 /// `facade_equivalence` suite asserts this for each variant.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Strategy {
     /// Algorithm 1, the optimal single-tree dynamic program
@@ -68,21 +68,6 @@ pub enum Strategy {
     /// identity abstraction). Useful as the uncompressed baseline and
     /// for sessions that only want the batch-evaluation engine.
     None,
-    /// Sharded multi-core compression
-    /// ([`provabs_core::shard::sharded_greedy`]): the
-    /// poly-set is partitioned into `shards` size-balanced shards, each
-    /// compressed concurrently by the `inner` strategy, and the
-    /// per-shard frontiers are merged by marginal loss so the session's
-    /// [`Target`] keeps its whole-set meaning. Only the incremental
-    /// greedy engine is shardable today — any other `inner` is rejected
-    /// at compress time with [`Error::UnshardableStrategy`].
-    Sharded {
-        /// Number of shards (≥ 1; clamped to the polynomial count).
-        /// `1` is bit-for-bit the unsharded engine.
-        shards: usize,
-        /// The per-shard selection algorithm.
-        inner: Box<Strategy>,
-    },
 }
 
 impl Default for Strategy {
@@ -98,30 +83,6 @@ impl Strategy {
     /// [`Strategy::None`] is the only one that does not.
     pub fn needs_forest(&self) -> bool {
         !matches!(self, Strategy::None)
-    }
-
-    /// This strategy run on `shards` shards — how one
-    /// [`compress_with`](crate::Session::compress_with) call overrides the
-    /// shard count. `shards > 1` wraps the strategy in
-    /// [`Strategy::Sharded`] (replacing the count if already sharded);
-    /// `shards <= 1` unwraps back to the inner strategy. Rejects
-    /// strategies the shard pipeline cannot run
-    /// ([`Error::UnshardableStrategy`]).
-    pub fn with_shards(&self, shards: usize) -> Result<Strategy, Error> {
-        let inner = match self {
-            Strategy::Sharded { inner, .. } => inner.as_ref(),
-            other => other,
-        };
-        if shards <= 1 {
-            return Ok(inner.clone());
-        }
-        if !matches!(inner, Strategy::Greedy { incremental: true }) {
-            return Err(Error::UnshardableStrategy(inner.to_string()));
-        }
-        Ok(Strategy::Sharded {
-            shards,
-            inner: Box::new(inner.clone()),
-        })
     }
 }
 
@@ -162,7 +123,6 @@ impl fmt::Display for Strategy {
             Strategy::Competitor => write!(f, "competitor"),
             Strategy::Brute { cut_limit } => write!(f, "brute:{cut_limit}"),
             Strategy::None => write!(f, "none"),
-            Strategy::Sharded { shards, inner } => write!(f, "sharded:{shards}:{inner}"),
         }
     }
 }
@@ -209,29 +169,6 @@ impl FromStr for Strategy {
                 _ => Err(err()),
             },
             "none" => no_args(Strategy::None),
-            "sharded" => match rest.as_slice() {
-                [] => Err(err()),
-                [shards, inner @ ..] => {
-                    let shards: usize = shards.parse().map_err(|_| err())?;
-                    if shards == 0 {
-                        return Err(err());
-                    }
-                    let inner = if inner.is_empty() {
-                        Strategy::default()
-                    } else {
-                        inner.join(":").parse::<Strategy>().map_err(|_| err())?
-                    };
-                    // One level only: sharding a sharded strategy is
-                    // meaningless nesting.
-                    if matches!(inner, Strategy::Sharded { .. }) {
-                        return Err(err());
-                    }
-                    Ok(Strategy::Sharded {
-                        shards,
-                        inner: Box::new(inner),
-                    })
-                }
-            },
             _ => Err(err()),
         }
     }
@@ -346,17 +283,6 @@ mod tests {
             Strategy::Competitor,
             Strategy::Brute { cut_limit: 1234 },
             Strategy::None,
-            Strategy::Sharded {
-                shards: 4,
-                inner: Box::new(Strategy::Greedy { incremental: true }),
-            },
-            Strategy::Sharded {
-                shards: 2,
-                inner: Box::new(Strategy::Online {
-                    fraction: 0.1,
-                    seed: 7,
-                }),
-            },
         ];
         for s in all {
             let text = s.to_string();
@@ -379,14 +305,6 @@ mod tests {
                 cut_limit: DEFAULT_CUT_LIMIT
             })
         );
-        // Bare `sharded:K` defaults the inner engine.
-        assert_eq!(
-            "sharded:4".parse::<Strategy>(),
-            Ok(Strategy::Sharded {
-                shards: 4,
-                inner: Box::new(Strategy::default()),
-            })
-        );
         for bad in [
             "",
             "gredy",
@@ -398,11 +316,9 @@ mod tests {
             "online:x:42",
             "brute:many",
             "none:really",
-            "sharded",
-            "sharded:0",
-            "sharded:x",
-            "sharded:2:sharded:2",
-            "sharded:2:gredy",
+            // The retired shard-count form.
+            "sharded:4",
+            "sharded:2:greedy",
         ] {
             let err = bad.parse::<Strategy>().unwrap_err();
             assert!(err.to_string().contains("strategy"), "{bad}: {err}");
@@ -424,28 +340,6 @@ mod tests {
         for bad in ["", "half", "monomials:x", "ratio:inf", "ratio:"] {
             assert!(bad.parse::<Target>().is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn with_shards_wraps_recounts_unwraps_and_rejects() {
-        let greedy = Strategy::default();
-        let sharded = |shards| Strategy::Sharded {
-            shards,
-            inner: Box::new(Strategy::default()),
-        };
-        assert_eq!(greedy.with_shards(4), Ok(sharded(4)));
-        assert_eq!(sharded(4).with_shards(2), Ok(sharded(2)));
-        for plain in [0, 1] {
-            assert_eq!(sharded(4).with_shards(plain), Ok(greedy.clone()));
-            assert_eq!(
-                Strategy::Competitor.with_shards(plain),
-                Ok(Strategy::Competitor)
-            );
-        }
-        assert_eq!(
-            Strategy::Competitor.with_shards(2),
-            Err(Error::UnshardableStrategy("competitor".to_string()))
-        );
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn facade_equals_low_level_for_every_strategy() {
 
             let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
                 .forest(forest.clone())
-                .strategy(strategy.clone())
+                .strategy(strategy)
                 .bound(bound)
                 .eval_options(opts.clone())
                 .build()
@@ -629,16 +629,12 @@ fn frontier_under_a_cancelled_token_is_a_typed_error() {
         Strategy::Optimal,
         Strategy::default(),
         Strategy::Greedy { incremental: false },
-        Strategy::Sharded {
-            shards: 2,
-            inner: Box::new(Strategy::default()),
-        },
     ] {
         let token = CancelToken::new();
         token.cancel();
         let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
             .forest(forest.clone())
-            .strategy(strategy.clone())
+            .strategy(strategy)
             .cancel_token(token)
             .build()
             .expect("valid");

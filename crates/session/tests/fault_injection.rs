@@ -161,7 +161,7 @@ fn a_cancelled_session_compresses_to_an_anytime_prefix_and_fails_asks_typed() {
     // Compression is anytime: the guard tripped before any merge, so the
     // best-so-far abstraction is the (sound) identity, tagged as such.
     let (result, completion) = session
-        .compress_with(None, session.guard())
+        .compress_with(session.guard())
         .expect("anytime result");
     assert_eq!(result.compressed_size_m, 16, "zero merges applied");
     assert_eq!(
@@ -188,7 +188,7 @@ fn a_step_budget_interrupts_mid_run_and_the_prefix_still_answers() {
         .build()
         .expect("valid configuration");
     let (result, completion) = session
-        .compress_with(None, session.guard())
+        .compress_with(session.guard())
         .expect("anytime result");
     let Completion::Interrupted {
         reason: Interrupt::StepCapExhausted,

@@ -92,14 +92,14 @@ pub fn generate(config: BomConfig) -> BomData {
     ]));
     for pid in 0..config.products {
         product
-            .push(vec![
+            .push([
                 Value::Int(pid as i64),
                 Value::Int(rng.gen_range(0..config.families) as i64),
             ])
             .expect("generated rows are well-typed");
         // Each product is built from 2–4 distinct-ish sub-assemblies.
         for _ in 0..rng.gen_range(2..=4usize) {
-            bom.push(vec![
+            bom.push([
                 Value::Int(pid as i64),
                 Value::Int(rng.gen_range(0..config.assemblies) as i64),
             ])
@@ -117,7 +117,7 @@ pub fn generate(config: BomConfig) -> BomData {
         // facility.
         for _ in 0..rng.gen_range(3..=6usize) {
             usage
-                .push(vec![
+                .push([
                     Value::Int(aid as i64),
                     Value::Int(rng.gen_range(0..config.components) as i64),
                     Value::Int(rng.gen_range(0..FACILITIES) as i64),
@@ -132,7 +132,7 @@ pub fn generate(config: BomConfig) -> BomData {
     ]));
     for sid in 0..config.components {
         component
-            .push(vec![
+            .push([
                 Value::Int(sid as i64),
                 Value::float(rng.gen_range(50..5000) as f64 / 100.0),
             ])

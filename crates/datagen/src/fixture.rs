@@ -32,7 +32,7 @@ pub fn figure_1_catalog() -> Catalog {
         (6, "E", "10002"),
         (7, "SB2", "10002"),
     ] {
-        cust.push(vec![Value::Int(id), Value::str(plan), Value::str(zip)])
+        cust.push([Value::Int(id), Value::str(plan), Value::str(zip)])
             .expect("figure 1 rows are well-typed");
     }
     let mut calls = Table::new(Schema::of(&[
@@ -57,7 +57,7 @@ pub fn figure_1_catalog() -> Catalog {
         (7, 3, 671),
     ] {
         calls
-            .push(vec![Value::Int(cid), Value::Int(mo), Value::Int(dur)])
+            .push([Value::Int(cid), Value::Int(mo), Value::Int(dur)])
             .expect("figure 1 rows are well-typed");
     }
     let mut plans = Table::new(Schema::of(&[
@@ -82,7 +82,7 @@ pub fn figure_1_catalog() -> Catalog {
         ("E", 3, 0.05),
     ] {
         plans
-            .push(vec![Value::str(plan), Value::Int(mo), Value::float(price)])
+            .push([Value::str(plan), Value::Int(mo), Value::float(price)])
             .expect("figure 1 rows are well-typed");
     }
     let mut catalog = Catalog::new();

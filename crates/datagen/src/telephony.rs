@@ -74,19 +74,15 @@ pub fn generate(config: TelephonyConfig) -> TelephonyData {
     for id in 0..config.customers {
         let plan = rng.gen_range(0..config.plans) as i64;
         let zip = format!("{:05}", 10_000 + rng.gen_range(0..config.zips));
-        cust.push(vec![
-            Value::Int(id as i64),
-            Value::Int(plan),
-            Value::str(&zip),
-        ])
-        .expect("generated rows are well-typed");
+        cust.push([Value::Int(id as i64), Value::Int(plan), Value::str(&zip)])
+            .expect("generated rows are well-typed");
         for mo in 1..=config.months {
             // Not every customer calls every month, matching the sparser
             // real-world distribution.
             if rng.gen_range(0..100) < 85 {
                 let dur = rng.gen_range(20..1500);
                 calls
-                    .push(vec![
+                    .push([
                         Value::Int(id as i64),
                         Value::Int(mo as i64),
                         Value::Int(dur),
@@ -104,7 +100,7 @@ pub fn generate(config: TelephonyConfig) -> TelephonyData {
         for mo in 1..=config.months {
             let price = rng.gen_range(5..60) as f64 / 100.0;
             plans
-                .push(vec![
+                .push([
                     Value::Int(plan as i64),
                     Value::Int(mo as i64),
                     Value::float(price),

@@ -84,7 +84,7 @@ pub fn generate(config: TpchConfig) -> TpchData {
         .enumerate()
     {
         region
-            .push(vec![Value::Int(k as i64), Value::str(*name)])
+            .push([Value::Int(k as i64), Value::str(*name)])
             .expect("generated rows are well-typed");
     }
 
@@ -95,7 +95,7 @@ pub fn generate(config: TpchConfig) -> TpchData {
     ]));
     for k in 0..25i64 {
         nation
-            .push(vec![
+            .push([
                 Value::Int(k),
                 Value::str(format!("NATION{k:02}")),
                 Value::Int(k % 5),
@@ -110,7 +110,7 @@ pub fn generate(config: TpchConfig) -> TpchData {
     for k in 0..suppliers {
         // Round-robin nation assignment guarantees full nation coverage.
         supplier
-            .push(vec![Value::Int(k as i64), Value::Int(k as i64 % 25)])
+            .push([Value::Int(k as i64), Value::Int(k as i64 % 25)])
             .expect("generated rows are well-typed");
     }
 
@@ -119,7 +119,7 @@ pub fn generate(config: TpchConfig) -> TpchData {
         ("p_retailprice", ColumnType::Float),
     ]));
     for k in 0..parts {
-        part.push(vec![
+        part.push([
             Value::Int(k as i64),
             Value::float(rng.gen_range(900..2100) as f64 / 2.0),
         ])
@@ -132,7 +132,7 @@ pub fn generate(config: TpchConfig) -> TpchData {
     ]));
     for k in 0..customers {
         customer
-            .push(vec![Value::Int(k as i64), Value::Int(rng.gen_range(0..25))])
+            .push([Value::Int(k as i64), Value::Int(rng.gen_range(0..25))])
             .expect("generated rows are well-typed");
     }
 
@@ -151,9 +151,12 @@ pub fn generate(config: TpchConfig) -> TpchData {
         ("l_returnflag", ColumnType::Str),
         ("l_linestatus", ColumnType::Str),
     ]));
+    // One string per flag, shared by every row that carries it.
+    let return_flags = RETURN_FLAGS.map(Value::str);
+    let line_status = LINE_STATUS.map(Value::str);
     for ok in 0..orders {
         orders_t
-            .push(vec![
+            .push([
                 Value::Int(ok as i64),
                 Value::Int(rng.gen_range(0..customers) as i64),
                 Value::Int(rng.gen_range(1992..1999)),
@@ -163,15 +166,15 @@ pub fn generate(config: TpchConfig) -> TpchData {
             let qty = rng.gen_range(1..=50i64);
             let price = qty as f64 * rng.gen_range(900..2100) as f64 / 2.0;
             lineitem
-                .push(vec![
+                .push([
                     Value::Int(ok as i64),
                     Value::Int(rng.gen_range(0..parts) as i64),
                     Value::Int(rng.gen_range(0..suppliers) as i64),
                     Value::Int(qty),
                     Value::float(price),
                     Value::float(rng.gen_range(0..=10) as f64 / 100.0),
-                    Value::str(RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())]),
-                    Value::str(LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())]),
+                    return_flags[rng.gen_range(0..RETURN_FLAGS.len())].clone(),
+                    line_status[rng.gen_range(0..LINE_STATUS.len())].clone(),
                 ])
                 .expect("generated rows are well-typed");
         }
@@ -479,12 +482,9 @@ mod tests {
         assert!(g.polys.size_m() > 0);
         assert!(g.polys.size_m() < all);
         // Neutral evaluation equals the reference filtered sum.
-        let reference: f64 = d
-            .catalog
-            .get("lineitem")
-            .expect("registered")
-            .rows()
-            .iter()
+        let lineitem = d.catalog.get("lineitem").expect("registered");
+        let reference: f64 = (0..lineitem.len())
+            .map(|i| lineitem.row(i))
             .filter(|r| r[3].as_i64().expect("int") < 24 && r[5].as_f64().expect("float") >= 0.05)
             .map(|r| r[4].as_f64().expect("float") * r[5].as_f64().expect("float"))
             .sum();
@@ -498,12 +498,9 @@ mod tests {
         let d = small();
         let mut vars = VarTable::new();
         let g = q5(&d, &mut vars);
-        let all: f64 = d
-            .catalog
-            .get("lineitem")
-            .expect("registered")
-            .rows()
-            .iter()
+        let lineitem = d.catalog.get("lineitem").expect("registered");
+        let all: f64 = (0..lineitem.len())
+            .map(|i| lineitem.row(i))
             .map(|r| {
                 let price = r[4].as_f64().expect("float");
                 let disc = r[5].as_f64().expect("float");

@@ -18,12 +18,18 @@ impl Catalog {
         Self::default()
     }
 
-    /// Registers a table; errors if the name is taken.
-    pub fn register(&mut self, name: impl Into<String>, table: Table) -> Result<(), EngineError> {
+    /// Registers a table; errors if the name is taken. A registered table
+    /// is never appended to again, so it gives back its spare capacity.
+    pub fn register(
+        &mut self,
+        name: impl Into<String>,
+        mut table: Table,
+    ) -> Result<(), EngineError> {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(EngineError::DuplicateTable(name));
         }
+        table.shrink_to_fit();
         self.tables.insert(name, Arc::new(table));
         Ok(())
     }

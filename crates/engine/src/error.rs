@@ -27,6 +27,9 @@ pub enum EngineError {
         /// What it got, rendered.
         got: String,
     },
+    /// Arithmetic produced NaN (`inf - inf`, `0 · inf`) where a value was
+    /// asked for — a measure, or an expression evaluated to a value.
+    NotANumber,
 }
 
 impl fmt::Display for EngineError {
@@ -42,6 +45,7 @@ impl fmt::Display for EngineError {
             EngineError::TypeMismatch { expected, got } => {
                 write!(f, "expected {expected}, got {got}")
             }
+            EngineError::NotANumber => write!(f, "arithmetic produced NaN"),
         }
     }
 }

@@ -14,8 +14,7 @@
 
 use crate::error::EngineError;
 use crate::schema::{ColumnType, Schema};
-use crate::value::{Row, Value};
-use std::borrow::Cow;
+use crate::value::{Cell, Cells, Value};
 use std::fmt;
 
 /// An unresolved scalar expression tree.
@@ -275,55 +274,67 @@ pub enum Resolved {
 }
 
 impl Resolved {
-    /// Evaluates to a value.
-    pub fn eval(&self, row: &Row) -> Result<Value, EngineError> {
-        self.eval_ref(row).map(Cow::into_owned)
+    /// Evaluates to a value; arithmetic that yields NaN is refused with
+    /// [`EngineError::NotANumber`].
+    pub fn eval(&self, row: &[Value]) -> Result<Value, EngineError> {
+        match self.cell(row)? {
+            Cell::Float(f) if f.is_nan() => Err(EngineError::NotANumber),
+            cell => Ok(cell.to_value()),
+        }
     }
 
     /// Evaluates without cloning what is already there: a column or a
     /// literal is borrowed (no `Arc<str>` refcount traffic per row), a
-    /// computed number is owned.
-    fn eval_ref<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>, EngineError> {
+    /// computed number is owned. Arithmetic is IEEE: it may yield NaN,
+    /// which comparisons treat as unordered, and which the value-returning
+    /// evaluators ([`eval`](Self::eval), `eval_f64`) refuse.
+    fn cell<'a, R: Cells + ?Sized>(&'a self, row: &'a R) -> Result<Cell<'a>, EngineError> {
         Ok(match self {
-            Resolved::Col(i) => Cow::Borrowed(&row[*i]),
-            Resolved::Lit(v) => Cow::Borrowed(v),
+            Resolved::Col(i) => row.cell(*i),
+            Resolved::Lit(v) => v.cell(),
             Resolved::Arith(l, op, r) => {
-                let a = l.eval_f64(row)?;
-                let b = r.eval_f64(row)?;
-                let out = match op {
+                let a = number(l.cell(row)?)?;
+                let b = number(r.cell(row)?)?;
+                Cell::Float(match op {
                     ArithOp::Add => a + b,
                     ArithOp::Sub => a - b,
                     ArithOp::Mul => a * b,
-                };
-                Cow::Owned(Value::float(out))
+                })
             }
             Resolved::Cmp(l, op, r) => {
-                let (a, b) = (l.eval_ref(row)?, r.eval_ref(row)?);
-                Cow::Owned(Value::Int(i64::from(compare(&a, &b, *op)?)))
+                Cell::Int(i64::from(compare(l.cell(row)?, r.cell(row)?, *op)?))
             }
-            Resolved::And(l, r) => Cow::Owned(Value::Int(i64::from(
-                l.eval_bool(row)? && r.eval_bool(row)?,
-            ))),
-            Resolved::Or(l, r) => Cow::Owned(Value::Int(i64::from(
-                l.eval_bool(row)? || r.eval_bool(row)?,
-            ))),
-            Resolved::Not(e) => Cow::Owned(Value::Int(i64::from(!e.eval_bool(row)?))),
+            Resolved::And(l, r) => Cell::Int(i64::from(l.eval_bool(row)? && r.eval_bool(row)?)),
+            Resolved::Or(l, r) => Cell::Int(i64::from(l.eval_bool(row)? || r.eval_bool(row)?)),
+            Resolved::Not(e) => Cell::Int(i64::from(!e.eval_bool(row)?)),
         })
     }
 
-    /// Evaluates as a boolean (predicates).
-    pub fn eval_bool(&self, row: &Row) -> Result<bool, EngineError> {
-        Ok(self.eval_ref(row)?.as_i64()? != 0)
+    /// Evaluates as a boolean (predicates): an integer, read as
+    /// "non-zero".
+    pub(crate) fn eval_bool<R: Cells + ?Sized>(&self, row: &R) -> Result<bool, EngineError> {
+        match self.cell(row)? {
+            Cell::Int(i) => Ok(i != 0),
+            other => Err(EngineError::TypeMismatch {
+                expected: "integer",
+                got: other.to_string(),
+            }),
+        }
     }
 
-    /// Evaluates as a float (measures).
-    pub fn eval_f64(&self, row: &Row) -> Result<f64, EngineError> {
-        self.eval_ref(row)?.as_f64()
+    /// Evaluates as a float (measures): ints widen, a string is a type
+    /// error and NaN is [`EngineError::NotANumber`].
+    pub(crate) fn eval_f64<R: Cells + ?Sized>(&self, row: &R) -> Result<f64, EngineError> {
+        let x = number(self.cell(row)?)?;
+        if x.is_nan() {
+            return Err(EngineError::NotANumber);
+        }
+        Ok(x)
     }
 
     /// Rewrites every column index `i` to `cols[i]` — from positions in a
-    /// plan's logical schema to positions in the physical row the fused
-    /// loop carries (see [`crate::query`]).
+    /// plan's logical schema to the positions the fused loop reads cells
+    /// at (see [`crate::query`]).
     pub(crate) fn remap(&mut self, cols: &[usize]) {
         match self {
             Resolved::Col(i) => *i = cols[*i],
@@ -340,6 +351,18 @@ impl Resolved {
     }
 }
 
+/// A cell as an operand of arithmetic: ints widen, strings are refused.
+fn number(cell: Cell<'_>) -> Result<f64, EngineError> {
+    match cell {
+        Cell::Int(i) => Ok(i as f64),
+        Cell::Float(f) => Ok(f),
+        Cell::Str(_) => Err(EngineError::TypeMismatch {
+            expected: "numeric",
+            got: cell.to_string(),
+        }),
+    }
+}
+
 /// A predicate that was type-checked against the schema it was resolved
 /// on ([`Expr::predicate`]): over rows of that schema it always
 /// evaluates, so a plan that holds one cannot fail on it.
@@ -347,8 +370,8 @@ impl Resolved {
 pub struct Predicate(Resolved);
 
 impl Predicate {
-    /// Whether `row` satisfies the predicate.
-    pub fn holds(&self, row: &Row) -> bool {
+    /// Whether the row satisfies the predicate.
+    pub(crate) fn holds<R: Cells + ?Sized>(&self, row: &R) -> bool {
         self.0
             .eval_bool(row)
             .expect("the predicate was type-checked against this schema")
@@ -360,27 +383,26 @@ impl Predicate {
     }
 }
 
-fn compare(a: &Value, b: &Value, op: CmpOp) -> Result<bool, EngineError> {
+/// Strings compare lexicographically; numbers exactly, `Int` against
+/// `Float` included — not through `f64`, where neighbouring integers above
+/// 2^53 round to one float — so that an equality filter agrees with
+/// join-key matching (`Cell`'s `==`) and can be folded into a join. A NaN
+/// is unordered: every comparison with it is false, but `<>`.
+fn compare(a: Cell<'_>, b: Cell<'_>, op: CmpOp) -> Result<bool, EngineError> {
     use std::cmp::Ordering;
     let ord = match (a, b) {
-        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        // Exact, not through `f64`: above 2^53 neighbouring integers
-        // round to the same float, and an equality filter must agree
-        // with join-key matching (`Value`'s own `==`) to be foldable into
-        // a join.
-        (Value::Int(x), Value::Int(y)) => x.cmp(y),
-        (x, y) => {
-            let (x, y) = (x.as_f64()?, y.as_f64()?);
-            x.partial_cmp(&y).expect("NaN excluded at construction")
-        }
+        (Cell::Str(x), Cell::Str(y)) => Some(x.cmp(y)),
+        (Cell::Str(_), _) => return number(a).map(|_| false),
+        (_, Cell::Str(_)) => return number(b).map(|_| false),
+        (x, y) => x.cmp_numbers(y),
     };
     Ok(match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
+        CmpOp::Eq => ord == Some(Ordering::Equal),
+        CmpOp::Ne => ord != Some(Ordering::Equal),
+        CmpOp::Lt => ord == Some(Ordering::Less),
+        CmpOp::Le => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+        CmpOp::Gt => ord == Some(Ordering::Greater),
+        CmpOp::Ge => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
     })
 }
 
@@ -388,6 +410,7 @@ fn compare(a: &Value, b: &Value, op: CmpOp) -> Result<bool, EngineError> {
 mod tests {
     use super::*;
     use crate::schema::ColumnType;
+    use crate::value::Row;
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -406,7 +429,7 @@ mod tests {
         // dur * price = 208.8 — the revenue term of the running example.
         let e = Expr::col("dur").mul(Expr::col("price"));
         let r = e.resolve(&schema()).expect("resolve");
-        assert!((r.eval_f64(&row()).expect("eval") - 208.8).abs() < 1e-9);
+        assert!((r.eval_f64(row().as_slice()).expect("eval") - 208.8).abs() < 1e-9);
     }
 
     #[test]
@@ -415,17 +438,17 @@ mod tests {
             .eq(Expr::lit("A"))
             .and(Expr::col("dur").gt(Expr::lit(500i64)));
         let r = e.resolve(&schema()).expect("resolve");
-        assert!(r.eval_bool(&row()).expect("eval"));
+        assert!(r.eval_bool(row().as_slice()).expect("eval"));
         let e2 = Expr::col("plan").eq(Expr::lit("B"));
         let r2 = e2.resolve(&schema()).expect("resolve");
-        assert!(!r2.eval_bool(&row()).expect("eval"));
+        assert!(!r2.eval_bool(row().as_slice()).expect("eval"));
     }
 
     #[test]
     fn string_comparisons_are_lexicographic() {
         let e = Expr::col("plan").lt(Expr::lit("B"));
         let r = e.resolve(&schema()).expect("resolve");
-        assert!(r.eval_bool(&row()).expect("eval"));
+        assert!(r.eval_bool(row().as_slice()).expect("eval"));
     }
 
     #[test]
@@ -436,7 +459,7 @@ mod tests {
                 .or(Expr::col("dur").gt(Expr::lit(10_000i64))),
         ));
         let r = e.resolve(&schema()).expect("resolve");
-        assert!(r.eval_bool(&row()).expect("eval"));
+        assert!(r.eval_bool(row().as_slice()).expect("eval"));
     }
 
     #[test]
@@ -494,9 +517,9 @@ mod tests {
                 .gt(Expr::lit(200i64)),
         );
         let checked = e.predicate(&schema()).expect("well-typed");
-        assert!(checked.holds(&row()));
+        assert!(checked.holds(row().as_slice()));
         let other = vec![Value::Int(10), Value::float(0.4), Value::str("A")];
-        assert!(!checked.holds(&other));
+        assert!(!checked.holds(other.as_slice()));
     }
 
     #[test]
@@ -509,10 +532,10 @@ mod tests {
             .expect("resolve");
         // Both round to 2^53 as floats; as integers they differ.
         assert!(!r
-            .eval_bool(&vec![Value::Int(big), Value::Int(big + 1)])
+            .eval_bool([Value::Int(big), Value::Int(big + 1)].as_slice())
             .expect("eval"));
         assert!(r
-            .eval_bool(&vec![Value::Int(big + 1), Value::Int(big + 1)])
+            .eval_bool([Value::Int(big + 1), Value::Int(big + 1)].as_slice())
             .expect("eval"));
     }
 
@@ -532,6 +555,6 @@ mod tests {
     fn arithmetic_rejects_strings() {
         let e = Expr::col("plan").mul(Expr::lit(2i64));
         let r = e.resolve(&schema()).expect("resolve");
-        assert!(r.eval(&row()).is_err());
+        assert!(r.eval(row().as_slice()).is_err());
     }
 }

@@ -4,11 +4,12 @@
 //! The paper's evaluation generates provenance with SQL queries over
 //! TPC-H and a telephony database (§4.2). This crate is that substrate:
 //!
-//! * [`value`] / [`schema`] / [`table`] / [`catalog`] — storage,
+//! * [`value`] / [`schema`] / [`table`] / [`catalog`] — storage: typed
+//!   columns, strings dictionary-coded per column,
 //! * [`expr`] — scalar expressions for predicates and measures,
 //! * [`ops`] — eager, table-per-operator relational operators
 //!   (filter/project/hash join/union): the oracle the query pipeline is
-//!   tested against, and the [`ops::JoinIndex`] every join shares,
+//!   tested against, and the build-side join index every join shares,
 //! * [`param`] — cell parameterization: attaching provenance variables to
 //!   measure attributes (§2.1 case 2 — "variables are placed/combined
 //!   with the values in certain cells"),

@@ -5,7 +5,9 @@
 //! drives its whole plan as one fused loop and materialises nothing in
 //! between. The eager operators stay as the *oracle* that loop is tested
 //! against (`tests/fused_equivalence.rs`) and as the baseline of
-//! `bench_engine`; [`JoinIndex`] is shared by every join in the engine.
+//! `bench_engine`; the build-side `JoinIndex` is shared by every join in
+//! the engine. Like the pipeline, they read cells in place from the
+//! columnar tables and append each output row cell by cell.
 //!
 //! Joins are hash joins that always build on the **right** input and
 //! probe with the left, whatever the sizes. Output order is therefore
@@ -16,62 +18,91 @@
 
 use crate::error::EngineError;
 use crate::expr::Expr;
-use crate::table::Table;
-use crate::value::Row;
-use provabs_provenance::fxhash::{FxHashMap, FxHasher};
-use std::hash::{Hash, Hasher};
+use crate::table::{Table, TableRow};
+use crate::value::{combine_key_hashes, Cells};
+use provabs_provenance::fxhash::FxHashMap;
 
-/// The FxHash of a row's key columns, computed in place — no key tuple is
+/// The hash of a row's key columns, folded from each cell's key hash (a
+/// string's comes from its column's dictionary) — no key tuple is
 /// materialised on either side of a join.
-pub(crate) fn hash_key(row: &Row, cols: &[usize]) -> u64 {
-    let mut h = FxHasher::default();
-    for &c in cols {
-        row[c].hash(&mut h);
-    }
-    h.finish()
+pub(crate) fn hash_key<R: Cells + ?Sized>(row: &R, cols: &[usize]) -> u64 {
+    combine_key_hashes(cols.iter().map(|&c| row.key_hash(c)))
 }
 
-/// A reusable build-side index for equi-joins: build rows bucketed by the
-/// hash of their key columns. Unlike the previous `FxHashMap<Row, _>`
-/// design, neither building nor probing clones any [`Value`] — keys are
-/// hashed and compared column-wise against the original rows. Shared by
-/// every hash join in the engine ([`hash_join`], the K-relation `⋈`, and
-/// the query pipeline's fused probe).
-///
-/// [`Value`]: crate::value::Value
+/// A reusable build-side index for equi-joins: the build table's row
+/// indices grouped by the hash of their key columns — one `u32` per row
+/// in one column, each group a range of it in build order. Keys are
+/// hashed and compared cell-wise against the tables; no value is cloned.
+/// Shared by every hash join in the engine ([`hash_join`] and the query
+/// pipeline's fused probe).
 #[derive(Debug)]
-pub struct JoinIndex {
+pub(crate) struct JoinIndex {
     /// Key column indices on the build side.
     key_cols: Vec<usize>,
-    /// `key hash → build row indices`, in build order.
-    buckets: FxHashMap<u64, Vec<usize>>,
+    /// Key hash → `(start, len)` of its group in `rows`.
+    groups: FxHashMap<u64, (u32, u32)>,
+    /// Build row indices, group after group.
+    rows: Vec<u32>,
 }
 
 impl JoinIndex {
-    /// Indexes the build rows by their `key_cols` hash.
-    pub fn build<'a>(rows: impl IntoIterator<Item = &'a Row>, key_cols: Vec<usize>) -> Self {
-        let mut buckets: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        for (i, row) in rows.into_iter().enumerate() {
-            buckets.entry(hash_key(row, &key_cols)).or_default().push(i);
+    /// Indexes `table`'s rows by the hash of their `key_cols`.
+    pub(crate) fn build(table: &Table, key_cols: Vec<usize>) -> Self {
+        let len = u32::try_from(table.len()).expect("a join's build side holds < 2^32 rows");
+        let hash = |row: u32| {
+            hash_key(
+                &TableRow {
+                    table,
+                    row: row as usize,
+                },
+                &key_cols,
+            )
+        };
+        // Count each group, lay the groups out back to back, then fill
+        // each in build order (counting it up again from zero).
+        let mut groups: FxHashMap<u64, (u32, u32)> = FxHashMap::default();
+        for row in 0..len {
+            groups.entry(hash(row)).or_default().1 += 1;
         }
-        Self { key_cols, buckets }
+        let mut start = 0;
+        for (group_start, group_len) in groups.values_mut() {
+            *group_start = start;
+            start += std::mem::take(group_len);
+        }
+        let mut rows = vec![0; len as usize];
+        for row in 0..len {
+            let (group_start, filled) = groups.get_mut(&hash(row)).expect("counted above");
+            rows[(*group_start + *filled) as usize] = row;
+            *filled += 1;
+        }
+        Self {
+            key_cols,
+            groups,
+            rows,
+        }
     }
 
-    /// Candidate build-row indices for a probe row, in build order. Hash
-    /// bucket only — confirm each candidate with
-    /// [`key_matches`](Self::key_matches) (hash collisions are possible).
-    pub fn candidates(&self, probe: &Row, probe_cols: &[usize]) -> &[usize] {
-        self.buckets
-            .get(&hash_key(probe, probe_cols))
-            .map_or(&[], Vec::as_slice)
+    /// Candidate build rows for a probe row whose key columns hash to
+    /// `hash` ([`hash_key`]), in build order. Confirm each with
+    /// [`key_matches`](Self::key_matches): different keys can share a hash.
+    pub(crate) fn candidates(&self, hash: u64) -> &[u32] {
+        self.groups.get(&hash).map_or(&[], |&(start, len)| {
+            &self.rows[start as usize..(start + len) as usize]
+        })
     }
 
-    /// Whether `build`'s key columns equal `probe`'s, column-wise.
-    pub fn key_matches(&self, build: &Row, probe: &Row, probe_cols: &[usize]) -> bool {
+    /// Whether build row `row` of `build` has the probe row's key.
+    pub(crate) fn key_matches<R: Cells + ?Sized>(
+        &self,
+        build: &Table,
+        row: u32,
+        probe: &R,
+        probe_cols: &[usize],
+    ) -> bool {
         self.key_cols
             .iter()
             .zip(probe_cols)
-            .all(|(&b, &p)| build[b] == probe[p])
+            .all(|(&b, &p)| build.cell(row as usize, b) == probe.cell(p))
     }
 }
 
@@ -79,9 +110,9 @@ impl JoinIndex {
 pub fn filter(table: &Table, pred: &Expr) -> Result<Table, EngineError> {
     let resolved = pred.resolve(table.schema())?;
     let mut out = Table::new(table.schema().clone());
-    for row in table.rows() {
-        if resolved.eval_bool(row)? {
-            out.push_unchecked(row.clone());
+    for row in 0..table.len() {
+        if resolved.eval_bool(&TableRow { table, row })? {
+            out.push_cells(table.row_cells(row));
         }
     }
     Ok(out)
@@ -90,12 +121,7 @@ pub fn filter(table: &Table, pred: &Expr) -> Result<Table, EngineError> {
 /// π (without deduplication — bag semantics): the named columns, in order.
 pub fn project(table: &Table, columns: &[&str]) -> Result<Table, EngineError> {
     let (schema, idx) = table.schema().project(columns)?;
-    let mut out = Table::new(schema);
-    out.reserve(table.len());
-    for row in table.rows() {
-        out.push_unchecked(idx.iter().map(|&i| row[i].clone()).collect());
-    }
-    Ok(out)
+    Ok(table.select(schema, &idx))
 }
 
 /// ⋈: equi-join on `on = [(left column, right column)]`. Colliding right
@@ -116,33 +142,46 @@ pub fn hash_join(
         .map(|(_, r)| right.schema().index_of(r))
         .collect::<Result<_, _>>()?;
 
-    let index = JoinIndex::build(right.rows(), right_keys);
+    let index = JoinIndex::build(right, right_keys);
 
     let mut out = Table::new(schema);
-    for lrow in left.rows() {
-        for &ri in index.candidates(lrow, &left_keys) {
-            let rrow = &right.rows()[ri];
-            if index.key_matches(rrow, lrow, &left_keys) {
-                let mut row = lrow.clone();
-                row.extend(rrow.iter().cloned());
-                out.push_unchecked(row);
+    for l in 0..left.len() {
+        let probe = TableRow {
+            table: left,
+            row: l,
+        };
+        for &r in index.candidates(hash_key(&probe, &left_keys)) {
+            if index.key_matches(right, r, &probe, &left_keys) {
+                out.push_cells(left.row_cells(l).chain(right.row_cells(r as usize)));
             }
         }
     }
     Ok(out)
 }
 
-/// ∪ (bag): concatenation; schemas must agree on names and order.
+/// ∪ (bag): concatenation; schemas must agree on names, order and types.
 pub fn union(left: &Table, right: &Table) -> Result<Table, EngineError> {
-    for (i, (name, _)) in left.schema().iter().enumerate() {
-        if i >= right.schema().arity() || right.schema().name(i) != name {
-            return Err(EngineError::UnknownColumn(name.to_string()));
+    let (l, r) = (left.schema(), right.schema());
+    for i in 0..l.arity().max(r.arity()) {
+        if i >= l.arity() {
+            return Err(EngineError::UnknownColumn(r.name(i).to_string()));
+        }
+        if i >= r.arity() || r.name(i) != l.name(i) {
+            return Err(EngineError::UnknownColumn(l.name(i).to_string()));
+        }
+        if r.column_type(i) != l.column_type(i) {
+            return Err(EngineError::TypeMismatch {
+                expected: "union columns of one type",
+                got: l.name(i).to_string(),
+            });
         }
     }
-    let mut out = Table::new(left.schema().clone());
+    let mut out = Table::new(l.clone());
     out.reserve(left.len() + right.len());
-    for row in left.rows().iter().chain(right.rows()) {
-        out.push_unchecked(row.clone());
+    for table in [left, right] {
+        for row in 0..table.len() {
+            out.push_cells(table.row_cells(row));
+        }
     }
     Ok(out)
 }
@@ -191,7 +230,9 @@ mod tests {
         assert_eq!(j.len(), 4);
         assert_eq!(j.schema().arity(), 6);
         // Customer 1 appears twice (months 1 and 3).
-        let ones = j.rows().iter().filter(|r| r[0] == Value::Int(1)).count();
+        let ones = (0..j.len())
+            .filter(|&i| j.row(i)[0] == Value::Int(1))
+            .count();
         assert_eq!(ones, 2);
     }
 
@@ -213,6 +254,12 @@ mod tests {
         let u = union(&calls(), &calls()).expect("union");
         assert_eq!(u.len(), 8);
         assert!(union(&calls(), &cust()).is_err());
+        let floats = Table::new(Schema::of(&[
+            ("CID", ColumnType::Int),
+            ("Mo", ColumnType::Int),
+            ("Dur", ColumnType::Float),
+        ]));
+        assert!(union(&calls(), &floats).is_err(), "column types must agree");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::error::EngineError;
 use crate::schema::Schema;
-use crate::value::{Row, Value};
+use crate::value::{Cell, Cells};
 use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::var::{VarId, VarTable};
 use std::sync::Arc;
@@ -118,9 +118,9 @@ enum RuleKind {
 }
 
 /// `value → variable` for the values a rule has already named. Keyed by
-/// the value's exact representation — not by [`Value`]'s own equality,
-/// which widens integers: `Int(2^53 + 1) == Float(2^53)`, yet the two
-/// render, and so are named, differently.
+/// the cell's exact representation — not by value equality, under which
+/// `Float(-0.0)` equals `Int(0)` and `Float(0.0)`, though it renders, and
+/// so is named, `-0`.
 #[derive(Clone, Debug, Default)]
 struct VarCache {
     ints: FxHashMap<i64, VarId>,
@@ -129,20 +129,20 @@ struct VarCache {
 }
 
 impl VarCache {
-    fn get(&self, value: &Value) -> Option<VarId> {
-        match value {
-            Value::Int(i) => self.ints.get(i),
-            Value::Float(f) => self.floats.get(&f.to_bits()),
-            Value::Str(s) => self.strs.get(&**s),
+    fn get(&self, cell: Cell<'_>) -> Option<VarId> {
+        match cell {
+            Cell::Int(i) => self.ints.get(&i),
+            Cell::Float(f) => self.floats.get(&f.to_bits()),
+            Cell::Str(s) => self.strs.get(&**s),
         }
         .copied()
     }
 
-    fn insert(&mut self, value: &Value, id: VarId) {
-        match value {
-            Value::Int(i) => self.ints.insert(*i, id),
-            Value::Float(f) => self.floats.insert(f.to_bits(), id),
-            Value::Str(s) => self.strs.insert(Arc::clone(s), id),
+    fn insert(&mut self, cell: Cell<'_>, id: VarId) {
+        match cell {
+            Cell::Int(i) => self.ints.insert(i, id),
+            Cell::Float(f) => self.floats.insert(f.to_bits(), id),
+            Cell::Str(s) => self.strs.insert(Arc::clone(s), id),
         };
     }
 }
@@ -160,20 +160,28 @@ pub struct ResolvedRule {
 }
 
 impl ResolvedRule {
-    /// The variable for `row`, interned in `vars`.
+    /// The variable for `row`, interned in `vars`. A `PerMod` rule reads
+    /// its column as an `i64`, every rule answers a value it has named
+    /// before from its cache.
     ///
     /// Which rows raise does not depend on the cache: a `PerMod` rule
     /// refuses every non-integer before looking anything up, and a
     /// `Mapped` rule caches only values it has a mapping for.
-    pub fn var(&mut self, row: &Row, vars: &mut VarTable) -> Result<VarId, EngineError> {
-        let value = &row[self.col];
-        let residue;
-        let key = match &self.kind {
-            RuleKind::PerMod { modulus, .. } => {
-                residue = Value::Int(value.as_i64()?.rem_euclid(*modulus));
-                &residue
+    pub(crate) fn var<R: Cells + ?Sized>(
+        &mut self,
+        row: &R,
+        vars: &mut VarTable,
+    ) -> Result<VarId, EngineError> {
+        let cell = row.cell(self.col);
+        let key = match (&self.kind, cell) {
+            (RuleKind::PerMod { modulus, .. }, Cell::Int(i)) => Cell::Int(i.rem_euclid(*modulus)),
+            (RuleKind::PerMod { .. }, other) => {
+                return Err(EngineError::TypeMismatch {
+                    expected: "integer",
+                    got: other.to_string(),
+                })
             }
-            RuleKind::PerValue { .. } | RuleKind::Mapped { .. } => value,
+            (RuleKind::PerValue { .. } | RuleKind::Mapped { .. }, cell) => cell,
         };
         if let Some(id) = self.cache.get(key) {
             return Ok(id);
@@ -200,7 +208,7 @@ impl ResolvedRule {
     }
 
     /// Moves the rule's column from a position in a plan's logical schema
-    /// to its position in the physical row (see [`crate::query`]).
+    /// to the position the fused loop reads it at (see [`crate::query`]).
     pub(crate) fn remap(&mut self, cols: &[usize]) {
         self.col = cols[self.col];
     }
@@ -210,7 +218,7 @@ impl ResolvedRule {
 mod tests {
     use super::*;
     use crate::schema::ColumnType;
-    use crate::value::Value;
+    use crate::value::{Row, Value};
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -230,7 +238,7 @@ mod tests {
         let mut rule = VarRule::per_value("Mo", "m")
             .resolve(&schema())
             .expect("resolve");
-        let v = rule.var(&row(), &mut vars).expect("var");
+        let v = rule.var(row().as_slice(), &mut vars).expect("var");
         assert_eq!(vars.name(v), "m3");
     }
 
@@ -240,7 +248,7 @@ mod tests {
         let mut rule = VarRule::per_mod("SuppKey", 128, "s")
             .resolve(&schema())
             .expect("resolve");
-        let v = rule.var(&row(), &mut vars).expect("var");
+        let v = rule.var(row().as_slice(), &mut vars).expect("var");
         assert_eq!(vars.name(v), format!("s{}", 1307 % 128));
     }
 
@@ -250,10 +258,10 @@ mod tests {
         let mut rule = VarRule::mapped("Plan", [("SB1", "b1"), ("A", "p1")])
             .resolve(&schema())
             .expect("resolve");
-        let v = rule.var(&row(), &mut vars).expect("var");
+        let v = rule.var(row().as_slice(), &mut vars).expect("var");
         assert_eq!(vars.name(v), "b1");
         let bad_row = vec![Value::str("ZZ"), Value::Int(1), Value::Int(0)];
-        assert!(rule.var(&bad_row, &mut vars).is_err());
+        assert!(rule.var(bad_row.as_slice(), &mut vars).is_err());
     }
 
     #[test]
@@ -267,7 +275,7 @@ mod tests {
         let mut rule = VarRule::per_mod("Plan", 128, "s")
             .resolve(&schema())
             .expect("resolve");
-        assert!(rule.var(&row(), &mut vars).is_err());
+        assert!(rule.var(row().as_slice(), &mut vars).is_err());
     }
 
     #[test]
@@ -279,14 +287,20 @@ mod tests {
         let mut per_mod = VarRule::per_mod("k", 4, "s").resolve(&s).expect("resolve");
         let int_row = vec![Value::Int(3), Value::str("A")];
         let float_row = vec![Value::float(3.0), Value::str("A")];
-        let v = per_mod.var(&int_row, &mut vars).expect("integer");
+        let v = per_mod.var(int_row.as_slice(), &mut vars).expect("integer");
         assert_eq!(vars.name(v), "s3");
-        assert!(per_mod.var(&float_row, &mut vars).is_err());
-        assert!(per_mod.var(&float_row, &mut vars).is_err());
-        assert_eq!(per_mod.var(&int_row, &mut vars).expect("cached"), v);
+        assert!(per_mod.var(float_row.as_slice(), &mut vars).is_err());
+        assert!(per_mod.var(float_row.as_slice(), &mut vars).is_err());
+        assert_eq!(
+            per_mod.var(int_row.as_slice(), &mut vars).expect("cached"),
+            v
+        );
         // 7 and 3 share a residue, hence a variable.
         let seven = vec![Value::Int(7), Value::str("A")];
-        assert_eq!(per_mod.var(&seven, &mut vars).expect("integer"), v);
+        assert_eq!(
+            per_mod.var(seven.as_slice(), &mut vars).expect("integer"),
+            v
+        );
 
         // Mapped: an unknown value raises on every row that carries it,
         // before and after known values were cached.
@@ -294,23 +308,38 @@ mod tests {
             .resolve(&s)
             .expect("resolve");
         let unknown = vec![Value::Int(0), Value::str("ZZ")];
-        assert!(mapped.var(&unknown, &mut vars).is_err());
-        let p1 = mapped.var(&int_row, &mut vars).expect("mapped");
-        assert_eq!(mapped.var(&int_row, &mut vars).expect("cached"), p1);
-        assert!(mapped.var(&unknown, &mut vars).is_err());
+        assert!(mapped.var(unknown.as_slice(), &mut vars).is_err());
+        let p1 = mapped.var(int_row.as_slice(), &mut vars).expect("mapped");
+        assert_eq!(
+            mapped.var(int_row.as_slice(), &mut vars).expect("cached"),
+            p1
+        );
+        assert!(mapped.var(unknown.as_slice(), &mut vars).is_err());
     }
 
     #[test]
     fn cached_names_follow_the_rendering_not_value_equality() {
-        // Int(2^53 + 1) == Float(2^53) as `Value`s, but they render
-        // differently and must not share a cache entry.
+        // Int(0) == Float(-0.0) as `Value`s, but they render differently
+        // and must not share a cache entry; nor may Int(2^53 + 1) and
+        // Float(2^53), which no longer compare equal either.
         let s = Schema::of(&[("k", ColumnType::Float)]);
         let mut vars = VarTable::new();
         let mut rule = VarRule::per_value("k", "x").resolve(&s).expect("resolve");
+        let zero = rule
+            .var([Value::Int(0)].as_slice(), &mut vars)
+            .expect("var");
+        let negative_zero = rule
+            .var([Value::float(-0.0)].as_slice(), &mut vars)
+            .expect("var");
+        assert_eq!(Value::Int(0), Value::float(-0.0));
+        assert_eq!(vars.name(zero), "x0");
+        assert_eq!(vars.name(negative_zero), "x-0");
         let big = (1i64 << 53) + 1;
-        let a = rule.var(&vec![Value::Int(big)], &mut vars).expect("var");
+        let a = rule
+            .var([Value::Int(big)].as_slice(), &mut vars)
+            .expect("var");
         let b = rule
-            .var(&vec![Value::float((1u64 << 53) as f64)], &mut vars)
+            .var([Value::float((1u64 << 53) as f64)].as_slice(), &mut vars)
             .expect("var");
         assert_eq!(vars.name(a), format!("x{big}"));
         assert_eq!(vars.name(b), format!("x{}", 1u64 << 53));

@@ -16,12 +16,16 @@
 //! aggregations and [`Pipeline::table`] — drive the whole plan as **one
 //! fused push loop** (see `docs/adr/010-fused-query-pipeline.md`):
 //!
-//! * one scratch row holds the source row; a join match *extends* it with
-//!   the build row and truncates it again afterwards, a filter just stops
-//!   the push — no operator materialises its output;
+//! * no value is copied per row: the loop carries one row index per
+//!   stage — the source row, then each join's build row — and filters,
+//!   the measure, the rules, the group keys and the join keys read cells
+//!   in place from the columnar tables (see `docs/adr/019-columnar-tables.md`)
+//!   at a *position*, which names a (stage, column); a join match sets
+//!   its stage's index and pushes on, a filter just stops the push — no
+//!   operator materialises its output;
 //! * a projection is a change of column mapping (logical column →
-//!   position in the scratch row) and costs nothing per row;
-//! * the build-side [`JoinIndex`] of each join is built on first
+//!   position) and costs nothing per row;
+//! * the build-side `JoinIndex` of each join is built on first
 //!   execution and cached, so a second aggregation off the same pipeline
 //!   probes the same index;
 //! * an equality filter between a probe-side column and a column of the
@@ -39,7 +43,7 @@ use crate::ops::{hash_key, JoinIndex};
 use crate::param::{ResolvedRule, VarRule};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::Row;
+use crate::value::{Cell, Cells, Row};
 use provabs_provenance::coeff::{Coefficient, MaxF64, MinF64};
 use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::intern::{MonoArena, MonoId};
@@ -55,9 +59,9 @@ use std::sync::{Arc, OnceLock};
 /// One recorded stage of a plan.
 #[derive(Clone)]
 enum Stage {
-    /// σ: a residual predicate over the scratch row so far.
+    /// σ: a residual predicate over the stages so far.
     Filter { expr: Expr, pred: Predicate },
-    /// ⋈: probe the build side, extend the scratch row per match.
+    /// ⋈: probe the build side, one push per match.
     Join(Join),
     /// π: recorded for [`Pipeline::explain`] only — its effect is the
     /// pipeline's column mapping.
@@ -70,11 +74,11 @@ struct Join {
     /// What the build side is called in [`Pipeline::explain`].
     name: String,
     build: Arc<Table>,
-    /// Scratch-row position where a matching build row is appended.
+    /// The position of the build table's first column.
     base: usize,
-    /// Key positions in the scratch row (probe side) …
+    /// Key positions on the probe side …
     probe_cols: Vec<usize>,
-    /// … and in the build table, pairwise.
+    /// … and key columns of the build table, pairwise.
     build_cols: Vec<usize>,
     /// The key pairs by name, for [`Pipeline::explain`].
     on: Vec<(String, String)>,
@@ -87,7 +91,7 @@ struct Join {
 impl Join {
     fn index(&self) -> &JoinIndex {
         self.index
-            .get_or_init(|| JoinIndex::build(self.build.rows(), self.build_cols.clone()))
+            .get_or_init(|| JoinIndex::build(&self.build, self.build_cols.clone()))
     }
 }
 
@@ -95,41 +99,62 @@ impl Join {
 enum Step<'p> {
     Filter(&'p Predicate),
     Join {
-        rows: &'p [Row],
+        /// The stage whose row index a match sets.
+        stage: usize,
+        build: &'p Table,
         index: &'p JoinIndex,
         probe_cols: &'p [usize],
     },
 }
 
-/// Pushes the scratch row through `steps` and every row it grows into to
+/// The fused loop's current tuple: one row index per stage (the source
+/// row, then each join's build row), read through [`Cells`] at positions.
+/// Position `p` is column `slots[p].1` of stage `slots[p].0`: the source's
+/// columns first, then each join's build columns from its `base`.
+struct Cursor<'p> {
+    tables: Vec<&'p Table>,
+    slots: Vec<(usize, usize)>,
+    rows: Vec<usize>,
+}
+
+impl Cells for Cursor<'_> {
+    fn cell(&self, at: usize) -> Cell<'_> {
+        let (stage, column) = self.slots[at];
+        self.tables[stage].cell(self.rows[stage], column)
+    }
+
+    fn key_hash(&self, at: usize) -> u64 {
+        let (stage, column) = self.slots[at];
+        self.tables[stage].key_hash(self.rows[stage], column)
+    }
+}
+
+/// Pushes the cursor through `steps` and every tuple it extends into to
 /// `sink`, depth-first — which is left-major order.
 fn push<E>(
     steps: &[Step<'_>],
-    scratch: &mut Row,
-    sink: &mut impl FnMut(&Row) -> Result<(), E>,
+    cursor: &mut Cursor<'_>,
+    sink: &mut impl FnMut(&Cursor<'_>) -> Result<(), E>,
 ) -> Result<(), E> {
     let Some((step, rest)) = steps.split_first() else {
-        return sink(scratch);
+        return sink(cursor);
     };
-    match step {
+    match *step {
         Step::Filter(pred) => {
-            if pred.holds(scratch) {
-                push(rest, scratch, sink)?;
+            if pred.holds(cursor) {
+                push(rest, cursor, sink)?;
             }
         }
         Step::Join {
-            rows,
+            stage,
+            build,
             index,
             probe_cols,
         } => {
-            let base = scratch.len();
-            for &candidate in index.candidates(scratch, probe_cols) {
-                let build_row = &rows[candidate];
-                if index.key_matches(build_row, scratch, probe_cols) {
-                    scratch.extend_from_slice(build_row);
-                    let pushed = push(rest, scratch, sink);
-                    scratch.truncate(base);
-                    pushed?;
+            for &row in index.candidates(hash_key(cursor, probe_cols)) {
+                if index.key_matches(build, row, cursor, probe_cols) {
+                    cursor.rows[stage] = row as usize;
+                    push(rest, cursor, sink)?;
                 }
             }
         }
@@ -146,9 +171,9 @@ pub struct Pipeline {
     stages: Vec<Stage>,
     /// The logical schema of the plan's output.
     schema: Schema,
-    /// Logical column → position in the scratch row.
+    /// Logical column → position (see [`Cursor`]).
     cols: Vec<usize>,
-    /// Width of the scratch row after the last stage.
+    /// Positions in use after the last stage.
     width: usize,
     /// The materialised output, if [`table`](Self::table) was asked for it.
     result: OnceLock<Table>,
@@ -332,31 +357,38 @@ impl Pipeline {
         lines.join("\n")
     }
 
-    /// Drives the plan: every output row, as the scratch row (address its
+    /// Drives the plan: every output row, as the cursor (address its
     /// columns through `self.cols`), in eager-composition order.
-    fn drive<E>(&self, mut sink: impl FnMut(&Row) -> Result<(), E>) -> Result<(), E> {
-        let steps: Vec<Step<'_>> = self
-            .stages
-            .iter()
-            .filter_map(|stage| match stage {
-                Stage::Filter { pred, .. } => Some(Step::Filter(pred)),
-                Stage::Join(join) => Some(Step::Join {
-                    rows: join.build.rows(),
-                    index: join.index(),
-                    probe_cols: &join.probe_cols,
-                }),
-                Stage::Project(_) => None,
-            })
-            .collect();
-        if steps.is_empty() {
-            // A bare scan: the source rows are the scratch rows.
-            return self.source.rows().iter().try_for_each(sink);
+    fn drive<E>(&self, mut sink: impl FnMut(&Cursor<'_>) -> Result<(), E>) -> Result<(), E> {
+        let mut cursor = Cursor {
+            tables: vec![&*self.source],
+            slots: (0..self.source.schema().arity()).map(|c| (0, c)).collect(),
+            rows: vec![0],
+        };
+        let mut steps = Vec::new();
+        for stage in &self.stages {
+            match stage {
+                Stage::Filter { pred, .. } => steps.push(Step::Filter(pred)),
+                Stage::Join(join) => {
+                    let stage = cursor.tables.len();
+                    debug_assert_eq!(cursor.slots.len(), join.base);
+                    cursor.tables.push(&join.build);
+                    cursor.rows.push(0);
+                    let arity = join.build.schema().arity();
+                    cursor.slots.extend((0..arity).map(|c| (stage, c)));
+                    steps.push(Step::Join {
+                        stage,
+                        build: &join.build,
+                        index: join.index(),
+                        probe_cols: &join.probe_cols,
+                    });
+                }
+                Stage::Project(_) => {}
+            }
         }
-        let mut scratch = Row::with_capacity(self.width);
-        for row in self.source.rows() {
-            scratch.clear();
-            scratch.extend_from_slice(row);
-            push(&steps, &mut scratch, &mut sink)?;
+        for row in 0..self.source.len() {
+            cursor.rows[0] = row;
+            push(&steps, &mut cursor, &mut sink)?;
         }
         Ok(())
     }
@@ -370,8 +402,8 @@ impl Pipeline {
         }
         self.result.get_or_init(|| {
             let mut out = Table::new(self.schema.clone());
-            let Ok(()) = self.drive(|row| -> Result<(), Infallible> {
-                out.push_unchecked(self.cols.iter().map(|&c| row[c].clone()).collect());
+            let Ok(()) = self.drive(|cursor| -> Result<(), Infallible> {
+                out.push_cells(self.cols.iter().map(|&c| cursor.cell(c)));
                 Ok(())
             });
             out
@@ -498,11 +530,11 @@ impl Pipeline {
     /// measure)`; returns the group keys in first-occurrence order. Slots
     /// are dense and a new group's slot is the number of groups so far.
     ///
-    /// Nothing is allocated per row in the steady state: the measure is
-    /// evaluated in place, each rule answers from its value → variable
-    /// cache, the factors live in one reused buffer, and the group is
-    /// found by hashing its columns in the row (a key is cloned only for
-    /// a new group).
+    /// Nothing is allocated or copied per row in the steady state: the
+    /// measure reads its columns in place, each rule answers from its
+    /// value → variable cache, the factors live in one reused buffer, and
+    /// the group is found by hashing its cells where they are stored (a
+    /// key is cloned only for a new group).
     fn emit(
         &self,
         group_cols: &[&str],
@@ -526,14 +558,14 @@ impl Pipeline {
 
         let mut groups = Groups::default();
         let mut factors: Vec<(VarId, u32)> = Vec::with_capacity(rules.len());
-        self.drive(|row| {
-            let x = measure.eval_f64(row)?;
+        self.drive(|cursor| {
+            let x = measure.eval_f64(cursor)?;
             factors.clear();
             for rule in &mut rules {
-                factors.push((rule.var(row, vars)?, 1));
+                factors.push((rule.var(cursor, vars)?, 1));
             }
             Monomial::canonicalise(&mut factors);
-            term(groups.slot(row, &group_idx), &factors, x);
+            term(groups.slot(cursor, &group_idx), &factors, x);
             Ok(())
         })?;
         Ok(groups.keys)
@@ -541,7 +573,7 @@ impl Pipeline {
 }
 
 /// `GROUP BY` keys in first-occurrence order, found by hashing the group
-/// columns where they sit in the row. Groups whose keys hash alike are
+/// columns where they are stored. Groups whose keys hash alike are
 /// chained through `next`.
 #[derive(Default)]
 struct Groups {
@@ -554,7 +586,7 @@ struct Groups {
 
 impl Groups {
     /// The slot of `row`'s group, appending the group on first sight.
-    fn slot(&mut self, row: &Row, cols: &[usize]) -> usize {
+    fn slot<R: Cells + ?Sized>(&mut self, row: &R, cols: &[usize]) -> usize {
         let hash = hash_key(row, cols);
         let mut last = None;
         let mut at = self.first.get(&hash).copied();
@@ -562,7 +594,7 @@ impl Groups {
             if self.keys[group]
                 .iter()
                 .zip(cols)
-                .all(|(k, &c)| *k == row[c])
+                .all(|(k, &c)| k.cell() == row.cell(c))
             {
                 return group;
             }
@@ -571,7 +603,7 @@ impl Groups {
         }
         let group = self.keys.len();
         self.keys
-            .push(cols.iter().map(|&c| row[c].clone()).collect());
+            .push(cols.iter().map(|&c| row.cell(c).to_value()).collect());
         self.next.push(None);
         match last {
             Some(last) => self.next[last] = Some(group),
@@ -1056,10 +1088,8 @@ mod tests {
         assert!(flipped
             .explain()
             .ends_with("join Plans on (Plan = Plan, Mo = PMo) [pushed down]"));
-        assert_eq!(
-            flipped.table().rows(),
-            revenue_plan(&catalog).table().rows()
-        );
+        let rows = |t: &Table| (0..t.len()).map(|i| t.row(i)).collect::<Vec<_>>();
+        assert_eq!(rows(flipped.table()), rows(revenue_plan(&catalog).table()));
     }
 
     #[test]
@@ -1212,7 +1242,7 @@ mod tests {
         // 7 March calls × 7 March plan prices.
         assert_eq!(t.len(), 49);
         assert_eq!(
-            t.rows()[0],
+            t.row(0),
             vec![Value::str("A"), Value::Int(480), Value::Int(1)]
         );
         let mut vars = VarTable::new();

@@ -146,14 +146,14 @@ fn oracle_rows(
     for rule in &query.rules {
         rule.resolve(schema)?;
     }
-    for row in table.rows() {
+    for row in rows(table) {
         let key: Row = group_idx.iter().map(|&i| row[i].clone()).collect();
-        let coeff = measure.eval(row)?.as_f64()?;
+        let coeff = measure.eval(&row)?.as_f64()?;
         let mono = Monomial::from_vars(
             query
                 .rules
                 .iter()
-                .map(|rule| oracle_var(rule, schema, row, vars))
+                .map(|rule| oracle_var(rule, schema, &row, vars))
                 .collect::<Result<Vec<_>, _>>()?,
         );
         term(key, coeff, mono);
@@ -229,6 +229,10 @@ fn same_value(a: &Value, b: &Value) -> bool {
     }
 }
 
+fn rows(table: &Table) -> Vec<Row> {
+    (0..table.len()).map(|i| table.row(i)).collect()
+}
+
 fn same_rows(a: &[Row], b: &[Row]) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -243,11 +247,10 @@ fn assert_same_table(fused: &Table, eager: &Table, plan: &str) {
         fused.schema(),
         eager.schema()
     );
+    let (fused, eager) = (rows(fused), rows(eager));
     assert!(
-        same_rows(fused.rows(), eager.rows()),
-        "rows\n{plan}\nfused {:?}\neager {:?}",
-        fused.rows(),
-        eager.rows()
+        same_rows(&fused, &eager),
+        "rows\n{plan}\nfused {fused:?}\neager {eager:?}"
     );
 }
 
@@ -387,7 +390,7 @@ fn random_catalog(dice: &mut Dice) -> Catalog {
         // One table in eight is empty.
         let rows = if dice.chance(8) { 0 } else { 1 + dice.below(8) };
         for _ in 0..rows {
-            let row = (0..schema.arity())
+            let row: Row = (0..schema.arity())
                 .map(|i| random_value(dice, schema.column_type(i)))
                 .collect();
             table.push(row).expect("values drawn per column type");
@@ -765,4 +768,234 @@ fn every_workload_query_equals_its_eager_composition() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Keys at the int/float boundary, type fidelity, NaN measures
+// ---------------------------------------------------------------------
+
+const TWO_POW_53: i64 = 1 << 53;
+
+fn one_column_table(name: &str, ty: ColumnType, values: &[Value]) -> Table {
+    let mut table = Table::new(Schema::of(&[("c", ColumnType::Int), (name, ty)]));
+    for v in values {
+        table
+            .push(vec![Value::Int(0), v.clone()])
+            .expect("admitted");
+    }
+    table
+}
+
+/// `I.k` holds ints, `F.f` a float column holding floats and ints, around
+/// 2^53, where an int and its rounded float are neighbours, not equals.
+fn boundary_catalog() -> Catalog {
+    let big = TWO_POW_53;
+    let ints = [big, big + 1, -big - 1, 3].map(Value::Int);
+    let floats = [
+        Value::float(big as f64),
+        Value::Int(big + 1),
+        Value::float(-big as f64),
+        Value::float(3.0),
+        Value::Int(3),
+    ];
+    let mut catalog = Catalog::new();
+    let i = one_column_table("k", ColumnType::Int, &ints);
+    catalog.register("I", i).expect("fresh");
+    let f = one_column_table("f", ColumnType::Float, &floats);
+    catalog.register("F", f).expect("fresh");
+    catalog
+}
+
+#[test]
+fn an_int_key_meets_a_float_key_exactly_at_2_pow_53() {
+    let catalog = boundary_catalog();
+    let plans = [
+        // The keys themselves.
+        vec![join("F", "k", "f")],
+        // An equality across the join, folded into its key list — where
+        // the eager side compares with `=` rather than matching keys.
+        vec![
+            join("F", "c", "c"),
+            Step::Filter(Expr::col("k").eq(Expr::col("f"))),
+        ],
+    ];
+    for steps in &plans {
+        let (eager, fused) = run_both(&catalog, "I", steps);
+        assert_same_table(fused.table(), &eager, &fused.explain());
+        // 2^53 = 2^53.0, 2^53 + 1 = Int(2^53 + 1), 3 = 3.0 = Int(3);
+        // −2^53 − 1 meets nothing.
+        let pairs: Vec<(Value, Value)> = rows(&eager)
+            .into_iter()
+            .map(|row| (row[1].clone(), row[3].clone()))
+            .collect();
+        assert_eq!(pairs.len(), 4, "{}\n{pairs:?}", fused.explain());
+        assert!(pairs.iter().all(|(k, f)| k == f));
+        for group_by in ["k", "f"] {
+            let query = Query {
+                group_cols: vec![group_by.to_string()],
+                measure: Expr::lit(1i64),
+                rules: vec![VarRule::per_value("f", "v")],
+            };
+            assert_same_aggregates(&fused, &eager, &query);
+        }
+    }
+    let (_, folded) = run_both(&catalog, "I", &plans[1]);
+    assert!(folded.explain().ends_with("[pushed down]"));
+}
+
+#[test]
+fn a_float_column_reads_back_every_cell_as_pushed() {
+    let pushed = [
+        Value::Int(3),
+        Value::float(3.0),
+        Value::Int(TWO_POW_53 + 1),
+        Value::float(TWO_POW_53 as f64),
+        Value::float(-0.0),
+        Value::float(f64::INFINITY),
+    ];
+    let table = one_column_table("x", ColumnType::Float, &pushed);
+    for (i, want) in pushed.iter().enumerate() {
+        assert!(
+            same_value(&table.row(i)[1], want),
+            "row {i}: {:?}",
+            table.row(i)
+        );
+        assert!(same_value(&table.get(i, "x").expect("column"), want));
+    }
+}
+
+#[test]
+fn per_value_names_follow_each_cell_as_pushed() {
+    // Each cell is named after its own rendering: `Int(2^53 + 1)` keeps
+    // its last digit in a `Float` column, and `-0.0` stays `-0`. Rust
+    // renders `Float(3.0)` as `3`, so it names the variable `Int(3)` does.
+    let pushed = [
+        Value::Int(3),
+        Value::float(3.0),
+        Value::Int(TWO_POW_53 + 1),
+        Value::float(TWO_POW_53 as f64),
+        Value::Int(0),
+        Value::float(-0.0),
+    ];
+    let table = one_column_table("x", ColumnType::Float, &pushed);
+    let query = Query {
+        group_cols: vec![],
+        measure: Expr::col("x"),
+        rules: vec![VarRule::per_value("x", "v")],
+    };
+    assert_same_aggregates(&Pipeline::from_table(table.clone()), &table, &query);
+    let mut vars = VarTable::new();
+    Pipeline::from_table(table)
+        .aggregate_sum(&[], &query.measure, &query.rules, &mut vars)
+        .expect("numeric");
+    assert_eq!(
+        names(&vars),
+        ["v3", "v9007199254740993", "v9007199254740992", "v0", "v-0"]
+    );
+}
+
+/// FNV-1a over every table's rows, cell by cell: a variant tag, then the
+/// integer, the float's bits or the string's bytes.
+fn catalog_digest(catalog: &Catalog) -> u64 {
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    let mut names: Vec<&str> = catalog.names().collect();
+    names.sort_unstable();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for name in names {
+        fnv(&mut h, name.as_bytes());
+        for row in rows(catalog.get(name).expect("listed")) {
+            for v in row {
+                match v {
+                    Value::Int(i) => {
+                        fnv(&mut h, &[0]);
+                        fnv(&mut h, &i.to_le_bytes());
+                    }
+                    Value::Float(f) => {
+                        fnv(&mut h, &[1]);
+                        fnv(&mut h, &f.to_bits().to_le_bytes());
+                    }
+                    Value::Str(s) => {
+                        fnv(&mut h, &[2]);
+                        fnv(&mut h, s.as_bytes());
+                        fnv(&mut h, &[0xff]);
+                    }
+                }
+            }
+        }
+    }
+    h
+}
+
+/// `Table::row` gives back every row the generators pushed, variant and
+/// bits included. The digests were taken over the row-major tables that
+/// columns replaced, which kept each pushed `Vec<Value>` as it was.
+#[test]
+fn every_generated_row_reads_back_as_pushed() {
+    let tpch_data = tpch::generate(tpch::TpchConfig {
+        scale: 0.3,
+        param_modulus: 16,
+        seed: 11,
+    });
+    let phone = telephony::generate(telephony::TelephonyConfig {
+        customers: 300,
+        zips: 12,
+        plans: 16,
+        months: 12,
+        seed: 11,
+    });
+    assert_eq!(catalog_digest(&tpch_data.catalog), 0x9efa_b4cb_8f8e_9d52);
+    assert_eq!(catalog_digest(&phone.catalog), 0x7114_1c7d_4c2a_98a6);
+}
+
+#[test]
+fn a_nan_measure_is_a_typed_error_not_a_panic() {
+    let x = [1.5, f64::INFINITY, -2.0].map(Value::float);
+    let table = one_column_table("x", ColumnType::Float, &x);
+    let pipeline = Pipeline::from_table(table.clone());
+    for measure in [
+        Expr::col("x").sub(Expr::col("x")),
+        Expr::lit(0i64).mul(Expr::col("x")),
+    ] {
+        let mut vars = VarTable::new();
+        assert_eq!(
+            pipeline
+                .aggregate_sum(&["c"], &measure, &[], &mut vars)
+                .err(),
+            Some(EngineError::NotANumber),
+            "{measure}"
+        );
+        assert_eq!(
+            pipeline
+                .aggregate_sum_interned(&["c"], &measure, &[], &mut vars)
+                .err(),
+            Some(EngineError::NotANumber)
+        );
+        let query = Query {
+            group_cols: vec!["c".into()],
+            measure,
+            rules: vec![],
+        };
+        assert_same_aggregates(&pipeline, &table, &query);
+    }
+    // In a predicate NaN is unordered: false under `>`, true under `<>`.
+    let nan = || Expr::col("x").sub(Expr::col("x"));
+    for (pred, kept) in [
+        (nan().gt(Expr::lit(0i64)), 0),
+        (Expr::Not(Box::new(nan().eq(Expr::lit(0i64)))), 1),
+    ] {
+        let (eager, fused) = run_both(&catalog_of(table.clone()), "T", &[Step::Filter(pred)]);
+        assert_same_table(fused.table(), &eager, &fused.explain());
+        assert_eq!(eager.len(), kept);
+    }
+}
+
+fn catalog_of(table: Table) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.register("T", table).expect("fresh");
+    catalog
 }

@@ -13,7 +13,10 @@
 //!
 //! ```text
 //! coeffs      [c0, c1, c2, ...]       one per monomial
-//! mono_ends   [2, 3, 5, ...]          factor-range end per monomial
+//! mono_ends   [2, 3, 5, ...]          factor-range end per monomial — only
+//!                                     when monomials differ in factor count;
+//!                                     otherwise one degree d (monomial m
+//!                                     spans factors m·d .. m·d + d)
 //! poly_ends   [2, 3, ...]             monomial-range end per polynomial
 //! factor_vars [0, 1, 2, 0, 3, ...]    dense local variable index per factor:
 //!                                     u16 up to 65 536 variables, u32 above
@@ -30,13 +33,17 @@
 //! [`Polynomial::iter`] yields them, so results are bit-for-bit identical
 //! to the hash-map path (floating-point summation order is preserved).
 //!
-//! The layout is sized by what provenance looks like (ADR 013): an
-//! exponent is almost always 1, so exponents are stored only where they
-//! are not, and a few hundred variables index in two bytes. Both choices
-//! follow from the data alone — the index is narrow exactly when the set
-//! has at most [`NARROW_VARS`] variables — so equal poly-sets lower to
-//! equal columns, and the artifact codec ([`crate::persist`]) refuses
-//! columns in any other shape.
+//! The layout is sized by what provenance looks like (ADRs 013 and 020):
+//! an exponent is almost always 1, so exponents are stored only where
+//! they are not; a few hundred variables index in two bytes; and the
+//! monomials of one query's provenance all join the same relations, so
+//! they all have the same number of factors, which is then stored once
+//! instead of as a prefix end per monomial. Every choice follows from the
+//! data alone — the index is narrow exactly when the set has at most
+//! [`NARROW_VARS`] variables, `mono_ends` exists exactly when two
+//! monomials differ in factor count — so equal poly-sets lower to equal
+//! columns, and the artifact codec ([`crate::persist`]) refuses columns
+//! in any other shape.
 
 use crate::coeff::Coefficient;
 use crate::fxhash::FxHashSet;
@@ -129,6 +136,86 @@ impl FactorVarsRef<'_> {
     }
 }
 
+/// Where each monomial's factor range ends, in an owned set. Which variant
+/// a set has is a function of its monomials alone: `Uniform` exactly when
+/// they all have the same number of factors (`0` for a set without
+/// monomials), `Ends` otherwise.
+#[derive(Clone, Debug)]
+pub(crate) enum MonoEnds {
+    /// Every monomial has this many factors: monomial `m` spans factors
+    /// `m·d .. m·d + d`.
+    Uniform(u32),
+    /// Per monomial, the exclusive end of its factor range (prefix ends;
+    /// the start is the previous entry, 0 for the first).
+    Ends(Vec<u32>),
+}
+
+impl MonoEnds {
+    fn as_ref(&self) -> MonoEndsRef<'_> {
+        match self {
+            MonoEnds::Uniform(d) => MonoEndsRef::Uniform(*d),
+            MonoEnds::Ends(e) => MonoEndsRef::Ends(e),
+        }
+    }
+}
+
+/// Where each monomial's factor range ends, in a [`CompiledView`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum MonoEndsRef<'a> {
+    Uniform(u32),
+    Ends(&'a [u32]),
+}
+
+/// How a kernel finds the end of a monomial's factor range: one
+/// implementation per layout, so each kernel is instantiated per layout
+/// and the uniform one never loads an end.
+pub(crate) trait FactorRanges: Copy {
+    /// The exclusive end of monomial `mono`'s factors, which start at
+    /// `start`.
+    fn end(self, mono: usize, start: usize) -> usize;
+}
+
+/// The uniform layout as a kernel reads it: every monomial has `D`
+/// factors or, for `D = 0`, as many as the field says. The degrees join
+/// provenance has — 2 and 3 — are dispatched as constants, so a kernel's
+/// factor loop unrolls into straight-line code; any other degree reads
+/// the field.
+#[derive(Clone, Copy)]
+pub(crate) struct Degree<const D: usize>(usize);
+
+impl<const D: usize> FactorRanges for Degree<D> {
+    #[inline]
+    fn end(self, _mono: usize, start: usize) -> usize {
+        start + if D == 0 { self.0 } else { D }
+    }
+}
+
+impl FactorRanges for &[u32] {
+    #[inline]
+    fn end(self, mono: usize, _start: usize) -> usize {
+        self[mono] as usize
+    }
+}
+
+impl FactorRanges for MonoEndsRef<'_> {
+    #[inline]
+    fn end(self, mono: usize, start: usize) -> usize {
+        match self {
+            MonoEndsRef::Uniform(d) => Degree::<0>(d as usize).end(mono, start),
+            MonoEndsRef::Ends(e) => e.end(mono, start),
+        }
+    }
+}
+
+/// One evaluation kernel over a view's columns, written once and
+/// instantiated by [`CompiledView::dispatch`] per factor-index width, per
+/// factor-range layout and per whether the set has any factor that is not
+/// `^1` (without one, `POWERS` is false and the power columns are never
+/// read).
+pub(crate) trait Sweep {
+    fn sweep<I: LocalIdx, R: FactorRanges, const POWERS: bool>(self, factor_vars: &[I], ranges: R);
+}
+
 /// A forward reader of the power columns: the exponent of each factor
 /// position, asked for in increasing order.
 pub(crate) struct PowerCursor<'a> {
@@ -168,11 +255,10 @@ impl<'a> PowerCursor<'a> {
 pub struct CompiledPolySet<C> {
     /// One coefficient per monomial, in evaluation order.
     pub(crate) coeffs: Vec<C>,
-    /// Per monomial: exclusive end of its factor range in `factor_vars`
-    /// (prefix ends; the start is the previous entry, 0 for the first).
-    pub(crate) mono_ends: Vec<u32>,
-    /// Per polynomial: exclusive end of its monomial range in
-    /// `coeffs`/`mono_ends`.
+    /// Where each monomial's factor range in `factor_vars` ends: the one
+    /// degree of a set whose monomials all have it, prefix ends otherwise.
+    pub(crate) mono_ends: MonoEnds,
+    /// Per polynomial: exclusive end of its monomial range in `coeffs`.
     pub(crate) poly_ends: Vec<u32>,
     /// Dense batch-local variable index per factor.
     pub(crate) factor_vars: FactorVars,
@@ -192,18 +278,34 @@ struct Shape {
     monos: usize,
     factors: usize,
     powers: usize,
-    degree: u64,
+    total_degree: u64,
     vars: FxHashSet<VarId>,
+    /// The factor count of the first monomial, and whether any later one
+    /// differs from it.
+    degree: Option<usize>,
+    mixed: bool,
 }
 
 impl Shape {
     fn term(&mut self, factors: impl Iterator<Item = (VarId, u32)>) {
         self.monos += 1;
+        let first = self.factors;
         for (v, e) in factors {
             self.factors += 1;
             self.powers += usize::from(e > 1);
-            self.degree += u64::from(e);
+            self.total_degree += u64::from(e);
             self.vars.insert(v);
+        }
+        let degree = self.factors - first;
+        self.mixed |= *self.degree.get_or_insert(degree) != degree;
+    }
+
+    /// The factor-range layout the data calls for, allocated at its size.
+    fn mono_ends(&self) -> MonoEnds {
+        if self.mixed {
+            MonoEnds::Ends(Vec::with_capacity(self.monos))
+        } else {
+            MonoEnds::Uniform(arena_end(self.degree.unwrap_or(0)))
         }
     }
 }
@@ -221,13 +323,13 @@ impl<C: Coefficient> Lowering<C> {
         // sum of exponents fit a `u32`.
         arena_end(shape.factors);
         assert!(
-            shape.degree <= u64::from(u32::MAX),
+            shape.total_degree <= u64::from(u32::MAX),
             "total degree exceeds u32::MAX"
         );
         Self {
             set: CompiledPolySet {
                 coeffs: Vec::with_capacity(shape.monos),
-                mono_ends: Vec::with_capacity(shape.monos),
+                mono_ends: shape.mono_ends(),
                 poly_ends: Vec::with_capacity(polys),
                 factor_vars: FactorVars::with_capacity(shape.vars.len(), shape.factors),
                 power_at: Vec::with_capacity(shape.powers),
@@ -254,8 +356,9 @@ impl<C: Coefficient> Lowering<C> {
                 FactorVars::Wide(f) => f.push(local),
             }
         }
-        set.mono_ends
-            .push(arena_end(set.factor_vars.as_ref().len()));
+        if let MonoEnds::Ends(ends) = &mut set.mono_ends {
+            ends.push(arena_end(set.factor_vars.as_ref().len()));
+        }
     }
 
     fn end_poly(&mut self) {
@@ -331,7 +434,7 @@ impl<C: Coefficient> CompiledPolySet<C> {
     pub fn view(&self) -> CompiledView<'_, C> {
         CompiledView {
             coeffs: &self.coeffs,
-            mono_ends: &self.mono_ends,
+            mono_ends: self.mono_ends.as_ref(),
             poly_ends: &self.poly_ends,
             factor_vars: self.factor_vars.as_ref(),
             power_at: &self.power_at,
@@ -380,8 +483,12 @@ impl<C: Coefficient> CompiledPolySet<C> {
             FactorVars::Narrow(f) => f.capacity() * size_of::<u16>(),
             FactorVars::Wide(f) => f.capacity() * size_of::<u32>(),
         };
+        let mono_ends = match &self.mono_ends {
+            MonoEnds::Uniform(_) => 0,
+            MonoEnds::Ends(e) => e.capacity(),
+        };
         self.coeffs.capacity() * size_of::<C>()
-            + (self.mono_ends.capacity()
+            + (mono_ends
                 + self.poly_ends.capacity()
                 + self.power_at.capacity()
                 + self.power_exp.capacity())
@@ -451,14 +558,15 @@ impl<C: Coefficient> CompiledPolySet<C> {
 ///
 /// Whoever builds one (the lowerings here, the artifact validator)
 /// guarantees what the kernels index by: monotone prefix ends that cover
-/// their columns, every factor index below `vars.len()`, `power_at`
-/// strictly increasing below the factor count with `power_exp` beside it.
+/// their columns — or, for a uniform set, exactly `d` factors per
+/// monomial — every factor index below `vars.len()`, `power_at` strictly
+/// increasing below the factor count with `power_exp` beside it.
 #[derive(Debug)]
 pub struct CompiledView<'a, C> {
     /// One coefficient per monomial, in evaluation order.
     pub(crate) coeffs: &'a [C],
-    /// Per monomial: exclusive end of its factor range (prefix ends).
-    pub(crate) mono_ends: &'a [u32],
+    /// Where each monomial's factor range ends: one degree, or prefix ends.
+    pub(crate) mono_ends: MonoEndsRef<'a>,
     /// Per polynomial: exclusive end of its monomial range.
     pub(crate) poly_ends: &'a [u32],
     /// Dense batch-local variable index per factor.
@@ -512,6 +620,54 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
         self.factor_vars.width()
     }
 
+    /// The number of factors every monomial has, when they all have the
+    /// same — the set then stores that one number instead of a prefix
+    /// end per monomial. `None` for a set whose monomials differ in
+    /// factor count (and so keep a `u32` end each); `Some(0)` for a set
+    /// without monomials.
+    pub fn uniform_degree(&self) -> Option<usize> {
+        match self.mono_ends {
+            MonoEndsRef::Uniform(d) => Some(d as usize),
+            MonoEndsRef::Ends(_) => None,
+        }
+    }
+
+    /// Runs `kernel` on the instantiation these columns call for: by
+    /// index width, by factor-range layout (a uniform degree of 2 or 3 as
+    /// a constant, any other read at run time, or the stored ends) and by
+    /// whether any factor has a power. The one place the three choices
+    /// are made.
+    pub(crate) fn dispatch(&self, kernel: impl Sweep) {
+        match self.factor_vars {
+            FactorVarsRef::Narrow(f) => self.dispatch_ranges(f, kernel),
+            FactorVarsRef::Wide(f) => self.dispatch_ranges(f, kernel),
+        }
+    }
+
+    fn dispatch_ranges<I: LocalIdx>(&self, factor_vars: &[I], kernel: impl Sweep) {
+        match self.mono_ends {
+            MonoEndsRef::Uniform(2) => self.dispatch_powers(factor_vars, Degree::<2>(2), kernel),
+            MonoEndsRef::Uniform(3) => self.dispatch_powers(factor_vars, Degree::<3>(3), kernel),
+            MonoEndsRef::Uniform(d) => {
+                self.dispatch_powers(factor_vars, Degree::<0>(d as usize), kernel)
+            }
+            MonoEndsRef::Ends(e) => self.dispatch_powers(factor_vars, e, kernel),
+        }
+    }
+
+    fn dispatch_powers<I: LocalIdx, R: FactorRanges>(
+        &self,
+        factor_vars: &[I],
+        ranges: R,
+        kernel: impl Sweep,
+    ) {
+        if self.power_at.is_empty() {
+            kernel.sweep::<I, R, false>(factor_vars, ranges)
+        } else {
+            kernel.sweep::<I, R, true>(factor_vars, ranges)
+        }
+    }
+
     /// The densification order: local index `i` stands for `vars()[i]`.
     pub fn vars(&self) -> &'a [VarId] {
         self.vars
@@ -542,51 +698,11 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
     pub fn eval_into(&self, table: &[C], out: &mut Vec<C>) {
         assert!(table.len() >= self.vars.len(), "valuation table too short");
         out.reserve(self.poly_ends.len());
-        match (self.factor_vars, self.power_at.is_empty()) {
-            (FactorVarsRef::Narrow(f), true) => self.sweep::<u16, false>(f, table, out),
-            (FactorVarsRef::Narrow(f), false) => self.sweep::<u16, true>(f, table, out),
-            (FactorVarsRef::Wide(f), true) => self.sweep::<u32, false>(f, table, out),
-            (FactorVarsRef::Wide(f), false) => self.sweep::<u32, true>(f, table, out),
-        }
-    }
-
-    /// The scalar sweep, instantiated per index width and per whether the
-    /// set has any factor that is not `^1`. Without one (`POWERS` false)
-    /// the loop never looks at the power columns.
-    fn sweep<I: LocalIdx, const POWERS: bool>(
-        &self,
-        factor_vars: &[I],
-        table: &[C],
-        out: &mut Vec<C>,
-    ) {
-        let mut powers = PowerCursor::new(self.power_at, self.power_exp);
-        let mut mono = 0usize;
-        let mut fac = 0usize;
-        for &poly_end in self.poly_ends {
-            let mut acc = C::zero();
-            while mono < poly_end as usize {
-                let fac_end = self.mono_ends[mono] as usize;
-                let mut term = self.coeffs[mono].clone();
-                while fac < fac_end {
-                    let v = &table[factor_vars[fac].at()];
-                    let e = if POWERS { powers.exp_at(fac) } else { 1 };
-                    // The inlined squares reproduce `pow`'s multiply tree
-                    // exactly (multiplication by `one()` is exact and
-                    // IEEE-754 multiplication is commutative), so going
-                    // around the `pow` call never changes a bit.
-                    term = match e {
-                        1 => term.mul(v),
-                        2 => term.mul(&v.mul(v)),
-                        3 => term.mul(&v.mul(v).mul(v)),
-                        _ => term.mul(&v.pow(e)),
-                    };
-                    fac += 1;
-                }
-                acc = acc.add(&term);
-                mono += 1;
-            }
-            out.push(acc);
-        }
+        self.dispatch(ScalarSweep {
+            view: *self,
+            table,
+            out,
+        });
     }
 
     /// Evaluates every polynomial under one valuation (one value per
@@ -625,7 +741,7 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
         let mut fac = 0usize;
         for (pi, &poly_end) in self.poly_ends.iter().enumerate() {
             while mono < poly_end as usize {
-                let fac_end = self.mono_ends[mono] as usize;
+                let fac_end = self.mono_ends.end(mono, fac);
                 factors.clear();
                 factors.extend(
                     (fac..fac_end)
@@ -647,6 +763,48 @@ impl<'a, C: Coefficient> CompiledView<'a, C> {
             polys[pi].add_term(Monomial::from_factors(factors.drain(..)), c.clone());
         });
         PolySet::from_vec(polys)
+    }
+}
+
+/// The scalar sweep: one scenario's lookup table, one value per
+/// polynomial appended to `out`.
+struct ScalarSweep<'v, 'o, C> {
+    view: CompiledView<'v, C>,
+    table: &'v [C],
+    out: &'o mut Vec<C>,
+}
+
+impl<C: Coefficient> Sweep for ScalarSweep<'_, '_, C> {
+    fn sweep<I: LocalIdx, R: FactorRanges, const POWERS: bool>(self, factor_vars: &[I], ranges: R) {
+        let Self { view, table, out } = self;
+        let mut powers = PowerCursor::new(view.power_at, view.power_exp);
+        let mut mono = 0usize;
+        let mut fac = 0usize;
+        for &poly_end in view.poly_ends {
+            let mut acc = C::zero();
+            while mono < poly_end as usize {
+                let fac_end = ranges.end(mono, fac);
+                let mut term = view.coeffs[mono].clone();
+                while fac < fac_end {
+                    let v = &table[factor_vars[fac].at()];
+                    let e = if POWERS { powers.exp_at(fac) } else { 1 };
+                    // The inlined squares reproduce `pow`'s multiply tree
+                    // exactly (multiplication by `one()` is exact and
+                    // IEEE-754 multiplication is commutative), so going
+                    // around the `pow` call never changes a bit.
+                    term = match e {
+                        1 => term.mul(v),
+                        2 => term.mul(&v.mul(v)),
+                        3 => term.mul(&v.mul(v).mul(v)),
+                        _ => term.mul(&v.pow(e)),
+                    };
+                    fac += 1;
+                }
+                acc = acc.add(&term);
+                mono += 1;
+            }
+            out.push(acc);
+        }
     }
 }
 
@@ -695,8 +853,12 @@ mod tests {
 
     /// Bytes of data a set holds: what its columns' lengths add up to.
     fn data_bytes<C: Coefficient>(c: &CompiledPolySet<C>) -> usize {
+        let ends = match &c.mono_ends {
+            MonoEnds::Uniform(_) => 0,
+            MonoEnds::Ends(e) => e.len(),
+        };
         c.coeffs.len() * std::mem::size_of::<C>()
-            + 4 * (c.mono_ends.len() + c.poly_ends.len() + c.vars.len())
+            + 4 * (ends + c.poly_ends.len() + c.vars.len())
             + 8 * c.power_at.len()
             + c.view().factor_index_bytes() * c.num_factors()
     }
@@ -713,6 +875,45 @@ mod tests {
         assert_eq!(frozen.power_at.len(), frozen.power_exp.len());
         let empty = CompiledPolySet::<f64>::compile(&PolySet::new());
         assert_eq!(empty.estimated_bytes(), 0);
+    }
+
+    #[test]
+    fn the_degree_is_stored_once_when_every_monomial_has_it() {
+        // v1·v2, v1², v7 and 1: four monomials, three factor counts.
+        let mixed = CompiledPolySet::compile(&sample());
+        assert!(matches!(&mixed.mono_ends, MonoEnds::Ends(e) if e.len() == 4));
+        assert_eq!(mixed.view().uniform_degree(), None);
+        // Two factors each; a power does not change a factor count.
+        let polys = PolySet::from_vec(vec![
+            poly(&[(&[(1, 1), (2, 1)], 2.0), (&[(1, 2), (3, 1)], 3.0)]),
+            poly(&[]),
+            poly(&[(&[(7, 1), (2, 1)], 4.0)]),
+        ]);
+        let val = Valuation::neutral()
+            .set(v(1), 1.5)
+            .set(v(2), -0.25)
+            .set(v(7), 3.0);
+        for c in [
+            CompiledPolySet::compile(&polys),
+            WorkingSet::from_polyset(&polys).freeze(),
+        ] {
+            assert!(matches!(c.mono_ends, MonoEnds::Uniform(2)));
+            assert_eq!(c.view().uniform_degree(), Some(2));
+            assert_eq!(c.estimated_bytes(), data_bytes(&c));
+            for (a, b) in c.eval_one(&val).iter().zip(&val.eval_set(&polys)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+            }
+            for (a, b) in c.to_polyset().iter().zip(polys.iter()) {
+                assert_eq!(a, b);
+            }
+        }
+        // Constants alone are degree 0; so is a set without monomials.
+        let constants = PolySet::from_vec(vec![poly(&[(&[], 5.0)]), poly(&[(&[], -1.0)])]);
+        let c = CompiledPolySet::compile(&constants);
+        assert!(matches!(c.mono_ends, MonoEnds::Uniform(0)));
+        assert_eq!(c.eval_one(&val), vec![5.0, -1.0]);
+        let empty = CompiledPolySet::<f64>::compile(&PolySet::new());
+        assert_eq!(empty.view().uniform_degree(), Some(0));
     }
 
     /// `n` variables, one single-variable monomial each, two to a

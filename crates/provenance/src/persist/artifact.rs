@@ -2,11 +2,13 @@
 //! checksummed file, and validating + indexing one back out of owned or
 //! memory-mapped bytes.
 
+use super::codec::{compiled_len, write_compiled};
 use super::fault::{FaultFs, FaultOp};
-use super::format::{checksum64, FORMAT_VERSION, MAGIC};
+use super::format::{checksum64, Checksum64, FORMAT_VERSION, MAGIC};
 use super::PersistError;
+use crate::compiled::CompiledView;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -66,6 +68,30 @@ impl ArtifactBytes {
     }
 }
 
+/// A section's payload: bytes the writer holds, or compiled columns it
+/// writes straight from their view.
+#[derive(Debug)]
+enum Payload<'a> {
+    Bytes(Vec<u8>),
+    Compiled(CompiledView<'a, f64>),
+}
+
+impl Payload<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(bytes) => bytes.len(),
+            Payload::Compiled(view) => compiled_len(*view),
+        }
+    }
+
+    fn write(&self, sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>) -> std::io::Result<()> {
+        match self {
+            Payload::Bytes(bytes) => sink(bytes),
+            Payload::Compiled(view) => write_compiled(*view, sink),
+        }
+    }
+}
+
 /// Assembles `(id, payload)` sections into one artifact file: header,
 /// table of contents with per-section checksums, 8-aligned payloads.
 ///
@@ -73,11 +99,11 @@ impl ArtifactBytes {
 /// temporary sibling and renames it over the target, so readers (and
 /// concurrent mappers) never observe a half-written artifact.
 #[derive(Default, Debug)]
-pub struct ArtifactWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+pub struct ArtifactWriter<'a> {
+    sections: Vec<(u32, Payload<'a>)>,
 }
 
-impl ArtifactWriter {
+impl<'a> ArtifactWriter<'a> {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
@@ -85,6 +111,17 @@ impl ArtifactWriter {
 
     /// Appends a section. Ids must be unique; order is preserved.
     pub fn section(&mut self, id: u32, payload: Vec<u8>) {
+        self.push(id, Payload::Bytes(payload));
+    }
+
+    /// Appends a section of compiled columns in their codec
+    /// ([`encode_compiled`](super::encode_compiled)'s bytes), written
+    /// from `view` as the artifact is: the writer holds no copy of them.
+    pub fn compiled_section(&mut self, id: u32, view: CompiledView<'a, f64>) {
+        self.push(id, Payload::Compiled(view));
+    }
+
+    fn push(&mut self, id: u32, payload: Payload<'a>) {
         debug_assert!(
             self.sections.iter().all(|(i, _)| *i != id),
             "duplicate section id {id}"
@@ -94,42 +131,52 @@ impl ArtifactWriter {
 
     /// Serialises the whole artifact into bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Cursor::new(Vec::new());
         self.write_to(&mut out)
             .expect("writing to a Vec cannot fail");
-        out
+        out.into_inner()
     }
 
-    /// Writes the artifact image — header, TOC, header checksum, then each
-    /// payload followed by its padding — piece by piece, so a save holds
-    /// no second copy of the payloads.
-    fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+    /// Writes the artifact image: each payload followed by its padding,
+    /// checksummed as it goes out, then — over the zeros that held its
+    /// place — the header and TOC, which carry those checksums. Every
+    /// payload's length is known before its first byte, which is all a
+    /// checksum needs up front, so a save holds no copy of any payload
+    /// it did not already hold.
+    fn write_to(&self, out: &mut (impl Write + Seek)) -> std::io::Result<()> {
         let toc_end = HEADER_LEN + self.sections.len() * TOC_ENTRY_LEN;
         let payload_start = (toc_end + 8).next_multiple_of(8);
+        out.write_all(&vec![0; payload_start])?;
+        let mut toc = Vec::with_capacity(self.sections.len());
+        let mut offset = payload_start;
+        for (id, payload) in &self.sections {
+            let len = payload.len();
+            let mut sum = Checksum64::new(len);
+            payload.write(&mut |bytes| {
+                sum.update(bytes);
+                out.write_all(bytes)
+            })?;
+            out.write_all(&[0; 8][..len.next_multiple_of(8) - len])?;
+            toc.push((*id, offset, len, sum.finish()));
+            offset = (offset + len).next_multiple_of(8);
+        }
         let mut head = Vec::with_capacity(payload_start);
         head.extend_from_slice(&MAGIC);
         head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         head.extend_from_slice(&0u32.to_le_bytes()); // flags
         head.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         head.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        let mut offset = payload_start;
-        for (id, payload) in &self.sections {
+        for (id, offset, len, sum) in toc {
             head.extend_from_slice(&id.to_le_bytes());
             head.extend_from_slice(&0u32.to_le_bytes()); // reserved
             head.extend_from_slice(&(offset as u64).to_le_bytes());
-            head.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            head.extend_from_slice(&checksum64(payload).to_le_bytes());
-            offset = (offset + payload.len()).next_multiple_of(8);
+            head.extend_from_slice(&(len as u64).to_le_bytes());
+            head.extend_from_slice(&sum.to_le_bytes());
         }
         let header_sum = checksum64(&head);
         head.extend_from_slice(&header_sum.to_le_bytes());
-        head.resize(payload_start, 0);
-        out.write_all(&head)?;
-        for (_, payload) in &self.sections {
-            out.write_all(payload)?;
-            out.write_all(&[0; 8][..payload.len().next_multiple_of(8) - payload.len()])?;
-        }
-        Ok(())
+        out.seek(SeekFrom::Start(0))?;
+        out.write_all(&head)
     }
 
     /// Writes the artifact to `path` via a temporary sibling file and an

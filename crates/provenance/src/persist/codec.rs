@@ -9,9 +9,9 @@
 //! [`SharedCompiled::view`] — is checked-free by construction.
 
 use super::artifact::{ArtifactBytes, RawArtifact};
-use super::format::{Dec, Enc};
+use super::format::{le_bytes, plausible_count, Dec, Enc};
 use super::PersistError;
-use crate::compiled::{CompiledView, FactorVarsRef, NARROW_VARS};
+use crate::compiled::{CompiledView, FactorVarsRef, MonoEndsRef, NARROW_VARS};
 use crate::var::{VarId, VarTable};
 use std::ops::Range;
 use std::sync::Arc;
@@ -60,66 +60,131 @@ pub fn decode_var_table(bytes: &[u8]) -> Result<VarTable, PersistError> {
 // Compiled columns (the zero-copy payload)
 // ---------------------------------------------------------------------
 
-/// Bytes of the five `u64` counts a compiled-columns section opens with.
+/// Bytes of the five `u64` words a compiled-columns section opens with.
 const COUNTS_LEN: usize = 40;
 
-/// Bytes per factor index in a set of `num_vars` variables — the one
-/// width the lowerings produce and the validator admits.
-fn index_width(num_vars: usize) -> usize {
-    if num_vars <= NARROW_VARS {
-        2
-    } else {
-        4
+/// The tag of the third word when it holds the degree of a set whose
+/// monomials all have that many factors (which then stores no
+/// `mono_ends`) rather than the factor count of a set whose monomials
+/// differ (which does).
+const UNIFORM: u64 = 1 << 63;
+
+/// What a compiled-columns section holds, as its opening words say.
+#[derive(Clone, Copy, Debug)]
+struct Counts {
+    polys: usize,
+    monos: usize,
+    factors: usize,
+    vars: usize,
+    powers: usize,
+    /// The factor count of every monomial; `None` for a mixed set.
+    degree: Option<usize>,
+}
+
+impl Counts {
+    /// The five words, in file order.
+    fn words(&self) -> [u64; 5] {
+        let factors = match self.degree {
+            Some(d) => UNIFORM | d as u64,
+            None => self.factors as u64,
+        };
+        [
+            self.polys as u64,
+            self.monos as u64,
+            factors,
+            self.vars as u64,
+            self.powers as u64,
+        ]
+    }
+
+    fn of(view: CompiledView<'_, f64>) -> Self {
+        Self {
+            polys: view.poly_ends.len(),
+            monos: view.coeffs.len(),
+            factors: view.factor_vars.len(),
+            vars: view.vars.len(),
+            powers: view.power_at.len(),
+            degree: view.uniform_degree(),
+        }
+    }
+
+    /// Bytes per factor index — the one width the lowerings produce and
+    /// the validator admits.
+    fn index_width(&self) -> usize {
+        if self.vars <= NARROW_VARS {
+            2
+        } else {
+            4
+        }
+    }
+
+    /// The exact length of a section with these counts and factor indices
+    /// `index_width` bytes wide, if it fits a `usize`.
+    fn section_len(&self, index_width: usize) -> Option<usize> {
+        let ends = if self.degree.is_some() { 0 } else { self.monos };
+        COUNTS_LEN
+            .checked_add(self.monos.checked_mul(8)?)?
+            .checked_add(
+                ends.checked_add(self.polys)?
+                    .checked_add(self.vars)?
+                    .checked_mul(4)?,
+            )?
+            .checked_add(self.powers.checked_mul(8)?)?
+            .checked_add(self.factors.checked_mul(index_width)?)
     }
 }
 
-/// The exact length of a section with these counts, if it fits a `usize`.
-fn section_len(
-    [polys, monos, factors, vars, powers]: [usize; 5],
-    index_width: usize,
-) -> Option<usize> {
-    COUNTS_LEN
-        .checked_add(monos.checked_mul(12)?)?
-        .checked_add(polys.checked_add(vars)?.checked_mul(4)?)?
-        .checked_add(powers.checked_mul(8)?)?
-        .checked_add(factors.checked_mul(index_width)?)
+/// The payload length of `view`'s section: what
+/// [`write_compiled`] writes and [`encode_compiled`] returns.
+pub(crate) fn compiled_len(view: CompiledView<'_, f64>) -> usize {
+    Counts::of(view)
+        .section_len(view.factor_vars.width())
+        .expect("the columns are in memory")
 }
 
-/// Encodes compiled columns: five `u64` counts (polynomials, monomials,
-/// factors, variables, powers), then `coeffs: f64×monos` (8-aligned at
-/// section offset 40), `mono_ends: u32×monos`, `poly_ends: u32×polys`,
+/// Encodes compiled columns: five `u64` words — polynomials, monomials,
+/// then the factor count of a set whose monomials differ in it or, tagged
+/// with the top bit, the degree `d` of one whose monomials all have `d`
+/// factors (`monos · d` of them), then variables and powers — then
+/// `coeffs: f64×monos` (8-aligned at section offset 40), for a mixed set
+/// only `mono_ends: u32×monos`, then `poly_ends: u32×polys`,
 /// `vars: u32×vars`, `power_at: u32×powers`, `power_exp: u32×powers` and
 /// last `factor_vars`, `u16×factors` or `u32×factors` by the variable
-/// count. The section length is exactly determined by the counts, which
-/// is what lets [`SharedCompiled::validate`] reject any length lie — a
-/// factor column of the other width included — up front.
+/// count. The section length is exactly determined by the words, which is
+/// what lets [`SharedCompiled::validate`] reject any length lie — a
+/// factor column of the other width, an ends column a uniform set does
+/// not have — up front.
 pub fn encode_compiled(view: CompiledView<'_, f64>) -> Vec<u8> {
-    let counts = [
-        view.poly_ends.len(),
-        view.coeffs.len(),
-        view.factor_vars.len(),
-        view.vars.len(),
-        view.power_at.len(),
-    ];
-    let len = section_len(counts, view.factor_vars.width()).expect("the columns are in memory");
-    let mut e = Enc::with_capacity(len);
-    for n in counts {
-        e.u64(n as u64);
+    let mut out = Vec::with_capacity(compiled_len(view));
+    write_compiled(view, &mut |bytes| {
+        out.extend_from_slice(bytes);
+        Ok(())
+    })
+    .expect("writing to a Vec cannot fail");
+    debug_assert_eq!(out.len(), compiled_len(view));
+    out
+}
+
+/// Writes [`encode_compiled`]'s bytes into `sink`, a column at a time,
+/// straight from the view — which is how a save stores both sets without
+/// a copy of either.
+pub(crate) fn write_compiled(
+    view: CompiledView<'_, f64>,
+    sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    sink(&le_bytes(&Counts::of(view).words()))?;
+    sink(&le_bytes(view.coeffs))?;
+    if let MonoEndsRef::Ends(ends) = view.mono_ends {
+        sink(&le_bytes(ends))?;
     }
-    e.f64s(view.coeffs);
-    e.u32s(view.mono_ends);
-    e.u32s(view.poly_ends);
-    for &v in view.vars {
-        e.u32(v.0);
-    }
-    e.u32s(view.power_at);
-    e.u32s(view.power_exp);
+    sink(&le_bytes(view.poly_ends))?;
+    sink(&le_bytes(view.vars))?;
+    sink(&le_bytes(view.power_at))?;
+    sink(&le_bytes(view.power_exp))?;
     match view.factor_vars {
-        FactorVarsRef::Narrow(f) => e.u16s(f),
-        FactorVarsRef::Wide(f) => e.u32s(f),
+        FactorVarsRef::Narrow(f) => sink(&le_bytes(f)),
+        FactorVarsRef::Wide(f) => sink(&le_bytes(f)),
     }
-    debug_assert_eq!(e.len(), len);
-    e.finish()
 }
 
 /// Reslices validated bytes as `&[T]`, for `T` one of `u16`, `u32`,
@@ -143,6 +208,14 @@ unsafe fn cast<T>(bytes: &[u8]) -> &[T] {
     }
 }
 
+/// Where a validated section's monomials end: the one degree of a uniform
+/// set, or the range of a mixed set's `mono_ends` column.
+#[derive(Clone, Debug)]
+enum StoredEnds {
+    Uniform(u32),
+    Ends(Range<usize>),
+}
+
 /// The compiled columns of an opened artifact, shared with the artifact
 /// bytes themselves: validated ranges into the owned-or-mapped file
 /// image, resliced on demand as a [`CompiledView`] without copying a
@@ -151,7 +224,7 @@ unsafe fn cast<T>(bytes: &[u8]) -> &[T] {
 pub struct SharedCompiled {
     bytes: Arc<ArtifactBytes>,
     coeffs: Range<usize>,
-    mono_ends: Range<usize>,
+    mono_ends: StoredEnds,
     poly_ends: Range<usize>,
     vars: Range<usize>,
     power_at: Range<usize>,
@@ -167,8 +240,11 @@ impl SharedCompiled {
     ///
     /// This is the whole validation boundary for the zero-copy path:
     /// counts must reproduce the section length exactly, at the one index
-    /// width the variable count calls for; the prefix-end columns must be
-    /// monotone and consistent; every factor must index a declared local
+    /// width the variable count calls for and in the one layout the
+    /// monomials call for — a degree that multiplies out to the factor
+    /// count when they all have it, an ends column that is not uniform
+    /// otherwise; the prefix-end columns must be monotone and consistent;
+    /// every factor must index a declared local
     /// variable; the power positions must be strictly increasing factor
     /// positions with exponents ≥ 2, and all exponents together must fit
     /// a `u32`; every local variable must index the artifact's variable
@@ -192,25 +268,50 @@ impl SharedCompiled {
             .ok_or(PersistError::MissingSection { name })?;
         let data = art.bytes_arc().as_slice();
         let bytes = &data[file_range.clone()];
+        let limit = bytes.len();
         let mut d = Dec::new(bytes, name);
-        let mut counts = [0usize; 5];
-        for (n, what) in counts.iter_mut().zip([
-            "polynomial count",
-            "monomial count",
-            "factor count",
-            "variable count",
-            "power count",
-        ]) {
-            *n = d.count(what, bytes.len())?;
-        }
-        let [num_polys, num_monos, num_factors, num_vars, num_powers] = counts;
-        let width = index_width(num_vars);
-        if section_len(counts, width) != Some(bytes.len()) {
+        let polys = d.count("polynomial count", limit)?;
+        let monos = d.count("monomial count", limit)?;
+        let factor_word = d.u64()?;
+        let vars = d.count("variable count", limit)?;
+        let powers = d.count("power count", limit)?;
+        let (factors, degree) = if factor_word & UNIFORM == 0 {
+            (
+                plausible_count(name, "factor count", factor_word, limit)?,
+                None,
+            )
+        } else {
+            let d = plausible_count(name, "degree", factor_word & !UNIFORM, limit)?;
+            if monos == 0 && d != 0 {
+                return Err(malformed(format!(
+                    "a set without monomials has degree 0, not {d}"
+                )));
+            }
+            let factors = monos
+                .checked_mul(d)
+                .filter(|&f| f <= limit)
+                .ok_or_else(|| {
+                    malformed(format!(
+                        "counts do not add up: {monos} monomials of degree {d} outgrow the section"
+                    ))
+                })?;
+            (factors, Some(d))
+        };
+        let c = Counts {
+            polys,
+            monos,
+            factors,
+            vars,
+            powers,
+            degree,
+        };
+        let width = c.index_width();
+        if c.section_len(width) != Some(bytes.len()) {
             let other = if width == 2 { 4 } else { 2 };
-            let detail = if section_len(counts, other) == Some(bytes.len()) {
-                format!(
-                    "factor indices are {other} bytes wide, {num_vars} variables call for {width}"
-                )
+            // A uniform set's factor count is its degree's product, so
+            // there a wrong degree is as likely a story as a wrong width.
+            let detail = if degree.is_none() && c.section_len(other) == Some(bytes.len()) {
+                format!("factor indices are {other} bytes wide, {vars} variables call for {width}")
             } else {
                 format!(
                     "counts do not add up to the section's {} bytes",
@@ -225,13 +326,19 @@ impl SharedCompiled {
             at = range.end;
             range
         };
-        let coeffs = column(num_monos, 8);
-        let mono_ends = column(num_monos, 4);
-        let poly_ends = column(num_polys, 4);
-        let vars = column(num_vars, 4);
-        let power_at = column(num_powers, 4);
-        let power_exp = column(num_powers, 4);
-        let factor_vars = column(num_factors, width);
+        let coeffs = column(monos, 8);
+        let mono_ends =
+            match degree {
+                Some(d) => StoredEnds::Uniform(u32::try_from(d).map_err(|_| {
+                    PersistError::malformed(name, format!("degree {d} overflows u32"))
+                })?),
+                None => StoredEnds::Ends(column(monos, 4)),
+            };
+        let poly_ends = column(polys, 4);
+        let vars_range = column(vars, 4);
+        let power_at = column(powers, 4);
+        let power_exp = column(powers, 4);
+        let factor_vars = column(factors, width);
         debug_assert_eq!(factor_vars.end, file_range.end);
         // Every column starts a multiple of 4 past `coeffs`.
         if data[coeffs.clone()].as_ptr().align_offset(8) != 0 {
@@ -242,7 +349,7 @@ impl SharedCompiled {
             coeffs,
             mono_ends,
             poly_ends,
-            vars,
+            vars: vars_range,
             power_at,
             power_exp,
             factor_vars,
@@ -252,33 +359,42 @@ impl SharedCompiled {
         // reslices is in bounds and aligned as of here; what the kernels
         // index by is what the rest of this function establishes).
         let view = shared.view();
-        check_prefix_ends(name, "mono_ends", view.mono_ends, num_factors)?;
-        check_prefix_ends(name, "poly_ends", view.poly_ends, num_monos)?;
+        if let MonoEndsRef::Ends(ends) = view.mono_ends {
+            check_prefix_ends(name, "mono_ends", ends, factors)?;
+            if let Some(d) = common_degree(ends) {
+                return Err(malformed(format!(
+                    "every monomial has {d} factors: a uniform set stores its degree, not mono_ends"
+                )));
+            }
+        }
+        check_prefix_ends(name, "poly_ends", view.poly_ends, monos)?;
         let stray = match view.factor_vars {
-            FactorVarsRef::Narrow(f) => f.iter().position(|&v| usize::from(v) >= num_vars),
-            FactorVarsRef::Wide(f) => f.iter().position(|&v| v as usize >= num_vars),
+            FactorVarsRef::Narrow(f) => f.iter().position(|&v| usize::from(v) >= vars),
+            FactorVarsRef::Wide(f) => f.iter().position(|&v| v as usize >= vars),
         };
         if let Some(i) = stray {
             return Err(malformed(format!(
-                "factor {i} references a local variable outside the {num_vars} declared"
+                "factor {i} references a local variable outside the {vars} declared"
             )));
         }
-        let mut degree = num_factors as u64;
+        let mut total_degree = factors as u64;
         let mut prev = None;
         for (&at, &exp) in view.power_at.iter().zip(view.power_exp) {
-            if prev.is_some_and(|p| p >= at) || at as usize >= num_factors {
+            if prev.is_some_and(|p| p >= at) || at as usize >= factors {
                 return Err(malformed(format!(
-                    "power position {at} is not an increasing factor position below {num_factors}"
+                    "power position {at} is not an increasing factor position below {factors}"
                 )));
             }
             if exp < 2 {
                 return Err(malformed(format!("power {exp} stored for factor {at}")));
             }
             prev = Some(at);
-            degree += u64::from(exp) - 1;
+            total_degree += u64::from(exp) - 1;
         }
-        if degree > u64::from(u32::MAX) {
-            return Err(malformed(format!("total degree {degree} overflows u32")));
+        if total_degree > u64::from(u32::MAX) {
+            return Err(malformed(format!(
+                "total degree {total_degree} overflows u32"
+            )));
         }
         for (i, v) in view.vars.iter().enumerate() {
             if v.index() >= num_table_vars {
@@ -302,7 +418,10 @@ impl SharedCompiled {
         unsafe {
             CompiledView {
                 coeffs: cast(&data[self.coeffs.clone()]),
-                mono_ends: cast(&data[self.mono_ends.clone()]),
+                mono_ends: match &self.mono_ends {
+                    StoredEnds::Uniform(d) => MonoEndsRef::Uniform(*d),
+                    StoredEnds::Ends(ends) => MonoEndsRef::Ends(cast(&data[ends.clone()])),
+                },
                 poly_ends: cast(&data[self.poly_ends.clone()]),
                 factor_vars: if self.narrow {
                     FactorVarsRef::Narrow(cast(&data[self.factor_vars.clone()]))
@@ -315,6 +434,21 @@ impl SharedCompiled {
             }
         }
     }
+}
+
+/// The factor count every monomial of a valid ends column has, if they
+/// all have the same (`0` for no monomial at all).
+fn common_degree(ends: &[u32]) -> Option<u32> {
+    let mut start = 0;
+    let mut degree = None;
+    for &end in ends {
+        let d = end - start;
+        if *degree.get_or_insert(d) != d {
+            return None;
+        }
+        start = end;
+    }
+    Some(degree.unwrap_or(0))
 }
 
 /// Checks a prefix-end column: non-decreasing, each entry within the
@@ -484,11 +618,81 @@ mod tests {
         ));
     }
 
+    /// Every monomial of these has two factors.
+    fn uniform_polys() -> PolySet<f64> {
+        let m = |a: u32, b: u32| Monomial::from_factors([(VarId(a), 1), (VarId(b), 1)]);
+        PolySet::from_vec(vec![
+            Polynomial::from_terms([(m(1, 2), 2.0), (m(1, 3), -0.5)]),
+            Polynomial::zero(),
+            Polynomial::from_terms([(Monomial::from_factors([(VarId(3), 2), (VarId(4), 1)]), 4.0)]),
+        ])
+    }
+
+    #[test]
+    fn uniform_columns_store_their_degree_not_their_ends() {
+        let compiled = CompiledPolySet::compile(&uniform_polys());
+        let payload = encode_compiled(compiled.view());
+        assert_eq!(payload.len(), COUNTS_LEN + compiled.estimated_bytes());
+        assert_eq!(payload[16..24], (UNIFORM | 2).to_le_bytes(), "the degree");
+        let shared = validate(payload.clone(), 64).expect("valid columns");
+        let view = shared.view();
+        assert_eq!(view.uniform_degree(), Some(2));
+        assert_eq!(view.num_factors(), 6);
+        assert_eq!(encode_compiled(view), payload);
+        let val = Valuation::neutral().set(VarId(1), 3.0).set(VarId(3), -0.5);
+        for (x, y) in view.eval_one(&val).iter().zip(&compiled.eval_one(&val)) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        // A mixed set's third word is its plain factor count.
+        let mixed = CompiledPolySet::compile(&sample_polys());
+        let payload = encode_compiled(mixed.view());
+        assert_eq!(payload[16..24], (mixed.num_factors() as u64).to_le_bytes());
+    }
+
+    #[test]
+    fn compiled_validation_rejects_layout_lies() {
+        let compiled = CompiledPolySet::compile(&uniform_polys());
+        let good = encode_compiled(compiled.view());
+        let detail = |bytes: Vec<u8>| match validate(bytes, 64).unwrap_err() {
+            PersistError::Malformed { detail, .. } => detail,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        let (nm, nf) = (compiled.num_monomials(), compiled.num_factors());
+        // A degree that does not multiply out to the stored factors.
+        let mut bad = good.clone();
+        bad[16..24].copy_from_slice(&(UNIFORM | 3).to_le_bytes());
+        assert!(detail(bad).contains("do not add up"));
+        // An absurd one.
+        let mut bad = good.clone();
+        bad[16..24].copy_from_slice(&(UNIFORM | u64::MAX >> 2).to_le_bytes());
+        assert!(detail(bad).contains("plausible bound"));
+        // The same monomials with their ends spelled out: not canonical.
+        let ends_at = COUNTS_LEN + 8 * nm;
+        let mut spelled = good.clone();
+        spelled[16..24].copy_from_slice(&(nf as u64).to_le_bytes());
+        let ends: Vec<u8> = (1..=nm as u32)
+            .flat_map(|m| (2 * m).to_le_bytes())
+            .collect();
+        spelled.splice(ends_at..ends_at, ends);
+        assert!(detail(spelled).contains("uniform set"));
+        // Ends claimed, none stored.
+        let mut bad = good;
+        bad[16..24].copy_from_slice(&(nf as u64).to_le_bytes());
+        assert!(detail(bad).contains("do not add up"));
+    }
+
     #[test]
     fn empty_compiled_set_roundtrips() {
         let compiled = CompiledPolySet::<f64>::compile(&PolySet::new());
-        let shared = validate(encode_compiled(compiled.view()), 0).expect("empty is valid");
+        let payload = encode_compiled(compiled.view());
+        assert_eq!(payload.len(), COUNTS_LEN, "no column");
+        assert_eq!(payload[16..24], UNIFORM.to_le_bytes(), "degree 0");
+        let shared = validate(payload.clone(), 0).expect("empty is valid");
         assert!(shared.view().is_empty());
+        // An empty set of any other degree is not the canonical one.
+        let mut bad = payload;
+        bad[16..24].copy_from_slice(&(UNIFORM | 1).to_le_bytes());
+        assert!(validate(bad, 0).is_err());
         assert_eq!(
             shared.view().eval_one(&Valuation::neutral()),
             Vec::<f64>::new()

@@ -4,6 +4,8 @@
 //! `provabs-session`) are written against.
 
 use super::PersistError;
+use crate::var::VarId;
+use std::borrow::Cow;
 
 /// The artifact magic: the first eight bytes of every provabs artifact.
 pub const MAGIC: [u8; 8] = *b"PVABSFMT";
@@ -11,9 +13,11 @@ pub const MAGIC: [u8; 8] = *b"PVABSFMT";
 /// The artifact format version this build reads and writes. Anything
 /// else is refused with [`PersistError::UnsupportedVersion`] before a
 /// checksum is read: version 1 differs in its section set, its column
-/// codec and its checksum (ADR 013), and an artifact is a cache that
-/// `Session::save` rebuilds, so nothing is migrated.
-pub const FORMAT_VERSION: u32 = 2;
+/// codec and its checksum (ADR 013), version 2 in its column codec, which
+/// stored a prefix end per monomial where version 3 stores one degree
+/// (ADR 020); an artifact is a cache that `Session::save` rebuilds, so
+/// nothing is migrated.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Well-known section ids of the session artifact layout.
 ///
@@ -55,29 +59,155 @@ pub mod section {
 /// checksums too (which is why the decoders validate structure
 /// independently of the checksums).
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let step = |h: u64, w: u64| (h ^ w).rotate_left(5).wrapping_mul(SEED);
-    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"));
-    let seed = 0x9e37_79b9_7f4a_7c15u64 ^ (bytes.len() as u64);
-    let mut lanes: [u64; 4] = std::array::from_fn(|lane| step(seed, lane as u64));
-    let mut strides = bytes.chunks_exact(32);
-    for s in &mut strides {
-        for (lane, c) in lanes.iter_mut().zip(s.chunks_exact(8)) {
-            *lane = step(*lane, word(c));
+    let mut sum = Checksum64::new(bytes.len());
+    sum.update(bytes);
+    sum.finish()
+}
+
+const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+#[inline]
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).rotate_left(5).wrapping_mul(SEED)
+}
+
+#[inline]
+fn word(c: &[u8]) -> u64 {
+    u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"))
+}
+
+/// [`checksum64`] of bytes that arrive in pieces: the sum is seeded with
+/// the length, so the length must be known before the first byte — which
+/// is how a save checksums a section while it writes it, without holding
+/// the section.
+#[derive(Clone, Debug)]
+pub(crate) struct Checksum64 {
+    seed: u64,
+    lanes: [u64; 4],
+    /// The bytes of a 32-byte stride not complete yet.
+    pending: [u8; 32],
+    filled: usize,
+    /// Bytes still to come.
+    left: usize,
+}
+
+impl Checksum64 {
+    /// A sum of `len` bytes, none fed yet.
+    pub(crate) fn new(len: usize) -> Self {
+        let seed = 0x9e37_79b9_7f4a_7c15u64 ^ (len as u64);
+        Self {
+            seed,
+            lanes: std::array::from_fn(|lane| step(seed, lane as u64)),
+            pending: [0; 32],
+            filled: 0,
+            left: len,
         }
     }
-    let mut h = lanes.into_iter().fold(seed, step);
-    let mut words = strides.remainder().chunks_exact(8);
-    for c in &mut words {
-        h = step(h, word(c));
+
+    /// Feeds the next bytes.
+    ///
+    /// # Panics
+    /// Panics if more bytes are fed than the length declared.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.left = self
+            .left
+            .checked_sub(bytes.len())
+            .expect("more bytes than the declared length");
+        if self.filled > 0 {
+            let take = (32 - self.filled).min(bytes.len());
+            self.pending[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 32 {
+                return;
+            }
+            let stride = self.pending;
+            self.strides(&stride);
+            self.filled = 0;
+        }
+        let rest = self.strides(bytes);
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
     }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = step(h, u64::from_le_bytes(tail));
+
+    /// Folds every whole stride of `bytes` into the lanes; returns what
+    /// is left over.
+    fn strides<'b>(&mut self, bytes: &'b [u8]) -> &'b [u8] {
+        let mut lanes = self.lanes;
+        let mut strides = bytes.chunks_exact(32);
+        for s in &mut strides {
+            for (lane, c) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+                *lane = step(*lane, word(c));
+            }
+        }
+        self.lanes = lanes;
+        strides.remainder()
     }
-    h
+
+    /// The sum.
+    ///
+    /// # Panics
+    /// Panics if fewer bytes were fed than the length declared.
+    pub(crate) fn finish(self) -> u64 {
+        assert_eq!(self.left, 0, "fewer bytes than the declared length");
+        let mut h = self.lanes.into_iter().fold(self.seed, step);
+        let mut words = self.pending[..self.filled].chunks_exact(8);
+        for c in &mut words {
+            h = step(h, word(c));
+        }
+        let rem = words.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            h = step(h, u64::from_le_bytes(tail));
+        }
+        h
+    }
+}
+
+/// A fixed-width scalar the format stores little-endian: free of
+/// padding, and every bit pattern of it a value (NaN payloads included).
+pub(crate) trait Scalar: Copy {
+    /// Appends the value's little-endian bytes.
+    fn put_le(self, out: &mut Vec<u8>);
+}
+
+macro_rules! scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn put_le(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+scalar!(u16, u32, u64, f64);
+
+/// `#[repr(transparent)]` over `u32`.
+impl Scalar for VarId {
+    fn put_le(self, out: &mut Vec<u8>) {
+        self.0.put_le(out);
+    }
+}
+
+/// The file bytes of a slice of scalars. A little-endian host holds such
+/// a slice in memory exactly as the format holds it in the file, so there
+/// they are the slice's own bytes; any other host (which can write
+/// artifacts, though not open them) converts element by element.
+pub(crate) fn le_bytes<T: Scalar>(vs: &[T]) -> Cow<'_, [u8]> {
+    if cfg!(target_endian = "little") {
+        // SAFETY: a `Scalar` has no padding, so the slice is
+        // `size_of_val(vs)` initialised bytes.
+        Cow::Borrowed(unsafe {
+            std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
+        })
+    } else {
+        let mut out = Vec::with_capacity(std::mem::size_of_val(vs));
+        for &v in vs {
+            v.put_le(&mut out);
+        }
+        Cow::Owned(out)
+    }
 }
 
 /// A little-endian section encoder: an append-only byte buffer with
@@ -92,13 +222,6 @@ impl Enc {
     /// An empty encoder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty encoder with room for a payload of `bytes` bytes.
-    pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bytes),
-        }
     }
 
     /// Appends a `u32`, little-endian.
@@ -122,39 +245,9 @@ impl Enc {
         self.buf.extend_from_slice(b);
     }
 
-    /// Appends a whole `u16` slice, little-endian.
-    pub fn u16s(&mut self, vs: &[u16]) {
-        self.scalars(vs, u16::to_le_bytes);
-    }
-
     /// Appends a whole `u32` slice, little-endian.
     pub fn u32s(&mut self, vs: &[u32]) {
-        self.scalars(vs, u32::to_le_bytes);
-    }
-
-    /// Appends a whole `f64` slice as IEEE-754 bit patterns,
-    /// little-endian.
-    pub fn f64s(&mut self, vs: &[f64]) {
-        self.scalars(vs, f64::to_le_bytes);
-    }
-
-    /// Appends a slice of `u16`/`u32`/`f64`. A little-endian host holds
-    /// such a slice in memory exactly as the format holds it in the file,
-    /// so there it is one copy; `le` is the element-wise spelling for any
-    /// other host (which can write artifacts, though not open them).
-    fn scalars<T: Copy, const N: usize>(&mut self, vs: &[T], le: fn(T) -> [u8; N]) {
-        if cfg!(target_endian = "little") {
-            // SAFETY: `T` is one of the three padding-free scalars above,
-            // so the slice is `size_of_val(vs)` initialised bytes.
-            let raw = unsafe {
-                std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
-            };
-            self.buf.extend_from_slice(raw);
-        } else {
-            for &v in vs {
-                self.buf.extend_from_slice(&le(v));
-            }
-        }
+        self.buf.extend_from_slice(&le_bytes(vs));
     }
 
     /// Zero-pads to the next 8-byte boundary (within-section alignment;
@@ -178,6 +271,24 @@ impl Enc {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
+}
+
+/// `raw` as a `usize` count bounded by `limit` (see [`Dec::count`]).
+pub(crate) fn plausible_count(
+    context: &'static str,
+    what: &str,
+    raw: u64,
+    limit: usize,
+) -> Result<usize, PersistError> {
+    let n = usize::try_from(raw)
+        .map_err(|_| PersistError::malformed(context, format!("{what} overflows usize")))?;
+    if n > limit {
+        return Err(PersistError::malformed(
+            context,
+            format!("{what} = {n} exceeds the plausible bound {limit}"),
+        ));
+    }
+    Ok(n)
 }
 
 /// A little-endian section decoder: a bounds-checked cursor over a
@@ -248,16 +359,7 @@ impl<'a> Dec<'a> {
     /// cursor (or a later allocation) out of bounds.
     pub fn count(&mut self, what: &'static str, limit: usize) -> Result<usize, PersistError> {
         let raw = self.u64()?;
-        let n = usize::try_from(raw).map_err(|_| {
-            PersistError::malformed(self.context, format!("{what} overflows usize"))
-        })?;
-        if n > limit {
-            return Err(PersistError::malformed(
-                self.context,
-                format!("{what} = {n} exceeds the plausible bound {limit}"),
-            ));
-        }
-        Ok(n)
+        plausible_count(self.context, what, raw, limit)
     }
 
     /// Asserts the payload was consumed exactly (no trailing garbage).
@@ -284,8 +386,8 @@ mod tests {
         e.f64(-0.0);
         e.f64(f64::NAN);
         e.u32s(&[1, 2, 3]);
-        e.u16s(&[0x0102, 0xFFFE]);
-        e.f64s(&[1.5, -2.25]);
+        e.bytes(&le_bytes(&[0x0102u16, 0xFFFE]));
+        e.bytes(&le_bytes(&[1.5f64, -2.25]));
         e.align8();
         let bytes = e.finish();
         assert_eq!(bytes.len() % 8, 0);
@@ -303,6 +405,30 @@ mod tests {
         assert_eq!(d.f64().unwrap(), -2.25);
         d.take(d.remaining()).unwrap();
         d.finish().unwrap();
+    }
+
+    #[test]
+    fn checksum_fed_in_pieces_is_the_checksum_of_the_whole() {
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in [0, 1, 7, 8, 31, 32, 33, 64, 100, 300] {
+            let whole = checksum64(&bytes[..len]);
+            for piece in [1, 3, 8, 13, 32, 33, 500] {
+                let mut sum = Checksum64::new(len);
+                for chunk in bytes[..len].chunks(piece) {
+                    sum.update(chunk);
+                }
+                sum.update(&[]);
+                assert_eq!(sum.finish(), whole, "{len} bytes in pieces of {piece}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer bytes")]
+    fn checksum_of_a_short_feed_panics() {
+        let mut sum = Checksum64::new(4);
+        sum.update(&[1, 2, 3]);
+        sum.finish();
     }
 
     #[test]

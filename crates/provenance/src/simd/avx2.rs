@@ -13,7 +13,7 @@
 //! runnable on machines without AVX2.
 
 use super::LANES;
-use crate::compiled::{CompiledView, FactorVarsRef, LocalIdx, PowerCursor};
+use crate::compiled::{CompiledView, FactorRanges, LocalIdx, PowerCursor, Sweep};
 use std::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
     _mm256_storeu_pd,
@@ -34,30 +34,39 @@ pub(super) unsafe fn eval_block_table(c: CompiledView<'_, f64>, block: &[f64], o
     // The unchecked loads and stores of the body rest on these two.
     assert!(block.len() >= c.vars.len() * LANES);
     assert_eq!(out.len(), c.poly_ends.len() * LANES);
-    // SAFETY: AVX2 is available (this function's own contract).
-    unsafe {
-        match (c.factor_vars, c.power_at.is_empty()) {
-            (FactorVarsRef::Narrow(f), true) => sweep::<u16, false>(c, f, block, out),
-            (FactorVarsRef::Narrow(f), false) => sweep::<u16, true>(c, f, block, out),
-            (FactorVarsRef::Wide(f), true) => sweep::<u32, false>(c, f, block, out),
-            (FactorVarsRef::Wide(f), false) => sweep::<u32, true>(c, f, block, out),
-        }
+    c.dispatch(Lanes { c, block, out });
+}
+
+/// The arguments of [`sweep`]. Only [`eval_block_table`] builds one, after
+/// its caller established AVX2 and it checked both buffers' sizes.
+struct Lanes<'a, 'o> {
+    c: CompiledView<'a, f64>,
+    block: &'a [f64],
+    out: &'o mut [f64],
+}
+
+impl Sweep for Lanes<'_, '_> {
+    fn sweep<I: LocalIdx, R: FactorRanges, const POWERS: bool>(self, factor_vars: &[I], ranges: R) {
+        // SAFETY: a `Lanes` exists only inside `eval_block_table`, whose
+        // contract is AVX2 and which checked `block` and `out`.
+        unsafe { sweep::<I, R, POWERS>(self.c, factor_vars, ranges, self.block, self.out) }
     }
 }
 
-/// The kernel body, instantiated per index width and per whether the set
-/// has any factor that is not `^1` (without one, a factor is one
-/// `vmulpd` and the power columns are never read).
+/// The kernel body, instantiated per index width, per factor-range layout
+/// and per whether the set has any factor that is not `^1` (without one,
+/// a factor is one `vmulpd` and the power columns are never read).
 ///
 /// # Safety
 ///
 /// AVX2 must be available, `block` must hold `LANES` values per local
 /// variable of `c` and `out` `LANES` per polynomial (all three checked by
-/// [`eval_block_table`], the only caller).
+/// [`eval_block_table`]).
 #[target_feature(enable = "avx2")]
-unsafe fn sweep<I: LocalIdx, const POWERS: bool>(
+unsafe fn sweep<I: LocalIdx, R: FactorRanges, const POWERS: bool>(
     c: CompiledView<'_, f64>,
     factor_vars: &[I],
+    ranges: R,
     block: &[f64],
     out: &mut [f64],
 ) {
@@ -68,7 +77,7 @@ unsafe fn sweep<I: LocalIdx, const POWERS: bool>(
         let mut acc = _mm256_setzero_pd();
         while mono < poly_end as usize {
             let mut term = _mm256_set1_pd(c.coeffs[mono]);
-            let fac_end = c.mono_ends[mono] as usize;
+            let fac_end = ranges.end(mono, fac);
             while fac < fac_end {
                 let at = factor_vars[fac].at() * LANES;
                 // SAFETY: the block table holds LANES values per local

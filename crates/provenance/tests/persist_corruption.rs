@@ -12,8 +12,13 @@
 //! columns whose monomials list their factors out of order or twice are
 //! still polynomials, and open as the polynomials they denote.
 //!
-//! The tier-1 tests sample flip positions; the `#[ignore]`d stress
-//! variant (run by the stress CI job) exhausts every byte.
+//! The compiled columns also meet a generated loop of lies about their
+//! counts, their degree and their layout (a degree where an ends column
+//! stands, an ends column where a degree does), every checksum repaired.
+//!
+//! The tier-1 tests sample flip positions and bound the generated loop;
+//! the `#[ignore]`d stress variants (run by the stress CI job) exhaust
+//! every byte and run the loop long.
 
 use provabs_provenance::persist::{
     checksum64, section, ArtifactWriter, PersistError, RawArtifact, FORMAT_VERSION,
@@ -48,16 +53,27 @@ impl Drop for TempFile {
 
 /// A small but fully populated session: every section and every column
 /// non-empty (two powers on each side), the whole artifact a few hundred
-/// bytes — small enough to exhaust.
+/// bytes — small enough to exhaust. Its monomials differ in factor count,
+/// so both column sections keep their ends.
 fn small_session() -> Session {
-    let session =
-        SessionBuilder::from_text("220.8·p1·m1 + 240·p1·m3 + 16·f1·m1\n3·p1^3 + 4·f1^2\n9·f1·m3")
-            .expect("parses")
-            .forest_text("q1(m1, m3)\nPlans(p1, f1)")
-            .expect("parses")
-            .bound(4)
-            .build()
-            .expect("valid");
+    session_over("220.8·p1·m1 + 240·p1·m3 + 16·f1·m1\n3·p1^3 + 4·f1^2\n9·f1·m3")
+}
+
+/// The uniform twin of [`small_session`]: every monomial, before and
+/// after compression, has two factors, so both column sections store a
+/// degree instead of their ends.
+fn uniform_session() -> Session {
+    session_over("220.8·p1·m1 + 240·p1·m3 + 16·f1·m1\n3·p1·m3 + 4·f1·m3\n9·f1^2·m3")
+}
+
+fn session_over(text: &str) -> Session {
+    let session = SessionBuilder::from_text(text)
+        .expect("parses")
+        .forest_text("q1(m1, m3)\nPlans(p1, f1)")
+        .expect("parses")
+        .bound(4)
+        .build()
+        .expect("valid");
     session.compress().expect("attainable");
     session
 }
@@ -65,21 +81,22 @@ fn small_session() -> Session {
 /// The pristine artifact bytes plus the reference answers both open
 /// paths must reproduce.
 fn baseline() -> (Vec<u8>, Vec<Valuation<f64>>, Vec<Vec<f64>>) {
-    let session = small_session();
+    baseline_of(&small_session())
+}
+
+fn baseline_of(session: &Session) -> (Vec<u8>, Vec<Valuation<f64>>, Vec<Vec<f64>>) {
     let file = temp_artifact("baseline");
     session.save(&file.0).expect("save");
     let bytes = std::fs::read(&file.0).expect("artifact bytes");
-    let mut vars = session.vars().clone();
     let valuations: Vec<Valuation<f64>> = (0..3)
         .map(|i| {
             let mut val = Valuation::neutral();
-            for (id, _) in vars.iter() {
+            for (id, _) in session.vars().iter() {
                 val.assign(id, 0.25 + 0.5 * ((id.0 + i) % 5) as f64);
             }
             val
         })
         .collect();
-    let _ = &mut vars;
     let expected = session
         .ask_prepared(&valuations)
         .expect("compressed")
@@ -183,19 +200,31 @@ fn wrong_magic_and_future_version_are_typed_errors() {
         open_both(&bad, "version"),
         Err(Error::Persist(PersistError::UnsupportedVersion {
             found: 99,
-            supported: 2,
+            supported: 3,
         }))
     ));
     // A version-1 file is refused by its number, before any checksum is
     // read: its header sum was computed by version 1's checksum, so here
     // it is left as it is — stale — and must not be what is reported.
-    let mut v1 = good;
+    let mut v1 = good.clone();
     v1[8..12].copy_from_slice(&1u32.to_le_bytes());
     assert!(matches!(
         open_both(&v1, "v1"),
         Err(Error::Persist(PersistError::UnsupportedVersion {
             found: 1,
-            supported: 2,
+            supported: 3,
+        }))
+    ));
+    // A version-2 file, whose header checksum is valid (versions 2 and 3
+    // sum alike): refused by its number all the same, never misread.
+    let mut v2 = good;
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    fix_header_checksum(&mut v2);
+    assert!(matches!(
+        open_both(&v2, "v2"),
+        Err(Error::Persist(PersistError::UnsupportedVersion {
+            found: 2,
+            supported: 3,
         }))
     ));
 }
@@ -266,7 +295,7 @@ fn rebuild(art: &RawArtifact, replace_id: u32, mutate: &dyn Fn(&mut Vec<u8>)) ->
     w.to_bytes()
 }
 
-/// Where a compiled-columns payload keeps what: the five counts it opens
+/// Where a compiled-columns payload keeps what: the five words it opens
 /// with and the offset of each column behind them.
 #[derive(Clone, Copy, Debug)]
 struct Columns {
@@ -275,19 +304,34 @@ struct Columns {
     factors: usize,
     vars: usize,
     powers: usize,
-    mono_ends: usize,
+    /// The factor count of every monomial; `None` when they differ.
+    degree: Option<usize>,
+    /// Present exactly when `degree` is not.
+    mono_ends: Option<usize>,
+    poly_ends: usize,
     vars_at: usize,
     power_at: usize,
     power_exp: usize,
     factor_vars: usize,
 }
 
+/// The tag of the third word when it holds a uniform set's degree rather
+/// than a mixed set's factor count.
+const UNIFORM: u64 = 1 << 63;
+/// Bytes of the words a compiled section opens with, and so where its
+/// coefficients start.
+const COEFFS: usize = 40;
+
 impl Columns {
     fn of(p: &[u8]) -> Self {
-        let count = |i: usize| u64::from_le_bytes(p[8 * i..8 * i + 8].try_into().unwrap()) as usize;
-        let [polys, monos, factors, vars, powers] = [0, 1, 2, 3, 4].map(count);
-        let mono_ends = 40 + 8 * monos;
-        let vars_at = mono_ends + 4 * monos + 4 * polys;
+        let word = |i: usize| u64::from_le_bytes(p[8 * i..8 * i + 8].try_into().unwrap());
+        let [polys, monos, _, vars, powers] = [0, 1, 2, 3, 4].map(|i| word(i) as usize);
+        let degree = (word(2) & UNIFORM != 0).then(|| (word(2) & !UNIFORM) as usize);
+        let factors = degree.map_or(word(2) as usize, |d| monos * d);
+        let after_coeffs = COEFFS + 8 * monos;
+        let mono_ends = degree.is_none().then_some(after_coeffs);
+        let poly_ends = after_coeffs + mono_ends.map_or(0, |_| 4 * monos);
+        let vars_at = poly_ends + 4 * polys;
         let power_at = vars_at + 4 * vars;
         let power_exp = power_at + 4 * powers;
         let factor_vars = power_exp + 4 * powers;
@@ -302,7 +346,9 @@ impl Columns {
             factors,
             vars,
             powers,
+            degree,
             mono_ends,
+            poly_ends,
             vars_at,
             power_at,
             power_exp,
@@ -310,11 +356,19 @@ impl Columns {
         }
     }
 
+    /// The exclusive end of monomial `m`'s factors.
+    fn end(&self, p: &[u8], m: usize) -> usize {
+        match (self.degree, self.mono_ends) {
+            (Some(d), _) => (m + 1) * d,
+            (None, Some(ends)) => u32_at(p, ends + 4 * m) as usize,
+            (None, None) => unreachable!("a section has a degree or ends"),
+        }
+    }
+
     /// The factor range of the first monomial with `n` factors.
     fn monomial_of(&self, p: &[u8], n: usize) -> std::ops::Range<usize> {
-        let end = |m: usize| u32_at(p, self.mono_ends + 4 * m) as usize;
         (0..self.monos)
-            .map(|m| (if m == 0 { 0 } else { end(m - 1) })..end(m))
+            .map(|m| (if m == 0 { 0 } else { self.end(p, m - 1) })..self.end(p, m))
             .find(|r| r.len() == n)
             .expect("a monomial of that many factors")
     }
@@ -341,6 +395,7 @@ fn hostile_compiled_columns_are_typed_errors() {
     for id in [section::COMPILED_ABS, section::COMPILED_ORIG] {
         let c = Columns::of(art.section(id).expect("present"));
         assert!(c.polys == 3 && c.powers == 2 && c.factors > c.vars);
+        let ends = c.mono_ends.expect("the small session's monomials differ");
         let refused = |tag: &str, needle: &str, mutate: &dyn Fn(&mut Vec<u8>)| match open_both(
             &rebuild(&art, id, mutate),
             tag,
@@ -421,21 +476,104 @@ fn hostile_compiled_columns_are_typed_errors() {
             // One more monomial, stored (a coefficient and a prefix end)
             // but past where the last polynomial ends.
             put_u64(p, 8, c.monos as u64 + 1);
-            p.splice(c.mono_ends..c.mono_ends, [0u8; 12]);
+            p.splice(ends..ends, [0u8; 12]);
+        });
+
+        // The layout is the monomials', never the writer's: an ends
+        // column whose monomials all have one factor count is a uniform
+        // set spelled the long way.
+        refused("uniform-ends", "uniform set", &|p| {
+            // Every monomial a single factor, so `factors == monos`.
+            let factors: Vec<u8> = (0..c.monos as u16)
+                .flat_map(|i| (i % 2).to_le_bytes())
+                .collect();
+            p.truncate(c.factor_vars);
+            p.extend_from_slice(&factors);
+            put_u64(p, 16, c.monos as u64);
+            put_u64(p, 32, 0);
+            p.drain(c.power_at..c.factor_vars);
+            for m in 0..c.monos {
+                put_u32(p, ends + 4 * m, m as u32 + 1);
+            }
+        });
+        // A degree claimed over the ends column's bytes.
+        refused("degree-over-ends", "do not add up", &|p| {
+            put_u64(p, 16, UNIFORM | 2)
         });
     }
 }
 
-/// A version-2 header over a version-1 body: the sections version 1
-/// wrote (its shorter `SESSION_META`, its dense-exponent column codec,
-/// its two row-coded working sets under ids 8 and 9, no id 10) are each
-/// refused by what version 2 expects in their place.
+/// The uniform layout's own lies: a degree that does not multiply out to
+/// the factors, an empty set of nonzero degree, and an ends column — even
+/// one that spells the very same monomials — where the degree belongs.
 #[test]
-fn a_v1_body_under_a_v2_header_is_a_typed_error() {
+fn hostile_uniform_columns_are_typed_errors() {
+    let (good, valuations, expected) = baseline_of(&uniform_session());
+    let art = RawArtifact::open_bytes(good.clone()).expect("pristine parses");
+    let pristine = open_both(&good, "pristine").expect("opens");
+    let got = pristine.ask_prepared(&valuations).expect("compressed");
+    assert_eq!(got.values, expected);
+    for id in [section::COMPILED_ABS, section::COMPILED_ORIG] {
+        let p = art.section(id).expect("present");
+        let c = Columns::of(p);
+        assert_eq!(c.degree, Some(2), "section {id} is uniform");
+        assert!(c.mono_ends.is_none());
+        let refused = |tag: &str, needle: &str, mutate: &dyn Fn(&mut Vec<u8>)| match open_both(
+            &rebuild(&art, id, mutate),
+            tag,
+        ) {
+            Err(Error::Persist(e @ PersistError::Malformed { .. })) => {
+                assert!(e.to_string().contains(needle), "{tag} (section {id}): {e}")
+            }
+            Err(other) => panic!("{tag} (section {id}): expected Malformed, got {other:?}"),
+            Ok(_) => panic!("{tag} (section {id}): hostile columns must not open"),
+        };
+        for degree in [0, 1, 3, c.factors as u64] {
+            refused("degree-lie", "do not add up", &|p| {
+                put_u64(p, 16, UNIFORM | degree)
+            });
+        }
+        refused("degree-absurd", "plausible bound", &|p| {
+            put_u64(p, 16, UNIFORM | u64::MAX >> 2)
+        });
+        // The exact ends of these monomials, in the column they would have.
+        let exact: Vec<u8> = (1..=c.monos as u32)
+            .flat_map(|m| (2 * m).to_le_bytes())
+            .collect();
+        refused("exact-ends", "uniform set", &|p| {
+            put_u64(p, 16, c.factors as u64);
+            p.splice(c.poly_ends..c.poly_ends, exact.iter().copied());
+        });
+        refused("ends-without-their-column", "do not add up", &|p| {
+            put_u64(p, 16, c.factors as u64)
+        });
+        refused("empty-of-degree-two", "degree 0", &|p| {
+            // No polynomial, no monomial, no power — and a degree of 2.
+            let vars = p[c.vars_at..c.power_at].to_vec();
+            p.truncate(COEFFS);
+            p.extend_from_slice(&vars);
+            for field in [0, 1, 4] {
+                put_u64(p, 8 * field, 0);
+            }
+        });
+    }
+}
+
+/// The current header over an older body: the sections version 1 wrote
+/// (its shorter `SESSION_META`, its dense-exponent column codec, its two
+/// row-coded working sets under ids 8 and 9, no id 10) and the columns
+/// version 2 wrote (five counts, a prefix end per monomial whatever the
+/// degrees) are each refused by what version 3 expects in their place.
+#[test]
+fn old_bodies_under_the_current_header_are_typed_errors() {
     let (good, _, _) = baseline();
     let art = RawArtifact::open_bytes(good).expect("pristine parses");
     let columns = art.section(section::COMPILED_ABS).expect("present");
     let c = Columns::of(columns);
+    assert!(
+        c.mono_ends.is_some(),
+        "the small session's monomials differ"
+    );
     // Version 1's codec: four counts, then coeffs, mono_ends, poly_ends,
     // `u32` indices, a `u32` exponent per factor, vars.
     let v1_columns = {
@@ -443,7 +581,7 @@ fn a_v1_body_under_a_v2_header_is_a_typed_error() {
         for count in [c.polys, c.monos, c.factors, c.vars] {
             out.extend_from_slice(&(count as u64).to_le_bytes());
         }
-        out.extend_from_slice(&columns[40..c.vars_at]);
+        out.extend_from_slice(&columns[COEFFS..c.vars_at]);
         for index in columns[c.factor_vars..].chunks_exact(2) {
             out.extend_from_slice(&[index[0], index[1], 0, 0]);
         }
@@ -474,8 +612,41 @@ fn a_v1_body_under_a_v2_header_is_a_typed_error() {
             }
         }
         let bytes = w.to_bytes();
-        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes(), "a v2 header");
+        assert_eq!(
+            bytes[8..12],
+            FORMAT_VERSION.to_le_bytes(),
+            "a current header"
+        );
         assert_persist_err(open_both(&bytes, "v1-body"), tag);
+    }
+
+    // Version 2's codec: a plain factor count and an ends column whatever
+    // the degrees. A mixed set's version-2 columns are its version-3
+    // columns byte for byte, and open as what they are; a uniform set's
+    // are refused as the non-canonical spelling they now are.
+    let v2 = |p: &[u8]| {
+        let c = Columns::of(p);
+        let mut out = p.to_vec();
+        put_u64(&mut out, 16, c.factors as u64);
+        if let Some(d) = c.degree {
+            let ends = (1..=c.monos).flat_map(|m| ((m * d) as u32).to_le_bytes());
+            out.splice(c.poly_ends..c.poly_ends, ends);
+        }
+        out
+    };
+    for (session, uniform) in [(small_session(), false), (uniform_session(), true)] {
+        let (good, valuations, expected) = baseline_of(&session);
+        let art = RawArtifact::open_bytes(good).expect("pristine parses");
+        for id in [section::COMPILED_ABS, section::COMPILED_ORIG] {
+            let opened = open_both(&rebuild(&art, id, &|p| *p = v2(p)), "v2-columns");
+            if uniform {
+                assert_persist_err(opened, "uniform columns spelled with their ends");
+            } else {
+                let got = opened.expect("mixed columns are unchanged");
+                let got = got.ask_prepared(&valuations).expect("compressed").values;
+                assert_eq!(got, expected, "section {id}");
+            }
+        }
     }
 }
 
@@ -491,6 +662,10 @@ fn unsorted_and_repeated_factors_open_and_rebuild_canonically() {
     let pristine = art.section(section::COMPILED_ABS).expect("present");
     let c = Columns::of(pristine);
     let pair = c.monomial_of(pristine, 2);
+    assert!(
+        c.mono_ends.is_some(),
+        "the small session's monomials differ"
+    );
     let (a, b) = (
         c.factor_vars + 2 * pair.start,
         c.factor_vars + 2 * pair.start + 2,
@@ -638,4 +813,169 @@ fn sampled_single_byte_flips_never_load_garbage() {
 #[ignore = "stress: exhausts every byte of the artifact"]
 fn exhaustive_single_byte_flips_never_load_garbage() {
     flip_battery(1);
+}
+
+// ---------------------------------------------------------------------
+// The generated loop: lies about counts, degree and layout.
+// ---------------------------------------------------------------------
+
+/// xorshift64* — deterministic, dependency-free randomness for the loop.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+}
+
+fn word_at(p: &[u8], field: usize) -> u64 {
+    u64::from_le_bytes(p[8 * field..8 * field + 8].try_into().unwrap())
+}
+
+/// A value for a word that held `old`, never `old` itself: near it, zero,
+/// small, absurd, with the uniform tag flipped, or a small tagged degree.
+fn another(rng: &mut Rng, old: u64) -> u64 {
+    loop {
+        let new = match rng.below(7) {
+            0 => old.wrapping_add(1 + rng.below(3)),
+            1 => old.wrapping_sub(1 + rng.below(3)),
+            2 => 0,
+            3 => rng.below(1 << 16),
+            4 => u64::MAX / 2,
+            5 => old ^ UNIFORM,
+            _ => UNIFORM | rng.below(8),
+        };
+        if new != old {
+            return new;
+        }
+    }
+}
+
+/// Swaps the layout of a compiled payload, keeping what it denotes as far
+/// as the other layout can say it: a uniform set gains the exact ends of
+/// its monomials and a plain factor count; a mixed set loses its ends and
+/// claims a degree near its mean factor count.
+fn switch_layout(rng: &mut Rng, p: &mut Vec<u8>) -> String {
+    let c = Columns::of(p);
+    match (c.degree, c.mono_ends) {
+        (Some(d), _) => {
+            let ends: Vec<u8> = (1..=c.monos)
+                .flat_map(|m| ((m * d) as u32).to_le_bytes())
+                .collect();
+            p.splice(c.poly_ends..c.poly_ends, ends);
+            put_u64(p, 16, c.factors as u64);
+            format!("degree {d} spelled as ends")
+        }
+        (None, Some(ends)) => {
+            let d = (c.factors / c.monos) as u64 + rng.below(2);
+            p.drain(ends..c.poly_ends);
+            put_u64(p, 16, UNIFORM | d);
+            format!("ends dropped for degree {d}")
+        }
+        (None, None) => unreachable!("a section has a degree or ends"),
+    }
+}
+
+/// Applies one generated lie to a compiled payload and says which.
+fn lie(rng: &mut Rng, p: &mut Vec<u8>) -> String {
+    let count = |rng: &mut Rng, p: &mut Vec<u8>| {
+        let field = rng.below(5) as usize;
+        let (old, new) = (word_at(p, field), another(rng, word_at(p, field)));
+        put_u64(p, 8 * field, new);
+        format!("word {field}: {old:#x} → {new:#x}")
+    };
+    match rng.below(5) {
+        0 => count(rng, p),
+        1 => {
+            let (old, new) = (word_at(p, 2), another(rng, word_at(p, 2)));
+            put_u64(p, 16, new);
+            format!("factor word: {old:#x} → {new:#x}")
+        }
+        2 => switch_layout(rng, p),
+        3 => {
+            let switched = switch_layout(rng, p);
+            format!("{switched}, then {}", count(rng, p))
+        }
+        _ => {
+            let n = 1 + rng.below(8) as usize;
+            if rng.below(2) == 0 {
+                let at = COEFFS + rng.below((p.len() - COEFFS + 1) as u64) as usize;
+                p.splice(at..at, std::iter::repeat_n(0xA5, n));
+                format!("{n} bytes inserted at {at}")
+            } else {
+                // At least one byte: removing none would be no lie.
+                let at = COEFFS + rng.below((p.len() - COEFFS) as u64) as usize;
+                let n = n.min(p.len() - at);
+                p.drain(at..at + n);
+                format!("{n} bytes removed at {at}")
+            }
+        }
+    }
+}
+
+/// `cases` generated lies over both fixtures (uniform and mixed) and both
+/// column sections, every checksum repaired: each must open as a typed
+/// persist error, or — were a lie ever to denote the same set — answer
+/// bit for bit; never panic, owned and mapped paths agreeing.
+fn corruption_loop(cases: u64) {
+    let fixtures = [small_session(), uniform_session()].map(|s| baseline_of(&s));
+    for (good, _, _) in &fixtures {
+        let art = RawArtifact::open_bytes(good.clone()).expect("pristine parses");
+        for id in [section::COMPILED_ABS, section::COMPILED_ORIG] {
+            let c = Columns::of(art.section(id).expect("present"));
+            // No degree multiplies out to a mixed set's factors, so no
+            // dropped ends column can spell another valid set.
+            assert!(
+                c.degree.is_some() || !c.factors.is_multiple_of(c.monos),
+                "{c:?}"
+            );
+        }
+    }
+    let mut refused = 0u64;
+    for case in 0..cases {
+        let mut rng = Rng(0x5EED_0000 ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1));
+        let (good, valuations, expected) = &fixtures[rng.below(2) as usize];
+        let art = RawArtifact::open_bytes(good.clone()).expect("pristine parses");
+        let id = [section::COMPILED_ABS, section::COMPILED_ORIG][rng.below(2) as usize];
+        let mut lied = art.section(id).expect("present").to_vec();
+        let what = lie(&mut rng, &mut lied);
+        let bytes = rebuild(&art, id, &|p| p.clone_from(&lied));
+        let tag = format!("case {case}, section {id}: {what}");
+        match open_both(&bytes, "lie") {
+            Err(Error::Persist(_)) => refused += 1,
+            Err(other) => panic!("{tag}: non-persist error {other:?}"),
+            Ok(session) => {
+                let got = session.ask_prepared(valuations).expect("compressed").values;
+                for (a, b) in got.iter().flatten().zip(expected.iter().flatten()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{tag}: opened and answered differently"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(refused, cases, "every generated lie changes the section");
+}
+
+#[test]
+fn generated_lies_about_counts_degree_and_layout_are_typed_errors() {
+    corruption_loop(240);
+}
+
+/// The long variant. Run by the stress CI job (`cargo test -- --ignored`).
+#[test]
+#[ignore = "stress: a long run of the generated corruption loop"]
+fn generated_corruption_loop_long() {
+    corruption_loop(20_000);
 }

@@ -19,7 +19,7 @@
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
 use provabs_provenance::monomial::Monomial;
-use provabs_provenance::persist::{section, RawArtifact, FORMAT_VERSION};
+use provabs_provenance::persist::{section, RawArtifact, SharedCompiled, FORMAT_VERSION};
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::polyset_to_string;
@@ -563,14 +563,16 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
 
 /// What an artifact may cost: beside its small sections (configuration,
 /// variable table, forests, VVS), a stored monomial is its `f64`
-/// coefficient, its `u32` prefix end and two bytes per factor, plus its
-/// share of its polynomial's prefix end and of the variable column —
-/// under 19 bytes with three factors, under 17 with two, for `𝒫` and
-/// `𝒫↓S` alike. A dense exponent column, a `u32` index or a second copy
-/// of either set would each break it.
+/// coefficient and two bytes per factor — plus a `u32` prefix end only in
+/// a set whose monomials differ in factor count — and its share of its
+/// polynomial's prefix end and of the variable column: under 15 bytes
+/// with three factors, under 13 with two, for `𝒫` and `𝒫↓S` alike. A
+/// dense exponent column, a `u32` index, an ends column where every
+/// monomial has the same degree, or a second copy of either set would
+/// each break it.
 #[test]
 fn artifacts_stay_within_their_size_budget() {
-    let budget = |session: &Session, per_monomial: usize, tag: &str| {
+    let budget = |session: &Session, per_monomial: usize, tag: &str| -> RawArtifact {
         let file = temp_artifact(tag);
         session.save(&file.0).expect("save");
         let bytes = std::fs::read(&file.0).expect("artifact bytes");
@@ -588,6 +590,22 @@ fn artifacts_stay_within_their_size_budget() {
             "{tag}: {} bytes, {small} of them fixed, for {monomials} stored monomials",
             bytes.len()
         );
+        art
+    };
+    // Each column section of `art` in its own words: the degree its
+    // monomials share, if they do, and its size against version 2's
+    // codec, which stored an end per monomial whatever the degrees.
+    let columns = |art: &RawArtifact, vars: usize| {
+        [section::COMPILED_ABS, section::COMPILED_ORIG].map(|id| {
+            let shared = SharedCompiled::validate(art, id, "columns", vars).expect("valid");
+            let view = shared.view();
+            let v2_len = 40
+                + 12 * view.num_monomials()
+                + 4 * (view.num_polys() + view.num_vars())
+                + view.factor_index_bytes() * view.num_factors();
+            let len = art.section(id).expect("present").len();
+            (view.uniform_degree(), len, v2_len)
+        })
     };
 
     // The scale fixture: every monomial is plan · month · group.
@@ -599,21 +617,47 @@ fn artifacts_stay_within_their_size_budget() {
     let working = scale_working_set(&config, &mut vars);
     let forest = scale_forest(&config, &mut vars);
     let bound = working.size_m() * 35 / 100;
+    let num_vars = vars.len();
     let scale = SessionBuilder::new(working.to_polyset(), vars)
         .forest(forest)
         .strategy(Strategy::Greedy { incremental: true })
         .bound(bound)
         .build()
         .expect("valid");
-    budget(&scale, 19, "scale");
+    let art = budget(&scale, 15, "scale");
+    for (degree, len, v2_len) in columns(&art, num_vars) {
+        assert_eq!(degree, Some(3), "plan · month · group");
+        assert!(len < v2_len, "{len} B, {v2_len} B with ends");
+    }
 
     // Telephony: every monomial is plan · month.
     let (data, forest) = fixture(Workload::Telephony);
     let bound = attainable_bound(&data.polys, &data.vars, &forest);
     let telephony = SessionBuilder::new(data.polys.clone(), data.vars.clone())
+        .forest(forest.clone())
+        .bound(bound)
+        .build()
+        .expect("valid");
+    let art = budget(&telephony, 13, "telephony");
+    for (degree, _, _) in columns(&art, data.vars.len()) {
+        assert_eq!(degree, Some(2), "plan · month");
+    }
+
+    // Mixed degrees: the same with one constant term among the plan ·
+    // month ones. Both sets keep their ends column — and cost what they
+    // cost in version 2, byte for byte, never more.
+    let mut polys = data.polys.as_slice().to_vec();
+    polys[0].add_term(Monomial::one(), 1.5);
+    let polys = PolySet::from_vec(polys);
+    let bound = attainable_bound(&polys, &data.vars, &forest);
+    let mixed = SessionBuilder::new(polys, data.vars.clone())
         .forest(forest)
         .bound(bound)
         .build()
         .expect("valid");
-    budget(&telephony, 17, "telephony");
+    let art = budget(&mixed, 17, "mixed");
+    for (degree, len, v2_len) in columns(&art, data.vars.len()) {
+        assert_eq!(degree, None, "a constant among degree-2 monomials");
+        assert_eq!(len, v2_len, "an ends column costs what it did");
+    }
 }

@@ -19,12 +19,14 @@
 //! negative and zero coefficients, exponents through the unrolled 1/2/3
 //! fast path and into the exponentiation-by-squaring range.
 //!
-//! Each kernel body is compiled four times — `u16` or `u32` factor
-//! indices, with or without the power columns — and every instantiation
-//! is pinned here: powers on most factors (the default generator), on one
-//! in ten ([`sparse_powers_strategy`]), on none (the generated workloads,
-//! two and four factors a monomial), and a set over 70 000 variables for
-//! the wide index.
+//! Each kernel body is compiled eight times — `u16` or `u32` factor
+//! indices, one degree for the whole set or a prefix end per monomial,
+//! with or without the power columns — and every instantiation is pinned
+//! here: powers on most factors (the default generator), on one in ten
+//! ([`sparse_powers_strategy`]), on none (the generated workloads, two
+//! and four factors a monomial), a set over 70 000 variables for the wide
+//! index, and [`both_layouts_match_the_hash_map_evaluator_on_every_kernel`]
+//! for every combination, degrees 0 to 5.
 
 use proptest::prelude::*;
 use provabs_datagen::workload::{Workload, WorkloadConfig};
@@ -367,4 +369,117 @@ fn workload_provenance_matches_eval_one_on_every_kernel() {
             assert_matches_eval_one(&frozen, &batch);
         }
     }
+}
+
+/// `polys` polynomials of up to three monomials over variables
+/// `0..vars`, taken as consecutive windows so that every variable
+/// occurs: each monomial `degree` distinct variables — one more in the
+/// very last monomial when `mixed` — with, when `powers`, one factor in
+/// seven squared or raised to 5.
+fn layout_fixture(
+    degree: u32,
+    vars: u32,
+    mixed: bool,
+    powers: bool,
+    below: &mut impl FnMut(u64) -> u64,
+) -> PolySet<f64> {
+    let per_poly = if degree == 0 { 1 } else { 3 };
+    let monos = (vars / degree.max(1)).max(4);
+    let mut next = 0u32;
+    let mut factors_seen = 0u32;
+    let mut monomial = |arity: u32, below: &mut dyn FnMut(u64) -> u64| {
+        let factors: Vec<(VarId, u32)> = (0..arity)
+            .map(|i| {
+                factors_seen += 1;
+                let exp = match (powers, factors_seen % 7) {
+                    (true, 0) => 2,
+                    (true, 3) => 5,
+                    _ => 1,
+                };
+                (VarId((next + i) % vars), exp)
+            })
+            .collect();
+        next = (next + arity) % vars;
+        let coeff = (2 * below(32) + 1) as f64 / 16.0 - 2.0;
+        (Monomial::from_factors(factors), coeff)
+    };
+    let mut polys: Vec<Polynomial<f64>> = Vec::new();
+    for _ in 0..monos.div_ceil(per_poly) {
+        let terms: Vec<_> = (0..per_poly).map(|_| monomial(degree, below)).collect();
+        polys.push(Polynomial::from_terms(terms));
+    }
+    if mixed {
+        polys.push(Polynomial::from_terms([monomial(degree + 1, below)]));
+    }
+    PolySet::from_vec(polys)
+}
+
+/// Degree elision is one more instantiation axis of every kernel: over
+/// sets whose monomials all have `d ∈ {0, 1, 2, 3, 5}` factors (stored as
+/// one degree) and over the same sets with one monomial of another
+/// degree (stored with an end per monomial), narrow and wide, with and
+/// without powers, compiled and frozen, every kernel answers bit for bit
+/// what the hash-map evaluator does.
+#[test]
+fn both_layouts_match_the_hash_map_evaluator_on_every_kernel() {
+    let mut below = draws(0xDE6_2EE);
+    let combinations = [(false, false), (false, true), (true, false), (true, true)];
+    for degree in [0u32, 1, 2, 3, 5] {
+        for (mixed, powers) in combinations {
+            assert_layout_agrees(degree, 40, mixed, powers, &mut below);
+        }
+    }
+    // A wide set is slow to build in debug, so each is built once: every
+    // degree but 0 (whose sets have no variable) in one combination.
+    for (degree, (mixed, powers)) in [1, 2, 3, 5].into_iter().zip(combinations) {
+        assert_layout_agrees(degree, 70_000, mixed, powers, &mut below);
+    }
+}
+
+fn assert_layout_agrees(
+    degree: u32,
+    vars: u32,
+    mixed: bool,
+    powers: bool,
+    below: &mut impl FnMut(u64) -> u64,
+) {
+    let context = format!("degree {degree}, {vars} variables, mixed {mixed}, powers {powers}");
+    let polys = layout_fixture(degree, vars, mixed, powers, below);
+    let compiled = CompiledPolySet::compile(&polys);
+    let frozen = WorkingSet::from_polyset(&polys).freeze();
+    let width = if vars > 65_536 { 4 } else { 2 };
+    for set in [&compiled, &frozen] {
+        let view = set.view();
+        assert_eq!(
+            view.uniform_degree(),
+            (!mixed).then_some(degree as usize),
+            "{context}"
+        );
+        assert_eq!(view.factor_index_bytes(), width, "{context}");
+    }
+    let used = vars.min(compiled.num_vars() as u32).max(1);
+    let batch: Vec<Valuation<f64>> = (0..LANES + 3)
+        .map(|_| {
+            let mut val = Valuation::neutral();
+            for _ in 0..(used / 3).clamp(1, 2_000) {
+                val.assign(
+                    VarId(below(u64::from(used)) as u32),
+                    below(33) as f64 / 8.0 - 2.0,
+                );
+            }
+            val
+        })
+        .collect();
+    let reference: Vec<Vec<f64>> = batch.iter().map(|val| val.eval_set(&polys)).collect();
+    for kernel in KERNELS {
+        let rows = compiled.eval_block(&batch, kernel);
+        for (want, row) in reference.iter().zip(&rows) {
+            for (a, b) in want.iter().zip(row) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{context}, {kernel}: {a} vs {b}");
+            }
+        }
+    }
+    // The frozen set sums in id order, which the hash map does not: it is
+    // held to its own scalar sweep.
+    assert_matches_eval_one(&frozen, &batch);
 }

@@ -189,8 +189,12 @@ impl fmt::Display for Json {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
             // f64 Display is the shortest string that parses back to the
-            // same bits — the wire format's lossless-float contract.
-            Json::Num(n) => write!(f, "{n}"),
+            // same bits — the wire format's lossless-float contract. JSON
+            // has no token for an infinity or a NaN (Display would print
+            // `inf` / `NaN`), so those print as `null`: never a document
+            // that does not parse.
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => write!(f, "null"),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
@@ -510,6 +514,15 @@ mod tests {
             let text = Json::Num(f).to_string();
             let back = Json::parse(&text).expect("parses").as_f64().expect("num");
             assert_eq!(back.to_bits(), f.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_print_as_json() {
+        for f in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let doc = Json::Arr(vec![Json::Num(1.5), Json::Num(f)]).to_string();
+            assert_eq!(doc, "[1.5,null]");
+            assert!(Json::parse(&doc).is_ok(), "{doc}");
         }
     }
 

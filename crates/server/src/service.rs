@@ -387,8 +387,11 @@ impl Service {
     /// response head goes out, so guard trips and scenario errors on
     /// entry come back as typed statuses (`503` / `422`), not broken
     /// streams; later failures terminate the stream with an `"error"`
-    /// line. Between chunks the client socket is peeked — a disconnected
-    /// client cancels the remaining work.
+    /// line. A chunk with an answer JSON has no number for (a scenario
+    /// factor large enough to overflow a monomial) is such a failure,
+    /// `non_finite_answer`, and none of its lines are sent. Between
+    /// chunks the client socket is peeked — a disconnected client cancels
+    /// the remaining work.
     fn run_ask(
         &self,
         entry: &SessionEntry,
@@ -401,13 +404,29 @@ impl Service {
         let token = CancelToken::new();
         let guard = self.request_guard(deadline_ms, &token);
         let session = &entry.session;
-        let ask = |batch: &[Scenario]| {
-            session
+        // Scenarios `at..` of `batch`, answered — or refused typed when an
+        // answer is one JSON cannot carry.
+        let ask = |at: usize, batch: &[Scenario]| {
+            let run = session
                 .ask_with(batch, session.eval_options(), &guard)
-                .map_err(|e| interrupted_error(e, session, &guard))
+                .map_err(|e| interrupted_error(e, session, &guard))?;
+            for (s, values) in run.values.iter().enumerate() {
+                if let Some(p) = values.iter().position(|v| !v.is_finite()) {
+                    return Err(WireError::new(
+                        422,
+                        "non_finite_answer",
+                        format!(
+                            "scenario {} makes polynomial {p} {}, which JSON cannot carry",
+                            at + s,
+                            values[p]
+                        ),
+                    ));
+                }
+            }
+            Ok(run)
         };
 
-        let first = match ask(&scenarios[..scenarios.len().min(chunk)]) {
+        let first = match ask(0, &scenarios[..scenarios.len().min(chunk)]) {
             Ok(run) => run,
             Err(wire) => return respond_json(stream, wire.status, &wire.body(), close),
         };
@@ -435,7 +454,7 @@ impl Service {
                         token.cancel();
                     }
                     let upper = (streamed + chunk).min(scenarios.len());
-                    match ask(&scenarios[streamed..upper]) {
+                    match ask(streamed, &scenarios[streamed..upper]) {
                         Ok(run) => run,
                         Err(wire) => {
                             failure = Some(wire);

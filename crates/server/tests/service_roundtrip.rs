@@ -262,6 +262,65 @@ fn create_compress_ask_save_reopen_round_trip() {
     );
 }
 
+/// A scenario factor may be any finite number, and a large enough one
+/// overflows a monomial: such an answer has no JSON number. On the first
+/// chunk it is a typed `422 non_finite_answer` before the response head;
+/// later, the stream's terminal error line — and every line the client
+/// reads is JSON either way.
+#[test]
+fn a_non_finite_answer_is_a_typed_error_not_invalid_json() {
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    create_telephony(&mut client, "overflow");
+    post_ok(
+        &mut client,
+        "/sessions/overflow/compress",
+        &Json::obj::<&str>([]),
+        200,
+    );
+    let labels = labels_of(&mut client, "overflow");
+    // Every askable variable at 1e308: a monomial with a coefficient
+    // above 2 is past f64 already.
+    let huge = Json::obj(labels.iter().map(|l| (l.clone(), Json::from(1e308))));
+    let benign = Json::obj([(labels[0].clone(), Json::from(2.0))]);
+
+    let first = client
+        .post(
+            "/sessions/overflow/ask",
+            &Json::obj([("scenarios", Json::Arr(vec![huge.clone()]))]),
+        )
+        .expect("request");
+    assert_eq!(first.status, 422);
+    assert_eq!(
+        first
+            .json()
+            .expect("json")
+            .get("error")
+            .and_then(Json::as_str),
+        Some("non_finite_answer")
+    );
+
+    // One benign chunk streams; the next overflows and ends the stream.
+    let later = client
+        .post(
+            "/sessions/overflow/ask",
+            &Json::obj([
+                ("scenarios", Json::Arr(vec![benign, huge])),
+                ("chunk", Json::from(1u64)),
+            ]),
+        )
+        .expect("request");
+    assert_eq!(later.status, 200);
+    let lines = later.json_lines().expect("every line is JSON");
+    assert_eq!(lines.iter().filter(|l| l.get("index").is_some()).count(), 1);
+    let last = lines.last().expect("a terminal line");
+    assert_eq!(
+        last.get("error").and_then(Json::as_str),
+        Some("non_finite_answer"),
+        "{last}"
+    );
+}
+
 #[test]
 fn typed_rejections_over_the_wire() {
     let server = start();

@@ -49,8 +49,8 @@ use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::persist::{
-    decode_var_table, encode_compiled, encode_var_table, section, ArtifactWriter, FaultFs,
-    RawArtifact, SharedCompiled,
+    decode_var_table, encode_var_table, section, ArtifactWriter, FaultFs, RawArtifact,
+    SharedCompiled,
 };
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::simd::KernelInfo;
@@ -927,21 +927,30 @@ impl Session {
             compressed_size_v: state.result.compressed_size_v,
             arena_monomials: state.arena_monomials,
         };
-        // Each side is stored as the freeze of its working set. Freezing
-        // is deterministic, so where no cached lowering is that freeze an
-        // ad-hoc one writes the same bytes — without counting as a
-        // session compilation or warming the evaluation cache.
+        // Each side is stored as the freeze of its working set, written
+        // straight from its columns. Freezing is deterministic, so where
+        // no cached lowering is that freeze an ad-hoc one writes the same
+        // bytes — without counting as a session compilation or warming
+        // the evaluation cache.
+        let frozen_abstracted;
         let abstracted = match state.compiled.get() {
-            Some(handle) => encode_compiled(handle.view()),
-            None => encode_compiled(state.working().freeze().view()),
+            Some(handle) => handle.view(),
+            None => {
+                frozen_abstracted = state.working().freeze();
+                frozen_abstracted.view()
+            }
         };
+        let frozen_original;
         let original = match self.original_compiled.get() {
             // Not the one compiled from a poly-set input: that is in the
             // input's hash-map order.
             Some(handle) if self.interned_source || matches!(handle, CompiledHandle::Shared(_)) => {
-                encode_compiled(handle.view())
+                handle.view()
             }
-            _ => encode_compiled(self.source_ws().freeze().view()),
+            _ => {
+                frozen_original = self.source_ws().freeze();
+                frozen_original.view()
+            }
         };
         let mut w = ArtifactWriter::new();
         w.section(section::SESSION_META, encode_meta(&meta));
@@ -953,8 +962,8 @@ impl Session {
             encode_vvs(&state.result.vvs, state.result.forest.num_trees()),
         );
         w.section(section::LIVE_VARS, encode_live_vars(&state.live_vars));
-        w.section(section::COMPILED_ABS, abstracted);
-        w.section(section::COMPILED_ORIG, original);
+        w.compiled_section(section::COMPILED_ABS, abstracted);
+        w.compiled_section(section::COMPILED_ORIG, original);
         w.write_atomic_with(path.as_ref(), faults)?;
         Ok(())
     }

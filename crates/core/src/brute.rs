@@ -59,7 +59,9 @@ impl<'a, C: Coefficient> Search<'a, C> {
                 limit: cut_limit,
             });
         }
-        let cuts = enumerate_forest_cuts(&cleaned, cut_limit as usize, cut_limit)
+        // A limit past `usize::MAX` still bounds a count that fits.
+        let max_cuts = usize::try_from(cut_limit).unwrap_or(usize::MAX);
+        let cuts = enumerate_forest_cuts(&cleaned, max_cuts, cut_limit)
             .expect("count checked against limit");
 
         // Fast path: when no monomial contains variables of two *different*
@@ -384,6 +386,24 @@ mod tests {
                     (Err(ea), Err(eb)) => assert_eq!(ea, eb, "bound {bound}"),
                     (a, b) => panic!("bound {bound}: serial {a:?} vs parallel {b:?}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn limits_past_usize_saturate() {
+        let mut vars = VarTable::new();
+        let polys = parse_polyset("3·x1·a + 4·x2·a\n5·x1·b + 6·x2·b", &mut vars).expect("parse");
+        let forest = provabs_trees::text::parse_forest("X(x1, x2)", &mut vars).expect("forest");
+        let expected = brute_force_vvs(&polys, &forest, 2, DEFAULT_CUT_LIMIT).expect("adequate");
+        for limit in [1u128 << 64, u128::MAX] {
+            for got in [
+                brute_force_vvs(&polys, &forest, 2, limit),
+                brute_force_vvs_parallel(&polys, &forest, 2, limit, 2),
+            ] {
+                let got = got.expect("adequate");
+                assert_eq!(got.vvs, expected.vvs, "limit {limit}");
+                assert_eq!(got.compressed_size_m, expected.compressed_size_m);
             }
         }
     }

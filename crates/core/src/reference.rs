@@ -6,19 +6,21 @@
 //!   minimal-VL candidate's group and recomputes its monomial loss from
 //!   scratch on cloned polynomials (`O(n · |𝒫|_M)`, §3.2). Same selection
 //!   rule, tie-breaks and anytime contract as the incremental engine of
-//!   [`crate::greedy`] (`incremental_equivalence`, `guarded_compression`);
-//!   `Strategy::Greedy { incremental: false }` in the session façade,
+//!   [`crate::greedy`] (`incremental_equivalence`, `guarded_compression`),
 //! * [`optimal_vvs_dense`] — Algorithm 1 with dense arrays
 //!   (`tests/optimality.rs`, `bench_ablation`),
 //! * [`brute_force_vvs`] / [`brute_force_vvs_parallel`] — exhaustive
-//!   search over every cut (the evaluation's baseline; `Strategy::Brute`),
+//!   search over every cut (the evaluation's baseline: Figure 11,
+//!   `tests/optimality.rs`),
 //! * [`ml_naive`] / [`ml_delta_of_group`] / [`ml_delta_of_group_in`] —
 //!   the monomial loss of §3.1 by definition: substitute, then count
 //!   (what [`TreeLoss`] is checked against).
 //!
 //! They take hash-map [`PolySet`]s and measure by direct [`Vvs::apply`]:
 //! not sharing the working-set rewrite with the code they check is what
-//! makes them oracles. No production module of this crate calls in here.
+//! makes them oracles. No production module of this crate calls in here,
+//! and no session strategy names them: the test suites and the
+//! experiments call them directly (ADR 021).
 
 pub use crate::brute::{brute_force_vvs, brute_force_vvs_parallel, DEFAULT_CUT_LIMIT};
 

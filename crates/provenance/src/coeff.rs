@@ -1,9 +1,10 @@
 //! Coefficient rings for provenance polynomials.
 //!
 //! The paper treats coefficients as rational numbers (§2.1). In practice
-//! aggregate provenance uses floating point, counting provenance uses
-//! naturals, and tests want exact arithmetic; the [`Coefficient`] trait
-//! abstracts over all three.
+//! aggregate provenance uses floating point (and its `MIN` / `MAX`
+//! semirings), counting provenance uses naturals, and tests want exact
+//! arithmetic, which integers give them; the [`Coefficient`] trait
+//! abstracts over all of these.
 
 use std::fmt;
 
@@ -227,174 +228,16 @@ impl Coefficient for MaxF64 {
     }
 }
 
-/// An exact rational number with `i128` numerator and denominator.
-///
-/// Always kept in lowest terms with a positive denominator. Used by golden
-/// tests that reproduce the paper's worked examples without float error.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Rational {
-    num: i128,
-    den: i128,
-}
-
-impl Rational {
-    /// Creates `num/den` in lowest terms.
-    ///
-    /// # Panics
-    /// Panics if `den == 0`.
-    pub fn new(num: i128, den: i128) -> Self {
-        assert!(den != 0, "rational with zero denominator");
-        let sign = if den < 0 { -1 } else { 1 };
-        let g = gcd(num.unsigned_abs(), den.unsigned_abs());
-        let g = if g == 0 { 1 } else { g as i128 };
-        Self {
-            num: sign * num / g,
-            den: sign * den / g,
-        }
-    }
-
-    /// An integer as a rational.
-    pub fn int(n: i128) -> Self {
-        Self { num: n, den: 1 }
-    }
-
-    /// Parses a decimal literal such as `220.8` exactly.
-    pub fn from_decimal_str(s: &str) -> Option<Self> {
-        let (int_part, frac_part) = match s.split_once('.') {
-            Some((i, f)) => (i, f),
-            None => (s, ""),
-        };
-        let negative = int_part.starts_with('-');
-        let int_digits = int_part.trim_start_matches(['-', '+']);
-        if !int_digits.chars().all(|c| c.is_ascii_digit())
-            || !frac_part.chars().all(|c| c.is_ascii_digit())
-            || (int_digits.is_empty() && frac_part.is_empty())
-        {
-            return None;
-        }
-        let mut num: i128 = 0;
-        for c in int_digits.chars().chain(frac_part.chars()) {
-            num = num.checked_mul(10)?.checked_add((c as u8 - b'0') as i128)?;
-        }
-        let den = 10i128.checked_pow(frac_part.len() as u32)?;
-        if negative {
-            num = -num;
-        }
-        Some(Self::new(num, den))
-    }
-
-    /// Numerator (lowest terms, sign-carrying).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (lowest terms, positive).
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
-    /// Nearest `f64`.
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-}
-
-fn gcd(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-impl Coefficient for Rational {
-    fn zero() -> Self {
-        Self::int(0)
-    }
-    fn one() -> Self {
-        Self::int(1)
-    }
-    fn add(&self, other: &Self) -> Self {
-        let num = self
-            .num
-            .checked_mul(other.den)
-            .and_then(|l| {
-                other
-                    .num
-                    .checked_mul(self.den)
-                    .and_then(|r| l.checked_add(r))
-            })
-            .expect("rational overflow in add");
-        let den = self.den.checked_mul(other.den).expect("rational overflow");
-        Self::new(num, den)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        let num = self.num.checked_mul(other.num).expect("rational overflow");
-        let den = self.den.checked_mul(other.den).expect("rational overflow");
-        Self::new(num, den)
-    }
-    fn is_zero(&self) -> bool {
-        self.num == 0
-    }
-}
-
-impl fmt::Debug for Rational {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.num, self.den)
-    }
-}
-
-impl fmt::Display for Rational {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == 1 {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn rational_normalises() {
-        let r = Rational::new(6, -4);
-        assert_eq!(r.numer(), -3);
-        assert_eq!(r.denom(), 2);
-    }
-
-    #[test]
-    fn rational_arithmetic() {
-        let a = Rational::new(1, 2);
-        let b = Rational::new(1, 3);
-        assert_eq!(a.add(&b), Rational::new(5, 6));
-        assert_eq!(a.mul(&b), Rational::new(1, 6));
-        assert!(Rational::int(0).is_zero());
-    }
-
-    #[test]
-    fn rational_from_decimal() {
-        assert_eq!(
-            Rational::from_decimal_str("220.8"),
-            Some(Rational::new(2208, 10))
-        );
-        assert_eq!(
-            Rational::from_decimal_str("-0.25"),
-            Some(Rational::new(-1, 4))
-        );
-        assert_eq!(Rational::from_decimal_str("42"), Some(Rational::int(42)));
-        assert_eq!(Rational::from_decimal_str("x"), None);
-        assert_eq!(Rational::from_decimal_str("."), None);
-    }
-
-    #[test]
     fn pow_and_nat_scale_defaults() {
-        let r = Rational::new(2, 1);
-        assert_eq!(Coefficient::pow(&r, 3), Rational::int(8));
-        assert_eq!(r.nat_scale(5), Rational::int(10));
+        // `i64` takes both default methods; `f64` overrides them.
+        assert_eq!(Coefficient::pow(&-2i64, 3), -8);
+        assert_eq!(3i64.nat_scale(5), 15);
+        assert_eq!(7i64.nat_scale(0), 0);
         assert_eq!(Coefficient::pow(&2.0f64, 10), 1024.0);
         assert_eq!(3.0f64.nat_scale(4), 12.0);
     }
@@ -402,13 +245,7 @@ mod tests {
     #[test]
     fn zero_power_is_one() {
         assert_eq!(Coefficient::pow(&5.0f64, 0), 1.0);
-        assert_eq!(Coefficient::pow(&Rational::int(7), 0), Rational::int(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "zero denominator")]
-    fn zero_denominator_panics() {
-        let _ = Rational::new(1, 0);
+        assert_eq!(Coefficient::pow(&7i64, 0), 1);
     }
 
     #[test]

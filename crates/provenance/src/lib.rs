@@ -85,7 +85,7 @@ pub mod valuation;
 pub mod var;
 pub mod working;
 
-pub use coeff::{Coefficient, Rational};
+pub use coeff::Coefficient;
 pub use compiled::{CompiledPolySet, CompiledView};
 pub use display::{poly_to_string, polyset_to_string};
 pub use guard::{Budget, CancelToken, Completion, Guard, Interrupt};

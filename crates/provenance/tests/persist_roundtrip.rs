@@ -83,14 +83,12 @@ fn attainable_bound(polys: &PolySet<f64>, vars: &VarTable, forest: &Forest) -> u
 fn all_strategies() -> Vec<Strategy> {
     vec![
         Strategy::Optimal,
-        Strategy::Greedy { incremental: true },
-        Strategy::Greedy { incremental: false },
+        Strategy::Greedy,
         Strategy::Online {
             fraction: 0.5,
             seed: 7,
         },
         Strategy::Competitor,
-        Strategy::Brute { cut_limit: 1 << 20 },
         Strategy::None,
     ]
 }
@@ -620,7 +618,7 @@ fn artifacts_stay_within_their_size_budget() {
     let num_vars = vars.len();
     let scale = SessionBuilder::new(working.to_polyset(), vars)
         .forest(forest)
-        .strategy(Strategy::Greedy { incremental: true })
+        .strategy(Strategy::Greedy)
         .bound(bound)
         .build()
         .expect("valid");

@@ -394,6 +394,35 @@ fn typed_rejections_over_the_wire() {
         "{body}"
     );
 
+    // The retired oracles are no strategies (ADR 021): refused like any
+    // unparseable one, before a session — or an unguarded search over
+    // every cut — exists.
+    for (i, retired) in ["brute", "brute:18446744073709551616", "greedy:reference"]
+        .into_iter()
+        .enumerate()
+    {
+        let refused = client
+            .post(
+                "/sessions",
+                &Json::obj([
+                    ("name", Json::from(format!("oracle{i}"))),
+                    ("workload", Json::from("telephony")),
+                    ("strategy", Json::from(retired)),
+                ]),
+            )
+            .expect("request");
+        assert_eq!(refused.status, 422, "{retired}");
+        assert_eq!(
+            refused
+                .json()
+                .expect("json")
+                .get("error")
+                .and_then(Json::as_str),
+            Some("bad_strategy"),
+            "{retired}"
+        );
+    }
+
     // A scenario naming an unknown variable → 422 typed.
     post_ok(
         &mut client,

@@ -54,9 +54,11 @@ pub(crate) struct SessionMeta {
 /// build with fewer strategies never mis-reads a newer artifact.
 mod tag {
     pub const OPTIMAL: u32 = 0;
+    /// Then a word, written 1; a stored 0 is the retired reference engine.
     pub const GREEDY: u32 = 1;
     pub const ONLINE: u32 = 2;
     pub const COMPETITOR: u32 = 3;
+    /// The retired brute force (ADR 021), refused: never reuse it.
     pub const BRUTE: u32 = 4;
     pub const NONE: u32 = 5;
     // 6 was the retired sharded strategy: never reuse it.
@@ -67,9 +69,9 @@ const CTX: &str = "session meta";
 fn encode_strategy(e: &mut Enc, strategy: &Strategy) {
     match strategy {
         Strategy::Optimal => e.u32(tag::OPTIMAL),
-        Strategy::Greedy { incremental } => {
+        Strategy::Greedy => {
             e.u32(tag::GREEDY);
-            e.u32(u32::from(*incremental));
+            e.u32(1);
         }
         Strategy::Online { fraction, seed } => {
             e.u32(tag::ONLINE);
@@ -77,33 +79,29 @@ fn encode_strategy(e: &mut Enc, strategy: &Strategy) {
             e.u64(*seed);
         }
         Strategy::Competitor => e.u32(tag::COMPETITOR),
-        Strategy::Brute { cut_limit } => {
-            e.u32(tag::BRUTE);
-            e.u64(*cut_limit as u64);
-            e.u64((cut_limit >> 64) as u64);
-        }
         Strategy::None => e.u32(tag::NONE),
     }
+}
+
+/// The refusal of a strategy an older build could save and this one no
+/// longer runs.
+fn retired(strategy: &str) -> PersistError {
+    PersistError::malformed(CTX, format!("retired strategy {strategy}"))
 }
 
 fn decode_strategy(d: &mut Dec<'_>) -> Result<Strategy, PersistError> {
     Ok(match d.u32()? {
         tag::OPTIMAL => Strategy::Optimal,
-        tag::GREEDY => Strategy::Greedy {
-            incremental: d.u32()? != 0,
+        tag::GREEDY => match d.u32()? {
+            0 => return Err(retired("greedy:reference")),
+            _ => Strategy::Greedy,
         },
         tag::ONLINE => Strategy::Online {
             fraction: d.f64()?,
             seed: d.u64()?,
         },
         tag::COMPETITOR => Strategy::Competitor,
-        tag::BRUTE => {
-            let lo = d.u64()?;
-            let hi = d.u64()?;
-            Strategy::Brute {
-                cut_limit: (u128::from(hi) << 64) | u128::from(lo),
-            }
-        }
+        tag::BRUTE => return Err(retired("brute")),
         tag::NONE => Strategy::None,
         other => {
             return Err(PersistError::malformed(
@@ -202,16 +200,12 @@ mod tests {
     fn meta_roundtrips_every_strategy() {
         for strategy in [
             Strategy::Optimal,
-            Strategy::Greedy { incremental: true },
-            Strategy::Greedy { incremental: false },
+            Strategy::Greedy,
             Strategy::Online {
                 fraction: 0.05,
                 seed: 42,
             },
             Strategy::Competitor,
-            Strategy::Brute {
-                cut_limit: (7u128 << 64) | 9,
-            },
             Strategy::None,
         ] {
             let meta = SessionMeta {
@@ -267,6 +261,28 @@ mod tests {
                 assert!(detail.contains("unknown strategy tag 6"), "{detail}");
             }
             other => panic!("expected a malformed-meta error, got {other:?}"),
+        }
+        // What an older saver wrote for the two retired oracles: tag 4
+        // with its 16-byte cut limit, and the greedy tag with word 0.
+        let mut brute = Enc::new();
+        brute.u32(0);
+        brute.u32(4);
+        brute.u64(80_000);
+        brute.u64(0);
+        let mut reference = Enc::new();
+        reference.u32(0);
+        reference.u32(1);
+        reference.u32(0);
+        for (old, name) in [(brute, "brute"), (reference, "greedy:reference")] {
+            let mut old = old.finish();
+            old.extend_from_slice(&good[8..]);
+            match decode_meta(&old).unwrap_err() {
+                PersistError::Malformed { context, detail } => {
+                    assert_eq!(context, "session meta");
+                    assert_eq!(detail, format!("retired strategy {name}"));
+                }
+                other => panic!("expected a malformed-meta error, got {other:?}"),
+            }
         }
         for len in 0..good.len() {
             assert!(decode_meta(&good[..len]).is_err());

@@ -8,17 +8,24 @@
 //! engine knobs. [`SessionBuilder::build`] validates the combination
 //! eagerly so a misconfigured session fails before any compression work.
 //!
+//! The builder is the one ingest point (ADR 021): a [`PolySet`] is
+//! lowered into a [`WorkingSet`] once, by [`SessionBuilder::new`], and
+//! dropped, so a session holds its provenance in that one form.
+//!
 //! Builders are `Clone`, which is how sweeps share one provenance across
-//! many sessions: `builder.clone().bound(b).build()?` per point.
+//! many sessions: `builder.clone().bound(b).build()?` per point. A clone
+//! shares the lowered arena and term columns (ADR 017): a sweep interns
+//! once.
 
 use crate::error::Error;
-use crate::session::{ProvenanceSource, Session};
+use crate::session::Session;
 use crate::strategy::{Strategy, Target};
 use provabs_engine::query::{GroupedProvenance, GroupedProvenanceInterned};
 use provabs_provenance::guard::{Budget, CancelToken, Guard};
 use provabs_provenance::parse::parse_polyset;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarTable;
+use provabs_provenance::working::WorkingSet;
 use provabs_scenario::executor::EvalOptions;
 use provabs_trees::forest::Forest;
 use provabs_trees::text::parse_forest;
@@ -38,7 +45,9 @@ use provabs_trees::text::parse_forest;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SessionBuilder {
-    prov: ProvenanceSource,
+    source: WorkingSet<f64>,
+    /// `source` arrived interned, not lowered from a poly-set here.
+    interned_source: bool,
     vars: VarTable,
     forest: Option<Forest>,
     strategy: Strategy,
@@ -49,9 +58,10 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    fn from_source(prov: ProvenanceSource, vars: VarTable) -> Self {
+    fn from_source(source: WorkingSet<f64>, interned_source: bool, vars: VarTable) -> Self {
         Self {
-            prov,
+            source,
+            interned_source,
             vars,
             forest: None,
             strategy: Strategy::default(),
@@ -62,13 +72,13 @@ impl SessionBuilder {
         }
     }
 
-    /// Starts a session over already-materialised provenance (lowered
-    /// into the session's interned arena once, at first compression). The
-    /// variable table must be the one the polynomials were interned into
-    /// (and, if [`forest`](Self::forest) is used, the one the forest's
-    /// labels were interned into).
+    /// Starts a session over already-materialised provenance, lowering
+    /// it into the session's interned arena here, once; the poly-set is
+    /// dropped. The variable table must be the one the polynomials were
+    /// interned into (and, if [`forest`](Self::forest) is used, the one
+    /// the forest's labels were interned into).
     pub fn new(polys: PolySet<f64>, vars: VarTable) -> Self {
-        Self::from_source(ProvenanceSource::Polys(polys), vars)
+        Self::from_source(WorkingSet::from_polyset(&polys), false, vars)
     }
 
     /// Starts a session by parsing the paper's polynomial text notation
@@ -98,7 +108,7 @@ impl SessionBuilder {
     /// [`Pipeline::aggregate_sum_interned`]: provabs_engine::query::Pipeline::aggregate_sum_interned
     /// [`Session::intern_stats`]: crate::Session::intern_stats
     pub fn from_query_interned(query: GroupedProvenanceInterned, vars: VarTable) -> Self {
-        Self::from_source(ProvenanceSource::Interned(Box::new(query.working)), vars)
+        Self::from_source(query.working, true, vars)
     }
 
     /// Sets the abstraction forest (built over the same variable table as
@@ -117,8 +127,7 @@ impl SessionBuilder {
         Ok(self)
     }
 
-    /// Sets the selection algorithm (default:
-    /// [`Strategy::Greedy`]`{ incremental: true }`).
+    /// Sets the selection algorithm (default: [`Strategy::Greedy`]).
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -193,11 +202,7 @@ impl SessionBuilder {
     /// was given. Forest/provenance *compatibility* is checked by
     /// [`Session::compress`], exactly as the low-level algorithms do.
     pub fn build(self) -> Result<Session, Error> {
-        let size_m = match &self.prov {
-            ProvenanceSource::Polys(p) => p.size_m(),
-            ProvenanceSource::Interned(w) => w.size_m(),
-        };
-        let bound = self.target.resolve(size_m)?;
+        let bound = self.target.resolve(self.source.size_m())?;
         let forest = match (self.forest, self.strategy.needs_forest()) {
             (Some(f), _) => f,
             (None, false) => Forest::new(Vec::new())?,
@@ -216,7 +221,8 @@ impl SessionBuilder {
             }
         };
         Ok(Session::from_parts(
-            self.prov,
+            self.source,
+            self.interned_source,
             self.vars,
             forest,
             self.strategy,

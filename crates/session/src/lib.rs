@@ -10,7 +10,8 @@
 //! handle:
 //!
 //! 1. [`SessionBuilder`] takes the provenance (a poly-set, parsed text,
-//!    an engine query result — or the engine's *interned* emission via
+//!    an engine query result — lowered into the interned arena once,
+//!    there — or the engine's *interned* emission via
 //!    [`SessionBuilder::from_query_interned`]), the abstraction
 //!    [`Forest`], a [`Strategy`] with a size [`Target`], and the
 //!    evaluation engine knobs ([`EvalOptions`]);
@@ -93,10 +94,9 @@
 //! | façade | low-level |
 //! |---|---|
 //! | [`Strategy::Optimal`] | [`provabs_core::optimal::optimal_vvs`] |
-//! | [`Strategy::Greedy`] | [`provabs_core::greedy::greedy_vvs`] (`incremental: false`: [`provabs_core::reference::greedy_vvs`]) |
+//! | [`Strategy::Greedy`] | [`provabs_core::greedy::greedy_vvs`] |
 //! | [`Strategy::Online`] | [`provabs_core::online::online_compress`] |
 //! | [`Strategy::Competitor`] | [`provabs_core::competitor::pairwise_summarize`] |
-//! | [`Strategy::Brute`] | [`provabs_core::reference::brute_force_vvs`] |
 //! | [`Strategy::None`] | [`provabs_core::problem::evaluate_vvs`] on [`Vvs::identity`](provabs_trees::cut::Vvs::identity) |
 //! | [`Session::ask`] | [`provabs_scenario::executor::eval`] on [`WorkingSet::freeze`](provabs_provenance::working::WorkingSet::freeze)`.view()` (under [`EvalOptions::serial_reference`](provabs_scenario::executor::EvalOptions::serial_reference): [`eval_reference`](provabs_scenario::executor::eval_reference) on the bridge) |
 //! | [`Session::speedup_report`] | [`provabs_scenario::speedup::measure_alternating`] over the cached lowerings |
@@ -105,14 +105,15 @@
 //!
 //! Each algorithm has exactly one entry point, taking the interned
 //! working set and an explicit guard; the session passes the one its
-//! caller gave it (or its default). The
-//! two `reference` rows are the hash-map oracles, reached over the
-//! counted `PolySet` bridge.
+//! caller gave it (or its default). The hash-map oracles those entry
+//! points are checked against (the paper's full-rescan greedy, brute
+//! force over every cut) are no strategy: they live in
+//! [`provabs_core::reference`], and the test suites call them there
+//! (`docs/adr/021-oracles-leave-the-product.md`).
 //!
 //! Results are bit-for-bit identical to those functions (asserted by the
-//! `facade_equivalence` integration suite; the hash-map reference
-//! engines agree up to floating-point merge order); the façade's value
-//! is the ownership of the artifacts *between* calls.
+//! `facade_equivalence` integration suite); the façade's value is the
+//! ownership of the artifacts *between* calls.
 //!
 //! [`Forest`]: provabs_trees::forest::Forest
 //! [`EvalOptions`]: provabs_scenario::executor::EvalOptions

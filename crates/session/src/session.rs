@@ -26,14 +26,15 @@
 //! [`Guard`] is something a call is *given* — the builder's guard is only
 //! the default the argument-free spellings pass.
 //!
-//! Hash-map [`PolySet`]s still exist at the edges: as an *input* format
-//! (lowered into the arena once, at ingest) and as an explicit *bridge*
-//! for the reference engines and interop accessors
-//! ([`Session::original`], [`Session::abstracted`], the
-//! `EvalOptions::serial_reference` hash-map path). Every bridge
-//! materialisation is counted in [`InternStats::polyset_materializations`]
-//! — a full query → compress → ask run on the default engine performs
-//! zero of them.
+//! A session holds its provenance in one form, the interned one. A
+//! hash-map [`PolySet`] is an *input* format, lowered into the arena once
+//! by [`SessionBuilder::new`](crate::SessionBuilder::new) and dropped, and
+//! an explicit *bridge* out for interop and the hash-map diagnostics
+//! ([`Session::original`], [`Session::abstracted`],
+//! [`Session::equivalence_error`], the `EvalOptions::serial_reference`
+//! path). Every bridge materialisation is counted in
+//! [`InternStats::polyset_materializations`] — a full query → compress →
+//! ask run on the default engine performs zero of them.
 
 pub use crate::artifact::ArtifactOrigin;
 use crate::artifact::{decode_live_vars, decode_meta, encode_live_vars, encode_meta, SessionMeta};
@@ -44,7 +45,6 @@ use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::{optimal_frontier, optimal_vvs};
 use provabs_core::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
-use provabs_core::reference;
 use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::fxhash::FxHashSet;
 use provabs_provenance::guard::{Completion, Guard};
@@ -72,17 +72,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How the session's provenance was supplied (builder-internal).
-#[derive(Clone, Debug)]
-pub(crate) enum ProvenanceSource {
-    /// A materialised poly-set (also: parsed text, non-interned engine
-    /// query) — lowered into the arena once, at first compression.
-    Polys(PolySet<f64>),
-    /// An already-interned working set (e.g. the engine's
-    /// `aggregate_sum_interned`) — ids flow through untouched.
-    Interned(Box<WorkingSet<f64>>),
-}
-
 /// The interning observability snapshot — sibling of
 /// [`Session::compile_count`], returned by [`Session::intern_stats`].
 ///
@@ -94,9 +83,9 @@ pub(crate) enum ProvenanceSource {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InternStats {
     /// Hash-map [`PolySet`] materialisations the session performed — each
-    /// one a deliberate bridge out of the interned currency (reference
-    /// engines, [`Session::original`] / [`Session::abstracted`]
-    /// accessors, hash-map evaluation paths). Zero on the hot path.
+    /// one a deliberate bridge out of the interned currency
+    /// ([`Session::original`] / [`Session::abstracted`] accessors,
+    /// hash-map evaluation paths). Zero on the hot path.
     pub polyset_materializations: usize,
     /// Distinct monomials in the abstracted working set's arena (0 before
     /// [`Session::compress`]). The session compacts that arena once,
@@ -201,11 +190,12 @@ impl CompressedState {
 /// [crate docs](crate) for the full workflow and the mapping to the
 /// low-level API.
 pub struct Session {
-    /// Original provenance, hash-map form: present from construction for
-    /// poly-set sources, lazily bridged (and counted) for interned ones.
+    /// Original provenance, hash-map form: a bridge, built lazily (and
+    /// counted) only when a caller explicitly needs a [`PolySet`].
     polys: OnceLock<PolySet<f64>>,
-    /// Original provenance, interned form: present from construction for
-    /// interned sources, lazily lowered at first compression otherwise.
+    /// Original provenance, interned form: present from construction, or
+    /// — in a session opened from an artifact — rebuilt from the stored
+    /// columns by the first path that needs it.
     source: OnceLock<WorkingSet<f64>>,
     vars: VarTable,
     forest: Forest,
@@ -257,8 +247,10 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Assembles a validated session (builder-internal).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        prov: ProvenanceSource,
+        source: WorkingSet<f64>,
+        interned_source: bool,
         vars: VarTable,
         forest: Forest,
         strategy: Strategy,
@@ -266,21 +258,9 @@ impl Session {
         opts: EvalOptions,
         guard: Guard,
     ) -> Self {
-        let polys = OnceLock::new();
-        let source = OnceLock::new();
-        let interned_source = match prov {
-            ProvenanceSource::Polys(p) => {
-                polys.set(p).expect("fresh cell");
-                false
-            }
-            ProvenanceSource::Interned(w) => {
-                source.set(*w).expect("fresh cell");
-                true
-            }
-        };
         Self {
-            polys,
-            source,
+            polys: OnceLock::new(),
+            source: OnceLock::from(source),
             vars,
             forest,
             strategy,
@@ -298,25 +278,12 @@ impl Session {
         }
     }
 
-    /// The original provenance in interned form: rebuilt from the opened
-    /// artifact's columns, or lowered from the poly-set input on first use
-    /// (ingest-time interning — *not* a bridge materialisation).
+    /// The original provenance in interned form: the builder's, or
+    /// rebuilt from an opened artifact's columns on first use.
     fn source_ws(&self) -> &WorkingSet<f64> {
-        self.source
-            .get_or_init(|| match self.original_compiled.get() {
-                Some(CompiledHandle::Shared(columns)) => WorkingSet::from_compiled(columns.view()),
-                _ => WorkingSet::from_polyset(
-                    self.polys.get().expect("one source is always present"),
-                ),
-            })
-    }
-
-    /// The original provenance in hash-map form, bridging (and counting)
-    /// from the interned form on first use.
-    fn polys_ref(&self) -> &PolySet<f64> {
-        self.polys.get_or_init(|| {
-            self.materializations.fetch_add(1, Ordering::Relaxed);
-            self.source_ws().to_polyset()
+        self.source.get_or_init(|| {
+            let stored = self.original_compiled.get().expect("opened");
+            WorkingSet::from_compiled(stored.view())
         })
     }
 
@@ -329,12 +296,8 @@ impl Session {
     /// substitution producing `𝒫↓S`), not the evaluation engine's setup.
     ///
     /// Results are bit-for-bit identical to the corresponding low-level
-    /// call (see [`Strategy`]); the interned-native strategies (Optimal,
-    /// incremental Greedy, Online, Competitor, None) run end-to-end in id
-    /// space, while the documented reference baselines
-    /// (`Greedy { incremental: false }`, `Brute`) bridge to the hash-map
-    /// representation they are defined on (counted in
-    /// [`intern_stats`](Self::intern_stats)).
+    /// call (see [`Strategy`]); every strategy runs end-to-end in id
+    /// space.
     ///
     /// This spelling runs under the session's default guard (builder
     /// deadline / budget / cancellation token, or the ambient deadline);
@@ -400,21 +363,7 @@ impl Session {
     fn select(&self, guard: &Guard) -> Result<(InternedAbstraction<f64>, Completion), Error> {
         Ok(match self.strategy {
             Strategy::Optimal => optimal_vvs(self.source_ws(), &self.forest, self.bound, guard)?,
-            Strategy::Greedy { incremental: true } => {
-                greedy_vvs(self.source_ws(), &self.forest, self.bound, guard)?
-            }
-            Strategy::Greedy { incremental: false } => {
-                // The paper-faithful full-rescan engine is defined on
-                // hash-map polynomials; run it there, then carry its
-                // VVS back into the interned currency.
-                let (result, completion) =
-                    reference::greedy_vvs(self.polys_ref(), &self.forest, self.bound, guard)?;
-                let source = self.source_ws().clone();
-                (
-                    evaluate_vvs(source, &result.forest, result.vvs, result.original_size_v),
-                    completion,
-                )
-            }
+            Strategy::Greedy => greedy_vvs(self.source_ws(), &self.forest, self.bound, guard)?,
             Strategy::Online { fraction, seed } => {
                 let (outcome, completion) = online_compress(
                     self.source_ws(),
@@ -431,23 +380,6 @@ impl Session {
                 let (interned, _, completion) =
                     pairwise_summarize(self.source_ws(), &self.forest, self.bound, guard)?;
                 (interned, completion)
-            }
-            Strategy::Brute { cut_limit } => {
-                // Exhaustive enumeration scores cuts on the hash-map
-                // representation; carry the winner back. The search is
-                // a test oracle — not guarded, but its worker panics
-                // come back typed (`TreeError::WorkerPanic`).
-                let result = reference::brute_force_vvs(
-                    self.polys_ref(),
-                    &self.forest,
-                    self.bound,
-                    cut_limit,
-                )?;
-                let source = self.source_ws().clone();
-                (
-                    evaluate_vvs(source, &result.forest, result.vvs, result.original_size_v),
-                    Completion::Complete,
-                )
             }
             Strategy::None => {
                 let (cleaned, live) = prepare(self.source_ws(), &self.forest)?;
@@ -617,7 +549,7 @@ impl Session {
         let state = self.state(&self.guard)?;
         let coarse = self.valuations(scenarios, Some(&state.live_vars))?;
         Ok(max_equivalence_error_prepared(
-            self.polys_ref(),
+            self.original(),
             self.abstracted_bridge(state),
             &state.result,
             &coarse,
@@ -629,8 +561,7 @@ impl Session {
     /// full compression. Dispatches on the strategy —
     /// [`Strategy::Optimal`] runs the exact single-tree
     /// [`optimal_frontier`], everything else traces the greedy run
-    /// ([`greedy_frontier`], or [`reference::greedy_frontier`] — on the
-    /// hash-map bridge — for `Greedy { incremental: false }`).
+    /// ([`greedy_frontier`]).
     ///
     /// The trace runs under the session's guard, and a frontier is only
     /// meaningful whole: a tripped guard is [`Error::Cancelled`], not a
@@ -638,9 +569,6 @@ impl Session {
     pub fn frontier(&self) -> Result<Vec<(usize, usize)>, Error> {
         let (points, completion) = match self.strategy {
             Strategy::Optimal => optimal_frontier(self.source_ws(), &self.forest, &self.guard)?,
-            Strategy::Greedy { incremental: false } => {
-                reference::greedy_frontier(self.polys_ref(), &self.forest, &self.guard)?
-            }
             _ => greedy_frontier(self.source_ws(), &self.forest, &self.guard)?,
         };
         match completion {
@@ -667,19 +595,14 @@ impl Session {
         })
     }
 
-    /// The columnar lowering of the original side (a session opened from
-    /// an artifact holds the stored columns and never builds one): frozen
-    /// from the interned source when the session was built interned,
-    /// compiled from the input poly-set otherwise (bit-identical to the
-    /// low-level `CompiledPolySet::compile` on that input either way).
+    /// The columnar lowering of the original side: frozen out of the
+    /// interned source by the first caller, counted once (a session
+    /// opened from an artifact holds the stored columns and never builds
+    /// one).
     fn original_columns(&self) -> &CompiledHandle {
         self.original_compiled.get_or_init(|| {
             self.compile_count.fetch_add(1, Ordering::Relaxed);
-            CompiledHandle::Owned(if self.interned_source {
-                self.source_ws().freeze()
-            } else {
-                CompiledPolySet::compile(self.polys_ref())
-            })
+            CompiledHandle::Owned(self.source_ws().freeze())
         })
     }
 
@@ -715,7 +638,7 @@ impl Session {
             let columns = self.original_columns().view();
             eval(columns, valuations, opts, &guard).into_result()?
         } else {
-            eval_reference(self.polys_ref(), valuations, &guard)?
+            eval_reference(self.original(), valuations, &guard)?
         })
     }
 
@@ -755,28 +678,26 @@ impl Session {
             .collect()
     }
 
-    /// The original provenance `𝒫` as a hash-map poly-set. For
-    /// interned-source and opened sessions this materialises the bridge
-    /// on first use (counted in [`intern_stats`](Self::intern_stats));
+    /// The original provenance `𝒫` as a hash-map poly-set — the interop
+    /// bridge, like [`abstracted`](Self::abstracted): built at most once,
+    /// counted in [`intern_stats`](Self::intern_stats).
     /// [`original_size`](Self::original_size) answers "how big" without.
     pub fn original(&self) -> &PolySet<f64> {
-        self.polys_ref()
+        self.polys.get_or_init(|| {
+            self.materializations.fetch_add(1, Ordering::Relaxed);
+            self.source_ws().to_polyset()
+        })
     }
 
     /// `(polynomials, |𝒫|_M, |𝒫|_V)` of the original provenance, read off
-    /// whichever form the session already holds — the input poly-set, an
-    /// opened artifact's columns, or the interned source — never through
-    /// a bridge.
+    /// whichever form the session already holds — the interned source or
+    /// an opened artifact's columns — never through a bridge.
     pub fn original_size(&self) -> (usize, usize, usize) {
-        match (self.polys.get(), self.original_compiled.get()) {
-            (Some(p), _) => (p.len(), p.size_m(), p.size_v()),
-            (None, Some(columns)) => {
-                let view = columns.view();
+        match self.source.get() {
+            Some(source) => (source.num_polys(), source.size_m(), source.size_v()),
+            None => {
+                let view = self.original_columns().view();
                 (view.num_polys(), view.num_monomials(), view.num_vars())
-            }
-            (None, None) => {
-                let source = self.source_ws();
-                (source.num_polys(), source.size_m(), source.size_v())
             }
         }
     }
@@ -942,12 +863,8 @@ impl Session {
         };
         let frozen_original;
         let original = match self.original_compiled.get() {
-            // Not the one compiled from a poly-set input: that is in the
-            // input's hash-map order.
-            Some(handle) if self.interned_source || matches!(handle, CompiledHandle::Shared(_)) => {
-                handle.view()
-            }
-            _ => {
+            Some(handle) => handle.view(),
+            None => {
                 frozen_original = self.source_ws().freeze();
                 frozen_original.view()
             }

@@ -8,10 +8,13 @@
 //! CLI flags can name them (`greedy`, `online:0.1:42`, `ratio:0.5`, …)
 //! without duplicating the enums at every layer.
 //!
+//! Every strategy is a guarded engine over the interned provenance; the
+//! oracles they are checked against live in [`provabs_core::reference`],
+//! and their old spellings do not parse (ADR 021).
+//!
 //! [`compress`]: crate::Session::compress
 
 use crate::error::Error;
-use provabs_core::reference::DEFAULT_CUT_LIMIT;
 use std::fmt;
 use std::str::FromStr;
 
@@ -29,15 +32,9 @@ pub enum Strategy {
     /// ([`provabs_core::optimal::optimal_vvs`]). Requires a forest with
     /// exactly one tree.
     Optimal,
-    /// Algorithm 2, the greedy multi-tree heuristic.
-    Greedy {
-        /// `true` (the default) runs the delta-maintained incremental
-        /// engine ([`provabs_core::greedy::greedy_vvs`]); `false` runs
-        /// the paper-faithful full-rescan reference
-        /// ([`provabs_core::reference::greedy_vvs`]), kept because its
-        /// tag is in the artifact format.
-        incremental: bool,
-    },
+    /// Algorithm 2, the greedy multi-tree heuristic
+    /// ([`provabs_core::greedy::greedy_vvs`]).
+    Greedy,
     /// §6's sampling-based online scheme
     /// ([`provabs_core::online::online_compress`] with the greedy
     /// solver, which accepts any forest): the VVS is chosen on a sample
@@ -56,14 +53,6 @@ pub enum Strategy {
     /// The pairwise-merge summarization baseline of Ainy et al.
     /// ([`provabs_core::competitor::pairwise_summarize`]).
     Competitor,
-    /// Exhaustive enumeration of every cut
-    /// ([`provabs_core::reference::brute_force_vvs`]); refuses forests
-    /// admitting more than `cut_limit` cuts.
-    Brute {
-        /// Enumeration limit (the paper's observed feasibility threshold
-        /// is [`provabs_core::reference::DEFAULT_CUT_LIMIT`]).
-        cut_limit: u128,
-    },
     /// No compression: the session serves the original provenance (the
     /// identity abstraction). Useful as the uncompressed baseline and
     /// for sessions that only want the batch-evaluation engine.
@@ -74,7 +63,7 @@ impl Default for Strategy {
     /// The production default: the incremental greedy engine, which
     /// accepts any forest and scales to large instances.
     fn default() -> Self {
-        Strategy::Greedy { incremental: true }
+        Strategy::Greedy
     }
 }
 
@@ -117,11 +106,9 @@ impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Strategy::Optimal => write!(f, "optimal"),
-            Strategy::Greedy { incremental: true } => write!(f, "greedy"),
-            Strategy::Greedy { incremental: false } => write!(f, "greedy:reference"),
+            Strategy::Greedy => write!(f, "greedy"),
             Strategy::Online { fraction, seed } => write!(f, "online:{fraction}:{seed}"),
             Strategy::Competitor => write!(f, "competitor"),
-            Strategy::Brute { cut_limit } => write!(f, "brute:{cut_limit}"),
             Strategy::None => write!(f, "none"),
         }
     }
@@ -131,8 +118,9 @@ impl FromStr for Strategy {
     type Err = SpecParseError;
 
     /// Parses the [`Display`](Strategy#impl-Display-for-Strategy) form:
-    /// `optimal`, `greedy`, `greedy:reference`, `online:FRACTION:SEED`
-    /// (fraction in `(0, 1]`), `competitor`, `brute[:CUT_LIMIT]`, `none`.
+    /// `optimal`, `greedy`, `online:FRACTION:SEED` (fraction in
+    /// `(0, 1]`), `competitor`, `none`. The retired oracle spellings
+    /// `greedy:reference` and `brute[:CUT_LIMIT]` do not parse.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || SpecParseError::new("strategy", s);
         let mut parts = s.trim().split(':');
@@ -141,11 +129,7 @@ impl FromStr for Strategy {
         let no_args = |v: Strategy| if rest.is_empty() { Ok(v) } else { Err(err()) };
         match head {
             "optimal" => no_args(Strategy::Optimal),
-            "greedy" => match rest.as_slice() {
-                [] => Ok(Strategy::Greedy { incremental: true }),
-                ["reference"] => Ok(Strategy::Greedy { incremental: false }),
-                _ => Err(err()),
-            },
+            "greedy" => no_args(Strategy::Greedy),
             "online" => match rest.as_slice() {
                 [fraction, seed] => {
                     let fraction: f64 = fraction.parse().map_err(|_| err())?;
@@ -159,15 +143,6 @@ impl FromStr for Strategy {
                 _ => Err(err()),
             },
             "competitor" => no_args(Strategy::Competitor),
-            "brute" => match rest.as_slice() {
-                [] => Ok(Strategy::Brute {
-                    cut_limit: DEFAULT_CUT_LIMIT,
-                }),
-                [limit] => Ok(Strategy::Brute {
-                    cut_limit: limit.parse().map_err(|_| err())?,
-                }),
-                _ => Err(err()),
-            },
             "none" => no_args(Strategy::None),
             _ => Err(err()),
         }
@@ -250,7 +225,7 @@ mod tests {
 
     #[test]
     fn defaults_are_the_paper_configuration() {
-        assert_eq!(Strategy::default(), Strategy::Greedy { incremental: true });
+        assert_eq!(Strategy::default(), Strategy::Greedy);
         assert_eq!(Target::default(), Target::Ratio(0.5));
     }
 
@@ -274,35 +249,24 @@ mod tests {
     fn strategy_text_round_trips() {
         let all = [
             Strategy::Optimal,
-            Strategy::Greedy { incremental: true },
-            Strategy::Greedy { incremental: false },
+            Strategy::Greedy,
             Strategy::Online {
                 fraction: 0.1,
                 seed: 42,
             },
             Strategy::Competitor,
-            Strategy::Brute { cut_limit: 1234 },
             Strategy::None,
         ];
         for s in all {
             let text = s.to_string();
             assert_eq!(text.parse::<Strategy>().as_ref(), Ok(&s), "{text}");
         }
-        assert_eq!(
-            "greedy".parse::<Strategy>(),
-            Ok(Strategy::Greedy { incremental: true })
-        );
+        assert_eq!("greedy".parse::<Strategy>(), Ok(Strategy::Greedy));
         assert_eq!(
             "online:0.1:42".parse::<Strategy>(),
             Ok(Strategy::Online {
                 fraction: 0.1,
                 seed: 42
-            })
-        );
-        assert_eq!(
-            "brute".parse::<Strategy>(),
-            Ok(Strategy::Brute {
-                cut_limit: DEFAULT_CUT_LIMIT
             })
         );
         for bad in [
@@ -314,11 +278,15 @@ mod tests {
             "online:0:42",
             "online:1.5:42",
             "online:x:42",
-            "brute:many",
             "none:really",
             // The retired shard-count form.
             "sharded:4",
             "sharded:2:greedy",
+            // The retired oracles (ADR 021).
+            "greedy:reference",
+            "brute",
+            "brute:80000",
+            "brute:18446744073709551616",
         ] {
             let err = bad.parse::<Strategy>().unwrap_err();
             assert!(err.to_string().contains("strategy"), "{bad}: {err}");

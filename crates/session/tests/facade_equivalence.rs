@@ -9,7 +9,9 @@
 //!
 //! The low-level pipeline *is* the interned one: compression consumes
 //! and returns `WorkingSet`s over the shared monomial arena, and
-//! evaluation freezes that arena. The hash-map representation remains
+//! evaluation freezes that arena. A session built from a `PolySet`
+//! lowers it once, with `WorkingSet::from_polyset`, so the oracles below
+//! start from that same lowering. The hash-map representation remains
 //! the semantics reference — it equals the interned results up to
 //! floating-point merge order (asserted here with a relative tolerance;
 //! exactly, term-set-wise, in the `intern_equivalence` suite).
@@ -19,13 +21,11 @@ use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::{optimal_frontier, optimal_vvs};
 use provabs_core::problem::{evaluate_vvs, prepare, InternedAbstraction};
-use provabs_core::reference::{self, DEFAULT_CUT_LIMIT};
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
 use provabs_engine::query::GroupedProvenanceInterned;
 use provabs_provenance::compiled::CompiledPolySet;
 use provabs_provenance::guard::{Budget, CancelToken, Guard, Interrupt};
-use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::working::WorkingSet;
 use provabs_provenance::{polyset_to_string, VarTable};
@@ -40,8 +40,8 @@ use provabs_trees::forest::Forest;
 use std::time::Duration;
 
 /// A small, fast fixture: enough structure for every algorithm
-/// (including the quadratic competitor and exhaustive brute force),
-/// small enough to sweep all strategies in test time.
+/// (including the quadratic competitor), small enough to sweep all
+/// strategies in test time.
 fn fixture(workload: Workload) -> (WorkloadData, Forest) {
     let mut data = workload.generate(&WorkloadConfig {
         scale: 0.05,
@@ -57,26 +57,13 @@ fn fixture(workload: Workload) -> (WorkloadData, Forest) {
 fn low_level_oracle(
     strategy: &Strategy,
     source: &WorkingSet<f64>,
-    polys: &PolySet<f64>,
     forest: &Forest,
     bound: usize,
 ) -> Result<InternedAbstraction<f64>, TreeError> {
     let guard = &Guard::unlimited();
     match strategy {
         Strategy::Optimal => optimal_vvs(source, forest, bound, guard).map(|(abs, _)| abs),
-        Strategy::Greedy { incremental: true } => {
-            greedy_vvs(source, forest, bound, guard).map(|(abs, _)| abs)
-        }
-        Strategy::Greedy { incremental: false } => {
-            let (result, _) = reference::greedy_vvs(polys, forest, bound, guard)?;
-            let size_v = result.original_size_v;
-            Ok(evaluate_vvs(
-                source.clone(),
-                &result.forest,
-                result.vvs,
-                size_v,
-            ))
-        }
+        Strategy::Greedy => greedy_vvs(source, forest, bound, guard).map(|(abs, _)| abs),
         Strategy::Online { fraction, seed } => online_compress(
             source,
             forest,
@@ -90,16 +77,6 @@ fn low_level_oracle(
         Strategy::Competitor => {
             pairwise_summarize(source, forest, bound, guard).map(|(abs, _, _)| abs)
         }
-        Strategy::Brute { cut_limit } => {
-            let result = reference::brute_force_vvs(polys, forest, bound, *cut_limit)?;
-            let size_v = result.original_size_v;
-            Ok(evaluate_vvs(
-                source.clone(),
-                &result.forest,
-                result.vvs,
-                size_v,
-            ))
-        }
         Strategy::None => {
             let (cleaned, live) = prepare(source, forest)?;
             let vvs = Vvs::identity(&cleaned);
@@ -112,16 +89,12 @@ fn low_level_oracle(
 fn all_strategies() -> Vec<Strategy> {
     vec![
         Strategy::Optimal,
-        Strategy::Greedy { incremental: true },
-        Strategy::Greedy { incremental: false },
+        Strategy::Greedy,
         Strategy::Online {
             fraction: 0.5,
             seed: 7,
         },
         Strategy::Competitor,
-        Strategy::Brute {
-            cut_limit: DEFAULT_CUT_LIMIT,
-        },
         Strategy::None,
     ]
 }
@@ -160,10 +133,7 @@ fn assert_values_close(a: &[Vec<f64>], b: &[Vec<f64>], context: &str) {
 fn facade_equals_low_level_for_every_strategy() {
     for workload in [Workload::Telephony, Workload::TpchQ10] {
         let (data, forest) = fixture(workload);
-        assert!(
-            forest.count_cuts() <= DEFAULT_CUT_LIMIT,
-            "fixture must stay brute-forceable"
-        );
+        // What `SessionBuilder::new` lowers its input to.
         let source = WorkingSet::from_polyset(&data.polys);
         // A bound between the forest's compression floor and the
         // original size, so every strategy can attain it.
@@ -177,7 +147,7 @@ fn facade_equals_low_level_for_every_strategy() {
         let opts = EvalOptions::new().threads(2);
         for strategy in all_strategies() {
             let context = format!("{} / {strategy:?}", workload.name());
-            let expected = low_level_oracle(&strategy, &source, &data.polys, &forest, bound)
+            let expected = low_level_oracle(&strategy, &source, &forest, bound)
                 .unwrap_or_else(|e| panic!("{context}: low-level failed: {e}"));
 
             let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
@@ -251,7 +221,7 @@ fn facade_equals_low_level_for_every_strategy() {
             let orig_names: Vec<String> = data.vars.iter().map(|(_, n)| n.to_string()).collect();
             let fine = Scenario::random(&orig_names, 0.5, 99);
             let fine_val = fine.valuation(&mut oracle_vars);
-            let original_compiled = CompiledPolySet::compile(&data.polys);
+            let original_compiled = source.freeze();
             let coarse_val = coarse_valuation(&expected.result, &fine_val);
             let one = |compiled: &CompiledPolySet<f64>, val: &Valuation<f64>| {
                 eval(
@@ -294,7 +264,7 @@ fn facade_equals_low_level_for_every_strategy() {
             // both sides — its numbers equal the low-level call on the
             // session's own bridges, bit for bit.
             let low_err = max_equivalence_error_prepared(
-                &data.polys,
+                &source.to_polyset(),
                 &expected_down,
                 &expected.result,
                 &vals,
@@ -552,7 +522,7 @@ fn concurrent_sessions_over_one_capture_leave_it_as_it_was() {
         };
         SessionBuilder::from_query_interned(provenance, vars.clone())
             .forest(forest.clone())
-            .strategy(Strategy::Greedy { incremental: true })
+            .strategy(Strategy::Greedy)
             .build()
             .expect("valid configuration")
     };
@@ -625,11 +595,7 @@ fn frontier_matches_the_low_level_frontiers() {
 #[test]
 fn frontier_under_a_cancelled_token_is_a_typed_error() {
     let (data, forest) = fixture(Workload::Telephony);
-    for strategy in [
-        Strategy::Optimal,
-        Strategy::default(),
-        Strategy::Greedy { incremental: false },
-    ] {
+    for strategy in [Strategy::Optimal, Strategy::default()] {
         let token = CancelToken::new();
         token.cancel();
         let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
@@ -832,7 +798,7 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
             let context = format!("{} / kernel {kernel}", workload.name());
             let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
                 .forest(forest.clone())
-                .strategy(Strategy::Greedy { incremental: true })
+                .strategy(Strategy::Greedy)
                 .bound(data.polys.size_m())
                 .eval_options(EvalOptions::new().kernel(kernel))
                 .build()

@@ -47,7 +47,7 @@ fn small_builder() -> SessionBuilder {
         .expect("parses")
         .forest_text("X(x1, x2)")
         .expect("parses")
-        .strategy(Strategy::Greedy { incremental: true })
+        .strategy(Strategy::Greedy)
         .bound(2)
 }
 
@@ -71,7 +71,7 @@ fn wide_builder() -> SessionBuilder {
         .expect("parses")
         .forest_text(&format!("S({})", quartets.join(", ")))
         .expect("parses")
-        .strategy(Strategy::Greedy { incremental: true })
+        .strategy(Strategy::Greedy)
         .bound(1)
 }
 

@@ -1,7 +1,9 @@
 //! What a save may allocate: the artifact's two column sections are
 //! written from the columns the session already holds, each checksummed
 //! as it goes out (ADR 020), so a save allocates its small sections and
-//! the header — not a second copy of either poly-set.
+//! the header — not a second copy of either poly-set. And what a sweep
+//! may allocate per point: a builder lowers its poly-set once, and its
+//! clones share that lowering (ADR 021).
 //!
 //! A counting `#[global_allocator]` needs the process to itself, so this
 //! binary holds exactly one test.
@@ -62,7 +64,7 @@ fn saving_the_scale_fixture_allocates_under_one_percent_of_the_artifact() {
     };
     let session = SessionBuilder::from_query_interned(provenance, vars)
         .forest(forest)
-        .strategy(Strategy::Greedy { incremental: true })
+        .strategy(Strategy::Greedy)
         .bound(bound)
         .build()
         .expect("valid");
@@ -98,5 +100,23 @@ fn saving_the_scale_fixture_allocates_under_one_percent_of_the_artifact() {
     assert!(
         allocated * 100 < artifact,
         "saving a {artifact} B artifact allocated {allocated} B"
+    );
+    drop(session);
+
+    // A sweep point is `builder.clone().bound(b).build()`: the clone
+    // shares the arena and term columns `new` lowered, so it costs the
+    // variable table, not a second copy of the provenance.
+    let mut vars = VarTable::new();
+    let polys = scale_working_set(&config, &mut vars).to_polyset();
+    let before = ALLOCATED.load(Relaxed);
+    let builder = SessionBuilder::new(polys, vars);
+    let lowered = ALLOCATED.load(Relaxed) - before;
+    let before = ALLOCATED.load(Relaxed);
+    let point = builder.clone().bound(bound);
+    let cloned = ALLOCATED.load(Relaxed) - before;
+    drop((builder, point));
+    assert!(
+        cloned * 100 < lowered,
+        "cloning a builder allocated {cloned} B; lowering its provenance {lowered} B"
     );
 }

@@ -23,8 +23,9 @@
 //!   set's arena directly,
 //! * [`simd`] — runtime-dispatched evaluation kernels over the compiled
 //!   columns (AVX2 + a portable lane fallback, selected behind
-//!   [`simd::Kernel`]): [`simd::LANES`] scenarios per pass off one
-//!   packed block table, bit-for-bit identical to the scalar sweep,
+//!   [`simd::Kernel`]): up to [`simd::LANES`] scenarios per pass in
+//!   independent four-lane accumulators, off one packed block table,
+//!   bit-for-bit identical to the scalar sweep,
 //! * [`working`] — the interned working-set representation for in-flight
 //!   abstraction rewrites over a [`intern::MonoArena`], the rewriting
 //!   counterpart of [`compiled`],

@@ -6,25 +6,29 @@
 //! layout vector units want. This module adds
 //! the last step: **scenario-major lane batching**. Instead of walking
 //! the columns once per scenario, [`CompiledPolySet::eval_block`]
-//! evaluates [`LANES`] scenarios per pass:
+//! evaluates up to [`LANES`] scenarios per pass:
 //!
 //! 1. the per-scenario valuation tables are packed (transposed) into one
-//!    `[vars × LANES]` *block table* — `block[v·LANES + l]` is the value
+//!    `[vars × width]` *block table* — `block[v·width + l]` is the value
 //!    of local variable `v` in lane (scenario) `l`, so a variable's
-//!    values for all lanes sit in one contiguous, vector-width load;
+//!    values for all lanes sit in contiguous, vector-width loads;
 //! 2. the per-monomial multiply/accumulate loop is fused over the factor
 //!    column: a monomial's contribution to all lanes is computed in one
-//!    sweep, one lane multiply per factor. Each kernel body is compiled
-//!    per index width (`u16` / `u32`) and per whether the set has any
-//!    power at all, and the instantiation is picked once per call; only
-//!    the with-powers one walks the `power_at` / `power_exp` columns
-//!    (small exponents unrolled — 2/3 — exponentiation-by-squaring above,
+//!    sweep, one lane multiply per factor, four lanes (one `__m256d`) per
+//!    independent accumulator. Each kernel body is compiled per register
+//!    count, index width (`u16` / `u32`), factor-range layout and whether
+//!    the set has any power at all, picked once per call; only the
+//!    with-powers one walks the `power_at` / `power_exp` columns (small
+//!    exponents unrolled — 2/3 — exponentiation-by-squaring above,
 //!    mirroring [`pow_f64`](crate::coeff::pow_f64) per lane);
-//! 3. each polynomial's lane accumulator is scattered back into the
+//! 3. each polynomial's lane accumulators are scattered back into the
 //!    per-scenario result rows.
 //!
+//! A batch runs [`LANES`]-wide passes, then four-wide ones, then the
+//! scalar sweep for the last zero to three scenarios ([`lane_passes`]).
+//!
 //! Two kernels implement that loop: a portable `generic` one written
-//! over `[f64; LANES]` arrays (autovectorizes on any target and is the
+//! over `[f64; 4]` arrays (autovectorizes on any target and is the
 //! guaranteed-correct fallback) and an `avx2` one over `__m256d`
 //! intrinsics (`std::arch::x86_64`), guarded by
 //! `is_x86_feature_detected!` so **one binary runs correctly on machines
@@ -38,7 +42,8 @@
 //!
 //! Lane batching does **not** reorder floating-point sums: each lane
 //! accumulates its scenario's monomials in exactly the order
-//! [`CompiledPolySet::eval_into`] visits them, the kernels use plain IEEE
+//! [`CompiledPolySet::eval_into`] visits them (which register holds a
+//! lane changes nothing about its arithmetic), the kernels use plain IEEE
 //! multiplies and adds (deliberately no FMA — fusing would change
 //! rounding), and every engine raises variables through the one shared
 //! multiply tree of [`pow_f64`](crate::coeff::pow_f64). Every kernel is
@@ -47,17 +52,44 @@
 //! `simd_equivalence` suite asserts the bits.
 
 use crate::compiled::{CompiledPolySet, CompiledView};
+use crate::fxhash::FxHashMap;
 use crate::valuation::Valuation;
+use crate::var::VarId;
 
 mod generic;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-/// Scenarios evaluated per lane-batched pass: four `f64`s, one AVX2
-/// `__m256d` register (the generic kernel uses the same width so both
-/// kernels chunk batches identically).
-pub const LANES: usize = 4;
+/// Scenarios per widest lane-batched pass: four `__m256d` registers of
+/// four `f64`s, four independent add chains (the generic kernel uses the
+/// same widths so both kernels split batches identically).
+pub const LANES: usize = 4 * REG;
+
+/// Scenarios per register (one `__m256d`), and so per narrow pass.
+const REG: usize = 4;
+
+/// How a lane kernel splits a batch of `scenarios`: `[wide, narrow,
+/// scalar]` — [`LANES`]-wide passes, then four-wide ones, then the
+/// scalar sweep for the last zero to three.
+pub fn lane_passes(scenarios: usize) -> [usize; 3] {
+    let rest = scenarios % LANES;
+    [scenarios / LANES, rest / REG, rest % REG]
+}
+
+/// Rounds a work-queue chunk of `chunk` scenarios, out of `jobs` shared
+/// by `threads` workers, up to a multiple of the four-wide pass, so only
+/// a batch's final chunk can end in scalar scenarios, and further to a
+/// multiple of [`LANES`] wherever every worker still gets a *full* chunk
+/// (ADR 022: a ragged last chunk would fall to narrow and scalar passes).
+pub fn lane_chunk(chunk: usize, jobs: usize, threads: usize) -> usize {
+    let wide = chunk.next_multiple_of(LANES);
+    if jobs / wide >= threads {
+        wide
+    } else {
+        chunk.next_multiple_of(REG)
+    }
+}
 
 /// The environment knob honoured by the dispatcher: when set (to
 /// anything but `0` or the empty string), [`Kernel::resolve`] never
@@ -82,7 +114,7 @@ pub enum Kernel {
     /// ([`CompiledPolySet::eval_into`]) — the PR 5 baseline the ablation
     /// benches compare against.
     Scalar,
-    /// The portable lane kernel over `[f64; LANES]` arrays — correct on
+    /// The portable lane kernel over arrays of `[f64; 4]` — correct on
     /// every target, autovectorized where the compiler can.
     Generic,
     /// The `std::arch::x86_64` AVX2 kernel. Forcing it on a machine
@@ -174,7 +206,7 @@ pub struct KernelInfo {
     pub avx2_available: bool,
     /// Whether [`FORCE_GENERIC_ENV`] suppressed the AVX2 path.
     pub forced_generic_env: bool,
-    /// Scenarios per lane-batched pass ([`LANES`]; `1` for the scalar
+    /// Scenarios in the widest pass ([`LANES`]; `1` for the scalar
     /// kernel).
     pub lanes: usize,
 }
@@ -198,10 +230,9 @@ impl CompiledPolySet<f64> {
     /// [`eval_all`](Self::eval_all) on every kernel (see the
     /// [module docs](self) for why).
     ///
-    /// The kernel is resolved once; full [`LANES`]-sized blocks run on
-    /// the lane kernel off one packed `[vars × LANES]` block table, the
-    /// ragged tail (when the batch is not a multiple of [`LANES`]) runs
-    /// on the scalar sweep. All scratch buffers are reused across blocks,
+    /// The kernel is resolved once; the batch runs [`LANES`]-wide lane
+    /// passes, then four-wide ones, then the scalar sweep
+    /// ([`lane_passes`]). All scratch buffers are reused across blocks,
     /// so the loop performs no per-scenario allocation beyond the result
     /// rows themselves.
     pub fn eval_block(&self, vals: &[Valuation<f64>], kernel: Kernel) -> Vec<Vec<f64>> {
@@ -241,81 +272,110 @@ impl CompiledView<'_, f64> {
     ) {
         let kernel = kernel.resolve();
         out.reserve(vals.len());
-        let polys = self.num_polys();
-        let full = if kernel == Kernel::Scalar {
-            0 // everything below goes through the scalar tail loop
-        } else {
-            vals.len() - vals.len() % LANES
+        let [wide, narrow, _] = match kernel {
+            Kernel::Scalar => [0; 3], // the whole batch takes the scalar loop
+            _ => lane_passes(vals.len()),
         };
-        if full > 0 {
-            let mut block = vec![0.0f64; self.num_vars() * LANES];
-            let mut lanes_out = vec![0.0f64; polys * LANES];
-            for chunk in vals[..full].chunks_exact(LANES) {
-                self.pack_block_table(chunk, &mut block);
-                match kernel {
-                    Kernel::Generic => generic::eval_block_table(*self, &block, &mut lanes_out),
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `resolve()` returns `Avx2` only when
-                    // `is_x86_feature_detected!("avx2")` holds on this CPU.
-                    Kernel::Avx2 => unsafe {
-                        avx2::eval_block_table(*self, &block, &mut lanes_out)
-                    },
-                    _ => unreachable!("resolve() returns a concrete lane kernel"),
-                }
-                // Scatter the poly-major lane results back into
-                // scenario-major rows.
-                for lane in 0..LANES {
-                    out.push((0..polys).map(|p| lanes_out[p * LANES + lane]).collect());
-                }
-            }
+        let (wide_vals, rest) = vals.split_at(wide * LANES);
+        let (narrow_vals, tail) = rest.split_at(narrow * REG);
+        if wide + narrow > 0 {
+            // Variable → local index; none if a variable repeats (an
+            // admitted artifact may say so), and then packing is dense.
+            let index: FxHashMap<VarId, u32> = self.vars.iter().copied().zip(0..).collect();
+            let index = (index.len() == self.vars.len()).then_some(&index);
+            self.run_passes::<{ LANES / REG }>(wide_vals, kernel, index, out);
+            self.run_passes::<1>(narrow_vals, kernel, index, out);
         }
-        // Ragged tail (and the whole batch for the scalar kernel): the
-        // reference columnar sweep, one reused valuation table.
+        // The last scenarios (and the whole batch for the scalar kernel):
+        // the reference columnar sweep, one reused valuation table.
         let mut table = Vec::with_capacity(self.num_vars());
-        for val in &vals[full..] {
+        for val in tail {
             self.valuation_table_into(val, &mut table);
-            let mut row = Vec::with_capacity(polys);
+            let mut row = Vec::with_capacity(self.num_polys());
             self.eval_into(&table, &mut row);
             out.push(row);
         }
     }
 
-    /// Packs (transposes) [`LANES`] scenarios' valuation tables into the
-    /// block table: `block[v·LANES + l]` is local variable `v` under
-    /// `vals[l]` — the gather that turns per-scenario lookups into
-    /// contiguous vector loads.
-    fn pack_block_table(&self, vals: &[Valuation<f64>], block: &mut [f64]) {
-        debug_assert_eq!(vals.len(), LANES);
-        debug_assert_eq!(block.len(), self.vars.len() * LANES);
-        for (slot, &v) in block.chunks_exact_mut(LANES).zip(self.vars.iter()) {
-            for (cell, val) in slot.iter_mut().zip(vals) {
-                *cell = val.get(v);
+    /// Runs `vals` in passes `REGS` registers wide on `kernel`, appending
+    /// one row per scenario, off one block table and one buffer of
+    /// poly-major lane sums.
+    fn run_passes<const REGS: usize>(
+        &self,
+        vals: &[Valuation<f64>],
+        kernel: Kernel,
+        index: Option<&FxHashMap<VarId, u32>>,
+        out: &mut Vec<Vec<f64>>,
+    ) {
+        let width = REGS * REG;
+        let polys = self.num_polys();
+        let mut block = vec![0.0; self.num_vars() * width];
+        let mut sums = vec![0.0; polys * width];
+        for pass in vals.chunks_exact(width) {
+            self.pack_block_table(pass, index, &mut block);
+            match kernel {
+                Kernel::Generic => generic::eval_block_table::<REGS>(*self, &block, &mut sums),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `resolve()` returns `Avx2` only when
+                // `is_x86_feature_detected!("avx2")` holds on this CPU.
+                Kernel::Avx2 => unsafe { avx2::eval_block_table::<REGS>(*self, &block, &mut sums) },
+                _ => unreachable!("resolve() returns a concrete lane kernel"),
+            }
+            // Scatter the poly-major lane results back into
+            // scenario-major rows.
+            for lane in 0..width {
+                out.push((0..polys).map(|p| sums[p * width + lane]).collect());
+            }
+        }
+    }
+
+    /// Packs (transposes) one pass of valuation tables into the block
+    /// table: `block[v·width + l]` is local variable `v` under `vals[l]`.
+    /// A lane is its default plus its assignments found in `index`; with
+    /// no index (the view repeats a variable) each variable is looked up.
+    fn pack_block_table(
+        &self,
+        vals: &[Valuation<f64>],
+        index: Option<&FxHashMap<VarId, u32>>,
+        block: &mut [f64],
+    ) {
+        let width = vals.len();
+        for (lane, val) in vals.iter().enumerate() {
+            let default = index.is_some().then(|| *val.default_value());
+            for (slot, &v) in block.chunks_exact_mut(width).zip(self.vars) {
+                slot[lane] = default.unwrap_or_else(|| val.get(v));
+            }
+            let Some(index) = index else { continue };
+            for (v, &x) in val.iter() {
+                if let Some(&i) = index.get(&v) {
+                    block[i as usize * width + lane] = x;
+                }
             }
         }
     }
 }
 
-/// Raises one lane array to `e` with the same multiply tree as
+/// Raises one register's lanes to `e` with the same multiply tree as
 /// [`pow_f64`](crate::coeff::pow_f64) in every lane — shared by the
 /// generic kernel (the AVX2 kernel mirrors it over `__m256d`).
 #[inline]
-fn pow_lanes(base: [f64; LANES], e: u32) -> [f64; LANES] {
-    let mul = |a: [f64; LANES], b: [f64; LANES]| {
-        let mut r = [0.0; LANES];
-        for l in 0..LANES {
+fn pow_lanes(base: [f64; REG], e: u32) -> [f64; REG] {
+    let mul = |a: [f64; REG], b: [f64; REG]| {
+        let mut r = [0.0; REG];
+        for l in 0..REG {
             r[l] = a[l] * b[l];
         }
         r
     };
     match e {
-        0 => [1.0; LANES],
+        0 => [1.0; REG],
         1 => base,
         2 => mul(base, base),
         3 => mul(mul(base, base), base),
         _ => {
             let mut e = e;
             let mut base = base;
-            let mut acc = [1.0; LANES];
+            let mut acc = [1.0; REG];
             while e > 1 {
                 if e & 1 == 1 {
                     acc = mul(acc, base);
@@ -371,7 +431,7 @@ mod tests {
         let base = [1.5, -0.75, 0.0, 1e3];
         for e in 0..12 {
             let lanes = pow_lanes(base, e);
-            for l in 0..LANES {
+            for l in 0..REG {
                 assert_eq!(
                     lanes[l].to_bits(),
                     pow_f64(base[l], e).to_bits(),
@@ -391,8 +451,10 @@ mod tests {
         .expect("parse");
         let compiled = CompiledPolySet::compile(&polys);
         let ids: Vec<_> = vars.iter().map(|(id, _)| id).collect();
-        // 7 scenarios: one full LANES block + a ragged tail of 3.
-        let vals: Vec<Valuation<f64>> = (0..7)
+        // 23 scenarios: one LANES-wide pass, one four-wide pass and a
+        // scalar tail of 3.
+        assert_eq!(lane_passes(23), [1, 1, 3]);
+        let vals: Vec<Valuation<f64>> = (0..23)
             .map(|s| {
                 let mut v = Valuation::neutral();
                 for (i, &id) in ids.iter().enumerate() {
@@ -408,6 +470,58 @@ mod tests {
             for (g, r) in got.iter().zip(&reference) {
                 for (a, b) in g.iter().zip(r) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b} on {kernel}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_passes_cascade_from_wide_to_scalar() {
+        assert_eq!(lane_passes(0), [0, 0, 0]);
+        assert_eq!(lane_passes(3), [0, 0, 3]);
+        assert_eq!(lane_passes(4), [0, 1, 0]);
+        assert_eq!(lane_passes(15), [0, 3, 3]);
+        assert_eq!(lane_passes(16), [1, 0, 0]);
+        assert_eq!(lane_passes(17), [1, 0, 1]);
+        assert_eq!(lane_passes(37), [2, 1, 1]);
+    }
+
+    /// The sparse packing writes exactly the dense valuation tables: a
+    /// non-1 default, assignments to variables the view lacks (few, then
+    /// more than the view has variables), an empty valuation and lanes
+    /// whose defaults differ, on a wide and on a narrow pass, with and
+    /// without the local index.
+    #[test]
+    fn packed_blocks_equal_the_dense_valuation_tables() {
+        let mut vars = VarTable::new();
+        let polys = parse_polyset("2·a·b + 3·c\n5·b·d", &mut vars).expect("parse");
+        let compiled = CompiledPolySet::compile(&polys);
+        let view = compiled.view();
+        let [a, b, d] = ["a", "b", "d"].map(|n| vars.lookup(n).expect("parsed"));
+        let absent: Vec<VarId> = (0..9).map(|i| vars.intern(&format!("x{i}"))).collect();
+        let kinds = [
+            Valuation::with_default(0.5).set(a, 3.0),
+            Valuation::neutral().set(absent[0], 7.0).set(b, -1.0),
+            absent
+                .iter()
+                .fold(Valuation::with_default(2.0).set(d, 0.25), |v, &x| {
+                    v.set(x, 9.0)
+                }),
+            Valuation::neutral(),
+            Valuation::with_default(-4.0),
+        ];
+        let index: FxHashMap<VarId, u32> = view.vars().iter().copied().zip(0..).collect();
+        for width in [LANES, REG] {
+            let vals: Vec<Valuation<f64>> = kinds.iter().cycle().take(width).cloned().collect();
+            for index in [Some(&index), None] {
+                let mut block = vec![f64::NAN; view.num_vars() * width];
+                view.pack_block_table(&vals, index, &mut block);
+                for (lane, val) in vals.iter().enumerate() {
+                    let table = view.valuation_table(val);
+                    for (v, want) in table.iter().enumerate() {
+                        let got = block[v * width + lane];
+                        assert_eq!(got.to_bits(), want.to_bits(), "lane {lane} var {v}");
+                    }
                 }
             }
         }

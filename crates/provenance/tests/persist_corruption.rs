@@ -10,7 +10,9 @@
 //! are the one legitimate survival: those opens must answer bit-for-bit
 //! identically to the pristine artifact. So is one structural liberty:
 //! columns whose monomials list their factors out of order or twice are
-//! still polynomials, and open as the polynomials they denote.
+//! still polynomials, and open as the polynomials they denote; and a
+//! `vars` column that names one variable twice answers as the dense
+//! valuation tables do on every evaluation kernel.
 //!
 //! The compiled columns also meet a generated loop of lies about their
 //! counts, their degree and their layout (a degree where an ends column
@@ -21,9 +23,10 @@
 //! every byte and run the loop long.
 
 use provabs_provenance::persist::{
-    checksum64, section, ArtifactWriter, PersistError, RawArtifact, FORMAT_VERSION,
+    checksum64, section, ArtifactWriter, PersistError, RawArtifact, SharedCompiled, FORMAT_VERSION,
 };
 use provabs_provenance::polyset_to_string;
+use provabs_provenance::simd::Kernel;
 use provabs_provenance::valuation::Valuation;
 use provabs_session::{Error, Session, SessionBuilder};
 use std::path::PathBuf;
@@ -718,6 +721,74 @@ fn unsorted_and_repeated_factors_open_and_rebuild_canonically() {
         for (x, y) in refrozen.eval_one(val).iter().zip(row) {
             assert!((x - y).abs() <= 1e-12 * y.abs(), "rebuilt: {x} vs {y}");
         }
+    }
+}
+
+/// Nor does the validator demand that the `vars` column name each table
+/// id once: two local variables may stand for one variable, and then
+/// both read its value. The lane kernels' sparse packing keys its local
+/// index by id, so such a view must pack densely — every pass of the
+/// cascade, on both lane kernels and through both open paths, answers
+/// bit-for-bit as the dense valuation tables do.
+#[test]
+fn repeated_local_variable_ids_answer_as_the_dense_tables() {
+    let session = small_session();
+    let (good, _, _) = baseline_of(&session);
+    let art = RawArtifact::open_bytes(good).expect("pristine parses");
+    let c = Columns::of(art.section(section::COMPILED_ABS).expect("present"));
+    assert!(c.vars >= 2);
+    // Local variable 1 now names local variable 0's id.
+    let bytes = rebuild(&art, section::COMPILED_ABS, &|p| {
+        p.copy_within(c.vars_at..c.vars_at + 4, c.vars_at + 4)
+    });
+    let repeated = RawArtifact::open_bytes(bytes.clone()).expect("parses");
+    let shared = SharedCompiled::validate(
+        &repeated,
+        section::COMPILED_ABS,
+        "abstracted columns",
+        session.vars().len(),
+    )
+    .expect("a repeated id is admitted");
+    let view = shared.view();
+    assert_eq!(view.vars()[0], view.vars()[1]);
+    // 23 scenarios — one 16-wide pass, one 4-wide, three scalar — none
+    // giving any variable its default of 1.
+    let valuations: Vec<Valuation<f64>> = (0..23)
+        .map(|s| {
+            let mut val = Valuation::neutral();
+            for (id, _) in session.vars().iter() {
+                val.assign(id, 0.25 + 0.5 * ((id.0 + s) % 5) as f64);
+            }
+            val
+        })
+        .collect();
+    let dense: Vec<Vec<f64>> = valuations
+        .iter()
+        .map(|val| {
+            let mut row = Vec::new();
+            view.eval_into(&view.valuation_table(val), &mut row);
+            row
+        })
+        .collect();
+    let same_bits = |got: &[Vec<f64>], what: &str| {
+        assert_eq!(got.len(), dense.len(), "{what}");
+        for (s, (g, d)) in got.iter().zip(&dense).enumerate() {
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(d), "{what}: scenario {s}");
+        }
+    };
+    for kernel in [Kernel::Generic, Kernel::Avx2] {
+        same_bits(&view.eval_block(&valuations, kernel), kernel.name());
+    }
+    let file = temp_artifact("repeated-vars");
+    std::fs::write(&file.0, &bytes).expect("write");
+    for (path, opened) in [
+        ("owned", Session::open(&file.0)),
+        ("mapped", Session::open_mapped(&file.0)),
+    ] {
+        let opened = opened.expect("opens");
+        let got = opened.ask_prepared(&valuations).expect("compressed");
+        same_bits(&got.values, path);
     }
 }
 

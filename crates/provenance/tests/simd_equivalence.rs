@@ -15,18 +15,20 @@
 //! kernels never need it, and this suite pins that down.
 //!
 //! Deliberate edge coverage: empty poly-sets, zero-variable (constant)
-//! monomials, ragged last blocks (batches not a multiple of `LANES`),
-//! negative and zero coefficients, exponents through the unrolled 1/2/3
-//! fast path and into the exponentiation-by-squaring range.
+//! monomials, every step of the pass cascade (wide `LANES` passes, then
+//! four-wide passes, then the scalar sweep — [`CASCADE_LENGTHS`] crosses
+//! each boundary), negative and zero coefficients, exponents through the
+//! unrolled 1/2/3 fast path and into the exponentiation-by-squaring range.
 //!
-//! Each kernel body is compiled eight times — `u16` or `u32` factor
+//! Each kernel body is compiled sixteen times — `u16` or `u32` factor
 //! indices, one degree for the whole set or a prefix end per monomial,
-//! with or without the power columns — and every instantiation is pinned
-//! here: powers on most factors (the default generator), on one in ten
-//! ([`sparse_powers_strategy`]), on none (the generated workloads, two
-//! and four factors a monomial), a set over 70 000 variables for the wide
-//! index, and [`both_layouts_match_the_hash_map_evaluator_on_every_kernel`]
-//! for every combination, degrees 0 to 5.
+//! with or without the power columns, sixteen or four lanes wide — and
+//! every instantiation is pinned here: powers on most factors (the
+//! default generator), on one in ten ([`sparse_powers_strategy`]), on
+//! none (the generated workloads, two and four factors a monomial), a set
+//! over 70 000 variables for the wide index, and
+//! [`both_layouts_match_the_hash_map_evaluator_on_every_kernel`] for every
+//! combination, degrees 0 to 5, across every cascade boundary.
 
 use proptest::prelude::*;
 use provabs_datagen::workload::{Workload, WorkloadConfig};
@@ -44,6 +46,12 @@ use provabs_provenance::working::WorkingSet;
 /// has it and as its documented demotion to `Generic` elsewhere — both
 /// must match the scalar engine either way.
 const KERNELS: [Kernel; 4] = [Kernel::Scalar, Kernel::Generic, Kernel::Avx2, Kernel::Auto];
+
+/// Batch lengths that cross every boundary of the pass cascade: scalar
+/// only and the first narrow pass (0–5), the first wide pass (15–17), a
+/// wide pass plus a narrow one (19–21) and two wide passes plus a narrow
+/// one and a scalar tail (35–37).
+const CASCADE_LENGTHS: [usize; 15] = [0, 1, 2, 3, 4, 5, 15, 16, 17, 19, 20, 21, 35, 36, 37];
 
 /// A random poly-set over variables v0..v10: up to 6 polynomials of up
 /// to 5 monomials, each with up to 3 factors whose exponents reach past
@@ -134,17 +142,52 @@ fn batch_strategy(max_scenarios: usize) -> impl Strategy<Value = Vec<Valuation<f
 /// reference down to the last mantissa bit.
 fn assert_matches_eval_one(compiled: &CompiledPolySet<f64>, batch: &[Valuation<f64>]) {
     let reference: Vec<Vec<f64>> = batch.iter().map(|v| compiled.eval_one(v)).collect();
-    for kernel in KERNELS {
-        let got = compiled.eval_block(batch, kernel);
-        assert_eq!(reference.len(), got.len(), "{kernel}: scenario count");
-        for (s, (r, g)) in reference.iter().zip(&got).enumerate() {
-            assert_eq!(r.len(), g.len(), "{kernel}: row {s} length");
-            for (p, (a, b)) in r.iter().zip(g).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{kernel}: scenario {s}, polynomial {p}: {a} vs {b}"
-                );
+    assert_prefixes_match(compiled, batch, &reference, &KERNELS, &[batch.len()], "");
+}
+
+/// Asserts that the two lane kernels answer `reference` (one row per
+/// scenario of `batch`) bit for bit on each [`CASCADE_LENGTHS`] prefix of
+/// `batch`, and the other two kernels on the whole batch (the scalar
+/// sweep has no passes, and `Auto` is one of the two lane kernels).
+fn assert_cascade_matches(
+    compiled: &CompiledPolySet<f64>,
+    batch: &[Valuation<f64>],
+    reference: &[Vec<f64>],
+    context: &str,
+) {
+    let lengths: Vec<usize> = CASCADE_LENGTHS
+        .into_iter()
+        .filter(|&n| n <= batch.len())
+        .collect();
+    let lanes = [Kernel::Generic, Kernel::Avx2];
+    assert_prefixes_match(compiled, batch, reference, &lanes, &lengths, context);
+    let others = [Kernel::Scalar, Kernel::Auto];
+    assert_prefixes_match(compiled, batch, reference, &others, &[batch.len()], context);
+}
+
+/// Asserts that each of `kernels`, on each `lengths` prefix of `batch`,
+/// answers `reference` (one row per scenario of `batch`) bit for bit.
+fn assert_prefixes_match(
+    compiled: &CompiledPolySet<f64>,
+    batch: &[Valuation<f64>],
+    reference: &[Vec<f64>],
+    kernels: &[Kernel],
+    lengths: &[usize],
+    context: &str,
+) {
+    for &kernel in kernels {
+        for &n in lengths {
+            let got = compiled.eval_block(&batch[..n], kernel);
+            assert_eq!(n, got.len(), "{context}{kernel}: scenario count");
+            for (s, (r, g)) in reference.iter().zip(&got).enumerate() {
+                assert_eq!(r.len(), g.len(), "{context}{kernel}: row {s} of {n} length");
+                for (p, (a, b)) in r.iter().zip(g).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{context}{kernel}: scenario {s} of {n}, polynomial {p}: {a} vs {b}"
+                    );
+                }
             }
         }
     }
@@ -176,9 +219,9 @@ proptest! {
         assert_matches_eval_one(&WorkingSet::from_polyset(&polys).freeze(), &batch);
     }
 
-    /// Ragged last blocks: batch lengths that straddle the lane width by
-    /// one either way (and every in-between remainder) are evaluated
-    /// correctly — full blocks on the lane kernel, the tail on the
+    /// Ragged last blocks: batch lengths from one wide pass through two
+    /// and every remainder in between are evaluated correctly — full
+    /// blocks on the wide passes, then the narrow ones, the tail on the
     /// scalar sweep.
     #[test]
     fn ragged_last_block_shapes(
@@ -188,7 +231,7 @@ proptest! {
     ) {
         prop_assume!(!val.is_empty());
         let compiled = CompiledPolySet::compile(&polys);
-        // LANES+extra copies of one valuation: remainder sweeps 0..LANES.
+        // LANES+extra copies of one valuation: remainders sweep 0..LANES.
         let batch: Vec<Valuation<f64>> =
             std::iter::repeat_with(|| val[0].clone()).take(LANES + extra).collect();
         assert_matches_eval_one(&compiled, &batch);
@@ -354,20 +397,20 @@ fn workload_provenance_matches_eval_one_on_every_kernel() {
         let frozen = WorkingSet::from_polyset(&data.polys).freeze();
         let ids: Vec<VarId> = data.vars.iter().map(|(id, _)| id).collect();
         let mut below = draws(0xB0_0000 + ids.len() as u64);
-        for scenarios in LANES..2 * LANES {
-            let batch: Vec<Valuation<f64>> = (0..scenarios)
-                .map(|_| {
-                    let mut val = Valuation::neutral();
-                    for &id in &ids {
-                        if below(3) == 0 {
-                            val.assign(id, below(41) as f64 / 16.0);
-                        }
+        let batch: Vec<Valuation<f64>> = (0..CASCADE_LENGTHS[14])
+            .map(|_| {
+                let mut val = Valuation::neutral();
+                for &id in &ids {
+                    if below(3) == 0 {
+                        val.assign(id, below(41) as f64 / 16.0);
                     }
-                    val
-                })
-                .collect();
-            assert_matches_eval_one(&frozen, &batch);
-        }
+                }
+                val
+            })
+            .collect();
+        let reference: Vec<Vec<f64>> = batch.iter().map(|v| frozen.eval_one(v)).collect();
+        let context = format!("{}: ", workload.name());
+        assert_cascade_matches(&frozen, &batch, &reference, &context);
     }
 }
 
@@ -419,7 +462,9 @@ fn layout_fixture(
 /// one degree) and over the same sets with one monomial of another
 /// degree (stored with an end per monomial), narrow and wide, with and
 /// without powers, compiled and frozen, every kernel answers bit for bit
-/// what the hash-map evaluator does.
+/// what the hash-map evaluator does — at every [`CASCADE_LENGTHS`] batch
+/// length (up to 21 on a wide-index set), so both pass widths run every
+/// instantiation.
 #[test]
 fn both_layouts_match_the_hash_map_evaluator_on_every_kernel() {
     let mut below = draws(0xDE6_2EE);
@@ -458,7 +503,10 @@ fn assert_layout_agrees(
         assert_eq!(view.factor_index_bytes(), width, "{context}");
     }
     let used = vars.min(compiled.num_vars() as u32).max(1);
-    let batch: Vec<Valuation<f64>> = (0..LANES + 3)
+    // A wide set is slow to evaluate in debug builds: its batch stops
+    // after the third boundary (one wide pass, one narrow, one scalar).
+    let scenarios = if width == 4 { 21 } else { CASCADE_LENGTHS[14] };
+    let batch: Vec<Valuation<f64>> = (0..scenarios)
         .map(|_| {
             let mut val = Valuation::neutral();
             for _ in 0..(used / 3).clamp(1, 2_000) {
@@ -470,16 +518,10 @@ fn assert_layout_agrees(
             val
         })
         .collect();
+    let context = format!("{context}, ");
     let reference: Vec<Vec<f64>> = batch.iter().map(|val| val.eval_set(&polys)).collect();
-    for kernel in KERNELS {
-        let rows = compiled.eval_block(&batch, kernel);
-        for (want, row) in reference.iter().zip(&rows) {
-            for (a, b) in want.iter().zip(row) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{context}, {kernel}: {a} vs {b}");
-            }
-        }
-    }
+    assert_cascade_matches(&compiled, &batch, &reference, &context);
     // The frozen set sums in id order, which the hash map does not: it is
-    // held to its own scalar sweep.
+    // held to its own scalar sweep, on the whole batch.
     assert_matches_eval_one(&frozen, &batch);
 }

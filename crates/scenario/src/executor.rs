@@ -23,8 +23,8 @@ use crate::apply::{apply_batch, TimedRun};
 use provabs_provenance::compiled::{CompiledPolySet, CompiledView};
 use provabs_provenance::guard::{self, Guard, Interrupt};
 use provabs_provenance::polyset::PolySet;
+use provabs_provenance::simd::lane_chunk;
 pub use provabs_provenance::simd::Kernel;
-use provabs_provenance::simd::LANES;
 use provabs_provenance::valuation::Valuation;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,15 +121,15 @@ impl EvalOptions {
 
 /// Scenarios per work-queue chunk: about four chunks per worker — enough
 /// slack for the cursor to rebalance uneven scenario costs, few enough
-/// that per-chunk overhead stays negligible — rounded up to a multiple of
-/// [`LANES`] on a lane kernel, so only the batch's final chunk can be
-/// ragged and every other one runs full lane passes.
+/// that per-chunk overhead stays negligible — rounded up to the lane
+/// passes on a lane kernel ([`lane_chunk`]), so only the batch's final
+/// chunk can end in scalar scenarios.
 fn resolved_chunk(jobs: usize, threads: usize, kernel: Kernel) -> usize {
     let chunk = jobs.div_ceil(threads * 4).max(1);
     if kernel == Kernel::Scalar {
         chunk
     } else {
-        chunk.next_multiple_of(LANES)
+        lane_chunk(chunk, jobs, threads)
     }
 }
 
@@ -399,6 +399,7 @@ mod tests {
     use super::*;
     use provabs_provenance::guard::{Budget, CancelToken};
     use provabs_provenance::parse::parse_polyset;
+    use provabs_provenance::simd::{lane_passes, LANES};
     use provabs_provenance::var::VarTable;
 
     fn setup(n_scenarios: usize) -> (PolySet<f64>, Vec<Valuation<f64>>) {
@@ -469,22 +470,76 @@ mod tests {
     }
 
     /// Lane kernels hand workers lane-aligned scenario blocks: wherever
-    /// four-chunks-per-worker is not a multiple of LANES the executor
-    /// rounds it up (the alignment is an executor concern, not a caller
-    /// one), and the results stay bit-identical.
+    /// four-chunks-per-worker is not a multiple of the narrow pass the
+    /// executor rounds it up, and up to a multiple of LANES where every
+    /// worker still gets a full chunk (the alignment is an executor
+    /// concern, not a caller one), and the results stay bit-identical.
     #[test]
     fn lane_misaligned_chunks_are_realigned() {
-        for jobs in [1, 5, 9, 11, 23, 40] {
-            assert_eq!(resolved_chunk(jobs, 2, Kernel::Scalar), jobs.div_ceil(8));
+        for jobs in [1usize, 5, 8, 9, 11, 23, 32, 40, 64] {
+            let base = jobs.div_ceil(8);
+            assert_eq!(resolved_chunk(jobs, 2, Kernel::Scalar), base);
             for kernel in [Kernel::Generic, Kernel::Avx2] {
                 let chunk = resolved_chunk(jobs, 2, kernel);
-                assert_eq!(chunk % LANES, 0, "{jobs} jobs on {kernel:?}");
-                assert!(chunk >= jobs.div_ceil(8) && chunk < jobs.div_ceil(8) + LANES);
+                let context = format!("{jobs} jobs on {kernel:?}");
+                assert!(chunk >= base && chunk < base + LANES, "{context}");
+                // No scalar scenario before the final chunk, and widened
+                // past the smallest such chunk only where both workers
+                // still get a full one.
+                assert_eq!(lane_passes(chunk)[2], 0, "{context}");
+                let smallest = lane_passes(chunk - base)[..2] == [0, 0];
+                assert!(smallest || jobs / chunk >= 2, "{context}");
             }
             let (polys, vals) = setup(jobs);
             let opts = EvalOptions::new().threads(2).kernel(Kernel::Generic);
             assert_matches_reference(&polys, &vals, &opts);
         }
+        // (jobs, threads) → chunk: a 32-scenario request on two threads
+        // runs two wide chunks; eight on two stay two narrow chunks; 256
+        // on one thread are four chunks of 64; 30 on two would leave the
+        // second worker a ragged rest, so they stay narrow.
+        for (jobs, threads, chunk) in [
+            (32, 2, 16),
+            (8, 2, 4),
+            (256, 1, 64),
+            (64, 2, 16),
+            (30, 2, 4),
+            (17, 1, 16),
+        ] {
+            assert_eq!(
+                resolved_chunk(jobs, threads, Kernel::Generic),
+                chunk,
+                "{jobs} jobs on {threads} threads"
+            );
+        }
+    }
+
+    /// The passes a batch runs, read off its chunk plan: each chunk is one
+    /// `eval_block_into` call and cascades wide → narrow → scalar.
+    fn planned_passes(jobs: usize, threads: usize) -> [usize; 3] {
+        let chunk = resolved_chunk(jobs, threads, Kernel::Generic);
+        (0..jobs).step_by(chunk).fold([0; 3], |mut sum, start| {
+            let passes = lane_passes(chunk.min(jobs - start));
+            for (s, p) in sum.iter_mut().zip(passes) {
+                *s += p;
+            }
+            sum
+        })
+    }
+
+    /// A 17-scenario batch on one thread runs exactly one 16-lane pass
+    /// and one scalar scenario — no narrow pass, no padding.
+    #[test]
+    fn a_17_scenario_batch_runs_one_wide_pass_and_one_scalar_scenario() {
+        assert_eq!(LANES, 16);
+        assert_eq!(resolved_chunk(17, 1, Kernel::Generic), 16);
+        assert_eq!(planned_passes(17, 1), [1, 0, 1]);
+        assert_eq!(planned_passes(32, 2), [2, 0, 0]);
+        assert_eq!(planned_passes(8, 2), [0, 2, 0]);
+        assert_eq!(planned_passes(256, 1), [16, 0, 0]);
+        let (polys, vals) = setup(17);
+        let opts = EvalOptions::new().threads(1).kernel(Kernel::Generic);
+        assert_matches_reference(&polys, &vals, &opts);
     }
 
     /// The batch loop's valuation table is a reused buffer: after the
@@ -535,7 +590,15 @@ mod tests {
     /// spawned 8 before the clamp).
     #[test]
     fn no_more_workers_than_chunks() {
-        for (jobs, requested, workers) in [(8, 8, 2), (1, 16, 1), (64, 2, 2), (0, 4, 0)] {
+        for (jobs, requested, workers) in [
+            (8, 8, 2),
+            (1, 16, 1),
+            (64, 2, 2),
+            (0, 4, 0),
+            (32, 2, 2),
+            (8, 2, 2),
+            (256, 1, 1),
+        ] {
             let threads = EvalOptions::new().threads(requested).resolved_threads(jobs);
             let chunk = resolved_chunk(jobs, threads, Kernel::Generic);
             assert_eq!(
@@ -841,8 +904,12 @@ mod tests {
         assert_eq!(opts.resolved_threads(0), 1);
         assert_eq!(EvalOptions::new().threads(8).resolved_threads(3), 3);
         assert_eq!(resolved_chunk(100, 4, Kernel::Scalar), 7); // ceil(100/16)
-        assert_eq!(resolved_chunk(100, 4, Kernel::Generic), 8);
+        assert_eq!(resolved_chunk(100, 4, Kernel::Generic), 16); // 7 chunks for 4 workers
         assert_eq!(resolved_chunk(0, 1, Kernel::Scalar), 1);
+        assert_eq!(resolved_chunk(32, 2, Kernel::Avx2), 16);
+        assert_eq!(resolved_chunk(8, 2, Kernel::Avx2), 4);
+        assert_eq!(resolved_chunk(256, 1, Kernel::Avx2), 64);
+        assert_eq!(resolved_chunk(64, 2, Kernel::Avx2), 16);
         let reference = EvalOptions::serial_reference();
         assert!(!reference.compiled && opts.compiled);
     }

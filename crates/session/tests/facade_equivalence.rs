@@ -807,12 +807,15 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
             // The observability hook, before any evaluation has happened.
             let info = session.kernel_info();
             assert_eq!(info.requested, kernel, "{context}: requested");
+            // A lane kernel reports its widest pass: four AVX2 registers
+            // of four scenarios.
             let lanes = if info.selected == Kernel::Scalar {
                 1
             } else {
-                LANES
+                16
             };
             assert_eq!(info.lanes, lanes, "{context}: lane width");
+            assert_eq!(LANES, 16, "{context}: LANES is the widest pass");
             assert_eq!(info.avx2_available, avx2_available(), "{context}: cpuid");
             assert_eq!(info.selected, kernel.resolve(), "{context}: selected");
             assert!(
@@ -823,7 +826,8 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
             let result = session.compress().expect("attainable bound").clone();
             if scenarios.is_empty() {
                 let names = result.vvs.labels(&result.forest);
-                scenarios = (0..(2 * LANES + 3))
+                // Two wide passes, one narrow pass and a scalar tail of 3.
+                scenarios = (0..(2 * LANES + 7))
                     .map(|i| Scenario::random(&names, 0.6, 300 + i as u64))
                     .collect();
             }

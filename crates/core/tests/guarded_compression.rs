@@ -1,12 +1,13 @@
 //! Property suite for guarded compression: the **anytime-prefix**
 //! invariant.
 //!
-//! On random poly-sets × random forests × every step cap: **a
-//! step-capped run is a prefix of the uninterrupted trace.** A greedy run
-//! interrupted after `k` selection steps sits exactly on the `k`-th point
-//! of the full run's [`greedy_frontier`] trace, and the two independent
-//! greedy engines (incremental working-set vs. the full-rescan
-//! [`mod@reference`]) agree bit-for-bit on the interrupted VVS at every cap.
+//! On random poly-sets × random forests of one to three trees × every
+//! step cap: **a step-capped run is a prefix of the uninterrupted
+//! trace.** A greedy run interrupted after `k` selection steps sits
+//! exactly on the `k`-th point of the full run's [`greedy_frontier`]
+//! trace, and the two independent greedy engines (incremental
+//! working-set vs. the full-rescan [`mod@reference`]) agree bit-for-bit
+//! on the interrupted VVS at every cap.
 //! An interrupted prefix is a *sound* abstraction: its VVS validates and
 //! its sizes are consistent. The layers built on the engine carry the
 //! same guard and are held to the same trace: [`sharded_greedy`] (one
@@ -33,59 +34,9 @@ use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
+use provabs_testkit::{prefix_of, random_forest, within_bound, Coeffs, Powers, Shape};
 use provabs_trees::error::TreeError;
-use provabs_trees::forest::Forest;
-use provabs_trees::generate::random_tree;
 use std::time::Duration;
-
-/// Number of leaf variables the random instances draw from.
-const NUM_LEAVES: u32 = 12;
-
-fn leaf_table() -> (VarTable, Vec<String>) {
-    let mut vars = VarTable::new();
-    let names: Vec<String> = (0..NUM_LEAVES).map(|i| format!("x{i}")).collect();
-    for (i, n) in names.iter().enumerate() {
-        let id = vars.intern(n);
-        assert_eq!(id, VarId(i as u32), "interning order is dense");
-    }
-    (vars, names)
-}
-
-/// A random poly-set over `x0..x11`, telephony-shaped: each monomial
-/// draws at most one factor per tree-leaf half (forest compatibility).
-fn polyset_strategy() -> impl Strategy<Value = PolySet<f64>> {
-    let factor_a = prop::option::of((0u32..NUM_LEAVES / 2, 1u32..3));
-    let factor_b = prop::option::of((NUM_LEAVES / 2..NUM_LEAVES, 1u32..3));
-    prop::collection::vec(
-        prop::collection::vec((factor_a, factor_b, 1i32..40), 0..10),
-        0..7,
-    )
-    .prop_map(|polys| {
-        PolySet::from_vec(
-            polys
-                .into_iter()
-                .map(|terms| {
-                    Polynomial::from_terms(terms.into_iter().map(|(fa, fb, c)| {
-                        let factors = fa.into_iter().chain(fb);
-                        (
-                            Monomial::from_factors(factors.map(|(v, e)| (VarId(v), e))),
-                            f64::from(c) / 4.0,
-                        )
-                    }))
-                })
-                .collect(),
-        )
-    })
-}
-
-fn random_forest(vars: &mut VarTable, names: &[String], seed: u64, two: bool) -> Forest {
-    let (lo, hi) = names.split_at(names.len() / 2);
-    let mut trees = vec![random_tree("A", lo, seed, vars)];
-    if two {
-        trees.push(random_tree("B", hi, seed.rotate_left(17) ^ 0xabcd, vars));
-    }
-    Forest::new(trees).expect("disjoint leaf halves")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -93,14 +44,22 @@ proptest! {
     /// The interrupted greedy state is a bit-for-bit prefix of the
     /// uninterrupted run — at every step cap `k`, both engines land on
     /// the same VVS, and its sizes are exactly the `k`-th point of the
-    /// full run's frontier trace.
+    /// full run's frontier trace. One to three trees on three leaf pools
+    /// of six, each monomial drawing at most one factor from each pool
+    /// (forest compatibility), telephony-style.
     #[test]
     fn step_capped_greedy_is_a_prefix_of_the_uninterrupted_trace(
-        polys in polyset_strategy(),
+        polys in Shape {
+            vars: 18,
+            pools: 3,
+            powers: Powers::Dense(2),
+            coeffs: Coeffs::Quarters,
+            ..Shape::default()
+        }
+        .strategy(),
         seed in 0u64..1_000,
     ) {
-        let (mut vars, names) = leaf_table();
-        let forest = random_forest(&mut vars, &names, seed, true);
+        let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
         // The frontier IS the uninterrupted run-to-exhaustion trace:
         // point `k` is the working-set size after `k` selection steps.
         // Target the trace's floor so the bound is attainable and the
@@ -110,6 +69,14 @@ proptest! {
             greedy_frontier(&source, &forest, &Guard::unlimited()).expect("frontier runs");
         prop_assert!(traced.is_complete());
         let bound = trace.last().expect("non-empty trace").0.max(1);
+        // The bounded run stops at the first trace point meeting the
+        // bound (the frontier itself continues to exhaustion through
+        // zero-ML merges).
+        let first_hit = trace
+            .iter()
+            .position(|&(ml, _)| ml <= bound)
+            .expect("the floor is on the trace");
+        let mut reached = Vec::new();
         for cap in 0..trace.len() {
             let guard = Guard::new(Budget::with_steps(cap as u64));
             let (inc_abs, inc_done) =
@@ -122,32 +89,16 @@ proptest! {
             prop_assert_eq!(&inc.vvs, &refr.vvs, "cap {}", cap);
             prop_assert_eq!(inc_done, ref_done, "cap {}", cap);
             inc.vvs.validate(&inc.forest).expect("prefix VVS is sound");
-            // The bounded run stops at the first trace point meeting the
-            // bound (the frontier itself continues to exhaustion through
-            // zero-ML merges).
-            let first_hit = trace
-                .iter()
-                .position(|&(ml, _)| ml <= bound)
-                .expect("the floor is on the trace");
             match inc_done {
-                Completion::Complete => {
-                    prop_assert!(
-                        first_hit <= cap,
-                        "completed in {} steps under cap {}", first_hit, cap
-                    );
-                    prop_assert_eq!(inc.compressed_size_m, trace[first_hit].0);
-                    prop_assert_eq!(inc.compressed_size_v, trace[first_hit].1);
-                }
+                Completion::Complete => within_bound(first_hit, cap, "steps of a completed run"),
                 Completion::Interrupted { reason, steps, size_reached } => {
                     prop_assert_eq!(reason, Interrupt::StepCapExhausted);
                     prop_assert_eq!(steps, cap, "exact interruption point");
                     prop_assert!(cap < first_hit, "would have finished otherwise");
-                    let (ml, vl) = trace[steps];
-                    prop_assert_eq!(size_reached, ml, "on the trace at step {}", steps);
-                    prop_assert_eq!(inc.compressed_size_m, ml);
-                    prop_assert_eq!(inc.compressed_size_v, vl);
+                    prop_assert_eq!(size_reached, inc.compressed_size_m, "step {}", steps);
                 }
             }
+            reached.push((inc.compressed_size_m, inc.compressed_size_v));
 
             // One shard is the engine itself, cap included.
             let (one, one_done) =
@@ -166,7 +117,7 @@ proptest! {
                         Completion::Complete => prop_assert!(two.result.is_adequate_for(bound)),
                         Completion::Interrupted { reason, steps, size_reached } => {
                             prop_assert_eq!(reason, Interrupt::StepCapExhausted);
-                            prop_assert!(steps <= cap, "merged {} steps under cap {}", steps, cap);
+                            within_bound(steps, cap, "merged steps of two shards");
                             prop_assert_eq!(size_reached, two.result.compressed_size_m);
                         }
                     }
@@ -188,6 +139,10 @@ proptest! {
             prop_assert_eq!(online.full.result.compressed_size_m, inc.compressed_size_m);
             prop_assert_eq!(online.full.result.compressed_size_v, inc.compressed_size_v);
         }
+        // Capped `k` steps, a run sits on the trace's `k`-th point, and
+        // from the first point meeting the bound on, on that point.
+        prefix_of(&reached[..=first_hit], &trace, "sizes under caps 0..=first hit");
+        prop_assert!(reached[first_hit..].iter().all(|&p| p == trace[first_hit]));
     }
 }
 
@@ -195,8 +150,7 @@ proptest! {
 /// token yields the identity prefix (zero steps), typed `Cancelled`.
 #[test]
 fn pre_cancelled_guard_returns_the_identity_prefix() {
-    let (mut vars, names) = leaf_table();
-    let forest = random_forest(&mut vars, &names, 3, true);
+    let (_, forest) = random_forest(18, 3, 2, 3);
     let polys = PolySet::from_vec(vec![Polynomial::from_terms([
         (Monomial::var(VarId(0)), 2.0),
         (Monomial::var(VarId(1)), 3.0),
@@ -238,8 +192,7 @@ fn expired_deadline_returns_the_identity_prefix() {
 /// degrades to the identity abstraction — sound, tagged, never an error.
 #[test]
 fn interrupted_optimal_falls_back_to_the_identity() {
-    let (mut vars, names) = leaf_table();
-    let forest = random_forest(&mut vars, &names, 5, false);
+    let (_, forest) = random_forest(18, 3, 1, 5);
     let polys = PolySet::from_vec(vec![Polynomial::from_terms([
         (Monomial::var(VarId(0)), 1.0),
         (Monomial::var(VarId(1)), 2.0),

@@ -5,7 +5,7 @@
 //! chosen VVS (same nodes, hence same labels), the same
 //! `greedy_frontier` step trace, the same tie-breaks, and the same
 //! `BoundUnattainable` floors — on random poly-sets paired with random
-//! single- and multi-tree forests, across every bound from 1 to the
+//! forests of one to three trees, across every bound from 1 to the
 //! identity size. The engines share no representation: the reference
 //! (`provabs_core::reference`) cleans, rewrites and measures cloned
 //! hash-map polynomials, the incremental one an interned working set with
@@ -20,72 +20,29 @@ use provabs_provenance::guard::Guard;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
-use provabs_provenance::var::{VarId, VarTable};
+use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
+use provabs_testkit::{random_forest, Coeffs, Powers, Shape};
 use provabs_trees::forest::Forest;
-use provabs_trees::generate::random_tree;
 
-/// Number of leaf variables the random instances draw from; `x0..x5`
-/// belong to the first tree, `x6..x11` to the second.
-const NUM_LEAVES: u32 = 12;
-
-/// Interns `x0..x11` in a fresh table so `VarId(i)` is the variable
-/// named `xi`, exactly as the polynomial strategy assumes.
-fn leaf_table() -> (VarTable, Vec<String>) {
-    let mut vars = VarTable::new();
-    let names: Vec<String> = (0..NUM_LEAVES).map(|i| format!("x{i}")).collect();
-    for (i, n) in names.iter().enumerate() {
-        let id = vars.intern(n);
-        assert_eq!(id, VarId(i as u32), "interning order is dense");
+/// Three leaf pools of six, `x0..x5`, `x6..x11` and `x12..x17`, where
+/// [`random_forest`] plants its one to three trees. Each monomial draws
+/// at most one factor from each pool (forest compatibility), with
+/// exponents 1..=2 and positive coefficients, keeping exact cancellation
+/// out of play exactly as in the paper's workloads.
+fn compatible() -> Shape {
+    Shape {
+        vars: 18,
+        pools: 3,
+        powers: Powers::Dense(2),
+        coeffs: Coeffs::Quarters,
+        ..Shape::default()
     }
-    (vars, names)
-}
-
-/// A random poly-set over `x0..x11`: up to 7 polynomials of up to 10
-/// monomials. Forest compatibility requires at most one tree variable
-/// per monomial and tree, so each monomial draws at most one factor from
-/// each leaf half (the halves are the tree leaf pools), telephony-style,
-/// with exponents 1..=2. Coefficients are positive, keeping exact
-/// cancellation out of play exactly as in the paper's workloads.
-fn polyset_strategy() -> impl Strategy<Value = PolySet<f64>> {
-    let factor_a = prop::option::of((0u32..NUM_LEAVES / 2, 1u32..3));
-    let factor_b = prop::option::of((NUM_LEAVES / 2..NUM_LEAVES, 1u32..3));
-    prop::collection::vec(
-        prop::collection::vec((factor_a, factor_b, 1i32..40), 0..10),
-        0..7,
-    )
-    .prop_map(|polys| {
-        PolySet::from_vec(
-            polys
-                .into_iter()
-                .map(|terms| {
-                    Polynomial::from_terms(terms.into_iter().map(|(fa, fb, c)| {
-                        let factors = fa.into_iter().chain(fb);
-                        (
-                            Monomial::from_factors(factors.map(|(v, e)| (VarId(v), e))),
-                            f64::from(c) / 4.0,
-                        )
-                    }))
-                })
-                .collect(),
-        )
-    })
-}
-
-/// A random forest: one or two random trees over disjoint halves of the
-/// leaf pool. With `two == false` the second half stays tree-less, so
-/// single-tree instances (and leaves outside every tree) are covered.
-fn random_forest(vars: &mut VarTable, names: &[String], seed: u64, two: bool) -> Forest {
-    let (lo, hi) = names.split_at(names.len() / 2);
-    let mut trees = vec![random_tree("A", lo, seed, vars)];
-    if two {
-        trees.push(random_tree("B", hi, seed.rotate_left(17) ^ 0xabcd, vars));
-    }
-    Forest::new(trees).expect("disjoint leaf halves")
 }
 
 /// Asserts both engines produce identical outcomes for one instance and
-/// bound.
+/// bound: the same VVS and the same sizes (arena ids, dead entries
+/// included, are the engines' own business).
 fn assert_engines_agree(polys: &PolySet<f64>, forest: &Forest, bound: usize) {
     let guard = Guard::unlimited();
     let inc = greedy_vvs(&WorkingSet::from_polyset(polys), forest, bound, &guard);
@@ -111,16 +68,15 @@ fn assert_engines_agree(polys: &PolySet<f64>, forest: &Forest, bound: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole invariant on multi-tree forests: identical VVS (or
-    /// identical `BoundUnattainable` floor) for every bound, and an
-    /// identical exhaustion trace.
+    /// The tentpole invariant on forests of two and three trees:
+    /// identical VVS (or identical `BoundUnattainable` floor) for every
+    /// bound, and an identical exhaustion trace.
     #[test]
     fn engines_agree_on_multi_tree_forests(
-        polys in polyset_strategy(),
+        polys in compatible().strategy(),
         seed in 0u64..1_000,
     ) {
-        let (mut vars, names) = leaf_table();
-        let forest = random_forest(&mut vars, &names, seed, true);
+        let (_, forest) = random_forest(18, 3, 2 + seed as usize % 2, seed);
         let total = polys.size_m();
         for bound in 1..=total.max(1) {
             assert_engines_agree(&polys, &forest, bound);
@@ -136,11 +92,10 @@ proptest! {
     /// the optimal DP) agree too, including the step trace.
     #[test]
     fn engines_agree_on_single_trees(
-        polys in polyset_strategy(),
+        polys in compatible().strategy(),
         seed in 0u64..1_000,
     ) {
-        let (mut vars, names) = leaf_table();
-        let forest = random_forest(&mut vars, &names, seed, false);
+        let (_, forest) = random_forest(18, 3, 1, seed);
         let total = polys.size_m();
         // Sweep a sparse set of bounds plus the extremes.
         for bound in [1, 2, total / 2, total.saturating_sub(1), total, total + 3] {
@@ -155,16 +110,15 @@ proptest! {
         );
     }
 
-    /// Unattainable bounds report the same floor from both engines: the
-    /// bound-1 run exhausts every candidate, so the floors expose the
-    /// full trace's end state.
+    /// Unattainable bounds report the same floor from both engines, on
+    /// one to three trees: the bound-1 run exhausts every candidate, so
+    /// the floors expose the full trace's end state.
     #[test]
     fn unattainable_floors_agree(
-        polys in polyset_strategy(),
+        polys in compatible().strategy(),
         seed in 0u64..1_000,
     ) {
-        let (mut vars, names) = leaf_table();
-        let forest = random_forest(&mut vars, &names, seed, seed % 2 == 0);
+        let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
         assert_engines_agree(&polys, &forest, 1);
     }
 }
@@ -172,8 +126,7 @@ proptest! {
 /// Degenerate fixtures outside the random sweep.
 #[test]
 fn empty_and_trivial_instances_agree() {
-    let (mut vars, names) = leaf_table();
-    let forest = random_forest(&mut vars, &names, 7, true);
+    let (_, forest) = random_forest(18, 3, 3, 7);
     // Empty poly-set: cleaning drops every tree; both engines answer with
     // the same unattainable floor.
     let empty: PolySet<f64> = PolySet::new();

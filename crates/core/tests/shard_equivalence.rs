@@ -20,30 +20,24 @@
 use provabs_core::greedy::greedy_vvs;
 use provabs_core::shard::{sharded_greedy, StreamingCompressor, StreamingConfig};
 use provabs_datagen::scale::{scale_chunks, scale_forest, scale_working_set, ScaleConfig};
-use provabs_datagen::{Workload, WorkloadConfig, WorkloadData};
+use provabs_datagen::{Workload, WorkloadData};
 use provabs_provenance::guard::Guard;
 use provabs_provenance::working::WorkingSet;
+use provabs_testkit::fixture;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 
 /// The three workload families the battery sweeps, at test-time scale.
-fn workloads() -> Vec<(&'static str, WorkloadData, Forest)> {
+fn workloads() -> [(&'static str, WorkloadData, Forest); 3] {
     [
         Workload::Telephony,
         Workload::TpchQ10,
         Workload::SupplyChain,
     ]
-    .into_iter()
     .map(|w| {
-        let mut data = w.generate(&WorkloadConfig {
-            scale: 0.05,
-            param_modulus: 16,
-            seed: 11,
-        });
-        let forest = data.primary_tree(1, 0);
+        let (data, forest) = fixture(w);
         (w.name(), data, forest)
     })
-    .collect()
 }
 
 /// A bound sweep for a working set of `size_m` monomials: identity,

@@ -12,7 +12,7 @@
 
 use provabs_engine::expr::Expr;
 use provabs_engine::param::VarRule;
-use provabs_engine::query::{GroupedProvenance, GroupedProvenanceInterned, Pipeline};
+use provabs_engine::query::{GroupedProvenance, Pipeline};
 use provabs_engine::schema::{ColumnType, Schema};
 use provabs_engine::table::Table;
 use provabs_engine::value::Value;
@@ -116,8 +116,8 @@ pub fn generate(config: TelephonyConfig) -> TelephonyData {
 }
 
 /// The joined pipeline plus aggregation spec of the revenue query —
-/// shared by the hash-map and interned aggregation entry points (and by
-/// [`crate::workload`], which aggregates both forms off one join).
+/// shared by [`revenue_provenance`] and by [`crate::workload`], which
+/// aggregates both forms off one join.
 pub fn revenue_spec(data: &TelephonyData) -> (Pipeline, Vec<&'static str>, Expr, Vec<VarRule>) {
     let pipeline = Pipeline::scan(&data.catalog, "Cust")
         .expect("table registered")
@@ -144,18 +144,6 @@ pub fn revenue_provenance(data: &TelephonyData, vars: &mut VarTable) -> GroupedP
     let (pipeline, cols, measure, rules) = revenue_spec(data);
     pipeline
         .aggregate_sum(&cols, &measure, &rules, vars)
-        .expect("aggregation is well-typed")
-}
-
-/// [`revenue_provenance`] emitted directly into the interned currency
-/// (`SELECT` output as a working set over the emission arena).
-pub fn revenue_provenance_interned(
-    data: &TelephonyData,
-    vars: &mut VarTable,
-) -> GroupedProvenanceInterned {
-    let (pipeline, cols, measure, rules) = revenue_spec(data);
-    pipeline
-        .aggregate_sum_interned(&cols, &measure, &rules, vars)
         .expect("aggregation is well-typed")
 }
 

@@ -15,7 +15,7 @@
 
 use provabs_engine::expr::Expr;
 use provabs_engine::param::VarRule;
-use provabs_engine::query::{GroupedProvenance, GroupedProvenanceInterned, Pipeline};
+use provabs_engine::query::{GroupedProvenance, Pipeline};
 use provabs_engine::schema::{ColumnType, Schema};
 use provabs_engine::table::Table;
 use provabs_engine::value::Value;
@@ -219,18 +219,8 @@ fn aggregate(
         .expect("aggregation is well-typed")
 }
 
-/// Aggregates a spec straight into the interned currency.
-fn aggregate_interned(
-    (pipeline, cols, measure, rules): (Pipeline, Vec<&'static str>, Expr, Vec<VarRule>),
-    vars: &mut VarTable,
-) -> GroupedProvenanceInterned {
-    pipeline
-        .aggregate_sum_interned(&cols, &measure, &rules, vars)
-        .expect("aggregation is well-typed")
-}
-
-/// The Q1 pipeline plus aggregation spec (shared by both aggregation
-/// forms and the workload façade).
+/// The Q1 pipeline plus aggregation spec (shared by [`q1`] and the
+/// workload façade).
 pub fn q1_spec(data: &TpchData) -> (Pipeline, Vec<&'static str>, Expr, Vec<VarRule>) {
     let pipeline = Pipeline::scan(&data.catalog, "lineitem").expect("table registered");
     (
@@ -245,11 +235,6 @@ pub fn q1_spec(data: &TpchData) -> (Pipeline, Vec<&'static str>, Expr, Vec<VarRu
 /// LINEITEM — few polynomials (8 groups), many monomials each.
 pub fn q1(data: &TpchData, vars: &mut VarTable) -> GroupedProvenance {
     aggregate(q1_spec(data), vars)
-}
-
-/// [`q1`] emitted directly into the interned currency.
-pub fn q1_interned(data: &TpchData, vars: &mut VarTable) -> GroupedProvenanceInterned {
-    aggregate_interned(q1_spec(data), vars)
 }
 
 /// The Q5 pipeline plus aggregation spec.
@@ -281,11 +266,6 @@ pub fn q5(data: &TpchData, vars: &mut VarTable) -> GroupedProvenance {
     aggregate(q5_spec(data), vars)
 }
 
-/// [`q5`] emitted directly into the interned currency.
-pub fn q5_interned(data: &TpchData, vars: &mut VarTable) -> GroupedProvenanceInterned {
-    aggregate_interned(q5_spec(data), vars)
-}
-
 /// The Q10 pipeline plus aggregation spec.
 pub fn q10_spec(data: &TpchData) -> (Pipeline, Vec<&'static str>, Expr, Vec<VarRule>) {
     let pipeline = Pipeline::scan(&data.catalog, "customer")
@@ -309,11 +289,6 @@ pub fn q10_spec(data: &TpchData) -> (Pipeline, Vec<&'static str>, Expr, Vec<VarR
 /// monomials each.
 pub fn q10(data: &TpchData, vars: &mut VarTable) -> GroupedProvenance {
     aggregate(q10_spec(data), vars)
-}
-
-/// [`q10`] emitted directly into the interned currency.
-pub fn q10_interned(data: &TpchData, vars: &mut VarTable) -> GroupedProvenanceInterned {
-    aggregate_interned(q10_spec(data), vars)
 }
 
 /// Q3 (shipping priority): CUSTOMER ⋈ ORDERS ⋈ LINEITEM grouped by

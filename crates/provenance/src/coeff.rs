@@ -80,7 +80,7 @@ impl Coefficient for f64 {
 /// exact operation sequence (the kernels per lane). IEEE-754
 /// multiplication is commutative and deterministic, so pinning the tree
 /// makes every engine's results bit-for-bit comparable — which is what
-/// the `simd_equivalence` suite asserts. (`f64::powi` makes no such
+/// the `eval_matrix` suite asserts. (`f64::powi` makes no such
 /// cross-compilation guarantee, which is why it is not used here.)
 pub fn pow_f64(x: f64, e: u32) -> f64 {
     match e {

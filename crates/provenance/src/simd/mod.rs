@@ -49,7 +49,7 @@
 //! multiply tree of [`pow_f64`](crate::coeff::pow_f64). Every kernel is
 //! therefore **bit-for-bit identical** to the scalar engine — a stronger
 //! guarantee than the documented 1e-12 cross-currency tolerance, and the
-//! `simd_equivalence` suite asserts the bits.
+//! `eval_matrix` suite asserts the bits.
 
 use crate::compiled::{CompiledPolySet, CompiledView};
 use crate::fxhash::FxHashMap;

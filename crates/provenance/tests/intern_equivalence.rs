@@ -18,32 +18,18 @@ use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
+use provabs_testkit::{runs, Coeffs, Powers, Shape};
 
 /// A random poly-set over variables v0..v9 with small integer-valued
-/// `f64` coefficients.
-fn polyset_strategy() -> impl Strategy<Value = PolySet<f64>> {
-    prop::collection::vec(
-        prop::collection::vec(
-            (prop::collection::vec((0u32..10, 1u32..3), 0..4), 1i64..50),
-            0..6,
-        ),
-        0..5,
-    )
-    .prop_map(|polys| {
-        PolySet::from_vec(
-            polys
-                .into_iter()
-                .map(|terms| {
-                    Polynomial::from_terms(terms.into_iter().map(|(factors, c)| {
-                        (
-                            Monomial::from_factors(factors.into_iter().map(|(v, e)| (VarId(v), e))),
-                            c as f64,
-                        )
-                    }))
-                })
-                .collect(),
-        )
-    })
+/// `f64` coefficients and exponents 1..=2.
+fn polys() -> impl Strategy<Value = PolySet<f64>> {
+    Shape {
+        arity: 0..=3,
+        powers: Powers::Dense(2),
+        coeffs: Coeffs::Integers,
+        ..Shape::default()
+    }
+    .strategy()
 }
 
 /// A compatible group: variables drawn from a fixed family that the
@@ -64,25 +50,18 @@ fn int_valuation(offset: u32) -> Valuation<f64> {
     val
 }
 
-fn assert_polysets_equal(a: &PolySet<f64>, b: &PolySet<f64>) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x, y);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Lowering a poly-set into the interned working set and bridging
     /// back is the identity (term sets, coefficients, measures).
     #[test]
-    fn ingest_roundtrip_is_identity(polys in polyset_strategy()) {
+    fn ingest_roundtrip_is_identity(polys in polys()) {
         let ws = WorkingSet::from_polyset(&polys);
         prop_assert_eq!(ws.size_m(), polys.size_m());
         prop_assert_eq!(ws.size_v(), polys.size_v());
         prop_assert_eq!(ws.num_polys(), polys.len());
-        assert_polysets_equal(&ws.to_polyset(), &polys);
+        assert_eq!(ws.to_polyset().as_slice(), polys.as_slice());
         // The live-variable view equals the poly-set's variable set.
         prop_assert_eq!(ws.live_vars(), polys.var_set());
     }
@@ -90,7 +69,7 @@ proptest! {
     /// Freezing a working set evaluates bit-for-bit like compiling its
     /// materialisation, on every evaluation entry point.
     #[test]
-    fn freeze_equals_compile_of_materialisation(polys in polyset_strategy(), offset in 0u32..5) {
+    fn freeze_equals_compile_of_materialisation(polys in polys(), offset in 0u32..5) {
         let ws = WorkingSet::from_polyset(&polys);
         let frozen = ws.freeze();
         let compiled = CompiledPolySet::compile(&ws.to_polyset());
@@ -113,14 +92,14 @@ proptest! {
             prop_assert_eq!(batch[s].clone(), frozen.eval_one(val));
         }
         // And both denote the same poly-set.
-        assert_polysets_equal(&frozen.to_polyset(), &compiled.to_polyset());
+        assert_eq!(frozen.to_polyset().as_slice(), compiled.to_polyset().as_slice());
     }
 
     /// A group substitution in id space equals `map_vars` on the
     /// hash-map representation, and the predicted monomial loss matches
     /// the actual merge count.
     #[test]
-    fn apply_group_and_ml_delta_match_map_vars(polys in polyset_strategy(), pick in prop::collection::vec(0u32..10, 2..4)) {
+    fn apply_group_and_ml_delta_match_map_vars(polys in polys(), pick in prop::collection::vec(0u32..10, 2..4)) {
         let group: Vec<VarId> = {
             let mut g: Vec<VarId> = pick.into_iter().map(VarId).collect();
             g.sort_unstable_by_key(|v| v.0);
@@ -138,7 +117,7 @@ proptest! {
         prop_assert_eq!(ws.size_m(), expected.size_m());
         prop_assert_eq!(ws.size_v(), expected.size_v());
         prop_assert_eq!(predicted, polys.size_m() - expected.size_m());
-        assert_polysets_equal(&ws.to_polyset(), &expected);
+        assert_eq!(ws.to_polyset().as_slice(), expected.as_slice());
         // Freezing the rewritten set still matches the hash-map result.
         let frozen = ws.freeze();
         let val = int_valuation(3);
@@ -153,20 +132,20 @@ proptest! {
     /// `map_vars` for arbitrary variable maps — including collapsing
     /// maps that merge monomials within a polynomial.
     #[test]
-    fn apply_var_map_matches_map_vars(polys in polyset_strategy(), modulus in 1u32..6) {
+    fn apply_var_map_matches_map_vars(polys in polys(), modulus in 1u32..6) {
         let map = |v: VarId| VarId(v.0 % modulus);
         let mut ws = WorkingSet::from_polyset(&polys);
         ws.apply_var_map(map);
         let expected = polys.map_vars(map);
         prop_assert_eq!(ws.size_m(), expected.size_m());
         prop_assert_eq!(ws.size_v(), expected.size_v());
-        assert_polysets_equal(&ws.to_polyset(), &expected);
+        assert_eq!(ws.to_polyset().as_slice(), expected.as_slice());
     }
 
     /// Subsetting (the online-sampling primitive) selects exactly the
     /// indexed polynomials, over the shared arena.
     #[test]
-    fn subset_matches_index_selection(polys in polyset_strategy(), mask in prop::collection::vec(any::<bool>(), 0..5)) {
+    fn subset_matches_index_selection(polys in polys(), mask in prop::collection::vec(any::<bool>(), 0..5)) {
         let indices: Vec<usize> = (0..polys.len())
             .filter(|&i| mask.get(i).copied().unwrap_or(false))
             .collect();
@@ -175,7 +154,7 @@ proptest! {
         prop_assert_eq!(sub.num_polys(), indices.len());
         let slice = polys.as_slice();
         let expected = PolySet::from_vec(indices.iter().map(|&i| slice[i].clone()).collect::<Vec<_>>());
-        assert_polysets_equal(&sub.to_polyset(), &expected);
+        assert_eq!(sub.to_polyset().as_slice(), expected.as_slice());
     }
 }
 
@@ -739,7 +718,7 @@ proptest! {
         let (before, frozen) = (ws.to_polyset(), ws.freeze());
         let order: Vec<Monomial> = ws.live_monomials().map(|m| m.to_monomial()).collect();
         ws.compact();
-        assert_polysets_equal(&ws.to_polyset(), &before);
+        assert_eq!(ws.to_polyset().as_slice(), before.as_slice());
         let encoded = provabs_provenance::persist::encode_compiled(frozen.view());
         prop_assert_eq!(
             &provabs_provenance::persist::encode_compiled(ws.freeze().view()),
@@ -796,19 +775,6 @@ fn a_promoted_clone_forks_through_the_tail_copy() {
     assert_eq!(branches.len(), 3);
     let lens: Vec<usize> = branches.iter().map(|b| b.walk.ws.arena().len()).collect();
     assert!(lens[1] > lens[0] && lens[2] > lens[0], "{lens:?}");
-}
-
-/// Each run of `ws` as the monomials and coefficient bits it lists, in
-/// order — what two sets with different ids can be compared by.
-fn runs(ws: &WorkingSet<f64>) -> Vec<Vec<(Monomial, u64)>> {
-    (0..ws.num_polys())
-        .map(|pi| {
-            let terms = ws.poly_terms(pi);
-            terms
-                .map(|(id, c)| (ws.mono(id).to_monomial(), c.to_bits()))
-                .collect()
-        })
-        .collect()
 }
 
 /// The accumulation order is a property, not an accident: `1e16`, `1` and

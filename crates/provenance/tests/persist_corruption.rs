@@ -29,30 +29,10 @@ use provabs_provenance::polyset_to_string;
 use provabs_provenance::simd::Kernel;
 use provabs_provenance::valuation::Valuation;
 use provabs_session::{Error, Session, SessionBuilder};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use provabs_testkit::{bits_equal, Rng, TempFile};
 
 const HEADER_LEN: usize = 24;
 const TOC_ENTRY_LEN: usize = 32;
-
-fn temp_artifact(tag: &str) -> TempFile {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "provabs-corruption-{}-{}-{tag}.pvabs",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    TempFile(path)
-}
-
-struct TempFile(PathBuf);
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 /// A small but fully populated session: every section and every column
 /// non-empty (two powers on each side), the whole artifact a few hundred
@@ -88,7 +68,7 @@ fn baseline() -> (Vec<u8>, Vec<Valuation<f64>>, Vec<Vec<f64>>) {
 }
 
 fn baseline_of(session: &Session) -> (Vec<u8>, Vec<Valuation<f64>>, Vec<Vec<f64>>) {
-    let file = temp_artifact("baseline");
+    let file = TempFile::new("baseline");
     session.save(&file.0).expect("save");
     let bytes = std::fs::read(&file.0).expect("artifact bytes");
     let valuations: Vec<Valuation<f64>> = (0..3)
@@ -111,7 +91,7 @@ fn baseline_of(session: &Session) -> (Vec<u8>, Vec<Valuation<f64>>, Vec<Vec<f64>
 /// asserting they agree on success/failure. Returns the owned-path
 /// outcome.
 fn open_both(bytes: &[u8], tag: &str) -> Result<Session, Error> {
-    let file = temp_artifact(tag);
+    let file = TempFile::new(tag);
     std::fs::write(&file.0, bytes).expect("write corrupted bytes");
     let owned = Session::open(&file.0);
     let mapped = Session::open_mapped(&file.0);
@@ -770,17 +750,10 @@ fn repeated_local_variable_ids_answer_as_the_dense_tables() {
             row
         })
         .collect();
-    let same_bits = |got: &[Vec<f64>], what: &str| {
-        assert_eq!(got.len(), dense.len(), "{what}");
-        for (s, (g, d)) in got.iter().zip(&dense).enumerate() {
-            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(g), bits(d), "{what}: scenario {s}");
-        }
-    };
     for kernel in [Kernel::Generic, Kernel::Avx2] {
-        same_bits(&view.eval_block(&valuations, kernel), kernel.name());
+        bits_equal(&dense, &view.eval_block(&valuations, kernel), kernel.name());
     }
-    let file = temp_artifact("repeated-vars");
+    let file = TempFile::new("repeated-vars");
     std::fs::write(&file.0, &bytes).expect("write");
     for (path, opened) in [
         ("owned", Session::open(&file.0)),
@@ -788,7 +761,7 @@ fn repeated_local_variable_ids_answer_as_the_dense_tables() {
     ] {
         let opened = opened.expect("opens");
         let got = opened.ask_prepared(&valuations).expect("compressed");
-        same_bits(&got.values, path);
+        bits_equal(&dense, &got.values, path);
     }
 }
 
@@ -856,10 +829,7 @@ fn flip_battery(stride: usize) {
                         .ask_prepared(&valuations)
                         .expect("compressed")
                         .values;
-                    assert_eq!(got.len(), expected.len());
-                    for (a, b) in got.iter().flatten().zip(expected.iter().flatten()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "padding flip changed answers");
-                    }
+                    bits_equal(&expected, &got, "a padding flip");
                     flipped_ok += 1;
                 }
             }
@@ -889,24 +859,6 @@ fn exhaustive_single_byte_flips_never_load_garbage() {
 // ---------------------------------------------------------------------
 // The generated loop: lies about counts, degree and layout.
 // ---------------------------------------------------------------------
-
-/// xorshift64* — deterministic, dependency-free randomness for the loop.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 fn word_at(p: &[u8], field: usize) -> u64 {
     u64::from_le_bytes(p[8 * field..8 * field + 8].try_into().unwrap())
@@ -1013,7 +965,7 @@ fn corruption_loop(cases: u64) {
     }
     let mut refused = 0u64;
     for case in 0..cases {
-        let mut rng = Rng(0x5EED_0000 ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1));
+        let mut rng = Rng::new(0x5EED_0000 ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1));
         let (good, valuations, expected) = &fixtures[rng.below(2) as usize];
         let art = RawArtifact::open_bytes(good.clone()).expect("pristine parses");
         let id = [section::COMPILED_ABS, section::COMPILED_ORIG][rng.below(2) as usize];
@@ -1026,13 +978,7 @@ fn corruption_loop(cases: u64) {
             Err(other) => panic!("{tag}: non-persist error {other:?}"),
             Ok(session) => {
                 let got = session.ask_prepared(valuations).expect("compressed").values;
-                for (a, b) in got.iter().flatten().zip(expected.iter().flatten()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{tag}: opened and answered differently"
-                    );
-                }
+                bits_equal(expected, &got, &format!("{tag}: opened"));
             }
         }
     }

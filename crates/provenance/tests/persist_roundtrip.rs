@@ -17,91 +17,20 @@
 //! pipeline property.
 
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
-use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
+use provabs_datagen::workload::Workload;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::persist::{section, RawArtifact, SharedCompiled, FORMAT_VERSION};
-use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::polyset_to_string;
 use provabs_provenance::valuation::Valuation;
-use provabs_provenance::var::{VarId, VarTable};
+use provabs_provenance::var::VarTable;
 use provabs_provenance::working::WorkingSet;
 use provabs_scenario::Scenario;
-use provabs_session::{ArtifactOrigin, Error, Session, SessionBuilder, Strategy};
-use provabs_trees::error::TreeError;
-use provabs_trees::forest::Forest;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A unique temp-file path per call; best-effort cleanup via [`TempFile`].
-fn temp_artifact(tag: &str) -> TempFile {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "provabs-roundtrip-{}-{}-{tag}.pvabs",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    TempFile(path)
-}
-
-struct TempFile(PathBuf);
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-fn fixture(workload: Workload) -> (WorkloadData, Forest) {
-    let mut data = workload.generate(&WorkloadConfig {
-        scale: 0.05,
-        param_modulus: 16,
-        seed: 11,
-    });
-    let forest = data.primary_tree(1, 0);
-    (data, forest)
-}
-
-/// A bound between the forest's compression floor and the original size,
-/// probed through the façade so this suite needs no algorithm crates.
-fn attainable_bound(polys: &PolySet<f64>, vars: &VarTable, forest: &Forest) -> usize {
-    let total = polys.size_m();
-    let probe = SessionBuilder::new(polys.clone(), vars.clone())
-        .forest(forest.clone())
-        .bound(1)
-        .build()
-        .expect("valid probe");
-    let floor = match probe.compress() {
-        Ok(r) => r.compressed_size_m,
-        Err(Error::Tree(TreeError::BoundUnattainable { best_possible, .. })) => best_possible,
-        Err(e) => panic!("floor probe failed: {e}"),
-    };
-    (floor + (total - floor) / 2).max(1)
-}
-
-fn all_strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Optimal,
-        Strategy::Greedy,
-        Strategy::Online {
-            fraction: 0.5,
-            seed: 7,
-        },
-        Strategy::Competitor,
-        Strategy::None,
-    ]
-}
-
-fn assert_values_bitwise(a: &[Vec<f64>], b: &[Vec<f64>], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: batch sizes differ");
-    for (row_a, row_b) in a.iter().zip(b) {
-        assert_eq!(row_a.len(), row_b.len(), "{context}: row lengths differ");
-        for (x, y) in row_a.iter().zip(row_b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{context}: {x} vs {y}");
-        }
-    }
-}
+use provabs_session::{ArtifactOrigin, Session, SessionBuilder, Strategy};
+use provabs_testkit::{
+    attainable_bound, bits_equal, fixture, leaf_table, runs, strategies, Coeffs, Powers, Rng,
+    Shape, TempFile,
+};
 
 /// Opens `path` through both load paths and asserts each reopened
 /// session is indistinguishable from `saved` on the given batch.
@@ -167,14 +96,14 @@ fn assert_open_paths_equivalent(
         // valuations, without a single compilation: the columns come
         // straight out of the artifact.
         let run = reopened.ask(scenarios).expect("known names").values;
-        assert_values_bitwise(&expected_run, &run, &context);
+        bits_equal(&expected_run, &run, &context);
         let prepared = reopened
             .ask_prepared(valuations)
             .expect("compressed")
             .values;
-        assert_values_bitwise(&expected_prepared, &prepared, &context);
+        bits_equal(&expected_prepared, &prepared, &context);
         let again = reopened.ask(scenarios).expect("known names").values;
-        assert_values_bitwise(&run, &again, &context);
+        bits_equal(&run, &again, &context);
         assert_eq!(
             reopened.compile_count(),
             0,
@@ -218,7 +147,7 @@ fn saved_sessions_answer_identically_for_every_workload_and_strategy() {
     ] {
         let (data, forest) = fixture(workload);
         let bound = attainable_bound(&data.polys, &data.vars, &forest);
-        for strategy in all_strategies() {
+        for strategy in strategies() {
             let context = format!("{} / {strategy:?}", workload.name());
             let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
                 .forest(forest.clone())
@@ -238,7 +167,7 @@ fn saved_sessions_answer_identically_for_every_workload_and_strategy() {
                 .map(|s| s.valuation(&mut val_vars))
                 .collect();
 
-            let file = temp_artifact(workload.name());
+            let file = TempFile::new(workload.name());
             session.save(&file.0).expect("save succeeds");
             assert_open_paths_equivalent(&session, &file, &scenarios, &valuations, &context);
         }
@@ -260,7 +189,7 @@ fn save_is_deterministic_and_cache_independent() {
         .expect("valid");
 
     // First save: compress has not even run yet (save runs it).
-    let cold = temp_artifact("cold");
+    let cold = TempFile::new("cold");
     session.save(&cold.0).expect("save");
     assert_eq!(session.compile_count(), 0, "save alone must not compile");
 
@@ -271,7 +200,7 @@ fn save_is_deterministic_and_cache_independent() {
     let _ = session.abstracted();
     let _ = session.original();
 
-    let warm = temp_artifact("warm");
+    let warm = TempFile::new("warm");
     session.save(&warm.0).expect("save");
     let a = std::fs::read(&cold.0).expect("cold bytes");
     let b = std::fs::read(&warm.0).expect("warm bytes");
@@ -279,7 +208,7 @@ fn save_is_deterministic_and_cache_independent() {
 
     // And a reopened session re-saves the same bytes again.
     let reopened = Session::open(&cold.0).expect("open");
-    let resaved = temp_artifact("resaved");
+    let resaved = TempFile::new("resaved");
     reopened.save(&resaved.0).expect("save");
     let c = std::fs::read(&resaved.0).expect("resaved bytes");
     assert_eq!(a, c, "open → save must reproduce the artifact");
@@ -299,7 +228,7 @@ fn opened_sessions_serve_reference_paths_and_reports() {
         .build()
         .expect("valid");
     session.compress().expect("attainable");
-    let file = temp_artifact("reference");
+    let file = TempFile::new("reference");
     session.save(&file.0).expect("save");
 
     let names = session.abstracted_labels().expect("compressed");
@@ -352,61 +281,6 @@ fn opened_sessions_serve_reference_paths_and_reports() {
 // Random poly-sets: structural fuzz of the codecs through the façade.
 // ---------------------------------------------------------------------
 
-/// xorshift64* — deterministic, dependency-free randomness for the
-/// generator battery.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// A random poly-set over `num_vars` variables: mixed arities, repeated
-/// monomials (coefficient accumulation), empty polynomials, higher
-/// exponents — every wire-shape corner the codecs must carry. Two in
-/// three factors carry a power of 2 or 3 (more where a variable repeats);
-/// with `sparse_powers` one in ten does, squared, cubed or raised to 7,
-/// so the power columns are the short exception list they are meant to be.
-fn random_polys(rng: &mut Rng, vars: &mut VarTable, sparse_powers: bool) -> PolySet<f64> {
-    let num_vars = 3 + rng.below(20) as usize;
-    let ids: Vec<VarId> = (0..num_vars)
-        .map(|i| vars.intern(&format!("v{i}")))
-        .collect();
-    let num_polys = 1 + rng.below(8) as usize;
-    let mut polys = Vec::with_capacity(num_polys);
-    for _ in 0..num_polys {
-        let num_terms = rng.below(7) as usize; // 0 → empty polynomial
-        let mut terms = Vec::with_capacity(num_terms);
-        for _ in 0..num_terms {
-            let arity = rng.below(4) as usize; // 0 → constant monomial
-            let mut factors = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                let var = ids[rng.below(ids.len() as u64) as usize];
-                let exp = match (sparse_powers, rng.below(30)) {
-                    (false, draw) => 1 + (draw % 3) as u32,
-                    (true, draw @ 0..3) => [2, 3, 7][draw as usize],
-                    (true, _) => 1,
-                };
-                factors.push((var, exp));
-            }
-            let coeff = (rng.below(2001) as f64 - 1000.0) / 8.0;
-            terms.push((Monomial::from_factors(factors), coeff));
-        }
-        polys.push(Polynomial::from_terms(terms));
-    }
-    PolySet::from_vec(polys)
-}
-
 /// Twelve random poly-sets, with dense and with sparse powers (no
 /// forest, `Strategy::None`): save → open (both paths) preserves the
 /// working sets term-for-term and answers random prepared valuations
@@ -415,9 +289,15 @@ fn random_polys(rng: &mut Rng, vars: &mut VarTable, sparse_powers: bool) -> Poly
 #[test]
 fn random_polysets_roundtrip_bitwise() {
     for (seed, sparse_powers) in (1..=12u64).flat_map(|seed| [(seed, false), (seed, true)]) {
-        let mut rng = Rng(0x9E37_79B9 ^ (seed << 16));
-        let mut vars = VarTable::new();
-        let polys = random_polys(&mut rng, &mut vars, sparse_powers);
+        let mut rng = Rng::new(0x9E37_79B9 ^ (seed << 16));
+        let shape = Shape {
+            vars: 3 + rng.below(20) as u32,
+            arity: 0..=3,
+            powers: [Powers::Dense(3), Powers::Sparse][usize::from(sparse_powers)],
+            ..Shape::default()
+        };
+        let (vars, _) = leaf_table(shape.vars);
+        let polys = shape.draw(&mut rng);
         let context = format!("seed {seed}, sparse powers {sparse_powers}");
 
         let ws = WorkingSet::from_polyset(&polys);
@@ -429,15 +309,7 @@ fn random_polysets_roundtrip_bitwise() {
         // Run for run in the same order too: a lowered set's ids follow
         // first occurrence, as the rebuilt set's do, so the ascending runs
         // list the same monomials and coefficients in the same places.
-        for pi in 0..ws.num_polys() {
-            let run = |set: &WorkingSet<f64>| -> Vec<(Monomial, u64)> {
-                let terms = set.poly_terms(pi);
-                terms
-                    .map(|(id, c)| (set.mono(id).to_monomial(), c.to_bits()))
-                    .collect()
-            };
-            assert_eq!(run(&rebuilt), run(&ws), "{context}: run {pi} reordered");
-        }
+        assert_eq!(runs(&rebuilt), runs(&ws), "{context}: a run reordered");
 
         let session = SessionBuilder::new(polys.clone(), vars.clone())
             .strategy(Strategy::None)
@@ -445,19 +317,9 @@ fn random_polysets_roundtrip_bitwise() {
             .expect("no forest needed");
         session.compress().expect("identity always works");
 
-        let valuations: Vec<Valuation<f64>> = (0..4)
-            .map(|_| {
-                let mut val = Valuation::neutral();
-                for (id, _) in vars.iter() {
-                    if rng.below(3) == 0 {
-                        val.assign(id, (rng.below(41) as f64 - 20.0) / 4.0);
-                    }
-                }
-                val
-            })
-            .collect();
+        let valuations = shape.batch(&mut rng, shape.vars as usize, 4);
 
-        let file = temp_artifact(&format!("random-{seed}"));
+        let file = TempFile::new(&format!("random-{seed}"));
         session.save(&file.0).expect("save");
         let expected = session
             .ask_prepared(&valuations)
@@ -472,7 +334,7 @@ fn random_polysets_roundtrip_bitwise() {
                 .ask_prepared(&valuations)
                 .expect("compressed")
                 .values;
-            assert_values_bitwise(&expected, &got, &context);
+            bits_equal(&expected, &got, &context);
             assert_eq!(reopened.compile_count(), 0, "{context}");
             assert_eq!(
                 polyset_to_string(reopened.abstracted().expect("compressed"), reopened.vars()),
@@ -493,25 +355,20 @@ fn random_polysets_roundtrip_bitwise() {
 #[test]
 fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
     const VARS: u32 = 70_000;
-    let mut vars = VarTable::new();
-    let ids: Vec<VarId> = (0..VARS).map(|i| vars.intern(&format!("w{i}"))).collect();
-    // Every variable occurs; late ones (local index ≥ 65 536) meet early
-    // ones in one monomial, and one factor in eleven is squared.
-    let polys = PolySet::from_vec(
-        ids.chunks(4)
-            .enumerate()
-            .map(|(p, chunk)| {
-                Polynomial::from_terms(chunk.iter().enumerate().map(|(i, &v)| {
-                    let partner = ids[(v.0 as usize * 7 + 3) % ids.len()];
-                    let exp = if (p + i) % 11 == 0 { 2 } else { 1 };
-                    (
-                        Monomial::from_factors([(v, exp), (partner, 1)]),
-                        0.5 + (p % 9) as f64,
-                    )
-                }))
-            })
-            .collect(),
-    );
+    // Every variable occurs, in windows of two; the drawn monomials make
+    // late ones (local index ≥ 65 536) meet early ones, and one factor in
+    // ten carries a power.
+    let shape = Shape {
+        vars: VARS,
+        arity: 2..=2,
+        powers: Powers::Sparse,
+        coeffs: Coeffs::Quarters,
+        wide: true,
+        ..Shape::default()
+    };
+    let mut rng = Rng::new(0x70_000);
+    let (vars, _) = leaf_table(VARS);
+    let polys = shape.draw(&mut rng);
     let session = SessionBuilder::new(polys, vars.clone())
         .strategy(Strategy::None)
         .build()
@@ -521,20 +378,8 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
     assert_eq!(frozen.num_vars(), VARS as usize);
     assert_eq!(frozen.view().factor_index_bytes(), 4);
 
-    let mut rng = Rng(0x70_000);
-    let valuations: Vec<Valuation<f64>> = (0..5)
-        .map(|_| {
-            let mut val = Valuation::neutral();
-            for _ in 0..2_000 {
-                let v = ids[rng.below(u64::from(VARS)) as usize];
-                val.assign(v, (rng.below(33) as f64 - 16.0) / 8.0);
-            }
-            // The last variable has the largest local index of all.
-            val.assign(ids[VARS as usize - 1], 1.5);
-            val
-        })
-        .collect();
-    let file = temp_artifact("wide");
+    let valuations = shape.batch(&mut rng, 4_000, 5);
+    let file = TempFile::new("wide");
     session.save(&file.0).expect("save");
     let expected = session
         .ask_prepared(&valuations)
@@ -548,7 +393,7 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
             .ask_prepared(&valuations)
             .expect("compressed")
             .values;
-        assert_values_bitwise(&expected, &got, "wide indices");
+        bits_equal(&expected, &got, "wide indices");
         assert_eq!(reopened.compile_count(), 0);
         let rebuilt = reopened.working().expect("compressed").freeze();
         assert_eq!(rebuilt.view().factor_index_bytes(), 4);
@@ -571,7 +416,7 @@ fn a_set_over_70_000_variables_roundtrips_on_wide_indices() {
 #[test]
 fn artifacts_stay_within_their_size_budget() {
     let budget = |session: &Session, per_monomial: usize, tag: &str| -> RawArtifact {
-        let file = temp_artifact(tag);
+        let file = TempFile::new(tag);
         session.save(&file.0).expect("save");
         let bytes = std::fs::read(&file.0).expect("artifact bytes");
         let art = RawArtifact::open_bytes(bytes.clone()).expect("parses");

@@ -5,7 +5,7 @@
 //! It is deliberately kept as the semantics reference; the production
 //! path is [`crate::executor::eval`], which runs the same grid over
 //! compiled columns in chunks and must agree with this loop bit for bit
-//! (see the `parallel_equivalence` property suite).
+//! (see the `eval_matrix` suite).
 
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;

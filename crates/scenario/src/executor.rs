@@ -15,7 +15,7 @@
 //!
 //! The hash-map loop of [`crate::apply::apply_batch`] is the serial
 //! *reference* this engine must agree with bit for bit (the
-//! `parallel_equivalence` property suite); [`eval_reference`] is that loop
+//! `eval_matrix` suite); [`eval_reference`] is that loop
 //! behind one guard probe, selected by
 //! [`EvalOptions::serial_reference`].
 

@@ -15,6 +15,7 @@ use provabs_datagen::workload::{Workload, WorkloadConfig};
 use provabs_scenario::Scenario;
 use provabs_server::{Client, Json, ServerConfig, ServerHandle};
 use provabs_session::SessionBuilder;
+use provabs_testkit::bits_equal;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,17 +155,7 @@ fn wire_answers_match_direct_session_oracle_under_concurrency() {
         assert_eq!(answers.len(), REQUESTS);
         for run in answers {
             assert_eq!(run.len(), SCENARIOS);
-            for (scenario_idx, values) in run.iter().enumerate() {
-                let want = &expected[client_idx][scenario_idx];
-                assert_eq!(values.len(), want.len());
-                for (got, want) in values.iter().zip(want) {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "wire answer diverged from the direct session"
-                    );
-                }
-            }
+            bits_equal(&expected[client_idx], &run, "wire vs the direct session");
         }
     }
 
@@ -232,10 +223,7 @@ fn create_compress_ask_save_reopen_round_trip() {
         );
     }
     let reopened = streamed_values(&client.post("/sessions/reopened/ask", &ask).expect("ask"));
-    assert_eq!(original.len(), reopened.len());
-    for (a, b) in original.iter().flatten().zip(reopened.iter().flatten()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "reopened session diverged");
-    }
+    bits_equal(&original, &reopened, "reopened session");
     let stats = client
         .get("/sessions/reopened")
         .expect("stats")

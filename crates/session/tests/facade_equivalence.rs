@@ -22,7 +22,7 @@ use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::{optimal_frontier, optimal_vvs};
 use provabs_core::problem::{evaluate_vvs, prepare, InternedAbstraction};
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
-use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
+use provabs_datagen::workload::Workload;
 use provabs_engine::query::GroupedProvenanceInterned;
 use provabs_provenance::compiled::CompiledPolySet;
 use provabs_provenance::guard::{Budget, CancelToken, Guard, Interrupt};
@@ -34,23 +34,11 @@ use provabs_scenario::executor::{eval, EvalOptions};
 use provabs_scenario::speedup::max_equivalence_error_prepared;
 use provabs_scenario::Scenario;
 use provabs_session::{Error, SessionBuilder, Strategy, Target};
+use provabs_testkit::{attainable_bound, bits_equal, close, fixture, strategies};
 use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 use std::time::Duration;
-
-/// A small, fast fixture: enough structure for every algorithm
-/// (including the quadratic competitor), small enough to sweep all
-/// strategies in test time.
-fn fixture(workload: Workload) -> (WorkloadData, Forest) {
-    let mut data = workload.generate(&WorkloadConfig {
-        scale: 0.05,
-        param_modulus: 16,
-        seed: 11,
-    });
-    let forest = data.primary_tree(1, 0);
-    (data, forest)
-}
 
 /// The direct low-level call each strategy promises to be identical to —
 /// the same dispatch `Session::compress` performs, under no limits.
@@ -86,44 +74,6 @@ fn low_level_oracle(
     }
 }
 
-fn all_strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Optimal,
-        Strategy::Greedy,
-        Strategy::Online {
-            fraction: 0.5,
-            seed: 7,
-        },
-        Strategy::Competitor,
-        Strategy::None,
-    ]
-}
-
-fn assert_values_bitwise(a: &[Vec<f64>], b: &[Vec<f64>], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: batch sizes differ");
-    for (row_a, row_b) in a.iter().zip(b) {
-        assert_eq!(row_a.len(), row_b.len(), "{context}: row lengths differ");
-        for (x, y) in row_a.iter().zip(row_b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{context}: {x} vs {y}");
-        }
-    }
-}
-
-/// Hash-map semantics check: values agree with the reference evaluator up
-/// to floating-point merge order.
-fn assert_values_close(a: &[Vec<f64>], b: &[Vec<f64>], context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: batch sizes differ");
-    for (row_a, row_b) in a.iter().zip(b) {
-        for (x, y) in row_a.iter().zip(row_b) {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            assert!(
-                (x - y).abs() / scale < 1e-12,
-                "{context}: {x} vs {y} beyond merge-order noise"
-            );
-        }
-    }
-}
-
 /// The tentpole assertion: for every strategy, on the telephony and
 /// TPC-H fixtures, the façade's compression, abstracted working set,
 /// scenario answers and deterministic reports equal the low-level
@@ -135,17 +85,9 @@ fn facade_equals_low_level_for_every_strategy() {
         let (data, forest) = fixture(workload);
         // What `SessionBuilder::new` lowers its input to.
         let source = WorkingSet::from_polyset(&data.polys);
-        // A bound between the forest's compression floor and the
-        // original size, so every strategy can attain it.
-        let total = data.polys.size_m();
-        let floor = match greedy_vvs(&source, &forest, 1, &Guard::unlimited()) {
-            Ok((abs, _)) => abs.result.compressed_size_m,
-            Err(TreeError::BoundUnattainable { best_possible, .. }) => best_possible,
-            Err(e) => panic!("floor probe failed: {e}"),
-        };
-        let bound = (floor + (total - floor) / 2).max(1);
+        let bound = attainable_bound(&data.polys, &data.vars, &forest);
         let opts = EvalOptions::new().threads(2);
-        for strategy in all_strategies() {
+        for strategy in strategies() {
             let context = format!("{} / {strategy:?}", workload.name());
             let expected = low_level_oracle(&strategy, &source, &forest, bound)
                 .unwrap_or_else(|e| panic!("{context}: low-level failed: {e}"));
@@ -193,13 +135,13 @@ fn facade_equals_low_level_for_every_strategy() {
                 .expect("clean batch")
                 .values;
             let high = session.ask(&scenarios).expect("known names").values;
-            assert_values_bitwise(&low, &high, &context);
+            bits_equal(&low, &high, &context);
 
             // Semantics guard: the hash-map reference evaluator agrees up
             // to merge-order float noise.
             let reference: Vec<Vec<f64>> =
                 vals.iter().map(|v| v.eval_set(&expected_down)).collect();
-            assert_values_close(&low, &reference, &context);
+            close(1e-12, &low, &reference, &context);
 
             // Second and third batches: identical values, zero
             // recompilation (the compile-count hook; the one lazy freeze
@@ -207,9 +149,9 @@ fn facade_equals_low_level_for_every_strategy() {
             let compile_count = session.compile_count();
             assert_eq!(compile_count, 1, "{context}: first ask freezes once");
             let again = session.ask(&scenarios).expect("known names").values;
-            assert_values_bitwise(&high, &again, &context);
+            bits_equal(&high, &again, &context);
             let prepared = session.ask_prepared(&vals).expect("compressed").values;
-            assert_values_bitwise(&high, &prepared, &context);
+            bits_equal(&high, &prepared, &context);
             assert_eq!(
                 session.compile_count(),
                 compile_count,
@@ -302,14 +244,7 @@ fn query_compress_ask_is_materialisation_free() {
     ] {
         let (data, forest) = fixture(workload);
         let context = workload.name();
-        // A bound every workload can attain on this fixture.
-        let total = data.polys.size_m();
-        let floor = match greedy_vvs(&data.interned.working, &forest, 1, &Guard::unlimited()) {
-            Ok((abs, _)) => abs.result.compressed_size_m,
-            Err(TreeError::BoundUnattainable { best_possible, .. }) => best_possible,
-            Err(e) => panic!("floor probe failed: {e}"),
-        };
-        let bound = (floor + (total - floor) / 2).max(1);
+        let bound = attainable_bound(&data.polys, &data.vars, &forest);
         // The engine-emitted interned form: identical provenance, already
         // in the id currency (the fixture carries both representations).
         let session = SessionBuilder::from_query_interned(data.interned.clone(), data.vars.clone())
@@ -358,7 +293,7 @@ fn query_compress_ask_is_materialisation_free() {
             "{context}: same VVS from either representation"
         );
         let ref_values = reference.ask(&scenarios).expect("known names").values;
-        assert_values_close(&first, &ref_values, context);
+        close(1e-12, &first, &ref_values, context);
     }
 }
 
@@ -411,7 +346,7 @@ fn strategy_none_populates_intern_bookkeeping() {
     let run_greedy = identity_greedy
         .ask(std::slice::from_ref(&scenario))
         .expect("known");
-    assert_values_bitwise(&run_none.values, &run_greedy.values, "None vs identity");
+    bits_equal(&run_none.values, &run_greedy.values, "None vs identity");
     assert_eq!(
         none.ask(&[Scenario::new().set("nope", 0.5)]).unwrap_err(),
         Error::UnknownVariable("nope".into())
@@ -468,7 +403,7 @@ fn concurrent_asks_on_a_shared_uncompressed_session_compress_and_freeze_once() {
             .collect()
     });
     for got in &answers {
-        assert_values_bitwise(got, &expected, "shared session vs serial session");
+        bits_equal(got, &expected, "shared session vs serial session");
     }
     assert_eq!(shared.compile_count(), 1, "one freeze for eight askers");
     assert_eq!(
@@ -555,7 +490,7 @@ fn concurrent_sessions_over_one_capture_leave_it_as_it_was() {
     });
     for (labels, got) in &answers {
         assert_eq!(labels, &names, "the same abstraction");
-        assert_values_bitwise(got, &expected, "a session over a clone vs the serial one");
+        bits_equal(got, &expected, "a session over a clone vs the serial one");
     }
     drop(serial);
     assert!(observe(&captured) == snapshot, "the capture changed");
@@ -842,10 +777,10 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
                 .ask_with(&scenarios, opts, &armed)
                 .expect("the guard never trips")
                 .values;
-            assert_values_bitwise(&values, &guarded, &format!("{context}: armed guard"));
+            bits_equal(&values, &guarded, &format!("{context}: armed guard"));
             match &reference {
                 None => reference = Some(values),
-                Some(expected) => assert_values_bitwise(expected, &values, &context),
+                Some(expected) => bits_equal(expected, &values, &context),
             }
         }
     }

@@ -18,28 +18,7 @@ use provabs_session::{
     Budget, CancelToken, Completion, Error, FaultFs, FaultOp, Interrupt, Session, SessionBuilder,
     Strategy,
 };
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A unique temp-file path per call; best-effort cleanup on drop.
-fn temp_artifact(tag: &str) -> TempFile {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "provabs-faults-{}-{}-{tag}.pvabs",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    TempFile(path)
-}
-
-struct TempFile(PathBuf);
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
+use provabs_testkit::TempFile;
 
 /// Example 2's shape: two polynomials compressing 4 → 2 monomials.
 fn small_builder() -> SessionBuilder {
@@ -79,7 +58,7 @@ fn wide_builder() -> SessionBuilder {
 fn every_injection_point_leaves_the_prior_artifact_intact() {
     let scenarios = small_scenarios();
     for op in FaultOp::ALL {
-        let tmp = temp_artifact(&format!("torn-{op:?}"));
+        let tmp = TempFile::new(&format!("torn-{op:?}"));
         let path = &tmp.0;
 
         // Save artifact A and remember its exact bytes and answers.
@@ -128,7 +107,7 @@ fn every_injection_point_leaves_the_prior_artifact_intact() {
 #[test]
 fn transient_faults_are_retried_and_the_save_lands() {
     for op in FaultOp::ALL {
-        let tmp = temp_artifact(&format!("transient-{op:?}"));
+        let tmp = TempFile::new(&format!("transient-{op:?}"));
         let session = small_builder().build().expect("valid configuration");
         session
             .save_with_faults(&tmp.0, &FaultFs::fail_nth_times(op, 1, 2))

@@ -7,17 +7,16 @@ use provabs::algo::greedy::greedy_vvs;
 use provabs::algo::optimal::{optimal_frontier, optimal_vvs};
 use provabs::algo::reference::{brute_force_vvs, optimal_vvs_dense};
 use provabs::provenance::guard::Guard;
-use provabs::provenance::monomial::Monomial;
-use provabs::provenance::polynomial::Polynomial;
 use provabs::provenance::working::WorkingSet;
-use provabs::provenance::{PolySet, VarTable};
+use provabs::provenance::PolySet;
 use provabs::trees::error::TreeError;
 use provabs::trees::forest::Forest;
-use provabs::trees::generate::{leaf_names, random_tree};
+use provabs_testkit::{random_forest, Coeffs, Powers, Rng, Shape};
 
-/// A random compatible instance: one random tree over `n_leaves` leaves
-/// and polynomials whose monomials contain at most one leaf variable
-/// (plus a context variable outside the tree).
+/// A random compatible instance: one random tree over the first of two
+/// pools of two to six variables, the second pool context outside the
+/// tree, and polynomials whose monomials draw at most one variable from
+/// each pool.
 #[derive(Debug, Clone)]
 struct Instance {
     polys: PolySet<f64>,
@@ -27,36 +26,23 @@ struct Instance {
 }
 
 fn instance_strategy() -> impl Strategy<Value = Instance> {
-    (
-        2usize..7, // leaves
-        1usize..3, // polynomials
-        prop::collection::vec((0usize..6, 0usize..4, 1u32..3, 1u32..50), 3..14),
-        any::<u64>(), // tree seed
-    )
-        .prop_map(|(n_leaves, n_polys, monos, seed)| {
-            let leaves = leaf_names("l", n_leaves);
-            let mut vars = VarTable::new();
-            let ctx: Vec<_> = (0..4).map(|i| vars.intern(&format!("c{i}"))).collect();
-            let leaf_ids: Vec<_> = leaves.iter().map(|l| vars.intern(l)).collect();
-            let mut polys: Vec<Polynomial<f64>> =
-                (0..n_polys).map(|_| Polynomial::zero()).collect();
-            for (i, (leaf_pick, ctx_pick, exp, coeff)) in monos.iter().enumerate() {
-                let mut factors = Vec::new();
-                if *leaf_pick < leaf_ids.len() {
-                    factors.push((leaf_ids[*leaf_pick], *exp));
-                }
-                factors.push((ctx[*ctx_pick], 1));
-                polys[i % n_polys].add_term(Monomial::from_factors(factors), *coeff as f64);
-            }
-            // Every leaf must occur somewhere for strict compatibility —
-            // cleaning inside the algorithms handles absent leaves, so no
-            // need to force it; the tree is over the full leaf set.
-            let tree = random_tree("T", &leaves, seed, &mut vars);
-            let polys = PolySet::from_vec(polys);
+    (2u32..7, any::<u64>())
+        .prop_map(|(leaves, seed)| {
+            let mut rng = Rng::new(seed);
+            let shape = Shape {
+                vars: 2 * leaves,
+                pools: 2,
+                powers: Powers::Dense(2),
+                coeffs: Coeffs::Integers,
+                ..Shape::default()
+            };
+            let polys = shape.draw(&mut rng);
+            // The tree covers its whole pool; cleaning inside the
+            // algorithms handles leaves that occur nowhere.
             Instance {
                 source: WorkingSet::from_polyset(&polys),
                 polys,
-                forest: Forest::single(tree),
+                forest: random_forest(shape.vars, 2, 1, rng.next_u64()).1,
             }
         })
         .prop_filter("non-trivial provenance", |inst| inst.polys.size_m() >= 2)

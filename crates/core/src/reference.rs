@@ -232,7 +232,7 @@ fn run_reference<C: Coefficient>(
             completion = Completion::Interrupted {
                 reason,
                 steps: steps_done,
-                size_reached: polys.size_m() - ml_total,
+                size_reached: current.iter().map(Polynomial::size_m).sum(),
             };
             break;
         }

@@ -13,7 +13,12 @@
 //! same guard and are held to the same trace: [`sharded_greedy`] (one
 //! shard is the engine itself; two shards return a sound, typed prefix)
 //! and [`online_compress`] (a full sample is the engine on a compacted
-//! copy).
+//! copy); the competitor, [`pairwise_summarize`], under the same cap,
+//! returns a sound summary within the bound when it completes.
+//!
+//! Each relation runs on every row of the [`Carrier`] axis. Where merged
+//! terms cancel (`i64`), a run sits *at most* on its trace point: the
+//! trace counts merged monomials, the run measures (ADR 024).
 //!
 //! Every algorithm takes its guard explicitly, so nothing here depends on
 //! `PROVABS_AMBIENT_DEADLINE_MS`: step caps and tokens are checked at
@@ -22,21 +27,210 @@
 //! unguarded entry point to differ from.)
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use provabs_core::competitor::pairwise_summarize;
 use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::optimal_vvs;
 use provabs_core::reference;
 use provabs_core::shard::sharded_greedy;
 use provabs_datagen::fixture::{example_forest, example_polys};
+use provabs_provenance::coeff::MinF64;
 use provabs_provenance::guard::{Budget, CancelToken, Completion, Guard, Interrupt};
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
-use provabs_testkit::{prefix_of, random_forest, within_bound, Coeffs, Powers, Shape};
+use provabs_testkit::{modelled, random_forest, within_bound, Carrier, Coeffs, Powers, Shape};
 use provabs_trees::error::TreeError;
 use std::time::Duration;
+
+/// Three leaf pools of six where [`random_forest`] plants its one to
+/// three trees, each monomial drawing at most one factor from each pool
+/// (forest compatibility), telephony-style.
+fn compatible() -> Shape {
+    Shape {
+        vars: 18,
+        pools: 3,
+        powers: Powers::Dense(2),
+        coeffs: Coeffs::Quarters,
+        ..Shape::default()
+    }
+}
+
+/// The anytime-prefix relations on one instance, for carrier `C`.
+fn capped_runs_are_prefixes<C: Carrier>(
+    polys: &PolySet<C>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let row = C::NAME;
+    let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
+    // The frontier IS the uninterrupted run-to-exhaustion trace:
+    // point `k` is the working-set size after `k` selection steps.
+    // Target the trace's floor so the bound is attainable and the
+    // uncapped run walks the whole trace.
+    let source = WorkingSet::from_polyset(polys);
+    let (trace, traced) =
+        greedy_frontier(&source, &forest, &Guard::unlimited()).expect("frontier runs");
+    prop_assert!(traced.is_complete());
+    let bound = trace.last().expect("non-empty trace").0.max(1);
+    // The bounded run stops at the first trace point meeting the
+    // bound (the frontier itself continues to exhaustion through
+    // zero-ML merges).
+    let first_hit = trace
+        .iter()
+        .position(|&(ml, _)| ml <= bound)
+        .expect("the floor is on the trace");
+    let mut reached = Vec::new();
+    for cap in 0..trace.len() {
+        let guard = Guard::new(Budget::with_steps(cap as u64));
+        let (inc_abs, inc_done) =
+            greedy_vvs(&source, &forest, bound, &guard).expect("anytime result");
+        let (refr, ref_done) =
+            reference::greedy_vvs(polys, &forest, bound, &guard).expect("anytime result");
+        let inc = &inc_abs.result;
+        prop_assert_eq!(inc_abs.working.size_m(), inc.compressed_size_m, "{}", row);
+        // Engines agree bit-for-bit on the prefix.
+        prop_assert_eq!(&inc.vvs, &refr.vvs, "{} cap {}", row, cap);
+        prop_assert_eq!(inc_done, ref_done, "{} cap {}", row, cap);
+        inc.vvs.validate(&inc.forest).expect("prefix VVS is sound");
+        match inc_done {
+            Completion::Complete => within_bound(first_hit, cap, "steps of a completed run"),
+            Completion::Interrupted {
+                reason,
+                steps,
+                size_reached,
+            } => {
+                prop_assert_eq!(reason, Interrupt::StepCapExhausted);
+                prop_assert_eq!(steps, cap, "{}: exact interruption point", row);
+                prop_assert!(cap < first_hit, "{}: would have finished otherwise", row);
+                prop_assert_eq!(
+                    size_reached,
+                    inc.compressed_size_m,
+                    "{} step {}",
+                    row,
+                    steps
+                );
+            }
+        }
+        reached.push((inc.compressed_size_m, inc.compressed_size_v));
+
+        // One shard is the engine itself, cap included.
+        let (one, one_done) =
+            sharded_greedy(&source, &forest, bound, 1, &guard).expect("anytime result");
+        prop_assert_eq!(&one.result.vvs, &inc.vvs, "{} K=1 cap {}", row, cap);
+        prop_assert_eq!(one_done, inc_done, "{} K=1 cap {}", row, cap);
+
+        // Two shards: each trace and the merge stop at the cap, and
+        // what comes back is a sound, typed prefix (or, for a run the
+        // cap did not cut short, the sharded floor above the bound).
+        match sharded_greedy(&source, &forest, bound, 2, &guard) {
+            Ok((two, two_done)) => {
+                two.result
+                    .vvs
+                    .validate(&two.result.forest)
+                    .expect("sharded prefix is sound");
+                prop_assert_eq!(
+                    two.working.size_m(),
+                    two.result.compressed_size_m,
+                    "{}",
+                    row
+                );
+                match two_done {
+                    Completion::Complete => prop_assert!(two.result.is_adequate_for(bound)),
+                    Completion::Interrupted {
+                        reason,
+                        steps,
+                        size_reached,
+                    } => {
+                        prop_assert_eq!(reason, Interrupt::StepCapExhausted);
+                        within_bound(steps, cap, "merged steps of two shards");
+                        prop_assert_eq!(size_reached, two.result.compressed_size_m, "{}", row);
+                    }
+                }
+            }
+            Err(TreeError::BoundUnattainable { best_possible, .. }) => {
+                prop_assert!(best_possible > bound, "{} K=2 cap {}", row, cap);
+            }
+            Err(e) => panic!("{row} K=2 cap {cap}: unexpected error {e}"),
+        }
+
+        // A full sample is the engine on a compacted copy: the VVS
+        // chosen under the cap, measured on the full set, is the same
+        // trace point, and the interruption is bubbled up unchanged.
+        let (online, online_done) =
+            online_compress(&source, &forest, bound, 1.0, seed, Solver::Greedy, &guard)
+                .expect("anytime result");
+        prop_assert_eq!(
+            &online.full.result.vvs,
+            &inc.vvs,
+            "{} online cap {}",
+            row,
+            cap
+        );
+        prop_assert_eq!(online_done, inc_done, "{} online cap {}", row, cap);
+        prop_assert_eq!(
+            online.full.result.compressed_size_m,
+            inc.compressed_size_m,
+            "{}",
+            row
+        );
+        prop_assert_eq!(
+            online.full.result.compressed_size_v,
+            inc.compressed_size_v,
+            "{}",
+            row
+        );
+
+        // The competitor, under the same cap, returns a sound summary
+        // whose sizes are its VVS applied to the hash-map polynomials,
+        // and a completed run stays within the bound.
+        match pairwise_summarize(&source, &forest, bound, &guard) {
+            Ok((summary, _, done)) => {
+                let result = &summary.result;
+                result
+                    .vvs
+                    .validate(&result.forest)
+                    .expect("competitor VVS is sound");
+                let down = result.apply(polys);
+                prop_assert_eq!(
+                    down.size_m(),
+                    result.compressed_size_m,
+                    "{} competitor cap {}",
+                    row,
+                    cap
+                );
+                prop_assert_eq!(
+                    down.size_v(),
+                    result.compressed_size_v,
+                    "{} competitor cap {}",
+                    row,
+                    cap
+                );
+                if done.is_complete() {
+                    within_bound(result.compressed_size_m, bound, row);
+                }
+            }
+            Err(TreeError::BoundUnattainable { best_possible, .. }) => {
+                prop_assert!(best_possible > bound, "{} competitor cap {}", row, cap);
+            }
+            Err(e) => panic!("{row} competitor cap {cap}: unexpected error {e}"),
+        }
+    }
+    // Capped `k` steps, a run sits on the trace's `k`-th point (at most
+    // on it where merged terms cancel), and from the first point meeting
+    // the bound on, where the run stopped.
+    modelled::<C>(&reached[..=first_hit], &trace, row);
+    prop_assert!(
+        reached[first_hit..]
+            .iter()
+            .all(|&p| p == reached[first_hit]),
+        "{}",
+        row
+    );
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -44,105 +238,17 @@ proptest! {
     /// The interrupted greedy state is a bit-for-bit prefix of the
     /// uninterrupted run — at every step cap `k`, both engines land on
     /// the same VVS, and its sizes are exactly the `k`-th point of the
-    /// full run's frontier trace. One to three trees on three leaf pools
-    /// of six, each monomial drawing at most one factor from each pool
-    /// (forest compatibility), telephony-style.
+    /// full run's frontier trace — on every carrier row.
     #[test]
     fn step_capped_greedy_is_a_prefix_of_the_uninterrupted_trace(
-        polys in Shape {
-            vars: 18,
-            pools: 3,
-            powers: Powers::Dense(2),
-            coeffs: Coeffs::Quarters,
-            ..Shape::default()
-        }
-        .strategy(),
+        polys in compatible().strategy(),
+        ints in compatible().strategy_in::<i64>(),
+        mins in compatible().strategy_in::<MinF64>(),
         seed in 0u64..1_000,
     ) {
-        let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
-        // The frontier IS the uninterrupted run-to-exhaustion trace:
-        // point `k` is the working-set size after `k` selection steps.
-        // Target the trace's floor so the bound is attainable and the
-        // uncapped run walks the whole trace.
-        let source = WorkingSet::from_polyset(&polys);
-        let (trace, traced) =
-            greedy_frontier(&source, &forest, &Guard::unlimited()).expect("frontier runs");
-        prop_assert!(traced.is_complete());
-        let bound = trace.last().expect("non-empty trace").0.max(1);
-        // The bounded run stops at the first trace point meeting the
-        // bound (the frontier itself continues to exhaustion through
-        // zero-ML merges).
-        let first_hit = trace
-            .iter()
-            .position(|&(ml, _)| ml <= bound)
-            .expect("the floor is on the trace");
-        let mut reached = Vec::new();
-        for cap in 0..trace.len() {
-            let guard = Guard::new(Budget::with_steps(cap as u64));
-            let (inc_abs, inc_done) =
-                greedy_vvs(&source, &forest, bound, &guard).expect("anytime result");
-            let (refr, ref_done) =
-                reference::greedy_vvs(&polys, &forest, bound, &guard).expect("anytime result");
-            let inc = &inc_abs.result;
-            prop_assert_eq!(inc_abs.working.size_m(), inc.compressed_size_m);
-            // Engines agree bit-for-bit on the prefix.
-            prop_assert_eq!(&inc.vvs, &refr.vvs, "cap {}", cap);
-            prop_assert_eq!(inc_done, ref_done, "cap {}", cap);
-            inc.vvs.validate(&inc.forest).expect("prefix VVS is sound");
-            match inc_done {
-                Completion::Complete => within_bound(first_hit, cap, "steps of a completed run"),
-                Completion::Interrupted { reason, steps, size_reached } => {
-                    prop_assert_eq!(reason, Interrupt::StepCapExhausted);
-                    prop_assert_eq!(steps, cap, "exact interruption point");
-                    prop_assert!(cap < first_hit, "would have finished otherwise");
-                    prop_assert_eq!(size_reached, inc.compressed_size_m, "step {}", steps);
-                }
-            }
-            reached.push((inc.compressed_size_m, inc.compressed_size_v));
-
-            // One shard is the engine itself, cap included.
-            let (one, one_done) =
-                sharded_greedy(&source, &forest, bound, 1, &guard).expect("anytime result");
-            prop_assert_eq!(&one.result.vvs, &inc.vvs, "K=1 cap {}", cap);
-            prop_assert_eq!(one_done, inc_done, "K=1 cap {}", cap);
-
-            // Two shards: each trace and the merge stop at the cap, and
-            // what comes back is a sound, typed prefix (or, for a run the
-            // cap did not cut short, the sharded floor above the bound).
-            match sharded_greedy(&source, &forest, bound, 2, &guard) {
-                Ok((two, two_done)) => {
-                    two.result.vvs.validate(&two.result.forest).expect("sharded prefix is sound");
-                    prop_assert_eq!(two.working.size_m(), two.result.compressed_size_m);
-                    match two_done {
-                        Completion::Complete => prop_assert!(two.result.is_adequate_for(bound)),
-                        Completion::Interrupted { reason, steps, size_reached } => {
-                            prop_assert_eq!(reason, Interrupt::StepCapExhausted);
-                            within_bound(steps, cap, "merged steps of two shards");
-                            prop_assert_eq!(size_reached, two.result.compressed_size_m);
-                        }
-                    }
-                }
-                Err(TreeError::BoundUnattainable { best_possible, .. }) => {
-                    prop_assert!(best_possible > bound, "K=2 cap {}", cap);
-                }
-                Err(e) => panic!("K=2 cap {cap}: unexpected error {e}"),
-            }
-
-            // A full sample is the engine on a compacted copy: the VVS
-            // chosen under the cap, measured on the full set, is the same
-            // trace point, and the interruption is bubbled up unchanged.
-            let (online, online_done) =
-                online_compress(&source, &forest, bound, 1.0, seed, Solver::Greedy, &guard)
-                    .expect("anytime result");
-            prop_assert_eq!(&online.full.result.vvs, &inc.vvs, "online cap {}", cap);
-            prop_assert_eq!(online_done, inc_done, "online cap {}", cap);
-            prop_assert_eq!(online.full.result.compressed_size_m, inc.compressed_size_m);
-            prop_assert_eq!(online.full.result.compressed_size_v, inc.compressed_size_v);
-        }
-        // Capped `k` steps, a run sits on the trace's `k`-th point, and
-        // from the first point meeting the bound on, on that point.
-        prefix_of(&reached[..=first_hit], &trace, "sizes under caps 0..=first hit");
-        prop_assert!(reached[first_hit..].iter().all(|&p| p == trace[first_hit]));
+        capped_runs_are_prefixes(&polys, seed)?;
+        capped_runs_are_prefixes(&ints, seed)?;
+        capped_runs_are_prefixes(&mins, seed)?;
     }
 }
 

@@ -12,24 +12,30 @@
 //! delta-maintained candidate scores, so agreement is evidence the
 //! working-set rewrite and the delta maintenance are sound, not a
 //! tautology.
+//!
+//! Every relation runs on each row of the [`Carrier`] axis: `f64`, `i64`
+//! (whose merged terms can cancel, so a zero sum must be dropped the same
+//! way on both sides) and `MinF64` (whose merges keep the minimum).
 
 use proptest::prelude::*;
 use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::reference;
+use provabs_provenance::coeff::MinF64;
 use provabs_provenance::guard::Guard;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
-use provabs_testkit::{random_forest, Coeffs, Powers, Shape};
+use provabs_testkit::{carry, random_forest, Carrier, Coeffs, Powers, Shape};
 use provabs_trees::forest::Forest;
 
 /// Three leaf pools of six, `x0..x5`, `x6..x11` and `x12..x17`, where
 /// [`random_forest`] plants its one to three trees. Each monomial draws
 /// at most one factor from each pool (forest compatibility), with
-/// exponents 1..=2 and positive coefficients, keeping exact cancellation
-/// out of play exactly as in the paper's workloads.
+/// exponents 1..=2 and, in the `f64` row, positive coefficients, keeping
+/// exact cancellation out of play exactly as in the paper's workloads
+/// (the `i64` row brings it back).
 fn compatible() -> Shape {
     Shape {
         vars: 18,
@@ -43,26 +49,63 @@ fn compatible() -> Shape {
 /// Asserts both engines produce identical outcomes for one instance and
 /// bound: the same VVS and the same sizes (arena ids, dead entries
 /// included, are the engines' own business).
-fn assert_engines_agree(polys: &PolySet<f64>, forest: &Forest, bound: usize) {
+fn assert_engines_agree<C: Carrier>(polys: &PolySet<C>, forest: &Forest, bound: usize) {
+    let row = C::NAME;
     let guard = Guard::unlimited();
     let inc = greedy_vvs(&WorkingSet::from_polyset(polys), forest, bound, &guard);
     let refr = reference::greedy_vvs(polys, forest, bound, &guard);
     match (inc, refr) {
         (Ok((abs, inc_done)), Ok((b, ref_done))) => {
             assert!(inc_done.is_complete() && ref_done.is_complete());
-            assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
-            assert_eq!(abs.working.size_v(), abs.result.compressed_size_v);
+            assert_eq!(abs.working.size_m(), abs.result.compressed_size_m, "{row}");
+            assert_eq!(abs.working.size_v(), abs.result.compressed_size_v, "{row}");
             let a = abs.result;
-            assert_eq!(a.vvs, b.vvs, "VVS at bound {bound}");
-            assert_eq!(a.compressed_size_m, b.compressed_size_m, "bound {bound}");
-            assert_eq!(a.compressed_size_v, b.compressed_size_v, "bound {bound}");
-            assert_eq!(a.original_size_m, b.original_size_m);
-            assert_eq!(a.original_size_v, b.original_size_v);
+            assert_eq!(a.vvs, b.vvs, "{row}: VVS at bound {bound}");
+            assert_eq!(
+                a.compressed_size_m, b.compressed_size_m,
+                "{row}: bound {bound}"
+            );
+            assert_eq!(
+                a.compressed_size_v, b.compressed_size_v,
+                "{row}: bound {bound}"
+            );
+            assert_eq!(a.original_size_m, b.original_size_m, "{row}");
+            assert_eq!(a.original_size_v, b.original_size_v, "{row}");
             a.vvs.validate(&a.forest).expect("valid VVS");
         }
-        (Err(a), Err(b)) => assert_eq!(a, b, "errors at bound {bound}"),
-        (a, b) => panic!("engines disagree at bound {bound}: {a:?} vs {b:?}"),
+        (Err(a), Err(b)) => assert_eq!(a, b, "{row}: errors at bound {bound}"),
+        (a, b) => panic!("{row}: engines disagree at bound {bound}: {a:?} vs {b:?}"),
     }
+}
+
+/// Both engines' exhaustion traces are the same.
+fn assert_frontiers_agree<C: Carrier>(polys: &PolySet<C>, forest: &Forest) {
+    let guard = Guard::unlimited();
+    assert_eq!(
+        greedy_frontier(&WorkingSet::from_polyset(polys), forest, &guard).expect("frontier"),
+        reference::greedy_frontier(polys, forest, &guard).expect("frontier"),
+        "{}",
+        C::NAME
+    );
+}
+
+/// Every bound from 1 to the identity size, and the trace.
+fn multi_tree<C: Carrier>(polys: &PolySet<C>, forest: &Forest) {
+    for bound in 1..=polys.size_m().max(1) {
+        assert_engines_agree(polys, forest, bound);
+    }
+    assert_frontiers_agree(polys, forest);
+}
+
+/// A sparse set of bounds plus the extremes, and the trace.
+fn single_tree<C: Carrier>(polys: &PolySet<C>, forest: &Forest) {
+    let total = polys.size_m();
+    for bound in [1, 2, total / 2, total.saturating_sub(1), total, total + 3] {
+        if bound >= 1 {
+            assert_engines_agree(polys, forest, bound);
+        }
+    }
+    assert_frontiers_agree(polys, forest);
 }
 
 proptest! {
@@ -70,22 +113,18 @@ proptest! {
 
     /// The tentpole invariant on forests of two and three trees:
     /// identical VVS (or identical `BoundUnattainable` floor) for every
-    /// bound, and an identical exhaustion trace.
+    /// bound, and an identical exhaustion trace, on every carrier.
     #[test]
     fn engines_agree_on_multi_tree_forests(
         polys in compatible().strategy(),
+        ints in compatible().strategy_in::<i64>(),
+        mins in compatible().strategy_in::<MinF64>(),
         seed in 0u64..1_000,
     ) {
         let (_, forest) = random_forest(18, 3, 2 + seed as usize % 2, seed);
-        let total = polys.size_m();
-        for bound in 1..=total.max(1) {
-            assert_engines_agree(&polys, &forest, bound);
-        }
-        let guard = Guard::unlimited();
-        prop_assert_eq!(
-            greedy_frontier(&WorkingSet::from_polyset(&polys), &forest, &guard).expect("frontier"),
-            reference::greedy_frontier(&polys, &forest, &guard).expect("frontier"),
-        );
+        multi_tree(&polys, &forest);
+        multi_tree(&ints, &forest);
+        multi_tree(&mins, &forest);
     }
 
     /// Single-tree instances (the regime where the greedy competes with
@@ -93,21 +132,14 @@ proptest! {
     #[test]
     fn engines_agree_on_single_trees(
         polys in compatible().strategy(),
+        ints in compatible().strategy_in::<i64>(),
+        mins in compatible().strategy_in::<MinF64>(),
         seed in 0u64..1_000,
     ) {
         let (_, forest) = random_forest(18, 3, 1, seed);
-        let total = polys.size_m();
-        // Sweep a sparse set of bounds plus the extremes.
-        for bound in [1, 2, total / 2, total.saturating_sub(1), total, total + 3] {
-            if bound >= 1 {
-                assert_engines_agree(&polys, &forest, bound);
-            }
-        }
-        let guard = Guard::unlimited();
-        prop_assert_eq!(
-            greedy_frontier(&WorkingSet::from_polyset(&polys), &forest, &guard).expect("frontier"),
-            reference::greedy_frontier(&polys, &forest, &guard).expect("frontier"),
-        );
+        single_tree(&polys, &forest);
+        single_tree(&ints, &forest);
+        single_tree(&mins, &forest);
     }
 
     /// Unattainable bounds report the same floor from both engines, on
@@ -116,10 +148,14 @@ proptest! {
     #[test]
     fn unattainable_floors_agree(
         polys in compatible().strategy(),
+        ints in compatible().strategy_in::<i64>(),
+        mins in compatible().strategy_in::<MinF64>(),
         seed in 0u64..1_000,
     ) {
         let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
         assert_engines_agree(&polys, &forest, 1);
+        assert_engines_agree(&ints, &forest, 1);
+        assert_engines_agree(&mins, &forest, 1);
     }
 }
 
@@ -148,4 +184,6 @@ fn empty_and_trivial_instances_agree() {
         1.0,
     )])]);
     assert_engines_agree(&single, &forest, 1);
+    assert_engines_agree(&carry::<i64>(&single), &forest, 1);
+    assert_engines_agree(&carry::<MinF64>(&single), &forest, 1);
 }

@@ -44,7 +44,7 @@ use crate::param::{ResolvedRule, VarRule};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{Cell, Cells, Row};
-use provabs_provenance::coeff::{Coefficient, MaxF64, MinF64};
+use provabs_provenance::coeff::{Coefficient, MinF64};
 use provabs_provenance::fxhash::FxHashMap;
 use provabs_provenance::intern::{MonoArena, MonoId};
 use provabs_provenance::monomial::Monomial;
@@ -437,18 +437,6 @@ impl Pipeline {
         vars: &mut VarTable,
     ) -> Result<GroupedProvenanceOf<MinF64>, EngineError> {
         self.aggregate_with(group_cols, measure, rules, vars, MinF64)
-    }
-
-    /// `SELECT group_cols, MAX(measure · Π rules) GROUP BY group_cols`
-    /// over the `(max, ×)` coefficients. See [`Pipeline::aggregate_min`].
-    pub fn aggregate_max(
-        &self,
-        group_cols: &[&str],
-        measure: &Expr,
-        rules: &[VarRule],
-        vars: &mut VarTable,
-    ) -> Result<GroupedProvenanceOf<MaxF64>, EngineError> {
-        self.aggregate_with(group_cols, measure, rules, vars, MaxF64)
     }
 
     /// Grouped aggregation over any coefficient type; `wrap` lifts the
@@ -1004,22 +992,6 @@ mod tests {
         let january = grouped.polys.as_slice()[i]
             .coefficient(&provabs_provenance::monomial::Monomial::var(m1));
         assert!((january.0 - 42.0).abs() < 1e-9); // customer 5: 168 × 0.25
-    }
-
-    #[test]
-    fn aggregate_max_mirrors_min() {
-        let catalog = figure_1_catalog();
-        let mut vars = VarTable::new();
-        let grouped = Pipeline::scan(&catalog, "Calls")
-            .expect("scan")
-            .aggregate_max(&["Mo"], &Expr::col("Dur"), &[], &mut vars)
-            .expect("aggregate");
-        let i = grouped
-            .keys
-            .iter()
-            .position(|k| k == &vec![Value::Int(1)])
-            .expect("month 1");
-        assert_eq!(grouped.values_at_neutral()[i].0, 1044.0);
     }
 
     #[test]

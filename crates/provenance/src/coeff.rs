@@ -1,14 +1,15 @@
-//! Coefficient rings for provenance polynomials.
+//! The coefficients of provenance polynomials.
 //!
-//! The paper treats coefficients as rational numbers (§2.1). In practice
-//! aggregate provenance uses floating point (and its `MIN` / `MAX`
-//! semirings), counting provenance uses naturals, and tests want exact
-//! arithmetic, which integers give them; the [`Coefficient`] trait
-//! abstracts over all of these.
+//! The paper's "+" is the query's aggregate (§2.1). [`Coefficient`] is the
+//! one algebra the crates above are written over, and exactly three
+//! carriers implement it, each emitted by something or checked by an
+//! oracle row: `f64` (SUM provenance, every product path), `i64` (exact
+//! arithmetic for the oracle suites, where merged terms can cancel) and
+//! [`MinF64`] (MIN provenance, what `Pipeline::aggregate_min` emits).
 
 use std::fmt;
 
-/// A commutative ring of polynomial coefficients.
+/// A commutative semiring of polynomial coefficients.
 ///
 /// `add`/`mul` must be commutative and associative with `zero`/`one` as the
 /// respective identities. Implementations must keep `is_zero` consistent
@@ -35,15 +36,6 @@ pub trait Coefficient:
         }
         acc
     }
-    /// `n · self`, i.e. `self` added to itself `n` times (used when
-    /// specialising `N[X]` polynomials whose coefficients are naturals).
-    fn nat_scale(&self, n: u64) -> Self {
-        let mut acc = Self::zero();
-        for _ in 0..n {
-            acc = acc.add(self);
-        }
-        acc
-    }
 }
 
 impl Coefficient for f64 {
@@ -65,18 +57,15 @@ impl Coefficient for f64 {
     fn pow(&self, exp: u32) -> Self {
         pow_f64(*self, exp)
     }
-    fn nat_scale(&self, n: u64) -> Self {
-        *self * n as f64
-    }
 }
 
 /// `x^e` with the small exponents unrolled and right-to-left binary
 /// exponentiation-by-squaring above.
 ///
 /// This is the *one* multiply tree every `f64` evaluation path shares:
-/// the hash-map evaluator ([`Coefficient::pow`] for `f64`), the scalar
-/// columnar sweep ([`crate::compiled::CompiledPolySet::eval_into`]) and
-/// the lane kernels ([`crate::simd`]) all raise variables through this
+/// the hash-map evaluator ([`Coefficient::pow`] for `f64` and for
+/// [`MinF64`]), the scalar columnar sweep
+/// ([`crate::compiled::CompiledPolySet::eval_into`]) and the lane kernels ([`crate::simd`]) all raise variables through this
 /// exact operation sequence (the kernels per lane). IEEE-754
 /// multiplication is commutative and deterministic, so pinning the tree
 /// makes every engine's results bit-for-bit comparable — which is what
@@ -124,27 +113,6 @@ impl Coefficient for i64 {
     }
 }
 
-impl Coefficient for u64 {
-    fn zero() -> Self {
-        0
-    }
-    fn one() -> Self {
-        1
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn is_zero(&self) -> bool {
-        *self == 0
-    }
-    fn nat_scale(&self, n: u64) -> Self {
-        self * n
-    }
-}
-
 /// Coefficients under `(min, ×)`: the carrier for MIN-aggregate
 /// provenance (§2.1: "the plus operation in our polynomial corresponds to
 /// the aggregate function"). Merging two identical monomials keeps the
@@ -178,53 +146,7 @@ impl Coefficient for MinF64 {
         self.0 == f64::INFINITY
     }
     fn pow(&self, exp: u32) -> Self {
-        MinF64(f64::powi(self.0, exp as i32))
-    }
-    fn nat_scale(&self, n: u64) -> Self {
-        if n == 0 {
-            Self::zero()
-        } else {
-            *self
-        }
-    }
-}
-
-/// Coefficients under `(max, ×)`: the carrier for MAX-aggregate
-/// provenance. See [`MinF64`] for the soundness condition.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct MaxF64(pub f64);
-
-impl fmt::Display for MaxF64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl Coefficient for MaxF64 {
-    fn zero() -> Self {
-        MaxF64(f64::NEG_INFINITY)
-    }
-    fn one() -> Self {
-        MaxF64(1.0)
-    }
-    fn add(&self, other: &Self) -> Self {
-        MaxF64(self.0.max(other.0))
-    }
-    fn mul(&self, other: &Self) -> Self {
-        MaxF64(self.0 * other.0)
-    }
-    fn is_zero(&self) -> bool {
-        self.0 == f64::NEG_INFINITY
-    }
-    fn pow(&self, exp: u32) -> Self {
-        MaxF64(f64::powi(self.0, exp as i32))
-    }
-    fn nat_scale(&self, n: u64) -> Self {
-        if n == 0 {
-            Self::zero()
-        } else {
-            *self
-        }
+        MinF64(pow_f64(self.0, exp))
     }
 }
 
@@ -234,12 +156,9 @@ mod tests {
 
     #[test]
     fn pow_and_nat_scale_defaults() {
-        // `i64` takes both default methods; `f64` overrides them.
+        // `i64` takes the default `pow`; `f64` overrides it.
         assert_eq!(Coefficient::pow(&-2i64, 3), -8);
-        assert_eq!(3i64.nat_scale(5), 15);
-        assert_eq!(7i64.nat_scale(0), 0);
         assert_eq!(Coefficient::pow(&2.0f64, 10), 1024.0);
-        assert_eq!(3.0f64.nat_scale(4), 12.0);
     }
 
     #[test]
@@ -257,18 +176,11 @@ mod tests {
         assert_eq!(a.add(&MinF64::zero()), a);
         assert_eq!(a.mul(&MinF64::one()), a);
         assert!(MinF64::zero().is_zero());
-        assert_eq!(a.nat_scale(0), MinF64::zero());
-        assert_eq!(a.nat_scale(7), a);
-    }
-
-    #[test]
-    fn max_coefficient_semantics() {
-        let a = MaxF64(3.0);
-        let b = MaxF64(5.0);
-        assert_eq!(a.add(&b), MaxF64(5.0));
-        assert_eq!(a.mul(&b), MaxF64(15.0));
-        assert_eq!(a.add(&MaxF64::zero()), a);
-        assert!(MaxF64::zero().is_zero());
+        // `pow` is the shared multiply tree, not `powi`.
+        for e in [0, 1, 3, 7, 12] {
+            assert_eq!(a.pow(e).0.to_bits(), pow_f64(3.0, e).to_bits());
+            assert_eq!(MinF64(1.1).pow(e).0.to_bits(), pow_f64(1.1, e).to_bits());
+        }
     }
 
     #[test]

@@ -39,10 +39,8 @@
 //!   [`guard::Checkpoint`] probe the long-running loops carry, with
 //!   anytime [`guard::Completion`] reporting and the shared
 //!   panic-isolation seam,
-//! * [`coeff`] — coefficient rings (`f64`, integers, exact rationals),
-//! * [`semiring`] — commutative semirings and the specialisation of
-//!   `N[X]` provenance polynomials into them (Green's observation that the
-//!   polynomial semiring is universal),
+//! * [`coeff`] — the one coefficient algebra and its three carriers
+//!   (`f64`, `i64`, the `(min, ×)` [`coeff::MinF64`]),
 //! * [`valuation`] — hypothetical-scenario valuations of variables,
 //! * [`parse`] / [`display`] — a small text format used by tests, examples
 //!   and golden files.
@@ -80,7 +78,6 @@ pub mod parse;
 pub mod persist;
 pub mod polynomial;
 pub mod polyset;
-pub mod semiring;
 pub mod simd;
 pub mod valuation;
 pub mod var;

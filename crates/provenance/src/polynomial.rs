@@ -189,12 +189,6 @@ impl<C: Coefficient> Polynomial<C> {
         }
         acc
     }
-
-    /// The maximal number of distinct variables in any single monomial
-    /// (used by compatibility checks).
-    pub fn max_monomial_width(&self) -> usize {
-        self.terms.keys().map(|m| m.num_vars()).max().unwrap_or(0)
-    }
 }
 
 impl<C: Coefficient> FromIterator<(Monomial, C)> for Polynomial<C> {

@@ -1,12 +1,11 @@
 //! Property tests of the provenance algebra: ring laws for polynomials,
-//! parser/printer round-trips and semiring homomorphism laws.
+//! parser/printer round-trips and evaluation as a homomorphism.
 
 use proptest::prelude::*;
 use provabs_provenance::display::poly_to_string;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::parse::parse_polynomial;
 use provabs_provenance::polynomial::Polynomial;
-use provabs_provenance::semiring::{specialize, Count, Semiring, Tropical};
 use provabs_provenance::var::{VarId, VarTable};
 
 /// A random small polynomial over variables v0..v5 with integer
@@ -80,42 +79,6 @@ proptest! {
         for (m, c) in p.iter() {
             prop_assert!((q.coefficient(m) - c).abs() < 1e-9);
         }
-    }
-
-    /// Specialisation from N[X] is a semiring homomorphism into Count and
-    /// Tropical.
-    #[test]
-    fn specialisation_homomorphism(
-        terms_a in prop::collection::vec((prop::collection::vec(0u32..4, 0..3), 1u64..5), 0..4),
-        terms_b in prop::collection::vec((prop::collection::vec(0u32..4, 0..3), 1u64..5), 0..4),
-    ) {
-        let build = |terms: Vec<(Vec<u32>, u64)>| -> Polynomial<u64> {
-            Polynomial::from_terms(
-                terms
-                    .into_iter()
-                    .map(|(vs, c)| (Monomial::from_vars(vs.into_iter().map(VarId)), c)),
-            )
-        };
-        let a = build(terms_a);
-        let b = build(terms_b);
-        let count = |v: VarId| Count(u64::from(v.0) + 1);
-        prop_assert_eq!(
-            specialize(&a.plus(&b), count),
-            specialize(&a, count).plus(&specialize(&b, count))
-        );
-        prop_assert_eq!(
-            specialize(&a.times(&b), count),
-            specialize(&a, count).times(&specialize(&b, count))
-        );
-        let trop = |v: VarId| Tropical(f64::from(v.0) + 0.5);
-        prop_assert_eq!(
-            specialize(&a.plus(&b), trop),
-            specialize(&a, trop).plus(&specialize(&b, trop))
-        );
-        prop_assert_eq!(
-            specialize(&a.times(&b), trop),
-            specialize(&a, trop).times(&specialize(&b, trop))
-        );
     }
 
     /// `map_vars` is functorial: mapping through `f` then `g` equals

@@ -123,11 +123,6 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Connections currently being served.
-    pub fn live_connections(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
     /// and wait up to `drain` for every connection to wind down. Returns
     /// `true` if the server drained fully within the timeout. Idempotent.

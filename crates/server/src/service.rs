@@ -329,7 +329,19 @@ impl Service {
             config.seed = seed;
         }
         if let Some(modulus) = opt_u64(body, "param_modulus")? {
-            config.param_modulus = modulus as i64;
+            // Zero would reach `rem_euclid(0)`; above `i64::MAX` it would
+            // wrap negative.
+            config.param_modulus =
+                i64::try_from(modulus)
+                    .ok()
+                    .filter(|&m| m > 0)
+                    .ok_or_else(|| {
+                        WireError::new(
+                            422,
+                            "bad_param_modulus",
+                            format!("\"param_modulus\" must be 1..=i64::MAX, got {modulus}"),
+                        )
+                    })?;
         }
         let tree_type = opt_u64(body, "tree_type")?.unwrap_or(2);
         if !(1..=7).contains(&tree_type) {

@@ -505,6 +505,45 @@ fn typed_rejections_over_the_wire() {
     );
 }
 
+/// A `param_modulus` the parameter rules cannot use — zero, which would
+/// reach `rem_euclid(0)`, or above `i64::MAX`, which would wrap negative
+/// — is refused `422 bad_param_modulus` before any data is generated,
+/// on every workload, and creates no session.
+#[test]
+fn a_bad_param_modulus_is_a_typed_422() {
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let cases = [
+        ("tpch_q1", 0u64),
+        ("tpch_q10", 0),
+        ("telephony", 0),
+        ("tpch_q1", 1 << 63),
+        ("supply_chain", (1 << 63) + (1 << 11)),
+    ];
+    for (i, (workload, modulus)) in cases.into_iter().enumerate() {
+        let name = format!("modulus{i}");
+        let refused = client
+            .post(
+                "/sessions",
+                &Json::obj([
+                    ("name", Json::from(name.as_str())),
+                    ("workload", Json::from(workload)),
+                    ("param_modulus", Json::from(modulus)),
+                ]),
+            )
+            .expect("request");
+        let body = refused.json().expect("json");
+        assert_eq!(refused.status, 422, "{workload} {modulus}: {body}");
+        assert_eq!(
+            body.get("error").and_then(Json::as_str),
+            Some("bad_param_modulus"),
+            "{workload} {modulus}"
+        );
+        let missing = client.get(&format!("/sessions/{name}")).expect("request");
+        assert_eq!(missing.status, 404, "no session for {workload} {modulus}");
+    }
+}
+
 #[test]
 fn healthz_and_stats_expose_the_five_hooks() {
     let server = start();

@@ -1,10 +1,11 @@
 //! The equivalence suites' shared tools: one seeded [`Rng`], one
 //! poly-set generator ([`Shape`]) with the scenario batches that fit it,
+//! the coefficient [`Carrier`] axis the compression suites sweep,
 //! random forests over its leaf pools, the workload [`fixture`], every
-//! session [`strategies`] variant, temporary artifact files, and the four
+//! session [`strategies`] variant, temporary artifact files, and the five
 //! declared relations a suite asserts — [`bits_equal`], [`close`],
-//! [`within_bound`] and [`prefix_of`] — and the evaluation matrix's rows
-//! ([`matrix`]).
+//! [`within_bound`], [`prefix_of`] and [`modelled`] — and the evaluation
+//! matrix's rows ([`matrix`]).
 //!
 //! Dev-only: the integration suites of six crates list it under
 //! `[dev-dependencies]`, and it is never published.
@@ -13,6 +14,7 @@ pub mod matrix;
 
 use proptest::prelude::{any, Strategy as PropStrategy};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
+use provabs_provenance::coeff::{Coefficient, MinF64};
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
@@ -95,6 +97,80 @@ pub enum Coeffs {
     /// Integers `1..50` under integer valuations `0..=4`: every sum is
     /// exact, whatever order it is taken in.
     Integers,
+    /// Integers `±1..=3`, either sign at even odds, under integer
+    /// valuations `0..=4`: exact, and two terms that merge cancel to
+    /// zero one time in six.
+    SignedIntegers,
+}
+
+/// The carrier axis: a coefficient algebra `core`'s strategies are
+/// generic over, as a row of the compression suites. `f64` is every
+/// product path's; `i64` is exact, so its rows compare with `==`, and
+/// its merged terms can cancel to zero (it draws
+/// [`Coeffs::SignedIntegers`]); [`MinF64`] is what
+/// `Pipeline::aggregate_min` emits: merged terms keep the smaller
+/// coefficient and never cancel (it draws [`Coeffs::Integers`], so its
+/// products are exact too).
+pub trait Carrier: Coefficient + Copy {
+    /// The row's name in failure messages.
+    const NAME: &'static str;
+    /// The coefficients a row of this carrier draws; `None` keeps the
+    /// suite's own.
+    const COEFFS: Option<Coeffs>;
+    /// Whether the row's merged terms can sum to zero (and be dropped).
+    const CANCELS: bool;
+    /// A drawn value (coefficient or valuation) in this carrier — exact
+    /// for every value its [`COEFFS`](Self::COEFFS) draw.
+    fn carry(x: f64) -> Self;
+    /// The aggregate the carrier's "+" stands for, spelled out in plain
+    /// arithmetic over `terms` — the definition its rows hold
+    /// [`Coefficient::add`] to.
+    fn aggregate(terms: &[Self]) -> Self;
+}
+
+impl Carrier for f64 {
+    const NAME: &'static str = "f64";
+    const COEFFS: Option<Coeffs> = None;
+    const CANCELS: bool = false;
+    fn carry(x: f64) -> Self {
+        x
+    }
+    fn aggregate(terms: &[Self]) -> Self {
+        terms.iter().sum()
+    }
+}
+
+impl Carrier for i64 {
+    const NAME: &'static str = "i64";
+    const COEFFS: Option<Coeffs> = Some(Coeffs::SignedIntegers);
+    const CANCELS: bool = true;
+    fn carry(x: f64) -> Self {
+        assert_eq!(x.fract(), 0.0, "an i64 row carries integers only");
+        x as i64
+    }
+    fn aggregate(terms: &[Self]) -> Self {
+        terms.iter().sum()
+    }
+}
+
+impl Carrier for MinF64 {
+    const NAME: &'static str = "MinF64";
+    const COEFFS: Option<Coeffs> = Some(Coeffs::Integers);
+    const CANCELS: bool = false;
+    fn carry(x: f64) -> Self {
+        MinF64(x)
+    }
+    fn aggregate(terms: &[Self]) -> Self {
+        MinF64(terms.iter().map(|t| t.0).fold(f64::INFINITY, f64::min))
+    }
+}
+
+/// `polys` with every coefficient carried into `C`.
+pub fn carry<C: Carrier>(polys: &PolySet<f64>) -> PolySet<C> {
+    polys
+        .iter()
+        .map(|p| p.iter().map(|(m, &c)| (m.clone(), C::carry(c))).collect())
+        .collect()
 }
 
 /// The shape of a generated poly-set: up to six polynomials of up to
@@ -163,6 +239,22 @@ impl Shape {
         any::<u64>().prop_map(move |seed| self.draw(&mut Rng::new(seed)))
     }
 
+    /// This shape as a row of carrier `C`: its coefficients are the
+    /// carrier's [`COEFFS`](Carrier::COEFFS) (the shape's own for `f64`).
+    pub fn carried<C: Carrier>(self) -> Shape {
+        Shape {
+            coeffs: C::COEFFS.unwrap_or(self.coeffs),
+            ..self
+        }
+    }
+
+    /// The proptest strategy drawing the [`carried`](Self::carried)
+    /// shape's poly-sets in carrier `C`.
+    pub fn strategy_in<C: Carrier>(self) -> impl PropStrategy<Value = PolySet<C>> {
+        let shape = self.carried::<C>();
+        any::<u64>().prop_map(move |seed| carry(&shape.draw(&mut Rng::new(seed))))
+    }
+
     /// `len` scenarios over the shape's variables: each assigns up to
     /// `assignments` of them (drawn with repetition) a value the shape's
     /// [`Coeffs`] names, over the neutral default.
@@ -173,7 +265,7 @@ impl Shape {
                 for _ in 0..rng.within(0..=assignments) {
                     let v = VarId(rng.below(u64::from(self.vars)) as u32);
                     let value = match self.coeffs {
-                        Coeffs::Integers => rng.below(5) as f64,
+                        Coeffs::Integers | Coeffs::SignedIntegers => rng.below(5) as f64,
                         _ => (rng.below(64) as f64 - 32.0) / 16.0,
                     };
                     val.assign(v, value);
@@ -220,6 +312,9 @@ impl Shape {
             Coeffs::Sixteenths => (rng.below(160) as f64 - 80.0) / 16.0,
             Coeffs::Quarters => (1 + rng.below(39)) as f64 / 4.0,
             Coeffs::Integers => (1 + rng.below(49)) as f64,
+            Coeffs::SignedIntegers => {
+                [1.0, -1.0][rng.below(2) as usize] * (1 + rng.below(3)) as f64
+            }
         }
     }
 }
@@ -387,6 +482,33 @@ fn each_value(
 /// Declared relation: `value` does not exceed `bound`.
 pub fn within_bound<T: PartialOrd + Debug>(value: T, bound: T, context: &str) {
     assert!(value <= bound, "{context}: {value:?} exceeds {bound:?}");
+}
+
+/// Declared relation (ADR 024): the `measured` sizes `(|𝒫↓S|_M,
+/// |𝒫↓S|_V)` of a run of abstractions of a carrier-`C` poly-set against
+/// the sizes the loss model gives for them, `modelled` (counted in
+/// merged monomials, or measured on the poly-set's support, every
+/// coefficient `1`): a prefix of them on a carrier whose merges cannot
+/// cancel; on one whose can, each at most its counterpart, coordinate by
+/// coordinate.
+pub fn modelled<C: Carrier>(
+    measured: &[(usize, usize)],
+    modelled: &[(usize, usize)],
+    context: &str,
+) {
+    if !C::CANCELS {
+        return prefix_of(measured, modelled, context);
+    }
+    assert!(
+        measured.len() <= modelled.len(),
+        "{context}: {} measured points, {} modelled",
+        measured.len(),
+        modelled.len()
+    );
+    for (i, (m, t)) in measured.iter().zip(modelled).enumerate() {
+        within_bound(m.0, t.0, &format!("{context}: |M| of point {i}"));
+        within_bound(m.1, t.1, &format!("{context}: |V| of point {i}"));
+    }
 }
 
 /// Declared relation: `whole` starts with `prefix`.

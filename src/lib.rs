@@ -19,7 +19,7 @@
 //!
 //! * [`session`] — the [`SessionBuilder`] → [`Session`] façade
 //!   ([`provabs_session`]),
-//! * [`provenance`] — polynomials, monomials, semirings,
+//! * [`provenance`] — polynomials, monomials, coefficients,
 //!   valuations ([`provabs_provenance`]),
 //! * [`trees`] — abstraction trees, forests and valid variable sets
 //!   ([`provabs_trees`]),

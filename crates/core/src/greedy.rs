@@ -12,6 +12,11 @@
 //! monomials and `SB` only 2); remaining ties fall back to label order
 //! for determinism ("ties are broken arbitrarily").
 //!
+//! A candidate is scored by the monomials its merge collapses; the loss
+//! accumulated towards `k` is the terms the applied merge removed. The
+//! two differ only where merged terms cancel to zero, and counting the
+//! removed terms stops the run as soon as `|𝒫↓S|_M ≤ B` (ADR 024).
+//!
 //! # The engine
 //!
 //! [`greedy_vvs`] and [`greedy_frontier`] run the **incremental engine**:
@@ -335,8 +340,9 @@ struct Candidate {
 }
 
 /// One applied selection step, as recorded by the traced engine: the
-/// variable of the node swapped into `S`, the step's variable loss, and
-/// the monomial-loss delta it realised on the engine's working set.
+/// variable of the node swapped into `S`, the step's variable loss, the
+/// monomial-loss score it was chosen by, and the monomial loss it
+/// realised on the engine's working set.
 ///
 /// The sharding layer replays these records through its k-way merge —
 /// the variable (not the [`NodeId`]) is what survives the move between a
@@ -348,7 +354,12 @@ pub(crate) struct TraceStep {
     pub(crate) var: VarId,
     /// Variable loss of the step (children − 1).
     pub(crate) vl: usize,
-    /// Monomial-loss delta measured on the engine's working set.
+    /// The modelled monomial-loss delta the engine ranked the step by
+    /// (the monomials its merge collapses).
+    pub(crate) score: usize,
+    /// Monomial loss the step measured on the engine's working set
+    /// (the terms its rewritten runs gave up): at least `score`, more
+    /// where merged terms cancel.
     pub(crate) delta: usize,
 }
 
@@ -502,19 +513,16 @@ pub(crate) fn run_incremental<C: Coefficient>(
         }
         buckets[bucket_vl] = bucket;
         let chosen_id = best.expect("bucket is non-empty");
-        let (ti, chosen, delta) = {
-            let c = &slab[chosen_id];
-            (c.ti, c.node, c.delta)
-        };
+        let (ti, chosen) = (slab[chosen_id].ti, slab[chosen_id].node);
         let tree = cleaned.tree(ti);
         let chosen_var = tree.var_of(chosen);
 
         // Apply the merge to the working set and bump the stamps of every
         // rewritten polynomial.
         step += 1;
-        {
+        let delta = {
             let c = &slab[chosen_id];
-            ws.apply_group(&c.group, chosen_var, &c.affected);
+            let lost = ws.apply_group(&c.group, chosen_var, &c.affected);
             for &pi in &c.affected {
                 let stamps = &mut rewritten[pi];
                 if stamps[0].1 != ti {
@@ -527,8 +535,9 @@ pub(crate) fn run_incremental<C: Coefficient>(
             }
             let entry = postings.entry(chosen_var);
             *entry = merge_sorted(entry, &c.affected);
-        }
-        ml_total += delta;
+            lost
+        };
+        ml_total += delta; // measured, not scored (module docs)
         vl_total += slab[chosen_id].vl;
         for &c in tree.children(chosen) {
             in_s[ti][c.index()] = false;
@@ -549,6 +558,7 @@ pub(crate) fn run_incremental<C: Coefficient>(
             TraceStep {
                 var: chosen_var,
                 vl: slab[chosen_id].vl,
+                score: slab[chosen_id].delta,
                 delta,
             },
             ml_total,

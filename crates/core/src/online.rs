@@ -139,7 +139,8 @@ pub struct OnlineOutcome<C> {
 /// The guard is handed through to the inner solver: a trip mid-solve
 /// surfaces the solver's anytime result (greedy prefix, or the optimal
 /// DP's identity fallback) as the sampled VVS, tagged
-/// [`Completion::Interrupted`].
+/// [`Completion::Interrupted`] with the size that VVS reaches on the full
+/// provenance.
 ///
 /// The returned result may be inadequate for the original bound — that is
 /// the scheme's inherent risk ("this sample is still not guaranteed to be
@@ -174,6 +175,14 @@ pub fn online_compress<C: Coefficient>(
         on_sample.result.vvs,
         source.size_v(),
     );
+    let completion = match completion {
+        Completion::Interrupted { reason, steps, .. } => Completion::Interrupted {
+            reason,
+            steps,
+            size_reached: full.result.compressed_size_m,
+        },
+        complete => complete,
+    };
     Ok((
         OnlineOutcome {
             sample_size_m,

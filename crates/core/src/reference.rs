@@ -198,7 +198,8 @@ fn build_postings<C: Coefficient>(polys: &[Polynomial<C>]) -> Postings {
 }
 
 /// The reference greedy main loop: starts from all leaves, swaps in
-/// candidates until the monomial loss reaches `k` or candidates run out.
+/// candidates until the measured monomial loss reaches `k` or candidates
+/// run out.
 /// Calls `observer(ml_total, vl_total)` after every applied step. Returns
 /// the final membership bitmaps.
 ///
@@ -266,7 +267,7 @@ fn run_reference<C: Coefficient>(
                 best = Some((delta, (ti, n)));
             }
         }
-        let (delta, (ti, chosen)) = best.expect("min_vl came from candidates");
+        let (_, (ti, chosen)) = best.expect("min_vl came from candidates");
         let tree = cleaned.tree(ti);
 
         // Apply: children leave S, the candidate joins (lines 11–12).
@@ -278,8 +279,13 @@ fn run_reference<C: Coefficient>(
             .collect();
         let group: FxHashSet<VarId> = group_vec.iter().copied().collect();
         let affected = affected_polys(&postings, &group_vec);
+        // The loss is measured on the rewritten polynomials: where merged
+        // terms cancel, it exceeds the score the candidate was chosen by.
+        let mut delta = 0;
         for &pi in &affected {
+            let before = current[pi].size_m();
             current[pi] = current[pi].map_vars(|v| if group.contains(&v) { chosen_var } else { v });
+            delta += before - current[pi].size_m();
         }
         for &v in &group_vec {
             postings.entry(v).clear();

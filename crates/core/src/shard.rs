@@ -16,8 +16,8 @@
 //!   incremental greedy engine *concurrently* on a scoped thread pool,
 //!   recording its selection steps as a trace. A k-way greedy merge then
 //!   interleaves the per-shard traces by the engine's own order —
-//!   minimal variable loss first, ties towards the larger monomial-loss
-//!   delta, then label order — which is exactly what allocates the
+//!   minimal variable loss first, ties towards the larger modelled
+//!   monomial-loss score, then label order — which is exactly what allocates the
 //!   global monomial budget across shards by marginal loss, so
 //!   `Target::Monomials(B)` / `Target::Ratio(r)` keep their whole-set
 //!   meaning. The merged selection is realised *once* against the global
@@ -220,9 +220,9 @@ fn label_of(cleaned: &Forest, var: VarId) -> &str {
 
 /// The k-way greedy merge: repeatedly takes, among the shard traces'
 /// next steps, the one the global engine would prefer — minimal variable
-/// loss, then maximal monomial-loss delta, then label order — and
-/// applies it, until the predicted loss reaches `k` or every trace is
-/// exhausted. Returns the applied variables in merge order and the first
+/// loss, then maximal modelled monomial-loss score, then label order —
+/// and applies it, until the loss the shards measured reaches `k` or
+/// every trace is exhausted. Returns the applied variables in merge order and the first
 /// interruption — a shard's, or the merge's own — if any.
 fn merge_traces(
     cleaned: &Forest,
@@ -262,8 +262,8 @@ fn merge_traces(
                 Some((_, cur)) => {
                     step.vl < cur.vl
                         || (step.vl == cur.vl
-                            && (step.delta > cur.delta
-                                || (step.delta == cur.delta
+                            && (step.score > cur.score
+                                || (step.score == cur.score
                                     && label_of(cleaned, step.var) < label_of(cleaned, cur.var))))
                 }
             };

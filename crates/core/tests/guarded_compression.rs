@@ -16,15 +16,15 @@
 //! copy); the competitor, [`pairwise_summarize`], under the same cap,
 //! returns a sound summary within the bound when it completes.
 //!
-//! Each relation runs on every row of the [`Carrier`] axis. Where merged
-//! terms cancel (`i64`), a run sits *at most* on its trace point: the
-//! trace counts merged monomials, the run measures (ADR 024).
+//! Each relation runs on every row of the [`Carrier`] axis. The trace's
+//! `|𝒫↓S|_M` is measured, so a run sits exactly on it on every row; where
+//! merged terms cancel (`i64`), its `|𝒫↓S|_V` sits *at most* on the
+//! trace's, which counts variable loss (ADR 024).
 //!
-//! Every algorithm takes its guard explicitly, so nothing here depends on
-//! `PROVABS_AMBIENT_DEADLINE_MS`: step caps and tokens are checked at
-//! every tick, which makes each interruption point exact. (That an
-//! unlimited guard changes nothing needs no test any more — there is no
-//! unguarded entry point to differ from.)
+//! Every algorithm takes its guard explicitly: step caps and tokens are
+//! checked at every tick, which makes each interruption point exact.
+//! (That an unlimited guard changes nothing needs no test any more —
+//! there is no unguarded entry point to differ from.)
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -218,10 +218,17 @@ fn capped_runs_are_prefixes<C: Carrier>(
             Err(e) => panic!("{row} competitor cap {cap}: unexpected error {e}"),
         }
     }
-    // Capped `k` steps, a run sits on the trace's `k`-th point (at most
-    // on it where merged terms cancel), and from the first point meeting
-    // the bound on, where the run stopped.
+    // Capped `k` steps, a run sits on the trace's `k`-th point (its
+    // `|𝒫↓S|_V` at most on it where merged terms cancel), and from the
+    // first point meeting the bound on, where the run stopped.
     modelled::<C>(&reached[..=first_hit], &trace, row);
+    let m_of = |points: &[(usize, usize)]| points.iter().map(|p| p.0).collect::<Vec<_>>();
+    prop_assert_eq!(
+        m_of(&reached[..=first_hit]),
+        m_of(&trace[..=first_hit]),
+        "{}: the measured |M| of each step",
+        row
+    );
     prop_assert!(
         reached[first_hit..]
             .iter()

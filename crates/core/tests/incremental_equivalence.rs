@@ -25,9 +25,10 @@ use provabs_provenance::guard::Guard;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
-use provabs_provenance::var::VarId;
+use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
 use provabs_testkit::{carry, random_forest, Carrier, Coeffs, Powers, Shape};
+use provabs_trees::builder::TreeBuilder;
 use provabs_trees::forest::Forest;
 
 /// Three leaf pools of six, `x0..x5`, `x6..x11` and `x12..x17`, where
@@ -186,4 +187,41 @@ fn empty_and_trivial_instances_agree() {
     assert_engines_agree(&single, &forest, 1);
     assert_engines_agree(&carry::<i64>(&single), &forest, 1);
     assert_engines_agree(&carry::<MinF64>(&single), &forest, 1);
+}
+
+/// The greedy stops on the loss its merges *measured*:
+/// `1·a − 1·b + 1·c + 1·d` under `R(G1(a, b), G2(c, d))` at bound 2.
+/// Both groups score one merged monomial and `G1` wins the label tie,
+/// but its terms cancel, so the merge removes two terms and
+/// `|𝒫↓S|_M = 2` already meets the bound: the run keeps `c` and `d`
+/// apart instead of also merging `G2`. Both engines agree, and the
+/// trace's M coordinate is the measured size at every step.
+#[test]
+fn a_cancelling_merge_stops_the_run_on_the_measured_loss() {
+    let mut vars = VarTable::new();
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(|name| vars.intern(name));
+    let polys: PolySet<i64> = PolySet::from_vec(vec![Polynomial::from_terms([
+        (Monomial::var(a), 1),
+        (Monomial::var(b), -1),
+        (Monomial::var(c), 1),
+        (Monomial::var(d), 1),
+    ])]);
+    let tree = TreeBuilder::new("R")
+        .child("R", "G1")
+        .child("R", "G2")
+        .leaves("G1", ["a", "b"])
+        .leaves("G2", ["c", "d"])
+        .build(&mut vars)
+        .expect("tree");
+    let forest = Forest::single(tree);
+    let source = WorkingSet::from_polyset(&polys);
+    let (abs, done) = greedy_vvs(&source, &forest, 2, &Guard::unlimited()).expect("attainable");
+    assert!(done.is_complete());
+    assert_eq!(abs.result.compressed_size_m, 2, "one merge, not two");
+    assert_eq!(abs.result.vvs.labels(&abs.result.forest), ["G1", "c", "d"]);
+    assert_engines_agree(&polys, &forest, 2);
+    let (trace, _) = greedy_frontier(&source, &forest, &Guard::unlimited()).expect("frontier");
+    let sizes: Vec<usize> = trace.iter().map(|&(m, _)| m).collect();
+    assert_eq!(sizes, [4, 2, 1, 1], "measured |𝒫↓S|_M after each step");
+    assert_frontiers_agree(&polys, &forest);
 }

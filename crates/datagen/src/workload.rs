@@ -200,7 +200,7 @@ impl WorkloadData {
                 &self.primary_leaves,
                 &mut self.vars,
             )
-            .expect("workload tree types are within 1..=7"),
+            .expect("tree type in 1..=7 with an in-range shape"),
         )
     }
 

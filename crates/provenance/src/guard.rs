@@ -32,18 +32,12 @@
 //!   seam: a worker closure runs under `catch_unwind` and a panic comes
 //!   back as a rendered payload instead of aborting the process.
 //!
-//! # Ambient deadlines
-//!
-//! Setting `PROVABS_AMBIENT_DEADLINE_MS` gives every guarded run that
-//! was *not* handed an explicit guard a fresh deadline of that many
-//! milliseconds ([`Guard::ambient`]). CI runs the whole test suite
-//! under a 1 ms ambient deadline to prove that expiry is always a typed
-//! outcome — never a hang, never an abort. When the variable is unset
-//! the ambient path costs one cached `OnceLock` read.
+//! A guard is always an argument: no environment variable or ambient
+//! setting supplies one (ADR 025).
 
 use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many [`Checkpoint::tick`]s pass between `Instant::now()` calls.
@@ -89,25 +83,6 @@ impl Budget {
             deadline: None,
             step_cap: Some(steps),
         }
-    }
-
-    /// Adds a wall-clock deadline `timeout` from now to this budget.
-    #[must_use]
-    pub fn and_deadline(mut self, timeout: Duration) -> Self {
-        self.deadline = Instant::now().checked_add(timeout);
-        self
-    }
-
-    /// Adds a step cap to this budget.
-    #[must_use]
-    pub fn and_steps(mut self, steps: u64) -> Self {
-        self.step_cap = Some(steps);
-        self
-    }
-
-    /// True when neither a deadline nor a step cap is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.step_cap.is_none()
     }
 }
 
@@ -242,32 +217,6 @@ impl Guard {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// The guard for code that was not handed one explicitly: a fresh
-    /// deadline of `PROVABS_AMBIENT_DEADLINE_MS` milliseconds when that
-    /// variable is set, `None` (no guarding at all) otherwise.
-    ///
-    /// The variable is read once per process; when unset this is a
-    /// cached load and the unguarded fast paths stay zero-cost.
-    pub fn ambient() -> Option<Guard> {
-        static AMBIENT_MS: OnceLock<Option<u64>> = OnceLock::new();
-        let ms = AMBIENT_MS.get_or_init(|| {
-            std::env::var("PROVABS_AMBIENT_DEADLINE_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        ms.map(|ms| Guard::new(Budget::with_deadline(Duration::from_millis(ms))))
-    }
-
-    /// True when this guard can never trip (no limits, no token).
-    pub fn is_unlimited(&self) -> bool {
-        self.budget.is_unlimited() && self.cancel.is_none()
-    }
-
-    /// The cancellation token attached to this guard, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// One immediate check, outside any loop: has the guard tripped?
@@ -414,7 +363,6 @@ mod tests {
     #[test]
     fn unlimited_guard_never_trips() {
         let guard = Guard::unlimited();
-        assert!(guard.is_unlimited());
         assert!(guard.probe().is_ok());
         let mut cp = guard.checkpoint();
         for _ in 0..10_000 {

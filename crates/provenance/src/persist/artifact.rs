@@ -180,10 +180,9 @@ impl<'a> ArtifactWriter<'a> {
     }
 
     /// Writes the artifact to `path` via a temporary sibling file and an
-    /// atomic rename, honouring a `PROVABS_FAULT_FS` injection plan when
-    /// one is set (see [`FaultFs::from_env`]).
+    /// atomic rename.
     pub fn write_atomic(&self, path: &Path) -> Result<(), PersistError> {
-        self.write_atomic_with(path, &FaultFs::from_env())
+        self.write_atomic_with(path, &FaultFs::disabled())
     }
 
     /// [`write_atomic`](Self::write_atomic) through an explicit

@@ -12,13 +12,10 @@
 //! and the save still lands).
 //!
 //! Disabled injection ([`FaultFs::disabled`]) is a `None` check per
-//! filesystem call — nothing is configured, nothing is counted. The
-//! env-driven form (`PROVABS_FAULT_FS=<op>:<n>[:xT]`) exists so CI can
-//! drive a whole process through an injection point without a special
-//! binary; its absence is detected once per process.
+//! filesystem call — nothing is configured, nothing is counted. A plan
+//! is always an argument of the save it drives.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
 
 /// The filesystem operations
 /// [`ArtifactWriter::write_atomic`](super::ArtifactWriter::write_atomic)
@@ -44,16 +41,6 @@ impl FaultOp {
         FaultOp::Sync,
         FaultOp::Rename,
     ];
-
-    fn parse(s: &str) -> Option<FaultOp> {
-        match s {
-            "create" => Some(FaultOp::Create),
-            "write" => Some(FaultOp::Write),
-            "sync" | "fsync" => Some(FaultOp::Sync),
-            "rename" => Some(FaultOp::Rename),
-            _ => None,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -72,9 +59,7 @@ struct Plan {
 /// A deterministic fault-injection plan for the artifact writer.
 ///
 /// Constructed per save (counters are consumed), threaded through
-/// [`ArtifactWriter::write_atomic_with`](super::ArtifactWriter::write_atomic_with)
-/// — or process-wide via the `PROVABS_FAULT_FS` environment variable,
-/// which the plain `write_atomic` consults.
+/// [`ArtifactWriter::write_atomic_with`](super::ArtifactWriter::write_atomic_with).
 #[derive(Debug, Default)]
 pub struct FaultFs {
     plan: Option<Plan>,
@@ -116,37 +101,6 @@ impl FaultFs {
                 transient: true,
             }),
         }
-    }
-
-    /// The process-wide plan from `PROVABS_FAULT_FS`
-    /// (`<op>:<n>` persistent, `<op>:<n>:xT` transient for `T`
-    /// failures; ops: `create`/`write`/`sync`/`rename`), or disabled
-    /// when unset or unparseable. Absence is detected once per process.
-    pub fn from_env() -> Self {
-        static PRESENT: OnceLock<Option<String>> = OnceLock::new();
-        let spec = PRESENT.get_or_init(|| std::env::var("PROVABS_FAULT_FS").ok());
-        match spec {
-            Some(spec) => Self::parse_spec(spec).unwrap_or_default(),
-            None => FaultFs::disabled(),
-        }
-    }
-
-    fn parse_spec(spec: &str) -> Option<Self> {
-        let mut parts = spec.split(':');
-        let op = FaultOp::parse(parts.next()?)?;
-        let n: u32 = parts.next()?.parse().ok().filter(|&n| n >= 1)?;
-        match parts.next() {
-            None => Some(FaultFs::fail_nth(op, n)),
-            Some(times) => {
-                let times: u32 = times.strip_prefix('x')?.parse().ok()?;
-                Some(FaultFs::fail_nth_times(op, n, times))
-            }
-        }
-    }
-
-    /// True when no plan is configured.
-    pub fn is_disabled(&self) -> bool {
-        self.plan.is_none()
     }
 
     /// Called by the writer before each filesystem operation: `Ok` to
@@ -191,7 +145,6 @@ mod tests {
     #[test]
     fn disabled_never_injects() {
         let fs = FaultFs::disabled();
-        assert!(fs.is_disabled());
         assert_eq!(kinds(&fs, FaultOp::Write, 4), vec![None; 4]);
     }
 
@@ -222,22 +175,6 @@ mod tests {
                 None,
                 None,
             ]
-        );
-    }
-
-    #[test]
-    fn env_spec_parsing() {
-        assert!(FaultFs::parse_spec("write:1").is_some());
-        assert!(FaultFs::parse_spec("fsync:3").is_some());
-        assert!(FaultFs::parse_spec("rename:2:x5").is_some());
-        assert!(FaultFs::parse_spec("chmod:1").is_none());
-        assert!(FaultFs::parse_spec("write:0").is_none());
-        assert!(FaultFs::parse_spec("write").is_none());
-        assert!(FaultFs::parse_spec("write:1:5").is_none());
-        let fs = FaultFs::parse_spec("write:2:x1").unwrap();
-        assert_eq!(
-            kinds(&fs, FaultOp::Write, 3),
-            vec![None, Some(std::io::ErrorKind::Interrupted), None]
         );
     }
 }

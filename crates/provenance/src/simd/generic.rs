@@ -1,7 +1,7 @@
 //! The portable lane kernel: arrays of `[f64; 4]`, no intrinsics.
 //!
 //! This is the guaranteed-correct fallback every target can run (and the
-//! path `PROVABS_FORCE_GENERIC_KERNEL=1` pins CI to). It is written as
+//! kernel every `eval_matrix` row also runs by name). It is written as
 //! straight-line lane arithmetic over fixed-size arrays so the compiler
 //! can autovectorize it where the target allows; even fully scalarised
 //! it must not regress the one-scenario-at-a-time sweep by more than a

@@ -34,9 +34,9 @@
 //! `is_x86_feature_detected!` so **one binary runs correctly on machines
 //! with and without AVX2**. The choice sits behind the [`Kernel`] enum —
 //! resolved once per batch, observable (e.g. through
-//! `Session::kernel_info`) and forceable, both programmatically and via
-//! the `PROVABS_FORCE_GENERIC_KERNEL=1` environment knob CI uses to keep
-//! the fallback path green on any runner.
+//! `Session::kernel_info`) and forceable by naming a kernel in the
+//! options; the `eval_matrix` suite runs [`Kernel::Generic`] on every
+//! row, which is how the fallback path stays checked on any runner.
 //!
 //! # Equivalence contract
 //!
@@ -91,12 +91,6 @@ pub fn lane_chunk(chunk: usize, jobs: usize, threads: usize) -> usize {
     }
 }
 
-/// The environment knob honoured by the dispatcher: when set (to
-/// anything but `0` or the empty string), [`Kernel::resolve`] never
-/// selects the AVX2 path — CI uses it to exercise the portable fallback
-/// on runners that do have AVX2.
-pub const FORCE_GENERIC_ENV: &str = "PROVABS_FORCE_GENERIC_KERNEL";
-
 /// Which evaluation kernel a batch runs on.
 ///
 /// The default, [`Kernel::Auto`], resolves once per batch to the fastest
@@ -106,8 +100,8 @@ pub const FORCE_GENERIC_ENV: &str = "PROVABS_FORCE_GENERIC_KERNEL";
 /// path down.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernel {
-    /// Resolve at runtime: AVX2 where detected (and not suppressed by
-    /// [`FORCE_GENERIC_ENV`]), the generic lane kernel otherwise.
+    /// Resolve at runtime: AVX2 where detected, the generic lane kernel
+    /// otherwise.
     #[default]
     Auto,
     /// The one-scenario-at-a-time columnar sweep
@@ -136,33 +130,25 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Whether [`FORCE_GENERIC_ENV`] is set (to anything but `0`/empty).
-pub fn generic_forced_by_env() -> bool {
-    matches!(std::env::var(FORCE_GENERIC_ENV), Ok(v) if !v.is_empty() && v != "0")
-}
-
 impl Kernel {
     /// Resolves this request to the kernel a batch will actually run on
     /// — the runtime-dispatch step, performed once per batch:
     ///
-    /// * [`Kernel::Auto`] → [`Kernel::Avx2`] where
-    ///   [`avx2_available`] and not [`generic_forced_by_env`],
-    ///   else [`Kernel::Generic`];
-    /// * [`Kernel::Avx2`] → itself where available, demoted to
-    ///   [`Kernel::Generic`] otherwise (or when the env knob is set);
+    /// * [`Kernel::Auto`] and [`Kernel::Avx2`] → [`Kernel::Avx2`] where
+    ///   [`avx2_available`], else [`Kernel::Generic`];
     /// * [`Kernel::Scalar`] / [`Kernel::Generic`] → themselves (the
     ///   scalar reference is never overridden — it is the baseline).
     pub fn resolve(self) -> Kernel {
+        self.resolve_on(avx2_available())
+    }
+
+    /// [`resolve`](Self::resolve) on a CPU with or without AVX2.
+    fn resolve_on(self, avx2: bool) -> Kernel {
         match self {
             Kernel::Scalar => Kernel::Scalar,
             Kernel::Generic => Kernel::Generic,
-            Kernel::Auto | Kernel::Avx2 => {
-                if avx2_available() && !generic_forced_by_env() {
-                    Kernel::Avx2
-                } else {
-                    Kernel::Generic
-                }
-            }
+            Kernel::Auto | Kernel::Avx2 if avx2 => Kernel::Avx2,
+            Kernel::Auto | Kernel::Avx2 => Kernel::Generic,
         }
     }
 
@@ -204,8 +190,6 @@ pub struct KernelInfo {
     pub selected: Kernel,
     /// Whether this CPU supports the AVX2 kernel at all.
     pub avx2_available: bool,
-    /// Whether [`FORCE_GENERIC_ENV`] suppressed the AVX2 path.
-    pub forced_generic_env: bool,
     /// Scenarios in the widest pass ([`LANES`]; `1` for the scalar
     /// kernel).
     pub lanes: usize,
@@ -218,7 +202,6 @@ pub fn kernel_info(requested: Kernel) -> KernelInfo {
         requested,
         selected,
         avx2_available: avx2_available(),
-        forced_generic_env: generic_forced_by_env(),
         lanes: if selected == Kernel::Scalar { 1 } else { LANES },
     }
 }
@@ -401,15 +384,17 @@ mod tests {
             let r = k.resolve();
             assert_ne!(r, Kernel::Auto);
             assert!(r.is_available(), "resolve() picked an unrunnable kernel");
+            assert_eq!(r, k.resolve_on(avx2_available()));
         }
-        assert_eq!(Kernel::Scalar.resolve(), Kernel::Scalar);
-        assert_eq!(Kernel::Generic.resolve(), Kernel::Generic);
-        if avx2_available() && !generic_forced_by_env() {
-            assert_eq!(Kernel::Auto.resolve(), Kernel::Avx2);
-            assert_eq!(Kernel::Avx2.resolve(), Kernel::Avx2);
-        } else {
-            assert_eq!(Kernel::Auto.resolve(), Kernel::Generic);
-            assert_eq!(Kernel::Avx2.resolve(), Kernel::Generic);
+        // Both capabilities, whatever this host has: forcing Scalar or
+        // Generic always holds, and AVX2 is demoted exactly where the
+        // CPU lacks it.
+        for avx2 in [false, true] {
+            assert_eq!(Kernel::Scalar.resolve_on(avx2), Kernel::Scalar);
+            assert_eq!(Kernel::Generic.resolve_on(avx2), Kernel::Generic);
+            let fastest = if avx2 { Kernel::Avx2 } else { Kernel::Generic };
+            assert_eq!(Kernel::Auto.resolve_on(avx2), fastest);
+            assert_eq!(Kernel::Avx2.resolve_on(avx2), fastest);
         }
     }
 

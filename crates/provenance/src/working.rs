@@ -313,14 +313,15 @@ fn intersect<T: Copy>(ids: &[MonoId], list: &[(MonoId, T)], mut hit: impl FnMut(
 /// `moved` ones, in place: ascending by id, the terms that meet on one
 /// monomial added in ascending source id (a term in its slot is its own
 /// source) and dropped if they sum to zero. `run` is the buffer the run
-/// is assembled in. The run comes out no longer than it was.
+/// is assembled in. The run comes out no longer than it was; returns by
+/// how many terms.
 fn rebuild_run<C: Coefficient>(
     ids: &mut [MonoId],
     coeffs: &mut [C],
     span: &mut Span,
     moved: &mut Vec<(MonoId, MonoId, C)>,
     run: &mut Vec<(MonoId, C)>,
-) {
+) -> usize {
     moved.sort_unstable_by_key(|&(target, source, _)| (target, source));
     run.clear();
     let mut add = |id: MonoId, c: &C| match run.last_mut() {
@@ -346,11 +347,13 @@ fn rebuild_run<C: Coefficient>(
     moved.clear();
     run.retain(|(_, c)| !c.is_zero());
     debug_assert!(run.len() <= span.len as usize, "a run never grows");
+    let lost = span.len as usize - run.len();
     span.len = run.len() as u32;
     for (at, (id, c)) in span.range().zip(run.drain(..)) {
         ids[at] = id;
         coeffs[at] = c;
     }
+    lost
 }
 
 impl<C: Coefficient> Columns<C> {
@@ -743,7 +746,12 @@ impl<C: Coefficient> WorkingSet<C> {
     /// `affected` must cover every polynomial containing a `group`
     /// variable; polynomials outside it are left untouched (they contain
     /// no group variable, so the substitution fixes them anyway).
-    pub fn apply_group(&mut self, group: &[VarId], target: VarId, affected: &[usize]) {
+    ///
+    /// Returns the number of terms the rewritten runs gave up — the
+    /// measured monomial loss, which falls short of the modelled one
+    /// ([`ml_delta_of_group`](Self::ml_delta_of_group)) by the merged
+    /// sums that cancelled to zero.
+    pub fn apply_group(&mut self, group: &[VarId], target: VarId, affected: &[usize]) -> usize {
         let Self {
             arena,
             terms,
@@ -766,6 +774,7 @@ impl<C: Coefficient> WorkingSet<C> {
         }
         drop(arena);
         remap.sort_unstable_by_key(|&(m, _)| m);
+        let mut lost = 0;
         for &pi in affected {
             let range = spans[pi].range();
             intersect(&ids[range.clone()], remap, |at, new_id| {
@@ -782,8 +791,9 @@ impl<C: Coefficient> WorkingSet<C> {
             for term in moved.iter_mut() {
                 term.1 = std::mem::replace(&mut ids[term.1 as usize], NONE);
             }
-            rebuild_run(ids, coeffs, &mut spans[pi], moved, run);
+            lost += rebuild_run(ids, coeffs, &mut spans[pi], moved, run);
         }
+        lost
     }
 
     /// Applies an arbitrary variable substitution to *every* polynomial —

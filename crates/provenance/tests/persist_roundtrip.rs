@@ -18,6 +18,7 @@
 
 use provabs_datagen::scale::{scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::workload::Workload;
+use provabs_provenance::guard::Guard;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::persist::{section, RawArtifact, SharedCompiled, FORMAT_VERSION};
 use provabs_provenance::polyset::PolySet;
@@ -270,9 +271,10 @@ fn opened_sessions_serve_reference_paths_and_reports() {
         let eb = reopened.equivalence_error(&scenarios).expect("known names");
         assert!(ea < 1e-9 && eb < 1e-9, "equivalence noise: {ea} vs {eb}");
         // The frontier runs on the rebuilt original working set.
+        let unlimited = Guard::unlimited();
         assert_eq!(
-            reopened.frontier().expect("unguarded"),
-            session.frontier().expect("unguarded")
+            reopened.frontier(&unlimited).expect("unguarded"),
+            session.frontier(&unlimited).expect("unguarded")
         );
     }
 }

@@ -120,6 +120,15 @@ mod tests {
         vec![
             (SessionError::Tree(TreeError::EmptyTree), 422, "abstraction"),
             (
+                SessionError::Tree(TreeError::UnknownTreeShape {
+                    ty: 4,
+                    shape_idx: 3,
+                    shapes: 3,
+                }),
+                422,
+                "abstraction",
+            ),
+            (
                 SessionError::Engine(provabs_engine::error::EngineError::UnknownTable(
                     "Cust".into(),
                 )),

@@ -35,6 +35,7 @@ use provabs_session::{
     ArtifactOrigin, Budget, CancelToken, Completion, Guard, Session, SessionBuilder, Strategy,
     Target,
 };
+use provabs_trees::generate::tree_shape;
 use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -351,9 +352,12 @@ impl Service {
                 format!("\"tree_type\" must be 1..=7, got {tree_type}"),
             ));
         }
+        let tree_type = tree_type as u8;
         let shape_idx = opt_u64(body, "shape_idx")?.unwrap_or(1) as usize;
+        tree_shape(tree_type, shape_idx)
+            .map_err(|e| WireError::new(422, "bad_tree_shape", e.to_string()))?;
         let mut data = workload.generate(&config);
-        let forest = data.primary_tree(tree_type as u8, shape_idx);
+        let forest = data.primary_tree(tree_type, shape_idx);
         Ok(SessionBuilder::new(data.polys, data.vars).forest(forest))
     }
 
@@ -583,7 +587,6 @@ pub fn session_stats(entry: &SessionEntry) -> Json {
                 ("requested", Json::from(kernel.requested.to_string())),
                 ("selected", Json::from(kernel.selected.to_string())),
                 ("avx2_available", Json::from(kernel.avx2_available)),
-                ("forced_generic_env", Json::from(kernel.forced_generic_env)),
                 ("lanes", Json::from(kernel.lanes)),
             ]),
         ),

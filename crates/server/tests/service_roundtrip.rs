@@ -544,6 +544,60 @@ fn a_bad_param_modulus_is_a_typed_422() {
     }
 }
 
+/// A `shape_idx` past the last shape of its tree type is refused
+/// `422 bad_tree_shape` before any data is generated, and creates no
+/// session; the last in-range shape still builds.
+#[test]
+fn a_bad_tree_shape_is_a_typed_422() {
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let cases = [
+        ("tpch_q10", 4u64, 3u64),
+        ("telephony", 1, 6),
+        ("tpch_q1", 7, 1 << 40),
+    ];
+    for (i, (workload, tree_type, shape_idx)) in cases.into_iter().enumerate() {
+        let name = format!("shape{i}");
+        let refused = client
+            .post(
+                "/sessions",
+                &Json::obj([
+                    ("name", Json::from(name.as_str())),
+                    ("workload", Json::from(workload)),
+                    ("tree_type", Json::from(tree_type)),
+                    ("shape_idx", Json::from(shape_idx)),
+                ]),
+            )
+            .expect("request");
+        let body = refused.json().expect("json");
+        assert_eq!(
+            refused.status, 422,
+            "{workload} {tree_type}/{shape_idx}: {body}"
+        );
+        assert_eq!(
+            body.get("error").and_then(Json::as_str),
+            Some("bad_tree_shape"),
+            "{workload} {tree_type}/{shape_idx}"
+        );
+        let missing = client.get(&format!("/sessions/{name}")).expect("request");
+        assert_eq!(
+            missing.status, 404,
+            "no session for {tree_type}/{shape_idx}"
+        );
+    }
+    post_ok(
+        &mut client,
+        "/sessions",
+        &Json::obj([
+            ("name", Json::from("last_shape")),
+            ("workload", Json::from("telephony")),
+            ("tree_type", Json::from(4u64)),
+            ("shape_idx", Json::from(2u64)),
+        ]),
+        201,
+    );
+}
+
 #[test]
 fn healthz_and_stats_expose_the_five_hooks() {
     let server = start();
@@ -589,6 +643,17 @@ fn healthz_and_stats_expose_the_five_hooks() {
             .and_then(Json::as_u64)
             .map(|l| l >= 1),
         Some(true)
+    );
+    let kernel_keys: Vec<&str> = observed
+        .get("kernel_info")
+        .and_then(Json::as_obj)
+        .expect("object")
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert_eq!(
+        kernel_keys,
+        ["requested", "selected", "avx2_available", "lanes"]
     );
     // The compression ran under its request's guard, which is gone; what
     // it ticked there stays readable.

@@ -21,7 +21,6 @@ use crate::error::Error;
 use crate::session::Session;
 use crate::strategy::{Strategy, Target};
 use provabs_engine::query::{GroupedProvenance, GroupedProvenanceInterned};
-use provabs_provenance::guard::{Budget, CancelToken, Guard};
 use provabs_provenance::parse::parse_polyset;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::VarTable;
@@ -53,8 +52,6 @@ pub struct SessionBuilder {
     strategy: Strategy,
     target: Target,
     opts: EvalOptions,
-    budget: Budget,
-    cancel: Option<CancelToken>,
 }
 
 impl SessionBuilder {
@@ -67,8 +64,6 @@ impl SessionBuilder {
             strategy: Strategy::default(),
             target: Target::default(),
             opts: EvalOptions::new(),
-            budget: Budget::unlimited(),
-            cancel: None,
         }
     }
 
@@ -158,41 +153,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms a wall-clock deadline `timeout` from **now** (the moment this
-    /// setter runs) on the session's default guard, covering all the
-    /// work of the argument-free spellings — compression and evaluation
-    /// alike (a call handed its own guard runs under that one instead).
-    /// When the deadline
-    /// passes, compression stops gracefully at its best-so-far
-    /// abstraction (tagged in [`Session::run_stats`]) and evaluation
-    /// batches fail with [`Error::Cancelled`].
-    ///
-    /// [`Session::run_stats`]: crate::Session::run_stats
-    #[must_use]
-    pub fn deadline(mut self, timeout: std::time::Duration) -> Self {
-        self.budget = self.budget.and_deadline(timeout);
-        self
-    }
-
-    /// Sets the full execution [`Budget`] (deadline and/or step cap) the
-    /// session's default guard enforces. Replaces any earlier
-    /// [`deadline`](Self::deadline) call.
-    #[must_use]
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a cooperative-cancellation token: keep a clone and
-    /// [`cancel`](CancelToken::cancel) it from any thread to stop the
-    /// session's guarded work at the next checkpoint (compression) or
-    /// chunk claim (batch evaluation).
-    #[must_use]
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Validates the configuration and produces the [`Session`].
     ///
     /// # Errors
@@ -208,18 +168,6 @@ impl SessionBuilder {
             (None, false) => Forest::new(Vec::new())?,
             (None, true) => return Err(Error::MissingForest),
         };
-        // An explicit budget or token builds a real guard; otherwise the
-        // ambient deadline (if configured) applies, and the common
-        // unconfigured case stays an unlimited — zero-cost — guard.
-        let guard = if self.budget.is_unlimited() && self.cancel.is_none() {
-            Guard::ambient().unwrap_or_default()
-        } else {
-            let guard = Guard::new(self.budget);
-            match self.cancel {
-                Some(token) => guard.with_cancel(token),
-                None => guard,
-            }
-        };
         Ok(Session::from_parts(
             self.source,
             self.interned_source,
@@ -228,7 +176,6 @@ impl SessionBuilder {
             self.strategy,
             bound,
             self.opts,
-            guard,
         ))
     }
 }

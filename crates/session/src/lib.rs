@@ -44,13 +44,13 @@
 //! skips both compression and compilation. [`Session::artifact_info`]
 //! reports where a session's state came from.
 //!
-//! Execution is *guarded*: [`SessionBuilder::deadline`] /
-//! [`SessionBuilder::budget`] / [`SessionBuilder::cancel_token`] set the
-//! session's default [`Guard`], which bounds every long-running stage of
-//! the argument-free spellings; [`Session::compress_with`] and
-//! [`Session::ask_with`] take a guard of the call's own (a server's
-//! per-request deadline and disconnect token). Compression is **anytime** — a tripped
-//! guard leaves the best-so-far (sound, just larger) abstraction
+//! Execution is *guarded*: [`Session::compress_with`],
+//! [`Session::ask_with`] and [`Session::frontier`] take the [`Guard`]
+//! the call runs under (a server's per-request deadline and disconnect
+//! token), and the argument-free spellings run unlimited; no session
+//! setting or environment variable supplies a limit
+//! (`docs/adr/025-limits-are-arguments.md`). Compression is **anytime**
+//! — a tripped guard leaves the best-so-far (sound, just larger) abstraction
 //! installed and answering, tagged in [`Session::run_stats`] — while
 //! evaluation batches fail typed ([`Error::Cancelled`],
 //! [`Error::WorkerPanic`]) with panics isolated to the one scenario
@@ -105,7 +105,7 @@
 //!
 //! Each algorithm has exactly one entry point, taking the interned
 //! working set and an explicit guard; the session passes the one its
-//! caller gave it (or its default). The hash-map oracles those entry
+//! caller gave it (or an unlimited one). The hash-map oracles those entry
 //! points are checked against (the paper's full-rescan greedy, brute
 //! force over every cut) are no strategy: they live in
 //! [`provabs_core::reference`], and the test suites call them there

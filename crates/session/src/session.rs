@@ -23,8 +23,8 @@
 //! session at once. The compress-once state and both lazy lowerings live
 //! in once-cells (whoever gets there first builds, everyone else waits
 //! for that one build and then reads), the counters are atomics, and a
-//! [`Guard`] is something a call is *given* — the builder's guard is only
-//! the default the argument-free spellings pass.
+//! [`Guard`] is something a call is *given*: the argument-free spellings
+//! run unlimited, and a bounded call passes its own.
 //!
 //! A session holds its provenance in one form, the interned one. A
 //! hash-map [`PolySet`] is an *input* format, lowered into the arena once
@@ -202,10 +202,9 @@ pub struct Session {
     strategy: Strategy,
     bound: usize,
     opts: EvalOptions,
-    /// The default guard — explicit (builder deadline/budget/token),
-    /// ambient (`PROVABS_AMBIENT_DEADLINE_MS`), or unlimited — that the
-    /// argument-free spellings pass; never replaced.
-    guard: Guard,
+    /// The unlimited guard the argument-free spellings run under, built
+    /// once: its counters are where their compression's ticks land.
+    unlimited: Guard,
     /// Filled by the one compression that runs (or at open).
     compressed: OnceLock<CompressedState>,
     /// Serialises the fallible fill of `compressed` (the stable
@@ -247,7 +246,6 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Assembles a validated session (builder-internal).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         source: WorkingSet<f64>,
         interned_source: bool,
@@ -256,7 +254,6 @@ impl Session {
         strategy: Strategy,
         bound: usize,
         opts: EvalOptions,
-        guard: Guard,
     ) -> Self {
         Self {
             polys: OnceLock::new(),
@@ -266,7 +263,7 @@ impl Session {
             strategy,
             bound,
             opts,
-            guard,
+            unlimited: Guard::unlimited(),
             compressed: OnceLock::new(),
             compressing: Mutex::new(()),
             original_compiled: OnceLock::new(),
@@ -299,11 +296,10 @@ impl Session {
     /// call (see [`Strategy`]); every strategy runs end-to-end in id
     /// space.
     ///
-    /// This spelling runs under the session's default guard (builder
-    /// deadline / budget / cancellation token, or the ambient deadline);
-    /// [`compress_with`](Self::compress_with) takes one per call.
+    /// This spelling runs unlimited; [`compress_with`](Self::compress_with)
+    /// takes a guard per call.
     pub fn compress(&self) -> Result<&AbstractionResult, Error> {
-        self.state(&self.guard).map(|state| &state.result)
+        self.state(&self.unlimited).map(|state| &state.result)
     }
 
     /// [`compress`](Self::compress) under the caller's `guard` — how a
@@ -401,8 +397,8 @@ impl Session {
     /// evaluation — zero recompilation, zero [`PolySet`]
     /// materialisations (see [`intern_stats`](Self::intern_stats)).
     ///
-    /// Runs on the session's [`eval_options`](Self::eval_options) under
-    /// its default [`guard`](Self::guard); [`ask_with`](Self::ask_with)
+    /// Runs unlimited on the session's
+    /// [`eval_options`](Self::eval_options); [`ask_with`](Self::ask_with)
     /// takes both per call.
     ///
     /// # Errors
@@ -415,15 +411,15 @@ impl Session {
     /// [`accuracy_report`](Self::accuracy_report) for fine-grained
     /// questions); any compression error from the first call.
     pub fn ask(&self, scenarios: &[Scenario]) -> Result<TimedRun, Error> {
-        self.ask_with(scenarios, &self.opts, &self.guard)
+        self.ask_with(scenarios, &self.opts, &self.unlimited)
     }
 
     /// [`ask`](Self::ask) for already-built valuations: skips name
     /// validation and interning entirely — the zero-overhead steady state
     /// for callers that keep their own valuation cache.
     pub fn ask_prepared(&self, valuations: &[Valuation<f64>]) -> Result<TimedRun, Error> {
-        let state = self.state(&self.guard)?;
-        self.eval_compressed(state, valuations, &self.opts, &self.guard)
+        let state = self.state(&self.unlimited)?;
+        self.eval_compressed(state, valuations, &self.opts, &self.unlimited)
             .inspect(|run| self.add_elapsed(run.elapsed))
     }
 
@@ -459,7 +455,7 @@ impl Session {
         scenarios: &[Scenario],
         opts: &EvalOptions,
     ) -> Result<TimedRun, Error> {
-        self.ask_with(scenarios, opts, &self.guard)
+        self.ask_with(scenarios, opts, &self.unlimited)
     }
 
     /// Measures the assignment-time speedup of the session's abstraction
@@ -481,19 +477,18 @@ impl Session {
         repeat: usize,
         opts: &EvalOptions,
     ) -> Result<SpeedupReport, Error> {
-        let state = self.state(&self.guard)?;
+        let state = self.state(&self.unlimited)?;
         let coarse = self.valuations(scenarios, Some(&state.live_vars))?;
         let lifted: Vec<Valuation<f64>> = coarse
             .iter()
             .map(|v| state.result.vvs.lift_valuation(&state.result.forest, v))
             .collect();
-        let unguarded = Guard::unlimited();
         measure_alternating(
             repeat,
             || Ok(self.eval_original(&lifted, opts)?.elapsed),
             || {
                 Ok(self
-                    .eval_compressed(state, &coarse, opts, &unguarded)?
+                    .eval_compressed(state, &coarse, opts, &self.unlimited)?
                     .elapsed)
             },
         )
@@ -517,7 +512,7 @@ impl Session {
     /// answers are compared with the exact ones ([`error_stats`]), both
     /// sides served off the session's cached lowerings.
     pub fn accuracy_report(&self, fine: &Scenario) -> Result<ErrorReport, Error> {
-        let state = self.state(&self.guard)?;
+        let state = self.state(&self.unlimited)?;
         let fine_val = self
             .valuations(std::slice::from_ref(fine), None)?
             .pop()
@@ -528,9 +523,8 @@ impl Session {
             .values
             .pop()
             .unwrap_or_default();
-        let unguarded = Guard::unlimited();
         let approx = self
-            .eval_compressed(state, &coarse, &self.opts, &unguarded)?
+            .eval_compressed(state, &coarse, &self.opts, &self.unlimited)?
             .values
             .pop()
             .unwrap_or_default();
@@ -546,7 +540,7 @@ impl Session {
     /// interned `𝒫↓S` once for it (a deliberate, counted
     /// materialisation; this is a diagnostic, not the ask hot path).
     pub fn equivalence_error(&self, scenarios: &[Scenario]) -> Result<f64, Error> {
-        let state = self.state(&self.guard)?;
+        let state = self.state(&self.unlimited)?;
         let coarse = self.valuations(scenarios, Some(&state.live_vars))?;
         Ok(max_equivalence_error_prepared(
             self.original(),
@@ -563,13 +557,13 @@ impl Session {
     /// [`optimal_frontier`], everything else traces the greedy run
     /// ([`greedy_frontier`]).
     ///
-    /// The trace runs under the session's guard, and a frontier is only
-    /// meaningful whole: a tripped guard is [`Error::Cancelled`], not a
-    /// truncated trace.
-    pub fn frontier(&self) -> Result<Vec<(usize, usize)>, Error> {
+    /// The trace runs under `guard`, and a frontier is only meaningful
+    /// whole: a tripped guard is [`Error::Cancelled`], not a truncated
+    /// trace.
+    pub fn frontier(&self, guard: &Guard) -> Result<Vec<(usize, usize)>, Error> {
         let (points, completion) = match self.strategy {
-            Strategy::Optimal => optimal_frontier(self.source_ws(), &self.forest, &self.guard)?,
-            _ => greedy_frontier(self.source_ws(), &self.forest, &self.guard)?,
+            Strategy::Optimal => optimal_frontier(self.source_ws(), &self.forest, guard)?,
+            _ => greedy_frontier(self.source_ws(), &self.forest, guard)?,
         };
         match completion {
             Completion::Complete => Ok(points),
@@ -633,12 +627,12 @@ impl Session {
         valuations: &[Valuation<f64>],
         opts: &EvalOptions,
     ) -> Result<TimedRun, Error> {
-        let guard = Guard::unlimited();
+        let guard = &self.unlimited;
         Ok(if opts.compiled {
             let columns = self.original_columns().view();
-            eval(columns, valuations, opts, &guard).into_result()?
+            eval(columns, valuations, opts, guard).into_result()?
         } else {
-            eval_reference(self.original(), valuations, &guard)?
+            eval_reference(self.original(), valuations, guard)?
         })
     }
 
@@ -729,17 +723,6 @@ impl Session {
         &self.opts
     }
 
-    /// The default guard: what [`compress`](Self::compress),
-    /// [`ask`](Self::ask) and the other argument-free spellings run under
-    /// — the builder's deadline / budget / token, the ambient deadline, or
-    /// unlimited. Fixed at [`build`](crate::SessionBuilder::build) /
-    /// [`open`](Self::open); a call that needs its own limits passes its
-    /// own guard ([`compress_with`](Self::compress_with),
-    /// [`ask_with`](Self::ask_with)).
-    pub fn guard(&self) -> &Guard {
-        &self.guard
-    }
-
     /// The cached selection outcome, if [`compress`](Self::compress) has
     /// run.
     pub fn result(&self) -> Option<&AbstractionResult> {
@@ -824,7 +807,7 @@ impl Session {
     /// Any compression error from the first call;
     /// [`Error::Persist`] for I/O failures.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
-        self.save_with_faults(path, &FaultFs::from_env())
+        self.save_with_faults(path, &FaultFs::disabled())
     }
 
     /// [`save`](Self::save) through an explicit fault-injection plan —
@@ -834,10 +817,9 @@ impl Session {
     /// publishes by atomic rename) and the failure surfaces as typed
     /// [`Error::Persist`] — never a torn file, never a panic; transient
     /// failures are retried with backoff. [`FaultFs::disabled`] makes
-    /// this identical to [`save`](Self::save) without the
-    /// `PROVABS_FAULT_FS` environment override.
+    /// this [`save`](Self::save).
     pub fn save_with_faults(&self, path: impl AsRef<Path>, faults: &FaultFs) -> Result<(), Error> {
-        let state = self.state(&self.guard)?;
+        let state = self.state(&self.unlimited)?;
         let meta = SessionMeta {
             interned_source: self.interned_source,
             strategy: self.strategy,
@@ -964,7 +946,7 @@ impl Session {
             strategy: meta.strategy,
             bound: meta.bound,
             opts: EvalOptions::new(),
-            guard: Guard::ambient().unwrap_or_default(),
+            unlimited: Guard::unlimited(),
             compressed: OnceLock::from(CompressedState {
                 result,
                 completion: Completion::Complete,

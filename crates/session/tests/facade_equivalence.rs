@@ -372,28 +372,32 @@ fn concurrent_asks_on_a_shared_uncompressed_session_compress_and_freeze_once() {
     let (data, forest) = fixture(Workload::Telephony);
     // A guard that can trip (but will not) counts its checkpoints, which
     // is how a second, discarded compression would show.
-    let builder = SessionBuilder::new(data.polys, data.vars)
-        .forest(forest)
-        .deadline(std::time::Duration::from_secs(3600));
+    let guard = || Guard::new(Budget::with_deadline(Duration::from_secs(3600)));
+    let builder = SessionBuilder::new(data.polys, data.vars).forest(forest);
 
     let serial = builder.clone().build().expect("valid configuration");
+    let serial_guard = guard();
     let names = serial
-        .compress()
-        .map(|r| r.vvs.labels(&r.forest))
+        .compress_with(&serial_guard)
+        .map(|(r, _)| r.vvs.labels(&r.forest))
         .expect("attainable default target");
     let scenarios: Vec<Scenario> = (0..6).map(|i| Scenario::random(&names, 0.5, i)).collect();
     let expected = serial.ask(&scenarios).expect("known names").values;
-    let one_compression = serial.guard().checkpoints_hit();
+    let one_compression = serial_guard.checkpoints_hit();
     assert!(one_compression > 0, "selection steps are checkpointed");
 
     let shared = builder.build().expect("valid configuration");
+    let shared_guard = guard();
     let start = std::sync::Barrier::new(THREADS);
     let answers: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
         let asking: Vec<_> = (0..THREADS)
             .map(|_| {
                 scope.spawn(|| {
                     start.wait();
-                    shared.ask(&scenarios).expect("known names").values
+                    shared
+                        .ask_with(&scenarios, shared.eval_options(), &shared_guard)
+                        .expect("known names")
+                        .values
                 })
             })
             .collect();
@@ -407,7 +411,7 @@ fn concurrent_asks_on_a_shared_uncompressed_session_compress_and_freeze_once() {
     }
     assert_eq!(shared.compile_count(), 1, "one freeze for eight askers");
     assert_eq!(
-        shared.guard().checkpoints_hit(),
+        shared_guard.checkpoints_hit(),
         one_compression,
         "exactly one compression ran under the shared guard"
     );
@@ -508,14 +512,14 @@ fn frontier_matches_the_low_level_frontiers() {
     let source = WorkingSet::from_polyset(&data.polys);
     let guard = Guard::unlimited();
     assert_eq!(
-        optimal.frontier().expect("single tree"),
+        optimal.frontier(&guard).expect("single tree"),
         optimal_frontier(&source, &forest, &guard)
             .expect("single tree")
             .0
     );
     let greedy = builder.clone().build().expect("valid");
     assert_eq!(
-        greedy.frontier().expect("any forest"),
+        greedy.frontier(&guard).expect("any forest"),
         greedy_frontier(&source, &forest, &guard)
             .expect("any forest")
             .0
@@ -524,23 +528,23 @@ fn frontier_matches_the_low_level_frontiers() {
     assert_eq!(greedy.intern_stats().polyset_materializations, 0);
 }
 
-/// `frontier()` runs under the session's own guard, and a trace the guard
+/// `frontier` runs under the guard it is given, and a trace the guard
 /// cut short is an error, never a shorter trace: with a token cancelled
 /// before the call, every tracer answers `Cancelled`.
 #[test]
 fn frontier_under_a_cancelled_token_is_a_typed_error() {
     let (data, forest) = fixture(Workload::Telephony);
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = Guard::unlimited().with_cancel(token);
     for strategy in [Strategy::Optimal, Strategy::default()] {
-        let token = CancelToken::new();
-        token.cancel();
         let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
             .forest(forest.clone())
             .strategy(strategy)
-            .cancel_token(token)
             .build()
             .expect("valid");
         assert_eq!(
-            session.frontier(),
+            session.frontier(&cancelled),
             Err(Error::Cancelled(Interrupt::Cancelled)),
             "{strategy:?}"
         );

@@ -69,6 +69,15 @@ pub enum TreeError {
         /// The requested type.
         ty: u8,
     },
+    /// A shape index past the end of a tree-type family's shape list.
+    UnknownTreeShape {
+        /// The tree type.
+        ty: u8,
+        /// The requested shape index.
+        shape_idx: usize,
+        /// How many shapes the type has.
+        shapes: usize,
+    },
     /// A worker thread panicked; the panic was caught at the thread
     /// boundary and its payload rendered — sibling workers completed.
     WorkerPanic {
@@ -128,6 +137,14 @@ impl fmt::Display for TreeError {
             TreeError::UnknownTreeType { ty } => {
                 write!(f, "tree types are 1..=7, got {ty}")
             }
+            TreeError::UnknownTreeShape {
+                ty,
+                shape_idx,
+                shapes,
+            } => write!(
+                f,
+                "tree type {ty} has shapes 0..{shapes}, got shape {shape_idx}"
+            ),
             TreeError::WorkerPanic { payload } => {
                 write!(f, "worker thread panicked: {payload}")
             }

@@ -119,6 +119,18 @@ pub fn tree_type_shapes(ty: u8) -> Result<Vec<Vec<usize>>, TreeError> {
     })
 }
 
+/// The fan-out vector of the `shape_idx`-th tree of type `ty`: a typed
+/// error for an unknown type or a shape index past the family's last.
+pub fn tree_shape(ty: u8, shape_idx: usize) -> Result<Vec<usize>, TreeError> {
+    let shapes = tree_type_shapes(ty)?;
+    let past_the_last = TreeError::UnknownTreeShape {
+        ty,
+        shape_idx,
+        shapes: shapes.len(),
+    };
+    shapes.into_iter().nth(shape_idx).ok_or(past_the_last)
+}
+
 /// Builds the `shape_idx`-th tree of type `ty` over `leaves`.
 pub fn paper_tree(
     ty: u8,
@@ -127,8 +139,12 @@ pub fn paper_tree(
     leaves: &[String],
     vars: &mut VarTable,
 ) -> Result<AbsTree, TreeError> {
-    let shapes = tree_type_shapes(ty)?;
-    Ok(shaped_tree(prefix, leaves, &shapes[shape_idx], vars))
+    Ok(shaped_tree(
+        prefix,
+        leaves,
+        &tree_shape(ty, shape_idx)?,
+        vars,
+    ))
 }
 
 /// The forest of the multiple-trees experiment (Figure 11): `num_trees`
@@ -277,6 +293,29 @@ mod tests {
         let err = paper_tree(0, 0, "Supp", &leaves, &mut vars).expect_err("type 0");
         assert_eq!(err, TreeError::UnknownTreeType { ty: 0 });
         assert!(format!("{err}").contains("1..=7"));
+    }
+
+    /// A shape index past a family's last shape is a typed error, not an
+    /// out-of-bounds panic; the last in-range index still builds.
+    #[test]
+    fn shape_index_boundaries_are_typed() {
+        let leaves = leaf_names("s", 64);
+        let mut vars = VarTable::new();
+        for ty in 1..=7u8 {
+            let shapes = tree_type_shapes(ty).expect("in range").len();
+            paper_tree(ty, shapes - 1, "Supp", &leaves, &mut vars).expect("last shape");
+            for shape_idx in [shapes, usize::MAX] {
+                assert_eq!(
+                    paper_tree(ty, shape_idx, "Supp", &leaves, &mut vars)
+                        .expect_err("past the last shape"),
+                    TreeError::UnknownTreeShape {
+                        ty,
+                        shape_idx,
+                        shapes
+                    }
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use provabs::datagen::telephony::{
     generate, month_leaves, plan_leaves, revenue_provenance, TelephonyConfig,
 };
+use provabs::provenance::guard::Guard;
 use provabs::provenance::VarTable;
 use provabs::scenario::executor::EvalOptions;
 use provabs::trees::forest::Forest;
@@ -92,7 +93,7 @@ fn main() {
         .ask_with(
             &scenarios,
             &EvalOptions::serial_reference(),
-            session.guard(),
+            &Guard::unlimited(),
         )
         .expect("known variables");
     let engine = session.ask(&scenarios).expect("known variables");

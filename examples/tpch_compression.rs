@@ -6,6 +6,7 @@
 //! Run with `cargo run --release --example tpch_compression`.
 
 use provabs::datagen::workload::{Workload, WorkloadConfig};
+use provabs::provenance::guard::Guard;
 use provabs::{SessionBuilder, Strategy};
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ fn main() {
         .strategy(Strategy::Optimal)
         .build()
         .expect("valid configuration")
-        .frontier()
+        .frontier(&Guard::unlimited())
         .expect("single tree");
     println!("\nsize/granularity frontier (|P↓S|_M → |P↓S|_V):");
     for (m, v) in &frontier {

@@ -10,6 +10,7 @@
 
 use provabs::datagen::fixture::example_polys;
 use provabs::provenance::display::polyset_to_string;
+use provabs::provenance::guard::Guard;
 use provabs::provenance::VarTable;
 use provabs::trees::text::forest_to_text;
 use provabs::{Scenario, SessionBuilder, Strategy};
@@ -59,7 +60,9 @@ Year(q1(m1,m2,m3), q2(m4,m5,m6), q3(m7,m8,m9), q4(m10,m11,m12))
         .strategy(Strategy::Optimal)
         .build()
         .expect("valid configuration");
-    let frontier = plans_only.frontier().expect("single tree");
+    let frontier = plans_only
+        .frontier(&Guard::unlimited())
+        .expect("single tree");
     println!("\nplans-tree frontier (|P↓S|_M → |P↓S|_V):");
     for (m, v) in frontier {
         println!("  {m:>3} → {v}");

@@ -2,7 +2,8 @@
 //! emitting provenance and compressing it allocate per run and per
 //! polynomial, never per monomial; a clone allocates nothing for what it
 //! shares, and a run copies only what it writes and adds only the products
-//! it keeps; scoring interns nothing, and a rewrite or a scoring whose
+//! it keeps, neither it nor its compaction building or copying an
+//! interning table; scoring interns nothing, and a rewrite or a scoring whose
 //! buffers are warm allocates nothing; a term costs its id and its coefficient;
 //! and the arena and the working set say truthfully how much heap they
 //! hold.
@@ -81,14 +82,21 @@ fn assert_honest<T>(what: &str, build: impl FnOnce() -> T, estimated_bytes: impl
 fn compression_allocates_per_run_not_per_monomial() {
     let config = ScaleConfig::default();
     let mut vars = VarTable::new();
-    let (source, emitting, _) = measured(|| scale_working_set(&config, &mut vars));
+    let (mut source, emitting, _) = measured(|| scale_working_set(&config, &mut vars));
     let monomials = source.size_m();
-    let source_bytes = source.estimated_bytes();
     assert!(monomials > 20_000, "the fixture is the default one");
     assert!(
         emitting * 2 < monomials,
         "emission: {emitting} allocations for {monomials} monomials"
     );
+    // The emitter appends distinct monomials and builds no interning
+    // table; one lookup builds it, so that a run has one it could copy.
+    let indexed = source.arena().len();
+    assert_eq!(source.arena().indexed(), 0, "emission built a table");
+    let first = source.arena().mono(0).to_monomial();
+    assert_eq!(source.arena_mut().intern(&first), 0);
+    assert_eq!(source.arena().indexed(), indexed);
+    let source_bytes = source.estimated_bytes();
 
     // A clone shares its source's arena and columns: it allocates for
     // neither (a deep clone holds 100 % of the source), and measures what
@@ -133,6 +141,9 @@ fn compression_allocates_per_run_not_per_monomial() {
         .collect();
     let (arena, before) = (abs.working.arena(), source.arena().len());
     assert!(arena.len() > before, "the run added entries");
+    // It appended them: the source's table, which the run shares, was
+    // never probed — a probe would have copied it and put them in.
+    assert_eq!(arena.indexed(), indexed, "a greedy run probed the table");
     for id in before as MonoId..arena.len() as MonoId {
         assert!(
             arena.mono(id).vars().any(|v| merged.contains(&v)),
@@ -141,19 +152,29 @@ fn compression_allocates_per_run_not_per_monomial() {
     }
 
     // A run over a source that a live clone still shares starts as one
-    // more sharer and copies only what it writes — the table and the term
-    // columns — so the set it returns, uncompacted, holds less than its
-    // source (a run over a deep copy holds the whole source plus what it
-    // derived). Half-size runs derive almost half the source again, so
-    // this one merges a quarter away.
+    // more sharer and copies only what it writes — the term columns — and
+    // adds the products it derives, so the set it returns, uncompacted,
+    // holds less than its source (a run over a deep copy holds the whole
+    // source plus what it derived). Half-size runs derive almost half the
+    // source again, so this one merges a quarter away.
     let quarter = monomials - monomials / 4;
-    let (_, _, returned) =
+    let ((mut quartered, _), _, returned) =
         measured(|| greedy_vvs(&source, &forest, quarter, &guard).expect("attainable"));
     assert!(
         returned < source_bytes,
         "greedy returned {returned} B over a {source_bytes} B source"
     );
-    drop(twin);
+    assert_eq!(quartered.working.arena().indexed(), indexed);
+    // Its compaction appends the live entries into columns of their own
+    // and builds no table.
+    quartered.working.compact();
+    assert_eq!(
+        quartered.working.arena().indexed(),
+        0,
+        "compaction built a table"
+    );
+    assert!(quartered.working.arena().len() < source.arena().len());
+    drop((twin, quartered));
 
     // An identity abstraction holds no second copy of its source: a
     // `Strategy::None` compress (`evaluate_vvs` of the identity, then the

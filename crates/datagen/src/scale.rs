@@ -113,11 +113,11 @@ fn intern_vars(config: &ScaleConfig, vars: &mut VarTable) -> (Vec<VarId>, Vec<Va
 
 /// Emits the polynomials of groups `range` as one working set. The
 /// filled slots are counted first (a slot is a hash, not a monomial), so
-/// the arena and the term columns are allocated once, at their size. A
-/// group's monomials are interned through one arena writer (one check
-/// that the arena is unshared a group, not one a monomial); they are new
-/// to the arena in emission order, so its ids ascend and the terms go
-/// into the columns as they are emitted.
+/// the arena's columns and the term columns are allocated once, at their
+/// size. `z_g·p_i·m_j` is a different monomial for every `(g, i, j)`, so
+/// each is appended through one arena writer a group, with no probe and
+/// no interning table (ADR 026); its ids ascend in emission order and the
+/// terms go into the columns as they are emitted.
 fn emit_groups(
     config: &ScaleConfig,
     range: std::ops::Range<usize>,
@@ -147,7 +147,7 @@ fn emit_groups(
                 factors.clear();
                 factors.extend([(zips[g], 1), (p, 1), (m, 1)]);
                 Monomial::canonicalise(&mut factors);
-                terms.push((arena.intern_factors(&factors), coeff));
+                terms.push((arena.append(&factors), coeff));
             }
         }
         drop(arena);

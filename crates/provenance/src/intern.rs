@@ -28,13 +28,23 @@
 //! **Clones share, writers copy what they change** (ADR 017). The ids
 //! `0..n` — their factors, ends and postings — are an immutable *prefix*
 //! behind an `Arc`; the ids `n..` are a *tail*, also behind an `Arc`, and
-//! so is the one interning table over both. A clone shares all three and
-//! copies nothing. The first write of a clone *promotes*: a shared tail
-//! over an empty prefix becomes the prefix as it is, a shared tail behind
-//! a prefix — the few monomials a run derived — is copied, and a shared
-//! table is copied once. Promotion moves no id: the postings of a
-//! variable are the prefix's list followed by the tail's, ascending
-//! either way, so every consumer sees the same arena it saw before.
+//! so is the interning table. A clone shares all three and copies
+//! nothing. The first write of a clone *promotes*: a shared tail over an
+//! empty prefix becomes the prefix as it is, and a shared tail behind a
+//! prefix — the few monomials a run derived — is copied. Promotion moves
+//! no id: the postings of a variable are the prefix's list followed by
+//! the tail's, ascending either way, so every consumer sees the same
+//! arena it saw before.
+//!
+//! **The interning table is an index built on first lookup** (ADR 026).
+//! It holds the ids below its *watermark*. A writer that only appends
+//! ([`ArenaWriter::append`], for a monomial the caller knows is absent)
+//! never touches it; the first probe of a writer takes it — the arena's
+//! own, a copy of a shared one that holds every id, or else a new one —
+//! and puts in the ids appended since. So a compaction and an emitter of
+//! distinct monomials build no table, and a group rewrite, which finds
+//! its products among the monomials holding its target (`Products`),
+//! never probes, copies or grows its source's.
 //!
 //! [`VarSpace`] is the matching variable densifier: original [`VarId`]s
 //! mapped to a dense batch-local `u32` space in first-occurrence order,
@@ -163,23 +173,20 @@ impl VarSpace {
 /// Storage is flat and holds each monomial once: every factor of every
 /// monomial sits in a column, cut by prefix ends; interning probes an
 /// open-addressed table of ids whose keys are the factor slices
-/// themselves. Nothing is boxed per monomial, and a derived monomial
-/// ([`ArenaWriter::substitute`]) is built in one reused buffer.
+/// themselves. Nothing is boxed per monomial.
 ///
 /// The columns of ids `0..n` are an immutable prefix and those of ids
 /// `n..` a tail, each behind an `Arc` like the table: a clone allocates
 /// nothing for them, and a writer copies only what is shared when it
 /// first writes (see the [module docs](self)).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MonoArena {
     /// Ids `0..prefix.len()`; never written once shared.
     prefix: Arc<Part>,
     /// Ids `prefix.len()..`; written only when this arena holds it alone.
     tail: Arc<Part>,
-    /// The interning table over both parts.
+    /// The interning table: an index of the ids below its watermark.
     table: Arc<Table>,
-    /// The buffer derived monomials are built in.
-    scratch: Vec<(VarId, u32)>,
 }
 
 /// Consecutive ids' monomials: their factors and the postings of the ids.
@@ -196,14 +203,21 @@ struct Part {
     postings: Vec<Vec<MonoId>>,
 }
 
-/// The open-addressed interning table (linear probing, [`VACANT`] marks a
-/// free slot). Its length is a power of two, at least twice the arena's;
-/// a monomial's home slot is the top `64 - shift` bits of its hash.
+/// An open-addressed table of monomial ids keyed by their factor slices
+/// (linear probing, [`VACANT`] marks a free slot). Its length is a power
+/// of two, at least twice the number of ids it holds; an id's home slot
+/// is the top `64 - shift` bits of its factors' hash.
+///
+/// An arena's table holds the ids `0..held` — its *watermark* — and a
+/// writer puts in the ids past it when it first probes (ADR 026). A group
+/// rewrite's ([`Products`]) holds the ids its products may equal.
 #[derive(Clone, Debug, Default)]
 struct Table {
     slots: Vec<MonoId>,
     /// `64 - log2(slots.len())`.
     shift: u32,
+    /// How many ids the table holds.
+    held: usize,
 }
 
 /// A free slot of the interning table. No monomial gets this id.
@@ -212,7 +226,7 @@ const VACANT: MonoId = MonoId::MAX;
 /// Slots of the smallest interning table.
 const MIN_TABLE: usize = 8;
 
-/// Hash of a canonical factor slice. [`MonoArena`] takes a slot index from
+/// Hash of a canonical factor slice. A [`Table`] takes a slot index from
 /// its top bits, which in a multiplicative hash depend on every input bit.
 fn hash_factors(factors: &[(VarId, u32)]) -> u64 {
     let mut h = FxHasher::default();
@@ -220,6 +234,14 @@ fn hash_factors(factors: &[(VarId, u32)]) -> u64 {
         h.write_u64(u64::from(v.0) << 32 | u64::from(e));
     }
     h.finish()
+}
+
+/// The id the arena's next monomial gets.
+fn next_id(len: usize) -> MonoId {
+    MonoId::try_from(len)
+        .ok()
+        .filter(|&id| id != VACANT)
+        .expect("more monomials than ids")
 }
 
 /// A part's factor column and its ends, borrowed: what a lookup reads.
@@ -259,8 +281,16 @@ impl Part {
 
     /// The factor slice of every monomial, in id order.
     fn monomials(&self) -> impl Iterator<Item = &[(VarId, u32)]> {
-        let mut start = 0;
-        self.ends.iter().map(move |&end| {
+        self.monomials_from(0)
+    }
+
+    /// The factor slices of the `i`-th monomial and those after it.
+    fn monomials_from(&self, i: usize) -> impl Iterator<Item = &[(VarId, u32)]> {
+        let mut start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        self.ends[i..].iter().map(move |&end| {
             let factors = &self.factors[start..end as usize];
             start = end as usize;
             factors
@@ -311,13 +341,20 @@ impl<'a> Parts<'a> {
         self.prefix.len() + self.tail.len()
     }
 
+    /// The factors of a monomial by id, with the two parts' columns read
+    /// once: what a probe walk compares against.
+    fn slices(self) -> impl Fn(MonoId) -> &'a [(VarId, u32)] {
+        let (prefix, tail) = (self.prefix.cols(), self.tail.cols());
+        let n = prefix.ends.len();
+        move |id| match id as usize {
+            i if i < n => prefix.get(i),
+            i => tail.get(i - n),
+        }
+    }
+
     /// The factors of monomial `id`.
     fn slice(self, id: MonoId) -> &'a [(VarId, u32)] {
-        let n = self.prefix.len();
-        match id as usize {
-            i if i < n => self.prefix.cols().get(i),
-            i => self.tail.cols().get(i - n),
-        }
+        self.slices()(id)
     }
 
     /// The `at`-th id of `v`'s postings: the prefix's, then the tail's.
@@ -329,61 +366,143 @@ impl<'a> Parts<'a> {
         }
     }
 
-    /// Walks the probe sequence of `hash`: the id whose factors equal
-    /// `factors`, or the free slot the walk ended on.
-    fn probe(self, table: &Table, factors: &[(VarId, u32)], hash: u64) -> Result<MonoId, usize> {
-        if table.slots.is_empty() {
+    fn postings_len(self, v: VarId) -> usize {
+        self.prefix.postings_of(v).len() + self.tail.postings_of(v).len()
+    }
+}
+
+impl Table {
+    /// Empties the table and sizes it for `ids` ids at no more than half
+    /// load.
+    fn reset(&mut self, ids: usize) {
+        let slots = (ids * 2).next_power_of_two().max(MIN_TABLE);
+        self.shift = 64 - slots.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(slots, VACANT);
+        self.held = 0;
+    }
+
+    /// Walks the probe sequence of `hash`: the id whose factors (read
+    /// through `slices`) equal `factors`, or the free slot the walk ended
+    /// on.
+    fn find<'a>(
+        &self,
+        factors: &[(VarId, u32)],
+        hash: u64,
+        slices: impl Fn(MonoId) -> &'a [(VarId, u32)],
+    ) -> Result<MonoId, usize> {
+        if self.slots.is_empty() {
             return Err(0);
         }
-        let mask = table.slots.len() - 1;
-        let mut at = (hash >> table.shift) as usize;
-        // The two parts' columns, read once for the whole walk.
-        let (prefix, tail) = (self.prefix.cols(), self.tail.cols());
-        let n = prefix.ends.len();
-        let slice = |id: MonoId| match id as usize {
-            i if i < n => prefix.get(i),
-            i => tail.get(i - n),
-        };
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
         loop {
-            match table.slots[at] {
+            match self.slots[at] {
                 VACANT => return Err(at),
-                id if slice(id) == factors => return Ok(id),
+                id if slices(id) == factors => return Ok(id),
                 _ => at = (at + 1) & mask,
             }
+        }
+    }
+
+    /// Puts `id` in `slot`, the free slot its probe ended on.
+    fn fill(&mut self, slot: usize, id: MonoId) {
+        debug_assert!(2 * self.held < self.slots.len(), "the table is half full");
+        self.slots[slot] = id;
+        self.held += 1;
+    }
+
+    /// Puts `id`, whose monomial the table does not hold, in the first
+    /// free slot of `hash`'s walk.
+    fn put(&mut self, hash: u64, id: MonoId) {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        while self.slots[at] != VACANT {
+            at = (at + 1) & mask;
+        }
+        self.fill(at, id);
+    }
+
+    /// Empties the table, sizes it for `room` ids and puts in every id of
+    /// `parts`.
+    fn rebuild(&mut self, parts: Parts<'_>, room: usize) {
+        self.reset(room);
+        self.index(parts, 0);
+    }
+
+    /// Brings an arena's table up to every id of `parts`: the ids past the
+    /// watermark are put in, or, if they would fill it past half, the
+    /// table is rebuilt.
+    fn catch_up(&mut self, parts: Parts<'_>) {
+        let len = parts.len();
+        if self.held == len {
+            return;
+        }
+        match len * 2 > self.slots.len() {
+            true => self.rebuild(parts, len + 1),
+            false => self.index(parts, self.held),
+        }
+    }
+
+    /// Doubles a rewrite's table, putting its ids in again. Only a rewrite
+    /// over monomials that hold two group variables — which no polynomial
+    /// of a forest-compatible set holds — derives more products than it
+    /// started for ([`Products::start`]).
+    fn grow(&mut self, parts: Parts<'_>) {
+        let ids = std::mem::take(&mut self.slots);
+        self.reset(self.held + 1);
+        for id in ids.into_iter().filter(|&id| id != VACANT) {
+            self.put(hash_factors(parts.slice(id)), id);
+        }
+    }
+
+    /// Puts in the ids `from..` of `parts`, none of which it holds,
+    /// walking each part's factor column once.
+    fn index(&mut self, parts: Parts<'_>, from: usize) {
+        let n = parts.prefix.len();
+        let prefix = parts.prefix.monomials_from(from.min(n));
+        let walk = prefix.chain(parts.tail.monomials_from(from.saturating_sub(n)));
+        for (id, factors) in (from..).zip(walk) {
+            self.put(hash_factors(factors), id as MonoId);
         }
     }
 }
 
 /// A [`MonoArena`] opened for writing by [`MonoArena::writer`]: its tail
-/// and table are its own, so interning and the derived monomials run
-/// without asking again whether they are shared. A producer that interns
-/// many monomials in a row — an emitter, a lowering, a group rewrite —
-/// opens one writer for all of them.
+/// is its own, so interning and appending run without asking again
+/// whether it is shared. A producer that writes many monomials in a row
+/// — an emitter, a lowering, a group rewrite — opens one writer for all
+/// of them.
 ///
-/// While it lives the writer holds the tail, the table and the scratch
-/// buffer by value — a probe reaches them without a hop through the
-/// arena's `Arc`s — and it hands them back when dropped: drop it before
-/// reading the arena again.
+/// The interning table is taken only by the writer's first probe (ADR
+/// 026): a writer that only appends never touches it.
+///
+/// While it lives the writer holds the tail and the table by value — a
+/// probe reaches them without a hop through the arena's `Arc`s — and it
+/// hands them back when dropped: drop it before reading the arena again.
 pub struct ArenaWriter<'a> {
     prefix: &'a Part,
     tail: Part,
-    table: Table,
-    scratch: Vec<(VarId, u32)>,
+    /// The interning table once a probe has taken it.
+    table: Option<Table>,
     home: Home<'a>,
 }
 
-/// Where a writer's tail, table and buffer go back to.
+/// Where a writer's tail and table go back to.
 struct Home<'a> {
     tail: &'a mut Part,
-    table: &'a mut Table,
-    scratch: &'a mut Vec<(VarId, u32)>,
+    table: &'a mut Arc<Table>,
 }
 
 impl Drop for ArenaWriter<'_> {
     fn drop(&mut self) {
         std::mem::swap(self.home.tail, &mut self.tail);
-        std::mem::swap(self.home.table, &mut self.table);
-        std::mem::swap(self.home.scratch, &mut self.scratch);
+        if let Some(table) = self.table.take() {
+            match Arc::get_mut(self.home.table) {
+                Some(own) => *own = table,
+                None => *self.home.table = Arc::new(table),
+            }
+        }
     }
 }
 
@@ -412,7 +531,7 @@ impl ArenaWriter<'_> {
 
     /// How many monomials contain `v`.
     pub(crate) fn postings_len(&self, v: VarId) -> usize {
-        self.prefix.postings_of(v).len() + self.tail.postings_of(v).len()
+        self.parts().postings_len(v)
     }
 
     /// The `at`-th of them, in ascending id.
@@ -421,9 +540,28 @@ impl ArenaWriter<'_> {
     }
 
     /// [`MonoArena::intern_factors`], without opening the arena again.
+    ///
+    /// The first probe takes the arena's table: its own as it is, a copy
+    /// of a shared one that holds every id, or else a new one; and every
+    /// probe first puts in the ids appended since the last.
     pub fn intern_factors(&mut self, factors: &[(VarId, u32)]) -> MonoId {
         let hash = hash_factors(factors);
-        match self.parts().probe(&self.table, factors, hash) {
+        let parts = Parts {
+            prefix: self.prefix,
+            tail: &self.tail,
+        };
+        let home = &mut self.home;
+        let table = self.table.get_or_insert_with(|| {
+            if let Some(own) = Arc::get_mut(home.table) {
+                return std::mem::take(own);
+            }
+            match &**home.table {
+                shared if shared.held == parts.len() => shared.clone(),
+                _ => Table::default(),
+            }
+        });
+        table.catch_up(parts);
+        match table.find(factors, hash, parts.slices()) {
             Ok(id) => id,
             Err(slot) => self.push_new(factors, hash, slot),
         }
@@ -434,83 +572,129 @@ impl ArenaWriter<'_> {
     fn push_new(&mut self, factors: &[(VarId, u32)], hash: u64, mut slot: usize) -> MonoId {
         debug_assert!(is_canonical(factors), "factors must be canonical");
         let len = self.len();
-        let id = MonoId::try_from(len)
-            .ok()
-            .filter(|&id| id != VACANT)
-            .expect("more monomials than ids");
-        if (len + 1) * 2 > self.table.slots.len() {
-            self.resize_table(len + 1);
-            slot = self
-                .parts()
-                .probe(&self.table, factors, hash)
+        let id = next_id(len);
+        let table = self.table.as_mut().expect("a probe took the table");
+        if (len + 1) * 2 > table.slots.len() {
+            let parts = Parts {
+                prefix: self.prefix,
+                tail: &self.tail,
+            };
+            table.rebuild(parts, len + 1);
+            slot = table
+                .find(factors, hash, parts.slices())
                 .expect_err("the monomial is absent");
         }
         self.tail.push(id, factors);
-        self.table.slots[slot] = id;
+        table.fill(slot, id);
         id
     }
 
-    /// Rebuilds the table with room for `monomials` monomials at no more
-    /// than half load, hashing each part's factor column in one pass.
-    fn resize_table(&mut self, monomials: usize) {
-        let slots = (monomials * 2).next_power_of_two().max(MIN_TABLE);
-        let table = &mut self.table;
-        table.shift = 64 - slots.trailing_zeros();
-        table.slots.clear();
-        table.slots.resize(slots, VACANT);
-        let mut id = 0;
-        for part in [self.prefix, &self.tail] {
-            for factors in part.monomials() {
-                let mut at = (hash_factors(factors) >> table.shift) as usize;
-                while table.slots[at] != VACANT {
-                    at = (at + 1) & (slots - 1);
-                }
-                table.slots[at] = id;
-                id += 1;
-            }
+    /// Appends the monomial with the canonical factor slice `factors`,
+    /// which the caller knows the arena does not hold, and returns its id:
+    /// no probe, and the table is not touched — the next probe puts the id
+    /// in. A producer whose monomials are distinct by construction (the
+    /// entries of a compaction, a group rewrite's new products, the scale
+    /// fixture's emission) appends them.
+    ///
+    /// Appending a monomial the arena holds gives it a second id, and a
+    /// lookup may then find either: that is the caller's error.
+    pub fn append(&mut self, factors: &[(VarId, u32)]) -> MonoId {
+        debug_assert!(is_canonical(factors), "factors must be canonical");
+        let id = next_id(self.len());
+        self.tail.push(id, factors);
+        id
+    }
+}
+
+/// The products of one group rewrite — monomial `m` with its factor of a
+/// group variable `v` replaced by the rewrite's target to the same power,
+/// `M_v · target^e` in §4.1's terms — each found among the monomials it
+/// may equal or appended (ADR 026).
+///
+/// A product holds the target, so the monomials it may equal are those
+/// that held the target when the rewrite started and the products
+/// appended since: the table holds exactly those, and a product finds the
+/// id the arena's own table would have given it, without that table
+/// being probed, copied or grown. Only the product is built, in one
+/// reused buffer; the remainder `M_v` never enters the arena.
+#[derive(Debug)]
+pub(crate) struct Products {
+    table: Table,
+    target: VarId,
+    /// The buffer a product is built in.
+    buf: Vec<(VarId, u32)>,
+}
+
+impl Default for Products {
+    fn default() -> Self {
+        Self {
+            table: Table::default(),
+            target: VarId(0),
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl Products {
+    /// Starts a rewrite into `target` that derives about `products`
+    /// products through `writer`: the table is emptied, sized for them,
+    /// and takes the monomials holding `target` now.
+    pub(crate) fn start(&mut self, writer: &ArenaWriter<'_>, target: VarId, products: usize) {
+        let (parts, seeds) = (writer.parts(), writer.postings_len(target));
+        self.table.reset(seeds + products);
+        self.target = target;
+        for at in 0..seeds {
+            let id = parts.posting(target, at);
+            self.table.put(hash_factors(parts.slice(id)), id);
         }
     }
 
-    /// Interns monomial `id` with its factor of `v` replaced by `target`
-    /// to the same power, added to `target`'s own if the monomial holds
-    /// it too: `M_v · target^exp` in §4.1's terms, the one step a group
-    /// substitution takes per occurrence. Only the product is built, in
-    /// the scratch buffer; the remainder `M_v` never enters the arena.
+    /// The id of monomial `id` with its factor of `v` replaced by the
+    /// target to the same power, added to the target's own if the
+    /// monomial holds it too (so `v ↦ v` is the identity): the monomial
+    /// the table holds, or a new one appended through `writer`.
     ///
     /// # Panics
     /// Panics if `v` does not occur in the monomial.
-    pub fn substitute(&mut self, id: MonoId, v: VarId, target: VarId) -> MonoId {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let factors = self.parts().slice(id);
+    pub(crate) fn product(&mut self, writer: &mut ArenaWriter<'_>, id: MonoId, v: VarId) -> MonoId {
+        let (buf, target) = (&mut self.buf, self.target);
+        let factors = writer.parts().slice(id);
         let k = factors
             .iter()
             .position(|&(w, _)| w == v)
             .expect("substitution of an absent variable");
         let exp = factors[k].1;
-        scratch.clear();
-        scratch.extend_from_slice(&factors[..k]);
-        scratch.extend_from_slice(&factors[k + 1..]);
-        let at = scratch.partition_point(|&(w, _)| w < target);
-        match scratch.get_mut(at) {
+        buf.clear();
+        buf.extend_from_slice(&factors[..k]);
+        buf.extend_from_slice(&factors[k + 1..]);
+        let at = buf.partition_point(|&(w, _)| w < target);
+        match buf.get_mut(at) {
             Some((w, e)) if *w == target => *e += exp,
-            _ => scratch.insert(at, (target, exp)),
+            _ => buf.insert(at, (target, exp)),
         }
-        let product = self.intern_factors(&scratch);
-        self.scratch = scratch;
-        product
+        let hash = hash_factors(buf);
+        match self.table.find(buf, hash, writer.parts().slices()) {
+            Ok(product) => product,
+            Err(mut slot) => {
+                if 2 * (self.table.held + 1) > self.table.slots.len() {
+                    self.table.grow(writer.parts());
+                    slot = self
+                        .table
+                        .find(buf, hash, writer.parts().slices())
+                        .expect_err("absent");
+                }
+                let product = writer.append(buf);
+                self.table.fill(slot, product);
+                product
+            }
+        }
     }
-}
 
-impl Clone for MonoArena {
-    /// Shares the prefix, the tail and the table; starts with an empty
-    /// scratch buffer.
-    fn clone(&self) -> Self {
-        Self {
-            prefix: Arc::clone(&self.prefix),
-            tail: Arc::clone(&self.tail),
-            table: Arc::clone(&self.table),
-            scratch: Vec::new(),
-        }
+    /// The table and the buffer, at their capacity.
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.table.slots.capacity() * size_of::<MonoId>()
+            + self.buf.capacity() * size_of::<(VarId, u32)>()
     }
 }
 
@@ -520,20 +704,19 @@ impl MonoArena {
         Self::default()
     }
 
-    /// An empty arena that takes `monomials` monomials of `factors`
-    /// factors in total without growing a column or the table.
+    /// An empty arena whose columns take `monomials` monomials of
+    /// `factors` factors in total without growing. The interning table is
+    /// not sized here: a producer that only appends never builds one.
     pub fn with_capacity(monomials: usize, factors: usize) -> Self {
         let tail = Part {
             factors: Vec::with_capacity(factors),
             ends: Vec::with_capacity(monomials),
             postings: Vec::new(),
         };
-        let mut arena = Self {
+        Self {
             tail: Arc::new(tail),
             ..Self::default()
-        };
-        arena.writer().resize_table(monomials);
-        arena
+        }
     }
 
     fn parts(&self) -> Parts<'_> {
@@ -544,14 +727,14 @@ impl MonoArena {
     }
 
     /// Opens the arena for writing — once per operation, not once per
-    /// monomial: whether the tail and the table are shared is decided
-    /// here, with two atomic operations, and the writer then interns
-    /// without asking again. (The per-call [`intern_factors`] opens one
-    /// on a miss; a loop over many monomials should open its own.)
+    /// monomial: whether the tail is shared is decided here, with one
+    /// atomic operation, and the writer then writes without asking again.
+    /// (The per-call [`intern_factors`] opens one on a miss; a loop over
+    /// many monomials should open its own.)
     ///
-    /// Promotes what is shared: a shared tail over an empty prefix
-    /// becomes the prefix (no copy), a shared tail behind a prefix is
-    /// copied, a shared table is copied. No id moves.
+    /// Promotes a shared tail: over an empty prefix it becomes the prefix
+    /// (no copy), behind a prefix it is copied. No id moves. The table is
+    /// left where it is until the writer's first probe.
     ///
     /// [`intern_factors`]: Self::intern_factors
     pub fn writer(&mut self) -> ArenaWriter<'_> {
@@ -559,22 +742,16 @@ impl MonoArena {
             prefix,
             tail,
             table,
-            scratch,
         } = self;
         if prefix.ends.is_empty() && Arc::strong_count(tail) > 1 {
             *prefix = std::mem::take(tail);
         }
-        let home = Home {
-            tail: Arc::make_mut(tail),
-            table: Arc::make_mut(table),
-            scratch,
-        };
+        let tail = Arc::make_mut(tail);
         ArenaWriter {
             prefix,
-            tail: std::mem::take(home.tail),
-            table: std::mem::take(home.table),
-            scratch: std::mem::take(home.scratch),
-            home,
+            tail: std::mem::take(tail),
+            table: None,
+            home: Home { tail, table },
         }
     }
 
@@ -588,6 +765,14 @@ impl MonoArena {
         self.len() == 0
     }
 
+    /// How many ids the interning table holds: the ids below this
+    /// watermark, with every id above it appended since the table was
+    /// last probed (ADR 026). An arena that was only appended to holds no
+    /// table at all.
+    pub fn indexed(&self) -> usize {
+        self.table.held
+    }
+
     /// Interns `mono`; see [`intern_factors`](Self::intern_factors).
     pub fn intern(&mut self, mono: &Monomial) -> MonoId {
         self.intern_factors(mono.as_factors())
@@ -599,21 +784,30 @@ impl MonoArena {
     /// postings index on first sight. Ids grow monotonically, so postings
     /// stay sorted by construction. Neither a hit nor a miss allocates
     /// for the monomial: a new one is appended to the factor column. A
-    /// hit writes nothing, so it leaves what this arena shares shared.
+    /// hit on a table that holds every id writes nothing, so it leaves
+    /// what this arena shares shared.
     pub fn intern_factors(&mut self, factors: &[(VarId, u32)]) -> MonoId {
-        let hash = hash_factors(factors);
-        match self.parts().probe(&self.table, factors, hash) {
-            Ok(id) => id,
-            Err(slot) => self.writer().push_new(factors, hash, slot),
+        if self.table.held == self.len() {
+            let hash = hash_factors(factors);
+            if let Ok(id) = self.table.find(factors, hash, self.parts().slices()) {
+                return id;
+            }
         }
+        self.writer().intern_factors(factors)
     }
 
-    /// The id of `mono`, if it has been interned.
+    /// The id of `mono`, if it has been interned. The ids past the
+    /// table's watermark ([`indexed`](Self::indexed)) are compared one by
+    /// one: this reads, so it cannot index them.
     pub fn get(&self, mono: &Monomial) -> Option<MonoId> {
         let factors = mono.as_factors();
-        self.parts()
-            .probe(&self.table, factors, hash_factors(factors))
-            .ok()
+        let slices = self.parts().slices();
+        match self.table.find(factors, hash_factors(factors), &slices) {
+            Ok(id) => Some(id),
+            Err(_) => (self.table.held..self.len())
+                .map(|id| id as MonoId)
+                .find(|&id| slices(id) == factors),
+        }
     }
 
     /// The interned monomial behind `id`, borrowed from the factor column.
@@ -638,9 +832,9 @@ impl MonoArena {
 
     /// The arena of the entries `keep` marks, in their order — an entry's
     /// new id is its rank among them — and each old id's new one
-    /// ([`VACANT`] where dropped). Reads only the factor columns, so this
-    /// arena's table goes before the new one is built, and what it held
-    /// is free for the new arena's columns.
+    /// ([`VACANT`] where dropped). The entries are distinct, so each is
+    /// appended and no table is built; this arena's goes first, and what
+    /// it held is free for the new arena's columns.
     pub(crate) fn compacted(mut self, keep: &[bool]) -> (Self, Vec<MonoId>) {
         self.table = Arc::default();
         let kept = || self.monomials().zip(keep).filter(|&(_, &k)| k);
@@ -648,7 +842,7 @@ impl MonoArena {
         let mut arena = Self::with_capacity(kept().count(), factors);
         let mut writer = arena.writer();
         let mut new_id = |(mono, &k): (MonoRef<'_>, &bool)| match k {
-            true => writer.intern_factors(mono.as_factors()),
+            true => writer.append(mono.as_factors()),
             false => VACANT,
         };
         let new_ids = self.monomials().zip(keep).map(&mut new_id).collect();
@@ -657,17 +851,15 @@ impl MonoArena {
     }
 
     /// Heap footprint of the arena in bytes: the factor columns and their
-    /// ends, the interning table, the postings lists and the scratch
-    /// buffer, each at its capacity. This is the value's size, shared
-    /// parts included: a clone reports what its source reports (less a
-    /// scratch buffer it starts without), so a sum over clones counts
-    /// what they share once per clone.
+    /// ends, the interning table and the postings lists, each at its
+    /// capacity. This is the value's size, shared parts included: a clone
+    /// reports what its source reports, so a sum over clones counts what
+    /// they share once per clone.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
         self.prefix.estimated_bytes()
             + self.tail.estimated_bytes()
             + self.table.slots.capacity() * size_of::<MonoId>()
-            + self.scratch.capacity() * size_of::<(VarId, u32)>()
     }
 }
 
@@ -720,22 +912,74 @@ mod tests {
         assert!(postings(&arena, v(9)).is_empty());
     }
 
+    /// `m` with `v` replaced by `target`, through a rewrite started for it.
+    fn product(writer: &mut ArenaWriter<'_>, m: MonoId, v: VarId, target: VarId) -> MonoId {
+        let mut products = Products::default();
+        products.start(writer, target, 1);
+        products.product(writer, m, v)
+    }
+
     #[test]
     fn substitute_replaces_a_factor_by_the_target() {
         let mut arena = MonoArena::new();
         let m = arena.intern(&Monomial::from_factors([(v(1), 3), (v(8), 1)]));
         let mut writer = arena.writer();
         // The power carries over, and the target goes where it sorts.
-        let merged = writer.substitute(m, v(1), v(20));
+        let merged = product(&mut writer, m, v(1), v(20));
         assert_eq!(writer.mono(merged).as_factors(), &[(v(8), 1), (v(20), 3)]);
-        let front = writer.substitute(merged, v(8), v(3));
+        let front = product(&mut writer, merged, v(8), v(3));
         assert_eq!(writer.mono(front).as_factors(), &[(v(3), 1), (v(20), 3)]);
         // A target the monomial already holds gains the power.
-        let merged_in = writer.substitute(m, v(1), v(8));
+        let merged_in = product(&mut writer, m, v(1), v(8));
         assert_eq!(writer.mono(merged_in).as_factors(), &[(v(8), 4)]);
-        assert_eq!(writer.substitute(m, v(1), v(1)), m, "v ↦ v is the identity");
+        assert_eq!(
+            product(&mut writer, m, v(1), v(1)),
+            m,
+            "v ↦ v is the identity"
+        );
         drop(writer);
         assert_eq!(arena.len(), 4, "the products, and no remainder");
+        assert_eq!(arena.indexed(), 1, "a rewrite probes no arena table");
+    }
+
+    #[test]
+    fn a_product_equal_to_a_monomial_is_that_monomial() {
+        let mut arena = MonoArena::new();
+        let a = arena.intern_factors(&[(v(1), 1), (v(2), 1)]);
+        let b = arena.intern_factors(&[(v(1), 1), (v(3), 1)]);
+        let held = arena.intern_factors(&[(v(1), 1), (v(9), 1)]);
+        let mut writer = arena.writer();
+        let mut products = Products::default();
+        products.start(&writer, v(9), 2);
+        // `a` and `b` both become `v1·v9`, which the arena holds: the
+        // seeded table finds it, and nothing is appended.
+        assert_eq!(products.product(&mut writer, a, v(2)), held);
+        assert_eq!(products.product(&mut writer, b, v(3)), held);
+        let c = writer.append(&[(v(2), 2)]);
+        drop(writer);
+        assert_eq!((arena.len(), c), (4, 3));
+        // The appended entry is not in the table until a probe puts it in.
+        assert_eq!(arena.indexed(), 3);
+        assert_eq!(arena.get(&Monomial::from_factors([(v(2), 2)])), Some(c));
+        assert_eq!(arena.intern_factors(&[(v(2), 2)]), c);
+        assert_eq!(arena.indexed(), 4);
+        // A rewrite that derives more than it started for grows its table
+        // and still finds every product.
+        let mut writer = arena.writer();
+        products.start(&writer, v(20), 0);
+        let monos: Vec<MonoId> = (0..20u32)
+            .map(|i| writer.append(&[(v(1), 1 + i), (v(30), 1)]))
+            .collect();
+        let first: Vec<MonoId> = monos
+            .iter()
+            .map(|&m| products.product(&mut writer, m, v(30)))
+            .collect();
+        let again: Vec<MonoId> = monos
+            .iter()
+            .map(|&m| products.product(&mut writer, m, v(30)))
+            .collect();
+        assert_eq!(first, again);
+        assert_eq!(writer.len(), 4 + 20 + 20);
     }
 
     #[test]
@@ -751,8 +995,13 @@ mod tests {
             assert_eq!(arena.intern_factors(&factors), id);
             assert_eq!(arena.mono(id).as_factors(), &factors);
         }
-        // A sized arena interns the same ids without growing anything.
+        // A sized arena's columns take the same ids without growing; its
+        // table is built by the first probe and grows as interning does.
         let mut sized = MonoArena::with_capacity(arena.len(), 2 * arena.len());
+        assert_eq!(
+            sized.estimated_bytes(),
+            2 * arena.len() * 8 + arena.len() * 4
+        );
         let before = sized.estimated_bytes();
         for &id in &ids {
             assert_eq!(sized.intern_factors(arena.mono(id).as_factors()), id);
@@ -785,9 +1034,15 @@ mod tests {
         assert_eq!(postings(&source, v(1)), [a, b]);
         assert_eq!(source.get(&Monomial::from_vars([v(1), v(4)])), None);
         // A clone of the promoted clone shares both parts; its first
-        // write copies the derived tail and keeps the prefix shared.
+        // write copies the derived tail and keeps the prefix shared, and
+        // an append leaves the shared table as it is.
         let mut twin = clone.clone();
-        let d = twin.writer().substitute(c, v(4), v(5));
+        let d = twin.writer().append(&[(v(1), 1), (v(5), 1)]);
+        assert!(Arc::ptr_eq(&twin.table, &clone.table));
+        assert_eq!(
+            (twin.indexed(), twin.get(&Monomial::from_vars([v(1), v(5)]))),
+            (3, Some(d))
+        );
         assert_eq!(twin.mono(d), Monomial::from_vars([v(1), v(5)]).view());
         assert!(Arc::ptr_eq(&twin.prefix, &clone.prefix));
         assert!(!Arc::ptr_eq(&twin.tail, &clone.tail));

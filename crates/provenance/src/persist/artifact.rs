@@ -15,8 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Attempts [`ArtifactWriter::write_atomic`] makes before giving up on
-/// transient I/O errors (`Interrupted` / `WouldBlock` / `TimedOut`).
-const WRITE_ATTEMPTS: u32 = 3;
+/// transient I/O errors (`Interrupted` / `WouldBlock` / `TimedOut`): the
+/// first and `WRITE_ATTEMPTS − 1` retries.
+pub const WRITE_ATTEMPTS: u32 = 3;
 /// Backoff before retry attempt `i` (doubles each time).
 const WRITE_BACKOFF: Duration = Duration::from_millis(1);
 
@@ -196,9 +197,9 @@ impl<'a> ArtifactWriter<'a> {
     /// untouched (and removes the staging file), and a failed rename
     /// cannot tear — POSIX `rename(2)` replaces atomically or not at
     /// all. Transient errors (`Interrupted`/`WouldBlock`/`TimedOut`)
-    /// are retried up to three times with doubling
-    /// backoff; anything else (or exhausted retries) surfaces as
-    /// [`PersistError::Io`].
+    /// are retried with doubling backoff, [`WRITE_ATTEMPTS`] attempts in
+    /// all — up to two retries; anything else (or the last attempt's
+    /// error) surfaces as [`PersistError::Io`].
     pub fn write_atomic_with(&self, path: &Path, faults: &FaultFs) -> Result<(), PersistError> {
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let mut attempt = 0;

@@ -58,7 +58,7 @@ mod codec;
 mod fault;
 mod format;
 
-pub use artifact::{ArtifactWriter, RawArtifact};
+pub use artifact::{ArtifactWriter, RawArtifact, WRITE_ATTEMPTS};
 pub use codec::{decode_var_table, encode_compiled, encode_var_table, SharedCompiled};
 pub use fault::{FaultFs, FaultOp};
 pub use format::{checksum64, section, Dec, Enc, FORMAT_VERSION, MAGIC};

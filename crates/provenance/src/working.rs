@@ -26,7 +26,8 @@
 //!   the `(M_l, exp)` of §4.1 — by a hash of the factor slice less the
 //!   group variable, compared slice to slice where hashes meet: nothing is
 //!   built or interned to score, and a substitution interns the one
-//!   product it keeps (ADR 018).
+//!   product it keeps (ADR 018), against the monomials holding its target
+//!   rather than the arena's table (ADR 026).
 //!
 //! **Runs never grow.** A substitution can merge terms but never split
 //! one, so a rewritten run fits the span it had: it is written back in
@@ -69,12 +70,13 @@
 use crate::coeff::Coefficient;
 use crate::compiled::{CompiledPolySet, CompiledView};
 use crate::fxhash::{FxHashSet, FxHasher};
-use crate::intern::MonoArena;
+use crate::intern::{MonoArena, Products};
 use crate::monomial::{MonoRef, Monomial};
 use crate::polynomial::Polynomial;
 use crate::polyset::PolySet;
 use crate::var::VarId;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::hash::Hasher;
 use std::mem::size_of;
 use std::sync::Arc;
@@ -119,13 +121,19 @@ impl SubsetScratch {
 /// with fresh ones.
 #[derive(Debug)]
 struct GroupScratch<C> {
+    /// Scoring and applying: the cursors of a merge of sorted lists.
+    heap: Vec<Cursor>,
     /// Scoring: each monomial a group touches with the group variable it
     /// holds, by ascending id.
     occurrences: Vec<(MonoId, VarId)>,
     /// Scoring: the classes of the occurrences met in one polynomial.
     classes: RemainderClasses,
+    /// Applying: the products the rewrite derived.
+    products: Products,
     /// Applying: each monomial a group touches with the id it becomes,
-    /// by ascending id.
+    /// variable by variable.
+    segments: Vec<(MonoId, MonoId)>,
+    /// Applying: the same, by ascending id.
     remap: Vec<(MonoId, MonoId)>,
     /// Rewriting: the terms of one run that change monomial, as
     /// `(target id, source id, coefficient)`.
@@ -137,8 +145,11 @@ struct GroupScratch<C> {
 impl<C> Default for GroupScratch<C> {
     fn default() -> Self {
         Self {
+            heap: Vec::new(),
             occurrences: Vec::new(),
             classes: RemainderClasses::default(),
+            products: Products::default(),
+            segments: Vec::new(),
             remap: Vec::new(),
             moved: Vec::new(),
             run: Vec::new(),
@@ -288,6 +299,34 @@ fn gallop<T>(list: &[T], below: impl Fn(&T) -> bool) -> usize {
         hi *= 2;
     }
     hi / 2 + list[hi / 2..hi.min(list.len())].partition_point(below)
+}
+
+/// A list's next entry in a [`merge`]: `(its id, the list, its position)`,
+/// ordered so that a max-heap yields the least id first.
+type Cursor = Reverse<(MonoId, usize, usize)>;
+
+/// Merges lists that each ascend by ascending id (an id in two lists —
+/// only a monomial no run holds can hold two group variables — comes out
+/// once from each, the earlier list's first): `heap` starts with a cursor on
+/// each non-empty list's first entry, `id(list, at)` is the id at a
+/// position of a list (`None` past its end), and `emit` is handed every
+/// entry in order as `(id, list, position)`. The cursors' buffer is kept
+/// for the next merge.
+fn merge(
+    heap: &mut Vec<Cursor>,
+    id: impl Fn(usize, usize) -> Option<MonoId>,
+    mut emit: impl FnMut(MonoId, usize, usize),
+) {
+    let mut cursors = BinaryHeap::from(std::mem::take(heap));
+    while let Some(mut least) = cursors.peek_mut() {
+        let Reverse((m, list, at)) = *least;
+        emit(m, list, at);
+        match id(list, at + 1) {
+            Some(next) => *least = Reverse((next, list, at + 1)),
+            None => drop(PeekMut::pop(least)),
+        }
+    }
+    *heap = cursors.into_vec();
 }
 
 /// Hands `hit` every position of the run `ids` whose monomial has an
@@ -578,10 +617,13 @@ impl<C: Coefficient> WorkingSet<C> {
             + terms.ids.capacity() * size_of::<MonoId>()
             + terms.coeffs.capacity() * size_of::<C>()
             + terms.spans.capacity() * size_of::<Span>()
+            + scratch.heap.capacity() * size_of::<Cursor>()
             + scratch.occurrences.capacity() * size_of::<(MonoId, VarId)>()
             + scratch.classes.firsts.capacity() * size_of::<Occurrence>()
             + scratch.classes.slots.capacity() * size_of::<u32>()
-            + scratch.remap.capacity() * size_of::<(MonoId, MonoId)>()
+            + scratch.products.estimated_bytes()
+            + (scratch.segments.capacity() + scratch.remap.capacity())
+                * size_of::<(MonoId, MonoId)>()
             + scratch.moved.capacity() * size_of::<(MonoId, MonoId, C)>()
             + scratch.run.capacity() * size_of::<(MonoId, C)>()
     }
@@ -714,13 +756,24 @@ impl<C: Coefficient> WorkingSet<C> {
             return 0;
         }
         let (arena, terms) = (&self.arena, &self.terms);
-        let (occurrences, classes) = (&mut self.scratch.occurrences, &mut self.scratch.classes);
+        let GroupScratch {
+            heap,
+            occurrences,
+            classes,
+            ..
+        } = &mut self.scratch;
+        // The union of the group's postings: one list a variable.
+        let posting = |k: usize, at: usize| {
+            let (prefix, tail) = arena.postings_of(group[k]);
+            match prefix.get(at) {
+                Some(&m) => Some(m),
+                None => tail.get(at - prefix.len()).copied(),
+            }
+        };
+        heap.clear();
+        heap.extend((0..group.len()).filter_map(|k| Some(Reverse((posting(k, 0)?, k, 0)))));
         occurrences.clear();
-        for &v in group {
-            let (prefix, tail) = arena.postings_of(v);
-            occurrences.extend(prefix.iter().chain(tail).map(|&m| (m, v)));
-        }
-        occurrences.sort_unstable_by_key(|&(m, _)| m);
+        merge(heap, posting, |m, k, _| occurrences.push((m, group[k])));
         let mut delta = 0usize;
         for &pi in affected {
             // The occurrences that are terms of this polynomial, less the
@@ -759,21 +812,38 @@ impl<C: Coefficient> WorkingSet<C> {
         } = self;
         let Columns { ids, coeffs, spans } = Arc::make_mut(terms);
         let GroupScratch {
-            remap, moved, run, ..
+            heap,
+            products,
+            segments,
+            remap,
+            moved,
+            run,
+            ..
         } = scratch;
-        remap.clear();
         // Each monomial holding a group variable and the product it becomes,
         // in the order product ids are assigned: variable by variable, in
         // posting order, a variable's postings counted when its turn starts.
+        // A variable's segment ascends.
         let mut arena = arena.writer();
+        let occurrences = group.iter().map(|&v| arena.postings_len(v)).sum();
+        products.start(&arena, target, occurrences);
+        segments.clear();
+        heap.clear();
         for &v in group {
+            let start = segments.len();
             for at in 0..arena.postings_len(v) {
                 let m = arena.posting(v, at);
-                remap.push((m, arena.substitute(m, v, target)));
+                segments.push((m, products.product(&mut arena, m, v)));
+            }
+            if let Some(&(m, _)) = segments.get(start) {
+                heap.push(Reverse((m, segments.len(), start)));
             }
         }
         drop(arena);
-        remap.sort_unstable_by_key(|&(m, _)| m);
+        // The segments merged; a cursor's list is its segment's end.
+        remap.clear();
+        let id = |end: usize, at: usize| (at < end).then(|| segments[at].0);
+        merge(heap, id, |_, _, at| remap.push(segments[at]));
         let mut lost = 0;
         for &pi in affected {
             let range = spans[pi].range();

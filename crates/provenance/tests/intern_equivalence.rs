@@ -411,8 +411,13 @@ type Step = (u32, u32, u32, Vec<(u32, u32)>, RawPolys);
 const SUBSET: u32 = 4;
 const ABSORB: u32 = 5;
 const COMPACT: u32 = 6;
+/// Appends absent monomials, leaving them past the table's watermark, then
+/// interns.
+const APPEND: u32 = 8;
+/// One writer that appends, then interns.
+const WRITE: u32 = 9;
 /// The operation that clones a branch of the walk instead of changing one.
-const FORK: u32 = 8;
+const FORK: u32 = 10;
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     (
@@ -447,6 +452,44 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
                 ws.arena_mut().intern_factors(mono.as_factors()),
                 model.intern(mono)
             );
+        }
+        // Appending a monomial the arena does not hold gives it the next
+        // id without a probe, and a lookup finds it past the table's
+        // watermark; on odd draws interning then finds it too, once a
+        // probe has put the appended ids in, and on even ones the step
+        // leaves them out of the table.
+        APPEND => {
+            let mono = Monomial::from_factors(factors.into_iter().map(|(v, e)| (VarId(v), e)));
+            let square = mono.mul(&mono);
+            for mono in [&mono, &square] {
+                if !model.ids.contains_key(mono) {
+                    let id = ws.arena_mut().writer().append(mono.as_factors());
+                    assert_eq!(id, model.intern(mono.clone()), "an appended id");
+                }
+            }
+            assert_eq!(ws.arena().get(&square), model.ids.get(&square).copied());
+            if a % 2 == 1 {
+                let grown = square.mul(&Monomial::var(VarId(13 + b % 3)));
+                assert_eq!(ws.arena_mut().intern(&grown), model.intern(grown));
+                assert_eq!(ws.arena_mut().intern(&mono), model.intern(mono));
+            }
+        }
+        // In one writer: appends, then interns what it appended, a
+        // monomial the arena had, and one that is new.
+        WRITE => {
+            let mono = Monomial::from_factors(factors.into_iter().map(|(v, e)| (VarId(v), e)));
+            let fresh = mono.mul(&Monomial::var(VarId(13 + a % 3)));
+            let had = model
+                .monos
+                .get(b as usize % model.monos.len().max(1))
+                .cloned();
+            let mut writer = ws.arena_mut().writer();
+            if !model.ids.contains_key(&mono) {
+                assert_eq!(writer.append(mono.as_factors()), model.intern(mono.clone()));
+            }
+            for mono in had.into_iter().chain([mono, fresh]) {
+                assert_eq!(writer.intern_factors(mono.as_factors()), model.intern(mono));
+            }
         }
         // Score, then apply, a group substitution: scoring interns
         // nothing, applying interns a product per occurrence, variable by
@@ -775,6 +818,57 @@ fn a_promoted_clone_forks_through_the_tail_copy() {
     assert_eq!(branches.len(), 3);
     let lens: Vec<usize> = branches.iter().map(|b| b.walk.ws.arena().len()).collect();
     assert!(lens[1] > lens[0] && lens[2] > lens[0], "{lens:?}");
+}
+
+/// A clone of an arena whose last entries were appended and never probed
+/// shares a table that does not hold them; each side then appends,
+/// interns and rewrites on its own (the first probe of each copies or
+/// rebuilds the table and puts the appended ids in), and both agree with
+/// their models and unshared twins throughout.
+#[test]
+fn a_partly_indexed_clone_is_written_on_both_sides() {
+    let raw: RawPolys = vec![
+        vec![(0, vec![(0, 1)], 3), (1, vec![(0, 1)], 4), (2, vec![], 5)],
+        vec![(0, vec![(1, 1)], -2), (1, vec![(1, 1)], 7)],
+    ];
+    let polys = compatible_polyset(&raw, true);
+    let walk = Walk::new(WorkingSet::from_polyset(&polys), polys, true);
+    let append = |v: u32| (APPEND, 0, 0, vec![(v, 1), (v + 1, 2)], Vec::new());
+    let intern = |v: u32| (1, 0, 0, vec![(v, 1), (v + 1, 2)], Vec::new());
+    let write = |v: u32| (WRITE, 1, 3, vec![(v, 2)], Vec::new());
+    let score_and_apply = (3, 0b111, 2, Vec::new(), Vec::new());
+    let fork = (FORK, 0, 0, Vec::new(), Vec::new());
+    let mut branches = vec![Branch::of(walk)];
+    walk_branches(
+        &mut branches,
+        vec![
+            (0, append(9)),
+            (0, fork),
+            (0, append(7)),
+            (1, intern(9)),
+            (0, intern(11)),
+            (1, write(6)),
+            (0, write(8)),
+            (1, score_and_apply.clone()),
+            (0, score_and_apply),
+            (1, append(3)),
+            (0, intern(3)),
+        ],
+    );
+    assert_eq!(branches.len(), 2);
+    let arenas: Vec<_> = branches.iter().map(|b| b.walk.ws.arena()).collect();
+    assert!(arenas.iter().all(|arena| arena.len() > polys_len(&raw)));
+    assert!(
+        arenas[1].indexed() < arenas[1].len(),
+        "the last append is left out"
+    );
+}
+
+/// How many distinct monomials `raw` holds.
+fn polys_len(raw: &RawPolys) -> usize {
+    WorkingSet::from_polyset(&compatible_polyset(raw, true))
+        .arena()
+        .len()
 }
 
 /// The accumulation order is a property, not an accident: `1e16`, `1` and

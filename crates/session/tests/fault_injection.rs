@@ -19,6 +19,7 @@
 //! bounds: nothing is read from the environment (ADR 025).
 
 use provabs_datagen::workload::Workload;
+use provabs_provenance::persist::WRITE_ATTEMPTS;
 use provabs_scenario::Scenario;
 use provabs_session::{
     Budget, CancelToken, Completion, Error, FaultFs, FaultOp, Guard, Interrupt, Session,
@@ -157,19 +158,7 @@ fn every_injection_point_leaves_the_prior_artifact_intact() {
             assert!(bytes_a == bytes_after, "{cell}: prior artifact torn");
             reopened_answer(path, &scenarios, &expected, &cell);
 
-            // No half-written temp sibling left behind.
-            let dir = path.parent().expect("temp dir");
-            let stem = path.file_name().expect("file name").to_string_lossy();
-            let leftovers: Vec<_> = std::fs::read_dir(dir)
-                .expect("readable temp dir")
-                .filter_map(|e| e.ok())
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .filter(|n| n.contains(stem.as_ref()) && *n != *stem)
-                .collect();
-            assert!(
-                leftovers.is_empty(),
-                "{cell}: leftover temp files {leftovers:?}"
-            );
+            assert_no_temp_sibling(path, &cell);
 
             // Transient mode: the same save, retried past two faults,
             // lands exactly as a clean save of that state.
@@ -191,27 +180,63 @@ fn every_injection_point_leaves_the_prior_artifact_intact() {
     }
 }
 
+/// No half-written temp sibling of `path` is left behind.
+fn assert_no_temp_sibling(path: &Path, cell: &str) {
+    let dir = path.parent().expect("temp dir");
+    let stem = path.file_name().expect("file name").to_string_lossy();
+    let leftovers: Vec<_> = std::fs::read_dir(dir)
+        .expect("readable temp dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.contains(stem.as_ref()) && *n != *stem)
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "{cell}: leftover temp files {leftovers:?}"
+    );
+}
+
+/// The retry budget's boundary, at every injection point: as many
+/// transient faults as a save makes attempts exhaust it — a typed
+/// [`Error::Persist`], the prior artifact byte-identical, no temp sibling
+/// — and one fewer is retried, the save landing as a clean one.
 #[test]
 fn transient_faults_are_retried_and_the_save_lands() {
     for op in FaultOp::ALL {
         let tmp = TempFile::new(&format!("transient-{op:?}"));
-        let session = small_builder().build().expect("valid configuration");
-        session
-            .save_with_faults(&tmp.0, &FaultFs::fail_nth_times(op, 1, 2))
-            .unwrap_or_else(|e| panic!("{op:?}: two transient faults must be retried: {e}"));
-        let reopened = Session::open(&tmp.0).expect("saved artifact opens");
-        assert_eq!(
-            reopened
-                .ask(&small_scenarios())
-                .expect("known names")
-                .values,
-            small_builder()
-                .build()
-                .expect("valid")
-                .ask(&small_scenarios())
-                .expect("known names")
-                .values
+        let path = &tmp.0;
+        small_builder()
+            .build()
+            .expect("valid configuration")
+            .save(path)
+            .expect("clean save");
+        let prior = std::fs::read(path).expect("artifact A exists");
+        let bigger = small_builder().bound(4).build().expect("valid");
+
+        let exhausted = format!("{op:?} × {WRITE_ATTEMPTS} transient faults");
+        let err = bigger
+            .save_with_faults(path, &FaultFs::fail_nth_times(op, 1, WRITE_ATTEMPTS))
+            .expect_err("a fault on every attempt must surface");
+        assert!(
+            matches!(err, Error::Persist(_)),
+            "{exhausted}: typed persist error, got {err:?}"
         );
+        let after = std::fs::read(path).expect("artifact still present");
+        assert!(after == prior, "{exhausted}: prior artifact torn");
+        assert_no_temp_sibling(path, &exhausted);
+
+        let retried = format!("{op:?} × {} transient faults", WRITE_ATTEMPTS - 1);
+        bigger
+            .save_with_faults(path, &FaultFs::fail_nth_times(op, 1, WRITE_ATTEMPTS - 1))
+            .unwrap_or_else(|e| panic!("{retried}: must be retried: {e}"));
+        let clean = TempFile::new(&format!("transient-clean-{op:?}"));
+        bigger.save(&clean.0).expect("clean save");
+        let landed = std::fs::read(path).expect("artifact B exists");
+        assert!(
+            landed == std::fs::read(&clean.0).expect("clean artifact exists"),
+            "{retried}: the retried save differs from a clean one"
+        );
+        assert!(landed != prior, "{retried}: the retried save did not land");
     }
 }
 

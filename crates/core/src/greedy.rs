@@ -28,7 +28,11 @@
 //! postings (tracked by per-polynomial stamps, checked lazily when a
 //! candidate's bucket is scanned). A step rewrites only the affected
 //! runs, each inside its own span, so the per-iteration cost tracks the
-//! merge's footprint instead of `O(|𝒫|_M)`.
+//! merge's footprint instead of `O(|𝒫|_M)`. The loop is sequential, as
+//! Algorithm 2 is; ADR 009 records why it is not split into shards.
+//! After every step it reports the cumulative monomial and variable
+//! loss to an observer, which is how [`greedy_frontier`] records its
+//! trace.
 //!
 //! Why a merge never dirties a candidate of its own tree: compatibility
 //! (§2.2) gives every monomial at most one node per tree, and two live
@@ -208,7 +212,7 @@ pub fn greedy_vvs<C: Coefficient>(
         });
     }
     let k = total_m - bound;
-    let run = run_incremental(source.clone(), &cleaned, k, guard, &mut |_, _, _| {});
+    let run = run_incremental(source.clone(), &cleaned, k, guard, &mut |_, _| {});
     let (ws, completion) = (run.ws, run.completion);
     let vvs = vvs_from_membership(&run.in_s);
     debug_assert!(vvs.validate(&cleaned).is_ok());
@@ -267,7 +271,7 @@ pub fn greedy_frontier<C: Coefficient>(
         &cleaned,
         usize::MAX,
         guard,
-        &mut |_, ml, vl| out.push((total_m - ml, total_v - vl)),
+        &mut |ml, vl| out.push((total_m - ml, total_v - vl)),
     );
     Ok((out, run.completion))
 }
@@ -339,30 +343,6 @@ struct Candidate {
     alive: bool,
 }
 
-/// One applied selection step, as recorded by the traced engine: the
-/// variable of the node swapped into `S`, the step's variable loss, the
-/// monomial-loss score it was chosen by, and the monomial loss it
-/// realised on the engine's working set.
-///
-/// The sharding layer replays these records through its k-way merge —
-/// the variable (not the [`NodeId`]) is what survives the move between a
-/// shard's locally-cleaned forest and the global one, because cleaning
-/// preserves variables while renumbering nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct TraceStep {
-    /// The variable of the node this step swapped into `S`.
-    pub(crate) var: VarId,
-    /// Variable loss of the step (children − 1).
-    pub(crate) vl: usize,
-    /// The modelled monomial-loss delta the engine ranked the step by
-    /// (the monomials its merge collapses).
-    pub(crate) score: usize,
-    /// Monomial loss the step measured on the engine's working set
-    /// (the terms its rewritten runs gave up): at least `score`, more
-    /// where merged terms cancel.
-    pub(crate) delta: usize,
-}
-
 /// What one run of the incremental engine leaves behind.
 pub(crate) struct EngineRun<C> {
     /// The final membership bitmaps, per tree.
@@ -381,15 +361,14 @@ pub(crate) struct EngineRun<C> {
 /// The incremental greedy main loop (see the [module docs](self)).
 /// Consumes the working set (rewriting it in place) and returns it — the
 /// final state *is* `𝒫↓S` in interned form — with the final membership
-/// bitmaps and how the run ended. Calls
-/// `observer(step, ml_total, vl_total)` after every applied step; the
-/// shard trace pass records the [`TraceStep`]s.
+/// bitmaps and how the run ended. Calls `observer(ml_total, vl_total)`
+/// after every applied step.
 pub(crate) fn run_incremental<C: Coefficient>(
     mut ws: WorkingSet<C>,
     cleaned: &Forest,
     k: usize,
     guard: &Guard,
-    observer: &mut dyn FnMut(TraceStep, usize, usize),
+    observer: &mut dyn FnMut(usize, usize),
 ) -> EngineRun<C> {
     let mut in_s = leaf_membership(cleaned);
     let mut postings = build_postings(&ws);
@@ -554,16 +533,7 @@ pub(crate) fn run_incremental<C: Coefficient>(
             }
         }
         steps_done += 1;
-        observer(
-            TraceStep {
-                var: chosen_var,
-                vl: slab[chosen_id].vl,
-                score: slab[chosen_id].delta,
-                delta,
-            },
-            ml_total,
-            vl_total,
-        );
+        observer(ml_total, vl_total);
     }
     // The working set already is `𝒫↓S`: hand it back so the caller skips
     // the wholesale re-application (and can keep speaking ids).
@@ -831,7 +801,7 @@ mod tests {
         let source = WorkingSet::from_polyset(polys);
         let (cleaned, _) = prepare(&source, forest).expect("compatible");
         let guard = Guard::unlimited();
-        let run = run_incremental(source, &cleaned, usize::MAX, &guard, &mut |_, _, _| {});
+        let run = run_incremental(source, &cleaned, usize::MAX, &guard, &mut |_, _| {});
         assert!(run.completion.is_complete());
         (run.candidates, run.scorings)
     }

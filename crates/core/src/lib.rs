@@ -24,10 +24,10 @@
 //! * [`online`] — the sampling-based online compression scheme the paper
 //!   sketches as future work in §6, implemented end to end (sampling,
 //!   bound adaptation, size extrapolation),
-//! * [`shard`] — sharded multi-core compression (size-balanced
-//!   partitioning, concurrent per-shard greedy traces, k-way trace
-//!   merge; a library function no session strategy selects) and the
-//!   bounded-memory streaming ingest path for larger-than-RAM provenance,
+//! * [`shard`] — the bounded-memory streaming ingest path for
+//!   larger-than-RAM provenance, and the size-balanced partition that
+//!   cuts a working set into its chunks (the greedy engine itself is
+//!   one sequential loop; no sharded variant exists),
 //! * [`mod@reference`] — everything that exists only to be compared against:
 //!   the paper's full-rescan greedy transcription, the dense DP, brute
 //!   force over every cut, and the loss measures by definition.
@@ -38,8 +38,8 @@
 //! explicit execution guard, `(&WorkingSet<C>, &Forest, bound, …, &Guard)
 //! -> Result<(InternedAbstraction<C>, Completion[, …]), TreeError>`:
 //! [`greedy::greedy_vvs`], [`optimal::optimal_vvs`],
-//! [`online::online_compress`], [`competitor::pairwise_summarize`],
-//! [`shard::sharded_greedy`]. A hash-map `PolySet` is an input *format*,
+//! [`online::online_compress`], [`competitor::pairwise_summarize`].
+//! A hash-map `PolySet` is an input *format*,
 //! lowered once with
 //! [`WorkingSet::from_polyset`](provabs_provenance::working::WorkingSet::from_polyset);
 //! a caller with no limits passes

@@ -1,40 +1,9 @@
-//! Sharded and out-of-core compression.
+//! Out-of-core compression, and the size-balanced partition it is fed by.
 //!
-//! The greedy engine of [`crate::greedy`] is a single sequential loop:
-//! at million-monomial scale (telephony at millions of calls, §5) the
-//! compress phase — not the ask phase, which already scales across cores
-//! — becomes the bottleneck of the interactive what-if loop the paper
-//! targets. This module splits that loop two ways:
-//!
-//! * **Sharding** ([`sharded_greedy`]), a library function only: no
-//!   session strategy selects it, because on the measured hosts a K = 2
-//!   run is still about twice as slow as the plain engine (ADR 009).
-//!   The poly-set is
-//!   partitioned by output group into K shards (size-balanced over the
-//!   interned arena, [`partition_by_size`]), each shard gets a compacted
-//!   per-shard [`WorkingSet`] via the subset machinery and runs the
-//!   incremental greedy engine *concurrently* on a scoped thread pool,
-//!   recording its selection steps as a trace. A k-way greedy merge then
-//!   interleaves the per-shard traces by the engine's own order —
-//!   minimal variable loss first, ties towards the larger modelled
-//!   monomial-loss score, then label order — which is exactly what allocates the
-//!   global monomial budget across shards by marginal loss, so
-//!   `Target::Monomials(B)` / `Target::Ratio(r)` keep their whole-set
-//!   meaning. The merged selection is realised *once* against the global
-//!   cleaned forest (shard-chosen nodes are mapped over by variable —
-//!   cleaning preserves variables — and the topmost applied nodes plus
-//!   the uncovered leaves form the global VVS), so the source set is
-//!   rewritten in a single pass instead of per shard.
-//!
-//!   Soundness: polynomials are disjoint across shards, so a shard's
-//!   measured monomial-loss delta is realised *at least* once globally —
-//!   a merge chosen in one shard can only save additional monomials in
-//!   polynomials it never saw. The merged prediction is therefore a
-//!   lower bound on the realised loss, and a predicted-adequate
-//!   selection is actually adequate. The price of partitioning is a
-//!   possibly higher exhaustion floor (no single shard sees every
-//!   subtree's polynomials, so some high merges are never proposed);
-//!   the equivalence suite pins it down.
+//! The greedy engine of [`crate::greedy`] is one sequential loop, as
+//! Algorithm 2 is. This module adds no second engine: tracing shards
+//! concurrently and merging the traces by marginal loss costs more than
+//! the loop it splits (ADR 009). It holds:
 //!
 //! * **Streaming** ([`StreamingCompressor`]): the out-of-core ingest
 //!   path of the online variant (§6). Chunks are interned one at a time,
@@ -47,27 +16,25 @@
 //!   variables form an antichain in each tree, and the remaining
 //!   headroom is the forest above it.
 //!
-//! Both paths carry the caller's [`Guard`]: shard workers observe the
-//! cancel token at every shard claim *and* inside each shard's per-step
-//! checkpoint ticks, the merge loop ticks per applied step, and every
-//! interrupted run returns a sound anytime prefix tagged
-//! [`Completion::Interrupted`].
+//! * **Partitioning** ([`partition_by_size`]): output groups spread
+//!   over K parts of balanced monomial weight — how a caller cuts one
+//!   working set into stream chunks with [`WorkingSet::subset`].
+//!
+//! Every flush carries the caller's [`Guard`]; an interrupted flush
+//! returns a sound anytime prefix tagged [`Completion::Interrupted`].
 
-use crate::greedy::{greedy_vvs, run_incremental, TraceStep};
-use crate::problem::{evaluate_vvs, prepare, AbstractionResult, InternedAbstraction};
+use crate::greedy::greedy_vvs;
+use crate::problem::{AbstractionResult, InternedAbstraction};
 use provabs_provenance::coeff::Coefficient;
 use provabs_provenance::fxhash::FxHashSet;
-use provabs_provenance::guard::{Completion, Guard, Interrupt};
+use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::intern::MonoArena;
 use provabs_provenance::var::VarId;
-use provabs_provenance::working::{SubsetScratch, WorkingSet};
+use provabs_provenance::working::WorkingSet;
 use provabs_trees::clean::truncate_forest;
 use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
-use provabs_trees::tree::NodeId;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Size-balanced shard assignment over the interned working set: output
 /// groups (polynomials) are placed largest-first onto the least-loaded
@@ -96,281 +63,6 @@ pub fn partition_by_size<C: Coefficient>(ws: &WorkingSet<C>, shards: usize) -> V
     }
     parts.retain(|p| !p.is_empty());
     parts
-}
-
-/// A shard's recorded greedy run: the selection steps it applied (in its
-/// local order) and how the run ended.
-struct ShardTrace {
-    steps: Vec<TraceStep>,
-    completion: Completion,
-}
-
-/// How many worker threads the shard trace pass uses: one per shard,
-/// capped at the machine's available parallelism.
-fn shard_threads(shards: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    shards.clamp(1, hw)
-}
-
-/// Runs one shard to a trace: compacts the shard's working set (reusing
-/// the caller's scratch), cleans the forest against it, and records the
-/// incremental engine's steps up to a monomial-loss budget of `k`.
-fn trace_one_shard<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    part: &[usize],
-    k: usize,
-    guard: &Guard,
-    scratch: &mut SubsetScratch,
-) -> Result<ShardTrace, TreeError> {
-    let sub = source.subset_with(part, scratch);
-    let (shard_forest, _) = prepare(&sub, forest)?;
-    if shard_forest.num_trees() == 0 {
-        return Ok(ShardTrace {
-            steps: Vec::new(),
-            completion: Completion::Complete,
-        });
-    }
-    let mut steps = Vec::new();
-    let run = run_incremental(sub, &shard_forest, k, guard, &mut |step, _, _| {
-        steps.push(step)
-    });
-    Ok(ShardTrace {
-        steps,
-        completion: run.completion,
-    })
-}
-
-/// The concurrent trace pass: shard indices are claimed from an atomic
-/// cursor by a scoped pool (the executor's chunk-claim idiom), each
-/// worker carrying the shared `&Guard` — the cancel token is observed at
-/// every shard claim and, via the engine's checkpoint, at every
-/// selection step inside a shard. A per-shard budget of `k` suffices:
-/// the merge never consumes a shard's trace past the point where that
-/// shard alone has predicted loss `k`.
-fn run_shard_traces<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    parts: &[Vec<usize>],
-    k: usize,
-    guard: &Guard,
-) -> Result<Vec<ShardTrace>, TreeError> {
-    let threads = shard_threads(parts.len());
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ShardTrace, TreeError>>>> =
-        parts.iter().map(|_| Mutex::new(None)).collect();
-    let interrupted: Mutex<Option<Interrupt>> = Mutex::new(None);
-    let worker = || {
-        let mut scratch = SubsetScratch::new();
-        loop {
-            if let Err(reason) = guard.probe() {
-                interrupted
-                    .lock()
-                    .expect("interrupt slot poisoned")
-                    .get_or_insert(reason);
-                break;
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(i) else { break };
-            let outcome = trace_one_shard(source, forest, &parts[i], k, guard, &mut scratch);
-            *slot.lock().expect("trace slot poisoned") = Some(outcome);
-        }
-    };
-    if threads <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-    let reason = interrupted.into_inner().expect("interrupt slot poisoned");
-    let mut traces = Vec::with_capacity(parts.len());
-    for slot in slots {
-        match slot.into_inner().expect("trace slot poisoned") {
-            Some(Ok(trace)) => traces.push(trace),
-            Some(Err(e)) => return Err(e),
-            // Unclaimed shard: the guard tripped before a worker reached
-            // it — an empty trace, reported as interrupted.
-            None => traces.push(ShardTrace {
-                steps: Vec::new(),
-                completion: Completion::Interrupted {
-                    reason: reason.unwrap_or(Interrupt::Cancelled),
-                    steps: 0,
-                    size_reached: 0,
-                },
-            }),
-        }
-    }
-    Ok(traces)
-}
-
-/// The label of the global cleaned node carrying `var` — the merge's
-/// tie-break key, identical to the engine's (labels are unique
-/// forest-wide).
-fn label_of(cleaned: &Forest, var: VarId) -> &str {
-    cleaned
-        .locate(var)
-        .map(|(ti, node)| cleaned.tree(ti).label_of(node))
-        .unwrap_or("")
-}
-
-/// The k-way greedy merge: repeatedly takes, among the shard traces'
-/// next steps, the one the global engine would prefer — minimal variable
-/// loss, then maximal modelled monomial-loss score, then label order —
-/// and applies it, until the loss the shards measured reaches `k` or
-/// every trace is exhausted. Returns the applied variables in merge order and the first
-/// interruption — a shard's, or the merge's own — if any.
-fn merge_traces(
-    cleaned: &Forest,
-    traces: &[ShardTrace],
-    k: usize,
-    guard: &Guard,
-) -> (Vec<VarId>, Option<Interrupt>) {
-    let mut cursors = vec![0usize; traces.len()];
-    let mut applied = Vec::new();
-    let mut ml_total = 0usize;
-    let mut interrupted = traces.iter().find_map(|t| match t.completion {
-        Completion::Interrupted { reason, .. } => Some(reason),
-        Completion::Complete => None,
-    });
-    let mut checkpoint = guard.checkpoint();
-    while ml_total < k {
-        let mut best: Option<(usize, TraceStep)> = None;
-        for (si, trace) in traces.iter().enumerate() {
-            // Defensive: skip steps whose variable did not survive global
-            // cleaning (the containment argument rules this out — a node
-            // kept by shard-local cleaning has at least as many live
-            // descendants globally).
-            while cursors[si] < trace.steps.len()
-                && cleaned.locate(trace.steps[cursors[si]].var).is_none()
-            {
-                debug_assert!(
-                    false,
-                    "shard-chosen variable missing from the global forest"
-                );
-                cursors[si] += 1;
-            }
-            let Some(&step) = trace.steps.get(cursors[si]) else {
-                continue;
-            };
-            let better = match &best {
-                None => true,
-                Some((_, cur)) => {
-                    step.vl < cur.vl
-                        || (step.vl == cur.vl
-                            && (step.score > cur.score
-                                || (step.score == cur.score
-                                    && label_of(cleaned, step.var) < label_of(cleaned, cur.var))))
-                }
-            };
-            if better {
-                best = Some((si, step));
-            }
-        }
-        let Some((si, step)) = best else { break };
-        if let Err(reason) = checkpoint.tick() {
-            interrupted.get_or_insert(reason);
-            break;
-        }
-        cursors[si] += 1;
-        ml_total += step.delta;
-        applied.push(step.var);
-    }
-    (applied, interrupted)
-}
-
-/// Realises a merged selection as a global VVS: per tree, a top-down
-/// walk selects the *topmost* node whose variable was applied (deeper
-/// applied nodes are subsumed) and every leaf with no applied ancestor —
-/// an antichain covering all leaves by construction.
-fn vvs_from_applied(cleaned: &Forest, applied: &[VarId]) -> Vvs {
-    let applied_set: FxHashSet<VarId> = applied.iter().copied().collect();
-    let mut per_tree: Vec<Vec<NodeId>> = Vec::with_capacity(cleaned.num_trees());
-    for tree in cleaned.trees() {
-        let mut chosen = Vec::new();
-        let mut stack = vec![tree.root()];
-        while let Some(n) = stack.pop() {
-            if applied_set.contains(&tree.var_of(n)) || tree.is_leaf(n) {
-                chosen.push(n); // covered — nothing below matters
-            } else {
-                stack.extend(tree.children(n).iter().copied());
-            }
-        }
-        per_tree.push(chosen);
-    }
-    Vvs::from_per_tree(per_tree)
-}
-
-/// Sharded greedy compression: partitions into `shards` shards, traces each shard's greedy run concurrently, merges
-/// the traces by marginal loss, and realises the merged selection
-/// against the global cleaned forest in one pass (see the
-/// [module docs](self)).
-///
-/// `shards <= 1` (or a partition that collapses to one shard) delegates
-/// to [`greedy_vvs`] — bit-for-bit the unsharded
-/// engine. For `shards > 1` the result satisfies the bound whenever the
-/// run completes without [`TreeError::BoundUnattainable`]; the sharded
-/// exhaustion floor may sit above the global engine's (see the module
-/// docs), in which case the error's `best_possible` reports the sharded
-/// floor.
-///
-/// Interrupted runs follow the engine's anytime contract: the merged
-/// prefix applied so far comes back as a sound abstraction tagged
-/// [`Completion::Interrupted`], exempt from the adequacy check.
-pub fn sharded_greedy<C: Coefficient>(
-    source: &WorkingSet<C>,
-    forest: &Forest,
-    bound: usize,
-    shards: usize,
-    guard: &Guard,
-) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
-    if shards <= 1 {
-        return greedy_vvs(source, forest, bound, guard);
-    }
-    let (cleaned, live) = prepare(source, forest)?;
-    let (total_m, total_v) = (source.size_m(), live.len());
-    if bound >= total_m {
-        let vvs = Vvs::identity(&cleaned);
-        return Ok((
-            evaluate_vvs(source.clone(), &cleaned, vvs, total_v),
-            Completion::Complete,
-        ));
-    }
-    if cleaned.num_trees() == 0 {
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: total_m,
-        });
-    }
-    let parts = partition_by_size(source, shards);
-    if parts.len() <= 1 {
-        return greedy_vvs(source, forest, bound, guard);
-    }
-    let k = total_m - bound;
-    let traces = run_shard_traces(source, forest, &parts, k, guard)?;
-    let (applied, interrupted) = merge_traces(&cleaned, &traces, k, guard);
-    let vvs = vvs_from_applied(&cleaned, &applied);
-    debug_assert!(vvs.validate(&cleaned).is_ok());
-    let abs = evaluate_vvs(source.clone(), &cleaned, vvs, total_v);
-    let completion = match interrupted {
-        None => Completion::Complete,
-        Some(reason) => Completion::Interrupted {
-            reason,
-            steps: applied.len(),
-            size_reached: abs.working.size_m(),
-        },
-    };
-    if completion.is_complete() && !abs.result.is_adequate_for(bound) {
-        return Err(TreeError::BoundUnattainable {
-            bound,
-            best_possible: abs.result.compressed_size_m,
-        });
-    }
-    Ok((abs, completion))
 }
 
 /// Configuration of the bounded-memory streaming ingest path.
@@ -623,9 +315,20 @@ impl<'f, C: Coefficient> StreamingCompressor<'f, C> {
     }
 }
 
-// The name `benchmark/` imports, until a `benchmark`-only change renames it.
+/// The plain greedy engine, [`greedy_vvs`], under the name `benchmark/`
+/// compiles against; `shards` is not read. It exists only for that
+/// import and goes with the benchmark's other pinned spellings in a
+/// benchmark-only change.
 #[doc(hidden)]
-pub use sharded_greedy as sharded_greedy_interned_guarded;
+pub fn sharded_greedy_interned_guarded<C: Coefficient>(
+    source: &WorkingSet<C>,
+    forest: &Forest,
+    bound: usize,
+    _shards: usize,
+    guard: &Guard,
+) -> Result<(InternedAbstraction<C>, Completion), TreeError> {
+    greedy_vvs(source, forest, bound, guard)
+}
 
 #[cfg(test)]
 mod tests {
@@ -685,89 +388,6 @@ mod tests {
             .collect();
         // LPT puts the heavy polynomial alone against the four light ones.
         assert_eq!(loads.iter().max(), loads.iter().min());
-    }
-
-    #[test]
-    fn one_shard_delegates_to_the_plain_engine() {
-        let (polys, forest, _) = example_15();
-        let source = WorkingSet::from_polyset(&polys);
-        let guard = Guard::unlimited();
-        for bound in 1..=polys.size_m() + 1 {
-            let plain = greedy_vvs(&source, &forest, bound, &guard);
-            let sharded = sharded_greedy(&source, &forest, bound, 1, &guard);
-            match (plain, sharded) {
-                (Ok((a, ca)), Ok((b, cb))) => {
-                    assert_eq!(a.result.vvs, b.result.vvs, "bound {bound}");
-                    assert_eq!(a.result.compressed_size_m, b.result.compressed_size_m);
-                    assert_eq!(ca, cb);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "bound {bound}"),
-                (a, b) => panic!("K=1 diverges at bound {bound}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_output_is_valid_and_adequate() {
-        let (polys, forest, _) = example_15();
-        let source = WorkingSet::from_polyset(&polys);
-        let guard = Guard::unlimited();
-        for shards in [2, 3, 4] {
-            for bound in 2..=polys.size_m() {
-                match sharded_greedy(&source, &forest, bound, shards, &guard) {
-                    Ok((abs, completion)) => {
-                        assert!(completion.is_complete());
-                        abs.result.vvs.validate(&abs.result.forest).expect("valid");
-                        assert!(
-                            abs.result.compressed_size_m <= bound,
-                            "K={shards} bound {bound}: {}",
-                            abs.result.compressed_size_m
-                        );
-                        assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
-                    }
-                    Err(TreeError::BoundUnattainable { best_possible, .. }) => {
-                        // The sharded floor may sit above the global one.
-                        assert!(best_possible > bound, "K={shards} bound {bound}");
-                    }
-                    Err(e) => panic!("unexpected error K={shards} bound {bound}: {e}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn guard_cancellation_interrupts_the_shard_pass() {
-        use provabs_provenance::guard::{Budget, CancelToken};
-        let (polys, forest, _) = example_15();
-        let source = WorkingSet::from_polyset(&polys);
-        let token = CancelToken::new();
-        token.cancel();
-        let guard = Guard::new(Budget::unlimited()).with_cancel(token);
-        let (abs, completion) = sharded_greedy(&source, &forest, 2, 4, &guard).expect("anytime");
-        assert!(!completion.is_complete());
-        // Nothing was applied: the pre-cancelled token stops every shard
-        // at its first claim, so the result is the identity abstraction.
-        assert_eq!(abs.result.compressed_size_m, polys.size_m());
-        match completion {
-            Completion::Interrupted { reason, .. } => assert_eq!(reason, Interrupt::Cancelled),
-            Completion::Complete => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn step_cap_yields_a_sound_prefix() {
-        use provabs_provenance::guard::Budget;
-        let (polys, forest, _) = example_15();
-        let source = WorkingSet::from_polyset(&polys);
-        // A tiny step budget: the run must stop early but stay valid.
-        let guard = Guard::new(Budget::with_steps(2));
-        let (abs, completion) = sharded_greedy(&source, &forest, 2, 2, &guard).expect("anytime");
-        assert!(!completion.is_complete());
-        abs.result
-            .vvs
-            .validate(&abs.result.forest)
-            .expect("valid prefix");
-        assert!(abs.result.compressed_size_m >= 2);
     }
 
     #[test]

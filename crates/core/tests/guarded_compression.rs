@@ -10,11 +10,10 @@
 //! on the interrupted VVS at every cap.
 //! An interrupted prefix is a *sound* abstraction: its VVS validates and
 //! its sizes are consistent. The layers built on the engine carry the
-//! same guard and are held to the same trace: [`sharded_greedy`] (one
-//! shard is the engine itself; two shards return a sound, typed prefix)
-//! and [`online_compress`] (a full sample is the engine on a compacted
-//! copy); the competitor, [`pairwise_summarize`], under the same cap,
-//! returns a sound summary within the bound when it completes.
+//! same guard and are held to the same trace: [`online_compress`] (a
+//! full sample is the engine on a compacted copy); the competitor,
+//! [`pairwise_summarize`], under the same cap, returns a sound summary
+//! within the bound when it completes.
 //!
 //! Each relation runs on every row of the [`Carrier`] axis. The trace's
 //! `|𝒫↓S|_M` is measured, so a run sits exactly on it on every row; where
@@ -33,7 +32,6 @@ use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::online::{online_compress, Solver};
 use provabs_core::optimal::optimal_vvs;
 use provabs_core::reference;
-use provabs_core::shard::sharded_greedy;
 use provabs_datagen::fixture::{example_forest, example_polys};
 use provabs_provenance::coeff::MinF64;
 use provabs_provenance::guard::{Budget, CancelToken, Completion, Guard, Interrupt};
@@ -115,46 +113,6 @@ fn capped_runs_are_prefixes<C: Carrier>(
             }
         }
         reached.push((inc.compressed_size_m, inc.compressed_size_v));
-
-        // One shard is the engine itself, cap included.
-        let (one, one_done) =
-            sharded_greedy(&source, &forest, bound, 1, &guard).expect("anytime result");
-        prop_assert_eq!(&one.result.vvs, &inc.vvs, "{} K=1 cap {}", row, cap);
-        prop_assert_eq!(one_done, inc_done, "{} K=1 cap {}", row, cap);
-
-        // Two shards: each trace and the merge stop at the cap, and
-        // what comes back is a sound, typed prefix (or, for a run the
-        // cap did not cut short, the sharded floor above the bound).
-        match sharded_greedy(&source, &forest, bound, 2, &guard) {
-            Ok((two, two_done)) => {
-                two.result
-                    .vvs
-                    .validate(&two.result.forest)
-                    .expect("sharded prefix is sound");
-                prop_assert_eq!(
-                    two.working.size_m(),
-                    two.result.compressed_size_m,
-                    "{}",
-                    row
-                );
-                match two_done {
-                    Completion::Complete => prop_assert!(two.result.is_adequate_for(bound)),
-                    Completion::Interrupted {
-                        reason,
-                        steps,
-                        size_reached,
-                    } => {
-                        prop_assert_eq!(reason, Interrupt::StepCapExhausted);
-                        within_bound(steps, cap, "merged steps of two shards");
-                        prop_assert_eq!(size_reached, two.result.compressed_size_m, "{}", row);
-                    }
-                }
-            }
-            Err(TreeError::BoundUnattainable { best_possible, .. }) => {
-                prop_assert!(best_possible > bound, "{} K=2 cap {}", row, cap);
-            }
-            Err(e) => panic!("{row} K=2 cap {cap}: unexpected error {e}"),
-        }
 
         // A full sample is the engine on a compacted copy: the VVS
         // chosen under the cap, measured on the full set, is the same

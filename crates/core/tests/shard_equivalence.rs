@@ -1,14 +1,13 @@
-//! Cross-workload equivalence battery for the sharded engine.
+//! Cross-workload equivalence battery for the `shard` module.
 //!
-//! Three contracts, each checked across telephony, TPC-H Q10 and the
+//! Two contracts, each checked across telephony, TPC-H Q10 and the
 //! supply-chain BOM workload at several bounds:
 //!
-//! 1. **K = 1 is the plain engine, bit for bit** — same VVS, same
-//!    measures, same error (including `best_possible`).
-//! 2. **K > 1 keeps whole-set bound meaning** — a complete sharded run
-//!    satisfies the *global* monomial bound (or reports a sharded floor
-//!    above it) and preserves every polynomial's value.
-//! 3. **Streaming ingest matches whole-input compression** on what
+//! 1. **The benchmark's pinned `sharded_greedy_interned_guarded` is the
+//!    plain engine, bit for bit** — it ignores its shard count; same VVS,
+//!    same measures, same error (including `best_possible`). The benchmark's
+//!    `core.sharded_*` rows time it, so they time the plain engine.
+//! 2. **Streaming ingest matches whole-input compression** on what
 //!    compression preserves: every per-polynomial coefficient sum
 //!    survives to the digit (tolerance `1e-9` relative, for f64
 //!    re-association only), and both paths land under the same bound.
@@ -18,13 +17,12 @@
 //! of `ScaleConfig::million()` with the peak-live assertion.
 
 use provabs_core::greedy::greedy_vvs;
-use provabs_core::shard::{sharded_greedy, StreamingCompressor, StreamingConfig};
+use provabs_core::shard::{sharded_greedy_interned_guarded, StreamingCompressor, StreamingConfig};
 use provabs_datagen::scale::{scale_chunks, scale_forest, scale_working_set, ScaleConfig};
 use provabs_datagen::{Workload, WorkloadData};
 use provabs_provenance::guard::Guard;
 use provabs_provenance::working::WorkingSet;
 use provabs_testkit::fixture;
-use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 
 /// The three workload families the battery sweeps, at test-time scale.
@@ -62,76 +60,31 @@ fn poly_sums(ws: &WorkingSet<f64>) -> Vec<f64> {
 
 #[test]
 fn one_shard_is_the_plain_engine_across_workloads() {
+    // The forward ignores its shard count; K = 2 is what the benchmark's
+    // traced `compress-scale` run passes on a 2-vCPU machine.
     let guard = Guard::unlimited();
     for (name, data, forest) in &workloads() {
         let ws = &data.interned.working;
         for bound in bounds_for(ws.size_m()) {
             let plain = greedy_vvs(ws, forest, bound, &guard);
-            let sharded = sharded_greedy(ws, forest, bound, 1, &guard);
-            match (plain, sharded) {
+            let pinned = sharded_greedy_interned_guarded(ws, forest, bound, 2, &guard);
+            let at = format!("{name} bound {bound}");
+            match (plain, pinned) {
                 (Ok((pa, pc)), Ok((sa, sc))) => {
-                    assert_eq!(pa.result.vvs, sa.result.vvs, "{name} bound {bound}");
+                    assert_eq!(pa.result.vvs, sa.result.vvs, "{at}");
                     assert_eq!(
                         pa.result.compressed_size_m, sa.result.compressed_size_m,
-                        "{name} bound {bound}"
+                        "{at}"
                     );
                     assert_eq!(
                         pa.result.compressed_size_v, sa.result.compressed_size_v,
-                        "{name} bound {bound}"
+                        "{at}"
                     );
-                    assert_eq!(pa.working.size_m(), sa.working.size_m());
-                    assert_eq!(pc.is_complete(), sc.is_complete());
+                    assert_eq!(pa.working.size_m(), sa.working.size_m(), "{at}");
+                    assert_eq!(pc, sc, "{at}");
                 }
-                (Err(pe), Err(se)) => {
-                    assert_eq!(format!("{pe:?}"), format!("{se:?}"), "{name} bound {bound}");
-                }
-                (p, s) => panic!("{name} bound {bound}: plain {p:?} vs sharded {s:?} disagree"),
-            }
-        }
-    }
-}
-
-#[test]
-fn multi_shard_respects_the_global_bound_across_workloads() {
-    let guard = Guard::unlimited();
-    for (name, data, forest) in &workloads() {
-        let ws = &data.interned.working;
-        let original_sums = poly_sums(ws);
-        for shards in [2, 4, 8] {
-            for bound in bounds_for(ws.size_m()) {
-                match sharded_greedy(ws, forest, bound, shards, &guard) {
-                    Ok((abs, completion)) => {
-                        assert!(completion.is_complete(), "{name} K={shards} bound {bound}");
-                        assert!(
-                            abs.result.compressed_size_m <= bound,
-                            "{name} K={shards}: {} > bound {bound}",
-                            abs.result.compressed_size_m
-                        );
-                        assert_eq!(abs.working.size_m(), abs.result.compressed_size_m);
-                        assert_eq!(abs.result.original_size_m, ws.size_m());
-                        // Value preservation: the abstraction only merges
-                        // monomials, summing their coefficients.
-                        let sums = poly_sums(&abs.working);
-                        assert_eq!(sums.len(), original_sums.len());
-                        for (a, b) in sums.iter().zip(&original_sums) {
-                            assert!(
-                                (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                                "{name} K={shards} bound {bound}: {a} vs {b}"
-                            );
-                        }
-                    }
-                    Err(TreeError::BoundUnattainable {
-                        bound: b,
-                        best_possible,
-                    }) => {
-                        assert_eq!(b, bound);
-                        assert!(
-                            best_possible > bound,
-                            "{name} K={shards}: floor {best_possible} not above bound {bound}"
-                        );
-                    }
-                    Err(e) => panic!("{name} K={shards} bound {bound}: {e:?}"),
-                }
+                (Err(pe), Err(se)) => assert_eq!(pe, se, "{at}"),
+                (p, s) => panic!("{at}: plain {p:?} vs pinned {s:?} disagree"),
             }
         }
     }
@@ -151,7 +104,7 @@ fn streaming_matches_whole_input_compression_on_the_scale_fixture() {
     let whole = scale_working_set(&cfg, &mut vars);
     let forest = scale_forest(&cfg, &mut vars);
     let bound = whole.size_m() / 6;
-    let (whole_abs, completion) = sharded_greedy(&whole, &forest, bound, 1, &guard).unwrap();
+    let (whole_abs, completion) = greedy_vvs(&whole, &forest, bound, &guard).unwrap();
     assert!(completion.is_complete());
     let whole_sums = poly_sums(&whole_abs.working);
 

@@ -25,7 +25,7 @@
 //!   provenance reproduces the polynomials of Examples 2 and 13 to the
 //!   digit, plus a small fixed BOM fragment for the supply-chain family,
 //! * [`scale`] — the million-monomial telephony-shaped fixture for the
-//!   sharded/out-of-core compression benches: provenance emitted
+//!   compression and out-of-core streaming benches: provenance emitted
 //!   straight into the interned currency, whole or in bounded chunks,
 //!   from a chunk-order-independent per-monomial hash.
 

@@ -88,32 +88,6 @@ pub use crate::intern::MonoId;
 /// never assigns this id.
 const NONE: MonoId = MonoId::MAX;
 
-/// Reusable scratch state for [`WorkingSet::subset_with`].
-///
-/// Extracting one subset needs an old-id → new-id remap table, one entry
-/// per monomial of the source arena. Callers cutting *many* subsets out
-/// of one working set (the shard partitioner above all) reuse one scratch
-/// across calls so the table is allocated once, instead of K times.
-#[derive(Debug, Default)]
-pub struct SubsetScratch {
-    remap: Vec<MonoId>,
-}
-
-impl SubsetScratch {
-    /// A fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The remap table's current capacity — exposed so tests can assert
-    /// that repeated [`WorkingSet::subset_with`] calls stop allocating
-    /// once the scratch has warmed up (the subset analogue of the
-    /// executor's stable-pointer check).
-    pub fn capacity(&self) -> usize {
-        self.remap.capacity()
-    }
-}
-
 /// The buffers one rewrite fills ([`WorkingSet::ml_delta_of_group`],
 /// [`WorkingSet::apply_group`], [`WorkingSet::apply_var_map`]), kept by
 /// the working set between calls so a rewrite allocates nothing once they
@@ -673,21 +647,10 @@ impl<C: Coefficient> WorkingSet<C> {
     /// sample gets a *fresh, compacted* arena holding only its own live
     /// monomials, and columns holding only its own terms.
     pub fn subset(&self, indices: &[usize]) -> Self {
-        self.subset_with(indices, &mut SubsetScratch::new())
-    }
-
-    /// [`subset`](Self::subset) with caller-provided scratch: the remap
-    /// table lives in `scratch` (reset, capacity retained), so a loop
-    /// cutting many subsets — the shard partitioner constructs K
-    /// per-shard working sets from one source — allocates the table once
-    /// instead of per call. The subset's columns are allocated at their
-    /// final size.
-    pub fn subset_with(&self, indices: &[usize], scratch: &mut SubsetScratch) -> Self {
-        scratch.remap.clear();
-        scratch.remap.resize(self.arena.len(), NONE);
+        let mut remap = vec![NONE; self.arena.len()];
         let terms = indices.iter().map(|&pi| self.poly_size_m(pi)).sum();
         let mut sub = Self::with_capacity(MonoArena::new(), indices.len(), terms);
-        sub.copy_polys(self, indices.iter().copied(), &mut scratch.remap);
+        sub.copy_polys(self, indices.iter().copied(), &mut remap);
         sub
     }
 
@@ -1162,35 +1125,6 @@ mod tests {
         assert_eq!(sub.arena().len(), 2);
         let back = sub.to_polyset();
         assert_eq!(back.iter().next(), polys.iter().nth(1));
-    }
-
-    #[test]
-    fn subset_with_reuses_the_scratch_table() {
-        let polys = sample();
-        let ws = WorkingSet::from_polyset(&polys);
-        let mut scratch = SubsetScratch::new();
-        // Warm-up call sizes the remap table.
-        let warm = ws.subset_with(&[0, 1], &mut scratch);
-        assert_eq!(warm.size_m(), ws.size_m());
-        let warmed_capacity = scratch.capacity();
-        assert!(warmed_capacity > 0);
-        // Every further subset of no larger footprint must run inside the
-        // retained capacity — no re-allocation of the remap table.
-        for indices in [&[0usize, 1][..], &[1], &[0], &[1, 0]] {
-            let sub = ws.subset_with(indices, &mut scratch);
-            assert_eq!(sub.num_polys(), indices.len());
-            assert_eq!(
-                scratch.capacity(),
-                warmed_capacity,
-                "subset_with grew the scratch on {indices:?}"
-            );
-        }
-        // And the output matches the allocating variant exactly.
-        let a = ws.subset(&[1]);
-        let b = ws.subset_with(&[1], &mut scratch);
-        for (x, y) in a.to_polyset().iter().zip(b.to_polyset().iter()) {
-            assert_eq!(x, y);
-        }
     }
 
     #[test]

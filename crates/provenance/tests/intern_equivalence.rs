@@ -186,7 +186,6 @@ proptest! {
 // passes).
 
 use provabs_provenance::intern::MonoId;
-use provabs_provenance::working::SubsetScratch;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
@@ -285,31 +284,26 @@ struct Walk {
     /// Whether every coefficient is a small integer (sums are exact and
     /// may cancel) or a positive fraction (sums round and never cancel).
     exact: bool,
-    scratch: SubsetScratch,
 }
 
 impl Walk {
     fn new(ws: WorkingSet<f64>, shadow: PolySet<f64>, exact: bool) -> Self {
         let model = Model::of(&ws);
-        let scratch = SubsetScratch::new();
         Walk {
             ws,
             model,
             shadow,
             exact,
-            scratch,
         }
     }
 
     /// This walk with `ws` in place of its set (and the same model).
     fn with_set(&self, ws: WorkingSet<f64>) -> Self {
-        let scratch = SubsetScratch::new();
         Walk {
             ws,
             model: self.model.clone(),
             shadow: self.shadow.clone(),
             exact: self.exact,
-            scratch,
         }
     }
 
@@ -438,7 +432,6 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
         model,
         shadow,
         exact,
-        scratch,
     } = walk;
     match op {
         // intern, by value and by slice.
@@ -521,7 +514,7 @@ fn apply_step(walk: &mut Walk, (op, a, b, factors, other): Step) {
             let indices: Vec<usize> = (0..ws.num_polys())
                 .filter(|i| a >> (i % 32) & 1 == 1)
                 .collect();
-            let sub = ws.subset_with(&indices, scratch);
+            let sub = ws.subset(&indices);
             assert_eq!(
                 sub.arena().len(),
                 sub.live_monomials().count(),

@@ -13,7 +13,7 @@ use std::time::Instant;
 type Runner = fn(&ExpConfig) -> Vec<Report>;
 
 /// The experiments in document order: name, heading, runner.
-const EXPERIMENTS: [(&str, &str, Runner); 12] = [
+const EXPERIMENTS: [(&str, &str, Runner); 13] = [
     (
         "fig5",
         "Figure 5 — compression time vs #cuts (type 1)",
@@ -66,6 +66,11 @@ const EXPERIMENTS: [(&str, &str, Runner); 12] = [
     ("table2", "Table 2 — abstraction tree inventory", |_| {
         vec![table2_tree_inventory()]
     }),
+    (
+        "ablation",
+        "Ablations (§4.1) — sparse DP arrays, remainder-map monomial loss",
+        ablation,
+    ),
 ];
 
 fn usage() -> ! {

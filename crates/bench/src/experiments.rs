@@ -9,9 +9,10 @@
 use crate::harness::{fmt_ms, time, Report};
 use provabs_core::competitor::pairwise_summarize;
 use provabs_core::greedy::greedy_vvs;
+use provabs_core::loss::TreeLoss;
 use provabs_core::optimal::optimal_vvs;
-use provabs_core::problem::InternedAbstraction;
-use provabs_core::reference::{brute_force_vvs, DEFAULT_CUT_LIMIT};
+use provabs_core::problem::{AbstractionResult, InternedAbstraction};
+use provabs_core::reference::{brute_force_vvs, ml_naive, optimal_vvs_dense, DEFAULT_CUT_LIMIT};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
 use provabs_provenance::guard::{Completion, Guard};
 use provabs_provenance::polyset::PolySet;
@@ -20,6 +21,8 @@ use provabs_provenance::working::WorkingSet;
 use provabs_scenario::executor::EvalOptions;
 use provabs_scenario::scenario::Scenario;
 use provabs_session::{SessionBuilder, Strategy};
+use provabs_trees::clean::clean_forest;
+use provabs_trees::cut::Vvs;
 use provabs_trees::error::TreeError;
 use provabs_trees::forest::Forest;
 use provabs_trees::generate::{leaf_names, paper_tree, tree_type_shapes};
@@ -56,12 +59,13 @@ impl ExpConfig {
 /// Outcome summary of one compression run: time plus either the variable
 /// loss or the reason it failed.
 fn describe(r: &Result<(InternedAbstraction<f64>, Completion), TreeError>) -> String {
+    outcome(r.as_ref().map(|(abs, _)| &abs.result))
+}
+
+/// [`describe`] of a bare result, as the hash-map oracles return it.
+fn outcome(r: Result<&AbstractionResult, &TreeError>) -> String {
     match r {
-        Ok((abs, _)) => format!(
-            "ok (m={}, vl={})",
-            abs.result.compressed_size_m,
-            abs.result.vl()
-        ),
+        Ok(result) => format!("ok (m={}, vl={})", result.compressed_size_m, result.vl()),
         Err(TreeError::BoundUnattainable { best_possible, .. }) => {
             format!("unattainable (floor={best_possible})")
         }
@@ -530,6 +534,75 @@ pub fn ext_online_sampling(cfg: &ExpConfig) -> Vec<Report> {
     reports
 }
 
+/// The §4.1 ablations, one report each: Algorithm 1's sparse DP arrays
+/// against the dense `k+1`-length transcription (Telephony, tree type 2
+/// shape 1, half bound), and the `D_P` remainder maps' monomial loss of
+/// every node at once against substitute-and-count per internal node
+/// (tree type 1 shape 2). Both sides of each start from the hash-map
+/// poly-set. Column 2 is where the two sides must agree: the size of the
+/// chosen VVS (two optimal cuts may differ in `|P↓S|_M`, never in `|S|`),
+/// and the total loss.
+pub fn ablation(cfg: &ExpConfig) -> Vec<Report> {
+    let mut data = Workload::Telephony.generate(&cfg.workload_config());
+    let bound = half_bound(&data.polys);
+    let forest = data.primary_tree(2, 1);
+    let mut dp = Report::new(
+        format!(
+            "Telephony — sparse vs dense DP, tree 2 shape 1 (|P|_M={}, B={bound})",
+            data.polys.size_m()
+        ),
+        &["DP arrays", "time [ms]", "VVS size", "outcome"],
+    );
+    let (sparse, t_sparse) =
+        time(|| optimal_vvs(&lowered(&data), &forest, bound, &Guard::unlimited()));
+    let (dense, t_dense) = time(|| optimal_vvs_dense(&data.polys, &forest, bound));
+    let sparse = sparse.as_ref().map(|(abs, _)| &abs.result);
+    for (name, t, r) in [
+        ("sparse", t_sparse, sparse),
+        ("dense", t_dense, dense.as_ref()),
+    ] {
+        let size = r.map_or("-".into(), |result| result.vvs.len().to_string());
+        dp.row(vec![name.into(), fmt_ms(Some(t)), size, outcome(r)]);
+    }
+
+    let forest = data.primary_tree(1, 2);
+    let cleaned = clean_forest(&forest, &data.polys);
+    let tree = cleaned.tree(0);
+    let internal: Vec<_> = tree
+        .node_ids()
+        .filter(|&node| !tree.is_leaf(node))
+        .collect();
+    let mut ml = Report::new(
+        format!(
+            "Telephony — monomial loss of every node, tree 1 shape 2 ({} internal nodes)",
+            internal.len()
+        ),
+        &["ML computation", "time [ms]", "Σ ML over internal nodes"],
+    );
+    let (losses, t_maps) = time(|| TreeLoss::build(&lowered(&data), tree));
+    let (naive, t_naive) = time(|| {
+        let mut total = 0usize;
+        for &node in &internal {
+            let mut chosen: Vec<_> = tree
+                .leaves()
+                .into_iter()
+                .filter(|&l| !tree.is_ancestor_or_self(node, l))
+                .collect();
+            chosen.push(node);
+            total += ml_naive(&data.polys, &cleaned, &Vvs::from_per_tree(vec![chosen]));
+        }
+        total
+    });
+    let maps: usize = internal.iter().map(|&node| losses.ml_of(node)).sum();
+    for (name, t, total) in [
+        ("remainder maps, all nodes", t_maps, maps),
+        ("naive, per internal node", t_naive, naive),
+    ] {
+        ml.row(vec![name.into(), fmt_ms(Some(t)), total.to_string()]);
+    }
+    vec![dp, ml]
+}
+
 /// Table 1: greedy accuracy (retained granularity relative to optimal)
 /// and compression-time speedup over Opt, per tree type. Each cell is a
 /// compress-once `Session` — one per (tree type, strategy) — sharing the
@@ -656,6 +729,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ablation_sides_agree() {
+        let reports = ablation(&tiny());
+        assert_eq!(reports.len(), 2);
+        for r in &reports {
+            let [fast, slow] = r.rows() else {
+                panic!("one row per side: {:?}", r.rows());
+            };
+            // The same VVS sizes from both DPs, the same total loss from
+            // both ML computations; timings are not checked.
+            assert_eq!(fast[2], slow[2], "{}", r.to_markdown());
+        }
+        assert!(reports[0].rows()[0][3].starts_with("ok"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! workspace uses: read-only, private file mappings.
 //!
 //! The build environment has no registry access, so — like the `rand` /
-//! `proptest` / `criterion` shims next door — this package reimplements
+//! `proptest` shims next door — this package reimplements
 //! just the surface the workspace needs. On Linux it issues the `mmap` /
 //! `munmap` syscalls directly (no libc crate either), giving true
 //! zero-copy page-cache-backed mappings. On other platforms it falls back

@@ -8,13 +8,15 @@
 //!   rule, tie-breaks and anytime contract as the incremental engine of
 //!   [`crate::greedy`] (`incremental_equivalence`, `guarded_compression`),
 //! * [`optimal_vvs_dense`] — Algorithm 1 with dense arrays
-//!   (`tests/optimality.rs`, `bench_ablation`),
+//!   (`tests/optimality.rs`; the `ablation` experiment of
+//!   `provabs-bench` times it against the sparse DP),
 //! * [`brute_force_vvs`] / [`brute_force_vvs_parallel`] — exhaustive
 //!   search over every cut (the evaluation's baseline: Figure 11,
 //!   `tests/optimality.rs`),
 //! * [`ml_naive`] / [`ml_delta_of_group`] / [`ml_delta_of_group_in`] —
 //!   the monomial loss of §3.1 by definition: substitute, then count
-//!   (what [`TreeLoss`] is checked against).
+//!   (what [`TreeLoss`] is checked against, and timed against in the
+//!   `ablation` experiment).
 //!
 //! They take hash-map [`PolySet`]s and measure by direct [`Vvs::apply`]:
 //! not sharing the working-set rewrite with the code they check is what
@@ -314,8 +316,8 @@ fn run_reference<C: Coefficient>(
 
 /// Algorithm 1 with dense `k+1`-length arrays — the straightforward
 /// transcription of the pseudo-code. `tests/optimality.rs` asserts it
-/// agrees with [`crate::optimal::optimal_vvs`]; `bench_ablation` times the
-/// two against each other.
+/// agrees with [`crate::optimal::optimal_vvs`]; the `ablation` experiment
+/// of `provabs-bench` times the two against each other.
 pub fn optimal_vvs_dense<C: Coefficient>(
     polys: &PolySet<C>,
     forest: &Forest,

@@ -4,9 +4,8 @@
 //! Query pipelines no longer run on these: [`crate::query::Pipeline`]
 //! drives its whole plan as one fused loop and materialises nothing in
 //! between. The eager operators stay as the *oracle* that loop is tested
-//! against (`tests/fused_equivalence.rs`) and as the baseline of
-//! `bench_engine`; the build-side `JoinIndex` is shared by every join in
-//! the engine. Like the pipeline, they read cells in place from the
+//! against (`tests/fused_equivalence.rs`); the build-side `JoinIndex` is
+//! shared by every join in the engine. Like the pipeline, they read cells in place from the
 //! columnar tables and append each output row cell by cell.
 //!
 //! Joins are hash joins that always build on the **right** input and

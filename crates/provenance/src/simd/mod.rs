@@ -47,7 +47,9 @@
 //! multiplies and adds (deliberately no FMA — fusing would change
 //! rounding), and every engine raises variables through the one shared
 //! multiply tree of [`pow_f64`](crate::coeff::pow_f64). Every kernel is
-//! therefore **bit-for-bit identical** to the scalar engine — a stronger
+//! therefore **bit-for-bit identical** to the scalar sweep
+//! ([`CompiledPolySet::eval_into`], which also runs each batch's last
+//! zero to three scenarios) — a stronger
 //! guarantee than the documented 1e-12 cross-currency tolerance, and the
 //! `eval_matrix` suite asserts the bits.
 
@@ -96,18 +98,13 @@ pub fn lane_chunk(chunk: usize, jobs: usize, threads: usize) -> usize {
 /// The default, [`Kernel::Auto`], resolves once per batch to the fastest
 /// available kernel ([`Kernel::Avx2`] where the CPU supports it,
 /// [`Kernel::Generic`] otherwise). The other variants force a specific
-/// engine — how the ablation benches and the equivalence suites pin each
-/// path down.
+/// lane kernel — how the equivalence suites pin each path down.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernel {
     /// Resolve at runtime: AVX2 where detected, the generic lane kernel
     /// otherwise.
     #[default]
     Auto,
-    /// The one-scenario-at-a-time columnar sweep
-    /// ([`CompiledPolySet::eval_into`]) — the PR 5 baseline the ablation
-    /// benches compare against.
-    Scalar,
     /// The portable lane kernel over arrays of `[f64; 4]` — correct on
     /// every target, autovectorized where the compiler can.
     Generic,
@@ -136,8 +133,8 @@ impl Kernel {
     ///
     /// * [`Kernel::Auto`] and [`Kernel::Avx2`] → [`Kernel::Avx2`] where
     ///   [`avx2_available`], else [`Kernel::Generic`];
-    /// * [`Kernel::Scalar`] / [`Kernel::Generic`] → themselves (the
-    ///   scalar reference is never overridden — it is the baseline).
+    /// * [`Kernel::Generic`] → itself (the portable fallback runs on
+    ///   every target).
     pub fn resolve(self) -> Kernel {
         self.resolve_on(avx2_available())
     }
@@ -145,7 +142,6 @@ impl Kernel {
     /// [`resolve`](Self::resolve) on a CPU with or without AVX2.
     fn resolve_on(self, avx2: bool) -> Kernel {
         match self {
-            Kernel::Scalar => Kernel::Scalar,
             Kernel::Generic => Kernel::Generic,
             Kernel::Auto | Kernel::Avx2 if avx2 => Kernel::Avx2,
             Kernel::Auto | Kernel::Avx2 => Kernel::Generic,
@@ -157,7 +153,7 @@ impl Kernel {
     pub fn is_available(self) -> bool {
         match self {
             Kernel::Avx2 => avx2_available(),
-            Kernel::Auto | Kernel::Scalar | Kernel::Generic => true,
+            Kernel::Auto | Kernel::Generic => true,
         }
     }
 
@@ -165,7 +161,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Auto => "auto",
-            Kernel::Scalar => "scalar",
             Kernel::Generic => "generic",
             Kernel::Avx2 => "avx2",
         }
@@ -190,8 +185,7 @@ pub struct KernelInfo {
     pub selected: Kernel,
     /// Whether this CPU supports the AVX2 kernel at all.
     pub avx2_available: bool,
-    /// Scenarios in the widest pass ([`LANES`]; `1` for the scalar
-    /// kernel).
+    /// Scenarios in the widest pass ([`LANES`]).
     pub lanes: usize,
 }
 
@@ -202,7 +196,7 @@ pub fn kernel_info(requested: Kernel) -> KernelInfo {
         requested,
         selected,
         avx2_available: avx2_available(),
-        lanes: if selected == Kernel::Scalar { 1 } else { LANES },
+        lanes: LANES,
     }
 }
 
@@ -255,10 +249,7 @@ impl CompiledView<'_, f64> {
     ) {
         let kernel = kernel.resolve();
         out.reserve(vals.len());
-        let [wide, narrow, _] = match kernel {
-            Kernel::Scalar => [0; 3], // the whole batch takes the scalar loop
-            _ => lane_passes(vals.len()),
-        };
+        let [wide, narrow, _] = lane_passes(vals.len());
         let (wide_vals, rest) = vals.split_at(wide * LANES);
         let (narrow_vals, tail) = rest.split_at(narrow * REG);
         if wide + narrow > 0 {
@@ -269,8 +260,8 @@ impl CompiledView<'_, f64> {
             self.run_passes::<{ LANES / REG }>(wide_vals, kernel, index, out);
             self.run_passes::<1>(narrow_vals, kernel, index, out);
         }
-        // The last scenarios (and the whole batch for the scalar kernel):
-        // the reference columnar sweep, one reused valuation table.
+        // The last zero to three scenarios: the reference columnar sweep,
+        // one reused valuation table.
         let mut table = Vec::with_capacity(self.num_vars());
         for val in tail {
             self.valuation_table_into(val, &mut table);
@@ -380,17 +371,16 @@ mod tests {
 
     #[test]
     fn resolve_never_returns_auto_and_respects_forcing() {
-        for k in [Kernel::Auto, Kernel::Scalar, Kernel::Generic, Kernel::Avx2] {
+        for k in [Kernel::Auto, Kernel::Generic, Kernel::Avx2] {
             let r = k.resolve();
             assert_ne!(r, Kernel::Auto);
             assert!(r.is_available(), "resolve() picked an unrunnable kernel");
             assert_eq!(r, k.resolve_on(avx2_available()));
         }
-        // Both capabilities, whatever this host has: forcing Scalar or
-        // Generic always holds, and AVX2 is demoted exactly where the
-        // CPU lacks it.
+        // Both capabilities, whatever this host has: forcing Generic
+        // always holds, and AVX2 is demoted exactly where the CPU lacks
+        // it.
         for avx2 in [false, true] {
-            assert_eq!(Kernel::Scalar.resolve_on(avx2), Kernel::Scalar);
             assert_eq!(Kernel::Generic.resolve_on(avx2), Kernel::Generic);
             let fastest = if avx2 { Kernel::Avx2 } else { Kernel::Generic };
             assert_eq!(Kernel::Auto.resolve_on(avx2), fastest);
@@ -405,9 +395,7 @@ mod tests {
         assert_eq!(info.selected, Kernel::Auto.resolve());
         assert_eq!(info.avx2_available, avx2_available());
         assert_eq!(info.lanes, LANES);
-        let scalar = kernel_info(Kernel::Scalar);
-        assert_eq!(scalar.selected, Kernel::Scalar);
-        assert_eq!(scalar.lanes, 1);
+        assert_eq!(kernel_info(Kernel::Generic).selected, Kernel::Generic);
         assert_eq!(format!("{}", Kernel::Avx2), "avx2");
     }
 
@@ -449,7 +437,7 @@ mod tests {
             })
             .collect();
         let reference = compiled.eval_all(&vals);
-        for kernel in [Kernel::Auto, Kernel::Scalar, Kernel::Generic, Kernel::Avx2] {
+        for kernel in [Kernel::Auto, Kernel::Generic, Kernel::Avx2] {
             let got = compiled.eval_block(&vals, kernel);
             assert_eq!(got.len(), reference.len());
             for (g, r) in got.iter().zip(&reference) {

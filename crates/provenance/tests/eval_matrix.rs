@@ -8,7 +8,7 @@
 //!
 //! | axis | values | relation |
 //! |------|--------|----------|
-//! | kernel | `Scalar`, `Generic`, `Avx2`, `Auto` | [`bits_equal`] |
+//! | kernel | `Generic`, `Avx2`, `Auto` | [`bits_equal`] |
 //! | executor | `eval_block`; the executor inline, pooled on 2–5 threads, auto | [`bits_equal`] |
 //! | batch length | every cascade boundary ([`CASCADE_LENGTHS`]) | [`bits_equal`]; a prefix answers as that prefix |
 //! | index width | `u16`, `u32` (over 65 536 variables) | [`bits_equal`] |

@@ -21,7 +21,6 @@ use provabs_testkit::{bits_equal, fixture, Powers, Rng, Shape};
 /// kernel is what auto dispatch would pick on the fast path.
 #[test]
 fn forced_kernels_resolve_as_documented() {
-    assert_eq!(Kernel::Scalar.resolve(), Kernel::Scalar);
     assert_eq!(Kernel::Generic.resolve(), Kernel::Generic);
     assert_eq!(Kernel::Auto.resolve(), Kernel::Auto.resolve());
     assert!(Kernel::Auto.resolve() != Kernel::Auto);

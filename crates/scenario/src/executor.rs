@@ -52,10 +52,9 @@ pub struct EvalOptions {
     pub compiled: bool,
     /// Which evaluation kernel compiled-path batches run on.
     /// [`Kernel::Auto`] (the default) resolves once per batch to the
-    /// fastest available one; forcing [`Kernel::Scalar`] /
-    /// [`Kernel::Generic`] / [`Kernel::Avx2`] pins a specific engine
-    /// (ablations, equivalence suites). All kernels produce bit-identical
-    /// results.
+    /// fastest available one; forcing [`Kernel::Generic`] /
+    /// [`Kernel::Avx2`] pins a specific lane kernel (the equivalence
+    /// suites do). All kernels produce bit-identical results.
     pub kernel: Kernel,
 }
 
@@ -82,7 +81,7 @@ impl EvalOptions {
         Self {
             threads: 1,
             compiled: false,
-            kernel: Kernel::Scalar,
+            kernel: Kernel::Auto,
         }
     }
 
@@ -122,15 +121,10 @@ impl EvalOptions {
 /// Scenarios per work-queue chunk: about four chunks per worker — enough
 /// slack for the cursor to rebalance uneven scenario costs, few enough
 /// that per-chunk overhead stays negligible — rounded up to the lane
-/// passes on a lane kernel ([`lane_chunk`]), so only the batch's final
-/// chunk can end in scalar scenarios.
-fn resolved_chunk(jobs: usize, threads: usize, kernel: Kernel) -> usize {
-    let chunk = jobs.div_ceil(threads * 4).max(1);
-    if kernel == Kernel::Scalar {
-        chunk
-    } else {
-        lane_chunk(chunk, jobs, threads)
-    }
+/// passes ([`lane_chunk`]), so only the batch's final chunk can end in
+/// scalar scenarios.
+fn resolved_chunk(jobs: usize, threads: usize) -> usize {
+    lane_chunk(jobs.div_ceil(threads * 4).max(1), jobs, threads)
 }
 
 /// Workers worth starting: lane alignment can leave fewer chunks than
@@ -246,7 +240,7 @@ pub fn eval(
     // Resolved once per batch: every chunk worker runs the same kernel.
     let kernel = opts.kernel.resolve();
     let threads = opts.resolved_threads(valuations.len());
-    let chunk = resolved_chunk(valuations.len(), threads, kernel);
+    let chunk = resolved_chunk(valuations.len(), threads);
     let (values, panics, interrupted) = run_chunked(
         valuations.len(),
         threads,
@@ -454,14 +448,14 @@ mod tests {
         }
     }
 
-    /// Every forced kernel — scalar sweep, portable lanes, AVX2 (where
+    /// Every forced kernel — portable lanes, AVX2 (where
     /// this machine has it; `resolve()` demotes it to the generic lanes
     /// otherwise, which must *still* match) — agrees with the serial
     /// hash-map reference bit for bit, single-threaded and pooled.
     #[test]
     fn all_kernels_match_the_serial_reference() {
         let (polys, vals) = setup(13);
-        for kernel in [Kernel::Auto, Kernel::Scalar, Kernel::Generic, Kernel::Avx2] {
+        for kernel in [Kernel::Auto, Kernel::Generic, Kernel::Avx2] {
             for threads in [1, 3, 4] {
                 let opts = EvalOptions::new().threads(threads).kernel(kernel);
                 assert_matches_reference(&polys, &vals, &opts);
@@ -478,18 +472,15 @@ mod tests {
     fn lane_misaligned_chunks_are_realigned() {
         for jobs in [1usize, 5, 8, 9, 11, 23, 32, 40, 64] {
             let base = jobs.div_ceil(8);
-            assert_eq!(resolved_chunk(jobs, 2, Kernel::Scalar), base);
-            for kernel in [Kernel::Generic, Kernel::Avx2] {
-                let chunk = resolved_chunk(jobs, 2, kernel);
-                let context = format!("{jobs} jobs on {kernel:?}");
-                assert!(chunk >= base && chunk < base + LANES, "{context}");
-                // No scalar scenario before the final chunk, and widened
-                // past the smallest such chunk only where both workers
-                // still get a full one.
-                assert_eq!(lane_passes(chunk)[2], 0, "{context}");
-                let smallest = lane_passes(chunk - base)[..2] == [0, 0];
-                assert!(smallest || jobs / chunk >= 2, "{context}");
-            }
+            let chunk = resolved_chunk(jobs, 2);
+            let context = format!("{jobs} jobs");
+            assert!(chunk >= base && chunk < base + LANES, "{context}");
+            // No scalar scenario before the final chunk, and widened past
+            // the smallest such chunk only where both workers still get a
+            // full one.
+            assert_eq!(lane_passes(chunk)[2], 0, "{context}");
+            let smallest = lane_passes(chunk - base)[..2] == [0, 0];
+            assert!(smallest || jobs / chunk >= 2, "{context}");
             let (polys, vals) = setup(jobs);
             let opts = EvalOptions::new().threads(2).kernel(Kernel::Generic);
             assert_matches_reference(&polys, &vals, &opts);
@@ -507,7 +498,7 @@ mod tests {
             (17, 1, 16),
         ] {
             assert_eq!(
-                resolved_chunk(jobs, threads, Kernel::Generic),
+                resolved_chunk(jobs, threads),
                 chunk,
                 "{jobs} jobs on {threads} threads"
             );
@@ -517,7 +508,7 @@ mod tests {
     /// The passes a batch runs, read off its chunk plan: each chunk is one
     /// `eval_block_into` call and cascades wide → narrow → scalar.
     fn planned_passes(jobs: usize, threads: usize) -> [usize; 3] {
-        let chunk = resolved_chunk(jobs, threads, Kernel::Generic);
+        let chunk = resolved_chunk(jobs, threads);
         (0..jobs).step_by(chunk).fold([0; 3], |mut sum, start| {
             let passes = lane_passes(chunk.min(jobs - start));
             for (s, p) in sum.iter_mut().zip(passes) {
@@ -532,7 +523,7 @@ mod tests {
     #[test]
     fn a_17_scenario_batch_runs_one_wide_pass_and_one_scalar_scenario() {
         assert_eq!(LANES, 16);
-        assert_eq!(resolved_chunk(17, 1, Kernel::Generic), 16);
+        assert_eq!(resolved_chunk(17, 1), 16);
         assert_eq!(planned_passes(17, 1), [1, 0, 1]);
         assert_eq!(planned_passes(32, 2), [2, 0, 0]);
         assert_eq!(planned_passes(8, 2), [0, 2, 0]);
@@ -600,7 +591,7 @@ mod tests {
             (256, 1, 1),
         ] {
             let threads = EvalOptions::new().threads(requested).resolved_threads(jobs);
-            let chunk = resolved_chunk(jobs, threads, Kernel::Generic);
+            let chunk = resolved_chunk(jobs, threads);
             assert_eq!(
                 worker_count(jobs, threads, chunk),
                 workers,
@@ -903,13 +894,11 @@ mod tests {
         assert!(opts.resolved_threads(100) >= 1);
         assert_eq!(opts.resolved_threads(0), 1);
         assert_eq!(EvalOptions::new().threads(8).resolved_threads(3), 3);
-        assert_eq!(resolved_chunk(100, 4, Kernel::Scalar), 7); // ceil(100/16)
-        assert_eq!(resolved_chunk(100, 4, Kernel::Generic), 16); // 7 chunks for 4 workers
-        assert_eq!(resolved_chunk(0, 1, Kernel::Scalar), 1);
-        assert_eq!(resolved_chunk(32, 2, Kernel::Avx2), 16);
-        assert_eq!(resolved_chunk(8, 2, Kernel::Avx2), 4);
-        assert_eq!(resolved_chunk(256, 1, Kernel::Avx2), 64);
-        assert_eq!(resolved_chunk(64, 2, Kernel::Avx2), 16);
+        assert_eq!(resolved_chunk(100, 4), 16); // 7 chunks for 4 workers
+        assert_eq!(resolved_chunk(32, 2), 16);
+        assert_eq!(resolved_chunk(8, 2), 4);
+        assert_eq!(resolved_chunk(256, 1), 64);
+        assert_eq!(resolved_chunk(64, 2), 16);
         let reference = EvalOptions::serial_reference();
         assert!(!reference.compiled && opts.compiled);
     }

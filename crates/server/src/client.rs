@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client for the service's own wire
 //! format: keep-alive, JSON bodies, chunked-response decoding. Shared
-//! by the integration tests, the load generator, and the example — so
+//! by the integration tests, the example and the benchmark — so
 //! every consumer exercises the same wire path a real client would.
 
 use crate::json::Json;

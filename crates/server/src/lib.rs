@@ -25,8 +25,8 @@
 //! - [`registry`] — the name → session map,
 //! - [`service`] — the routes,
 //! - [`server`] — accept loop, connection threads, graceful shutdown,
-//! - [`client`] — the blocking client the tests, the load generator,
-//!   and the example all drive the wire with.
+//! - [`client`] — the blocking client the tests, the example and the
+//!   benchmark all drive the wire with.
 
 pub mod client;
 pub mod error;

@@ -8,8 +8,9 @@
 //! lowering exactly once, a client that stops reading its answer delays
 //! nobody else on that session, artifacts survive a save → reopen round
 //! trip over the wire, malformed input comes back typed instead of as
-//! connection resets, and shutdown drains in-flight work then releases
-//! the port.
+//! connection resets, a connection past the cap is refused typed until a
+//! slot frees, and shutdown drains in-flight work then releases the
+//! port.
 
 use provabs_datagen::workload::{Workload, WorkloadConfig};
 use provabs_scenario::Scenario;
@@ -743,6 +744,60 @@ fn a_stalled_reader_delays_no_other_request_on_its_session() {
     }
     // Hanging up fails the blocked write, which frees the connection.
     drop(stalled);
+}
+
+/// The accept loop's connection cap: with `max_connections: 2` and two
+/// clients holding their connections open, a third connection is told
+/// `503 server_busy` and closed; once one holder hangs up, its slot is
+/// released and a new connection is served.
+#[test]
+fn a_connection_past_the_limit_is_refused_until_a_slot_frees() {
+    let server = ServerHandle::start(ServerConfig {
+        max_connections: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr();
+    // A request answered on each proves both connections hold a slot.
+    let mut held: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut client = Client::connect(addr).expect("connect");
+            assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+            client
+        })
+        .collect();
+
+    // The refusal is written at accept time, before any request, and
+    // the server then closes: the whole reply is readable to EOF.
+    let mut third = std::net::TcpStream::connect(addr).expect("connect");
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reply = String::new();
+    std::io::Read::read_to_string(&mut third, &mut reply).expect("read to close");
+    assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+    assert!(reply.contains("server_busy"), "{reply}");
+    assert!(
+        reply.to_ascii_lowercase().contains("connection: close"),
+        "{reply}"
+    );
+
+    // Hanging up ends the holder's connection thread; the slot it frees
+    // lets a new connection in within a bounded retry. A refused try may
+    // also surface as a reset: the refusal can close before the request
+    // is sent.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut client = Client::connect(addr).expect("connect");
+        match client.get("/healthz").map(|r| r.status) {
+            Ok(200) => break,
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            last => panic!("no slot was released: last reply {last:?}"),
+        }
+    }
+    // The connection still held was served throughout.
+    assert_eq!(held[0].get("/healthz").expect("healthz").status, 200);
 }
 
 /// An already-expired per-request deadline stops compression before its

@@ -732,8 +732,9 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
         // Scenario names come from the compression result (identical across
         // kernels — the kernel only affects evaluation, never compression).
         let mut scenarios: Vec<Scenario> = Vec::new();
+        // The portable generic kernel answers first and is the reference.
         let mut reference: Option<Vec<Vec<f64>>> = None;
-        for kernel in [Kernel::Scalar, Kernel::Generic, Kernel::Avx2, Kernel::Auto] {
+        for kernel in [Kernel::Generic, Kernel::Avx2, Kernel::Auto] {
             let context = format!("{} / kernel {kernel}", workload.name());
             let session = SessionBuilder::new(data.polys.clone(), data.vars.clone())
                 .forest(forest.clone())
@@ -746,14 +747,9 @@ fn kernel_info_reports_the_dispatch_and_all_kernels_agree() {
             // The observability hook, before any evaluation has happened.
             let info = session.kernel_info();
             assert_eq!(info.requested, kernel, "{context}: requested");
-            // A lane kernel reports its widest pass: four AVX2 registers
+            // Every kernel reports its widest pass: four AVX2 registers
             // of four scenarios.
-            let lanes = if info.selected == Kernel::Scalar {
-                1
-            } else {
-                16
-            };
-            assert_eq!(info.lanes, lanes, "{context}: lane width");
+            assert_eq!(info.lanes, 16, "{context}: lane width");
             assert_eq!(LANES, 16, "{context}: LANES is the widest pass");
             assert_eq!(info.avx2_available, avx2_available(), "{context}: cpuid");
             assert_eq!(info.selected, kernel.resolve(), "{context}: selected");

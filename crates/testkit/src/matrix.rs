@@ -27,7 +27,7 @@ use provabs_scenario::executor::{eval, EvalOptions, Kernel};
 pub const CASES: u64 = 96;
 
 /// Every kernel request: the forced kernels and the auto dispatcher.
-pub const KERNELS: [Kernel; 4] = [Kernel::Scalar, Kernel::Generic, Kernel::Avx2, Kernel::Auto];
+pub const KERNELS: [Kernel; 3] = [Kernel::Generic, Kernel::Avx2, Kernel::Auto];
 
 /// Batch lengths that cross every boundary of the pass cascade: scalar
 /// only and the first narrow pass (0–5), the first wide pass (15–17), a

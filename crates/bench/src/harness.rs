@@ -46,16 +46,21 @@ impl Report {
         &self.rows
     }
 
-    /// Renders the report as a markdown table.
+    /// Renders the report as a markdown table. A `|` inside a header or
+    /// a cell (`|P|_M`) is escaped as `\|`, so it does not split the cell.
     pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| c.replace('|', "\\|")).collect();
+            format!("| {} |\n", cells.join(" | "))
+        };
         let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
+        out.push_str(&line(&self.headers));
         out.push_str(&format!(
             "|{}\n",
             self.headers.iter().map(|_| "---|").collect::<String>()
         ));
         for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
+            out.push_str(&line(row));
         }
         out
     }
@@ -85,6 +90,25 @@ mod tests {
         assert!(md.contains("### t"));
         assert!(md.contains("| a | b |"));
         assert!(md.contains("| 1 | 2 |"));
+    }
+
+    /// Cells of a markdown row: the unescaped `|`s between them, less the
+    /// two that open and close the row.
+    fn cell_count(line: &str) -> usize {
+        line.replace("\\|", "").matches('|').count() - 1
+    }
+
+    #[test]
+    fn a_pipe_in_a_header_or_cell_stays_in_its_cell() {
+        let mut r = Report::new("sizes", &["tuples", "|P|_M", "full |P↓S|_M"]);
+        r.row(vec!["10".into(), "|x|".into(), "3".into()]);
+        let md = r.to_markdown();
+        let lines: Vec<&str> = md.lines().skip(2).collect();
+        assert_eq!(lines[0], "| tuples | \\|P\\|_M | full \\|P↓S\\|_M |");
+        assert_eq!(lines[1], "|---|---|---|");
+        for line in &lines {
+            assert_eq!(cell_count(line), 3, "{line}");
+        }
     }
 
     #[test]

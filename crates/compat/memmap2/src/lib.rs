@@ -1,8 +1,8 @@
 //! Offline API-compatible stand-in for the subset of [`memmap2`] 0.9 this
 //! workspace uses: read-only, private file mappings.
 //!
-//! The build environment has no registry access, so — like the `rand` /
-//! `proptest` shims next door — this package reimplements
+//! The build environment has no registry access, so — like the `rand`
+//! shim next door — this package reimplements
 //! just the surface the workspace needs. On Linux it issues the `mmap` /
 //! `munmap` syscalls directly (no libc crate either), giving true
 //! zero-copy page-cache-backed mappings. On other platforms it falls back

@@ -25,8 +25,6 @@
 //! (That an unlimited guard changes nothing needs no test any more —
 //! there is no unguarded entry point to differ from.)
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use provabs_core::competitor::pairwise_summarize;
 use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::online::{online_compress, Solver};
@@ -40,7 +38,9 @@ use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
-use provabs_testkit::{modelled, random_forest, within_bound, Carrier, Coeffs, Powers, Shape};
+use provabs_testkit::{
+    cases, modelled, random_forest, within_bound, Carrier, Coeffs, Powers, Shape,
+};
 use provabs_trees::error::TreeError;
 use std::time::Duration;
 
@@ -58,10 +58,7 @@ fn compatible() -> Shape {
 }
 
 /// The anytime-prefix relations on one instance, for carrier `C`.
-fn capped_runs_are_prefixes<C: Carrier>(
-    polys: &PolySet<C>,
-    seed: u64,
-) -> Result<(), TestCaseError> {
+fn capped_runs_are_prefixes<C: Carrier>(polys: &PolySet<C>, seed: u64) {
     let row = C::NAME;
     let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
     // The frontier IS the uninterrupted run-to-exhaustion trace:
@@ -71,7 +68,7 @@ fn capped_runs_are_prefixes<C: Carrier>(
     let source = WorkingSet::from_polyset(polys);
     let (trace, traced) =
         greedy_frontier(&source, &forest, &Guard::unlimited()).expect("frontier runs");
-    prop_assert!(traced.is_complete());
+    assert!(traced.is_complete());
     let bound = trace.last().expect("non-empty trace").0.max(1);
     // The bounded run stops at the first trace point meeting the
     // bound (the frontier itself continues to exhaustion through
@@ -88,10 +85,10 @@ fn capped_runs_are_prefixes<C: Carrier>(
         let (refr, ref_done) =
             reference::greedy_vvs(polys, &forest, bound, &guard).expect("anytime result");
         let inc = &inc_abs.result;
-        prop_assert_eq!(inc_abs.working.size_m(), inc.compressed_size_m, "{}", row);
+        assert_eq!(inc_abs.working.size_m(), inc.compressed_size_m, "{row}");
         // Engines agree bit-for-bit on the prefix.
-        prop_assert_eq!(&inc.vvs, &refr.vvs, "{} cap {}", row, cap);
-        prop_assert_eq!(inc_done, ref_done, "{} cap {}", row, cap);
+        assert_eq!(&inc.vvs, &refr.vvs, "{row} cap {cap}");
+        assert_eq!(inc_done, ref_done, "{row} cap {cap}");
         inc.vvs.validate(&inc.forest).expect("prefix VVS is sound");
         match inc_done {
             Completion::Complete => within_bound(first_hit, cap, "steps of a completed run"),
@@ -100,16 +97,10 @@ fn capped_runs_are_prefixes<C: Carrier>(
                 steps,
                 size_reached,
             } => {
-                prop_assert_eq!(reason, Interrupt::StepCapExhausted);
-                prop_assert_eq!(steps, cap, "{}: exact interruption point", row);
-                prop_assert!(cap < first_hit, "{}: would have finished otherwise", row);
-                prop_assert_eq!(
-                    size_reached,
-                    inc.compressed_size_m,
-                    "{} step {}",
-                    row,
-                    steps
-                );
+                assert_eq!(reason, Interrupt::StepCapExhausted);
+                assert_eq!(steps, cap, "{row}: exact interruption point");
+                assert!(cap < first_hit, "{row}: would have finished otherwise");
+                assert_eq!(size_reached, inc.compressed_size_m, "{row} step {steps}");
             }
         }
         reached.push((inc.compressed_size_m, inc.compressed_size_v));
@@ -120,25 +111,15 @@ fn capped_runs_are_prefixes<C: Carrier>(
         let (online, online_done) =
             online_compress(&source, &forest, bound, 1.0, seed, Solver::Greedy, &guard)
                 .expect("anytime result");
-        prop_assert_eq!(
-            &online.full.result.vvs,
-            &inc.vvs,
-            "{} online cap {}",
-            row,
-            cap
+        assert_eq!(&online.full.result.vvs, &inc.vvs, "{row} online cap {cap}");
+        assert_eq!(online_done, inc_done, "{row} online cap {cap}");
+        assert_eq!(
+            online.full.result.compressed_size_m, inc.compressed_size_m,
+            "{row}"
         );
-        prop_assert_eq!(online_done, inc_done, "{} online cap {}", row, cap);
-        prop_assert_eq!(
-            online.full.result.compressed_size_m,
-            inc.compressed_size_m,
-            "{}",
-            row
-        );
-        prop_assert_eq!(
-            online.full.result.compressed_size_v,
-            inc.compressed_size_v,
-            "{}",
-            row
+        assert_eq!(
+            online.full.result.compressed_size_v, inc.compressed_size_v,
+            "{row}"
         );
 
         // The competitor, under the same cap, returns a sound summary
@@ -152,26 +133,22 @@ fn capped_runs_are_prefixes<C: Carrier>(
                     .validate(&result.forest)
                     .expect("competitor VVS is sound");
                 let down = result.apply(polys);
-                prop_assert_eq!(
+                assert_eq!(
                     down.size_m(),
                     result.compressed_size_m,
-                    "{} competitor cap {}",
-                    row,
-                    cap
+                    "{row} competitor cap {cap}"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     down.size_v(),
                     result.compressed_size_v,
-                    "{} competitor cap {}",
-                    row,
-                    cap
+                    "{row} competitor cap {cap}"
                 );
                 if done.is_complete() {
                     within_bound(result.compressed_size_m, bound, row);
                 }
             }
             Err(TreeError::BoundUnattainable { best_possible, .. }) => {
-                prop_assert!(best_possible > bound, "{} competitor cap {}", row, cap);
+                assert!(best_possible > bound, "{row} competitor cap {cap}");
             }
             Err(e) => panic!("{row} competitor cap {cap}: unexpected error {e}"),
         }
@@ -181,40 +158,35 @@ fn capped_runs_are_prefixes<C: Carrier>(
     // first point meeting the bound on, where the run stopped.
     modelled::<C>(&reached[..=first_hit], &trace, row);
     let m_of = |points: &[(usize, usize)]| points.iter().map(|p| p.0).collect::<Vec<_>>();
-    prop_assert_eq!(
+    assert_eq!(
         m_of(&reached[..=first_hit]),
         m_of(&trace[..=first_hit]),
-        "{}: the measured |M| of each step",
-        row
+        "{row}: the measured |M| of each step"
     );
-    prop_assert!(
+    assert!(
         reached[first_hit..]
             .iter()
             .all(|&p| p == reached[first_hit]),
         "{}",
         row
     );
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The interrupted greedy state is a bit-for-bit prefix of the
-    /// uninterrupted run — at every step cap `k`, both engines land on
-    /// the same VVS, and its sizes are exactly the `k`-th point of the
-    /// full run's frontier trace — on every carrier row.
-    #[test]
-    fn step_capped_greedy_is_a_prefix_of_the_uninterrupted_trace(
-        polys in compatible().strategy(),
-        ints in compatible().strategy_in::<i64>(),
-        mins in compatible().strategy_in::<MinF64>(),
-        seed in 0u64..1_000,
-    ) {
-        capped_runs_are_prefixes(&polys, seed)?;
-        capped_runs_are_prefixes(&ints, seed)?;
-        capped_runs_are_prefixes(&mins, seed)?;
-    }
+/// The interrupted greedy state is a bit-for-bit prefix of the
+/// uninterrupted run — at every step cap `k`, both engines land on
+/// the same VVS, and its sizes are exactly the `k`-th point of the
+/// full run's frontier trace — on every carrier row.
+#[test]
+fn step_capped_greedy_is_a_prefix_of_the_uninterrupted_trace() {
+    cases(40, 501, |rng, _| {
+        let polys = compatible().draw(rng);
+        let ints = compatible().draw_in::<i64>(rng);
+        let mins = compatible().draw_in::<MinF64>(rng);
+        let seed = rng.below(1_000);
+        capped_runs_are_prefixes(&polys, seed);
+        capped_runs_are_prefixes(&ints, seed);
+        capped_runs_are_prefixes(&mins, seed);
+    });
 }
 
 /// Cancellation is observed before any selection step: a pre-tripped

@@ -17,7 +17,6 @@
 //! (whose merged terms can cancel, so a zero sum must be dropped the same
 //! way on both sides) and `MinF64` (whose merges keep the minimum).
 
-use proptest::prelude::*;
 use provabs_core::greedy::{greedy_frontier, greedy_vvs};
 use provabs_core::reference;
 use provabs_provenance::coeff::MinF64;
@@ -27,7 +26,7 @@ use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::polyset::PolySet;
 use provabs_provenance::var::{VarId, VarTable};
 use provabs_provenance::working::WorkingSet;
-use provabs_testkit::{carry, random_forest, Carrier, Coeffs, Powers, Shape};
+use provabs_testkit::{carry, cases, random_forest, Carrier, Coeffs, Powers, Shape};
 use provabs_trees::builder::TreeBuilder;
 use provabs_trees::forest::Forest;
 
@@ -109,55 +108,56 @@ fn single_tree<C: Carrier>(polys: &PolySet<C>, forest: &Forest) {
     assert_frontiers_agree(polys, forest);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Cases each property runs.
+const CASES: u64 = 48;
 
-    /// The tentpole invariant on forests of two and three trees:
-    /// identical VVS (or identical `BoundUnattainable` floor) for every
-    /// bound, and an identical exhaustion trace, on every carrier.
-    #[test]
-    fn engines_agree_on_multi_tree_forests(
-        polys in compatible().strategy(),
-        ints in compatible().strategy_in::<i64>(),
-        mins in compatible().strategy_in::<MinF64>(),
-        seed in 0u64..1_000,
-    ) {
+/// The tentpole invariant on forests of two and three trees:
+/// identical VVS (or identical `BoundUnattainable` floor) for every
+/// bound, and an identical exhaustion trace, on every carrier.
+#[test]
+fn engines_agree_on_multi_tree_forests() {
+    cases(CASES, 601, |rng, _| {
+        let polys = compatible().draw(rng);
+        let ints = compatible().draw_in::<i64>(rng);
+        let mins = compatible().draw_in::<MinF64>(rng);
+        let seed = rng.below(1_000);
         let (_, forest) = random_forest(18, 3, 2 + seed as usize % 2, seed);
         multi_tree(&polys, &forest);
         multi_tree(&ints, &forest);
         multi_tree(&mins, &forest);
-    }
+    });
+}
 
-    /// Single-tree instances (the regime where the greedy competes with
-    /// the optimal DP) agree too, including the step trace.
-    #[test]
-    fn engines_agree_on_single_trees(
-        polys in compatible().strategy(),
-        ints in compatible().strategy_in::<i64>(),
-        mins in compatible().strategy_in::<MinF64>(),
-        seed in 0u64..1_000,
-    ) {
-        let (_, forest) = random_forest(18, 3, 1, seed);
+/// Single-tree instances (the regime where the greedy competes with
+/// the optimal DP) agree too, including the step trace.
+#[test]
+fn engines_agree_on_single_trees() {
+    cases(CASES, 602, |rng, _| {
+        let polys = compatible().draw(rng);
+        let ints = compatible().draw_in::<i64>(rng);
+        let mins = compatible().draw_in::<MinF64>(rng);
+        let (_, forest) = random_forest(18, 3, 1, rng.below(1_000));
         single_tree(&polys, &forest);
         single_tree(&ints, &forest);
         single_tree(&mins, &forest);
-    }
+    });
+}
 
-    /// Unattainable bounds report the same floor from both engines, on
-    /// one to three trees: the bound-1 run exhausts every candidate, so
-    /// the floors expose the full trace's end state.
-    #[test]
-    fn unattainable_floors_agree(
-        polys in compatible().strategy(),
-        ints in compatible().strategy_in::<i64>(),
-        mins in compatible().strategy_in::<MinF64>(),
-        seed in 0u64..1_000,
-    ) {
+/// Unattainable bounds report the same floor from both engines, on
+/// one to three trees: the bound-1 run exhausts every candidate, so
+/// the floors expose the full trace's end state.
+#[test]
+fn unattainable_floors_agree() {
+    cases(CASES, 603, |rng, _| {
+        let polys = compatible().draw(rng);
+        let ints = compatible().draw_in::<i64>(rng);
+        let mins = compatible().draw_in::<MinF64>(rng);
+        let seed = rng.below(1_000);
         let (_, forest) = random_forest(18, 3, 1 + seed as usize % 3, seed);
         assert_engines_agree(&polys, &forest, 1);
         assert_engines_agree(&ints, &forest, 1);
         assert_engines_agree(&mins, &forest, 1);
-    }
+    });
 }
 
 /// Degenerate fixtures outside the random sweep.

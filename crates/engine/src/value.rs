@@ -330,19 +330,16 @@ mod tests {
         assert_eq!(Cell::Int(0).cmp_numbers(Cell::Float(f64::NAN)), None);
     }
 
-    proptest::proptest! {
-        /// Equal ⇒ same hash, over keys drawn around ±2^53 where int and
-        /// float neighbours crowd together, and over whole rows of them.
-        #[test]
-        fn equal_values_hash_alike(
-            picks in proptest::collection::vec((0u8..4, -4i64..5, 0u8..4), 2..8)
-        ) {
-            let values: Vec<Value> = picks
-                .iter()
-                .map(|&(base, offset, kind)| {
-                    let base = [0, 1i64 << 53, -(1i64 << 53), 1i64 << 62][base as usize];
-                    let i = base + offset;
-                    match kind {
+    /// Equal ⇒ same hash, over keys drawn around ±2^53 where int and
+    /// float neighbours crowd together, and over whole rows of them.
+    #[test]
+    fn equal_values_hash_alike() {
+        provabs_testkit::cases(256, 301, |rng, _| {
+            let values: Vec<Value> = (0..rng.within(2..=7))
+                .map(|_| {
+                    let base = [0, 1i64 << 53, -(1i64 << 53), 1i64 << 62][rng.below(4) as usize];
+                    let i = base + rng.int(-4..=4);
+                    match rng.below(4) {
                         0 => Value::Int(i),
                         1 => Value::float(i as f64),
                         2 => Value::float(i as f64 + 0.5),
@@ -350,19 +347,18 @@ mod tests {
                     }
                 })
                 .collect();
-            let key_hash = |row: &[&Value]| {
-                combine_key_hashes(row.iter().map(|v| v.cell().key_hash()))
-            };
+            let key_hash =
+                |row: &[&Value]| combine_key_hashes(row.iter().map(|v| v.cell().key_hash()));
             let other = &values[0];
             for a in &values {
                 for b in &values {
                     if a == b {
-                        proptest::prop_assert_eq!(hash_of(a), hash_of(b), "{:?} {:?}", a, b);
-                        proptest::prop_assert_eq!(key_hash(&[a, other]), key_hash(&[b, other]));
+                        assert_eq!(hash_of(a), hash_of(b), "{a:?} {b:?}");
+                        assert_eq!(key_hash(&[a, other]), key_hash(&[b, other]));
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]

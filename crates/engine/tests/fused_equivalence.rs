@@ -18,7 +18,6 @@
 //! folding into the join before them. Five fixed rows cover the five
 //! [`Workload`] queries at small scale.
 
-use proptest::prelude::*;
 use provabs_datagen::workload::Workload;
 use provabs_datagen::{bom, telephony, tpch};
 use provabs_engine::expr::Expr;
@@ -34,6 +33,7 @@ use provabs_provenance::intern::{accumulate, MonoArena, MonoId};
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
 use provabs_provenance::var::{VarId, VarTable};
+use provabs_testkit::{cases, Rng};
 
 // ---------------------------------------------------------------------
 // One plan, two executions
@@ -331,34 +331,6 @@ fn assert_same_aggregates(fused: &Pipeline, eager: &Table, query: &Query) {
 // Random cases
 // ---------------------------------------------------------------------
 
-/// A stream of random choices; generation is a deterministic function of
-/// it.
-struct Dice {
-    values: Vec<u32>,
-    next: usize,
-}
-
-impl Dice {
-    fn below(&mut self, n: usize) -> usize {
-        let v = self.values[self.next % self.values.len()];
-        self.next += 1;
-        v as usize % n
-    }
-
-    fn chance(&mut self, one_in: usize) -> bool {
-        self.below(one_in) == 0
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len())]
-    }
-
-    /// From `items`, or from `fallback` when a projection left none.
-    fn pick_or<'a, T>(&mut self, items: &'a [T], fallback: &'a [T]) -> &'a T {
-        self.pick(if items.is_empty() { fallback } else { items })
-    }
-}
-
 const TABLES: [&str; 3] = ["T0", "T1", "T2"];
 const STRINGS: [&str; 3] = ["a", "b", "c"];
 
@@ -366,32 +338,32 @@ const STRINGS: [&str; 3] = ["a", "b", "c"];
 /// (sums cancel), halves and wholes for floats — a `Float`
 /// column also holds the odd `Int` (tables widen them), which is how an
 /// `Int` meets a `Float` in a join key or a group key.
-fn random_value(dice: &mut Dice, ty: ColumnType) -> Value {
+fn random_value(rng: &mut Rng, ty: ColumnType) -> Value {
     match ty {
-        ColumnType::Int => Value::Int(dice.below(4) as i64 - 1),
-        ColumnType::Float if dice.chance(3) => Value::Int(dice.below(2) as i64),
-        ColumnType::Float => Value::float(dice.below(4) as f64 / 2.0),
-        ColumnType::Str => Value::str(dice.pick(&STRINGS)),
+        ColumnType::Int => Value::Int(rng.below(4) as i64 - 1),
+        ColumnType::Float if rng.chance(3) => Value::Int(rng.below(2) as i64),
+        ColumnType::Float => Value::float(rng.below(4) as f64 / 2.0),
+        ColumnType::Str => Value::str(rng.pick(&STRINGS)),
     }
 }
 
 /// Three tables of 0–8 rows and 2–4 typed columns. Every table has an
 /// `Int` column called `k`, so every join renames a collision.
-fn random_catalog(dice: &mut Dice) -> Catalog {
+fn random_catalog(rng: &mut Rng) -> Catalog {
     let mut catalog = Catalog::new();
     for name in TABLES {
         let mut columns = vec![("k".to_string(), ColumnType::Int)];
-        for c in 0..1 + dice.below(3) {
-            let ty = *dice.pick(&[ColumnType::Int, ColumnType::Float, ColumnType::Str]);
+        for c in 0..1 + rng.below(3) {
+            let ty = rng.pick(&[ColumnType::Int, ColumnType::Float, ColumnType::Str]);
             columns.push((format!("{}{c}", name.to_lowercase()), ty));
         }
         let schema = Schema::new(columns).expect("distinct names");
         let mut table = Table::new(schema.clone());
         // One table in eight is empty.
-        let rows = if dice.chance(8) { 0 } else { 1 + dice.below(8) };
+        let rows = if rng.chance(8) { 0 } else { 1 + rng.below(8) };
         for _ in 0..rows {
             let row: Row = (0..schema.arity())
-                .map(|i| random_value(dice, schema.column_type(i)))
+                .map(|i| random_value(rng, schema.column_type(i)))
                 .collect();
             table.push(row).expect("values drawn per column type");
         }
@@ -416,8 +388,8 @@ fn is_num(ty: ColumnType) -> bool {
     ty != ColumnType::Str
 }
 
-fn compare(dice: &mut Dice, l: Expr, r: Expr) -> Expr {
-    match dice.below(4) {
+fn compare(rng: &mut Rng, l: Expr, r: Expr) -> Expr {
+    match rng.below(4) {
         0 => l.lt(r),
         1 => l.ge(r),
         _ => l.eq(r),
@@ -426,36 +398,36 @@ fn compare(dice: &mut Dice, l: Expr, r: Expr) -> Expr {
 
 /// A well-typed comparison over `schema`: column against column or
 /// literal of its kind, or arithmetic against a number.
-fn random_comparison(dice: &mut Dice, schema: &Schema) -> Expr {
+fn random_comparison(rng: &mut Rng, schema: &Schema) -> Expr {
     let strings = columns_of(schema, is_str);
     let numbers = columns_of(schema, is_num);
-    if numbers.is_empty() || (!strings.is_empty() && dice.chance(3)) {
-        let l = Expr::col(dice.pick(&strings));
-        let r = if dice.chance(2) {
-            Expr::col(dice.pick(&strings))
+    if numbers.is_empty() || (!strings.is_empty() && rng.chance(3)) {
+        let l = Expr::col(rng.pick(&strings));
+        let r = if rng.chance(2) {
+            Expr::col(rng.pick(&strings))
         } else {
-            Expr::lit(*dice.pick(&STRINGS))
+            Expr::lit(rng.pick(&STRINGS))
         };
-        return compare(dice, l, r);
+        return compare(rng, l, r);
     }
-    let l = Expr::col(dice.pick(&numbers));
-    let r = match dice.below(4) {
-        0 => Expr::lit(dice.below(3) as i64),
-        1 => Expr::lit(dice.below(4) as f64 / 2.0),
-        _ => Expr::col(dice.pick(&numbers)),
+    let l = Expr::col(rng.pick(&numbers));
+    let r = match rng.below(4) {
+        0 => Expr::lit(rng.below(3) as i64),
+        1 => Expr::lit(rng.below(4) as f64 / 2.0),
+        _ => Expr::col(rng.pick(&numbers)),
     };
-    if dice.chance(5) {
-        let l = l.mul(Expr::col(dice.pick(&numbers)));
-        return compare(dice, l, r);
+    if rng.chance(5) {
+        let l = l.mul(Expr::col(rng.pick(&numbers)));
+        return compare(rng, l, r);
     }
-    compare(dice, l, r)
+    compare(rng, l, r)
 }
 
-fn random_predicate(dice: &mut Dice, schema: &Schema) -> Expr {
-    let a = random_comparison(dice, schema);
-    match dice.below(6) {
-        0 => a.and(random_comparison(dice, schema)),
-        1 => a.or(Expr::Not(Box::new(random_comparison(dice, schema)))),
+fn random_predicate(rng: &mut Rng, schema: &Schema) -> Expr {
+    let a = random_comparison(rng, schema);
+    match rng.below(6) {
+        0 => a.and(random_comparison(rng, schema)),
+        1 => a.or(Expr::Not(Box::new(random_comparison(rng, schema)))),
         2 => Expr::Not(Box::new(a)),
         _ => a,
     }
@@ -466,32 +438,32 @@ fn random_predicate(dice: &mut Dice, schema: &Schema) -> Expr {
 /// matching answers with "no match", not an error) — and, half the time,
 /// an equality filter across it directly afterwards: the shape that is
 /// folded into the key list.
-fn random_join(dice: &mut Dice, catalog: &Catalog, schema: &Schema, steps: &mut Vec<Step>) {
-    let table = *dice.pick(&TABLES);
+fn random_join(rng: &mut Rng, catalog: &Catalog, schema: &Schema, steps: &mut Vec<Step>) {
+    let table = rng.pick(&TABLES);
     let right = catalog.get(table).expect("registered").schema().clone();
-    let pair = |dice: &mut Dice| {
-        let kind: fn(ColumnType) -> bool = if dice.chance(3) { is_str } else { is_num };
-        let other: fn(ColumnType) -> bool = if dice.chance(12) { is_str } else { kind };
+    let pair = |rng: &mut Rng| {
+        let kind: fn(ColumnType) -> bool = if rng.chance(3) { is_str } else { is_num };
+        let other: fn(ColumnType) -> bool = if rng.chance(12) { is_str } else { kind };
         let (l, r) = (columns_of(schema, kind), columns_of(&right, other));
         if l.is_empty() || r.is_empty() {
             ("k".to_string(), "k".to_string())
         } else {
-            (dice.pick(&l).clone(), dice.pick(&r).clone())
+            (rng.pick(&l), rng.pick(&r))
         }
     };
-    let mut on = vec![pair(dice)];
-    if dice.chance(4) {
-        on.push(pair(dice));
+    let mut on = vec![pair(rng)];
+    if rng.chance(4) {
+        on.push(pair(rng));
     }
     steps.push(Step::Join {
         table: table.to_string(),
         on,
     });
-    if dice.chance(2) {
+    if rng.chance(2) {
         let Ok(joined) = schema.join(&right, table) else {
             return;
         };
-        let kind: fn(ColumnType) -> bool = if dice.chance(3) { is_str } else { is_num };
+        let kind: fn(ColumnType) -> bool = if rng.chance(3) { is_str } else { is_num };
         let left = columns_of(schema, kind);
         let new: Vec<String> = columns_of(&joined, kind)
             .into_iter()
@@ -500,55 +472,57 @@ fn random_join(dice: &mut Dice, catalog: &Catalog, schema: &Schema, steps: &mut 
         if left.is_empty() || new.is_empty() {
             return;
         }
-        let (l, r) = (Expr::col(dice.pick(&left)), Expr::col(dice.pick(&new)));
-        steps.push(Step::Filter(if dice.chance(2) { l.eq(r) } else { r.eq(l) }));
+        let (l, r) = (Expr::col(rng.pick(&left)), Expr::col(rng.pick(&new)));
+        steps.push(Step::Filter(if rng.chance(2) { l.eq(r) } else { r.eq(l) }));
     }
 }
 
-fn random_projection(dice: &mut Dice, schema: &Schema) -> Step {
+fn random_projection(rng: &mut Rng, schema: &Schema) -> Step {
     let all = columns_of(schema, |_| true);
-    let mut kept: Vec<String> = all.iter().filter(|_| dice.chance(2)).cloned().collect();
+    let mut kept: Vec<String> = all.iter().filter(|_| rng.chance(2)).cloned().collect();
     if kept.is_empty() {
-        kept.push(dice.pick(&all).clone());
+        kept.push(rng.pick(&all));
     }
-    if dice.chance(2) {
+    if rng.chance(2) {
         kept.reverse();
     }
     Step::Project(kept)
 }
 
-fn random_query(dice: &mut Dice, schema: &Schema) -> Query {
+fn random_query(rng: &mut Rng, schema: &Schema) -> Query {
     let all = columns_of(schema, |_| true);
     let numbers = columns_of(schema, is_num);
     let ints = columns_of(schema, |ty| ty == ColumnType::Int);
     let mut group_cols: Vec<String> = Vec::new();
-    for _ in 0..dice.below(3) {
-        let c = dice.pick(&all);
-        if !group_cols.contains(c) {
-            group_cols.push(c.clone());
+    for _ in 0..rng.below(3) {
+        let c = rng.pick(&all);
+        if !group_cols.contains(&c) {
+            group_cols.push(c);
         }
     }
-    let number = |dice: &mut Dice| Expr::col(dice.pick_or(&numbers, &all));
-    let measure = match dice.below(8) {
+    // From the numbers, or from every column when a projection left none.
+    let numeric = if numbers.is_empty() { &all } else { &numbers };
+    let number = |rng: &mut Rng| Expr::col(rng.pick(numeric));
+    let measure = match rng.below(8) {
         0 => Expr::lit(1i64),
-        1 => number(dice).mul(number(dice)),
-        2 => number(dice).sub(Expr::lit(0.5)),
+        1 => number(rng).mul(number(rng)),
+        2 => number(rng).sub(Expr::lit(0.5)),
         // A string measure: both sides must raise alike on the first row.
-        3 => Expr::col(dice.pick(&all)),
-        _ => number(dice),
+        3 => Expr::col(rng.pick(&all)),
+        _ => number(rng),
     };
     let mut rules = Vec::new();
-    for _ in 0..dice.below(4) {
-        rules.push(match dice.below(6) {
+    for _ in 0..rng.below(4) {
+        rules.push(match rng.below(6) {
             // One prefix for every rule: different columns name the same
             // variables, and a monomial gets exponents.
-            0 | 1 => VarRule::per_value(dice.pick(&all), "v"),
-            2 => VarRule::per_value(dice.pick(&all), "w"),
-            3 => VarRule::per_mod(dice.pick_or(&ints, &all), 2, "v"),
+            0 | 1 => VarRule::per_value(rng.pick(&all), "v"),
+            2 => VarRule::per_value(rng.pick(&all), "w"),
+            3 => VarRule::per_mod(rng.pick(if ints.is_empty() { &all } else { &ints }), 2, "v"),
             // Over a Float column this raises on the first real float.
-            4 => VarRule::per_mod(dice.pick_or(&numbers, &all), 3, "r"),
+            4 => VarRule::per_mod(rng.pick(numeric), 3, "r"),
             // `c` is unmapped, and so is every number.
-            _ => VarRule::mapped(dice.pick(&all), [("a", "v0"), ("b", "m"), ("1", "m")]),
+            _ => VarRule::mapped(rng.pick(&all), [("a", "v0"), ("b", "m"), ("1", "m")]),
         });
     }
     Query {
@@ -562,17 +536,17 @@ fn random_query(dice: &mut Dice, schema: &Schema) -> Query {
 /// running both executions as it goes. A stage the oracle refuses (a
 /// join whose renamed columns collide, say) must be refused alike by the
 /// pipeline, and is then left out.
-fn random_case(dice: &mut Dice) -> (Table, Pipeline, Query) {
-    let catalog = random_catalog(dice);
-    let source = *dice.pick(&TABLES);
+fn random_case(rng: &mut Rng) -> (Table, Pipeline, Query) {
+    let catalog = random_catalog(rng);
+    let source = rng.pick(&TABLES);
     let mut eager = catalog.get(source).expect("registered").clone();
     let mut fused = Pipeline::scan(&catalog, source).expect("registered");
-    for _ in 0..dice.below(5) {
+    for _ in 0..rng.below(5) {
         let mut steps = Vec::new();
-        match dice.below(5) {
-            0 => steps.push(Step::Filter(random_predicate(dice, eager.schema()))),
-            1 => steps.push(random_projection(dice, eager.schema())),
-            _ => random_join(dice, &catalog, eager.schema(), &mut steps),
+        match rng.below(5) {
+            0 => steps.push(Step::Filter(random_predicate(rng, eager.schema()))),
+            1 => steps.push(random_projection(rng, eager.schema())),
+            _ => random_join(rng, &catalog, eager.schema(), &mut steps),
         }
         for step in &steps {
             match (
@@ -593,26 +567,21 @@ fn random_case(dice: &mut Dice) -> (Table, Pipeline, Query) {
             }
         }
     }
-    let query = random_query(dice, eager.schema());
+    let query = random_query(rng, eager.schema());
     (eager, fused, query)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn fused_plans_equal_the_eager_composition_to_the_bit(
-        values in prop::collection::vec(any::<u32>(), 256)
-    ) {
-        let mut dice = Dice { values, next: 0 };
-        let (eager, fused, query) = random_case(&mut dice);
+#[test]
+fn fused_plans_equal_the_eager_composition_to_the_bit() {
+    cases(512, 401, |rng, _| {
+        let (eager, fused, query) = random_case(rng);
         assert_same_table(fused.table(), &eager, &fused.explain());
         assert_same_aggregates(&fused, &eager, &query);
         // A second drive off the same pipeline (cached join indexes, kept
         // table) says the same.
         assert_same_table(fused.table(), &eager, &fused.explain());
         assert_same_aggregates(&fused, &eager, &query);
-    }
+    });
 }
 
 /// The generator reaches what it is there for: plans with a folded
@@ -621,19 +590,15 @@ proptest! {
 #[test]
 fn the_random_cases_cover_the_interesting_shapes() {
     let (mut pushed, mut residual, mut empty, mut raised, mut fan_out) = (0, 0, 0, 0, 0);
-    for seed in 0..400u32 {
-        let values = (0..256u32)
-            .map(|i| (seed * 256 + i).wrapping_mul(2_654_435_761) >> 7)
-            .collect();
-        let mut dice = Dice { values, next: 0 };
-        let (eager, fused, query) = random_case(&mut dice);
+    cases(400, 402, |rng, _| {
+        let (eager, fused, query) = random_case(rng);
         let plan = fused.explain();
         pushed += usize::from(plan.contains("[pushed down]"));
         residual += usize::from(plan.contains("\nfilter "));
         empty += usize::from(eager.is_empty());
         fan_out += usize::from(eager.len() > 6);
         raised += usize::from(oracle_sum(&eager, &query, &mut VarTable::new()).is_err());
-    }
+    });
     for (what, n) in [
         ("pushed-down joins", pushed),
         ("residual filters", residual),

@@ -10,7 +10,6 @@
 //! representation has; the documented last-bit caveat of
 //! `provabs_provenance::working` never manifests on exact inputs).
 
-use proptest::prelude::*;
 use provabs_provenance::compiled::CompiledPolySet;
 use provabs_provenance::monomial::Monomial;
 use provabs_provenance::polynomial::Polynomial;
@@ -18,22 +17,22 @@ use provabs_provenance::polyset::PolySet;
 use provabs_provenance::valuation::Valuation;
 use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
-use provabs_testkit::{runs, Coeffs, Powers, Shape};
+use provabs_testkit::{assume, cases, runs, Coeffs, Powers, Rng, Shape};
 
 /// A random poly-set over variables v0..v9 with small integer-valued
 /// `f64` coefficients and exponents 1..=2.
-fn polys() -> impl Strategy<Value = PolySet<f64>> {
+fn polys(rng: &mut Rng) -> PolySet<f64> {
     Shape {
         arity: 0..=3,
         powers: Powers::Dense(2),
         coeffs: Coeffs::Integers,
         ..Shape::default()
     }
-    .strategy()
+    .draw(rng)
 }
 
 /// A compatible group: variables drawn from a fixed family that the
-/// strategy above places in *separate* monomials often enough — filtered
+/// generator above places in *separate* monomials often enough — filtered
 /// below to groups whose variables never co-occur in one monomial.
 fn group_is_compatible(polys: &PolySet<f64>, group: &[VarId]) -> bool {
     polys
@@ -50,112 +49,149 @@ fn int_valuation(offset: u32) -> Valuation<f64> {
     val
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Cases each property of the hash-map round trips runs.
+const CASES: u64 = 96;
 
-    /// Lowering a poly-set into the interned working set and bridging
-    /// back is the identity (term sets, coefficients, measures).
-    #[test]
-    fn ingest_roundtrip_is_identity(polys in polys()) {
+/// Lowering a poly-set into the interned working set and bridging
+/// back is the identity (term sets, coefficients, measures).
+#[test]
+fn ingest_roundtrip_is_identity() {
+    cases(CASES, 701, |rng, _| {
+        let polys = polys(rng);
         let ws = WorkingSet::from_polyset(&polys);
-        prop_assert_eq!(ws.size_m(), polys.size_m());
-        prop_assert_eq!(ws.size_v(), polys.size_v());
-        prop_assert_eq!(ws.num_polys(), polys.len());
+        assert_eq!(ws.size_m(), polys.size_m());
+        assert_eq!(ws.size_v(), polys.size_v());
+        assert_eq!(ws.num_polys(), polys.len());
         assert_eq!(ws.to_polyset().as_slice(), polys.as_slice());
         // The live-variable view equals the poly-set's variable set.
-        prop_assert_eq!(ws.live_vars(), polys.var_set());
-    }
+        assert_eq!(ws.live_vars(), polys.var_set());
+    });
+}
 
-    /// Freezing a working set evaluates bit-for-bit like compiling its
-    /// materialisation, on every evaluation entry point.
-    #[test]
-    fn freeze_equals_compile_of_materialisation(polys in polys(), offset in 0u32..5) {
+/// Freezing a working set evaluates bit-for-bit like compiling its
+/// materialisation, on every evaluation entry point.
+#[test]
+fn freeze_equals_compile_of_materialisation() {
+    cases(CASES, 702, |rng, _| {
+        let polys = polys(rng);
+        let offset = rng.below(5) as u32;
         let ws = WorkingSet::from_polyset(&polys);
         let frozen = ws.freeze();
         let compiled = CompiledPolySet::compile(&ws.to_polyset());
-        prop_assert_eq!(frozen.num_polys(), compiled.num_polys());
-        prop_assert_eq!(frozen.num_monomials(), compiled.num_monomials());
-        prop_assert_eq!(frozen.num_vars(), compiled.num_vars());
-        let vals = [int_valuation(offset), Valuation::neutral(), int_valuation(offset + 1)];
+        assert_eq!(frozen.num_polys(), compiled.num_polys());
+        assert_eq!(frozen.num_monomials(), compiled.num_monomials());
+        assert_eq!(frozen.num_vars(), compiled.num_vars());
+        let vals = [
+            int_valuation(offset),
+            Valuation::neutral(),
+            int_valuation(offset + 1),
+        ];
         for val in &vals {
             let a = frozen.eval_one(val);
             let b = compiled.eval_one(val);
             let c = val.eval_set(&polys);
             for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "freeze vs compile");
-                prop_assert_eq!(x.to_bits(), z.to_bits(), "freeze vs hash-map eval");
+                assert_eq!(x.to_bits(), y.to_bits(), "freeze vs compile");
+                assert_eq!(x.to_bits(), z.to_bits(), "freeze vs hash-map eval");
             }
         }
         // Batch evaluation agrees with single-shot evaluation.
         let batch = frozen.eval_all(&vals);
         for (s, val) in vals.iter().enumerate() {
-            prop_assert_eq!(batch[s].clone(), frozen.eval_one(val));
+            assert_eq!(batch[s], frozen.eval_one(val));
         }
         // And both denote the same poly-set.
-        assert_eq!(frozen.to_polyset().as_slice(), compiled.to_polyset().as_slice());
-    }
+        assert_eq!(
+            frozen.to_polyset().as_slice(),
+            compiled.to_polyset().as_slice()
+        );
+    });
+}
 
-    /// A group substitution in id space equals `map_vars` on the
-    /// hash-map representation, and the predicted monomial loss matches
-    /// the actual merge count.
-    #[test]
-    fn apply_group_and_ml_delta_match_map_vars(polys in polys(), pick in prop::collection::vec(0u32..10, 2..4)) {
+/// A group substitution in id space equals `map_vars` on the
+/// hash-map representation, and the predicted monomial loss matches
+/// the actual merge count — for the drawn group, and for every
+/// compatible pair of variables (a drawn set seldom merges under one
+/// group).
+#[test]
+fn apply_group_and_ml_delta_match_map_vars() {
+    cases(CASES, 703, |rng, _| {
+        let polys = polys(rng);
         let group: Vec<VarId> = {
-            let mut g: Vec<VarId> = pick.into_iter().map(VarId).collect();
+            let mut g: Vec<VarId> = (0..rng.within(2..=3))
+                .map(|_| VarId(rng.below(10) as u32))
+                .collect();
             g.sort_unstable_by_key(|v| v.0);
             g.dedup();
             g
         };
-        prop_assume!(group.len() >= 2);
-        prop_assume!(group_is_compatible(&polys, &group));
-        let target = VarId(99);
-        let affected: Vec<usize> = (0..polys.len()).collect();
-        let mut ws = WorkingSet::from_polyset(&polys);
-        let predicted = ws.ml_delta_of_group(&group, &affected);
-        ws.apply_group(&group, target, &affected);
-        let expected = polys.map_vars(|v| if group.contains(&v) { target } else { v });
-        prop_assert_eq!(ws.size_m(), expected.size_m());
-        prop_assert_eq!(ws.size_v(), expected.size_v());
-        prop_assert_eq!(predicted, polys.size_m() - expected.size_m());
-        assert_eq!(ws.to_polyset().as_slice(), expected.as_slice());
-        // Freezing the rewritten set still matches the hash-map result.
-        let frozen = ws.freeze();
-        let val = int_valuation(3);
-        let a = frozen.eval_one(&val);
-        let b = val.eval_set(&expected);
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
+        assume(group.len() >= 2)?;
+        assume(group_is_compatible(&polys, &group))?;
+        let pairs = (0..10).flat_map(|a| (a + 1..10).map(move |b| vec![VarId(a), VarId(b)]));
+        for group in pairs
+            .filter(|g| group_is_compatible(&polys, g))
+            .chain([group])
+        {
+            let target = VarId(99);
+            let affected: Vec<usize> = (0..polys.len()).collect();
+            let mut ws = WorkingSet::from_polyset(&polys);
+            let predicted = ws.ml_delta_of_group(&group, &affected);
+            ws.apply_group(&group, target, &affected);
+            let expected = polys.map_vars(|v| if group.contains(&v) { target } else { v });
+            assert_eq!(ws.size_m(), expected.size_m());
+            assert_eq!(ws.size_v(), expected.size_v());
+            assert_eq!(predicted, polys.size_m() - expected.size_m(), "{group:?}");
+            assert_eq!(ws.to_polyset().as_slice(), expected.as_slice());
+            // Freezing the rewritten set still matches the hash-map result.
+            let frozen = ws.freeze();
+            let val = int_valuation(3);
+            let a = frozen.eval_one(&val);
+            let b = val.eval_set(&expected);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
-    }
+        Some(())
+    });
+}
 
-    /// Wholesale substitutions (the `𝒫↓S` application) agree with
-    /// `map_vars` for arbitrary variable maps — including collapsing
-    /// maps that merge monomials within a polynomial.
-    #[test]
-    fn apply_var_map_matches_map_vars(polys in polys(), modulus in 1u32..6) {
+/// Wholesale substitutions (the `𝒫↓S` application) agree with
+/// `map_vars` for arbitrary variable maps — including collapsing
+/// maps that merge monomials within a polynomial.
+#[test]
+fn apply_var_map_matches_map_vars() {
+    cases(CASES, 704, |rng, _| {
+        let polys = polys(rng);
+        let modulus = 1 + rng.below(5) as u32;
         let map = |v: VarId| VarId(v.0 % modulus);
         let mut ws = WorkingSet::from_polyset(&polys);
         ws.apply_var_map(map);
         let expected = polys.map_vars(map);
-        prop_assert_eq!(ws.size_m(), expected.size_m());
-        prop_assert_eq!(ws.size_v(), expected.size_v());
+        assert_eq!(ws.size_m(), expected.size_m());
+        assert_eq!(ws.size_v(), expected.size_v());
         assert_eq!(ws.to_polyset().as_slice(), expected.as_slice());
-    }
+    });
+}
 
-    /// Subsetting (the online-sampling primitive) selects exactly the
-    /// indexed polynomials, over the shared arena.
-    #[test]
-    fn subset_matches_index_selection(polys in polys(), mask in prop::collection::vec(any::<bool>(), 0..5)) {
+/// Subsetting (the online-sampling primitive) selects exactly the
+/// indexed polynomials, over the shared arena.
+#[test]
+fn subset_matches_index_selection() {
+    cases(CASES, 705, |rng, _| {
+        let polys = polys(rng);
+        let mask: Vec<bool> = (0..rng.below(5)).map(|_| rng.chance(2)).collect();
         let indices: Vec<usize> = (0..polys.len())
             .filter(|&i| mask.get(i).copied().unwrap_or(false))
             .collect();
         let ws = WorkingSet::from_polyset(&polys);
         let sub = ws.subset(&indices);
-        prop_assert_eq!(sub.num_polys(), indices.len());
-        let slice = polys.as_slice();
-        let expected = PolySet::from_vec(indices.iter().map(|&i| slice[i].clone()).collect::<Vec<_>>());
-        assert_eq!(sub.to_polyset().as_slice(), expected.as_slice());
-    }
+        assert_eq!(sub.num_polys(), indices.len());
+        let picked: Vec<_> = indices
+            .iter()
+            .map(|&i| polys.as_slice()[i].clone())
+            .collect();
+        assert_eq!(sub.to_polyset().as_slice(), picked.as_slice());
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -388,13 +424,20 @@ fn compatible_polyset(raw: &RawPolys, exact: bool) -> PolySet<f64> {
     )
 }
 
-fn compatible_strategy(polys: std::ops::Range<usize>) -> impl Strategy<Value = RawPolys> {
-    let term = (
-        0u32..7,
-        prop::collection::vec((0u32..5, 1u32..3), 0..3),
-        -9i64..10,
-    );
-    prop::collection::vec(prop::collection::vec(term, 0..7), polys)
+/// Up to `max_polys` drawn polynomials of up to six terms, each term
+/// up to two context factors of exponent 1..=2 and a coefficient draw in
+/// `-3..=3`, for [`compatible_polyset`]: two exact terms that merge
+/// cancel about one time in eight.
+fn raw_polys(rng: &mut Rng, max_polys: usize) -> RawPolys {
+    let term = |rng: &mut Rng| {
+        let context = (0..rng.below(3))
+            .map(|_| (rng.below(5) as u32, 1 + rng.below(2) as u32))
+            .collect();
+        (rng.below(7) as u32, context, rng.int(-3..=3))
+    };
+    (0..rng.within(0..=max_polys))
+        .map(|_| (0..rng.below(7)).map(|_| term(rng)).collect())
+        .collect()
 }
 
 /// One step of an interleaving: an operation and the draws it reads.
@@ -413,14 +456,13 @@ const WRITE: u32 = 9;
 /// The operation that clones a branch of the walk instead of changing one.
 const FORK: u32 = 10;
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    (
-        0u32..=FORK,
-        any::<u32>(),
-        any::<u32>(),
-        prop::collection::vec((0u32..12, 0u32..3), 0..4),
-        compatible_strategy(0..3),
-    )
+fn step(rng: &mut Rng) -> Step {
+    let op = rng.below(u64::from(FORK) + 1) as u32;
+    let (a, b) = (rng.next_u64() as u32, rng.next_u64() as u32);
+    let factors = (0..rng.below(4))
+        .map(|_| (rng.below(12) as u32, rng.below(3) as u32))
+        .collect();
+    (op, a, b, factors, raw_polys(rng, 2))
 }
 
 /// Applies one step to the working set, the model and the shadow, and
@@ -714,36 +756,41 @@ fn walk_branches(branches: &mut Vec<Branch>, steps: Vec<(u32, Step)>) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// Cases each walk property runs.
+const WALKS: u64 = 192;
 
-    /// Random interleavings of every operation that assigns an id or
-    /// moves a term leave the working set and the model agreeing id for
-    /// id and bit for bit after every step, with every run ascending,
-    /// inside the span it had and clear of its neighbours, and the set
-    /// denoting what `PolySet::map_vars` makes of the same steps — on
-    /// every branch of a walk that forks, each branch also agreeing with
-    /// an unshared twin and left alone by the steps that drive another.
-    #[test]
-    fn interleavings_agree_with_the_model(
-        raw in compatible_strategy(0..5),
-        exact in any::<bool>(),
-        steps in prop::collection::vec((any::<u32>(), step_strategy()), 0..24),
-    ) {
+/// Random interleavings of every operation that assigns an id or
+/// moves a term leave the working set and the model agreeing id for
+/// id and bit for bit after every step, with every run ascending,
+/// inside the span it had and clear of its neighbours, and the set
+/// denoting what `PolySet::map_vars` makes of the same steps — on
+/// every branch of a walk that forks, each branch also agreeing with
+/// an unshared twin and left alone by the steps that drive another.
+#[test]
+fn interleavings_agree_with_the_model() {
+    cases(WALKS, 706, |rng, _| {
+        let raw = raw_polys(rng, 4);
+        let exact = rng.chance(2);
+        let steps: Vec<(u32, Step)> = (0..rng.below(24))
+            .map(|_| (rng.next_u64() as u32, step(rng)))
+            .collect();
         let polys = compatible_polyset(&raw, exact);
         let walk = Walk::new(WorkingSet::from_polyset(&polys), polys, exact);
         walk.assert_agree();
         walk_branches(&mut vec![Branch::of(walk)], steps);
-    }
+    });
+}
 
-    /// Compaction changes nothing a consumer can see: the same poly-set,
-    /// byte-for-byte the same frozen columns, and an arena that holds the
-    /// live monomials alone, in the order they had.
-    #[test]
-    fn compaction_is_invisible_downstream(
-        raw in compatible_strategy(0..5),
-        groups in prop::collection::vec((0u32..32, 0u32..8), 0..4),
-    ) {
+/// Compaction changes nothing a consumer can see: the same poly-set,
+/// byte-for-byte the same frozen columns, and an arena that holds the
+/// live monomials alone, in the order they had.
+#[test]
+fn compaction_is_invisible_downstream() {
+    cases(WALKS, 707, |rng, _| {
+        let raw = raw_polys(rng, 4);
+        let groups: Vec<(u32, u32)> = (0..rng.below(4))
+            .map(|_| (rng.below(32) as u32, rng.below(8) as u32))
+            .collect();
         let mut ws = WorkingSet::from_polyset(&compatible_polyset(&raw, true));
         let all: Vec<usize> = (0..ws.num_polys()).collect();
         for (mask, target) in groups {
@@ -756,19 +803,19 @@ proptest! {
         ws.compact();
         assert_eq!(ws.to_polyset().as_slice(), before.as_slice());
         let encoded = provabs_provenance::persist::encode_compiled(frozen.view());
-        prop_assert_eq!(
+        assert_eq!(
             &provabs_provenance::persist::encode_compiled(ws.freeze().view()),
             &encoded
         );
         // A freeze allocates what it holds and no more: behind the five
         // counts, the encoding is the columns byte for byte.
-        prop_assert_eq!(frozen.estimated_bytes(), encoded.len() - 40);
-        prop_assert_eq!(ws.freeze().estimated_bytes(), encoded.len() - 40);
+        assert_eq!(frozen.estimated_bytes(), encoded.len() - 40);
+        assert_eq!(ws.freeze().estimated_bytes(), encoded.len() - 40);
         let arena: Vec<Monomial> = (0..ws.arena().len() as MonoId)
             .map(|id| ws.mono(id).to_monomial())
             .collect();
-        prop_assert_eq!(arena, order);
-    }
+        assert_eq!(arena, order);
+    });
 }
 
 /// Both promotion paths, each branch written after the other forked: a

@@ -1,18 +1,18 @@
-//! The equivalence suites' shared tools: one seeded [`Rng`], one
-//! poly-set generator ([`Shape`]) with the scenario batches that fit it,
-//! the coefficient [`Carrier`] axis the compression suites sweep,
+//! The equivalence suites' shared tools: one seeded [`Rng`], the one
+//! case loop every property suite runs ([`cases`]), one poly-set
+//! generator ([`Shape`]) with the scenario batches that fit it, the
+//! coefficient [`Carrier`] axis the compression suites sweep,
 //! random forests over its leaf pools, the workload [`fixture`], every
 //! session [`strategies`] variant, temporary artifact files, and the five
 //! declared relations a suite asserts — [`bits_equal`], [`close`],
 //! [`within_bound`], [`prefix_of`] and [`modelled`] — and the evaluation
 //! matrix's rows ([`matrix`]).
 //!
-//! Dev-only: the integration suites of six crates list it under
+//! Dev-only: the tests of eight crates list it under
 //! `[dev-dependencies]`, and it is never published.
 
 pub mod matrix;
 
-use proptest::prelude::{any, Strategy as PropStrategy};
 use provabs_datagen::workload::{Workload, WorkloadConfig, WorkloadData};
 use provabs_provenance::coeff::{Coefficient, MinF64};
 use provabs_provenance::monomial::Monomial;
@@ -27,6 +27,7 @@ use provabs_trees::forest::Forest;
 use provabs_trees::generate::random_tree;
 use std::fmt::Debug;
 use std::ops::RangeInclusive;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,9 +66,94 @@ impl Rng {
         range.start() + self.below((range.end() - range.start() + 1) as u64) as usize
     }
 
+    /// True one time in `one_in`.
+    pub fn chance(&mut self, one_in: u64) -> bool {
+        self.below(one_in) == 0
+    }
+
+    /// Uniform in `range`, signed.
+    pub fn int(&mut self, range: RangeInclusive<i64>) -> i64 {
+        range.start() + self.below(range.end().abs_diff(*range.start()) + 1) as i64
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     /// One of `items`, uniformly.
     pub fn pick<T: Clone>(&mut self, items: &[T]) -> T {
         items[self.below(items.len() as u64) as usize].clone()
+    }
+}
+
+/// Skipped cases a [`cases`] loop tolerates before it fails: a draw that
+/// almost never meets its case's assumption is a broken generator, and
+/// the loop must not spin on it.
+pub const MAX_SKIPS: u64 = 65_536;
+
+/// What a case returns: `()` counts the case; `Option<()>` counts it when
+/// `Some` and skips it when `None` — the draw missed the case's
+/// assumption — so `?` on a drawn `Option` skips.
+pub trait Outcome {
+    /// Whether the case counts.
+    fn counted(self) -> bool;
+}
+
+impl Outcome for () {
+    fn counted(self) -> bool {
+        true
+    }
+}
+
+impl Outcome for Option<()> {
+    fn counted(self) -> bool {
+        self.is_some()
+    }
+}
+
+/// `Some` when `holds`: `assume(cond)?` skips a case whose draw misses
+/// its assumption.
+pub fn assume(holds: bool) -> Option<()> {
+    holds.then_some(())
+}
+
+/// The seed of case `index` of the loop tagged `tag`: tag and index side
+/// by side, so every case of every tag (below `2^32`) has its own.
+fn case_seed(tag: u64, index: u64) -> u64 {
+    tag << 32 | (index + 1)
+}
+
+/// The one case loop: runs `check` on cases `0, 1, 2, …` until `n` have
+/// counted, case `i` drawing from `Rng::new(tag << 32 | (i + 1))`. A skipped
+/// case (see [`Outcome`]) is not counted; past [`MAX_SKIPS`] of them the
+/// loop panics. A case that panics fails the loop with its index and
+/// seed — `Rng::new(seed)` redraws it; nothing is shrunk.
+pub fn cases<O: Outcome>(n: u64, tag: u64, mut check: impl FnMut(&mut Rng, u64) -> O) {
+    let (mut counted, mut skipped) = (0, 0);
+    let mut index = 0;
+    while counted < n {
+        let seed = case_seed(tag, index);
+        let mut rng = Rng::new(seed);
+        match panic::catch_unwind(AssertUnwindSafe(|| check(&mut rng, index).counted())) {
+            Ok(true) => counted += 1,
+            Ok(false) => {
+                skipped += 1;
+                assert!(
+                    skipped <= MAX_SKIPS,
+                    "skipped {skipped} cases with {counted} of {n} counted: the draw misses its assumption"
+                );
+            }
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("a non-string panic");
+                panic!("case {index} (seed {seed:#x}) failed: {message}");
+            }
+        }
+        index += 1;
     }
 }
 
@@ -234,25 +320,15 @@ impl Shape {
         PolySet::from_vec(polys)
     }
 
-    /// The proptest strategy drawing [`draw`](Self::draw)'s poly-sets.
-    pub fn strategy(self) -> impl PropStrategy<Value = PolySet<f64>> {
-        any::<u64>().prop_map(move |seed| self.draw(&mut Rng::new(seed)))
-    }
-
-    /// This shape as a row of carrier `C`: its coefficients are the
-    /// carrier's [`COEFFS`](Carrier::COEFFS) (the shape's own for `f64`).
-    pub fn carried<C: Carrier>(self) -> Shape {
-        Shape {
+    /// Draws one poly-set of this shape as a row of carrier `C`: its
+    /// coefficients are the carrier's [`COEFFS`](Carrier::COEFFS) (the
+    /// shape's own for `f64`).
+    pub fn draw_in<C: Carrier>(&self, rng: &mut Rng) -> PolySet<C> {
+        let shape = Shape {
             coeffs: C::COEFFS.unwrap_or(self.coeffs),
-            ..self
-        }
-    }
-
-    /// The proptest strategy drawing the [`carried`](Self::carried)
-    /// shape's poly-sets in carrier `C`.
-    pub fn strategy_in<C: Carrier>(self) -> impl PropStrategy<Value = PolySet<C>> {
-        let shape = self.carried::<C>();
-        any::<u64>().prop_map(move |seed| carry(&shape.draw(&mut Rng::new(seed))))
+            ..self.clone()
+        };
+        carry(&shape.draw(rng))
     }
 
     /// `len` scenarios over the shape's variables: each assigns up to
@@ -521,5 +597,61 @@ pub fn prefix_of<T: PartialEq + Debug>(prefix: &[T], whole: &[T], context: &str)
     );
     for (i, (a, b)) in prefix.iter().zip(whole).enumerate() {
         assert_eq!(a, b, "{context}: element {i} of a {}-prefix", prefix.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first draw of each of `n` counted cases of the loop tagged `tag`.
+    fn first_draws(n: u64, tag: u64) -> Vec<u64> {
+        let mut draws = Vec::new();
+        cases(n, tag, |rng, _| draws.push(rng.next_u64()));
+        draws
+    }
+
+    #[test]
+    fn a_tag_draws_the_same_stream_twice_and_another_tag_another() {
+        assert_eq!(first_draws(16, 5), first_draws(16, 5));
+        let (five, six) = (first_draws(16, 5), first_draws(16, 6));
+        assert!(
+            five.iter().zip(&six).all(|(a, b)| a != b),
+            "{five:?} {six:?}"
+        );
+        assert_ne!(case_seed(5, 0), case_seed(5, 1));
+    }
+
+    #[test]
+    fn a_failing_case_names_its_index_and_seed() {
+        let failed =
+            panic::catch_unwind(|| cases(10, 7, |_, i| assert_ne!(i, 3, "the planted fault")));
+        let payload = failed.expect_err("case 3 fails");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        let seed = format!("{:#x}", case_seed(7, 3));
+        assert!(
+            message.contains("case 3 ") && message.contains(&seed),
+            "{message}"
+        );
+        assert!(message.contains("the planted fault"), "{message}");
+    }
+
+    #[test]
+    fn skipped_cases_are_not_counted() {
+        let (mut ran, mut counted) = (Vec::new(), Vec::new());
+        cases(5, 8, |_, i| {
+            ran.push(i);
+            (i % 3 == 0).then(|| counted.push(i))
+        });
+        assert_eq!(counted, [0, 3, 6, 9, 12]);
+        assert_eq!(ran, (0..=12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "skipped 65537 cases with 2 of 3 counted")]
+    fn the_skip_cap_fails_loudly() {
+        cases(3, 9, |_, i| (i < 2).then_some(()));
     }
 }

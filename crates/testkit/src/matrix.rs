@@ -23,7 +23,8 @@ use provabs_provenance::var::VarId;
 use provabs_provenance::working::WorkingSet;
 use provabs_scenario::executor::{eval, EvalOptions, Kernel};
 
-/// Cases each sweep draws (the proptest blocks the matrix replaced ran 96).
+/// Rows each sweep draws: every row runs every value of its axis, so 96
+/// rows keep the whole matrix near 10 s in a debug build (ADR 023).
 pub const CASES: u64 = 96;
 
 /// Every kernel request: the forced kernels and the auto dispatcher.
@@ -250,14 +251,13 @@ impl Cell {
     }
 }
 
-/// Runs `check` on [`CASES`] drawn rows, each with its own generator
-/// seeded from `axis` and the case.
+/// Runs `check` on [`CASES`] drawn rows: the kit's [`cases`](crate::cases)
+/// loop tagged `axis`, the row drawn first from each case's generator.
 pub fn cases(axis: u64, mut check: impl FnMut(Cell, &Rng, &str)) {
-    for case in 0..CASES {
-        let mut rng = Rng::new(axis << 32 | (case + 1));
-        let cell = Cell::draw(&mut rng);
-        check(cell, &rng, &format!("case {case}"));
-    }
+    crate::cases(CASES, axis, |rng, case| {
+        let cell = Cell::draw(rng);
+        check(cell, rng, &format!("case {case}"));
+    });
 }
 
 /// Sweeps `values` over [`CASES`] drawn rows, `set` writing each value

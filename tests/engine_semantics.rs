@@ -2,7 +2,6 @@
 //! reference computations: join/filter/aggregate results and their
 //! provenance must agree with hand-rolled evaluation.
 
-use proptest::prelude::*;
 use provabs::engine::expr::Expr;
 use provabs::engine::param::VarRule;
 use provabs::engine::query::Pipeline;
@@ -11,25 +10,29 @@ use provabs::engine::table::Table;
 use provabs::engine::value::Value;
 use provabs::engine::Catalog;
 use provabs::provenance::{Valuation, VarTable};
+use provabs_testkit::{cases, Rng};
+use std::collections::BTreeMap;
 
 /// fact(key, group, amount) rows.
 type FactRows = Vec<(i64, i64, i64)>;
 /// dim(key, rate) rows.
 type DimRows = Vec<(i64, f64)>;
 
-/// Random fact/dim tables: fact(key, group, amount), dim(key, rate).
-fn tables_strategy() -> impl Strategy<Value = (FactRows, DimRows)> {
-    (
-        prop::collection::vec((0i64..8, 0i64..4, 1i64..100), 1..30),
-        prop::collection::hash_map(0i64..8, 1u32..50, 1..8),
-    )
-        .prop_map(|(facts, dims)| {
-            let dims: Vec<(i64, f64)> = dims
-                .into_iter()
-                .map(|(k, r)| (k, r as f64 / 10.0))
-                .collect();
-            (facts, dims)
-        })
+/// Cases each property runs.
+const CASES: u64 = 64;
+
+/// Random fact/dim tables: fact(key, group, amount) with 1–29 rows,
+/// dim(key, rate) with 1–7 distinct keys.
+fn tables(rng: &mut Rng) -> (FactRows, DimRows) {
+    let facts = (0..rng.within(1..=29))
+        .map(|_| (rng.int(0..=7), rng.int(0..=3), rng.int(1..=99)))
+        .collect();
+    let mut dims = BTreeMap::new();
+    let len = rng.within(1..=7);
+    while dims.len() < len {
+        dims.insert(rng.int(0..=7), (1 + rng.below(49)) as f64 / 10.0);
+    }
+    (facts, dims.into_iter().collect())
 }
 
 fn build_catalog(facts: &[(i64, i64, i64)], dims: &[(i64, f64)]) -> Catalog {
@@ -56,14 +59,13 @@ fn build_catalog(facts: &[(i64, i64, i64)], dims: &[(i64, f64)]) -> Catalog {
     catalog
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// SUM(amount · rate) GROUP BY grp through the engine equals a
-    /// hand-rolled nested loop, and the provenance at all-ones equals the
-    /// plain answer.
-    #[test]
-    fn aggregate_matches_reference((facts, dims) in tables_strategy()) {
+/// SUM(amount · rate) GROUP BY grp through the engine equals a
+/// hand-rolled nested loop, and the provenance at all-ones equals the
+/// plain answer.
+#[test]
+fn aggregate_matches_reference() {
+    cases(CASES, 901, |rng, _| {
+        let (facts, dims) = tables(rng);
         let catalog = build_catalog(&facts, &dims);
         let mut vars = VarTable::new();
         let grouped = Pipeline::scan(&catalog, "fact")
@@ -79,7 +81,7 @@ proptest! {
             .expect("well-typed");
 
         // Reference: nested-loop join + group sums.
-        let mut reference: std::collections::BTreeMap<i64, f64> = Default::default();
+        let mut reference: BTreeMap<i64, f64> = Default::default();
         for &(k, g, a) in &facts {
             for &(dk, r) in &dims {
                 if k == dk {
@@ -87,22 +89,26 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(grouped.len(), reference.len());
+        assert_eq!(grouped.len(), reference.len());
         for (key, poly) in grouped.keys.iter().zip(grouped.polys.iter()) {
             let g = key[0].as_i64().expect("int key");
             let expected = reference[&g];
             let got = poly.eval(|_| 1.0);
-            prop_assert!(
+            assert!(
                 (got - expected).abs() < 1e-6 * expected.abs().max(1.0),
-                "group {}: {} vs {}", g, got, expected
+                "group {g}: {got} vs {expected}"
             );
         }
-    }
+    });
+}
 
-    /// Scaling the contribution of one parameter variable scales exactly
-    /// the rows it covers (linearity of the provenance polynomial).
-    #[test]
-    fn parameter_scaling_is_linear((facts, dims) in tables_strategy(), factor in 0.0f64..3.0) {
+/// Scaling the contribution of one parameter variable scales exactly
+/// the rows it covers (linearity of the provenance polynomial).
+#[test]
+fn parameter_scaling_is_linear() {
+    cases(CASES, 902, |rng, _| {
+        let (facts, dims) = tables(rng);
+        let factor = 3.0 * rng.unit();
         let catalog = build_catalog(&facts, &dims);
         let mut vars = VarTable::new();
         let grouped = Pipeline::scan(&catalog, "fact")
@@ -116,10 +122,12 @@ proptest! {
                 &mut vars,
             )
             .expect("well-typed");
-        let Some(k0) = vars.lookup("k0") else { return Ok(()); };
+        let Some(k0) = vars.lookup("k0") else {
+            return;
+        };
         let val = Valuation::neutral().set(k0, factor);
         // Reference with the k0 bucket scaled.
-        let mut reference: std::collections::BTreeMap<i64, f64> = Default::default();
+        let mut reference: BTreeMap<i64, f64> = Default::default();
         for &(k, g, a) in &facts {
             for &(dk, r) in &dims {
                 if k == dk {
@@ -132,17 +140,21 @@ proptest! {
             let g = key[0].as_i64().expect("int key");
             let got = val.eval(poly);
             let expected = reference[&g];
-            prop_assert!(
+            assert!(
                 (got - expected).abs() < 1e-6 * expected.abs().max(1.0),
-                "group {}: {} vs {}", g, got, expected
+                "group {g}: {got} vs {expected}"
             );
         }
-    }
+    });
+}
 
-    /// Filters commute with aggregation: aggregating the filtered
-    /// pipeline equals filtering the reference.
-    #[test]
-    fn filter_then_aggregate((facts, dims) in tables_strategy(), cut in 0i64..100) {
+/// Filters commute with aggregation: aggregating the filtered
+/// pipeline equals filtering the reference.
+#[test]
+fn filter_then_aggregate() {
+    cases(CASES, 903, |rng, _| {
+        let (facts, dims) = tables(rng);
+        let cut = rng.int(0..=99);
         let catalog = build_catalog(&facts, &dims);
         let mut vars = VarTable::new();
         let grouped = Pipeline::scan(&catalog, "fact")
@@ -151,9 +163,14 @@ proptest! {
             .expect("well-typed")
             .join(&catalog, "dim", &[("key", "dkey")])
             .expect("join keys")
-            .aggregate_sum(&["grp"], &Expr::col("amount").mul(Expr::col("rate")), &[], &mut vars)
+            .aggregate_sum(
+                &["grp"],
+                &Expr::col("amount").mul(Expr::col("rate")),
+                &[],
+                &mut vars,
+            )
             .expect("well-typed");
-        let mut reference: std::collections::BTreeMap<i64, f64> = Default::default();
+        let mut reference: BTreeMap<i64, f64> = Default::default();
         for &(k, g, a) in &facts {
             if a < cut {
                 continue;
@@ -164,10 +181,10 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(grouped.len(), reference.len());
+        assert_eq!(grouped.len(), reference.len());
         for (key, value) in grouped.keys.iter().zip(grouped.plain_values()) {
             let g = key[0].as_i64().expect("int key");
-            prop_assert!((value - reference[&g]).abs() < 1e-6 * value.abs().max(1.0));
+            assert!((value - reference[&g]).abs() < 1e-6 * value.abs().max(1.0));
         }
-    }
+    });
 }

@@ -2,83 +2,83 @@
 //! the reduction's answer coincides with Vertex Cover on every small
 //! graph, and the closed-form size accounting matches real applications.
 
-use proptest::prelude::*;
 use provabs::algo::decision::decide_precise;
 use provabs::algo::hardness::{
     claim_18_sizes, claim_23_sizes, decide_precise_flat, flat_abstraction, reduction_answer,
     uniformly_partitioned, Graph,
 };
 use provabs::provenance::VarTable;
+use provabs_testkit::{assume, cases, Rng};
 
-/// Random small graph strategy (3–6 nodes, no self-loops, ≥ 1 edge).
-fn graph_strategy() -> impl Strategy<Value = Graph> {
-    (3usize..7)
-        .prop_flat_map(|n| {
-            let all_edges: Vec<(usize, usize)> = (0..n)
-                .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
-                .collect();
-            let m = all_edges.len();
-            (
-                Just(n),
-                Just(all_edges),
-                prop::collection::vec(any::<bool>(), m),
-            )
-        })
-        .prop_filter_map("at least one edge", |(n, all_edges, mask)| {
-            let edges: Vec<_> = all_edges
-                .into_iter()
-                .zip(mask)
-                .filter_map(|(e, keep)| keep.then_some(e))
-                .collect();
-            (!edges.is_empty()).then(|| Graph::new(n, edges))
-        })
+/// Cases each property runs.
+const CASES: u64 = 48;
+
+/// A random small graph (3–6 nodes, no self-loops), each possible edge
+/// kept at even odds; `None` when no edge is kept.
+fn graph(rng: &mut Rng) -> Option<Graph> {
+    let n = rng.within(3..=6);
+    let edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+        .filter(|_| rng.chance(2))
+        .collect();
+    (!edges.is_empty()).then(|| Graph::new(n, edges))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Lemma 29 (via the Claim 23 closed form): G has a vertex cover of
-    /// size k ⟺ the reduced instance has a precise abstraction for some
-    /// B ∈ {2..|V|⁵} and K = (|V|−k)·|V|³+k.
-    #[test]
-    fn reduction_equals_vertex_cover(g in graph_strategy(), k in 1usize..6) {
-        prop_assume!(k < g.num_nodes());
-        prop_assert_eq!(
+/// Lemma 29 (via the Claim 23 closed form): G has a vertex cover of
+/// size k ⟺ the reduced instance has a precise abstraction for some
+/// B ∈ {2..|V|⁵} and K = (|V|−k)·|V|³+k.
+#[test]
+fn reduction_equals_vertex_cover() {
+    cases(CASES, 801, |rng, _| {
+        let g = graph(rng)?;
+        let k = rng.within(1..=5);
+        assume(k < g.num_nodes())?;
+        assert_eq!(
             g.has_vertex_cover_of_size(k),
             reduction_answer(&g, k),
-            "graph {:?}", g.edges()
+            "graph {:?}",
+            g.edges()
         );
-    }
+        Some(())
+    });
+}
 
-    /// Claim 18 sizes hold for generated uniformly partitioned
-    /// polynomials.
-    #[test]
-    fn claim_18_holds(x in 2usize..5, n in 1usize..4) {
+/// Claim 18 sizes hold for generated uniformly partitioned
+/// polynomials.
+#[test]
+fn claim_18_holds() {
+    cases(CASES, 802, |rng, _| {
+        let (x, n) = (rng.within(2..=4), rng.within(1..=3));
         let pairs: Vec<(usize, usize)> = (1..x).map(|a| (a, a + 1)).collect();
         let mut vars = VarTable::new();
         let polys = uniformly_partitioned(&mut vars, x, n, &pairs);
         let (m, v) = claim_18_sizes(x, n, pairs.len());
-        prop_assert_eq!(polys.size_m(), m);
-        prop_assert_eq!(polys.size_v(), v);
-    }
+        assert_eq!(polys.size_m(), m);
+        assert_eq!(polys.size_v(), v);
+    });
+}
 
-    /// The closed-form flat decision agrees with the generic (exponential)
-    /// decision procedure on instances small enough to enumerate.
-    #[test]
-    fn closed_form_matches_generic_decision(
-        x in 2usize..4,
-        n in 1usize..3,
-        b in 1usize..20,
-        kk in 1usize..12,
-    ) {
-        let pairs: Vec<(usize, usize)> = (1..x).map(|a| (a, a + 1)).collect();
+/// The closed-form flat decision agrees with the generic (exponential)
+/// decision procedure on instances small enough to enumerate — a path
+/// over the metavariables plus each other pair at even odds — for every
+/// question `(B, K)` in range.
+#[test]
+fn closed_form_matches_generic_decision() {
+    cases(CASES, 803, |rng, _| {
+        let (x, n) = (rng.within(2..=4), rng.within(1..=2));
+        let pairs: Vec<(usize, usize)> = (1..x)
+            .flat_map(|a| (a + 1..=x).map(move |b| (a, b)))
+            .filter(|&(a, b)| b == a + 1 || rng.chance(2))
+            .collect();
         let mut vars = VarTable::new();
         let polys = uniformly_partitioned(&mut vars, x, n, &pairs);
         let forest = flat_abstraction(&mut vars, x, n);
-        let fast = decide_precise_flat(x, n, &pairs, b, kk);
-        let slow = decide_precise(&polys, &forest, b, kk, 1_000_000).expect("small");
-        prop_assert_eq!(fast, slow, "x={} n={} B={} K={}", x, n, b, kk);
-    }
+        for (b, kk) in (1..20).flat_map(|b| (1..12).map(move |kk| (b, kk))) {
+            let fast = decide_precise_flat(x, n, &pairs, b, kk);
+            let slow = decide_precise(&polys, &forest, b, kk, 1_000_000).expect("small");
+            assert_eq!(fast, slow, "x={x} n={n} {pairs:?} B={b} K={kk}");
+        }
+    });
 }
 
 /// The paper's own example instance (Examples 17/19/24) passes through

@@ -4,8 +4,6 @@
 //! [`Carrier`] axis: `f64`, `i64` (merged terms can cancel) and `MinF64`
 //! (merged terms keep the minimum).
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use provabs::algo::greedy::greedy_vvs;
 use provabs::algo::optimal::{optimal_frontier, optimal_vvs};
 use provabs::algo::problem::AbstractionResult;
@@ -16,7 +14,9 @@ use provabs::provenance::working::WorkingSet;
 use provabs::provenance::{PolySet, Valuation};
 use provabs::trees::error::TreeError;
 use provabs::trees::forest::Forest;
-use provabs_testkit::{carry, modelled, random_forest, Carrier, Coeffs, Powers, Rng, Shape};
+use provabs_testkit::{
+    assume, cases, modelled, random_forest, Carrier, Coeffs, Powers, Rng, Shape,
+};
 
 /// A random compatible instance: one random tree over the first of two
 /// pools of two to six variables, the second pool context outside the
@@ -30,28 +30,36 @@ struct Instance<C: Carrier> {
     forest: Forest,
 }
 
-fn instance_strategy<C: Carrier>() -> impl Strategy<Value = Instance<C>> {
-    (2u32..7, any::<u64>())
-        .prop_map(|(leaves, seed)| {
-            let mut rng = Rng::new(seed);
-            let shape = Shape {
-                vars: 2 * leaves,
-                pools: 2,
-                powers: Powers::Dense(2),
-                coeffs: Coeffs::Integers,
-                ..Shape::default()
-            }
-            .carried::<C>();
-            let polys = carry(&shape.draw(&mut rng));
-            // The tree covers its whole pool; cleaning inside the
-            // algorithms handles leaves that occur nowhere.
-            Instance {
-                source: WorkingSet::from_polyset(&polys),
-                polys,
-                forest: random_forest(shape.vars, 2, 1, rng.next_u64()).1,
-            }
-        })
-        .prop_filter("non-trivial provenance", |inst| inst.polys.size_m() >= 2)
+/// Cases each property runs.
+const CASES: u64 = 64;
+
+/// Draws an instance in carrier `C`; `None` (the case skips) when its
+/// provenance is trivial, under two monomials.
+fn instance<C: Carrier>(rng: &mut Rng) -> Option<Instance<C>> {
+    let shape = Shape {
+        vars: 2 * rng.within(2..=6) as u32,
+        pools: 2,
+        powers: Powers::Dense(2),
+        coeffs: Coeffs::Integers,
+        ..Shape::default()
+    };
+    let polys: PolySet<C> = shape.draw_in(rng);
+    assume(polys.size_m() >= 2)?;
+    // The tree covers its whole pool; cleaning inside the algorithms
+    // handles leaves that occur nowhere.
+    Some(Instance {
+        source: WorkingSet::from_polyset(&polys),
+        polys,
+        forest: random_forest(shape.vars, 2, 1, rng.next_u64()).1,
+    })
+}
+
+/// One instance on each carrier row: `f64`, `i64` and `MinF64`.
+type Rows = (Instance<f64>, Instance<i64>, Instance<MinF64>);
+
+/// Draws [`Rows`]; `None` when any of the three is trivial.
+fn rows(rng: &mut Rng) -> Option<Rows> {
+    Some((instance(rng)?, instance(rng)?, instance(rng)?))
 }
 
 /// The sparse DP finds exactly the brute-force optimum for every bound,
@@ -60,7 +68,7 @@ fn instance_strategy<C: Carrier>() -> impl Strategy<Value = Instance<C>> {
 /// [`support`] (fully independent of the `TreeLoss` machinery the DP and
 /// the shipped brute force share); the carrier's own poly-set under each
 /// cut is held to it by the [`modelled`] relation.
-fn optimal_matches_brute_force_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCaseError> {
+fn optimal_matches_brute_force_in<C: Carrier>(inst: &Instance<C>) {
     let row = C::NAME;
     let total = inst.polys.size_m();
     let (cleaned, _) = provabs::algo::problem::prepare(&inst.source, &inst.forest)
@@ -91,25 +99,16 @@ fn optimal_matches_brute_force_in<C: Carrier>(inst: &Instance<C>) -> Result<(), 
         match (opt, brute, expected_best) {
             (Ok((o, _)), Ok(b), Some(v)) => {
                 let o = o.result;
-                prop_assert!(o.is_adequate_for(bound), "{}", row);
-                prop_assert!(b.is_adequate_for(bound), "{}", row);
+                assert!(o.is_adequate_for(bound), "{}", row);
+                assert!(b.is_adequate_for(bound), "{}", row);
                 let (om, ov) = (o.compressed_size_m, o.compressed_size_v);
                 let modelled_o = sizes(&o.vvs.apply(&supp, &o.forest));
                 modelled::<C>(&[(om, ov)], &[modelled_o], row);
-                prop_assert_eq!(
-                    modelled_o.1,
-                    v,
-                    "{}: DP vs reference at bound {}",
-                    row,
-                    bound
-                );
+                assert_eq!(modelled_o.1, v, "{row}: DP vs reference at bound {bound}");
                 let modelled_b = sizes(&b.vvs.apply(&supp, &b.forest));
-                prop_assert_eq!(
-                    modelled_b.1,
-                    v,
-                    "{}: brute vs reference at bound {}",
-                    row,
-                    bound
+                assert_eq!(
+                    modelled_b.1, v,
+                    "{row}: brute vs reference at bound {bound}"
                 );
                 o.vvs.validate(&o.forest).expect("valid VVS");
             }
@@ -122,21 +121,14 @@ fn optimal_matches_brute_force_in<C: Carrier>(inst: &Instance<C>) -> Result<(), 
                 }),
                 None,
             ) => {
-                prop_assert_eq!(a, expected_floor, "{}: DP floor at bound {}", row, bound);
-                prop_assert_eq!(b, expected_floor, "{}: brute floor at bound {}", row, bound);
+                assert_eq!(a, expected_floor, "{row}: DP floor at bound {bound}");
+                assert_eq!(b, expected_floor, "{row}: brute floor at bound {bound}");
             }
-            (o, b, e) => prop_assert!(
-                false,
-                "{}: disagreement at bound {}: opt {:?}, brute {:?}, reference {:?}",
-                row,
-                bound,
-                o,
-                b,
-                e
+            (o, b, e) => panic!(
+                "{row}: disagreement at bound {bound}: opt {o:?}, brute {b:?}, reference {e:?}"
             ),
         }
     }
-    Ok(())
 }
 
 /// `polys`' support: every term kept, its coefficient `1` — the
@@ -155,25 +147,24 @@ fn sizes<C: Carrier>(down: &PolySet<C>) -> (usize, usize) {
 }
 
 /// Dense and sparse DP variants are interchangeable.
-fn dense_equals_sparse_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCaseError> {
+fn dense_equals_sparse_in<C: Carrier>(inst: &Instance<C>) {
     let total = inst.polys.size_m();
     for bound in (1..=total).step_by(2) {
         let s = optimal_vvs(&inst.source, &inst.forest, bound, &Guard::unlimited());
         let d = optimal_vvs_dense(&inst.polys, &inst.forest, bound);
         match (s, d) {
             (Ok((a, _)), Ok(b)) => {
-                prop_assert_eq!(
+                assert_eq!(
                     a.result.compressed_size_v,
                     b.compressed_size_v,
                     "{}",
                     C::NAME
                 )
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", C::NAME),
-            (a, b) => prop_assert!(false, "{}: sparse {:?} vs dense {:?}", C::NAME, a, b),
+            (Err(a), Err(b)) => assert_eq!(a, b, "{}", C::NAME),
+            (a, b) => panic!("{}: sparse {:?} vs dense {:?}", C::NAME, a, b),
         }
     }
-    Ok(())
 }
 
 /// Greedy always returns a valid VVS whose sizes are its VVS applied;
@@ -183,7 +174,7 @@ fn dense_equals_sparse_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCase
 /// optimises the loss model (the support's sizes, ADR 024) while the
 /// greedy stops on the loss it measured, so the greedy may keep more
 /// variables than the DP's cut — but never more than any measured cut.
-fn greedy_is_sound_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCaseError> {
+fn greedy_is_sound_in<C: Carrier>(inst: &Instance<C>) {
     let row = C::NAME;
     let total = inst.polys.size_m();
     let guard = Guard::unlimited();
@@ -202,20 +193,18 @@ fn greedy_is_sound_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCaseErro
             Ok((g, _)) => {
                 let g = g.result;
                 g.vvs.validate(&g.forest).expect("valid VVS");
-                prop_assert!(g.is_adequate_for(bound), "{}", row);
-                prop_assert_eq!(
+                assert!(g.is_adequate_for(bound), "{}", row);
+                assert_eq!(
                     sizes(&g.vvs.apply(&inst.polys, &g.forest)),
                     (g.compressed_size_m, g.compressed_size_v),
-                    "{}: measured sizes at bound {}",
-                    row,
-                    bound
+                    "{row}: measured sizes at bound {bound}"
                 );
                 let best = measured
                     .iter()
                     .filter(|(m, _)| *m <= bound)
                     .map(|&(_, v)| v)
                     .max();
-                prop_assert!(
+                assert!(
                     best.is_some_and(|v| g.compressed_size_v <= v),
                     "{}: greedy V {} vs best measured cut {:?} at bound {}",
                     row,
@@ -225,38 +214,37 @@ fn greedy_is_sound_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCaseErro
                 );
                 if let Ok((o, _)) = optimal_vvs(&inst.source, &inst.forest, bound, &guard) {
                     if !C::CANCELS {
-                        prop_assert!(g.compressed_size_v <= o.result.compressed_size_v, "{}", row);
+                        assert!(g.compressed_size_v <= o.result.compressed_size_v, "{}", row);
                     }
                 }
             }
             Err(TreeError::BoundUnattainable { .. }) => {
                 // The optimum must also fail then: greedy exhausts the
                 // tree, reaching maximal compression.
-                prop_assert!(
+                assert!(
                     optimal_vvs(&inst.source, &inst.forest, bound, &guard).is_err(),
                     "{}",
                     row
                 );
             }
-            Err(e) => prop_assert!(false, "{}: unexpected error {}", row, e),
+            Err(e) => panic!("{row}: unexpected error {e}"),
         }
     }
-    Ok(())
 }
 
 /// The frontier is consistent with per-bound optimal runs.
-fn frontier_is_consistent_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestCaseError> {
+fn frontier_is_consistent_in<C: Carrier>(inst: &Instance<C>) {
     let row = C::NAME;
     let guard = Guard::unlimited();
     let (frontier, completion) =
         optimal_frontier(&inst.source, &inst.forest, &guard).expect("single tree");
-    prop_assert!(completion.is_complete());
-    prop_assert!(!frontier.is_empty());
+    assert!(completion.is_complete());
+    assert!(!frontier.is_empty());
     // Strictly decreasing sizes, strictly decreasing granularity
     // gains (Pareto): sizes strictly decrease, granularities weakly.
     for w in frontier.windows(2) {
-        prop_assert!(w[1].0 < w[0].0, "{}", row);
-        prop_assert!(w[1].1 <= w[0].1, "{}", row);
+        assert!(w[1].0 < w[0].0, "{}", row);
+        assert!(w[1].1 <= w[0].1, "{}", row);
     }
     for &(size, granularity) in &frontier {
         let (r, _) = optimal_vvs(&inst.source, &inst.forest, size, &guard).expect("attainable");
@@ -266,14 +254,12 @@ fn frontier_is_consistent_in<C: Carrier>(inst: &Instance<C>) -> Result<(), TestC
             &[(size, granularity)],
             row,
         );
-        prop_assert_eq!(
+        assert_eq!(
             sizes(&r.vvs.apply(&support(&inst.polys), &r.forest)).1,
             granularity,
-            "{}",
-            row
+            "{row}"
         );
     }
-    Ok(())
 }
 
 /// The DP's abstraction at every point of its frontier — identity to
@@ -302,7 +288,7 @@ fn valuation_lifting_commutes_in<C: Carrier>(
     inst: &Instance<C>,
     factor: C,
     same: impl Fn(&C, &C) -> bool,
-) -> Result<(), TestCaseError> {
+) {
     for result in frontier_abstractions(inst) {
         let mut coarse = Valuation::neutral();
         for v in result.vvs.vars(&result.forest) {
@@ -312,9 +298,9 @@ fn valuation_lifting_commutes_in<C: Carrier>(
         let down = result.apply(&inst.polys);
         let a = coarse.eval_set(&down);
         let b = lifted.eval_set(&inst.polys);
-        prop_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         for ((x, y), p) in a.iter().zip(&b).zip(inst.polys.iter()) {
-            prop_assert!(same(x, y), "{}: {:?} vs {:?}", C::NAME, x, y);
+            assert!(same(x, y), "{}: {:?} vs {:?}", C::NAME, x, y);
             let terms: Vec<C> = p
                 .iter()
                 .map(|(m, c)| {
@@ -323,7 +309,7 @@ fn valuation_lifting_commutes_in<C: Carrier>(
                 })
                 .collect();
             let defined = C::aggregate(&terms);
-            prop_assert!(
+            assert!(
                 same(y, &defined),
                 "{}: {:?} vs the aggregate {:?}",
                 C::NAME,
@@ -332,26 +318,22 @@ fn valuation_lifting_commutes_in<C: Carrier>(
             );
         }
     }
-    Ok(())
 }
 
 /// Coefficient mass (the carrier's [`aggregate`](Carrier::aggregate) of
 /// a polynomial's coefficients) is preserved by the DP's most compressed
 /// abstraction, compared by `same`.
-fn mass_preserved_in<C: Carrier>(
-    inst: &Instance<C>,
-    same: impl Fn(&C, &C) -> bool,
-) -> Result<(), TestCaseError> {
+fn mass_preserved_in<C: Carrier>(inst: &Instance<C>, same: impl Fn(&C, &C) -> bool) {
     let floor = frontier_abstractions(inst)
         .pop()
         .expect("the identity at least");
     let down = floor.apply(&inst.polys);
     for (orig, abst) in inst.polys.iter().zip(down.iter()) {
         let (a, b) = (orig.coefficient_mass(), abst.coefficient_mass());
-        prop_assert!(same(&a, &b), "{}: {:?} vs {:?}", C::NAME, a, b);
+        assert!(same(&a, &b), "{}: {:?} vs {:?}", C::NAME, a, b);
         let coeffs: Vec<C> = orig.iter().map(|(_, c)| *c).collect();
         let defined = C::aggregate(&coeffs);
-        prop_assert!(
+        assert!(
             same(&a, &defined),
             "{}: {:?} vs the aggregate {:?}",
             C::NAME,
@@ -359,7 +341,6 @@ fn mass_preserved_in<C: Carrier>(
             defined
         );
     }
-    Ok(())
 }
 
 /// Within `1e-6` of the larger magnitude (or of 1): the room the `f64`
@@ -369,84 +350,79 @@ fn near(x: &f64, y: &f64) -> bool {
     (x - y).abs() <= 1e-6 * x.abs().max(y.abs()).max(1.0)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn optimal_matches_brute_force() {
+    cases(CASES, 1001, |rng, _| {
+        let (inst, ints, mins) = rows(rng)?;
+        optimal_matches_brute_force_in(&inst);
+        optimal_matches_brute_force_in(&ints);
+        optimal_matches_brute_force_in(&mins);
+        Some(())
+    });
+}
 
-    #[test]
-    fn optimal_matches_brute_force(
-        inst in instance_strategy::<f64>(),
-        ints in instance_strategy::<i64>(),
-        mins in instance_strategy::<MinF64>(),
-    ) {
-        optimal_matches_brute_force_in(&inst)?;
-        optimal_matches_brute_force_in(&ints)?;
-        optimal_matches_brute_force_in(&mins)?;
-    }
+#[test]
+fn dense_equals_sparse() {
+    cases(CASES, 1002, |rng, _| {
+        let (inst, ints, mins) = rows(rng)?;
+        dense_equals_sparse_in(&inst);
+        dense_equals_sparse_in(&ints);
+        dense_equals_sparse_in(&mins);
+        Some(())
+    });
+}
 
-    #[test]
-    fn dense_equals_sparse(
-        inst in instance_strategy::<f64>(),
-        ints in instance_strategy::<i64>(),
-        mins in instance_strategy::<MinF64>(),
-    ) {
-        dense_equals_sparse_in(&inst)?;
-        dense_equals_sparse_in(&ints)?;
-        dense_equals_sparse_in(&mins)?;
-    }
+#[test]
+fn greedy_is_sound() {
+    cases(CASES, 1003, |rng, _| {
+        let (inst, ints, mins) = rows(rng)?;
+        greedy_is_sound_in(&inst);
+        greedy_is_sound_in(&ints);
+        greedy_is_sound_in(&mins);
+        Some(())
+    });
+}
 
-    #[test]
-    fn greedy_is_sound(
-        inst in instance_strategy::<f64>(),
-        ints in instance_strategy::<i64>(),
-        mins in instance_strategy::<MinF64>(),
-    ) {
-        greedy_is_sound_in(&inst)?;
-        greedy_is_sound_in(&ints)?;
-        greedy_is_sound_in(&mins)?;
-    }
+#[test]
+fn frontier_is_consistent() {
+    cases(CASES, 1004, |rng, _| {
+        let (inst, ints, mins) = rows(rng)?;
+        frontier_is_consistent_in(&inst);
+        frontier_is_consistent_in(&ints);
+        frontier_is_consistent_in(&mins);
+        Some(())
+    });
+}
 
-    #[test]
-    fn frontier_is_consistent(
-        inst in instance_strategy::<f64>(),
-        ints in instance_strategy::<i64>(),
-        mins in instance_strategy::<MinF64>(),
-    ) {
-        frontier_is_consistent_in(&inst)?;
-        frontier_is_consistent_in(&ints)?;
-        frontier_is_consistent_in(&mins)?;
-    }
+/// Abstraction soundness per carrier: `f64` to `1e-6` under a factor
+/// in `[0.1, 2)`; `i64` exactly under any integer factor (its sums
+/// are exact, cancelled terms included); `MinF64` exactly under a
+/// non-negative integer factor, where `min(a·x, b·x) = min(a, b)·x`
+/// holds to the bit (rounding is monotone, and integers this small
+/// multiply exactly).
+#[test]
+fn valuation_lifting_commutes() {
+    cases(CASES, 1005, |rng, _| {
+        let (inst, ints, mins) = rows(rng)?;
+        let factor = 0.1 + 1.9 * rng.unit();
+        let (int_factor, min_factor) = (rng.int(-4..=4), rng.below(5));
+        valuation_lifting_commutes_in(&inst, factor, near);
+        valuation_lifting_commutes_in(&ints, int_factor, i64::eq);
+        valuation_lifting_commutes_in(&mins, MinF64(min_factor as f64), MinF64::eq);
+        Some(())
+    });
+}
 
-    /// Abstraction soundness per carrier: `f64` to `1e-6` under a factor
-    /// in `[0.1, 2)`; `i64` exactly under any integer factor (its sums
-    /// are exact, cancelled terms included); `MinF64` exactly under a
-    /// non-negative integer factor, where `min(a·x, b·x) = min(a, b)·x`
-    /// holds to the bit (rounding is monotone, and integers this small
-    /// multiply exactly).
-    #[test]
-    fn valuation_lifting_commutes(
-        inst in instance_strategy::<f64>(),
-        factor in 0.1f64..2.0,
-        ints in instance_strategy::<i64>(),
-        int_factor in -4i64..=4,
-        mins in instance_strategy::<MinF64>(),
-        min_factor in 0u32..=4,
-    ) {
-        valuation_lifting_commutes_in(&inst, factor, near)?;
-        valuation_lifting_commutes_in(&ints, int_factor, i64::eq)?;
-        valuation_lifting_commutes_in(&mins, MinF64(f64::from(min_factor)), MinF64::eq)?;
-    }
-
-    /// Coefficient mass is preserved by any abstraction: to `1e-6` in
-    /// `f64`, exactly in `i64` (cancelled terms held zero) and in
-    /// `MinF64` (the minimum of the merged terms).
-    #[test]
-    fn mass_preserved(
-        inst in instance_strategy::<f64>(),
-        ints in instance_strategy::<i64>(),
-        mins in instance_strategy::<MinF64>(),
-    ) {
-        mass_preserved_in(&inst, near)?;
-        mass_preserved_in(&ints, i64::eq)?;
-        mass_preserved_in(&mins, MinF64::eq)?;
-    }
+/// Coefficient mass is preserved by any abstraction: to `1e-6` in
+/// `f64`, exactly in `i64` (cancelled terms held zero) and in
+/// `MinF64` (the minimum of the merged terms).
+#[test]
+fn mass_preserved() {
+    cases(CASES, 1006, |rng, _| {
+        let (inst, ints, mins) = rows(rng)?;
+        mass_preserved_in(&inst, near);
+        mass_preserved_in(&ints, i64::eq);
+        mass_preserved_in(&mins, MinF64::eq);
+        Some(())
+    });
 }
